@@ -234,7 +234,7 @@ impl ScenarioExtractor {
         if sh[0] > cfg.frames {
             return Err(ExtractError::BadShape { expected, found: sh.to_vec() });
         }
-        if let Some(index) = video.to_vec().iter().position(|v| !v.is_finite()) {
+        if let Some(index) = video.first_non_finite() {
             return Err(ExtractError::NonFinite { index });
         }
         Ok(())
@@ -271,7 +271,7 @@ impl ScenarioExtractor {
             let per = cfg.frames * cfg.height * cfg.width;
             let mut stacked = Vec::with_capacity(valid.len() * per);
             for &i in &valid {
-                stacked.extend_from_slice(&videos[i].to_vec());
+                stacked.extend_from_slice(&videos[i].flat());
             }
             let batch =
                 Tensor::from_vec(stacked, &[valid.len(), cfg.frames, cfg.height, cfg.width]);

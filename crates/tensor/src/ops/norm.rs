@@ -1,15 +1,16 @@
 //! Layer normalization forward kernel.
 
+use super::reduce::lane_sum;
 use crate::pool;
 use crate::Tensor;
 
 /// Layer-norm rows below this many elements stay on the calling thread.
 const LAYERNORM_SERIAL_BELOW: usize = 1 << 14;
 
-/// Normalizes `count` packed rows of width `d` starting at logical row
-/// `first_row`, writing normalized values plus the per-row `mean`/`rstd`
-/// statistics the backward pass reuses. Row-local accumulation order is the
-/// shared determinism anchor for the serial and pooled paths.
+/// Normalizes the packed rows of width `d = gamma.len()` in `src`, writing
+/// every element of `out` plus the per-row `mean`/`rstd` statistics the
+/// backward pass reuses. Mean and variance are [`lane_sum`]s — a fixed
+/// function of the row, shared by the serial and pooled paths.
 fn layer_norm_rows(
     src: &[f32],
     gamma: &[f32],
@@ -20,14 +21,15 @@ fn layer_norm_rows(
     rstds: &mut [f32],
 ) {
     let d = gamma.len();
-    for (r, (row, orow)) in src.chunks_exact(d).zip(out.chunks_exact_mut(d)).enumerate() {
-        let mean: f32 = row.iter().sum::<f32>() / d as f32;
-        let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
+    let rows = src.chunks_exact(d).zip(out.chunks_exact_mut(d));
+    for ((row, orow), (mslot, rslot)) in rows.zip(means.iter_mut().zip(rstds.iter_mut())) {
+        let mean = lane_sum(row, |v| v) / d as f32;
+        let var = lane_sum(row, |v| (v - mean) * (v - mean)) / d as f32;
         let rstd = 1.0 / (var + eps).sqrt();
-        means[r] = mean;
-        rstds[r] = rstd;
-        for (i, (o, &v)) in orow.iter_mut().zip(row).enumerate() {
-            *o = (v - mean) * rstd * gamma[i] + beta[i];
+        *mslot = mean;
+        *rslot = rstd;
+        for ((o, &v), (&g, &b)) in orow.iter_mut().zip(row).zip(gamma.iter().zip(beta)) {
+            *o = ((v - mean) * rstd).mul_add(g, b);
         }
     }
 }
@@ -55,23 +57,24 @@ pub fn layer_norm_forward(
     assert_eq!(beta.shape(), &[d], "beta must be [D]");
     let rows = x.numel() / d;
     let xc = x.contiguous(); // row kernel needs packed rows
-    let gd = gamma.to_vec();
-    let bd = beta.to_vec();
+    let (gd, bd) = (gamma.flat(), beta.flat()); // borrowed: parameters are contiguous
 
+    // `layer_norm_rows` stores every element of all three outputs, so both
+    // paths take uninitialized workspace.
     if rows > 1 && pool::should_parallelize(xc.numel(), LAYERNORM_SERIAL_BELOW) {
         let xd = xc.raw_arc();
         let off = xc.offset();
         let threads = pool::num_threads().min(rows);
         let rows_per = rows.div_ceil(threads);
         let chunks = rows.div_ceil(rows_per);
-        let gd = std::sync::Arc::new(gd);
-        let bd = std::sync::Arc::new(bd);
+        let gd: std::sync::Arc<[f32]> = gd.into();
+        let bd: std::sync::Arc<[f32]> = bd.into();
         let parts = pool::map_chunks_named("layer_norm", chunks, move |c| {
             let first = c * rows_per;
             let count = rows_per.min(rows - first);
-            let mut out = crate::workspace::take_zeroed(count * d);
-            let mut means = crate::workspace::take_zeroed(count);
-            let mut rstds = crate::workspace::take_zeroed(count);
+            let mut out = crate::workspace::take_uninit(count * d);
+            let mut means = crate::workspace::take_uninit(count);
+            let mut rstds = crate::workspace::take_uninit(count);
             let src = &xd[off + first * d..off + (first + count) * d];
             layer_norm_rows(src, &gd, &bd, eps, &mut out, &mut means, &mut rstds);
             (out, means, rstds)
@@ -94,9 +97,9 @@ pub fn layer_norm_forward(
         );
     }
 
-    let mut out = crate::workspace::take_zeroed(rows * d);
-    let mut means = crate::workspace::take_zeroed(rows);
-    let mut rstds = crate::workspace::take_zeroed(rows);
+    let mut out = crate::workspace::take_uninit(rows * d);
+    let mut means = crate::workspace::take_uninit(rows);
+    let mut rstds = crate::workspace::take_uninit(rows);
     layer_norm_rows(xc.data(), &gd, &bd, eps, &mut out, &mut means, &mut rstds);
     (
         Tensor::from_vec(out, x.shape()),

@@ -34,24 +34,25 @@ pub(super) fn max4(xs: &[f32]) -> f32 {
     m[0].max(m[1]).max(m[2].max(m[3])).max(tail)
 }
 
-/// Sum of a row via four independent accumulator lanes. The lane assignment
-/// depends only on element index, so the result is a fixed function of the
-/// row — identical for every pool size and chunking.
+/// Sum of `f(x)` over a row via eight independent accumulator lanes — one
+/// AVX2 vector — folded pairwise at the end. The lane assignment depends
+/// only on element index, so the result is a fixed function of the row —
+/// identical for every pool size and chunking.
 #[inline]
-pub(super) fn sum4(xs: &[f32]) -> f32 {
-    let c = xs.chunks_exact(4);
-    let mut acc = [0.0f32; 4];
+pub(super) fn lane_sum(xs: &[f32], f: impl Fn(f32) -> f32) -> f32 {
+    let c = xs.chunks_exact(8);
     let mut tail = 0.0f32;
     for &x in c.remainder() {
-        tail += x;
+        tail += f(x);
     }
+    let mut acc = [0.0f32; 8];
     for x in c {
-        acc[0] += x[0];
-        acc[1] += x[1];
-        acc[2] += x[2];
-        acc[3] += x[3];
+        for (a, &v) in acc.iter_mut().zip(x) {
+            *a += f(v);
+        }
     }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+    let quad = [acc[0] + acc[4], acc[1] + acc[5], acc[2] + acc[6], acc[3] + acc[7]];
+    (quad[0] + quad[2]) + (quad[1] + quad[3]) + tail
 }
 
 /// Sum of all elements as a scalar tensor.
@@ -214,16 +215,23 @@ pub fn argmax_last(a: &Tensor) -> Tensor {
 }
 
 /// Softmax of packed rows: `out` and `src` hold the same whole rows of
-/// width `d`.
+/// width `d`. Three passes over the whole buffer instead of three per row:
+/// attention rows are short (17 wide in the model), and a per-row exp loop
+/// would spend its time in the scalar remainder; the flat pass runs
+/// [`fastmath::exp`] at full vector width whatever `d` is. Each element is
+/// still a function of its own row only.
 fn softmax_rows(src: &[f32], out: &mut [f32], d: usize) {
     for (row, orow) in src.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
         let m = max4(row);
-        // Exponentiate in a dependency-free pass (vectorizable — `fastmath::
-        // exp` is branchless), then reduce with lane accumulators.
         for (o, &x) in orow.iter_mut().zip(row) {
-            *o = fastmath::exp(x - m);
+            *o = x - m;
         }
-        let denom = sum4(orow);
+    }
+    for o in out.iter_mut() {
+        *o = fastmath::exp(*o);
+    }
+    for orow in out.chunks_exact_mut(d) {
+        let denom = lane_sum(orow, |x| x);
         for v in orow.iter_mut() {
             *v /= denom;
         }
@@ -235,11 +243,11 @@ fn log_softmax_rows(src: &[f32], out: &mut [f32], d: usize) {
     for (row, orow) in src.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
         let m = max4(row);
         // Stage the exponentials in `orow` so the exp pass is dependency-free
-        // (vectorizable); the lane-accumulated sum then reads them back.
+        // and vectorizes; the lane-accumulated sum then reads them back.
         for (o, &x) in orow.iter_mut().zip(row) {
             *o = fastmath::exp(x - m);
         }
-        let lse = m + sum4(orow).ln();
+        let lse = m + lane_sum(orow, |x| x).ln();
         for (o, &x) in orow.iter_mut().zip(row) {
             *o = x - lse;
         }
@@ -365,6 +373,21 @@ mod tests {
         assert!(!s.has_non_finite());
         // Larger logit -> larger probability.
         assert!(s.at(&[0, 1]) > s.at(&[0, 0]));
+    }
+
+    #[test]
+    fn softmax_rows_sum_to_one_at_every_lane_remainder() {
+        // Widths on both sides of the 8-lane sum and the flat exp pass's
+        // vector width, plus the model's 17 and 64.
+        for d in [1usize, 7, 8, 9, 17, 64] {
+            let t = Tensor::from_fn(&[5, d], |i| ((i * 37 + d) % 23) as f32 * 0.4 - 4.0);
+            let s = softmax_last(&t);
+            for (r, row) in s.data().chunks(d).enumerate() {
+                let sum: f64 = row.iter().map(|&p| p as f64).sum();
+                assert!((sum - 1.0).abs() < 1e-6, "width {d} row {r} sums to {sum}");
+                assert!(row.iter().all(|&p| p > 0.0 && p <= 1.0));
+            }
+        }
     }
 
     #[test]

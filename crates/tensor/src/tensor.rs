@@ -1,5 +1,6 @@
 //! The dense, row-major `f32` tensor value type with strided views.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -236,10 +237,30 @@ impl Tensor {
         let mut v = workspace::take_reserve(self.numel());
         if self.is_contiguous() {
             v.extend_from_slice(&self.data[self.offset..self.offset + self.numel()]);
-        } else {
-            v.extend(self.iter_elems());
+            return v;
+        }
+        // Copy the view's dense trailing runs whole (the head-merge permute
+        // keeps 16-float rows intact) and walk only the dims outside them.
+        let (mut outer, mut run) = (self.shape.len(), 1);
+        while outer > 0 && (self.shape[outer - 1] == 1 || self.strides[outer - 1] == run) {
+            run *= self.shape[outer - 1];
+            outer -= 1;
+        }
+        let mut starts = self.iter_prefix(outer);
+        while let Some(off) = starts.next_offset() {
+            v.extend_from_slice(&self.data[off..off + run]);
         }
         v
+    }
+
+    /// The logical elements in row-major order as one slice: borrowed when
+    /// the tensor is contiguous, gathered ([`Tensor::to_vec`]) otherwise.
+    pub fn flat(&self) -> Cow<'_, [f32]> {
+        if self.is_contiguous() {
+            Cow::Borrowed(self.data())
+        } else {
+            Cow::Owned(self.to_vec())
+        }
     }
 
     /// Read-only view of the flat row-major buffer.
@@ -363,13 +384,19 @@ impl Tensor {
 
     /// Iterates the logical elements in row-major order.
     pub(crate) fn iter_elems(&self) -> ElemIter<'_> {
+        self.iter_prefix(self.shape.len())
+    }
+
+    /// Row-major walk over the leading `dims` dimensions only, the trailing
+    /// ones held at index 0.
+    fn iter_prefix(&self, dims: usize) -> ElemIter<'_> {
         ElemIter {
             data: &self.data,
-            shape: &self.shape,
-            strides: &self.strides,
-            idx: vec![0; self.shape.len()],
+            shape: &self.shape[..dims],
+            strides: &self.strides[..dims],
+            idx: vec![0; dims],
             off: self.offset,
-            remaining: self.numel(),
+            remaining: shape::numel(&self.shape[..dims]),
         }
     }
 
@@ -441,7 +468,26 @@ impl Tensor {
 
     /// True if any element is `NaN` or infinite.
     pub fn has_non_finite(&self) -> bool {
-        self.iter_elems().any(|x| !x.is_finite())
+        self.first_non_finite().is_some()
+    }
+
+    /// Row-major flat index of the first `NaN` or infinite element, scanned
+    /// in place (no copy, whatever the layout).
+    pub fn first_non_finite(&self) -> Option<usize> {
+        if !self.is_contiguous() {
+            return self.iter_elems().position(|x| !x.is_finite());
+        }
+        // An early-exit search does not vectorize; a branch-free verdict per
+        // block does, and only a block that fails is searched.
+        const BLOCK: usize = 64;
+        let blocks = self.data().chunks(BLOCK);
+        for (b, block) in blocks.enumerate() {
+            if !block.iter().fold(true, |ok, x| ok & x.is_finite()) {
+                let i = block.iter().position(|x| !x.is_finite());
+                return i.map(|i| b * BLOCK + i);
+            }
+        }
+        None
     }
 }
 
@@ -455,14 +501,13 @@ pub(crate) struct ElemIter<'a> {
     remaining: usize,
 }
 
-impl Iterator for ElemIter<'_> {
-    type Item = f32;
-
-    fn next(&mut self) -> Option<f32> {
+impl ElemIter<'_> {
+    /// Buffer offset of the next element in row-major order.
+    fn next_offset(&mut self) -> Option<usize> {
         if self.remaining == 0 {
             return None;
         }
-        let v = self.data[self.off];
+        let off = self.off;
         self.remaining -= 1;
         // Odometer increment over the index, updating the offset in place.
         for dim in (0..self.shape.len()).rev() {
@@ -474,7 +519,15 @@ impl Iterator for ElemIter<'_> {
             self.off -= self.strides[dim] * self.shape[dim];
             self.idx[dim] = 0;
         }
-        Some(v)
+        Some(off)
+    }
+}
+
+impl Iterator for ElemIter<'_> {
+    type Item = f32;
+
+    fn next(&mut self) -> Option<f32> {
+        self.next_offset().map(|off| self.data[off])
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -657,6 +710,39 @@ mod tests {
         assert!(!t.has_non_finite());
         t.set(&[1], f32::NAN);
         assert!(t.has_non_finite());
+    }
+
+    #[test]
+    fn to_vec_copies_dense_runs_of_strided_views_in_logical_order() {
+        // Head-merge layout: [B, H, T, Dh] viewed as [B, T, H, Dh] keeps its
+        // Dh-long rows dense; an extent-1 dim with a junk stride must not
+        // break the run, and a narrowed view must honour its offset.
+        let t = Tensor::arange(2 * 3 * 4 * 5).reshape(&[2, 3, 4, 5]);
+        let views = [
+            Tensor::view_of(&t, vec![2, 4, 3, 5], vec![60, 5, 20, 1], 0),
+            Tensor::view_of(&t, vec![2, 4, 1, 3, 5], vec![60, 5, 7, 20, 1], 0),
+            Tensor::view_of(&t, vec![3, 2, 5], vec![20, 5, 1], 60 + 10),
+            Tensor::view_of(&t, vec![5, 4], vec![1, 5], 0),
+        ];
+        for v in &views {
+            assert!(!v.is_contiguous());
+            let want: Vec<f32> =
+                (0..v.numel()).map(|i| v.at(&shape::index_of(v.shape(), i))).collect();
+            assert_eq!(v.to_vec(), want, "shape {:?} strides {:?}", v.shape(), v.strides());
+        }
+    }
+
+    #[test]
+    fn first_non_finite_reports_the_row_major_index() {
+        // Past the first scan block, with a later offender that must not win.
+        let mut t = Tensor::zeros(&[3, 50]);
+        assert_eq!(t.first_non_finite(), None);
+        t.set(&[2, 49], f32::NAN);
+        t.set(&[1, 20], f32::INFINITY);
+        assert_eq!(t.first_non_finite(), Some(70));
+        // A transposed view is scanned in its own logical order, in place.
+        let v = Tensor::view_of(&t, vec![50, 3], vec![1, 50], 0);
+        assert_eq!(v.first_non_finite(), Some(20 * 3 + 1));
     }
 
     #[test]

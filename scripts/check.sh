@@ -85,4 +85,10 @@ TSDX_NUM_THREADS=2 cargo run -q -p tsdx-bench --release --bin indexbench -- --qu
 echo "==> kill-and-resume determinism under a 2-worker pool"
 TSDX_NUM_THREADS=2 cargo test -q --test resume_training
 
+echo "==> benchmark package unit tests (standalone workspace under benchmark/)"
+(cd benchmark && cargo test --offline -q)
+
+echo "==> benchmark smoke (bulk_batch8: replies == references, traced sanity rules)"
+bash benchmark/run.sh --workload bulk_batch8 --seed 17 --seconds 3 --trace 1 > /dev/null
+
 echo "All checks passed."
