@@ -59,7 +59,7 @@ fn bits(hits: &[(u64, f32)]) -> Vec<(u64, u32)> {
 /// recall claim.
 fn exact_scan(index: &VectorIndex, q: &[f32], k: usize) -> Vec<(u64, f32)> {
     let mut scored: Vec<(u64, f32)> =
-        (0..index.len()).map(|id| (id, cosine(q, index.row(id).expect("dense ids")))).collect();
+        (0..index.len()).map(|id| (id, cosine(q, &index.row(id).expect("dense ids")))).collect();
     scored.sort_by(rank_order::<u64>);
     scored.truncate(k);
     scored
@@ -131,7 +131,7 @@ fn main() {
         strict_sum += got.iter().filter(|h| want_ids.contains(&h.0)).count() as f64 / K as f64;
         let good = got
             .iter()
-            .filter(|h| cosine(q, index.row(h.0).expect("dense ids")) >= kth - 1e-6)
+            .filter(|h| cosine(q, &index.row(h.0).expect("dense ids")) >= kth - 1e-6)
             .count();
         recall_sum += good as f64 / K as f64;
     }
@@ -153,11 +153,11 @@ fn main() {
     });
     let parity_n = n.min(10_000);
     for id in 0..parity_n as u64 {
-        resharded.push(index.row(id).expect("dense ids")).expect("same dim");
+        resharded.push(&index.row(id).expect("dense ids")).expect("same dim");
     }
     let mut small = VectorIndex::new(IndexConfig { shard_capacity, ..IndexConfig::default() });
     for id in 0..parity_n as u64 {
-        small.push(index.row(id).expect("dense ids")).expect("same dim");
+        small.push(&index.row(id).expect("dense ids")).expect("same dim");
     }
     assert_eq!(
         bits(&resharded.query(parity_q, K).expect("query")),

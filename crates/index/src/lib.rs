@@ -11,10 +11,16 @@
 //!   the file, atomic temp+fsync+rename writes). Torn or bit-flipped
 //!   shards load as typed [`IndexError`]s — never a panic, never silently
 //!   wrong data.
-//! * **Queries** fan one chunk per shard onto the worker pool and rank
-//!   with the total [`tsdx_sdl::top_k`] order, so top-k answers are
-//!   bit-identical across pool sizes and shard capacities, with an
-//!   ascending-id tie-break.
+//! * **In memory** a shard is a run of 8-row blocks laid out `[dim][8]`
+//!   (the files stay row-major; `save_to`/`load` transpose). Scoring a
+//!   block is `dim` broadcast-multiply-adds over 8-wide vectors with the
+//!   association of [`tsdx_sdl::dot`], so every score has `dot`'s bits and
+//!   the scan runs at the rate the rows can be read.
+//! * **Queries** stream every score into the total-order
+//!   [`tsdx_sdl::TopK`] accumulator — one per shard on the worker pool,
+//!   merged afterwards — so top-k answers are bit-identical across pool
+//!   sizes and shard capacities, with an ascending-id tie-break, and a
+//!   query allocates O(shards · k) rather than O(n).
 //!
 //! # Examples
 //!

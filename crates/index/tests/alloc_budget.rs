@@ -1,0 +1,99 @@
+//! A query allocates O(shards · k), never O(n).
+//!
+//! The scan streams each score into a bounded [`tsdx_sdl::TopK`]; nothing
+//! n-long — no `(id, score)` vector, no copy of a shard — is ever built.
+//! This test pins that with a counting global allocator: a k = 10 query
+//! over 100 000 rows must stay under 64 KB of requested bytes, where
+//! materializing the scores alone would take 16 B × 100 000 = 1.6 MB — also
+//! for a query holding a NaN, whose every score is recomputed row by row.
+//!
+//! Lives in its own integration-test file so the `#[global_allocator]`
+//! override owns the whole process, and holds a single test so nothing
+//! else allocates inside the measurement window.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use tsdx_index::VectorIndex;
+use tsdx_sdl::EMBED_DIM;
+use tsdx_tensor::pool;
+
+/// Forwards to the system allocator, counting requested bytes.
+struct CountingAlloc;
+
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: delegates directly to `System`; the counter is a relaxed atomic
+// with no effect on allocation behavior.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTER: CountingAlloc = CountingAlloc;
+
+const ROWS: usize = 100_000;
+const K: usize = 10;
+const BUDGET_BYTES: u64 = 64 * 1024;
+
+#[test]
+fn a_top10_query_over_100k_rows_allocates_under_64kb() {
+    // Cheap deterministic rows; the budget does not depend on the values.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut index = VectorIndex::default(); // two shards at this size
+    let mut row = [0.0f32; EMBED_DIM];
+    for _ in 0..ROWS {
+        for x in &mut row {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            *x = (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+        }
+        index.push(&row).expect("EMBED_DIM rows");
+    }
+    assert!(index.shard_count() > 1, "the budget must cover the multi-shard merge");
+    let q = index.row(ROWS as u64 / 2).expect("dense ids");
+
+    // A NaN in the query makes every score NaN: no block is fast-rejected
+    // and every row takes the `dot` recompute path — still O(shards · k).
+    let mut poisoned = q.clone();
+    poisoned[3] = f32::NAN;
+
+    for threads in [1usize, 2] {
+        for (what, q) in [("finite", &q), ("NaN", &poisoned)] {
+            pool::with_forced_threads(threads, || {
+                let warm = index.query(q, K).expect("dim matches"); // spawns the pool once
+                let before = ALLOC_BYTES.load(Ordering::Relaxed);
+                let hits = index.query(q, K).expect("dim matches");
+                let spent = ALLOC_BYTES.load(Ordering::Relaxed) - before;
+                let bits = |hits: &[(u64, f32)]| -> Vec<(u64, u32)> {
+                    hits.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+                };
+                assert_eq!(bits(&hits), bits(&warm));
+                assert_eq!(hits.len(), K);
+                assert!(
+                    spent < BUDGET_BYTES,
+                    "pool size {threads}, {what} query: k={K} over {ROWS} rows allocated \
+                     {spent} B (budget {BUDGET_BYTES} B; an n-long score vector alone is {} B)",
+                    16 * ROWS
+                );
+                println!("pool size {threads}, {what} query: {spent} B");
+            });
+        }
+    }
+}

@@ -141,3 +141,143 @@ fn duplicate_rows_tie_break_on_ascending_id() {
     let hits = ix.query(&row, 3).expect("dim matches");
     assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), vec![0, 1, 2]);
 }
+
+// ---- Blocked layout: 8-row `[dim][8]` blocks, zero-padded tail -----------
+
+/// Every class of value a row can hold, including the ones whose products
+/// and sums produce NaNs of either sign.
+fn arb_hostile_row(dim: usize) -> impl Strategy<Value = Vec<f32>> {
+    prop::collection::vec(
+        prop_oneof![
+            -1.0f32..=1.0,
+            -1.0f32..=1.0,
+            Just(0.0f32),
+            Just(-0.0f32),
+            Just(f32::NAN),
+            Just(-f32::NAN),
+            Just(f32::INFINITY),
+            Just(f32::NEG_INFINITY),
+            Just(f32::MIN_POSITIVE),
+            Just(1e-42f32),
+        ],
+        dim..=dim,
+    )
+}
+
+/// `(rows, query)` at one dim in `1..=40` (so `dim < 4` and `dim % 4 != 0`
+/// are both covered), with a row count that is never a multiple of 8.
+fn arb_ragged_corpus() -> impl Strategy<Value = (Vec<Vec<f32>>, Vec<f32>)> {
+    (1usize..=40, 0usize..6, 1usize..8).prop_flat_map(|(dim, blocks, extra)| {
+        let n = blocks * 8 + extra;
+        (prop::collection::vec(arb_hostile_row(dim), n..=n), arb_hostile_row(dim))
+    })
+}
+
+fn row_bits(row: &[f32]) -> Vec<u32> {
+    row.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn blocked_query_matches_reference_at_every_dim_tail_and_capacity(
+        (rows, q) in arb_ragged_corpus(),
+        capacity in prop_oneof![Just(1usize), Just(3), Just(8), Just(9), Just(64)],
+        k_pick in 0usize..10_000,
+    ) {
+        let n = rows.len();
+        prop_assert!(n % 8 != 0);
+        let k = 1 + k_pick % (n + 5);
+        let ix = build(capacity, &rows);
+        let got = ix.query(&q, k).expect("dim matches");
+        prop_assert_eq!(got.len(), k.min(n));
+        prop_assert_eq!(bits(&got), bits(&reference_scan(&q, &rows, k)));
+        for (id, row) in rows.iter().enumerate() {
+            let stored = ix.row(id as u64).expect("dense ids");
+            prop_assert_eq!(row_bits(&stored), row_bits(row));
+        }
+        prop_assert!(ix.row(n as u64).is_none());
+    }
+}
+
+/// A padding lane scores `0 * q` — better than any real row of these
+/// corpora — so it would show up first if it were ever ranked.
+#[test]
+fn zero_padding_never_surfaces() {
+    let q = vec![1.0f32, 0.0, 0.5, 0.0, 0.0];
+    let negative = |i: usize| vec![-0.1 * (i + 1) as f32, 0.3, -0.2, 0.0, 1.0];
+    // One NaN operand: the product and every later sum carry its sign.
+    let minus_nan = |i: usize| vec![-f32::NAN, i as f32, 0.0, 0.0, 0.0];
+    for n in [1usize, 7, 9, 11, 23] {
+        for capacity in [1usize, 3, 8, 9, 64] {
+            let rows: Vec<Vec<f32>> = (0..n).map(negative).collect();
+            let hits = build(capacity, &rows).query(&q, n + 5).expect("dim matches");
+            assert_eq!(hits.len(), n, "n={n} capacity={capacity}");
+            assert!(hits.iter().all(|h| h.1 < 0.0), "a padding lane (score 0) was ranked");
+            assert_eq!(bits(&hits), bits(&reference_scan(&q, &rows, n + 5)));
+
+            let rows: Vec<Vec<f32>> = (0..n).map(minus_nan).collect();
+            let hits = build(capacity, &rows).query(&q, n + 5).expect("dim matches");
+            assert_eq!(hits.len(), n, "n={n} capacity={capacity}");
+            assert!(hits.iter().all(|h| h.1.is_nan() && h.1.is_sign_negative()));
+            assert_eq!(
+                hits.iter().map(|h| h.0).collect::<Vec<_>>(),
+                (0..n as u64).collect::<Vec<_>>()
+            );
+        }
+    }
+}
+
+/// The `TSDXIDX1` encoding of one shard, written out from the format's
+/// documentation: what every commit before the blocked layout put on disk.
+fn row_major_shard_bytes(dim: usize, base_id: u64, rows: &[Vec<f32>]) -> Vec<u8> {
+    let data: Vec<u8> = rows.iter().flatten().flat_map(|x| x.to_le_bytes()).collect();
+    let mut out = b"TSDXIDX1".to_vec();
+    out.extend(((32 + data.len() + 8) as u64).to_le_bytes());
+    out.extend((dim as u32).to_le_bytes());
+    out.extend((rows.len() as u32).to_le_bytes());
+    out.extend(base_id.to_le_bytes());
+    out.extend(&data);
+    out.extend(tsdx_nn::crc32(&data).to_le_bytes());
+    let file_crc = tsdx_nn::crc32(&out);
+    out.extend(file_crc.to_le_bytes());
+    out
+}
+
+#[test]
+fn shard_files_stay_row_major_and_round_trip_bitwise() {
+    let dim = 5;
+    let specials = [f32::NAN, -f32::NAN, f32::INFINITY, -0.0, 1e-42, f32::from_bits(0x7fc1_2345)];
+    let rows: Vec<Vec<f32>> = (0..21usize)
+        .map(|i| {
+            (0..dim)
+                .map(|d| match (i * dim + d) % 7 {
+                    0 => specials[(i + d) % specials.len()],
+                    m => (i as f32 - 10.0) * 0.03 + m as f32 * 0.11,
+                })
+                .collect()
+        })
+        .collect();
+    let ix = build(8, &rows); // shards of 8, 8 and 5 rows
+    let dir = std::env::temp_dir().join(format!("tsdx-index-rowmajor-{}", std::process::id()));
+    ix.save_to(&dir).expect("save");
+    for (s, chunk) in rows.chunks(8).enumerate() {
+        let on_disk = std::fs::read(dir.join(format!("shard-{s:05}.idx"))).expect("shard file");
+        assert_eq!(on_disk, row_major_shard_bytes(dim, s as u64 * 8, chunk), "shard {s}");
+    }
+    let back = VectorIndex::load(&dir).expect("load");
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(back.len(), ix.len());
+    for (id, row) in rows.iter().enumerate() {
+        assert_eq!(row_bits(&back.row(id as u64).expect("dense ids")), row_bits(row));
+    }
+    for q in rows.iter().step_by(4) {
+        for k in [1usize, 8, 26] {
+            let want = bits(&ix.query(q, k).expect("dim matches"));
+            assert_eq!(bits(&back.query(q, k).expect("dim matches")), want);
+            assert_eq!(bits(&reference_scan(q, &rows, k)), want);
+        }
+    }
+}

@@ -11,7 +11,7 @@ use std::str::FromStr;
 
 use crate::ast::{ActorAction, ActorKind, EgoManeuver, Position, RoadKind, Scenario};
 use crate::embed::{dot, embed, is_unit_norm};
-use crate::rank::top_k;
+use crate::rank::TopK;
 
 /// An attribute filter over scenarios (conjunctive; `None` = wildcard).
 ///
@@ -237,27 +237,32 @@ impl ScenarioCorpus {
     /// most similar first. Returns `(id, similarity)` pairs.
     ///
     /// Stored embeddings are unit-norm ([`embed`] guarantees it), so the
-    /// similarity is a plain dot product, and ranking uses the total
-    /// [`top_k`] order (score descending by `f32::total_cmp`, ascending-id
-    /// tie-break): O(n + k log k), never a panic, deterministic for any
-    /// input — including adversarial non-finite scores.
+    /// similarity is a plain dot product, and scores stream into the total
+    /// [`TopK`] order (score descending by `f32::total_cmp`, ascending-id
+    /// tie-break): O(n + k log k) time, O(k) memory, never a panic,
+    /// deterministic for any input — including adversarial non-finite
+    /// scores.
     pub fn query_similar(&self, query: &Scenario, k: usize) -> Vec<(usize, f32)> {
-        let qe = embed(query);
-        let scored: Vec<(usize, f32)> =
-            self.embeddings.iter().enumerate().map(|(i, e)| (i, self.score(&qe, e))).collect();
-        top_k(scored, k)
+        self.rank(&embed(query), 0..self.len(), k)
     }
 
     /// Combined query: filter first, then rank the survivors by similarity
     /// to `query`. Same ordering contract as [`Self::query_similar`].
     pub fn search(&self, filter: &ScenarioFilter, query: &Scenario, k: usize) -> Vec<(usize, f32)> {
-        let qe = embed(query);
-        let scored: Vec<(usize, f32)> = self
-            .filter(filter)
-            .into_iter()
-            .map(|i| (i, self.score(&qe, &self.embeddings[i])))
-            .collect();
-        top_k(scored, k)
+        self.rank(&embed(query), self.filter(filter), k)
+    }
+
+    fn rank(
+        &self,
+        qe: &[f32],
+        ids: impl IntoIterator<Item = usize>,
+        k: usize,
+    ) -> Vec<(usize, f32)> {
+        let mut best = TopK::new(k);
+        for i in ids {
+            best.push(i, self.score(qe, &self.embeddings[i]));
+        }
+        best.into_sorted()
     }
 
     /// Similarity of a query embedding against one stored entry: the

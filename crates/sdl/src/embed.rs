@@ -71,6 +71,15 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 /// so the result is bit-identical no matter how the surrounding scan is
 /// sharded or threaded.
 ///
+/// The association is a contract, not an implementation detail: element
+/// `i < len & !3` adds the unfused product `a[i] * b[i]` into lane
+/// `i % 4`, the rest go into a tail accumulator in order, and the result
+/// is `((l0 + l1) + (l2 + l3)) + tail`. The index's blocked scan
+/// (`tsdx-index`) repeats exactly this sequence for eight rows at a time
+/// and is tested bit for bit against this function, so a change here
+/// (reordering, `mul_add`, more lanes) changes every stored ranking's
+/// score bits and must change that kernel with it.
+///
 /// # Panics
 ///
 /// Panics on length mismatch.

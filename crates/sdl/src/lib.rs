@@ -37,5 +37,5 @@ pub use corpus::{ParseFilterError, ScenarioCorpus, ScenarioFilter};
 pub use embed::{cosine, dot, embed, embedding_similarity, is_unit_norm, EMBED_DIM};
 pub use grammar::{parse_scenario, ParseScenarioError};
 pub use nl::to_sentence;
-pub use rank::{rank_order, top_k};
+pub use rank::{rank_order, top_k, TopK};
 pub use similarity::{distance, similarity, slot_similarity, SimilarityWeights};

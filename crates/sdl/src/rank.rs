@@ -11,10 +11,14 @@
 //! [`crate::embed::embed`] never produce them; the order is a containment
 //! guarantee, not an endorsement).
 //!
-//! Selection is O(n + k log k): [`slice::select_nth_unstable_by`] partitions
-//! the k survivors in linear time and only they are sorted — the previous
-//! full `sort_by` was O(n log n) for a k-sized answer and panicked on the
-//! first non-finite comparison.
+//! There is one ranking implementation, [`TopK`]: a streaming accumulator
+//! that holds at most `2k` entries however many are offered. Scans feed it
+//! scores as they are computed, so no caller materializes an n-long
+//! `(id, score)` vector; [`top_k`] is the same accumulator fed from a
+//! vector. Selection is O(n + k log k): entries that cannot beat the
+//! current k-th are dropped on arrival, [`slice::select_nth_unstable_by`]
+//! compacts the survivors in linear time whenever `2k` are held, and only
+//! the final `k` are sorted.
 
 use std::cmp::Ordering;
 
@@ -24,7 +28,97 @@ pub fn rank_order<I: Ord>(a: &(I, f32), b: &(I, f32)) -> Ordering {
     b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
 }
 
-/// The `k` best-scored entries of `scored`, best first.
+/// A streaming, bounded top-k accumulator under [`rank_order`].
+///
+/// Offer any number of `(id, score)` entries with [`Self::push`]; at most
+/// `2k` are ever held. Everything is accepted until the first compaction
+/// leaves `k` survivors; from then on an entry is kept only when it beats
+/// the current k-th, and every time `2k` are held again a linear-time
+/// [`slice::select_nth_unstable_by`] drops the worse half and raises the
+/// bar. The final answer is exactly what sorting *all* offered entries by
+/// [`rank_order`] and truncating to `k` would give — independent of the
+/// order of arrival, so partial accumulators combine with [`Self::merge`].
+///
+/// # Examples
+///
+/// ```
+/// use tsdx_sdl::TopK;
+///
+/// let mut best = TopK::new(2);
+/// for (id, score) in [(0u64, 0.2), (1, 0.9), (2, 0.5), (3, 0.9)] {
+///     best.push(id, score);
+/// }
+/// assert_eq!(best.into_sorted(), vec![(1, 0.9), (3, 0.9)]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct TopK<I> {
+    k: usize,
+    held: Vec<(I, f32)>,
+    /// The k-th best entry as of the last compaction: the bar to beat.
+    kth: Option<(I, f32)>,
+}
+
+impl<I: Ord + Copy> TopK<I> {
+    /// An empty accumulator for the best `k` entries. Allocates nothing
+    /// until the first entry arrives.
+    pub fn new(k: usize) -> Self {
+        TopK { k, held: Vec::new(), kth: None }
+    }
+
+    /// Offers one entry.
+    pub fn push(&mut self, id: I, score: f32) {
+        let entry = (id, score);
+        if self.k == 0 || self.kth.as_ref().is_some_and(|kth| rank_order(&entry, kth).is_ge()) {
+            return;
+        }
+        self.held.push(entry);
+        if self.held.len() >= self.k.saturating_mul(2) {
+            self.compact();
+        }
+    }
+
+    /// Offers everything `other` still holds: afterwards `self` answers
+    /// for every entry offered to either.
+    pub fn merge(&mut self, other: TopK<I>) {
+        for (id, score) in other.held {
+            self.push(id, score);
+        }
+    }
+
+    /// Keeps the best `k` of more than `k` held entries (unordered) and
+    /// makes the worst of them the bar.
+    fn compact(&mut self) {
+        self.held.select_nth_unstable_by(self.k - 1, rank_order::<I>);
+        self.held.truncate(self.k);
+        self.kth = Some(self.held[self.k - 1]);
+    }
+
+    /// True when no entry scored in `scores` could be kept, whatever its
+    /// id — the block-at-a-time fast reject for scan loops (one vector
+    /// compare for a fixed-width block).
+    ///
+    /// Conservative by construction: a score is only ruled out when it is
+    /// numerically below the current k-th score, which implies it is below
+    /// it under [`f32::total_cmp`] too; `NaN`s on either side and ties
+    /// answer `false` and are decided exactly by [`Self::push`].
+    pub fn rejects_all(&self, scores: &[f32]) -> bool {
+        // Nothing is `<` a NaN, so no bar yet means nothing is ruled out.
+        let floor = self.kth.map_or(f32::NAN, |kth| kth.1);
+        scores.iter().fold(true, |all, &s| all & (s < floor))
+    }
+
+    /// The best `k` entries offered so far, best first.
+    pub fn into_sorted(mut self) -> Vec<(I, f32)> {
+        if self.held.len() > self.k {
+            self.compact();
+        }
+        self.held.sort_unstable_by(rank_order::<I>);
+        self.held
+    }
+}
+
+/// The `k` best-scored entries of `scored`, best first: [`TopK`] fed from
+/// a vector.
 ///
 /// Total and deterministic for *any* input: non-finite scores are ordered
 /// by [`f32::total_cmp`] (never a panic), and equal scores tie-break on the
@@ -42,21 +136,95 @@ pub fn rank_order<I: Ord>(a: &(I, f32), b: &(I, f32)) -> Ordering {
 /// assert!(hits[0].1.is_nan());
 /// assert_eq!((hits[1].0, hits[2].0), (1, 2));
 /// ```
-pub fn top_k<I: Ord + Copy>(mut scored: Vec<(I, f32)>, k: usize) -> Vec<(I, f32)> {
-    if k == 0 {
-        return Vec::new();
+pub fn top_k<I: Ord + Copy>(scored: Vec<(I, f32)>, k: usize) -> Vec<(I, f32)> {
+    let mut best = TopK::new(k);
+    for (id, score) in scored {
+        best.push(id, score);
     }
-    if k < scored.len() {
-        scored.select_nth_unstable_by(k - 1, rank_order::<I>);
-        scored.truncate(k);
-    }
-    scored.sort_unstable_by(rank_order::<I>);
-    scored
+    best.into_sorted()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn full_sort(mut scored: Vec<(u64, f32)>, k: usize) -> Vec<(u64, u32)> {
+        scored.sort_by(rank_order::<u64>);
+        scored.truncate(k);
+        scored.into_iter().map(|(i, s)| (i, s.to_bits())).collect()
+    }
+
+    /// A long adversarial stream: many compactions, every special value.
+    fn stream(n: u64) -> Vec<(u64, f32)> {
+        let special = [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+        (0..n)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                let score = if h % 11 == 0 {
+                    special[(h / 11) as usize % special.len()]
+                } else {
+                    (h % 17) as f32 / 8.0 - 1.0 // few distinct values: ties everywhere
+                };
+                (i, score)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn streaming_equals_full_sort_and_holds_at_most_2k() {
+        let scored = stream(5000);
+        for k in [1usize, 2, 3, 10, 64, 4999, 5000, 7000] {
+            let mut best = TopK::new(k);
+            for &(id, s) in &scored {
+                best.push(id, s);
+                assert!(best.held.len() < (2 * k).max(2), "k={k} held {}", best.held.len());
+            }
+            let got: Vec<(u64, u32)> =
+                best.into_sorted().into_iter().map(|(i, s)| (i, s.to_bits())).collect();
+            assert_eq!(got, full_sort(scored.clone(), k), "k={k}");
+        }
+    }
+
+    #[test]
+    fn partial_accumulators_merge_to_the_global_answer() {
+        let scored = stream(3000);
+        let k = 25;
+        let mut merged = TopK::new(k);
+        for part in scored.chunks(700) {
+            let mut local = TopK::new(k);
+            part.iter().for_each(|&(id, s)| local.push(id, s));
+            merged.merge(local);
+        }
+        let got: Vec<(u64, u32)> =
+            merged.into_sorted().into_iter().map(|(i, s)| (i, s.to_bits())).collect();
+        assert_eq!(got, full_sort(scored, k));
+    }
+
+    #[test]
+    fn rejects_all_never_rules_out_an_entry_push_would_keep() {
+        let scored = stream(2000);
+        let mut best = TopK::new(7);
+        assert!(!best.rejects_all(&[-1.0e30]), "no bar yet: nothing is ruled out");
+        for block in scored.chunks(8) {
+            let scores: Vec<f32> = block.iter().map(|e| e.1).collect();
+            if best.rejects_all(&scores) {
+                let before = best.held.clone();
+                block.iter().for_each(|&(id, s)| best.push(id, s));
+                assert_eq!(best.held.len(), before.len(), "a rejected block changed the answer");
+            } else {
+                block.iter().for_each(|&(id, s)| best.push(id, s));
+            }
+        }
+        // The stream carries +NaN entries, so the bar ends up at +NaN:
+        // nothing compares below it and every block goes to `push`.
+        assert!(!best.rejects_all(&[0.5, -3.0]));
+        let mut finite = TopK::new(1);
+        finite.push(0u64, 0.5);
+        finite.push(1, 0.25);
+        assert!(finite.rejects_all(&[0.4, -1.0, f32::NEG_INFINITY]));
+        assert!(!finite.rejects_all(&[0.4, f32::NAN]));
+        assert!(!finite.rejects_all(&[0.4, 0.5]), "ties are push's call");
+    }
 
     #[test]
     fn selects_and_orders_the_best_k() {

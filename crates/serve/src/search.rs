@@ -6,6 +6,8 @@
 //! immutable once handed to the server — queries are read-only and safe to
 //! answer from any connection thread concurrently.
 
+use std::fmt::{Display, Write as _};
+
 use tsdx_index::{IndexError, VectorIndex};
 use tsdx_sdl::Scenario;
 
@@ -93,13 +95,15 @@ pub(crate) fn hits_to_json(hits: &[Hit]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{{\"id\":{},\"similarity\":", h.id));
-        if h.similarity.is_finite() {
-            out.push_str(&format!("{}", h.similarity));
-        } else {
-            out.push_str("null");
-        }
-        out.push_str(&format!(",\"sdl\":\"{}\"}}", json::escape(&h.sdl)));
+        let similarity: &dyn Display =
+            if h.similarity.is_finite() { &h.similarity } else { &"null" };
+        write!(
+            out,
+            "{{\"id\":{},\"similarity\":{similarity},\"sdl\":\"{}\"}}",
+            h.id,
+            json::escape(&h.sdl)
+        )
+        .expect("writing into a String cannot fail");
     }
     out.push(']');
     out
