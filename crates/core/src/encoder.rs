@@ -17,7 +17,7 @@
 //! stage-1 outputs by absolute group index.
 
 use rand::Rng;
-use tsdx_nn::{Binding, EncoderKvCache, ParamId, ParamStore, TransformerEncoder};
+use tsdx_nn::{Binding, ParamId, ParamStore, TransformerEncoder};
 use tsdx_tensor::{Graph, Tensor, Var};
 
 use crate::config::{AttentionKind, ModelConfig, Readout};
@@ -220,31 +220,6 @@ impl ClipEncoder {
         self.read(g, encoded_t)
     }
 
-    /// Prefix-aware [`temporal_readout`](Self::temporal_readout) for
-    /// streaming inference; bit-identical to it at `train == false`.
-    ///
-    /// Under sliding windows only the CLS row of the temporal sequence is
-    /// prefix-stable — content rows carry window-*relative* positions, so a
-    /// group that slid from slot `i` to slot `i-1` is a different token
-    /// even though its summary was cached. When a CLS readout and a cache
-    /// are present, its key/value rows are served from the cache
-    /// ([`TransformerEncoder::forward_prefix`]); the returned cache feeds
-    /// the next window.
-    pub fn temporal_readout_streaming(
-        &self,
-        g: &mut Graph,
-        p: &Binding,
-        frames: Var,
-        cache: Option<&EncoderKvCache>,
-    ) -> (Var, EncoderKvCache) {
-        let temporal = self.temporal.as_ref().expect("factorized encoder has a temporal stage");
-        let timed = self.with_time_positions(g, p, frames);
-        let seq_t = self.with_cls(g, p, timed, self.cls_time);
-        let prefix = usize::from(self.cls_time.is_some() && cache.is_some_and(|c| !c.is_empty()));
-        let (encoded_t, next) = temporal.forward_prefix(g, p, seq_t, cache, prefix);
-        (self.read(g, encoded_t), next)
-    }
-
     /// Adds the temporal position table to frame summaries `[B, nt, D]`.
     fn with_time_positions(&self, g: &mut Graph, p: &Binding, frames: Var) -> Var {
         let pt = p.var(self.pos_time);
@@ -442,13 +417,6 @@ mod tests {
             let frames = g.reshape(sums, &[2, 2, 8]);
             let staged = enc.temporal_readout(&mut g, &p, frames, &mut rng, false);
             assert_eq!(g.value(full).data(), g.value(staged).data(), "{readout:?}");
-
-            // The streaming temporal stage agrees too, with and without a
-            // warm key/value cache.
-            let (cold, kv) = enc.temporal_readout_streaming(&mut g, &p, frames, None);
-            assert_eq!(g.value(full).data(), g.value(cold).data());
-            let (warm, _) = enc.temporal_readout_streaming(&mut g, &p, frames, Some(&kv));
-            assert_eq!(g.value(full).data(), g.value(warm).data());
         }
     }
 

@@ -54,7 +54,9 @@ pub use extract::{QuantReport, ScenarioExtractor};
 pub use flops::clip_macs;
 pub use heads::{multitask_loss, HeadLogits, LossWeights, SdlHeads};
 pub use model::{decode_logits, ClipModel, VideoScenarioTransformer};
-pub use session::{encode_staged, MuxEncodeReport, StreamSession, StreamState, WindowLogits};
+pub use session::{
+    encode_staged, readout_staged, MuxEncodeReport, StreamSession, StreamState, WindowLogits,
+};
 pub use telemetry::{LogLevel, TrainLogger};
 pub use train::{
     evaluate, predict_labels, summarize, train, train_resilient, EvalSummary, ResilienceConfig,

@@ -15,11 +15,14 @@
 //!   so a group's frame summary depends only on its own pixels and is
 //!   cached in a ring keyed by **absolute group index**. Sliding the window
 //!   recomputes only newly arrived groups.
-//! * **Temporal stage, recomputed per window with CLS key/value reuse.**
-//!   Temporal positions are window-relative, so a slid window re-runs the
-//!   temporal encoder over the `nt` cached summaries; the position-free CLS
-//!   row's key/value projections are served from the previous window's
-//!   cache ([`TransformerEncoder::forward_prefix`](tsdx_nn::TransformerEncoder::forward_prefix)).
+//! * **Temporal stage, recomputed per window.** Temporal positions are
+//!   window-relative, so a slid window re-runs the temporal encoder and the
+//!   heads over the `nt` cached summaries — about 0.7 MFlop at the default
+//!   width, most of its cost per-forward overhead, which is why
+//!   [`readout_staged`] runs it once for every stream of a round. Nothing
+//!   attention-level carries over between windows: bidirectional attention
+//!   leaves only the CLS row's block-0 key/value rows reusable, and reusing
+//!   them measured as noise (DESIGN.md §6.6).
 //! * **Whole-window logits cache.** Asking twice about the same window
 //!   costs one lookup.
 //!
@@ -32,14 +35,18 @@
 //! [`encode_staged`] gathers the staged groups of *many* states and encodes
 //! them in one [`VideoScenarioTransformer::encode_group_batch`] call along
 //! the batch dimension. The stage is row-independent, so the batched
-//! forward is bit-identical per group to encoding each alone; a serving
-//! scheduler multiplexing N streams pays one forward per tick instead of N.
+//! forward is bit-identical per group to encoding each alone. The readout
+//! has the same shape: [`readout_staged`] stacks the windows of every state
+//! whose memo is stale into one temporal-stage + heads forward, whose rows
+//! are batch-independent too. A serving scheduler multiplexing N streams
+//! therefore pays **two forwards per tick** whatever N is.
 //! [`StreamSession`] keeps the original single-stream API by staging and
-//! immediately self-consuming on every push.
+//! immediately self-consuming on every push, and reads out through the
+//! same function at N = 1.
 //!
 //! Parity is the contract: a session's head logits are **bit-identical** to
 //! a full recompute of the same window (all readouts, pool sizes,
-//! workspace modes, and batched-vs-solo group encodes) — pinned by
+//! workspace modes, and batched-vs-solo group encodes and readouts) — pinned by
 //! `tests/streaming_parity.rs`. Cache effectiveness is observable through
 //! the `stage/cache_hit`, `stage/cache_miss`, and `stage/window_hit`
 //! metric counters.
@@ -48,9 +55,8 @@ use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tsdx_nn::EncoderKvCache;
 use tsdx_sdl::Scenario;
-use tsdx_tensor::{metrics, Graph, Tensor};
+use tsdx_tensor::{metrics, ops, Graph, Tensor};
 
 use crate::config::{AttentionKind, ModelConfig};
 use crate::extract::ExtractError;
@@ -92,6 +98,20 @@ pub struct WindowLogits {
     pub position: Tensor,
     /// Actor-presence logits `[1, ActorKind::COUNT]`.
     pub presence: Tensor,
+}
+
+impl WindowLogits {
+    /// Window `i` of a batched readout (`[N, C]` heads) as `[1, C]` views.
+    fn row(&self, i: usize) -> WindowLogits {
+        let row = |t: &Tensor| ops::narrow(t, 0, i, 1);
+        WindowLogits {
+            ego: row(&self.ego),
+            road: row(&self.road),
+            event: row(&self.event),
+            position: row(&self.position),
+            presence: row(&self.presence),
+        }
+    }
 }
 
 /// Memoized result for the most recently inferred window.
@@ -155,6 +175,143 @@ pub fn encode_staged(
     report
 }
 
+/// Reads out the current window of every state in **one** forward: the
+/// cached group outputs of each state whose window memo is stale are
+/// stacked into `[N, nt, D]` (joint attention: `[N, nt·ns, D]`) and run
+/// through a single tape — temporal stage, heads, decode — and each row is
+/// installed as its state's memo. Returns one scenario per state, in order.
+///
+/// This is the readout twin of [`encode_staged`]: with it a scheduler's
+/// round is exactly two forwards whatever the number of streams. Rows of
+/// the temporal stage and the heads are batch-independent, so every row is
+/// bit-identical to that state reading out alone —
+/// [`StreamState::describe`] and [`StreamState::logits`] are this function
+/// at N = 1. (As with every batched entry point, that holds while the batch
+/// stays on the solo forward's side of the attention dispatch threshold
+/// `tsdx_nn::COMPOSED_SCORES_MAX`: 655 streams for the default factorized
+/// model.)
+///
+/// Per state, the semantics are `describe`'s: a state without a full window
+/// answers [`ExtractError::TooShort`] and takes no part in the forward; a
+/// state whose memo already holds this window on the active precision plane
+/// is a cache hit and takes no part either (no stale state, no forward at
+/// all); groups still staged on a ready state are encoded first. A memo is
+/// written only after the forward has completed, so a panic inside it
+/// leaves every state as it was.
+///
+/// # Panics
+///
+/// Panics if a ready state was created for a different model configuration.
+pub fn readout_staged(
+    model: &VideoScenarioTransformer,
+    states: &mut [&mut StreamState],
+) -> Vec<Result<Scenario, ExtractError>> {
+    let fresh = refresh_windows(model, states);
+    fresh
+        .into_iter()
+        .zip(states.iter())
+        .map(|(r, s)| r.map(|()| s.window.as_ref().expect("refreshed above").scenario.clone()))
+        .collect()
+}
+
+/// Ensures the window memo of every ready state in `states` holds its
+/// current window on the active plane (see [`readout_staged`]).
+fn refresh_windows(
+    model: &VideoScenarioTransformer,
+    states: &mut [&mut StreamState],
+) -> Vec<Result<(), ExtractError>> {
+    let cfg = *model.config();
+    let nt = cfg.n_time();
+    if states.iter().any(|s| s.ready() && !s.staged.is_empty()) {
+        let mut ready: Vec<&mut StreamState> =
+            states.iter_mut().map(|s| &mut **s).filter(|s| s.ready()).collect();
+        encode_staged(model, &mut ready);
+    }
+    let plane = precision::active();
+    let mut stale: Vec<usize> = Vec::new();
+    let results: Vec<Result<(), ExtractError>> = states
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            if !s.ready() {
+                return Err(ExtractError::TooShort {
+                    frames: usize::try_from(s.frames_seen).unwrap_or(usize::MAX),
+                    min: s.cfg.frames,
+                });
+            }
+            assert_eq!(s.cfg, cfg, "stream state configuration does not match the model");
+            if s.window.as_ref().is_some_and(|w| w.end == s.next_group && w.plane == plane) {
+                // Unchanged window: every group reused, no forward pass.
+                metrics::counter_add("stage/cache_hit", nt as u64);
+                metrics::counter_add("stage/window_hit", 1);
+            } else {
+                stale.push(i);
+            }
+            Ok(())
+        })
+        .collect();
+    if stale.is_empty() {
+        return results;
+    }
+
+    // Stack the stale windows' cached stage outputs: one batch row each.
+    let tokens = match cfg.attention {
+        AttentionKind::Factorized => nt,
+        AttentionKind::Joint => nt * cfg.n_space(),
+    };
+    let mut buf = Vec::with_capacity(stale.len() * tokens * cfg.dim);
+    for &i in &stale {
+        for c in &states[i].ring {
+            buf.extend_from_slice(c.data.data());
+        }
+    }
+    let windows = Tensor::from_vec(buf, &[stale.len(), tokens, cfg.dim]);
+    let logits = metrics::stage("stage/stream_infer", || infer_windows(model, windows));
+    let labels =
+        decode_logits(&logits.ego, &logits.road, &logits.event, &logits.position, &logits.presence);
+    #[cfg(feature = "fault-inject")]
+    if tsdx_tensor::faults::take_readout_panic() {
+        panic!("injected fault: batched window readout");
+    }
+    for (row, (&i, label)) in stale.iter().zip(&labels).enumerate() {
+        let s = &mut *states[i];
+        metrics::counter_add("stage/cache_hit", nt.saturating_sub(s.fresh_groups) as u64);
+        s.fresh_groups = 0;
+        s.window = Some(WindowCache {
+            end: s.next_group,
+            plane,
+            logits: logits.row(row),
+            scenario: label.to_scenario(),
+        });
+    }
+    results
+}
+
+/// The window-level forward over stacked stage outputs `[N, tokens, D]`:
+/// head logits `[N, C]`, row `i` belonging to window `i`.
+fn infer_windows(model: &VideoScenarioTransformer, windows: Tensor) -> WindowLogits {
+    let mut g = Graph::new();
+    let p = model.bind_eval_active(&mut g);
+    let mut rng = StdRng::seed_from_u64(0);
+    let x = g.constant(windows);
+    let emb = match model.config().attention {
+        AttentionKind::Factorized => {
+            model.encoder_ref().temporal_readout(&mut g, &p, x, &mut rng, false)
+        }
+        // Joint attention reruns the whole encoder; only the projection
+        // work was cached.
+        AttentionKind::Joint => model.encoder_ref().forward(&mut g, &p, x, &mut rng, false),
+    };
+    let logits = model.heads_ref().forward(&mut g, &p, emb);
+    WindowLogits {
+        ego: g.value(logits.ego).clone(),
+        road: g.value(logits.road).clone(),
+        event: g.value(logits.event).clone(),
+        position: g.value(logits.position).clone(),
+        presence: g.value(logits.presence).clone(),
+    }
+}
+
 /// Per-stream extraction state with no model reference — safe to park in a
 /// session table while a scheduler owns the batched forward.
 ///
@@ -178,12 +335,6 @@ pub struct StreamState {
     /// Groups computed since the last inference — the work the cache could
     /// not save for the next window.
     fresh_groups: usize,
-    /// Temporal-encoder key/value rows from the previous window.
-    temporal_kv: Option<EncoderKvCache>,
-    /// The precision plane `temporal_kv` was computed under. A mid-stream
-    /// plane flip (e.g. the serve layer degrading to int8 under pressure)
-    /// drops the cache instead of mixing planes inside one forward.
-    kv_plane: Option<Precision>,
     window: Option<WindowCache>,
 }
 
@@ -198,8 +349,6 @@ impl StreamState {
             frames_seen: 0,
             next_group: 0,
             fresh_groups: 0,
-            temporal_kv: None,
-            kv_plane: None,
             window: None,
         }
     }
@@ -310,7 +459,8 @@ impl StreamState {
 
     /// Head logits for the window ending at the newest staged group,
     /// bit-identical to a full recompute of that window. Encodes any
-    /// still-staged groups first.
+    /// still-staged groups first. The one-state case of
+    /// [`readout_staged`].
     ///
     /// # Errors
     ///
@@ -320,103 +470,15 @@ impl StreamState {
         &mut self,
         model: &VideoScenarioTransformer,
     ) -> Result<WindowLogits, ExtractError> {
-        self.infer(model).map(|w| w.logits.clone())
+        refresh_windows(model, &mut [&mut *self]).pop().expect("one result per state")?;
+        Ok(self.window.as_ref().expect("refreshed above").logits.clone())
     }
 
     /// The scenario description of the current window (see
     /// [`logits`](Self::logits) for windowing and errors). The returned
     /// scenario always satisfies [`Scenario::validate`].
     pub fn describe(&mut self, model: &VideoScenarioTransformer) -> Result<Scenario, ExtractError> {
-        self.infer(model).map(|w| w.scenario.clone())
-    }
-
-    /// Ensures `self.window` holds the result for the current window.
-    fn infer(&mut self, model: &VideoScenarioTransformer) -> Result<&WindowCache, ExtractError> {
-        let cfg = self.cfg;
-        let nt = cfg.n_time();
-        if !self.ready() {
-            return Err(ExtractError::TooShort {
-                frames: usize::try_from(self.frames_seen).unwrap_or(usize::MAX),
-                min: cfg.frames,
-            });
-        }
-        self.encode_staged_groups(model);
-        let end = self.next_group;
-        let plane = precision::active();
-        if self.window.as_ref().is_some_and(|w| w.end == end && w.plane == plane) {
-            // Unchanged window: every group reused, no forward pass at all.
-            metrics::counter_add("stage/cache_hit", nt as u64);
-            metrics::counter_add("stage/window_hit", 1);
-            return Ok(self.window.as_ref().expect("just checked"));
-        }
-        metrics::counter_add("stage/cache_hit", nt.saturating_sub(self.fresh_groups) as u64);
-        self.fresh_groups = 0;
-        if self.kv_plane != Some(plane) {
-            // Plane flipped since the cached K/V rows were computed: drop
-            // them rather than mix planes inside one temporal forward.
-            self.temporal_kv = None;
-            self.kv_plane = Some(plane);
-        }
-        let logits = metrics::stage("stage/stream_infer", || self.infer_window(model, &cfg));
-        let labels = decode_logits(
-            &logits.ego,
-            &logits.road,
-            &logits.event,
-            &logits.position,
-            &logits.presence,
-        );
-        let scenario = labels[0].to_scenario();
-        self.window = Some(WindowCache { end, plane, logits, scenario });
-        Ok(self.window.as_ref().expect("just set"))
-    }
-
-    /// Runs the window-level forward pass over the cached stage outputs.
-    fn infer_window(
-        &mut self,
-        model: &VideoScenarioTransformer,
-        cfg: &ModelConfig,
-    ) -> WindowLogits {
-        let nt = cfg.n_time();
-        let mut g = Graph::new();
-        let p = model.bind_eval_active(&mut g);
-        let emb = match cfg.attention {
-            AttentionKind::Factorized => {
-                // Assemble the cached frame summaries into [1, nt, D].
-                let mut buf = Vec::with_capacity(nt * cfg.dim);
-                for c in &self.ring {
-                    buf.extend_from_slice(c.data.data());
-                }
-                let frames = g.constant(Tensor::from_vec(buf, &[1, nt, cfg.dim]));
-                let (emb, kv) = model.encoder_ref().temporal_readout_streaming(
-                    &mut g,
-                    &p,
-                    frames,
-                    self.temporal_kv.as_ref(),
-                );
-                self.temporal_kv = Some(kv);
-                emb
-            }
-            AttentionKind::Joint => {
-                // Joint attention reruns the whole encoder; only the
-                // projection work was cached.
-                let ns = cfg.n_space();
-                let mut buf = Vec::with_capacity(nt * ns * cfg.dim);
-                for c in &self.ring {
-                    buf.extend_from_slice(c.data.data());
-                }
-                let tokens = g.constant(Tensor::from_vec(buf, &[1, nt * ns, cfg.dim]));
-                let mut rng = StdRng::seed_from_u64(0);
-                model.encoder_ref().forward(&mut g, &p, tokens, &mut rng, false)
-            }
-        };
-        let logits = model.heads_ref().forward(&mut g, &p, emb);
-        WindowLogits {
-            ego: g.value(logits.ego).clone(),
-            road: g.value(logits.road).clone(),
-            event: g.value(logits.event).clone(),
-            position: g.value(logits.position).clone(),
-            presence: g.value(logits.presence).clone(),
-        }
+        readout_staged(model, &mut [self]).pop().expect("one result per state")
     }
 }
 

@@ -155,6 +155,15 @@ fn steady_state_step_allocations_drop_with_workspaces() {
         calls_off > calls_on,
         "arena on should issue fewer allocator calls: off {calls_off} vs on {calls_on}"
     );
+    // ...and what is left is per tape node. With a linear layer (bias, GELU
+    // and residual included) as one node a step makes 3068 calls; with
+    // matmul, bias add, activation, residual add and two reshapes as nodes
+    // of their own it made 3759.
+    assert!(
+        per_step(calls_on) <= 3400,
+        "a training step allocates per tape node and the tape grew: {} calls/step",
+        per_step(calls_on)
+    );
 }
 
 #[test]
@@ -212,6 +221,16 @@ fn quantized_steady_state_allocates_no_more_than_f32() {
         per(bytes_i8),
         per(bytes_f32),
     );
+    // Both planes record one tape node per linear layer (the int8 product
+    // plus an add where there is a residual): 1054 and 1008 calls per
+    // extraction, against 1577 and 1463 with the unfused tape.
+    for (plane, calls) in [("f32", calls_f32), ("int8", calls_i8)] {
+        assert!(
+            per(calls) <= 1200,
+            "{plane} extraction allocates per tape node and the tape grew: {} calls",
+            per(calls)
+        );
+    }
 }
 
 #[test]
@@ -237,7 +256,7 @@ fn steady_state_stream_push_allocates_per_frame_not_per_window() {
     const WARMUP: usize = 3;
     const MEASURED: usize = 5;
 
-    let (bytes_push, bytes_full) = pool::with_forced_threads(1, || {
+    let (calls_push, bytes_push, bytes_full) = pool::with_forced_threads(1, || {
         workspace::with_mode(true, || {
             // Warm session: a full window plus a few steady-state slides so
             // the arena and the session's own buffers reach steady state.
@@ -252,13 +271,13 @@ fn steady_state_stream_push_allocates_per_frame_not_per_window() {
             }
 
             // Steady state: one new group per window slide.
-            let (_, b0) = snapshot();
+            let (c0, b0) = snapshot();
             for _ in 0..MEASURED {
                 session.push_frames(&video(fed, cfg.tubelet_t)).unwrap();
                 fed += cfg.tubelet_t;
                 std::hint::black_box(session.logits().unwrap());
             }
-            let (_, b1) = snapshot();
+            let (c1, b1) = snapshot();
 
             // Full recompute of the same windows: a cold session per window
             // (the `extract_checked` path), arena equally warm.
@@ -277,13 +296,15 @@ fn steady_state_stream_push_allocates_per_frame_not_per_window() {
                 std::hint::black_box(cold.logits().unwrap());
             }
             let (_, b3) = snapshot();
-            (b1 - b0, b3 - b2)
+            (c1 - c0, b1 - b0, b3 - b2)
         })
     });
 
     let per = |v: u64| v / MEASURED as u64;
     eprintln!(
-        "alloc/window: incremental push {} bytes, full recompute {} bytes ({}x, {} groups/window)",
+        "alloc/window: incremental push {} calls / {} bytes, full recompute {} bytes \
+         ({}x, {} groups/window)",
+        per(calls_push),
         per(bytes_push),
         per(bytes_full),
         if bytes_push > 0 { bytes_full / bytes_push.max(1) } else { 0 },
@@ -304,5 +325,13 @@ fn steady_state_stream_push_allocates_per_frame_not_per_window() {
          {} bytes/slide streamed vs {} recomputed (need >= 1.4x)",
         per(bytes_push),
         per(bytes_full),
+    );
+    // A slide is two forwards (one group's spatial encode, the window's
+    // readout), each allocating per tape node: 1046 calls with fused linear
+    // nodes, 1597 before.
+    assert!(
+        per(calls_push) <= 1200,
+        "a window slide allocates per tape node and the tapes grew: {} calls/slide",
+        per(calls_push)
     );
 }

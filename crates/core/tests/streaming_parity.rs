@@ -9,18 +9,18 @@
 //! public entry points cannot drift apart either.
 //!
 //! Bitwise equality (via `f32::to_bits`) is deliberate: the caches reuse
-//! per-group spatial outputs and CLS key/value rows, and any reassociation
-//! of the arithmetic would show up as a one-ulp wobble long before it
-//! became a wrong label.
+//! per-group spatial outputs, rounds batch encodes and readouts across
+//! streams, and any reassociation of the arithmetic would show up as a
+//! one-ulp wobble long before it became a wrong label.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use tsdx_core::precision::{self, Precision};
 use tsdx_core::{
-    encode_staged, AttentionKind, ModelConfig, Readout, ScenarioExtractor, StreamState,
-    WindowLogits,
+    encode_staged, readout_staged, AttentionKind, ModelConfig, Readout, ScenarioExtractor,
+    StreamState, WindowLogits,
 };
-use tsdx_tensor::{pool, workspace, Tensor};
+use tsdx_tensor::{metrics, pool, workspace, Tensor};
 
 fn tiny_cfg(attention: AttentionKind, readout: Readout) -> ModelConfig {
     ModelConfig {
@@ -202,6 +202,84 @@ fn multiplexed_batched_encodes_match_independent_sessions_across_dials() {
                         })
                     })
                 });
+            }
+        }
+    }
+}
+
+#[test]
+fn batched_readout_matches_solo_describe_on_ragged_rounds_across_dials() {
+    // One `readout_staged` over three states in three different conditions
+    // per round — `fresh` slid by a group (stale memo: joins the forward),
+    // `idle` got nothing since its last readout (memo hit: no forward),
+    // `short` is still short of a window (the same `TooShort` a solo
+    // describe answers) — must give each exactly what reading out alone
+    // gives: equal results, and bit-identical logits.
+    let rounds = 3usize; // `short` ends one frame short of a window
+    for threads in [1usize, 2] {
+        for ws in [false, true] {
+            for plane in [Precision::F32, Precision::Int8] {
+                for attention in [AttentionKind::Factorized, AttentionKind::Joint] {
+                    let ctx = format!(
+                        "threads={threads}, workspace={ws}, plane={plane:?}, {attention:?}"
+                    );
+                    let run = || {
+                        let ex =
+                            ScenarioExtractor::untrained(tiny_cfg(attention, Readout::Cls), 53);
+                        let model = ex.model();
+                        let videos: Vec<Tensor> =
+                            (0..3).map(|s| long_video(12, s as f32 * 0.7 + 0.2)).collect();
+                        let mut muxed: Vec<StreamState> =
+                            (0..3).map(|_| StreamState::new(*model.config())).collect();
+                        let mut solo: Vec<_> = (0..3).map(|_| ex.open_stream()).collect();
+                        let mut fed = [0usize; 3];
+                        for round in 0..rounds {
+                            // fresh: a window, then a group per round; idle:
+                            // a window once; short: one frame per round.
+                            let lens =
+                                [if round == 0 { 4 } else { 2 }, 4 * (round == 0) as usize, 1];
+                            for s in 0..3 {
+                                let chunk = slice_frames(&videos[s], fed[s], lens[s]);
+                                muxed[s].stage_frames(&chunk).unwrap();
+                                solo[s].push_frames(&chunk).unwrap();
+                                fed[s] += lens[s];
+                            }
+                            let scope = metrics::scope();
+                            let mut refs: Vec<&mut StreamState> = muxed.iter_mut().collect();
+                            encode_staged(model, &mut refs);
+                            let got = readout_staged(model, &mut refs);
+                            let snap = scope.snapshot();
+                            drop(scope);
+                            let forwards =
+                                snap.hists.get("stage/stream_infer").map_or(0, |h| h.count);
+                            assert_eq!(forwards, 1, "one readout forward per round ({ctx})");
+                            let idle_hit = u64::from(round > 0);
+                            assert_eq!(snap.counter("stage/window_hit"), idle_hit, "{ctx}");
+                            for s in 0..3 {
+                                let want = solo[s].describe();
+                                assert_eq!(got[s], want, "{ctx}, round {round}, stream {s}");
+                                if want.is_ok() {
+                                    assert_bit_identical(
+                                        &muxed[s].logits(model).unwrap(),
+                                        &solo[s].logits().unwrap(),
+                                        &format!("{ctx}, round {round}, stream {s}"),
+                                    );
+                                }
+                            }
+                            assert!(got[2].is_err(), "`short` never fills a window ({ctx})");
+                        }
+                        // Nothing stale: no forward at all.
+                        let scope = metrics::scope();
+                        let mut refs: Vec<&mut StreamState> = muxed.iter_mut().collect();
+                        readout_staged(model, &mut refs);
+                        let snap = scope.snapshot();
+                        assert!(!snap.hists.contains_key("stage/stream_infer"), "{ctx}");
+                        assert_eq!(snap.counter("stage/window_hit"), 2, "{ctx}");
+                    };
+                    pool::with_forced_threads(threads, || {
+                        workspace::with_mode(ws, || precision::with_forced(plane, run))
+                    });
+                }
             }
         }
     }

@@ -1,7 +1,8 @@
 //! Multi-head self-attention.
 
 use rand::Rng;
-use tsdx_tensor::{metrics, ops, Graph, Tensor, Var};
+use tsdx_tensor::ops::Activation;
+use tsdx_tensor::{Graph, Var};
 
 use crate::linear::Linear;
 use crate::params::{Binding, ParamStore};
@@ -18,35 +19,6 @@ use crate::params::{Binding, ParamStore};
 /// autograd retention, and the extra transpose overtake the fused kernel's
 /// O(T) per-row streaming, so large problems go fused.
 pub const COMPOSED_SCORES_MAX: usize = 1 << 16;
-
-/// Key/value projections retained from a
-/// [`MultiHeadAttention::forward_prefix`] call, so a later call over a
-/// sequence sharing a bitwise-identical leading prefix can skip
-/// re-projecting those rows.
-///
-/// The cache is valid for exactly as long as the parameters that produced
-/// it: any weight update invalidates it. Callers that stream inference over
-/// a frozen model (the intended use) get this for free by holding the cache
-/// alongside an immutable borrow of the model.
-#[derive(Debug, Clone)]
-pub struct AttnKvCache {
-    /// Full key projections `[B, T, D]` of the producing call.
-    k: Tensor,
-    /// Full value projections `[B, T, D]` of the producing call.
-    v: Tensor,
-}
-
-impl AttnKvCache {
-    /// Number of cached token rows.
-    pub fn len(&self) -> usize {
-        self.k.shape()[1]
-    }
-
-    /// Whether the cache holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// Multi-head scaled-dot-product self-attention over `[B, T, D]` inputs.
 ///
@@ -109,108 +81,33 @@ impl MultiHeadAttention {
     /// [`forward_with_attn`](Self::forward_with_attn) when the
     /// probabilities themselves are needed.
     pub fn forward(&self, g: &mut Graph, p: &Binding, x: Var) -> Var {
-        self.forward_impl(g, p, x, false).0
+        self.forward_impl(g, p, x, None, false).0
     }
 
     /// Like [`forward`](Self::forward) but also returns the attention
     /// probabilities (`[B, H, T, T]`) for introspection. Always takes the
     /// composed path, which produces them as a graph node.
     pub fn forward_with_attn(&self, g: &mut Graph, p: &Binding, x: Var) -> (Var, Var) {
-        let (y, attn) = self.forward_impl(g, p, x, true);
+        let (y, attn) = self.forward_impl(g, p, x, None, true);
         (y, attn.expect("composed path always yields probabilities"))
     }
 
-    /// Prefix-aware self-attention for incremental inference.
-    ///
-    /// The leading `prefix` tokens of `x` are declared bitwise identical to
-    /// the tokens of the call that produced `cache`, so their key/value
-    /// projections are reused instead of recomputed; only the suffix rows go
-    /// through `wk`/`wv`. Queries are always computed for every token —
-    /// attention here is bidirectional, so every output row depends on every
-    /// input row and no output can be carried over.
-    ///
-    /// Returns the attention output and a full-length cache for the next
-    /// call. With `prefix == 0` or no cache this is op-for-op the same graph
-    /// as [`forward`](Self::forward) (bit-identical output): linear layers
-    /// act row-wise, so the reassembled projections match a full
-    /// recomputation bit for bit, and the downstream dispatch between the
-    /// composed and fused kernels uses the same size rule.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `prefix > 0` but the cache is missing, shorter than
-    /// `prefix`, or from a different batch size / width.
-    pub fn forward_prefix(
+    /// Projections, head split, scaled-dot-product dispatch, head merge and
+    /// output projection. `residual`, when given, is added by the output
+    /// projection's epilogue (a transformer block's `x + Attn(..)` without
+    /// a separate add). Returns the probabilities when the composed path
+    /// ran.
+    pub(crate) fn forward_impl(
         &self,
         g: &mut Graph,
         p: &Binding,
         x: Var,
-        cache: Option<&AttnKvCache>,
-        prefix: usize,
-    ) -> (Var, AttnKvCache) {
-        let sh = g.shape(x).to_vec();
-        assert_eq!(sh.len(), 3, "attention input must be [B, T, D]");
-        let (b, t, d) = (sh[0], sh[1], sh[2]);
-        assert_eq!(d, self.dim, "attention width mismatch");
-        assert!(prefix <= t, "prefix ({prefix}) exceeds sequence length ({t})");
-
-        let q = self.wq.forward(g, p, x);
-        let (k, v) = if prefix == 0 {
-            (self.wk.forward(g, p, x), self.wv.forward(g, p, x))
-        } else {
-            let cache = cache.expect("prefix > 0 requires a cache from a previous call");
-            assert!(
-                cache.k.shape()[0] == b && cache.k.shape()[2] == d && cache.len() >= prefix,
-                "cache shape {:?} cannot serve batch {b}, width {d}, prefix {prefix}",
-                cache.k.shape(),
-            );
-            let k_old = g.constant(ops::narrow(&cache.k, 1, 0, prefix));
-            let v_old = g.constant(ops::narrow(&cache.v, 1, 0, prefix));
-            if prefix == t {
-                (k_old, v_old)
-            } else {
-                let suffix = g.narrow(x, 1, prefix, t - prefix);
-                let k_new = self.wk.forward(g, p, suffix);
-                let v_new = self.wv.forward(g, p, suffix);
-                (g.concat(&[k_old, k_new], 1), g.concat(&[v_old, v_new], 1))
-            }
-        };
-        metrics::counter_add("attn/kv_prefix_tokens", prefix as u64);
-        let next = AttnKvCache { k: g.value(k).clone(), v: g.value(v).clone() };
-        (self.attend(g, p, q, k, v, false).0, next)
-    }
-
-    /// Shared projection/head-split/merge graph around either attention
-    /// realization. Returns the probabilities when the composed path ran.
-    fn forward_impl(
-        &self,
-        g: &mut Graph,
-        p: &Binding,
-        x: Var,
+        residual: Option<Var>,
         want_attn: bool,
     ) -> (Var, Option<Var>) {
         let sh = g.shape(x).to_vec();
         assert_eq!(sh.len(), 3, "attention input must be [B, T, D]");
         assert_eq!(sh[2], self.dim, "attention width mismatch");
-
-        let q = self.wq.forward(g, p, x);
-        let k = self.wk.forward(g, p, x);
-        let v = self.wv.forward(g, p, x);
-        self.attend(g, p, q, k, v, want_attn)
-    }
-
-    /// Head-split, scaled-dot-product dispatch, and output projection over
-    /// already-projected `[B, T, D]` queries/keys/values.
-    fn attend(
-        &self,
-        g: &mut Graph,
-        p: &Binding,
-        q: Var,
-        k: Var,
-        v: Var,
-        want_attn: bool,
-    ) -> (Var, Option<Var>) {
-        let sh = g.shape(q).to_vec();
         let (b, t, d) = (sh[0], sh[1], sh[2]);
         let h = self.heads;
         let dh = d / h;
@@ -220,6 +117,9 @@ impl MultiHeadAttention {
             let r = g.reshape(y, &[b, t, h, dh]);
             g.permute(r, &[0, 2, 1, 3])
         };
+        let q = self.wq.forward(g, p, x);
+        let k = self.wk.forward(g, p, x);
+        let v = self.wv.forward(g, p, x);
         let q = split(g, q);
         let k = split(g, k);
         let v = split(g, v);
@@ -236,7 +136,7 @@ impl MultiHeadAttention {
         };
         let merged = g.permute(ctx, &[0, 2, 1, 3]);
         let flat = g.reshape(merged, &[b, t, d]);
-        (self.wo.forward(g, p, flat), attn)
+        (self.wo.forward_fused(g, p, flat, Activation::None, residual), attn)
     }
 }
 
@@ -345,79 +245,6 @@ mod tests {
             g.value(small).allclose(g.value(composed), 1e-6),
             "composed dispatch diverged from forward_with_attn"
         );
-    }
-
-    #[test]
-    fn forward_prefix_without_cache_is_bit_identical_to_forward() {
-        let (store, mha) = setup(8, 2);
-        let mut g = Graph::new();
-        let p = store.bind_frozen(&mut g);
-        let x = g.constant(Tensor::from_fn(&[2, 5, 8], |i| (i as f32 * 0.19).sin()));
-        let plain = mha.forward(&mut g, &p, x);
-        let (prefixed, cache) = mha.forward_prefix(&mut g, &p, x, None, 0);
-        assert_eq!(g.value(plain).data(), g.value(prefixed).data());
-        assert_eq!(cache.len(), 5);
-        assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn cached_prefix_rows_reproduce_full_recompute_bitwise() {
-        // Seed a cache from one sequence, then rerun with the same leading
-        // rows and a fresh suffix: the prefix path must match a full
-        // forward bit for bit at every prefix length.
-        let (store, mha) = setup(8, 2);
-        let x0 = Tensor::from_fn(&[2, 6, 8], |i| (i as f32 * 0.23).cos());
-        for prefix in 0..=6usize {
-            let mut g = Graph::new();
-            let p = store.bind_frozen(&mut g);
-            let xa = g.constant(x0.clone());
-            let (_, cache) = mha.forward_prefix(&mut g, &p, xa, None, 0);
-            // Same prefix rows, perturbed suffix rows.
-            let x1 = Tensor::from_fn(&[2, 6, 8], |i| {
-                let row = (i / 8) % 6;
-                let base = (i as f32 * 0.23).cos();
-                if row < prefix {
-                    base
-                } else {
-                    base + ((i as f32) * 0.07).sin()
-                }
-            });
-            let xb = g.constant(x1.clone());
-            let full = mha.forward(&mut g, &p, xb);
-            let (streamed, next) = mha.forward_prefix(&mut g, &p, xb, Some(&cache), prefix);
-            assert_eq!(
-                g.value(full).data(),
-                g.value(streamed).data(),
-                "prefix {prefix} diverged from full recompute"
-            );
-            assert_eq!(next.len(), 6);
-        }
-    }
-
-    #[test]
-    fn forward_prefix_takes_the_fused_branch_above_the_cap() {
-        // Large sequences dispatch to the fused kernel on both paths, so
-        // the prefix path must stay bit-identical there too.
-        let (store, mha) = setup(8, 2);
-        let t = 200;
-        assert!(2 * t * t > COMPOSED_SCORES_MAX);
-        let mut g = Graph::new();
-        let p = store.bind_frozen(&mut g);
-        let x = g.constant(Tensor::from_fn(&[1, t, 8], |i| (i as f32 * 0.11).sin()));
-        let (_, cache) = mha.forward_prefix(&mut g, &p, x, None, 0);
-        let full = mha.forward(&mut g, &p, x);
-        let (streamed, _) = mha.forward_prefix(&mut g, &p, x, Some(&cache), 64);
-        assert_eq!(g.value(full).data(), g.value(streamed).data());
-    }
-
-    #[test]
-    #[should_panic]
-    fn forward_prefix_rejects_missing_cache() {
-        let (store, mha) = setup(4, 2);
-        let mut g = Graph::new();
-        let p = store.bind_frozen(&mut g);
-        let x = g.constant(Tensor::ones(&[1, 3, 4]));
-        mha.forward_prefix(&mut g, &p, x, None, 1);
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod rnn;
 pub mod serialize;
 mod transformer;
 
-pub use attention::{AttnKvCache, MultiHeadAttention};
+pub use attention::MultiHeadAttention;
 pub use conv::Conv2d;
 pub use dropout::Dropout;
 pub use linear::Linear;
@@ -66,4 +66,4 @@ pub use serialize::{
     crc32, load_checkpoint, read_checkpoint, read_train_checkpoint, save_checkpoint,
     save_train_checkpoint, write_atomic, CheckpointError, TrainCheckpoint, TrainState,
 };
-pub use transformer::{EncoderKvCache, Mlp, TransformerBlock, TransformerEncoder};
+pub use transformer::{Mlp, TransformerBlock, TransformerEncoder};

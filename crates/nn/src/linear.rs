@@ -1,6 +1,7 @@
 //! Fully-connected (affine) layer.
 
 use rand::Rng;
+use tsdx_tensor::ops::{self, Activation};
 use tsdx_tensor::{quant, Graph, Var};
 
 use crate::init;
@@ -59,7 +60,7 @@ impl Linear {
         self.out_features
     }
 
-    /// Applies the layer on the tape.
+    /// Applies the layer on the tape: one [`Graph::linear`] node.
     ///
     /// When `p` carries a prepacked int8 form of this layer's weight (a
     /// [`crate::ParamStore::bind_quantized`] binding under
@@ -67,33 +68,43 @@ impl Linear {
     /// GEMM with a fused dequant+bias epilogue and enters the tape as a
     /// constant — inference-only, no gradients, and row-wise exactly like
     /// the f32 path (each output row depends only on its input row), so
-    /// prefix/KV caching layered on top stays sound.
+    /// caching and cross-stream batching layered on top stay sound.
     ///
     /// # Panics
     ///
     /// Panics (inside the tensor ops) if the last dimension of `x` is not
     /// `in_features`.
     pub fn forward(&self, g: &mut Graph, p: &Binding, x: Var) -> Var {
-        // Flatten batch dims so matmul sees [N, in] @ [in, out].
-        let in_shape = g.shape(x).to_vec();
-        let d = *in_shape.last().expect("linear input must have rank >= 1");
+        self.forward_fused(g, p, x, Activation::None, None)
+    }
+
+    /// [`forward`](Self::forward) with an epilogue: `act(x @ W + b) +
+    /// residual`, still one tape node on the f32 plane (bit-identical to
+    /// applying the activation and the residual add as separate ops). The
+    /// int8 plane keeps its own GEMM and applies both with the existing
+    /// ops.
+    pub(crate) fn forward_fused(
+        &self,
+        g: &mut Graph,
+        p: &Binding,
+        x: Var,
+        act: Activation,
+        residual: Option<Var>,
+    ) -> Var {
+        let d = *g.shape(x).last().expect("linear input must have rank >= 1");
         assert_eq!(d, self.in_features, "linear expected {} inputs, got {d}", self.in_features);
-        let flat = g.reshape(x, &[usize::MAX, d]);
-        let mut out_shape = in_shape;
-        *out_shape.last_mut().expect("rank >= 1") = self.out_features;
-        if let Some(qw) = p.quant(self.weight) {
-            let bias = self.bias.map(|b| g.value(p.var(b)));
-            let y = quant::linear_q8(g.value(flat), qw, bias);
-            let y = g.constant(y);
-            return g.reshape(y, &out_shape);
+        let bias = self.bias.map(|b| p.var(b));
+        let Some(qw) = p.quant(self.weight) else {
+            return g.linear(x, p.var(self.weight), bias, act, residual);
+        };
+        let mut y = quant::linear_q8(g.value(x), qw, bias.map(|b| g.value(b)));
+        if act == Activation::Gelu {
+            // The product is a constant, so its activation is one too: no
+            // node of its own.
+            y = ops::gelu(&y);
         }
-        let w = p.var(self.weight);
-        let mut y = g.matmul(flat, w);
-        if let Some(b) = self.bias {
-            let bv = p.var(b);
-            y = g.add(y, bv);
-        }
-        g.reshape(y, &out_shape)
+        let y = g.constant(y);
+        residual.map_or(y, |r| g.add(r, y))
     }
 }
 

@@ -58,8 +58,9 @@ pub struct ParamStore {
 #[derive(Debug)]
 pub struct Binding {
     vars: Vec<Var>,
-    /// Index-aligned with `vars`; empty for f32 bindings.
-    quants: Vec<Option<Arc<QuantMatrix>>>,
+    /// Index-aligned with `vars`, shared with the [`QuantizedWeights`] it
+    /// came from; `None` for f32 bindings.
+    quants: Option<Arc<[Option<Arc<QuantMatrix>>]>>,
 }
 
 /// Prepacked int8 panels + per-channel scales for a subset of a store's
@@ -71,7 +72,7 @@ pub struct Binding {
 /// never re-quantizes or re-packs a weight.
 #[derive(Debug, Clone, Default)]
 pub struct QuantizedWeights {
-    mats: Vec<Option<Arc<QuantMatrix>>>,
+    mats: Arc<[Option<Arc<QuantMatrix>>]>,
 }
 
 impl QuantizedWeights {
@@ -118,7 +119,7 @@ impl Binding {
     /// produced by [`ParamStore::bind_quantized`] and `id` was selected
     /// for quantization. `None` on f32 bindings.
     pub fn quant(&self, id: ParamId) -> Option<&Arc<QuantMatrix>> {
-        self.quants.get(id.0).and_then(|m| m.as_ref())
+        self.quants.as_ref()?.get(id.0)?.as_ref()
     }
 }
 
@@ -197,7 +198,7 @@ impl ParamStore {
     pub fn bind(&self, g: &mut Graph) -> Binding {
         Binding {
             vars: self.params.iter().map(|p| g.leaf(p.value.clone())).collect(),
-            quants: Vec::new(),
+            quants: None,
         }
     }
 
@@ -206,7 +207,7 @@ impl ParamStore {
     pub fn bind_frozen(&self, g: &mut Graph) -> Binding {
         Binding {
             vars: self.params.iter().map(|p| g.constant(p.value.clone())).collect(),
-            quants: Vec::new(),
+            quants: None,
         }
     }
 
@@ -233,10 +234,9 @@ impl ParamStore {
     /// constants, so no gradients flow through them (matching the frozen
     /// f32 binding's no-gradient contract).
     pub fn bind_quantized(&self, g: &mut Graph, q: &QuantizedWeights) -> Binding {
-        let mut b = self.bind_frozen(g);
-        b.quants = q.mats.clone();
-        b.quants.resize(self.params.len(), None);
-        b
+        // The handle table is shared, not copied: a quantized binding
+        // costs what a frozen one does.
+        Binding { quants: Some(Arc::clone(&q.mats)), ..self.bind_frozen(g) }
     }
 
     /// Collects the gradient tensor for every parameter (zeros when a

@@ -1,9 +1,11 @@
 //! Transformer encoder blocks (pre-norm) and stacks.
 
+use rand::rngs::StdRng;
 use rand::Rng;
+use tsdx_tensor::ops::Activation;
 use tsdx_tensor::{metrics, Graph, Var};
 
-use crate::attention::{AttnKvCache, MultiHeadAttention};
+use crate::attention::MultiHeadAttention;
 use crate::dropout::Dropout;
 use crate::linear::Linear;
 use crate::norm::LayerNorm;
@@ -33,9 +35,20 @@ impl Mlp {
 
     /// Applies `fc2(gelu(fc1(x)))`.
     pub fn forward(&self, g: &mut Graph, p: &Binding, x: Var) -> Var {
-        let h = self.fc1.forward(g, p, x);
-        let a = g.gelu(h);
-        self.fc2.forward(g, p, a)
+        self.forward_residual(g, p, x, None)
+    }
+
+    /// `fc2(gelu(fc1(x))) + residual` in two tape nodes: the GELU rides
+    /// `fc1`'s epilogue and the residual add `fc2`'s.
+    pub(crate) fn forward_residual(
+        &self,
+        g: &mut Graph,
+        p: &Binding,
+        x: Var,
+        residual: Option<Var>,
+    ) -> Var {
+        let a = self.fc1.forward_fused(g, p, x, Activation::Gelu, None);
+        self.fc2.forward_fused(g, p, a, Activation::None, residual)
     }
 }
 
@@ -78,8 +91,8 @@ impl TransformerBlock {
 
     /// Applies the block to `[B, T, D]` tokens.
     ///
-    /// Attention runs through the fused [`Graph::attention`] kernel (no
-    /// `[B, H, T, T]` tensor is materialized); use
+    /// Attention dispatches between the composed and the fused kernel (see
+    /// [`MultiHeadAttention::forward`]); use
     /// [`forward_with_attn`](Self::forward_with_attn) when the probabilities
     /// are needed.
     pub fn forward(
@@ -90,15 +103,7 @@ impl TransformerBlock {
         rng: &mut impl Rng,
         train: bool,
     ) -> Var {
-        let _span = metrics::span_dyn(|| format!("layer/{}", self.name));
-        let n1 = self.ln1.forward(g, p, x);
-        let a = self.attn.forward(g, p, n1);
-        let a = self.dropout.forward(g, a, rng, train);
-        let x = g.add(x, a);
-        let n2 = self.ln2.forward(g, p, x);
-        let m = self.mlp.forward(g, p, n2);
-        let m = self.dropout.forward(g, m, rng, train);
-        g.add(x, m)
+        self.run(g, p, x, train.then_some(rng), false).0
     }
 
     /// Inference-only forward pass (no dropout sites, no RNG).
@@ -107,38 +112,7 @@ impl TransformerBlock {
     /// graph as [`forward`](Self::forward) with `train == false` and is
     /// bit-identical to it.
     pub fn forward_eval(&self, g: &mut Graph, p: &Binding, x: Var) -> Var {
-        let _span = metrics::span_dyn(|| format!("layer/{}", self.name));
-        let n1 = self.ln1.forward(g, p, x);
-        let a = self.attn.forward(g, p, n1);
-        let x = g.add(x, a);
-        let n2 = self.ln2.forward(g, p, x);
-        let m = self.mlp.forward(g, p, n2);
-        g.add(x, m)
-    }
-
-    /// Prefix-aware, inference-only forward pass.
-    ///
-    /// The leading `prefix` tokens of `x` must be bitwise identical to the
-    /// tokens of the call that produced `cache`: layer norm acts row-wise,
-    /// so those rows of `ln1(x)` — and therefore their key/value
-    /// projections — are unchanged and are served from the cache (see
-    /// [`MultiHeadAttention::forward_prefix`]). Output is bit-identical to
-    /// [`forward_eval`](Self::forward_eval).
-    pub fn forward_prefix(
-        &self,
-        g: &mut Graph,
-        p: &Binding,
-        x: Var,
-        cache: Option<&AttnKvCache>,
-        prefix: usize,
-    ) -> (Var, AttnKvCache) {
-        let _span = metrics::span_dyn(|| format!("layer/{}", self.name));
-        let n1 = self.ln1.forward(g, p, x);
-        let (a, next) = self.attn.forward_prefix(g, p, n1, cache, prefix);
-        let x = g.add(x, a);
-        let n2 = self.ln2.forward(g, p, x);
-        let m = self.mlp.forward(g, p, n2);
-        (g.add(x, m), next)
+        self.run(g, p, x, None::<&mut StdRng>, false).0
     }
 
     /// Like [`TransformerBlock::forward`], also returning the attention
@@ -151,35 +125,42 @@ impl TransformerBlock {
         rng: &mut impl Rng,
         train: bool,
     ) -> (Var, Var) {
+        let (y, attn) = self.run(g, p, x, train.then_some(rng), true);
+        (y, attn.expect("composed path always yields probabilities"))
+    }
+
+    /// The block's one wiring, `x + Attn(LN(x))` then `x + MLP(LN(x))`, in
+    /// 21 tape nodes: both residual adds ride the epilogue of the linear
+    /// layer in front of them (`wo`, `fc2`) and the GELU rides `fc1`'s.
+    /// `train_rng` is `Some` for a training pass; only then, and only with a
+    /// nonzero drop probability, do the dropout sites exist — they sit
+    /// between each branch and its residual add, so those two adds become
+    /// separate nodes again.
+    fn run(
+        &self,
+        g: &mut Graph,
+        p: &Binding,
+        x: Var,
+        train_rng: Option<&mut impl Rng>,
+        want_attn: bool,
+    ) -> (Var, Option<Var>) {
         let _span = metrics::span_dyn(|| format!("layer/{}", self.name));
+        let mut sites = train_rng.filter(|_| self.dropout.p() > 0.0);
+        let fused = sites.is_none();
+        let mut join = |g: &mut Graph, skip: Var, branch: Var| match &mut sites {
+            Some(rng) => {
+                let dropped = self.dropout.forward(g, branch, &mut **rng, true);
+                g.add(skip, dropped)
+            }
+            // No dropout site: the branch added `skip` in its own epilogue.
+            None => branch,
+        };
         let n1 = self.ln1.forward(g, p, x);
-        let (a, attn) = self.attn.forward_with_attn(g, p, n1);
-        let a = self.dropout.forward(g, a, rng, train);
-        let x = g.add(x, a);
+        let (a, attn) = self.attn.forward_impl(g, p, n1, fused.then_some(x), want_attn);
+        let x = join(g, x, a);
         let n2 = self.ln2.forward(g, p, x);
-        let m = self.mlp.forward(g, p, n2);
-        let m = self.dropout.forward(g, m, rng, train);
-        (g.add(x, m), attn)
-    }
-}
-
-/// Key/value state retained across [`TransformerEncoder::forward_prefix`]
-/// calls. Holds the first block's [`AttnKvCache`] — the only layer whose
-/// inputs keep a stable prefix under bidirectional attention.
-#[derive(Debug, Clone, Default)]
-pub struct EncoderKvCache {
-    block0: Option<AttnKvCache>,
-}
-
-impl EncoderKvCache {
-    /// Number of token rows cached for the first block (0 when empty).
-    pub fn len(&self) -> usize {
-        self.block0.as_ref().map_or(0, AttnKvCache::len)
-    }
-
-    /// Whether any rows are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let m = self.mlp.forward_residual(g, p, n2, fused.then_some(x));
+        (join(g, x, m), attn)
     }
 }
 
@@ -251,38 +232,6 @@ impl TransformerEncoder {
         self.ln_final.forward(g, p, x)
     }
 
-    /// Prefix-aware, inference-only forward pass for streaming callers.
-    ///
-    /// The leading `prefix` tokens of `x` must be bitwise identical to the
-    /// input of the call that produced `cache`. Only the **first** block can
-    /// exploit that: bidirectional attention mixes every token into every
-    /// output, so after one block even the prefix rows have changed and
-    /// deeper blocks recompute in full. The returned cache holds the first
-    /// block's key/value rows for the next call.
-    ///
-    /// Output is bit-identical to [`forward_eval`](Self::forward_eval).
-    pub fn forward_prefix(
-        &self,
-        g: &mut Graph,
-        p: &Binding,
-        mut x: Var,
-        cache: Option<&EncoderKvCache>,
-        prefix: usize,
-    ) -> (Var, EncoderKvCache) {
-        let mut block0 = None;
-        for (i, block) in self.blocks.iter().enumerate() {
-            if i == 0 {
-                let (y, kv) =
-                    block.forward_prefix(g, p, x, cache.and_then(|c| c.block0.as_ref()), prefix);
-                x = y;
-                block0 = Some(kv);
-            } else {
-                x = block.forward_eval(g, p, x);
-            }
-        }
-        (self.ln_final.forward(g, p, x), EncoderKvCache { block0 })
-    }
-
     /// Like [`TransformerEncoder::forward`], also returning the *last*
     /// block's attention probabilities `[B, H, T, T]`.
     pub fn forward_with_attn(
@@ -351,50 +300,57 @@ mod tests {
     }
 
     #[test]
-    fn eval_and_prefix_paths_are_bit_identical_to_forward() {
+    fn eval_path_is_bit_identical_to_forward() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(9);
         let enc = TransformerEncoder::new(&mut store, &mut rng, "enc", 8, 2, 2, 2, 0.1);
-        let x0 = Tensor::from_fn(&[2, 5, 8], |i| (i as f32 * 0.03).sin());
-
         let mut g = Graph::new();
         let p = store.bind_frozen(&mut g);
-        let x = g.constant(x0.clone());
+        let x = g.constant(Tensor::from_fn(&[2, 5, 8], |i| (i as f32 * 0.03).sin()));
         let reference = enc.forward(&mut g, &p, x, &mut rng, false);
         let evaled = enc.forward_eval(&mut g, &p, x);
         assert_eq!(g.value(reference).data(), g.value(evaled).data());
-
-        // Seed a cache, then rerun with the first two tokens unchanged.
-        let (_, cache) = enc.forward_prefix(&mut g, &p, x, None, 0);
-        assert_eq!(cache.len(), 5);
-        let x1 = Tensor::from_fn(&[2, 5, 8], |i| {
-            let row = (i / 8) % 5;
-            let base = (i as f32 * 0.03).sin();
-            if row < 2 {
-                base
-            } else {
-                base * 0.5 + 0.1
-            }
-        });
-        let xb = g.constant(x1);
-        let full = enc.forward_eval(&mut g, &p, xb);
-        let (streamed, next) = enc.forward_prefix(&mut g, &p, xb, Some(&cache), 2);
-        assert_eq!(g.value(full).data(), g.value(streamed).data());
-        assert!(!next.is_empty());
     }
 
     #[test]
-    fn prefix_path_handles_an_empty_encoder() {
-        // temporal_depth can legitimately be small; depth 0 must not panic.
+    fn default_width_block_eval_forward_records_21_nodes() {
+        // The model's block: width 64, 4 heads, MLP ratio 2. ln1 + q/k/v +
+        // 3 head splits (reshape, permute) + kᵀ, q·kᵀ, scale, softmax, p·v +
+        // merge (permute, reshape) + wo(+x) + ln2 + fc1(+GELU) + fc2(+x).
+        // Bias, GELU and residual each as a node of their own made it 42.
         let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(10);
-        let enc = TransformerEncoder::new(&mut store, &mut rng, "enc", 4, 0, 1, 2, 0.0);
+        let mut rng = StdRng::seed_from_u64(11);
+        let block = TransformerBlock::new(&mut store, &mut rng, "b", 64, 4, 2, 0.0);
         let mut g = Graph::new();
         let p = store.bind_frozen(&mut g);
-        let x = g.constant(Tensor::ones(&[1, 3, 4]));
-        let (y, cache) = enc.forward_prefix(&mut g, &p, x, None, 0);
-        assert_eq!(g.shape(y), &[1, 3, 4]);
-        assert!(cache.is_empty());
+        let x = g.constant(Tensor::from_fn(&[4, 17, 64], |i| (i as f32 * 0.01).sin()));
+        let before = g.len();
+        block.forward_eval(&mut g, &p, x);
+        assert!(g.len() - before <= 21, "block eval forward grew to {} nodes", g.len() - before);
+    }
+
+    #[test]
+    fn fused_block_matches_the_unfused_composition_bitwise() {
+        // The block with the GELU and both residual adds unrolled into the
+        // separate nodes they were (bias fusion is pinned at the tensor
+        // level, against `matmul` + `add`).
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(12);
+        let block = TransformerBlock::new(&mut store, &mut rng, "b", 8, 2, 2, 0.0);
+        let mut g = Graph::new();
+        let p = store.bind_frozen(&mut g);
+        let x = g.constant(Tensor::from_fn(&[3, 5, 8], |i| (i as f32 * 0.07).cos()));
+        let fused = block.forward_eval(&mut g, &p, x);
+
+        let n1 = block.ln1.forward(&mut g, &p, x);
+        let a = block.attn.forward(&mut g, &p, n1);
+        let x1 = g.add(x, a);
+        let n2 = block.ln2.forward(&mut g, &p, x1);
+        let h = block.mlp.fc1.forward(&mut g, &p, n2);
+        let h = g.gelu(h);
+        let m = block.mlp.fc2.forward(&mut g, &p, h);
+        let unfused = g.add(x1, m);
+        assert_eq!(g.value(fused).data(), g.value(unfused).data());
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! * **Stream chunk pushes** (`POST /sessions/<id>/frames`): each chunk is
 //!   staged into its session's [`StreamState`], then every newly completed
 //!   time group across *all* streams in the round is encoded in **one**
-//!   cross-stream [`tsdx_core::encode_staged`] forward — N concurrent
-//!   streams completing a group pay one spatial forward at batch N instead
-//!   of N forwards at batch 1 (bit-identical per group, by the stage's row
-//!   independence).
+//!   cross-stream [`tsdx_core::encode_staged`] forward, and every ready
+//!   window is then read out in **one** [`tsdx_core::readout_staged`]
+//!   forward — N concurrent streams pay two forwards per round, whatever
+//!   N is (bit-identical per stream, by the row independence of both
+//!   stages).
 //!
 //! The robustness rules:
 //!
@@ -27,13 +28,14 @@
 //!   time.
 //! * **Degrade under pressure.** When the queue depth at drain time crosses
 //!   `degrade_depth`, the whole round — clip forward and group encodes —
-//!   runs on the int8 plane ([`Precision::Int8`]). A session whose window
-//!   readout flips plane drops its temporal K/V cache instead of mixing
-//!   planes (see [`tsdx_core::StreamState`]).
-//! * **Panic containment.** Both forwards run under `catch_unwind`; a panic
+//!   runs on the int8 plane ([`Precision::Int8`]). A session's window memo
+//!   is keyed by plane, so a flip re-reads the window instead of serving
+//!   the other plane's answer (see [`tsdx_core::StreamState`]).
+//! * **Panic containment.** Every forward runs under `catch_unwind`; a panic
 //!   answers the affected jobs with a typed 500 and the worker keeps
 //!   serving. A panic inside the group encode leaves staged groups staged —
-//!   the next push simply re-encodes them.
+//!   the next push simply re-encodes them — and one inside the batched
+//!   readout leaves every window memo unwritten, so the next push re-reads.
 //! * **Drain, never drop.** [`Batcher::drain`] stops admission, then the
 //!   worker answers everything still queued — clip or stream — before
 //!   exiting.
@@ -85,7 +87,8 @@ pub struct Extraction {
     pub scenario: Scenario,
     /// Numeric plane the batch ran on.
     pub plane: Precision,
-    /// Time spent waiting in the queue, µs.
+    /// Time spent waiting in the queue — admission to the worker's drain,
+    /// before any model work — µs.
     pub queued_us: u64,
     /// How many clips shared the forward.
     pub batch_size: usize,
@@ -109,7 +112,8 @@ pub struct StreamAnswer {
     pub scenario: Option<Scenario>,
     /// Numeric plane the round ran on.
     pub plane: Precision,
-    /// Time spent waiting in the queue, µs.
+    /// Time spent waiting in the queue — admission to the worker's drain,
+    /// before any model work — µs.
     pub queued_us: u64,
     /// Streams whose groups shared this round's batched spatial forward.
     pub mux_streams: usize,
@@ -350,16 +354,23 @@ fn worker_loop(shared: &Shared, extractor: &ScenarioExtractor) {
             shared.stats.queue_depth.store(q.items.len() as u64, Ordering::Relaxed);
             (batch, depth)
         };
-        run_round(shared, extractor, batch, depth_at_drain);
+        run_round(shared, extractor, batch, depth_at_drain, Instant::now());
         shared.stats.publish_worker_metrics(scope.snapshot());
     }
     shared.stats.publish_worker_metrics(scope.snapshot());
 }
 
 /// One drain round: deadline-gate every job, pick the plane once, then at
-/// most two forwards — one batched clip extraction, one cross-stream group
-/// encode (plus per-stream window readouts).
-fn run_round(shared: &Shared, extractor: &ScenarioExtractor, batch: Vec<Job>, depth: usize) {
+/// most three forwards — one batched clip extraction, one cross-stream group
+/// encode and one cross-stream window readout. `drained` is when the worker
+/// took the jobs off the queue: the end of every job's queue wait.
+fn run_round(
+    shared: &Shared,
+    extractor: &ScenarioExtractor,
+    batch: Vec<Job>,
+    depth: usize,
+    drained: Instant,
+) {
     let mut clips: Vec<Pending> = Vec::new();
     let mut streams: Vec<StreamJob> = Vec::new();
     for job in batch {
@@ -431,12 +442,23 @@ fn run_round(shared: &Shared, extractor: &ScenarioExtractor, batch: Vec<Job>, de
         }
     }
 
-    run_clips(shared, extractor, live_clips, plane);
-    run_streams(shared, extractor, live_streams, plane);
+    run_clips(shared, extractor, live_clips, plane, drained);
+    run_streams(shared, extractor, live_streams, plane, drained);
+}
+
+/// A job's queue wait: admission to the worker's drain, µs.
+fn queue_wait_us(enqueued: Instant, drained: Instant) -> u64 {
+    drained.saturating_duration_since(enqueued).as_micros() as u64
 }
 
 /// The one-shot half of a round: one batched window forward.
-fn run_clips(shared: &Shared, extractor: &ScenarioExtractor, live: Vec<Pending>, plane: Precision) {
+fn run_clips(
+    shared: &Shared,
+    extractor: &ScenarioExtractor,
+    live: Vec<Pending>,
+    plane: Precision,
+    drained: Instant,
+) {
     if live.is_empty() {
         return;
     }
@@ -466,7 +488,7 @@ fn run_clips(shared: &Shared, extractor: &ScenarioExtractor, live: Vec<Pending>,
                         Ok(Extraction {
                             scenario,
                             plane,
-                            queued_us: p.enqueued.elapsed().as_micros() as u64,
+                            queued_us: queue_wait_us(p.enqueued, drained),
                             batch_size: size,
                         })
                     }
@@ -490,13 +512,14 @@ fn run_clips(shared: &Shared, extractor: &ScenarioExtractor, live: Vec<Pending>,
 }
 
 /// The streaming half of a round: stage every chunk, encode all completed
-/// groups across sessions in one batched forward, then read out each ready
-/// window.
+/// groups across sessions in one batched forward, then read out every ready
+/// window in another.
 fn run_streams(
     shared: &Shared,
     extractor: &ScenarioExtractor,
     jobs: Vec<StreamJob>,
     plane: Precision,
+    drained: Instant,
 ) {
     if jobs.is_empty() {
         return;
@@ -517,7 +540,7 @@ fn run_streams(
 
     let t0 = Instant::now();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        precision::with_forced(plane, || stream_round(shared, extractor, &live, plane))
+        precision::with_forced(plane, || stream_round(shared, extractor, &live, plane, drained))
     }));
     let elapsed = t0.elapsed();
     match outcome {
@@ -537,10 +560,11 @@ fn run_streams(
             }
         }
         Err(payload) => {
-            // A panic in the group encode or a window readout answers every
+            // A panic in the group encode or the window readout answers every
             // push in the round with a typed 500. Staged groups stay staged
-            // (the ring is only written after a completed forward), so the
-            // sessions stay consistent and the next push re-encodes them.
+            // and window memos unwritten (ring and memo are only written
+            // after a completed forward), so the sessions stay consistent
+            // and the next push re-encodes or re-reads them.
             ServeStats::inc(&shared.stats.panics_caught);
             let detail = panic_text(payload.as_ref());
             for j in live {
@@ -557,9 +581,10 @@ fn stream_round(
     extractor: &ScenarioExtractor,
     jobs: &[StreamJob],
     plane: Precision,
+    drained: Instant,
 ) -> (Vec<StreamResult>, usize) {
     // Hold every session's state lock for the whole round: staging, the
-    // shared batched encode, and the readouts are one atomic step per
+    // shared batched encode, and the shared readout are one atomic step per
     // session. The worker is the only contender (session routes go through
     // the queue), so these locks never wait.
     let mut guards: Vec<_> = jobs.iter().map(|j| lock(&j.entry.state)).collect();
@@ -567,7 +592,7 @@ fn stream_round(
     // Stage every chunk. A bad chunk gets its typed error and leaves its
     // session untouched (the rejected-chunk contract); the rest of the
     // round proceeds without it.
-    let mut staged: Vec<Result<usize, ServeError>> = jobs
+    let staged: Vec<Result<usize, ServeError>> = jobs
         .iter()
         .zip(guards.iter_mut())
         .map(|(j, g)| {
@@ -576,34 +601,31 @@ fn stream_round(
         })
         .collect();
 
-    // One cross-stream spatial forward over every group staged this round.
-    let report = {
-        let mut refs: Vec<&mut tsdx_core::StreamState> =
-            guards.iter_mut().map(|g| &mut **g).collect();
-        tsdx_core::encode_staged(extractor.model(), &mut refs)
-    };
+    // Two forwards for the whole round, over the sessions whose chunk
+    // staged: one cross-stream spatial encode of every group staged, one
+    // cross-stream readout (temporal stage + heads) of every ready window.
+    let mut refs: Vec<&mut tsdx_core::StreamState> = guards
+        .iter_mut()
+        .zip(&staged)
+        .filter(|(_, staged)| staged.is_ok())
+        .map(|(g, _)| &mut **g)
+        .collect();
+    let report = tsdx_core::encode_staged(extractor.model(), &mut refs);
     if report.groups > 0 {
         shared.stats.record_mux_batch(report.streams, report.groups);
     }
+    let mut scenarios = tsdx_core::readout_staged(extractor.model(), &mut refs).into_iter();
 
-    // Per-session window readout (temporal stage + heads, KV-cached).
     let replies = jobs
         .iter()
-        .zip(guards.iter_mut())
-        .zip(staged.iter_mut())
+        .zip(&guards)
+        .zip(staged)
         .map(|((j, g), staged)| {
-            let groups_new = match staged {
-                Ok(n) => *n,
-                Err(e) => return Err(e.clone()),
-            };
-            let scenario = if g.ready() {
-                match g.describe(extractor.model()) {
-                    Ok(s) => Some(s),
-                    Err(e) => return Err(ServeError::from(e)),
-                }
-            } else {
-                None
-            };
+            let groups_new = staged?;
+            let scenario = scenarios.next().expect("one readout per staged push");
+            // A session short of its first full window has no scenario yet;
+            // that is its readout's only error.
+            let scenario = if g.ready() { Some(scenario?) } else { None };
             Ok(StreamAnswer {
                 session: j.entry.id(),
                 groups_new,
@@ -611,7 +633,7 @@ fn stream_round(
                 ready: g.ready(),
                 scenario,
                 plane,
-                queued_us: j.enqueued.elapsed().as_micros() as u64,
+                queued_us: queue_wait_us(j.enqueued, drained),
                 mux_streams: report.streams,
                 mux_groups: report.groups,
             })
@@ -854,5 +876,56 @@ mod tests {
             ServeStats::get(&stats.mux_batches)
         );
         b.drain();
+    }
+
+    #[test]
+    fn a_stream_round_is_two_forwards_whatever_the_stream_count() {
+        let ex = tiny_extractor();
+        let stats = Arc::new(ServeStats::default());
+        let sessions = SessionManager::new(SessionConfig::default(), Arc::clone(&stats));
+        let b = Batcher::start(Arc::clone(&ex), BatchConfig::default(), Arc::clone(&stats));
+        let entries: Vec<_> = (0..3).map(|_| sessions.create(tiny_cfg()).unwrap()).collect();
+        let window =
+            |s: usize| Tensor::from_fn(&[4, 16, 16], |i| ((i + s * 555) as f32 * 0.017).sin());
+
+        // Park the worker inside a round of its own: it drains the blocker's
+        // push, then waits on the session lock this thread holds — while the
+        // three real pushes queue up behind it into one round.
+        let blocker = sessions.create(tiny_cfg()).unwrap();
+        let parked = lock(&blocker.state);
+        let half = Tensor::from_fn(&[2, 16, 16], |i| (i as f32 * 0.01).sin());
+        let submitted = Instant::now();
+        let blocked = b.submit_stream(Arc::clone(&blocker), half, None, 0).unwrap();
+        while b.depth() > 0 {
+            std::thread::yield_now();
+        }
+        let drained_within = submitted.elapsed();
+        let rxs: Vec<_> = entries
+            .iter()
+            .enumerate()
+            .map(|(s, e)| b.submit_stream(Arc::clone(e), window(s), None, 0).unwrap())
+            .collect();
+        drop(parked);
+
+        let a = blocked.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+        assert!(!a.ready, "the blocker holds half a window: no readout in its round");
+        // Its queue wait ended when the worker drained it, not when the
+        // round it then sat parked in was finally served.
+        assert!(u128::from(a.queued_us) <= drained_within.as_micros(), "{a:?}");
+        for (s, rx) in rxs.into_iter().enumerate() {
+            let a = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+            assert_eq!((a.mux_streams, a.mux_groups), (3, 6), "one round served all three");
+            let mut solo = ex.open_stream();
+            solo.push_frames(&window(s)).unwrap();
+            assert_eq!(a.scenario.unwrap(), solo.describe().unwrap(), "stream {s}");
+        }
+        b.drain(); // joins the worker: its last metrics snapshot is published
+        let snap = stats.worker_metrics();
+        let records = |key: &str| snap.hists.get(key).map_or(0, |h| h.count);
+        // Two rounds ran. Each encoded once; only the three-stream round had
+        // windows to read, and it read all three in one forward.
+        assert_eq!(records("stage/mux_encode"), 2);
+        assert_eq!(records("stage/stream_infer"), 1);
+        assert_eq!(snap.counter("stage/cache_miss"), 1 + 6);
     }
 }

@@ -77,11 +77,25 @@ fn open_session(addr: std::net::SocketAddr) -> u64 {
         .unwrap()
 }
 
-/// `POST /sessions/<id>/frames` with 2 frames of deterministic pixels.
+/// Two frames (half a window) of deterministic pixels, distinct per `salt`.
+fn half_window_pixels(salt: usize) -> Vec<f32> {
+    (0..2 * 16 * 16).map(|i| ((i + 131 * salt) as f32 * 0.011).sin()).collect()
+}
+
+/// An untouched in-process stream fed the half windows `salts`, in order.
+fn solo_scenario(salts: &[usize]) -> String {
+    let reference = tiny_extractor();
+    let mut solo = reference.open_stream();
+    for &salt in salts {
+        let frames = tsdx_tensor::Tensor::from_vec(half_window_pixels(salt), &[2, 16, 16]);
+        solo.push_frames(&frames).unwrap();
+    }
+    solo.describe().unwrap().to_string()
+}
+
+/// `POST /sessions/<id>/frames` with the 2 frames of [`half_window_pixels`].
 fn push_half_window(addr: std::net::SocketAddr, id: u64, salt: usize) -> common::HttpResponse {
-    let pixels: Vec<f32> =
-        (0..2 * 16 * 16).map(|i| ((i + 131 * salt) as f32 * 0.011).sin()).collect();
-    let body: Vec<u8> = pixels.iter().flat_map(|f| f.to_le_bytes()).collect();
+    let body: Vec<u8> = half_window_pixels(salt).iter().flat_map(|f| f.to_le_bytes()).collect();
     common::Client::connect(addr)
         .request(
             "POST",
@@ -116,18 +130,57 @@ fn mid_chunk_disconnect_leaves_the_session_resumable() {
     assert_eq!(resp.status, 200, "{}", resp.body);
     assert!(resp.body.contains("\"ready\":true"), "{}", resp.body);
     assert!(resp.body.contains("\"frames_seen\":4"), "{}", resp.body);
-    let reference = tiny_extractor();
-    let mut solo = reference.open_stream();
-    for salt in [0, 1] {
-        let pixels: Vec<f32> =
-            (0..2 * 16 * 16).map(|i| ((i + 131 * salt) as f32 * 0.011).sin()).collect();
-        solo.push_frames(&tsdx_tensor::Tensor::from_vec(pixels, &[2, 16, 16])).unwrap();
-    }
-    let expected = format!(
-        "\"scenario\":\"{}\"",
-        tsdx_serve::json::escape(&solo.describe().unwrap().to_string())
-    );
+    let expected =
+        format!("\"scenario\":\"{}\"", tsdx_serve::json::escape(&solo_scenario(&[0, 1])));
     assert!(resp.body.contains(&expected), "{} !~ {expected}", resp.body);
+    server.shutdown();
+}
+
+#[test]
+fn batched_readout_panic_answers_500s_and_every_session_streams_on() {
+    let _guard = locked();
+    let mut server = Server::start(tiny_extractor(), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let ids = [open_session(addr), open_session(addr)];
+    // Session `s` pushes the chunks salted 10·s, 10·s + 1, 10·s + 2.
+    for (s, &id) in ids.iter().enumerate() {
+        let resp = push_half_window(addr, id, 10 * s);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+
+    // The second halves fill both windows, pushed concurrently: the round
+    // that reads out first — one session or both — dies after its forward,
+    // before any window memo is written, and answers typed 500s.
+    tsdx_tensor::faults::arm_readout_panic();
+    let pushes: Vec<_> = ids
+        .iter()
+        .enumerate()
+        .map(|(s, &id)| std::thread::spawn(move || push_half_window(addr, id, 10 * s + 1)))
+        .collect();
+    let replies: Vec<_> = pushes.into_iter().map(|t| t.join().unwrap()).collect();
+    assert!(replies.iter().any(|r| r.status == 500), "the armed readout must fire");
+    for resp in &replies {
+        if resp.status == 500 {
+            assert!(resp.body.contains("\"kind\":\"internal\""), "{}", resp.body);
+            assert!(resp.body.contains("injected fault"), "{}", resp.body);
+        } else {
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            assert!(resp.body.contains("\"ready\":true"), "{}", resp.body);
+        }
+    }
+    assert_eq!(server.stats().panics_caught.load(std::sync::atomic::Ordering::Relaxed), 1);
+
+    // Poisoned or not, every session kept the chunk it staged and slides
+    // on: its next push reads out exactly what an untouched solo stream of
+    // the same six frames reads out.
+    for (s, &id) in ids.iter().enumerate() {
+        let resp = push_half_window(addr, id, 10 * s + 2);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert!(resp.body.contains("\"frames_seen\":6"), "{}", resp.body);
+        let solo = solo_scenario(&[10 * s, 10 * s + 1, 10 * s + 2]);
+        let expected = format!("\"scenario\":\"{}\"", tsdx_serve::json::escape(&solo));
+        assert!(resp.body.contains(&expected), "{} !~ {expected}", resp.body);
+    }
     server.shutdown();
 }
 

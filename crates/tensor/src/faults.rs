@@ -31,7 +31,10 @@
 //!   filling hundreds of real slots);
 //! * [`arm_session_route_panic`] — the serve layer's next session-route
 //!   handler panics before touching session state (the listener and every
-//!   *other* session must survive).
+//!   *other* session must survive);
+//! * [`arm_readout_panic`] — the next batched stream-window readout panics
+//!   after its forward and before any session's window memo is written
+//!   (every session of the round must stay as it was).
 //!
 //! Every fault fires **at most once** and is disarmed when it fires, so a
 //! test arms exactly the failure it wants and the rest of the run proceeds
@@ -52,6 +55,7 @@ struct Armed {
     shard_flip_bit: Option<u64>,
     session_table_full: bool,
     session_route_panic: bool,
+    readout_panic: bool,
 }
 
 static ARMED: Mutex<Armed> = Mutex::new(Armed {
@@ -66,6 +70,7 @@ static ARMED: Mutex<Armed> = Mutex::new(Armed {
     shard_flip_bit: None,
     session_table_full: false,
     session_route_panic: false,
+    readout_panic: false,
 });
 
 fn armed() -> std::sync::MutexGuard<'static, Armed> {
@@ -141,6 +146,12 @@ pub fn arm_session_route_panic() {
     armed().session_route_panic = true;
 }
 
+/// Arms a panic inside the next batched stream-window readout, firing after
+/// the forward and before any window memo is written.
+pub fn arm_readout_panic() {
+    armed().readout_panic = true;
+}
+
 /// Disarms every pending fault.
 pub fn clear_all() {
     let mut a = armed();
@@ -155,6 +166,7 @@ pub fn clear_all() {
     a.shard_flip_bit = None;
     a.session_table_full = false;
     a.session_route_panic = false;
+    a.readout_panic = false;
 }
 
 /// Polled by the pool: panics (once) when chunk `chunk` is armed.
@@ -235,6 +247,13 @@ pub fn take_session_route_panic() -> bool {
     std::mem::take(&mut a.session_route_panic)
 }
 
+/// Polled by the batched stream-window readout: true (once) when its panic
+/// is armed. The caller panics when this fires.
+pub fn take_readout_panic() -> bool {
+    let mut a = armed();
+    std::mem::take(&mut a.readout_panic)
+}
+
 /// Polled by the serve request handler: true (once) when accepted request
 /// number `request` is armed.
 ///
@@ -297,6 +316,10 @@ mod tests {
         arm_session_route_panic();
         assert!(take_session_route_panic());
         assert!(!take_session_route_panic(), "fault must disarm after firing");
+
+        arm_readout_panic();
+        assert!(take_readout_panic());
+        assert!(!take_readout_panic(), "fault must disarm after firing");
         clear_all();
     }
 }

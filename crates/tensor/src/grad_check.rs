@@ -103,7 +103,7 @@ pub fn assert_gradients(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::Conv2dSpec;
+    use crate::ops::{Activation, Conv2dSpec};
 
     fn pseudo(shape: &[usize], seed: u32) -> Tensor {
         // Deterministic pseudo-random values in roughly [-1, 1].
@@ -243,5 +243,79 @@ mod tests {
             let y = g.gelu(v[0]);
             g.mean_all(y)
         });
+    }
+
+    #[test]
+    fn linear_grads_for_every_epilogue_and_rank() {
+        // dx, dW, db and dr against central differences, and the fused
+        // forward against the four ops it replaces, bit for bit — with and
+        // without each of bias / GELU / residual, on rank-2 and rank-3
+        // inputs (7 = 4 + 3 rows: a full 4-row block plus single rows; 19
+        // columns: one 16-wide tile plus a tail).
+        for lead in [&[7usize][..], &[2, 3][..]] {
+            let (k, n) = (5, 19);
+            let x = pseudo(&[lead, &[k]].concat(), 20);
+            let w = pseudo(&[k, n], 21);
+            let b = pseudo(&[n], 22);
+            let r = pseudo(&[lead, &[n]].concat(), 23);
+            for (with_bias, act, with_res) in [
+                (false, Activation::None, false),
+                (true, Activation::None, false),
+                (false, Activation::Gelu, false),
+                (false, Activation::None, true),
+                (true, Activation::Gelu, false),
+                (true, Activation::None, true),
+                (false, Activation::Gelu, true),
+                (true, Activation::Gelu, true),
+            ] {
+                let fused = |g: &mut Graph, v: &[Var]| {
+                    g.linear(v[0], v[1], with_bias.then_some(v[2]), act, with_res.then_some(v[3]))
+                };
+                let composed = |g: &mut Graph, v: &[Var]| {
+                    let mut y = g.matmul(v[0], v[1]);
+                    if with_bias {
+                        y = g.add(y, v[2]);
+                    }
+                    if act == Activation::Gelu {
+                        y = g.gelu(y);
+                    }
+                    if with_res {
+                        y = g.add(v[3], y);
+                    }
+                    y
+                };
+                let inputs = [x.clone(), w.clone(), b.clone(), r.clone()];
+                // Every input is used in the loss so each has a gradient to
+                // check; the unused ones of a combination see only `touch`.
+                assert_gradients(&inputs, 1e-2, 2e-2, |g, v| {
+                    let y = fused(g, v);
+                    let sq = g.mul(y, y);
+                    let loss = g.mean_all(sq);
+                    let touch: Vec<Var> = v.iter().map(|&t| g.mean_all(t)).collect();
+                    touch.into_iter().fold(loss, |acc, t| g.add(acc, t))
+                });
+                // Same bits as the composition: frozen (one fused pass) and
+                // differentiable (pre-activation kept) alike.
+                for frozen in [true, false] {
+                    let mut g = Graph::new();
+                    let v: Vec<Var> = inputs
+                        .iter()
+                        .map(|t| if frozen { g.constant(t.clone()) } else { g.leaf(t.clone()) })
+                        .collect();
+                    let before = g.len();
+                    let a = fused(&mut g, &v);
+                    assert_eq!(g.len() - before, 1, "linear is one tape node");
+                    let c = composed(&mut g, &v);
+                    let bits = |v: Var| -> Vec<u32> {
+                        g.value(v).to_vec().iter().map(|f| f.to_bits()).collect()
+                    };
+                    assert_eq!(
+                        bits(a),
+                        bits(c),
+                        "bias {with_bias}, {act:?}, residual {with_res}, frozen {frozen}, {lead:?}"
+                    );
+                }
+            }
+        }
     }
 }

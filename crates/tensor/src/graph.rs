@@ -22,7 +22,7 @@
 //! ```
 
 use crate::ops;
-use crate::ops::Conv2dSpec;
+use crate::ops::{Activation, Conv2dSpec};
 use crate::Tensor;
 
 /// Handle to a node in a [`Graph`].
@@ -47,6 +47,7 @@ enum Op {
     Scale(Var, f32),
     AddScalar(Var),
     Matmul(Var, Var),
+    Linear(LinearOp),
     Relu(Var),
     Gelu(Var),
     Sigmoid(Var),
@@ -60,7 +61,7 @@ enum Op {
     IndexSelect { input: Var, indices: Vec<usize> },
     SoftmaxLast(Var),
     LogSoftmaxLast(Var),
-    LayerNorm { x: Var, gamma: Var, beta: Var, mean: Tensor, rstd: Tensor },
+    LayerNorm { x: Var, gamma: Var, beta: Var, stats: Option<(Tensor, Tensor)> },
     Attention { q: Var, k: Var, v: Var, scale: f32 },
     SumAll(Var),
     MeanAll(Var),
@@ -71,6 +72,19 @@ enum Op {
     Conv2d { input: Var, weight: Var, spec: Conv2dSpec, cols: Tensor },
     AvgPool2d { input: Var, k: usize },
     MaxPool2d { input: Var, argmax: Vec<usize> },
+}
+
+/// Operands of a [`Graph::linear`] node: `act(x @ w + bias) + residual`.
+#[derive(Debug)]
+struct LinearOp {
+    x: Var,
+    w: Var,
+    bias: Option<Var>,
+    act: Activation,
+    residual: Option<Var>,
+    /// `x @ w + bias` before a non-identity activation; kept only when the
+    /// node needs grad (the activation's backward reads it).
+    pre: Option<Tensor>,
 }
 
 impl Op {
@@ -86,6 +100,7 @@ impl Op {
             Op::Scale(..) => "bwd/scale",
             Op::AddScalar(..) => "bwd/add_scalar",
             Op::Matmul(..) => "bwd/matmul",
+            Op::Linear(..) => "bwd/linear",
             Op::Relu(..) => "bwd/relu",
             Op::Gelu(..) => "bwd/gelu",
             Op::Sigmoid(..) => "bwd/sigmoid",
@@ -253,6 +268,41 @@ impl Graph {
         self.binary(a, b, v, Op::Matmul(a, b))
     }
 
+    /// Fused affine map `act(x @ w + bias) + residual` as **one** tape node
+    /// (see [`ops::linear`]): `x` is `[..., k]`, `w` is `[k, n]`, `bias` is
+    /// `[n]`, `residual` is `[..., n]`.
+    ///
+    /// The forward value is bit-identical to composing [`Graph::matmul`],
+    /// [`Graph::add`], [`Graph::gelu`] and [`Graph::add`]. Backward yields
+    /// `dx`, `dW`, `db` (column sums) and `dr = g`; a non-identity
+    /// activation differentiates through its pre-activation, which the node
+    /// keeps only when some input needs grad.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch (see [`ops::linear`]).
+    pub fn linear(
+        &mut self,
+        x: Var,
+        w: Var,
+        bias: Option<Var>,
+        act: Activation,
+        residual: Option<Var>,
+    ) -> Var {
+        let needs = [Some(x), Some(w), bias, residual].into_iter().flatten().any(|v| self.needs(v));
+        let (xv, wv) = (self.value(x), self.value(w));
+        let (bv, rv) = (bias.map(|b| self.value(b)), residual.map(|r| self.value(r)));
+        let (value, pre) = match act {
+            Activation::Gelu if needs => {
+                let z = ops::linear(xv, wv, bv, Activation::None, None);
+                let y = ops::gelu(&z);
+                (if let Some(r) = rv { ops::add(&y, r) } else { y }, Some(z))
+            }
+            _ => (ops::linear(xv, wv, bv, act, rv), None),
+        };
+        self.push(Op::Linear(LinearOp { x, w, bias, act, residual, pre }), value, needs)
+    }
+
     // ---- activations -----------------------------------------------------
 
     /// Rectified linear unit.
@@ -356,10 +406,16 @@ impl Graph {
     ///
     /// Panics on shape mismatch.
     pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        let (value, mean, rstd) =
-            ops::layer_norm_forward(self.value(x), self.value(gamma), self.value(beta), eps);
         let needs = self.needs(x) || self.needs(gamma) || self.needs(beta);
-        self.push(Op::LayerNorm { x, gamma, beta, mean, rstd }, value, needs)
+        let (xv, gv, bv) = (self.value(x), self.value(gamma), self.value(beta));
+        // The row statistics exist for backward: frozen inputs skip them.
+        let (value, stats) = if needs {
+            let (value, mean, rstd) = ops::layer_norm_forward(xv, gv, bv, eps);
+            (value, Some((mean, rstd)))
+        } else {
+            (ops::layer_norm(xv, gv, bv, eps), None)
+        };
+        self.push(Op::LayerNorm { x, gamma, beta, stats }, value, needs)
     }
 
     /// Fused scaled-dot-product attention: `softmax(scale * q kᵀ) v`.
@@ -553,6 +609,33 @@ impl Graph {
                 self.accumulate(grads, *a, reduce_batch(&da, av.shape()));
                 self.accumulate(grads, *b, reduce_batch(&db, bv.shape()));
             }
+            Op::Linear(LinearOp { x, w, bias, act, residual, pre }) => {
+                if let Some(r) = residual {
+                    self.accumulate(grads, *r, g.clone());
+                }
+                // dz: gradient at the pre-activation `x·W + b`.
+                let dz = match (act, pre) {
+                    (Activation::None, _) => g.clone(),
+                    (Activation::Gelu, Some(z)) => ops::gelu_backward(z, g),
+                    (Activation::Gelu, None) => {
+                        unreachable!("a node that needs grad keeps its pre-activation")
+                    }
+                };
+                let (xv, wv) = (self.value(*x), self.value(*w));
+                let (k, n) = (wv.shape()[0], wv.shape()[1]);
+                if self.needs(*x) {
+                    let dx = ops::matmul(&dz, &ops::transpose_last2(wv));
+                    self.accumulate(grads, *x, dx);
+                }
+                let dz = dz.reshape(&[usize::MAX, n]);
+                if self.needs(*w) {
+                    let xt = ops::transpose_last2(&xv.reshape(&[usize::MAX, k]));
+                    self.accumulate(grads, *w, ops::matmul(&xt, &dz));
+                }
+                if let Some(b) = bias {
+                    self.accumulate(grads, *b, ops::sum_axis(&dz, 0, false));
+                }
+            }
             Op::Relu(a) => {
                 self.accumulate(grads, *a, ops::relu_backward(self.value(*a), g));
             }
@@ -613,7 +696,9 @@ impl Graph {
                 let y = &self.nodes[id].value;
                 self.accumulate(grads, *a, crate::ops_internal::log_softmax_last_backward(y, g));
             }
-            Op::LayerNorm { x, gamma, beta, mean, rstd } => {
+            Op::LayerNorm { x, gamma, beta, stats } => {
+                let (mean, rstd) =
+                    stats.as_ref().expect("a node that needs grad keeps its row statistics");
                 let (dx, dgamma, dbeta) =
                     layer_norm_backward(self.value(*x), self.value(*gamma), mean, rstd, g);
                 self.accumulate(grads, *x, dx);

@@ -263,7 +263,14 @@ const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 /// `exp` and one divide per element instead of `tanh`'s two ranges, and the
 /// negative tail keeps its relative accuracy (`1 + tanh u` cancels there).
 pub fn gelu(a: &Tensor) -> Tensor {
-    unary(a, |x| x * fastmath::sigmoid(2.0 * GELU_C * (x + 0.044_715 * x * x * x)))
+    unary(a, gelu_scalar)
+}
+
+/// One element of [`gelu`]; [`super::linear`]'s epilogue evaluates this same
+/// expression, so the fused and the standalone activation agree bit for bit.
+#[inline]
+pub(crate) fn gelu_scalar(x: f32) -> f32 {
+    x * fastmath::sigmoid(2.0 * GELU_C * (x + 0.044_715 * x * x * x))
 }
 
 /// Gradient of [`gelu`] given the op *input* and upstream gradient.

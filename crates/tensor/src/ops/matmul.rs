@@ -14,6 +14,10 @@
 //!   tile gathered through its strides into a `[k][16]` scratch tile first.
 //! - Columns past the last full tile are per-element dot products.
 //!
+//! [`linear`] runs the same kernels and then an epilogue — bias, activation
+//! and residual applied in place to the rows a worker has just written — so
+//! an affine layer is one call and one output buffer.
+//!
 //! Problems whose `B` matrix spills L1 take the **packed-panel path**
 //! (PR 5): BLIS-style cache blocking where `B` is gathered once into
 //! zero-padded `[k][16]` column tiles (any stride pattern) and each worker
@@ -42,6 +46,7 @@
 
 use std::sync::Arc;
 
+use super::elementwise::gelu_scalar;
 use crate::pool;
 use crate::shape;
 use crate::workspace::{self, ArcBuf, Buffer, Scratch};
@@ -142,7 +147,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// the output rows, and each row is always computed by exactly one thread in
 /// the same order.
 pub fn matmul_with_threads(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-    matmul_impl(a, b, threads, true)
+    gemm(a, b, threads, true, None)
 }
 
 /// [`matmul_with_threads`] restricted to the tiled kernel (never the packed
@@ -150,32 +155,175 @@ pub fn matmul_with_threads(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
 /// this one.
 #[doc(hidden)]
 pub fn matmul_unpacked(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-    matmul_impl(a, b, threads, false)
+    gemm(a, b, threads, false, None)
 }
 
-fn matmul_impl(a: &Tensor, b: &Tensor, threads: usize, allow_packed: bool) -> Tensor {
+/// The activation [`linear`] applies between the bias and the residual.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Activation {
+    /// Identity.
+    None,
+    /// GELU, tanh approximation — the expression [`super::gelu`] evaluates.
+    Gelu,
+}
+
+/// What [`linear`] applies to each span of output rows as soon as the kernel
+/// has written it. Operands are held by `Arc` so the kernel contexts can move
+/// into `'static` pool jobs.
+struct Epilogue {
+    /// The `[n]` bias: its buffer and the offset of element 0.
+    bias: Option<(ArcBuf, usize)>,
+    act: Activation,
+    /// The residual, laid out exactly like the output (contiguous
+    /// `[rows, n]`): its buffer and the offset of element 0.
+    residual: Option<(ArcBuf, usize)>,
+}
+
+impl Epilogue {
+    /// Finishes `chunk` — whole output rows of width `n` starting at
+    /// flattened row `first_row`, holding the accumulated products — in
+    /// place: `act(v + b) + r`, each step rounded once, the chain the
+    /// separate bias-add, activation and residual-add ops produce. Runs on
+    /// rows the kernel has just written, so they are still in cache; each
+    /// step is a plain slice loop, which is what lets it vectorize.
+    fn apply(&self, chunk: &mut [f32], first_row: usize, n: usize) {
+        if let Some((b, off)) = &self.bias {
+            let bias = &b[*off..off + n];
+            for row in chunk.chunks_exact_mut(n) {
+                for (v, &bv) in row.iter_mut().zip(bias) {
+                    *v += bv;
+                }
+            }
+        }
+        if self.act == Activation::Gelu {
+            for v in chunk.iter_mut() {
+                *v = gelu_scalar(*v);
+            }
+        }
+        if let Some((r, off)) = &self.residual {
+            let start = off + first_row * n;
+            let res = &r[start..start + chunk.len()];
+            for (v, &rv) in chunk.iter_mut().zip(res) {
+                *v += rv;
+            }
+        }
+    }
+}
+
+/// Fused affine map `act(x @ w + bias) + residual` over the last dimension
+/// of `x`.
+///
+/// `x` is `[..., k]` (rank ≥ 2, any layout), `w` is `[k, n]`, `bias` is
+/// `[n]` and `residual` has the output's shape `[..., n]`. One output
+/// buffer: bias, activation and residual are applied in place to each span
+/// of rows right after the kernel has written it — no intermediate tensor
+/// per step, and each pool worker finishes its own rows.
+///
+/// Every output element is the [`matmul`] accumulator (one `f32`,
+/// fused-multiply-added in ascending `k`), then `+ bias`, then the
+/// activation, then `+ residual`, each rounded once — bit-identical to
+/// `add(act(add(matmul(x, w), bias)), residual)` for every pool size, and
+/// row-independent: an output row depends only on its own input row.
+///
+/// # Panics
+///
+/// Panics on rank < 2 inputs or any shape mismatch.
+///
+/// # Examples
+///
+/// ```
+/// use tsdx_tensor::ops::{self, Activation};
+/// use tsdx_tensor::Tensor;
+/// let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]);
+/// let w = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
+/// let b = Tensor::from_vec(vec![0.5, -0.5], &[2]);
+/// let y = ops::linear(&x, &w, Some(&b), Activation::None, Some(&x));
+/// assert_eq!(y.data(), &[2.5, 3.5]); // (x·I + b) + x
+/// ```
+pub fn linear(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&Tensor>,
+    act: Activation,
+    residual: Option<&Tensor>,
+) -> Tensor {
+    assert!(x.rank() >= 2, "linear input must have rank >= 2, got {:?}", x.shape());
+    assert_eq!(w.rank(), 2, "linear weight must be [k, n], got {:?}", w.shape());
+    let n = w.shape()[1];
+    // (buffer, offset of element 0) of a dense copy of `t` — `t` itself
+    // when it already is one.
+    let hold = |t: &Tensor| {
+        if t.is_contiguous() {
+            (t.raw_arc(), t.offset())
+        } else {
+            (t.contiguous().raw_arc(), 0)
+        }
+    };
+    let epi = Epilogue {
+        bias: bias.map(|b| {
+            assert_eq!(b.shape(), [n], "linear bias must be [{n}]");
+            hold(b)
+        }),
+        act,
+        residual: residual.map(|r| {
+            let (lead, _) = x.shape().split_at(x.rank() - 1);
+            assert!(
+                r.shape().split_last() == Some((&n, lead)),
+                "linear residual {:?} is not the output shape of {:?} @ {:?}",
+                r.shape(),
+                x.shape(),
+                w.shape()
+            );
+            hold(r)
+        }),
+    };
+    let threads = if pool::should_parallelize(x.numel() * n, PARALLEL_THRESHOLD) {
+        configured_threads()
+    } else {
+        1
+    };
+    gemm(x, w, threads, true, Some(epi))
+}
+
+fn gemm(
+    a: &Tensor,
+    b: &Tensor,
+    threads: usize,
+    allow_packed: bool,
+    epi: Option<Epilogue>,
+) -> Tensor {
     let _span = crate::metrics::span("op/matmul");
     assert!(a.rank() >= 2 && b.rank() >= 2, "matmul requires rank >= 2 operands");
     let (ash, bsh) = (a.shape().to_vec(), b.shape().to_vec());
-    let (m, ka) = (ash[ash.len() - 2], ash[ash.len() - 1]);
+    let ka = ash[ash.len() - 1];
     let (kb, n) = (bsh[bsh.len() - 2], bsh[bsh.len() - 1]);
     assert_eq!(ka, kb, "matmul inner dims: {ash:?} @ {bsh:?}");
     let k = ka;
 
-    let batch_a = &ash[..ash.len() - 2];
     let batch_b = &bsh[..bsh.len() - 2];
-    let batch = shape::broadcast(batch_a, batch_b)
+    let mut out_shape = shape::broadcast(&ash[..ash.len() - 2], batch_b)
         .unwrap_or_else(|| panic!("matmul batch dims do not broadcast: {ash:?} @ {bsh:?}"));
-    let n_batch = shape::numel(&batch);
-
-    let mut out_shape = batch.clone();
-    out_shape.push(m);
+    out_shape.push(ash[ash.len() - 2]);
     out_shape.push(n);
-    let total = n_batch * m * n;
+    let total = shape::numel(&out_shape);
     if total == 0 || k == 0 {
-        // An empty contraction sums nothing: the result is all zeros.
-        return Tensor::from_vec(workspace::take_zeroed(total), &out_shape);
+        // An empty contraction sums nothing: the products are all zeros.
+        let mut out = workspace::take_zeroed(total);
+        if let Some(epi) = epi.filter(|_| total > 0) {
+            epi.apply(&mut out, 0, n);
+        }
+        return Tensor::from_vec(out, &out_shape);
     }
+    // A contiguous `A` against one shared matrix `B` — every linear layer —
+    // is a single `[rows, k]` matrix: its batch dims fold into the row
+    // count, so the kernels tile straight across batch boundaries.
+    let (m, batch_a) = if batch_b.is_empty() && a.is_contiguous() {
+        (a.numel() / k, &ash[..0])
+    } else {
+        (ash[ash.len() - 2], &ash[..ash.len() - 2])
+    };
+    let batch = shape::broadcast(batch_a, batch_b).expect("batch dims broadcast (checked above)");
+    let n_batch = shape::numel(&batch);
     let total_rows = n_batch * m;
     let threads = threads.max(1).min(total_rows);
 
@@ -209,6 +357,7 @@ fn matmul_impl(a: &Tensor, b: &Tensor, threads: usize, allow_packed: bool) -> Te
                 njt,
                 ars,
                 acs,
+                epi,
             };
             if threads == 1 {
                 let mut out = workspace::take_uninit(total);
@@ -250,6 +399,7 @@ fn matmul_impl(a: &Tensor, b: &Tensor, threads: usize, allow_packed: bool) -> Te
         acs,
         brs,
         bcs,
+        epi,
     };
 
     if threads == 1 {
@@ -293,6 +443,7 @@ struct PackedCtx {
     njt: usize,
     ars: usize,
     acs: usize,
+    epi: Option<Epilogue>,
 }
 
 /// Gathers `B` into contiguous zero-padded column tiles: tile `jt` holds
@@ -350,6 +501,9 @@ fn packed_rows(chunk: &mut [f32], start_row: usize, ctx: &PackedCtx) {
         let o = &mut chunk[(r - start_row) * n..(r - start_row + rows_here) * n];
         packed_gemm(o, a_base, bp, i0, rows_here, ctx);
         r += rows_here;
+    }
+    if let Some(epi) = &ctx.epi {
+        epi.apply(chunk, start_row, n);
     }
 }
 
@@ -450,6 +604,7 @@ struct KernelCtx {
     acs: usize,
     brs: usize,
     bcs: usize,
+    epi: Option<Epilogue>,
 }
 
 /// Computes the output rows `[start_row, start_row + chunk.len() / n)` of
@@ -470,6 +625,9 @@ fn compute_rows(chunk: &mut [f32], start_row: usize, ctx: &KernelCtx) {
         let o = &mut chunk[(r - start_row) * n..(r - start_row + rows_here) * n];
         tiled_kernel(o, a_base, b_base, i0, rows_here, ctx);
         r += rows_here;
+    }
+    if let Some(epi) = &ctx.epi {
+        epi.apply(chunk, start_row, n);
     }
 }
 

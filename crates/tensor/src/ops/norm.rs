@@ -8,26 +8,27 @@ use crate::Tensor;
 const LAYERNORM_SERIAL_BELOW: usize = 1 << 14;
 
 /// Normalizes the packed rows of width `d = gamma.len()` in `src`, writing
-/// every element of `out` plus the per-row `mean`/`rstd` statistics the
-/// backward pass reuses. Mean and variance are [`lane_sum`]s — a fixed
-/// function of the row, shared by the serial and pooled paths.
+/// every element of `out` and, when `stats` is given, the per-row
+/// `(mean, rstd)` the backward pass reuses. Mean and variance are
+/// [`lane_sum`]s — a fixed function of the row, shared by the serial and
+/// pooled paths.
 fn layer_norm_rows(
     src: &[f32],
     gamma: &[f32],
     beta: &[f32],
     eps: f32,
     out: &mut [f32],
-    means: &mut [f32],
-    rstds: &mut [f32],
+    mut stats: Option<(&mut [f32], &mut [f32])>,
 ) {
     let d = gamma.len();
-    let rows = src.chunks_exact(d).zip(out.chunks_exact_mut(d));
-    for ((row, orow), (mslot, rslot)) in rows.zip(means.iter_mut().zip(rstds.iter_mut())) {
+    for (r, (row, orow)) in src.chunks_exact(d).zip(out.chunks_exact_mut(d)).enumerate() {
         let mean = lane_sum(row, |v| v) / d as f32;
         let var = lane_sum(row, |v| (v - mean) * (v - mean)) / d as f32;
         let rstd = 1.0 / (var + eps).sqrt();
-        *mslot = mean;
-        *rslot = rstd;
+        if let Some((means, rstds)) = &mut stats {
+            means[r] = mean;
+            rstds[r] = rstd;
+        }
         for ((o, &v), (&g, &b)) in orow.iter_mut().zip(row).zip(gamma.iter().zip(beta)) {
             *o = ((v - mean) * rstd).mul_add(g, b);
         }
@@ -51,6 +52,24 @@ pub fn layer_norm_forward(
     beta: &Tensor,
     eps: f32,
 ) -> (Tensor, Tensor, Tensor) {
+    let (y, stats) = layer_norm_impl(x, gamma, beta, eps, true);
+    let (mean, rstd) = stats.expect("stats were requested");
+    (y, mean, rstd)
+}
+
+/// [`layer_norm_forward`] without the saved statistics — the same output
+/// bits, for callers that will never differentiate through it.
+pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
+    layer_norm_impl(x, gamma, beta, eps, false).0
+}
+
+fn layer_norm_impl(
+    x: &Tensor,
+    gamma: &Tensor,
+    beta: &Tensor,
+    eps: f32,
+    want_stats: bool,
+) -> (Tensor, Option<(Tensor, Tensor)>) {
     let _span = crate::metrics::span("op/layer_norm");
     let d = *x.shape().last().expect("layer_norm requires rank >= 1");
     assert_eq!(gamma.shape(), &[d], "gamma must be [D]");
@@ -58,10 +77,14 @@ pub fn layer_norm_forward(
     let rows = x.numel() / d;
     let xc = x.contiguous(); // row kernel needs packed rows
     let (gd, bd) = (gamma.flat(), beta.flat()); // borrowed: parameters are contiguous
+    let stat_tensors =
+        |m: Vec<f32>, r: Vec<f32>| (Tensor::from_vec(m, &[rows]), Tensor::from_vec(r, &[rows]));
 
-    // `layer_norm_rows` stores every element of all three outputs, so both
-    // paths take uninitialized workspace.
+    // `layer_norm_rows` stores every element of every output it is given,
+    // so both paths take uninitialized workspace.
     if rows > 1 && pool::should_parallelize(xc.numel(), LAYERNORM_SERIAL_BELOW) {
+        // Past the serial threshold two stat rows are noise next to the
+        // output: the chunks always record them.
         let xd = xc.raw_arc();
         let off = xc.offset();
         let threads = pool::num_threads().min(rows);
@@ -76,7 +99,7 @@ pub fn layer_norm_forward(
             let mut means = crate::workspace::take_uninit(count);
             let mut rstds = crate::workspace::take_uninit(count);
             let src = &xd[off + first * d..off + (first + count) * d];
-            layer_norm_rows(src, &gd, &bd, eps, &mut out, &mut means, &mut rstds);
+            layer_norm_rows(src, &gd, &bd, eps, &mut out, Some((&mut means, &mut rstds)));
             (out, means, rstds)
         });
         let mut out = crate::workspace::take_reserve(rows * d);
@@ -90,22 +113,18 @@ pub fn layer_norm_forward(
             crate::workspace::give(m);
             crate::workspace::give(r);
         }
-        return (
-            Tensor::from_vec(out, x.shape()),
-            Tensor::from_vec(means, &[rows]),
-            Tensor::from_vec(rstds, &[rows]),
-        );
+        return (Tensor::from_vec(out, x.shape()), Some(stat_tensors(means, rstds)));
     }
 
     let mut out = crate::workspace::take_uninit(rows * d);
+    if !want_stats {
+        layer_norm_rows(xc.data(), &gd, &bd, eps, &mut out, None);
+        return (Tensor::from_vec(out, x.shape()), None);
+    }
     let mut means = crate::workspace::take_uninit(rows);
     let mut rstds = crate::workspace::take_uninit(rows);
-    layer_norm_rows(xc.data(), &gd, &bd, eps, &mut out, &mut means, &mut rstds);
-    (
-        Tensor::from_vec(out, x.shape()),
-        Tensor::from_vec(means, &[rows]),
-        Tensor::from_vec(rstds, &[rows]),
-    )
+    layer_norm_rows(xc.data(), &gd, &bd, eps, &mut out, Some((&mut means, &mut rstds)));
+    (Tensor::from_vec(out, x.shape()), Some(stat_tensors(means, rstds)))
 }
 
 #[cfg(test)]

@@ -261,8 +261,6 @@ pub fn linear_q8(a: &Tensor, w: &QuantMatrix, bias: Option<&Tensor>) -> Tensor {
     metrics::counter_add("quant/quant_rows", m as u64);
     metrics::counter_add("quant/dequant_rows", m as u64);
 
-    let a = a.contiguous();
-    let bias = bias.map(|b| b.contiguous());
     let total = m * n;
     let threads = if pool::should_parallelize(total * k, PARALLEL_THRESHOLD) {
         pool::num_threads()
@@ -270,13 +268,16 @@ pub fn linear_q8(a: &Tensor, w: &QuantMatrix, bias: Option<&Tensor>) -> Tensor {
         1
     };
     if threads <= 1 {
+        // Borrowed when the operands are dense (they are, in the model).
+        let (ad, bd) = (a.flat(), bias.map(Tensor::flat));
         let mut out = workspace::take_uninit(total);
-        q8_rows(&mut out, 0, &a, k, w, bias.as_ref());
+        q8_rows(&mut out, 0, &ad, k, w, bd.as_deref());
         return Tensor::from_vec(out, &out_shape);
     }
+    let (a, bias) = (a.contiguous(), bias.map(Tensor::contiguous));
     let w = w.clone();
     let out = pool::parallel_rows_named("matmul_i8", m, n, threads, move |first_row, chunk| {
-        q8_rows(chunk, first_row, &a, k, &w, bias.as_ref());
+        q8_rows(chunk, first_row, a.data(), k, &w, bias.as_ref().map(Tensor::data));
     });
     Tensor::from_vec(out, &out_shape)
 }
@@ -286,7 +287,8 @@ pub fn matmul_q8(a: &Tensor, w: &QuantMatrix) -> Tensor {
     linear_q8(a, w, None)
 }
 
-/// Computes output rows `[first_row, first_row + out.len() / n)`.
+/// Computes output rows `[first_row, first_row + out.len() / n)` of the
+/// dense `[m, k]` activations `a`.
 ///
 /// Each chunk quantizes its own activation rows into thread-local scratch
 /// and widens B tiles locally, so chunk results depend only on the rows
@@ -294,19 +296,18 @@ pub fn matmul_q8(a: &Tensor, w: &QuantMatrix) -> Tensor {
 fn q8_rows(
     out: &mut [f32],
     first_row: usize,
-    a: &Tensor,
+    a: &[f32],
     k: usize,
     w: &QuantMatrix,
-    bias: Option<&Tensor>,
+    bias_d: Option<&[f32]>,
 ) {
     let n = w.n();
     let rows = out.len() / n;
-    let ad = &a.data()[first_row * k..first_row * k + rows * k];
+    let ad = &a[first_row * k..first_row * k + rows * k];
     let kp = k.next_multiple_of(2);
     let k2 = kp / 2;
     let mp = rows.div_ceil(MR);
     let njt = n.div_ceil(NR);
-    let bias_d = bias.map(|b| b.data());
     SCRATCH.with(|s| {
         let mut s = s.borrow_mut();
         let (qa, sa, bt) = &mut *s;

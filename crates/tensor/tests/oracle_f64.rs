@@ -101,6 +101,41 @@ fn linear_layer_products_at_model_shapes() {
 }
 
 #[test]
+fn fused_linear_with_gelu_and_residual_at_model_shapes() {
+    // `ops::linear(x, w, b, GELU, r)` against f64 `gelu(x·W + b) + r`: fc1's
+    // shape at one clip, the temporal stage's q/k/v/o, fc2's at batch 8.
+    //
+    // Bound: the matmul bound above on the product, one rounding of the
+    // bias add (ε·|z|), both carried through GELU (|gelu′| ≤ 1.13), plus the
+    // GELU bound of `gelu_at_mlp_shapes` (1e-6·max(1, |gelu z|)) and one
+    // rounding of the residual add (ε·|y|). Nothing new: each term is the
+    // bound the separate kernel already meets.
+    use ops::Activation;
+    for &(m, k, n) in &[(68usize, 64usize, 128usize), (5, 64, 64), (544, 128, 64)] {
+        let (x, w) = (fill(&[m, k], 61), fill(&[k, n], 62));
+        let (b, r) = (fill(&[n], 63), fill(&[m, n], 64));
+        let (_, product) = matmul_f64(&x, &w);
+        at_pool_sizes(|threads| {
+            let got = ops::linear(&x, &w, Some(&b), Activation::Gelu, Some(&r)).to_vec();
+            for (flat, (&g, &(sum, abs))) in got.iter().zip(&product).enumerate() {
+                let (i, j) = (flat / n, flat % n);
+                let z = sum + b.at(&[j]) as f64;
+                let u = (2.0 / std::f64::consts::PI).sqrt() * (z + 0.044715 * z.powi(3));
+                let act = z / (1.0 + (-2.0 * u).exp());
+                let want = act + r.at(&[i, j]) as f64;
+                let bound = 1.13 * (k as f64 * EPS * abs + EPS * z.abs())
+                    + 1e-6 * act.abs().max(1.0)
+                    + EPS * want.abs();
+                assert!(
+                    (g as f64 - want).abs() <= bound,
+                    "linear {m}x{k}x{n} threads {threads} [{i},{j}]: {g} vs {want}, bound {bound:e}"
+                );
+            }
+        });
+    }
+}
+
+#[test]
 fn packed_gate_products() {
     // B past 64 KB with enough arithmetic: the packed-panel path, once with
     // every panel full and once with tail rows (70 = 11·6 + 4) and tail

@@ -13,7 +13,8 @@
 //! take the unpacked kernels and are covered by `proptest_ops.rs`.
 
 use proptest::prelude::*;
-use tsdx_tensor::{ops, Tensor};
+use tsdx_tensor::ops::Activation;
+use tsdx_tensor::{ops, pool, Tensor};
 
 /// Deterministic pseudo-random fill, cheap enough for million-element
 /// operands inside a proptest case.
@@ -95,6 +96,28 @@ fn batched_with_permuted_batch_matches() {
     let a = ops::permute(&a0, &[1, 0, 2]);
     let b = fill(&[3, 160, 256], 12);
     assert_packed_parity(&a, &b);
+}
+
+#[test]
+fn fused_linear_on_the_packed_path_matches_the_composition() {
+    // `ops::linear` past the packing thresholds (three `KC` slabs of k, so
+    // the epilogue must wait for the last one): same bits as the tiled
+    // product followed by the bias add, GELU and residual add it fuses.
+    let x = fill(&[4, 40, 600], 13);
+    let w = fill(&[600, 72], 14);
+    let b = fill(&[72], 15);
+    let r = fill(&[4, 40, 72], 16);
+    let product = ops::matmul_unpacked(&x, &w, 1);
+    let reference = ops::add(&ops::gelu(&ops::add(&product, &b)), &r);
+    for threads in [1usize, 2] {
+        let fused = pool::with_forced_threads(threads, || {
+            ops::linear(&x, &w, Some(&b), Activation::Gelu, Some(&r))
+        });
+        assert_eq!(fused.shape(), reference.shape());
+        let same =
+            fused.to_vec().iter().zip(&reference.to_vec()).all(|(p, q)| p.to_bits() == q.to_bits());
+        assert!(same, "fused linear diverged from its composition at {threads} threads");
+    }
 }
 
 proptest! {

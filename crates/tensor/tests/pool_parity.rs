@@ -106,6 +106,35 @@ fn layer_norm_is_bit_identical_across_pool_sizes() {
 }
 
 #[test]
+fn fused_linear_is_bit_identical_across_pool_sizes() {
+    use ops::Activation;
+    // Each chunk finishes its own rows (bias, GELU, residual), whatever the
+    // chunking: a dense input (batch dims folded into rows) and a permuted
+    // view (walked batch matrix by batch matrix).
+    let w = input(&[9, 21], 0.07);
+    let b = input(&[21], 0.05);
+    let r = input(&[3, 17, 21], 0.03);
+    let dense = input(&[3, 17, 9], 0.13);
+    let view = ops::permute(&input(&[17, 3, 9], 0.13), &[1, 0, 2]);
+    for x in [&dense, &view] {
+        assert_thread_parity("linear", || ops::linear(x, &w, Some(&b), Activation::Gelu, Some(&r)));
+        let composed = ops::add(&ops::gelu(&ops::add(&ops::matmul(x, &w), &b)), &r);
+        let fused = ops::linear(x, &w, Some(&b), Activation::Gelu, Some(&r));
+        assert_eq!(fused.to_vec(), composed.to_vec(), "fused linear vs its composition");
+    }
+}
+
+#[test]
+fn layer_norm_without_stats_matches_the_differentiable_forward() {
+    let x = input(&[9, 12], 0.41);
+    let gamma = input(&[12], 0.05);
+    let beta = input(&[12], 0.03);
+    assert_thread_parity("layer_norm (no stats)", || ops::layer_norm(&x, &gamma, &beta, 1e-5));
+    let with_stats = ops::layer_norm_forward(&x, &gamma, &beta, 1e-5).0;
+    assert_eq!(ops::layer_norm(&x, &gamma, &beta, 1e-5).to_vec(), with_stats.to_vec());
+}
+
+#[test]
 fn attention_forward_is_bit_identical_across_pool_sizes() {
     let q = input(&[2, 2, 6, 4], 0.13);
     let k = input(&[2, 2, 5, 4], 0.17);
