@@ -153,9 +153,7 @@ impl ClipEncoder {
                 // Joint attention has no cacheable stage boundary: the
                 // temporal position goes straight onto the token grid.
                 let timed = self.with_time_positions_grid(g, p, tokens);
-                let seq = self.with_cls(g, p, timed, self.cls_space);
-                let encoded = self.spatial.forward(g, p, seq, rng, train);
-                self.read(g, encoded)
+                self.encode(g, p, &self.spatial, self.cls_space, timed, rng, train)
             }
             AttentionKind::Factorized => {
                 // Spatial stage over each time group independently.
@@ -192,9 +190,7 @@ impl ClipEncoder {
             AttentionKind::Factorized,
             "spatial_summaries is a factorized-pipeline stage"
         );
-        let seq = self.with_cls(g, p, groups, self.cls_space);
-        let encoded = self.spatial.forward(g, p, seq, rng, train);
-        self.read(g, encoded)
+        self.encode(g, p, &self.spatial, self.cls_space, groups, rng, train)
     }
 
     /// Temporal stage of the factorized pipeline: raw frame summaries
@@ -215,9 +211,7 @@ impl ClipEncoder {
     ) -> Var {
         let temporal = self.temporal.as_ref().expect("factorized encoder has a temporal stage");
         let timed = self.with_time_positions(g, p, frames);
-        let seq_t = self.with_cls(g, p, timed, self.cls_time);
-        let encoded_t = temporal.forward(g, p, seq_t, rng, train);
-        self.read(g, encoded_t)
+        self.encode(g, p, temporal, self.cls_time, timed, rng, train)
     }
 
     /// Adds the temporal position table to frame summaries `[B, nt, D]`.
@@ -300,15 +294,32 @@ impl ClipEncoder {
         g.concat(&[tiled, seq], 1)
     }
 
-    /// Reads a `[N, T, D]` encoded sequence down to `[N, D]`.
-    fn read(&self, g: &mut Graph, encoded: Var) -> Var {
-        let sh = g.shape(encoded).to_vec();
+    /// One encoder stage: `seq` (`[N, T, D]`) through `stack` and read out
+    /// to `[N, D]`. A CLS readout keeps row 0 alone, so it asks the stack
+    /// for that row ([`TransformerEncoder::forward_first`], which spares the
+    /// last block the other rows); mean-pooling needs them all.
+    #[allow(clippy::too_many_arguments)]
+    fn encode(
+        &self,
+        g: &mut Graph,
+        p: &Binding,
+        stack: &TransformerEncoder,
+        cls: Option<ParamId>,
+        seq: Var,
+        rng: &mut impl Rng,
+        train: bool,
+    ) -> Var {
+        let seq = self.with_cls(g, p, seq, cls);
         match self.readout {
             Readout::Cls => {
-                let first = g.narrow(encoded, 1, 0, 1);
-                g.reshape(first, &[sh[0], sh[2]])
+                let first = stack.forward_first(g, p, seq, rng, train);
+                let n = g.shape(first)[0];
+                g.reshape(first, &[n, self.dim])
             }
-            Readout::MeanPool => g.mean_axis(encoded, 1, false),
+            Readout::MeanPool => {
+                let encoded = stack.forward(g, p, seq, rng, train);
+                g.mean_axis(encoded, 1, false)
+            }
         }
     }
 }
@@ -417,6 +428,69 @@ mod tests {
             let frames = g.reshape(sums, &[2, 2, 8]);
             let staged = enc.temporal_readout(&mut g, &p, frames, &mut rng, false);
             assert_eq!(g.value(full).data(), g.value(staged).data(), "{readout:?}");
+        }
+    }
+
+    #[test]
+    fn every_stage_reads_out_what_the_full_stack_leaves_bitwise() {
+        // The reference runs every block over every row and only then
+        // reads: row 0 for CLS (whose last block the encoder prunes to that
+        // row), the mean over rows for mean-pool.
+        let reference = |enc: &ClipEncoder,
+                         g: &mut Graph,
+                         p: &Binding,
+                         stack: &TransformerEncoder,
+                         cls: Option<ParamId>,
+                         seq: Var| {
+            let seq = enc.with_cls(g, p, seq, cls);
+            let full = stack.forward(g, p, seq, &mut StdRng::seed_from_u64(0), false);
+            let n = g.shape(full)[0];
+            match enc.readout {
+                Readout::Cls => {
+                    let first = g.narrow(full, 1, 0, 1);
+                    g.reshape(first, &[n, enc.dim])
+                }
+                Readout::MeanPool => g.mean_axis(full, 1, false),
+            }
+        };
+        let bits = |g: &Graph, v: Var| -> Vec<u32> {
+            g.value(v).to_vec().into_iter().map(f32::to_bits).collect()
+        };
+        let mut rng = StdRng::seed_from_u64(0);
+        for readout in [Readout::Cls, Readout::MeanPool] {
+            for kind in [AttentionKind::Factorized, AttentionKind::Joint] {
+                let cfg = cfg(kind, readout);
+                let mut store = ParamStore::new();
+                let enc = ClipEncoder::new(&mut store, &mut StdRng::seed_from_u64(5), "enc", &cfg);
+                let mut g = Graph::new();
+                let p = store.bind_frozen(&mut g);
+                let ctx = format!("{kind:?}/{readout:?}");
+                match kind {
+                    AttentionKind::Factorized => {
+                        let groups =
+                            g.constant(Tensor::from_fn(&[6, 4, 8], |i| (i as f32 * 0.05).sin()));
+                        let got = enc.spatial_summaries(&mut g, &p, groups, &mut rng, false);
+                        let want = reference(&enc, &mut g, &p, &enc.spatial, enc.cls_space, groups);
+                        assert_eq!(bits(&g, got), bits(&g, want), "spatial {ctx}");
+
+                        let frames =
+                            g.constant(Tensor::from_fn(&[3, 2, 8], |i| (i as f32 * 0.11).cos()));
+                        let got = enc.temporal_readout(&mut g, &p, frames, &mut rng, false);
+                        let timed = enc.with_time_positions(&mut g, &p, frames);
+                        let temporal = enc.temporal.as_ref().unwrap();
+                        let want = reference(&enc, &mut g, &p, temporal, enc.cls_time, timed);
+                        assert_eq!(bits(&g, got), bits(&g, want), "temporal {ctx}");
+                    }
+                    AttentionKind::Joint => {
+                        let tokens =
+                            g.constant(Tensor::from_fn(&[3, 8, 8], |i| (i as f32 * 0.05).sin()));
+                        let got = enc.forward(&mut g, &p, tokens, &mut rng, false);
+                        let timed = enc.with_time_positions_grid(&mut g, &p, tokens);
+                        let want = reference(&enc, &mut g, &p, &enc.spatial, enc.cls_space, timed);
+                        assert_eq!(bits(&g, got), bits(&g, want), "joint {ctx}");
+                    }
+                }
+            }
         }
     }
 

@@ -247,10 +247,13 @@ impl ScenarioExtractor {
     /// Each window is validated independently ([`validate_window`]
     /// (`ScenarioExtractor::validate_window`)); the well-formed ones are
     /// stacked into a single `[B, T, H, W]` batch and pushed through the
-    /// encoder once, so the per-clip cost amortizes the packed-GEMM and
-    /// fused-attention work across the batch. Malformed windows get their
-    /// own typed error and never contaminate the batch. The output is
-    /// positionally aligned with `videos`.
+    /// encoder once, so one tape, one parameter binding and one pass over
+    /// each weight matrix serve the whole batch — what amortizes is that
+    /// per-forward fixed cost; the arithmetic per clip is the same (at
+    /// these shapes the GEMMs stay on the tiled kernel and attention on
+    /// the composed path at any batch the server forms). Malformed windows
+    /// get their own typed error and never contaminate the batch. The
+    /// output is positionally aligned with `videos`.
     ///
     /// The forward runs under the active [`crate::precision::Precision`],
     /// so a server can flip a whole batch to the int8 plane under load.

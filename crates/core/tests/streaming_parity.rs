@@ -15,12 +15,14 @@
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use tsdx_core::precision::{self, Precision};
 use tsdx_core::{
-    encode_staged, readout_staged, AttentionKind, ModelConfig, Readout, ScenarioExtractor,
-    StreamState, WindowLogits,
+    encode_staged, readout_staged, AttentionKind, ClipModel, ModelConfig, Readout,
+    ScenarioExtractor, StreamState, WindowLogits,
 };
-use tsdx_tensor::{metrics, pool, workspace, Tensor};
+use tsdx_tensor::{metrics, ops, pool, workspace, Graph, Tensor};
 
 fn tiny_cfg(attention: AttentionKind, readout: Readout) -> ModelConfig {
     ModelConfig {
@@ -280,6 +282,58 @@ fn batched_readout_matches_solo_describe_on_ragged_rounds_across_dials() {
                         workspace::with_mode(ws, || precision::with_forced(plane, run))
                     });
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn served_batch_of_eight_matches_eight_solo_extractions_across_dials() {
+    // The shape a full serving batch runs: eight default-config clips
+    // stacked into one forward. A CLS stack's last block scores one query
+    // row against all keys, so its composed/fused dispatch is on
+    // `B·H·1·T`; the blocks before it dispatch on `B·H·T·T`. At B = 8 both
+    // are on the composed side a solo clip takes, so every row of the
+    // stacked logits must carry that clip's solo bits.
+    let cfg = ModelConfig::default();
+    let clips: Vec<Tensor> = (0..8)
+        .map(|c| {
+            Tensor::from_fn(&[cfg.frames, cfg.height, cfg.width], |i| {
+                ((i as f32 * 0.0137) + c as f32 * 0.61).sin() * 0.5
+            })
+        })
+        .collect();
+    let stacked = Tensor::from_vec(
+        clips.iter().flat_map(|c| c.data().iter().copied()).collect(),
+        &[8, cfg.frames, cfg.height, cfg.width],
+    );
+    let ex = ScenarioExtractor::untrained(cfg, 59);
+    for threads in [1usize, 2] {
+        for ws in [false, true] {
+            for plane in [Precision::F32, Precision::Int8] {
+                let ctx = format!("threads={threads}, workspace={ws}, plane={plane:?}");
+                let run = || {
+                    let model = ex.model();
+                    let mut g = Graph::new();
+                    let p = model.bind_eval(&mut g);
+                    let l =
+                        model.forward(&mut g, &p, &stacked, &mut StdRng::seed_from_u64(0), false);
+                    for (c, clip) in clips.iter().enumerate() {
+                        let row = |v| ops::narrow(g.value(v), 0, c, 1);
+                        let batched = WindowLogits {
+                            ego: row(l.ego),
+                            road: row(l.road),
+                            event: row(l.event),
+                            position: row(l.position),
+                            presence: row(l.presence),
+                        };
+                        let solo = reference_logits(&ex, clip);
+                        assert_bit_identical(&batched, &solo, &format!("{ctx}, clip {c}"));
+                    }
+                };
+                pool::with_forced_threads(threads, || {
+                    workspace::with_mode(ws, || precision::with_forced(plane, run))
+                });
             }
         }
     }

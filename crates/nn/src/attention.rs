@@ -7,7 +7,7 @@ use tsdx_tensor::{Graph, Var};
 use crate::linear::Linear;
 use crate::params::{Binding, ParamStore};
 
-/// Largest `[B, H, T, T]` score-tensor size (elements) routed to the
+/// Largest `[B, H, Tq, Tk]` score-tensor size (elements) routed to the
 /// composed matmul/softmax/matmul path by
 /// [`MultiHeadAttention::forward`].
 ///
@@ -81,51 +81,61 @@ impl MultiHeadAttention {
     /// [`forward_with_attn`](Self::forward_with_attn) when the
     /// probabilities themselves are needed.
     pub fn forward(&self, g: &mut Graph, p: &Binding, x: Var) -> Var {
-        self.forward_impl(g, p, x, None, false).0
+        self.forward_impl(g, p, x, x, None, false).0
     }
 
     /// Like [`forward`](Self::forward) but also returns the attention
     /// probabilities (`[B, H, T, T]`) for introspection. Always takes the
     /// composed path, which produces them as a graph node.
     pub fn forward_with_attn(&self, g: &mut Graph, p: &Binding, x: Var) -> (Var, Var) {
-        let (y, attn) = self.forward_impl(g, p, x, None, true);
+        let (y, attn) = self.forward_impl(g, p, x, x, None, true);
         (y, attn.expect("composed path always yields probabilities"))
     }
 
     /// Projections, head split, scaled-dot-product dispatch, head merge and
-    /// output projection. `residual`, when given, is added by the output
-    /// projection's epilogue (a transformer block's `x + Attn(..)` without
-    /// a separate add). Returns the probabilities when the composed path
-    /// ran.
+    /// output projection. Queries come from `xq` (`[B, Tq, D]`), keys and
+    /// values from `xkv` (`[B, Tk, D]`); self-attention passes the same rows
+    /// twice, a block that is read out through one row passes only that row
+    /// as `xq`. Every step is independent per query row, so the `Tq` output
+    /// rows carry the bits the same rows of full self-attention would, as
+    /// long as both sit on the same side of the dispatch (which is on the
+    /// `[B, H, Tq, Tk]` score tensor actually built). `residual`, when
+    /// given, is added by the output projection's epilogue (a transformer
+    /// block's `x + Attn(..)` without a separate add). Returns the
+    /// probabilities when the composed path ran.
     pub(crate) fn forward_impl(
         &self,
         g: &mut Graph,
         p: &Binding,
-        x: Var,
+        xq: Var,
+        xkv: Var,
         residual: Option<Var>,
         want_attn: bool,
     ) -> (Var, Option<Var>) {
-        let sh = g.shape(x).to_vec();
-        assert_eq!(sh.len(), 3, "attention input must be [B, T, D]");
-        assert_eq!(sh[2], self.dim, "attention width mismatch");
-        let (b, t, d) = (sh[0], sh[1], sh[2]);
+        let (qsh, ksh) = (g.shape(xq).to_vec(), g.shape(xkv).to_vec());
+        for sh in [&qsh, &ksh] {
+            assert_eq!(sh.len(), 3, "attention input must be [B, T, D]");
+            assert_eq!(sh[2], self.dim, "attention width mismatch");
+        }
+        assert_eq!(qsh[0], ksh[0], "query and key/value batch sizes differ");
+        let (b, tq, tk, d) = (qsh[0], qsh[1], ksh[1], self.dim);
         let h = self.heads;
         let dh = d / h;
 
         // [B, T, D] -> [B, H, T, Dh]
-        let split = |g: &mut Graph, y: Var| {
+        let split = |g: &mut Graph, y: Var, t: usize| {
             let r = g.reshape(y, &[b, t, h, dh]);
             g.permute(r, &[0, 2, 1, 3])
         };
-        let q = self.wq.forward(g, p, x);
-        let k = self.wk.forward(g, p, x);
-        let v = self.wv.forward(g, p, x);
-        let q = split(g, q);
-        let k = split(g, k);
-        let v = split(g, v);
+        let q = self.wq.forward(g, p, xq);
+        let k = self.wk.forward(g, p, xkv);
+        let v = self.wv.forward(g, p, xkv);
+        let q = split(g, q, tq);
+        let k = split(g, k, tk);
+        let v = split(g, v, tk);
         let scale = 1.0 / (dh as f32).sqrt();
 
-        let (ctx, attn) = if want_attn || b * h * t * t <= COMPOSED_SCORES_MAX {
+        let (ctx, attn) = if want_attn || b * h * tq * tk <= COMPOSED_SCORES_MAX {
             let kt = g.transpose_last2(k);
             let scores = g.matmul(q, kt);
             let scaled = g.scale(scores, scale);
@@ -135,7 +145,7 @@ impl MultiHeadAttention {
             (g.attention(q, k, v, scale), None)
         };
         let merged = g.permute(ctx, &[0, 2, 1, 3]);
-        let flat = g.reshape(merged, &[b, t, d]);
+        let flat = g.reshape(merged, &[b, tq, d]);
         (self.wo.forward_fused(g, p, flat, Activation::None, residual), attn)
     }
 }

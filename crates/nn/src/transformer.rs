@@ -103,7 +103,7 @@ impl TransformerBlock {
         rng: &mut impl Rng,
         train: bool,
     ) -> Var {
-        self.run(g, p, x, train.then_some(rng), false).0
+        self.run(g, p, x, train.then_some(rng), false, false).0
     }
 
     /// Inference-only forward pass (no dropout sites, no RNG).
@@ -112,7 +112,7 @@ impl TransformerBlock {
     /// graph as [`forward`](Self::forward) with `train == false` and is
     /// bit-identical to it.
     pub fn forward_eval(&self, g: &mut Graph, p: &Binding, x: Var) -> Var {
-        self.run(g, p, x, None::<&mut StdRng>, false).0
+        self.run(g, p, x, None::<&mut StdRng>, false, false).0
     }
 
     /// Like [`TransformerBlock::forward`], also returning the attention
@@ -125,7 +125,7 @@ impl TransformerBlock {
         rng: &mut impl Rng,
         train: bool,
     ) -> (Var, Var) {
-        let (y, attn) = self.run(g, p, x, train.then_some(rng), true);
+        let (y, attn) = self.run(g, p, x, train.then_some(rng), true, false);
         (y, attn.expect("composed path always yields probabilities"))
     }
 
@@ -136,6 +136,15 @@ impl TransformerBlock {
     /// nonzero drop probability, do the dropout sites exist — they sit
     /// between each branch and its residual add, so those two adds become
     /// separate nodes again.
+    ///
+    /// `first_only` asks for row 0 of the output alone, `[B, 1, D]` — what a
+    /// CLS readout keeps of a stack's last block. Only K and V need every
+    /// row, so LN1 runs over all of them and Q, the scores (`[B, H, 1, T]`),
+    /// `wo`, LN2 and the MLP run on row 0. LayerNorm, the linear layers
+    /// (f32 and int8) and softmax compute each row from that row alone, so
+    /// these are the bits the full block leaves in row 0. A live dropout
+    /// site draws its mask over all rows, and attention probabilities are
+    /// wanted for every query: either runs the block in full and narrows.
     fn run(
         &self,
         g: &mut Graph,
@@ -143,6 +152,7 @@ impl TransformerBlock {
         x: Var,
         train_rng: Option<&mut impl Rng>,
         want_attn: bool,
+        first_only: bool,
     ) -> (Var, Option<Var>) {
         let _span = metrics::span_dyn(|| format!("layer/{}", self.name));
         let mut sites = train_rng.filter(|_| self.dropout.p() > 0.0);
@@ -155,12 +165,16 @@ impl TransformerBlock {
             // No dropout site: the branch added `skip` in its own epilogue.
             None => branch,
         };
+        let row0_early = first_only && fused && !want_attn;
         let n1 = self.ln1.forward(g, p, x);
-        let (a, attn) = self.attn.forward_impl(g, p, n1, fused.then_some(x), want_attn);
+        let (x, q_rows) =
+            if row0_early { (g.narrow(x, 1, 0, 1), g.narrow(n1, 1, 0, 1)) } else { (x, n1) };
+        let (a, attn) = self.attn.forward_impl(g, p, q_rows, n1, fused.then_some(x), want_attn);
         let x = join(g, x, a);
         let n2 = self.ln2.forward(g, p, x);
         let m = self.mlp.forward_residual(g, p, n2, fused.then_some(x));
-        (join(g, x, m), attn)
+        let y = join(g, x, m);
+        (if first_only && !row0_early { g.narrow(y, 1, 0, 1) } else { y }, attn)
     }
 }
 
@@ -220,6 +234,31 @@ impl TransformerEncoder {
         for block in &self.blocks {
             x = block.forward(g, p, x, rng, train);
         }
+        self.ln_final.forward(g, p, x)
+    }
+
+    /// Row 0 of [`forward`](Self::forward)'s output, `[B, 1, D]`, with the
+    /// same bits — the CLS readout. Every block but the last runs in full;
+    /// the last computes only what row 0 depends on (see
+    /// [`TransformerBlock`]'s wiring), and the final norm sees one row. A
+    /// stack of depth 0 is the final norm of input row 0.
+    pub fn forward_first(
+        &self,
+        g: &mut Graph,
+        p: &Binding,
+        mut x: Var,
+        rng: &mut impl Rng,
+        train: bool,
+    ) -> Var {
+        x = match self.blocks.split_last() {
+            Some((last, body)) => {
+                for block in body {
+                    x = block.forward(g, p, x, rng, train);
+                }
+                last.run(g, p, x, train.then_some(rng), false, true).0
+            }
+            None => g.narrow(x, 1, 0, 1),
+        };
         self.ln_final.forward(g, p, x)
     }
 
@@ -327,6 +366,156 @@ mod tests {
         let before = g.len();
         block.forward_eval(&mut g, &p, x);
         assert!(g.len() - before <= 21, "block eval forward grew to {} nodes", g.len() - before);
+    }
+
+    fn stack(
+        dim: usize,
+        heads: usize,
+        depth: usize,
+        dropout: f32,
+    ) -> (ParamStore, TransformerEncoder) {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(21);
+        let enc =
+            TransformerEncoder::new(&mut store, &mut rng, "enc", dim, depth, heads, 2, dropout);
+        // LayerNorm and bias parameters start at 1 and 0: move them so a
+        // row mix-up cannot hide behind an identity.
+        let ids: Vec<_> = store.ids().collect();
+        for (k, id) in ids.into_iter().enumerate() {
+            if store.value(id).rank() == 1 {
+                let v = store.value(id).clone();
+                let moved = Tensor::from_fn(v.shape(), |i| {
+                    v.data()[i] + ((i + 3 * k) as f32 * 0.37).sin() * 0.2
+                });
+                store.set_value(id, moved);
+            }
+        }
+        (store, enc)
+    }
+
+    fn tokens(b: usize, t: usize, d: usize) -> Tensor {
+        Tensor::from_fn(&[b, t, d], |i| (i as f32 * 0.0173).sin() + (i % 7) as f32 * 0.05)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.to_vec().into_iter().map(f32::to_bits).collect()
+    }
+
+    #[test]
+    fn forward_first_is_row_zero_of_forward_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0);
+        for (dim, heads) in [(8, 2), (64, 4)] {
+            for depth in 0..=2 {
+                let (store, enc) = stack(dim, heads, depth, 0.0);
+                let q8 = store.quantize_where(|name, t| t.rank() == 2 && name.ends_with(".weight"));
+                assert_eq!(q8.len(), 6 * depth, "every linear layer of the stack is quantized");
+                for t in [1, 2, 5, 17] {
+                    for b in [1, 3, 8] {
+                        for binding in ["frozen", "leaf", "int8"] {
+                            let mut g = Graph::new();
+                            let p = match binding {
+                                "frozen" => store.bind_frozen(&mut g),
+                                "leaf" => store.bind(&mut g),
+                                _ => store.bind_quantized(&mut g, &q8),
+                            };
+                            let x = g.constant(tokens(b, t, dim));
+                            let full = enc.forward(&mut g, &p, x, &mut rng, false);
+                            let want = g.narrow(full, 1, 0, 1);
+                            let got = enc.forward_first(&mut g, &p, x, &mut rng, false);
+                            assert_eq!(g.shape(got), &[b, 1, dim]);
+                            assert_eq!(
+                                bits(g.value(got)),
+                                bits(g.value(want)),
+                                "dim {dim} depth {depth} T {t} B {b} {binding}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn readout_row_block_eval_forward_records_23_nodes() {
+        // The 21 of the full block plus the two narrows (row 0 of `x` and
+        // of `LN1(x)`); every node after K and V is one row tall.
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(11);
+        let block = TransformerBlock::new(&mut store, &mut rng, "b", 64, 4, 2, 0.0);
+        let mut g = Graph::new();
+        let p = store.bind_frozen(&mut g);
+        let x = g.constant(tokens(4, 17, 64));
+        let before = g.len();
+        let (y, attn) = block.run(&mut g, &p, x, None::<&mut StdRng>, false, true);
+        assert!(g.len() - before <= 23, "readout-row block grew to {} nodes", g.len() - before);
+        assert_eq!(g.shape(y), &[4, 1, 64]);
+        assert_eq!(g.shape(attn.expect("composed at this size")), &[4, 4, 1, 17]);
+    }
+
+    #[test]
+    fn forward_first_parameter_gradients_match_full_then_narrow() {
+        // Rows 1.. of the last block carry an exactly-zero upstream
+        // gradient in the full graph, so the two backward passes sum the
+        // same nonzero terms — in sums of different length, hence the
+        // tolerance instead of bit equality.
+        let (store, enc) = stack(8, 2, 2, 0.0);
+        let grads = |first: bool| {
+            let mut rng = StdRng::seed_from_u64(0);
+            let mut g = Graph::new();
+            let p = store.bind(&mut g);
+            let x = g.constant(tokens(3, 5, 8));
+            let row = if first {
+                enc.forward_first(&mut g, &p, x, &mut rng, false)
+            } else {
+                let full = enc.forward(&mut g, &p, x, &mut rng, false);
+                g.narrow(full, 1, 0, 1)
+            };
+            let sq = g.mul(row, row);
+            let loss = g.mean_all(sq);
+            let grads = g.backward(loss);
+            store.collect_grads(&p, &grads)
+        };
+        for ((got, want), id) in grads(true).iter().zip(&grads(false)).zip(store.ids()) {
+            let scale = want.to_vec().iter().fold(0f32, |m, v| m.max(v.abs()));
+            assert!(scale > 0.0, "{} got no gradient", store.name(id));
+            for (a, b) in got.to_vec().iter().zip(want.to_vec()) {
+                assert!(
+                    (a - b).abs() <= 1e-6 * scale,
+                    "{}: {a} vs {b} (tensor scale {scale})",
+                    store.name(id)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gradcheck_through_the_readout_row_block() {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(13);
+        let block = TransformerBlock::new(&mut store, &mut rng, "b", 4, 2, 2, 0.0);
+        let x = Tensor::from_fn(&[2, 3, 4], |i| (i as f32 * 0.23).sin() * 0.5);
+        tsdx_tensor::grad_check::assert_gradients(&[x], 1e-2, 2e-2, |g, v| {
+            let p = store.bind_frozen(g);
+            let (y, _) = block.run(g, &p, v[0], None::<&mut StdRng>, false, true);
+            g.mean_all(y)
+        });
+    }
+
+    #[test]
+    fn live_dropout_runs_the_last_block_in_full() {
+        // A dropout site masks all rows, so `forward_first` must draw what
+        // `forward` draws: same bits, same RNG position afterwards.
+        let (store, enc) = stack(8, 2, 2, 0.1);
+        let mut g = Graph::new();
+        let p = store.bind(&mut g);
+        let x = g.constant(tokens(3, 5, 8));
+        let (mut r1, mut r2) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        let full = enc.forward(&mut g, &p, x, &mut r1, true);
+        let want = g.narrow(full, 1, 0, 1);
+        let got = enc.forward_first(&mut g, &p, x, &mut r2, true);
+        assert_eq!(bits(g.value(got)), bits(g.value(want)));
+        assert_eq!(r1.state(), r2.state(), "a different number of masks was drawn");
+        assert_ne!(r1.state(), StdRng::seed_from_u64(5).state(), "no mask was drawn at all");
     }
 
     #[test]

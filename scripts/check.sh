@@ -88,8 +88,8 @@ TSDX_NUM_THREADS=2 cargo test -q --test resume_training
 echo "==> benchmark package unit tests (standalone workspace under benchmark/)"
 (cd benchmark && cargo test --offline -q)
 
-echo "==> benchmark smoke (bulk_batch8, search_sdl, stream_pair: replies == references — muxed pushes against solo sessions — traced sanity rules)"
-for workload in bulk_batch8 search_sdl stream_pair; do
+echo "==> benchmark smoke (bulk_batch8, search_sdl, stream_pair, clip_octet: replies == references — muxed pushes against solo sessions — traced sanity rules, clip_octet's coverage floor among them)"
+for workload in bulk_batch8 search_sdl stream_pair clip_octet; do
   bash benchmark/run.sh --workload "$workload" --seed 17 --seconds 3 --trace 1 > /dev/null
 done
 
