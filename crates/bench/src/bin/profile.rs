@@ -218,18 +218,26 @@ fn main() {
             "f32 (op/matmul)".to_string(),
             infer.counter("dispatch/matmul_packed").to_string(),
             infer.counter("dispatch/matmul_unpacked").to_string(),
+            infer.counter("dispatch/matmul_avx512").to_string(),
             ms(gemm.self_ns),
         ],
         vec![
             "int8 (op/matmul_i8)".to_string(),
             infer.counter("dispatch/matmul_i8").to_string(),
             "0".to_string(),
+            "0".to_string(),
             ms(gemm_i8.self_ns),
         ],
     ];
+    // `avx512` counts the unpacked products that ran on the AVX-512
+    // micro-kernel: all of them where the CPU has it, none elsewhere — a
+    // host that fell back to the portable kernel shows in this table.
     print_table(
-        &format!("inference GEMM dispatch (TSDX_PRECISION={precision})"),
-        &["kernel", "packed", "unpacked", "self ms"],
+        &format!(
+            "inference GEMM dispatch (TSDX_PRECISION={precision}, f32 kernel: {})",
+            tsdx_tensor::ops::f32_kernel()
+        ),
+        &["kernel", "packed", "unpacked", "avx512", "self ms"],
         &prec_rows,
     );
     println!(

@@ -41,7 +41,13 @@
 //! let cfg = ModelConfig { frames: 4, height: 16, width: 16, ..ModelConfig::default() };
 //! let extractor = ScenarioExtractor::new(VideoScenarioTransformer::new(cfg, 0));
 //! let mut server = Server::start(extractor, ServerConfig::default()).unwrap();
-//! println!("serving on http://{}", server.local_addr());
+//! // Name the f32 kernel the host selected: timings from a CPU that fell
+//! // back to the portable one are then recognisable as such.
+//! println!(
+//!     "serving on http://{} (f32 kernel: {})",
+//!     server.local_addr(),
+//!     tsdx_tensor::ops::f32_kernel()
+//! );
 //! server.shutdown();
 //! ```
 

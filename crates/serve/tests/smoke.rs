@@ -15,6 +15,13 @@ use common::{get, post_clip, tiny_extractor, valid_pixels, Client};
 use tsdx_sdl::parse_scenario;
 use tsdx_serve::{BatchConfig, SearchService, Server, ServerConfig};
 
+/// The `"plane"` member a reply carries when nothing degrades the batch:
+/// the plane this process is configured for (`TSDX_PRECISION`; `check.sh`
+/// runs this file under both values).
+fn configured_plane() -> String {
+    format!("\"plane\":\"{}\"", tsdx_core::precision::active())
+}
+
 fn test_config() -> ServerConfig {
     ServerConfig {
         read_timeout: Duration::from_secs(10),
@@ -59,7 +66,7 @@ fn extraction_round_trips_in_both_encodings() {
     let parsed = tsdx_serve::json::parse(resp.body.as_bytes()).unwrap();
     let scenario = parsed.get("scenario").expect("response carries a scenario");
     assert!(matches!(scenario, tsdx_serve::json::Json::Str(s) if s.contains("ego ")));
-    assert!(resp.body.contains("\"plane\":\"f32\""), "{}", resp.body);
+    assert!(resp.body.contains(&configured_plane()), "{}", resp.body);
 
     // JSON path answers the same scenario for the same pixels.
     let pixel_list = pixels.iter().map(|p| format!("{p}")).collect::<Vec<_>>().join(",");
@@ -147,7 +154,7 @@ fn search_by_clip_round_trips_in_both_encodings() {
         parsed.get("scenario"),
         Some(tsdx_serve::json::Json::Str(s)) if s.contains("ego ")
     ));
-    assert!(resp.body.contains("\"plane\":\"f32\""), "{}", resp.body);
+    assert!(resp.body.contains(&configured_plane()), "{}", resp.body);
 
     // JSON clip variant: same pixels, k in the body, identical extraction.
     let pixel_list = pixels.iter().map(|p| format!("{p}")).collect::<Vec<_>>().join(",");

@@ -12,7 +12,8 @@
 //!    `split` are O(1) metadata edits over a shared buffer, with
 //!    [`Tensor::contiguous`] as the explicit materialization point.
 //! 2. [`ops`] — pure forward kernels: broadcasting arithmetic, a
-//!    register-tiled batched matmul, softmax, layer norm, im2col convolution,
+//!    register-tiled batched matmul (an explicit AVX-512 micro-kernel where
+//!    the CPU has it, see [`ops::f32_kernel`]), softmax, layer norm, im2col convolution,
 //!    pooling, fused scaled-dot-product attention, and fused classification
 //!    losses. Elementwise and reduction kernels are stride-aware and consume
 //!    views directly. Large kernels execute on the shared persistent
@@ -43,12 +44,15 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the crate is safe code except for the one
-// audited `#[allow(unsafe_code)]` island in [`quant`] — the AVX2 integer
-// dot-product micro-kernels that LLVM cannot synthesize from safe loops
-// (see the `quant` module docs for the policy and parity contract).
+// `deny` rather than `forbid`: the crate is safe code except for two
+// audited `#[allow(unsafe_code)]` islands — `quant::simd`, the AVX2 integer
+// dot-product micro-kernels, and `ops::matmul::avx512`, the 512-bit f32 GEMM
+// micro-kernel — neither of which LLVM forms from safe loops. Each is
+// selected at run time, checks its extents at a safe entry, and is pinned
+// bit-identical to a safe reference by a parity test (see their module docs).
 #![deny(unsafe_code)]
 
+mod cpu;
 pub mod fastmath;
 #[cfg(feature = "fault-inject")]
 pub mod faults;

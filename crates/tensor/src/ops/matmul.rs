@@ -14,6 +14,14 @@
 //!   tile gathered through its strides into a `[k][16]` scratch tile first.
 //! - Columns past the last full tile are per-element dot products.
 //!
+//! On a CPU with AVX-512F (detected at run time; the build baseline stays
+//! `x86-64-v3`) the same three cases run through the explicit 8-row ×
+//! 32-column `zmm` micro-kernel in [`avx512`] instead: `B` in place or
+//! gathered into a `[k][32]` tile, and the last vector of a row loaded and
+//! stored under a lane mask, so there is no scalar column tail. The safe
+//! [`tile_rows`] is the only path elsewhere and the parity reference
+//! (`tests/avx512_parity.rs`). [`f32_kernel`] names the one in use.
+//!
 //! [`linear`] runs the same kernels and then an epilogue — bias, activation
 //! and residual applied in place to the rows a worker has just written — so
 //! an affine layer is one call and one output buffer.
@@ -33,17 +41,22 @@
 //! exactly). Tiled, gathered, tail and packed results are therefore
 //! bit-identical to each other for every pool size, block shape and operand
 //! layout — `tests/packed_gemm_parity.rs` and `tests/pool_parity.rs` pin
-//! that — and the kernel gates move only time. `mul_add` is unconditional,
-//! so the bits do not depend on rustflags either: without FMA in the target
-//! features the same results come out of libm's `fmaf`, slowly. Bit-parity
-//! with the pre-FMA (PR 2–5) kernels is *not* promised; correctness is
-//! bounded by the independent f64 oracle in `tests/oracle_f64.rs` instead.
+//! that — and the kernel gates move only time. The AVX-512 kernel builds
+//! the same chain with one `_mm512_fmadd_ps` per element per `k` (an IEEE
+//! fused multiply-add per lane, which is what `mul_add` is), so it too
+//! changes no bit; `tests/avx512_parity.rs` pins it against the portable
+//! kernel. `mul_add` is unconditional, so the bits do not depend on
+//! rustflags either: without FMA in the target features the same results
+//! come out of libm's `fmaf`, slowly. Bit-parity with the pre-FMA (PR 2–5)
+//! kernels is *not* promised; correctness is bounded by the independent f64
+//! oracle in `tests/oracle_f64.rs` instead.
 //!
 //! Work is parallelized across the flattened batch×row space on the shared
 //! persistent worker pool (see [`crate::pool`]): the thread count comes from
 //! `TSDX_NUM_THREADS` when set, else from the machine's available
 //! parallelism, and tiny problems stay on the calling thread.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use super::elementwise::gelu_scalar;
@@ -106,6 +119,47 @@ const PACK_B_CAP_ELEMS: usize = 1 << 23;
 /// Panics if `TSDX_NUM_THREADS` is set to a non-positive-integer value.
 pub fn configured_threads() -> usize {
     pool::num_threads()
+}
+
+thread_local! {
+    /// Per-thread override keeping [`gemm`] on the portable kernel (tests).
+    static FORCE_PORTABLE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// True when [`gemm`] calls dispatched from this thread run the tiled path
+/// through the AVX-512 micro-kernel: the CPU has AVX-512F (one cached probe,
+/// always false off x86-64) and [`with_forced_portable`] is not in effect.
+fn use_avx512() -> bool {
+    crate::cpu::features().avx512f && !FORCE_PORTABLE.with(Cell::get)
+}
+
+/// The f32 GEMM micro-kernel this thread's products run on — `"avx512
+/// 8x32"` where the CPU has AVX-512F, else `"portable 4x16"`. Both produce
+/// the same bits; `profile` and the server's start-up line print this so a
+/// timing from a host that fell back is recognisable as such.
+pub fn f32_kernel() -> &'static str {
+    if use_avx512() {
+        "avx512 8x32"
+    } else {
+        "portable 4x16"
+    }
+}
+
+/// Runs `f` with the portable f32 kernel forced on (or off) **on this
+/// thread**, restoring the previous setting afterwards (also on panic). The
+/// choice is made once per product on the dispatching thread and travels
+/// with the job, so pool workers follow it. The kernels agree bit for bit;
+/// the AVX-512 parity test and the f64 oracle use this to run both.
+#[doc(hidden)]
+pub fn with_forced_portable<R>(force: bool, f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FORCE_PORTABLE.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(FORCE_PORTABLE.with(|c| c.replace(force)));
+    f()
 }
 
 /// Batched matrix product `a @ b`.
@@ -316,11 +370,13 @@ fn gemm(
     }
     // A contiguous `A` against one shared matrix `B` — every linear layer —
     // is a single `[rows, k]` matrix: its batch dims fold into the row
-    // count, so the kernels tile straight across batch boundaries.
-    let (m, batch_a) = if batch_b.is_empty() && a.is_contiguous() {
-        (a.numel() / k, &ash[..0])
+    // count, so the kernels tile straight across batch boundaries. The
+    // folded matrix is dense by definition; a unit dimension of the view
+    // may carry any stride, so the view's own strides are not consulted.
+    let (m, batch_a, (acs, ars)) = if batch_b.is_empty() && a.is_contiguous() {
+        (a.numel() / k, &ash[..0], (1, k))
     } else {
-        (ash[ash.len() - 2], &ash[..ash.len() - 2])
+        (ash[ash.len() - 2], &ash[..ash.len() - 2], last2_strides(a))
     };
     let batch = shape::broadcast(batch_a, batch_b).expect("batch dims broadcast (checked above)");
     let n_batch = shape::numel(&batch);
@@ -342,7 +398,6 @@ fn gemm(
         let njt = n.div_ceil(NR);
         if nb_eff * njt * NR * k <= PACK_B_CAP_ELEMS {
             crate::metrics::counter_add("dispatch/matmul_packed", 1);
-            let (acs, ars) = last2_strides(a);
             let bpack = pack_b(b, &batch, &sb_batch, nb_eff, njt, k, n);
             let ctx = PackedCtx {
                 ad: a.raw_arc(),
@@ -379,7 +434,12 @@ fn gemm(
     // The kernel reads `A` and `B` through their view strides, so nothing
     // is materialized.
     crate::metrics::counter_add("dispatch/matmul_unpacked", 1);
-    let (acs, ars) = last2_strides(a);
+    // Decided here, on the dispatching thread, and carried in the context
+    // so pool workers run the kernel their caller chose.
+    let avx512 = use_avx512();
+    if avx512 {
+        crate::metrics::counter_add("dispatch/matmul_avx512", 1);
+    }
     let (bcs, brs) = last2_strides(b);
     let sa_batch = shape::broadcast_view_strides(batch_a, &a.strides()[..batch_a.len()], &batch);
     let sb_batch = shape::broadcast_view_strides(batch_b, &b.strides()[..batch_b.len()], &batch);
@@ -399,6 +459,7 @@ fn gemm(
         acs,
         brs,
         bcs,
+        avx512,
         epi,
     };
 
@@ -604,6 +665,9 @@ struct KernelCtx {
     acs: usize,
     brs: usize,
     bcs: usize,
+    /// Run the tiles through [`avx512`] rather than [`tile_rows`]; only ever
+    /// set where [`use_avx512`] saw the CPU feature.
+    avx512: bool,
     epi: Option<Epilogue>,
 }
 
@@ -648,10 +712,13 @@ fn batch_offset(batch: &[usize], strides: &[usize], mut bi: usize) -> usize {
 /// view, `q @ kᵀ`, is the common case — gathered through `B`'s strides into
 /// a `[k][J_TILE]` scratch tile first, the way [`pack_b`] does, at
 /// `k`·[`J_TILE`] copies against `rows`·`k`·[`J_TILE`] multiply-adds. The
-/// narrow column tail is plain per-element dot products. Every output
-/// element is one accumulator fused-multiply-added from zero in ascending
-/// `kk` order whatever the tiling or layout, so chunk boundaries (and hence
-/// pool sizes) cannot change a single bit of the result.
+/// narrow column tail is plain per-element dot products. With `ctx.avx512`
+/// set the same two `B` cases go through [`avx512::mul_cols`] — in place, or
+/// gathered into a `[k][`[`avx512::NC`]`]` tile — and its lane mask covers
+/// the tail. Every output element is one accumulator fused-multiply-added
+/// from zero in ascending `kk` order whatever the kernel, tiling or layout,
+/// so chunk boundaries (and hence pool sizes) cannot change a single bit of
+/// the result.
 fn tiled_kernel(
     o: &mut [f32],
     a_base: usize,
@@ -663,6 +730,31 @@ fn tiled_kernel(
     let KernelCtx { n, k, ars, acs, brs, bcs, .. } = *ctx;
     let (ad, bd): (&[f32], &[f32]) = (&ctx.ad, &ctx.bd);
     let a0 = a_base + i0 * ars;
+    #[cfg(target_arch = "x86_64")]
+    if ctx.avx512 {
+        let a = avx512::Mat { data: ad, base: a0, rs: ars, cs: acs };
+        if bcs == 1 {
+            let b = avx512::Mat { data: bd, base: b_base, rs: brs, cs: 1 };
+            avx512::mul_cols(o, n, 0..n, a, b, rows, k);
+        } else {
+            // Every slot a block reads is written by its gather first.
+            let mut tile = Scratch::uninit(k * avx512::NC);
+            for jt in (0..n).step_by(avx512::NC) {
+                let w = avx512::NC.min(n - jt);
+                for (kk, trow) in tile.chunks_exact_mut(avx512::NC).enumerate() {
+                    let src = b_base + kk * brs + jt * bcs;
+                    for (j, slot) in trow[..w].iter_mut().enumerate() {
+                        *slot = bd[src + j * bcs];
+                    }
+                }
+                let b = avx512::Mat { data: &tile, base: 0, rs: avx512::NC, cs: 1 };
+                avx512::mul_cols(o, n, jt..jt + w, a, b, rows, k);
+            }
+        }
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    debug_assert!(!ctx.avx512, "the AVX-512 kernel exists on x86-64 only");
     let full = n - n % J_TILE;
     if bcs == 1 {
         for jt in (0..full).step_by(J_TILE) {
@@ -738,6 +830,235 @@ fn tile_rows(
         }
         o[row * n + jt..row * n + jt + J_TILE].copy_from_slice(&acc);
         row += 1;
+    }
+}
+
+/// The explicit AVX-512F micro-kernel behind [`tiled_kernel`]: the crate's
+/// second `#[allow(unsafe_code)]` island after `quant::simd`, built the same
+/// way — raw loads and stores inside, every extent checked by the one safe
+/// entry, and a safe reference ([`tile_rows`]) asserted bit-identical by
+/// `tests/avx512_parity.rs`.
+///
+/// # Why explicit
+///
+/// The safe tile loops top out at half this host's `ymm` FMA rate and a
+/// quarter of its `zmm` rate, and neither compiler route reaches 512-bit
+/// code: under `#[target_feature(enable = "avx512f")]` the auto-vectorizer
+/// rewrites the tile loop as 64 `vgatherqps` + 64 `vscatterqps` (measured
+/// six times *slower*), and `-C target-cpu=x86-64-v4` alone emits no `zmm`
+/// at all (LLVM's `prefer-256-bit`). So the kernel is written with
+/// intrinsics and selected at run time, and the build baseline stays
+/// `x86-64-v3`.
+///
+/// # Same bits
+///
+/// [`kern`] keeps one accumulator lane per output element and issues one
+/// `_mm512_fmadd_ps` per element per `k`, ascending from zero — the chain
+/// [`tile_rows`] builds with `f32::mul_add`, and a per-lane IEEE fused
+/// multiply-add like it. Block shape, mask, chunk boundary and pool size
+/// only decide which lane an element sits in, never its chain.
+///
+/// # Safety contract
+///
+/// [`mul_cols`] is the only entry and is safe for any arguments: before its
+/// one `unsafe` call it asserts that `rows·n` output elements lie inside
+/// `o`, that the largest `A` index `(rows−1, k−1)` and the largest `B` index
+/// `(k−1, width−1)` (computed with overflow checks) lie inside their slices,
+/// and that the CPU has AVX-512F. The kernel dereferences exactly
+/// the addresses those extents cover: the vector holding a block's last
+/// columns is loaded and stored under a `__mmask16`, and AVX-512 masked
+/// loads and stores do not access (or fault on) masked-off lanes.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx512 {
+    use std::arch::x86_64::*;
+    use std::ops::Range;
+
+    /// Rows per register block: 8 rows × 2 vectors is 16 of the 32 `zmm`
+    /// registers in accumulators — 16 independent FMA chains, enough to
+    /// cover the FMA latency on both ports — with the two `B` vectors and
+    /// the `A` broadcast beside them.
+    const MR: usize = 8;
+    /// `f32` lanes per `zmm` vector.
+    const LANES: usize = 16;
+    /// Columns per register block: two vectors, i.e. two cache lines of
+    /// each `B` row.
+    pub(super) const NC: usize = 2 * LANES;
+
+    /// A matrix read through strides: element `(i, j)` is
+    /// `data[base + i * rs + j * cs]`.
+    #[derive(Clone, Copy)]
+    pub(super) struct Mat<'a> {
+        pub(super) data: &'a [f32],
+        pub(super) base: usize,
+        pub(super) rs: usize,
+        pub(super) cs: usize,
+    }
+
+    impl Mat<'_> {
+        /// True when element `(rows − 1, cols − 1)` — the largest index of
+        /// a `rows × cols` matrix, strides being non-negative — lies inside
+        /// `data`; false if computing it overflows.
+        fn holds(&self, rows: usize, cols: usize) -> bool {
+            let last = (|| {
+                let r = (rows - 1).checked_mul(self.rs)?;
+                let c = (cols - 1).checked_mul(self.cs)?;
+                self.base.checked_add(r)?.checked_add(c)
+            })();
+            last.is_some_and(|i| i < self.data.len())
+        }
+    }
+
+    /// `o[r * n + j] = Σₖ a[r, kk] · b[kk, j − cols.start]` for `r < rows`,
+    /// `j ∈ cols`: output columns `cols` of `rows` rows of width `n`, `b`
+    /// holding those columns from its column 0 with unit column stride.
+    ///
+    /// # Panics
+    ///
+    /// Panics — before reading or writing anything — if the CPU lacks
+    /// AVX-512F, `k == 0`, `b.cs != 1`, `cols` reaches past `n`, or an
+    /// operand's extent reaches past its slice (the module's safety
+    /// contract).
+    pub(super) fn mul_cols(
+        o: &mut [f32],
+        n: usize,
+        cols: Range<usize>,
+        a: Mat,
+        b: Mat,
+        rows: usize,
+        k: usize,
+    ) {
+        if rows == 0 || cols.is_empty() {
+            return;
+        }
+        assert!(k > 0 && b.cs == 1, "avx512 kernel wants k > 0 and unit-stride B columns");
+        assert!(
+            cols.end <= n && rows.checked_mul(n).is_some_and(|len| len <= o.len()),
+            "avx512 kernel: {rows} rows of width {n} (columns {cols:?}) exceed the output slice"
+        );
+        assert!(a.holds(rows, k), "avx512 kernel: A[{rows}, {k}] reaches past its slice");
+        assert!(
+            b.holds(k, cols.len()),
+            "avx512 kernel: B[{k}, {}] reaches past its slice",
+            cols.len()
+        );
+        assert!(crate::cpu::features().avx512f, "avx512 kernel selected without AVX-512F");
+        let p = Ptrs {
+            a: a.data[a.base..].as_ptr(),
+            ars: a.rs,
+            acs: a.cs,
+            b: b.data[b.base..].as_ptr(),
+            brs: b.rs,
+            o: o[cols.start..].as_mut_ptr(),
+            n,
+            k,
+        };
+        // SAFETY: AVX-512F is present (last assert). `blocks` reads
+        // `a[r·ars + kk·acs]` and `b[kk·brs + j]` and writes `o[r·n + j]`
+        // for `r < rows`, `kk < k`, `j < cols.len()` only; the asserts above
+        // put the largest of each inside its slice, strides are unsigned so
+        // every other index is smaller, and `o` is borrowed mutably so
+        // nothing aliases the writes.
+        unsafe { blocks(p, rows, cols.len()) }
+    }
+
+    /// What [`kern`] works from: the first element of its `A` rows, of its
+    /// `B` columns and of its output block, with the strides between rows
+    /// (`A` also between `k` steps; `B` and the output have unit column
+    /// stride).
+    #[derive(Clone, Copy)]
+    struct Ptrs {
+        a: *const f32,
+        ars: usize,
+        acs: usize,
+        b: *const f32,
+        brs: usize,
+        o: *mut f32,
+        n: usize,
+        k: usize,
+    }
+
+    /// Walks a `rows × w` output in [`NC`]-column blocks (outer, so one
+    /// L1-resident `B` tile serves every row) of [`MR`]-row register blocks,
+    /// the ragged last ones running the same kernel at a smaller `R` and
+    /// under a narrower mask.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F. For every `r < rows`, `kk < p.k`, `j < w`,
+    /// `p.a.add(r * p.ars + kk * p.acs)` and `p.b.add(kk * p.brs + j)` must
+    /// be readable and `p.o.add(r * p.n + j)` writable; nothing else is
+    /// dereferenced.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn blocks(p: Ptrs, rows: usize, w: usize) {
+        for c in (0..w).step_by(NC) {
+            let wc = NC.min(w - c);
+            let nv = wc.div_ceil(LANES);
+            // Lanes of the block's last vector that are real columns.
+            let mask: __mmask16 = u16::MAX >> (nv * LANES - wc);
+            for r in (0..rows).step_by(MR) {
+                // SAFETY: `r < rows` and `c < w`, so these are the addresses
+                // of `a[r, 0]`, `b[0, c]` and `o[r, c]`, inside the extents
+                // the caller vouches for; `kern` stays within
+                // `min(MR, rows − r)` rows and `wc` columns of them.
+                unsafe {
+                    let q =
+                        Ptrs { a: p.a.add(r * p.ars), b: p.b.add(c), o: p.o.add(r * p.n + c), ..p };
+                    macro_rules! dispatch {
+                        ($($rows:literal)*) => {
+                            match (MR.min(rows - r), nv) {
+                                $(($rows, 1) => kern::<$rows, 1>(q, mask),
+                                  ($rows, 2) => kern::<$rows, 2>(q, mask),)*
+                                _ => unreachable!("blocks are 1..=MR rows of 1..=2 vectors"),
+                            }
+                        };
+                    }
+                    dispatch!(1 2 3 4 5 6 7 8);
+                }
+            }
+        }
+    }
+
+    /// One `R × (NV·16)` register block: accumulators stay in `zmm`
+    /// registers across the whole `k` loop — per `k` step `NV` loads of `B`,
+    /// `R` broadcasts of `A` through its strides, `R·NV` fused multiply-adds
+    /// — and are stored once. Vector `NV − 1` is loaded and stored under
+    /// `mask`; the vectors before it are full.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F. With `w = 16·(NV − 1) + mask.count_ones()`, for
+    /// every `r < R`, `kk < p.k`, `j < w`: `p.a.add(r * p.ars + kk * p.acs)`
+    /// and `p.b.add(kk * p.brs + j)` must be readable and
+    /// `p.o.add(r * p.n + j)` writable. `mask` must be a run of low bits.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn kern<const R: usize, const NV: usize>(p: Ptrs, mask: __mmask16) {
+        // All lanes for the full vectors, `mask` for the last.
+        let lanes = |v: usize| if v + 1 == NV { mask } else { !0 };
+        let mut acc = [[_mm512_setzero_ps(); NV]; R];
+        for kk in 0..p.k {
+            let mut bv = [_mm512_setzero_ps(); NV];
+            for (v, bvec) in bv.iter_mut().enumerate() {
+                // SAFETY: lane `l` of this load is `b[kk, 16·v + l]`, and
+                // only lanes with `16·v + l < w` are enabled.
+                *bvec = unsafe { _mm512_maskz_loadu_ps(lanes(v), p.b.add(kk * p.brs + LANES * v)) };
+            }
+            for (r, arow) in acc.iter_mut().enumerate() {
+                // SAFETY: `a[r, kk]` with `r < R`, `kk < k`.
+                let av = _mm512_set1_ps(unsafe { *p.a.add(r * p.ars + kk * p.acs) });
+                for (ov, &bvec) in arow.iter_mut().zip(&bv) {
+                    *ov = _mm512_fmadd_ps(av, bvec, *ov);
+                }
+            }
+        }
+        for (r, arow) in acc.iter().enumerate() {
+            for (v, &ov) in arow.iter().enumerate() {
+                // SAFETY: lane `l` of this store is `o[r, 16·v + l]`, and
+                // only lanes with `16·v + l < w` are enabled.
+                unsafe { _mm512_mask_storeu_ps(p.o.add(r * p.n + LANES * v), lanes(v), ov) };
+            }
+        }
     }
 }
 
@@ -845,6 +1166,68 @@ mod tests {
         for threads in [2, 3, 8] {
             let ct = matmul_with_threads(&a, &b, threads);
             assert_eq!(c1, ct, "thread count {threads} changed the result");
+        }
+    }
+
+    #[test]
+    fn folded_rows_ignore_the_stride_of_a_unit_dimension() {
+        // [2, 1, 3, 4] permuted to [2, 3, 1, 4] is dense, so against a 2-D
+        // `B` its six rows fold into one matrix — whose row stride is 4, not
+        // the 12 the view's unit dimension happens to carry.
+        let x = Tensor::from_fn(&[2, 1, 3, 4], |i| i as f32 - 11.0);
+        let a = permute(&x, &[0, 2, 1, 3]);
+        assert!(a.is_contiguous() && a.strides()[2] == 12);
+        let b = Tensor::from_fn(&[4, 5], |i| (i % 7) as f32 - 3.0);
+        let want = matmul(&x.reshape(&[6, 4]), &b);
+        for portable in [false, true] {
+            let got = with_forced_portable(portable, || matmul(&a, &b));
+            assert_eq!(got.shape(), &[2, 3, 1, 5]);
+            assert_eq!(got.data(), want.data(), "portable {portable}");
+        }
+    }
+
+    /// `avx512::mul_cols` on a 9×20 by 20×35 product whose `A`, `B` and
+    /// output slices are `short` elements shorter than the product needs.
+    #[cfg(target_arch = "x86_64")]
+    fn mul_cols_with_short_buffers(short: [usize; 3]) {
+        let (rows, k, n) = (9, 20, 35);
+        let (a, b) = (vec![1.0; rows * k - short[0]], vec![1.0; k * n - short[1]]);
+        let mut o = vec![0.0; rows * n - short[2]];
+        let a = avx512::Mat { data: &a, base: 0, rs: k, cs: 1 };
+        let b = avx512::Mat { data: &b, base: 0, rs: n, cs: 1 };
+        avx512::mul_cols(&mut o, n, 0..n, a, b, rows, k);
+        assert!(o.iter().all(|&v| v == k as f32));
+    }
+
+    // The three extent asserts of the AVX-512 island's safe entry: a slice
+    // one element short must panic there — on any x86-64 host, the CPU check
+    // comes after them — instead of being read or written past its end.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[should_panic(expected = "A[9, 20] reaches past its slice")]
+    fn avx512_entry_rejects_a_short_a() {
+        mul_cols_with_short_buffers([1, 0, 0]);
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[should_panic(expected = "B[20, 35] reaches past its slice")]
+    fn avx512_entry_rejects_a_short_b() {
+        mul_cols_with_short_buffers([0, 1, 0]);
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[should_panic(expected = "exceed the output slice")]
+    fn avx512_entry_rejects_a_short_output() {
+        mul_cols_with_short_buffers([0, 0, 1]);
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx512_entry_accepts_exact_buffers() {
+        if crate::cpu::features().avx512f {
+            mul_cols_with_short_buffers([0, 0, 0]);
         }
     }
 

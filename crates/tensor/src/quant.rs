@@ -36,8 +36,9 @@
 //! `vpdpwssd`) from safe scalar loops — measured here, every safe
 //! formulation of this kernel emits `vpmulld`+`vpaddd` at roughly half the
 //! f32 FMA path's throughput. The micro-kernels in [`simd`] are therefore
-//! the crate's single `#[allow(unsafe_code)]` island (the crate is
-//! otherwise `deny(unsafe_code)`): raw loads/stores over slices whose
+//! one of the crate's two `#[allow(unsafe_code)]` islands (the other is the
+//! AVX-512 f32 kernel in `ops::matmul`; the crate is otherwise
+//! `deny(unsafe_code)`): raw loads/stores over slices whose
 //! bounds are checked at the call boundary, with a safe scalar
 //! reference implementation asserted bit-identical by the quant proptests
 //! (and used on non-x86_64 targets or when AVX2 is absent).
@@ -47,7 +48,8 @@
 //! [`linear_q8`] runs under an `op/matmul_i8` span, counts quantized and
 //! dequantized rows into `quant/quant_rows` / `quant/dequant_rows`, and
 //! bumps `dispatch/matmul_i8` (the f32 kernels count
-//! `dispatch/matmul_packed` / `dispatch/matmul_unpacked`), so the
+//! `dispatch/matmul_packed` / `dispatch/matmul_unpacked`, the latter also
+//! `dispatch/matmul_avx512` when they ran on the AVX-512 kernel), so the
 //! `profile` binary can print the precision dispatch mix.
 
 use std::cell::RefCell;
@@ -360,7 +362,7 @@ fn q8_rows(
     });
 }
 
-/// Scalar reference + AVX2 micro-kernels. The one `#[allow(unsafe_code)]`
+/// Scalar reference + AVX2 micro-kernels, an `#[allow(unsafe_code)]`
 /// region of the crate — see the module docs for the policy and the
 /// bit-parity contract tying the two implementations together.
 mod simd {
@@ -371,16 +373,8 @@ mod simd {
         pub(super) static FORCE_SCALAR: Cell<bool> = const { Cell::new(false) };
     }
 
-    #[cfg(target_arch = "x86_64")]
     pub(super) fn available() -> bool {
-        use std::sync::OnceLock;
-        static AVX2: OnceLock<bool> = OnceLock::new();
-        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    pub(super) fn available() -> bool {
-        false
+        crate::cpu::features().avx2
     }
 
     fn use_simd() -> bool {

@@ -1,0 +1,194 @@
+//! Bit-parity of the AVX-512 GEMM micro-kernel against the portable kernel.
+//!
+//! Both build every output element as one accumulator fused-multiply-added
+//! from zero in ascending `k`, so the assertion is `to_bits` equality, not
+//! closeness — for every row count (the 8-row register blocks and their
+//! 1..=7-row remainders), every width 1..=70 (full vectors, masked last
+//! vectors, more than one 32-column block), every operand layout the model
+//! produces, every `linear` epilogue and both pool sizes. The portable side
+//! runs under `ops::with_forced_portable`, a per-thread override the
+//! dispatching thread hands to the pool workers with the job.
+//!
+//! On a host without AVX-512F both sides are the portable kernel: each test
+//! says so and passes.
+
+use proptest::prelude::*;
+use tsdx_tensor::ops::{self, Activation};
+use tsdx_tensor::{pool, Tensor};
+
+/// Deterministic pseudo-random fill in `[-0.5, 0.5)`.
+fn fill(shape: &[usize], seed: u32) -> Tensor {
+    Tensor::from_fn(shape, |i| {
+        let h = (i as u32).wrapping_mul(2654435761).wrapping_add(seed.wrapping_mul(40503));
+        ((h >> 16) as f32 / 65536.0) - 0.5
+    })
+}
+
+#[test]
+fn reports_the_selected_kernel() {
+    // `scripts/check.sh` greps this line out of the `--nocapture` run.
+    println!("f32 kernel: {}", ops::f32_kernel());
+}
+
+/// False — after saying so — where the AVX-512 kernel cannot be selected.
+fn avx512_selected() -> bool {
+    let selected = ops::f32_kernel().starts_with("avx512");
+    if !selected {
+        println!("avx512 kernel not available: parity vacuous");
+    }
+    selected
+}
+
+/// Runs `f(threads)` on the selected kernel and on the forced-portable one,
+/// at pool sizes 1 and 2 (also forced on the pool, for callers that take no
+/// thread count), and fails unless all four results have the same bits.
+fn kernels_agree(what: &str, f: impl Fn(usize) -> Tensor) -> Result<(), TestCaseError> {
+    let run = |threads, portable| {
+        pool::with_forced_threads(threads, || ops::with_forced_portable(portable, || f(threads)))
+    };
+    let reference = run(1, true).to_vec();
+    for threads in [1usize, 2] {
+        for portable in [false, true] {
+            let got = run(threads, portable);
+            let diverged =
+                got.to_vec().iter().zip(&reference).position(|(x, y)| x.to_bits() != y.to_bits());
+            prop_assert!(
+                got.numel() == reference.len() && diverged.is_none(),
+                "{what}: threads {threads}, portable {portable} diverged from the portable \
+                 kernel at flat index {diverged:?}"
+            );
+        }
+    }
+    Ok(())
+}
+
+/// A `[rows, cols]` matrix in one of three layouts: dense, the transposed
+/// view of a `[cols, rows]` buffer, or a window of a larger buffer (non-zero
+/// offset, row stride wider than the row).
+fn matrix(rows: usize, cols: usize, layout: usize, seed: u32) -> Tensor {
+    match layout {
+        0 => fill(&[rows, cols], seed),
+        1 => ops::transpose_last2(&fill(&[cols, rows], seed)),
+        _ => {
+            let big = fill(&[rows + 5, cols + 9], seed);
+            ops::narrow(&ops::narrow(&big, 0, 3, rows), 1, 7, cols)
+        }
+    }
+}
+
+/// The issue's row counts: every remainder of the 8-row block twice over,
+/// plus the model's one-clip and batch-of-eight token counts.
+fn row_counts() -> impl Strategy<Value = usize> {
+    prop_oneof![0usize..=20, 0usize..=20, 0usize..=20, 0usize..=20, Just(68usize), Just(544usize)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn plain_products_agree_in_every_layout(
+        rows in row_counts(),
+        k in 0usize..=130,
+        n in 1usize..=70,
+        layout_a in 0usize..3,
+        layout_b in 0usize..3,
+        seed in 0u32..1000,
+    ) {
+        if !avx512_selected() {
+            return Ok(());
+        }
+        let a = matrix(rows, k, layout_a, seed);
+        let b = matrix(k, n, layout_b, seed ^ 0xbeef);
+        kernels_agree(
+            &format!("[{rows},{k}] (layout {layout_a}) @ [{k},{n}] (layout {layout_b})"),
+            |threads| ops::matmul_unpacked(&a, &b, threads),
+        )?;
+    }
+
+    #[test]
+    fn batched_head_split_products_agree(
+        batch in 1usize..=2,
+        heads in 1usize..=3,
+        rows in row_counts(),
+        k in 0usize..=40,
+        n in 1usize..=70,
+        b_kind in 0usize..4,
+        seed in 0u32..1000,
+    ) {
+        if !avx512_selected() {
+            return Ok(());
+        }
+        // `A` as attention sees it: [B, T, H, Dh] permuted to [B, H, T, Dh].
+        let a = ops::permute(&fill(&[batch, rows, heads, k], seed), &[0, 2, 1, 3]);
+        let b = match b_kind {
+            // One matrix broadcast across the batch.
+            0 => fill(&[k, n], seed ^ 1),
+            // A dense matrix per batch element.
+            1 => fill(&[batch, heads, k, n], seed ^ 2),
+            // p·v: per-batch head-split views, unit column stride.
+            2 => ops::permute(&fill(&[batch, k, heads, n], seed ^ 3), &[0, 2, 1, 3]),
+            // q·kᵀ: the transposed head-split view, gathered into tiles.
+            _ => ops::transpose_last2(&ops::permute(
+                &fill(&[batch, n, heads, k], seed ^ 4),
+                &[0, 2, 1, 3],
+            )),
+        };
+        kernels_agree(
+            &format!("[{batch},{heads},{rows},{k}] @ B kind {b_kind} of width {n}"),
+            |threads| ops::matmul_unpacked(&a, &b, threads),
+        )?;
+    }
+
+    #[test]
+    fn linear_agrees_under_all_eight_epilogues(
+        rows in row_counts(),
+        k in 0usize..=130,
+        n in 1usize..=70,
+        layout_x in 0usize..3,
+        seed in 0u32..1000,
+    ) {
+        if !avx512_selected() {
+            return Ok(());
+        }
+        let x = matrix(rows, k, layout_x, seed);
+        let w = fill(&[k, n], seed ^ 5);
+        let (bias, residual) = (fill(&[n], seed ^ 6), fill(&[rows, n], seed ^ 7));
+        for epilogue in 0..8 {
+            let b = (epilogue & 1 != 0).then_some(&bias);
+            let act = if epilogue & 2 != 0 { Activation::Gelu } else { Activation::None };
+            let r = (epilogue & 4 != 0).then_some(&residual);
+            kernels_agree(
+                &format!("linear [{rows},{k}] (layout {layout_x}) @ [{k},{n}], epilogue {epilogue:03b}"),
+                |_| ops::linear(&x, &w, b, act, r),
+            )?;
+        }
+    }
+}
+
+#[test]
+fn views_ending_on_their_buffers_last_element_agree() {
+    if !avx512_selected() {
+        return;
+    }
+    // Both operands are windows whose last element is their buffer's last:
+    // a kernel (or an extent assert) that reached one lane or one row past
+    // what the product needs would leave the buffer. Widths end in a masked
+    // vector, a single masked lane, a full vector and a second column block.
+    for &(rows, k, n) in &[(11usize, 19usize, 13usize), (8, 64, 17), (3, 5, 32), (17, 16, 70)] {
+        let big_a = fill(&[rows + 3, k + 5], 91);
+        let a = ops::narrow(&ops::narrow(&big_a, 0, 3, rows), 1, 5, k);
+        let big_b = fill(&[k + 2, n + 7], 92);
+        let b = ops::narrow(&ops::narrow(&big_b, 0, 2, k), 1, 7, n);
+        // ...and the same two windows seen through a transpose.
+        let big_at = fill(&[k + 5, rows + 3], 93);
+        let at = ops::transpose_last2(&ops::narrow(&ops::narrow(&big_at, 0, 5, k), 1, 3, rows));
+        let big_bt = fill(&[n + 7, k + 2], 94);
+        let bt = ops::transpose_last2(&ops::narrow(&ops::narrow(&big_bt, 0, 7, n), 1, 2, k));
+        for (a, b) in [(&a, &b), (&at, &b), (&a, &bt), (&at, &bt)] {
+            kernels_agree(&format!("{rows}x{k}x{n} at the end of its buffers"), |threads| {
+                ops::matmul_unpacked(a, b, threads)
+            })
+            .unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+}

@@ -57,7 +57,9 @@ fn matmul_f64(a: &Tensor, b: &Tensor) -> (Vec<usize>, Vec<(f64, f64)>) {
     (out_shape, out)
 }
 
-/// Bounds `ops::matmul` against the oracle at pool sizes 1 and 2.
+/// Bounds `ops::matmul` against the oracle at pool sizes 1 and 2, on the
+/// f32 kernel the host selects and on the portable one (the same kernel
+/// twice where there is no AVX-512 — see `ops::f32_kernel`).
 ///
 /// Bound: `|got − want| ≤ C·k·ε·Σ|aᵢbᵢ|` with `C = 1`, ε = 2⁻²³. One
 /// accumulator rounded once per term gives at most `k·(ε/2)·Σ|aᵢbᵢ|` to
@@ -69,9 +71,9 @@ fn assert_matmul_within_bound(a: &Tensor, b: &Tensor, expect_packed: bool) {
     const C: f64 = 1.0;
     let k = *a.shape().last().expect("rank >= 2") as f64;
     let (out_shape, want) = matmul_f64(a, b);
-    for threads in [1usize, 2] {
+    for (threads, portable) in [(1usize, false), (2, false), (1, true), (2, true)] {
         let scope = metrics::scope();
-        let got = ops::matmul_with_threads(a, b, threads);
+        let got = ops::with_forced_portable(portable, || ops::matmul_with_threads(a, b, threads));
         let packed = scope.snapshot().counter("dispatch/matmul_packed") == 1;
         drop(scope);
         assert_eq!(packed, expect_packed, "{:?} @ {:?} took the wrong path", a.shape(), b.shape());
@@ -80,7 +82,7 @@ fn assert_matmul_within_bound(a: &Tensor, b: &Tensor, expect_packed: bool) {
             let bound = C * k * EPS * abs;
             assert!(
                 (g as f64 - sum).abs() <= bound,
-                "{:?} @ {:?}, threads {threads}, element {:?}: got {g}, want {sum}, bound {bound:e}",
+                "{:?} @ {:?}, threads {threads}, portable {portable}, element {:?}: got {g}, want {sum}, bound {bound:e}",
                 a.shape(),
                 b.shape(),
                 index_of(&out_shape, flat),
@@ -98,6 +100,21 @@ fn linear_layer_products_at_model_shapes() {
     {
         assert_matmul_within_bound(&fill(&[m, k], 1), &fill(&[k, n], 2), false);
     }
+}
+
+#[test]
+fn more_products_at_model_shapes() {
+    // The batch-of-eight q/k/v/o projection, fc2 at a batch whose token
+    // count is a whole number of 8-row register blocks, and the widest
+    // classification head on eight CLS rows (13 columns: less than one
+    // vector on either kernel).
+    for &(m, k, n) in &[(544, 64, 64), (512, 128, 64), (8, 64, 13)] {
+        assert_matmul_within_bound(&fill(&[m, k], 71), &fill(&[k, n], 72), false);
+    }
+    // Dense per-head scores, q·kᵀ: [32, 17, 16] against the transposed view
+    // of [32, 17, 16] — 17 columns, one past a vector.
+    let (q, kt) = (fill(&[32, 17, 16], 73), ops::transpose_last2(&fill(&[32, 17, 16], 74)));
+    assert_matmul_within_bound(&q, &kt, false);
 }
 
 #[test]

@@ -30,11 +30,15 @@ echo "==> streaming parity under both workspace modes (session == full recompute
 TSDX_WORKSPACE=1 cargo test -q -p tsdx-core --test streaming_parity
 TSDX_WORKSPACE=0 cargo test -q -p tsdx-core --test streaming_parity
 
-echo "==> tensor suite with 8 concurrent test threads (metric-scope isolation)"
+echo "==> tensor suite: AVX-512 kernel == portable kernel (bitwise), then everything with 8 concurrent test threads (metric-scope isolation)"
+# One line of the parity suite names the f32 kernel this host selected; on a
+# CPU without AVX-512F it is the portable one and the parity is vacuous.
+cargo test -q -p tsdx-tensor --test avx512_parity -- --nocapture | grep -o 'f32 kernel: .*'
 cargo test -q -p tsdx-tensor -- --test-threads=8
 
-echo "==> tier-1 again under the int8 inference plane (TSDX_PRECISION=int8)"
+echo "==> tier-1 and the serve smoke again under the int8 inference plane (TSDX_PRECISION=int8)"
 TSDX_PRECISION=int8 cargo test -q
+TSDX_PRECISION=int8 TSDX_NUM_THREADS=2 cargo test -q -p tsdx-serve --test smoke
 
 echo "==> streaming parity under int8 (cached groups == recompute, bitwise, on the i8 GEMM)"
 TSDX_PRECISION=int8 cargo test -q -p tsdx-core --test streaming_parity
