@@ -85,8 +85,8 @@ fn bench_kernels(c: &mut Criterion) {
     });
     group.finish();
 
-    // Fused attention kernel vs the composed matmul/scale/softmax/matmul
-    // chain on the table-4 head geometry ([B*H, T, Dh] = 8 clips x 4 heads,
+    // The attention op vs the composed matmul/scale/softmax/matmul chain it
+    // replaced on the table-4 head geometry ([B*H, T, Dh] = 8 clips x 4 heads,
     // 17 tokens, width 16).
     let mut group = c.benchmark_group("attention");
     let q = Tensor::from_fn(&[32, 17, 16], |i| (i % 19) as f32 * 0.05 - 0.45);
@@ -94,7 +94,7 @@ fn bench_kernels(c: &mut Criterion) {
     let v = Tensor::from_fn(&[32, 17, 16], |i| (i % 29) as f32 * 0.03 - 0.4);
     let scale = 1.0 / 4.0;
     group.bench_function("fused_32x17x16", |b| {
-        b.iter(|| std::hint::black_box(ops::attention(&q, &k, &v, scale)))
+        b.iter(|| std::hint::black_box(ops::attention(&q, &k, &v, 1, scale)))
     });
     group.bench_function("composed_32x17x16", |b| {
         b.iter(|| {
@@ -106,7 +106,8 @@ fn bench_kernels(c: &mut Criterion) {
     });
     group.bench_function("fused_backward_32x17x16", |b| {
         let g = Tensor::from_fn(&[32, 17, 16], |i| (i % 13) as f32 * 0.02 - 0.1);
-        b.iter(|| std::hint::black_box(ops::attention_backward(&q, &k, &v, scale, &g)))
+        let probs = ops::attention_with_probs(&q, &k, &v, 1, scale).1;
+        b.iter(|| std::hint::black_box(ops::attention_backward(&probs, &q, &k, &v, 1, scale, &g)))
     });
     group.finish();
 

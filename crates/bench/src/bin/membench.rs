@@ -124,7 +124,7 @@ fn main() {
     out.push((
         "attention_fused_32x17x16_us",
         median_us(60, || {
-            std::hint::black_box(ops::attention(&q, &k, &v, scale));
+            std::hint::black_box(ops::attention(&q, &k, &v, 1, scale));
         }),
     ));
     out.push((
@@ -136,10 +136,11 @@ fn main() {
             std::hint::black_box(ops::matmul(&p, &v));
         }),
     ));
+    let probs = ops::attention_with_probs(&q, &k, &v, 1, scale).1;
     out.push((
         "attention_fused_backward_32x17x16_us",
         median_us(40, || {
-            std::hint::black_box(ops::attention_backward(&q, &k, &v, scale, &gout));
+            std::hint::black_box(ops::attention_backward(&probs, &q, &k, &v, 1, scale, &gout));
         }),
     ));
     out.push((

@@ -22,17 +22,30 @@
 //!   the disabled cost computed as measured-calls-per-step × measured
 //!   ns-per-disabled-call, which must stay under 1% of a step.
 //!
+//! - an **eval-forward profile** ([`eval_profile`]): the self-time table of
+//!   `extract_window_batch` at B = 1 and B = 8 — ops against everything that
+//!   is not an op — and a standalone per-shape table of that forward's
+//!   products, row kernels and broadcast adds, with the attention op timed
+//!   against the composition it replaced and, outside `--quick` on an
+//!   AVX-512 host, its floors asserted.
+//!
 //! Run with `cargo run -p tsdx-bench --release --bin profile` (add
 //! `--quick` for a reduced-size smoke run, as in `scripts/check.sh`).
+//! `--eval [--batch N]` prints the eval-forward profile alone; pin it
+//! (`taskset -c 1 …`) when the numbers matter.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tsdx_bench::{is_quick, print_table, standard_clips};
-use tsdx_core::{multitask_loss, ClipModel, LossWeights, ModelConfig, VideoScenarioTransformer};
+use tsdx_bench::{has_flag, is_quick, print_table, standard_clips};
+use tsdx_core::{
+    multitask_loss, ClipModel, LossWeights, ModelConfig, ScenarioExtractor,
+    VideoScenarioTransformer,
+};
 use tsdx_data::{collate, Batch};
-use tsdx_tensor::{metrics, Graph};
+use tsdx_tensor::ops::{self, Activation};
+use tsdx_tensor::{metrics, Graph, Tensor};
 
 /// One forward/backward training step (no optimizer update — the profile
 /// targets the compute path the self-time table must explain).
@@ -54,8 +67,234 @@ fn ms(ns: u64) -> String {
     format!("{:.2}", ns as f64 / 1e6)
 }
 
+/// Median µs per call of each closure, the closures taking turns round by
+/// round so drift and neighbours hit them alike.
+fn alternated_us(rounds: usize, calls: usize, fs: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    let mut samples = vec![Vec::with_capacity(rounds); fs.len()];
+    for f in fs.iter_mut() {
+        f(); // warm the arena and caches at this shape
+    }
+    for _ in 0..rounds {
+        for (f, s) in fs.iter_mut().zip(&mut samples) {
+            let t = Instant::now();
+            for _ in 0..calls {
+                f();
+            }
+            s.push(t.elapsed().as_secs_f64() * 1e6 / calls as f64);
+        }
+    }
+    samples.iter_mut().map(|s| median(s)).collect()
+}
+
+/// The composition `ops::attention` replaced, on the same unsplit operands.
+fn composed_attention(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, scale: f32) -> Tensor {
+    let split = |t: &Tensor| {
+        let (b, rows, w) = (t.shape()[0], t.shape()[1], t.shape()[2]);
+        ops::permute(&t.reshape(&[b, rows, heads, w / heads]), &[0, 2, 1, 3])
+    };
+    let (qh, kh, vh) = (split(q), split(k), split(v));
+    let scores = ops::scale(&ops::matmul(&qh, &ops::transpose_last2(&kh)), scale);
+    let ctx = ops::matmul(&ops::softmax_last(&scores), &vh);
+    ops::permute(&ctx, &[0, 2, 1, 3]).reshape(&[q.shape()[0], q.shape()[1], v.shape()[2]])
+}
+
+/// Where an eval forward's time goes, in two tables per batch size.
+///
+/// **Self time**: `extract_window_batch` on `batch` clips under a metrics
+/// scope — every `op/*` span by self time per call, and the remainder that is
+/// no op (window validation, tubelet gather, bind, tape, allocator, decode,
+/// the spans themselves). **Per shape**: each product, row kernel and
+/// broadcast add of the default model's forward at that batch size, timed
+/// standalone, the attention op alternated with the composed sequence it
+/// replaced. Outside `--quick`, on a host whose f32 kernel is the AVX-512
+/// one, the attention-core floors are asserted: at `[32, 17, 64]`, 4 heads,
+/// the op at least 1.4× faster than the composition for `Tq = 17` and 2× for
+/// the CLS row (`Tq = 1`), and at `[8, 5, 64]` not slower.
+fn eval_profile(quick: bool, batches: &[usize]) {
+    let cfg = ModelConfig::default();
+    let ex = ScenarioExtractor::untrained(cfg, 17);
+    let (calls, rounds) = if quick { (20, 3) } else { (300, 15) };
+    let val = |shape: &[usize], f: f32| Tensor::from_fn(shape, |i| (i as f32 * f).sin() * 0.5);
+    let us = |x: f64| format!("{x:.1}");
+
+    for &batch in batches {
+        let clips: Vec<Tensor> = (0..batch)
+            .map(|c| val(&[cfg.frames, cfg.height, cfg.width], 0.0137 + c as f32 * 1e-4))
+            .collect();
+        let refs: Vec<&Tensor> = clips.iter().collect();
+        for _ in 0..calls.min(50) {
+            std::hint::black_box(ex.extract_window_batch(&refs));
+        }
+        let scope = metrics::scope();
+        let total_calls = calls * rounds.min(7);
+        for _ in 0..total_calls {
+            let _root = metrics::span("extract");
+            std::hint::black_box(ex.extract_window_batch(&refs));
+        }
+        let snap = scope.snapshot();
+        drop(scope);
+        let root = snap.span("extract");
+        let per_call = |ns: u64| ns as f64 / 1e3 / total_calls as f64;
+        let mut rows: Vec<(String, metrics::SpanStat)> = snap
+            .spans
+            .iter()
+            .filter(|(k, _)| k.starts_with("op/"))
+            .map(|(k, s)| (k.clone(), *s))
+            .collect();
+        rows.sort_by_key(|(_, s)| std::cmp::Reverse(s.self_ns));
+        let ops_ns: u64 = rows.iter().map(|(_, s)| s.self_ns).sum();
+        let mut table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|(k, s)| {
+                vec![
+                    k.clone(),
+                    format!("{:.1}", s.count as f64 / total_calls as f64),
+                    us(per_call(s.self_ns)),
+                    format!("{:.1}", s.self_ns as f64 / root.total_ns as f64 * 100.0),
+                ]
+            })
+            .collect();
+        for (name, ns) in [("all op/*", ops_ns), ("not an op", root.total_ns - ops_ns)] {
+            table.push(vec![
+                name.to_string(),
+                "-".to_string(),
+                us(per_call(ns)),
+                format!("{:.1}", ns as f64 / root.total_ns as f64 * 100.0),
+            ]);
+        }
+        print_table(
+            &format!(
+                "eval forward self time, B = {batch} ({total_calls} extract_window_batch calls, \
+                 {:.1} µs each, f32 kernel: {})",
+                per_call(root.total_ns),
+                ops::f32_kernel()
+            ),
+            &["span", "per call", "self µs", "% of call"],
+            &table,
+        );
+
+        // ---- Per shape, standalone. ----
+        let (d, heads, hidden, vol) =
+            (cfg.dim, cfg.heads, cfg.dim * cfg.mlp_ratio, cfg.tubelet_volume());
+        let (nt, ns) = (cfg.n_time(), cfg.n_space());
+        let scale = 1.0 / ((d / heads) as f32).sqrt();
+        let mut shape_rows: Vec<Vec<String>> = Vec::new();
+        let mut time = |name: String, f: &mut dyn FnMut()| {
+            let t = alternated_us(rounds, calls, &mut [f])[0];
+            shape_rows.push(vec![name, us(t), "-".to_string(), "-".to_string()]);
+        };
+        for (rows, k, n, act) in [
+            (batch * nt * ns, vol, d, Activation::None),
+            (batch * nt * (ns + 1), d, d, Activation::None),
+            (batch * nt * (ns + 1), d, hidden, Activation::Gelu),
+            (batch * nt * (ns + 1), hidden, d, Activation::None),
+            (batch * nt, d, d, Activation::None),
+            (batch * nt, d, hidden, Activation::Gelu),
+            (batch * nt, hidden, d, Activation::None),
+            (batch * (nt + 1), d, d, Activation::None),
+            (batch * (nt + 1), d, hidden, Activation::Gelu),
+            (batch * (nt + 1), hidden, d, Activation::None),
+            (batch, d, d, Activation::None),
+        ] {
+            let (x, w, b) = (val(&[rows, k], 0.013), val(&[k, n], 0.007), val(&[n], 0.3));
+            let r = val(&[rows, n], 0.011);
+            time(
+                format!("linear [{rows},{k}]·[{k},{n}] (+bias, {act:?}, +residual)"),
+                &mut || {
+                    std::hint::black_box(ops::linear(&x, &w, Some(&b), act, Some(&r)));
+                },
+            );
+        }
+        let (gamma, beta) = (val(&[d], 0.3), val(&[d], 0.2));
+        for rows in [batch * nt * (ns + 1), batch * (nt + 1), batch * nt] {
+            let x = val(&[rows, d], 0.013);
+            time(format!("layer_norm [{rows},{d}]"), &mut || {
+                std::hint::black_box(ops::layer_norm(&x, &gamma, &beta, 1e-5));
+            });
+        }
+        for (rows, w) in
+            [(batch * nt * heads * (ns + 1), ns + 1), (batch * heads * (nt + 1), nt + 1)]
+        {
+            let x = val(&[rows, w], 0.013);
+            time(format!("softmax_last [{rows},{w}]"), &mut || {
+                std::hint::black_box(ops::softmax_last(&x));
+            });
+        }
+        let tokens = val(&[batch, nt, ns, d], 0.013);
+        let pos_space = val(&[1, ns, d], 0.017);
+        time(format!("add [{batch},{nt},{ns},{d}] + [1,{ns},{d}] (pos_space)"), &mut || {
+            std::hint::black_box(ops::add(&tokens, &pos_space));
+        });
+        let frames = val(&[batch, nt, d], 0.013);
+        let pos_time = val(&[nt, d], 0.017);
+        time(format!("add [{batch},{nt},{d}] + [{nt},{d}] (pos_time)"), &mut || {
+            std::hint::black_box(ops::add(&frames, &pos_time));
+        });
+        // The attention core, op against composition, at the four shapes
+        // the forward has: both stages, full blocks and CLS-row blocks.
+        let mut ratios = Vec::new();
+        for (nb, t) in [(batch * nt, ns + 1), (batch, nt + 1)] {
+            let kv = val(&[nb, t, d], 0.013);
+            for tq in [t, 1] {
+                let q = val(&[nb, tq, d], 0.019);
+                let got = alternated_us(
+                    rounds,
+                    calls,
+                    &mut [
+                        &mut || {
+                            std::hint::black_box(ops::attention(&q, &kv, &kv, heads, scale));
+                        },
+                        &mut || {
+                            std::hint::black_box(composed_attention(&q, &kv, &kv, heads, scale));
+                        },
+                    ],
+                );
+                shape_rows.push(vec![
+                    format!("attention q [{nb},{tq},{d}] k,v [{nb},{t},{d}], {heads} heads"),
+                    us(got[0]),
+                    us(got[1]),
+                    format!("{:.2}", got[1] / got[0]),
+                ]);
+                ratios.push(((nb, t, tq), got[1] / got[0]));
+            }
+        }
+        print_table(
+            &format!("eval forward per shape, standalone, B = {batch} ({rounds} rounds x {calls} calls, median)"),
+            &["kernel", "µs", "composed µs", "composed / op"],
+            &shape_rows,
+        );
+
+        // ---- Attention-core floors (B = 8 is where the model's 32-sequence
+        // spatial stage and 8-sequence temporal stage are). ----
+        if batch == 8 && !quick {
+            if ops::f32_kernel().starts_with("avx512") {
+                for ((nb, t, tq), ratio) in ratios {
+                    let floor = match (t == ns + 1, tq == 1) {
+                        (true, false) => 1.4,
+                        (true, true) => 2.0,
+                        (false, _) => 1.0,
+                    };
+                    assert!(
+                        ratio >= floor,
+                        "attention op at [{nb},{tq}x{t},{d}] is {ratio:.2}x the composition, floor {floor}"
+                    );
+                }
+            } else {
+                println!("(no AVX-512F: attention-core floors reported, not asserted)");
+            }
+        }
+    }
+}
+
 fn main() {
     let quick = is_quick();
+    if has_flag("--eval") {
+        let args: Vec<String> = std::env::args().collect();
+        let batch = args.iter().position(|a| a == "--batch").map(|i| {
+            args.get(i + 1).and_then(|n| n.parse().ok()).expect("--batch takes a clip count")
+        });
+        return eval_profile(quick, &batch.map_or(vec![1, 8], |b| vec![b]));
+    }
     let (batch_size, steps, ab_rounds) = if quick { (4, 2, 3) } else { (16, 4, 5) };
 
     let clips = standard_clips(batch_size);
@@ -452,4 +691,6 @@ fn main() {
         coverage * 100.0
     );
     assert!(disabled_pct < 1.0, "disabled instrumentation must cost < 1% ({disabled_pct:.3}%)");
+
+    eval_profile(quick, &[1, 8]);
 }

@@ -249,9 +249,9 @@ impl ScenarioExtractor {
     /// stacked into a single `[B, T, H, W]` batch and pushed through the
     /// encoder once, so one tape, one parameter binding and one pass over
     /// each weight matrix serve the whole batch — what amortizes is that
-    /// per-forward fixed cost; the arithmetic per clip is the same (at
-    /// these shapes the GEMMs stay on the tiled kernel and attention on
-    /// the composed path at any batch the server forms). Malformed windows
+    /// per-forward fixed cost; the arithmetic per clip is the same, and so
+    /// are its bits: every kernel computes a clip's rows from that clip
+    /// alone, at any batch size. Malformed windows
     /// get their own typed error and never contaminate the batch. The
     /// output is positionally aligned with `videos`.
     ///

@@ -186,10 +186,7 @@ pub fn encode_staged(
 /// the temporal stage and the heads are batch-independent, so every row is
 /// bit-identical to that state reading out alone —
 /// [`StreamState::describe`] and [`StreamState::logits`] are this function
-/// at N = 1. (As with every batched entry point, that holds while the batch
-/// stays on the solo forward's side of the attention dispatch threshold
-/// `tsdx_nn::COMPOSED_SCORES_MAX`: 655 streams for the default factorized
-/// model.)
+/// at N = 1.
 ///
 /// Per state, the semantics are `describe`'s: a state without a full window
 /// answers [`ExtractError::TooShort`] and takes no part in the forward; a

@@ -155,12 +155,12 @@ fn steady_state_step_allocations_drop_with_workspaces() {
         calls_off > calls_on,
         "arena on should issue fewer allocator calls: off {calls_off} vs on {calls_on}"
     );
-    // ...and what is left is per tape node. With a linear layer (bias, GELU
-    // and residual included) as one node a step makes 3068 calls; with
-    // matmul, bias add, activation, residual add and two reshapes as nodes
-    // of their own it made 3759.
+    // ...and what is left is per tape node. With attention between its
+    // projections as one node a step makes 2802 calls; with the head
+    // splits, kᵀ, q·kᵀ, scale, softmax, p·v and the merge as nodes of their
+    // own it made 3068, and 3759 before a linear layer was one node.
     assert!(
-        per_step(calls_on) <= 3400,
+        per_step(calls_on) <= 2940,
         "a training step allocates per tape node and the tape grew: {} calls/step",
         per_step(calls_on)
     );
@@ -222,11 +222,12 @@ fn quantized_steady_state_allocates_no_more_than_f32() {
         per(bytes_f32),
     );
     // Both planes record one tape node per linear layer (the int8 product
-    // plus an add where there is a residual): 1054 and 1008 calls per
-    // extraction, against 1577 and 1463 with the unfused tape.
+    // plus an add where there is a residual) and one per attention core:
+    // 801 and 751 calls per extraction, against 1061 and 1011 with the
+    // composed attention graph and 1577 and 1463 with the unfused tape.
     for (plane, calls) in [("f32", calls_f32), ("int8", calls_i8)] {
         assert!(
-            per(calls) <= 1200,
+            per(calls) <= 840,
             "{plane} extraction allocates per tape node and the tape grew: {} calls",
             per(calls)
         );
@@ -327,10 +328,10 @@ fn steady_state_stream_push_allocates_per_frame_not_per_window() {
         per(bytes_full),
     );
     // A slide is two forwards (one group's spatial encode, the window's
-    // readout), each allocating per tape node: 1046 calls with fused linear
-    // nodes, 1597 before.
+    // readout), each allocating per tape node: 788 calls with attention as
+    // one node, 1048 with fused linear nodes only, 1597 before those.
     assert!(
-        per(calls_push) <= 1200,
+        per(calls_push) <= 830,
         "a window slide allocates per tape node and the tapes grew: {} calls/slide",
         per(calls_push)
     );

@@ -16,7 +16,7 @@
 //! The bound is absolute, on logits of magnitude up to ~1.5 (untrained
 //! Xavier heads on a LayerNorm-ed embedding): `|f32 − f64| ≤ 2e-5`.
 //! Measured worst case over everything below: 1.8e-6 one-shot, 3.0e-6
-//! batched (default config, B = 8), 2.2e-6 streamed — about 25 ulps of a
+//! batched (default config, B = 8 and B = 16), 2.2e-6 streamed — about 25 ulps of a
 //! logit near 1.0, the accumulated rounding of four blocks of f32 GEMM,
 //! softmax and LayerNorm. Feeding the last block's K and V one row instead
 //! of all of them moves a logit by 2.5, a hundred thousand times the bound.
@@ -250,12 +250,14 @@ fn check(cfg: ModelConfig, tag: &str) {
     let reference = Reference { model };
     let per = cfg.frames * cfg.height * cfg.width;
 
-    // One-shot (B = 1) and batched (B = 8, stacked), through the same
+    // One-shot (B = 1) and batched (B = 8 and 16, stacked), through the same
     // `ClipModel::forward` training, `predict` and the server's batch use.
-    let clips: Vec<Tensor> = (0..8).map(|c| clip(&cfg, cfg.frames, c as f32 * 0.61)).collect();
+    // Sixteen is training's batch, and past the size at which attention used
+    // to switch realizations.
+    let clips: Vec<Tensor> = (0..16).map(|c| clip(&cfg, cfg.frames, c as f32 * 0.61)).collect();
     let want: Vec<Vec<f64>> = clips.iter().map(|c| reference.logits(c.data())).collect();
     let mut worst = [0f64; 3];
-    for batch in [1usize, 8] {
+    for batch in [1usize, 8, 16] {
         let stacked = Tensor::from_vec(
             clips[..batch].iter().flat_map(|c| c.data().iter().copied()).collect(),
             &[batch, cfg.frames, cfg.height, cfg.width],

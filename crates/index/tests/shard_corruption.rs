@@ -16,6 +16,18 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Faults are process-global one-shots; serialize every save that could
+/// consume one — the tests that arm them, and the always-on tests' own
+/// saves, which would otherwise fire a fault armed for a test running
+/// beside them.
+#[cfg(feature = "fault-inject")]
+static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+#[cfg(feature = "fault-inject")]
+fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
+    FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn saved_index(tag: &str) -> (PathBuf, PathBuf) {
     let mut ix = VectorIndex::new(IndexConfig { dim: 4, shard_capacity: 3 });
     for i in 0..7 {
@@ -24,6 +36,8 @@ fn saved_index(tag: &str) -> (PathBuf, PathBuf) {
         ix.push(&v).expect("dim matches");
     }
     let dir = fresh_dir(tag);
+    #[cfg(feature = "fault-inject")]
+    let _guard = fault_lock();
     ix.save_to(&dir).expect("save");
     (dir.join("shard-00001.idx"), dir)
 }
@@ -76,17 +90,9 @@ fn foreign_file_with_shard_name_is_rejected() {
 
 #[cfg(feature = "fault-inject")]
 mod fault_registry {
+    use super::fault_lock as lock;
     use super::*;
-    use std::sync::Mutex;
     use tsdx_tensor::faults;
-
-    /// Faults are process-global one-shots; serialize the tests that arm
-    /// them so one test's fault never fires inside another's save.
-    static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     fn build_small() -> VectorIndex {
         let mut ix = VectorIndex::new(IndexConfig { dim: 4, shard_capacity: 8 });

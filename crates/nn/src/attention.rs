@@ -7,24 +7,13 @@ use tsdx_tensor::{Graph, Var};
 use crate::linear::Linear;
 use crate::params::{Binding, ParamStore};
 
-/// Largest `[B, H, Tq, Tk]` score-tensor size (elements) routed to the
-/// composed matmul/softmax/matmul path by
-/// [`MultiHeadAttention::forward`].
-///
-/// Measured on the table-4 geometry (`B*H` 32, `T` 17, `Dh` 16): composed
-/// forward 97µs vs 125µs fused, and composed backward reuses the retained
-/// probabilities where fused backward pays a 276µs recompute of every score
-/// row. The composed advantage holds while the probability tensor stays
-/// cache-resident; past 2^16 elements (256 KB) its materialization,
-/// autograd retention, and the extra transpose overtake the fused kernel's
-/// O(T) per-row streaming, so large problems go fused.
-pub const COMPOSED_SCORES_MAX: usize = 1 << 16;
-
 /// Multi-head scaled-dot-product self-attention over `[B, T, D]` inputs.
 ///
-/// Heads are realized by reshaping the projected queries/keys/values to
-/// `[B, H, T, D/H]` and running a batched matmul over the `[B, H]` batch
-/// dimensions, exactly as in the original transformer.
+/// Heads are column groups of the projected queries/keys/values: the one
+/// attention op ([`Graph::attention`]) walks `(batch, head)` tiles of the
+/// unsplit `[B, T, D]` projections and writes each head's context at its
+/// merged position, with the bits of the original transformer's
+/// reshape-to-`[B, H, T, D/H]` batched-matmul formulation.
 #[derive(Debug, Clone)]
 pub struct MultiHeadAttention {
     wq: Linear,
@@ -69,15 +58,8 @@ impl MultiHeadAttention {
         self.dim
     }
 
-    /// Applies self-attention to `x` of shape `[B, T, D]`.
-    ///
-    /// Dispatches between two equivalent realizations of
-    /// `softmax(QKᵀ/√Dh)·V` on the size of the `[B, H, T, T]` score tensor
-    /// (see [`COMPOSED_SCORES_MAX`]): small problems take the composed
-    /// matmul/softmax/matmul graph, whose retained probabilities make
-    /// backward a pair of cheap matmuls; large problems take the fused
-    /// [`Graph::attention`] kernel, which streams scores per query row and
-    /// never materializes the probability tensor. Use
+    /// Applies self-attention to `x` of shape `[B, T, D]`: four projections
+    /// around one [`Graph::attention`] node, whatever the shape. Use
     /// [`forward_with_attn`](Self::forward_with_attn) when the
     /// probabilities themselves are needed.
     pub fn forward(&self, g: &mut Graph, p: &Binding, x: Var) -> Var {
@@ -85,24 +67,22 @@ impl MultiHeadAttention {
     }
 
     /// Like [`forward`](Self::forward) but also returns the attention
-    /// probabilities (`[B, H, T, T]`) for introspection. Always takes the
-    /// composed path, which produces them as a graph node.
+    /// probabilities (`[B, H, T, T]`) for introspection — the same node,
+    /// asked to keep them.
     pub fn forward_with_attn(&self, g: &mut Graph, p: &Binding, x: Var) -> (Var, Var) {
         let (y, attn) = self.forward_impl(g, p, x, x, None, true);
-        (y, attn.expect("composed path always yields probabilities"))
+        (y, attn.expect("asked for"))
     }
 
-    /// Projections, head split, scaled-dot-product dispatch, head merge and
-    /// output projection. Queries come from `xq` (`[B, Tq, D]`), keys and
-    /// values from `xkv` (`[B, Tk, D]`); self-attention passes the same rows
-    /// twice, a block that is read out through one row passes only that row
-    /// as `xq`. Every step is independent per query row, so the `Tq` output
-    /// rows carry the bits the same rows of full self-attention would, as
-    /// long as both sit on the same side of the dispatch (which is on the
-    /// `[B, H, Tq, Tk]` score tensor actually built). `residual`, when
+    /// Projections, the attention node and the output projection. Queries
+    /// come from `xq` (`[B, Tq, D]`), keys and values from `xkv`
+    /// (`[B, Tk, D]`); self-attention passes the same rows twice, a block
+    /// that is read out through one row passes only that row as `xq`. Every
+    /// step is independent per query row, so the `Tq` output rows carry the
+    /// bits the same rows of full self-attention would. `residual`, when
     /// given, is added by the output projection's epilogue (a transformer
     /// block's `x + Attn(..)` without a separate add). Returns the
-    /// probabilities when the composed path ran.
+    /// probabilities (`[B, H, Tq, Tk]`) when `want_attn` asks for them.
     pub(crate) fn forward_impl(
         &self,
         g: &mut Graph,
@@ -112,41 +92,23 @@ impl MultiHeadAttention {
         residual: Option<Var>,
         want_attn: bool,
     ) -> (Var, Option<Var>) {
-        let (qsh, ksh) = (g.shape(xq).to_vec(), g.shape(xkv).to_vec());
-        for sh in [&qsh, &ksh] {
+        for x in [xq, xkv] {
+            let sh = g.shape(x);
             assert_eq!(sh.len(), 3, "attention input must be [B, T, D]");
             assert_eq!(sh[2], self.dim, "attention width mismatch");
         }
-        assert_eq!(qsh[0], ksh[0], "query and key/value batch sizes differ");
-        let (b, tq, tk, d) = (qsh[0], qsh[1], ksh[1], self.dim);
-        let h = self.heads;
-        let dh = d / h;
-
-        // [B, T, D] -> [B, H, T, Dh]
-        let split = |g: &mut Graph, y: Var, t: usize| {
-            let r = g.reshape(y, &[b, t, h, dh]);
-            g.permute(r, &[0, 2, 1, 3])
-        };
+        assert_eq!(g.shape(xq)[0], g.shape(xkv)[0], "query and key/value batch sizes differ");
         let q = self.wq.forward(g, p, xq);
         let k = self.wk.forward(g, p, xkv);
         let v = self.wv.forward(g, p, xkv);
-        let q = split(g, q, tq);
-        let k = split(g, k, tk);
-        let v = split(g, v, tk);
-        let scale = 1.0 / (dh as f32).sqrt();
-
-        let (ctx, attn) = if want_attn || b * h * tq * tk <= COMPOSED_SCORES_MAX {
-            let kt = g.transpose_last2(k);
-            let scores = g.matmul(q, kt);
-            let scaled = g.scale(scores, scale);
-            let attn = g.softmax_last(scaled);
-            (g.matmul(attn, v), Some(attn))
+        let scale = 1.0 / ((self.dim / self.heads) as f32).sqrt();
+        let (ctx, attn) = if want_attn {
+            let (ctx, attn) = g.attention_with_probs(q, k, v, self.heads, scale);
+            (ctx, Some(attn))
         } else {
-            (g.attention(q, k, v, scale), None)
+            (g.attention(q, k, v, self.heads, scale), None)
         };
-        let merged = g.permute(ctx, &[0, 2, 1, 3]);
-        let flat = g.reshape(merged, &[b, tq, d]);
-        (self.wo.forward_fused(g, p, flat, Activation::None, residual), attn)
+        (self.wo.forward_fused(g, p, ctx, Activation::None, residual), attn)
     }
 }
 
@@ -175,7 +137,7 @@ mod tests {
     }
 
     #[test]
-    fn attention_rows_are_distributions() {
+    fn attention_probabilities_are_distributions() {
         let (store, mha) = setup(4, 2);
         let mut g = Graph::new();
         let p = store.bind(&mut g);
@@ -221,40 +183,65 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_forward_matches_composed_path() {
-        // Past the dispatch cap `forward` uses the fused kernel while
-        // `forward_with_attn` always composes; both must agree. T is sized
-        // so B*H*T*T exceeds COMPOSED_SCORES_MAX and the fused branch
-        // actually runs.
-        let (store, mha) = setup(8, 2);
-        let t = 200;
-        assert!(2 * t * t > COMPOSED_SCORES_MAX, "test no longer covers the fused branch");
-        let mut g = Graph::new();
-        let p = store.bind(&mut g);
-        let x = g.constant(Tensor::from_fn(&[1, t, 8], |i| (i as f32 * 0.13).sin()));
-        let fused = mha.forward(&mut g, &p, x);
-        let (composed, _) = mha.forward_with_attn(&mut g, &p, x);
-        assert!(
-            g.value(fused).allclose(g.value(composed), 1e-4),
-            "fused and composed attention diverged"
-        );
+    /// `forward` unrolled into the head split, `q·kᵀ`, scale, softmax,
+    /// `p·v`, merge graph it used to record.
+    fn composed(mha: &MultiHeadAttention, g: &mut Graph, p: &Binding, x: Var) -> Var {
+        let sh = g.shape(x).to_vec();
+        let (b, t, h) = (sh[0], sh[1], mha.heads);
+        let dh = mha.dim / h;
+        let split = |g: &mut Graph, w: &Linear| {
+            let y = w.forward(g, p, x);
+            let r = g.reshape(y, &[b, t, h, dh]);
+            g.permute(r, &[0, 2, 1, 3])
+        };
+        let (q, k, v) = (split(g, &mha.wq), split(g, &mha.wk), split(g, &mha.wv));
+        let kt = g.transpose_last2(k);
+        let scores = g.matmul(q, kt);
+        let scaled = g.scale(scores, 1.0 / (dh as f32).sqrt());
+        let attn = g.softmax_last(scaled);
+        let ctx = g.matmul(attn, v);
+        let merged = g.permute(ctx, &[0, 2, 1, 3]);
+        let flat = g.reshape(merged, &[b, t, mha.dim]);
+        mha.wo.forward(g, p, flat)
     }
 
     #[test]
-    fn dispatch_paths_agree_below_cap() {
-        // Below the cap `forward` takes the composed path; it must agree
-        // with `forward_with_attn`'s graph exactly (same ops, same order).
+    fn forward_matches_the_composed_graph_bitwise_at_every_size() {
+        // On both sides of the size at which a second realization used to
+        // take over (2¹⁶ score elements): one op, one set of bits.
         let (store, mha) = setup(8, 2);
-        let mut g = Graph::new();
-        let p = store.bind(&mut g);
-        let x = g.constant(Tensor::from_fn(&[2, 5, 8], |i| (i as f32 * 0.13).sin()));
-        let small = mha.forward(&mut g, &p, x);
-        let (composed, _) = mha.forward_with_attn(&mut g, &p, x);
-        assert!(
-            g.value(small).allclose(g.value(composed), 1e-6),
-            "composed dispatch diverged from forward_with_attn"
-        );
+        for (b, t) in [(2, 5), (1, 200), (3, 17)] {
+            let mut g = Graph::new();
+            let p = store.bind(&mut g);
+            let x = g.constant(Tensor::from_fn(&[b, t, 8], |i| (i as f32 * 0.13).sin()));
+            let one = mha.forward(&mut g, &p, x);
+            let (with_attn, attn) = mha.forward_with_attn(&mut g, &p, x);
+            let want = composed(&mha, &mut g, &p, x);
+            assert_eq!(g.value(one).to_vec(), g.value(want).to_vec(), "B {b} T {t}");
+            assert_eq!(g.value(with_attn).to_vec(), g.value(want).to_vec(), "B {b} T {t}");
+            assert_eq!(g.shape(attn), &[b, 2, t, t]);
+        }
+    }
+
+    #[test]
+    fn parameter_gradients_match_the_composed_graph_bitwise() {
+        let (store, mha) = setup(8, 2);
+        let grads = |one_node: bool| {
+            let mut g = Graph::new();
+            let p = store.bind(&mut g);
+            let x = g.leaf(Tensor::from_fn(&[2, 5, 8], |i| (i as f32 * 0.13).sin()));
+            let y =
+                if one_node { mha.forward(&mut g, &p, x) } else { composed(&mha, &mut g, &p, x) };
+            let sq = g.mul(y, y);
+            let loss = g.mean_all(sq);
+            let grads = g.backward(loss);
+            let mut all = store.collect_grads(&p, &grads);
+            all.push(grads.get(x).expect("input is a leaf").clone());
+            all
+        };
+        for (got, want) in grads(true).iter().zip(&grads(false)) {
+            assert_eq!(got.to_vec(), want.to_vec());
+        }
     }
 
     #[test]

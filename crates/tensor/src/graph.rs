@@ -62,7 +62,7 @@ enum Op {
     SoftmaxLast(Var),
     LogSoftmaxLast(Var),
     LayerNorm { x: Var, gamma: Var, beta: Var, stats: Option<(Tensor, Tensor)> },
-    Attention { q: Var, k: Var, v: Var, scale: f32 },
+    Attention { q: Var, k: Var, v: Var, heads: usize, scale: f32, probs: Option<Tensor> },
     SumAll(Var),
     MeanAll(Var),
     SumAxis { input: Var, axis: usize, keepdim: bool },
@@ -418,22 +418,60 @@ impl Graph {
         self.push(Op::LayerNorm { x, gamma, beta, stats }, value, needs)
     }
 
-    /// Fused scaled-dot-product attention: `softmax(scale * q kᵀ) v`.
+    /// Multi-head scaled-dot-product attention on unsplit projections (see
+    /// [`ops::attention`]) as **one** tape node: `q` is `[..., Tq, D]`, `k`
+    /// is `[..., Tk, D]`, `v` is `[..., Tk, Dv]`, `heads` divides `D` and
+    /// `Dv`; the result is the merged `[..., Tq, Dv]`.
     ///
-    /// `q` is `[..., Tq, D]`, `k` is `[..., Tk, D]`, `v` is `[..., Tk, Dv]`
-    /// with identical leading dimensions; the result is `[..., Tq, Dv]`.
-    /// Unlike composing [`Graph::matmul`], [`Graph::softmax_last`], and
-    /// [`Graph::matmul`], this records a single tape node and never
-    /// materializes the `[..., Tq, Tk]` score/probability tensors — forward
-    /// streams scores per query row and backward recomputes them.
+    /// The forward value is bit-identical to composing [`Graph::reshape`],
+    /// [`Graph::permute`], [`Graph::matmul`], [`Graph::scale`] and
+    /// [`Graph::softmax_last`], and so are the gradients: backward is the
+    /// composed rule on the probabilities, which the node keeps only when
+    /// some input needs grad.
     ///
     /// # Panics
     ///
     /// Panics on rank or dimension mismatches between `q`, `k`, and `v`.
-    pub fn attention(&mut self, q: Var, k: Var, v: Var, scale: f32) -> Var {
-        let value = ops::attention(self.value(q), self.value(k), self.value(v), scale);
+    pub fn attention(&mut self, q: Var, k: Var, v: Var, heads: usize, scale: f32) -> Var {
+        self.attention_node(q, k, v, heads, scale, false).0
+    }
+
+    /// [`Graph::attention`] that also hands out the probabilities
+    /// `[..., heads, Tq, Tk]`, as a constant (introspection reads them; no
+    /// gradient flows through the second handle).
+    pub fn attention_with_probs(
+        &mut self,
+        q: Var,
+        k: Var,
+        v: Var,
+        heads: usize,
+        scale: f32,
+    ) -> (Var, Var) {
+        let (ctx, probs) = self.attention_node(q, k, v, heads, scale, true);
+        (ctx, self.constant(probs.expect("asked for")))
+    }
+
+    /// Records the node; the probabilities exist for backward and for
+    /// whoever asks (`want_probs`), and are returned when they exist.
+    fn attention_node(
+        &mut self,
+        q: Var,
+        k: Var,
+        v: Var,
+        heads: usize,
+        scale: f32,
+        want_probs: bool,
+    ) -> (Var, Option<Tensor>) {
         let needs = self.needs(q) || self.needs(k) || self.needs(v);
-        self.push(Op::Attention { q, k, v, scale }, value, needs)
+        let (qv, kv, vv) = (self.value(q), self.value(k), self.value(v));
+        let (value, probs) = if needs || want_probs {
+            let (value, probs) = ops::attention_with_probs(qv, kv, vv, heads, scale);
+            (value, Some(probs))
+        } else {
+            (ops::attention(qv, kv, vv, heads, scale), None)
+        };
+        let node = Op::Attention { q, k, v, heads, scale, probs: probs.clone() };
+        (self.push(node, value, needs), probs)
     }
 
     // ---- reductions -------------------------------------------------------
@@ -705,11 +743,14 @@ impl Graph {
                 self.accumulate(grads, *gamma, dgamma);
                 self.accumulate(grads, *beta, dbeta);
             }
-            Op::Attention { q, k, v, scale } => {
+            Op::Attention { q, k, v, heads, scale, probs } => {
+                let probs = probs.as_ref().expect("a node that needs grad keeps its probabilities");
                 let (dq, dk, dv) = ops::attention_backward(
+                    probs,
                     self.value(*q),
                     self.value(*k),
                     self.value(*v),
+                    *heads,
                     *scale,
                     g,
                 );

@@ -96,41 +96,42 @@ pub fn binary_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> 
     }
     let out_shape = shape::broadcast(a.shape(), b.shape())
         .unwrap_or_else(|| panic!("shapes {:?} and {:?} do not broadcast", a.shape(), b.shape()));
-    // Walk both operands through their *view* strides (0 on broadcast dims),
-    // so strided views feed the kernel directly with no materialization.
-    let sa = shape::broadcast_view_strides(a.shape(), a.strides(), &out_shape);
-    let sb = shape::broadcast_view_strides(b.shape(), b.strides(), &out_shape);
     let n = shape::numel(&out_shape);
-    let rank = out_shape.len();
     let ad = a.raw_data();
     let bd = b.raw_data();
 
-    // Fast path: contiguous `a`, and `b` broadcasts along the last axis only
-    // (bias-add pattern).
-    let last = rank.saturating_sub(1);
-    let contiguous_tail = rank > 0
+    // Fast path: contiguous full-shaped `a`, and a contiguous `b` whose shape
+    // (leading 1s aside) is a suffix of the output's — a bias over the last
+    // axis, a position table over the last two or three. `b` then repeats
+    // block by block along `a`, so the op is a slice zip per block.
+    let b_dims = &b.shape()[b.shape().iter().take_while(|&&d| d == 1).count()..];
+    let block = b.numel();
+    if block > 0
         && a.shape() == out_shape.as_slice()
+        && out_shape.ends_with(b_dims)
         && a.is_contiguous()
-        && sb[..last].iter().all(|&s| s == 0)
-        && sb[last] == 1
         && b.is_contiguous()
-        && b.numel() == out_shape[last];
-    if contiguous_tail {
-        let d = out_shape[last];
+    {
         let a_flat = &ad[a.offset()..a.offset() + n];
-        let b_flat = &bd[b.offset()..b.offset() + d];
-        // Preallocated rows instead of per-element `push`: the zipped slice
-        // loop has no capacity checks, so it vectorizes. Every element is
-        // written, so recycled workspace contents are fine.
+        let b_flat = &bd[b.offset()..b.offset() + block];
+        // Preallocated blocks instead of per-element `push`: the zipped
+        // slice loop has no capacity checks, so it vectorizes. Every element
+        // is written, so recycled workspace contents are fine.
         let mut out = crate::workspace::take_uninit(n);
-        for (orow, arow) in out.chunks_exact_mut(d).zip(a_flat.chunks_exact(d)) {
-            for ((o, &x), &y) in orow.iter_mut().zip(arow).zip(b_flat) {
+        for (oblk, ablk) in out.chunks_exact_mut(block).zip(a_flat.chunks_exact(block)) {
+            for ((o, &x), &y) in oblk.iter_mut().zip(ablk).zip(b_flat) {
                 *o = f(x, y);
             }
         }
         return Tensor::from_vec(out, &out_shape);
     }
 
+    // Everything else walks both operands through their *view* strides (0 on
+    // broadcast dims), so strided views feed the kernel directly with no
+    // materialization.
+    let sa = shape::broadcast_view_strides(a.shape(), a.strides(), &out_shape);
+    let sb = shape::broadcast_view_strides(b.shape(), b.strides(), &out_shape);
+    let rank = out_shape.len();
     let mut out = crate::workspace::take_reserve(n);
     let mut ia = vec![0usize; rank];
     let mut offset_a = a.offset();

@@ -1,8 +1,8 @@
 //! Batched matrix multiplication: register-tiled, parallel, stride-aware.
 //!
 //! The kernel reads both operands through their `(strides, offset)` view
-//! metadata, so the transposed and permuted views produced by attention
-//! (`q @ kᵀ`, head split/merge) multiply directly with no materialization.
+//! metadata, so transposed and permuted views (a backward pass's `gᵀ`, a
+//! head split) multiply directly with no materialization.
 //! `B` is walked one 16-column tile at a time; each 4-row × 16-column output
 //! block accumulates in registers across the whole `k` loop and is stored
 //! once, so output rows are never re-read and each loaded `B` cache line
@@ -10,17 +10,20 @@
 //!
 //! - `B` with unit column stride (row-major matrices, head-split views) is
 //!   read in place.
-//! - Any other layout (a `transpose_last2` view is the common one) has each
-//!   tile gathered through its strides into a `[k][16]` scratch tile first.
-//! - Columns past the last full tile are per-element dot products.
+//! - Any other layout (a `transpose_last2` view is the common one) is
+//!   gathered through its strides into `[k][32]` scratch tiles first.
+//! - Columns past the last full 16 are per-element dot products.
 //!
 //! On a CPU with AVX-512F (detected at run time; the build baseline stays
-//! `x86-64-v3`) the same three cases run through the explicit 8-row ×
-//! 32-column `zmm` micro-kernel in [`avx512`] instead: `B` in place or
-//! gathered into a `[k][32]` tile, and the last vector of a row loaded and
-//! stored under a lane mask, so there is no scalar column tail. The safe
+//! `x86-64-v3`) the same cases run through the explicit 8-row × 32-column
+//! `zmm` micro-kernel in [`avx512`] instead, the last vector of a row loaded
+//! and stored under a lane mask, so there is no scalar column tail. The safe
 //! [`tile_rows`] is the only path elsewhere and the parity reference
 //! (`tests/avx512_parity.rs`). [`f32_kernel`] names the one in use.
+//!
+//! [`mul_cols`] is that choice as one call — output columns against a
+//! unit-column-stride `B` — and what [`super::attention`] runs its `q·kᵀ` and
+//! `p·v` tiles through, with [`transpose_tile`] building the `kᵀ` tiles.
 //!
 //! [`linear`] runs the same kernels and then an epilogue — bias, activation
 //! and residual applied in place to the rows a worker has just written — so
@@ -57,6 +60,7 @@
 //! parallelism, and tiny problems stay on the calling thread.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::Arc;
 
 use super::elementwise::gelu_scalar;
@@ -69,6 +73,10 @@ use crate::Tensor;
 /// is exactly one cache line of each `B` row, and a 4×16 accumulator block
 /// fits the architectural vector registers with room for the operands.
 const J_TILE: usize = 16;
+
+/// Width of a gathered or transposed `B` tile, `[k][NC]`: the AVX-512
+/// kernel's column block (two `zmm` vectors) and two of the portable one's.
+pub(super) const NC: usize = 32;
 
 /// Below this many scalar multiply-adds, pool dispatch overhead exceeds the
 /// kernel time and the multiply runs on the calling thread.
@@ -129,7 +137,7 @@ thread_local! {
 /// True when [`gemm`] calls dispatched from this thread run the tiled path
 /// through the AVX-512 micro-kernel: the CPU has AVX-512F (one cached probe,
 /// always false off x86-64) and [`with_forced_portable`] is not in effect.
-fn use_avx512() -> bool {
+pub(super) fn use_avx512() -> bool {
     crate::cpu::features().avx512f && !FORCE_PORTABLE.with(Cell::get)
 }
 
@@ -706,19 +714,44 @@ fn batch_offset(batch: &[usize], strides: &[usize], mut bi: usize) -> usize {
     off
 }
 
-/// Register-tiled kernel over any `B` layout. Full [`J_TILE`]-column tiles
-/// go through [`tile_rows`]: read in place when `B` has unit column stride
-/// (row-major matrices, head-split views), otherwise — a `transpose_last2`
-/// view, `q @ kᵀ`, is the common case — gathered through `B`'s strides into
-/// a `[k][J_TILE]` scratch tile first, the way [`pack_b`] does, at
-/// `k`·[`J_TILE`] copies against `rows`·`k`·[`J_TILE`] multiply-adds. The
-/// narrow column tail is plain per-element dot products. With `ctx.avx512`
-/// set the same two `B` cases go through [`avx512::mul_cols`] — in place, or
-/// gathered into a `[k][`[`avx512::NC`]`]` tile — and its lane mask covers
-/// the tail. Every output element is one accumulator fused-multiply-added
-/// from zero in ascending `kk` order whatever the kernel, tiling or layout,
-/// so chunk boundaries (and hence pool sizes) cannot change a single bit of
-/// the result.
+/// A matrix read through strides: element `(i, j)` is
+/// `data[base + i * rs + j * cs]`.
+#[derive(Clone, Copy)]
+pub(super) struct Mat<'a> {
+    pub(super) data: &'a [f32],
+    pub(super) base: usize,
+    pub(super) rs: usize,
+    pub(super) cs: usize,
+}
+
+/// How many independent products one [`mul_cols`] call runs, and how far
+/// apart they sit: product `g` reads `a` and `b` from `g * a_step` and
+/// `g * b_step` elements further on and writes `g * o_step` elements further
+/// into the output — the heads of an attention tile, whose operands are
+/// column groups of one buffer. The kernels' fixed cost per call (extent
+/// checks, the dispatch) is then paid once for all of them.
+#[derive(Clone, Copy)]
+pub(super) struct Groups {
+    pub(super) count: usize,
+    pub(super) o_step: usize,
+    pub(super) a_step: usize,
+    pub(super) b_step: usize,
+}
+
+impl Groups {
+    /// One product, where the operands say.
+    pub(super) const ONE: Groups = Groups { count: 1, o_step: 0, a_step: 0, b_step: 0 };
+}
+
+/// Register-tiled kernel over any `B` layout, through [`mul_cols`]: `B` with
+/// unit column stride (row-major matrices, head-split views) is read in
+/// place; any other layout — a `transpose_last2` view is the common case —
+/// has each [`NC`]-column tile gathered through `B`'s strides into a
+/// `[k][NC]` scratch tile first, the way [`pack_b`] does, at `k`·[`NC`]
+/// copies against `rows`·`k`·[`NC`] multiply-adds. Every output element is
+/// one accumulator fused-multiply-added from zero in ascending `kk` order
+/// whatever the kernel, tiling or layout, so chunk boundaries (and hence
+/// pool sizes) cannot change a single bit of the result.
 fn tiled_kernel(
     o: &mut [f32],
     a_base: usize,
@@ -727,80 +760,125 @@ fn tiled_kernel(
     rows: usize,
     ctx: &KernelCtx,
 ) {
-    let KernelCtx { n, k, ars, acs, brs, bcs, .. } = *ctx;
-    let (ad, bd): (&[f32], &[f32]) = (&ctx.ad, &ctx.bd);
-    let a0 = a_base + i0 * ars;
-    #[cfg(target_arch = "x86_64")]
-    if ctx.avx512 {
-        let a = avx512::Mat { data: ad, base: a0, rs: ars, cs: acs };
-        if bcs == 1 {
-            let b = avx512::Mat { data: bd, base: b_base, rs: brs, cs: 1 };
-            avx512::mul_cols(o, n, 0..n, a, b, rows, k);
-        } else {
-            // Every slot a block reads is written by its gather first.
-            let mut tile = Scratch::uninit(k * avx512::NC);
-            for jt in (0..n).step_by(avx512::NC) {
-                let w = avx512::NC.min(n - jt);
-                for (kk, trow) in tile.chunks_exact_mut(avx512::NC).enumerate() {
-                    let src = b_base + kk * brs + jt * bcs;
-                    for (j, slot) in trow[..w].iter_mut().enumerate() {
-                        *slot = bd[src + j * bcs];
-                    }
-                }
-                let b = avx512::Mat { data: &tile, base: 0, rs: avx512::NC, cs: 1 };
-                avx512::mul_cols(o, n, jt..jt + w, a, b, rows, k);
+    let KernelCtx { n, k, ars, acs, brs, bcs, avx512, .. } = *ctx;
+    let bd: &[f32] = &ctx.bd;
+    let a = Mat { data: &ctx.ad, base: a_base + i0 * ars, rs: ars, cs: acs };
+    if bcs == 1 {
+        let b = Mat { data: bd, base: b_base, rs: brs, cs: 1 };
+        return mul_cols(avx512, o, n, 0..n, a, b, rows, k, Groups::ONE);
+    }
+    // Every slot a tile's product reads is written by its gather first.
+    let mut tile = Scratch::uninit(k * NC);
+    for jt in (0..n).step_by(NC) {
+        let w = NC.min(n - jt);
+        for (kk, trow) in tile.chunks_exact_mut(NC).enumerate() {
+            let src = b_base + kk * brs + jt * bcs;
+            for (j, slot) in trow[..w].iter_mut().enumerate() {
+                *slot = bd[src + j * bcs];
             }
         }
-        return;
+        let b = Mat { data: &tile, base: 0, rs: NC, cs: 1 };
+        mul_cols(avx512, o, n, jt..jt + w, a, b, rows, k, Groups::ONE);
+    }
+}
+
+/// `o[r * n + j] = Σₖ a[r, kk] · b[kk, j − cols.start]` for `r < rows`,
+/// `j ∈ cols`: output columns `cols` of `rows` rows of width `n`, `b` holding
+/// those columns from its column 0 with unit column stride — once per
+/// product of `groups`, each at its offsets. With `avx512`
+/// (only ever [`use_avx512`]'s answer) the columns go through
+/// [`avx512::mul_cols`], whose lane mask covers a ragged last vector;
+/// otherwise full [`J_TILE`]-column tiles go through [`tile_rows`] and the
+/// narrow column tail is plain per-element dot products. Either way each
+/// element is one accumulator fused-multiply-added from zero in ascending
+/// `kk` — the chain the module docs promise.
+///
+/// # Panics
+///
+/// Panics if `b.cs != 1` or an operand's extent reaches past its slice.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn mul_cols(
+    avx512: bool,
+    o: &mut [f32],
+    n: usize,
+    cols: Range<usize>,
+    a: Mat,
+    b: Mat,
+    rows: usize,
+    k: usize,
+    groups: Groups,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512 {
+        return avx512::mul_cols(o, n, cols, a, b, rows, k, groups);
     }
     #[cfg(not(target_arch = "x86_64"))]
-    debug_assert!(!ctx.avx512, "the AVX-512 kernel exists on x86-64 only");
-    let full = n - n % J_TILE;
-    if bcs == 1 {
+    debug_assert!(!avx512, "the AVX-512 kernel exists on x86-64 only");
+    assert_eq!(b.cs, 1, "the tile kernels want unit-stride B columns");
+    let full = cols.len() - cols.len() % J_TILE;
+    for g in 0..groups.count {
+        let o = &mut o[g * groups.o_step..];
+        let a = Mat { base: a.base + g * groups.a_step, ..a };
+        let b0 = b.base + g * groups.b_step;
         for jt in (0..full).step_by(J_TILE) {
-            tile_rows(o, jt, a0, rows, &bd[b_base + jt..], brs, ctx);
+            tile_rows(o, n, cols.start + jt, a, &b.data[b0 + jt..], b.rs, rows, k);
         }
-    } else if full > 0 {
-        // Every slot is written by the gather before `tile_rows` reads it.
-        let mut tile = Scratch::uninit(k * J_TILE);
-        for jt in (0..full).step_by(J_TILE) {
-            for (kk, trow) in tile.chunks_exact_mut(J_TILE).enumerate() {
-                let src = b_base + kk * brs + jt * bcs;
-                for (j, slot) in trow.iter_mut().enumerate() {
-                    *slot = bd[src + j * bcs];
+        for row in 0..rows {
+            for j in full..cols.len() {
+                let mut s = 0.0f32;
+                for kk in 0..k {
+                    s = a.data[a.base + row * a.rs + kk * a.cs]
+                        .mul_add(b.data[b0 + kk * b.rs + j], s);
                 }
+                o[row * n + cols.start + j] = s;
             }
-            tile_rows(o, jt, a0, rows, &tile, J_TILE, ctx);
-        }
-    }
-    for row in 0..rows {
-        for j in full..n {
-            let mut s = 0.0f32;
-            for kk in 0..k {
-                s = ad[a0 + row * ars + kk * acs].mul_add(bd[b_base + kk * brs + j * bcs], s);
-            }
-            o[row * n + j] = s;
         }
     }
 }
 
-/// Output columns `[jt, jt + J_TILE)` of `rows` rows against one `B` tile
-/// whose row `kk` is the [`J_TILE`] floats at `bt[kk * bts..]`. Each 4-row ×
-/// [`J_TILE`]-column block accumulates in a stack array across the whole
-/// `k` loop and is stored exactly once, so output rows are never re-read
-/// and each loaded `B` cache line feeds four accumulator rows — eight
-/// independent vector FMA chains, which is what covers the FMA latency.
+/// Transposes `w ≤ `[`NC`] rows of `cols` unit-stride elements into a
+/// `[cols][NC]` tile — `tile[d * NC + j] = src[j, d]` — which is the layout
+/// [`mul_cols`] wants of a `B` that arrives as rows (`kᵀ` from `k`). Slots
+/// `j ≥ w` of a tile row are left as they were or zeroed.
+///
+/// # Panics
+///
+/// Panics if `src.cs != 1`, `w > NC`, or an extent reaches past its slice.
+pub(super) fn transpose_tile(avx512: bool, tile: &mut [f32], src: Mat, w: usize, cols: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512 {
+        return avx512::transpose_tile(tile, src, w, cols);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    debug_assert!(!avx512, "the AVX-512 kernel exists on x86-64 only");
+    assert!(src.cs == 1 && w <= NC, "transpose_tile wants at most {NC} unit-stride rows");
+    for j in 0..w {
+        let row = &src.data[src.base + j * src.rs..][..cols];
+        for (d, &x) in row.iter().enumerate() {
+            tile[d * NC + j] = x;
+        }
+    }
+}
+
+/// Output columns `[jt, jt + J_TILE)` of `rows` rows of width `n` against
+/// one `B` tile whose row `kk` is the [`J_TILE`] floats at `bt[kk * bts..]`.
+/// Each 4-row × [`J_TILE`]-column block accumulates in a stack array across
+/// the whole `k` loop and is stored exactly once, so output rows are never
+/// re-read and each loaded `B` cache line feeds four accumulator rows —
+/// eight independent vector FMA chains, which is what covers the FMA
+/// latency.
+#[allow(clippy::too_many_arguments)]
 fn tile_rows(
     o: &mut [f32],
+    n: usize,
     jt: usize,
-    a0: usize,
-    rows: usize,
+    a: Mat,
     bt: &[f32],
     bts: usize,
-    ctx: &KernelCtx,
+    rows: usize,
+    k: usize,
 ) {
-    let KernelCtx { n, k, ars, acs, .. } = *ctx;
-    let ad: &[f32] = &ctx.ad;
+    let Mat { data: ad, base: a0, rs: ars, cs: acs } = a;
     let mut row = 0;
     while row + 4 <= rows {
         let mut acc = [[0.0f32; J_TILE]; 4];
@@ -833,7 +911,7 @@ fn tile_rows(
     }
 }
 
-/// The explicit AVX-512F micro-kernel behind [`tiled_kernel`]: the crate's
+/// The explicit AVX-512F micro-kernel behind [`mul_cols`]: the crate's
 /// second `#[allow(unsafe_code)]` island after `quant::simd`, built the same
 /// way — raw loads and stores inside, every extent checked by the one safe
 /// entry, and a safe reference ([`tile_rows`]) asserted bit-identical by
@@ -860,19 +938,28 @@ fn tile_rows(
 ///
 /// # Safety contract
 ///
-/// [`mul_cols`] is the only entry and is safe for any arguments: before its
-/// one `unsafe` call it asserts that `rows·n` output elements lie inside
-/// `o`, that the largest `A` index `(rows−1, k−1)` and the largest `B` index
-/// `(k−1, width−1)` (computed with overflow checks) lie inside their slices,
-/// and that the CPU has AVX-512F. The kernel dereferences exactly
+/// [`mul_cols`](avx512::mul_cols) is safe for any arguments: before its
+/// `unsafe` block it asserts that the last output element `(rows−1,
+/// cols.end−1)`, the largest `A` index `(rows−1, k−1)` and the largest `B`
+/// index `(k−1, width−1)` — each at the last group's offset, computed with
+/// overflow checks — lie inside their slices, and that the CPU has
+/// AVX-512F. The kernel dereferences exactly
 /// the addresses those extents cover: the vector holding a block's last
 /// columns is loaded and stored under a `__mmask16`, and AVX-512 masked
 /// loads and stores do not access (or fault on) masked-off lanes.
+///
+/// [`transpose_tile`](avx512::transpose_tile), the other entry, moves data
+/// without arithmetic (so it has no bits to keep) and is built the same way:
+/// source extent, tile length and the CPU feature asserted first, ragged
+/// source columns loaded under a mask, and its safe reference is the scalar
+/// loop in [`transpose_tile`].
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx512 {
     use std::arch::x86_64::*;
     use std::ops::Range;
+
+    use super::{Groups, Mat, NC};
 
     /// Rows per register block: 8 rows × 2 vectors is 16 of the 32 `zmm`
     /// registers in accumulators — 16 independent FMA chains, enough to
@@ -881,19 +968,9 @@ mod avx512 {
     const MR: usize = 8;
     /// `f32` lanes per `zmm` vector.
     const LANES: usize = 16;
-    /// Columns per register block: two vectors, i.e. two cache lines of
-    /// each `B` row.
-    pub(super) const NC: usize = 2 * LANES;
-
-    /// A matrix read through strides: element `(i, j)` is
-    /// `data[base + i * rs + j * cs]`.
-    #[derive(Clone, Copy)]
-    pub(super) struct Mat<'a> {
-        pub(super) data: &'a [f32],
-        pub(super) base: usize,
-        pub(super) rs: usize,
-        pub(super) cs: usize,
-    }
+    // Columns per register block: two vectors, i.e. two cache lines of
+    // each `B` row.
+    const _: () = assert!(NC == 2 * LANES);
 
     impl Mat<'_> {
         /// True when element `(rows − 1, cols − 1)` — the largest index of
@@ -911,7 +988,8 @@ mod avx512 {
 
     /// `o[r * n + j] = Σₖ a[r, kk] · b[kk, j − cols.start]` for `r < rows`,
     /// `j ∈ cols`: output columns `cols` of `rows` rows of width `n`, `b`
-    /// holding those columns from its column 0 with unit column stride.
+    /// holding those columns from its column 0 with unit column stride —
+    /// for each product of `groups`, at its offsets into the three slices.
     ///
     /// # Panics
     ///
@@ -919,6 +997,7 @@ mod avx512 {
     /// AVX-512F, `k == 0`, `b.cs != 1`, `cols` reaches past `n`, or an
     /// operand's extent reaches past its slice (the module's safety
     /// contract).
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn mul_cols(
         o: &mut [f32],
         n: usize,
@@ -927,18 +1006,33 @@ mod avx512 {
         b: Mat,
         rows: usize,
         k: usize,
+        groups: Groups,
     ) {
-        if rows == 0 || cols.is_empty() {
+        if rows == 0 || cols.is_empty() || groups.count == 0 {
             return;
         }
         assert!(k > 0 && b.cs == 1, "avx512 kernel wants k > 0 and unit-stride B columns");
+        // Offsets only grow with the group index, so the last group's
+        // extents bound every group's.
+        let last = groups.count - 1;
+        fn at<'a>(m: Mat<'a>, group: usize, step: usize) -> Option<Mat<'a>> {
+            let base = m.base.checked_add(group.checked_mul(step)?)?;
+            Some(Mat { base, ..m })
+        }
+        let o_end = (|| {
+            let rows_before = (rows - 1).checked_mul(n)?;
+            last.checked_mul(groups.o_step)?.checked_add(rows_before)?.checked_add(cols.end)
+        })();
         assert!(
-            cols.end <= n && rows.checked_mul(n).is_some_and(|len| len <= o.len()),
+            cols.end <= n && o_end.is_some_and(|end| end <= o.len()),
             "avx512 kernel: {rows} rows of width {n} (columns {cols:?}) exceed the output slice"
         );
-        assert!(a.holds(rows, k), "avx512 kernel: A[{rows}, {k}] reaches past its slice");
         assert!(
-            b.holds(k, cols.len()),
+            at(a, last, groups.a_step).is_some_and(|a| a.holds(rows, k)),
+            "avx512 kernel: A[{rows}, {k}] reaches past its slice"
+        );
+        assert!(
+            at(b, last, groups.b_step).is_some_and(|b| b.holds(k, cols.len())),
             "avx512 kernel: B[{k}, {}] reaches past its slice",
             cols.len()
         );
@@ -953,13 +1047,117 @@ mod avx512 {
             n,
             k,
         };
-        // SAFETY: AVX-512F is present (last assert). `blocks` reads
-        // `a[r·ars + kk·acs]` and `b[kk·brs + j]` and writes `o[r·n + j]`
-        // for `r < rows`, `kk < k`, `j < cols.len()` only; the asserts above
-        // put the largest of each inside its slice, strides are unsigned so
-        // every other index is smaller, and `o` is borrowed mutably so
-        // nothing aliases the writes.
-        unsafe { blocks(p, rows, cols.len()) }
+        for g in 0..groups.count {
+            // SAFETY: AVX-512F is present (last assert). For group `g`,
+            // `blocks` reads `a[g·a_step + r·ars + kk·acs]` and
+            // `b[g·b_step + kk·brs + j]` and writes `o[g·o_step + r·n + j]`
+            // for `r < rows`, `kk < k`, `j < cols.len()` only; the asserts
+            // above put the largest of each, at the last group, inside its
+            // slice, steps and strides are unsigned so every other index is
+            // smaller, and `o` is borrowed mutably so nothing outside this
+            // call aliases the writes.
+            unsafe {
+                let pg = Ptrs {
+                    a: p.a.add(g * groups.a_step),
+                    b: p.b.add(g * groups.b_step),
+                    o: p.o.add(g * groups.o_step),
+                    ..p
+                };
+                blocks(pg, rows, cols.len());
+            }
+        }
+    }
+
+    /// `tile[d * NC + j] = src[j, d]` for `j < w`, `d < cols`: `w` rows of
+    /// `cols` unit-stride elements transposed into a `[cols][NC]` tile,
+    /// four rows at a time in registers. Slots `w..` of a tile row up to the
+    /// next multiple of four are zeroed, the rest left alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics — before reading or writing anything — if the CPU lacks
+    /// AVX-512F, `src.cs != 1`, `w > NC`, `src[w, cols]` reaches past its
+    /// slice or `tile` is shorter than `cols * NC` (the module's safety
+    /// contract).
+    pub(super) fn transpose_tile(tile: &mut [f32], src: Mat, w: usize, cols: usize) {
+        if w == 0 || cols == 0 {
+            return;
+        }
+        assert!(src.cs == 1 && w <= NC, "avx512 transpose wants at most {NC} unit-stride rows");
+        assert!(src.holds(w, cols), "avx512 transpose: src[{w}, {cols}] reaches past its slice");
+        assert!(
+            cols.checked_mul(NC).is_some_and(|len| len <= tile.len()),
+            "avx512 transpose: {cols} tile rows exceed the tile slice"
+        );
+        assert!(crate::cpu::features().avx512f, "avx512 kernel selected without AVX-512F");
+        // SAFETY: AVX-512F is present (last assert). `transpose` reads
+        // `src[j * rs + d]` for `j < w`, `d < cols` only — the assert above
+        // puts the largest of them inside the slice — and writes
+        // `tile[d * NC + j]` for `d < cols`, `j <` `w` rounded up to a
+        // multiple of four, which is at most `NC` because `NC` is one, so
+        // every write is below `cols * NC <= tile.len()`; `tile` is borrowed
+        // mutably so nothing aliases the writes.
+        unsafe { transpose(src.data[src.base..].as_ptr(), src.rs, w, cols, tile.as_mut_ptr()) }
+    }
+
+    /// Four source rows at a time: two rounds of in-lane unpacks turn four
+    /// 16-element row pieces into four vectors whose 128-bit lane `l` holds
+    /// source column `4l + i` of the four rows — one tile row's four
+    /// adjacent slots, stored with one 128-bit store. Rows past `w` enter
+    /// as zeros; columns past `cols` are masked off the loads and their
+    /// stores skipped.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F. For every `j < w`, `d < cols`, `src.add(j * rs +
+    /// d)` must be readable, and `tile.add(d * NC + j)` writable for every
+    /// `d < cols` and `j < w.next_multiple_of(4)`; nothing else is
+    /// dereferenced.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transpose(src: *const f32, rs: usize, w: usize, cols: usize, tile: *mut f32) {
+        for jb in (0..w).step_by(4) {
+            for db in (0..cols).step_by(LANES) {
+                let cw = LANES.min(cols - db);
+                let mask: __mmask16 = u16::MAX >> (LANES - cw);
+                let mut r = [_mm512_setzero_ps(); 4];
+                for (i, row) in r.iter_mut().enumerate().take(w - jb) {
+                    // SAFETY: row `jb + i < w`; lane `l` of this load is
+                    // `src[jb + i, db + l]`, enabled only for `db + l < cols`.
+                    *row = unsafe { _mm512_maskz_loadu_ps(mask, src.add((jb + i) * rs + db)) };
+                }
+                // Per 128-bit lane: `ab_lo = r0[0] r1[0] r0[1] r1[1]`, …
+                let ab_lo = _mm512_castps_pd(_mm512_unpacklo_ps(r[0], r[1]));
+                let ab_hi = _mm512_castps_pd(_mm512_unpackhi_ps(r[0], r[1]));
+                let cd_lo = _mm512_castps_pd(_mm512_unpacklo_ps(r[2], r[3]));
+                let cd_hi = _mm512_castps_pd(_mm512_unpackhi_ps(r[2], r[3]));
+                // … then `t[i]` lane `l` = `r0[4l+i] r1[4l+i] r2[4l+i] r3[4l+i]`.
+                let t = [
+                    _mm512_castpd_ps(_mm512_unpacklo_pd(ab_lo, cd_lo)),
+                    _mm512_castpd_ps(_mm512_unpackhi_pd(ab_lo, cd_lo)),
+                    _mm512_castpd_ps(_mm512_unpacklo_pd(ab_hi, cd_hi)),
+                    _mm512_castpd_ps(_mm512_unpackhi_pd(ab_hi, cd_hi)),
+                ];
+                macro_rules! store_lane {
+                    ($($l:literal)*) => {$(
+                        for (i, &v) in t.iter().enumerate() {
+                            let d = 4 * $l + i;
+                            if d < cw {
+                                // SAFETY: tile row `db + d < cols`, slots
+                                // `jb..jb + 4` with `jb` a multiple of four
+                                // below `w`.
+                                unsafe {
+                                    _mm_storeu_ps(
+                                        tile.add((db + d) * NC + jb),
+                                        _mm512_extractf32x4_ps::<$l>(v),
+                                    );
+                                }
+                            }
+                        }
+                    )*};
+                }
+                store_lane!(0 1 2 3);
+            }
+        }
     }
 
     /// What [`kern`] works from: the first element of its `A` rows, of its
@@ -1193,9 +1391,9 @@ mod tests {
         let (rows, k, n) = (9, 20, 35);
         let (a, b) = (vec![1.0; rows * k - short[0]], vec![1.0; k * n - short[1]]);
         let mut o = vec![0.0; rows * n - short[2]];
-        let a = avx512::Mat { data: &a, base: 0, rs: k, cs: 1 };
-        let b = avx512::Mat { data: &b, base: 0, rs: n, cs: 1 };
-        avx512::mul_cols(&mut o, n, 0..n, a, b, rows, k);
+        let a = Mat { data: &a, base: 0, rs: k, cs: 1 };
+        let b = Mat { data: &b, base: 0, rs: n, cs: 1 };
+        avx512::mul_cols(&mut o, n, 0..n, a, b, rows, k, Groups::ONE);
         assert!(o.iter().all(|&v| v == k as f32));
     }
 
@@ -1228,6 +1426,51 @@ mod tests {
     fn avx512_entry_accepts_exact_buffers() {
         if crate::cpu::features().avx512f {
             mul_cols_with_short_buffers([0, 0, 0]);
+        }
+    }
+
+    /// Two 2×3 by 3×4 products side by side in one `[2, 8]` output, the
+    /// second `A`, `B` and output block `steps` further on: exact buffers
+    /// for steps of `[6, 12, 4]`.
+    #[cfg(target_arch = "x86_64")]
+    fn grouped_mul_cols(steps: [usize; 3]) {
+        let (a, b) = (vec![1.0; 12], vec![1.0; 24]);
+        let mut o = vec![0.0; 16];
+        let a = Mat { data: &a, base: 0, rs: 3, cs: 1 };
+        let b = Mat { data: &b, base: 0, rs: 4, cs: 1 };
+        let groups = Groups { count: 2, a_step: steps[0], b_step: steps[1], o_step: steps[2] };
+        avx512::mul_cols(&mut o, 8, 0..4, a, b, 2, 3, groups);
+        assert!(o.iter().all(|&v| v == 3.0));
+    }
+
+    // The group offsets enter the same three extent asserts: a last group
+    // one element past a slice must panic before anything is touched.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[should_panic(expected = "A[2, 3] reaches past its slice")]
+    fn avx512_entry_rejects_a_group_past_a() {
+        grouped_mul_cols([7, 12, 4]);
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[should_panic(expected = "B[3, 4] reaches past its slice")]
+    fn avx512_entry_rejects_a_group_past_b() {
+        grouped_mul_cols([6, 13, 4]);
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[should_panic(expected = "exceed the output slice")]
+    fn avx512_entry_rejects_a_group_past_the_output() {
+        grouped_mul_cols([6, 12, 5]);
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx512_entry_accepts_exact_grouped_buffers() {
+        if crate::cpu::features().avx512f {
+            grouped_mul_cols([6, 12, 4]);
         }
     }
 

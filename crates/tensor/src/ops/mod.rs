@@ -14,7 +14,7 @@ mod norm;
 mod reduce;
 mod shapeops;
 
-pub use attention::{attention, attention_backward};
+pub use attention::{attention, attention_backward, attention_with_probs};
 pub use conv::{
     avg_pool2d, avg_pool2d_backward, col2im, conv2d, im2col, max_pool2d, max_pool2d_backward,
     pad2d, Conv2dSpec,

@@ -14,24 +14,37 @@ use crate::Tensor;
 /// one exp per element, so pool dispatch pays off only on large batches.
 const ROWWISE_SERIAL_BELOW: usize = 1 << 14;
 
-/// Maximum of a row via four independent lanes. `f32::max` is associative
-/// and commutative, so the lane split cannot change the result; it just
-/// breaks the serial dependency chain.
+/// The larger of `x` and `m`, `m` when `x` is NaN: an ordered compare and
+/// a select, which is exactly one `vmaxps` (`f32::max` costs three
+/// instructions to also cover a NaN in `m`, which a running maximum started
+/// at −∞ never holds).
 #[inline]
-pub(super) fn max4(xs: &[f32]) -> f32 {
-    let c = xs.chunks_exact(4);
-    let mut m = [f32::NEG_INFINITY; 4];
-    let mut tail = f32::NEG_INFINITY;
-    for &x in c.remainder() {
-        tail = tail.max(x);
+fn keep_max(x: f32, m: f32) -> f32 {
+    if x > m {
+        x
+    } else {
+        m
     }
-    for x in c {
-        m[0] = m[0].max(x[0]);
-        m[1] = m[1].max(x[1]);
-        m[2] = m[2].max(x[2]);
-        m[3] = m[3].max(x[3]);
+}
+
+/// Maximum of a row, NaNs ignored (−∞ for an empty or all-NaN row), via
+/// eight independent lanes — one AVX2 vector — folded one after the other
+/// at the end (a pairwise fold makes the vectorizer pair the lanes up in the
+/// loop too, at a quarter of the width). A maximum does not depend on the
+/// order it is taken in, so the lane split cannot change it; which zero a
+/// row of mixed `±0` maxima yields is unspecified, and both softmaxes give
+/// the same bits for either (`x − m` differs only where `x` is itself a
+/// zero, and `exp(±0)` is 1).
+#[inline]
+pub(super) fn row_max(xs: &[f32]) -> f32 {
+    let (chunks, tail) = xs.as_chunks::<8>();
+    let mut lanes = [f32::NEG_INFINITY; 8];
+    for c in chunks {
+        for (m, &x) in lanes.iter_mut().zip(c) {
+            *m = keep_max(x, *m);
+        }
     }
-    m[0].max(m[1]).max(m[2].max(m[3])).max(tail)
+    tail.iter().chain(&lanes).fold(f32::NEG_INFINITY, |m, &x| keep_max(x, m))
 }
 
 /// Sum of `f(x)` over a row via eight independent accumulator lanes — one
@@ -214,17 +227,24 @@ pub fn argmax_last(a: &Tensor) -> Tensor {
     Tensor::from_vec(out, &a.shape()[..a.rank() - 1])
 }
 
-/// Softmax of packed rows: `out` and `src` hold the same whole rows of
-/// width `d`. Three passes over the whole buffer instead of three per row:
-/// attention rows are short (17 wide in the model), and a per-row exp loop
-/// would spend its time in the scalar remainder; the flat pass runs
-/// [`fastmath::exp`] at full vector width whatever `d` is. Each element is
-/// still a function of its own row only.
-fn softmax_rows(src: &[f32], out: &mut [f32], d: usize) {
-    for (row, orow) in src.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
-        let m = max4(row);
-        for (o, &x) in orow.iter_mut().zip(row) {
-            *o = x - m;
+/// Softmax of packed rows of `scale · src`: `out` and `src` hold the same
+/// whole rows of width `d`. Flat passes over the whole buffer wherever a
+/// step has no per-row operand — the scaling and the exponentials — instead
+/// of one loop per row: attention rows are short (17 wide in the model), and
+/// a per-row loop would spend its time in the scalar remainder; the flat
+/// passes run at full vector width whatever `d` is. Each element is still a
+/// function of its own row only: `x·scale` rounded, minus the row maximum
+/// rounded, [`fastmath::exp`], divided by the row's [`lane_sum`] — with
+/// `scale` 1 (an exact multiply) the plain softmax, and with attention's
+/// `1/√dh` what [`super::scale`] followed by the plain softmax computes.
+pub(super) fn softmax_rows(src: &[f32], out: &mut [f32], d: usize, scale: f32) {
+    for (o, &x) in out.iter_mut().zip(src) {
+        *o = x * scale;
+    }
+    for orow in out.chunks_exact_mut(d) {
+        let m = row_max(orow);
+        for o in orow.iter_mut() {
+            *o -= m;
         }
     }
     for o in out.iter_mut() {
@@ -241,7 +261,7 @@ fn softmax_rows(src: &[f32], out: &mut [f32], d: usize) {
 /// Log-softmax of packed rows (layout as in [`softmax_rows`]).
 fn log_softmax_rows(src: &[f32], out: &mut [f32], d: usize) {
     for (row, orow) in src.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
-        let m = max4(row);
+        let m = row_max(row);
         // Stage the exponentials in `orow` so the exp pass is dependency-free
         // and vectorizes; the lane-accumulated sum then reads them back.
         for (o, &x) in orow.iter_mut().zip(row) {
@@ -285,7 +305,7 @@ fn rowwise(a: &Tensor, d: usize, kernel: fn(&[f32], &mut [f32], usize)) -> Tenso
 /// Numerically-stable softmax over the last dimension.
 pub fn softmax_last(a: &Tensor) -> Tensor {
     let d = *a.shape().last().expect("softmax_last requires rank >= 1");
-    rowwise(a, d, softmax_rows)
+    rowwise(a, d, |src, out, d| softmax_rows(src, out, d, 1.0))
 }
 
 /// Numerically-stable log-softmax over the last dimension.

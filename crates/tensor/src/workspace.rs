@@ -332,11 +332,6 @@ pub(crate) struct Scratch {
 }
 
 impl Scratch {
-    /// Scratch of `n` zeros.
-    pub(crate) fn zeroed(n: usize) -> Self {
-        Scratch { data: take_zeroed(n) }
-    }
-
     /// Scratch of length `n` with arbitrary initialized contents; see
     /// [`take_uninit`] for the overwrite-before-read obligation.
     pub(crate) fn uninit(n: usize) -> Self {
@@ -421,7 +416,7 @@ mod tests {
     fn scratch_guard_returns_on_drop() {
         with_mode(true, || {
             let p = {
-                let s = Scratch::zeroed(4096);
+                let s = Scratch::uninit(4096);
                 s.as_ptr()
             };
             let v = take_zeroed(4096);

@@ -85,7 +85,7 @@ fn metrics_on_off_results_are_bit_identical() {
     for threads in [1, 4] {
         assert_parity(threads, || ops::matmul(&a, &b));
         assert_parity(threads, || ops::sum_axis(&a, 1, false));
-        assert_parity(threads, || ops::attention(&q, &q, &q, 0.35));
+        assert_parity(threads, || ops::attention(&q, &q, &q, 1, 0.35));
         assert_parity(threads, || ops::softmax_last(&b));
     }
 }

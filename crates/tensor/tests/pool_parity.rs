@@ -139,7 +139,7 @@ fn attention_forward_is_bit_identical_across_pool_sizes() {
     let q = input(&[2, 2, 6, 4], 0.13);
     let k = input(&[2, 2, 5, 4], 0.17);
     let v = input(&[2, 2, 5, 3], 0.19);
-    assert_thread_parity("attention", || ops::attention(&q, &k, &v, 0.5));
+    assert_thread_parity("attention", || ops::attention(&q, &k, &v, 1, 0.5));
 }
 
 #[test]
@@ -149,13 +149,40 @@ fn attention_backward_is_bit_identical_across_pool_sizes() {
     let v = input(&[3, 5, 3], 0.19);
     let g = input(&[3, 4, 3], 0.23);
     assert_thread_parity("attention_backward.dq", || {
-        ops::attention_backward(&q, &k, &v, 0.5, &g).0
+        ops::attention_backward(
+            &ops::attention_with_probs(&q, &k, &v, 1, 0.5).1,
+            &q,
+            &k,
+            &v,
+            1,
+            0.5,
+            &g,
+        )
+        .0
     });
     assert_thread_parity("attention_backward.dk", || {
-        ops::attention_backward(&q, &k, &v, 0.5, &g).1
+        ops::attention_backward(
+            &ops::attention_with_probs(&q, &k, &v, 1, 0.5).1,
+            &q,
+            &k,
+            &v,
+            1,
+            0.5,
+            &g,
+        )
+        .1
     });
     assert_thread_parity("attention_backward.dv", || {
-        ops::attention_backward(&q, &k, &v, 0.5, &g).2
+        ops::attention_backward(
+            &ops::attention_with_probs(&q, &k, &v, 1, 0.5).1,
+            &q,
+            &k,
+            &v,
+            1,
+            0.5,
+            &g,
+        )
+        .2
     });
 }
 
@@ -165,7 +192,7 @@ fn gradcheck_through_fused_attention_op() {
     let k = Tensor::from_fn(&[2, 5, 4], |i| (i as f32 * 0.19).cos() * 0.5);
     let v = Tensor::from_fn(&[2, 5, 3], |i| (i as f32 * 0.31).sin() * 0.5);
     grad_check::assert_gradients(&[q, k, v], 1e-2, 2e-2, |g, vars| {
-        let ctx = g.attention(vars[0], vars[1], vars[2], 0.7);
+        let ctx = g.attention(vars[0], vars[1], vars[2], 1, 0.7);
         let sq = g.mul(ctx, ctx); // non-uniform upstream gradient
         g.mean_all(sq)
     });
@@ -198,7 +225,7 @@ proptest! {
     fn fused_attention_matches_composed((q, k, v) in qkv()) {
         let d = *q.shape().last().unwrap();
         let scale = 1.0 / (d as f32).sqrt();
-        let fused = ops::attention(&q, &k, &v, scale);
+        let fused = ops::attention(&q, &k, &v, 1, scale);
         let kt = ops::transpose_last2(&k);
         let scores = ops::scale(&ops::matmul(&q, &kt), scale);
         let probs = ops::softmax_last(&scores);
@@ -213,8 +240,8 @@ proptest! {
     #[test]
     fn fused_attention_matches_composed_when_chunked((q, k, v) in qkv()) {
         let scale = 0.6;
-        let serial = pool::with_forced_threads(1, || ops::attention(&q, &k, &v, scale));
-        let chunked = pool::with_forced_threads(3, || ops::attention(&q, &k, &v, scale));
+        let serial = pool::with_forced_threads(1, || ops::attention(&q, &k, &v, 1, scale));
+        let chunked = pool::with_forced_threads(3, || ops::attention(&q, &k, &v, 1, scale));
         prop_assert_eq!(serial.to_vec(), chunked.to_vec());
     }
 }
