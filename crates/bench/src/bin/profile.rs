@@ -17,10 +17,10 @@
 //! - a **multiplexed-streaming table** comparing one-at-a-time session
 //!   service against the cross-stream batched `encode_staged` scheduler
 //!   (forwards per tick, groups per forward, amortized µs/group);
-//! - an **overhead report** as JSON on stdout (recorded in
-//!   `BENCH_pr4.json`): the enabled cost from interleaved A/B rounds, and
-//!   the disabled cost computed as measured-calls-per-step × measured
-//!   ns-per-disabled-call, which must stay under 1% of a step.
+//! - an **overhead report** as JSON on stdout: the enabled cost from
+//!   interleaved A/B rounds, and the disabled cost computed as
+//!   measured-calls-per-step × measured ns-per-disabled-call, which must
+//!   stay under 1% of a step.
 //!
 //! - an **eval-forward profile** ([`eval_profile`]): the self-time table of
 //!   `extract_window_batch` at B = 1 and B = 8 — ops against everything that
@@ -195,6 +195,9 @@ fn eval_profile(quick: bool, batches: &[usize]) {
             (batch * (nt + 1), d, hidden, Activation::Gelu),
             (batch * (nt + 1), hidden, d, Activation::None),
             (batch, d, d, Activation::None),
+            // Not this model's: Frame-MLP's `fc1` on 8 clips × 8 frames, the
+            // largest product the repo runs (its `B` is 512 KB).
+            (64, 1024, 128, Activation::None),
         ] {
             let (x, w, b) = (val(&[rows, k], 0.013), val(&[k, n], 0.007), val(&[n], 0.3));
             let r = val(&[rows, n], 0.011);
@@ -455,8 +458,7 @@ fn main() {
     let prec_rows = vec![
         vec![
             "f32 (op/matmul)".to_string(),
-            infer.counter("dispatch/matmul_packed").to_string(),
-            infer.counter("dispatch/matmul_unpacked").to_string(),
+            gemm.count.to_string(),
             infer.counter("dispatch/matmul_avx512").to_string(),
             ms(gemm.self_ns),
         ],
@@ -464,11 +466,10 @@ fn main() {
             "int8 (op/matmul_i8)".to_string(),
             infer.counter("dispatch/matmul_i8").to_string(),
             "0".to_string(),
-            "0".to_string(),
             ms(gemm_i8.self_ns),
         ],
     ];
-    // `avx512` counts the unpacked products that ran on the AVX-512
+    // `avx512` counts the f32 products that ran on the AVX-512
     // micro-kernel: all of them where the CPU has it, none elsewhere — a
     // host that fell back to the portable kernel shows in this table.
     print_table(
@@ -476,7 +477,7 @@ fn main() {
             "inference GEMM dispatch (TSDX_PRECISION={precision}, f32 kernel: {})",
             tsdx_tensor::ops::f32_kernel()
         ),
-        &["kernel", "packed", "unpacked", "avx512", "self ms"],
+        &["kernel", "products", "avx512", "self ms"],
         &prec_rows,
     );
     println!(
@@ -484,8 +485,7 @@ fn main() {
         infer.counter("quant/quant_rows"),
         infer.counter("quant/dequant_rows"),
     );
-    // The packed/unpacked split covers every f32 matmul, and the i8 plane
-    // only lights up when the dial asks for it.
+    // The i8 plane only lights up when the dial asks for it.
     if precision == tsdx_core::precision::Precision::F32 {
         assert_eq!(infer.counter("dispatch/matmul_i8"), 0, "f32 dial must not hit the i8 GEMM");
     } else {
@@ -625,7 +625,7 @@ fn main() {
     println!(
         "(forwards collapse {mux_streams}x; whether µs/group falls with them is \
          model- and host-dependent — per-forward overhead amortizes, raw compute \
-         does not. muxbench asserts the win at the edge-model scale.)"
+         does not.)"
     );
     // The muxed scheduler's whole point: one forward per tick, not one per
     // stream per tick.

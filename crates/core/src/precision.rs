@@ -12,7 +12,7 @@
 //! The environment variable is read **once** per process, like
 //! `TSDX_NUM_THREADS` and `TSDX_WORKSPACE`; [`with_forced`] overrides the
 //! choice per thread so one process can A/B both planes (the accuracy
-//! gate and `quantbench` do exactly that).
+//! gate does exactly that).
 
 use std::cell::Cell;
 use std::sync::OnceLock;

@@ -672,6 +672,43 @@ mod tests {
     }
 
     #[test]
+    fn a_steady_slide_encodes_one_group_whatever_the_window_length() {
+        // What "sublinear in window length" means: a slide pays the spatial
+        // stage for its one new group and reads the other `nt − 1` from the
+        // cache, at any `nt` — and still answers what a cold session does.
+        for frames in [8usize, 16] {
+            let cfg = ModelConfig { frames, ..tiny_cfg(AttentionKind::Factorized, Readout::Cls) };
+            let (nt, step) = (cfg.n_time() as u64, cfg.tubelet_t);
+            let ex = ScenarioExtractor::untrained(cfg, 8);
+            // Frames `start..start + n` of one endless feed.
+            let feed = |start: usize, n: usize| video(n, (start * 256) as f32);
+            let mut s = ex.open_stream();
+            s.push_frames(&feed(0, frames)).unwrap();
+            s.logits().unwrap();
+            let mut fed = frames;
+            let mut slide = |s: &mut StreamSession| {
+                s.push_frames(&feed(fed, step)).unwrap();
+                fed += step;
+                (fed, s.logits().unwrap())
+            };
+            for _ in 0..2 {
+                slide(&mut s);
+            }
+            let scope = metrics::scope();
+            let slides: Vec<_> = (0..5).map(|_| slide(&mut s)).collect();
+            let snap = scope.snapshot();
+            drop(scope);
+            assert_eq!(snap.counter("stage/cache_miss"), 5, "{frames} frames");
+            assert_eq!(snap.counter("stage/cache_hit"), 5 * (nt - 1), "{frames} frames");
+            for (end, got) in slides {
+                let mut cold = ex.open_stream();
+                cold.push_frames(&feed(end - frames, frames)).unwrap();
+                assert_eq!(got, cold.logits().unwrap(), "{frames} frames, window ending at {end}");
+            }
+        }
+    }
+
+    #[test]
     fn describe_before_a_full_window_is_a_typed_error() {
         let ex = ScenarioExtractor::untrained(tiny_cfg(AttentionKind::Factorized, Readout::Cls), 1);
         let mut s = ex.open_stream();

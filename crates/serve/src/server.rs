@@ -689,7 +689,7 @@ fn index_internal(e: tsdx_index::IndexError) -> ServeError {
 ///
 /// Two encodings:
 /// * `application/octet-stream` — raw little-endian f32 pixels, shape in an
-///   `X-Video-Shape: TxHxW` header (the fast path; `servebench` uses it);
+///   `X-Video-Shape: TxHxW` header (the fast path; the benchmark's `clip_octet` uses it);
 /// * JSON (the default) — `{"shape":[T,H,W],"pixels":[...]}`.
 fn decode_video(head: &Head, body: &[u8]) -> Result<Tensor, ServeError> {
     let content_type = head.header("content-type").unwrap_or("application/json");

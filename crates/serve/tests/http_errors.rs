@@ -5,7 +5,7 @@
 mod common;
 
 use std::io::{BufReader, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use common::{get, post_clip, tiny_extractor, valid_pixels, Client};
@@ -110,6 +110,25 @@ fn routing_and_framing_failures_are_typed() {
     server.shutdown();
 }
 
+/// Three honest clients at once, four extractions each: the statuses they
+/// got. The fault tests run them beside their misbehaving client — a
+/// stalled or vanished peer must cost them nothing.
+fn honest_clients(addr: SocketAddr) -> Vec<u16> {
+    std::thread::scope(|s| {
+        let clients: Vec<_> = (0..3)
+            .map(|_| {
+                s.spawn(move || {
+                    let pixels = valid_pixels();
+                    (0..4)
+                        .map(|_| post_clip(addr, "4x16x16", &pixels, &[]).unwrap().status)
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients.into_iter().flat_map(|c| c.join().expect("honest client")).collect()
+    })
+}
+
 /// A client that disconnects mid-body can never wedge a handler: the
 /// server sees the truncation and moves on, and the next connection works.
 #[test]
@@ -122,6 +141,8 @@ fn truncated_bodies_close_cleanly_and_the_listener_survives() {
     w.write_all(b"POST /v1/extract HTTP/1.1\r\nhost: t\r\ncontent-length: 4096\r\n\r\nonly-this")
         .unwrap();
     w.flush().unwrap();
+    // Its handler is parked mid-body; honest traffic is served around it.
+    assert_eq!(honest_clients(addr), [200; 12]);
     stream.shutdown(Shutdown::Write).unwrap();
     // The server answers 400 (or just closes) — either way, no hang:
     let mut reader = BufReader::new(stream);
@@ -141,12 +162,15 @@ fn slow_clients_time_out_with_408() {
     let addr = server.local_addr();
 
     let mut c = Client::connect(addr);
-    // Half a request line, then silence.
+    // Half a request line, then silence — while honest traffic, started
+    // after the stall began, is served around it.
     c.send_raw(b"POST /v1/ex").unwrap();
+    let honest = std::thread::spawn(move || honest_clients(addr));
     let resp = c.read_response().unwrap();
     assert_eq!(resp.status, 408, "{}", resp.body);
     assert!(resp.body.contains("\"kind\":\"read_timeout\""), "{}", resp.body);
 
+    assert_eq!(honest.join().unwrap(), [200; 12]);
     let health = get(addr, "/healthz");
     assert_eq!(health.status, 200);
     server.shutdown();

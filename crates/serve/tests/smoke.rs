@@ -241,6 +241,65 @@ fn graceful_shutdown_drains_everything_admitted() {
 }
 
 #[test]
+fn overload_sheds_typed_and_drops_nothing_admitted() {
+    // Far more concurrent demand than a four-slot queue drained two at a
+    // time can hold: the surplus must be shed with typed, retryable
+    // envelopes, and everything admitted must be answered inside its budget.
+    let (clients, requests, deadline_ms) = (12usize, 6usize, 2000u64);
+    let cfg = ServerConfig {
+        batch: BatchConfig { queue_capacity: 4, max_batch: 2, ..BatchConfig::default() },
+        ..test_config()
+    };
+    let mut server = Server::start(tiny_extractor(), cfg).unwrap();
+    let addr = server.local_addr();
+    let start = std::sync::Barrier::new(clients);
+    let (pixels, budget) = (valid_pixels(), deadline_ms.to_string());
+
+    let replies: Vec<_> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..clients)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    (0..requests)
+                        .map(|_| post_clip(addr, "4x16x16", &pixels, &[("x-deadline-ms", &budget)]))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().expect("client thread")).collect()
+    });
+    let (mut ok, mut shed) = (0usize, 0usize);
+    assert_eq!(replies.len(), clients * requests);
+    for resp in replies {
+        let resp = resp.expect("every request gets an answer");
+        let body = tsdx_serve::json::parse(resp.body.as_bytes()).expect("JSON reply");
+        if resp.status == 200 {
+            ok += 1;
+            let queued = body.get("queued_us").and_then(|j| j.as_num()).expect("queued_us");
+            assert!(queued <= (deadline_ms * 1000) as f64, "served past its budget: {queued}");
+        } else {
+            shed += 1;
+            assert!(matches!(resp.status, 429 | 503), "untyped outcome: {resp:?}");
+            let err = body.get("error").expect("error envelope");
+            assert_eq!(err.get("status").and_then(|j| j.as_num()), Some(resp.status as f64));
+            assert_eq!(err.get("retryable"), Some(&tsdx_serve::json::Json::Bool(true)));
+            assert!(resp.header("retry-after").is_some(), "{resp:?}");
+        }
+    }
+    assert!(shed > 0, "a 4-slot queue under {clients} clients must shed");
+
+    server.shutdown();
+    let stats = server.stats();
+    let count = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+    assert_eq!(
+        count(&stats.accepted),
+        count(&stats.completed) + count(&stats.shed_deadline),
+        "admitted requests must be answered, never dropped"
+    );
+    assert_eq!(count(&stats.completed), ok as u64);
+}
+
+#[test]
 fn admin_shutdown_endpoint_drains_remotely() {
     let mut server = Server::start(tiny_extractor(), test_config()).unwrap();
     let addr = server.local_addr();

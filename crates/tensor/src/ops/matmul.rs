@@ -29,23 +29,15 @@
 //! and residual applied in place to the rows a worker has just written — so
 //! an affine layer is one call and one output buffer.
 //!
-//! Problems whose `B` matrix spills L1 take the **packed-panel path**
-//! (PR 5): BLIS-style cache blocking where `B` is gathered once into
-//! zero-padded `[k][16]` column tiles (any stride pattern) and each worker
-//! packs `MC`×`KC` blocks of `A` into `[kc][6]` micro-panels in recycled
-//! workspace, so the 6×16 micro-kernel streams unit-stride data from
-//! L1-resident panels regardless of the input layout.
-//!
 //! # Numerics
 //!
 //! Every output element, on every path, is **one `f32` accumulator
-//! fused-multiply-added (`f32::mul_add`) from zero in ascending-`k` order**
-//! (the packed path's `KC` slabs round-trip partial sums through the output
-//! exactly). Tiled, gathered, tail and packed results are therefore
-//! bit-identical to each other for every pool size, block shape and operand
-//! layout — `tests/packed_gemm_parity.rs` and `tests/pool_parity.rs` pin
-//! that — and the kernel gates move only time. The AVX-512 kernel builds
-//! the same chain with one `_mm512_fmadd_ps` per element per `k` (an IEEE
+//! fused-multiply-added (`f32::mul_add`) from zero in ascending-`k` order**.
+//! In-place, gathered and tail results are therefore bit-identical to each
+//! other for every pool size, block shape and operand layout —
+//! `tests/large_view_parity.rs` and `tests/pool_parity.rs` pin that — and
+//! the kernel choice moves only time. The AVX-512 kernel builds the same
+//! chain with one `_mm512_fmadd_ps` per element per `k` (an IEEE
 //! fused multiply-add per lane, which is what `mul_add` is), so it too
 //! changes no bit; `tests/avx512_parity.rs` pins it against the portable
 //! kernel. `mul_add` is unconditional, so the bits do not depend on
@@ -66,7 +58,7 @@ use std::sync::Arc;
 use super::elementwise::gelu_scalar;
 use crate::pool;
 use crate::shape;
-use crate::workspace::{self, ArcBuf, Buffer, Scratch};
+use crate::workspace::{self, ArcBuf, Scratch};
 use crate::Tensor;
 
 /// Width of one output-column tile in the register-tiled kernel: 16 `f32`s
@@ -81,42 +73,6 @@ pub(super) const NC: usize = 32;
 /// Below this many scalar multiply-adds, pool dispatch overhead exceeds the
 /// kernel time and the multiply runs on the calling thread.
 const PARALLEL_THRESHOLD: usize = 64 * 64 * 64;
-
-/// Packed-path micro-kernel height. An `MR`×`NR` f32 accumulator block is
-/// 12 of the 16 architectural YMM registers, leaving room for the two
-/// B-row vectors and the A broadcast — the deepest accumulator rotation
-/// that fits, which is what hides the FMA latency.
-const MR: usize = 6;
-
-/// Packed-path B-tile width: two full AVX2 vectors of `f32`.
-const NR: usize = 16;
-
-/// Packed-path `k`-block depth: one `KC`×[`NR`] B tile is 16 KB —
-/// half of a typical 32 KB L1D — and stays resident across a whole packed
-/// A block.
-const KC: usize = 256;
-
-/// Packed-path row-block height: an `MC`×`KC` packed A block is 64 KB,
-/// L2-resident while its [`J_TILE`]-wide B tiles stream through L1.
-const MC: usize = 64;
-
-/// Minimum `B`-matrix size (`k·n` elements) for the packed path: 64 KB,
-/// past any L1D. Below it every `B` tile the tiled kernel walks stays
-/// L1-resident, that kernel already runs at the FMA rate (measured at the
-/// model's 544×64×64, 544×64×128 and 544×128×64 products: 60–67 GFlop/s
-/// against 47–60 packed), and packing `A` is pure overhead; from 128×128 up
-/// the packed path wins (67 vs 49). The arithmetic gate below does the
-/// amortization check. Both kernels produce the same bits, so this gate
-/// moves only time.
-const PACK_MIN_B_ELEMS: usize = 16 * 1024;
-
-/// ...and once there is enough arithmetic to amortize the O(mk + kn)
-/// packing passes.
-const PACK_MIN_MADDS: usize = 1 << 20;
-
-/// Upper bound on the packed-B workspace in elements (32 MiB); batched
-/// problems that would exceed it fall back to the tiled kernel.
-const PACK_B_CAP_ELEMS: usize = 1 << 23;
 
 /// The worker-thread count [`matmul`] uses — the shared pool's size
 /// ([`pool::num_threads`]): `TSDX_NUM_THREADS` if set to a positive
@@ -195,7 +151,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     if ash.len() >= 2 && bsh.len() >= 2 {
         // Tiny multiplies stay on the calling thread: pool dispatch would
         // dominate the kernel.
-        let flops = a.numel() / ash[ash.len() - 1] * bsh[bsh.len() - 1] * ash[ash.len() - 1];
+        let flops = a.numel() * bsh[bsh.len() - 1];
         if !pool::should_parallelize(flops, PARALLEL_THRESHOLD) {
             return matmul_with_threads(a, b, 1);
         }
@@ -209,15 +165,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// the output rows, and each row is always computed by exactly one thread in
 /// the same order.
 pub fn matmul_with_threads(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-    gemm(a, b, threads, true, None)
-}
-
-/// [`matmul_with_threads`] restricted to the tiled kernel (never the packed
-/// path). The packed-GEMM bit-parity tests compare the packed path against
-/// this one.
-#[doc(hidden)]
-pub fn matmul_unpacked(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-    gemm(a, b, threads, false, None)
+    gemm(a, b, threads, None)
 }
 
 /// The activation [`linear`] applies between the bias and the residual.
@@ -344,16 +292,10 @@ pub fn linear(
     } else {
         1
     };
-    gemm(x, w, threads, true, Some(epi))
+    gemm(x, w, threads, Some(epi))
 }
 
-fn gemm(
-    a: &Tensor,
-    b: &Tensor,
-    threads: usize,
-    allow_packed: bool,
-    epi: Option<Epilogue>,
-) -> Tensor {
+fn gemm(a: &Tensor, b: &Tensor, threads: usize, epi: Option<Epilogue>) -> Tensor {
     let _span = crate::metrics::span("op/matmul");
     assert!(a.rank() >= 2 && b.rank() >= 2, "matmul requires rank >= 2 operands");
     let (ash, bsh) = (a.shape().to_vec(), b.shape().to_vec());
@@ -391,59 +333,10 @@ fn gemm(
     let total_rows = n_batch * m;
     let threads = threads.max(1).min(total_rows);
 
-    // Packed-panel path: worth it once B spills L1 and the arithmetic
-    // amortizes the packing. Reads both operands through arbitrary strides,
-    // so views never materialize here. The decision depends only on the
-    // problem shape — never on `threads` — keeping kernel selection (and
-    // therefore bits) identical across pool sizes.
-    if allow_packed && k * n >= PACK_MIN_B_ELEMS && total * k >= PACK_MIN_MADDS {
-        let sa_batch =
-            shape::broadcast_view_strides(batch_a, &a.strides()[..batch_a.len()], &batch);
-        let sb_batch =
-            shape::broadcast_view_strides(batch_b, &b.strides()[..batch_b.len()], &batch);
-        let b_shared = sb_batch.iter().all(|&s| s == 0);
-        let nb_eff = if b_shared { 1 } else { n_batch };
-        let njt = n.div_ceil(NR);
-        if nb_eff * njt * NR * k <= PACK_B_CAP_ELEMS {
-            crate::metrics::counter_add("dispatch/matmul_packed", 1);
-            let bpack = pack_b(b, &batch, &sb_batch, nb_eff, njt, k, n);
-            let ctx = PackedCtx {
-                ad: a.raw_arc(),
-                a_off: a.offset(),
-                batch,
-                sa_batch,
-                bpack,
-                b_shared,
-                m,
-                n,
-                k,
-                njt,
-                ars,
-                acs,
-                epi,
-            };
-            if threads == 1 {
-                let mut out = workspace::take_uninit(total);
-                packed_rows(&mut out, 0, &ctx);
-                return Tensor::from_vec(out, &out_shape);
-            }
-            let ctx = Arc::new(ctx);
-            let out = pool::parallel_rows_named(
-                "matmul",
-                total_rows,
-                n,
-                threads,
-                move |first_row, chunk| packed_rows(chunk, first_row, &ctx),
-            );
-            return Tensor::from_vec(out, &out_shape);
-        }
-    }
-
     // The kernel reads `A` and `B` through their view strides, so nothing
-    // is materialized.
-    crate::metrics::counter_add("dispatch/matmul_unpacked", 1);
-    // Decided here, on the dispatching thread, and carried in the context
-    // so pool workers run the kernel their caller chose.
+    // is materialized. Which kernel is decided here, on the dispatching
+    // thread, and carried in the context so pool workers run the one their
+    // caller chose.
     let avx512 = use_avx512();
     if avx512 {
         crate::metrics::counter_add("dispatch/matmul_avx512", 1);
@@ -490,170 +383,6 @@ fn gemm(
 fn last2_strides(t: &Tensor) -> (usize, usize) {
     let s = t.strides();
     (s[s.len() - 1], s[s.len() - 2])
-}
-
-/// Everything a worker needs to compute a span of output rows on the
-/// packed-panel path. Shared by `Arc` across `'static` pool jobs; the
-/// packed-B buffer recycles into the workspace arena when the last job
-/// drops it.
-struct PackedCtx {
-    ad: ArcBuf,
-    a_off: usize,
-    batch: Vec<usize>,
-    sa_batch: Vec<usize>,
-    /// `B` gathered into zero-padded `[njt][k][NR]` column tiles, one
-    /// block per distinct batch matrix (a single block when `B` broadcasts
-    /// across the batch).
-    bpack: ArcBuf,
-    b_shared: bool,
-    m: usize,
-    n: usize,
-    k: usize,
-    njt: usize,
-    ars: usize,
-    acs: usize,
-    epi: Option<Epilogue>,
-}
-
-/// Gathers `B` into contiguous zero-padded column tiles: tile `jt` holds
-/// `bp[kk*NR + j] = B[kk, jt*NR + j]` (0.0 past the column tail), read
-/// through `B`'s stride metadata so transposed/permuted/narrowed views pack
-/// at the same cost as contiguous ones.
-fn pack_b(
-    b: &Tensor,
-    batch: &[usize],
-    sb_batch: &[usize],
-    nb_eff: usize,
-    njt: usize,
-    k: usize,
-    n: usize,
-) -> ArcBuf {
-    let (bcs, brs) = last2_strides(b);
-    let bd = b.raw_data();
-    let b_off = b.offset();
-    let per = njt * k * NR;
-    // Every element is written below (real columns or explicit 0.0 pad).
-    let mut pk = workspace::take_uninit(nb_eff * per);
-    for (bi, block) in pk.chunks_exact_mut(per).enumerate() {
-        let base = b_off + batch_offset(batch, sb_batch, bi);
-        for (jt, tile) in block.chunks_exact_mut(k * NR).enumerate() {
-            let j0 = jt * NR;
-            let jn = NR.min(n - j0);
-            for (kk, row) in tile.chunks_exact_mut(NR).enumerate() {
-                let src = base + kk * brs + j0 * bcs;
-                for (j, slot) in row[..jn].iter_mut().enumerate() {
-                    *slot = bd[src + j * bcs];
-                }
-                row[jn..].fill(0.0);
-            }
-        }
-    }
-    Arc::new(Buffer::new(pk))
-}
-
-/// Computes the output rows `[start_row, start_row + chunk.len() / n)` of
-/// the flattened batch×row space into `chunk` via the packed panels.
-fn packed_rows(chunk: &mut [f32], start_row: usize, ctx: &PackedCtx) {
-    let PackedCtx { m, n, k, njt, .. } = *ctx;
-    let rows = chunk.len() / n;
-    let per = njt * k * NR;
-    let mut r = start_row;
-    let end = start_row + rows;
-    while r < end {
-        let bi = r / m;
-        let a_base = ctx.a_off + batch_offset(&ctx.batch, &ctx.sa_batch, bi);
-        let bsel = if ctx.b_shared { 0 } else { bi };
-        let bp = &ctx.bpack[bsel * per..(bsel + 1) * per];
-        let i0 = r % m;
-        let i1 = (end - bi * m).min(m);
-        let rows_here = i1 - i0;
-        let o = &mut chunk[(r - start_row) * n..(r - start_row + rows_here) * n];
-        packed_gemm(o, a_base, bp, i0, rows_here, ctx);
-        r += rows_here;
-    }
-    if let Some(epi) = &ctx.epi {
-        epi.apply(chunk, start_row, n);
-    }
-}
-
-/// The BLIS loop nest over one batch matrix's row span: for each `MC`-row
-/// block, pack `A` into `[kc][MR]` micro-panels (workspace scratch, reused
-/// across calls), then stream every L1-resident B tile through the `MR`×`NR`
-/// micro-kernel. `k` is blocked by `KC`; partial accumulators round-trip
-/// through the output buffer between `k`-blocks, which is exact for `f32`,
-/// so each element's summation chain is plain ascending-`k` — bit-identical
-/// to the tiled kernel.
-fn packed_gemm(o: &mut [f32], a_base: usize, bp: &[f32], i0: usize, rows: usize, ctx: &PackedCtx) {
-    let PackedCtx { n, k, njt, ars, acs, .. } = *ctx;
-    let ad: &[f32] = &ctx.ad;
-    let mut apack = Scratch::uninit(MC.div_ceil(MR) * MR * KC);
-    for mb in (0..rows).step_by(MC) {
-        let mc = MC.min(rows - mb);
-        let mcp = mc.div_ceil(MR) * MR;
-        for (kbi, kb) in (0..k).step_by(KC).enumerate() {
-            let kc = KC.min(k - kb);
-            // Pack the A block: `MR`-row micro-panels interleaved k-major
-            // (`ap[kk*MR + r]`), rows past the tail zero-filled so the
-            // micro-kernel never branches on row validity.
-            let ap = &mut apack[..mcp * kc];
-            for (mp, panel) in ap.chunks_exact_mut(kc * MR).enumerate() {
-                for r in 0..MR {
-                    let row = mb + mp * MR + r;
-                    if row < rows {
-                        let ab = a_base + (i0 + row) * ars + kb * acs;
-                        for kk in 0..kc {
-                            panel[kk * MR + r] = ad[ab + kk * acs];
-                        }
-                    } else {
-                        for kk in 0..kc {
-                            panel[kk * MR + r] = 0.0;
-                        }
-                    }
-                }
-            }
-            for jt in 0..njt {
-                let bt = &bp[jt * k * NR + kb * NR..][..kc * NR];
-                let j0 = jt * NR;
-                let jn = NR.min(n - j0);
-                for (mp, panel) in ap.chunks_exact(kc * MR).enumerate() {
-                    let rv = MR.min(rows - (mb + mp * MR));
-                    let mut acc = [[0.0f32; NR]; MR];
-                    if kbi > 0 {
-                        // Resume this block's partial sums (exact reload).
-                        for (r, arow) in acc.iter_mut().enumerate().take(rv) {
-                            let ob = (mb + mp * MR + r) * n + j0;
-                            arow[..jn].copy_from_slice(&o[ob..ob + jn]);
-                        }
-                    }
-                    micro_mrxnr(panel, bt, &mut acc);
-                    for (r, arow) in acc.iter().enumerate().take(rv) {
-                        let ob = (mb + mp * MR + r) * n + j0;
-                        if jn == NR {
-                            // Fixed width: two vector stores, not a memcpy call.
-                            o[ob..ob + NR].copy_from_slice(arow);
-                        } else {
-                            o[ob..ob + jn].copy_from_slice(&arow[..jn]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `MR`×`NR` register block over packed unit-stride panels: `ap` is
-/// `[kc][MR]` A-interleave, `bp` is `[kc][NR]` B-tile. One accumulator per
-/// output element, fused-multiply-added in ascending `kk` — the same
-/// per-element chain as the tiled kernel, whatever the blocking.
-#[inline]
-fn micro_mrxnr(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for (ar, br) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        for (arow, &av) in acc.iter_mut().zip(ar) {
-            for (ov, &bv) in arow.iter_mut().zip(br) {
-                *ov = av.mul_add(bv, *ov);
-            }
-        }
-    }
 }
 
 /// Everything a worker needs to compute a span of output rows. Buffers are
@@ -747,8 +476,8 @@ impl Groups {
 /// unit column stride (row-major matrices, head-split views) is read in
 /// place; any other layout — a `transpose_last2` view is the common case —
 /// has each [`NC`]-column tile gathered through `B`'s strides into a
-/// `[k][NC]` scratch tile first, the way [`pack_b`] does, at `k`·[`NC`]
-/// copies against `rows`·`k`·[`NC`] multiply-adds. Every output element is
+/// `[k][NC]` scratch tile first, at `k`·[`NC`] copies against
+/// `rows`·`k`·[`NC`] multiply-adds. Every output element is
 /// one accumulator fused-multiply-added from zero in ascending `kk` order
 /// whatever the kernel, tiling or layout, so chunk boundaries (and hence
 /// pool sizes) cannot change a single bit of the result.
@@ -1471,6 +1200,27 @@ mod tests {
     fn avx512_entry_accepts_exact_grouped_buffers() {
         if crate::cpu::features().avx512f {
             grouped_mul_cols([6, 12, 4]);
+        }
+    }
+
+    #[test]
+    fn empty_contraction_and_empty_rows_agree_on_every_entry() {
+        // `[2,0] @ [0,3]` sums nothing into six zeros (`linear`: six bias
+        // values); `[0,4] @ [4,3]` has no rows at all.
+        let bias = Tensor::from_vec(vec![0.5, -1.0, 2.0], &[3]);
+        for (a, b, want, want_biased) in [
+            (Tensor::zeros(&[2, 0]), Tensor::zeros(&[0, 3]), vec![0.0; 6], bias.data().repeat(2)),
+            (Tensor::zeros(&[0, 4]), Tensor::ones(&[4, 3]), vec![], vec![]),
+        ] {
+            let shape = [a.shape()[0], 3];
+            let mut g = crate::Graph::new();
+            let (av, bv) = (g.constant(a.clone()), g.constant(b.clone()));
+            let taped = g.matmul(av, bv);
+            for got in [&matmul(&a, &b), &matmul_with_threads(&a, &b, 2), g.value(taped)] {
+                assert_eq!((got.shape(), got.data()), (&shape[..], &want[..]));
+            }
+            let got = linear(&a, &b, Some(&bias), Activation::None, None);
+            assert_eq!((got.shape(), got.data()), (&shape[..], &want_biased[..]));
         }
     }
 

@@ -27,8 +27,8 @@ pub use loss::{
     bce_with_logits, bce_with_logits_backward, cross_entropy_logits, cross_entropy_logits_backward,
 };
 pub use matmul::{
-    configured_threads, f32_kernel, linear, matmul, matmul_unpacked, matmul_with_threads,
-    with_forced_portable, Activation,
+    configured_threads, f32_kernel, linear, matmul, matmul_with_threads, with_forced_portable,
+    Activation,
 };
 pub use norm::{layer_norm, layer_norm_forward};
 pub use reduce::{

@@ -21,9 +21,9 @@
 //!
 //! # Panel layout
 //!
-//! `B` packs once at [`QuantMatrix::quantize`] time into the same BLIS
-//! column-tile geometry as the f32 packed path (`NR = 16` columns per
-//! tile), but **pair-interleaved** along `k` for the `pmaddwd` kernel:
+//! `B` packs once at [`QuantMatrix::quantize`] time into BLIS-style column
+//! tiles (`NR = 16` columns per tile), **pair-interleaved** along `k` for
+//! the `pmaddwd` kernel:
 //! tile element order is `[k/2][half][8 columns][2 k-consecutive values]`,
 //! so one 16-lane `i16` vector load yields eight columns' `k`-pairs and
 //! `_mm256_madd_epi16` contracts each pair into an `i32` lane. Panels
@@ -47,9 +47,8 @@
 //!
 //! [`linear_q8`] runs under an `op/matmul_i8` span, counts quantized and
 //! dequantized rows into `quant/quant_rows` / `quant/dequant_rows`, and
-//! bumps `dispatch/matmul_i8` (the f32 kernels count
-//! `dispatch/matmul_packed` / `dispatch/matmul_unpacked`, the latter also
-//! `dispatch/matmul_avx512` when they ran on the AVX-512 kernel), so the
+//! bumps `dispatch/matmul_i8` (an f32 product counts
+//! `dispatch/matmul_avx512` when it ran on the AVX-512 kernel), so the
 //! `profile` binary can print the precision dispatch mix.
 
 use std::cell::RefCell;
@@ -57,9 +56,10 @@ use std::sync::Arc;
 
 use crate::{metrics, pool, workspace, Tensor};
 
-/// Micro-kernel height; matches the f32 packed path (`ops::matmul`).
+/// Micro-kernel height.
 const MR: usize = 6;
-/// Column-tile width; matches the f32 packed path.
+/// Column-tile width: two halves of eight columns, each half one 16-lane
+/// `i16` vector of `k`-pairs.
 const NR: usize = 16;
 /// Symmetric int8 range bound. `-128` is excluded so negation stays in
 /// range and the scheme is symmetric around zero.

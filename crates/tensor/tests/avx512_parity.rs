@@ -101,7 +101,7 @@ proptest! {
         let b = matrix(k, n, layout_b, seed ^ 0xbeef);
         kernels_agree(
             &format!("[{rows},{k}] (layout {layout_a}) @ [{k},{n}] (layout {layout_b})"),
-            |threads| ops::matmul_unpacked(&a, &b, threads),
+            |threads| ops::matmul_with_threads(&a, &b, threads),
         )?;
     }
 
@@ -135,7 +135,7 @@ proptest! {
         };
         kernels_agree(
             &format!("[{batch},{heads},{rows},{k}] @ B kind {b_kind} of width {n}"),
-            |threads| ops::matmul_unpacked(&a, &b, threads),
+            |threads| ops::matmul_with_threads(&a, &b, threads),
         )?;
     }
 
@@ -186,7 +186,7 @@ fn views_ending_on_their_buffers_last_element_agree() {
         let bt = ops::transpose_last2(&ops::narrow(&ops::narrow(&big_bt, 0, 7, n), 1, 2, k));
         for (a, b) in [(&a, &b), (&at, &b), (&a, &bt), (&at, &bt)] {
             kernels_agree(&format!("{rows}x{k}x{n} at the end of its buffers"), |threads| {
-                ops::matmul_unpacked(a, b, threads)
+                ops::matmul_with_threads(a, b, threads)
             })
             .unwrap_or_else(|e| panic!("{e}"));
         }

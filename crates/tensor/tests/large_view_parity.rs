@@ -1,16 +1,17 @@
-//! Bit-parity of the packed-panel GEMM against the pre-packing kernels.
+//! Large-shape parity of strided views against contiguous copies.
 //!
-//! The packed path (`ops::matmul` on large problems) gathers both operands
-//! into contiguous panels through their strides, so it must produce the
-//! same bits as the register-tiled SAXPY kernel (`ops::matmul_unpacked` on
-//! contiguous operands) for every view: transposed, narrowed, offset,
-//! batch-broadcast. The micro-kernel accumulates each output element in a
-//! single f32 in ascending-k order — exactly like SAXPY — which is what
-//! makes bit equality (not just allclose) the right assertion.
+//! `ops::matmul` reads both operands through their strides — `B` in place
+//! when its columns are unit-stride, gathered tile by tile otherwise — so a
+//! transposed, narrowed, offset or batch-broadcast view must produce the
+//! same bits as the same product on contiguous copies of its operands, at
+//! every pool size. Each output element is one f32 accumulated in
+//! ascending-k order whatever the layout, which is what makes bit equality
+//! (not just allclose) the right assertion.
 //!
-//! Sizes here are chosen to clear the packing thresholds
-//! (`k*n >= 32768` B elements, `m*n*k >= 2^20` madds); smaller problems
-//! take the unpacked kernels and are covered by `proptest_ops.rs`.
+//! Sizes here are the large ones — `B` of 160×256 and up, past any L1D,
+//! `m·n·k ≥ 2²⁰` multiply-adds, `k` up to 600 — where tiles stream from L2
+//! and the pool really splits the rows; small shapes are covered by
+//! `proptest_ops.rs` and `avx512_parity.rs`.
 
 use proptest::prelude::*;
 use tsdx_tensor::ops::Activation;
@@ -25,19 +26,19 @@ fn fill(shape: &[usize], seed: u32) -> Tensor {
     })
 }
 
-/// Asserts `ops::matmul` (packed path) returns bit-identical results to the
-/// PR 2 SAXPY kernel run on contiguous copies of the same operands.
-fn assert_packed_parity(a: &Tensor, b: &Tensor) {
-    let reference = ops::matmul_unpacked(&a.contiguous(), &b.contiguous(), 1);
+/// Asserts `ops::matmul` on the views `a`, `b` returns, at pool sizes 1 and
+/// 2, the bits of the single-threaded product of their contiguous copies.
+fn assert_view_parity(a: &Tensor, b: &Tensor) {
+    let reference = ops::matmul_with_threads(&a.contiguous(), &b.contiguous(), 1);
     for threads in [1usize, 2] {
-        let packed = ops::matmul_with_threads(a, b, threads);
-        assert_eq!(packed.shape(), reference.shape());
-        let (p, r) = (packed.to_vec(), reference.to_vec());
+        let viewed = ops::matmul_with_threads(a, b, threads);
+        assert_eq!(viewed.shape(), reference.shape());
+        let (p, r) = (viewed.to_vec(), reference.to_vec());
         for (i, (x, y)) in p.iter().zip(&r).enumerate() {
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
-                "packed GEMM diverged from SAXPY at flat index {i} \
+                "product of views diverged from contiguous copies at flat index {i} \
                  ({x} vs {y}, threads={threads}, {:?} @ {:?})",
                 a.shape(),
                 b.shape()
@@ -50,7 +51,7 @@ fn assert_packed_parity(a: &Tensor, b: &Tensor) {
 fn contiguous_operands_match() {
     let a = fill(&[48, 160], 1);
     let b = fill(&[160, 256], 2);
-    assert_packed_parity(&a, &b);
+    assert_view_parity(&a, &b);
 }
 
 #[test]
@@ -59,7 +60,7 @@ fn transposed_b_view_matches() {
     let bt = fill(&[256, 160], 3);
     let b = ops::transpose_last2(&bt);
     let a = fill(&[48, 160], 4);
-    assert_packed_parity(&a, &b);
+    assert_view_parity(&a, &b);
 }
 
 #[test]
@@ -67,7 +68,7 @@ fn transposed_a_view_matches() {
     let at = fill(&[160, 48], 5);
     let a = ops::transpose_last2(&at);
     let b = fill(&[160, 256], 6);
-    assert_packed_parity(&a, &b);
+    assert_view_parity(&a, &b);
 }
 
 #[test]
@@ -78,15 +79,16 @@ fn narrowed_views_match() {
     let big_b = fill(&[200, 300], 8);
     let a = ops::narrow(&ops::narrow(&big_a, 0, 9, 48), 1, 17, 160);
     let b = ops::narrow(&ops::narrow(&big_b, 0, 17, 160), 1, 23, 256);
-    assert_packed_parity(&a, &b);
+    assert_view_parity(&a, &b);
 }
 
 #[test]
 fn batched_with_shared_b_matches() {
-    // [4, 40, 160] @ [160, 256]: every batch element reuses one packed B.
+    // [4, 40, 160] @ [160, 256]: every batch element reuses one B, and the
+    // contiguous A folds its batch into 160 rows.
     let a = fill(&[4, 40, 160], 9);
     let b = fill(&[160, 256], 10);
-    assert_packed_parity(&a, &b);
+    assert_view_parity(&a, &b);
 }
 
 #[test]
@@ -95,19 +97,18 @@ fn batched_with_permuted_batch_matches() {
     let a0 = fill(&[40, 3, 160], 11);
     let a = ops::permute(&a0, &[1, 0, 2]);
     let b = fill(&[3, 160, 256], 12);
-    assert_packed_parity(&a, &b);
+    assert_view_parity(&a, &b);
 }
 
 #[test]
-fn fused_linear_on_the_packed_path_matches_the_composition() {
-    // `ops::linear` past the packing thresholds (three `KC` slabs of k, so
-    // the epilogue must wait for the last one): same bits as the tiled
+fn deep_fused_linear_matches_the_composition() {
+    // `ops::linear` at a 600-deep contraction: same bits as the plain
     // product followed by the bias add, GELU and residual add it fuses.
     let x = fill(&[4, 40, 600], 13);
     let w = fill(&[600, 72], 14);
     let b = fill(&[72], 15);
     let r = fill(&[4, 40, 72], 16);
-    let product = ops::matmul_unpacked(&x, &w, 1);
+    let product = ops::matmul_with_threads(&x, &w, 1);
     let reference = ops::add(&ops::gelu(&ops::add(&product, &b)), &r);
     for threads in [1usize, 2] {
         let fused = pool::with_forced_threads(threads, || {
@@ -123,8 +124,8 @@ fn fused_linear_on_the_packed_path_matches_the_composition() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // Random geometry above the packing thresholds, with both operands
-    // narrowed out of larger buffers so strides and offsets vary too.
+    // Random large geometry, with both operands narrowed out of larger
+    // buffers so strides and offsets vary too.
     #[test]
     fn random_strided_views_match(
         m in 33usize..64,
@@ -134,12 +135,10 @@ proptest! {
         bo in 0usize..8,
         seed in 0u32..1000,
     ) {
-        // k >= 128 and n >= 256 keep k*n above the 32768-element packing
-        // threshold for every sampled geometry.
         let big_a = fill(&[m + 8, k + 8], seed);
         let big_b = fill(&[k + 8, n + 8], seed ^ 0xdead);
         let a = ops::narrow(&ops::narrow(&big_a, 0, ao, m), 1, bo, k);
         let b = ops::narrow(&ops::narrow(&big_b, 0, bo, k), 1, ao, n);
-        assert_packed_parity(&a, &b);
+        assert_view_parity(&a, &b);
     }
 }

@@ -2,7 +2,7 @@
 //! runs.
 //!
 //! The parity suites prove the production paths agree with *each other*
-//! (packed == tiled, pool 1 == N, workspace on == off) bit for bit; none of
+//! (AVX-512 == portable, pool 1 == N, workspace on == off) bit for bit; none of
 //! them can say any path is *right*. This file can: every reference here is
 //! a naive, allocation-happy f64 loop over `Tensor::at` — no views, pool,
 //! arena, tiling or packing — and each kernel is bounded against it by a
@@ -14,7 +14,7 @@
 //! item 3's own PR, and this file is its first brick.
 
 use tsdx_tensor::shape::index_of;
-use tsdx_tensor::{metrics, ops, pool, Tensor};
+use tsdx_tensor::{ops, pool, Tensor};
 
 const EPS: f64 = f32::EPSILON as f64;
 
@@ -67,16 +67,12 @@ fn matmul_f64(a: &Tensor, b: &Tensor) -> (Vec<usize>, Vec<(f64, f64)>) {
 /// any order, so `C = 1` is twice the worst case any correct kernel can
 /// reach (measured worst over this file: C = 0.085); one dropped term is
 /// ~`Σ|aᵢbᵢ|/k`, thousands of times the bound.
-fn assert_matmul_within_bound(a: &Tensor, b: &Tensor, expect_packed: bool) {
+fn assert_matmul_within_bound(a: &Tensor, b: &Tensor) {
     const C: f64 = 1.0;
     let k = *a.shape().last().expect("rank >= 2") as f64;
     let (out_shape, want) = matmul_f64(a, b);
     for (threads, portable) in [(1usize, false), (2, false), (1, true), (2, true)] {
-        let scope = metrics::scope();
         let got = ops::with_forced_portable(portable, || ops::matmul_with_threads(a, b, threads));
-        let packed = scope.snapshot().counter("dispatch/matmul_packed") == 1;
-        drop(scope);
-        assert_eq!(packed, expect_packed, "{:?} @ {:?} took the wrong path", a.shape(), b.shape());
         assert_eq!(got.shape(), &out_shape[..]);
         for (flat, (&g, &(sum, abs))) in got.to_vec().iter().zip(&want).enumerate() {
             let bound = C * k * EPS * abs;
@@ -98,7 +94,7 @@ fn linear_layer_products_at_model_shapes() {
     for &(m, k, n) in
         &[(68, 64, 64), (68, 64, 128), (68, 128, 64), (544, 64, 128), (544, 128, 64), (5, 64, 64)]
     {
-        assert_matmul_within_bound(&fill(&[m, k], 1), &fill(&[k, n], 2), false);
+        assert_matmul_within_bound(&fill(&[m, k], 1), &fill(&[k, n], 2));
     }
 }
 
@@ -109,12 +105,12 @@ fn more_products_at_model_shapes() {
     // classification head on eight CLS rows (13 columns: less than one
     // vector on either kernel).
     for &(m, k, n) in &[(544, 64, 64), (512, 128, 64), (8, 64, 13)] {
-        assert_matmul_within_bound(&fill(&[m, k], 71), &fill(&[k, n], 72), false);
+        assert_matmul_within_bound(&fill(&[m, k], 71), &fill(&[k, n], 72));
     }
     // Dense per-head scores, q·kᵀ: [32, 17, 16] against the transposed view
     // of [32, 17, 16] — 17 columns, one past a vector.
     let (q, kt) = (fill(&[32, 17, 16], 73), ops::transpose_last2(&fill(&[32, 17, 16], 74)));
-    assert_matmul_within_bound(&q, &kt, false);
+    assert_matmul_within_bound(&q, &kt);
 }
 
 #[test]
@@ -154,14 +150,14 @@ fn fused_linear_with_gelu_and_residual_at_model_shapes() {
 
 #[test]
 fn packed_gate_products() {
-    // B past 64 KB with enough arithmetic: the packed-panel path, once with
-    // every panel full and once with tail rows (70 = 11·6 + 4) and tail
-    // columns (136 = 8·16 + 8).
-    assert_matmul_within_bound(&fill(&[96, 128], 3), &fill(&[128, 128], 4), true);
-    assert_matmul_within_bound(&fill(&[70, 128], 5), &fill(&[128, 136], 6), true);
-    // ...and a transposed-view B, gathered through its strides by `pack_b`.
+    // B past 64 KB, so its tiles stream from beyond L1: once with every
+    // register block full and once with tail rows (70 = 8·8 + 6 = 17·4 + 2)
+    // and tail columns (136 = 4·32 + 8 = 8·16 + 8).
+    assert_matmul_within_bound(&fill(&[96, 128], 3), &fill(&[128, 128], 4));
+    assert_matmul_within_bound(&fill(&[70, 128], 5), &fill(&[128, 136], 6));
+    // ...and a transposed-view B, gathered through its strides tile by tile.
     let bt = fill(&[136, 128], 7);
-    assert_matmul_within_bound(&fill(&[70, 128], 8), &ops::transpose_last2(&bt), true);
+    assert_matmul_within_bound(&fill(&[70, 128], 8), &ops::transpose_last2(&bt));
 }
 
 #[test]
@@ -173,25 +169,25 @@ fn attention_core_products_on_head_split_views() {
     let (q, k, v) = (split(11), split(12), split(13));
     // q·kᵀ: [16,17,16]·[16,16,17], B a transposed view (gathered tile plus
     // one tail column).
-    assert_matmul_within_bound(&q, &ops::transpose_last2(&k), false);
+    assert_matmul_within_bound(&q, &ops::transpose_last2(&k));
     // p·v: [16,17,17]·[16,17,16], B a head-split view read in place.
     let p = ops::softmax_last(&fill(&[4, 4, 17, 17], 14));
-    assert_matmul_within_bound(&p, &v, false);
+    assert_matmul_within_bound(&p, &v);
 }
 
 #[test]
 fn tail_rows_and_tail_columns() {
     // n = 50 = 3·16 + 2 tail columns; 7 and 70 rows are multiples of
-    // neither 4 (tiled kernel) nor 6 (packed kernel).
-    assert_matmul_within_bound(&fill(&[7, 64], 21), &fill(&[64, 50], 22), false);
-    assert_matmul_within_bound(&fill(&[70, 33], 23), &fill(&[33, 50], 24), false);
+    // neither 4 (portable kernel) nor 8 (AVX-512 kernel).
+    assert_matmul_within_bound(&fill(&[7, 64], 21), &fill(&[64, 50], 22));
+    assert_matmul_within_bound(&fill(&[70, 33], 23), &fill(&[33, 50], 24));
     // Same tails behind a transposed B and a transposed A.
     let bt = fill(&[50, 33], 25);
-    assert_matmul_within_bound(&fill(&[7, 33], 26), &ops::transpose_last2(&bt), false);
+    assert_matmul_within_bound(&fill(&[7, 33], 26), &ops::transpose_last2(&bt));
     let at = fill(&[33, 70], 27);
-    assert_matmul_within_bound(&ops::transpose_last2(&at), &fill(&[33, 50], 28), false);
+    assert_matmul_within_bound(&ops::transpose_last2(&at), &fill(&[33, 50], 28));
     // Narrower than one tile, and a single row.
-    assert_matmul_within_bound(&fill(&[1, 64], 29), &fill(&[64, 5], 30), false);
+    assert_matmul_within_bound(&fill(&[1, 64], 29), &fill(&[64, 5], 30));
 }
 
 /// Runs `f` under forced pool sizes 1 and 2 (the pooled kernels chunk their

@@ -52,9 +52,6 @@ TSDX_PRECISION=int8 cargo run -q -p tsdx-bench --release --bin profile -- --quic
 echo "==> profile binary smoke test (self-time coverage + overhead asserts)"
 cargo run -q -p tsdx-bench --release --bin profile -- --quick > /dev/null
 
-echo "==> streambench smoke test (streamed windows sublinear + cache-counter asserts)"
-cargo run -q -p tsdx-bench --release --bin streambench -- --quick > /dev/null
-
 echo "==> fault-injection suite (worker panics, torn/corrupt checkpoints, NaN grads)"
 cargo test -q --features fault-inject
 
@@ -70,21 +67,11 @@ TSDX_NUM_THREADS=2 cargo test -q -p tsdx-serve --test smoke
 echo "==> session smoke (lifecycle routes, HTTP-vs-core parity, limits, TTL eviction)"
 TSDX_NUM_THREADS=2 cargo test -q -p tsdx-serve --test sessions
 
-
-echo "==> muxbench smoke (cross-stream batching amortizes per-group encode cost)"
-TSDX_NUM_THREADS=2 cargo run -q -p tsdx-bench --release --bin muxbench -- --quick > /dev/null
-
-echo "==> servebench smoke (overload sheds typed, p99 within deadline, drain completeness)"
-TSDX_NUM_THREADS=2 cargo run -q -p tsdx-bench --release --bin servebench -- --quick > /dev/null
-
 echo "==> index suite (shard format, search parity across pool sizes and shard counts)"
 TSDX_NUM_THREADS=2 cargo test -q -p tsdx-index
 
 echo "==> index fault-injection suite (torn and bit-flipped shards load as typed errors)"
 TSDX_NUM_THREADS=2 cargo test -q -p tsdx-index --features fault-inject
-
-echo "==> indexbench smoke (build/QPS/recall asserts, pool and shard parity)"
-TSDX_NUM_THREADS=2 cargo run -q -p tsdx-bench --release --bin indexbench -- --quick > /dev/null
 
 echo "==> kill-and-resume determinism under a 2-worker pool"
 TSDX_NUM_THREADS=2 cargo test -q --test resume_training
