@@ -10,7 +10,7 @@
 //! - a **pool table** per named kernel: dispatches, chunks, and the
 //!   queue-wait / execution latency distributions;
 //! - a **workspace table**: arena hit/miss traffic and megabytes of buffer
-//!   recycling per training step, plus process-lifetime totals;
+//!   recycling per training step;
 //! - a **stage table** for the inference path latency histograms
 //!   (`stage/tubelet_embed` → `stage/encoder` → `stage/heads` →
 //!   `stage/decode`);
@@ -44,6 +44,7 @@ use tsdx_core::{
     VideoScenarioTransformer,
 };
 use tsdx_data::{collate, Batch};
+use tsdx_tensor::dial::{Kernel, Precision, KERNEL, PLANE};
 use tsdx_tensor::ops::{self, Activation};
 use tsdx_tensor::{metrics, Graph, Tensor};
 
@@ -167,7 +168,7 @@ fn eval_profile(quick: bool, batches: &[usize]) {
                 "eval forward self time, B = {batch} ({total_calls} extract_window_batch calls, \
                  {:.1} µs each, f32 kernel: {})",
                 per_call(root.total_ns),
-                ops::f32_kernel()
+                KERNEL.get()
             ),
             &["span", "per call", "self µs", "% of call"],
             &table,
@@ -270,7 +271,7 @@ fn eval_profile(quick: bool, batches: &[usize]) {
         // ---- Attention-core floors (B = 8 is where the model's 32-sequence
         // spatial stage and 8-sequence temporal stage are). ----
         if batch == 8 && !quick {
-            if ops::f32_kernel().starts_with("avx512") {
+            if KERNEL.get() == Kernel::Avx512 {
                 for ((nb, t, tq), ratio) in ratios {
                     let floor = match (t == ns + 1, tq == 1) {
                         (true, false) => 1.4,
@@ -291,6 +292,7 @@ fn eval_profile(quick: bool, batches: &[usize]) {
 
 fn main() {
     let quick = is_quick();
+    println!("run-time switches: {}", tsdx_core::run_time_switches());
     if has_flag("--eval") {
         let args: Vec<String> = std::env::args().collect();
         let batch = args.iter().position(|a| a == "--batch").map(|i| {
@@ -318,14 +320,20 @@ fn main() {
     let snap = scope.snapshot();
     drop(scope);
 
-    // A few inference passes under their own scope populate the stage
-    // histograms without mixing into the per-step table above.
-    let scope = metrics::scope();
-    for _ in 0..2 {
-        std::hint::black_box(model.predict(&batch.videos));
-    }
-    let infer = scope.snapshot();
-    drop(scope);
+    // A few inference passes per precision plane, each under its own scope,
+    // populate the stage histograms and the GEMM dispatch table without
+    // mixing into the per-step table above.
+    let dialed = PLANE.get();
+    let by_plane = [Precision::F32, Precision::Int8].map(|plane| {
+        let scope = metrics::scope();
+        PLANE.with(plane, || {
+            for _ in 0..2 {
+                std::hint::black_box(model.predict(&batch.videos));
+            }
+        });
+        (plane, scope.snapshot())
+    });
+    let infer = &by_plane.iter().find(|(plane, _)| *plane == dialed).expect("both planes ran").1;
 
     let root = snap.span("step");
     assert!(root.count == steps as u64, "every step must be spanned");
@@ -398,38 +406,23 @@ fn main() {
         );
     }
 
-    // ---- Workspace arena table. ----
-    // Per-step traffic from the profiled scope's counters; lifetime totals
-    // from the process-wide stats (includes warm-up and inference passes).
-    let (ws_hits, ws_misses, ws_bytes) = tsdx_tensor::workspace::stats();
+    // ---- Workspace arena table: per-step traffic from the profiled scope. ----
     let per_step = |c: u64| format!("{:.0}", c as f64 / steps as f64);
-    let rate = |h: u64, m: u64| {
-        if h + m == 0 {
-            "-".to_string()
-        } else {
-            format!("{:.1}", h as f64 / (h + m) as f64 * 100.0)
-        }
+    let (ws_hits, ws_misses) = (snap.counter("workspace/hit"), snap.counter("workspace/miss"));
+    let hit_rate = match ws_hits + ws_misses {
+        0 => "-".to_string(),
+        takes => format!("{:.1}", ws_hits as f64 / takes as f64 * 100.0),
     };
-    let ws_rows = vec![
-        vec![
-            "profiled steps".to_string(),
-            per_step(snap.counter("workspace/hit")),
-            per_step(snap.counter("workspace/miss")),
-            rate(snap.counter("workspace/hit"), snap.counter("workspace/miss")),
-            format!("{:.2}", snap.counter("workspace/bytes_recycled") as f64 / steps as f64 / 1e6),
-        ],
-        vec![
-            "process lifetime".to_string(),
-            ws_hits.to_string(),
-            ws_misses.to_string(),
-            rate(ws_hits, ws_misses),
-            format!("{:.2}", ws_bytes as f64 / 1e6),
-        ],
+    let ws_row = vec![
+        per_step(ws_hits),
+        per_step(ws_misses),
+        hit_rate,
+        format!("{:.2}", snap.counter("workspace/bytes_recycled") as f64 / steps as f64 / 1e6),
     ];
     print_table(
-        "workspace arena (per step / total)",
-        &["window", "hits", "misses", "hit %", "MB recycled"],
-        &ws_rows,
+        "workspace arena (per profiled step)",
+        &["hits", "misses", "hit %", "MB recycled"],
+        &[ws_row],
     );
 
     // ---- Inference stage table. ----
@@ -448,49 +441,47 @@ fn main() {
     print_table("inference stages", &["stage", "n", "mean ms", "p99 ms"], &stage_rows);
 
     // ---- Precision plane: which GEMM served each inference product. ----
-    // Under `TSDX_PRECISION=int8` the eval bindings route linear layers
-    // through the packed i8 GEMM (`dispatch/matmul_i8`), leaving only the
+    // On the int8 plane the eval bindings route linear layers through the
+    // packed i8 GEMM (`dispatch/matmul_i8`), leaving only the
     // activation-side products (attention scores/values) on the f32
-    // kernels; under the default f32 dial the i8 row must stay zero.
-    let precision = tsdx_core::precision::active();
-    let gemm = infer.span("op/matmul");
-    let gemm_i8 = infer.span("op/matmul_i8");
-    let prec_rows = vec![
-        vec![
-            "f32 (op/matmul)".to_string(),
-            gemm.count.to_string(),
-            infer.counter("dispatch/matmul_avx512").to_string(),
-            ms(gemm.self_ns),
-        ],
-        vec![
-            "int8 (op/matmul_i8)".to_string(),
-            infer.counter("dispatch/matmul_i8").to_string(),
-            "0".to_string(),
-            ms(gemm_i8.self_ns),
-        ],
-    ];
-    // `avx512` counts the f32 products that ran on the AVX-512
-    // micro-kernel: all of them where the CPU has it, none elsewhere — a
-    // host that fell back to the portable kernel shows in this table.
-    print_table(
-        &format!(
-            "inference GEMM dispatch (TSDX_PRECISION={precision}, f32 kernel: {})",
-            tsdx_tensor::ops::f32_kernel()
-        ),
-        &["kernel", "products", "avx512", "self ms"],
-        &prec_rows,
-    );
-    println!(
-        "quantized rows: {} activation rows quantized, {} output rows dequantized",
-        infer.counter("quant/quant_rows"),
-        infer.counter("quant/dequant_rows"),
-    );
-    // The i8 plane only lights up when the dial asks for it.
-    if precision == tsdx_core::precision::Precision::F32 {
-        assert_eq!(infer.counter("dispatch/matmul_i8"), 0, "f32 dial must not hit the i8 GEMM");
-    } else {
-        assert!(infer.counter("dispatch/matmul_i8") > 0, "int8 dial must use the i8 GEMM");
-        assert!(infer.counter("quant/dequant_rows") > 0, "i8 GEMM must count dequantized rows");
+    // kernels; on the f32 plane the i8 row must stay zero.
+    for (plane, infer) in &by_plane {
+        let gemm = infer.span("op/matmul");
+        let gemm_i8 = infer.span("op/matmul_i8");
+        let prec_rows = vec![
+            vec![
+                "f32 (op/matmul)".to_string(),
+                gemm.count.to_string(),
+                infer.counter("dispatch/matmul_avx512").to_string(),
+                ms(gemm.self_ns),
+            ],
+            vec![
+                "int8 (op/matmul_i8)".to_string(),
+                infer.counter("dispatch/matmul_i8").to_string(),
+                "0".to_string(),
+                ms(gemm_i8.self_ns),
+            ],
+        ];
+        // `avx512` counts the f32 products that ran on the AVX-512
+        // micro-kernel: all of them where the CPU has it, none elsewhere — a
+        // host that fell back to the portable kernel shows in this table.
+        print_table(
+            &format!("inference GEMM dispatch on the {plane} plane (f32 kernel: {})", KERNEL.get()),
+            &["kernel", "products", "avx512", "self ms"],
+            &prec_rows,
+        );
+        println!(
+            "quantized rows: {} activation rows quantized, {} output rows dequantized",
+            infer.counter("quant/quant_rows"),
+            infer.counter("quant/dequant_rows"),
+        );
+        // The i8 plane only lights up when the plane asks for it.
+        if *plane == Precision::F32 {
+            assert_eq!(infer.counter("dispatch/matmul_i8"), 0, "f32 must not hit the i8 GEMM");
+        } else {
+            assert!(infer.counter("dispatch/matmul_i8") > 0, "int8 must use the i8 GEMM");
+            assert!(infer.counter("quant/dequant_rows") > 0, "i8 GEMM must count dequantized rows");
+        }
     }
 
     // ---- Streaming cache effectiveness. ----

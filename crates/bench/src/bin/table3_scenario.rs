@@ -63,7 +63,12 @@ fn main() {
     let test_clips: Vec<Clip> = split.test.iter().map(|&i| clips[i].clone()).collect();
     let truths: Vec<Scenario> = test_clips.iter().map(|c| c.truth.clone()).collect();
     eprintln!("extracting {} descriptions...", test_clips.len());
-    let predictions = extractor.extract_batch(&test_clips);
+    let videos: Vec<_> = test_clips.iter().map(|c| &c.video).collect();
+    let predictions: Vec<Scenario> = videos
+        .chunks(16)
+        .flat_map(|chunk| extractor.extract_window_batch(chunk))
+        .map(|p| p.expect("rendered clips are well-formed"))
+        .collect();
 
     // Scenario-level report.
     let report = scenario_report(&predictions, &truths);

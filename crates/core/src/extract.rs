@@ -9,7 +9,7 @@ use tsdx_tensor::Tensor;
 
 use crate::model::VideoScenarioTransformer;
 use crate::session::StreamSession;
-use crate::train::{predict_labels, TrainConfig};
+use crate::train::TrainConfig;
 
 /// A malformed extraction input, reported by
 /// [`ScenarioExtractor::extract_checked`].
@@ -153,28 +153,11 @@ impl ScenarioExtractor {
     /// load).
     ///
     /// The int8 plane is only *used* when the active
-    /// [`crate::precision::Precision`] is `Int8` — under the default
+    /// [`tsdx_tensor::dial::Precision`] is `Int8` — under the default
     /// `f32` dial the model's behavior is unchanged, bit for bit.
     pub fn quantize(&self) -> QuantReport {
         let q = self.model.quantized_weights();
         QuantReport { matrices: q.len(), packed_bytes: q.packed_bytes() }
-    }
-
-    /// Extracts the SDL description of a single video `[T, H, W]` whose
-    /// well-formedness the *caller* guarantees — only for inputs that are
-    /// infallible by construction (e.g. clips straight out of the
-    /// simulator). Everything else — files, network requests, user data —
-    /// should go through [`ScenarioExtractor::extract_checked`], which
-    /// reports malformed input as a typed [`ExtractError`] instead of
-    /// panicking.
-    ///
-    /// The returned scenario always satisfies [`Scenario::validate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed input (wrong rank/shape, non-finite pixels).
-    pub fn extract(&self, video: &Tensor) -> Scenario {
-        self.extract_checked(video).unwrap_or_else(|e| panic!("extract: {e}"))
     }
 
     /// Extracts the SDL description of a single video `[T, H, W]`,
@@ -255,7 +238,7 @@ impl ScenarioExtractor {
     /// get their own typed error and never contaminate the batch. The
     /// output is positionally aligned with `videos`.
     ///
-    /// The forward runs under the active [`crate::precision::Precision`],
+    /// The forward runs under the active [`tsdx_tensor::dial::Precision`],
     /// so a server can flip a whole batch to the int8 plane under load.
     pub fn extract_window_batch(&self, videos: &[&Tensor]) -> Vec<Result<Scenario, ExtractError>> {
         let mut out: Vec<Option<Result<Scenario, ExtractError>>> = Vec::with_capacity(videos.len());
@@ -294,12 +277,6 @@ impl ScenarioExtractor {
         StreamSession::new(&self.model)
     }
 
-    /// Extracts descriptions for a batch of clips.
-    pub fn extract_batch(&self, clips: &[Clip]) -> Vec<Scenario> {
-        let idx: Vec<usize> = (0..clips.len()).collect();
-        predict_labels(&self.model, clips, &idx).into_iter().map(|l| l.to_scenario()).collect()
-    }
-
     /// The wrapped model.
     pub fn model(&self) -> &VideoScenarioTransformer {
         &self.model
@@ -336,25 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_returns_valid_parseable_sdl() {
-        let ex = tiny_extractor();
-        let video = Tensor::from_fn(&[4, 16, 16], |i| (i % 11) as f32 / 11.0);
-        let scenario = ex.extract(&video);
-        scenario.validate().unwrap();
-        // Round-trips through the canonical text form.
-        let text = scenario.to_string();
-        let parsed: Scenario = text.parse().unwrap();
-        assert_eq!(parsed, scenario);
-    }
-
-    #[test]
-    #[should_panic]
-    fn extract_rejects_batched_input() {
-        let ex = tiny_extractor();
-        ex.extract(&Tensor::zeros(&[2, 4, 16, 16]));
-    }
-
-    #[test]
     fn extract_checked_roundtrips_valid_input() {
         let ex = tiny_extractor();
         let video = Tensor::from_fn(&[4, 16, 16], |i| (i % 7) as f32 / 7.0);
@@ -362,8 +320,6 @@ mod tests {
         scenario.validate().unwrap();
         let reparsed: Scenario = scenario.to_string().parse().unwrap();
         assert_eq!(reparsed, scenario);
-        // Agrees with the panicking path on well-formed input.
-        assert_eq!(scenario, ex.extract(&video));
     }
 
     #[test]

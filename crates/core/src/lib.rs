@@ -41,7 +41,6 @@ mod extract;
 mod flops;
 mod heads;
 mod model;
-pub mod precision;
 mod session;
 mod telemetry;
 mod train;
@@ -57,7 +56,7 @@ pub use model::{decode_logits, ClipModel, VideoScenarioTransformer};
 pub use session::{
     encode_staged, readout_staged, MuxEncodeReport, StreamSession, StreamState, WindowLogits,
 };
-pub use telemetry::{LogLevel, TrainLogger};
+pub use telemetry::{run_time_switches, LogLevel, TrainLogger};
 pub use train::{
     evaluate, predict_labels, summarize, train, train_resilient, EvalSummary, ResilienceConfig,
     TrainConfig, TrainError, TrainReport,

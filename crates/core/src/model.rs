@@ -8,9 +8,8 @@ use rand::SeedableRng;
 use tsdx_data::{ClipLabels, POSITION_COUNT};
 use tsdx_nn::{Binding, ParamStore, QuantizedWeights};
 use tsdx_sdl::{vocab, ActorKind, EgoManeuver, RoadKind};
+use tsdx_tensor::dial::{Precision, PLANE};
 use tsdx_tensor::{metrics, ops, Graph, Tensor};
-
-use crate::precision::{self, Precision};
 
 use crate::config::ModelConfig;
 use crate::encoder::ClipEncoder;
@@ -154,7 +153,7 @@ impl VideoScenarioTransformer {
     /// `bind_quantized` with the cached packed weights under
     /// [`Precision::Int8`].
     pub fn bind_eval_active(&self, g: &mut Graph) -> Binding {
-        match precision::active() {
+        match PLANE.get() {
             Precision::F32 => self.store.bind_frozen(g),
             Precision::Int8 => self.store.bind_quantized(g, &self.quantized_weights()),
         }

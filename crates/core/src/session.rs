@@ -56,12 +56,12 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsdx_sdl::Scenario;
+use tsdx_tensor::dial::{Precision, PLANE};
 use tsdx_tensor::{metrics, ops, Graph, Tensor};
 
 use crate::config::{AttentionKind, ModelConfig};
 use crate::extract::ExtractError;
 use crate::model::{decode_logits, VideoScenarioTransformer};
-use crate::precision::{self, Precision};
 
 /// One cached time group: the stage outputs that depend only on the
 /// group's own pixels.
@@ -224,7 +224,7 @@ fn refresh_windows(
             states.iter_mut().map(|s| &mut **s).filter(|s| s.ready()).collect();
         encode_staged(model, &mut ready);
     }
-    let plane = precision::active();
+    let plane = PLANE.get();
     let mut stale: Vec<usize> = Vec::new();
     let results: Vec<Result<(), ExtractError>> = states
         .iter()
@@ -636,7 +636,11 @@ mod tests {
                 let mut s = ex.open_stream();
                 assert_eq!(s.push_frames(&v).unwrap(), 2);
                 assert!(s.ready());
-                assert_eq!(s.describe().unwrap(), ex.extract(&v), "{attention:?}/{readout:?}");
+                assert_eq!(
+                    s.describe().unwrap(),
+                    ex.extract_checked(&v).unwrap(),
+                    "{attention:?}/{readout:?}"
+                );
             }
         }
     }
@@ -737,7 +741,7 @@ mod tests {
         assert_eq!(s.frames_seen(), 0);
         let v = video(4, 5.0);
         s.push_frames(&v).unwrap();
-        assert_eq!(s.describe().unwrap(), ex.extract(&v));
+        assert_eq!(s.describe().unwrap(), ex.extract_checked(&v).unwrap());
     }
 
     #[test]
@@ -769,7 +773,7 @@ mod tests {
         drop(scope);
         assert_eq!(snap.counter("stage/cache_miss"), 0, "staging must not encode");
         // Describe self-serves the staged groups and matches one-shot.
-        assert_eq!(st.describe(ex.model()).unwrap(), ex.extract(&v));
+        assert_eq!(st.describe(ex.model()).unwrap(), ex.extract_checked(&v).unwrap());
         assert_eq!(st.staged_groups(), 0);
     }
 

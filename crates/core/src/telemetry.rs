@@ -12,7 +12,8 @@
 //! `TSDX_LOG` selects the level, read **once** at the first logger
 //! construction: `off` (default — no file is created, no syscalls), `info`
 //! (run/epoch/checkpoint/fault events), `debug` (additionally one `step`
-//! event per optimizer step). Files go to `results/logs/<model>-<pid>.jsonl`.
+//! event per optimizer step); anything else panics there, like every
+//! [`mod@tsdx_tensor::dial`] variable. Files go to `results/logs/<model>-<pid>.jsonl`.
 //! Setting [`ResilienceConfig::log_path`](crate::ResilienceConfig) overrides
 //! both: events are written to the given path at `debug` level regardless of
 //! the environment, which is what tests use to stay independent of ambient
@@ -38,7 +39,6 @@
 use std::fs;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Verbosity of the JSONL training log, from `TSDX_LOG`.
@@ -52,21 +52,33 @@ pub enum LogLevel {
     Debug,
 }
 
-impl LogLevel {
-    /// The level configured by `TSDX_LOG` (`off`/`info`/`debug`,
-    /// case-insensitive; unset or unrecognized means [`LogLevel::Off`]).
-    /// Read once per process.
-    pub fn from_env() -> LogLevel {
-        static LEVEL: OnceLock<LogLevel> = OnceLock::new();
-        *LEVEL.get_or_init(|| {
-            match std::env::var("TSDX_LOG").unwrap_or_default().trim().to_ascii_lowercase().as_str()
-            {
-                "info" => LogLevel::Info,
-                "debug" => LogLevel::Debug,
-                _ => LogLevel::Off,
-            }
-        })
+fn parse_level(raw: Option<&str>) -> Result<LogLevel, String> {
+    match raw {
+        None | Some("off") => Ok(LogLevel::Off),
+        Some("info") => Ok(LogLevel::Info),
+        Some("debug") => Ok(LogLevel::Debug),
+        Some(_) => Err("must be \"off\", \"info\" or \"debug\"".to_string()),
     }
+}
+
+tsdx_tensor::dial! {
+    /// `TSDX_LOG`: the JSONL training log's level (default `off`).
+    static LOG: LogLevel = Some("TSDX_LOG"), parse_level;
+}
+
+/// The live value of every run-time switch on this thread, as the one line
+/// binaries print at start-up (README, "Run-time switches").
+///
+/// # Panics
+///
+/// Panics when a `TSDX_*` variable holds something it does not accept.
+pub fn run_time_switches() -> String {
+    let log = match LOG.get() {
+        LogLevel::Off => "off",
+        LogLevel::Info => "info",
+        LogLevel::Debug => "debug",
+    };
+    format!("{} log={log}", tsdx_tensor::dial::RunConfig::current())
 }
 
 /// A JSON value formatter for the few shapes the log needs.
@@ -130,7 +142,7 @@ impl TrainLogger {
         let (level, path) = match path {
             Some(p) => (LogLevel::Debug, p.to_path_buf()),
             None => {
-                let level = LogLevel::from_env();
+                let level = LOG.get();
                 if level == LogLevel::Off {
                     return TrainLogger { out: None, level };
                 }
@@ -297,6 +309,23 @@ mod tests {
         let mut s = String::new();
         push_json(&mut s, &Val::OptF32(None));
         assert_eq!(s, "null");
+    }
+
+    #[test]
+    fn log_level_follows_the_one_parse_policy() {
+        assert_eq!(LOG.parse(None), Ok(LogLevel::Off));
+        let valid =
+            [("off", LogLevel::Off), ("INFO", LogLevel::Info), (" debug\n", LogLevel::Debug)];
+        for (raw, want) in valid {
+            assert_eq!(LOG.parse(Some(raw)), Ok(want), "{raw:?}");
+        }
+        // A typo used to log nothing, silently; it is now the same loud
+        // error every other variable gives.
+        for raw in ["", "dbug", "1", "verbose"] {
+            let e = LOG.parse(Some(raw)).unwrap_err();
+            assert!(e.starts_with("TSDX_LOG must be \"off\", \"info\" or \"debug\""), "{e}");
+        }
+        assert!(LOG.with(LogLevel::Info, run_time_switches).ends_with(" log=info"));
     }
 
     #[test]

@@ -27,7 +27,8 @@ use tsdx_core::{
 };
 use tsdx_data::{collate, generate_dataset, DatasetConfig};
 use tsdx_render::RenderConfig;
-use tsdx_tensor::{pool, workspace, Graph, Tensor};
+use tsdx_tensor::dial::{Precision, RunConfig};
+use tsdx_tensor::{Graph, Tensor};
 
 /// Forwards to the system allocator, counting calls and bytes.
 struct CountingAlloc;
@@ -67,6 +68,22 @@ fn snapshot() -> (u64, u64) {
     (ALLOC_CALLS.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed))
 }
 
+const WARMUP: usize = 3;
+const MEASURED: usize = 5;
+
+/// Allocator `(calls, bytes)` of `MEASURED` runs of `op` after `WARMUP`
+/// unmeasured ones, all under `rc` — on this thread, because the arena is
+/// thread-local and so is the meaning of a `RunConfig`.
+fn steady_state(rc: RunConfig, mut op: impl FnMut()) -> (u64, u64) {
+    rc.run(|| {
+        (0..WARMUP).for_each(|_| op());
+        let (c0, b0) = snapshot();
+        (0..MEASURED).for_each(|_| op());
+        let (c1, b1) = snapshot();
+        (c1 - c0, b1 - b0)
+    })
+}
+
 /// Serializes the measuring tests so one test's allocations never land in
 /// another's measurement window.
 fn measuring() -> MutexGuard<'static, ()> {
@@ -100,37 +117,9 @@ fn steady_state_step_allocations_drop_with_workspaces() {
         std::hint::black_box(model.params().collect_grads(&binding, &grads));
     };
 
-    const WARMUP: usize = 3;
-    const MEASURED: usize = 5;
-
-    // Everything on this thread: the arena is thread-local, and so is the
-    // meaning of `with_mode`.
-    let (calls_off, bytes_off, calls_on, bytes_on) = pool::with_forced_threads(1, || {
-        let (mut calls_off, mut bytes_off, mut calls_on, mut bytes_on) = (0, 0, 0, 0);
-        workspace::with_mode(false, || {
-            for _ in 0..WARMUP {
-                step();
-            }
-            let (c0, b0) = snapshot();
-            for _ in 0..MEASURED {
-                step();
-            }
-            let (c1, b1) = snapshot();
-            (calls_off, bytes_off) = (c1 - c0, b1 - b0);
-        });
-        workspace::with_mode(true, || {
-            for _ in 0..WARMUP {
-                step();
-            }
-            let (c0, b0) = snapshot();
-            for _ in 0..MEASURED {
-                step();
-            }
-            let (c1, b1) = snapshot();
-            (calls_on, bytes_on) = (c1 - c0, b1 - b0);
-        });
-        (calls_off, bytes_off, calls_on, bytes_on)
-    });
+    let base = RunConfig { threads: 1, ..RunConfig::current() };
+    let (calls_off, bytes_off) = steady_state(RunConfig { recycle: false, ..base }, step);
+    let (calls_on, bytes_on) = steady_state(RunConfig { recycle: true, ..base }, step);
 
     let per_step = |v: u64| v / MEASURED as u64;
     eprintln!(
@@ -176,34 +165,18 @@ fn quantized_steady_state_allocates_no_more_than_f32() {
     // workspace arena, and no weight is ever re-quantized or re-packed.
     // A regression that re-packs per call would multiply the byte count by
     // the packed-plane size per window and fail loudly here.
-    use tsdx_core::precision::{self, Precision};
-
     let ex = ScenarioExtractor::untrained(ModelConfig::default(), 0);
     ex.quantize(); // prepack up front: packing cost must not be steady-state
     let cfg = *ex.model().config();
     let video =
         Tensor::from_fn(&[cfg.frames, cfg.height, cfg.width], |i| (i as f32 * 0.0041).sin() * 0.5);
 
-    const WARMUP: usize = 3;
-    const MEASURED: usize = 5;
-
-    let run = |p: Precision| {
-        precision::with_forced(p, || {
-            for _ in 0..WARMUP {
-                std::hint::black_box(ex.extract_checked(&video).unwrap());
-            }
-            let (c0, b0) = snapshot();
-            for _ in 0..MEASURED {
-                std::hint::black_box(ex.extract_checked(&video).unwrap());
-            }
-            let (c1, b1) = snapshot();
-            (c1 - c0, b1 - b0)
-        })
+    let run = |plane: Precision| {
+        let rc = RunConfig { threads: 1, recycle: true, plane, ..RunConfig::current() };
+        steady_state(rc, || drop(std::hint::black_box(ex.extract_checked(&video).unwrap())))
     };
-
-    let ((calls_f32, bytes_f32), (calls_i8, bytes_i8)) = pool::with_forced_threads(1, || {
-        workspace::with_mode(true, || (run(Precision::F32), run(Precision::Int8)))
-    });
+    let ((calls_f32, bytes_f32), (calls_i8, bytes_i8)) =
+        (run(Precision::F32), run(Precision::Int8));
 
     let per = |v: u64| v / MEASURED as u64;
     eprintln!(
@@ -254,51 +227,47 @@ fn steady_state_stream_push_allocates_per_frame_not_per_window() {
         })
     };
 
-    const WARMUP: usize = 3;
-    const MEASURED: usize = 5;
-
-    let (calls_push, bytes_push, bytes_full) = pool::with_forced_threads(1, || {
-        workspace::with_mode(true, || {
-            // Warm session: a full window plus a few steady-state slides so
-            // the arena and the session's own buffers reach steady state.
-            let mut session = ex.open_stream();
-            session.push_frames(&video(0, cfg.frames)).unwrap();
+    let warm = RunConfig { threads: 1, recycle: true, ..RunConfig::current() };
+    let (calls_push, bytes_push, bytes_full) = warm.run(|| {
+        // Warm session: a full window plus a few steady-state slides so
+        // the arena and the session's own buffers reach steady state.
+        let mut session = ex.open_stream();
+        session.push_frames(&video(0, cfg.frames)).unwrap();
+        session.logits().unwrap();
+        let mut fed = cfg.frames;
+        for _ in 0..WARMUP {
+            session.push_frames(&video(fed, cfg.tubelet_t)).unwrap();
+            fed += cfg.tubelet_t;
             session.logits().unwrap();
-            let mut fed = cfg.frames;
-            for _ in 0..WARMUP {
-                session.push_frames(&video(fed, cfg.tubelet_t)).unwrap();
-                fed += cfg.tubelet_t;
-                session.logits().unwrap();
-            }
+        }
 
-            // Steady state: one new group per window slide.
-            let (c0, b0) = snapshot();
-            for _ in 0..MEASURED {
-                session.push_frames(&video(fed, cfg.tubelet_t)).unwrap();
-                fed += cfg.tubelet_t;
-                std::hint::black_box(session.logits().unwrap());
-            }
-            let (c1, b1) = snapshot();
+        // Steady state: one new group per window slide.
+        let (c0, b0) = snapshot();
+        for _ in 0..MEASURED {
+            session.push_frames(&video(fed, cfg.tubelet_t)).unwrap();
+            fed += cfg.tubelet_t;
+            std::hint::black_box(session.logits().unwrap());
+        }
+        let (c1, b1) = snapshot();
 
-            // Full recompute of the same windows: a cold session per window
-            // (the `extract_checked` path), arena equally warm.
-            let mut start = cfg.frames;
-            for _ in 0..WARMUP {
-                let mut cold = ex.open_stream();
-                cold.push_frames(&video(start, cfg.frames)).unwrap();
-                cold.logits().unwrap();
-                start += cfg.tubelet_t;
-            }
-            let (_, b2) = snapshot();
-            for _ in 0..MEASURED {
-                let mut cold = ex.open_stream();
-                cold.push_frames(&video(start, cfg.frames)).unwrap();
-                start += cfg.tubelet_t;
-                std::hint::black_box(cold.logits().unwrap());
-            }
-            let (_, b3) = snapshot();
-            (c1 - c0, b1 - b0, b3 - b2)
-        })
+        // Full recompute of the same windows: a cold session per window
+        // (the `extract_checked` path), arena equally warm.
+        let mut start = cfg.frames;
+        for _ in 0..WARMUP {
+            let mut cold = ex.open_stream();
+            cold.push_frames(&video(start, cfg.frames)).unwrap();
+            cold.logits().unwrap();
+            start += cfg.tubelet_t;
+        }
+        let (_, b2) = snapshot();
+        for _ in 0..MEASURED {
+            let mut cold = ex.open_stream();
+            cold.push_frames(&video(start, cfg.frames)).unwrap();
+            start += cfg.tubelet_t;
+            std::hint::black_box(cold.logits().unwrap());
+        }
+        let (_, b3) = snapshot();
+        (c1 - c0, b1 - b0, b3 - b2)
     });
 
     let per = |v: u64| v / MEASURED as u64;

@@ -10,8 +10,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tsdx_core::precision::{self, Precision};
 use tsdx_core::{AttentionKind, ClipModel, ModelConfig, ScenarioExtractor};
+use tsdx_tensor::dial::{Precision, PLANE};
 use tsdx_tensor::{Graph, Tensor};
 
 fn clip(cfg: &ModelConfig, phase: f32) -> Tensor {
@@ -49,7 +49,7 @@ fn sixteen_clips_batched_equal_sixteen_solo_extractions_bitwise() {
         ex.quantize();
         let clips: Vec<Tensor> = (0..16).map(|c| clip(&cfg, c as f32 * 0.61)).collect();
         for plane in [Precision::F32, Precision::Int8] {
-            precision::with_forced(plane, || {
+            PLANE.with(plane, || {
                 let tag =
                     format!("{}x{} {:?} {}", cfg.height, cfg.width, cfg.attention, plane.label());
                 let batched = logits(&ex, &clips);

@@ -4,20 +4,20 @@
 //!
 //! 1. **f32 is untouched**: under the f32 dial, extraction is bit-identical
 //!    whether or not the model carries prepacked int8 weights — quantizing
-//!    must never perturb the full-precision plane (`scripts/check.sh`
-//!    additionally runs the whole streaming-parity suite under
-//!    `TSDX_PRECISION=int8` and relies on this test to pin the default).
+//!    must never perturb the full-precision plane (the streaming-parity
+//!    suite runs every path on both planes and relies on this test to pin
+//!    the default).
 //! 2. **int8 tracks f32**: on a trained model at the table-2 evaluation
 //!    scale (the default `ModelConfig`), int8 extraction metrics stay
 //!    within a declared epsilon of the f32 metrics, and the two planes
 //!    agree on the large majority of individual head predictions.
 
-use tsdx_core::precision::{self, Precision};
 use tsdx_core::{
     evaluate, predict_labels, ClipModel, ModelConfig, ScenarioExtractor, TrainConfig,
     VideoScenarioTransformer,
 };
 use tsdx_data::{generate_dataset, DatasetConfig};
+use tsdx_tensor::dial::{Precision, PLANE};
 
 /// Declared accuracy budget for the int8 plane at the table-2 scale:
 /// per-head accuracy/F1 may move by at most this much.
@@ -40,7 +40,7 @@ fn window_bits(ex: &ScenarioExtractor, video: &tsdx_tensor::Tensor) -> Vec<u32> 
 fn f32_plane_is_bit_identical_with_and_without_packed_weights() {
     let video = tsdx_tensor::Tensor::from_fn(&[8, 32, 32], |i| ((i as f32) * 0.0041).sin() * 0.5);
     let ex = ScenarioExtractor::untrained(ModelConfig::default(), 11);
-    precision::with_forced(Precision::F32, || {
+    PLANE.with(Precision::F32, || {
         let before = window_bits(&ex, &video);
         // Prepacking the int8 plane must not perturb a single f32 bit.
         let report = ex.quantize();
@@ -83,8 +83,8 @@ fn int8_metrics_within_epsilon_of_f32_at_table2_scale() {
     let model: &VideoScenarioTransformer = ex.model();
     let idx: Vec<usize> = (0..clips.len()).collect();
 
-    let f32_eval = precision::with_forced(Precision::F32, || evaluate(model, &clips, &idx));
-    let i8_eval = precision::with_forced(Precision::Int8, || evaluate(model, &clips, &idx));
+    let f32_eval = PLANE.with(Precision::F32, || evaluate(model, &clips, &idx));
+    let i8_eval = PLANE.with(Precision::Int8, || evaluate(model, &clips, &idx));
 
     let pairs = [
         ("ego", f32_eval.ego_acc, i8_eval.ego_acc),
@@ -104,8 +104,8 @@ fn int8_metrics_within_epsilon_of_f32_at_table2_scale() {
     }
 
     // Per-prediction agreement between the planes, across every head.
-    let f32_labels = precision::with_forced(Precision::F32, || predict_labels(model, &clips, &idx));
-    let i8_labels = precision::with_forced(Precision::Int8, || predict_labels(model, &clips, &idx));
+    let f32_labels = PLANE.with(Precision::F32, || predict_labels(model, &clips, &idx));
+    let i8_labels = PLANE.with(Precision::Int8, || predict_labels(model, &clips, &idx));
     let mut agree = 0usize;
     let mut total = 0usize;
     for (a, b) in f32_labels.iter().zip(&i8_labels) {

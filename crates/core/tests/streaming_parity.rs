@@ -4,7 +4,8 @@
 //! is that sliding over a long video and reading out head logits after each
 //! new group produces **exactly** the bits a from-scratch forward pass over
 //! the same window produces — for every readout, attention kind, pool size,
-//! and workspace mode. The reference here is a *fresh* session per window,
+//! workspace mode, f32 kernel and precision plane (`RunConfig::matrix`). The
+//! reference here is a *fresh* session per window,
 //! which is the same single forward path `extract_checked` uses, so the two
 //! public entry points cannot drift apart either.
 //!
@@ -17,12 +18,12 @@ use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tsdx_core::precision::{self, Precision};
 use tsdx_core::{
     encode_staged, readout_staged, AttentionKind, ClipModel, ModelConfig, Readout,
     ScenarioExtractor, StreamState, WindowLogits,
 };
-use tsdx_tensor::{metrics, ops, pool, workspace, Graph, Tensor};
+use tsdx_tensor::dial::{Kernel, Precision, RunConfig};
+use tsdx_tensor::{metrics, ops, Graph, Tensor};
 
 fn tiny_cfg(attention: AttentionKind, readout: Readout) -> ModelConfig {
     ModelConfig {
@@ -119,22 +120,20 @@ fn sliding_sessions_match_full_recompute_across_threads_and_workspace_modes() {
     // chunks so pending-buffer bookkeeping is exercised too.
     let chunks = [4usize, 1, 2, 3, 2, 1, 1, 2, 4];
     let video = long_video(20, 0.3);
-    for threads in [1usize, 2] {
-        for ws in [false, true] {
-            pool::with_forced_threads(threads, || {
-                workspace::with_mode(ws, || {
-                    for attention in [AttentionKind::Factorized, AttentionKind::Joint] {
-                        for readout in [Readout::Cls, Readout::MeanPool] {
-                            let ex = ScenarioExtractor::untrained(tiny_cfg(attention, readout), 11);
-                            let ctx = format!(
-                                "threads={threads}, workspace={ws}, {attention:?}/{readout:?}"
-                            );
-                            check_schedule(&ex, &video, &chunks, &ctx);
-                        }
-                    }
-                })
-            });
-        }
+    for rc in RunConfig::matrix() {
+        rc.run(|| {
+            for attention in [AttentionKind::Factorized, AttentionKind::Joint] {
+                for readout in [Readout::Cls, Readout::MeanPool] {
+                    let ex = ScenarioExtractor::untrained(tiny_cfg(attention, readout), 11);
+                    check_schedule(
+                        &ex,
+                        &video,
+                        &chunks,
+                        &format!("{rc}, {attention:?}/{readout:?}"),
+                    );
+                }
+            }
+        });
     }
 }
 
@@ -143,68 +142,48 @@ fn multiplexed_batched_encodes_match_independent_sessions_across_dials() {
     // N interleaved streams whose group encodes go through the cross-stream
     // batched scheduler path (`stage_frames` + one `encode_staged` per
     // tick) must be bit-identical to N independent self-encoding sessions —
-    // under every pool size, workspace mode, and precision plane. This is
+    // under every pool size, workspace mode, kernel and precision plane. This is
     // the invariant the serving layer's mixed batch queue rests on.
     let n = 3usize;
     let chunks = [2usize, 3, 1, 2, 2, 2]; // group-aligned and straddling pushes
-    for threads in [1usize, 2] {
-        for ws in [false, true] {
-            for plane in [Precision::F32, Precision::Int8] {
-                pool::with_forced_threads(threads, || {
-                    workspace::with_mode(ws, || {
-                        precision::with_forced(plane, || {
-                            for attention in [AttentionKind::Factorized, AttentionKind::Joint] {
-                                let ctx = format!(
-                                    "threads={threads}, workspace={ws}, plane={plane:?}, \
-                                     {attention:?}"
-                                );
-                                let ex = ScenarioExtractor::untrained(
-                                    tiny_cfg(attention, Readout::Cls),
-                                    47,
-                                );
-                                let model = ex.model();
-                                let videos: Vec<Tensor> =
-                                    (0..n).map(|s| long_video(12, s as f32 * 0.9 + 0.1)).collect();
-                                let mut muxed: Vec<StreamState> =
-                                    (0..n).map(|_| StreamState::new(*model.config())).collect();
-                                let mut solo: Vec<_> = (0..n).map(|_| ex.open_stream()).collect();
-                                let mut fed = 0usize;
-                                for &len in &chunks {
-                                    for s in 0..n {
-                                        let chunk = slice_frames(&videos[s], fed, len);
-                                        muxed[s].stage_frames(&chunk).unwrap();
-                                        solo[s].push_frames(&chunk).unwrap();
-                                    }
-                                    fed += len;
-                                    let mut refs: Vec<&mut StreamState> =
-                                        muxed.iter_mut().collect();
-                                    let report = encode_staged(model, &mut refs);
-                                    assert!(
-                                        report.streams == n || report.groups == 0,
-                                        "all streams push in lockstep ({ctx}): {report:?}"
-                                    );
-                                    for s in 0..n {
-                                        assert_eq!(
-                                            muxed[s].ready(),
-                                            solo[s].ready(),
-                                            "readiness diverged ({ctx}, stream {s})"
-                                        );
-                                        if muxed[s].ready() {
-                                            let a = muxed[s].logits(model).unwrap();
-                                            let b = solo[s].logits().unwrap();
-                                            assert_bit_identical(
-                                                &a,
-                                                &b,
-                                                &format!("{ctx}, stream {s}, fed {fed}"),
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                        })
-                    })
-                });
+    let run = |ctx: String, attention| {
+        let ex = ScenarioExtractor::untrained(tiny_cfg(attention, Readout::Cls), 47);
+        let model = ex.model();
+        let videos: Vec<Tensor> = (0..n).map(|s| long_video(12, s as f32 * 0.9 + 0.1)).collect();
+        let mut muxed: Vec<StreamState> =
+            (0..n).map(|_| StreamState::new(*model.config())).collect();
+        let mut solo: Vec<_> = (0..n).map(|_| ex.open_stream()).collect();
+        let mut fed = 0usize;
+        for &len in &chunks {
+            for s in 0..n {
+                let chunk = slice_frames(&videos[s], fed, len);
+                muxed[s].stage_frames(&chunk).unwrap();
+                solo[s].push_frames(&chunk).unwrap();
             }
+            fed += len;
+            let mut refs: Vec<&mut StreamState> = muxed.iter_mut().collect();
+            let report = encode_staged(model, &mut refs);
+            assert!(
+                report.streams == n || report.groups == 0,
+                "all streams push in lockstep ({ctx}): {report:?}"
+            );
+            for s in 0..n {
+                assert_eq!(
+                    muxed[s].ready(),
+                    solo[s].ready(),
+                    "readiness diverged ({ctx}, stream {s})"
+                );
+                if muxed[s].ready() {
+                    let a = muxed[s].logits(model).unwrap();
+                    let b = solo[s].logits().unwrap();
+                    assert_bit_identical(&a, &b, &format!("{ctx}, stream {s}, fed {fed}"));
+                }
+            }
+        }
+    };
+    for rc in RunConfig::matrix() {
+        for attention in [AttentionKind::Factorized, AttentionKind::Joint] {
+            rc.run(|| run(format!("{rc}, {attention:?}"), attention));
         }
     }
 }
@@ -218,145 +197,159 @@ fn batched_readout_matches_solo_describe_on_ragged_rounds_across_dials() {
     // describe answers) — must give each exactly what reading out alone
     // gives: equal results, and bit-identical logits.
     let rounds = 3usize; // `short` ends one frame short of a window
-    for threads in [1usize, 2] {
-        for ws in [false, true] {
-            for plane in [Precision::F32, Precision::Int8] {
-                for attention in [AttentionKind::Factorized, AttentionKind::Joint] {
-                    let ctx = format!(
-                        "threads={threads}, workspace={ws}, plane={plane:?}, {attention:?}"
-                    );
-                    let run = || {
-                        let ex =
-                            ScenarioExtractor::untrained(tiny_cfg(attention, Readout::Cls), 53);
-                        let model = ex.model();
-                        let videos: Vec<Tensor> =
-                            (0..3).map(|s| long_video(12, s as f32 * 0.7 + 0.2)).collect();
-                        let mut muxed: Vec<StreamState> =
-                            (0..3).map(|_| StreamState::new(*model.config())).collect();
-                        let mut solo: Vec<_> = (0..3).map(|_| ex.open_stream()).collect();
-                        let mut fed = [0usize; 3];
-                        for round in 0..rounds {
-                            // fresh: a window, then a group per round; idle:
-                            // a window once; short: one frame per round.
-                            let lens =
-                                [if round == 0 { 4 } else { 2 }, 4 * (round == 0) as usize, 1];
-                            for s in 0..3 {
-                                let chunk = slice_frames(&videos[s], fed[s], lens[s]);
-                                muxed[s].stage_frames(&chunk).unwrap();
-                                solo[s].push_frames(&chunk).unwrap();
-                                fed[s] += lens[s];
-                            }
-                            let scope = metrics::scope();
-                            let mut refs: Vec<&mut StreamState> = muxed.iter_mut().collect();
-                            encode_staged(model, &mut refs);
-                            let got = readout_staged(model, &mut refs);
-                            let snap = scope.snapshot();
-                            drop(scope);
-                            let forwards =
-                                snap.hists.get("stage/stream_infer").map_or(0, |h| h.count);
-                            assert_eq!(forwards, 1, "one readout forward per round ({ctx})");
-                            let idle_hit = u64::from(round > 0);
-                            assert_eq!(snap.counter("stage/window_hit"), idle_hit, "{ctx}");
-                            for s in 0..3 {
-                                let want = solo[s].describe();
-                                assert_eq!(got[s], want, "{ctx}, round {round}, stream {s}");
-                                if want.is_ok() {
-                                    assert_bit_identical(
-                                        &muxed[s].logits(model).unwrap(),
-                                        &solo[s].logits().unwrap(),
-                                        &format!("{ctx}, round {round}, stream {s}"),
-                                    );
-                                }
-                            }
-                            assert!(got[2].is_err(), "`short` never fills a window ({ctx})");
-                        }
-                        // Nothing stale: no forward at all.
-                        let scope = metrics::scope();
-                        let mut refs: Vec<&mut StreamState> = muxed.iter_mut().collect();
-                        readout_staged(model, &mut refs);
-                        let snap = scope.snapshot();
-                        assert!(!snap.hists.contains_key("stage/stream_infer"), "{ctx}");
-                        assert_eq!(snap.counter("stage/window_hit"), 2, "{ctx}");
-                    };
-                    pool::with_forced_threads(threads, || {
-                        workspace::with_mode(ws, || precision::with_forced(plane, run))
-                    });
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn served_batch_of_eight_matches_eight_solo_extractions_across_dials() {
-    // The shape a full serving batch runs: eight default-config clips
-    // stacked into one forward. A CLS stack's last block scores one query
-    // row against all keys, so its composed/fused dispatch is on
-    // `B·H·1·T`; the blocks before it dispatch on `B·H·T·T`. At B = 8 both
-    // are on the composed side a solo clip takes, so every row of the
-    // stacked logits must carry that clip's solo bits.
-    let cfg = ModelConfig::default();
-    let clips: Vec<Tensor> = (0..8)
-        .map(|c| {
-            Tensor::from_fn(&[cfg.frames, cfg.height, cfg.width], |i| {
-                ((i as f32 * 0.0137) + c as f32 * 0.61).sin() * 0.5
-            })
-        })
-        .collect();
-    let stacked = Tensor::from_vec(
-        clips.iter().flat_map(|c| c.data().iter().copied()).collect(),
-        &[8, cfg.frames, cfg.height, cfg.width],
-    );
-    let ex = ScenarioExtractor::untrained(cfg, 59);
-    for threads in [1usize, 2] {
-        for ws in [false, true] {
-            for plane in [Precision::F32, Precision::Int8] {
-                let ctx = format!("threads={threads}, workspace={ws}, plane={plane:?}");
-                let run = || {
-                    let model = ex.model();
-                    let mut g = Graph::new();
-                    let p = model.bind_eval(&mut g);
-                    let l =
-                        model.forward(&mut g, &p, &stacked, &mut StdRng::seed_from_u64(0), false);
-                    for (c, clip) in clips.iter().enumerate() {
-                        let row = |v| ops::narrow(g.value(v), 0, c, 1);
-                        let batched = WindowLogits {
-                            ego: row(l.ego),
-                            road: row(l.road),
-                            event: row(l.event),
-                            position: row(l.position),
-                            presence: row(l.presence),
-                        };
-                        let solo = reference_logits(&ex, clip);
-                        assert_bit_identical(&batched, &solo, &format!("{ctx}, clip {c}"));
+    for rc in RunConfig::matrix() {
+        for attention in [AttentionKind::Factorized, AttentionKind::Joint] {
+            let ctx = format!("{rc}, {attention:?}");
+            rc.run(|| {
+                let ex = ScenarioExtractor::untrained(tiny_cfg(attention, Readout::Cls), 53);
+                let model = ex.model();
+                let videos: Vec<Tensor> =
+                    (0..3).map(|s| long_video(12, s as f32 * 0.7 + 0.2)).collect();
+                let mut muxed: Vec<StreamState> =
+                    (0..3).map(|_| StreamState::new(*model.config())).collect();
+                let mut solo: Vec<_> = (0..3).map(|_| ex.open_stream()).collect();
+                let mut fed = [0usize; 3];
+                for round in 0..rounds {
+                    // fresh: a window, then a group per round; idle:
+                    // a window once; short: one frame per round.
+                    let lens = [if round == 0 { 4 } else { 2 }, 4 * (round == 0) as usize, 1];
+                    for s in 0..3 {
+                        let chunk = slice_frames(&videos[s], fed[s], lens[s]);
+                        muxed[s].stage_frames(&chunk).unwrap();
+                        solo[s].push_frames(&chunk).unwrap();
+                        fed[s] += lens[s];
                     }
-                };
-                pool::with_forced_threads(threads, || {
-                    workspace::with_mode(ws, || precision::with_forced(plane, run))
-                });
-            }
+                    let scope = metrics::scope();
+                    let mut refs: Vec<&mut StreamState> = muxed.iter_mut().collect();
+                    encode_staged(model, &mut refs);
+                    let got = readout_staged(model, &mut refs);
+                    let snap = scope.snapshot();
+                    drop(scope);
+                    let forwards = snap.hists.get("stage/stream_infer").map_or(0, |h| h.count);
+                    assert_eq!(forwards, 1, "one readout forward per round ({ctx})");
+                    let idle_hit = u64::from(round > 0);
+                    assert_eq!(snap.counter("stage/window_hit"), idle_hit, "{ctx}");
+                    for s in 0..3 {
+                        let want = solo[s].describe();
+                        assert_eq!(got[s], want, "{ctx}, round {round}, stream {s}");
+                        if want.is_ok() {
+                            assert_bit_identical(
+                                &muxed[s].logits(model).unwrap(),
+                                &solo[s].logits().unwrap(),
+                                &format!("{ctx}, round {round}, stream {s}"),
+                            );
+                        }
+                    }
+                    assert!(got[2].is_err(), "`short` never fills a window ({ctx})");
+                }
+                // Nothing stale: no forward at all.
+                let scope = metrics::scope();
+                let mut refs: Vec<&mut StreamState> = muxed.iter_mut().collect();
+                readout_staged(model, &mut refs);
+                let snap = scope.snapshot();
+                assert!(!snap.hists.contains_key("stage/stream_infer"), "{ctx}");
+                assert_eq!(snap.counter("stage/window_hit"), 2, "{ctx}");
+            });
         }
     }
 }
 
 #[test]
-fn streamed_windows_match_extract_checked_labels() {
-    // The decoded scenario — not just the raw logits — must agree with the
-    // one-shot public API on every window of a longer stream.
-    let ex = ScenarioExtractor::untrained(tiny_cfg(AttentionKind::Factorized, Readout::Cls), 23);
-    let cfg = *ex.model().config();
-    let video = long_video(12, 1.7);
-    let mut session = ex.open_stream();
-    for start in (0..=video.shape()[0] - cfg.frames).step_by(cfg.tubelet_t) {
-        let upto = start + cfg.frames;
-        let already = session.frames_seen() as usize;
-        session.push_frames(&slice_frames(&video, already, upto - already)).unwrap();
-        let window = slice_frames(&video, start, cfg.frames);
-        assert_eq!(
-            session.describe().unwrap(),
-            ex.extract_checked(&window).unwrap(),
-            "window starting at frame {start}"
+fn every_path_agrees_bitwise_under_every_run_configuration() {
+    // The one in-process matrix. Four paths compute a window's logits — a
+    // one-shot extraction, a row of the batch of eight a full serving batch
+    // stacks, a session slid over the video, and a stream muxed with another
+    // through one batched encode and one batched readout per round — and
+    // `RunConfig::matrix` lists every pool size, recycling mode, f32 kernel
+    // and plane a process can run under. At the default model, factorized
+    // and joint: within a configuration every path carries the one-shot
+    // bits, and within a plane the one-shot bits do not move with the
+    // configuration. The dispatch counters prove each axis really switched.
+    for attention in [AttentionKind::Factorized, AttentionKind::Joint] {
+        let cfg = ModelConfig { attention, ..ModelConfig::default() };
+        let ex = ScenarioExtractor::untrained(cfg, 59);
+        let videos: Vec<Tensor> = (0..3)
+            .map(|v| {
+                Tensor::from_fn(&[12, cfg.height, cfg.width], |i| {
+                    ((i as f32 * 0.0137) + v as f32 * 0.61).sin() * 0.5
+                })
+            })
+            .collect();
+        // Eight clips: the three windows of each video, less the last.
+        let starts = [0, cfg.tubelet_t, 2 * cfg.tubelet_t];
+        let clips: Vec<Tensor> = videos
+            .iter()
+            .flat_map(|v| starts.map(|s| slice_frames(v, s, cfg.frames)))
+            .take(8)
+            .collect();
+        let stacked = Tensor::from_vec(
+            clips.iter().flat_map(|c| c.data().iter().copied()).collect(),
+            &[8, cfg.frames, cfg.height, cfg.width],
         );
+        let mut per_plane: [Option<Vec<Vec<u32>>>; 2] = [None, None];
+        for rc in RunConfig::matrix() {
+            let ctx = format!("{rc}, {attention:?}");
+            let scope = metrics::scope();
+            let one_shot: Vec<WindowLogits> = rc.run(|| {
+                let one_shot: Vec<_> = clips.iter().map(|c| reference_logits(&ex, c)).collect();
+
+                let model = ex.model();
+                let mut g = Graph::new();
+                let p = model.bind_eval(&mut g);
+                let l = model.forward(&mut g, &p, &stacked, &mut StdRng::seed_from_u64(0), false);
+                for (c, solo) in one_shot.iter().enumerate() {
+                    let row = |v| ops::narrow(g.value(v), 0, c, 1);
+                    let batched = WindowLogits {
+                        ego: row(l.ego),
+                        road: row(l.road),
+                        event: row(l.event),
+                        position: row(l.position),
+                        presence: row(l.presence),
+                    };
+                    assert_bit_identical(&batched, solo, &format!("batch-8 row {c} ({ctx})"));
+                }
+
+                let mut session = ex.open_stream();
+                let mut muxed = [StreamState::new(cfg), StreamState::new(cfg)];
+                for (w, &start) in starts.iter().enumerate() {
+                    // The first window whole, then one new group per slide.
+                    let new = if w == 0 { cfg.frames } else { cfg.tubelet_t };
+                    let from = start + cfg.frames - new;
+                    session.push_frames(&slice_frames(&videos[0], from, new)).unwrap();
+                    let streamed = session.logits().unwrap();
+                    assert_bit_identical(&streamed, &one_shot[w], &format!("streamed {w} ({ctx})"));
+                    // The decoded scenario too, against the one-shot public API.
+                    assert_eq!(session.describe(), ex.extract_checked(&clips[w]), "{ctx}");
+                    for (state, v) in muxed.iter_mut().zip(&videos) {
+                        state.stage_frames(&slice_frames(v, from, new)).unwrap();
+                    }
+                    let mut refs: Vec<&mut StreamState> = muxed.iter_mut().collect();
+                    encode_staged(model, &mut refs);
+                    readout_staged(model, &mut refs);
+                    for (s, state) in muxed.iter_mut().enumerate() {
+                        let got = state.logits(model).unwrap();
+                        let want = &one_shot[starts.len() * s + w];
+                        assert_bit_identical(&got, want, &format!("muxed {s}/{w} ({ctx})"));
+                    }
+                }
+                one_shot
+            });
+            let snap = scope.snapshot();
+            drop(scope);
+
+            let int8 = rc.plane == Precision::Int8;
+            assert_eq!(snap.counter("dispatch/matmul_i8") > 0, int8, "{ctx}");
+            let avx512 = snap.counter("dispatch/matmul_avx512") > 0;
+            assert_eq!(avx512, rc.kernel == Kernel::Avx512, "{ctx}");
+
+            let got: Vec<Vec<u32>> = one_shot
+                .iter()
+                .map(|l| [&l.ego, &l.road, &l.event, &l.position, &l.presence].map(bits).concat())
+                .collect();
+            let want = per_plane[int8 as usize].get_or_insert_with(|| got.clone());
+            assert!(got == *want, "the one-shot logits moved with the configuration ({ctx})");
+        }
+        assert_ne!(per_plane[0], per_plane[1], "the planes must differ, or the dial does nothing");
     }
 }
 
@@ -382,6 +375,8 @@ proptest! {
         let ctx = format!("chunks={chunks:?}, seed={seed}");
         // `check_schedule` asserts at least one window was produced, which
         // holds because total >= frames and every frame is eventually fed.
-        check_schedule(&ex, &video, &chunks, &ctx);
+        for rc in RunConfig::matrix() {
+            rc.run(|| check_schedule(&ex, &video, &chunks, &format!("{ctx}, {rc}")));
+        }
     }
 }

@@ -15,7 +15,7 @@ use tsdx_core::{train, ClipModel, ModelConfig, TrainConfig, VideoScenarioTransfo
 use tsdx_data::{generate_dataset, Clip, DatasetConfig};
 use tsdx_nn::LrSchedule;
 use tsdx_render::RenderConfig;
-use tsdx_tensor::{pool, workspace};
+use tsdx_tensor::dial::RunConfig;
 
 fn tiny_model() -> VideoScenarioTransformer {
     VideoScenarioTransformer::new(
@@ -69,21 +69,20 @@ fn trained_param_bits() -> Vec<(String, Vec<u32>)> {
 
 #[test]
 fn training_is_bit_identical_across_workspace_modes_and_pool_sizes() {
-    let reference =
-        pool::with_forced_threads(1, || workspace::with_mode(false, trained_param_bits));
+    let base = RunConfig::current();
+    let reference = RunConfig { threads: 1, recycle: false, ..base }.run(trained_param_bits);
     for threads in [1usize, 2, 4] {
-        for ws in [false, true] {
-            if threads == 1 && !ws {
+        for recycle in [false, true] {
+            if threads == 1 && !recycle {
                 continue; // the reference run itself
             }
-            let run =
-                pool::with_forced_threads(threads, || workspace::with_mode(ws, trained_param_bits));
+            let run = RunConfig { threads, recycle, ..base }.run(trained_param_bits);
             assert_eq!(reference.len(), run.len(), "parameter count diverged");
             for ((rn, rb), (cn, cb)) in reference.iter().zip(&run) {
-                assert_eq!(rn, cn, "parameter order diverged (threads={threads}, ws={ws})");
+                assert_eq!(rn, cn, "parameter order diverged (threads={threads}, ws={recycle})");
                 assert_eq!(
                     rb, cb,
-                    "parameter {rn} not bit-identical at threads={threads}, workspace={ws}"
+                    "parameter {rn} not bit-identical at threads={threads}, workspace={recycle}"
                 );
             }
         }

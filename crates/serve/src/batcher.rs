@@ -26,11 +26,14 @@
 //!   EWMA-estimated cost (per clip for one-shots, per group for streams)
 //!   are answered [`ServeError::DeadlineExceeded`] instead of wasting model
 //!   time.
-//! * **Degrade under pressure.** When the queue depth at drain time crosses
-//!   `degrade_depth`, the whole round — clip forward and group encodes —
-//!   runs on the int8 plane ([`Precision::Int8`]). A session's window memo
-//!   is keyed by plane, so a flip re-reads the window instead of serving
-//!   the other plane's answer (see [`tsdx_core::StreamState`]).
+//! * **Degrade under pressure — where it relieves pressure.** When the queue
+//!   depth at drain time crosses `degrade_depth` *and int8 is the faster
+//!   plane on this host* (the f32 GEMM is not on the AVX-512 kernel), the
+//!   whole round — clip forward and group encodes — runs on the int8 plane
+//!   ([`Precision::Int8`]); on an AVX-512 host the int8 forward is the
+//!   slower one, so the valve stays shut (`round_plane`). A session's
+//!   window memo is keyed by plane, so a flip re-reads the window instead of
+//!   serving the other plane's answer (see [`tsdx_core::StreamState`]).
 //! * **Panic containment.** Every forward runs under `catch_unwind`; a panic
 //!   answers the affected jobs with a typed 500 and the worker keeps
 //!   serving. A panic inside the group encode leaves staged groups staged —
@@ -49,9 +52,9 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use tsdx_core::precision::{self, Precision};
 use tsdx_core::ScenarioExtractor;
 use tsdx_sdl::Scenario;
+use tsdx_tensor::dial::{Kernel, Precision, KERNEL, PLANE};
 use tsdx_tensor::{metrics, Tensor};
 
 use crate::error::ServeError;
@@ -67,7 +70,9 @@ pub struct BatchConfig {
     /// Most jobs (clips + stream pushes) coalesced into one drain round.
     pub max_batch: usize,
     /// Queue depth (measured when the worker starts a drain) at or above
-    /// which batches run int8. `None` disables pressure degradation.
+    /// which batches run int8 — on hosts where that is the faster plane
+    /// (the f32 GEMM is not on the AVX-512 kernel). `None` disables
+    /// pressure degradation.
     pub degrade_depth: Option<usize>,
     /// Numeric plane for unpressured batches; `None` follows the process
     /// `TSDX_PRECISION` dial.
@@ -77,6 +82,27 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig { queue_capacity: 64, max_batch: 8, degrade_depth: Some(32), precision: None }
+    }
+}
+
+/// The plane a round drained at queue depth `depth` runs on, and whether the
+/// pressure valve chose it.
+///
+/// The valve trades precision for latency, so it only opens where int8 *is*
+/// lower latency: `int8_is_faster` is false on a host whose f32 GEMM runs the
+/// AVX-512 kernel (int8 measures ~28 % slower per batch-of-8 forward there),
+/// and degrading would make an overloaded server slower and less precise.
+/// Everywhere else a round follows `cfg.precision`, else the `dialed` plane.
+fn round_plane(
+    depth: usize,
+    cfg: &BatchConfig,
+    dialed: Precision,
+    int8_is_faster: bool,
+) -> (Precision, bool) {
+    if int8_is_faster && cfg.degrade_depth.is_some_and(|t| depth >= t) {
+        (Precision::Int8, true)
+    } else {
+        (cfg.precision.unwrap_or(dialed), false)
     }
 }
 
@@ -155,6 +181,8 @@ struct Shared {
     q: Mutex<Queue>,
     cv: Condvar,
     cfg: BatchConfig,
+    /// [`round_plane`]'s last input, probed once at start.
+    int8_is_faster: bool,
     stats: Arc<ServeStats>,
     /// EWMA of per-clip forward cost in µs (0 = no estimate yet).
     est_clip_us: AtomicU64,
@@ -172,17 +200,18 @@ pub struct Batcher {
 impl Batcher {
     /// Starts the worker thread over `extractor`.
     ///
-    /// When the int8 plane is reachable (configured, dialed in, or armed as
-    /// the pressure fallback), the weights are prepacked up front so the
-    /// first degraded batch does not pay quantization cost mid-overload.
+    /// When some round can run int8 (configured, dialed in, or the pressure
+    /// valve can open on this host), the weights are prepacked up front so
+    /// the first degraded batch does not pay quantization cost mid-overload.
     pub fn start(
         extractor: Arc<ScenarioExtractor>,
         cfg: BatchConfig,
         stats: Arc<ServeStats>,
     ) -> Batcher {
-        let int8_reachable = cfg.degrade_depth.is_some()
-            || cfg.precision == Some(Precision::Int8)
-            || (cfg.precision.is_none() && precision::active() == Precision::Int8);
+        let int8_is_faster = KERNEL.get() != Kernel::Avx512;
+        let int8_reachable = [0, usize::MAX].iter().any(|&depth| {
+            round_plane(depth, &cfg, PLANE.get(), int8_is_faster).0 == Precision::Int8
+        });
         if int8_reachable {
             extractor.quantize();
         }
@@ -190,6 +219,7 @@ impl Batcher {
             q: Mutex::new(Queue { items: VecDeque::new(), draining: false }),
             cv: Condvar::new(),
             cfg,
+            int8_is_faster,
             stats,
             est_clip_us: AtomicU64::new(0),
             est_group_us: AtomicU64::new(0),
@@ -278,18 +308,6 @@ impl Batcher {
     /// Current queue depth (for readiness probes and tests).
     pub fn depth(&self) -> usize {
         lock(&self.shared.q).items.len()
-    }
-
-    /// The per-clip forward estimate the deadline gate uses, µs (0 before
-    /// the first batch).
-    pub fn estimated_clip_us(&self) -> u64 {
-        self.shared.est_clip_us.load(Ordering::Relaxed)
-    }
-
-    /// The per-group stream-encode estimate the deadline gate uses, µs (0
-    /// before the first stream round).
-    pub fn estimated_group_us(&self) -> u64 {
-        self.shared.est_group_us.load(Ordering::Relaxed)
     }
 
     /// Stops admission, answers everything already queued, and joins the
@@ -426,20 +444,13 @@ fn run_round(
         return;
     }
 
-    let degraded = shared.cfg.degrade_depth.is_some_and(|t| depth >= t);
-    let plane = if degraded {
-        Precision::Int8
-    } else {
-        shared.cfg.precision.unwrap_or_else(precision::active)
-    };
-    if !live_clips.is_empty() || !live_streams.is_empty() {
-        ServeStats::inc(&shared.stats.batches);
-        if plane == Precision::Int8 {
-            ServeStats::inc(&shared.stats.batches_int8);
-        }
-        if degraded {
-            ServeStats::inc(&shared.stats.batches_degraded);
-        }
+    let (plane, degraded) = round_plane(depth, &shared.cfg, PLANE.get(), shared.int8_is_faster);
+    ServeStats::inc(&shared.stats.batches);
+    if plane == Precision::Int8 {
+        ServeStats::inc(&shared.stats.batches_int8);
+    }
+    if degraded {
+        ServeStats::inc(&shared.stats.batches_degraded);
     }
 
     run_clips(shared, extractor, live_clips, plane, drained);
@@ -465,7 +476,7 @@ fn run_clips(
     let videos: Vec<&Tensor> = live.iter().map(|p| &p.video).collect();
     let t0 = Instant::now();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        precision::with_forced(plane, || {
+        PLANE.with(plane, || {
             metrics::stage("stage/serve_batch", || extractor.extract_window_batch(&videos))
         })
     }));
@@ -540,7 +551,7 @@ fn run_streams(
 
     let t0 = Instant::now();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        precision::with_forced(plane, || stream_round(shared, extractor, &live, plane, drained))
+        PLANE.with(plane, || stream_round(shared, extractor, &live, plane, drained))
     }));
     let elapsed = t0.elapsed();
     match outcome {
@@ -773,23 +784,87 @@ mod tests {
     }
 
     #[test]
+    fn the_valve_opens_only_where_int8_is_the_faster_plane() {
+        let armed = BatchConfig { degrade_depth: Some(4), ..BatchConfig::default() };
+        // Below the threshold, or with no threshold, a round follows the
+        // configuration, else the dial.
+        assert_eq!(round_plane(3, &armed, Precision::F32, true), (Precision::F32, false));
+        assert_eq!(round_plane(3, &armed, Precision::Int8, true), (Precision::Int8, false));
+        let pinned = BatchConfig { precision: Some(Precision::Int8), degrade_depth: None, ..armed };
+        assert_eq!(round_plane(99, &pinned, Precision::F32, true), (Precision::Int8, false));
+        // At the threshold it degrades where that buys latency...
+        assert_eq!(round_plane(4, &armed, Precision::F32, true), (Precision::Int8, true));
+        // ...and nowhere else: on an AVX-512 host int8 is the slower plane.
+        assert_eq!(round_plane(4, &armed, Precision::F32, false), (Precision::F32, false));
+        assert_eq!(round_plane(99, &pinned, Precision::F32, false), (Precision::Int8, false));
+    }
+
+    #[test]
     fn degrade_threshold_flips_batches_to_int8() {
+        // Once per f32 kernel this host has: the selected one is the arm a
+        // server here takes, and the portable one is the other arm.
+        for &kernel in Kernel::available() {
+            let ex = tiny_extractor();
+            let stats = Arc::new(ServeStats::default());
+            // Threshold 1: every batch sees depth >= 1 at drain time.
+            let cfg = BatchConfig { degrade_depth: Some(1), ..BatchConfig::default() };
+            let b =
+                KERNEL.with(kernel, || Batcher::start(Arc::clone(&ex), cfg, Arc::clone(&stats)));
+            let rx = b.submit(video(3.0), None, 0).unwrap();
+            let out = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+            let plane = if kernel == Kernel::Avx512 { PLANE.get() } else { Precision::Int8 };
+            assert_eq!(out.plane, plane, "{kernel}");
+            let degraded = u64::from(kernel != Kernel::Avx512);
+            assert_eq!(ServeStats::get(&stats.batches_degraded), degraded, "{kernel}");
+            // The answer matches that plane run directly.
+            let reference = PLANE.with(plane, || ex.extract_checked(&video(3.0)).unwrap());
+            assert_eq!(out.scenario, reference, "{kernel}");
+            b.drain();
+        }
+    }
+
+    #[test]
+    fn a_panicking_degraded_round_does_not_leak_its_plane() {
         let ex = tiny_extractor();
         let stats = Arc::new(ServeStats::default());
-        // Threshold 1: every batch sees depth >= 1 at drain time.
-        let b = Batcher::start(
-            Arc::clone(&ex),
-            BatchConfig { degrade_depth: Some(1), ..BatchConfig::default() },
-            Arc::clone(&stats),
-        );
-        let rx = b.submit(video(3.0), None, 0).unwrap();
-        let out = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
-        assert_eq!(out.plane, Precision::Int8);
-        assert!(ServeStats::get(&stats.batches_degraded) >= 1);
-        // The degraded answer matches the int8 plane run directly.
-        let reference =
-            precision::with_forced(Precision::Int8, || ex.extract_checked(&video(3.0)).unwrap());
-        assert_eq!(out.scenario, reference);
+        let sessions = SessionManager::new(SessionConfig::default(), Arc::clone(&stats));
+        // Two queued jobs at drain time open the valve (armed on any host by
+        // starting under the portable kernel); one does not.
+        let cfg = BatchConfig { degrade_depth: Some(2), ..BatchConfig::default() };
+        let b = KERNEL
+            .with(Kernel::Portable, || Batcher::start(Arc::clone(&ex), cfg, Arc::clone(&stats)));
+
+        // Park the worker in a round of its own and queue two pushes behind
+        // it. Their sessions cut 4-pixel patches the extractor's 8-pixel
+        // embedding cannot multiply: the round's one encode forward panics.
+        let blocker = sessions.create(tiny_cfg()).unwrap();
+        let parked = lock(&blocker.state);
+        let half = Tensor::from_fn(&[2, 16, 16], |i| (i as f32 * 0.01).sin());
+        let blocked = b.submit_stream(Arc::clone(&blocker), half.clone(), None, 0).unwrap();
+        while b.depth() > 0 {
+            std::thread::yield_now();
+        }
+        let rxs: Vec<_> = (0..2)
+            .map(|_| {
+                let entry = sessions.create(ModelConfig { patch: 4, ..tiny_cfg() }).unwrap();
+                b.submit_stream(entry, half.clone(), None, 0).unwrap()
+            })
+            .collect();
+        drop(parked);
+        assert!(blocked.recv_timeout(Duration::from_secs(30)).unwrap().is_ok());
+        for rx in rxs {
+            let e = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap_err();
+            assert!(matches!(e, ServeError::Internal { .. }), "{e:?}");
+        }
+        assert_eq!(ServeStats::get(&stats.batches_degraded), 1, "the poisoned round was degraded");
+        assert_eq!(ServeStats::get(&stats.panics_caught), 1);
+
+        // The next, unpressured round answers on the dialed plane: the int8
+        // override did not outlive the forward that panicked under it.
+        let lone = b.submit(video(5.0), None, 0).unwrap();
+        let out = lone.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+        assert_eq!(out.plane, PLANE.get(), "a caught panic left the worker forced to int8");
+        assert_eq!(ServeStats::get(&stats.batches_int8), 1);
         b.drain();
     }
 

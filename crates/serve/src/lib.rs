@@ -22,9 +22,10 @@
 //! * **Deadlines**: `X-Deadline-Ms` propagates into the batcher, which
 //!   drops entries whose budget an EWMA forward estimate says cannot be
 //!   met — shedding beats accepting-then-missing.
-//! * **Degrade under pressure**: when queue depth crosses a threshold,
-//!   batches flip to the int8 plane (PR 7) — latency is bought with
-//!   precision, visibly (the response names the plane that served it).
+//! * **Degrade under pressure**: when queue depth crosses a threshold, on a
+//!   host where int8 is the faster plane (no AVX-512 f32 kernel), batches
+//!   flip to the int8 plane — latency is bought with precision, visibly
+//!   (the response names the plane that served it).
 //! * **Fault containment** ([`error`], [`http`]): every malformed request,
 //!   slow client, disconnect, or handler panic maps to a typed
 //!   [`ServeError`] and at worst closes *that* connection. The listener
@@ -41,13 +42,9 @@
 //! let cfg = ModelConfig { frames: 4, height: 16, width: 16, ..ModelConfig::default() };
 //! let extractor = ScenarioExtractor::new(VideoScenarioTransformer::new(cfg, 0));
 //! let mut server = Server::start(extractor, ServerConfig::default()).unwrap();
-//! // Name the f32 kernel the host selected: timings from a CPU that fell
-//! // back to the portable one are then recognisable as such.
-//! println!(
-//!     "serving on http://{} (f32 kernel: {})",
-//!     server.local_addr(),
-//!     tsdx_tensor::ops::f32_kernel()
-//! );
+//! // Name every run-time switch — the f32 kernel among them: timings from
+//! // a CPU that fell back to the portable one are then recognisable as such.
+//! println!("serving on http://{} ({})", server.local_addr(), tsdx_core::run_time_switches());
 //! server.shutdown();
 //! ```
 

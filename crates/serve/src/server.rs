@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use tsdx_core::precision;
 use tsdx_core::ScenarioExtractor;
+use tsdx_tensor::dial::PLANE;
 use tsdx_tensor::Tensor;
 
 use crate::batcher::{BatchConfig, Batcher};
@@ -350,7 +350,7 @@ fn route(
             }
         }
         ("GET", "/stats" | "/metrics") => {
-            let plane = inner.cfg.batch.precision.unwrap_or_else(precision::active);
+            let plane = inner.cfg.batch.precision.unwrap_or_else(|| PLANE.get());
             Ok(Response::ok(
                 inner.stats.to_json(plane.label(), !inner.shutting_down.load(Ordering::SeqCst)),
             ))

@@ -159,3 +159,22 @@ pub fn post_clip(
     headers.extend_from_slice(extra);
     Client::connect(addr).request("POST", "/v1/extract", &headers, &body)
 }
+
+/// `POST /sessions`, returning the new session id.
+pub fn create_session(addr: SocketAddr) -> u64 {
+    let resp = Client::connect(addr).request("POST", "/sessions", &[], b"").unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    parse_u64_field(&resp.body, "session")
+}
+
+/// Extracts `"name":<u64>` from a flat JSON body.
+pub fn parse_u64_field(body: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\":");
+    let at = body.find(&key).unwrap_or_else(|| panic!("no {key} in {body}"));
+    body[at + key.len()..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .unwrap_or_else(|_| panic!("bad {key} in {body}"))
+}

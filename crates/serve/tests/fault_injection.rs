@@ -11,7 +11,7 @@ mod common;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use common::{get, post_clip, tiny_extractor, valid_pixels};
+use common::{create_session, get, post_clip, tiny_extractor, valid_pixels};
 use tsdx_serve::{Server, ServerConfig};
 
 /// The fault registry is process-global; serialize the tests that arm it.
@@ -63,20 +63,6 @@ fn mid_body_disconnect_is_typed_and_contained() {
     server.shutdown();
 }
 
-/// `POST /sessions` via the raw client, returning the new id.
-fn open_session(addr: std::net::SocketAddr) -> u64 {
-    let resp = common::Client::connect(addr).request("POST", "/sessions", &[], b"").unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.body);
-    let key = "\"session\":";
-    let at = resp.body.find(key).unwrap();
-    resp.body[at + key.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
-
 /// Two frames (half a window) of deterministic pixels, distinct per `salt`.
 fn half_window_pixels(salt: usize) -> Vec<f32> {
     (0..2 * 16 * 16).map(|i| ((i + 131 * salt) as f32 * 0.011).sin()).collect()
@@ -111,7 +97,7 @@ fn mid_chunk_disconnect_leaves_the_session_resumable() {
     let _guard = locked();
     let mut server = Server::start(tiny_extractor(), ServerConfig::default()).unwrap();
     let addr = server.local_addr();
-    let id = open_session(addr);
+    let id = create_session(addr);
 
     let resp = push_half_window(addr, id, 0);
     assert_eq!(resp.status, 200, "{}", resp.body);
@@ -141,7 +127,7 @@ fn batched_readout_panic_answers_500s_and_every_session_streams_on() {
     let _guard = locked();
     let mut server = Server::start(tiny_extractor(), ServerConfig::default()).unwrap();
     let addr = server.local_addr();
-    let ids = [open_session(addr), open_session(addr)];
+    let ids = [create_session(addr), create_session(addr)];
     // Session `s` pushes the chunks salted 10·s, 10·s + 1, 10·s + 2.
     for (s, &id) in ids.iter().enumerate() {
         let resp = push_half_window(addr, id, 10 * s);
@@ -199,7 +185,7 @@ fn session_table_exhaustion_is_typed_and_transient() {
     assert!(resp.body.contains("\"retryable\":true"), "{}", resp.body);
 
     // The shed is admission-time only: the retry succeeds and streams.
-    let id = open_session(addr);
+    let id = create_session(addr);
     let resp = push_half_window(addr, id, 0);
     assert_eq!(resp.status, 200, "{}", resp.body);
     assert_eq!(server.stats().shed_sessions.load(std::sync::atomic::Ordering::Relaxed), 1);
@@ -213,7 +199,7 @@ fn session_route_panic_spares_listener_and_other_sessions() {
     let addr = server.local_addr();
 
     // An innocent bystander session with half a window in flight.
-    let id = open_session(addr);
+    let id = create_session(addr);
     let resp = push_half_window(addr, id, 0);
     assert_eq!(resp.status, 200, "{}", resp.body);
 

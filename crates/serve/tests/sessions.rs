@@ -7,15 +7,8 @@ mod common;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use common::{get, tiny_extractor, Client, HttpResponse};
+use common::{create_session, get, parse_u64_field, tiny_extractor, Client, HttpResponse};
 use tsdx_serve::{json, Server, ServerConfig, SessionConfig};
-
-/// `POST /sessions`, returning the new session id.
-fn create_session(addr: SocketAddr) -> u64 {
-    let resp = Client::connect(addr).request("POST", "/sessions", &[], b"").unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.body);
-    parse_u64_field(&resp.body, "session")
-}
 
 /// `POST /sessions/<id>/frames` with an octet-stream chunk.
 fn push_chunk(addr: SocketAddr, id: u64, shape: &str, pixels: &[f32]) -> HttpResponse {
@@ -28,18 +21,6 @@ fn push_chunk(addr: SocketAddr, id: u64, shape: &str, pixels: &[f32]) -> HttpRes
             &body,
         )
         .unwrap()
-}
-
-/// Extracts `"name":<u64>` from a flat JSON body.
-fn parse_u64_field(body: &str, name: &str) -> u64 {
-    let key = format!("\"{name}\":");
-    let at = body.find(&key).unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + key.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("bad {key} in {body}"))
 }
 
 /// Frames for stream `s`, chunk `c`: distinct per stream so parity checks

@@ -2,8 +2,8 @@
 //! run extraction round-trips in both encodings, and prove graceful
 //! shutdown answers everything already admitted.
 //!
-//! `scripts/check.sh` runs this file as its serve smoke stage under
-//! `TSDX_NUM_THREADS=2`.
+//! The extraction round-trips run on both precision planes, configured on
+//! the server as a deployment would.
 
 mod common;
 
@@ -14,12 +14,13 @@ use std::time::Duration;
 use common::{get, post_clip, tiny_extractor, valid_pixels, Client};
 use tsdx_sdl::parse_scenario;
 use tsdx_serve::{BatchConfig, SearchService, Server, ServerConfig};
+use tsdx_tensor::dial::Precision;
 
-/// The `"plane"` member a reply carries when nothing degrades the batch:
-/// the plane this process is configured for (`TSDX_PRECISION`; `check.sh`
-/// runs this file under both values).
-fn configured_plane() -> String {
-    format!("\"plane\":\"{}\"", tsdx_core::precision::active())
+/// [`test_config`] serving on `plane`, and the `"plane"` member its replies
+/// carry when nothing degrades the batch.
+fn config_on(plane: Precision) -> (ServerConfig, String) {
+    let batch = BatchConfig { precision: Some(plane), ..BatchConfig::default() };
+    (ServerConfig { batch, ..test_config() }, format!("\"plane\":\"{plane}\""))
 }
 
 fn test_config() -> ServerConfig {
@@ -56,28 +57,33 @@ fn health_ready_stats_round_trip() {
 
 #[test]
 fn extraction_round_trips_in_both_encodings() {
-    let mut server = Server::start(tiny_extractor(), test_config()).unwrap();
-    let addr = server.local_addr();
-    let pixels = valid_pixels();
+    for plane in [Precision::F32, Precision::Int8] {
+        let (config, configured_plane) = config_on(plane);
+        let mut server = Server::start(tiny_extractor(), config).unwrap();
+        let addr = server.local_addr();
+        let pixels = valid_pixels();
 
-    // Fast path: raw f32 little-endian body + shape header.
-    let resp = post_clip(addr, "4x16x16", &pixels, &[]).unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.body);
-    let parsed = tsdx_serve::json::parse(resp.body.as_bytes()).unwrap();
-    let scenario = parsed.get("scenario").expect("response carries a scenario");
-    assert!(matches!(scenario, tsdx_serve::json::Json::Str(s) if s.contains("ego ")));
-    assert!(resp.body.contains(&configured_plane()), "{}", resp.body);
+        // Fast path: raw f32 little-endian body + shape header.
+        let resp = post_clip(addr, "4x16x16", &pixels, &[]).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let parsed = tsdx_serve::json::parse(resp.body.as_bytes()).unwrap();
+        let scenario = parsed.get("scenario").expect("response carries a scenario");
+        assert!(matches!(scenario, tsdx_serve::json::Json::Str(s) if s.contains("ego ")));
+        assert!(resp.body.contains(&configured_plane), "{}", resp.body);
 
-    // JSON path answers the same scenario for the same pixels.
-    let pixel_list = pixels.iter().map(|p| format!("{p}")).collect::<Vec<_>>().join(",");
-    let body = format!("{{\"shape\":[4,16,16],\"pixels\":[{pixel_list}]}}");
-    let mut c = Client::connect(addr);
-    let json_resp = c.request("POST", "/v1/extract", &[], body.as_bytes()).unwrap();
-    assert_eq!(json_resp.status, 200, "{}", json_resp.body);
-    let json_parsed = tsdx_serve::json::parse(json_resp.body.as_bytes()).unwrap();
-    assert_eq!(json_parsed.get("scenario"), parsed.get("scenario"));
+        // JSON path answers the same scenario for the same pixels.
+        let pixel_list = pixels.iter().map(|p| format!("{p}")).collect::<Vec<_>>().join(",");
+        let body = format!("{{\"shape\":[4,16,16],\"pixels\":[{pixel_list}]}}");
+        // A temporary client: a connection left open would hold `shutdown`
+        // for the whole read timeout.
+        let json_resp =
+            Client::connect(addr).request("POST", "/v1/extract", &[], body.as_bytes()).unwrap();
+        assert_eq!(json_resp.status, 200, "{}", json_resp.body);
+        let json_parsed = tsdx_serve::json::parse(json_resp.body.as_bytes()).unwrap();
+        assert_eq!(json_parsed.get("scenario"), parsed.get("scenario"));
 
-    server.shutdown();
+        server.shutdown();
+    }
 }
 
 fn tiny_corpus() -> Arc<SearchService> {
@@ -133,40 +139,43 @@ fn search_by_sdl_round_trips_with_typed_rejections() {
 
 #[test]
 fn search_by_clip_round_trips_in_both_encodings() {
-    let mut server =
-        Server::start_with_search(tiny_extractor(), Some(tiny_corpus()), test_config()).unwrap();
-    let addr = server.local_addr();
-    let pixels = valid_pixels();
+    for plane in [Precision::F32, Precision::Int8] {
+        let (config, configured_plane) = config_on(plane);
+        let mut server =
+            Server::start_with_search(tiny_extractor(), Some(tiny_corpus()), config).unwrap();
+        let addr = server.local_addr();
+        let pixels = valid_pixels();
 
-    // Fast path: raw pixels + shape header, k from X-Search-K.
-    let body: Vec<u8> = pixels.iter().flat_map(|f| f.to_le_bytes()).collect();
-    let headers = [
-        ("content-type", "application/octet-stream"),
-        ("x-video-shape", "4x16x16"),
-        ("x-search-k", "3"),
-    ];
-    let resp = Client::connect(addr).request("POST", "/search", &headers, &body).unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.body);
-    let parsed = tsdx_serve::json::parse(resp.body.as_bytes()).unwrap();
-    let hits = parsed.get("hits").and_then(|h| h.as_arr()).expect("hits array");
-    assert_eq!(hits.len(), 3);
-    assert!(matches!(
-        parsed.get("scenario"),
-        Some(tsdx_serve::json::Json::Str(s)) if s.contains("ego ")
-    ));
-    assert!(resp.body.contains(&configured_plane()), "{}", resp.body);
+        // Fast path: raw pixels + shape header, k from X-Search-K.
+        let body: Vec<u8> = pixels.iter().flat_map(|f| f.to_le_bytes()).collect();
+        let headers = [
+            ("content-type", "application/octet-stream"),
+            ("x-video-shape", "4x16x16"),
+            ("x-search-k", "3"),
+        ];
+        let resp = Client::connect(addr).request("POST", "/search", &headers, &body).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let parsed = tsdx_serve::json::parse(resp.body.as_bytes()).unwrap();
+        let hits = parsed.get("hits").and_then(|h| h.as_arr()).expect("hits array");
+        assert_eq!(hits.len(), 3);
+        assert!(matches!(
+            parsed.get("scenario"),
+            Some(tsdx_serve::json::Json::Str(s)) if s.contains("ego ")
+        ));
+        assert!(resp.body.contains(&configured_plane), "{}", resp.body);
 
-    // JSON clip variant: same pixels, k in the body, identical extraction.
-    let pixel_list = pixels.iter().map(|p| format!("{p}")).collect::<Vec<_>>().join(",");
-    let json_body = format!("{{\"shape\":[4,16,16],\"pixels\":[{pixel_list}],\"k\":3}}");
-    let json_resp =
-        Client::connect(addr).request("POST", "/search", &[], json_body.as_bytes()).unwrap();
-    assert_eq!(json_resp.status, 200, "{}", json_resp.body);
-    let json_parsed = tsdx_serve::json::parse(json_resp.body.as_bytes()).unwrap();
-    assert_eq!(json_parsed.get("scenario"), parsed.get("scenario"));
-    assert_eq!(json_parsed.get("hits"), parsed.get("hits"));
+        // JSON clip variant: same pixels, k in the body, identical extraction.
+        let pixel_list = pixels.iter().map(|p| format!("{p}")).collect::<Vec<_>>().join(",");
+        let json_body = format!("{{\"shape\":[4,16,16],\"pixels\":[{pixel_list}],\"k\":3}}");
+        let json_resp =
+            Client::connect(addr).request("POST", "/search", &[], json_body.as_bytes()).unwrap();
+        assert_eq!(json_resp.status, 200, "{}", json_resp.body);
+        let json_parsed = tsdx_serve::json::parse(json_resp.body.as_bytes()).unwrap();
+        assert_eq!(json_parsed.get("scenario"), parsed.get("scenario"));
+        assert_eq!(json_parsed.get("hits"), parsed.get("hits"));
 
-    server.shutdown();
+        server.shutdown();
+    }
 }
 
 #[test]

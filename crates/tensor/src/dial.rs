@@ -1,0 +1,348 @@
+//! Run-time switches: the one place the process reads its environment.
+//!
+//! A [`Dial`] is a process-wide value with a per-thread override:
+//!
+//! - The **process value** is parsed **once**, at first use, from an optional
+//!   `TSDX_*` variable under one policy: unset → the default, a valid
+//!   spelling (surrounding whitespace and ASCII case ignored) → that value,
+//!   anything else — empty, garbage, not UTF-8 — → a panic naming the
+//!   variable and what it accepts, not a silent fallback.
+//! - The **override** ([`Dial::with`]) applies to the calling thread for the
+//!   length of a closure and is put back by a drop guard — also when the
+//!   closure panics, so a server that runs a forward under `catch_unwind`
+//!   cannot be left on the overridden value.
+//!
+//! Every switch of the stack is a `Dial`: the three `TSDX_*` variables
+//! ([`THREADS`], [`PLANE`], and `TSDX_LOG` in `tsdx-core`'s telemetry) and
+//! three with no variable that exist for the parity suites ([`RECYCLE`],
+//! [`KERNEL`], [`I8_SIMD`]). No other module calls `std::env::var` or keeps
+//! an override thread-local. [`RunConfig`] is the four numeric ones as one
+//! value; results are bit-identical across all of its combinations within a
+//! [`Precision`] plane.
+
+use std::cell::Cell;
+use std::fmt;
+use std::sync::OnceLock;
+use std::thread::LocalKey;
+
+/// One run-time switch; see the module docs. Declared with [`dial!`](crate::dial!).
+pub struct Dial<T: Copy + 'static> {
+    var: Option<&'static str>,
+    parse: fn(Option<&str>) -> Result<T, String>,
+    process: OnceLock<T>,
+    forced: &'static LocalKey<Cell<Option<T>>>,
+}
+
+/// Declares `static` [`Dial`]s, each with its override thread-local:
+/// `dial! { pub static NAME: Type = Some("TSDX_…"), parse_fn; }`. `parse_fn`
+/// gets `None` when the variable is unset (or there is none), else its
+/// trimmed, lower-cased value; its `Err` says what the variable must be.
+#[macro_export]
+macro_rules! dial {
+    ($($(#[$meta:meta])* $vis:vis static $name:ident: $t:ty = $var:expr, $parse:expr;)+) => {$(
+        $(#[$meta])*
+        $vis static $name: $crate::dial::Dial<$t> = {
+            ::std::thread_local! {
+                static FORCED: ::std::cell::Cell<Option<$t>> =
+                    const { ::std::cell::Cell::new(None) };
+            }
+            $crate::dial::Dial::new($var, $parse, &FORCED)
+        };
+    )+};
+}
+
+impl<T: Copy + 'static> Dial<T> {
+    #[doc(hidden)]
+    pub const fn new(
+        var: Option<&'static str>,
+        parse: fn(Option<&str>) -> Result<T, String>,
+        forced: &'static LocalKey<Cell<Option<T>>>,
+    ) -> Self {
+        Dial { var, parse, process: OnceLock::new(), forced }
+    }
+
+    /// The value in effect on this thread: the override when one is active,
+    /// else the process value (which panics on a variable it does not accept).
+    pub fn get(&self) -> T {
+        self.forced().unwrap_or_else(|| self.process())
+    }
+
+    /// The process value, whatever this thread overrides.
+    pub fn process(&self) -> T {
+        *self.process.get_or_init(|| {
+            let raw = self.var.and_then(|var| match std::env::var(var) {
+                Ok(v) => Some(v),
+                Err(std::env::VarError::NotPresent) => None,
+                Err(std::env::VarError::NotUnicode(v)) => Some(v.to_string_lossy().into_owned()),
+            });
+            self.parse(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+        })
+    }
+
+    /// This thread's override, if one is active.
+    pub fn forced(&self) -> Option<T> {
+        self.forced.with(Cell::get)
+    }
+
+    /// Runs `f` with the dial overridden to `value` **on this thread**; the
+    /// previous override (or none) is back when `with` returns or unwinds.
+    pub fn with<R>(&self, value: T, f: impl FnOnce() -> R) -> R {
+        struct Restore<T: Copy + 'static>(&'static LocalKey<Cell<Option<T>>>, Option<T>);
+        impl<T: Copy + 'static> Drop for Restore<T> {
+            fn drop(&mut self) {
+                self.0.with(|c| c.set(self.1));
+            }
+        }
+        let _restore = Restore(self.forced, self.forced.with(|c| c.replace(Some(value))));
+        f()
+    }
+
+    /// What the process value would be if the variable held `raw` (`None`:
+    /// unset) — the whole parse policy, without touching the environment.
+    /// The error is the message the process would panic with.
+    pub fn parse(&self, raw: Option<&str>) -> Result<T, String> {
+        let cleaned = raw.map(|v| v.trim().to_ascii_lowercase());
+        (self.parse)(cleaned.as_deref())
+            .map_err(|e| format!("{} {e}, got {:?}", self.var.unwrap_or("dial"), raw.unwrap_or("")))
+    }
+}
+
+/// Numeric plane of eval-time (frozen) model bindings. Training is always
+/// f32; outputs are bit-identical across every other switch *within* a plane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Precision {
+    /// Full-precision kernels — the bit-parity reference.
+    F32,
+    /// Per-channel int8 weights + dynamic per-row int8 activations
+    /// ([`crate::quant`]).
+    Int8,
+}
+
+impl Precision {
+    /// The plane's spelling (`"f32"` / `"int8"`), as `TSDX_PRECISION` takes it.
+    pub fn label(self) -> &'static str {
+        match self {
+            Precision::F32 => "f32",
+            Precision::Int8 => "int8",
+        }
+    }
+}
+
+impl fmt::Display for Precision {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+/// The f32 GEMM micro-kernel behind [`crate::ops::matmul`]. Both produce the
+/// same bits; only timings differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// The safe 4×16 register tile every CPU runs.
+    Portable,
+    /// The 8×32 `zmm` micro-kernel, selected where the CPU has AVX-512F.
+    Avx512,
+}
+
+impl Kernel {
+    /// The kernels this CPU can run, portable first.
+    pub fn available() -> &'static [Kernel] {
+        if crate::cpu::avx512f() {
+            &[Kernel::Portable, Kernel::Avx512]
+        } else {
+            &[Kernel::Portable]
+        }
+    }
+}
+
+impl fmt::Display for Kernel {
+    /// `portable 4x16` / `avx512 8x32` — what `profile` and a server's
+    /// start-up line print, so a timing from a host that fell back is
+    /// recognisable as such.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Kernel::Portable => "portable 4x16",
+            Kernel::Avx512 => "avx512 8x32",
+        })
+    }
+}
+
+fn parse_threads(raw: Option<&str>) -> Result<usize, String> {
+    match raw {
+        // `available_parallelism` re-reads cgroup files on every call; the
+        // dial caches it with the rest of the process value.
+        None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        Some(v) => v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
+            "must be a positive integer (unset it to use all available cores)".to_string()
+        }),
+    }
+}
+
+fn parse_plane(raw: Option<&str>) -> Result<Precision, String> {
+    match raw {
+        None | Some("f32") => Ok(Precision::F32),
+        Some("int8") => Ok(Precision::Int8),
+        Some(_) => Err("must be \"f32\" or \"int8\"".to_string()),
+    }
+}
+
+dial! {
+    /// `TSDX_NUM_THREADS`: worker count of the shared [`crate::pool`]
+    /// (default: available parallelism). An override also makes pooled
+    /// kernels chunk below their serial thresholds
+    /// ([`crate::pool::with_forced_threads`]).
+    pub static THREADS: usize = Some("TSDX_NUM_THREADS"), parse_threads;
+
+    /// `TSDX_PRECISION`: the plane eval-time bindings of the video scenario
+    /// transformer take (default `f32`); `tsdx-core` reads it.
+    pub static PLANE: Precision = Some("TSDX_PRECISION"), parse_plane;
+
+    /// Whether [`crate::workspace`] recycles buffers. No variable: on for
+    /// the process, off per thread in the parity and allocation suites.
+    pub static RECYCLE: bool = None, |_| Ok(true);
+
+    /// The f32 GEMM kernel. No variable: the widest the CPU has for the
+    /// process, narrowed per thread by the kernel-parity suites (the choice
+    /// travels with the job, so pool workers follow the dispatching thread).
+    pub static KERNEL: Kernel = None, |_| Ok(*Kernel::available().last().expect("portable"));
+
+    /// Whether [`crate::quant`] may run its AVX2 micro-kernels where the CPU
+    /// has AVX2. No variable: on for the process, off per thread in the int8
+    /// parity tests, which compare against the scalar reference.
+    pub static I8_SIMD: bool = None, |_| Ok(true);
+}
+
+/// The four numeric switches as one value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunConfig {
+    /// [`THREADS`].
+    pub threads: usize,
+    /// [`RECYCLE`].
+    pub recycle: bool,
+    /// [`KERNEL`].
+    pub kernel: Kernel,
+    /// [`PLANE`].
+    pub plane: Precision,
+}
+
+impl RunConfig {
+    /// What this thread runs with now.
+    pub fn current() -> RunConfig {
+        RunConfig {
+            threads: THREADS.get(),
+            recycle: RECYCLE.get(),
+            kernel: KERNEL.get(),
+            plane: PLANE.get(),
+        }
+    }
+
+    /// Runs `f` on this thread with all four switches overridden (so pooled
+    /// kernels chunk `threads` ways whatever their size), restoring them
+    /// afterwards, also on unwind. Panics on `threads == 0` or a kernel this
+    /// CPU cannot run.
+    pub fn run<R>(self, f: impl FnOnce() -> R) -> R {
+        assert!(self.threads > 0, "forced thread count must be positive");
+        assert!(Kernel::available().contains(&self.kernel), "{} needs AVX-512F", self.kernel);
+        THREADS.with(self.threads, || {
+            RECYCLE.with(self.recycle, || KERNEL.with(self.kernel, || PLANE.with(self.plane, f)))
+        })
+    }
+
+    /// Every combination the parity suites exercise: pool sizes 1 and 2 ×
+    /// recycling off and on × each kernel this CPU has × both planes.
+    pub fn matrix() -> Vec<RunConfig> {
+        let mut all = Vec::new();
+        for threads in [1, 2] {
+            for recycle in [false, true] {
+                for &kernel in Kernel::available() {
+                    for plane in [Precision::F32, Precision::Int8] {
+                        all.push(RunConfig { threads, recycle, kernel, plane });
+                    }
+                }
+            }
+        }
+        all
+    }
+}
+
+impl fmt::Display for RunConfig {
+    /// The live-values line binaries print at start-up.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let recycle = if self.recycle { "on" } else { "off" };
+        let RunConfig { threads, plane, kernel, .. } = self;
+        write!(f, "threads={threads} plane={plane} f32-kernel=\"{kernel}\" recycle={recycle}")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn one_parse_policy_for_every_variable() {
+        // unset → default
+        assert!(THREADS.parse(None).unwrap() >= 1);
+        assert_eq!(PLANE.parse(None), Ok(Precision::F32));
+        // valid, padded, any case → value
+        for (raw, want) in [("2", 2), (" 2 ", 2), ("16\n", 16)] {
+            assert_eq!(THREADS.parse(Some(raw)), Ok(want), "{raw:?}");
+        }
+        for (raw, want) in [
+            ("f32", Precision::F32),
+            ("int8", Precision::Int8),
+            (" int8 ", Precision::Int8),
+            ("INT8", Precision::Int8),
+        ] {
+            assert_eq!(PLANE.parse(Some(raw)), Ok(want), "{raw:?}");
+        }
+        // empty and garbage → an error naming the variable, what it takes,
+        // and what it got
+        for raw in ["", " ", "0", "-1", "two", "2.0"] {
+            let e = THREADS.parse(Some(raw)).unwrap_err();
+            assert!(e.starts_with("TSDX_NUM_THREADS must be a positive integer"), "{e}");
+            assert!(e.ends_with(&format!("got {raw:?}")), "{e}");
+        }
+        for raw in ["", "fp16", "int4", "f 32", "1"] {
+            let e = PLANE.parse(Some(raw)).unwrap_err();
+            assert!(e.starts_with("TSDX_PRECISION must be \"f32\" or \"int8\""), "{e}");
+        }
+    }
+
+    #[test]
+    fn overrides_nest_and_are_restored_when_the_closure_panics() {
+        let before = RunConfig::current();
+        RECYCLE.with(false, || {
+            RECYCLE.with(true, || assert!(RECYCLE.get()));
+            assert_eq!(
+                (RECYCLE.get(), RECYCLE.forced(), RECYCLE.process()),
+                (false, Some(false), true)
+            );
+        });
+        let other = RunConfig {
+            threads: before.threads + 3,
+            recycle: !before.recycle,
+            kernel: Kernel::Portable,
+            plane: Precision::Int8,
+        };
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            other.run(|| {
+                assert_eq!(RunConfig::current(), other);
+                panic!("mid-forward");
+            })
+        }));
+        assert!(caught.is_err());
+        assert_eq!(RunConfig::current(), before);
+        assert_eq!((THREADS.forced(), RECYCLE.forced(), PLANE.forced()), (None, None, None));
+    }
+
+    #[test]
+    fn the_matrix_lists_every_combination_once() {
+        let all = RunConfig::matrix();
+        assert_eq!(all.len(), 2 * 2 * Kernel::available().len() * 2);
+        for (i, a) in all.iter().enumerate() {
+            assert!(!all[i + 1..].contains(a), "{a} listed twice");
+            a.run(|| assert_eq!(RunConfig::current(), *a));
+        }
+    }
+}

@@ -13,12 +13,13 @@
 //!    [`Tensor::contiguous`] as the explicit materialization point.
 //! 2. [`ops`] — pure forward kernels: broadcasting arithmetic, a
 //!    register-tiled batched matmul (an explicit AVX-512 micro-kernel where
-//!    the CPU has it, see [`ops::f32_kernel`]), softmax, layer norm, im2col convolution,
+//!    the CPU has it, see [`dial::KERNEL`]), softmax, layer norm, im2col convolution,
 //!    pooling, fused scaled-dot-product attention, and fused classification
 //!    losses. Elementwise and reduction kernels are stride-aware and consume
 //!    views directly. Large kernels execute on the shared persistent
 //!    [`pool`] of worker threads (sized once from `TSDX_NUM_THREADS`, else
-//!    available parallelism) with bit-identical results for every pool size.
+//!    available parallelism; every run-time switch lives in [`mod@dial`]) with
+//!    bit-identical results for every pool size.
 //! 3. [`Graph`] — a define-by-run autograd tape recording op applications
 //!    and replaying them in reverse to produce [`Gradients`]. View-op
 //!    backwards are themselves views (a permute's gradient is the inverse
@@ -53,6 +54,7 @@
 #![deny(unsafe_code)]
 
 mod cpu;
+pub mod dial;
 pub mod fastmath;
 #[cfg(feature = "fault-inject")]
 pub mod faults;

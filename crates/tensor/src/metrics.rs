@@ -35,19 +35,18 @@
 //!
 //! # Zero cost when disabled
 //!
-//! When no scope is open and `TSDX_METRICS` is not `1`, every recording
-//! function reduces to **one branch on one static atomic** — no allocation,
-//! no syscalls, no thread-local initialization (`tests/metrics_scopes.rs`
-//! proves zero allocations and the `profile` bench binary quantifies the
-//! wall-time cost). `TSDX_METRICS=1` additionally enables a per-thread root
-//! collector readable via [`thread_snapshot`] without opening scopes; it is
-//! read once, at the first metrics call of the process.
+//! When no scope is open anywhere in the process, every recording function
+//! reduces to **one relaxed load of one static atomic and a branch** — no
+//! allocation, no syscalls, no thread-local initialization
+//! (`tests/metrics_overhead.rs` proves zero allocations and bounds the
+//! wall-time cost; the `profile` bench binary quantifies it). There is no
+//! variable to set: a scope is the only way to collect.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Number of log₂ nanosecond buckets a [`Histogram`] keeps: bucket `i`
@@ -55,47 +54,16 @@ use std::time::Instant;
 /// ~18 minutes.
 pub const HIST_BUCKETS: usize = 40;
 
-// Count of reasons to record anywhere in the process: +1 per open scope on
-// any thread, +1 (permanently) when TSDX_METRICS=1. The hot-path check in
-// `active()` is a single relaxed load of this static.
+// Open scopes across all threads. The hot-path check in `active()` is a
+// single relaxed load of this static.
 static ACTIVE_SINKS: AtomicUsize = AtomicUsize::new(0);
 
-// 0 = env not yet read, 1 = read. Flips exactly once.
-static ENV_READ: AtomicU8 = AtomicU8::new(0);
-
-#[cold]
-fn read_env_once() {
-    // Multiple threads may race here; `fetch_or` makes exactly one of them
-    // apply the +1 for the env-enabled root collector.
-    if ENV_READ.fetch_or(1, Ordering::SeqCst) == 0
-        && std::env::var("TSDX_METRICS").is_ok_and(|v| v.trim() == "1")
-    {
-        ACTIVE_SINKS.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-/// True when at least one metrics sink (a [`scope`] on some thread, or the
-/// `TSDX_METRICS=1` process root) is live. The disabled path is a single
-/// branch on a static: recording functions call this and return immediately.
+/// True when at least one [`scope`] is open on some thread. The disabled
+/// path is a single branch on a static: recording functions call this and
+/// return immediately.
 #[inline]
 pub fn active() -> bool {
-    if ENV_READ.load(Ordering::Relaxed) == 0 {
-        read_env_once();
-    }
     ACTIVE_SINKS.load(Ordering::Relaxed) != 0
-}
-
-/// True when `TSDX_METRICS=1` enabled the per-thread root collectors.
-fn env_enabled() -> bool {
-    static CACHED: AtomicU8 = AtomicU8::new(2);
-    match CACHED.load(Ordering::Relaxed) {
-        2 => {
-            let on = std::env::var("TSDX_METRICS").is_ok_and(|v| v.trim() == "1");
-            CACHED.store(on as u8, Ordering::Relaxed);
-            on
-        }
-        v => v == 1,
-    }
 }
 
 /// Aggregate statistics of one span key.
@@ -160,9 +128,8 @@ impl Histogram {
 
 /// A point-in-time copy of one collector's contents.
 ///
-/// Returned by [`ScopeGuard::snapshot`] and [`thread_snapshot`]; all maps
-/// are keyed by the flat metric key (`"pool/exec/matmul"`,
-/// `"layer/encoder.spatial.block0"` ...).
+/// Returned by [`ScopeGuard::snapshot`]; all maps are keyed by the flat
+/// metric key (`"pool/exec/matmul"`, `"layer/encoder.spatial.block0"` ...).
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Counter totals.
@@ -251,18 +218,9 @@ struct SpanFrame {
 }
 
 thread_local! {
-    // Innermost-last stack of open scopes plus (at index 0, when
-    // TSDX_METRICS=1) the thread's root collector.
-    static COLLECTORS: RefCell<Vec<Rc<RefCell<Collector>>>> = RefCell::new(init_thread_collectors());
+    // Innermost-last stack of this thread's open scopes.
+    static COLLECTORS: RefCell<Vec<Rc<RefCell<Collector>>>> = const { RefCell::new(Vec::new()) };
     static SPAN_STACK: RefCell<Vec<SpanFrame>> = const { RefCell::new(Vec::new()) };
-}
-
-fn init_thread_collectors() -> Vec<Rc<RefCell<Collector>>> {
-    if env_enabled() {
-        vec![Rc::new(RefCell::new(Collector::default()))]
-    } else {
-        Vec::new()
-    }
 }
 
 /// Applies `f` to every collector open on this thread.
@@ -312,25 +270,10 @@ impl Drop for ScopeGuard {
 /// Other threads' scopes are unaffected — concurrent tests cannot observe
 /// each other. Scopes nest; inner activity is visible to outer scopes.
 pub fn scope() -> ScopeGuard {
-    // Touch the env first so the +1 below is never double-counted by the
-    // lazy read in `active()`.
-    if ENV_READ.load(Ordering::Relaxed) == 0 {
-        read_env_once();
-    }
     let collector = Rc::new(RefCell::new(Collector::default()));
     COLLECTORS.with(|c| c.borrow_mut().push(Rc::clone(&collector)));
     ACTIVE_SINKS.fetch_add(1, Ordering::SeqCst);
     ScopeGuard { collector }
-}
-
-/// Snapshot of the calling thread's `TSDX_METRICS=1` root collector.
-///
-/// Empty when the variable is not set (open a [`scope`] instead).
-pub fn thread_snapshot() -> Snapshot {
-    if !env_enabled() {
-        return Snapshot::default();
-    }
-    COLLECTORS.with(|c| c.borrow().first().map(|rc| rc.borrow().snapshot())).unwrap_or_default()
 }
 
 /// Adds `n` to the counter `key` in every open collector on this thread.
@@ -495,8 +438,7 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing_and_current_counter_is_zero() {
-        // No scope here (and TSDX_METRICS unset in the test env): recording
-        // is a no-op.
+        // No scope on this thread: nothing collects here.
         counter_add("test/never", 3);
         observe_ns("test/never", 100);
         assert_eq!(current_counter("test/never"), 0);

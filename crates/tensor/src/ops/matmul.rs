@@ -19,7 +19,7 @@
 //! `zmm` micro-kernel in [`avx512`] instead, the last vector of a row loaded
 //! and stored under a lane mask, so there is no scalar column tail. The safe
 //! [`tile_rows`] is the only path elsewhere and the parity reference
-//! (`tests/avx512_parity.rs`). [`f32_kernel`] names the one in use.
+//! (`tests/avx512_parity.rs`). [`KERNEL`] names the one in use.
 //!
 //! [`mul_cols`] is that choice as one call — output columns against a
 //! unit-column-stride `B` — and what [`super::attention`] runs its `q·kᵀ` and
@@ -47,15 +47,14 @@
 //! oracle in `tests/oracle_f64.rs` instead.
 //!
 //! Work is parallelized across the flattened batch×row space on the shared
-//! persistent worker pool (see [`crate::pool`]): the thread count comes from
-//! `TSDX_NUM_THREADS` when set, else from the machine's available
-//! parallelism, and tiny problems stay on the calling thread.
+//! persistent worker pool (see [`crate::pool`]); tiny problems stay on the
+//! calling thread.
 
-use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 
 use super::elementwise::gelu_scalar;
+use crate::dial::{Kernel, KERNEL};
 use crate::pool;
 use crate::shape;
 use crate::workspace::{self, ArcBuf, Scratch};
@@ -74,56 +73,13 @@ pub(super) const NC: usize = 32;
 /// kernel time and the multiply runs on the calling thread.
 const PARALLEL_THRESHOLD: usize = 64 * 64 * 64;
 
-/// The worker-thread count [`matmul`] uses — the shared pool's size
-/// ([`pool::num_threads`]): `TSDX_NUM_THREADS` if set to a positive
-/// integer, else the machine's available parallelism.
-///
-/// # Panics
-///
-/// Panics if `TSDX_NUM_THREADS` is set to a non-positive-integer value.
-pub fn configured_threads() -> usize {
-    pool::num_threads()
-}
-
-thread_local! {
-    /// Per-thread override keeping [`gemm`] on the portable kernel (tests).
-    static FORCE_PORTABLE: Cell<bool> = const { Cell::new(false) };
-}
-
 /// True when [`gemm`] calls dispatched from this thread run the tiled path
-/// through the AVX-512 micro-kernel: the CPU has AVX-512F (one cached probe,
-/// always false off x86-64) and [`with_forced_portable`] is not in effect.
+/// through the AVX-512 micro-kernel: [`KERNEL`] — the CPU has AVX-512F
+/// (always false off x86-64) and no suite narrowed this thread
+/// to the portable kernel. The choice is made once per product on the
+/// dispatching thread and travels with the job, so pool workers follow it.
 pub(super) fn use_avx512() -> bool {
-    crate::cpu::features().avx512f && !FORCE_PORTABLE.with(Cell::get)
-}
-
-/// The f32 GEMM micro-kernel this thread's products run on — `"avx512
-/// 8x32"` where the CPU has AVX-512F, else `"portable 4x16"`. Both produce
-/// the same bits; `profile` and the server's start-up line print this so a
-/// timing from a host that fell back is recognisable as such.
-pub fn f32_kernel() -> &'static str {
-    if use_avx512() {
-        "avx512 8x32"
-    } else {
-        "portable 4x16"
-    }
-}
-
-/// Runs `f` with the portable f32 kernel forced on (or off) **on this
-/// thread**, restoring the previous setting afterwards (also on panic). The
-/// choice is made once per product on the dispatching thread and travels
-/// with the job, so pool workers follow it. The kernels agree bit for bit;
-/// the AVX-512 parity test and the f64 oracle use this to run both.
-#[doc(hidden)]
-pub fn with_forced_portable<R>(force: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCE_PORTABLE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(FORCE_PORTABLE.with(|c| c.replace(force)));
-    f()
+    KERNEL.get() == Kernel::Avx512
 }
 
 /// Batched matrix product `a @ b`.
@@ -156,7 +112,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
             return matmul_with_threads(a, b, 1);
         }
     }
-    matmul_with_threads(a, b, configured_threads())
+    matmul_with_threads(a, b, pool::num_threads())
 }
 
 /// [`matmul`] with an explicit worker-thread count (1 = fully sequential).
@@ -288,7 +244,7 @@ pub fn linear(
         }),
     };
     let threads = if pool::should_parallelize(x.numel() * n, PARALLEL_THRESHOLD) {
-        configured_threads()
+        pool::num_threads()
     } else {
         1
     };
@@ -765,7 +721,7 @@ mod avx512 {
             "avx512 kernel: B[{k}, {}] reaches past its slice",
             cols.len()
         );
-        assert!(crate::cpu::features().avx512f, "avx512 kernel selected without AVX-512F");
+        assert!(crate::cpu::avx512f(), "avx512 kernel selected without AVX-512F");
         let p = Ptrs {
             a: a.data[a.base..].as_ptr(),
             ars: a.rs,
@@ -818,7 +774,7 @@ mod avx512 {
             cols.checked_mul(NC).is_some_and(|len| len <= tile.len()),
             "avx512 transpose: {cols} tile rows exceed the tile slice"
         );
-        assert!(crate::cpu::features().avx512f, "avx512 kernel selected without AVX-512F");
+        assert!(crate::cpu::avx512f(), "avx512 kernel selected without AVX-512F");
         // SAFETY: AVX-512F is present (last assert). `transpose` reads
         // `src[j * rs + d]` for `j < w`, `d < cols` only — the assert above
         // puts the largest of them inside the slice — and writes
@@ -1106,10 +1062,10 @@ mod tests {
         assert!(a.is_contiguous() && a.strides()[2] == 12);
         let b = Tensor::from_fn(&[4, 5], |i| (i % 7) as f32 - 3.0);
         let want = matmul(&x.reshape(&[6, 4]), &b);
-        for portable in [false, true] {
-            let got = with_forced_portable(portable, || matmul(&a, &b));
+        for &kernel in Kernel::available() {
+            let got = KERNEL.with(kernel, || matmul(&a, &b));
             assert_eq!(got.shape(), &[2, 3, 1, 5]);
-            assert_eq!(got.data(), want.data(), "portable {portable}");
+            assert_eq!(got.data(), want.data(), "{kernel}");
         }
     }
 
@@ -1153,7 +1109,7 @@ mod tests {
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn avx512_entry_accepts_exact_buffers() {
-        if crate::cpu::features().avx512f {
+        if crate::cpu::avx512f() {
             mul_cols_with_short_buffers([0, 0, 0]);
         }
     }
@@ -1198,7 +1154,7 @@ mod tests {
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn avx512_entry_accepts_exact_grouped_buffers() {
-        if crate::cpu::features().avx512f {
+        if crate::cpu::avx512f() {
             grouped_mul_cols([6, 12, 4]);
         }
     }

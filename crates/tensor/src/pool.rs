@@ -8,11 +8,10 @@
 //!
 //! # Sizing
 //!
-//! The pool holds `TSDX_NUM_THREADS` workers when that environment variable
-//! is set, else one worker per core reported by
-//! [`std::thread::available_parallelism`]. The variable is parsed **once**,
-//! at pool initialization; a value that is not a positive integer panics
-//! with a diagnostic rather than being silently ignored.
+//! The pool holds [`THREADS`] workers: `TSDX_NUM_THREADS` when that
+//! variable is set, else one per core reported by
+//! [`std::thread::available_parallelism`]; a value that is not a positive
+//! integer panics with a diagnostic rather than being silently ignored.
 //!
 //! # Determinism contract
 //!
@@ -21,7 +20,8 @@
 //! serial per-element code regardless of how many chunks exist or which
 //! worker runs them. Kernels never split a single accumulation across
 //! chunks, so results are bit-identical for every pool size (asserted by the
-//! `pool_parity` test suite and exercised in CI under `TSDX_NUM_THREADS=2`).
+//! `pool_parity` test suite, and end to end by `tsdx-core`'s
+//! `streaming_parity` matrix).
 //!
 //! # Thresholds
 //!
@@ -49,6 +49,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, Once, OnceLock};
 use std::time::Instant;
 
+use crate::dial::THREADS;
 use crate::metrics;
 
 /// A job shipped to a worker: boxed so the queue is homogeneous, `'static`
@@ -60,9 +61,8 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// dispatch and its worker jobs.
 type ChunkMeter = Arc<Mutex<Vec<(u64, u64)>>>;
 
-/// The process-wide pool: a shared injector queue drained by `size` workers.
+/// The process-wide pool: a shared injector queue drained by the workers.
 struct WorkerPool {
-    size: usize,
     injector: Mutex<mpsc::Sender<Job>>,
 }
 
@@ -70,10 +70,8 @@ static POOL: OnceLock<WorkerPool> = OnceLock::new();
 
 thread_local! {
     // Set inside pool workers so nested parallel kernels run inline instead
-    // of deadlocking the queue, and set by `with_forced_threads` to override
-    // sizing for tests.
+    // of deadlocking the queue.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-    static FORCED_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
     // True while a worker runs a job under catch_unwind: tells the panic
     // hook to record the location silently instead of printing a backtrace
     // for a panic that will be re-raised on the dispatcher anyway.
@@ -140,32 +138,10 @@ fn run_captured<T>(chunk: usize, f: impl FnOnce() -> T) -> Result<T, ChunkPanic>
     })
 }
 
-/// Parses `TSDX_NUM_THREADS`, falling back to the machine's parallelism.
-/// Evaluated once and cached: `available_parallelism` re-reads cgroup files
-/// on every call, which would tax every kernel's serial-threshold check.
-///
-/// # Panics
-///
-/// Panics when the variable is set to anything but a positive integer —
-/// a misconfigured deployment should fail loudly, not run serial.
-fn configured_size() -> usize {
-    static SIZE: OnceLock<usize> = OnceLock::new();
-    *SIZE.get_or_init(|| match std::env::var("TSDX_NUM_THREADS") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => panic!(
-                "TSDX_NUM_THREADS must be a positive integer, got {raw:?}; unset it to use all \
-                 available cores"
-            ),
-        },
-        Err(_) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-    })
-}
-
 fn pool() -> &'static WorkerPool {
     POOL.get_or_init(|| {
         install_capture_hook();
-        let size = configured_size();
+        let size = THREADS.process();
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         for i in 0..size {
@@ -195,25 +171,14 @@ fn pool() -> &'static WorkerPool {
                 })
                 .expect("failed to spawn tsdx worker thread");
         }
-        WorkerPool { size, injector: Mutex::new(tx) }
+        WorkerPool { injector: Mutex::new(tx) }
     })
 }
 
-/// The worker count the pool has (or will have): `TSDX_NUM_THREADS` if set,
-/// else the machine's available parallelism. Inside
-/// [`with_forced_threads`] the forced value is returned instead.
-///
-/// # Panics
-///
-/// Panics on a `TSDX_NUM_THREADS` value that is not a positive integer.
+/// The worker count the pool has (or will have) — [`THREADS`]: inside
+/// [`with_forced_threads`] the forced value, else the process's.
 pub fn num_threads() -> usize {
-    if let Some(n) = FORCED_THREADS.with(Cell::get) {
-        return n;
-    }
-    match POOL.get() {
-        Some(p) => p.size,
-        None => configured_size(),
-    }
+    THREADS.get()
 }
 
 /// True when the calling thread is itself a pool worker (nested parallel
@@ -227,13 +192,11 @@ fn on_worker_thread() -> bool {
 /// Inside the closure every parallel kernel partitions its work into
 /// `threads` chunks **even below its serial threshold**, so tests can assert
 /// bit-identical results across chunk counts on small inputs. The jobs
-/// still execute on the real pool (or inline when `threads == 1`).
+/// still execute on the real pool (or inline when `threads == 1`). The
+/// previous sizing is back when the closure returns or unwinds.
 pub fn with_forced_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     assert!(threads > 0, "forced thread count must be positive");
-    let prev = FORCED_THREADS.with(|c| c.replace(Some(threads)));
-    let result = f();
-    FORCED_THREADS.with(|c| c.set(prev));
-    result
+    THREADS.with(threads, f)
 }
 
 /// True when a kernel given `work_elems` total scalar work and a per-kernel
@@ -246,8 +209,7 @@ pub(crate) fn should_parallelize(work_elems: usize, serial_below: usize) -> bool
     if on_worker_thread() {
         return false;
     }
-    let forced = FORCED_THREADS.with(Cell::get);
-    match forced {
+    match THREADS.forced() {
         Some(n) => n > 1,
         None => work_elems >= serial_below && num_threads() > 1,
     }
@@ -277,8 +239,8 @@ where
 
 /// [`map_chunks`] with a kernel name for [`crate::metrics`].
 ///
-/// When metrics are enabled (a scope is open on the dispatching thread or
-/// `TSDX_METRICS=1`), every *pool* dispatch records, keyed by `kernel`:
+/// When metrics are enabled (a scope is open on the dispatching thread),
+/// every *pool* dispatch records, keyed by `kernel`:
 /// counters `pool/dispatch/<kernel>` (one per dispatch) and
 /// `pool/chunks/<kernel>` (chunks per dispatch), and histograms
 /// `pool/queue_wait/<kernel>` (enqueue to job start) and
@@ -495,11 +457,14 @@ mod tests {
     }
 
     #[test]
-    fn forced_threads_is_scoped() {
+    fn forced_threads_are_scoped_and_restored_when_the_closure_panics() {
         let before = num_threads();
-        let inside = with_forced_threads(7, num_threads);
-        assert_eq!(inside, 7);
+        assert_eq!(with_forced_threads(7, num_threads), 7);
         assert_eq!(num_threads(), before);
+        let caught = std::panic::catch_unwind(|| with_forced_threads(before + 5, || panic!("x")));
+        assert!(caught.is_err());
+        assert_eq!(num_threads(), before, "a caught panic left the pool size forced");
+        assert!(!should_parallelize(1, usize::MAX), "…and its serial thresholds bypassed");
     }
 
     #[test]

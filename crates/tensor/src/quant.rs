@@ -204,22 +204,6 @@ thread_local! {
         const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
 
-/// Force the safe scalar kernels for the duration of `f` (parity tests).
-pub fn with_forced_scalar<R>(force: bool, f: impl FnOnce() -> R) -> R {
-    simd::FORCE_SCALAR.with(|c| {
-        let prev = c.replace(force);
-        let out = f();
-        c.set(prev);
-        out
-    })
-}
-
-/// True when the AVX2 micro-kernels are compiled in and the CPU supports
-/// them (the scalar reference runs otherwise — bit-identical results).
-pub fn simd_available() -> bool {
-    simd::available()
-}
-
 /// Quantized affine map `out = a @ dequant(w) + bias` with per-row dynamic
 /// activation quantization (`[.., k] @ [k, n] -> [.., n]`).
 ///
@@ -367,18 +351,9 @@ fn q8_rows(
 /// bit-parity contract tying the two implementations together.
 mod simd {
     use super::{MR, NR, QMAX};
-    use std::cell::Cell;
-
-    thread_local! {
-        pub(super) static FORCE_SCALAR: Cell<bool> = const { Cell::new(false) };
-    }
-
-    pub(super) fn available() -> bool {
-        crate::cpu::features().avx2
-    }
 
     fn use_simd() -> bool {
-        available() && !FORCE_SCALAR.with(|c| c.get())
+        crate::cpu::avx2() && crate::dial::I8_SIMD.get()
     }
 
     /// Quantizes `rows` rows of `a` (row length `k`) into `i16` rows of
@@ -664,7 +639,7 @@ mod tests {
         let q = QuantMatrix::quantize(&w);
         let bias = Tensor::from_fn(&[23], |i| i as f32 * 0.01 - 0.1);
         let fast = linear_q8(&a, &q, Some(&bias));
-        let slow = with_forced_scalar(true, || linear_q8(&a, &q, Some(&bias)));
+        let slow = crate::dial::I8_SIMD.with(false, || linear_q8(&a, &q, Some(&bias)));
         assert_eq!(fast.data(), slow.data());
     }
 

@@ -24,10 +24,10 @@
 //!   the allocation to the arena of whichever thread drops it; kernel
 //!   scratch uses the [`Scratch`] guard, which returns its buffer even on
 //!   panic unwind.
-//! - **Kill switch.** `TSDX_WORKSPACE=0` (read once per process) disables
-//!   recycling entirely; [`with_mode`] overrides it per thread so one
-//!   process can A/B both modes (the parity and allocation-regression
-//!   tests do exactly that).
+//! - **Test switch.** Recycling is always on for the process;
+//!   [`RECYCLE`]`.with(false, ..)` turns it off per thread so one process
+//!   can A/B both modes — the parity and allocation-regression tests do
+//!   exactly that. The mode only changes where buffers come from and go to.
 //! - **Observability.** `workspace/hit`, `workspace/miss`, and
 //!   `workspace/bytes_recycled` count into every open [`crate::metrics`]
 //!   scope; the `profile` binary prints them.
@@ -35,10 +35,10 @@
 //! The arena is bounded (per-bucket entry cap and a total byte cap per
 //! thread); overflow simply frees to the system allocator.
 
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::cell::RefCell;
+use std::sync::Arc;
 
+use crate::dial::RECYCLE;
 use crate::metrics;
 
 /// Smallest recycled allocation, in elements (2^6 × 4 B = 256 B). Smaller
@@ -68,53 +68,6 @@ impl Arena {
 
 thread_local! {
     static ARENA: RefCell<Arena> = const { RefCell::new(Arena::new()) };
-    /// Per-thread override of the process-wide kill switch (tests).
-    static FORCED_MODE: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Steady-state arena effectiveness, readable without a metrics scope (the
-/// `profile` binary and the allocation-regression test use these).
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static BYTES_RECYCLED: AtomicU64 = AtomicU64::new(0);
-
-fn env_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("TSDX_WORKSPACE").map_or(true, |v| v != "0"))
-}
-
-/// True when buffer recycling is active on this thread: the
-/// `TSDX_WORKSPACE` kill switch (read once per process; `0` disables),
-/// unless overridden by [`with_mode`].
-pub fn enabled() -> bool {
-    FORCED_MODE.with(|f| f.get()).unwrap_or_else(env_enabled)
-}
-
-/// Runs `f` with recycling forced on or off **on this thread**, restoring
-/// the previous mode afterwards (also on panic).
-///
-/// `TSDX_WORKSPACE` is read once per process, so tests that need to compare
-/// both modes in one process use this instead of `set_var`. The mode only
-/// changes where buffers come from and go to — never their contents — so
-/// results are bit-identical across modes by construction.
-pub fn with_mode<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCED_MODE.with(|f| f.set(self.0));
-        }
-    }
-    let _restore = Restore(FORCED_MODE.with(|f| f.replace(Some(enabled))));
-    f()
-}
-
-/// Lifetime totals: `(hits, misses, bytes_recycled)` across all threads.
-pub fn stats() -> (u64, u64, u64) {
-    (
-        HITS.load(Ordering::Relaxed),
-        MISSES.load(Ordering::Relaxed),
-        BYTES_RECYCLED.load(Ordering::Relaxed),
-    )
 }
 
 /// Bucket index for a capacity: `floor(log2(cap))`, clamped to the class
@@ -138,7 +91,7 @@ fn bucket_of_request(n: usize) -> Option<usize> {
 /// and misses are counted here so every `take_*` flavor shares the
 /// bookkeeping.
 fn pop(n: usize) -> Option<Vec<f32>> {
-    if n == 0 || !enabled() {
+    if n == 0 || !RECYCLE.get() {
         return None;
     }
     let hit = bucket_of_request(n).and_then(|b| {
@@ -173,13 +126,10 @@ fn pop(n: usize) -> Option<Vec<f32>> {
     });
     match &hit {
         Some(_) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            BYTES_RECYCLED.fetch_add(n as u64 * 4, Ordering::Relaxed);
             metrics::counter_add("workspace/hit", 1);
             metrics::counter_add("workspace/bytes_recycled", n as u64 * 4);
         }
         None => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
             metrics::counter_add("workspace/miss", 1);
         }
     }
@@ -193,7 +143,7 @@ fn pop(n: usize) -> Option<Vec<f32>> {
 /// non-power-of-two capacity lands at floor(log2) — one class below where
 /// same-size requests look — and never recycles.
 fn miss_capacity(n: usize) -> usize {
-    if enabled() && bucket_of_request(n).is_some() {
+    if RECYCLE.get() && bucket_of_request(n).is_some() {
         n.next_power_of_two().max(1 << MIN_CLASS)
     } else {
         n
@@ -259,7 +209,7 @@ pub(crate) fn take_reserve(n: usize) -> Vec<f32> {
 /// Returns a no-longer-needed buffer to this thread's arena (or frees it
 /// when recycling is off, the size is out of range, or the arena is full).
 pub(crate) fn give(v: Vec<f32>) {
-    if !enabled() {
+    if !RECYCLE.get() {
         return; // drop: freed to the system allocator
     }
     let Some(bucket) = bucket_of_capacity(v.capacity()) else {
@@ -365,71 +315,59 @@ mod tests {
 
     #[test]
     fn round_trip_reuses_the_allocation() {
-        with_mode(true, || {
-            let v = take_zeroed(1024);
-            let p = v.as_ptr();
-            give(v);
-            let v2 = take_zeroed(1000); // same power-of-two class
-            assert_eq!(v2.as_ptr(), p, "a compatible request must reuse the freed buffer");
-            assert!(v2.iter().all(|&x| x == 0.0));
-            assert_eq!(v2.len(), 1000);
-        });
+        let v = take_zeroed(1024);
+        let p = v.as_ptr();
+        give(v);
+        let v2 = take_zeroed(1000); // same power-of-two class
+        assert_eq!(v2.as_ptr(), p, "a compatible request must reuse the freed buffer");
+        assert!(v2.iter().all(|&x| x == 0.0));
+        assert_eq!(v2.len(), 1000);
     }
 
     #[test]
     fn take_zeroed_zeroes_recycled_garbage() {
-        with_mode(true, || {
-            let mut v = take_uninit(512);
-            v.iter_mut().for_each(|x| *x = f32::NAN);
-            give(v);
-            assert!(take_zeroed(512).iter().all(|&x| x == 0.0));
-        });
+        let mut v = take_uninit(512);
+        v.iter_mut().for_each(|x| *x = f32::NAN);
+        give(v);
+        assert!(take_zeroed(512).iter().all(|&x| x == 0.0));
     }
 
     #[test]
     fn take_filled_fills_every_element() {
-        with_mode(true, || {
-            let mut v = take_uninit(300);
-            v.iter_mut().for_each(|x| *x = 7.0);
-            give(v);
-            let f = take_filled(300, 2.5);
-            assert_eq!(f.len(), 300);
-            assert!(f.iter().all(|&x| x == 2.5));
-        });
+        let mut v = take_uninit(300);
+        v.iter_mut().for_each(|x| *x = 7.0);
+        give(v);
+        let f = take_filled(300, 2.5);
+        assert_eq!(f.len(), 300);
+        assert!(f.iter().all(|&x| x == 2.5));
     }
 
     #[test]
     fn disabled_mode_never_recycles() {
         // A give under disabled mode frees instead of filing, so the next
         // take in this thread's (fresh, test-private) arena must miss.
-        with_mode(false, || give(take_zeroed(2048)));
-        with_mode(true, || {
-            let scope = metrics::scope();
-            let _v = take_zeroed(2048);
-            let snap = scope.snapshot();
-            assert_eq!(snap.counter("workspace/hit"), 0, "disabled give must not file the buffer");
-            assert_eq!(snap.counter("workspace/miss"), 1);
-        });
+        RECYCLE.with(false, || give(take_zeroed(2048)));
+        let scope = metrics::scope();
+        let _v = take_zeroed(2048);
+        let snap = scope.snapshot();
+        assert_eq!(snap.counter("workspace/hit"), 0, "disabled give must not file the buffer");
+        assert_eq!(snap.counter("workspace/miss"), 1);
     }
 
     #[test]
     fn scratch_guard_returns_on_drop() {
-        with_mode(true, || {
-            let p = {
-                let s = Scratch::uninit(4096);
-                s.as_ptr()
-            };
-            let v = take_zeroed(4096);
-            assert_eq!(v.as_ptr(), p, "scratch must return its buffer to the arena");
-        });
+        let p = {
+            let s = Scratch::uninit(4096);
+            s.as_ptr()
+        };
+        let v = take_zeroed(4096);
+        assert_eq!(v.as_ptr(), p, "scratch must return its buffer to the arena");
     }
 
     #[test]
     fn tiny_and_huge_requests_bypass_the_arena() {
-        with_mode(true, || {
-            give(Vec::with_capacity(8)); // below MIN_CLASS: freed
-            let v = take_reserve(8);
-            assert!(v.capacity() < 64 || v.capacity() >= 8);
-        });
+        give(Vec::with_capacity(8)); // below MIN_CLASS: freed
+        let v = take_reserve(8);
+        assert!(v.capacity() < 64 || v.capacity() >= 8);
     }
 }

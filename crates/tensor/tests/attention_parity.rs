@@ -9,7 +9,8 @@
 //! hosts without its extractions moving.
 
 use proptest::prelude::*;
-use tsdx_tensor::{grad_check, ops, pool, Graph, Tensor};
+use tsdx_tensor::dial::{Kernel, RunConfig, KERNEL};
+use tsdx_tensor::{grad_check, ops, Graph, Tensor};
 
 /// `[B, T, H·w]` as the `[B, H, T, w]` head view.
 fn split(t: &Tensor, heads: usize) -> Tensor {
@@ -149,27 +150,26 @@ proptest! {
         let (q, k, v) = operands(&c);
         let scale = 1.0 / (c.dh as f32).sqrt();
         let mut across_kernels = Vec::new();
-        for portable in [false, true] {
+        for &kernel in Kernel::available() {
             let (want, want_probs) =
-                ops::with_forced_portable(portable, || composed(&q, &k, &v, c.heads, scale));
+                KERNEL.with(kernel, || composed(&q, &k, &v, c.heads, scale));
             for threads in [1usize, 2, 3] {
-                let (got, (kept, probs)) = ops::with_forced_portable(portable, || {
-                    pool::with_forced_threads(threads, || {
+                let (got, (kept, probs)) =
+                    RunConfig { threads, kernel, ..RunConfig::current() }.run(|| {
                         (
                             ops::attention(&q, &k, &v, c.heads, scale),
                             ops::attention_with_probs(&q, &k, &v, c.heads, scale),
                         )
-                    })
-                });
+                    });
                 prop_assert_eq!(got.shape(), want.shape());
                 prop_assert_eq!(probs.shape(), want_probs.shape());
-                prop_assert!(bits(&got) == bits(&want), "{c:?} portable {portable} pool {threads}");
+                prop_assert!(bits(&got) == bits(&want), "{c:?} {kernel} pool {threads}");
                 prop_assert!(bits(&kept) == bits(&want), "{c:?} (probs kept) pool {threads}");
                 prop_assert!(bits(&probs) == bits(&want_probs), "{c:?} probs pool {threads}");
             }
             across_kernels.push(bits(&want));
         }
-        prop_assert!(across_kernels[0] == across_kernels[1], "{c:?}: kernels disagree");
+        prop_assert!(across_kernels.iter().all(|k| *k == across_kernels[0]), "{c:?}: kernels disagree");
     }
 }
 
@@ -218,14 +218,11 @@ fn node_gradients_equal_the_composed_graphs_bitwise() {
         let k = values(12, &[b, tk, heads * dh]);
         let v = values(13, &[b, tk, heads * dv]);
         let scale = 1.0 / (dh as f32).sqrt();
-        for portable in [false, true] {
+        for &kernel in Kernel::available() {
             for threads in [1usize, 2] {
                 let run = |one_node| {
-                    ops::with_forced_portable(portable, || {
-                        pool::with_forced_threads(threads, || {
-                            gradients([&q, &k, &v], heads, scale, one_node)
-                        })
-                    })
+                    RunConfig { threads, kernel, ..RunConfig::current() }
+                        .run(|| gradients([&q, &k, &v], heads, scale, one_node))
                 };
                 let ((ctx, got), (want_ctx, want)) = (run(true), run(false));
                 assert_eq!(bits(&ctx), bits(&want_ctx), "forward, pool {threads}");

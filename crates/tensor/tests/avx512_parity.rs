@@ -5,16 +5,17 @@
 //! closeness — for every row count (the 8-row register blocks and their
 //! 1..=7-row remainders), every width 1..=70 (full vectors, masked last
 //! vectors, more than one 32-column block), every operand layout the model
-//! produces, every `linear` epilogue and both pool sizes. The portable side
-//! runs under `ops::with_forced_portable`, a per-thread override the
+//! produces, every `linear` epilogue and both pool sizes. Each side runs
+//! under a `RunConfig` naming its kernel, a per-thread override the
 //! dispatching thread hands to the pool workers with the job.
 //!
-//! On a host without AVX-512F both sides are the portable kernel: each test
-//! says so and passes.
+//! On a host without AVX-512F the portable kernel is the only side and what
+//! is left is its pool-size parity.
 
 use proptest::prelude::*;
+use tsdx_tensor::dial::{Kernel, RunConfig};
 use tsdx_tensor::ops::{self, Activation};
-use tsdx_tensor::{pool, Tensor};
+use tsdx_tensor::Tensor;
 
 /// Deterministic pseudo-random fill in `[-0.5, 0.5)`.
 fn fill(shape: &[usize], seed: u32) -> Tensor {
@@ -24,38 +25,22 @@ fn fill(shape: &[usize], seed: u32) -> Tensor {
     })
 }
 
-#[test]
-fn reports_the_selected_kernel() {
-    // `scripts/check.sh` greps this line out of the `--nocapture` run.
-    println!("f32 kernel: {}", ops::f32_kernel());
-}
-
-/// False — after saying so — where the AVX-512 kernel cannot be selected.
-fn avx512_selected() -> bool {
-    let selected = ops::f32_kernel().starts_with("avx512");
-    if !selected {
-        println!("avx512 kernel not available: parity vacuous");
-    }
-    selected
-}
-
-/// Runs `f(threads)` on the selected kernel and on the forced-portable one,
-/// at pool sizes 1 and 2 (also forced on the pool, for callers that take no
-/// thread count), and fails unless all four results have the same bits.
+/// Runs `f(threads)` on every kernel the CPU has, at pool sizes 1 and 2
+/// (also forced on the pool, for callers that take no thread count), and
+/// fails unless all results have the bits of the portable kernel at size 1.
 fn kernels_agree(what: &str, f: impl Fn(usize) -> Tensor) -> Result<(), TestCaseError> {
-    let run = |threads, portable| {
-        pool::with_forced_threads(threads, || ops::with_forced_portable(portable, || f(threads)))
-    };
-    let reference = run(1, true).to_vec();
+    let base = RunConfig::current();
+    let reference =
+        RunConfig { threads: 1, kernel: Kernel::Portable, ..base }.run(|| f(1)).to_vec();
     for threads in [1usize, 2] {
-        for portable in [false, true] {
-            let got = run(threads, portable);
+        for &kernel in Kernel::available() {
+            let got = RunConfig { threads, kernel, ..base }.run(|| f(threads));
             let diverged =
                 got.to_vec().iter().zip(&reference).position(|(x, y)| x.to_bits() != y.to_bits());
             prop_assert!(
                 got.numel() == reference.len() && diverged.is_none(),
-                "{what}: threads {threads}, portable {portable} diverged from the portable \
-                 kernel at flat index {diverged:?}"
+                "{what}: threads {threads}, {kernel} diverged from the portable kernel at \
+                 flat index {diverged:?}"
             );
         }
     }
@@ -94,9 +79,6 @@ proptest! {
         layout_b in 0usize..3,
         seed in 0u32..1000,
     ) {
-        if !avx512_selected() {
-            return Ok(());
-        }
         let a = matrix(rows, k, layout_a, seed);
         let b = matrix(k, n, layout_b, seed ^ 0xbeef);
         kernels_agree(
@@ -115,9 +97,6 @@ proptest! {
         b_kind in 0usize..4,
         seed in 0u32..1000,
     ) {
-        if !avx512_selected() {
-            return Ok(());
-        }
         // `A` as attention sees it: [B, T, H, Dh] permuted to [B, H, T, Dh].
         let a = ops::permute(&fill(&[batch, rows, heads, k], seed), &[0, 2, 1, 3]);
         let b = match b_kind {
@@ -147,9 +126,6 @@ proptest! {
         layout_x in 0usize..3,
         seed in 0u32..1000,
     ) {
-        if !avx512_selected() {
-            return Ok(());
-        }
         let x = matrix(rows, k, layout_x, seed);
         let w = fill(&[k, n], seed ^ 5);
         let (bias, residual) = (fill(&[n], seed ^ 6), fill(&[rows, n], seed ^ 7));
@@ -167,9 +143,6 @@ proptest! {
 
 #[test]
 fn views_ending_on_their_buffers_last_element_agree() {
-    if !avx512_selected() {
-        return;
-    }
     // Both operands are windows whose last element is their buffer's last:
     // a kernel (or an extent assert) that reached one lane or one row past
     // what the product needs would leave the buffer. Widths end in a masked

@@ -13,6 +13,7 @@
 //! Kernel level only: the whole-model f64 reference forward is ROADMAP
 //! item 3's own PR, and this file is its first brick.
 
+use tsdx_tensor::dial::{Kernel, KERNEL};
 use tsdx_tensor::shape::index_of;
 use tsdx_tensor::{ops, pool, Tensor};
 
@@ -58,8 +59,8 @@ fn matmul_f64(a: &Tensor, b: &Tensor) -> (Vec<usize>, Vec<(f64, f64)>) {
 }
 
 /// Bounds `ops::matmul` against the oracle at pool sizes 1 and 2, on the
-/// f32 kernel the host selects and on the portable one (the same kernel
-/// twice where there is no AVX-512 — see `ops::f32_kernel`).
+/// f32 kernel the host selects and on the portable one (only the latter
+/// where there is no AVX-512 — see `dial::KERNEL`).
 ///
 /// Bound: `|got − want| ≤ C·k·ε·Σ|aᵢbᵢ|` with `C = 1`, ε = 2⁻²³. One
 /// accumulator rounded once per term gives at most `k·(ε/2)·Σ|aᵢbᵢ|` to
@@ -71,14 +72,15 @@ fn assert_matmul_within_bound(a: &Tensor, b: &Tensor) {
     const C: f64 = 1.0;
     let k = *a.shape().last().expect("rank >= 2") as f64;
     let (out_shape, want) = matmul_f64(a, b);
-    for (threads, portable) in [(1usize, false), (2, false), (1, true), (2, true)] {
-        let got = ops::with_forced_portable(portable, || ops::matmul_with_threads(a, b, threads));
+    let configs = Kernel::available().iter().flat_map(|&k| [(1usize, k), (2, k)]);
+    for (threads, kernel) in configs {
+        let got = KERNEL.with(kernel, || ops::matmul_with_threads(a, b, threads));
         assert_eq!(got.shape(), &out_shape[..]);
         for (flat, (&g, &(sum, abs))) in got.to_vec().iter().zip(&want).enumerate() {
             let bound = C * k * EPS * abs;
             assert!(
                 (g as f64 - sum).abs() <= bound,
-                "{:?} @ {:?}, threads {threads}, portable {portable}, element {:?}: got {g}, want {sum}, bound {bound:e}",
+                "{:?} @ {:?}, threads {threads}, {kernel}, element {:?}: got {g}, want {sum}, bound {bound:e}",
                 a.shape(),
                 b.shape(),
                 index_of(&out_shape, flat),

@@ -15,7 +15,8 @@
 //!    exact-i32-accumulation argument, checked rather than trusted.
 
 use proptest::prelude::*;
-use tsdx_tensor::quant::{with_forced_scalar, QuantMatrix};
+use tsdx_tensor::dial::I8_SIMD;
+use tsdx_tensor::quant::QuantMatrix;
 use tsdx_tensor::{ops, pool, quant, Tensor};
 
 /// Strategy: a `[k, n]` weight matrix whose channels span random
@@ -162,7 +163,7 @@ proptest! {
         // and scalar-kernel runs must agree bit for bit.
         let serial = pool::with_forced_threads(1, || quant::linear_q8(&a, &q, bias.as_ref()));
         let pooled = pool::with_forced_threads(2, || quant::linear_q8(&a, &q, bias.as_ref()));
-        let scalar = with_forced_scalar(true, || quant::linear_q8(&a, &q, bias.as_ref()));
+        let scalar = I8_SIMD.with(false, || quant::linear_q8(&a, &q, bias.as_ref()));
         let s = serial.data();
         prop_assert_eq!(s.len(), pooled.data().len());
         for (i, (x, y)) in s.iter().zip(pooled.data()).enumerate() {

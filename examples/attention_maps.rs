@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     );
 
-    println!("extracting under {} inference", tsdx::core::precision::active());
+    println!("extracting ({})", tsdx::core::run_time_switches());
     let cfg = *extractor.model().config();
     let grid_w = cfg.width / cfg.patch;
     let grid_h = cfg.height / cfg.patch;

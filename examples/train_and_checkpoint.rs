@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Reloaded predictions must match under whichever inference plane the
     // `TSDX_PRECISION` dial selects (`extract_checked` reports malformed
     // input as a typed `ExtractError`; `?` surfaces it).
-    println!("comparing {} predictions...", tsdx::core::precision::active());
+    println!("comparing predictions ({})...", tsdx::core::run_time_switches());
     let video = &clips[0].video;
     let a = extractor.extract_checked(video)?;
     let b = fresh.extract_checked(video)?;

@@ -209,15 +209,36 @@ fn cmd_eval(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// Clips per forward of `tsdx extract`: the training batch size.
+const EXTRACT_BATCH: usize = 16;
+
 fn cmd_extract(opts: &Opts) -> Result<(), String> {
     let clips = load(opts)?;
     let extractor = load_model(opts, &clips)?;
     let limit = numeric(opts, "limit", 10usize)?.min(clips.len());
-    let predictions = extractor.extract_batch(&clips[..limit]);
-    for (clip, pred) in clips.iter().zip(&predictions) {
+    // The file is outside input: every clip is validated on its own, and a
+    // malformed one costs its own description, not the run.
+    let predictions = clips[..limit].chunks(EXTRACT_BATCH).flat_map(|chunk| {
+        let videos: Vec<_> = chunk.iter().map(|c| &c.video).collect();
+        extractor.extract_window_batch(&videos)
+    });
+    let mut rejected = 0;
+    for (i, (clip, pred)) in clips.iter().zip(predictions).enumerate() {
         println!("truth: {}", clip.truth);
-        println!(" pred: {pred}");
-        println!("       \"{}\"\n", tsdx::sdl::to_sentence(pred));
+        match pred {
+            Ok(pred) => {
+                println!(" pred: {pred}");
+                println!("       \"{}\"\n", tsdx::sdl::to_sentence(&pred));
+            }
+            Err(e) => {
+                rejected += 1;
+                println!(" pred: none\n");
+                eprintln!("clip {i}: {e}");
+            }
+        }
+    }
+    if rejected > 0 {
+        return Err(format!("{rejected} of {limit} clips were malformed and not described"));
     }
     Ok(())
 }

@@ -55,7 +55,7 @@ fn trained_model_roundtrips_through_checkpoint() {
     assert_eq!(n, extractor.model().params().len(), "all tensors restored");
 
     for clip in &clips[..6] {
-        assert_eq!(extractor.extract(&clip.video), fresh.extract(&clip.video));
+        assert_eq!(extractor.extract_checked(&clip.video), fresh.extract_checked(&clip.video));
     }
     std::fs::remove_file(&path).ok();
 }

@@ -62,7 +62,8 @@ fn extractor_outputs_valid_parseable_sdl() {
     let clips = tiny_dataset(4);
     let extractor = ScenarioExtractor::untrained(tiny_model_cfg(), 5);
     for clip in &clips {
-        let scenario = extractor.extract(&clip.video);
+        let scenario =
+            extractor.extract_checked(&clip.video).expect("rendered clips are well-formed");
         scenario.validate().expect("extracted SDL must validate");
         let text = scenario.to_string();
         let parsed: tsdx::Scenario = text.parse().expect("extracted SDL must parse");
@@ -76,7 +77,7 @@ fn extraction_is_deterministic() {
     let a = ScenarioExtractor::untrained(tiny_model_cfg(), 9);
     let b = ScenarioExtractor::untrained(tiny_model_cfg(), 9);
     for clip in &clips {
-        assert_eq!(a.extract(&clip.video), b.extract(&clip.video));
+        assert_eq!(a.extract_checked(&clip.video), b.extract_checked(&clip.video));
     }
 }
 
@@ -84,8 +85,9 @@ fn extraction_is_deterministic() {
 fn batch_extraction_matches_single_extraction() {
     let clips = tiny_dataset(5);
     let extractor = ScenarioExtractor::untrained(tiny_model_cfg(), 11);
-    let batch = extractor.extract_batch(&clips);
+    let videos: Vec<_> = clips.iter().map(|c| &c.video).collect();
+    let batch = extractor.extract_window_batch(&videos);
     for (clip, from_batch) in clips.iter().zip(&batch) {
-        assert_eq!(&extractor.extract(&clip.video), from_batch);
+        assert_eq!(&extractor.extract_checked(&clip.video), from_batch);
     }
 }
