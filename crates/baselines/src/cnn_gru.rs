@@ -3,7 +3,7 @@
 
 use rand::rngs::StdRng;
 use tsdx_core::{ClipModel, HeadLogits, SdlHeads};
-use tsdx_nn::{Binding, Conv2d, Gru, Linear, ParamStore};
+use tsdx_nn::{Binding, Conv2d, Gru, Linear, ParamStore, Tape};
 use tsdx_tensor::ops::Conv2dSpec;
 use tsdx_tensor::{Graph, Tensor};
 
@@ -124,7 +124,7 @@ impl ClipModel for CnnGru {
         let feat = g.relu(feat);
         let seq = g.reshape(feat, &[b, t, self.cfg.feature]);
         let hidden = self.gru.forward(g, p, seq); // [B, hidden]
-        self.heads.forward(g, p, hidden)
+        self.heads.forward(&mut Tape::eval(g, p), &hidden)
     }
 
     fn name(&self) -> &str {

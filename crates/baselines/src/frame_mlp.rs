@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use tsdx_core::{ClipModel, HeadLogits, SdlHeads};
-use tsdx_nn::{Binding, Linear, ParamStore};
+use tsdx_nn::{Binding, Linear, ParamStore, Tape};
 use tsdx_tensor::{Graph, Tensor};
 
 /// Configuration of the frame-MLP baseline.
@@ -90,7 +90,7 @@ impl ClipModel for FrameMlp {
         let f = self.fc2.forward(g, p, h); // [B*T, F]
         let grid = g.reshape(f, &[b, self.cfg.frames, self.cfg.feature]);
         let pooled = g.mean_axis(grid, 1, false); // [B, F]
-        self.heads.forward(g, p, pooled)
+        self.heads.forward(&mut Tape::eval(g, p), &pooled)
     }
 
     fn name(&self) -> &str {

@@ -22,12 +22,14 @@
 //!   measured-calls-per-step × measured ns-per-disabled-call, which must
 //!   stay under 1% of a step.
 //!
-//! - an **eval-forward profile** ([`eval_profile`]): the self-time table of
-//!   `extract_window_batch` at B = 1 and B = 8 — ops against everything that
-//!   is not an op — and a standalone per-shape table of that forward's
-//!   products, row kernels and broadcast adds, with the attention op timed
-//!   against the composition it replaced and, outside `--quick` on an
-//!   AVX-512 host, its floors asserted.
+//! - an **eval-forward profile** ([`eval_profile`]): what the served calls
+//!   cost with the metrics scope closed and open — `extract_window_batch`
+//!   per batch size and a coalesced stream round, with the records each
+//!   makes — then the self-time table of `extract_window_batch` at B = 1 and
+//!   B = 8 — ops against everything that is not an op — and a standalone
+//!   per-shape table of that forward's products, row kernels and broadcast
+//!   adds, with the attention op timed against the composition it replaced
+//!   and, outside `--quick` on an AVX-512 host, its floors asserted.
 //!
 //! Run with `cargo run -p tsdx-bench --release --bin profile` (add
 //! `--quick` for a reduced-size smoke run, as in `scripts/check.sh`).
@@ -40,7 +42,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsdx_bench::{has_flag, is_quick, print_table, standard_clips};
 use tsdx_core::{
-    multitask_loss, ClipModel, LossWeights, ModelConfig, ScenarioExtractor,
+    multitask_loss, ClipModel, LossWeights, ModelConfig, ScenarioExtractor, StreamState,
     VideoScenarioTransformer,
 };
 use tsdx_data::{collate, Batch};
@@ -87,6 +89,32 @@ fn alternated_us(rounds: usize, calls: usize, fs: &mut [&mut dyn FnMut()]) -> Ve
     samples.iter_mut().map(|s| median(s)).collect()
 }
 
+/// What a metrics scope costs `f`: median µs per call with no scope open,
+/// the median over rounds of (open − closed) with one open the way a serving
+/// worker runs it, and the records one call makes under it. The two sides
+/// take turns in short rounds and the difference is taken pair by pair, so a
+/// slow phase of the host lands on both sides of a pair.
+fn scope_cost_us(rounds: usize, calls: usize, f: &mut dyn FnMut()) -> (f64, f64, f64) {
+    let (rounds, calls) = (rounds * 10, (calls / 10).max(1));
+    let timed = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        for _ in 0..calls {
+            f();
+        }
+        t.elapsed().as_secs_f64() * 1e6 / calls as f64
+    };
+    f(); // warm the arena and caches at this shape
+    let (mut closed, mut extra, mut records) = (Vec::new(), Vec::new(), 0);
+    for _ in 0..rounds {
+        let off = timed(f);
+        let scope = metrics::scope();
+        extra.push(timed(f) - off);
+        records = scope.snapshot().total_records();
+        closed.push(off);
+    }
+    (median(&mut closed), median(&mut extra), records as f64 / calls as f64)
+}
+
 /// The composition `ops::attention` replaced, on the same unsplit operands.
 fn composed_attention(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, scale: f32) -> Tensor {
     let split = |t: &Tensor| {
@@ -99,8 +127,13 @@ fn composed_attention(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, scale: f
     ops::permute(&ctx, &[0, 2, 1, 3]).reshape(&[q.shape()[0], q.shape()[1], v.shape()[2]])
 }
 
-/// Where an eval forward's time goes, in two tables per batch size.
+/// Where an eval forward's time goes: one table of whole calls, then two
+/// tables per batch size.
 ///
+/// **Calls**: `extract_window_batch` at each batch size and a coalesced
+/// stream round — two streams each pushing one group, one `encode_staged`,
+/// one `readout_staged`, the shape the `stream_pair` workload serves — timed
+/// with the metrics scope closed and open, with the records a call makes.
 /// **Self time**: `extract_window_batch` on `batch` clips under a metrics
 /// scope — every `op/*` span by self time per call, and the remainder that is
 /// no op (window validation, tubelet gather, bind, tape, allocator, decode,
@@ -117,11 +150,54 @@ fn eval_profile(quick: bool, batches: &[usize]) {
     let (calls, rounds) = if quick { (20, 3) } else { (300, 15) };
     let val = |shape: &[usize], f: f32| Tensor::from_fn(shape, |i| (i as f32 * f).sin() * 0.5);
     let us = |x: f64| format!("{x:.1}");
+    let clips = |batch: usize| -> Vec<Tensor> {
+        (0..batch)
+            .map(|c| val(&[cfg.frames, cfg.height, cfg.width], 0.0137 + c as f32 * 1e-4))
+            .collect()
+    };
+
+    // ---- Whole calls, scope closed and open. ----
+    let mut call_rows: Vec<Vec<String>> = Vec::new();
+    let mut call_row = |name: String, f: &mut dyn FnMut()| {
+        let (closed, extra, records) = scope_cost_us(rounds, calls, f);
+        call_rows.push(vec![name, us(closed), us(extra), format!("{records:.0}")]);
+    };
+    for &batch in batches {
+        let clips = clips(batch);
+        let refs: Vec<&Tensor> = clips.iter().collect();
+        call_row(format!("extract_window_batch, B = {batch}"), &mut || {
+            std::hint::black_box(ex.extract_window_batch(&refs));
+        });
+    }
+    let group = |s: usize, t: usize| {
+        val(&[cfg.tubelet_t, cfg.height, cfg.width], 0.0137 + (s + 2 * t) as f32 * 1e-4)
+    };
+    let mut streams = [StreamState::new(cfg), StreamState::new(cfg)];
+    let mut tick = 0;
+    let mut round = |streams: &mut [StreamState; 2]| {
+        for (s, state) in streams.iter_mut().enumerate() {
+            state.stage_frames(&group(s, tick)).expect("well-formed group");
+        }
+        tick += 1;
+        let mut refs: Vec<&mut StreamState> = streams.iter_mut().collect();
+        tsdx_core::encode_staged(ex.model(), &mut refs);
+        std::hint::black_box(tsdx_core::readout_staged(ex.model(), &mut refs));
+    };
+    (0..cfg.n_time()).for_each(|_| round(&mut streams)); // fill the first window
+    call_row(
+        "stream round (2 x stage_frames + encode_staged + readout_staged)".into(),
+        &mut || round(&mut streams),
+    );
+    print_table(
+        &format!(
+            "eval calls, metrics scope closed and open ({rounds} rounds x {calls} calls, median)"
+        ),
+        &["call", "µs", "scope open: + µs", "records"],
+        &call_rows,
+    );
 
     for &batch in batches {
-        let clips: Vec<Tensor> = (0..batch)
-            .map(|c| val(&[cfg.frames, cfg.height, cfg.width], 0.0137 + c as f32 * 1e-4))
-            .collect();
+        let clips = clips(batch);
         let refs: Vec<&Tensor> = clips.iter().collect();
         for _ in 0..calls.min(50) {
             std::hint::black_box(ex.extract_window_batch(&refs));

@@ -4,11 +4,9 @@
 //! the qualitative "the model attends to the crossing pedestrian" evidence
 //! that accompanies video-transformer papers.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tsdx_tensor::{ops, Graph, Tensor};
+use tsdx_tensor::{ops, Tensor};
 
-use crate::config::Readout;
+use crate::config::{AttentionKind, Readout};
 use crate::model::VideoScenarioTransformer;
 use crate::tubelet::extract_tubelets;
 
@@ -19,71 +17,52 @@ impl VideoScenarioTransformer {
     ///
     /// Rows sum to 1 over `ns` for CLS readout.
     pub fn attention_map(&self, videos: &Tensor) -> Tensor {
-        let cfg = *self.config();
-        let b = videos.shape()[0];
-        let (nt, ns) = (cfg.n_time(), cfg.n_space());
-
-        let mut g = Graph::new();
-        let p = self.params_ref().bind_frozen(&mut g);
-        let mut rng = StdRng::seed_from_u64(0);
-        let tubs = g.constant(extract_tubelets(&cfg, videos));
-        let tokens = self.embed_ref().forward(&mut g, &p, tubs);
-        let attn = self.encoder_ref().forward_attention(&mut g, &p, tokens, &mut rng);
-        let attn = g.value(attn).clone();
-
-        // attn shape: [N, H, T, T] where (N, T) depend on the variant.
-        let sh = attn.shape().to_vec();
-        let (n, h, t) = (sh[0], sh[1], sh[2]);
-        let has_cls = cfg.readout == Readout::Cls;
-
-        // Head-mean: [N, T, T].
-        let head_mean = ops::scale(&ops::sum_axis(&attn, 1, false), 1.0 / h as f32);
-
-        // Readout-query attention over content tokens: [N, content].
-        let content = if has_cls { t - 1 } else { t };
-        let per_query = if has_cls {
-            // CLS row, dropping the CLS->CLS column.
-            let row = ops::narrow(&head_mean, 1, 0, 1); // [N, 1, T]
-            ops::narrow(&row.reshape(&[n, t]), 1, 1, content)
-        } else {
-            // Mean attention received by each token (column mean).
-            ops::scale(&ops::sum_axis(&head_mean, 1, false), 1.0 / t as f32)
-        };
-
+        let cfg = self.config();
+        let ex = &mut self.eval_f32();
+        let tokens = self.embed_ref().forward(ex, &extract_tubelets(cfg, videos));
+        let (_, attn) = self.encoder_ref().first_stage(ex, &tokens, true);
         // Joint: one row of nt*ns tokens per clip; factorized: B*nt rows
         // of ns tokens. Both flatten to the same [B, nt, ns] grid.
-        per_query.reshape(&[b, nt, ns])
+        self.readout_attention(&attn.expect("asked for")).reshape(&[
+            videos.shape()[0],
+            cfg.n_time(),
+            cfg.n_space(),
+        ])
     }
-}
 
-impl VideoScenarioTransformer {
     /// Computes temporal saliency `[B, nt]`: how much the clip readout
     /// attends to each time group. Only available for factorized encoders;
     /// returns `None` for joint attention.
     pub fn temporal_attention_map(&self, videos: &Tensor) -> Option<Tensor> {
-        let cfg = *self.config();
-        let b = videos.shape()[0];
-        let nt = cfg.n_time();
+        let cfg = self.config();
+        if cfg.attention == AttentionKind::Joint {
+            return None;
+        }
+        let (b, nt) = (videos.shape()[0], cfg.n_time());
+        let ex = &mut self.eval_f32();
+        let tokens = self.embed_ref().forward(ex, &extract_tubelets(cfg, videos));
+        let (summaries, _) = self.encoder_ref().first_stage(ex, &tokens, false);
+        let frames = summaries.reshape(&[b, nt, cfg.dim]);
+        let (_, attn) = self.encoder_ref().temporal_readout(ex, &frames, true);
+        Some(self.readout_attention(&attn.expect("asked for")).reshape(&[b, nt]))
+    }
 
-        let mut g = Graph::new();
-        let p = self.params_ref().bind_frozen(&mut g);
-        let mut rng = StdRng::seed_from_u64(0);
-        let tubs = g.constant(extract_tubelets(&cfg, videos));
-        let tokens = self.embed_ref().forward(&mut g, &p, tubs);
-        let attn = self.encoder_ref().forward_temporal_attention(&mut g, &p, tokens, &mut rng)?;
-        let attn = g.value(attn).clone();
-
-        let sh = attn.shape().to_vec();
+    /// What the readout query of each sequence attends to, from attention
+    /// probabilities `[N, H, T, T]`: head-mean attention over the content
+    /// tokens, `[N, content]`.
+    fn readout_attention(&self, attn: &Tensor) -> Tensor {
+        let sh = attn.shape();
         let (n, h, t) = (sh[0], sh[1], sh[2]);
-        let has_cls = cfg.readout == Readout::Cls;
-        let head_mean = ops::scale(&ops::sum_axis(&attn, 1, false), 1.0 / h as f32);
-        let per_query = if has_cls {
-            let row = ops::narrow(&head_mean, 1, 0, 1);
+        // Head-mean: [N, T, T].
+        let head_mean = ops::scale(&ops::sum_axis(attn, 1, false), 1.0 / h as f32);
+        if self.config().readout == Readout::Cls {
+            // CLS row, dropping the CLS->CLS column.
+            let row = ops::narrow(&head_mean, 1, 0, 1); // [N, 1, T]
             ops::narrow(&row.reshape(&[n, t]), 1, 1, t - 1)
         } else {
+            // Mean attention received by each token (column mean).
             ops::scale(&ops::sum_axis(&head_mean, 1, false), 1.0 / t as f32)
-        };
-        Some(per_query.reshape(&[b, nt]))
+        }
     }
 }
 

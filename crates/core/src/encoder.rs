@@ -17,8 +17,8 @@
 //! stage-1 outputs by absolute group index.
 
 use rand::Rng;
-use tsdx_nn::{Binding, ParamId, ParamStore, TransformerEncoder};
-use tsdx_tensor::{Graph, Tensor, Var};
+use tsdx_nn::{Exec, ParamId, ParamStore, TransformerEncoder};
+use tsdx_tensor::Tensor;
 
 use crate::config::{AttentionKind, ModelConfig, Readout};
 
@@ -139,35 +139,47 @@ impl ClipEncoder {
 
     /// Encodes `[B, nt*ns, D]` tokens (projected, spatially positioned,
     /// *not* temporally positioned) to a `[B, D]` clip embedding.
-    pub fn forward(
+    pub fn forward<E: Exec>(&self, ex: &mut E, tokens: &E::V) -> E::V {
+        let b = ex.shape(tokens)[0];
+        let (first, _) = self.first_stage(ex, tokens, false);
+        match self.kind {
+            AttentionKind::Joint => first,
+            AttentionKind::Factorized => {
+                let frames = ex.reshape(&first, &[b, self.n_time, self.dim]);
+                self.temporal_readout(ex, &frames, false).0
+            }
+        }
+    }
+
+    /// The stage the token grid enters: the whole encoder for joint
+    /// attention, the spatial stage over each time group for factorized
+    /// (`[B*nt, D]` out). With `want_attn`, also the attention probabilities
+    /// of that stage's last block (`[N, H, T, T]`).
+    pub(crate) fn first_stage<E: Exec>(
         &self,
-        g: &mut Graph,
-        p: &Binding,
-        tokens: Var,
-        rng: &mut impl Rng,
-        train: bool,
-    ) -> Var {
-        let b = g.shape(tokens)[0];
+        ex: &mut E,
+        tokens: &E::V,
+        want_attn: bool,
+    ) -> (E::V, Option<E::V>) {
+        let b = ex.shape(tokens)[0];
         match self.kind {
             AttentionKind::Joint => {
                 // Joint attention has no cacheable stage boundary: the
                 // temporal position goes straight onto the token grid.
-                let timed = self.with_time_positions_grid(g, p, tokens);
-                self.encode(g, p, &self.spatial, self.cls_space, timed, rng, train)
+                let timed = self.with_time_positions_grid(ex, tokens);
+                self.encode(ex, &self.spatial, self.cls_space, timed, want_attn)
             }
             AttentionKind::Factorized => {
-                // Spatial stage over each time group independently.
-                let per_frame = g.reshape(tokens, &[b * self.n_time, self.n_space, self.dim]);
-                let frame_embed = self.spatial_summaries(g, p, per_frame, rng, train); // [B*nt, D]
-                let temporal_tokens = g.reshape(frame_embed, &[b, self.n_time, self.dim]);
-                self.temporal_readout(g, p, temporal_tokens, rng, train)
+                let per_frame = ex.reshape(tokens, &[b * self.n_time, self.n_space, self.dim]);
+                self.spatial_summaries(ex, per_frame, want_attn)
             }
         }
     }
 
     /// Spatial stage of the factorized pipeline: per-group token rows
     /// `[N, ns, D]` (one row of `ns` spatial tokens per time group) to
-    /// frame summaries `[N, D]`.
+    /// frame summaries `[N, D]`; with `want_attn`, also the last block's
+    /// attention probabilities.
     ///
     /// Every operation here is row-independent and free of temporal
     /// position, so a summary computed for one group at a time is
@@ -177,150 +189,96 @@ impl ClipEncoder {
     /// # Panics
     ///
     /// Panics for joint encoders, which have no separate spatial stage.
-    pub fn spatial_summaries(
+    pub fn spatial_summaries<E: Exec>(
         &self,
-        g: &mut Graph,
-        p: &Binding,
-        groups: Var,
-        rng: &mut impl Rng,
-        train: bool,
-    ) -> Var {
+        ex: &mut E,
+        groups: E::V,
+        want_attn: bool,
+    ) -> (E::V, Option<E::V>) {
         assert_eq!(
             self.kind,
             AttentionKind::Factorized,
             "spatial_summaries is a factorized-pipeline stage"
         );
-        self.encode(g, p, &self.spatial, self.cls_space, groups, rng, train)
+        self.encode(ex, &self.spatial, self.cls_space, groups, want_attn)
     }
 
     /// Temporal stage of the factorized pipeline: raw frame summaries
     /// `[B, nt, D]` to clip embeddings `[B, D]`. Applies the
     /// window-relative temporal position, prepends the temporal CLS, and
-    /// runs the temporal transformer.
+    /// runs the temporal transformer; with `want_attn`, also returns its last
+    /// block's attention probabilities (`[B, H, T', T']` where `T'` counts
+    /// frame summaries plus an optional CLS).
     ///
     /// # Panics
     ///
     /// Panics for joint encoders.
-    pub fn temporal_readout(
+    pub fn temporal_readout<E: Exec>(
         &self,
-        g: &mut Graph,
-        p: &Binding,
-        frames: Var,
-        rng: &mut impl Rng,
-        train: bool,
-    ) -> Var {
+        ex: &mut E,
+        frames: &E::V,
+        want_attn: bool,
+    ) -> (E::V, Option<E::V>) {
         let temporal = self.temporal.as_ref().expect("factorized encoder has a temporal stage");
-        let timed = self.with_time_positions(g, p, frames);
-        self.encode(g, p, temporal, self.cls_time, timed, rng, train)
+        let timed = self.with_time_positions(ex, frames);
+        self.encode(ex, temporal, self.cls_time, timed, want_attn)
     }
 
     /// Adds the temporal position table to frame summaries `[B, nt, D]`.
-    fn with_time_positions(&self, g: &mut Graph, p: &Binding, frames: Var) -> Var {
-        let pt = p.var(self.pos_time);
-        let flat = g.reshape(pt, &[self.n_time, self.dim]);
-        g.add(frames, flat)
+    fn with_time_positions<E: Exec>(&self, ex: &mut E, frames: &E::V) -> E::V {
+        let pt = ex.param(self.pos_time);
+        let flat = ex.reshape(&pt, &[self.n_time, self.dim]);
+        ex.add(frames, &flat)
     }
 
     /// Adds the temporal position to a joint token grid `[B, nt*ns, D]`
     /// (broadcast over the `ns` spatial tokens of each group).
-    fn with_time_positions_grid(&self, g: &mut Graph, p: &Binding, tokens: Var) -> Var {
-        let b = g.shape(tokens)[0];
-        let grid = g.reshape(tokens, &[b, self.n_time, self.n_space, self.dim]);
-        let pt = p.var(self.pos_time);
-        let timed = g.add(grid, pt);
-        g.reshape(timed, &[b, self.n_time * self.n_space, self.dim])
-    }
-
-    /// Runs the (first) spatial or joint stage and returns the attention
-    /// probabilities of its last block (`[N, H, T, T]`), for introspection.
-    pub fn forward_attention(
-        &self,
-        g: &mut Graph,
-        p: &Binding,
-        tokens: Var,
-        rng: &mut impl Rng,
-    ) -> Var {
-        let b = g.shape(tokens)[0];
-        match self.kind {
-            AttentionKind::Joint => {
-                let timed = self.with_time_positions_grid(g, p, tokens);
-                let seq = self.with_cls(g, p, timed, self.cls_space);
-                let (_, attn) = self.spatial.forward_with_attn(g, p, seq, rng, false);
-                attn
-            }
-            AttentionKind::Factorized => {
-                let per_frame = g.reshape(tokens, &[b * self.n_time, self.n_space, self.dim]);
-                let seq = self.with_cls(g, p, per_frame, self.cls_space);
-                let (_, attn) = self.spatial.forward_with_attn(g, p, seq, rng, false);
-                attn
-            }
-        }
-    }
-
-    /// Runs the full factorized pipeline and returns the *temporal* stage's
-    /// last-block attention (`[B, H, T', T']` where `T'` counts frame
-    /// summaries plus an optional CLS).
-    ///
-    /// Returns `None` for joint encoders (they have no separate temporal
-    /// stage; use [`ClipEncoder::forward_attention`] instead).
-    pub fn forward_temporal_attention(
-        &self,
-        g: &mut Graph,
-        p: &Binding,
-        tokens: Var,
-        rng: &mut impl Rng,
-    ) -> Option<Var> {
-        let temporal = self.temporal.as_ref()?;
-        let b = g.shape(tokens)[0];
-        let per_frame = g.reshape(tokens, &[b * self.n_time, self.n_space, self.dim]);
-        let frame_embed = self.spatial_summaries(g, p, per_frame, rng, false);
-        let temporal_tokens = g.reshape(frame_embed, &[b, self.n_time, self.dim]);
-        let timed = self.with_time_positions(g, p, temporal_tokens);
-        let seq_t = self.with_cls(g, p, timed, self.cls_time);
-        let (_, attn) = temporal.forward_with_attn(g, p, seq_t, rng, false);
-        Some(attn)
+    fn with_time_positions_grid<E: Exec>(&self, ex: &mut E, tokens: &E::V) -> E::V {
+        let b = ex.shape(tokens)[0];
+        let grid = ex.reshape(tokens, &[b, self.n_time, self.n_space, self.dim]);
+        let pt = ex.param(self.pos_time);
+        let timed = ex.add(&grid, &pt);
+        ex.reshape(&timed, &[b, self.n_time * self.n_space, self.dim])
     }
 
     /// Prepends a learned CLS token (broadcast over the batch) when the
     /// readout is CLS; otherwise returns the sequence unchanged.
-    fn with_cls(&self, g: &mut Graph, p: &Binding, seq: Var, cls: Option<ParamId>) -> Var {
+    fn with_cls<E: Exec>(&self, ex: &mut E, seq: E::V, cls: Option<ParamId>) -> E::V {
         let Some(cls) = cls else { return seq };
-        let b = g.shape(seq)[0];
+        let b = ex.shape(&seq)[0];
         // Broadcast [1, D] to [B, 1, D] via ones-matmul (keeps gradients
         // flowing to the CLS parameter).
-        let ones = g.constant(Tensor::ones(&[b, 1, 1]));
-        let cls_var = p.var(cls);
-        let tiled = g.matmul(ones, cls_var); // [B, 1, D]
-        g.concat(&[tiled, seq], 1)
+        let ones = ex.constant(Tensor::ones(&[b, 1, 1]));
+        let cls = ex.param(cls);
+        let tiled = ex.matmul(&ones, &cls); // [B, 1, D]
+        ex.concat(&tiled, &seq, 1)
     }
 
     /// One encoder stage: `seq` (`[N, T, D]`) through `stack` and read out
     /// to `[N, D]`. A CLS readout keeps row 0 alone, so it asks the stack
-    /// for that row ([`TransformerEncoder::forward_first`], which spares the
-    /// last block the other rows); mean-pooling needs them all.
-    #[allow(clippy::too_many_arguments)]
-    fn encode(
+    /// for that row (`first_only`, which spares the last block the other
+    /// rows); mean-pooling needs them all. `want_attn` taps the last block's
+    /// attention probabilities.
+    fn encode<E: Exec>(
         &self,
-        g: &mut Graph,
-        p: &Binding,
+        ex: &mut E,
         stack: &TransformerEncoder,
         cls: Option<ParamId>,
-        seq: Var,
-        rng: &mut impl Rng,
-        train: bool,
-    ) -> Var {
-        let seq = self.with_cls(g, p, seq, cls);
-        match self.readout {
+        seq: E::V,
+        want_attn: bool,
+    ) -> (E::V, Option<E::V>) {
+        let (encoded, attn) = {
+            let seq = self.with_cls(ex, seq, cls);
+            stack.run(ex, &seq, self.readout == Readout::Cls, want_attn)
+        };
+        let out = match self.readout {
             Readout::Cls => {
-                let first = stack.forward_first(g, p, seq, rng, train);
-                let n = g.shape(first)[0];
-                g.reshape(first, &[n, self.dim])
+                let n = ex.shape(&encoded)[0];
+                ex.reshape(&encoded, &[n, self.dim])
             }
-            Readout::MeanPool => {
-                let encoded = stack.forward(g, p, seq, rng, train);
-                g.mean_axis(encoded, 1, false)
-            }
-        }
+            Readout::MeanPool => ex.mean_axis(&encoded, 1, false),
+        };
+        (out, attn)
     }
 }
 
@@ -329,6 +287,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tsdx_nn::{Eval, Tape};
+    use tsdx_tensor::{ops, Graph};
 
     fn cfg(kind: AttentionKind, readout: Readout) -> ModelConfig {
         ModelConfig {
@@ -348,17 +308,27 @@ mod tests {
         }
     }
 
-    fn run(kind: AttentionKind, readout: Readout) -> (usize, Vec<f32>) {
-        let cfg = cfg(kind, readout);
+    fn encoder(kind: AttentionKind, readout: Readout, seed: u64) -> (ParamStore, ClipEncoder) {
         let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        let enc = ClipEncoder::new(&mut store, &mut rng, "enc", &cfg);
-        let mut g = Graph::new();
-        let p = store.bind(&mut g);
-        let tokens = g.constant(Tensor::from_fn(&[2, 8, 8], |i| ((i % 13) as f32 - 6.0) * 0.1));
-        let out = enc.forward(&mut g, &p, tokens, &mut rng, false);
-        assert_eq!(g.shape(out), &[2, 8]);
-        (store.num_scalars(), g.value(out).data().to_vec())
+        let enc = ClipEncoder::new(
+            &mut store,
+            &mut StdRng::seed_from_u64(seed),
+            "enc",
+            &cfg(kind, readout),
+        );
+        (store, enc)
+    }
+
+    fn run(kind: AttentionKind, readout: Readout) -> (usize, Vec<f32>) {
+        let (store, enc) = encoder(kind, readout, 1);
+        let tokens = Tensor::from_fn(&[2, 8, 8], |i| ((i % 13) as f32 - 6.0) * 0.1);
+        let out = enc.forward(&mut Eval::new(&store, None), &tokens);
+        assert_eq!(out.shape(), &[2, 8]);
+        (store.num_scalars(), out.to_vec())
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.to_vec().into_iter().map(f32::to_bits).collect()
     }
 
     #[test]
@@ -380,15 +350,28 @@ mod tests {
     }
 
     #[test]
+    fn the_tape_records_what_the_eval_executor_computes_bitwise() {
+        for kind in [AttentionKind::Factorized, AttentionKind::Joint] {
+            for readout in [Readout::Cls, Readout::MeanPool] {
+                let (store, enc) = encoder(kind, readout, 1);
+                let tokens = Tensor::from_fn(&[2, 8, 8], |i| ((i % 13) as f32 - 6.0) * 0.1);
+                let mut g = Graph::new();
+                let p = store.bind_frozen(&mut g);
+                let x = g.constant(tokens.clone());
+                let on_tape = enc.forward(&mut Tape::eval(&mut g, &p), &x);
+                let direct = enc.forward(&mut Eval::new(&store, None), &tokens);
+                assert_eq!(bits(g.value(on_tape)), bits(&direct), "{kind:?}/{readout:?}");
+            }
+        }
+    }
+
+    #[test]
     fn gradients_reach_cls_tokens() {
-        let cfg = cfg(AttentionKind::Factorized, Readout::Cls);
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(2);
-        let enc = ClipEncoder::new(&mut store, &mut rng, "enc", &cfg);
+        let (store, enc) = encoder(AttentionKind::Factorized, Readout::Cls, 2);
         let mut g = Graph::new();
         let p = store.bind(&mut g);
         let tokens = g.constant(Tensor::from_fn(&[1, 8, 8], |i| (i as f32 * 0.01).sin()));
-        let out = enc.forward(&mut g, &p, tokens, &mut rng, false);
+        let out = enc.forward(&mut Tape::eval(&mut g, &p), &tokens);
         // Square the embedding before reducing: the gradient of a plain mean
         // is row-uniform, which the final layer norm's Jacobian annihilates
         // exactly (any nonzero grad below it would be roundoff noise).
@@ -410,24 +393,17 @@ mod tests {
 
     #[test]
     fn staged_calls_compose_to_forward_bitwise() {
-        // spatial_summaries + temporal_readout must rebuild exactly the
-        // graph `forward` builds — the streaming session depends on it.
+        // spatial_summaries + temporal_readout must issue exactly the
+        // operations `forward` does — the streaming session depends on it.
         for readout in [Readout::Cls, Readout::MeanPool] {
-            let cfg = cfg(AttentionKind::Factorized, readout);
-            let mut store = ParamStore::new();
-            let mut rng = StdRng::seed_from_u64(3);
-            let enc = ClipEncoder::new(&mut store, &mut rng, "enc", &cfg);
-            let mut g = Graph::new();
-            let p = store.bind_frozen(&mut g);
-            let x0 = Tensor::from_fn(&[2, 8, 8], |i| (i as f32 * 0.05).sin());
-            let tokens = g.constant(x0);
-            let full = enc.forward(&mut g, &p, tokens, &mut rng, false);
+            let (store, enc) = encoder(AttentionKind::Factorized, readout, 3);
+            let ex = &mut Eval::new(&store, None);
+            let tokens = Tensor::from_fn(&[2, 8, 8], |i| (i as f32 * 0.05).sin());
+            let full = enc.forward(ex, &tokens);
 
-            let per_frame = g.reshape(tokens, &[4, 4, 8]);
-            let sums = enc.spatial_summaries(&mut g, &p, per_frame, &mut rng, false);
-            let frames = g.reshape(sums, &[2, 2, 8]);
-            let staged = enc.temporal_readout(&mut g, &p, frames, &mut rng, false);
-            assert_eq!(g.value(full).data(), g.value(staged).data(), "{readout:?}");
+            let (sums, _) = enc.spatial_summaries(ex, tokens.reshape(&[4, 4, 8]), false);
+            let (staged, _) = enc.temporal_readout(ex, &sums.reshape(&[2, 2, 8]), false);
+            assert_eq!(bits(&full), bits(&staged), "{readout:?}");
         }
     }
 
@@ -437,57 +413,42 @@ mod tests {
         // reads: row 0 for CLS (whose last block the encoder prunes to that
         // row), the mean over rows for mean-pool.
         let reference = |enc: &ClipEncoder,
-                         g: &mut Graph,
-                         p: &Binding,
+                         ex: &mut Eval,
                          stack: &TransformerEncoder,
                          cls: Option<ParamId>,
-                         seq: Var| {
-            let seq = enc.with_cls(g, p, seq, cls);
-            let full = stack.forward(g, p, seq, &mut StdRng::seed_from_u64(0), false);
-            let n = g.shape(full)[0];
+                         seq: Tensor| {
+            let seq = enc.with_cls(ex, seq, cls);
+            let (full, _) = stack.run(ex, &seq, false, false);
             match enc.readout {
-                Readout::Cls => {
-                    let first = g.narrow(full, 1, 0, 1);
-                    g.reshape(first, &[n, enc.dim])
-                }
-                Readout::MeanPool => g.mean_axis(full, 1, false),
+                Readout::Cls => ops::narrow(&full, 1, 0, 1).reshape(&[full.shape()[0], enc.dim]),
+                Readout::MeanPool => ops::mean_axis(&full, 1, false),
             }
         };
-        let bits = |g: &Graph, v: Var| -> Vec<u32> {
-            g.value(v).to_vec().into_iter().map(f32::to_bits).collect()
-        };
-        let mut rng = StdRng::seed_from_u64(0);
         for readout in [Readout::Cls, Readout::MeanPool] {
             for kind in [AttentionKind::Factorized, AttentionKind::Joint] {
-                let cfg = cfg(kind, readout);
-                let mut store = ParamStore::new();
-                let enc = ClipEncoder::new(&mut store, &mut StdRng::seed_from_u64(5), "enc", &cfg);
-                let mut g = Graph::new();
-                let p = store.bind_frozen(&mut g);
+                let (store, enc) = encoder(kind, readout, 5);
+                let ex = &mut Eval::new(&store, None);
                 let ctx = format!("{kind:?}/{readout:?}");
                 match kind {
                     AttentionKind::Factorized => {
-                        let groups =
-                            g.constant(Tensor::from_fn(&[6, 4, 8], |i| (i as f32 * 0.05).sin()));
-                        let got = enc.spatial_summaries(&mut g, &p, groups, &mut rng, false);
-                        let want = reference(&enc, &mut g, &p, &enc.spatial, enc.cls_space, groups);
-                        assert_eq!(bits(&g, got), bits(&g, want), "spatial {ctx}");
+                        let groups = Tensor::from_fn(&[6, 4, 8], |i| (i as f32 * 0.05).sin());
+                        let (got, _) = enc.spatial_summaries(ex, groups.clone(), false);
+                        let want = reference(&enc, ex, &enc.spatial, enc.cls_space, groups);
+                        assert_eq!(bits(&got), bits(&want), "spatial {ctx}");
 
-                        let frames =
-                            g.constant(Tensor::from_fn(&[3, 2, 8], |i| (i as f32 * 0.11).cos()));
-                        let got = enc.temporal_readout(&mut g, &p, frames, &mut rng, false);
-                        let timed = enc.with_time_positions(&mut g, &p, frames);
+                        let frames = Tensor::from_fn(&[3, 2, 8], |i| (i as f32 * 0.11).cos());
+                        let (got, _) = enc.temporal_readout(ex, &frames, false);
+                        let timed = enc.with_time_positions(ex, &frames);
                         let temporal = enc.temporal.as_ref().unwrap();
-                        let want = reference(&enc, &mut g, &p, temporal, enc.cls_time, timed);
-                        assert_eq!(bits(&g, got), bits(&g, want), "temporal {ctx}");
+                        let want = reference(&enc, ex, temporal, enc.cls_time, timed);
+                        assert_eq!(bits(&got), bits(&want), "temporal {ctx}");
                     }
                     AttentionKind::Joint => {
-                        let tokens =
-                            g.constant(Tensor::from_fn(&[3, 8, 8], |i| (i as f32 * 0.05).sin()));
-                        let got = enc.forward(&mut g, &p, tokens, &mut rng, false);
-                        let timed = enc.with_time_positions_grid(&mut g, &p, tokens);
-                        let want = reference(&enc, &mut g, &p, &enc.spatial, enc.cls_space, timed);
-                        assert_eq!(bits(&g, got), bits(&g, want), "joint {ctx}");
+                        let tokens = Tensor::from_fn(&[3, 8, 8], |i| (i as f32 * 0.05).sin());
+                        let got = enc.forward(ex, &tokens);
+                        let timed = enc.with_time_positions_grid(ex, &tokens);
+                        let want = reference(&enc, ex, &enc.spatial, enc.cls_space, timed);
+                        assert_eq!(bits(&got), bits(&want), "joint {ctx}");
                     }
                 }
             }
@@ -499,20 +460,14 @@ mod tests {
         // With identical per-group inputs, the clip embedding must still
         // depend on order: the temporal position is applied at the
         // temporal-stage boundary.
-        let cfg = cfg(AttentionKind::Factorized, Readout::Cls);
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(4);
-        let enc = ClipEncoder::new(&mut store, &mut rng, "enc", &cfg);
-        let mut g = Graph::new();
-        let p = store.bind_frozen(&mut g);
+        let (store, enc) = encoder(AttentionKind::Factorized, Readout::Cls, 4);
+        let ex = &mut Eval::new(&store, None);
         let a = Tensor::from_fn(&[1, 2, 8], |i| if i < 8 { 1.0 } else { -1.0 });
         let mut rev = a.to_vec();
         rev.rotate_left(8);
-        let fa = g.constant(a);
-        let fb = g.constant(Tensor::from_vec(rev, &[1, 2, 8]));
-        let ya = enc.temporal_readout(&mut g, &p, fa, &mut rng, false);
-        let yb = enc.temporal_readout(&mut g, &p, fb, &mut rng, false);
-        assert_ne!(g.value(ya).data(), g.value(yb).data(), "time order must matter");
+        let (ya, _) = enc.temporal_readout(ex, &a, false);
+        let (yb, _) = enc.temporal_readout(ex, &Tensor::from_vec(rev, &[1, 2, 8]), false);
+        assert_ne!(ya.to_vec(), yb.to_vec(), "time order must matter");
     }
 
     #[test]

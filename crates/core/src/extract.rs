@@ -105,6 +105,14 @@ pub struct ScenarioExtractor {
     model: VideoScenarioTransformer,
 }
 
+// Serving shares one extractor between threads: inference keeps no per-call
+// state in the model (no tape, no cache it writes, no lock).
+const _: () = {
+    const fn send_and_sync<T: Send + Sync>() {}
+    send_and_sync::<VideoScenarioTransformer>();
+    send_and_sync::<ScenarioExtractor>();
+};
+
 /// What [`ScenarioExtractor::quantize`] converted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuantReport {

@@ -24,7 +24,7 @@ fn block_macs(tq: usize, tk: usize, d: usize, m: usize) -> u64 {
 
 /// One encoder stack of `depth` blocks over `tokens` rows plus the CLS row
 /// a CLS readout prepends. That readout keeps row 0 alone, so the stack's
-/// last block produces one row (see `TransformerEncoder::forward_first`);
+/// last block produces one row (see `TransformerEncoder::run`, `first_only`);
 /// mean-pooling reads every row of every block.
 fn stack_macs(cfg: &ModelConfig, depth: usize, tokens: usize) -> u64 {
     let (d, m) = (cfg.dim, cfg.mlp_ratio);

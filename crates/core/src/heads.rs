@@ -2,23 +2,26 @@
 
 use rand::Rng;
 use tsdx_data::{Batch, POSITION_COUNT};
-use tsdx_nn::{Binding, Linear, ParamStore};
+use tsdx_nn::{Exec, Linear, ParamStore};
 use tsdx_sdl::{vocab, ActorKind, EgoManeuver, RoadKind};
+use tsdx_tensor::ops::Activation;
 use tsdx_tensor::{Graph, Var};
 
-/// Logit variables of all five heads for one batch.
-#[derive(Debug, Clone, Copy)]
-pub struct HeadLogits {
+/// Logits of all five heads for one batch, as handles of the executor that
+/// computed them: tape variables by default, the tensors themselves from the
+/// non-recording executor ([`WindowLogits`](crate::WindowLogits)).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HeadLogits<V = Var> {
     /// Ego maneuver logits `[B, 7]`.
-    pub ego: Var,
+    pub ego: V,
     /// Road kind logits `[B, 4]`.
-    pub road: Var,
+    pub road: V,
     /// Primary event logits `[B, 13]`.
-    pub event: Var,
+    pub event: V,
     /// Position logits `[B, 5]`.
-    pub position: Var,
+    pub position: V,
     /// Actor presence logits `[B, 3]` (sigmoid semantics).
-    pub presence: Var,
+    pub presence: V,
 }
 
 /// Relative loss weights of the heads.
@@ -67,13 +70,14 @@ impl SdlHeads {
     }
 
     /// Applies all heads to a clip embedding `[B, D]`.
-    pub fn forward(&self, g: &mut Graph, p: &Binding, embedding: Var) -> HeadLogits {
+    pub fn forward<E: Exec>(&self, ex: &mut E, embedding: &E::V) -> HeadLogits<E::V> {
+        let mut head = |l: &Linear| l.run(ex, embedding, Activation::None, None);
         HeadLogits {
-            ego: self.ego.forward(g, p, embedding),
-            road: self.road.forward(g, p, embedding),
-            event: self.event.forward(g, p, embedding),
-            position: self.position.forward(g, p, embedding),
-            presence: self.presence.forward(g, p, embedding),
+            ego: head(&self.ego),
+            road: head(&self.road),
+            event: head(&self.event),
+            position: head(&self.position),
+            presence: head(&self.presence),
         }
     }
 }
@@ -102,6 +106,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tsdx_nn::Tape;
     use tsdx_tensor::Tensor;
 
     fn dummy_batch(b: usize) -> Batch {
@@ -123,7 +128,7 @@ mod tests {
         let mut g = Graph::new();
         let p = store.bind(&mut g);
         let emb = g.constant(Tensor::zeros(&[3, 16]));
-        let out = heads.forward(&mut g, &p, emb);
+        let out = heads.forward(&mut Tape::eval(&mut g, &p), &emb);
         assert_eq!(g.shape(out.ego), &[3, EgoManeuver::COUNT]);
         assert_eq!(g.shape(out.road), &[3, RoadKind::COUNT]);
         assert_eq!(g.shape(out.event), &[3, vocab::EVENT_COUNT]);
@@ -139,7 +144,7 @@ mod tests {
         let mut g = Graph::new();
         let p = store.bind(&mut g);
         let emb = g.constant(Tensor::from_fn(&[2, 8], |i| (i as f32 * 0.1).sin()));
-        let logits = heads.forward(&mut g, &p, emb);
+        let logits = heads.forward(&mut Tape::eval(&mut g, &p), &emb);
         let batch = dummy_batch(2);
         let loss = multitask_loss(&mut g, &logits, &batch, &LossWeights::default());
         let v = g.value(loss).item();
@@ -157,7 +162,7 @@ mod tests {
         let mut g = Graph::new();
         let p = store.bind(&mut g);
         let emb = g.constant(Tensor::zeros(&[2, 8]));
-        let logits = heads.forward(&mut g, &p, emb);
+        let logits = heads.forward(&mut Tape::eval(&mut g, &p), &emb);
         let batch = dummy_batch(2);
         let zero = LossWeights { ego: 0.0, road: 0.0, event: 0.0, position: 0.0, presence: 0.0 };
         let loss = multitask_loss(&mut g, &logits, &batch, &zero);

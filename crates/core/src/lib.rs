@@ -37,6 +37,8 @@
 mod attention_map;
 mod config;
 mod encoder;
+#[cfg(test)]
+mod executor_parity;
 mod extract;
 mod flops;
 mod heads;

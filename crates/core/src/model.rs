@@ -6,12 +6,12 @@ use std::sync::{Arc, OnceLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsdx_data::{ClipLabels, POSITION_COUNT};
-use tsdx_nn::{Binding, ParamStore, QuantizedWeights};
+use tsdx_nn::{Binding, Eval, Exec, ParamStore, QuantizedWeights, Tape};
 use tsdx_sdl::{vocab, ActorKind, EgoManeuver, RoadKind};
 use tsdx_tensor::dial::{Precision, PLANE};
 use tsdx_tensor::{metrics, ops, Graph, Tensor};
 
-use crate::config::ModelConfig;
+use crate::config::{AttentionKind, ModelConfig};
 use crate::encoder::ClipEncoder;
 use crate::heads::{HeadLogits, SdlHeads};
 use crate::tubelet::{extract_tubelets, TubeletEmbed};
@@ -137,15 +137,17 @@ impl VideoScenarioTransformer {
     /// The tubelet embedding stays f32 — first-layer quantization costs
     /// the most accuracy for the least time, the standard PTQ trade.
     pub fn quantized_weights(&self) -> Arc<QuantizedWeights> {
-        self.quant
-            .get_or_init(|| {
-                Arc::new(self.store.quantize_where(|name, t| {
-                    t.rank() == 2
-                        && name.ends_with(".weight")
-                        && (name.starts_with("encoder.") || name.starts_with("heads."))
-                }))
-            })
-            .clone()
+        Arc::clone(self.quantized())
+    }
+
+    fn quantized(&self) -> &Arc<QuantizedWeights> {
+        self.quant.get_or_init(|| {
+            Arc::new(self.store.quantize_where(|name, t| {
+                t.rank() == 2
+                    && name.ends_with(".weight")
+                    && (name.starts_with("encoder.") || name.starts_with("heads."))
+            }))
+        })
     }
 
     /// Precision-aware frozen binding: `bind_frozen` under
@@ -155,8 +157,23 @@ impl VideoScenarioTransformer {
     pub fn bind_eval_active(&self, g: &mut Graph) -> Binding {
         match PLANE.get() {
             Precision::F32 => self.store.bind_frozen(g),
-            Precision::Int8 => self.store.bind_quantized(g, &self.quantized_weights()),
+            Precision::Int8 => self.store.bind_quantized(g, self.quantized()),
         }
+    }
+
+    /// The executor inference runs on: no tape, weights read in place, on
+    /// the active precision plane like
+    /// [`bind_eval_active`](Self::bind_eval_active).
+    pub(crate) fn eval(&self) -> Eval<'_> {
+        match PLANE.get() {
+            Precision::F32 => self.eval_f32(),
+            Precision::Int8 => Eval::new(&self.store, Some(self.quantized())),
+        }
+    }
+
+    /// [`eval`](Self::eval) pinned to the f32 plane (introspection).
+    pub(crate) fn eval_f32(&self) -> Eval<'_> {
+        Eval::new(&self.store, None)
     }
 
     /// The configuration this model was built with.
@@ -172,17 +189,9 @@ impl VideoScenarioTransformer {
     /// Computes the clip embedding (`[B, D]`) for a video batch without the
     /// heads — used for representation probing and retrieval.
     pub fn embed_clips(&self, videos: &Tensor) -> Tensor {
-        let mut g = Graph::new();
-        let p = self.bind_eval_active(&mut g);
-        let mut rng = StdRng::seed_from_u64(0);
-        let tubs = g.constant(extract_tubelets(&self.cfg, videos));
-        let tokens = self.embed.forward(&mut g, &p, tubs);
-        let emb = self.encoder.forward(&mut g, &p, tokens, &mut rng, false);
-        g.value(emb).clone()
-    }
-
-    pub(crate) fn params_ref(&self) -> &ParamStore {
-        &self.store
+        let ex = &mut self.eval();
+        let tokens = self.embed.forward(ex, &extract_tubelets(&self.cfg, videos));
+        self.encoder.forward(ex, &tokens)
     }
 
     pub(crate) fn embed_ref(&self) -> &TubeletEmbed {
@@ -229,43 +238,23 @@ impl VideoScenarioTransformer {
         metrics::stage("stage/mux_encode", || {
             // One batch row per group: [N, tubelet_t, H, W].
             let batch = Tensor::from_vec(pixels, &[n, cfg.tubelet_t, cfg.height, cfg.width]);
-            let tubs = extract_tubelets(cfg, &batch); // [N, ns, vol]
-            let mut g = Graph::new();
-            let p = self.bind_eval_active(&mut g);
-            let mut rng = StdRng::seed_from_u64(0);
-            let t = g.constant(tubs);
-            let tokens = self.embed.forward(&mut g, &p, t); // [N, ns, D]
-            match cfg.attention {
-                crate::config::AttentionKind::Factorized => {
-                    let summaries =
-                        self.encoder.spatial_summaries(&mut g, &p, tokens, &mut rng, false);
-                    let v = g.value(summaries); // [N, D]
-                    let data = v.contiguous();
-                    let data = data.data();
-                    (0..n)
-                        .map(|i| {
-                            Tensor::from_vec(
-                                data[i * cfg.dim..(i + 1) * cfg.dim].to_vec(),
-                                &[cfg.dim],
-                            )
-                        })
-                        .collect()
+            let ex = &mut self.eval();
+            // [N, ns, D]
+            let tokens = self.embed.forward(ex, &extract_tubelets(cfg, &batch));
+            // One output per group: a frame summary [D], or for joint
+            // attention, which has no deeper cacheable stage, tokens [ns, D].
+            let dims = [cfg.n_space(), cfg.dim];
+            let (out, shape) = match cfg.attention {
+                AttentionKind::Factorized => {
+                    (self.encoder.spatial_summaries(ex, tokens, false).0, &dims[1..])
                 }
-                crate::config::AttentionKind::Joint => {
-                    let v = g.value(tokens); // [N, ns, D]
-                    let data = v.contiguous();
-                    let data = data.data();
-                    let stride = cfg.n_space() * cfg.dim;
-                    (0..n)
-                        .map(|i| {
-                            Tensor::from_vec(
-                                data[i * stride..(i + 1) * stride].to_vec(),
-                                &[cfg.n_space(), cfg.dim],
-                            )
-                        })
-                        .collect()
-                }
-            }
+                AttentionKind::Joint => (tokens, &dims[..]),
+            };
+            let out = out.contiguous();
+            out.data()
+                .chunks_exact(shape.iter().product())
+                .map(|row| Tensor::from_vec(row.to_vec(), shape))
+                .collect()
         })
     }
 
@@ -275,19 +264,30 @@ impl VideoScenarioTransformer {
     /// histogram: `stage/tubelet_embed`, `stage/encoder`, `stage/heads`
     /// (from [`ClipModel::forward`]) and `stage/decode` here.
     pub fn predict(&self, videos: &Tensor) -> Vec<ClipLabels> {
-        let mut g = Graph::new();
-        let p = self.bind_eval_active(&mut g);
-        let mut rng = StdRng::seed_from_u64(0);
-        let logits = self.forward(&mut g, &p, videos, &mut rng, false);
+        let l = self.run(&mut self.eval(), videos);
         metrics::stage("stage/decode", || {
-            decode_logits(
-                g.value(logits.ego),
-                g.value(logits.road),
-                g.value(logits.event),
-                g.value(logits.position),
-                g.value(logits.presence),
-            )
+            decode_logits(&l.ego, &l.road, &l.event, &l.position, &l.presence)
         })
+    }
+
+    /// The model's one wiring — tubelets, embedding, encoder, heads — on
+    /// either executor, each stage under its latency histogram.
+    fn run<E: Exec>(&self, ex: &mut E, videos: &Tensor) -> HeadLogits<E::V> {
+        // Streamed pushes may extract partial windows, but the batched
+        // forward is strictly whole-window.
+        assert_eq!(
+            videos.shape()[1],
+            self.cfg.frames,
+            "expected {} frames per clip, got {}",
+            self.cfg.frames,
+            videos.shape()[1]
+        );
+        let tokens = metrics::stage("stage/tubelet_embed", || {
+            let tubs = ex.constant(extract_tubelets(&self.cfg, videos));
+            self.embed.forward(ex, &tubs)
+        });
+        let emb = metrics::stage("stage/encoder", || self.encoder.forward(ex, &tokens));
+        metrics::stage("stage/heads", || self.heads.forward(ex, &emb))
     }
 }
 
@@ -315,24 +315,9 @@ impl ClipModel for VideoScenarioTransformer {
         rng: &mut StdRng,
         train: bool,
     ) -> HeadLogits {
-        // Streamed pushes may extract partial windows, but the batched
-        // forward is strictly whole-window.
-        assert_eq!(
-            videos.shape()[1],
-            self.cfg.frames,
-            "expected {} frames per clip, got {}",
-            self.cfg.frames,
-            videos.shape()[1]
-        );
-        // Ops execute eagerly as the tape is built, so timing each stage of
-        // tape construction times the forward compute itself.
-        let tokens = metrics::stage("stage/tubelet_embed", || {
-            let tubs = g.constant(extract_tubelets(&self.cfg, videos));
-            self.embed.forward(g, p, tubs)
-        });
-        let emb =
-            metrics::stage("stage/encoder", || self.encoder.forward(g, p, tokens, rng, train));
-        metrics::stage("stage/heads", || self.heads.forward(g, p, emb))
+        // Ops execute eagerly as the tape is built, so the stage timings of
+        // the shared wiring time the forward compute itself.
+        self.run(&mut Tape::new(g, p, train.then_some(rng)), videos)
     }
 
     fn name(&self) -> &str {
@@ -343,7 +328,7 @@ impl ClipModel for VideoScenarioTransformer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AttentionKind, Readout};
+    use crate::config::Readout;
 
     fn tiny_cfg() -> ModelConfig {
         ModelConfig {

@@ -53,14 +53,13 @@
 
 use std::collections::VecDeque;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use tsdx_sdl::Scenario;
 use tsdx_tensor::dial::{Precision, PLANE};
-use tsdx_tensor::{metrics, ops, Graph, Tensor};
+use tsdx_tensor::{metrics, ops, Tensor};
 
 use crate::config::{AttentionKind, ModelConfig};
 use crate::extract::ExtractError;
+use crate::heads::HeadLogits;
 use crate::model::{decode_logits, VideoScenarioTransformer};
 
 /// One cached time group: the stage outputs that depend only on the
@@ -84,33 +83,20 @@ struct StagedGroup {
     pixels: Vec<f32>,
 }
 
-/// Head-logit values for one window (batch dimension 1), exposed so parity
-/// harnesses and serving layers can compare or post-process raw scores.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowLogits {
-    /// Ego-maneuver logits `[1, EgoManeuver::COUNT]`.
-    pub ego: Tensor,
-    /// Road-kind logits `[1, RoadKind::COUNT]`.
-    pub road: Tensor,
-    /// Event logits `[1, EVENT_COUNT]`.
-    pub event: Tensor,
-    /// Actor-position logits `[1, POSITION_COUNT]`.
-    pub position: Tensor,
-    /// Actor-presence logits `[1, ActorKind::COUNT]`.
-    pub presence: Tensor,
-}
+/// Head-logit values for one window (batch dimension 1; field shapes
+/// `[1, C]` as in [`HeadLogits`]), exposed so parity harnesses and serving
+/// layers can compare or post-process raw scores.
+pub type WindowLogits = HeadLogits<Tensor>;
 
-impl WindowLogits {
-    /// Window `i` of a batched readout (`[N, C]` heads) as `[1, C]` views.
-    fn row(&self, i: usize) -> WindowLogits {
-        let row = |t: &Tensor| ops::narrow(t, 0, i, 1);
-        WindowLogits {
-            ego: row(&self.ego),
-            road: row(&self.road),
-            event: row(&self.event),
-            position: row(&self.position),
-            presence: row(&self.presence),
-        }
+/// Window `i` of a batched readout (`[N, C]` heads) as `[1, C]` views.
+fn window_row(l: &WindowLogits, i: usize) -> WindowLogits {
+    let row = |t: &Tensor| ops::narrow(t, 0, i, 1);
+    WindowLogits {
+        ego: row(&l.ego),
+        road: row(&l.road),
+        event: row(&l.event),
+        position: row(&l.position),
+        presence: row(&l.presence),
     }
 }
 
@@ -178,7 +164,7 @@ pub fn encode_staged(
 /// Reads out the current window of every state in **one** forward: the
 /// cached group outputs of each state whose window memo is stale are
 /// stacked into `[N, nt, D]` (joint attention: `[N, nt·ns, D]`) and run
-/// through a single tape — temporal stage, heads, decode — and each row is
+/// through a single forward — temporal stage, heads, decode — and each row is
 /// installed as its state's memo. Returns one scenario per state, in order.
 ///
 /// This is the readout twin of [`encode_staged`]: with it a scheduler's
@@ -277,7 +263,7 @@ fn refresh_windows(
         s.window = Some(WindowCache {
             end: s.next_group,
             plane,
-            logits: logits.row(row),
+            logits: window_row(&logits, row),
             scenario: label.to_scenario(),
         });
     }
@@ -287,26 +273,14 @@ fn refresh_windows(
 /// The window-level forward over stacked stage outputs `[N, tokens, D]`:
 /// head logits `[N, C]`, row `i` belonging to window `i`.
 fn infer_windows(model: &VideoScenarioTransformer, windows: Tensor) -> WindowLogits {
-    let mut g = Graph::new();
-    let p = model.bind_eval_active(&mut g);
-    let mut rng = StdRng::seed_from_u64(0);
-    let x = g.constant(windows);
+    let ex = &mut model.eval();
     let emb = match model.config().attention {
-        AttentionKind::Factorized => {
-            model.encoder_ref().temporal_readout(&mut g, &p, x, &mut rng, false)
-        }
+        AttentionKind::Factorized => model.encoder_ref().temporal_readout(ex, &windows, false).0,
         // Joint attention reruns the whole encoder; only the projection
         // work was cached.
-        AttentionKind::Joint => model.encoder_ref().forward(&mut g, &p, x, &mut rng, false),
+        AttentionKind::Joint => model.encoder_ref().forward(ex, &windows),
     };
-    let logits = model.heads_ref().forward(&mut g, &p, emb);
-    WindowLogits {
-        ego: g.value(logits.ego).clone(),
-        road: g.value(logits.road).clone(),
-        event: g.value(logits.event).clone(),
-        position: g.value(logits.position).clone(),
-        presence: g.value(logits.presence).clone(),
-    }
+    model.heads_ref().forward(ex, &emb)
 }
 
 /// Per-stream extraction state with no model reference — safe to park in a

@@ -15,8 +15,9 @@
 //! inside the current window.
 
 use rand::Rng;
-use tsdx_nn::{Binding, Linear, ParamStore};
-use tsdx_tensor::{Graph, Tensor, Var};
+use tsdx_nn::{Exec, Linear, ParamStore};
+use tsdx_tensor::ops::Activation;
+use tsdx_tensor::Tensor;
 
 use crate::config::ModelConfig;
 
@@ -102,8 +103,8 @@ impl TubeletEmbed {
     /// of time groups (`nt >= 1`) — the computation is per-group, so a
     /// single streamed group embeds bit-identically to the same group
     /// inside a full window.
-    pub fn forward(&self, g: &mut Graph, p: &Binding, tubelets: Var) -> Var {
-        let sh = g.shape(tubelets).to_vec();
+    pub fn forward<E: Exec>(&self, ex: &mut E, tubelets: &E::V) -> E::V {
+        let sh = ex.shape(tubelets);
         let (b, n) = (sh[0], sh[1]);
         assert!(
             n.is_multiple_of(self.n_space),
@@ -114,11 +115,11 @@ impl TubeletEmbed {
         // Project to [B, nt*ns, D], then add the spatial position: reshape
         // to [B, nt, ns, D] and add pos_space [1, ns, D] (broadcast over
         // batch and time).
-        let tokens = self.proj.forward(g, p, tubelets);
-        let grid = g.reshape(tokens, &[b, nt, self.n_space, self.dim]);
-        let ps = p.var(self.pos_space);
-        let with_space = g.add(grid, ps);
-        g.reshape(with_space, &[b, n, self.dim])
+        let tokens = self.proj.run(ex, tubelets, Activation::None, None);
+        let grid = ex.reshape(&tokens, &[b, nt, self.n_space, self.dim]);
+        let ps = ex.param(self.pos_space);
+        let with_space = ex.add(&grid, &ps);
+        ex.reshape(&with_space, &[b, n, self.dim])
     }
 }
 
@@ -127,6 +128,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tsdx_nn::Eval;
 
     fn tiny_cfg() -> ModelConfig {
         ModelConfig {
@@ -194,13 +196,9 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
         let embed = TubeletEmbed::new(&mut store, &mut rng, "tub", &cfg);
-        let mut g = Graph::new();
-        let p = store.bind(&mut g);
-        let tubs = g.constant(Tensor::zeros(&[2, 8, 32]));
-        let tokens = embed.forward(&mut g, &p, tubs);
-        assert_eq!(g.shape(tokens), &[2, 8, 8]);
+        let val = embed.forward(&mut Eval::new(&store, None), &Tensor::zeros(&[2, 8, 32]));
+        assert_eq!(val.shape(), &[2, 8, 8]);
         // With zero input, output tokens are pure positional embeddings.
-        let val = g.value(tokens);
         let t0: Vec<f32> = (0..8).map(|d| val.at(&[0, 0, d])).collect();
         let t1: Vec<f32> = (0..8).map(|d| val.at(&[0, 1, d])).collect();
         let t4: Vec<f32> = (0..8).map(|d| val.at(&[0, 4, d])).collect();

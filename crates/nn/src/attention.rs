@@ -4,6 +4,7 @@ use rand::Rng;
 use tsdx_tensor::ops::Activation;
 use tsdx_tensor::{Graph, Var};
 
+use crate::exec::{Exec, Tape};
 use crate::linear::Linear;
 use crate::params::{Binding, ParamStore};
 
@@ -58,57 +59,54 @@ impl MultiHeadAttention {
         self.dim
     }
 
-    /// Applies self-attention to `x` of shape `[B, T, D]`: four projections
-    /// around one [`Graph::attention`] node, whatever the shape. Use
-    /// [`forward_with_attn`](Self::forward_with_attn) when the
+    /// Applies self-attention to `x` of shape `[B, T, D]` on the tape: four
+    /// projections around one [`Graph::attention`] node, whatever the shape.
+    /// Use [`forward_with_attn`](Self::forward_with_attn) when the
     /// probabilities themselves are needed.
     pub fn forward(&self, g: &mut Graph, p: &Binding, x: Var) -> Var {
-        self.forward_impl(g, p, x, x, None, false).0
+        self.run(&mut Tape::eval(g, p), &x, &x, None, false).0
     }
 
     /// Like [`forward`](Self::forward) but also returns the attention
     /// probabilities (`[B, H, T, T]`) for introspection — the same node,
     /// asked to keep them.
     pub fn forward_with_attn(&self, g: &mut Graph, p: &Binding, x: Var) -> (Var, Var) {
-        let (y, attn) = self.forward_impl(g, p, x, x, None, true);
+        let (y, attn) = self.run(&mut Tape::eval(g, p), &x, &x, None, true);
         (y, attn.expect("asked for"))
     }
 
-    /// Projections, the attention node and the output projection. Queries
-    /// come from `xq` (`[B, Tq, D]`), keys and values from `xkv`
-    /// (`[B, Tk, D]`); self-attention passes the same rows twice, a block
-    /// that is read out through one row passes only that row as `xq`. Every
-    /// step is independent per query row, so the `Tq` output rows carry the
-    /// bits the same rows of full self-attention would. `residual`, when
-    /// given, is added by the output projection's epilogue (a transformer
-    /// block's `x + Attn(..)` without a separate add). Returns the
-    /// probabilities (`[B, H, Tq, Tk]`) when `want_attn` asks for them.
-    pub(crate) fn forward_impl(
+    /// Projections, the attention operation and the output projection, on
+    /// either executor. Queries come from `xq` (`[B, Tq, D]`), keys and
+    /// values from `xkv` (`[B, Tk, D]`); self-attention passes the same rows
+    /// twice, a block that is read out through one row passes only that row
+    /// as `xq`. Every step is independent per query row, so the `Tq` output
+    /// rows carry the bits the same rows of full self-attention would.
+    /// `residual`, when given, is added by the output projection's epilogue
+    /// (a transformer block's `x + Attn(..)` without a separate add).
+    /// Returns the probabilities (`[B, H, Tq, Tk]`) when `want_attn` asks for
+    /// them.
+    pub fn run<E: Exec>(
         &self,
-        g: &mut Graph,
-        p: &Binding,
-        xq: Var,
-        xkv: Var,
-        residual: Option<Var>,
+        ex: &mut E,
+        xq: &E::V,
+        xkv: &E::V,
+        residual: Option<&E::V>,
         want_attn: bool,
-    ) -> (Var, Option<Var>) {
+    ) -> (E::V, Option<E::V>) {
         for x in [xq, xkv] {
-            let sh = g.shape(x);
+            let sh = ex.shape(x);
             assert_eq!(sh.len(), 3, "attention input must be [B, T, D]");
             assert_eq!(sh[2], self.dim, "attention width mismatch");
         }
-        assert_eq!(g.shape(xq)[0], g.shape(xkv)[0], "query and key/value batch sizes differ");
-        let q = self.wq.forward(g, p, xq);
-        let k = self.wk.forward(g, p, xkv);
-        let v = self.wv.forward(g, p, xkv);
-        let scale = 1.0 / ((self.dim / self.heads) as f32).sqrt();
-        let (ctx, attn) = if want_attn {
-            let (ctx, attn) = g.attention_with_probs(q, k, v, self.heads, scale);
-            (ctx, Some(attn))
-        } else {
-            (g.attention(q, k, v, self.heads, scale), None)
+        assert_eq!(ex.shape(xq)[0], ex.shape(xkv)[0], "query and key/value batch sizes differ");
+        let (ctx, attn) = {
+            let q = self.wq.run(ex, xq, Activation::None, None);
+            let k = self.wk.run(ex, xkv, Activation::None, None);
+            let v = self.wv.run(ex, xkv, Activation::None, None);
+            let scale = 1.0 / ((self.dim / self.heads) as f32).sqrt();
+            ex.attention(&q, &k, &v, self.heads, scale, want_attn)
         };
-        (self.wo.forward_fused(g, p, ctx, Activation::None, residual), attn)
+        (self.wo.run(ex, &ctx, Activation::None, residual), attn)
     }
 }
 
@@ -221,6 +219,19 @@ mod tests {
             assert_eq!(g.value(with_attn).to_vec(), g.value(want).to_vec(), "B {b} T {t}");
             assert_eq!(g.shape(attn), &[b, 2, t, t]);
         }
+    }
+
+    #[test]
+    fn eval_executor_probabilities_tap_equals_forward_with_attn() {
+        let (store, mha) = setup(8, 2);
+        let x0 = Tensor::from_fn(&[2, 5, 8], |i| (i as f32 * 0.13).sin());
+        let mut g = Graph::new();
+        let p = store.bind_frozen(&mut g);
+        let x = g.constant(x0.clone());
+        let (y, attn) = mha.forward_with_attn(&mut g, &p, x);
+        let (ey, eattn) = mha.run(&mut crate::Eval::new(&store, None), &x0, &x0, None, true);
+        assert_eq!(g.value(y).to_vec(), ey.to_vec());
+        assert_eq!(g.value(attn).to_vec(), eattn.expect("asked for").to_vec());
     }
 
     #[test]

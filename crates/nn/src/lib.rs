@@ -6,10 +6,15 @@
 //! optimizers with schedules, and binary checkpointing.
 //!
 //! The design is deliberately explicit: layers own [`ParamId`] handles into
-//! a shared [`ParamStore`], and every forward pass threads an autograd
-//! [`Graph`](tsdx_tensor::Graph) plus a [`Binding`] produced by
+//! a shared [`ParamStore`], and every training forward pass threads an
+//! autograd [`Graph`](tsdx_tensor::Graph) plus a [`Binding`] produced by
 //! [`ParamStore::bind`]. This keeps parameter ownership, tape lifetime, and
 //! update logic all visible at the call site — no hidden globals.
+//!
+//! Each layer's wiring is written once, generic over an executor ([`Exec`]):
+//! the recording [`Tape`] behind every `forward(g, p, ..)` here, and the
+//! non-recording [`Eval`] that inference runs on — same operations, same
+//! order, same bits, no graph.
 //!
 //! # Examples
 //!
@@ -45,6 +50,7 @@
 mod attention;
 mod conv;
 mod dropout;
+mod exec;
 pub mod init;
 mod linear;
 mod norm;
@@ -57,6 +63,7 @@ mod transformer;
 pub use attention::MultiHeadAttention;
 pub use conv::Conv2d;
 pub use dropout::Dropout;
+pub use exec::{Eval, Exec, Tape};
 pub use linear::Linear;
 pub use norm::LayerNorm;
 pub use optim::{clip_global_norm, AdamW, AdamWState, LrSchedule, Optimizer, Sgd};

@@ -1,9 +1,10 @@
 //! Fully-connected (affine) layer.
 
 use rand::Rng;
-use tsdx_tensor::ops::{self, Activation};
-use tsdx_tensor::{quant, Graph, Var};
+use tsdx_tensor::ops::Activation;
+use tsdx_tensor::{Graph, Var};
 
+use crate::exec::{Exec, Tape};
 use crate::init;
 use crate::params::{Binding, ParamId, ParamStore};
 
@@ -60,51 +61,39 @@ impl Linear {
         self.out_features
     }
 
-    /// Applies the layer on the tape: one [`Graph::linear`] node.
-    ///
-    /// When `p` carries a prepacked int8 form of this layer's weight (a
-    /// [`crate::ParamStore::bind_quantized`] binding under
-    /// `TSDX_PRECISION=int8`), the product runs on the exact-integer i8
-    /// GEMM with a fused dequant+bias epilogue and enters the tape as a
-    /// constant — inference-only, no gradients, and row-wise exactly like
-    /// the f32 path (each output row depends only on its input row), so
-    /// caching and cross-stream batching layered on top stay sound.
+    /// Applies the layer on the tape: one [`Graph::linear`] node (see
+    /// [`run`](Self::run)).
     ///
     /// # Panics
     ///
     /// Panics (inside the tensor ops) if the last dimension of `x` is not
     /// `in_features`.
     pub fn forward(&self, g: &mut Graph, p: &Binding, x: Var) -> Var {
-        self.forward_fused(g, p, x, Activation::None, None)
+        self.run(&mut Tape::eval(g, p), &x, Activation::None, None)
     }
 
-    /// [`forward`](Self::forward) with an epilogue: `act(x @ W + b) +
-    /// residual`, still one tape node on the f32 plane (bit-identical to
-    /// applying the activation and the residual add as separate ops). The
-    /// int8 plane keeps its own GEMM and applies both with the existing
-    /// ops.
-    pub(crate) fn forward_fused(
+    /// The layer with an epilogue, `act(x @ W + b) + residual`, on either
+    /// executor — one operation on the f32 plane, bit-identical to applying
+    /// the activation and the residual add as separate ops.
+    ///
+    /// When the executor carries a prepacked int8 form of this layer's
+    /// weight (`TSDX_PRECISION=int8`), the product runs on the
+    /// exact-integer i8 GEMM with a fused dequant+bias epilogue, and the
+    /// activation and the add follow with the existing ops —
+    /// inference-only (on the tape it is a constant, no gradients), and
+    /// row-wise exactly like the f32 path (each output row depends only on
+    /// its input row), so caching and cross-stream batching layered on top
+    /// stay sound.
+    pub fn run<E: Exec>(
         &self,
-        g: &mut Graph,
-        p: &Binding,
-        x: Var,
+        ex: &mut E,
+        x: &E::V,
         act: Activation,
-        residual: Option<Var>,
-    ) -> Var {
-        let d = *g.shape(x).last().expect("linear input must have rank >= 1");
+        residual: Option<&E::V>,
+    ) -> E::V {
+        let d = *ex.shape(x).last().expect("linear input must have rank >= 1");
         assert_eq!(d, self.in_features, "linear expected {} inputs, got {d}", self.in_features);
-        let bias = self.bias.map(|b| p.var(b));
-        let Some(qw) = p.quant(self.weight) else {
-            return g.linear(x, p.var(self.weight), bias, act, residual);
-        };
-        let mut y = quant::linear_q8(g.value(x), qw, bias.map(|b| g.value(b)));
-        if act == Activation::Gelu {
-            // The product is a constant, so its activation is one too: no
-            // node of its own.
-            y = ops::gelu(&y);
-        }
-        let y = g.constant(y);
-        residual.map_or(y, |r| g.add(r, y))
+        ex.linear(x, self.weight, self.bias, act, residual)
     }
 }
 

@@ -2,6 +2,7 @@
 
 use tsdx_tensor::{Graph, Tensor, Var};
 
+use crate::exec::{Exec, Tape};
 use crate::params::{Binding, ParamId, ParamStore};
 
 /// Layer normalization over the last dimension with learned affine
@@ -29,7 +30,12 @@ impl LayerNorm {
 
     /// Applies the normalization on the tape.
     pub fn forward(&self, g: &mut Graph, p: &Binding, x: Var) -> Var {
-        g.layer_norm(x, p.var(self.gamma), p.var(self.beta), self.eps)
+        self.run(&mut Tape::eval(g, p), &x)
+    }
+
+    /// Applies the normalization on either executor.
+    pub fn run<E: Exec>(&self, ex: &mut E, x: &E::V) -> E::V {
+        ex.layer_norm(x, self.gamma, self.beta, self.eps)
     }
 }
 

@@ -1,12 +1,14 @@
 //! Transformer encoder blocks (pre-norm) and stacks.
 
-use rand::rngs::StdRng;
+use std::sync::Arc;
+
 use rand::Rng;
 use tsdx_tensor::ops::Activation;
 use tsdx_tensor::{metrics, Graph, Var};
 
 use crate::attention::MultiHeadAttention;
 use crate::dropout::Dropout;
+use crate::exec::{Exec, Tape};
 use crate::linear::Linear;
 use crate::norm::LayerNorm;
 use crate::params::{Binding, ParamStore};
@@ -33,22 +35,11 @@ impl Mlp {
         }
     }
 
-    /// Applies `fc2(gelu(fc1(x)))`.
-    pub fn forward(&self, g: &mut Graph, p: &Binding, x: Var) -> Var {
-        self.forward_residual(g, p, x, None)
-    }
-
-    /// `fc2(gelu(fc1(x))) + residual` in two tape nodes: the GELU rides
+    /// `fc2(gelu(fc1(x))) + residual` in two operations: the GELU rides
     /// `fc1`'s epilogue and the residual add `fc2`'s.
-    pub(crate) fn forward_residual(
-        &self,
-        g: &mut Graph,
-        p: &Binding,
-        x: Var,
-        residual: Option<Var>,
-    ) -> Var {
-        let a = self.fc1.forward_fused(g, p, x, Activation::Gelu, None);
-        self.fc2.forward_fused(g, p, a, Activation::None, residual)
+    pub fn run<E: Exec>(&self, ex: &mut E, x: &E::V, residual: Option<&E::V>) -> E::V {
+        let a = self.fc1.run(ex, x, Activation::Gelu, None);
+        self.fc2.run(ex, &a, Activation::None, residual)
     }
 }
 
@@ -56,10 +47,11 @@ impl Mlp {
 /// `x + Attn(LN(x))` followed by `x + MLP(LN(x))`.
 #[derive(Debug, Clone)]
 pub struct TransformerBlock {
-    // Registration name, kept for the per-layer forward metric span
-    // (`layer/<name>`). Backward time is attributed per-op by the tape
-    // (`bwd/*` spans) since replay interleaves layers.
-    name: String,
+    // `layer/<registration name>`, the key of the per-layer forward metric
+    // span, built once here and shared by every forward. Backward time is
+    // attributed per-op by the tape (`bwd/*` spans) since replay interleaves
+    // layers.
+    span: Arc<str>,
     ln1: LayerNorm,
     attn: MultiHeadAttention,
     ln2: LayerNorm,
@@ -80,7 +72,7 @@ impl TransformerBlock {
         dropout: f32,
     ) -> Self {
         TransformerBlock {
-            name: name.to_string(),
+            span: format!("layer/{name}").into(),
             ln1: LayerNorm::new(store, &format!("{name}.ln1"), dim),
             attn: MultiHeadAttention::new(store, rng, &format!("{name}.attn"), dim, heads),
             ln2: LayerNorm::new(store, &format!("{name}.ln2"), dim),
@@ -89,9 +81,8 @@ impl TransformerBlock {
         }
     }
 
-    /// Applies the block to `[B, T, D]` tokens; use
-    /// [`forward_with_attn`](Self::forward_with_attn) when the attention
-    /// probabilities are needed.
+    /// Applies the block to `[B, T, D]` tokens on the tape; `rng` drives the
+    /// dropout sites when `train`.
     pub fn forward(
         &self,
         g: &mut Graph,
@@ -100,40 +91,28 @@ impl TransformerBlock {
         rng: &mut impl Rng,
         train: bool,
     ) -> Var {
-        self.run(g, p, x, train.then_some(rng), false, false).0
+        self.run(&mut Tape::new(g, p, train.then_some(rng)), &x, false, false).0
     }
 
-    /// Inference-only forward pass (no dropout sites, no RNG).
+    /// Inference-only forward pass on the tape (no dropout sites, no RNG).
     ///
     /// Dropout at eval time is an exact identity, so this builds the same
     /// graph as [`forward`](Self::forward) with `train == false` and is
     /// bit-identical to it.
     pub fn forward_eval(&self, g: &mut Graph, p: &Binding, x: Var) -> Var {
-        self.run(g, p, x, None::<&mut StdRng>, false, false).0
-    }
-
-    /// Like [`TransformerBlock::forward`], also returning the attention
-    /// probabilities `[B, H, T, T]` for introspection.
-    pub fn forward_with_attn(
-        &self,
-        g: &mut Graph,
-        p: &Binding,
-        x: Var,
-        rng: &mut impl Rng,
-        train: bool,
-    ) -> (Var, Var) {
-        let (y, attn) = self.run(g, p, x, train.then_some(rng), true, false);
-        (y, attn.expect("asked for"))
+        self.run(&mut Tape::eval(g, p), &x, false, false).0
     }
 
     /// The block's one wiring, `x + Attn(LN(x))` then `x + MLP(LN(x))`, in
-    /// 9 tape nodes: attention between its projections is one node, both
+    /// 9 operations: attention between its projections is one, both
     /// residual adds ride the epilogue of the linear layer in front of them
-    /// (`wo`, `fc2`) and the GELU rides `fc1`'s.
-    /// `train_rng` is `Some` for a training pass; only then, and only with a
-    /// nonzero drop probability, do the dropout sites exist — they sit
-    /// between each branch and its residual add, so those two adds become
-    /// separate nodes again.
+    /// (`wo`, `fc2`) and the GELU rides `fc1`'s. Only where the executor has
+    /// live dropout sites (a training pass, a nonzero drop probability) do
+    /// they exist — between each branch and its residual add, so those two
+    /// adds become separate operations again.
+    ///
+    /// `want_attn` also returns the attention probabilities `[B, H, T, T]`,
+    /// for introspection.
     ///
     /// `first_only` asks for row 0 of the output alone, `[B, 1, D]` — what a
     /// CLS readout keeps of a stack's last block. Only K and V need every
@@ -143,36 +122,32 @@ impl TransformerBlock {
     /// these are the bits the full block leaves in row 0. A live dropout
     /// site draws its mask over all rows, and attention probabilities are
     /// wanted for every query: either runs the block in full and narrows.
-    fn run(
+    pub fn run<E: Exec>(
         &self,
-        g: &mut Graph,
-        p: &Binding,
-        x: Var,
-        train_rng: Option<&mut impl Rng>,
-        want_attn: bool,
+        ex: &mut E,
+        x: &E::V,
         first_only: bool,
-    ) -> (Var, Option<Var>) {
-        let _span = metrics::span_dyn(|| format!("layer/{}", self.name));
-        let mut sites = train_rng.filter(|_| self.dropout.p() > 0.0);
-        let fused = sites.is_none();
-        let mut join = |g: &mut Graph, skip: Var, branch: Var| match &mut sites {
-            Some(rng) => {
-                let dropped = self.dropout.forward(g, branch, &mut **rng, true);
-                g.add(skip, dropped)
-            }
-            // No dropout site: the branch added `skip` in its own epilogue.
-            None => branch,
-        };
+        want_attn: bool,
+    ) -> (E::V, Option<E::V>) {
+        let _span = metrics::span_shared(&self.span);
+        let fused = !ex.drops(&self.dropout);
         let row0_early = first_only && fused && !want_attn;
-        let n1 = self.ln1.forward(g, p, x);
-        let (x, q_rows) =
-            if row0_early { (g.narrow(x, 1, 0, 1), g.narrow(n1, 1, 0, 1)) } else { (x, n1) };
-        let (a, attn) = self.attn.forward_impl(g, p, q_rows, n1, fused.then_some(x), want_attn);
-        let x = join(g, x, a);
-        let n2 = self.ln2.forward(g, p, x);
-        let m = self.mlp.forward_residual(g, p, n2, fused.then_some(x));
-        let y = join(g, x, m);
-        (if first_only && !row0_early { g.narrow(y, 1, 0, 1) } else { y }, attn)
+        let n1 = self.ln1.run(ex, x);
+        let row0 = row0_early.then(|| (ex.narrow(x, 1, 0, 1), ex.narrow(&n1, 1, 0, 1)));
+        let (x, q_rows) = row0.as_ref().map_or((x, &n1), |(x0, q0)| (x0, q0));
+        let (a, attn) = self.attn.run(ex, q_rows, &n1, fused.then_some(x), want_attn);
+        // Fused, each branch added its skip in its own epilogue.
+        let x1 = if fused { a } else { self.join(ex, x, a) };
+        let n2 = self.ln2.run(ex, &x1);
+        let m = self.mlp.run(ex, &n2, fused.then_some(&x1));
+        let y = if fused { m } else { self.join(ex, &x1, m) };
+        (if first_only && !row0_early { ex.narrow(&y, 1, 0, 1) } else { y }, attn)
+    }
+
+    /// `skip + dropout(branch)` across a live dropout site.
+    fn join<E: Exec>(&self, ex: &mut E, skip: &E::V, branch: E::V) -> E::V {
+        let dropped = ex.dropout(&self.dropout, branch);
+        ex.add(skip, &dropped)
     }
 }
 
@@ -221,71 +196,37 @@ impl TransformerEncoder {
     }
 
     /// Applies all blocks and the final norm to `[B, T, D]` tokens.
-    pub fn forward(
-        &self,
-        g: &mut Graph,
-        p: &Binding,
-        mut x: Var,
-        rng: &mut impl Rng,
-        train: bool,
-    ) -> Var {
-        for block in &self.blocks {
-            x = block.forward(g, p, x, rng, train);
-        }
-        self.ln_final.forward(g, p, x)
-    }
-
-    /// Row 0 of [`forward`](Self::forward)'s output, `[B, 1, D]`, with the
+    ///
+    /// `first_only` returns row 0 of that output alone, `[B, 1, D]`, with the
     /// same bits — the CLS readout. Every block but the last runs in full;
     /// the last computes only what row 0 depends on (see
-    /// [`TransformerBlock`]'s wiring), and the final norm sees one row. A
-    /// stack of depth 0 is the final norm of input row 0.
-    pub fn forward_first(
+    /// [`TransformerBlock::run`]), and the final norm sees one row. A stack
+    /// of depth 0 is the final norm of input row 0.
+    ///
+    /// `want_attn` also returns the *last* block's attention probabilities
+    /// `[B, H, T, T]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `want_attn` is asked of a stack without blocks.
+    pub fn run<E: Exec>(
         &self,
-        g: &mut Graph,
-        p: &Binding,
-        mut x: Var,
-        rng: &mut impl Rng,
-        train: bool,
-    ) -> Var {
-        x = match self.blocks.split_last() {
-            Some((last, body)) => {
-                for block in body {
-                    x = block.forward(g, p, x, rng, train);
-                }
-                last.run(g, p, x, train.then_some(rng), false, true).0
-            }
-            None => g.narrow(x, 1, 0, 1),
+        ex: &mut E,
+        x: &E::V,
+        first_only: bool,
+        want_attn: bool,
+    ) -> (E::V, Option<E::V>) {
+        let Some((last, body)) = self.blocks.split_last() else {
+            assert!(!want_attn, "encoder has no block to take attention from");
+            let x = if first_only { &ex.narrow(x, 1, 0, 1) } else { x };
+            return (self.ln_final.run(ex, x), None);
         };
-        self.ln_final.forward(g, p, x)
-    }
-
-    /// Inference-only forward pass (no dropout sites, no RNG);
-    /// bit-identical to [`forward`](Self::forward) with `train == false`.
-    pub fn forward_eval(&self, g: &mut Graph, p: &Binding, mut x: Var) -> Var {
-        for block in &self.blocks {
-            x = block.forward_eval(g, p, x);
+        let mut h = None;
+        for block in body {
+            h = Some(block.run(ex, h.as_ref().unwrap_or(x), false, false).0);
         }
-        self.ln_final.forward(g, p, x)
-    }
-
-    /// Like [`TransformerEncoder::forward`], also returning the *last*
-    /// block's attention probabilities `[B, H, T, T]`.
-    pub fn forward_with_attn(
-        &self,
-        g: &mut Graph,
-        p: &Binding,
-        mut x: Var,
-        rng: &mut impl Rng,
-        train: bool,
-    ) -> (Var, Var) {
-        let mut attn = None;
-        for block in &self.blocks {
-            let (y, a) = block.forward_with_attn(g, p, x, rng, train);
-            x = y;
-            attn = Some(a);
-        }
-        (self.ln_final.forward(g, p, x), attn.expect("encoder has at least one block"))
+        let (y, attn) = last.run(ex, h.as_ref().unwrap_or(x), first_only, want_attn);
+        (self.ln_final.run(ex, &y), attn)
     }
 }
 
@@ -296,6 +237,22 @@ mod tests {
     use rand::SeedableRng;
     use tsdx_tensor::Tensor;
 
+    use crate::exec::Eval;
+
+    /// The stack on the tape, the way a training loop (`train`) or an
+    /// evaluation on the tape (`!train`) runs it.
+    fn on_tape(
+        enc: &TransformerEncoder,
+        g: &mut Graph,
+        p: &Binding,
+        x: Var,
+        rng: &mut StdRng,
+        train: bool,
+        first_only: bool,
+    ) -> Var {
+        enc.run(&mut Tape::new(g, p, train.then_some(rng)), &x, first_only, false).0
+    }
+
     #[test]
     fn encoder_preserves_token_shape() {
         let mut store = ParamStore::new();
@@ -305,7 +262,7 @@ mod tests {
         let mut g = Graph::new();
         let p = store.bind(&mut g);
         let x = g.constant(Tensor::from_fn(&[2, 4, 8], |i| (i as f32 * 0.01).sin()));
-        let y = enc.forward(&mut g, &p, x, &mut rng, false);
+        let y = on_tape(&enc, &mut g, &p, x, &mut rng, false, false);
         assert_eq!(g.shape(y), &[2, 4, 8]);
         assert!(!g.value(y).has_non_finite());
     }
@@ -318,7 +275,7 @@ mod tests {
         let mut g = Graph::new();
         let p = store.bind(&mut g);
         let x = g.constant(Tensor::from_fn(&[1, 3, 4], |i| (i as f32 * 0.07).cos()));
-        let y = enc.forward(&mut g, &p, x, &mut rng, false);
+        let y = on_tape(&enc, &mut g, &p, x, &mut rng, false, false);
         let loss = g.mean_all(y);
         let grads = g.backward(loss);
         let collected = store.collect_grads(&p, &grads);
@@ -337,16 +294,19 @@ mod tests {
     }
 
     #[test]
-    fn eval_path_is_bit_identical_to_forward() {
+    fn eval_executor_is_bit_identical_to_the_tape() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(9);
         let enc = TransformerEncoder::new(&mut store, &mut rng, "enc", 8, 2, 2, 2, 0.1);
+        let x0 = Tensor::from_fn(&[2, 5, 8], |i| (i as f32 * 0.03).sin());
         let mut g = Graph::new();
         let p = store.bind_frozen(&mut g);
-        let x = g.constant(Tensor::from_fn(&[2, 5, 8], |i| (i as f32 * 0.03).sin()));
-        let reference = enc.forward(&mut g, &p, x, &mut rng, false);
-        let evaled = enc.forward_eval(&mut g, &p, x);
-        assert_eq!(g.value(reference).data(), g.value(evaled).data());
+        let x = g.constant(x0.clone());
+        for first_only in [false, true] {
+            let reference = on_tape(&enc, &mut g, &p, x, &mut rng, false, first_only);
+            let (evaled, _) = enc.run(&mut Eval::new(&store, None), &x0, first_only, false);
+            assert_eq!(bits(g.value(reference)), bits(&evaled), "first_only {first_only}");
+        }
     }
 
     #[test]
@@ -417,9 +377,9 @@ mod tests {
                                 _ => store.bind_quantized(&mut g, &q8),
                             };
                             let x = g.constant(tokens(b, t, dim));
-                            let full = enc.forward(&mut g, &p, x, &mut rng, false);
+                            let full = on_tape(&enc, &mut g, &p, x, &mut rng, false, false);
                             let want = g.narrow(full, 1, 0, 1);
-                            let got = enc.forward_first(&mut g, &p, x, &mut rng, false);
+                            let got = on_tape(&enc, &mut g, &p, x, &mut rng, false, true);
                             assert_eq!(g.shape(got), &[b, 1, dim]);
                             assert_eq!(
                                 bits(g.value(got)),
@@ -444,7 +404,7 @@ mod tests {
         let p = store.bind_frozen(&mut g);
         let x = g.constant(tokens(4, 17, 64));
         let before = g.len();
-        let (y, attn) = block.run(&mut g, &p, x, None::<&mut StdRng>, false, true);
+        let (y, attn) = block.run(&mut Tape::eval(&mut g, &p), &x, true, false);
         assert!(g.len() - before <= 11, "readout-row block grew to {} nodes", g.len() - before);
         assert_eq!(g.shape(y), &[4, 1, 64]);
         assert!(attn.is_none(), "nobody asked for the probabilities");
@@ -463,9 +423,9 @@ mod tests {
             let p = store.bind(&mut g);
             let x = g.constant(tokens(3, 5, 8));
             let row = if first {
-                enc.forward_first(&mut g, &p, x, &mut rng, false)
+                on_tape(&enc, &mut g, &p, x, &mut rng, false, true)
             } else {
-                let full = enc.forward(&mut g, &p, x, &mut rng, false);
+                let full = on_tape(&enc, &mut g, &p, x, &mut rng, false, false);
                 g.narrow(full, 1, 0, 1)
             };
             let sq = g.mul(row, row);
@@ -494,7 +454,7 @@ mod tests {
         let x = Tensor::from_fn(&[2, 3, 4], |i| (i as f32 * 0.23).sin() * 0.5);
         tsdx_tensor::grad_check::assert_gradients(&[x], 1e-2, 2e-2, |g, v| {
             let p = store.bind_frozen(g);
-            let (y, _) = block.run(g, &p, v[0], None::<&mut StdRng>, false, true);
+            let (y, _) = block.run(&mut Tape::eval(g, &p), &v[0], true, false);
             g.mean_all(y)
         });
     }
@@ -508,9 +468,9 @@ mod tests {
         let p = store.bind(&mut g);
         let x = g.constant(tokens(3, 5, 8));
         let (mut r1, mut r2) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
-        let full = enc.forward(&mut g, &p, x, &mut r1, true);
+        let full = on_tape(&enc, &mut g, &p, x, &mut r1, true, false);
         let want = g.narrow(full, 1, 0, 1);
-        let got = enc.forward_first(&mut g, &p, x, &mut r2, true);
+        let got = on_tape(&enc, &mut g, &p, x, &mut r2, true, true);
         assert_eq!(bits(g.value(got)), bits(g.value(want)));
         assert_eq!(r1.state(), r2.state(), "a different number of masks was drawn");
         assert_ne!(r1.state(), StdRng::seed_from_u64(5).state(), "no mask was drawn at all");

@@ -3,8 +3,15 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tsdx_nn::{clip_global_norm, AdamW, Linear, LrSchedule, Optimizer, ParamStore, Sgd};
-use tsdx_tensor::{Graph, Tensor};
+use tsdx_nn::{
+    clip_global_norm, AdamW, Eval, Linear, LrSchedule, Optimizer, ParamStore, Sgd, Tape,
+    TransformerBlock,
+};
+use tsdx_tensor::{ops, Graph, Tensor};
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.to_vec().into_iter().map(f32::to_bits).collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -104,6 +111,56 @@ proptest! {
             let lhs = f2x[i] - zero[i];
             let rhs = 2.0 * (fx[i] - zero[i]);
             prop_assert!((lhs - rhs).abs() < 1e-4, "not affine: {lhs} vs {rhs}");
+        }
+    }
+
+    #[test]
+    fn the_two_executors_agree_bit_for_bit_on_a_block(
+        seed in 0u64..1_000,
+        (b, t) in (1usize..5, 1usize..9),
+        (heads, head_dim) in (1usize..5, 1usize..5),
+        first_only in any::<bool>(),
+        want_attn in any::<bool>(),
+        int8 in any::<bool>(),
+        // The input is rows `offset..offset + t` of a longer sequence: a
+        // strided view with a nonzero offset, like a window cut from a cache.
+        offset in 0usize..3,
+    ) {
+        let dim = heads * head_dim * 2;
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let block = TransformerBlock::new(&mut store, &mut rng, "b", dim, heads, 2, 0.1);
+        // Biases and norms start at 0 and 1: move them off the identity.
+        for (k, id) in store.ids().collect::<Vec<_>>().into_iter().enumerate() {
+            let v = store.value(id).clone();
+            if v.rank() == 1 {
+                let moved =
+                    Tensor::from_fn(v.shape(), |i| v.data()[i] + ((i + 3 * k) as f32 * 0.37).sin() * 0.2);
+                store.set_value(id, moved);
+            }
+        }
+        let q8 = store.quantize_where(|name, v| v.rank() == 2 && name.ends_with(".weight"));
+        let long = Tensor::from_fn(&[b, t + 3, dim], |i| (i as f32 * 0.0173 + seed as f32).sin());
+        let x = ops::narrow(&long, 1, offset, t);
+
+        let mut g = Graph::new();
+        let p = if int8 { store.bind_quantized(&mut g, &q8) } else { store.bind_frozen(&mut g) };
+        let xv = g.constant(x.clone());
+        let (want, want_probs) = block.run(&mut Tape::eval(&mut g, &p), &xv, first_only, want_attn);
+        let (got, got_probs) =
+            block.run(&mut Eval::new(&store, int8.then_some(&q8)), &x, first_only, want_attn);
+
+        prop_assert_eq!(got.shape(), &[b, if first_only { 1 } else { t }, dim][..]);
+        prop_assert_eq!(bits(&got), bits(g.value(want)));
+        prop_assert_eq!(got_probs.is_some(), want_attn);
+        if let (Some(got), Some(want)) = (got_probs, want_probs) {
+            prop_assert_eq!(got.shape(), &[b, heads, t, t][..]);
+            prop_assert_eq!(bits(&got), bits(g.value(want)));
+        }
+        // The public tape entry points are the same wiring.
+        let eval = block.forward_eval(&mut g, &p, xv);
+        if !first_only {
+            prop_assert_eq!(bits(&got), bits(g.value(eval)));
         }
     }
 }

@@ -6,7 +6,7 @@
 //! - **Counters** — monotonically increasing event counts
 //!   ([`counter_add`]), e.g. buffer materializations or pool dispatches.
 //! - **Spans** — wall-time intervals with *self-time* accounting
-//!   ([`span`]/[`span_dyn`]): nested spans subtract child time from their
+//!   ([`span`]/[`span_shared`]): nested spans subtract child time from their
 //!   parent, so a per-kernel/per-layer table of self times sums to the
 //!   instrumented wall time instead of double-counting nesting.
 //! - **Histograms** — log₂-bucketed nanosecond latency distributions
@@ -41,12 +41,25 @@
 //! (`tests/metrics_overhead.rs` proves zero allocations and bounds the
 //! wall-time cost; the `profile` bench binary quantifies it). There is no
 //! variable to set: a scope is the only way to collect.
+//!
+//! # Cheap when enabled
+//!
+//! A serving worker keeps a scope open for its whole life, so a record under
+//! an open scope is on the request path: a B = 1 extraction makes a few
+//! hundred of them. A collector therefore keeps each kind of metric in a
+//! small vector scanned by the **address** of the key — a call site passes
+//! the same literal (or the same shared name) every time, so the scan is
+//! pointer compares and one short string compare to confirm — and falls back
+//! to comparing names. A name is copied once, when a collector first sees
+//! it; after that a record allocates nothing (`tests/metrics_overhead.rs`
+//! counts). Sorted, `String`-keyed maps exist only in a [`Snapshot`].
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Number of log₂ nanosecond buckets a [`Histogram`] keeps: bucket `i`
@@ -192,35 +205,80 @@ impl fmt::Display for Snapshot {
     }
 }
 
+/// One metric of a collector.
+struct Row<T> {
+    name: Box<str>,
+    /// Where the key that last matched this row lives. Only ever compared: a
+    /// key at the same address is almost always the same literal, and the
+    /// name is checked anyway because a dynamic key's buffer can be reused.
+    seen_at: *const u8,
+    value: T,
+}
+
+/// The metrics of one kind in first-seen order. A forward touches ~25 keys;
+/// a scan of that many addresses beats a tree walk over `String`s.
+struct Table<T>(Vec<Row<T>>);
+
+impl<T> Default for Table<T> {
+    fn default() -> Self {
+        Table(Vec::new())
+    }
+}
+
+impl<T: Default + Clone> Table<T> {
+    /// The value recorded under `key`, created on first sight — the only
+    /// time a record allocates.
+    fn slot(&mut self, key: &str) -> &mut T {
+        let rows = &mut self.0;
+        let found = rows
+            .iter()
+            .position(|r| r.seen_at == key.as_ptr() && *r.name == *key)
+            .or_else(|| rows.iter().position(|r| *r.name == *key));
+        let i = found.unwrap_or_else(|| {
+            rows.push(Row { name: key.into(), seen_at: key.as_ptr(), value: T::default() });
+            rows.len() - 1
+        });
+        rows[i].seen_at = key.as_ptr();
+        &mut rows[i].value
+    }
+
+    fn get(&self, key: &str) -> Option<&T> {
+        self.0.iter().find(|r| *r.name == *key).map(|r| &r.value)
+    }
+
+    fn to_map(&self) -> BTreeMap<String, T> {
+        self.0.iter().map(|r| (r.name.to_string(), r.value.clone())).collect()
+    }
+}
+
 #[derive(Default)]
 struct Collector {
-    counters: BTreeMap<String, u64>,
-    spans: BTreeMap<String, SpanStat>,
-    hists: BTreeMap<String, Histogram>,
+    counters: Table<u64>,
+    spans: Table<SpanStat>,
+    hists: Table<Histogram>,
     records: u64,
 }
 
 impl Collector {
     fn snapshot(&self) -> Snapshot {
         Snapshot {
-            counters: self.counters.clone(),
-            spans: self.spans.clone(),
-            hists: self.hists.clone(),
+            counters: self.counters.to_map(),
+            spans: self.spans.to_map(),
+            hists: self.hists.to_map(),
             records: self.records,
         }
     }
 }
 
-/// One frame of the thread's span stack: accumulated child wall time, used
-/// for self-time accounting.
-struct SpanFrame {
-    child_ns: u64,
-}
-
 thread_local! {
     // Innermost-last stack of this thread's open scopes.
     static COLLECTORS: RefCell<Vec<Rc<RefCell<Collector>>>> = const { RefCell::new(Vec::new()) };
-    static SPAN_STACK: RefCell<Vec<SpanFrame>> = const { RefCell::new(Vec::new()) };
+    // Wall time of the spans closed so far inside the innermost open span —
+    // what its self time excludes. An opening span parks the value in its
+    // guard and starts from zero; closing, it puts the parked value back
+    // plus its own wall time. Guards drop innermost-first, so this one cell
+    // is the whole span stack.
+    static CHILD_NS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Applies `f` to every collector open on this thread.
@@ -290,12 +348,26 @@ pub fn counter_add(key: &str, n: u64) {
 fn counter_add_slow(key: &str, n: u64) {
     with_collectors(|c| {
         c.records += 1;
-        match c.counters.get_mut(key) {
-            Some(v) => *v += n,
-            None => {
-                c.counters.insert(key.to_string(), n);
-            }
-        }
+        *c.counters.slot(key) += n;
+    });
+}
+
+/// Two counters bumped by one event, as **one** record — a buffer take is a
+/// hit and its bytes, and a forward takes dozens of buffers.
+#[inline]
+pub(crate) fn counter_add2(a: &str, na: u64, b: &str, nb: u64) {
+    if !active() {
+        return;
+    }
+    counter_add2_slow(a, na, b, nb);
+}
+
+#[cold]
+fn counter_add2_slow(a: &str, na: u64, b: &str, nb: u64) {
+    with_collectors(|c| {
+        c.records += 1;
+        *c.counters.slot(a) += na;
+        *c.counters.slot(b) += nb;
     });
 }
 
@@ -321,11 +393,11 @@ pub fn observe_ns(key: &str, ns: u64) {
 fn observe_ns_slow(key: &str, ns: u64) {
     with_collectors(|c| {
         c.records += 1;
-        c.hists.entry(key.to_string()).or_default().observe(ns);
+        c.hists.slot(key).observe(ns);
     });
 }
 
-/// An open span timer; created by [`span`]/[`span_dyn`], recorded on drop.
+/// An open span timer; created by [`span`]/[`span_shared`], recorded on drop.
 ///
 /// Inert (`None` payload, nothing allocated) when metrics were disabled at
 /// creation.
@@ -337,18 +409,20 @@ struct SpanInner {
     key: SpanKey,
     start: Instant,
     also_hist: bool,
+    /// The enclosing span's `CHILD_NS` so far.
+    outer_child_ns: u64,
 }
 
 enum SpanKey {
     Static(&'static str),
-    Owned(String),
+    Shared(Arc<str>),
 }
 
 impl SpanKey {
     fn as_str(&self) -> &str {
         match self {
             SpanKey::Static(s) => s,
-            SpanKey::Owned(s) => s,
+            SpanKey::Shared(s) => s,
         }
     }
 }
@@ -365,15 +439,15 @@ pub fn span(key: &'static str) -> Span {
     open_span(SpanKey::Static(key), false)
 }
 
-/// [`span`] with a lazily built dynamic name (e.g. a per-layer label). The
-/// closure only runs — and the `String` is only allocated — when metrics
-/// are enabled.
+/// [`span`] under a name its owner built once and shares (a per-layer
+/// label): the open span holds a reference, so no forward formats or
+/// allocates a name.
 #[inline]
-pub fn span_dyn(key: impl FnOnce() -> String) -> Span {
+pub fn span_shared(key: &Arc<str>) -> Span {
     if !active() {
         return Span { inner: None };
     }
-    open_span(SpanKey::Owned(key()), false)
+    open_span(SpanKey::Shared(Arc::clone(key)), false)
 }
 
 /// Times `f` under span `key` and additionally records the elapsed time
@@ -400,33 +474,26 @@ pub fn time<R>(key: &'static str, f: impl FnOnce() -> R) -> R {
 
 #[cold]
 fn open_span(key: SpanKey, also_hist: bool) -> Span {
-    SPAN_STACK.with(|s| s.borrow_mut().push(SpanFrame { child_ns: 0 }));
-    Span { inner: Some(SpanInner { key, start: Instant::now(), also_hist }) }
+    let outer_child_ns = CHILD_NS.replace(0);
+    Span { inner: Some(SpanInner { key, start: Instant::now(), also_hist, outer_child_ns }) }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(inner) = self.inner.take() else { return };
         let elapsed = inner.start.elapsed().as_nanos() as u64;
-        let child_ns = SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let frame = stack.pop().expect("span frame pushed at open");
-            // Credit our wall time to the parent frame's child accumulator.
-            if let Some(parent) = stack.last_mut() {
-                parent.child_ns += elapsed;
-            }
-            frame.child_ns
-        });
+        // Credit our wall time to the enclosing span's child accumulator.
+        let child_ns = CHILD_NS.replace(inner.outer_child_ns + elapsed);
         let self_ns = elapsed.saturating_sub(child_ns);
         let key = inner.key.as_str();
         with_collectors(|c| {
             c.records += 1;
-            let stat = c.spans.entry(key.to_string()).or_default();
+            let stat = c.spans.slot(key);
             stat.count += 1;
             stat.total_ns += elapsed;
             stat.self_ns += self_ns;
             if inner.also_hist {
-                c.hists.entry(key.to_string()).or_default().observe(elapsed);
+                c.hists.slot(key).observe(elapsed);
             }
         });
     }

@@ -126,8 +126,7 @@ fn pop(n: usize) -> Option<Vec<f32>> {
     });
     match &hit {
         Some(_) => {
-            metrics::counter_add("workspace/hit", 1);
-            metrics::counter_add("workspace/bytes_recycled", n as u64 * 4);
+            metrics::counter_add2("workspace/hit", 1, "workspace/bytes_recycled", n as u64 * 4)
         }
         None => {
             metrics::counter_add("workspace/miss", 1);
