@@ -31,21 +31,28 @@
 //!   adds, with the attention op timed against the composition it replaced
 //!   and, outside `--quick` on an AVX-512 host, its floors asserted.
 //!
+//! - an **index-scan profile** ([`index_profile`]): µs per query, rows per
+//!   µs and columns read for an SDL query, a 10-non-zero query and a dense
+//!   query over 200 000 random taxonomy-valid scenarios.
+//!
 //! Run with `cargo run -p tsdx-bench --release --bin profile` (add
 //! `--quick` for a reduced-size smoke run, as in `scripts/check.sh`).
-//! `--eval [--batch N]` prints the eval-forward profile alone; pin it
-//! (`taskset -c 1 …`) when the numbers matter.
+//! `--eval [--batch N]` prints the eval-forward profile alone and `--index`
+//! the index-scan profile alone; pin them (`taskset -c 1 …`) when the
+//! numbers matter.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use tsdx_bench::{has_flag, is_quick, print_table, standard_clips};
 use tsdx_core::{
     multitask_loss, ClipModel, LossWeights, ModelConfig, ScenarioExtractor, StreamState,
     VideoScenarioTransformer,
 };
 use tsdx_data::{collate, Batch};
+use tsdx_index::VectorIndex;
+use tsdx_sdl::{vocab, ActorClause, EgoManeuver, Position, RoadKind, Scenario, MAX_ACTORS};
 use tsdx_tensor::dial::{Kernel, Precision, KERNEL, PLANE};
 use tsdx_tensor::ops::{self, Activation};
 use tsdx_tensor::{metrics, Graph, Tensor};
@@ -366,9 +373,123 @@ fn eval_profile(quick: bool, batches: &[usize]) {
     }
 }
 
+/// One random taxonomy-valid scenario with `actors` actor clauses, every
+/// other one positioned — what the `search_sdl` corpus is made of.
+fn random_scenario(rng: &mut StdRng, actors: usize) -> Scenario {
+    let ego = EgoManeuver::from_index(rng.random_range(0..EgoManeuver::COUNT));
+    let road = RoadKind::from_index(rng.random_range(0..RoadKind::COUNT));
+    let actors = (0..actors)
+        .map(|_| {
+            let (kind, action) =
+                vocab::EVENT_CLASSES[rng.random_range(0..vocab::EVENT_CLASSES.len())];
+            let position = rng
+                .random_bool(0.5)
+                .then(|| Position::from_index(rng.random_range(0..Position::COUNT)));
+            ActorClause { kind, action, position }
+        })
+        .collect();
+    Scenario { ego, actors, road }
+}
+
+/// What an index scan costs by how much of the query is zero: 200 000 random
+/// taxonomy-valid scenarios (the `search_sdl` corpus), `k = 10`, and three
+/// pools of 64 queries taking turns — SDL queries as `/search` embeds them
+/// (3 to 10 non-zero components of 28), queries with all 10, and the same
+/// with every zero replaced by a small value, which no scan can shorten. The
+/// columns are counted by `index/columns_visited`, not derived: a column is
+/// one dimension of one 512-row block, and a query reads its non-zero
+/// components × blocks of them.
+fn index_profile(quick: bool) {
+    const K: usize = 10;
+    let rows = if quick { 20_000 } else { 200_000 };
+    let (calls, rounds) = if quick { (64, 3) } else { (256, 15) };
+    let mut rng = StdRng::seed_from_u64(tsdx_bench::STD_SEED);
+    let mut index = VectorIndex::default();
+    let sdl = |rng: &mut StdRng| {
+        let actors = rng.random_range(0..=MAX_ACTORS);
+        random_scenario(rng, actors)
+    };
+    for _ in 0..rows {
+        index.push_scenario(&sdl(&mut rng)).expect("default index matches EMBED_DIM");
+    }
+    let sdl_queries: Vec<Vec<f32>> = (0..64).map(|_| tsdx_sdl::embed(&sdl(&mut rng))).collect();
+    // Four distinct events at the four positions: ego + road + 4 + 4.
+    let full_queries: Vec<Vec<f32>> = (0..64)
+        .map(|_| loop {
+            let mut s = random_scenario(&mut rng, MAX_ACTORS);
+            for (i, a) in s.actors.iter_mut().enumerate() {
+                a.position = Some(Position::from_index(i));
+            }
+            let q = tsdx_sdl::embed(&s);
+            if q.iter().filter(|&&x| x != 0.0).count() == 10 {
+                break q;
+            }
+        })
+        .collect();
+    let dense_queries: Vec<Vec<f32>> = full_queries
+        .iter()
+        .map(|q| q.iter().map(|&x| if x == 0.0 { 1e-3 } else { x }).collect())
+        .collect();
+
+    let pools = [
+        ("SDL query (as /search embeds it)", &sdl_queries),
+        ("10 non-zero components", &full_queries),
+        ("dense (no zero component)", &dense_queries),
+    ];
+    // Each pool cycles through its 64 queries, so no scan repeats its
+    // predecessor's columns.
+    let scan = |pool: &[Vec<f32>], turn: &mut usize| {
+        *turn += 1;
+        std::hint::black_box(index.query(&pool[*turn % pool.len()], K).expect("dim"));
+    };
+    let mut turn = [0usize; 3];
+    let [a, b, c] = &mut turn;
+    let us = alternated_us(
+        rounds,
+        calls,
+        &mut [&mut || scan(&sdl_queries, a), &mut || scan(&full_queries, b), &mut || {
+            scan(&dense_queries, c)
+        }],
+    );
+
+    let table: Vec<Vec<String>> = pools
+        .iter()
+        .zip(&us)
+        .map(|(&(name, pool), &us)| {
+            let scope = metrics::scope();
+            pool.iter().for_each(|q| {
+                std::hint::black_box(index.query(q, K).expect("dim"));
+            });
+            let columns = scope.snapshot().counter("index/columns_visited");
+            let nonzero: usize = pool.iter().flatten().filter(|&&x| x != 0.0).count();
+            vec![
+                name.to_string(),
+                format!("{:.1}", nonzero as f64 / pool.len() as f64),
+                format!("{:.1}", columns as f64 / pool.len() as f64),
+                format!("{us:.1}"),
+                format!("{:.0}", rows as f64 / us),
+            ]
+        })
+        .collect();
+    print_table(
+        &format!(
+            "index scan, {rows} rows x {} dims in {} shards, k = {K}, pool size {} \
+             ({rounds} rounds x {calls} queries per pool, median)",
+            index.dim(),
+            index.shard_count(),
+            tsdx_tensor::pool::num_threads(),
+        ),
+        &["query", "non-zero", "columns read", "µs", "rows/µs"],
+        &table,
+    );
+}
+
 fn main() {
     let quick = is_quick();
     println!("run-time switches: {}", tsdx_core::run_time_switches());
+    if has_flag("--index") {
+        return index_profile(quick);
+    }
     if has_flag("--eval") {
         let args: Vec<String> = std::env::args().collect();
         let batch = args.iter().position(|a| a == "--batch").map(|i| {

@@ -262,13 +262,12 @@ impl ScenarioExtractor {
         }
         if !valid.is_empty() {
             let cfg = self.model.config();
-            let per = cfg.frames * cfg.height * cfg.width;
-            let mut stacked = Vec::with_capacity(valid.len() * per);
-            for &i in &valid {
-                stacked.extend_from_slice(&videos[i].flat());
-            }
-            let batch =
-                Tensor::from_vec(stacked, &[valid.len(), cfg.frames, cfg.height, cfg.width]);
+            let shape = [valid.len(), cfg.frames, cfg.height, cfg.width];
+            let batch = Tensor::from_extend(&shape, |stacked| {
+                for &i in &valid {
+                    stacked.extend_from_slice(&videos[i].flat());
+                }
+            });
             let labels = self.model.predict(&batch);
             for (&i, l) in valid.iter().zip(&labels) {
                 out[i] = Some(Ok(l.to_scenario()));

@@ -50,25 +50,27 @@ pub fn extract_tubelets(cfg: &ModelConfig, videos: &Tensor) -> Tensor {
     let (h, w) = (cfg.height, cfg.width);
     let videos = videos.contiguous(); // the pixel gather below indexes the flat buffer
     let src = videos.data();
-    let mut out = Vec::with_capacity(b * nt * ns * vol);
-    for bi in 0..b {
-        let clip = &src[bi * frames * h * w..(bi + 1) * frames * h * w];
-        for g in 0..nt {
-            for py in 0..nh {
-                for px in 0..nw {
-                    // One tubelet: frames [g*tt, (g+1)*tt), patch (py, px).
-                    for f in 0..tt {
-                        let frame = &clip[(g * tt + f) * h * w..(g * tt + f + 1) * h * w];
-                        for r in 0..p {
-                            let row = (py * p + r) * w + px * p;
-                            out.extend_from_slice(&frame[row..row + p]);
+    // Assembled in an arena buffer: one `p`-long run per patch row, in
+    // token order.
+    Tensor::from_extend(&[b, nt * ns, vol], |out| {
+        for bi in 0..b {
+            let clip = &src[bi * frames * h * w..(bi + 1) * frames * h * w];
+            for g in 0..nt {
+                for py in 0..nh {
+                    for px in 0..nw {
+                        // One tubelet: frames [g*tt, (g+1)*tt), patch (py, px).
+                        for f in 0..tt {
+                            let frame = &clip[(g * tt + f) * h * w..(g * tt + f + 1) * h * w];
+                            for r in 0..p {
+                                let row = (py * p + r) * w + px * p;
+                                out.extend_from_slice(&frame[row..row + p]);
+                            }
                         }
                     }
                 }
             }
         }
-    }
-    Tensor::from_vec(out, &[b, nt * ns, vol])
+    })
 }
 
 /// Learned tubelet embedding: projection plus the spatial positional

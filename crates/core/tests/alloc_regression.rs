@@ -209,6 +209,40 @@ fn quantized_steady_state_allocates_no_more_than_f32() {
 }
 
 #[test]
+fn a_batch_of_eight_windows_stacks_and_gathers_in_the_arena() {
+    let _serial = measuring();
+    // The two largest buffers of a B = 8 call are its inputs: the stacked
+    // `[8, T, H, W]` batch and the `[8, nt*ns, vol]` tubelet gather, 256 KiB
+    // each at the default config. Built outside the arena they were the
+    // whole of the call's allocator bytes (67 229 B per clip on the
+    // `bulk_batch8` workload); from it, what is left is per-value metadata.
+    let ex = ScenarioExtractor::untrained(ModelConfig::default(), 0);
+    let cfg = *ex.model().config();
+    let clips: Vec<Tensor> = (0..8)
+        .map(|c| {
+            Tensor::from_fn(&[cfg.frames, cfg.height, cfg.width], |i| {
+                ((i + c * 977) as f32 * 0.0041).sin() * 0.5
+            })
+        })
+        .collect();
+    let refs: Vec<&Tensor> = clips.iter().collect();
+    let rc = RunConfig { threads: 1, recycle: true, ..RunConfig::current() };
+    let (calls, bytes) =
+        steady_state(rc, || drop(std::hint::black_box(ex.extract_window_batch(&refs))));
+    let per = |v: u64| v / MEASURED as u64;
+    eprintln!("alloc/batch-8 extract: {} calls / {} bytes", per(calls), per(bytes));
+    let inputs = 2 * 8 * cfg.frames * cfg.height * cfg.width * 4;
+    // Measured 10 888 B per call; the ceiling is a sixteenth of the two
+    // input buffers (4 KiB per clip), so either of them leaving the arena
+    // breaks it eight-fold.
+    assert!(
+        per(bytes) <= inputs as u64 / 16,
+        "a B = 8 extraction allocates {} B outside the arena (its two input buffers are {inputs} B)",
+        per(bytes)
+    );
+}
+
+#[test]
 fn an_open_metrics_scope_costs_an_extraction_no_allocation_and_bounded_time() {
     let _serial = measuring();
     // A serving worker runs every forward under an open scope, so its

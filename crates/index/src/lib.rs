@@ -11,11 +11,14 @@
 //!   the file, atomic temp+fsync+rename writes). Torn or bit-flipped
 //!   shards load as typed [`IndexError`]s — never a panic, never silently
 //!   wrong data.
-//! * **In memory** a shard is a run of 8-row blocks laid out `[dim][8]`
-//!   (the files stay row-major; `save_to`/`load` transpose). Scoring a
-//!   block is `dim` broadcast-multiply-adds over 8-wide vectors with the
-//!   association of [`tsdx_sdl::dot`], so every score has `dot`'s bits and
-//!   the scan runs at the rate the rows can be read.
+//! * **In memory** a shard is a run of 512-row blocks laid out `[dim][512]`
+//!   (the files stay row-major; `save_to`/`load` transpose), so one
+//!   dimension of a block is 32 cache lines in a row. A scan reads only the
+//!   dimensions whose query component is non-zero — at most ten of the 28 for
+//!   anything [`tsdx_sdl::embed`] produced — with the association of
+//!   [`tsdx_sdl::dot`], and every score still has `dot`'s bits: a dropped
+//!   term is `±0` against finite rows, and a shard holding a NaN or an
+//!   infinity reads every dimension.
 //! * **Queries** stream every score into the total-order
 //!   [`tsdx_sdl::TopK`] accumulator — one per shard on the worker pool,
 //!   merged afterwards — so top-k answers are bit-identical across pool

@@ -2,17 +2,37 @@
 //!
 //! A shard holds its rows in blocks of [`BLOCK_ROWS`], each block laid out
 //! `[dim][BLOCK_ROWS]` (dimension-major, the block's rows side by side), so
-//! scoring a block is `dim` broadcast-multiply-adds over `BLOCK_ROWS`-wide
-//! vectors with no horizontal reduction — the scan runs at the rate the
-//! rows can be read. The layout is private to memory: shard files stay
-//! row-major (`TSDXIDX1`), transposed on [`VectorIndex::save_to`] and
-//! [`VectorIndex::load`].
+//! one dimension of one block is a contiguous run of cache lines and a scan
+//! reads only the runs it needs. The layout is private to memory: shard
+//! files stay row-major (`TSDXIDX1`), transposed on
+//! [`VectorIndex::save_to`] and [`VectorIndex::load`].
+//!
+//! # Which dimensions a scan reads
+//!
+//! Every query that reaches `/search` is an [`embed`]ding: at most ten of
+//! its [`EMBED_DIM`] components are non-zero. A scan therefore lists, once
+//! per shard, the dimensions `d` with `q[d] != 0.0` — grouped by the
+//! accumulator [`tsdx_sdl::dot`] adds them into, ascending within each — and
+//! multiplies only those columns. That is exact, not approximate, as long as
+//! every stored value of the shard is finite:
+//!
+//! * a skipped term is `±0 × finite = ±0`;
+//! * an accumulator starts at `+0.0`, and `x + y` is `−0.0` only when both
+//!   operands are, so no accumulator ever holds `−0.0`;
+//! * `a + ±0 == a` bit for bit for every `a` other than `−0.0` (NaNs stay
+//!   NaN, and a NaN score takes its bits from `dot` itself either way).
+//!
+//! So dropping the term leaves every accumulator, and with it every score,
+//! with `dot`'s bits. Against a row holding `±inf` or NaN the skipped
+//! product would be NaN, not zero: each shard carries one `finite` flag,
+//! maintained by `push`, and a shard that holds any non-finite value reads
+//! every dimension.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use tsdx_sdl::{dot, embed, is_unit_norm, Scenario, TopK, EMBED_DIM};
-use tsdx_tensor::pool;
+use tsdx_tensor::{metrics, pool};
 
 use crate::shard::{load_shard, save_shard, IndexError};
 
@@ -37,14 +57,30 @@ impl Default for IndexConfig {
     }
 }
 
-/// Rows per block: one 8-lane `f32` vector of the x86-64-v3 build per
-/// dimension. A layout constant, not a dial — every score is computed
-/// lane-independently, so the width never shows in an answer.
-const BLOCK_ROWS: usize = 8;
+/// Rows per block: one dimension of a block is 2 KiB, 32 cache lines in a
+/// row. A layout constant, not a dial — every score is computed
+/// lane-independently, so the width never shows in an answer; wider blocks
+/// measured up to a tenth faster on a sparse query and as much slower on a
+/// dense one, which is fastest here (DESIGN §6.9).
+const BLOCK_ROWS: usize = 512;
+
+/// Rows scored at a time: the accumulators of this many rows stay in vector
+/// registers while the visited columns stream past, and one
+/// [`TopK::rejects_all`] answers for all of them.
+const CHUNK_ROWS: usize = 32;
+
+/// Granule of a block's width, and the chunk size for what is left of a
+/// block narrower than a multiple of [`CHUNK_ROWS`].
+const LANE_ROWS: usize = 8;
+
+/// Counter: columns (one dimension of one block) the scans of a query read —
+/// a query's non-zero components × blocks over finite shards, `dim` × blocks
+/// over the others.
+const COLUMNS_VISITED: &str = "index/columns_visited";
 
 /// A sharded vector index over L2-normalized embeddings.
 ///
-/// Rows live in shards of `[dim][8]` blocks (behind [`Arc`]s so the scan
+/// Rows live in shards of `[dim][512]` blocks (behind [`Arc`]s so the scan
 /// can fan out on the worker pool without copying). Ids are dense `u64`s in
 /// insertion order. Queries are exact brute-force scans: every row is
 /// scored with the bits of [`tsdx_sdl::dot`] and streamed into the total
@@ -61,24 +97,34 @@ pub struct VectorIndex {
 }
 
 /// One shard: `rows` embeddings with ids `base..base + rows`, stored as
-/// `rows.div_ceil(8)` blocks of `[dim][8]` (`dim` is the index's, passed in).
-/// Lanes of the last block past `rows` are zero and are never ranked.
+/// `rows.div_ceil(width)` blocks of `[dim][width]` (`dim` is the index's,
+/// passed in). Lanes of the last block past `rows` are zero and are never
+/// ranked.
 #[derive(Debug, Clone)]
 struct Shard {
     base: u64,
     rows: usize,
+    /// Rows per block: [`BLOCK_ROWS`], or the shard's capacity rounded up to
+    /// [`LANE_ROWS`] when that is less — a small shard pads no whole block.
+    width: usize,
+    /// No stored value is NaN or infinite: a zero query component may be
+    /// skipped (module docs).
+    finite: bool,
     blocks: Vec<f32>,
 }
 
 impl Shard {
-    fn new(base: u64) -> Shard {
-        Shard { base, rows: 0, blocks: Vec::new() }
+    /// An empty shard laid out for up to `capacity` rows (it holds more, in
+    /// further blocks of the same width, if asked to).
+    fn new(base: u64, capacity: usize) -> Shard {
+        let width = capacity.min(BLOCK_ROWS).next_multiple_of(LANE_ROWS);
+        Shard { base, rows: 0, width, finite: true, blocks: Vec::new() }
     }
 
     /// Blocks `rows` (row-major, `dim`-strided) — the load-time transpose.
-    fn from_rows(base: u64, dim: usize, rows: &[f32]) -> Shard {
-        let mut shard = Shard::new(base);
-        shard.blocks.reserve_exact((rows.len() / dim).div_ceil(BLOCK_ROWS) * dim * BLOCK_ROWS);
+    fn from_rows(base: u64, dim: usize, capacity: usize, rows: &[f32]) -> Shard {
+        let mut shard = Shard::new(base, capacity);
+        shard.blocks.reserve_exact((rows.len() / dim).div_ceil(shard.width) * dim * shard.width);
         rows.chunks_exact(dim).for_each(|row| shard.push(row));
         shard
     }
@@ -86,23 +132,24 @@ impl Shard {
     /// Appends one row. Storage grows a whole zeroed block at a time and
     /// `Vec`'s doubling amortizes it — no size is guessed up front.
     fn push(&mut self, row: &[f32]) {
-        let block_len = row.len() * BLOCK_ROWS;
-        let lane = self.rows % BLOCK_ROWS;
+        let block_len = row.len() * self.width;
+        let lane = self.rows % self.width;
         if lane == 0 {
             self.blocks.resize(self.blocks.len() + block_len, 0.0);
         }
         let block = self.blocks.len() - block_len;
-        for (col, &x) in self.blocks[block..].chunks_exact_mut(BLOCK_ROWS).zip(row) {
+        for (col, &x) in self.blocks[block..].chunks_exact_mut(self.width).zip(row) {
             col[lane] = x;
         }
+        self.finite &= row.iter().all(|x| x.is_finite());
         self.rows += 1;
     }
 
     /// Row `i` of the shard, gathered out of its block.
     fn row(&self, dim: usize, i: usize) -> impl Iterator<Item = f32> + '_ {
-        let block_len = dim * BLOCK_ROWS;
-        let block = &self.blocks[i / BLOCK_ROWS * block_len..][..block_len];
-        block.chunks_exact(BLOCK_ROWS).map(move |col| col[i % BLOCK_ROWS])
+        let block_len = dim * self.width;
+        let block = &self.blocks[i / self.width * block_len..][..block_len];
+        block.chunks_exact(self.width).map(move |col| col[i % self.width])
     }
 
     /// The shard's rows in row-major order — the save-time transpose.
@@ -112,64 +159,98 @@ impl Shard {
         rows
     }
 
-    /// Scores every row against the `dim`-long `q` and offers it to `best`.
-    fn scan_into(&self, q: &[f32], best: &mut TopK<u64>) {
-        let dim = q.len();
+    /// Scores every row against the `dim`-long `q` and offers it to `best`;
+    /// returns the number of columns read.
+    fn scan_into(&self, q: &[f32], best: &mut TopK<u64>) -> u64 {
+        let visit = Visit::new(q, !self.finite);
         // Filled only for NaN scores: at most one allocation per scan.
         let mut row = Vec::new();
-        for (b, block) in self.blocks.chunks_exact(dim * BLOCK_ROWS).enumerate() {
-            let scores = score_block(q, block);
-            if best.rejects_all(&scores) {
-                continue;
+        let mut offer = |first: usize, scores: &[f32]| {
+            if best.rejects_all(scores) {
+                return;
             }
             // Only here does the zero padding of the last block matter.
-            for (i, &score) in (b * BLOCK_ROWS..self.rows).zip(&scores) {
+            for (i, &score) in (first..self.rows).zip(scores) {
                 // Which NaN an add of two NaNs returns depends on the
                 // operand order the compiler chose, so a NaN score (never
                 // rejected above) takes its bits from `dot` itself.
                 let score = if score.is_nan() {
                     row.clear();
-                    row.extend(self.row(dim, i));
+                    row.extend(self.row(q.len(), i));
                     dot(q, &row)
                 } else {
                     score
                 };
                 best.push(self.base + i as u64, score);
             }
+        };
+        let mut columns = 0;
+        for (b, block) in self.blocks.chunks_exact(q.len() * self.width).enumerate() {
+            columns += visit.terms.len() as u64;
+            let first = b * self.width;
+            let end = (self.rows - first).min(self.width).next_multiple_of(LANE_ROWS);
+            let whole = end - end % CHUNK_ROWS;
+            for at in (0..whole).step_by(CHUNK_ROWS) {
+                offer(first + at, &score_chunk::<CHUNK_ROWS>(&visit, block, self.width, at));
+            }
+            for at in (whole..end).step_by(LANE_ROWS) {
+                offer(first + at, &score_chunk::<LANE_ROWS>(&visit, block, self.width, at));
+            }
         }
+        columns
     }
 }
 
-/// `dot(q, row)` for the eight rows of one `[dim][8]` block, with exactly
-/// the association of [`tsdx_sdl::dot`]: dimension `d < dim & !3` adds the
-/// unfused product `q[d] * row[d]` into accumulator `d % 4`, the remaining
-/// dimensions into a tail accumulator in order, and the result is
-/// `((l0 + l1) + (l2 + l3)) + tail`. Each lane repeats `dot`'s scalar
-/// operations one for one, and every IEEE operation that does not return a
-/// NaN has exactly one result, so a score that is not NaN has `dot`'s bits
-/// and a score is NaN exactly when `dot`'s is. The eight lanes are
-/// independent, which is what lets the loops vectorize.
-fn score_block(q: &[f32], block: &[f32]) -> [f32; BLOCK_ROWS] {
-    let quads = q.len() & !3;
-    let (q4, q_tail) = q.split_at(quads);
-    let (b4, b_tail) = block.split_at(quads * BLOCK_ROWS);
-    let mut lanes = [[0.0f32; BLOCK_ROWS]; 4];
-    for (x, cols) in q4.chunks_exact(4).zip(b4.chunks_exact(4 * BLOCK_ROWS)) {
-        for (l, col) in cols.chunks_exact(BLOCK_ROWS).enumerate() {
-            for r in 0..BLOCK_ROWS {
-                lanes[l][r] += x[l] * col[r];
+/// The terms of `dot(q, ·)` a scan computes, in the order `dot` adds them.
+struct Visit {
+    /// `(d, q[d])`, grouped by `dot`'s accumulator — `d % 4` for
+    /// `d < dim & !3`, then the tail — and ascending within each.
+    terms: Vec<(usize, f32)>,
+    /// Where each of the five accumulators' terms end in `terms`.
+    ends: [usize; 5],
+}
+
+impl Visit {
+    /// Every dimension of `q` when `dense`, else those with `q[d] != 0.0` —
+    /// exact only against finite rows (module docs).
+    fn new(q: &[f32], dense: bool) -> Visit {
+        let quads = q.len() & !3;
+        let mut terms = Vec::with_capacity(q.len());
+        let mut ends = [0; 5];
+        for (acc, end) in ends.iter_mut().enumerate() {
+            let dims = if acc < 4 { (acc..quads).step_by(4) } else { (quads..q.len()).step_by(1) };
+            terms.extend(dims.filter(|&d| dense || q[d] != 0.0).map(|d| (d, q[d])));
+            *end = terms.len();
+        }
+        Visit { terms, ends }
+    }
+}
+
+/// `dot(q, row)` for the `N` rows at lane `at` of one `[dim][width]` block,
+/// with exactly the association of [`tsdx_sdl::dot`]: dimension
+/// `d < dim & !3` adds the unfused product `q[d] * row[d]` into accumulator
+/// `d % 4`, the remaining dimensions into a tail accumulator in order, and
+/// the result is `((l0 + l1) + (l2 + l3)) + tail`. Each lane repeats `dot`'s
+/// scalar operations one for one — less the terms `visit` leaves out, which
+/// change no accumulator's bits (module docs) — and every IEEE operation
+/// that does not return a NaN has exactly one result, so a score that is not
+/// NaN has `dot`'s bits and a score is NaN exactly when `dot`'s is. The
+/// lanes are independent, which is what lets the loops vectorize.
+fn score_chunk<const N: usize>(visit: &Visit, block: &[f32], width: usize, at: usize) -> [f32; N] {
+    let mut acc = [[0.0f32; N]; 5];
+    let mut start = 0;
+    for (lanes, &end) in acc.iter_mut().zip(&visit.ends) {
+        for &(d, x) in &visit.terms[start..end] {
+            let col: &[f32; N] = block[d * width + at..][..N].try_into().expect("N lanes sliced");
+            for r in 0..N {
+                lanes[r] += x * col[r];
             }
         }
+        start = end;
     }
-    let mut tail = [0.0f32; BLOCK_ROWS];
-    for (&x, col) in q_tail.iter().zip(b_tail.chunks_exact(BLOCK_ROWS)) {
-        for r in 0..BLOCK_ROWS {
-            tail[r] += x * col[r];
-        }
-    }
-    let mut scores = [0.0f32; BLOCK_ROWS];
-    for r in 0..BLOCK_ROWS {
-        scores[r] = ((lanes[0][r] + lanes[1][r]) + (lanes[2][r] + lanes[3][r])) + tail[r];
+    let mut scores = [0.0f32; N];
+    for r in 0..N {
+        scores[r] = ((acc[0][r] + acc[1][r]) + (acc[2][r] + acc[3][r])) + acc[4][r];
     }
     scores
 }
@@ -227,7 +308,7 @@ impl VectorIndex {
         }
         let id = self.len();
         if self.shards.last().is_none_or(|s| s.rows >= self.shard_capacity) {
-            self.shards.push(Arc::new(Shard::new(id)));
+            self.shards.push(Arc::new(Shard::new(id, self.shard_capacity)));
         }
         Arc::make_mut(self.shards.last_mut().expect("shard just ensured")).push(v);
         Ok(id)
@@ -279,11 +360,14 @@ impl VectorIndex {
         let q: Arc<[f32]> = q.into();
         let per_shard = pool::map_chunks_named("index/scan", shards.len(), move |c| {
             let mut best = TopK::new(k);
-            shards[c].scan_into(&q, &mut best);
-            best
+            let columns = shards[c].scan_into(&q, &mut best);
+            (best, columns)
         });
+        // Counted here, not in the scan: a pool worker's records reach no
+        // scope of the querying thread.
+        metrics::counter_add(COLUMNS_VISITED, per_shard.iter().map(|part| part.1).sum());
         let mut best = TopK::new(k);
-        per_shard.into_iter().for_each(|part| best.merge(part));
+        per_shard.into_iter().for_each(|part| best.merge(part.0));
         Ok(best.into_sorted())
     }
 
@@ -365,7 +449,9 @@ impl VectorIndex {
             let count = rec.rows.len() / rec.dim;
             next_id += count as u64;
             capacity = capacity.max(count);
-            shards.push(Arc::new(Shard::from_rows(rec.base_id, rec.dim, &rec.rows)));
+            // Only the last shard is ever appended to, and for it `capacity`
+            // is already the index's.
+            shards.push(Arc::new(Shard::from_rows(rec.base_id, rec.dim, capacity, &rec.rows)));
         }
         Ok(VectorIndex {
             dim: if dim == 0 { IndexConfig::default().dim } else { dim },
@@ -397,12 +483,11 @@ mod tests {
         ix
     }
 
-    #[test]
-    fn block_kernel_has_the_bits_of_dot_at_every_dim() {
-        let special =
-            [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, f32::MIN_POSITIVE, 1e-42];
+    /// A xorshift stream of values in `[-1, 1)`, one in sixteen drawn from
+    /// `special` instead.
+    fn value_stream(special: &'static [f32]) -> impl FnMut() -> f32 {
         let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut value = || {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
@@ -410,16 +495,36 @@ mod tests {
                 0 => special[(state >> 8) as usize % special.len()],
                 _ => (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0,
             }
-        };
+        }
+    }
+
+    /// One shard of `n` rows from `value`, next to the rows themselves.
+    fn shard_of(dim: usize, n: usize, value: &mut impl FnMut() -> f32) -> (Shard, Vec<Vec<f32>>) {
+        let rows: Vec<Vec<f32>> = (0..n).map(|_| (0..dim).map(|_| value()).collect()).collect();
+        let mut shard = Shard::new(0, n);
+        rows.iter().for_each(|r| shard.push(r));
+        (shard, rows)
+    }
+
+    #[test]
+    fn block_kernel_has_the_bits_of_dot_at_every_dim() {
+        let mut value = value_stream(&[
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            1e-42,
+        ]);
         let mut nan_scores = 0;
         for dim in 1..=40 {
-            for _ in 0..40 {
+            for _ in 0..10 {
                 let q: Vec<f32> = (0..dim).map(|_| value()).collect();
-                let rows: Vec<Vec<f32>> =
-                    (0..BLOCK_ROWS).map(|_| (0..dim).map(|_| value()).collect()).collect();
-                let mut shard = Shard::new(0);
-                rows.iter().for_each(|r| shard.push(r));
-                for (row, got) in rows.iter().zip(score_block(&q, &shard.blocks)) {
+                let (shard, rows) = shard_of(dim, CHUNK_ROWS, &mut value);
+                let visit = Visit::new(&q, !shard.finite);
+                let got = score_chunk::<CHUNK_ROWS>(&visit, &shard.blocks, shard.width, 0);
+                for (row, got) in rows.iter().zip(got) {
                     let want = dot(&q, row);
                     nan_scores += usize::from(want.is_nan());
                     assert_eq!(want.is_nan(), got.is_nan(), "dim={dim} q={q:?} row={row:?}");
@@ -430,6 +535,68 @@ mod tests {
             }
         }
         assert!(nan_scores > 100, "the sweep must reach NaN scores, saw {nan_scores}");
+    }
+
+    /// Over finite rows, leaving the zero components of a query out changes
+    /// no bit of any score — whatever else the query holds.
+    #[test]
+    fn skipping_zero_components_keeps_every_bit_on_finite_rows() {
+        // Rows: finite only, with both zeros and values whose products
+        // underflow to `±0`. Queries: mostly `±0`, the rest anything.
+        let mut stored = value_stream(&[0.0, -0.0, f32::MIN_POSITIVE, -1e-42, 1e-42]);
+        let mut asked =
+            value_stream(&[0.0, -0.0, 0.0, -0.0, f32::NAN, f32::INFINITY, -1e-42, f32::MAX]);
+        let (mut skipped, mut nan_scores) = (0, 0);
+        for dim in 1..=40 {
+            for round in 0..10 {
+                // Two in three components zero; round 0 is the all-zero query.
+                let q: Vec<f32> = (0..dim)
+                    .map(|d| match (round, (d + round) % 3) {
+                        (0, _) | (_, 0) => 0.0,
+                        (_, 1) => -0.0,
+                        _ => asked(),
+                    })
+                    .collect();
+                let (shard, rows) = shard_of(dim, CHUNK_ROWS + LANE_ROWS, &mut stored);
+                assert!(shard.finite);
+                let (sparse, dense) = (Visit::new(&q, false), Visit::new(&q, true));
+                assert_eq!(dense.terms.len(), dim);
+                skipped += dim - sparse.terms.len();
+                let score = |visit| {
+                    let mut got =
+                        score_chunk::<CHUNK_ROWS>(visit, &shard.blocks, shard.width, 0).to_vec();
+                    got.extend(score_chunk::<LANE_ROWS>(
+                        visit,
+                        &shard.blocks,
+                        shard.width,
+                        CHUNK_ROWS,
+                    ));
+                    got
+                };
+                for ((row, on), off) in rows.iter().zip(score(&sparse)).zip(score(&dense)) {
+                    let want = dot(&q, row);
+                    nan_scores += usize::from(want.is_nan());
+                    assert_eq!(on.is_nan(), want.is_nan(), "dim={dim} q={q:?} row={row:?}");
+                    assert_eq!(off.is_nan(), want.is_nan(), "dim={dim} q={q:?} row={row:?}");
+                    if !want.is_nan() {
+                        assert_eq!(on.to_bits(), want.to_bits(), "dim={dim} q={q:?} row={row:?}");
+                        assert_eq!(off.to_bits(), want.to_bits(), "dim={dim} q={q:?} row={row:?}");
+                    }
+                }
+            }
+        }
+        assert!(skipped > 4000, "the sweep must skip components, skipped {skipped}");
+        assert!(nan_scores > 100, "the sweep must reach NaN scores, saw {nan_scores}");
+    }
+
+    #[test]
+    fn a_small_shard_pads_to_eight_rows_and_a_large_one_to_one_block() {
+        for (capacity, width) in [(1, 8), (8, 8), (9, 16), (511, 512), (512, 512), (65_536, 512)] {
+            let mut shard = Shard::new(0, capacity);
+            shard.push(&[1.0, 2.0, 3.0]);
+            assert_eq!(shard.width, width, "capacity {capacity}");
+            assert_eq!(shard.blocks.len(), 3 * width, "capacity {capacity}");
+        }
     }
 
     #[test]

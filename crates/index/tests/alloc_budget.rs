@@ -5,7 +5,10 @@
 //! This test pins that with a counting global allocator: a k = 10 query
 //! over 100 000 rows must stay under 64 KB of requested bytes, where
 //! materializing the scores alone would take 16 B × 100 000 = 1.6 MB — also
-//! for a query holding a NaN, whose every score is recomputed row by row.
+//! for a query holding a NaN, whose every score is recomputed row by row,
+//! and for an SDL-sparse query, whose list of columns to read is the only
+//! thing a scan allocates besides its survivors (a block's scores live on
+//! the stack, 32 at a time).
 //!
 //! Lives in its own integration-test file so the `#[global_allocator]`
 //! override owns the whole process, and holds a single test so nothing
@@ -74,8 +77,14 @@ fn a_top10_query_over_100k_rows_allocates_under_64kb() {
     let mut poisoned = q.clone();
     poisoned[3] = f32::NAN;
 
+    // Five non-zero components of 28, as `/search` embeds a short scenario.
+    let mut sparse = vec![0.0f32; EMBED_DIM];
+    for d in [1, 8, 12, 19, 25] {
+        sparse[d] = q[d];
+    }
+
     for threads in [1usize, 2] {
-        for (what, q) in [("finite", &q), ("NaN", &poisoned)] {
+        for (what, q) in [("finite", &q), ("NaN", &poisoned), ("SDL-sparse", &sparse)] {
             pool::with_forced_threads(threads, || {
                 let warm = index.query(q, K).expect("dim matches"); // spawns the pool once
                 let before = ALLOC_BYTES.load(Ordering::Relaxed);

@@ -3,12 +3,14 @@
 //! The bar, per the index's documentation: answers are bit-identical
 //! across worker-pool sizes and shard capacities, equal to an exact
 //! full-sort reference scan, immune to adversarial rows (NaN, zero
-//! vectors), and stable across a save/load round trip.
+//! vectors), and stable across a save/load round trip — and a scan that
+//! leaves the zero components of a query out answers with the same bits as
+//! one that does not.
 
 use proptest::prelude::*;
 use tsdx_index::{IndexConfig, VectorIndex};
 use tsdx_sdl::{dot, rank_order, vocab, ActorClause, EgoManeuver, Position, RoadKind, Scenario};
-use tsdx_tensor::pool;
+use tsdx_tensor::{metrics, pool};
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
     let actor = ((0..vocab::EVENT_CLASSES.len()), 0..=Position::COUNT).prop_map(|(e, p)| {
@@ -142,7 +144,7 @@ fn duplicate_rows_tie_break_on_ascending_id() {
     assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), vec![0, 1, 2]);
 }
 
-// ---- Blocked layout: 8-row `[dim][8]` blocks, zero-padded tail -----------
+// ---- Blocked layout: `[dim][512]` blocks, zero-padded tail ---------------
 
 /// Every class of value a row can hold, including the ones whose products
 /// and sums produce NaNs of either sign.
@@ -163,6 +165,10 @@ fn arb_hostile_row(dim: usize) -> impl Strategy<Value = Vec<f32>> {
         dim..=dim,
     )
 }
+
+/// Rows per full block of the in-memory layout (`BLOCK_ROWS`, private to the
+/// crate): the boundary the row counts and capacities below straddle.
+const R: usize = 512;
 
 /// `(rows, query)` at one dim in `1..=40` (so `dim < 4` and `dim % 4 != 0`
 /// are both covered), with a row count that is never a multiple of 8.
@@ -199,6 +205,165 @@ proptest! {
         }
         prop_assert!(ix.row(n as u64).is_none());
     }
+}
+
+/// A query as `/search` embeds it: mostly zeros, of either sign.
+fn arb_sparse_query(dim: usize) -> impl Strategy<Value = Vec<f32>> {
+    prop::collection::vec(
+        prop_oneof![Just(0.0f32), Just(-0.0f32), Just(0.0f32), -1.0f32..=1.0, Just(f32::INFINITY)],
+        dim..=dim,
+    )
+}
+
+fn arb_finite_row(dim: usize) -> impl Strategy<Value = Vec<f32>> {
+    prop::collection::vec(
+        prop_oneof![-1.0f32..=1.0, Just(0.0f32), Just(-0.0f32), Just(-1e-42f32), Just(0.5f32)],
+        dim..=dim,
+    )
+}
+
+/// Finite rows around the block boundary — `R − 1`, `R`, `R + 1` and one
+/// past two blocks — a sparse query, and optionally one late non-finite
+/// value, which turns skipping off for the shard it lands in and no other.
+fn arb_block_boundary_corpus() -> impl Strategy<Value = (Vec<Vec<f32>>, Vec<f32>)> {
+    (
+        1usize..=12,
+        prop_oneof![Just(R - 1), Just(R), Just(R + 1), Just(2 * R + 3)],
+        prop_oneof![Just(None), Just(Some(f32::INFINITY)), Just(Some(f32::NAN))],
+        0usize..10_000,
+    )
+        .prop_flat_map(|(dim, n, poison, at)| {
+            (prop::collection::vec(arb_finite_row(dim), n..=n), arb_sparse_query(dim)).prop_map(
+                move |(mut rows, q)| {
+                    if let Some(x) = poison {
+                        rows[n - 1 - at % 40][at % dim] = x;
+                    }
+                    (rows, q)
+                },
+            )
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn zero_skipping_scan_matches_reference_around_the_block_boundary(
+        (rows, q) in arb_block_boundary_corpus(),
+        capacity in prop_oneof![Just(100usize), Just(R - 1), Just(R), Just(R + 1), Just(4 * R)],
+        k in prop_oneof![Just(1usize), Just(10), Just(3 * R)],
+    ) {
+        let want = bits(&reference_scan(&q, &rows, k));
+        let ix = build(capacity, &rows);
+        for threads in [1usize, 2] {
+            let got = pool::with_forced_threads(threads, || ix.query(&q, k).expect("dim matches"));
+            prop_assert_eq!(bits(&got), want.clone(), "pool size {}", threads);
+        }
+    }
+}
+
+/// The cases the zero-skipping argument rests on, one by one, each against
+/// the full-sort `dot` reference at pool sizes 1 and 2 and again after a
+/// save/load round trip.
+#[test]
+fn zero_components_are_skipped_without_moving_a_bit() {
+    let dim = 11; // two quads and a three-long tail
+    let row = |i: usize| -> Vec<f32> {
+        (0..dim)
+            .map(|d| match (i * 7 + d * 3) % 11 {
+                0 | 1 => 0.0,
+                2 => -0.0,
+                3 => -1e-42, // underflows to -0 against a small query value
+                m => (m as f32 - 6.5) * 0.125 * if i.is_multiple_of(2) { 1.0 } else { -1.0 },
+            })
+            .collect()
+    };
+    let mut rows: Vec<Vec<f32>> = (0..2 * R + 1).map(row).collect();
+    // Rows whose visited products cancel: within one accumulator (d = 1, 5),
+    // across two (d = 1, 2) and in the tail (d = 8, 9) — a `+0` accumulator
+    // next to skipped products of either sign.
+    rows[5] = vec![-3.0, 0.25, 0.0, -7.0, 9.0, -0.25, 0.0, 1.0, 0.0, 0.0, -2.0];
+    rows[R] = vec![4.0, 0.25, -0.25, -7.0, -9.0, 0.0, 5.0, 1.0, 0.0, 0.0, 2.0];
+    rows[R + 1] = vec![-4.0, 0.0, 0.0, 7.0, 9.0, 0.0, -5.0, 1.0, 0.5, -0.5, -2.0];
+    let queries: Vec<(&str, Vec<f32>)> = vec![
+        ("all zero", vec![0.0; dim]),
+        ("all minus zero", vec![-0.0; dim]),
+        ("cancelling", vec![0.0, 0.5, 0.5, -0.0, 0.0, 0.5, -0.0, 0.0, 0.5, 0.5, 0.0]),
+        ("one component", vec![-0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, -0.0, 0.0]),
+        ("tiny", vec![0.0, 1e-30, -0.0, 0.0, -1e-30, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-30]),
+        ("infinite", vec![0.0, f32::INFINITY, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+        ("NaN", vec![0.0, 0.0, f32::NAN, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
+        ("dense", row(4).iter().map(|x| x + 3.0).collect()),
+    ];
+    // A late `inf` or NaN makes the shard it lands in — and no other — read
+    // every column: `0 × inf` is NaN, not zero.
+    let mut late_inf = rows.clone();
+    late_inf[2 * R][3] = f32::NEG_INFINITY;
+    let mut late_nan = rows.clone();
+    late_nan[R - 1][0] = f32::NAN;
+    let dir = std::env::temp_dir().join(format!("tsdx-index-skip-{}", std::process::id()));
+    for (corpus, rows) in [("finite", &rows), ("late inf", &late_inf), ("late NaN", &late_nan)] {
+        for capacity in [100usize, R - 1, R, R + 1, 4 * R] {
+            let ix = build(capacity, rows);
+            ix.save_to(&dir).expect("save");
+            let back = VectorIndex::load(&dir).expect("load");
+            for (name, q) in &queries {
+                for k in [1usize, 10, rows.len(), rows.len() + 7] {
+                    let want = bits(&reference_scan(q, rows, k));
+                    for threads in [1usize, 2] {
+                        for ix in [&ix, &back] {
+                            let got = pool::with_forced_threads(threads, || ix.query(q, k));
+                            assert_eq!(
+                                bits(&got.expect("dim matches")),
+                                want,
+                                "{corpus} rows, {name} query, capacity {capacity}, k {k}, \
+                                 pool size {threads}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `index/columns_visited` is the work a query did, counted where it is
+/// done: the query's non-zero components per block of a finite shard, every
+/// dimension per block of a shard holding a non-finite value.
+#[test]
+fn a_query_reads_its_non_zero_columns_and_no_others() {
+    let dim = 28;
+    let row = |i: usize| -> Vec<f32> { (0..dim).map(|d| ((i + d) % 5) as f32 * 0.25).collect() };
+    // Shards of 1000 rows in blocks of 512: 2 + 2 + 1 blocks.
+    let mut ix = build(1000, &(0..2500).map(row).collect::<Vec<_>>());
+    let blocks = |shards: &[usize]| -> u64 { shards.iter().map(|s| [2, 2, 1][*s]).sum() };
+    let mut sparse = vec![0.0f32; dim];
+    for d in [0, 9, 13, 20, 27] {
+        sparse[d] = 0.4;
+    }
+    sparse[3] = -0.0;
+    let dense = row(1).iter().map(|x| x + 1.0).collect::<Vec<_>>();
+    let columns = |ix: &VectorIndex, q: &[f32]| -> u64 {
+        let [one, two] = [1usize, 2].map(|threads| {
+            pool::with_forced_threads(threads, || {
+                let scope = metrics::scope();
+                ix.query(q, 10).expect("dim matches");
+                scope.snapshot().counter("index/columns_visited")
+            })
+        });
+        assert_eq!(one, two, "the count must not depend on the pool size");
+        one
+    };
+    assert_eq!(columns(&ix, &sparse), 5 * blocks(&[0, 1, 2]));
+    assert_eq!(columns(&ix, &dense), dim as u64 * blocks(&[0, 1, 2]));
+    assert_eq!(columns(&ix, &vec![0.0; dim]), 0);
+    // One infinity in the last shard: it alone reads every column.
+    let mut poisoned = row(0);
+    poisoned[17] = f32::INFINITY;
+    ix.push(&poisoned).expect("dim matches");
+    assert_eq!(columns(&ix, &sparse), 5 * blocks(&[0, 1]) + dim as u64 * blocks(&[2]));
+    assert_eq!(columns(&ix, &dense), dim as u64 * blocks(&[0, 1, 2]));
 }
 
 /// A padding lane scores `0 * q` — better than any real row of these

@@ -75,10 +75,20 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 /// `i < len & !3` adds the unfused product `a[i] * b[i]` into lane
 /// `i % 4`, the rest go into a tail accumulator in order, and the result
 /// is `((l0 + l1) + (l2 + l3)) + tail`. The index's blocked scan
-/// (`tsdx-index`) repeats exactly this sequence for eight rows at a time
+/// (`tsdx-index`) repeats exactly this sequence for 32 rows at a time
 /// and is tested bit for bit against this function, so a change here
 /// (reordering, `mul_add`, more lanes) changes every stored ranking's
 /// score bits and must change that kernel with it.
+///
+/// A zero component may be dropped only against finite rows. Every
+/// accumulator starts at `+0.0` and never becomes `-0.0` (a sum is `-0.0`
+/// only when both operands are), so adding the `±0` that `0 × finite` gives
+/// changes no accumulator's bits and the scan leaves such terms out — an
+/// SDL query has at most ten non-zero components of [`EMBED_DIM`]. But
+/// `0 × inf` and `0 × NaN` are NaN: against a row holding either, every
+/// term counts, and the scan reads them all. Starting an accumulator
+/// anywhere but `+0.0`, or seeding it with the first product, breaks that
+/// argument as surely as a reordering does.
 ///
 /// # Panics
 ///

@@ -118,10 +118,29 @@ impl Tensor {
     /// Creates a tensor by evaluating `f` at each flat index.
     pub fn from_fn(shape: &[usize], mut f: impl FnMut(usize) -> f32) -> Self {
         let n = shape::numel(shape);
-        let mut data = workspace::take_reserve(n);
-        for i in 0..n {
-            data.push(f(i));
-        }
+        Tensor::from_extend(shape, |data| data.extend((0..n).map(&mut f)))
+    }
+
+    /// Creates a tensor from what `fill` appends, in row-major order, to an
+    /// empty buffer with room for the whole of `shape` — taken from the
+    /// [`crate::workspace`] arena when recycling is on, so a gather or a
+    /// stack of inputs costs no allocation and no zero-fill.
+    ///
+    /// ```
+    /// use tsdx_tensor::Tensor;
+    /// let rows = [[1.0, 2.0], [3.0, 4.0]];
+    /// let t = Tensor::from_extend(&[2, 2], |data| {
+    ///     rows.iter().for_each(|row| data.extend_from_slice(row));
+    /// });
+    /// assert_eq!(t.at(&[1, 0]), 3.0);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fill` leaves any other number of elements than `shape` has.
+    pub fn from_extend(shape: &[usize], fill: impl FnOnce(&mut Vec<f32>)) -> Self {
+        let mut data = workspace::take_reserve(shape::numel(shape));
+        fill(&mut data);
         Tensor::from_vec(data, shape)
     }
 

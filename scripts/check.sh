@@ -29,10 +29,11 @@ cargo test -q --release -p tsdx-core --test alloc_regression
 echo "==> tensor suite with 8 concurrent test threads (metric-scope isolation; AVX-512 kernel == portable kernel, bitwise)"
 cargo test -q -p tsdx-tensor -- --test-threads=8
 
-echo "==> profile binary smoke test (self-time coverage + overhead asserts, GEMM dispatch on both planes)"
+echo "==> profile binary smoke test (self-time coverage + overhead asserts, GEMM dispatch on both planes; index scan by query sparsity)"
 # Its first line names the f32 kernel this host selected; on a CPU without
 # AVX-512F it is the portable one and the kernel parity above is vacuous.
 cargo run -q -p tsdx-bench --release --bin profile -- --quick | grep -o 'f32-kernel="[^"]*"'
+cargo run -q -p tsdx-bench --release --bin profile -- --index --quick | grep 'SDL query'
 
 echo "==> fault-injection suite (worker panics, torn/corrupt checkpoints, NaN grads)"
 cargo test -q --features fault-inject
@@ -40,8 +41,9 @@ cargo test -q --features fault-inject
 echo "==> serve fault-injection suite (accept stall, mid-chunk disconnect, session-table exhaustion, route/handler/readout panics)"
 cargo test -q -p tsdx-serve --features fault-inject --test fault_injection
 
-echo "==> index fault-injection suite (torn and bit-flipped shards load as typed errors)"
+echo "==> index suite: fault injection (torn and bit-flipped shards load as typed errors), then at release speed (the block-boundary proptests and the 100k-row allocation budget as shipped)"
 cargo test -q -p tsdx-index --features fault-inject
+cargo test -q -p tsdx-index --release
 
 echo "==> benchmark package unit tests (standalone workspace under benchmark/)"
 (cd benchmark && cargo test --offline -q)
