@@ -53,7 +53,7 @@ use tsdx_core::{
 use tsdx_data::{collate, Batch};
 use tsdx_index::VectorIndex;
 use tsdx_sdl::{vocab, ActorClause, EgoManeuver, Position, RoadKind, Scenario, MAX_ACTORS};
-use tsdx_tensor::dial::{Kernel, Precision, KERNEL, PLANE};
+use tsdx_tensor::dial::{Kernel, KERNEL};
 use tsdx_tensor::ops::{self, Activation};
 use tsdx_tensor::{metrics, Graph, Tensor};
 
@@ -517,20 +517,15 @@ fn main() {
     let snap = scope.snapshot();
     drop(scope);
 
-    // A few inference passes per precision plane, each under its own scope,
-    // populate the stage histograms and the GEMM dispatch table without
-    // mixing into the per-step table above.
-    let dialed = PLANE.get();
-    let by_plane = [Precision::F32, Precision::Int8].map(|plane| {
-        let scope = metrics::scope();
-        PLANE.with(plane, || {
-            for _ in 0..2 {
-                std::hint::black_box(model.predict(&batch.videos));
-            }
-        });
-        (plane, scope.snapshot())
-    });
-    let infer = &by_plane.iter().find(|(plane, _)| *plane == dialed).expect("both planes ran").1;
+    // A few inference passes under their own scope populate the stage
+    // histograms and the GEMM dispatch table without mixing into the
+    // per-step table above.
+    let scope = metrics::scope();
+    for _ in 0..2 {
+        std::hint::black_box(model.predict(&batch.videos));
+    }
+    let infer = scope.snapshot();
+    drop(scope);
 
     let root = snap.span("step");
     assert!(root.count == steps as u64, "every step must be spanned");
@@ -637,49 +632,22 @@ fn main() {
         .collect();
     print_table("inference stages", &["stage", "n", "mean ms", "p99 ms"], &stage_rows);
 
-    // ---- Precision plane: which GEMM served each inference product. ----
-    // On the int8 plane the eval bindings route linear layers through the
-    // packed i8 GEMM (`dispatch/matmul_i8`), leaving only the
-    // activation-side products (attention scores/values) on the f32
-    // kernels; on the f32 plane the i8 row must stay zero.
-    for (plane, infer) in &by_plane {
-        let gemm = infer.span("op/matmul");
-        let gemm_i8 = infer.span("op/matmul_i8");
-        let prec_rows = vec![
-            vec![
-                "f32 (op/matmul)".to_string(),
-                gemm.count.to_string(),
-                infer.counter("dispatch/matmul_avx512").to_string(),
-                ms(gemm.self_ns),
-            ],
-            vec![
-                "int8 (op/matmul_i8)".to_string(),
-                infer.counter("dispatch/matmul_i8").to_string(),
-                "0".to_string(),
-                ms(gemm_i8.self_ns),
-            ],
-        ];
-        // `avx512` counts the f32 products that ran on the AVX-512
-        // micro-kernel: all of them where the CPU has it, none elsewhere — a
-        // host that fell back to the portable kernel shows in this table.
-        print_table(
-            &format!("inference GEMM dispatch on the {plane} plane (f32 kernel: {})", KERNEL.get()),
-            &["kernel", "products", "avx512", "self ms"],
-            &prec_rows,
-        );
-        println!(
-            "quantized rows: {} activation rows quantized, {} output rows dequantized",
-            infer.counter("quant/quant_rows"),
-            infer.counter("quant/dequant_rows"),
-        );
-        // The i8 plane only lights up when the plane asks for it.
-        if *plane == Precision::F32 {
-            assert_eq!(infer.counter("dispatch/matmul_i8"), 0, "f32 must not hit the i8 GEMM");
-        } else {
-            assert!(infer.counter("dispatch/matmul_i8") > 0, "int8 must use the i8 GEMM");
-            assert!(infer.counter("quant/dequant_rows") > 0, "i8 GEMM must count dequantized rows");
-        }
-    }
+    // ---- Which GEMM kernel served the inference products. ----
+    // `avx512` counts the products that ran on the AVX-512 micro-kernel: all
+    // of them where the CPU has it, none elsewhere — a host that fell back to
+    // the portable kernel shows in this table.
+    let gemm = infer.span("op/matmul");
+    print_table(
+        &format!("inference GEMM dispatch (f32 kernel: {})", KERNEL.get()),
+        &["kernel", "products", "avx512", "self ms"],
+        &[vec![
+            "f32 (op/matmul)".to_string(),
+            gemm.count.to_string(),
+            infer.counter("dispatch/matmul_avx512").to_string(),
+            ms(gemm.self_ns),
+        ]],
+    );
+    assert_eq!(infer.counter("dispatch/matmul_i8"), 0, "the model must not reach the i8 GEMM");
 
     // ---- Streaming cache effectiveness. ----
     // A short sliding-window run under its own scope (so its counters stay

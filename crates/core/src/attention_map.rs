@@ -18,7 +18,7 @@ impl VideoScenarioTransformer {
     /// Rows sum to 1 over `ns` for CLS readout.
     pub fn attention_map(&self, videos: &Tensor) -> Tensor {
         let cfg = self.config();
-        let ex = &mut self.eval_f32();
+        let ex = &mut self.eval();
         let tokens = self.embed_ref().forward(ex, &extract_tubelets(cfg, videos));
         let (_, attn) = self.encoder_ref().first_stage(ex, &tokens, true);
         // Joint: one row of nt*ns tokens per clip; factorized: B*nt rows
@@ -39,7 +39,7 @@ impl VideoScenarioTransformer {
             return None;
         }
         let (b, nt) = (videos.shape()[0], cfg.n_time());
-        let ex = &mut self.eval_f32();
+        let ex = &mut self.eval();
         let tokens = self.embed_ref().forward(ex, &extract_tubelets(cfg, videos));
         let (summaries, _) = self.encoder_ref().first_stage(ex, &tokens, false);
         let frames = summaries.reshape(&[b, nt, cfg.dim]);

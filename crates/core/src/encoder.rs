@@ -322,7 +322,7 @@ mod tests {
     fn run(kind: AttentionKind, readout: Readout) -> (usize, Vec<f32>) {
         let (store, enc) = encoder(kind, readout, 1);
         let tokens = Tensor::from_fn(&[2, 8, 8], |i| ((i % 13) as f32 - 6.0) * 0.1);
-        let out = enc.forward(&mut Eval::new(&store, None), &tokens);
+        let out = enc.forward(&mut Eval::new(&store), &tokens);
         assert_eq!(out.shape(), &[2, 8]);
         (store.num_scalars(), out.to_vec())
     }
@@ -359,7 +359,7 @@ mod tests {
                 let p = store.bind_frozen(&mut g);
                 let x = g.constant(tokens.clone());
                 let on_tape = enc.forward(&mut Tape::eval(&mut g, &p), &x);
-                let direct = enc.forward(&mut Eval::new(&store, None), &tokens);
+                let direct = enc.forward(&mut Eval::new(&store), &tokens);
                 assert_eq!(bits(g.value(on_tape)), bits(&direct), "{kind:?}/{readout:?}");
             }
         }
@@ -397,7 +397,7 @@ mod tests {
         // operations `forward` does — the streaming session depends on it.
         for readout in [Readout::Cls, Readout::MeanPool] {
             let (store, enc) = encoder(AttentionKind::Factorized, readout, 3);
-            let ex = &mut Eval::new(&store, None);
+            let ex = &mut Eval::new(&store);
             let tokens = Tensor::from_fn(&[2, 8, 8], |i| (i as f32 * 0.05).sin());
             let full = enc.forward(ex, &tokens);
 
@@ -427,7 +427,7 @@ mod tests {
         for readout in [Readout::Cls, Readout::MeanPool] {
             for kind in [AttentionKind::Factorized, AttentionKind::Joint] {
                 let (store, enc) = encoder(kind, readout, 5);
-                let ex = &mut Eval::new(&store, None);
+                let ex = &mut Eval::new(&store);
                 let ctx = format!("{kind:?}/{readout:?}");
                 match kind {
                     AttentionKind::Factorized => {
@@ -461,7 +461,7 @@ mod tests {
         // depend on order: the temporal position is applied at the
         // temporal-stage boundary.
         let (store, enc) = encoder(AttentionKind::Factorized, Readout::Cls, 4);
-        let ex = &mut Eval::new(&store, None);
+        let ex = &mut Eval::new(&store);
         let a = Tensor::from_fn(&[1, 2, 8], |i| if i < 8 { 1.0 } else { -1.0 });
         let mut rev = a.to_vec();
         rev.rotate_left(8);

@@ -28,7 +28,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
 /// all 32 logits per clip.
 fn tape_logits(model: &VideoScenarioTransformer, videos: &Tensor) -> Vec<Vec<u32>> {
     let mut g = Graph::new();
-    let p = model.bind_eval_active(&mut g);
+    let p = model.params().bind_frozen(&mut g);
     let l = model.forward(&mut g, &p, videos, &mut StdRng::seed_from_u64(0), false);
     (0..videos.shape()[0])
         .map(|c| {
@@ -45,7 +45,7 @@ fn tape_logits(model: &VideoScenarioTransformer, videos: &Tensor) -> Vec<Vec<u32
 fn tape_stages(model: &VideoScenarioTransformer, videos: &Tensor) -> (Tensor, Tensor) {
     let cfg = model.config();
     let mut g = Graph::new();
-    let p = model.bind_eval_active(&mut g);
+    let p = model.params().bind_frozen(&mut g);
     let ex = &mut Tape::eval(&mut g, &p);
     let tubs = ex.constant(extract_tubelets(cfg, videos));
     let tokens = model.embed_ref().forward(ex, &tubs);

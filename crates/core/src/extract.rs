@@ -113,21 +113,6 @@ const _: () = {
     send_and_sync::<ScenarioExtractor>();
 };
 
-/// What [`ScenarioExtractor::quantize`] converted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuantReport {
-    /// Number of weight matrices now held as packed int8 panels.
-    pub matrices: usize,
-    /// Total bytes of packed panels + per-channel scales.
-    pub packed_bytes: usize,
-}
-
-impl fmt::Display for QuantReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} matrices quantized ({} KiB packed)", self.matrices, self.packed_bytes / 1024)
-    }
-}
-
 impl ScenarioExtractor {
     /// Wraps an already-trained model.
     pub fn new(model: VideoScenarioTransformer) -> Self {
@@ -146,26 +131,6 @@ impl ScenarioExtractor {
         let idx: Vec<usize> = (0..clips.len()).collect();
         let report = crate::train::train(&mut self.model, clips, &idx, cfg);
         report.final_loss()
-    }
-
-    /// Quantizes the model's encoder and head weight matrices into
-    /// prepacked per-channel int8 panels, returning what was converted.
-    ///
-    /// Quantization is *lazy*: the first int8-bound forward would build
-    /// the same packed weights on demand. Calling `quantize()` explicitly
-    /// front-loads that one-time cost so steady-state `extract_checked` /
-    /// `push_frames` under `TSDX_PRECISION=int8` performs no quantization
-    /// or packing work at all (the allocation-regression suite pins
-    /// this). Idempotent; the packed panels are dropped and rebuilt
-    /// automatically if the parameters change (training, checkpoint
-    /// load).
-    ///
-    /// The int8 plane is only *used* when the active
-    /// [`tsdx_tensor::dial::Precision`] is `Int8` — under the default
-    /// `f32` dial the model's behavior is unchanged, bit for bit.
-    pub fn quantize(&self) -> QuantReport {
-        let q = self.model.quantized_weights();
-        QuantReport { matrices: q.len(), packed_bytes: q.packed_bytes() }
     }
 
     /// Extracts the SDL description of a single video `[T, H, W]`,
@@ -245,9 +210,6 @@ impl ScenarioExtractor {
     /// alone, at any batch size. Malformed windows
     /// get their own typed error and never contaminate the batch. The
     /// output is positionally aligned with `videos`.
-    ///
-    /// The forward runs under the active [`tsdx_tensor::dial::Precision`],
-    /// so a server can flip a whole batch to the int8 plane under load.
     pub fn extract_window_batch(&self, videos: &[&Tensor]) -> Vec<Result<Scenario, ExtractError>> {
         let mut out: Vec<Option<Result<Scenario, ExtractError>>> = Vec::with_capacity(videos.len());
         let mut valid: Vec<usize> = Vec::with_capacity(videos.len());

@@ -51,7 +51,7 @@ mod tubelet;
 pub use config::{AttentionKind, ModelConfig, Readout};
 pub use encoder::ClipEncoder;
 pub use extract::ExtractError;
-pub use extract::{QuantReport, ScenarioExtractor};
+pub use extract::ScenarioExtractor;
 pub use flops::clip_macs;
 pub use heads::{multitask_loss, HeadLogits, LossWeights, SdlHeads};
 pub use model::{decode_logits, ClipModel, VideoScenarioTransformer};

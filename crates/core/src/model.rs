@@ -1,14 +1,11 @@
 //! The video scenario transformer and the [`ClipModel`] abstraction shared
 //! with the baselines.
 
-use std::sync::{Arc, OnceLock};
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsdx_data::{ClipLabels, POSITION_COUNT};
-use tsdx_nn::{Binding, Eval, Exec, ParamStore, QuantizedWeights, Tape};
+use tsdx_nn::{Binding, Eval, Exec, ParamStore, Tape};
 use tsdx_sdl::{vocab, ActorKind, EgoManeuver, RoadKind};
-use tsdx_tensor::dial::{Precision, PLANE};
 use tsdx_tensor::{metrics, ops, Graph, Tensor};
 
 use crate::config::{AttentionKind, ModelConfig};
@@ -42,16 +39,6 @@ pub trait ClipModel {
 
     /// Human-readable model name for reports.
     fn name(&self) -> &str;
-
-    /// Binds the parameters for an eval-time (frozen) forward pass.
-    ///
-    /// The default is [`ParamStore::bind_frozen`]; precision-aware models
-    /// override this to honor the `TSDX_PRECISION` dial (the video
-    /// scenario transformer routes int8 bindings through its prepacked
-    /// quantized weights). Training bindings are unaffected.
-    fn bind_eval(&self, g: &mut Graph) -> Binding {
-        self.params().bind_frozen(g)
-    }
 }
 
 /// Decodes head logit *values* into per-clip labels (argmax heads,
@@ -108,11 +95,6 @@ pub struct VideoScenarioTransformer {
     embed: TubeletEmbed,
     encoder: ClipEncoder,
     heads: SdlHeads,
-    /// Lazily-built prepacked int8 weights for `TSDX_PRECISION=int8`
-    /// bindings, invalidated whenever the parameters can change
-    /// ([`ClipModel::params_mut`] is the mutation choke point used by
-    /// optimizers and checkpoint loading).
-    quant: OnceLock<Arc<QuantizedWeights>>,
 }
 
 impl VideoScenarioTransformer {
@@ -128,52 +110,18 @@ impl VideoScenarioTransformer {
         let embed = TubeletEmbed::new(&mut store, &mut rng, "embed", &cfg);
         let encoder = ClipEncoder::new(&mut store, &mut rng, "encoder", &cfg);
         let heads = SdlHeads::new(&mut store, &mut rng, "heads", cfg.dim);
-        VideoScenarioTransformer { cfg, store, embed, encoder, heads, quant: OnceLock::new() }
+        VideoScenarioTransformer { cfg, store, embed, encoder, heads }
     }
 
-    /// The prepacked int8 weights for this model's current parameters,
-    /// building them on first use: every rank-2 `.weight` matrix of the
-    /// encoder (attention Q/K/V/O and MLP projections) and the SDL heads.
-    /// The tubelet embedding stays f32 — first-layer quantization costs
-    /// the most accuracy for the least time, the standard PTQ trade.
-    pub fn quantized_weights(&self) -> Arc<QuantizedWeights> {
-        Arc::clone(self.quantized())
-    }
-
-    fn quantized(&self) -> &Arc<QuantizedWeights> {
-        self.quant.get_or_init(|| {
-            Arc::new(self.store.quantize_where(|name, t| {
-                t.rank() == 2
-                    && name.ends_with(".weight")
-                    && (name.starts_with("encoder.") || name.starts_with("heads."))
-            }))
-        })
-    }
-
-    /// Precision-aware frozen binding: `bind_frozen` under
-    /// [`Precision::F32`] (bit-identical to the pre-quantization path),
-    /// `bind_quantized` with the cached packed weights under
-    /// [`Precision::Int8`].
+    // pinned by benchmark/src/replay.rs — goes with the re-pin, ROADMAP item 1
+    /// [`ParamStore::bind_frozen`] on this model's parameters.
     pub fn bind_eval_active(&self, g: &mut Graph) -> Binding {
-        match PLANE.get() {
-            Precision::F32 => self.store.bind_frozen(g),
-            Precision::Int8 => self.store.bind_quantized(g, self.quantized()),
-        }
+        self.store.bind_frozen(g)
     }
 
-    /// The executor inference runs on: no tape, weights read in place, on
-    /// the active precision plane like
-    /// [`bind_eval_active`](Self::bind_eval_active).
+    /// The executor inference runs on: no tape, weights read in place.
     pub(crate) fn eval(&self) -> Eval<'_> {
-        match PLANE.get() {
-            Precision::F32 => self.eval_f32(),
-            Precision::Int8 => Eval::new(&self.store, Some(self.quantized())),
-        }
-    }
-
-    /// [`eval`](Self::eval) pinned to the f32 plane (introspection).
-    pub(crate) fn eval_f32(&self) -> Eval<'_> {
-        Eval::new(&self.store, None)
+        Eval::new(&self.store)
     }
 
     /// The configuration this model was built with.
@@ -297,14 +245,7 @@ impl ClipModel for VideoScenarioTransformer {
     }
 
     fn params_mut(&mut self) -> &mut ParamStore {
-        // The caller may mutate any parameter: drop the packed int8 cache
-        // so the next quantized binding re-quantizes the new values.
-        self.quant.take();
         &mut self.store
-    }
-
-    fn bind_eval(&self, g: &mut Graph) -> Binding {
-        self.bind_eval_active(g)
     }
 
     fn forward(

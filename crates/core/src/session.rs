@@ -54,7 +54,6 @@
 use std::collections::VecDeque;
 
 use tsdx_sdl::Scenario;
-use tsdx_tensor::dial::{Precision, PLANE};
 use tsdx_tensor::{metrics, ops, Tensor};
 
 use crate::config::{AttentionKind, ModelConfig};
@@ -104,9 +103,6 @@ fn window_row(l: &WindowLogits, i: usize) -> WindowLogits {
 struct WindowCache {
     /// Exclusive end group index of the window the result belongs to.
     end: u64,
-    /// The precision plane the result was computed under — a degrade dial
-    /// flip mid-stream must not serve the other plane's memo.
-    plane: Precision,
     logits: WindowLogits,
     scenario: Scenario,
 }
@@ -176,11 +172,10 @@ pub fn encode_staged(
 ///
 /// Per state, the semantics are `describe`'s: a state without a full window
 /// answers [`ExtractError::TooShort`] and takes no part in the forward; a
-/// state whose memo already holds this window on the active precision plane
-/// is a cache hit and takes no part either (no stale state, no forward at
-/// all); groups still staged on a ready state are encoded first. A memo is
-/// written only after the forward has completed, so a panic inside it
-/// leaves every state as it was.
+/// state whose memo already holds this window is a cache hit and takes no
+/// part either (no stale state, no forward at all); groups still staged on a
+/// ready state are encoded first. A memo is written only after the forward
+/// has completed, so a panic inside it leaves every state as it was.
 ///
 /// # Panics
 ///
@@ -198,7 +193,7 @@ pub fn readout_staged(
 }
 
 /// Ensures the window memo of every ready state in `states` holds its
-/// current window on the active plane (see [`readout_staged`]).
+/// current window (see [`readout_staged`]).
 fn refresh_windows(
     model: &VideoScenarioTransformer,
     states: &mut [&mut StreamState],
@@ -210,7 +205,6 @@ fn refresh_windows(
             states.iter_mut().map(|s| &mut **s).filter(|s| s.ready()).collect();
         encode_staged(model, &mut ready);
     }
-    let plane = PLANE.get();
     let mut stale: Vec<usize> = Vec::new();
     let results: Vec<Result<(), ExtractError>> = states
         .iter()
@@ -223,7 +217,7 @@ fn refresh_windows(
                 });
             }
             assert_eq!(s.cfg, cfg, "stream state configuration does not match the model");
-            if s.window.as_ref().is_some_and(|w| w.end == s.next_group && w.plane == plane) {
+            if s.window.as_ref().is_some_and(|w| w.end == s.next_group) {
                 // Unchanged window: every group reused, no forward pass.
                 metrics::counter_add("stage/cache_hit", nt as u64);
                 metrics::counter_add("stage/window_hit", 1);
@@ -262,7 +256,6 @@ fn refresh_windows(
         s.fresh_groups = 0;
         s.window = Some(WindowCache {
             end: s.next_group,
-            plane,
             logits: window_row(&logits, row),
             scenario: label.to_scenario(),
         });

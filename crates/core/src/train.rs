@@ -428,7 +428,7 @@ pub fn predict_labels(model: &dyn ClipModel, clips: &[Clip], idx: &[usize]) -> V
         let refs: Vec<&Clip> = chunk.iter().map(|&i| &clips[i]).collect();
         let batch = collate(&refs);
         let mut g = tsdx_tensor::Graph::new();
-        let binding = model.bind_eval(&mut g);
+        let binding = model.params().bind_frozen(&mut g);
         let logits = model.forward(&mut g, &binding, &batch.videos, &mut rng, false);
         out.extend(decode_logits(
             g.value(logits.ego),

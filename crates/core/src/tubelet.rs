@@ -198,7 +198,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
         let embed = TubeletEmbed::new(&mut store, &mut rng, "tub", &cfg);
-        let val = embed.forward(&mut Eval::new(&store, None), &Tensor::zeros(&[2, 8, 32]));
+        let val = embed.forward(&mut Eval::new(&store), &Tensor::zeros(&[2, 8, 32]));
         assert_eq!(val.shape(), &[2, 8, 8]);
         // With zero input, output tokens are pure positional embeddings.
         let t0: Vec<f32> = (0..8).map(|d| val.at(&[0, 0, d])).collect();

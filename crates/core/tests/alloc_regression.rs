@@ -27,7 +27,7 @@ use tsdx_core::{
 };
 use tsdx_data::{collate, generate_dataset, DatasetConfig};
 use tsdx_render::RenderConfig;
-use tsdx_tensor::dial::{Precision, RunConfig};
+use tsdx_tensor::dial::RunConfig;
 use tsdx_tensor::{metrics, Graph, Tensor};
 
 /// Forwards to the system allocator, counting calls and bytes.
@@ -156,56 +156,29 @@ fn steady_state_step_allocations_drop_with_workspaces() {
 }
 
 #[test]
-fn quantized_steady_state_allocates_no_more_than_f32() {
+fn steady_state_extraction_allocates_per_value_not_per_tape_node() {
     let _serial = measuring();
-    // The int8 plane packs weights exactly once — at `quantize()` time.
-    // Steady-state extraction under the int8 dial must therefore issue no
-    // more allocator traffic than the f32 plane: activation quantization
-    // runs in recycled thread-local scratch, outputs come from the same
-    // workspace arena, and no weight is ever re-quantized or re-packed.
-    // A regression that re-packs per call would multiply the byte count by
-    // the packed-plane size per window and fail loudly here.
     let ex = ScenarioExtractor::untrained(ModelConfig::default(), 0);
-    ex.quantize(); // prepack up front: packing cost must not be steady-state
     let cfg = *ex.model().config();
     let video =
         Tensor::from_fn(&[cfg.frames, cfg.height, cfg.width], |i| (i as f32 * 0.0041).sin() * 0.5);
-
-    let run = |plane: Precision| {
-        let rc = RunConfig { threads: 1, recycle: true, plane, ..RunConfig::current() };
-        steady_state(rc, || drop(std::hint::black_box(ex.extract_checked(&video).unwrap())))
-    };
-    let ((calls_f32, bytes_f32), (calls_i8, bytes_i8)) =
-        (run(Precision::F32), run(Precision::Int8));
+    let rc = RunConfig { threads: 1, recycle: true, ..RunConfig::current() };
+    let (calls, bytes) =
+        steady_state(rc, || drop(std::hint::black_box(ex.extract_checked(&video).unwrap())));
 
     let per = |v: u64| v / MEASURED as u64;
-    eprintln!(
-        "alloc/extract: f32 {} calls / {} bytes, int8 {} calls / {} bytes",
-        per(calls_f32),
-        per(bytes_f32),
-        per(calls_i8),
-        per(bytes_i8),
-    );
-    assert!(bytes_f32 > 0 && bytes_i8 > 0, "counting allocator saw no traffic");
-    assert!(
-        bytes_i8 <= bytes_f32,
-        "int8 steady state allocates more than f32: {} vs {} bytes/extract \
-         (is something re-quantizing or re-packing per call?)",
-        per(bytes_i8),
-        per(bytes_f32),
-    );
-    // Both planes run the non-recording executor, so what allocates is the
+    eprintln!("alloc/extract: {} calls / {} bytes", per(calls), per(bytes));
+    assert!(bytes > 0, "counting allocator saw no traffic");
+    // Extraction runs the non-recording executor, so what allocates is the
     // values themselves (a buffer header and two dim vectors per tensor):
-    // 440 and 390 calls per extraction. Binding ~100 parameters into a tape
-    // and recording a node per op made it 797 and 747; the composed
-    // attention graph 1061 and 1011; the unfused tape 1577 and 1463.
-    for (plane, calls) in [("f32", calls_f32), ("int8", calls_i8)] {
-        assert!(
-            per(calls) <= 462,
-            "{plane} extraction allocates per value and the forward grew: {} calls",
-            per(calls)
-        );
-    }
+    // 440 calls per extraction. Binding ~100 parameters into a tape and
+    // recording a node per op made it 797; the composed attention graph
+    // 1061; the unfused tape 1577.
+    assert!(
+        per(calls) <= 462,
+        "extraction allocates per value and the forward grew: {} calls",
+        per(calls)
+    );
 }
 
 #[test]

@@ -11,7 +11,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsdx_core::{AttentionKind, ClipModel, ModelConfig, ScenarioExtractor};
-use tsdx_tensor::dial::{Precision, PLANE};
 use tsdx_tensor::{Graph, Tensor};
 
 fn clip(cfg: &ModelConfig, phase: f32) -> Tensor {
@@ -28,7 +27,7 @@ fn logits(ex: &ScenarioExtractor, clips: &[Tensor]) -> Vec<Tensor> {
         &[clips.len(), cfg.frames, cfg.height, cfg.width],
     );
     let mut g = Graph::new();
-    let p = model.bind_eval_active(&mut g);
+    let p = model.params().bind_frozen(&mut g);
     let l = model.forward(&mut g, &p, &stacked, &mut StdRng::seed_from_u64(0), false);
     [l.ego, l.road, l.event, l.position, l.presence].map(|v| g.value(v).clone()).to_vec()
 }
@@ -46,31 +45,25 @@ fn sixteen_clips_batched_equal_sixteen_solo_extractions_bitwise() {
     ];
     for cfg in configs {
         let ex = ScenarioExtractor::untrained(cfg, 71);
-        ex.quantize();
         let clips: Vec<Tensor> = (0..16).map(|c| clip(&cfg, c as f32 * 0.61)).collect();
-        for plane in [Precision::F32, Precision::Int8] {
-            PLANE.with(plane, || {
-                let tag =
-                    format!("{}x{} {:?} {}", cfg.height, cfg.width, cfg.attention, plane.label());
-                let batched = logits(&ex, &clips);
-                for (c, one) in clips.iter().enumerate() {
-                    let solo = logits(&ex, std::slice::from_ref(one));
-                    for (head, (b, s)) in batched.iter().zip(&solo).enumerate() {
-                        let width = s.numel();
-                        assert_eq!(
-                            bits(b)[c * width..(c + 1) * width],
-                            bits(s)[..],
-                            "{tag}: clip {c}, head {head}"
-                        );
-                    }
-                }
-                let refs: Vec<&Tensor> = clips.iter().collect();
-                let together = ex.extract_window_batch(&refs);
-                for (c, (got, one)) in together.iter().zip(&clips).enumerate() {
-                    let want = ex.extract_checked(one).expect("well-formed clip");
-                    assert_eq!(got.as_ref().expect("well-formed clip"), &want, "{tag}: clip {c}");
-                }
-            });
+        let tag = format!("{}x{} {:?}", cfg.height, cfg.width, cfg.attention);
+        let batched = logits(&ex, &clips);
+        for (c, one) in clips.iter().enumerate() {
+            let solo = logits(&ex, std::slice::from_ref(one));
+            for (head, (b, s)) in batched.iter().zip(&solo).enumerate() {
+                let width = s.numel();
+                assert_eq!(
+                    bits(b)[c * width..(c + 1) * width],
+                    bits(s)[..],
+                    "{tag}: clip {c}, head {head}"
+                );
+            }
+        }
+        let refs: Vec<&Tensor> = clips.iter().collect();
+        let together = ex.extract_window_batch(&refs);
+        for (c, (got, one)) in together.iter().zip(&clips).enumerate() {
+            let want = ex.extract_checked(one).expect("well-formed clip");
+            assert_eq!(got.as_ref().expect("well-formed clip"), &want, "{tag}: clip {c}");
         }
     }
 }

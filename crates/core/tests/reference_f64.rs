@@ -263,7 +263,7 @@ fn check(cfg: ModelConfig, tag: &str) {
             &[batch, cfg.frames, cfg.height, cfg.width],
         );
         let mut g = Graph::new();
-        let p = model.bind_eval(&mut g);
+        let p = model.params().bind_frozen(&mut g);
         let l = model.forward(&mut g, &p, &stacked, &mut StdRng::seed_from_u64(0), false);
         let heads = [l.ego, l.road, l.event, l.position, l.presence].map(|v| g.value(v).clone());
         for (c, want) in want[..batch].iter().enumerate() {

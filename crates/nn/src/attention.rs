@@ -229,7 +229,7 @@ mod tests {
         let p = store.bind_frozen(&mut g);
         let x = g.constant(x0.clone());
         let (y, attn) = mha.forward_with_attn(&mut g, &p, x);
-        let (ey, eattn) = mha.run(&mut crate::Eval::new(&store, None), &x0, &x0, None, true);
+        let (ey, eattn) = mha.run(&mut crate::Eval::new(&store), &x0, &x0, None, true);
         assert_eq!(g.value(y).to_vec(), ey.to_vec());
         assert_eq!(g.value(attn).to_vec(), eattn.expect("asked for").to_vec());
     }

@@ -9,24 +9,23 @@
 //!   baselines run on, and what the `forward(g, p, ..)` methods of the
 //!   layers wrap. Handle: [`Var`].
 //! * [`Eval`] records nothing. It reads the weights in place from the
-//!   [`ParamStore`] (and the prepacked int8 panels, when given) and hands
-//!   tensors back; an intermediate is freed when the wiring drops it.
+//!   [`ParamStore`] and hands tensors back; an intermediate is freed when
+//!   the wiring drops it.
 //!   Handle: [`Tensor`].
 //!
 //! **Same bits.** A tape node over frozen inputs computes its value with one
 //! `tsdx_tensor::ops` call; each [`Eval`] operation is that same call on the
 //! same operands, and the wiring issues them in the same order. Nothing is
-//! reassociated, so the two executors agree bit for bit on both precision
-//! planes (pinned by `tests/executor_parity.rs` here and in `tsdx-core`).
+//! reassociated, so the two executors agree bit for bit (pinned by
+//! `tests/proptest_nn.rs` here and `executor_parity.rs` in `tsdx-core`).
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use tsdx_tensor::ops::{self, Activation};
-use tsdx_tensor::quant::{self, QuantMatrix};
 use tsdx_tensor::{Graph, Tensor, Var};
 
 use crate::dropout::Dropout;
-use crate::params::{Binding, ParamId, ParamStore, QuantizedWeights};
+use crate::params::{Binding, ParamId, ParamStore};
 
 /// What a layer's wiring is written against: a value handle and the
 /// operations of the model. Operands are borrowed, so a handle that owns its
@@ -44,8 +43,7 @@ pub trait Exec {
     /// A value from outside the model (pixels, a broadcast helper).
     fn constant(&mut self, value: Tensor) -> Self::V;
 
-    /// `act(x @ weight + bias) + residual` (see [`ops::linear`]); on a
-    /// quantized weight, the int8 product with the same epilogue.
+    /// `act(x @ weight + bias) + residual` (see [`ops::linear`]).
     fn linear(
         &mut self,
         x: &Self::V,
@@ -96,20 +94,7 @@ pub trait Exec {
     fn dropout(&mut self, site: &Dropout, x: Self::V) -> Self::V;
 }
 
-/// The int8 product of a quantized linear layer with its activation; the
-/// residual add stays with the caller, which may record it.
-fn linear_q8(x: &Tensor, w: &QuantMatrix, bias: Option<&Tensor>, act: Activation) -> Tensor {
-    let y = quant::linear_q8(x, w, bias);
-    match act {
-        Activation::None => y,
-        Activation::Gelu => ops::gelu(&y),
-    }
-}
-
 /// The recording executor: each operation becomes a node of `g`.
-///
-/// A quantized linear layer (a [`ParamStore::bind_quantized`] binding) enters
-/// the tape as a constant — inference-only, no gradients.
 #[derive(Debug)]
 pub struct Tape<'a, R = StdRng> {
     g: &'a mut Graph,
@@ -157,12 +142,7 @@ impl<R: Rng> Exec for Tape<'_, R> {
         residual: Option<&Var>,
     ) -> Var {
         let bias = bias.map(|b| self.p.var(b));
-        let Some(qw) = self.p.quant(weight) else {
-            return self.g.linear(*x, self.p.var(weight), bias, act, residual.copied());
-        };
-        let y = linear_q8(self.g.value(*x), qw, bias.map(|b| self.g.value(b)), act);
-        let y = self.g.constant(y);
-        residual.map_or(y, |&r| self.g.add(r, y))
+        self.g.linear(*x, self.p.var(weight), bias, act, residual.copied())
     }
 
     fn layer_norm(&mut self, x: &Var, gamma: ParamId, beta: ParamId, eps: f32) -> Var {
@@ -227,14 +207,12 @@ impl<R: Rng> Exec for Tape<'_, R> {
 #[derive(Debug)]
 pub struct Eval<'a> {
     store: &'a ParamStore,
-    quant: Option<&'a QuantizedWeights>,
 }
 
 impl<'a> Eval<'a> {
-    /// Runs on the f32 values of `store`, except that a linear layer whose
-    /// weight `quant` holds takes the int8 product.
-    pub fn new(store: &'a ParamStore, quant: Option<&'a QuantizedWeights>) -> Self {
-        Eval { store, quant }
+    /// Runs on the values of `store`.
+    pub fn new(store: &'a ParamStore) -> Self {
+        Eval { store }
     }
 }
 
@@ -262,14 +240,7 @@ impl Exec for Eval<'_> {
         residual: Option<&Tensor>,
     ) -> Tensor {
         let bias = bias.map(|b| self.store.value(b));
-        let Some(qw) = self.quant.and_then(|q| q.get(weight)) else {
-            return ops::linear(x, self.store.value(weight), bias, act, residual);
-        };
-        let y = linear_q8(x, qw, bias, act);
-        match residual {
-            Some(r) => ops::add(r, &y),
-            None => y,
-        }
+        ops::linear(x, self.store.value(weight), bias, act, residual)
     }
 
     fn layer_norm(&mut self, x: &Tensor, gamma: ParamId, beta: ParamId, eps: f32) -> Tensor {

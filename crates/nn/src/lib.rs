@@ -67,7 +67,7 @@ pub use exec::{Eval, Exec, Tape};
 pub use linear::Linear;
 pub use norm::LayerNorm;
 pub use optim::{clip_global_norm, AdamW, AdamWState, LrSchedule, Optimizer, Sgd};
-pub use params::{Binding, ParamId, ParamStore, QuantizedWeights, ShapeMismatch};
+pub use params::{Binding, ParamId, ParamStore, ShapeMismatch};
 pub use rnn::Gru;
 pub use serialize::{
     crc32, load_checkpoint, read_checkpoint, read_train_checkpoint, save_checkpoint,

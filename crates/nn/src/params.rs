@@ -1,9 +1,7 @@
 //! Parameter registry shared by all layers of a model.
 
 use std::fmt;
-use std::sync::Arc;
 
-use tsdx_tensor::quant::QuantMatrix;
 use tsdx_tensor::{Gradients, Graph, Tensor, Var};
 
 /// Identifier of a parameter inside a [`ParamStore`].
@@ -50,51 +48,9 @@ pub struct ParamStore {
 }
 
 /// Maps every parameter of a store to its leaf [`Var`] in one graph.
-///
-/// A binding produced by [`ParamStore::bind_quantized`] additionally
-/// carries prepacked [`QuantMatrix`] handles for a subset of parameters;
-/// precision-aware layers (see [`crate::Linear`]) consult
-/// [`Binding::quant`] and take the int8 kernel when a handle is present.
 #[derive(Debug)]
 pub struct Binding {
     vars: Vec<Var>,
-    /// Index-aligned with `vars`, shared with the [`QuantizedWeights`] it
-    /// came from; `None` for f32 bindings.
-    quants: Option<Arc<[Option<Arc<QuantMatrix>>]>>,
-}
-
-/// Prepacked int8 panels + per-channel scales for a subset of a store's
-/// parameters, index-aligned with the store.
-///
-/// Built once via [`ParamStore::quantize_where`] (typically at model
-/// `quantize()` time) and shared by every subsequent
-/// [`ParamStore::bind_quantized`] call, so steady-state int8 inference
-/// never re-quantizes or re-packs a weight.
-#[derive(Debug, Clone, Default)]
-pub struct QuantizedWeights {
-    mats: Arc<[Option<Arc<QuantMatrix>>]>,
-}
-
-impl QuantizedWeights {
-    /// Number of quantized matrices.
-    pub fn len(&self) -> usize {
-        self.mats.iter().filter(|m| m.is_some()).count()
-    }
-
-    /// True when no parameter is quantized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total bytes held by packed panels and scales.
-    pub fn packed_bytes(&self) -> usize {
-        self.mats.iter().flatten().map(|m| m.packed_bytes()).sum()
-    }
-
-    /// The quantized form of parameter `id`, when it was selected.
-    pub fn get(&self, id: ParamId) -> Option<&Arc<QuantMatrix>> {
-        self.mats.get(id.index()).and_then(|m| m.as_ref())
-    }
 }
 
 /// A named-parameter shape conflict reported by
@@ -113,13 +69,6 @@ impl Binding {
     /// The graph variable bound to parameter `id`.
     pub fn var(&self, id: ParamId) -> Var {
         self.vars[id.0]
-    }
-
-    /// The prepacked int8 form of parameter `id`, when this binding was
-    /// produced by [`ParamStore::bind_quantized`] and `id` was selected
-    /// for quantization. `None` on f32 bindings.
-    pub fn quant(&self, id: ParamId) -> Option<&Arc<QuantMatrix>> {
-        self.quants.as_ref()?.get(id.0)?.as_ref()
     }
 }
 
@@ -196,47 +145,13 @@ impl ParamStore {
 
     /// Binds every parameter as a differentiable leaf of `g`.
     pub fn bind(&self, g: &mut Graph) -> Binding {
-        Binding {
-            vars: self.params.iter().map(|p| g.leaf(p.value.clone())).collect(),
-            quants: None,
-        }
+        Binding { vars: self.params.iter().map(|p| g.leaf(p.value.clone())).collect() }
     }
 
     /// Binds every parameter as a *constant* of `g` (inference mode — no
     /// gradient bookkeeping).
     pub fn bind_frozen(&self, g: &mut Graph) -> Binding {
-        Binding {
-            vars: self.params.iter().map(|p| g.constant(p.value.clone())).collect(),
-            quants: None,
-        }
-    }
-
-    /// Quantizes every parameter matching `pred` (name, value) into
-    /// prepacked int8 panels. Typical predicates select rank-2 `.weight`
-    /// tensors of the layers to run quantized.
-    pub fn quantize_where(&self, pred: impl Fn(&str, &Tensor) -> bool) -> QuantizedWeights {
-        QuantizedWeights {
-            mats: self
-                .params
-                .iter()
-                .map(|p| {
-                    (pred(&p.name, &p.value)).then(|| Arc::new(QuantMatrix::quantize(&p.value)))
-                })
-                .collect(),
-        }
-    }
-
-    /// [`ParamStore::bind_frozen`] plus the prepacked int8 handles of
-    /// `q`: precision-aware layers route their matrix products through
-    /// the int8 kernel for the selected parameters.
-    ///
-    /// Inference-only — the quantized products enter the tape as
-    /// constants, so no gradients flow through them (matching the frozen
-    /// f32 binding's no-gradient contract).
-    pub fn bind_quantized(&self, g: &mut Graph, q: &QuantizedWeights) -> Binding {
-        // The handle table is shared, not copied: a quantized binding
-        // costs what a frozen one does.
-        Binding { quants: Some(Arc::clone(&q.mats)), ..self.bind_frozen(g) }
+        Binding { vars: self.params.iter().map(|p| g.constant(p.value.clone())).collect() }
     }
 
     /// Collects the gradient tensor for every parameter (zeros when a

@@ -121,7 +121,6 @@ proptest! {
         (heads, head_dim) in (1usize..5, 1usize..5),
         first_only in any::<bool>(),
         want_attn in any::<bool>(),
-        int8 in any::<bool>(),
         // The input is rows `offset..offset + t` of a longer sequence: a
         // strided view with a nonzero offset, like a window cut from a cache.
         offset in 0usize..3,
@@ -139,16 +138,14 @@ proptest! {
                 store.set_value(id, moved);
             }
         }
-        let q8 = store.quantize_where(|name, v| v.rank() == 2 && name.ends_with(".weight"));
         let long = Tensor::from_fn(&[b, t + 3, dim], |i| (i as f32 * 0.0173 + seed as f32).sin());
         let x = ops::narrow(&long, 1, offset, t);
 
         let mut g = Graph::new();
-        let p = if int8 { store.bind_quantized(&mut g, &q8) } else { store.bind_frozen(&mut g) };
+        let p = store.bind_frozen(&mut g);
         let xv = g.constant(x.clone());
         let (want, want_probs) = block.run(&mut Tape::eval(&mut g, &p), &xv, first_only, want_attn);
-        let (got, got_probs) =
-            block.run(&mut Eval::new(&store, int8.then_some(&q8)), &x, first_only, want_attn);
+        let (got, got_probs) = block.run(&mut Eval::new(&store), &x, first_only, want_attn);
 
         prop_assert_eq!(got.shape(), &[b, if first_only { 1 } else { t }, dim][..]);
         prop_assert_eq!(bits(&got), bits(g.value(want)));

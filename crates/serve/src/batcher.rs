@@ -3,7 +3,7 @@
 //!
 //! Concurrent requests land in one bounded **mixed** queue; a single worker
 //! thread drains up to `max_batch` of them at a time. Two job kinds share
-//! the queue and its admission/deadline/degrade machinery:
+//! the queue and its admission/deadline machinery:
 //!
 //! * **One-shot clips** (`POST /v1/extract`): coalesced into one batched
 //!   encoder forward ([`ScenarioExtractor::extract_window_batch`]).
@@ -26,14 +26,6 @@
 //!   EWMA-estimated cost (per clip for one-shots, per group for streams)
 //!   are answered [`ServeError::DeadlineExceeded`] instead of wasting model
 //!   time.
-//! * **Degrade under pressure — where it relieves pressure.** When the queue
-//!   depth at drain time crosses `degrade_depth` *and int8 is the faster
-//!   plane on this host* (the f32 GEMM is not on the AVX-512 kernel), the
-//!   whole round — clip forward and group encodes — runs on the int8 plane
-//!   ([`Precision::Int8`]); on an AVX-512 host the int8 forward is the
-//!   slower one, so the valve stays shut (`round_plane`). A session's
-//!   window memo is keyed by plane, so a flip re-reads the window instead of
-//!   serving the other plane's answer (see [`tsdx_core::StreamState`]).
 //! * **Panic containment.** Every forward runs under `catch_unwind`; a panic
 //!   answers the affected jobs with a typed 500 and the worker keeps
 //!   serving. A panic inside the group encode leaves staged groups staged —
@@ -54,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use tsdx_core::ScenarioExtractor;
 use tsdx_sdl::Scenario;
-use tsdx_tensor::dial::{Kernel, Precision, KERNEL, PLANE};
+use tsdx_tensor::dial::Precision;
 use tsdx_tensor::{metrics, Tensor};
 
 use crate::error::ServeError;
@@ -69,40 +61,11 @@ pub struct BatchConfig {
     pub queue_capacity: usize,
     /// Most jobs (clips + stream pushes) coalesced into one drain round.
     pub max_batch: usize,
-    /// Queue depth (measured when the worker starts a drain) at or above
-    /// which batches run int8 — on hosts where that is the faster plane
-    /// (the f32 GEMM is not on the AVX-512 kernel). `None` disables
-    /// pressure degradation.
-    pub degrade_depth: Option<usize>,
-    /// Numeric plane for unpressured batches; `None` follows the process
-    /// `TSDX_PRECISION` dial.
-    pub precision: Option<Precision>,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig { queue_capacity: 64, max_batch: 8, degrade_depth: Some(32), precision: None }
-    }
-}
-
-/// The plane a round drained at queue depth `depth` runs on, and whether the
-/// pressure valve chose it.
-///
-/// The valve trades precision for latency, so it only opens where int8 *is*
-/// lower latency: `int8_is_faster` is false on a host whose f32 GEMM runs the
-/// AVX-512 kernel (int8 measures ~28 % slower per batch-of-8 forward there),
-/// and degrading would make an overloaded server slower and less precise.
-/// Everywhere else a round follows `cfg.precision`, else the `dialed` plane.
-fn round_plane(
-    depth: usize,
-    cfg: &BatchConfig,
-    dialed: Precision,
-    int8_is_faster: bool,
-) -> (Precision, bool) {
-    if int8_is_faster && cfg.degrade_depth.is_some_and(|t| depth >= t) {
-        (Precision::Int8, true)
-    } else {
-        (cfg.precision.unwrap_or(dialed), false)
+        BatchConfig { queue_capacity: 64, max_batch: 8 }
     }
 }
 
@@ -111,6 +74,7 @@ fn round_plane(
 pub struct Extraction {
     /// The decoded scenario.
     pub scenario: Scenario,
+    // pinned by benchmark/src/replay.rs — goes with the re-pin, ROADMAP item 1
     /// Numeric plane the batch ran on.
     pub plane: Precision,
     /// Time spent waiting in the queue — admission to the worker's drain,
@@ -136,6 +100,7 @@ pub struct StreamAnswer {
     pub ready: bool,
     /// The current window's scenario; `None` before the first full window.
     pub scenario: Option<Scenario>,
+    // pinned by benchmark/src/replay.rs — goes with the re-pin, ROADMAP item 1
     /// Numeric plane the round ran on.
     pub plane: Precision,
     /// Time spent waiting in the queue — admission to the worker's drain,
@@ -181,8 +146,6 @@ struct Shared {
     q: Mutex<Queue>,
     cv: Condvar,
     cfg: BatchConfig,
-    /// [`round_plane`]'s last input, probed once at start.
-    int8_is_faster: bool,
     stats: Arc<ServeStats>,
     /// EWMA of per-clip forward cost in µs (0 = no estimate yet).
     est_clip_us: AtomicU64,
@@ -199,27 +162,15 @@ pub struct Batcher {
 
 impl Batcher {
     /// Starts the worker thread over `extractor`.
-    ///
-    /// When some round can run int8 (configured, dialed in, or the pressure
-    /// valve can open on this host), the weights are prepacked up front so
-    /// the first degraded batch does not pay quantization cost mid-overload.
     pub fn start(
         extractor: Arc<ScenarioExtractor>,
         cfg: BatchConfig,
         stats: Arc<ServeStats>,
     ) -> Batcher {
-        let int8_is_faster = KERNEL.get() != Kernel::Avx512;
-        let int8_reachable = [0, usize::MAX].iter().any(|&depth| {
-            round_plane(depth, &cfg, PLANE.get(), int8_is_faster).0 == Precision::Int8
-        });
-        if int8_reachable {
-            extractor.quantize();
-        }
         let shared = Arc::new(Shared {
             q: Mutex::new(Queue { items: VecDeque::new(), draining: false }),
             cv: Condvar::new(),
             cfg,
-            int8_is_faster,
             stats,
             est_clip_us: AtomicU64::new(0),
             est_group_us: AtomicU64::new(0),
@@ -341,7 +292,7 @@ fn worker_loop(shared: &Shared, extractor: &ScenarioExtractor) {
     // published after each batch for /stats.
     let scope = metrics::scope();
     loop {
-        let (batch, depth_at_drain) = {
+        let batch = {
             let mut q = lock(&shared.q);
             while q.items.is_empty() && !q.draining {
                 q = shared.cv.wait(q).unwrap_or_else(|e| e.into_inner());
@@ -349,7 +300,6 @@ fn worker_loop(shared: &Shared, extractor: &ScenarioExtractor) {
             if q.items.is_empty() {
                 break; // draining and nothing left
             }
-            let depth = q.items.len();
             // Take up to max_batch jobs, but at most one push per session:
             // a second push for a session already in the round stops the
             // drain there (FIFO preserved), so each reply reports exactly
@@ -370,25 +320,19 @@ fn worker_loop(shared: &Shared, extractor: &ScenarioExtractor) {
                 }
             }
             shared.stats.queue_depth.store(q.items.len() as u64, Ordering::Relaxed);
-            (batch, depth)
+            batch
         };
-        run_round(shared, extractor, batch, depth_at_drain, Instant::now());
+        run_round(shared, extractor, batch, Instant::now());
         shared.stats.publish_worker_metrics(scope.snapshot());
     }
     shared.stats.publish_worker_metrics(scope.snapshot());
 }
 
-/// One drain round: deadline-gate every job, pick the plane once, then at
-/// most three forwards — one batched clip extraction, one cross-stream group
-/// encode and one cross-stream window readout. `drained` is when the worker
-/// took the jobs off the queue: the end of every job's queue wait.
-fn run_round(
-    shared: &Shared,
-    extractor: &ScenarioExtractor,
-    batch: Vec<Job>,
-    depth: usize,
-    drained: Instant,
-) {
+/// One drain round: deadline-gate every job, then at most three forwards —
+/// one batched clip extraction, one cross-stream group encode and one
+/// cross-stream window readout. `drained` is when the worker took the jobs
+/// off the queue: the end of every job's queue wait.
+fn run_round(shared: &Shared, extractor: &ScenarioExtractor, batch: Vec<Job>, drained: Instant) {
     let mut clips: Vec<Pending> = Vec::new();
     let mut streams: Vec<StreamJob> = Vec::new();
     for job in batch {
@@ -444,17 +388,9 @@ fn run_round(
         return;
     }
 
-    let (plane, degraded) = round_plane(depth, &shared.cfg, PLANE.get(), shared.int8_is_faster);
     ServeStats::inc(&shared.stats.batches);
-    if plane == Precision::Int8 {
-        ServeStats::inc(&shared.stats.batches_int8);
-    }
-    if degraded {
-        ServeStats::inc(&shared.stats.batches_degraded);
-    }
-
-    run_clips(shared, extractor, live_clips, plane, drained);
-    run_streams(shared, extractor, live_streams, plane, drained);
+    run_clips(shared, extractor, live_clips, drained);
+    run_streams(shared, extractor, live_streams, drained);
 }
 
 /// A job's queue wait: admission to the worker's drain, µs.
@@ -463,22 +399,14 @@ fn queue_wait_us(enqueued: Instant, drained: Instant) -> u64 {
 }
 
 /// The one-shot half of a round: one batched window forward.
-fn run_clips(
-    shared: &Shared,
-    extractor: &ScenarioExtractor,
-    live: Vec<Pending>,
-    plane: Precision,
-    drained: Instant,
-) {
+fn run_clips(shared: &Shared, extractor: &ScenarioExtractor, live: Vec<Pending>, drained: Instant) {
     if live.is_empty() {
         return;
     }
     let videos: Vec<&Tensor> = live.iter().map(|p| &p.video).collect();
     let t0 = Instant::now();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        PLANE.with(plane, || {
-            metrics::stage("stage/serve_batch", || extractor.extract_window_batch(&videos))
-        })
+        metrics::stage("stage/serve_batch", || extractor.extract_window_batch(&videos))
     }));
     let elapsed = t0.elapsed();
     shared.stats.batched_clips.fetch_add(live.len() as u64, Ordering::Relaxed);
@@ -498,7 +426,7 @@ fn run_clips(
                         ServeStats::inc(&shared.stats.completed);
                         Ok(Extraction {
                             scenario,
-                            plane,
+                            plane: Precision::F32,
                             queued_us: queue_wait_us(p.enqueued, drained),
                             batch_size: size,
                         })
@@ -529,7 +457,6 @@ fn run_streams(
     shared: &Shared,
     extractor: &ScenarioExtractor,
     jobs: Vec<StreamJob>,
-    plane: Precision,
     drained: Instant,
 ) {
     if jobs.is_empty() {
@@ -551,7 +478,7 @@ fn run_streams(
 
     let t0 = Instant::now();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        PLANE.with(plane, || stream_round(shared, extractor, &live, plane, drained))
+        stream_round(shared, extractor, &live, drained)
     }));
     let elapsed = t0.elapsed();
     match outcome {
@@ -591,7 +518,6 @@ fn stream_round(
     shared: &Shared,
     extractor: &ScenarioExtractor,
     jobs: &[StreamJob],
-    plane: Precision,
     drained: Instant,
 ) -> (Vec<StreamResult>, usize) {
     // Hold every session's state lock for the whole round: staging, the
@@ -643,7 +569,7 @@ fn stream_round(
                 frames_seen: g.frames_seen(),
                 ready: g.ready(),
                 scenario,
-                plane,
+                plane: Precision::F32,
                 queued_us: queue_wait_us(j.enqueued, drained),
                 mux_streams: report.streams,
                 mux_groups: report.groups,
@@ -698,11 +624,7 @@ mod tests {
     fn coalesces_concurrent_submissions_into_one_forward() {
         let ex = tiny_extractor();
         let stats = Arc::new(ServeStats::default());
-        let b = Batcher::start(
-            Arc::clone(&ex),
-            BatchConfig { max_batch: 8, degrade_depth: None, ..BatchConfig::default() },
-            Arc::clone(&stats),
-        );
+        let b = Batcher::start(Arc::clone(&ex), BatchConfig::default(), Arc::clone(&stats));
         let rxs: Vec<_> = (0..6).map(|i| b.submit(video(i as f32), None, 0).unwrap()).collect();
         let mut sizes = Vec::new();
         for (i, rx) in rxs.into_iter().enumerate() {
@@ -729,7 +651,7 @@ mod tests {
         // then fill the queue behind it.
         let b = Batcher::start(
             Arc::clone(&ex),
-            BatchConfig { queue_capacity: 2, max_batch: 1, ..BatchConfig::default() },
+            BatchConfig { queue_capacity: 2, max_batch: 1 },
             Arc::clone(&stats),
         );
         let mut kept = Vec::new();
@@ -784,87 +706,25 @@ mod tests {
     }
 
     #[test]
-    fn the_valve_opens_only_where_int8_is_the_faster_plane() {
-        let armed = BatchConfig { degrade_depth: Some(4), ..BatchConfig::default() };
-        // Below the threshold, or with no threshold, a round follows the
-        // configuration, else the dial.
-        assert_eq!(round_plane(3, &armed, Precision::F32, true), (Precision::F32, false));
-        assert_eq!(round_plane(3, &armed, Precision::Int8, true), (Precision::Int8, false));
-        let pinned = BatchConfig { precision: Some(Precision::Int8), degrade_depth: None, ..armed };
-        assert_eq!(round_plane(99, &pinned, Precision::F32, true), (Precision::Int8, false));
-        // At the threshold it degrades where that buys latency...
-        assert_eq!(round_plane(4, &armed, Precision::F32, true), (Precision::Int8, true));
-        // ...and nowhere else: on an AVX-512 host int8 is the slower plane.
-        assert_eq!(round_plane(4, &armed, Precision::F32, false), (Precision::F32, false));
-        assert_eq!(round_plane(99, &pinned, Precision::F32, false), (Precision::Int8, false));
-    }
-
-    #[test]
-    fn degrade_threshold_flips_batches_to_int8() {
-        // Once per f32 kernel this host has: the selected one is the arm a
-        // server here takes, and the portable one is the other arm.
-        for &kernel in Kernel::available() {
-            let ex = tiny_extractor();
-            let stats = Arc::new(ServeStats::default());
-            // Threshold 1: every batch sees depth >= 1 at drain time.
-            let cfg = BatchConfig { degrade_depth: Some(1), ..BatchConfig::default() };
-            let b =
-                KERNEL.with(kernel, || Batcher::start(Arc::clone(&ex), cfg, Arc::clone(&stats)));
-            let rx = b.submit(video(3.0), None, 0).unwrap();
-            let out = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
-            let plane = if kernel == Kernel::Avx512 { PLANE.get() } else { Precision::Int8 };
-            assert_eq!(out.plane, plane, "{kernel}");
-            let degraded = u64::from(kernel != Kernel::Avx512);
-            assert_eq!(ServeStats::get(&stats.batches_degraded), degraded, "{kernel}");
-            // The answer matches that plane run directly.
-            let reference = PLANE.with(plane, || ex.extract_checked(&video(3.0)).unwrap());
-            assert_eq!(out.scenario, reference, "{kernel}");
-            b.drain();
-        }
-    }
-
-    #[test]
-    fn a_panicking_degraded_round_does_not_leak_its_plane() {
+    fn a_panicking_encode_round_answers_500_and_the_worker_keeps_serving() {
         let ex = tiny_extractor();
         let stats = Arc::new(ServeStats::default());
         let sessions = SessionManager::new(SessionConfig::default(), Arc::clone(&stats));
-        // Two queued jobs at drain time open the valve (armed on any host by
-        // starting under the portable kernel); one does not.
-        let cfg = BatchConfig { degrade_depth: Some(2), ..BatchConfig::default() };
-        let b = KERNEL
-            .with(Kernel::Portable, || Batcher::start(Arc::clone(&ex), cfg, Arc::clone(&stats)));
+        let b = Batcher::start(Arc::clone(&ex), BatchConfig::default(), Arc::clone(&stats));
 
-        // Park the worker in a round of its own and queue two pushes behind
-        // it. Their sessions cut 4-pixel patches the extractor's 8-pixel
+        // A session that cuts 4-pixel patches the extractor's 8-pixel
         // embedding cannot multiply: the round's one encode forward panics.
-        let blocker = sessions.create(tiny_cfg()).unwrap();
-        let parked = lock(&blocker.state);
+        let entry = sessions.create(ModelConfig { patch: 4, ..tiny_cfg() }).unwrap();
         let half = Tensor::from_fn(&[2, 16, 16], |i| (i as f32 * 0.01).sin());
-        let blocked = b.submit_stream(Arc::clone(&blocker), half.clone(), None, 0).unwrap();
-        while b.depth() > 0 {
-            std::thread::yield_now();
-        }
-        let rxs: Vec<_> = (0..2)
-            .map(|_| {
-                let entry = sessions.create(ModelConfig { patch: 4, ..tiny_cfg() }).unwrap();
-                b.submit_stream(entry, half.clone(), None, 0).unwrap()
-            })
-            .collect();
-        drop(parked);
-        assert!(blocked.recv_timeout(Duration::from_secs(30)).unwrap().is_ok());
-        for rx in rxs {
-            let e = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap_err();
-            assert!(matches!(e, ServeError::Internal { .. }), "{e:?}");
-        }
-        assert_eq!(ServeStats::get(&stats.batches_degraded), 1, "the poisoned round was degraded");
+        let rx = b.submit_stream(entry, half, None, 0).unwrap();
+        let e = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap_err();
+        assert!(matches!(e, ServeError::Internal { .. }), "{e:?}");
         assert_eq!(ServeStats::get(&stats.panics_caught), 1);
 
-        // The next, unpressured round answers on the dialed plane: the int8
-        // override did not outlive the forward that panicked under it.
+        // The next round is served, with the answer a direct extraction gives.
         let lone = b.submit(video(5.0), None, 0).unwrap();
         let out = lone.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
-        assert_eq!(out.plane, PLANE.get(), "a caught panic left the worker forced to int8");
-        assert_eq!(ServeStats::get(&stats.batches_int8), 1);
+        assert_eq!(out.scenario, ex.extract_checked(&video(5.0)).unwrap());
         b.drain();
     }
 

@@ -41,7 +41,9 @@ impl Head {
     ///
     /// # Errors
     ///
-    /// `BadRequest` when the value is present but not a number, or when a
+    /// `BadRequest` when a value is anything but ASCII digits (`+5` too),
+    /// when two `Content-Length` headers disagree (a peer or proxy framing
+    /// by the other one would desynchronize the stream), or when a
     /// `Transfer-Encoding` is declared (chunked bodies are unsupported —
     /// rejecting them outright is what keeps body reads bounded).
     pub fn content_length(&self) -> Result<usize, ServeError> {
@@ -50,12 +52,20 @@ impl Head {
                 detail: "transfer-encoding is not supported; send Content-Length".into(),
             });
         }
-        match self.header("content-length") {
-            None => Ok(0),
-            Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| ServeError::BadRequest { detail: "bad Content-Length".into() }),
+        let bad = |detail: &str| ServeError::BadRequest { detail: detail.into() };
+        let mut declared = None;
+        for (_, v) in self.headers.iter().filter(|(k, _)| k == "content-length") {
+            // `str::parse` alone would take a leading `+`.
+            if !v.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(bad("bad Content-Length"));
+            }
+            let n = v.parse::<usize>().map_err(|_| bad("bad Content-Length"))?;
+            if declared.is_some_and(|first| first != n) {
+                return Err(bad("conflicting Content-Length headers"));
+            }
+            declared = Some(n);
         }
+        Ok(declared.unwrap_or(0))
     }
 
     /// Whether the client asked for the connection to close after this
@@ -374,10 +384,26 @@ mod tests {
         let h = read_head(&mut r).unwrap().unwrap();
         assert!(matches!(read_body(&mut r, &h, 64), Err(ServeError::BadRequest { .. })));
 
-        let chunked = "POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n";
-        let mut r = BufReader::new(chunked.as_bytes());
+        // Unframeable: chunked, two lengths that disagree, a length that is
+        // not digits only.
+        for framing in [
+            "transfer-encoding: chunked",
+            "content-length: 5\r\ncontent-length: 50",
+            "content-length: +5",
+        ] {
+            let raw = format!("POST / HTTP/1.1\r\n{framing}\r\n\r\nhello");
+            let mut r = BufReader::new(raw.as_bytes());
+            let h = read_head(&mut r).unwrap().unwrap();
+            assert!(
+                matches!(read_body(&mut r, &h, 64), Err(ServeError::BadRequest { .. })),
+                "{framing}"
+            );
+        }
+        // The same length twice is one length.
+        let raw = "POST / HTTP/1.1\r\ncontent-length: 5\r\nContent-Length: 5\r\n\r\nhello";
+        let mut r = BufReader::new(raw.as_bytes());
         let h = read_head(&mut r).unwrap().unwrap();
-        assert!(matches!(read_body(&mut r, &h, 64), Err(ServeError::BadRequest { .. })));
+        assert_eq!(read_body(&mut r, &h, 16).unwrap(), b"hello");
     }
 
     #[test]

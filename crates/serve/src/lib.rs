@@ -22,10 +22,6 @@
 //! * **Deadlines**: `X-Deadline-Ms` propagates into the batcher, which
 //!   drops entries whose budget an EWMA forward estimate says cannot be
 //!   met — shedding beats accepting-then-missing.
-//! * **Degrade under pressure**: when queue depth crosses a threshold, on a
-//!   host where int8 is the faster plane (no AVX-512 f32 kernel), batches
-//!   flip to the int8 plane — latency is bought with precision, visibly
-//!   (the response names the plane that served it).
 //! * **Fault containment** ([`error`], [`http`]): every malformed request,
 //!   slow client, disconnect, or handler panic maps to a typed
 //!   [`ServeError`] and at worst closes *that* connection. The listener

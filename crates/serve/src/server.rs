@@ -17,7 +17,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use tsdx_core::ScenarioExtractor;
-use tsdx_tensor::dial::PLANE;
 use tsdx_tensor::Tensor;
 
 use crate::batcher::{BatchConfig, Batcher};
@@ -350,10 +349,7 @@ fn route(
             }
         }
         ("GET", "/stats" | "/metrics") => {
-            let plane = inner.cfg.batch.precision.unwrap_or_else(|| PLANE.get());
-            Ok(Response::ok(
-                inner.stats.to_json(plane.label(), !inner.shutting_down.load(Ordering::SeqCst)),
-            ))
+            Ok(Response::ok(inner.stats.to_json(!inner.shutting_down.load(Ordering::SeqCst))))
         }
         ("POST", "/v1/extract") => extract_endpoint(inner, head, reader, writer, request_index),
         ("POST", "/search") => search_endpoint(inner, head, reader, writer, request_index),
@@ -431,11 +427,10 @@ fn extract_endpoint(
     })??;
     Ok(Response::ok(format!(
         concat!(
-            "{{\"scenario\":\"{scenario}\",\"plane\":\"{plane}\",",
+            "{{\"scenario\":\"{scenario}\",",
             "\"batch_size\":{batch},\"queued_us\":{queued},\"request\":{index}}}"
         ),
         scenario = json::escape(&answer.scenario.to_string()),
-        plane = answer.plane.label(),
         batch = answer.batch_size,
         queued = answer.queued_us,
         index = request_index,
@@ -519,14 +514,12 @@ fn search_endpoint(
     Ok(Response::ok(format!(
         concat!(
             "{{\"hits\":{hits},\"k\":{k},\"indexed\":{len},\"scenario\":\"{scenario}\",",
-            "\"plane\":\"{plane}\",\"batch_size\":{batch},\"queued_us\":{queued},",
-            "\"request\":{index}}}"
+            "\"batch_size\":{batch},\"queued_us\":{queued},\"request\":{index}}}"
         ),
         hits = hits_to_json(&hits),
         k = k,
         len = search.len(),
         scenario = json::escape(&answer.scenario.to_string()),
-        plane = answer.plane.label(),
         batch = answer.batch_size,
         queued = answer.queued_us,
         index = request_index,
@@ -653,7 +646,7 @@ fn frames_endpoint(
     Ok(Response::ok(format!(
         concat!(
             "{{\"session\":{id},\"groups_new\":{gn},\"frames_seen\":{fs},",
-            "\"ready\":{ready},\"scenario\":{scenario},\"plane\":\"{plane}\",",
+            "\"ready\":{ready},\"scenario\":{scenario},",
             "\"mux_streams\":{ms},\"mux_groups\":{mg},\"queued_us\":{queued},",
             "\"request\":{index}}}"
         ),
@@ -662,7 +655,6 @@ fn frames_endpoint(
         fs = answer.frames_seen,
         ready = answer.ready,
         scenario = scenario,
-        plane = answer.plane.label(),
         ms = answer.mux_streams,
         mg = answer.mux_groups,
         queued = answer.queued_us,

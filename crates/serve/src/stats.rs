@@ -35,10 +35,6 @@ pub struct ServeStats {
     pub panics_caught: AtomicU64,
     /// Batched forwards executed.
     pub batches: AtomicU64,
-    /// Batched forwards that ran on the int8 plane.
-    pub batches_int8: AtomicU64,
-    /// Batched forwards the pressure valve degraded to int8.
-    pub batches_degraded: AtomicU64,
     /// Clips summed over all executed batches (mean batch size =
     /// `batched_clips / batches`).
     pub batched_clips: AtomicU64,
@@ -109,7 +105,7 @@ impl ServeStats {
 
     /// The `/stats` JSON document: admission counters plus p50/p99 (µs) of
     /// every worker-side stage histogram.
-    pub fn to_json(&self, active_plane: &str, ready: bool) -> String {
+    pub fn to_json(&self, ready: bool) -> String {
         let snap = self.worker_metrics();
         let mut stages = String::new();
         for (key, h) in &snap.hists {
@@ -134,12 +130,10 @@ impl ServeStats {
         }
         format!(
             concat!(
-                "{{\"ready\":{ready},\"plane\":\"{plane}\",",
-                "\"accepted\":{accepted},\"completed\":{completed},",
+                "{{\"ready\":{ready},\"accepted\":{accepted},\"completed\":{completed},",
                 "\"shed_queue_full\":{sqf},\"shed_deadline\":{sd},\"shed_busy\":{sb},",
                 "\"rejected\":{rej},\"panics_caught\":{pan},",
-                "\"batches\":{batches},\"batches_int8\":{b8},\"batches_degraded\":{bd},",
-                "\"batched_clips\":{clips},\"queue_depth\":{depth},",
+                "\"batches\":{batches},\"batched_clips\":{clips},\"queue_depth\":{depth},",
                 "\"active_sessions\":{active},\"sessions_opened\":{opened},",
                 "\"sessions_closed\":{closed_n},\"evicted_sessions\":{evicted},",
                 "\"shed_sessions\":{shed_s},\"stream_pushes\":{pushes},",
@@ -162,7 +156,6 @@ impl ServeStats {
             c_hit = snap.counter("stage/cache_hit"),
             c_miss = snap.counter("stage/cache_miss"),
             w_hit = snap.counter("stage/window_hit"),
-            plane = active_plane,
             accepted = Self::get(&self.accepted),
             completed = Self::get(&self.completed),
             sqf = Self::get(&self.shed_queue_full),
@@ -171,8 +164,6 @@ impl ServeStats {
             rej = Self::get(&self.rejected),
             pan = Self::get(&self.panics_caught),
             batches = Self::get(&self.batches),
-            b8 = Self::get(&self.batches_int8),
-            bd = Self::get(&self.batches_degraded),
             clips = Self::get(&self.batched_clips),
             depth = Self::get(&self.queue_depth),
             stages = stages,
@@ -195,7 +186,7 @@ mod tests {
         drop(scope);
         stats.record_mux_batch(3, 7);
         stats.record_mux_batch(1, 2);
-        let j = stats.to_json("f32", true);
+        let j = stats.to_json(true);
         assert!(j.contains("\"accepted\":1"), "{j}");
         assert!(j.contains("\"shed_queue_full\":1"), "{j}");
         assert!(j.contains("\"stage/serve_batch\""), "{j}");

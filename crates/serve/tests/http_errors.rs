@@ -110,6 +110,42 @@ fn routing_and_framing_failures_are_typed() {
     server.shutdown();
 }
 
+/// A body whose length the head does not state once and plainly is never
+/// read: two `Content-Length` headers that disagree (a proxy framing by the
+/// other one would desynchronize the stream) and a signed one both answer
+/// 400 and close, and a fresh connection is served as if nothing happened.
+#[test]
+fn ambiguous_content_length_is_400_and_closes() {
+    let mut server = Server::start(tiny_extractor(), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let pixels = valid_pixels();
+    let body: Vec<u8> = pixels.iter().flat_map(|f| f.to_le_bytes()).collect();
+    let n = body.len();
+    for framing in [
+        format!("content-length: {n}\r\ncontent-length: {}", n + 7),
+        format!("content-length: +{n}"),
+    ] {
+        let mut c = Client::connect(addr);
+        c.send_raw(
+            format!(
+                "POST /v1/extract HTTP/1.1\r\nhost: test\r\ncontent-type: application/octet-stream\r\n\
+                 x-video-shape: 4x16x16\r\n{framing}\r\n\r\n"
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+        c.send_raw(&body).unwrap();
+        let resp = c.read_response().unwrap();
+        assert_eq!(resp.status, 400, "{framing}: {}", resp.body);
+        assert!(resp.body.contains("\"kind\":\"bad_request\""), "{}", resp.body);
+        assert_eq!(resp.header("connection"), Some("close"), "{framing}");
+
+        let honest = post_clip(addr, "4x16x16", &pixels, &[]).unwrap();
+        assert_eq!(honest.status, 200, "{}", honest.body);
+    }
+    server.shutdown();
+}
+
 /// Three honest clients at once, four extractions each: the statuses they
 /// got. The fault tests run them beside their misbehaving client — a
 /// stalled or vanished peer must cost them nothing.

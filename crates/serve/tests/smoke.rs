@@ -1,9 +1,6 @@
 //! End-to-end smoke: boot a real server on a real socket, health-check it,
 //! run extraction round-trips in both encodings, and prove graceful
 //! shutdown answers everything already admitted.
-//!
-//! The extraction round-trips run on both precision planes, configured on
-//! the server as a deployment would.
 
 mod common;
 
@@ -14,14 +11,6 @@ use std::time::Duration;
 use common::{get, post_clip, tiny_extractor, valid_pixels, Client};
 use tsdx_sdl::parse_scenario;
 use tsdx_serve::{BatchConfig, SearchService, Server, ServerConfig};
-use tsdx_tensor::dial::Precision;
-
-/// [`test_config`] serving on `plane`, and the `"plane"` member its replies
-/// carry when nothing degrades the batch.
-fn config_on(plane: Precision) -> (ServerConfig, String) {
-    let batch = BatchConfig { precision: Some(plane), ..BatchConfig::default() };
-    (ServerConfig { batch, ..test_config() }, format!("\"plane\":\"{plane}\""))
-}
 
 fn test_config() -> ServerConfig {
     ServerConfig {
@@ -56,34 +45,35 @@ fn health_ready_stats_round_trip() {
 }
 
 #[test]
-fn extraction_round_trips_in_both_encodings() {
-    for plane in [Precision::F32, Precision::Int8] {
-        let (config, configured_plane) = config_on(plane);
-        let mut server = Server::start(tiny_extractor(), config).unwrap();
-        let addr = server.local_addr();
-        let pixels = valid_pixels();
+fn extraction_round_trips_in_both_encodings_without_the_int8_kernel() {
+    let mut server = Server::start(tiny_extractor(), test_config()).unwrap();
+    let addr = server.local_addr();
+    let pixels = valid_pixels();
 
-        // Fast path: raw f32 little-endian body + shape header.
-        let resp = post_clip(addr, "4x16x16", &pixels, &[]).unwrap();
-        assert_eq!(resp.status, 200, "{}", resp.body);
-        let parsed = tsdx_serve::json::parse(resp.body.as_bytes()).unwrap();
-        let scenario = parsed.get("scenario").expect("response carries a scenario");
-        assert!(matches!(scenario, tsdx_serve::json::Json::Str(s) if s.contains("ego ")));
-        assert!(resp.body.contains(&configured_plane), "{}", resp.body);
+    // Fast path: raw f32 little-endian body + shape header.
+    let resp = post_clip(addr, "4x16x16", &pixels, &[]).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let parsed = tsdx_serve::json::parse(resp.body.as_bytes()).unwrap();
+    let scenario = parsed.get("scenario").expect("response carries a scenario");
+    assert!(matches!(scenario, tsdx_serve::json::Json::Str(s) if s.contains("ego ")));
 
-        // JSON path answers the same scenario for the same pixels.
-        let pixel_list = pixels.iter().map(|p| format!("{p}")).collect::<Vec<_>>().join(",");
-        let body = format!("{{\"shape\":[4,16,16],\"pixels\":[{pixel_list}]}}");
-        // A temporary client: a connection left open would hold `shutdown`
-        // for the whole read timeout.
-        let json_resp =
-            Client::connect(addr).request("POST", "/v1/extract", &[], body.as_bytes()).unwrap();
-        assert_eq!(json_resp.status, 200, "{}", json_resp.body);
-        let json_parsed = tsdx_serve::json::parse(json_resp.body.as_bytes()).unwrap();
-        assert_eq!(json_parsed.get("scenario"), parsed.get("scenario"));
+    // JSON path answers the same scenario for the same pixels.
+    let pixel_list = pixels.iter().map(|p| format!("{p}")).collect::<Vec<_>>().join(",");
+    let body = format!("{{\"shape\":[4,16,16],\"pixels\":[{pixel_list}]}}");
+    // A temporary client: a connection left open would hold `shutdown`
+    // for the whole read timeout.
+    let json_resp =
+        Client::connect(addr).request("POST", "/v1/extract", &[], body.as_bytes()).unwrap();
+    assert_eq!(json_resp.status, 200, "{}", json_resp.body);
+    let json_parsed = tsdx_serve::json::parse(json_resp.body.as_bytes()).unwrap();
+    assert_eq!(json_parsed.get("scenario"), parsed.get("scenario"));
 
-        server.shutdown();
-    }
+    server.shutdown();
+    // Both forwards ran under the worker's scope, and no linear layer of a
+    // served model reaches the int8 GEMM `tsdx_tensor::quant` still holds.
+    let worker = server.stats().worker_metrics();
+    assert_eq!(worker.hists.get("stage/serve_batch").map_or(0, |h| h.count), 2);
+    assert_eq!(worker.counter("dispatch/matmul_i8"), 0);
 }
 
 fn tiny_corpus() -> Arc<SearchService> {
@@ -139,43 +129,39 @@ fn search_by_sdl_round_trips_with_typed_rejections() {
 
 #[test]
 fn search_by_clip_round_trips_in_both_encodings() {
-    for plane in [Precision::F32, Precision::Int8] {
-        let (config, configured_plane) = config_on(plane);
-        let mut server =
-            Server::start_with_search(tiny_extractor(), Some(tiny_corpus()), config).unwrap();
-        let addr = server.local_addr();
-        let pixels = valid_pixels();
+    let mut server =
+        Server::start_with_search(tiny_extractor(), Some(tiny_corpus()), test_config()).unwrap();
+    let addr = server.local_addr();
+    let pixels = valid_pixels();
 
-        // Fast path: raw pixels + shape header, k from X-Search-K.
-        let body: Vec<u8> = pixels.iter().flat_map(|f| f.to_le_bytes()).collect();
-        let headers = [
-            ("content-type", "application/octet-stream"),
-            ("x-video-shape", "4x16x16"),
-            ("x-search-k", "3"),
-        ];
-        let resp = Client::connect(addr).request("POST", "/search", &headers, &body).unwrap();
-        assert_eq!(resp.status, 200, "{}", resp.body);
-        let parsed = tsdx_serve::json::parse(resp.body.as_bytes()).unwrap();
-        let hits = parsed.get("hits").and_then(|h| h.as_arr()).expect("hits array");
-        assert_eq!(hits.len(), 3);
-        assert!(matches!(
-            parsed.get("scenario"),
-            Some(tsdx_serve::json::Json::Str(s)) if s.contains("ego ")
-        ));
-        assert!(resp.body.contains(&configured_plane), "{}", resp.body);
+    // Fast path: raw pixels + shape header, k from X-Search-K.
+    let body: Vec<u8> = pixels.iter().flat_map(|f| f.to_le_bytes()).collect();
+    let headers = [
+        ("content-type", "application/octet-stream"),
+        ("x-video-shape", "4x16x16"),
+        ("x-search-k", "3"),
+    ];
+    let resp = Client::connect(addr).request("POST", "/search", &headers, &body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let parsed = tsdx_serve::json::parse(resp.body.as_bytes()).unwrap();
+    let hits = parsed.get("hits").and_then(|h| h.as_arr()).expect("hits array");
+    assert_eq!(hits.len(), 3);
+    assert!(matches!(
+        parsed.get("scenario"),
+        Some(tsdx_serve::json::Json::Str(s)) if s.contains("ego ")
+    ));
 
-        // JSON clip variant: same pixels, k in the body, identical extraction.
-        let pixel_list = pixels.iter().map(|p| format!("{p}")).collect::<Vec<_>>().join(",");
-        let json_body = format!("{{\"shape\":[4,16,16],\"pixels\":[{pixel_list}],\"k\":3}}");
-        let json_resp =
-            Client::connect(addr).request("POST", "/search", &[], json_body.as_bytes()).unwrap();
-        assert_eq!(json_resp.status, 200, "{}", json_resp.body);
-        let json_parsed = tsdx_serve::json::parse(json_resp.body.as_bytes()).unwrap();
-        assert_eq!(json_parsed.get("scenario"), parsed.get("scenario"));
-        assert_eq!(json_parsed.get("hits"), parsed.get("hits"));
+    // JSON clip variant: same pixels, k in the body, identical extraction.
+    let pixel_list = pixels.iter().map(|p| format!("{p}")).collect::<Vec<_>>().join(",");
+    let json_body = format!("{{\"shape\":[4,16,16],\"pixels\":[{pixel_list}],\"k\":3}}");
+    let json_resp =
+        Client::connect(addr).request("POST", "/search", &[], json_body.as_bytes()).unwrap();
+    assert_eq!(json_resp.status, 200, "{}", json_resp.body);
+    let json_parsed = tsdx_serve::json::parse(json_resp.body.as_bytes()).unwrap();
+    assert_eq!(json_parsed.get("scenario"), parsed.get("scenario"));
+    assert_eq!(json_parsed.get("hits"), parsed.get("hits"));
 
-        server.shutdown();
-    }
+    server.shutdown();
 }
 
 #[test]
@@ -255,10 +241,8 @@ fn overload_sheds_typed_and_drops_nothing_admitted() {
     // time can hold: the surplus must be shed with typed, retryable
     // envelopes, and everything admitted must be answered inside its budget.
     let (clients, requests, deadline_ms) = (12usize, 6usize, 2000u64);
-    let cfg = ServerConfig {
-        batch: BatchConfig { queue_capacity: 4, max_batch: 2, ..BatchConfig::default() },
-        ..test_config()
-    };
+    let cfg =
+        ServerConfig { batch: BatchConfig { queue_capacity: 4, max_batch: 2 }, ..test_config() };
     let mut server = Server::start(tiny_extractor(), cfg).unwrap();
     let addr = server.local_addr();
     let start = std::sync::Barrier::new(clients);

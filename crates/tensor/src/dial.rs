@@ -12,13 +12,13 @@
 //!   closure panics, so a server that runs a forward under `catch_unwind`
 //!   cannot be left on the overridden value.
 //!
-//! Every switch of the stack is a `Dial`: the three `TSDX_*` variables
-//! ([`THREADS`], [`PLANE`], and `TSDX_LOG` in `tsdx-core`'s telemetry) and
-//! three with no variable that exist for the parity suites ([`RECYCLE`],
-//! [`KERNEL`], [`I8_SIMD`]). No other module calls `std::env::var` or keeps
-//! an override thread-local. [`RunConfig`] is the four numeric ones as one
-//! value; results are bit-identical across all of its combinations within a
-//! [`Precision`] plane.
+//! Every switch of the stack is a `Dial`: the two `TSDX_*` variables
+//! ([`THREADS`], and `TSDX_LOG` in `tsdx-core`'s telemetry) and three with no
+//! variable that exist for the parity suites ([`RECYCLE`], [`KERNEL`],
+//! [`I8_SIMD`]). No other module calls `std::env::var` or keeps an override
+//! thread-local. [`RunConfig`] is the three the model's results must not
+//! depend on, as one value; results are bit-identical across all of its
+//! combinations.
 
 use std::cell::Cell;
 use std::fmt;
@@ -107,30 +107,19 @@ impl<T: Copy + 'static> Dial<T> {
     }
 }
 
-/// Numeric plane of eval-time (frozen) model bindings. Training is always
-/// f32; outputs are bit-identical across every other switch *within* a plane.
+// pinned by benchmark/src/replay.rs — goes with the re-pin, ROADMAP item 1
+/// The numeric plane a served answer was computed on. The model runs f32
+/// only, so there is one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
-    /// Full-precision kernels — the bit-parity reference.
+    /// Full-precision kernels.
     F32,
-    /// Per-channel int8 weights + dynamic per-row int8 activations
-    /// ([`crate::quant`]).
-    Int8,
 }
 
 impl Precision {
-    /// The plane's spelling (`"f32"` / `"int8"`), as `TSDX_PRECISION` takes it.
+    /// The plane's spelling, `"f32"`.
     pub fn label(self) -> &'static str {
-        match self {
-            Precision::F32 => "f32",
-            Precision::Int8 => "int8",
-        }
-    }
-}
-
-impl fmt::Display for Precision {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
+        "f32"
     }
 }
 
@@ -178,24 +167,12 @@ fn parse_threads(raw: Option<&str>) -> Result<usize, String> {
     }
 }
 
-fn parse_plane(raw: Option<&str>) -> Result<Precision, String> {
-    match raw {
-        None | Some("f32") => Ok(Precision::F32),
-        Some("int8") => Ok(Precision::Int8),
-        Some(_) => Err("must be \"f32\" or \"int8\"".to_string()),
-    }
-}
-
 dial! {
     /// `TSDX_NUM_THREADS`: worker count of the shared [`crate::pool`]
     /// (default: available parallelism). An override also makes pooled
     /// kernels chunk below their serial thresholds
     /// ([`crate::pool::with_forced_threads`]).
     pub static THREADS: usize = Some("TSDX_NUM_THREADS"), parse_threads;
-
-    /// `TSDX_PRECISION`: the plane eval-time bindings of the video scenario
-    /// transformer take (default `f32`); `tsdx-core` reads it.
-    pub static PLANE: Precision = Some("TSDX_PRECISION"), parse_plane;
 
     /// Whether [`crate::workspace`] recycles buffers. No variable: on for
     /// the process, off per thread in the parity and allocation suites.
@@ -206,13 +183,14 @@ dial! {
     /// travels with the job, so pool workers follow the dispatching thread).
     pub static KERNEL: Kernel = None, |_| Ok(*Kernel::available().last().expect("portable"));
 
+    // pinned by benchmark/src/replay.rs — goes with the re-pin, ROADMAP item 1
     /// Whether [`crate::quant`] may run its AVX2 micro-kernels where the CPU
     /// has AVX2. No variable: on for the process, off per thread in the int8
     /// parity tests, which compare against the scalar reference.
     pub static I8_SIMD: bool = None, |_| Ok(true);
 }
 
-/// The four numeric switches as one value.
+/// The three numeric switches of the model as one value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunConfig {
     /// [`THREADS`].
@@ -221,43 +199,32 @@ pub struct RunConfig {
     pub recycle: bool,
     /// [`KERNEL`].
     pub kernel: Kernel,
-    /// [`PLANE`].
-    pub plane: Precision,
 }
 
 impl RunConfig {
     /// What this thread runs with now.
     pub fn current() -> RunConfig {
-        RunConfig {
-            threads: THREADS.get(),
-            recycle: RECYCLE.get(),
-            kernel: KERNEL.get(),
-            plane: PLANE.get(),
-        }
+        RunConfig { threads: THREADS.get(), recycle: RECYCLE.get(), kernel: KERNEL.get() }
     }
 
-    /// Runs `f` on this thread with all four switches overridden (so pooled
+    /// Runs `f` on this thread with all three switches overridden (so pooled
     /// kernels chunk `threads` ways whatever their size), restoring them
     /// afterwards, also on unwind. Panics on `threads == 0` or a kernel this
     /// CPU cannot run.
     pub fn run<R>(self, f: impl FnOnce() -> R) -> R {
         assert!(self.threads > 0, "forced thread count must be positive");
         assert!(Kernel::available().contains(&self.kernel), "{} needs AVX-512F", self.kernel);
-        THREADS.with(self.threads, || {
-            RECYCLE.with(self.recycle, || KERNEL.with(self.kernel, || PLANE.with(self.plane, f)))
-        })
+        THREADS.with(self.threads, || RECYCLE.with(self.recycle, || KERNEL.with(self.kernel, f)))
     }
 
     /// Every combination the parity suites exercise: pool sizes 1 and 2 ×
-    /// recycling off and on × each kernel this CPU has × both planes.
+    /// recycling off and on × each kernel this CPU has.
     pub fn matrix() -> Vec<RunConfig> {
         let mut all = Vec::new();
         for threads in [1, 2] {
             for recycle in [false, true] {
                 for &kernel in Kernel::available() {
-                    for plane in [Precision::F32, Precision::Int8] {
-                        all.push(RunConfig { threads, recycle, kernel, plane });
-                    }
+                    all.push(RunConfig { threads, recycle, kernel });
                 }
             }
         }
@@ -269,8 +236,8 @@ impl fmt::Display for RunConfig {
     /// The live-values line binaries print at start-up.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let recycle = if self.recycle { "on" } else { "off" };
-        let RunConfig { threads, plane, kernel, .. } = self;
-        write!(f, "threads={threads} plane={plane} f32-kernel=\"{kernel}\" recycle={recycle}")
+        let RunConfig { threads, kernel, .. } = self;
+        write!(f, "threads={threads} f32-kernel=\"{kernel}\" recycle={recycle}")
     }
 }
 
@@ -283,18 +250,9 @@ mod tests {
     fn one_parse_policy_for_every_variable() {
         // unset → default
         assert!(THREADS.parse(None).unwrap() >= 1);
-        assert_eq!(PLANE.parse(None), Ok(Precision::F32));
         // valid, padded, any case → value
         for (raw, want) in [("2", 2), (" 2 ", 2), ("16\n", 16)] {
             assert_eq!(THREADS.parse(Some(raw)), Ok(want), "{raw:?}");
-        }
-        for (raw, want) in [
-            ("f32", Precision::F32),
-            ("int8", Precision::Int8),
-            (" int8 ", Precision::Int8),
-            ("INT8", Precision::Int8),
-        ] {
-            assert_eq!(PLANE.parse(Some(raw)), Ok(want), "{raw:?}");
         }
         // empty and garbage → an error naming the variable, what it takes,
         // and what it got
@@ -302,10 +260,6 @@ mod tests {
             let e = THREADS.parse(Some(raw)).unwrap_err();
             assert!(e.starts_with("TSDX_NUM_THREADS must be a positive integer"), "{e}");
             assert!(e.ends_with(&format!("got {raw:?}")), "{e}");
-        }
-        for raw in ["", "fp16", "int4", "f 32", "1"] {
-            let e = PLANE.parse(Some(raw)).unwrap_err();
-            assert!(e.starts_with("TSDX_PRECISION must be \"f32\" or \"int8\""), "{e}");
         }
     }
 
@@ -323,7 +277,6 @@ mod tests {
             threads: before.threads + 3,
             recycle: !before.recycle,
             kernel: Kernel::Portable,
-            plane: Precision::Int8,
         };
         let caught = catch_unwind(AssertUnwindSafe(|| {
             other.run(|| {
@@ -333,13 +286,13 @@ mod tests {
         }));
         assert!(caught.is_err());
         assert_eq!(RunConfig::current(), before);
-        assert_eq!((THREADS.forced(), RECYCLE.forced(), PLANE.forced()), (None, None, None));
+        assert_eq!((THREADS.forced(), RECYCLE.forced(), KERNEL.forced()), (None, None, None));
     }
 
     #[test]
     fn the_matrix_lists_every_combination_once() {
         let all = RunConfig::matrix();
-        assert_eq!(all.len(), 2 * 2 * Kernel::available().len() * 2);
+        assert_eq!(all.len(), 2 * 2 * Kernel::available().len());
         for (i, a) in all.iter().enumerate() {
             assert!(!all[i + 1..].contains(a), "{a} listed twice");
             a.run(|| assert_eq!(RunConfig::current(), *a));

@@ -63,6 +63,7 @@ mod graph;
 pub mod metrics;
 pub mod ops;
 pub mod pool;
+// pinned by benchmark/src/replay.rs — goes with the re-pin, ROADMAP item 1
 pub mod quant;
 pub mod shape;
 mod tensor;

@@ -1,5 +1,6 @@
-//! Per-channel symmetric int8 weight quantization and the packed i8 GEMM
-//! behind the `TSDX_PRECISION=int8` inference plane.
+//! Per-channel symmetric int8 weight quantization and the packed i8 GEMM.
+//! No model layer calls it: the benchmark's `tensor.q8_gemm_68x64x128`
+//! per-layer metric is its one caller outside this crate.
 //!
 //! # Scheme
 //!

@@ -46,12 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         summary.presence_f1 * 100.0
     );
 
-    // 5. Extract descriptions for a few test clips. Inference runs on the
-    // plane the `TSDX_PRECISION` dial selects (default f32); under int8,
-    // prepack the weights once up front so extraction never re-quantizes.
-    if tsdx::tensor::dial::PLANE.get() == tsdx::tensor::dial::Precision::Int8 {
-        println!("prepacked int8 weights: {}", extractor.quantize());
-    }
+    // 5. Extract descriptions for a few test clips.
     println!("\nsample extractions, truth vs predicted ({}):", tsdx::core::run_time_switches());
     for &i in split.test.iter().take(6) {
         // `extract_checked` reports malformed clips as a typed

@@ -35,8 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let restored = load_checkpoint(fresh.model_mut().params_mut(), &path)?;
     println!("restored {restored} parameter tensors");
 
-    // Reloaded predictions must match under whichever inference plane the
-    // `TSDX_PRECISION` dial selects (`extract_checked` reports malformed
+    // Reloaded predictions must match (`extract_checked` reports malformed
     // input as a typed `ExtractError`; `?` surfaces it).
     println!("comparing predictions ({})...", tsdx::core::run_time_switches());
     let video = &clips[0].video;

@@ -4,7 +4,7 @@
 #
 # No stage re-runs a suite under a TSDX_* variable: every run-time switch has
 # a per-thread override, so the suites cross pool size x buffer recycling x
-# f32 kernel x precision plane in process (the matrix test of
+# f32 kernel in process (the matrix test of
 # crates/core/tests/streaming_parity.rs and the other suites built on
 # tsdx_tensor::dial::RunConfig).
 set -euo pipefail
@@ -29,7 +29,7 @@ cargo test -q --release -p tsdx-core --test alloc_regression
 echo "==> tensor suite with 8 concurrent test threads (metric-scope isolation; AVX-512 kernel == portable kernel, bitwise)"
 cargo test -q -p tsdx-tensor -- --test-threads=8
 
-echo "==> profile binary smoke test (self-time coverage + overhead asserts, GEMM dispatch on both planes; index scan by query sparsity)"
+echo "==> profile binary smoke test (self-time coverage + overhead asserts, GEMM dispatch, no i8 product under the model; index scan by query sparsity)"
 # Its first line names the f32 kernel this host selected; on a CPU without
 # AVX-512F it is the portable one and the kernel parity above is vacuous.
 cargo run -q -p tsdx-bench --release --bin profile -- --quick | grep -o 'f32-kernel="[^"]*"'
