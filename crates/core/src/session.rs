@@ -247,7 +247,7 @@ fn refresh_windows(
     let labels =
         decode_logits(&logits.ego, &logits.road, &logits.event, &logits.position, &logits.presence);
     #[cfg(feature = "fault-inject")]
-    if tsdx_tensor::faults::take_readout_panic() {
+    if tsdx_tensor::faults::READOUT_PANIC.take().is_some() {
         panic!("injected fault: batched window readout");
     }
     for (row, (&i, label)) in stale.iter().zip(&labels).enumerate() {

@@ -301,7 +301,7 @@ pub fn train_resilient(
             let grads = g.backward(loss);
             let mut collected = model.params().collect_grads(&binding, &grads);
             #[cfg(feature = "fault-inject")]
-            if tsdx_tensor::faults::nan_grad_at(step) {
+            if tsdx_tensor::faults::NAN_GRAD.take_if(step) {
                 collected[0] = tsdx_tensor::Tensor::full(collected[0].shape(), f32::NAN);
             }
             if r.guard && (!loss_val.is_finite() || collected.iter().any(|t| t.has_non_finite())) {

@@ -217,14 +217,14 @@ pub(crate) fn save_shard(
     let mut bytes = encode(dim, base_id, rows);
     #[cfg(feature = "fault-inject")]
     {
-        if let Some(n) = tsdx_tensor::faults::take_shard_tear() {
+        if let Some(n) = tsdx_tensor::faults::SHARD_TEAR.take() {
             // Simulates a crash mid-write of a non-atomic writer: the
             // destination ends up holding a bare prefix of the encoding.
             let n = (n as usize).min(bytes.len());
             std::fs::write(path, &bytes[..n])?;
             return Ok(());
         }
-        if let Some(bit) = tsdx_tensor::faults::take_shard_bit_flip() {
+        if let Some(bit) = tsdx_tensor::faults::SHARD_BIT_FLIP.take() {
             // Simulates silent at-rest corruption of one bit.
             let byte = (bit / 8) as usize % bytes.len();
             bytes[byte] ^= 1 << (bit % 8) as u8;

@@ -110,7 +110,7 @@ mod fault_registry {
         faults::clear_all();
         let dir = fresh_dir("armed-tear");
         let ix = build_small();
-        faults::arm_shard_tear(20);
+        faults::SHARD_TEAR.arm(20);
         ix.save_to(&dir).expect("torn save still returns Ok");
         match VectorIndex::load(&dir) {
             Err(IndexError::Truncated { actual: 20, .. }) => {}
@@ -127,7 +127,7 @@ mod fault_registry {
         let dir = fresh_dir("armed-flip");
         let ix = build_small();
         // Bit 300 lands in the row data: both CRCs must catch it.
-        faults::arm_shard_bit_flip(300);
+        faults::SHARD_BIT_FLIP.arm(300);
         ix.save_to(&dir).expect("flipped save still returns Ok");
         match VectorIndex::load(&dir) {
             Err(IndexError::Checksum { .. }) | Err(IndexError::Format(_)) => {}
@@ -143,7 +143,7 @@ mod fault_registry {
         faults::clear_all();
         let dir = fresh_dir("armed-once");
         let ix = build_small();
-        faults::arm_shard_tear(4);
+        faults::SHARD_TEAR.arm(4);
         ix.save_to(&dir).expect("torn save");
         assert!(VectorIndex::load(&dir).is_err());
         // The fault disarmed on firing: the next save is intact.

@@ -499,14 +499,14 @@ pub fn save_train_checkpoint(
     let mut bytes = encode(ckpt);
     #[cfg(feature = "fault-inject")]
     {
-        if let Some(n) = tsdx_tensor::faults::take_checkpoint_tear() {
+        if let Some(n) = tsdx_tensor::faults::CHECKPOINT_TEAR.take() {
             // Simulates a crash mid-write of a non-atomic writer: the
             // destination ends up holding a bare prefix of the encoding.
             let n = (n as usize).min(bytes.len());
             std::fs::write(path, &bytes[..n])?;
             return Ok(());
         }
-        if let Some(bit) = tsdx_tensor::faults::take_checkpoint_bit_flip() {
+        if let Some(bit) = tsdx_tensor::faults::CHECKPOINT_BIT_FLIP.take() {
             // Simulates silent at-rest corruption of one bit.
             let byte = (bit / 8) as usize % bytes.len();
             bytes[byte] ^= 1 << (bit % 8) as u8;

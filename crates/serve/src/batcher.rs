@@ -2,8 +2,10 @@
 //! model.
 //!
 //! Concurrent requests land in one bounded **mixed** queue; a single worker
-//! thread drains up to `max_batch` of them at a time. Two job kinds share
-//! the queue and its admission/deadline machinery:
+//! thread drains up to `max_batch` of them at a time. Every request is one
+//! `Job` envelope — arrival time, deadline, budget — around its work, so
+//! admission, the deadline gate, panic containment and drain are written
+//! once; only the forwards differ by kind:
 //!
 //! * **One-shot clips** (`POST /v1/extract`): coalesced into one batched
 //!   encoder forward ([`ScenarioExtractor::extract_window_batch`]).
@@ -115,26 +117,64 @@ pub struct StreamAnswer {
 /// What a handler gets back for one submitted stream push.
 pub type StreamResult = Result<StreamAnswer, ServeError>;
 
-struct Pending {
-    video: Tensor,
+/// One admitted request — the envelope every kind of work travels in:
+/// when it arrived, what it may cost, and the work itself. Admission, the
+/// deadline gate, the panic fan-out and shutdown see only the envelope.
+struct Job<W = Work> {
     enqueued: Instant,
     deadline: Option<Instant>,
     budget_ms: u64,
+    work: W,
+}
+
+/// A one-shot window and where its answer goes.
+struct Clip {
+    video: Tensor,
     reply: Sender<BatchResult>,
 }
 
-struct StreamJob {
+/// A chunk pushed into a session and where its answer goes.
+struct Stream {
     entry: Arc<SessionEntry>,
     chunk: Tensor,
-    enqueued: Instant,
-    deadline: Option<Instant>,
-    budget_ms: u64,
     reply: Sender<StreamResult>,
 }
 
-enum Job {
-    Clip(Pending),
-    Stream(StreamJob),
+enum Work {
+    Clip(Clip),
+    Stream(Stream),
+}
+
+impl From<Clip> for Work {
+    fn from(c: Clip) -> Work {
+        Work::Clip(c)
+    }
+}
+
+impl From<Stream> for Work {
+    fn from(s: Stream) -> Work {
+        Work::Stream(s)
+    }
+}
+
+impl<W: Into<Work>> Job<W> {
+    fn new(work: W, deadline: Option<Instant>, budget_ms: u64) -> Job {
+        Job { enqueued: Instant::now(), deadline, budget_ms, work: work.into() }
+    }
+
+    /// Answers the job with `e`, whatever its kind (a handler that has
+    /// stopped listening is not an error).
+    fn fail(self, e: ServeError) {
+        match self.work.into() {
+            Work::Clip(c) => drop(c.reply.send(Err(e))),
+            Work::Stream(s) => drop(s.reply.send(Err(e))),
+        }
+    }
+
+    /// The job's queue wait: admission to the worker's drain, µs.
+    fn queued_us(&self, drained: Instant) -> u64 {
+        drained.saturating_duration_since(self.enqueued).as_micros() as u64
+    }
 }
 
 struct Queue {
@@ -199,14 +239,8 @@ impl Batcher {
         deadline: Option<Instant>,
         budget_ms: u64,
     ) -> Result<Receiver<BatchResult>, ServeError> {
-        let (tx, rx) = mpsc::channel();
-        self.admit(Job::Clip(Pending {
-            video,
-            enqueued: Instant::now(),
-            deadline,
-            budget_ms,
-            reply: tx,
-        }))?;
+        let (reply, rx) = mpsc::channel();
+        self.admit(Job::new(Clip { video, reply }, deadline, budget_ms))?;
         Ok(rx)
     }
 
@@ -226,15 +260,8 @@ impl Batcher {
         deadline: Option<Instant>,
         budget_ms: u64,
     ) -> Result<Receiver<StreamResult>, ServeError> {
-        let (tx, rx) = mpsc::channel();
-        self.admit(Job::Stream(StreamJob {
-            entry,
-            chunk,
-            enqueued: Instant::now(),
-            deadline,
-            budget_ms,
-            reply: tx,
-        }))?;
+        let (reply, rx) = mpsc::channel();
+        self.admit(Job::new(Stream { entry, chunk, reply }, deadline, budget_ms))?;
         Ok(rx)
     }
 
@@ -307,16 +334,13 @@ fn worker_loop(shared: &Shared, extractor: &ScenarioExtractor) {
             let mut batch: Vec<Job> = Vec::new();
             let mut in_round: HashSet<u64> = HashSet::new();
             while batch.len() < shared.cfg.max_batch {
-                match q.items.front() {
-                    None => break,
-                    Some(Job::Stream(sj)) if in_round.contains(&sj.entry.id()) => break,
-                    Some(_) => {
-                        let job = q.items.pop_front().expect("front was Some");
-                        if let Job::Stream(sj) = &job {
-                            in_round.insert(sj.entry.id());
-                        }
-                        batch.push(job);
+                let Some(job) = q.items.pop_front() else { break };
+                match &job.work {
+                    Work::Stream(s) if !in_round.insert(s.entry.id()) => {
+                        q.items.push_front(job);
+                        break;
                     }
+                    _ => batch.push(job),
                 }
             }
             shared.stats.queue_depth.store(q.items.len() as u64, Ordering::Relaxed);
@@ -333,120 +357,118 @@ fn worker_loop(shared: &Shared, extractor: &ScenarioExtractor) {
 /// cross-stream window readout. `drained` is when the worker took the jobs
 /// off the queue: the end of every job's queue wait.
 fn run_round(shared: &Shared, extractor: &ScenarioExtractor, batch: Vec<Job>, drained: Instant) {
-    let mut clips: Vec<Pending> = Vec::new();
-    let mut streams: Vec<StreamJob> = Vec::new();
-    for job in batch {
-        match job {
-            Job::Clip(p) => clips.push(p),
-            Job::Stream(s) => streams.push(s),
-        }
-    }
-
     // Deadline gate: answer entries that cannot make it instead of
     // spending a forward on them. The round's cost estimate is the clip
     // forward plus the stream groups this round will encode; with no
     // estimate yet (cold start) only already-expired deadlines are shed.
-    let est_clip = shared.est_clip_us.load(Ordering::Relaxed);
-    let est_group = shared.est_group_us.load(Ordering::Relaxed);
     let tubelet_t = extractor.model().config().tubelet_t.max(1);
-    let est_groups: u64 = streams
+    let est_us: u64 = batch
         .iter()
-        .map(|s| {
-            let frames = s.chunk.shape().first().copied().unwrap_or(0);
-            (frames.div_ceil(tubelet_t) + 1) as u64 // +1 ≈ the window readout
-        })
-        .sum();
-    let est_round = Duration::from_micros(
-        est_clip.saturating_mul(clips.len() as u64).saturating_add(est_group * est_groups),
-    );
-    let now = Instant::now();
-    let live_clips: Vec<Pending> = clips
-        .into_iter()
-        .filter_map(|p| {
-            if p.deadline.is_some_and(|d| now + est_round > d) {
-                ServeStats::inc(&shared.stats.shed_deadline);
-                let _ = p.reply.send(Err(ServeError::DeadlineExceeded { budget_ms: p.budget_ms }));
-                None
-            } else {
-                Some(p)
+        .map(|job| match &job.work {
+            Work::Clip(_) => shared.est_clip_us.load(Ordering::Relaxed),
+            Work::Stream(s) => {
+                let frames = s.chunk.shape().first().copied().unwrap_or(0);
+                // +1 ≈ the window readout
+                let groups = (frames.div_ceil(tubelet_t) + 1) as u64;
+                shared.est_group_us.load(Ordering::Relaxed).saturating_mul(groups)
             }
         })
-        .collect();
-    let live_streams: Vec<StreamJob> = streams
-        .into_iter()
-        .filter_map(|s| {
-            if s.deadline.is_some_and(|d| now + est_round > d) {
-                ServeStats::inc(&shared.stats.shed_deadline);
-                let _ = s.reply.send(Err(ServeError::DeadlineExceeded { budget_ms: s.budget_ms }));
-                None
-            } else {
-                Some(s)
-            }
-        })
-        .collect();
-    if live_clips.is_empty() && live_streams.is_empty() {
+        .fold(0, u64::saturating_add);
+    let finish_by = Instant::now() + Duration::from_micros(est_us);
+    let mut clips: Vec<Job<Clip>> = Vec::new();
+    let mut streams: Vec<Job<Stream>> = Vec::new();
+    for job in batch {
+        if job.deadline.is_some_and(|d| finish_by > d) {
+            ServeStats::inc(&shared.stats.shed_deadline);
+            let budget_ms = job.budget_ms;
+            job.fail(ServeError::DeadlineExceeded { budget_ms });
+            continue;
+        }
+        let Job { enqueued, deadline, budget_ms, work } = job;
+        match work {
+            Work::Clip(work) => clips.push(Job { enqueued, deadline, budget_ms, work }),
+            Work::Stream(work) => streams.push(Job { enqueued, deadline, budget_ms, work }),
+        }
+    }
+    if clips.is_empty() && streams.is_empty() {
         return;
     }
 
     ServeStats::inc(&shared.stats.batches);
-    run_clips(shared, extractor, live_clips, drained);
-    run_streams(shared, extractor, live_streams, drained);
+    run_clips(shared, extractor, clips, drained);
+    run_streams(shared, extractor, streams, drained);
 }
 
-/// A job's queue wait: admission to the worker's drain, µs.
-fn queue_wait_us(enqueued: Instant, drained: Instant) -> u64 {
-    drained.saturating_duration_since(enqueued).as_micros() as u64
+/// One forward of a round: runs `forward` over `jobs` under `catch_unwind`
+/// and times it. A completed forward returns the jobs with its output and
+/// feeds its cost per `units` (3:1 old:new EWMA in `estimate_us`) to the
+/// next deadline gate; a panic anywhere in it answers every job a typed 500
+/// and leaves the worker serving.
+fn guarded<W: Into<Work>, T>(
+    shared: &Shared,
+    jobs: Vec<Job<W>>,
+    estimate_us: &AtomicU64,
+    forward: impl FnOnce(&[Job<W>]) -> (T, usize),
+) -> Option<(Vec<Job<W>>, T)> {
+    let t0 = Instant::now();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| forward(&jobs)));
+    let elapsed = t0.elapsed();
+    match outcome {
+        Ok((out, units)) => {
+            if units > 0 {
+                let per_unit = (elapsed.as_micros() as u64) / units as u64;
+                let old = estimate_us.load(Ordering::Relaxed);
+                let next = if old == 0 { per_unit } else { (3 * old + per_unit) / 4 };
+                estimate_us.store(next.max(1), Ordering::Relaxed);
+            }
+            Some((jobs, out))
+        }
+        Err(payload) => {
+            ServeStats::inc(&shared.stats.panics_caught);
+            let detail = panic_text(payload.as_ref());
+            for job in jobs {
+                job.fail(ServeError::Internal { detail: detail.clone() });
+            }
+            None
+        }
+    }
 }
 
 /// The one-shot half of a round: one batched window forward.
-fn run_clips(shared: &Shared, extractor: &ScenarioExtractor, live: Vec<Pending>, drained: Instant) {
+fn run_clips(
+    shared: &Shared,
+    extractor: &ScenarioExtractor,
+    live: Vec<Job<Clip>>,
+    drained: Instant,
+) {
     if live.is_empty() {
         return;
     }
-    let videos: Vec<&Tensor> = live.iter().map(|p| &p.video).collect();
-    let t0 = Instant::now();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        metrics::stage("stage/serve_batch", || extractor.extract_window_batch(&videos))
-    }));
-    let elapsed = t0.elapsed();
-    shared.stats.batched_clips.fetch_add(live.len() as u64, Ordering::Relaxed);
-
-    match outcome {
-        Ok(results) => {
-            // EWMA (3:1 old:new) of per-clip latency feeds the next gate.
-            let per_clip = (elapsed.as_micros() as u64) / live.len() as u64;
-            let old = shared.est_clip_us.load(Ordering::Relaxed);
-            let next = if old == 0 { per_clip } else { (3 * old + per_clip) / 4 };
-            shared.est_clip_us.store(next.max(1), Ordering::Relaxed);
-
-            let size = live.len();
-            for (p, r) in live.into_iter().zip(results) {
-                let reply = match r {
-                    Ok(scenario) => {
-                        ServeStats::inc(&shared.stats.completed);
-                        Ok(Extraction {
-                            scenario,
-                            plane: Precision::F32,
-                            queued_us: queue_wait_us(p.enqueued, drained),
-                            batch_size: size,
-                        })
-                    }
-                    // Validation normally happens at admission; this arm
-                    // only fires if a caller submitted unvalidated input.
-                    Err(e) => Err(ServeError::InvalidInput(e)),
-                };
-                let _ = p.reply.send(reply);
+    let size = live.len();
+    let served = guarded(shared, live, &shared.est_clip_us, |live| {
+        let videos: Vec<&Tensor> = live.iter().map(|job| &job.work.video).collect();
+        let results =
+            metrics::stage("stage/serve_batch", || extractor.extract_window_batch(&videos));
+        (results, size)
+    });
+    shared.stats.batched_clips.fetch_add(size as u64, Ordering::Relaxed);
+    let Some((live, results)) = served else { return };
+    for (job, r) in live.into_iter().zip(results) {
+        let reply = match r {
+            Ok(scenario) => {
+                ServeStats::inc(&shared.stats.completed);
+                Ok(Extraction {
+                    scenario,
+                    plane: Precision::F32,
+                    queued_us: job.queued_us(drained),
+                    batch_size: size,
+                })
             }
-        }
-        Err(payload) => {
-            // A panic anywhere in the forward answers the whole batch with
-            // a typed 500 and leaves the worker serving.
-            ServeStats::inc(&shared.stats.panics_caught);
-            let detail = panic_text(payload.as_ref());
-            for p in live {
-                let _ = p.reply.send(Err(ServeError::Internal { detail: detail.clone() }));
-            }
-        }
+            // Validation normally happens at admission; this arm only fires
+            // if a caller submitted unvalidated input.
+            Err(e) => Err(ServeError::InvalidInput(e)),
+        };
+        let _ = job.work.reply.send(reply);
     }
 }
 
@@ -456,59 +478,32 @@ fn run_clips(shared: &Shared, extractor: &ScenarioExtractor, live: Vec<Pending>,
 fn run_streams(
     shared: &Shared,
     extractor: &ScenarioExtractor,
-    jobs: Vec<StreamJob>,
+    jobs: Vec<Job<Stream>>,
     drained: Instant,
 ) {
-    if jobs.is_empty() {
-        return;
-    }
     // Sessions closed or evicted while the push waited in the queue answer
     // typed 404s; their chunks never touch the dead state.
-    let mut live: Vec<StreamJob> = Vec::new();
-    for j in jobs {
-        if j.entry.is_closed() {
-            let _ = j.reply.send(Err(ServeError::UnknownSession { id: j.entry.id() }));
-        } else {
-            live.push(j);
-        }
+    let (dead, live): (Vec<_>, Vec<_>) = jobs.into_iter().partition(|j| j.work.entry.is_closed());
+    for job in dead {
+        let id = job.work.entry.id();
+        job.fail(ServeError::UnknownSession { id });
     }
     if live.is_empty() {
         return;
     }
-
-    let t0 = Instant::now();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        stream_round(shared, extractor, &live, drained)
-    }));
-    let elapsed = t0.elapsed();
-    match outcome {
-        Ok((replies, groups)) => {
-            if groups > 0 {
-                // EWMA (3:1 old:new) of per-group cost feeds the next gate.
-                let per_group = (elapsed.as_micros() as u64) / groups as u64;
-                let old = shared.est_group_us.load(Ordering::Relaxed);
-                let next = if old == 0 { per_group } else { (3 * old + per_group) / 4 };
-                shared.est_group_us.store(next.max(1), Ordering::Relaxed);
-            }
-            for (j, r) in live.into_iter().zip(replies) {
-                if r.is_ok() {
-                    ServeStats::inc(&shared.stats.stream_pushes);
-                }
-                let _ = j.reply.send(r);
-            }
+    // A panic in the group encode or the window readout leaves staged groups
+    // staged and window memos unwritten (ring and memo are only written
+    // after a completed forward), so the sessions stay consistent and the
+    // next push re-encodes or re-reads them.
+    let served = guarded(shared, live, &shared.est_group_us, |live| {
+        stream_round(shared, extractor, live, drained)
+    });
+    let Some((live, replies)) = served else { return };
+    for (job, r) in live.into_iter().zip(replies) {
+        if r.is_ok() {
+            ServeStats::inc(&shared.stats.stream_pushes);
         }
-        Err(payload) => {
-            // A panic in the group encode or the window readout answers every
-            // push in the round with a typed 500. Staged groups stay staged
-            // and window memos unwritten (ring and memo are only written
-            // after a completed forward), so the sessions stay consistent
-            // and the next push re-encodes or re-reads them.
-            ServeStats::inc(&shared.stats.panics_caught);
-            let detail = panic_text(payload.as_ref());
-            for j in live {
-                let _ = j.reply.send(Err(ServeError::Internal { detail: detail.clone() }));
-            }
-        }
+        let _ = job.work.reply.send(r);
     }
 }
 
@@ -517,14 +512,14 @@ fn run_streams(
 fn stream_round(
     shared: &Shared,
     extractor: &ScenarioExtractor,
-    jobs: &[StreamJob],
+    jobs: &[Job<Stream>],
     drained: Instant,
 ) -> (Vec<StreamResult>, usize) {
     // Hold every session's state lock for the whole round: staging, the
     // shared batched encode, and the shared readout are one atomic step per
     // session. The worker is the only contender (session routes go through
     // the queue), so these locks never wait.
-    let mut guards: Vec<_> = jobs.iter().map(|j| lock(&j.entry.state)).collect();
+    let mut guards: Vec<_> = jobs.iter().map(|j| lock(&j.work.entry.state)).collect();
 
     // Stage every chunk. A bad chunk gets its typed error and leaves its
     // session untouched (the rejected-chunk contract); the rest of the
@@ -533,7 +528,7 @@ fn stream_round(
         .iter()
         .zip(guards.iter_mut())
         .map(|(j, g)| {
-            metrics::stage("stage/stream_stage", || g.stage_frames(&j.chunk))
+            metrics::stage("stage/stream_stage", || g.stage_frames(&j.work.chunk))
                 .map_err(ServeError::from)
         })
         .collect();
@@ -551,26 +546,27 @@ fn stream_round(
     if report.groups > 0 {
         shared.stats.record_mux_batch(report.streams, report.groups);
     }
-    let mut scenarios = tsdx_core::readout_staged(extractor.model(), &mut refs).into_iter();
+    // One readout per staged push, in order: zipped here, once.
+    let mut readouts = tsdx_core::readout_staged(extractor.model(), &mut refs).into_iter();
+    let staged = staged.into_iter().map(|s| s.map(|groups_new| (groups_new, readouts.next())));
 
     let replies = jobs
         .iter()
         .zip(&guards)
         .zip(staged)
         .map(|((j, g), staged)| {
-            let groups_new = staged?;
-            let scenario = scenarios.next().expect("one readout per staged push");
+            let (groups_new, readout) = staged?;
             // A session short of its first full window has no scenario yet;
             // that is its readout's only error.
-            let scenario = if g.ready() { Some(scenario?) } else { None };
+            let scenario = readout.filter(|_| g.ready()).transpose()?;
             Ok(StreamAnswer {
-                session: j.entry.id(),
+                session: j.work.entry.id(),
                 groups_new,
                 frames_seen: g.frames_seen(),
                 ready: g.ready(),
                 scenario,
                 plane: Precision::F32,
-                queued_us: queue_wait_us(j.enqueued, drained),
+                queued_us: j.queued_us(drained),
                 mux_streams: report.streams,
                 mux_groups: report.groups,
             })

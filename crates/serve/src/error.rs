@@ -11,6 +11,8 @@ use std::fmt;
 
 use tsdx_core::ExtractError;
 
+use crate::json::Object;
+
 /// A failed request, as seen by one client.
 ///
 /// The split mirrors the server's decision points: parse-time rejections
@@ -146,13 +148,12 @@ impl ServeError {
     /// The JSON error body sent to the client:
     /// `{"error":{"kind":...,"status":...,"retryable":...,"detail":...}}`.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"error\":{{\"kind\":\"{}\",\"status\":{},\"retryable\":{},\"detail\":\"{}\"}}}}",
-            self.kind(),
-            self.status(),
-            self.retryable(),
-            crate::json::escape(&self.to_string()),
-        )
+        let error = Object::new()
+            .string("kind", self.kind())
+            .raw("status", self.status())
+            .raw("retryable", self.retryable())
+            .string("detail", &self.to_string());
+        Object::new().raw("error", error).finish()
     }
 }
 

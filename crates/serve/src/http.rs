@@ -209,10 +209,7 @@ pub fn read_body(
     }
     // Fault injection: the client vanishes after N bytes of body.
     #[cfg(feature = "fault-inject")]
-    let len_available = match tsdx_tensor::faults::take_body_disconnect() {
-        Some(cut) => cut.min(len),
-        None => len,
-    };
+    let len_available = tsdx_tensor::faults::BODY_DISCONNECT.take().map_or(len, |cut| cut.min(len));
     #[cfg(not(feature = "fault-inject"))]
     let len_available = len;
 

@@ -1,5 +1,5 @@
 //! A minimal, hardened JSON subset: parse untrusted request bodies, escape
-//! response strings.
+//! response strings, write response objects ([`Object`]).
 //!
 //! Hand-rolled because the build is offline (no serde); deliberately small
 //! because the wire schema is flat. The parser is the security boundary for
@@ -7,7 +7,7 @@
 //! construction, rejects trailing garbage, and never panics on any byte
 //! sequence — `tests/http_errors.rs` proptests that.
 
-use std::fmt;
+use std::fmt::{self, Display, Write as _};
 
 /// Maximum nesting depth the parser accepts — the wire schema needs 2.
 const MAX_DEPTH: usize = 16;
@@ -103,6 +103,11 @@ pub fn parse(input: &[u8]) -> Result<Json, JsonError> {
 /// Escapes `s` for inclusion inside a JSON string literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -114,6 +119,73 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+}
+
+/// An ordered JSON object being written: members appear in call order, and
+/// keys and string values are escaped on the way in. Every body the server
+/// sends — replies, the error envelope, `/stats` — is built with it, so a
+/// key sits next to its value in the source instead of being paired with
+/// it by position in a format string.
+#[derive(Debug, Default)]
+pub struct Object(String);
+
+impl Object {
+    /// An object with no members yet (and room for a typical reply, so
+    /// writing one does not regrow the buffer member by member).
+    pub fn new() -> Object {
+        Object(String::with_capacity(128))
+    }
+
+    /// Appends `"key":value` for a `value` that displays as JSON already: an
+    /// integer, a bool, `null`, another [`Object`], a rendered array.
+    pub fn raw(mut self, key: &str, value: impl Display) -> Object {
+        self.key(key);
+        // `fmt::Write` for `String` cannot fail.
+        let _ = write!(self.0, "{value}");
+        self
+    }
+
+    /// Appends `"key":"value"`, escaping `value`.
+    pub fn string(mut self, key: &str, value: &str) -> Object {
+        self.key(key);
+        self.0.push('"');
+        escape_into(&mut self.0, value);
+        self.0.push('"');
+        self
+    }
+
+    /// Closes the object and returns its text.
+    pub fn finish(self) -> String {
+        self.to_string()
+    }
+
+    fn key(&mut self, key: &str) {
+        if !self.0.is_empty() {
+            self.0.push(',');
+        }
+        self.0.push('"');
+        escape_into(&mut self.0, key);
+        self.0.push_str("\":");
+    }
+}
+
+/// The object's text, so a nested object can be handed to [`Object::raw`].
+impl Display for Object {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{{{}}}", self.0)
+    }
+}
+
+/// Renders `items`, each already JSON, as a JSON array.
+pub(crate) fn array(items: impl IntoIterator<Item = impl Display>) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{item}");
+    }
+    out.push(']');
     out
 }
 

@@ -6,7 +6,7 @@
 //! immutable once handed to the server — queries are read-only and safe to
 //! answer from any connection thread concurrently.
 
-use std::fmt::{Display, Write as _};
+use std::fmt::Display;
 
 use tsdx_index::{IndexError, VectorIndex};
 use tsdx_sdl::Scenario;
@@ -90,23 +90,11 @@ impl SearchService {
 /// similarity (impossible for unit-norm embeddings, but the wire format
 /// must never emit invalid JSON) to `null`.
 pub(crate) fn hits_to_json(hits: &[Hit]) -> String {
-    let mut out = String::from("[");
-    for (i, h) in hits.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    json::array(hits.iter().map(|h| {
         let similarity: &dyn Display =
             if h.similarity.is_finite() { &h.similarity } else { &"null" };
-        write!(
-            out,
-            "{{\"id\":{},\"similarity\":{similarity},\"sdl\":\"{}\"}}",
-            h.id,
-            json::escape(&h.sdl)
-        )
-        .expect("writing into a String cannot fail");
-    }
-    out.push(']');
-    out
+        json::Object::new().raw("id", h.id).raw("similarity", similarity).string("sdl", &h.sdl)
+    }))
 }
 
 #[cfg(test)]

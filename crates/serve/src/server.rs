@@ -7,23 +7,32 @@
 //! keep-alive per connection, and every handler wrapped in `catch_unwind`
 //! so a panic answers `500` and closes **that** connection while the
 //! listener and every other connection keep going. Slow clients are bounded
-//! by socket read/write timeouts. Extraction requests funnel into the
-//! [`Batcher`]; admission control and deadlines are enforced there.
+//! by socket read/write timeouts.
+//!
+//! Every model-bound POST (`/v1/extract`, `/search` by clip,
+//! `/sessions/<id>/frames`) is the same four steps, each written once here:
+//! **admit** (`Request::admit`: draining check, `X-Deadline-Ms`,
+//! `100-continue`, bounded body read), **decode** (`Body`: the body parsed
+//! once), **submit and await** (`submit_and_await`: deadline clock, the
+//! [`Batcher`]'s queue — where admission control and deadlines are enforced
+//! — and the bounded wait) and **render** (the `*_reply` functions over
+//! [`crate::json::Object`]).
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use tsdx_core::ScenarioExtractor;
+use tsdx_core::{ModelConfig, ScenarioExtractor};
 use tsdx_tensor::Tensor;
 
-use crate::batcher::{BatchConfig, Batcher};
+use crate::batcher::{BatchConfig, Batcher, Extraction, StreamAnswer};
 use crate::error::ServeError;
 use crate::http::{self, Head, Response};
-use crate::json::{self, Json};
-use crate::search::{hits_to_json, SearchService, MAX_SEARCH_K};
+use crate::json::{self, Json, Object};
+use crate::search::{hits_to_json, Hit, SearchService, MAX_SEARCH_K};
 use crate::sessions::{SessionConfig, SessionManager};
 use crate::stats::ServeStats;
 
@@ -248,7 +257,7 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
         // connection (a GC pause, a noisy neighbor). Requests queued behind
         // the stall must still complete.
         #[cfg(feature = "fault-inject")]
-        if let Some(ms) = tsdx_tensor::faults::take_accept_stall() {
+        if let Some(ms) = tsdx_tensor::faults::ACCEPT_STALL.take() {
             std::thread::sleep(Duration::from_millis(ms));
         }
         let open = inner.connection_opened();
@@ -272,6 +281,18 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
     }
 }
 
+/// One request on its way through the server: what every route reads, in
+/// one place — the one a request id (ROADMAP item 6) would join.
+struct Request<'a> {
+    inner: &'a Arc<Inner>,
+    head: &'a Head,
+    reader: &'a mut BufReader<TcpStream>,
+    writer: &'a mut TcpStream,
+    /// Position in the server's accepted-request order; every reply echoes
+    /// it as `"request"`, and the handler-panic fault keys on it.
+    index: u64,
+}
+
 fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(inner.cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(inner.cfg.write_timeout));
@@ -290,22 +311,27 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
                 return; // stream position is unknown; never try to resync
             }
         };
-        let request_index = inner.next_request.fetch_add(1, Ordering::SeqCst);
-        let wants_close = head.wants_close();
+        let index = inner.next_request.fetch_add(1, Ordering::SeqCst);
+        let mut request =
+            Request { inner, head: &head, reader: &mut reader, writer: &mut writer, index };
 
         // The handler boundary: a panic anywhere in routing answers 500 on
         // this connection and leaves the process serving.
         let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             #[cfg(feature = "fault-inject")]
-            if tsdx_tensor::faults::handler_panic_at(request_index) {
-                panic!("injected fault: handler panic at request {request_index}");
+            if tsdx_tensor::faults::HANDLER_PANIC.take_if(index) {
+                panic!("injected fault: handler panic at request {index}");
             }
-            route(inner, &head, &mut reader, &mut writer, request_index)
+            route(&mut request)
         }));
         let mut response = match routed {
             Ok(Ok(response)) => response,
             Ok(Err(e)) => {
-                if e.status() < 500 && !matches!(e, ServeError::QueueFull { .. }) {
+                // A shed has a counter of its own; `rejected` is the rest
+                // of the 4xx: malformed HTTP, bad JSON, invalid video.
+                let shed =
+                    matches!(e, ServeError::QueueFull { .. } | ServeError::SessionLimit { .. });
+                if e.status() < 500 && !shed {
                     ServeStats::inc(&inner.stats.rejected);
                 }
                 Response::from_error(&e)
@@ -316,7 +342,7 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
                 Response::from_error(&ServeError::Internal { detail })
             }
         };
-        if inner.shutting_down.load(Ordering::SeqCst) || wants_close {
+        if inner.shutting_down.load(Ordering::SeqCst) || head.wants_close() {
             response.close = true;
         }
         if http::write_response(&mut writer, &response).is_err() {
@@ -329,40 +355,32 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
 }
 
 /// Dispatches one parsed request head to its endpoint.
-fn route(
-    inner: &Arc<Inner>,
-    head: &Head,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    request_index: u64,
-) -> Result<Response, ServeError> {
-    match (head.method.as_str(), head.path.as_str()) {
+fn route(req: &mut Request) -> Result<Response, ServeError> {
+    let inner = req.inner;
+    match (req.head.method.as_str(), req.head.path.as_str()) {
         ("GET", "/healthz") => Ok(Response::ok("{\"status\":\"ok\"}".into())),
         ("GET", "/readyz") => {
             if inner.shutting_down.load(Ordering::SeqCst) {
-                Err(ServeError::ShuttingDown)
-            } else {
-                Ok(Response::ok(format!(
-                    "{{\"ready\":true,\"queue_depth\":{}}}",
-                    inner.batcher.depth()
-                )))
+                return Err(ServeError::ShuttingDown);
             }
+            let ready = Object::new().raw("ready", true).raw("queue_depth", inner.batcher.depth());
+            Ok(Response::ok(ready.finish()))
         }
         ("GET", "/stats" | "/metrics") => {
             Ok(Response::ok(inner.stats.to_json(!inner.shutting_down.load(Ordering::SeqCst))))
         }
-        ("POST", "/v1/extract") => extract_endpoint(inner, head, reader, writer, request_index),
-        ("POST", "/search") => search_endpoint(inner, head, reader, writer, request_index),
+        ("POST", "/v1/extract") => extract_endpoint(req),
+        ("POST", "/search") => search_endpoint(req),
         (_, p) if p == "/sessions" || p.starts_with("/sessions/") => {
             // Fault injection: the session-route handler dies before
             // touching any session state. The connection-boundary
             // catch_unwind turns this into a 500; the listener and every
             // other session must be unaffected.
             #[cfg(feature = "fault-inject")]
-            if tsdx_tensor::faults::take_session_route_panic() {
-                panic!("injected fault: session route panic at request {request_index}");
+            if tsdx_tensor::faults::SESSION_ROUTE_PANIC.take().is_some() {
+                panic!("injected fault: session route panic at request {}", req.index);
             }
-            session_route(inner, head, reader, writer, request_index)
+            session_route(req)
         }
         ("POST", "/admin/shutdown") => {
             // Drain on a helper thread: this handler's own connection must
@@ -380,61 +398,84 @@ fn route(
             _,
             "/healthz" | "/readyz" | "/stats" | "/metrics" | "/v1/extract" | "/search"
             | "/admin/shutdown",
-        ) => Err(ServeError::MethodNotAllowed {
-            method: head.method.clone(),
-            path: head.path.clone(),
-        }),
+        ) => Err(req.method_not_allowed()),
         (_, path) => Err(ServeError::NotFound { path: path.to_string() }),
     }
 }
 
-/// `POST /v1/extract`: read and decode the body, validate, admit, await the
-/// batched answer.
-fn extract_endpoint(
-    inner: &Arc<Inner>,
-    head: &Head,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    request_index: u64,
-) -> Result<Response, ServeError> {
-    // Reject before the (possibly large) body upload when already draining.
-    if inner.shutting_down.load(Ordering::SeqCst) {
-        return Err(ServeError::ShuttingDown);
+impl Request<'_> {
+    /// Step 1 of every model-bound POST — **admit**: refuse while draining
+    /// (before the possibly large upload), read the `X-Deadline-Ms` budget,
+    /// unblock a client waiting on `100 Continue`, read the bounded body. A
+    /// torn upload fails here, before any session or queue slot is touched.
+    fn admit(&mut self) -> Result<(Option<u64>, Vec<u8>), ServeError> {
+        let inner = self.inner;
+        if inner.shutting_down.load(Ordering::SeqCst) {
+            return Err(ServeError::ShuttingDown);
+        }
+        let budget_ms = match self.head.header("x-deadline-ms") {
+            None => inner.cfg.default_deadline_ms,
+            Some(v) => Some(v.parse::<u64>().map_err(|_| ServeError::BadRequest {
+                detail: "X-Deadline-Ms must be an integer millisecond budget".into(),
+            })?),
+        };
+        if self.head.expects_continue() {
+            http::write_continue(self.writer)
+                .map_err(|_| ServeError::BadRequest { detail: "client went away".into() })?;
+        }
+        Ok((budget_ms, http::read_body(self.reader, self.head, inner.cfg.max_body_bytes)?))
     }
-    let budget_ms = match head.header("x-deadline-ms") {
-        None => inner.cfg.default_deadline_ms,
-        Some(v) => Some(v.parse::<u64>().map_err(|_| ServeError::BadRequest {
-            detail: "X-Deadline-Ms must be an integer millisecond budget".into(),
-        })?),
-    };
-    if head.expects_continue() {
-        http::write_continue(writer)
-            .map_err(|_| ServeError::BadRequest { detail: "client went away".into() })?;
-    }
-    let body = http::read_body(reader, head, inner.cfg.max_body_bytes)?;
-    let video = decode_video(head, &body)?;
-    inner.extractor.validate_window(&video)?;
 
-    // The deadline clock starts after upload: the budget covers queueing
-    // and inference, not the client's own send rate.
+    fn method_not_allowed(&self) -> ServeError {
+        let head = self.head;
+        ServeError::MethodNotAllowed { method: head.method.clone(), path: head.path.clone() }
+    }
+
+    fn not_found(&self) -> ServeError {
+        ServeError::NotFound { path: self.head.path.clone() }
+    }
+}
+
+/// Step 3 — **submit and await**: start the deadline clock (after the
+/// upload: the budget covers queueing and inference, not the client's send
+/// rate), hand the job to the batcher through `submit`, wait for its answer.
+fn submit_and_await<T>(
+    budget_ms: Option<u64>,
+    submit: impl FnOnce(Option<Instant>, u64) -> Result<Receiver<Result<T, ServeError>>, ServeError>,
+) -> Result<T, ServeError> {
     let deadline = budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let rx = inner.batcher.submit(video, deadline, budget_ms.unwrap_or(0))?;
-    let wait = deadline
-        .map(|d| d.saturating_duration_since(Instant::now()) + REPLY_SLACK)
-        .unwrap_or(REPLY_SLACK);
-    let answer = rx.recv_timeout(wait).map_err(|_| ServeError::Internal {
+    let rx = submit(deadline, budget_ms.unwrap_or(0))?;
+    let left = deadline.map_or(Duration::ZERO, |d| d.saturating_duration_since(Instant::now()));
+    rx.recv_timeout(left + REPLY_SLACK).map_err(|_| ServeError::Internal {
         detail: "batch worker did not answer within the reply bound".into(),
-    })??;
-    Ok(Response::ok(format!(
-        concat!(
-            "{{\"scenario\":\"{scenario}\",",
-            "\"batch_size\":{batch},\"queued_us\":{queued},\"request\":{index}}}"
-        ),
-        scenario = json::escape(&answer.scenario.to_string()),
-        batch = answer.batch_size,
-        queued = answer.queued_us,
-        index = request_index,
-    )))
+    })?
+}
+
+/// `POST /v1/extract`: admit, decode and validate the clip, await the
+/// batched answer.
+fn extract_endpoint(req: &mut Request) -> Result<Response, ServeError> {
+    let (budget_ms, body) = req.admit()?;
+    let answer = extract(req, budget_ms, decode_video(req.head, &body)?)?;
+    Ok(Response::ok(extract_reply(&answer, req.index)))
+}
+
+/// Validates one window and runs it through the batcher.
+fn extract(req: &Request, budget_ms: Option<u64>, video: Tensor) -> Result<Extraction, ServeError> {
+    req.inner.extractor.validate_window(&video)?;
+    submit_and_await(budget_ms, |deadline, ms| req.inner.batcher.submit(video, deadline, ms))
+}
+
+/// Step 4 — **render**, here and in the `*_reply` functions below: the body
+/// as an ordered [`Object`]. These three members say how an extraction was
+/// served, wherever one is answered.
+fn extraction_members(out: Object, answer: &Extraction) -> Object {
+    out.string("scenario", &answer.scenario.to_string())
+        .raw("batch_size", answer.batch_size)
+        .raw("queued_us", answer.queued_us)
+}
+
+fn extract_reply(answer: &Extraction, request_index: u64) -> String {
+    extraction_members(Object::new(), answer).raw("request", request_index).finish()
 }
 
 /// `POST /search`: the `k` most similar indexed scenarios — to an SDL
@@ -442,47 +483,20 @@ fn extract_endpoint(
 /// (extract → embed → query; same body encodings, admission control, and
 /// deadline handling as `/v1/extract`, with `k` from the `X-Search-K`
 /// header or a `"k"` body field).
-fn search_endpoint(
-    inner: &Arc<Inner>,
-    head: &Head,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    request_index: u64,
-) -> Result<Response, ServeError> {
+fn search_endpoint(req: &mut Request) -> Result<Response, ServeError> {
     // A server started without an index has no search surface at all.
-    let Some(search) = inner.search.as_ref() else {
-        return Err(ServeError::NotFound { path: head.path.clone() });
+    let Some(search) = req.inner.search.as_ref() else { return Err(req.not_found()) };
+    let (budget_ms, body) = req.admit()?;
+    let body = Body::decode(req.head, &body)?;
+    let k = match &body {
+        Body::Octets(_) => req.head.header("x-search-k").map(|v| v.parse::<f64>().ok()),
+        Body::Json(parsed) => parsed.get("k").map(Json::as_num),
     };
-    if inner.shutting_down.load(Ordering::SeqCst) {
-        return Err(ServeError::ShuttingDown);
-    }
-    let budget_ms = match head.header("x-deadline-ms") {
-        None => inner.cfg.default_deadline_ms,
-        Some(v) => Some(v.parse::<u64>().map_err(|_| ServeError::BadRequest {
-            detail: "X-Deadline-Ms must be an integer millisecond budget".into(),
-        })?),
-    };
-    if head.expects_continue() {
-        http::write_continue(writer)
-            .map_err(|_| ServeError::BadRequest { detail: "client went away".into() })?;
-    }
-    let body = http::read_body(reader, head, inner.cfg.max_body_bytes)?;
+    let k = k.map_or(Ok(DEFAULT_SEARCH_K), validate_k)?;
+    let reply = |hits: &[Hit], answer| search_reply(hits, k, search.len(), answer, req.index);
 
-    let content_type = head.header("content-type").unwrap_or("application/json");
-    let k;
-    if content_type.starts_with("application/octet-stream") {
-        k = match head.header("x-search-k") {
-            None => DEFAULT_SEARCH_K,
-            Some(v) => validate_k(v.parse::<f64>().ok())?,
-        };
-    } else {
-        let parsed = json::parse(&body)
-            .map_err(|e| ServeError::BadRequest { detail: format!("bad JSON body: {e}") })?;
-        k = match parsed.get("k") {
-            None => DEFAULT_SEARCH_K,
-            Some(j) => validate_k(j.as_num())?,
-        };
-        // Query-by-SDL: rank against a parsed description, no model work.
+    // Query-by-SDL: rank against a parsed description, no model work.
+    if let Body::Json(parsed) = &body {
         if let Some(sdl) = parsed.get("sdl") {
             let text = sdl.as_str().ok_or_else(|| ServeError::BadRequest {
                 detail: "\"sdl\" must be a string of SDL text".into(),
@@ -490,40 +504,31 @@ fn search_endpoint(
             let query = tsdx_sdl::parse_scenario(text)
                 .map_err(|e| ServeError::BadRequest { detail: format!("bad SDL query: {e}") })?;
             let hits = search.query(&query, k).map_err(index_internal)?;
-            return Ok(Response::ok(format!(
-                "{{\"hits\":{hits},\"k\":{k},\"indexed\":{len},\"request\":{request_index}}}",
-                hits = hits_to_json(&hits),
-                len = search.len(),
-            )));
+            return Ok(Response::ok(reply(&hits, None)));
         }
     }
 
-    // Query-by-clip: extract through the batcher (full admission control,
-    // deadline gating, and degrade-under-pressure reuse), then rank.
-    let video = decode_video(head, &body)?;
-    inner.extractor.validate_window(&video)?;
-    let deadline = budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let rx = inner.batcher.submit(video, deadline, budget_ms.unwrap_or(0))?;
-    let wait = deadline
-        .map(|d| d.saturating_duration_since(Instant::now()) + REPLY_SLACK)
-        .unwrap_or(REPLY_SLACK);
-    let answer = rx.recv_timeout(wait).map_err(|_| ServeError::Internal {
-        detail: "batch worker did not answer within the reply bound".into(),
-    })??;
+    // Query-by-clip: extract through the batcher (full admission control
+    // and deadline gating), then rank.
+    let answer = extract(req, budget_ms, body.video(req.head)?)?;
     let hits = search.query(&answer.scenario, k).map_err(index_internal)?;
-    Ok(Response::ok(format!(
-        concat!(
-            "{{\"hits\":{hits},\"k\":{k},\"indexed\":{len},\"scenario\":\"{scenario}\",",
-            "\"batch_size\":{batch},\"queued_us\":{queued},\"request\":{index}}}"
-        ),
-        hits = hits_to_json(&hits),
-        k = k,
-        len = search.len(),
-        scenario = json::escape(&answer.scenario.to_string()),
-        batch = answer.batch_size,
-        queued = answer.queued_us,
-        index = request_index,
-    )))
+    Ok(Response::ok(reply(&hits, Some(&answer))))
+}
+
+/// A query by clip also says how its extraction was served.
+fn search_reply(
+    hits: &[Hit],
+    k: usize,
+    indexed: u64,
+    answer: Option<&Extraction>,
+    request_index: u64,
+) -> String {
+    let out = Object::new().raw("hits", hits_to_json(hits)).raw("k", k).raw("indexed", indexed);
+    let out = match answer {
+        Some(answer) => extraction_members(out, answer),
+        None => out,
+    };
+    out.raw("request", request_index).finish()
 }
 
 /// Dispatches the `/sessions` route family.
@@ -531,135 +536,89 @@ fn search_endpoint(
 /// * `POST /sessions` — open a session, answer its id;
 /// * `POST /sessions/<id>/frames` — push a chunk through the batch queue;
 /// * `DELETE /sessions/<id>` — close a session, freeing its slot.
-fn session_route(
-    inner: &Arc<Inner>,
-    head: &Head,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    request_index: u64,
-) -> Result<Response, ServeError> {
-    let method = head.method.as_str();
-    let path = head.path.as_str();
+fn session_route(req: &mut Request) -> Result<Response, ServeError> {
+    let method = req.head.method.as_str();
+    let path = req.head.path.as_str();
     if path == "/sessions" {
         if method != "POST" {
-            return Err(ServeError::MethodNotAllowed {
-                method: head.method.clone(),
-                path: head.path.clone(),
-            });
+            return Err(req.method_not_allowed());
         }
-        return create_session_endpoint(inner, request_index);
+        return create_session_endpoint(req);
     }
     let rest = &path["/sessions/".len()..];
     let (id_text, tail) = match rest.split_once('/') {
         None => (rest, None),
         Some((id, tail)) => (id, Some(tail)),
     };
-    let Ok(id) = id_text.parse::<u64>() else {
-        return Err(ServeError::NotFound { path: head.path.clone() });
-    };
+    let Ok(id) = id_text.parse::<u64>() else { return Err(req.not_found()) };
     match (method, tail) {
         ("DELETE", None) => {
-            inner.sessions.close(id)?;
-            Ok(Response::ok(format!(
-                "{{\"session\":{id},\"status\":\"closed\",\"request\":{request_index}}}"
-            )))
+            req.inner.sessions.close(id)?;
+            Ok(Response::ok(session_closed_reply(id, req.index)))
         }
-        (_, None) => Err(ServeError::MethodNotAllowed {
-            method: head.method.clone(),
-            path: head.path.clone(),
-        }),
-        ("POST", Some("frames")) => frames_endpoint(inner, head, reader, writer, id, request_index),
-        (_, Some("frames")) => Err(ServeError::MethodNotAllowed {
-            method: head.method.clone(),
-            path: head.path.clone(),
-        }),
-        _ => Err(ServeError::NotFound { path: head.path.clone() }),
+        ("POST", Some("frames")) => frames_endpoint(req, id),
+        (_, None | Some("frames")) => Err(req.method_not_allowed()),
+        _ => Err(req.not_found()),
     }
+}
+
+fn session_closed_reply(id: u64, request_index: u64) -> String {
+    let out = Object::new().raw("session", id).string("status", "closed");
+    out.raw("request", request_index).finish()
 }
 
 /// `POST /sessions`: opens a streaming session sized to the server's model.
-fn create_session_endpoint(inner: &Arc<Inner>, request_index: u64) -> Result<Response, ServeError> {
-    if inner.shutting_down.load(Ordering::SeqCst) {
+fn create_session_endpoint(req: &Request) -> Result<Response, ServeError> {
+    if req.inner.shutting_down.load(Ordering::SeqCst) {
         return Err(ServeError::ShuttingDown);
     }
-    let entry = inner.sessions.create(*inner.extractor.model().config())?;
-    let cfg = inner.extractor.model().config();
-    Ok(Response::ok(format!(
-        concat!(
-            "{{\"session\":{id},\"window_frames\":{frames},",
-            "\"frame_shape\":[{h},{w}],\"tubelet_t\":{tt},\"request\":{index}}}"
-        ),
-        id = entry.id(),
-        frames = cfg.frames,
-        h = cfg.height,
-        w = cfg.width,
-        tt = cfg.tubelet_t,
-        index = request_index,
-    )))
+    let cfg = req.inner.extractor.model().config();
+    let entry = req.inner.sessions.create(*cfg)?;
+    Ok(Response::ok(session_opened_reply(entry.id(), cfg, req.index)))
 }
 
-/// `POST /sessions/<id>/frames`: read and decode a chunk (same body
-/// encodings as `/v1/extract`, any frame count), admit it into the mixed
+fn session_opened_reply(id: u64, cfg: &ModelConfig, request_index: u64) -> String {
+    Object::new()
+        .raw("session", id)
+        .raw("window_frames", cfg.frames)
+        .raw("frame_shape", json::array([cfg.height, cfg.width]))
+        .raw("tubelet_t", cfg.tubelet_t)
+        .raw("request", request_index)
+        .finish()
+}
+
+/// `POST /sessions/<id>/frames`: admit and decode a chunk (same body
+/// encodings as `/v1/extract`, any frame count), push it through the mixed
 /// batch queue, and answer with the session's current window state. Newly
 /// completed time groups are encoded alongside every other stream in the
 /// same drain round — one cross-stream spatial forward.
-fn frames_endpoint(
-    inner: &Arc<Inner>,
-    head: &Head,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    id: u64,
-    request_index: u64,
-) -> Result<Response, ServeError> {
-    if inner.shutting_down.load(Ordering::SeqCst) {
-        return Err(ServeError::ShuttingDown);
-    }
-    let budget_ms = match head.header("x-deadline-ms") {
-        None => inner.cfg.default_deadline_ms,
-        Some(v) => Some(v.parse::<u64>().map_err(|_| ServeError::BadRequest {
-            detail: "X-Deadline-Ms must be an integer millisecond budget".into(),
-        })?),
-    };
-    if head.expects_continue() {
-        http::write_continue(writer)
-            .map_err(|_| ServeError::BadRequest { detail: "client went away".into() })?;
-    }
-    // A torn upload (client disconnect mid-chunk) fails here, before the
-    // session is looked up or touched: the stream keeps its pre-push state
-    // and the client can resend the whole chunk.
-    let body = http::read_body(reader, head, inner.cfg.max_body_bytes)?;
-    let chunk = decode_video(head, &body)?;
-    let entry = inner.sessions.get(id)?;
+fn frames_endpoint(req: &mut Request, id: u64) -> Result<Response, ServeError> {
+    let (budget_ms, body) = req.admit()?;
+    let chunk = decode_video(req.head, &body)?;
+    // Looked up only after the upload: a torn one leaves the stream in its
+    // pre-push state and the client can resend the whole chunk.
+    let entry = req.inner.sessions.get(id)?;
+    let answer = submit_and_await(budget_ms, |deadline, ms| {
+        req.inner.batcher.submit_stream(entry, chunk, deadline, ms)
+    })?;
+    Ok(Response::ok(frames_reply(&answer, req.index)))
+}
 
-    let deadline = budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let rx = inner.batcher.submit_stream(entry, chunk, deadline, budget_ms.unwrap_or(0))?;
-    let wait = deadline
-        .map(|d| d.saturating_duration_since(Instant::now()) + REPLY_SLACK)
-        .unwrap_or(REPLY_SLACK);
-    let answer = rx.recv_timeout(wait).map_err(|_| ServeError::Internal {
-        detail: "batch worker did not answer within the reply bound".into(),
-    })??;
-    let scenario = match &answer.scenario {
-        Some(s) => format!("\"{}\"", json::escape(&s.to_string())),
-        None => "null".into(),
+fn frames_reply(answer: &StreamAnswer, request_index: u64) -> String {
+    let out = Object::new()
+        .raw("session", answer.session)
+        .raw("groups_new", answer.groups_new)
+        .raw("frames_seen", answer.frames_seen)
+        .raw("ready", answer.ready);
+    let out = match &answer.scenario {
+        Some(s) => out.string("scenario", &s.to_string()),
+        None => out.raw("scenario", "null"),
     };
-    Ok(Response::ok(format!(
-        concat!(
-            "{{\"session\":{id},\"groups_new\":{gn},\"frames_seen\":{fs},",
-            "\"ready\":{ready},\"scenario\":{scenario},",
-            "\"mux_streams\":{ms},\"mux_groups\":{mg},\"queued_us\":{queued},",
-            "\"request\":{index}}}"
-        ),
-        id = answer.session,
-        gn = answer.groups_new,
-        fs = answer.frames_seen,
-        ready = answer.ready,
-        scenario = scenario,
-        ms = answer.mux_streams,
-        mg = answer.mux_groups,
-        queued = answer.queued_us,
-        index = request_index,
-    )))
+    out.raw("mux_streams", answer.mux_streams)
+        .raw("mux_groups", answer.mux_groups)
+        .raw("queued_us", answer.queued_us)
+        .raw("request", request_index)
+        .finish()
 }
 
 /// Bounds a requested hit count: an integer in `1..=MAX_SEARCH_K`.
@@ -677,82 +636,99 @@ fn index_internal(e: tsdx_index::IndexError) -> ServeError {
     ServeError::Internal { detail: format!("index scan failed: {e}") }
 }
 
-/// Decodes a request body into a `[T, H, W]` video tensor.
-///
-/// Two encodings:
+/// Step 2 — **decode**: a request body after its one parse. Two encodings:
 /// * `application/octet-stream` — raw little-endian f32 pixels, shape in an
-///   `X-Video-Shape: TxHxW` header (the fast path; the benchmark's `clip_octet` uses it);
-/// * JSON (the default) — `{"shape":[T,H,W],"pixels":[...]}`.
-fn decode_video(head: &Head, body: &[u8]) -> Result<Tensor, ServeError> {
-    let content_type = head.header("content-type").unwrap_or("application/json");
-    if content_type.starts_with("application/octet-stream") {
-        let shape_header = head.header("x-video-shape").ok_or_else(|| ServeError::BadRequest {
-            detail: "octet-stream bodies need an X-Video-Shape: TxHxW header".into(),
-        })?;
-        let dims: Vec<usize> = shape_header
-            .split('x')
-            .map(|d| d.trim().parse::<usize>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| ServeError::BadRequest {
-                detail: "X-Video-Shape must be three integers like 8x32x32".into(),
-            })?;
-        let [t, h, w] = dims[..] else {
-            return Err(ServeError::BadRequest {
-                detail: "X-Video-Shape must have exactly three dimensions".into(),
-            });
-        };
-        let numel = checked_numel(t, h, w)?;
-        if body.len() != numel * 4 {
-            return Err(ServeError::BadRequest {
-                detail: format!(
-                    "body is {} bytes but {t}x{h}x{w} f32 pixels need {}",
-                    body.len(),
-                    numel * 4
-                ),
-            });
+///   `X-Video-Shape: TxHxW` header (the fast path; the benchmark's
+///   `clip_octet` uses it);
+/// * JSON (the default) — `{"shape":[T,H,W],"pixels":[...]}`, or for
+///   `/search` `{"sdl":"...","k":3}`.
+enum Body<'a> {
+    Octets(&'a [u8]),
+    Json(Json),
+}
+
+impl<'a> Body<'a> {
+    fn decode(head: &Head, body: &'a [u8]) -> Result<Body<'a>, ServeError> {
+        let content_type = head.header("content-type").unwrap_or("application/json");
+        if content_type.starts_with("application/octet-stream") {
+            return Ok(Body::Octets(body));
         }
-        let pixels: Vec<f32> =
-            body.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
-        Ok(Tensor::from_vec(pixels, &[t, h, w]))
-    } else {
-        let parsed = json::parse(body)
-            .map_err(|e| ServeError::BadRequest { detail: format!("bad JSON body: {e}") })?;
-        let dim = |j: &Json| -> Option<usize> {
-            let n = j.as_num()?;
-            (n.fract() == 0.0 && (0.0..=1e9).contains(&n)).then_some(n as usize)
-        };
-        let shape: Vec<usize> = parsed
-            .get("shape")
-            .and_then(Json::as_arr)
-            .and_then(|a| a.iter().map(&dim).collect::<Option<Vec<_>>>())
-            .ok_or_else(|| ServeError::BadRequest {
-                detail: "body needs \"shape\": an array of non-negative integers".into(),
-            })?;
-        let [t, h, w] = shape[..] else {
-            return Err(ServeError::BadRequest {
-                detail: "\"shape\" must be exactly [frames, height, width]".into(),
-            });
-        };
-        let numel = checked_numel(t, h, w)?;
-        let pixels: Vec<f32> = parsed
-            .get("pixels")
-            .and_then(Json::as_arr)
-            .and_then(|a| {
-                a.iter().map(|j| j.as_num().map(|n| n as f32)).collect::<Option<Vec<_>>>()
-            })
-            .ok_or_else(|| ServeError::BadRequest {
-                detail: "body needs \"pixels\": an array of numbers".into(),
-            })?;
-        if pixels.len() != numel {
-            return Err(ServeError::BadRequest {
-                detail: format!(
-                    "\"pixels\" has {} values but shape {t}x{h}x{w} needs {numel}",
-                    pixels.len()
-                ),
-            });
-        }
-        Ok(Tensor::from_vec(pixels, &[t, h, w]))
+        json::parse(body)
+            .map(Body::Json)
+            .map_err(|e| ServeError::BadRequest { detail: format!("bad JSON body: {e}") })
     }
+
+    /// The `[T, H, W]` video tensor the body carries.
+    fn video(&self, head: &Head) -> Result<Tensor, ServeError> {
+        let bad = |detail: &str| ServeError::BadRequest { detail: detail.into() };
+        match self {
+            Body::Octets(body) => {
+                let dims: Vec<usize> = head
+                    .header("x-video-shape")
+                    .ok_or_else(|| bad("octet-stream bodies need an X-Video-Shape: TxHxW header"))?
+                    .split('x')
+                    .map(|d| d.trim().parse::<usize>())
+                    .collect::<Result<_, _>>()
+                    .map_err(|_| bad("X-Video-Shape must be three integers like 8x32x32"))?;
+                let [t, h, w] = dims[..] else {
+                    return Err(bad("X-Video-Shape must have exactly three dimensions"));
+                };
+                let numel = checked_numel(t, h, w)?;
+                if body.len() != numel * 4 {
+                    return Err(ServeError::BadRequest {
+                        detail: format!(
+                            "body is {} bytes but {t}x{h}x{w} f32 pixels need {}",
+                            body.len(),
+                            numel * 4
+                        ),
+                    });
+                }
+                let pixels: Vec<f32> = body
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                    .collect();
+                Ok(Tensor::from_vec(pixels, &[t, h, w]))
+            }
+            Body::Json(parsed) => {
+                let dim = |j: &Json| -> Option<usize> {
+                    let n = j.as_num()?;
+                    (n.fract() == 0.0 && (0.0..=1e9).contains(&n)).then_some(n as usize)
+                };
+                let shape: Vec<usize> = parsed
+                    .get("shape")
+                    .and_then(Json::as_arr)
+                    .and_then(|a| a.iter().map(&dim).collect::<Option<Vec<_>>>())
+                    .ok_or_else(|| {
+                        bad("body needs \"shape\": an array of non-negative integers")
+                    })?;
+                let [t, h, w] = shape[..] else {
+                    return Err(bad("\"shape\" must be exactly [frames, height, width]"));
+                };
+                let numel = checked_numel(t, h, w)?;
+                let pixels: Vec<f32> = parsed
+                    .get("pixels")
+                    .and_then(Json::as_arr)
+                    .and_then(|a| {
+                        a.iter().map(|j| j.as_num().map(|n| n as f32)).collect::<Option<Vec<_>>>()
+                    })
+                    .ok_or_else(|| bad("body needs \"pixels\": an array of numbers"))?;
+                if pixels.len() != numel {
+                    return Err(ServeError::BadRequest {
+                        detail: format!(
+                            "\"pixels\" has {} values but shape {t}x{h}x{w} needs {numel}",
+                            pixels.len()
+                        ),
+                    });
+                }
+                Ok(Tensor::from_vec(pixels, &[t, h, w]))
+            }
+        }
+    }
+}
+
+/// Decodes a request body that can only be a clip.
+fn decode_video(head: &Head, body: &[u8]) -> Result<Tensor, ServeError> {
+    Body::decode(head, body)?.video(head)
 }
 
 fn checked_numel(t: usize, h: usize, w: usize) -> Result<usize, ServeError> {
@@ -817,5 +793,178 @@ mod tests {
         assert!(checked_numel(usize::MAX, 2, 2).is_err());
         assert!(checked_numel(1 << 29, 4, 4).is_err());
         assert_eq!(checked_numel(8, 32, 32).unwrap(), 8192);
+    }
+
+    /// The wire format, byte for byte: key order, nesting and number
+    /// formatting of every 200 body, the error envelope and `/stats`. The
+    /// literals were produced by the `format!` bodies this writer replaced.
+    #[test]
+    fn reply_bodies_are_byte_stable() {
+        use crate::batcher::{Extraction, StreamAnswer};
+        use crate::search::Hit;
+        use tsdx_core::{ExtractError, ModelConfig};
+        use tsdx_tensor::dial::Precision;
+
+        let scenario = tsdx_sdl::parse_scenario("ego turn-left; road intersection").unwrap();
+        let extraction = Extraction {
+            scenario: scenario.clone(),
+            plane: Precision::F32,
+            queued_us: 41,
+            batch_size: 3,
+        };
+        assert_eq!(
+            extract_reply(&extraction, 7),
+            r#"{"scenario":"ego turn-left; road intersection","batch_size":3,"queued_us":41,"request":7}"#
+        );
+        let hits = [
+            Hit { id: 2, similarity: 1.0, sdl: "ego turn-left; road intersection".into() },
+            Hit { id: 0, similarity: 0.25, sdl: "a \"b\"\n".into() },
+            Hit { id: 9, similarity: f32::NAN, sdl: String::new() },
+        ];
+        assert_eq!(
+            search_reply(&hits, 3, 200_000, None, 8),
+            concat!(
+                r#"{"hits":[{"id":2,"similarity":1,"sdl":"ego turn-left; road intersection"},"#,
+                r#"{"id":0,"similarity":0.25,"sdl":"a \"b\"\n"},"#,
+                r#"{"id":9,"similarity":null,"sdl":""}],"k":3,"indexed":200000,"request":8}"#
+            )
+        );
+        assert_eq!(
+            search_reply(&hits[..1], 1, 3, Some(&extraction), 9),
+            concat!(
+                r#"{"hits":[{"id":2,"similarity":1,"sdl":"ego turn-left; road intersection"}],"#,
+                r#""k":1,"indexed":3,"scenario":"ego turn-left; road intersection","#,
+                r#""batch_size":3,"queued_us":41,"request":9}"#
+            )
+        );
+        assert_eq!(
+            search_reply(&[], 5, 0, None, 0),
+            r#"{"hits":[],"k":5,"indexed":0,"request":0}"#
+        );
+        let cfg = ModelConfig {
+            frames: 4,
+            height: 16,
+            width: 24,
+            tubelet_t: 2,
+            ..ModelConfig::default()
+        };
+        assert_eq!(
+            session_opened_reply(5, &cfg, 10),
+            r#"{"session":5,"window_frames":4,"frame_shape":[16,24],"tubelet_t":2,"request":10}"#
+        );
+        let mut push = StreamAnswer {
+            session: 5,
+            groups_new: 2,
+            frames_seen: 4,
+            ready: true,
+            scenario: Some(scenario),
+            plane: Precision::F32,
+            queued_us: 12,
+            mux_streams: 2,
+            mux_groups: 4,
+        };
+        assert_eq!(
+            frames_reply(&push, 11),
+            concat!(
+                r#"{"session":5,"groups_new":2,"frames_seen":4,"ready":true,"#,
+                r#""scenario":"ego turn-left; road intersection","#,
+                r#""mux_streams":2,"mux_groups":4,"queued_us":12,"request":11}"#
+            )
+        );
+        (push.ready, push.scenario) = (false, None);
+        assert_eq!(
+            frames_reply(&push, 12),
+            concat!(
+                r#"{"session":5,"groups_new":2,"frames_seen":4,"ready":false,"scenario":null,"#,
+                r#""mux_streams":2,"mux_groups":4,"queued_us":12,"request":12}"#
+            )
+        );
+        assert_eq!(session_closed_reply(5, 13), r#"{"session":5,"status":"closed","request":13}"#);
+
+        // One variant per status code: `kind`, `status`, `retryable`, `detail`.
+        for (e, kind_status_retryable, detail) in [
+            (
+                ServeError::BadRequest { detail: "bad \"JSON\"\n".into() },
+                r#""bad_request","status":400,"retryable":false"#,
+                r#"malformed request: bad \"JSON\"\n"#,
+            ),
+            (
+                ServeError::NotFound { path: "/nope".into() },
+                r#""not_found","status":404,"retryable":false"#,
+                "no route for /nope",
+            ),
+            (
+                ServeError::MethodNotAllowed { method: "PUT".into(), path: "/search".into() },
+                r#""method_not_allowed","status":405,"retryable":false"#,
+                "PUT is not allowed on /search",
+            ),
+            (
+                ServeError::ReadTimeout,
+                r#""read_timeout","status":408,"retryable":true"#,
+                "client was too slow delivering the request",
+            ),
+            (
+                ServeError::PayloadTooLarge { limit: 16 },
+                r#""payload_too_large","status":413,"retryable":false"#,
+                "request body exceeds the 16-byte limit",
+            ),
+            (
+                ServeError::InvalidInput(ExtractError::Empty),
+                r#""empty","status":422,"retryable":false"#,
+                "invalid video: video has no frames",
+            ),
+            (
+                ServeError::SessionLimit { capacity: 2 },
+                r#""session_limit","status":429,"retryable":true"#,
+                "session table is full (2 live streams); retry with backoff",
+            ),
+            (
+                ServeError::Internal { detail: "boom".into() },
+                r#""internal","status":500,"retryable":false"#,
+                "internal error: boom",
+            ),
+            (
+                ServeError::DeadlineExceeded { budget_ms: 40 },
+                r#""deadline_exceeded","status":503,"retryable":true"#,
+                "cannot finish within the 40ms deadline; rejected unstarted",
+            ),
+        ] {
+            assert_eq!(
+                e.to_json(),
+                format!(r#"{{"error":{{"kind":{kind_status_retryable},"detail":"{detail}"}}}}"#)
+            );
+        }
+
+        let stats = ServeStats::default();
+        stats.record_mux_batch(3, 7);
+        let counters = concat!(
+            r#""accepted":0,"completed":0,"shed_queue_full":0,"shed_deadline":0,"shed_busy":0,"#,
+            r#""rejected":0,"panics_caught":0,"batches":0,"batched_clips":0,"queue_depth":0,"#,
+            r#""active_sessions":0,"sessions_opened":0,"sessions_closed":0,"evicted_sessions":0,"#,
+            r#""shed_sessions":0,"stream_pushes":0,"mux":{"batches":1,"groups":7,"occupancy":"#,
+            r#"{"1":0,"2":0,"3_4":1,"5_8":0,"9_16":0,"17_plus":0}},"#,
+        );
+        assert_eq!(
+            stats.to_json(true),
+            format!(
+                r#"{{"ready":true,{counters}"cache":{{"group_hits":0,"group_misses":0,"window_hits":0}},"stages":{{}}}}"#
+            )
+        );
+        let scope = tsdx_tensor::metrics::scope();
+        tsdx_tensor::metrics::observe_ns("stage/decode", 3_000);
+        tsdx_tensor::metrics::observe_ns("stage/serve_batch", 7_000);
+        tsdx_tensor::metrics::counter_add("stage/cache_miss", 2);
+        stats.publish_worker_metrics(scope.snapshot());
+        assert_eq!(
+            stats.to_json(false),
+            format!(
+                concat!(
+                    r#"{{"ready":false,{}"cache":{{"group_hits":0,"group_misses":2,"window_hits":0}},"#,
+                    r#""stages":{{"stage/decode":{{"count":1,"mean_us":3,"p50_us":3,"p99_us":3}},"#,
+                    r#""stage/serve_batch":{{"count":1,"mean_us":7,"p50_us":6,"p99_us":6}}}}}}"#
+                ),
+                counters
+            )
+        );
     }
 }

@@ -122,14 +122,12 @@ impl SessionManager {
     pub fn create(&self, model_cfg: ModelConfig) -> Result<Arc<SessionEntry>, ServeError> {
         let mut table = self.lock_table();
         self.sweep_idle_locked(&mut table);
+        let full = table.len() >= self.cfg.max_sessions;
         // Fault injection: the table reports exhaustion without a test
         // having to fill hundreds of real slots.
         #[cfg(feature = "fault-inject")]
-        if tsdx_tensor::faults::take_session_table_full() {
-            ServeStats::inc(&self.stats.shed_sessions);
-            return Err(ServeError::SessionLimit { capacity: self.cfg.max_sessions });
-        }
-        if table.len() >= self.cfg.max_sessions {
+        let full = tsdx_tensor::faults::SESSION_TABLE_FULL.take().is_some() || full;
+        if full {
             ServeStats::inc(&self.stats.shed_sessions);
             return Err(ServeError::SessionLimit { capacity: self.cfg.max_sessions });
         }

@@ -14,53 +14,85 @@ use std::sync::Mutex;
 
 use tsdx_tensor::metrics::Snapshot;
 
-/// Monotonic counters over the server's lifetime. All relaxed: they are
-/// observability, not synchronization.
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    /// Requests admitted into the batch queue.
-    pub accepted: AtomicU64,
-    /// Admitted requests answered with a scenario (200).
-    pub completed: AtomicU64,
-    /// Requests shed at admission with 429 (queue full).
-    pub shed_queue_full: AtomicU64,
-    /// Requests shed with 503 before their forward (deadline unmakeable).
-    pub shed_deadline: AtomicU64,
-    /// Connections turned away at the connection cap (503).
-    pub shed_busy: AtomicU64,
-    /// Requests rejected 4xx (malformed HTTP, bad JSON, invalid video).
-    pub rejected: AtomicU64,
-    /// Handler or batch-forward panics captured (500s served instead of a
-    /// crash).
-    pub panics_caught: AtomicU64,
-    /// Batched forwards executed.
-    pub batches: AtomicU64,
-    /// Clips summed over all executed batches (mean batch size =
-    /// `batched_clips / batches`).
-    pub batched_clips: AtomicU64,
-    /// Current admission-queue depth (gauge, updated on enqueue/drain).
-    pub queue_depth: AtomicU64,
-    /// Streaming sessions opened over the server's lifetime.
-    pub sessions_opened: AtomicU64,
-    /// Sessions closed by an explicit `DELETE`.
-    pub sessions_closed: AtomicU64,
-    /// Sessions evicted after their idle TTL.
-    pub evicted_sessions: AtomicU64,
-    /// Session creates shed at the table capacity (429).
-    pub shed_sessions: AtomicU64,
-    /// Currently live sessions (gauge, updated on create/close/evict).
-    pub active_sessions: AtomicU64,
-    /// Stream chunk pushes answered successfully.
-    pub stream_pushes: AtomicU64,
-    /// Cross-stream batched group-encode forwards executed.
-    pub mux_batches: AtomicU64,
-    /// Time groups summed over all batched group encodes.
-    pub mux_groups: AtomicU64,
-    /// Cross-stream batch-occupancy histogram: how many streams shared
-    /// each group-encode forward, bucketed 1 / 2 / 3–4 / 5–8 / 9–16 / 17+.
-    pub mux_occupancy: [AtomicU64; 6],
-    /// Latest published worker-side metrics snapshot.
-    worker_metrics: Mutex<Snapshot>,
+use crate::json::Object;
+
+/// Declares [`ServeStats`] from the one table below: a counter is a line
+/// there — doc, field, `/stats` key — so it cannot exist without being
+/// served. `top` members render flat under the field's own name, in this
+/// order; `mux` members render inside the `"mux"` object under the key given.
+macro_rules! serve_stats {
+    (
+        top { $($(#[$top_doc:meta])* $top:ident,)* }
+        mux { $($(#[$mux_doc:meta])* $mux:ident => $mux_key:literal,)* }
+    ) => {
+        /// Monotonic counters over the server's lifetime. All relaxed: they
+        /// are observability, not synchronization.
+        #[derive(Debug, Default)]
+        pub struct ServeStats {
+            $($(#[$top_doc])* pub $top: AtomicU64,)*
+            $($(#[$mux_doc])* pub $mux: AtomicU64,)*
+            /// Cross-stream batch-occupancy histogram: how many streams shared
+            /// each group-encode forward, bucketed 1 / 2 / 3–4 / 5–8 / 9–16 / 17+.
+            pub mux_occupancy: [AtomicU64; 6],
+            /// Latest published worker-side metrics snapshot.
+            worker_metrics: Mutex<Snapshot>,
+        }
+
+        impl ServeStats {
+            fn write_top(&self, out: Object) -> Object {
+                out$(.raw(stringify!($top), Self::get(&self.$top)))*
+            }
+
+            fn write_mux(&self, out: Object) -> Object {
+                out$(.raw($mux_key, Self::get(&self.$mux)))*
+            }
+        }
+    };
+}
+
+serve_stats! {
+    top {
+        /// Requests admitted into the batch queue.
+        accepted,
+        /// Admitted requests answered with a scenario (200).
+        completed,
+        /// Requests shed at admission with 429 (queue full).
+        shed_queue_full,
+        /// Requests shed with 503 before their forward (deadline unmakeable).
+        shed_deadline,
+        /// Connections turned away at the connection cap (503).
+        shed_busy,
+        /// Requests rejected 4xx (malformed HTTP, bad JSON, invalid video).
+        rejected,
+        /// Handler or batch-forward panics captured (500s served instead of
+        /// a crash).
+        panics_caught,
+        /// Batched forwards executed.
+        batches,
+        /// Clips summed over all executed batches (mean batch size =
+        /// `batched_clips / batches`).
+        batched_clips,
+        /// Current admission-queue depth (gauge, updated on enqueue/drain).
+        queue_depth,
+        /// Currently live sessions (gauge, updated on create/close/evict).
+        active_sessions,
+        /// Streaming sessions opened over the server's lifetime.
+        sessions_opened,
+        /// Sessions closed by an explicit `DELETE`.
+        sessions_closed,
+        /// Sessions evicted after their idle TTL.
+        evicted_sessions,
+        /// Session creates shed at the table capacity (429).
+        shed_sessions,
+        /// Stream chunk pushes answered successfully.
+        stream_pushes,
+    }
+    mux {
+        /// Cross-stream batched group-encode forwards executed.
+        mux_batches => "batches",
+        /// Time groups summed over all batched group encodes.
+        mux_groups => "groups",
+    }
 }
 
 /// JSON keys for the occupancy buckets, in order.
@@ -107,67 +139,27 @@ impl ServeStats {
     /// every worker-side stage histogram.
     pub fn to_json(&self, ready: bool) -> String {
         let snap = self.worker_metrics();
-        let mut stages = String::new();
-        for (key, h) in &snap.hists {
-            if !stages.is_empty() {
-                stages.push(',');
-            }
-            stages.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"mean_us\":{},\"p50_us\":{},\"p99_us\":{}}}",
-                crate::json::escape(key),
-                h.count,
-                h.mean_ns() / 1_000,
-                h.quantile_ns(0.5) / 1_000,
-                h.quantile_ns(0.99) / 1_000,
-            ));
-        }
-        let mut occupancy = String::new();
-        for (key, bucket) in OCCUPANCY_KEYS.iter().zip(&self.mux_occupancy) {
-            if !occupancy.is_empty() {
-                occupancy.push(',');
-            }
-            occupancy.push_str(&format!("\"{key}\":{}", Self::get(bucket)));
-        }
-        format!(
-            concat!(
-                "{{\"ready\":{ready},\"accepted\":{accepted},\"completed\":{completed},",
-                "\"shed_queue_full\":{sqf},\"shed_deadline\":{sd},\"shed_busy\":{sb},",
-                "\"rejected\":{rej},\"panics_caught\":{pan},",
-                "\"batches\":{batches},\"batched_clips\":{clips},\"queue_depth\":{depth},",
-                "\"active_sessions\":{active},\"sessions_opened\":{opened},",
-                "\"sessions_closed\":{closed_n},\"evicted_sessions\":{evicted},",
-                "\"shed_sessions\":{shed_s},\"stream_pushes\":{pushes},",
-                "\"mux\":{{\"batches\":{mux_b},\"groups\":{mux_g},",
-                "\"occupancy\":{{{occupancy}}}}},",
-                "\"cache\":{{\"group_hits\":{c_hit},\"group_misses\":{c_miss},",
-                "\"window_hits\":{w_hit}}},",
-                "\"stages\":{{{stages}}}}}"
-            ),
-            ready = ready,
-            active = Self::get(&self.active_sessions),
-            opened = Self::get(&self.sessions_opened),
-            closed_n = Self::get(&self.sessions_closed),
-            evicted = Self::get(&self.evicted_sessions),
-            shed_s = Self::get(&self.shed_sessions),
-            pushes = Self::get(&self.stream_pushes),
-            mux_b = Self::get(&self.mux_batches),
-            mux_g = Self::get(&self.mux_groups),
-            occupancy = occupancy,
-            c_hit = snap.counter("stage/cache_hit"),
-            c_miss = snap.counter("stage/cache_miss"),
-            w_hit = snap.counter("stage/window_hit"),
-            accepted = Self::get(&self.accepted),
-            completed = Self::get(&self.completed),
-            sqf = Self::get(&self.shed_queue_full),
-            sd = Self::get(&self.shed_deadline),
-            sb = Self::get(&self.shed_busy),
-            rej = Self::get(&self.rejected),
-            pan = Self::get(&self.panics_caught),
-            batches = Self::get(&self.batches),
-            clips = Self::get(&self.batched_clips),
-            depth = Self::get(&self.queue_depth),
-            stages = stages,
-        )
+        let occupancy = OCCUPANCY_KEYS
+            .iter()
+            .zip(&self.mux_occupancy)
+            .fold(Object::new(), |o, (key, bucket)| o.raw(key, Self::get(bucket)));
+        let cache = Object::new()
+            .raw("group_hits", snap.counter("stage/cache_hit"))
+            .raw("group_misses", snap.counter("stage/cache_miss"))
+            .raw("window_hits", snap.counter("stage/window_hit"));
+        let stages = snap.hists.iter().fold(Object::new(), |o, (key, h)| {
+            let stage = Object::new()
+                .raw("count", h.count)
+                .raw("mean_us", h.mean_ns() / 1_000)
+                .raw("p50_us", h.quantile_ns(0.5) / 1_000)
+                .raw("p99_us", h.quantile_ns(0.99) / 1_000);
+            o.raw(key, stage)
+        });
+        self.write_top(Object::new().raw("ready", ready))
+            .raw("mux", self.write_mux(Object::new()).raw("occupancy", occupancy))
+            .raw("cache", cache)
+            .raw("stages", stages)
+            .finish()
     }
 }
 

@@ -29,7 +29,7 @@ fn accept_stall_delays_but_never_drops_requests() {
     let mut server = Server::start(tiny_extractor(), ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
-    tsdx_tensor::faults::arm_accept_stall(300);
+    tsdx_tensor::faults::ACCEPT_STALL.arm(300);
     let t0 = Instant::now();
     // The first connection eats the stall; the one behind it queues in the
     // OS backlog and still completes.
@@ -52,7 +52,7 @@ fn mid_body_disconnect_is_typed_and_contained() {
 
     // The injected fault truncates the body read partway through, exactly
     // what a client dying mid-upload produces.
-    tsdx_tensor::faults::arm_body_disconnect(64);
+    tsdx_tensor::faults::BODY_DISCONNECT.arm(64);
     let resp = post_clip(addr, "4x16x16", &valid_pixels(), &[]).unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body);
     assert!(resp.body.contains("mid-body"), "{}", resp.body);
@@ -104,7 +104,7 @@ fn mid_chunk_disconnect_leaves_the_session_resumable() {
 
     // The client dies mid-chunk: a typed 400 before the session is even
     // looked up — no torn frames land in the stream.
-    tsdx_tensor::faults::arm_body_disconnect(64);
+    tsdx_tensor::faults::BODY_DISCONNECT.arm(64);
     let resp = push_half_window(addr, id, 1);
     assert_eq!(resp.status, 400, "{}", resp.body);
     assert!(resp.body.contains("mid-body"), "{}", resp.body);
@@ -137,7 +137,7 @@ fn batched_readout_panic_answers_500s_and_every_session_streams_on() {
     // The second halves fill both windows, pushed concurrently: the round
     // that reads out first — one session or both — dies after its forward,
     // before any window memo is written, and answers typed 500s.
-    tsdx_tensor::faults::arm_readout_panic();
+    tsdx_tensor::faults::READOUT_PANIC.arm(());
     let pushes: Vec<_> = ids
         .iter()
         .enumerate()
@@ -178,7 +178,7 @@ fn session_table_exhaustion_is_typed_and_transient() {
 
     // The injected fault makes the table report capacity without filling
     // 256 real slots.
-    tsdx_tensor::faults::arm_session_table_full();
+    tsdx_tensor::faults::SESSION_TABLE_FULL.arm(());
     let resp = common::Client::connect(addr).request("POST", "/sessions", &[], b"").unwrap();
     assert_eq!(resp.status, 429, "{}", resp.body);
     assert!(resp.body.contains("\"kind\":\"session_limit\""), "{}", resp.body);
@@ -204,7 +204,7 @@ fn session_route_panic_spares_listener_and_other_sessions() {
     assert_eq!(resp.status, 200, "{}", resp.body);
 
     // The next session-route handler dies before touching any state.
-    tsdx_tensor::faults::arm_session_route_panic();
+    tsdx_tensor::faults::SESSION_ROUTE_PANIC.arm(());
     let resp = common::Client::connect(addr).request("POST", "/sessions", &[], b"").unwrap();
     assert_eq!(resp.status, 500, "{}", resp.body);
     assert!(resp.body.contains("injected fault"), "{}", resp.body);
@@ -228,7 +228,7 @@ fn handler_panic_answers_500_and_spares_the_listener() {
 
     // Request indices are assigned in arrival order; the first request on a
     // fresh server is index 0.
-    tsdx_tensor::faults::arm_handler_panic(0);
+    tsdx_tensor::faults::HANDLER_PANIC.arm(0);
     let resp = get(addr, "/healthz");
     assert_eq!(resp.status, 500, "{}", resp.body);
     assert!(resp.body.contains("\"kind\":\"internal\""), "{}", resp.body);

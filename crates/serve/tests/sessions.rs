@@ -173,6 +173,7 @@ fn session_table_capacity_is_a_typed_retryable_429() {
     let _c = create_session(addr);
     let stats = get(addr, "/stats");
     assert_eq!(parse_u64_field(&stats.body, "shed_sessions"), 1);
+    assert_eq!(parse_u64_field(&stats.body, "rejected"), 0, "a shed is not a malformed request");
     server.shutdown();
 }
 

@@ -78,11 +78,11 @@ thread_local! {
     static CAPTURING: Cell<bool> = const { Cell::new(false) };
     static CAPTURED_LOCATION: RefCell<Option<String>> = const { RefCell::new(None) };
     // Dispatcher-side record of the panic most recently re-raised by
-    // `map_chunks` on this thread.
+    // `map_chunks_named` on this thread.
     static LAST_PANIC: RefCell<Option<PanicInfo>> = const { RefCell::new(None) };
 }
 
-/// Diagnostic record of a worker-job panic re-raised by [`map_chunks`].
+/// Diagnostic record of a worker-job panic re-raised by [`map_chunks_named`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PanicInfo {
     /// Chunk index whose job panicked.
@@ -98,7 +98,7 @@ struct ChunkPanic {
     payload: Box<dyn Any + Send + 'static>,
 }
 
-/// Info about the panic most recently re-raised by [`map_chunks`] on the
+/// Info about the panic most recently re-raised by [`map_chunks_named`] on the
 /// calling thread, for diagnostics after catching it. Cleared at the start
 /// of every dispatch.
 pub fn last_panic() -> Option<PanicInfo> {
@@ -160,7 +160,7 @@ fn pool() -> &'static WorkerPool {
                         match job {
                             Ok(job) => {
                                 // Jobs catch their own panics and ship the
-                                // payload back (see `map_chunks`); this
+                                // payload back (see `map_chunks_named`); this
                                 // backstop only guards job-queue plumbing so
                                 // a worker can never die mid-epoch.
                                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
@@ -215,6 +215,15 @@ pub(crate) fn should_parallelize(work_elems: usize, serial_below: usize) -> bool
     }
 }
 
+/// Fault injection: panics, once, inside the job of the armed chunk.
+#[inline]
+fn injected_panic(_chunk: usize) {
+    #[cfg(feature = "fault-inject")]
+    if crate::faults::WORKER_PANIC.take_if(_chunk) {
+        panic!("injected fault: worker panic at chunk {_chunk}");
+    }
+}
+
 /// Runs `task(chunk_index)` for every `chunk_index in 0..chunks` on the pool
 /// and returns the results ordered by chunk index.
 ///
@@ -222,25 +231,9 @@ pub(crate) fn should_parallelize(work_elems: usize, serial_below: usize) -> bool
 /// however many workers the pool has; ordering of *execution* is
 /// unspecified, ordering of *results* is by index.
 ///
-/// # Panics
-///
-/// If one or more chunk tasks panic, every remaining chunk still runs to
-/// completion, the workers survive, and the payload of the panicking chunk
-/// with the **lowest index** is re-raised on the calling thread exactly as
-/// the job raised it ([`last_panic`] reports the chunk index and source
-/// location afterwards).
-pub fn map_chunks<T, F>(chunks: usize, task: F) -> Vec<T>
-where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
-{
-    dispatch_chunks(None, chunks, task)
-}
-
-/// [`map_chunks`] with a kernel name for [`crate::metrics`].
-///
-/// When metrics are enabled (a scope is open on the dispatching thread),
-/// every *pool* dispatch records, keyed by `kernel`:
+/// `kernel` names the dispatch for [`crate::metrics`]. When metrics are
+/// enabled (a scope is open on the dispatching thread), every *pool*
+/// dispatch records, keyed by `kernel`:
 /// counters `pool/dispatch/<kernel>` (one per dispatch) and
 /// `pool/chunks/<kernel>` (chunks per dispatch), and histograms
 /// `pool/queue_wait/<kernel>` (enqueue to job start) and
@@ -251,15 +244,15 @@ where
 /// chunk computes which output (the determinism contract is unaffected —
 /// the parity suite runs with metrics on and off). Inline runs (one chunk
 /// or nested dispatch) are not pool traffic and record nothing.
+///
+/// # Panics
+///
+/// If one or more chunk tasks panic, every remaining chunk still runs to
+/// completion, the workers survive, and the payload of the panicking chunk
+/// with the **lowest index** is re-raised on the calling thread exactly as
+/// the job raised it ([`last_panic`] reports the chunk index and source
+/// location afterwards).
 pub fn map_chunks_named<T, F>(kernel: &'static str, chunks: usize, task: F) -> Vec<T>
-where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
-{
-    dispatch_chunks(Some(kernel), chunks, task)
-}
-
-fn dispatch_chunks<T, F>(kernel: Option<&'static str>, chunks: usize, task: F) -> Vec<T>
 where
     T: Send + 'static,
     F: Fn(usize) -> T + Send + Sync + 'static,
@@ -268,27 +261,21 @@ where
         return Vec::new();
     }
     if chunks == 1 || on_worker_thread() {
-        #[cfg(feature = "fault-inject")]
         return (0..chunks)
             .map(|i| {
-                crate::faults::maybe_panic_worker(i);
+                injected_panic(i);
                 task(i)
             })
             .collect();
-        #[cfg(not(feature = "fault-inject"))]
-        return (0..chunks).map(task).collect();
     }
     // Per-chunk (queue_wait_ns, exec_ns) samples, allocated only when a
     // metrics sink is live at dispatch time. Workers push, the dispatcher
     // reads after the drain barrier below.
-    let meter: Option<ChunkMeter> = match kernel {
-        Some(k) if metrics::active() => {
-            metrics::counter_add(&format!("pool/dispatch/{k}"), 1);
-            metrics::counter_add(&format!("pool/chunks/{k}"), chunks as u64);
-            Some(Arc::new(Mutex::new(Vec::with_capacity(chunks))))
-        }
-        _ => None,
-    };
+    let meter: Option<ChunkMeter> = metrics::active().then(|| {
+        metrics::counter_add(&format!("pool/dispatch/{kernel}"), 1);
+        metrics::counter_add(&format!("pool/chunks/{kernel}"), chunks as u64);
+        Arc::new(Mutex::new(Vec::with_capacity(chunks)))
+    });
     let pool = pool();
     let task = Arc::new(task);
     let (tx, rx) = mpsc::channel::<Result<(usize, T), ChunkPanic>>();
@@ -303,8 +290,7 @@ where
                 .send(Box::new(move || {
                     let timer = enqueued.map(|t| (t.elapsed().as_nanos() as u64, Instant::now()));
                     let r = run_captured(i, || {
-                        #[cfg(feature = "fault-inject")]
-                        crate::faults::maybe_panic_worker(i);
+                        injected_panic(i);
                         task(i)
                     });
                     if let (Some(m), Some((wait_ns, start))) = (&meter, timer) {
@@ -335,12 +321,12 @@ where
             }
         }
     }
-    if let (Some(k), Some(m)) = (kernel, meter) {
+    if let Some(m) = meter {
         // All workers have reported (the channel closed), so the lock is
         // uncontended and the samples are complete.
         let samples = m.lock().map(|v| v.clone()).unwrap_or_default();
-        let wait_key = format!("pool/queue_wait/{k}");
-        let exec_key = format!("pool/exec/{k}");
+        let wait_key = format!("pool/queue_wait/{kernel}");
+        let exec_key = format!("pool/exec/{kernel}");
         for (wait_ns, exec_ns) in samples {
             metrics::observe_ns(&wait_key, wait_ns);
             metrics::observe_ns(&exec_key, exec_ns);
@@ -368,32 +354,10 @@ where
 /// that skips positions would leak stale values and break the determinism
 /// contract. Each row is produced by exactly one chunk with the same
 /// per-row code on every path, so the result is bit-identical for every
-/// `threads` value.
-pub fn parallel_rows<F>(rows: usize, row_len: usize, threads: usize, work: F) -> Vec<f32>
-where
-    F: Fn(usize, &mut [f32]) + Send + Sync + 'static,
-{
-    parallel_rows_impl(None, rows, row_len, threads, work)
-}
-
-/// [`parallel_rows`] with a kernel name for [`crate::metrics`]; pool
-/// dispatches record the same per-kernel counters and histograms as
-/// [`map_chunks_named`].
+/// `threads` value. Pool dispatches record the per-`kernel` counters and
+/// histograms of [`map_chunks_named`].
 pub fn parallel_rows_named<F>(
     kernel: &'static str,
-    rows: usize,
-    row_len: usize,
-    threads: usize,
-    work: F,
-) -> Vec<f32>
-where
-    F: Fn(usize, &mut [f32]) + Send + Sync + 'static,
-{
-    parallel_rows_impl(Some(kernel), rows, row_len, threads, work)
-}
-
-fn parallel_rows_impl<F>(
-    kernel: Option<&'static str>,
     rows: usize,
     row_len: usize,
     threads: usize,
@@ -414,7 +378,7 @@ where
     let rows_per = rows.div_ceil(threads);
     let chunks = rows.div_ceil(rows_per);
     let work = Arc::new(work);
-    let parts = dispatch_chunks(kernel, chunks, move |c| {
+    let parts = map_chunks_named(kernel, chunks, move |c| {
         let first = c * rows_per;
         let count = rows_per.min(rows - first);
         // Chunk buffers carry arbitrary recycled contents (the `work`
@@ -438,7 +402,7 @@ mod tests {
 
     #[test]
     fn map_chunks_orders_results_by_index() {
-        let r = map_chunks(8, |i| i * 10);
+        let r = map_chunks_named("test", 8, |i| i * 10);
         assert_eq!(r, vec![0, 10, 20, 30, 40, 50, 60, 70]);
     }
 
@@ -449,9 +413,9 @@ mod tests {
                 *v = (first * 5 + j) as f32 * 0.5;
             }
         };
-        let serial = parallel_rows(13, 5, 1, fill);
+        let serial = parallel_rows_named("test", 13, 5, 1, fill);
         for threads in [2usize, 3, 7, 13, 40] {
-            let par = parallel_rows(13, 5, threads, fill);
+            let par = parallel_rows_named("test", 13, 5, threads, fill);
             assert_eq!(serial, par, "threads={threads} diverged");
         }
     }
@@ -475,14 +439,14 @@ mod tests {
 
     #[test]
     fn map_chunks_zero_and_one() {
-        assert!(map_chunks(0, |i| i).is_empty());
-        assert_eq!(map_chunks(1, |i| i + 1), vec![1]);
+        assert!(map_chunks_named("test", 0, |i| i).is_empty());
+        assert_eq!(map_chunks_named("test", 1, |i| i + 1), vec![1]);
     }
 
     #[test]
     fn panicking_job_reraises_original_payload_and_pool_survives() {
         let err = std::panic::catch_unwind(|| {
-            map_chunks(6, |i| {
+            map_chunks_named("test", 6, |i| {
                 if i == 3 {
                     panic!("chunk {i} exploded");
                 }
@@ -502,7 +466,7 @@ mod tests {
         assert!(loc.contains("pool.rs"), "unexpected location {loc}");
 
         // The long-lived workers survived and the pool is immediately usable.
-        let r = map_chunks(8, |i| i + 100);
+        let r = map_chunks_named("test", 8, |i| i + 100);
         assert_eq!(r, (100..108).collect::<Vec<_>>());
         assert!(last_panic().is_none(), "a clean dispatch clears the record");
     }
@@ -510,7 +474,7 @@ mod tests {
     #[test]
     fn lowest_chunk_wins_when_several_panic() {
         let err = std::panic::catch_unwind(|| {
-            map_chunks(8, |i| {
+            map_chunks_named("test", 8, |i| {
                 if i % 2 == 1 {
                     panic!("boom {i}");
                 }
@@ -521,23 +485,23 @@ mod tests {
         let msg = err.downcast_ref::<String>().cloned().unwrap();
         assert_eq!(msg, "boom 1", "deterministic choice: lowest panicking chunk");
         assert_eq!(last_panic().unwrap().chunk, 1);
-        assert_eq!(map_chunks(3, |i| i), vec![0, 1, 2]);
+        assert_eq!(map_chunks_named("test", 3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
     fn parallel_rows_propagates_job_panics() {
         let err = std::panic::catch_unwind(|| {
-            parallel_rows(8, 2, 4, |first, _out| {
+            parallel_rows_named("test", 8, 2, 4, |first, _out| {
                 if first >= 4 {
                     panic!("row chunk starting at {first} failed");
                 }
             })
         })
-        .expect_err("parallel_rows must surface the panic");
+        .expect_err("parallel_rows_named must surface the panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap();
         assert!(msg.contains("row chunk starting at"), "{msg}");
         // Still usable for the normal case.
-        let out = parallel_rows(4, 2, 2, |first, out| {
+        let out = parallel_rows_named("test", 4, 2, 2, |first, out| {
             for (j, v) in out.iter_mut().enumerate() {
                 *v = (first * 2 + j) as f32;
             }

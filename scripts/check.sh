@@ -54,3 +54,6 @@ for workload in bulk_batch8 search_sdl stream_pair clip_octet; do
 done
 
 echo "All checks passed."
+
+# The numbers ROADMAP.md quotes ("Per-crate `src` lines"), from a command.
+bash scripts/loc.sh

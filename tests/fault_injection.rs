@@ -18,7 +18,7 @@ use tsdx::nn::{
     TrainCheckpoint,
 };
 use tsdx::render::RenderConfig;
-use tsdx::tensor::pool::{last_panic, map_chunks, with_forced_threads};
+use tsdx::tensor::pool::{last_panic, map_chunks_named, with_forced_threads};
 use tsdx::tensor::{faults, Tensor};
 
 /// The fault registry is process-global, so tests that arm it must not
@@ -48,8 +48,8 @@ fn sample_checkpoint() -> TrainCheckpoint {
 fn injected_worker_panic_reraises_and_pool_recovers() {
     armed(|| {
         with_forced_threads(4, || {
-            faults::arm_worker_panic(2);
-            let caught = catch_unwind(AssertUnwindSafe(|| map_chunks(4, |i| i * 10)));
+            faults::WORKER_PANIC.arm(2);
+            let caught = catch_unwind(AssertUnwindSafe(|| map_chunks_named("test", 4, |i| i * 10)));
             let payload = caught.expect_err("armed dispatch must panic");
             let msg = payload
                 .downcast_ref::<String>()
@@ -65,7 +65,7 @@ fn injected_worker_panic_reraises_and_pool_recovers() {
 
             // The hook is one-shot, and the pool must still be usable: the
             // same workers run the next dispatch and produce correct output.
-            let clean = map_chunks(4, |i| i * 10);
+            let clean = map_chunks_named("test", 4, |i| i * 10);
             assert_eq!(clean, vec![0, 10, 20, 30]);
             assert!(last_panic().is_none(), "clean dispatch clears diagnostics");
         });
@@ -78,7 +78,7 @@ fn torn_checkpoint_write_is_detected_on_read() {
         let path = tmp("tear");
         // 40 bytes is past the 16-byte header but well before the payload
         // ends, so the reader should diagnose a truncation specifically.
-        faults::arm_checkpoint_tear(40);
+        faults::CHECKPOINT_TEAR.arm(40);
         save_train_checkpoint(&sample_checkpoint(), &path).unwrap();
         let err = read_train_checkpoint(&path).expect_err("torn file must not load");
         std::fs::remove_file(&path).ok();
@@ -95,7 +95,7 @@ fn flipped_checkpoint_bit_is_detected_on_read() {
     armed(|| {
         let path = tmp("flip");
         // Flip one bit deep inside the tensor payload (byte 225, bit 3).
-        faults::arm_checkpoint_bit_flip(225 * 8 + 3);
+        faults::CHECKPOINT_BIT_FLIP.arm(225 * 8 + 3);
         save_train_checkpoint(&sample_checkpoint(), &path).unwrap();
         let err = read_train_checkpoint(&path).expect_err("corrupt file must not load");
         std::fs::remove_file(&path).ok();
@@ -140,7 +140,7 @@ fn nan_gradient_is_skipped_without_aborting_training() {
         };
 
         // Poison the gradients of step 1 (second batch of epoch 1).
-        faults::arm_nan_grad(1);
+        faults::NAN_GRAD.arm(1);
         let mut model = VideoScenarioTransformer::new(tiny_cfg(), 9);
         let report = tsdx::core::train_resilient(
             &mut model,
