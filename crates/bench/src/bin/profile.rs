@@ -35,11 +35,16 @@
 //!   µs and columns read for an SDL query, a 10-non-zero query and a dense
 //!   query over 200 000 random taxonomy-valid scenarios.
 //!
+//! - a **clip-generation profile** ([`data_profile`]): `generate_dataset`
+//!   clips/s on the first call in the process and in steady state, and per
+//!   weather the µs per clip of sample + simulate, noise-free frames and
+//!   sensor noise.
+//!
 //! Run with `cargo run -p tsdx-bench --release --bin profile` (add
 //! `--quick` for a reduced-size smoke run, as in `scripts/check.sh`).
-//! `--eval [--batch N]` prints the eval-forward profile alone and `--index`
-//! the index-scan profile alone; pin them (`taskset -c 1 …`) when the
-//! numbers matter.
+//! `--eval [--batch N]` prints the eval-forward profile alone, `--index`
+//! the index-scan profile alone and `--data` the clip-generation profile
+//! alone; pin them (`taskset -c 1 …`) when the numbers matter.
 
 use std::time::Instant;
 
@@ -50,9 +55,11 @@ use tsdx_core::{
     multitask_loss, ClipModel, LossWeights, ModelConfig, ScenarioExtractor, StreamState,
     VideoScenarioTransformer,
 };
-use tsdx_data::{collate, Batch};
+use tsdx_data::{collate, generate_dataset, Batch, DatasetConfig};
 use tsdx_index::VectorIndex;
+use tsdx_render::{render_video, RenderConfig, Weather};
 use tsdx_sdl::{vocab, ActorClause, EgoManeuver, Position, RoadKind, Scenario, MAX_ACTORS};
+use tsdx_sim::ScenarioSampler;
 use tsdx_tensor::dial::{Kernel, KERNEL};
 use tsdx_tensor::ops::{self, Activation};
 use tsdx_tensor::{metrics, Graph, Tensor};
@@ -156,7 +163,6 @@ fn eval_profile(quick: bool, batches: &[usize]) {
     let ex = ScenarioExtractor::untrained(cfg, 17);
     let (calls, rounds) = if quick { (20, 3) } else { (300, 15) };
     let val = |shape: &[usize], f: f32| Tensor::from_fn(shape, |i| (i as f32 * f).sin() * 0.5);
-    let us = |x: f64| format!("{x:.1}");
     let clips = |batch: usize| -> Vec<Tensor> {
         (0..batch)
             .map(|c| val(&[cfg.frames, cfg.height, cfg.width], 0.0137 + c as f32 * 1e-4))
@@ -484,9 +490,94 @@ fn index_profile(quick: bool) {
     );
 }
 
+/// Where a generated clip's time goes. First `generate_dataset` of 64
+/// default clips in clips/s: the process's first call, which also builds the
+/// shared road maps (`WorldMap::of`), and the median of later calls. Then per
+/// weather, µs per clip for sampling and simulating its scenario, for
+/// rendering its frames with `noise_std = 0`, and for the sensor noise — the
+/// default render less the noise-free one.
+fn data_profile(quick: bool) {
+    const CLIPS: usize = 64;
+    let cfg = DatasetConfig { n_clips: CLIPS, ..DatasetConfig::default() };
+    let rounds = if quick { 3 } else { 15 };
+    let clips_per_s = || {
+        let t = Instant::now();
+        std::hint::black_box(generate_dataset(&cfg));
+        CLIPS as f64 / t.elapsed().as_secs_f64()
+    };
+    let first = clips_per_s(); // must be the first render in the process
+    let steady = median(&mut (0..rounds).map(|_| clips_per_s()).collect::<Vec<_>>());
+    let rate_row = |call: String, rate: f64| vec![call, format!("{rate:.0}"), us(1e6 / rate)];
+    print_table(
+        &format!("generate_dataset, {CLIPS} default clips, {} worker", cfg.workers),
+        &["call", "clips/s", "µs/clip"],
+        &[
+            rate_row("first in the process (builds the road maps)".into(), first),
+            rate_row(format!("steady state (median of {rounds})"), steady),
+        ],
+    );
+
+    let sampler = ScenarioSampler::new(cfg.sampler);
+    let scene = |i: usize| {
+        let g = sampler.sample(&mut StdRng::seed_from_u64(cfg.base_seed + i as u64));
+        let traj = g.world.simulate(cfg.sim_dt);
+        (g.world, traj)
+    };
+    let scenes = &(0..CLIPS).map(scene).collect::<Vec<_>>();
+    let mut rows = Vec::new();
+    for weather in [Weather::Clear, Weather::Fog(0.06), Weather::Night] {
+        let noisy = RenderConfig { weather, ..cfg.render };
+        let clean = RenderConfig { noise_std: 0.0, ..noisy };
+        let render = |config: RenderConfig| {
+            let (mut turn, mut rng) = (0, StdRng::seed_from_u64(tsdx_bench::STD_SEED));
+            move || {
+                turn += 1;
+                let (world, traj) = &scenes[turn % CLIPS];
+                std::hint::black_box(render_video(world, traj, &config, &mut rng));
+            }
+        };
+        let mut turn = 0;
+        let got = alternated_us(
+            rounds,
+            CLIPS,
+            &mut [
+                &mut || {
+                    turn += 1;
+                    std::hint::black_box(scene(turn % CLIPS));
+                },
+                &mut render(clean),
+                &mut render(noisy),
+            ],
+        );
+        let (simulate, frames, noise) = (got[0], got[1], got[2] - got[1]);
+        rows.push(vec![
+            format!("{weather:?}"),
+            us(simulate),
+            us(frames),
+            us(noise),
+            us(simulate + got[2]),
+        ]);
+    }
+    print_table(
+        &format!(
+            "clip generation per clip, {}x{}x{} frames ({rounds} rounds x {CLIPS} clips, median)",
+            cfg.render.frames, cfg.render.height, cfg.render.width
+        ),
+        &["weather", "sample + simulate µs", "frames µs", "noise µs", "clip µs"],
+        &rows,
+    );
+}
+
+fn us(x: f64) -> String {
+    format!("{x:.1}")
+}
+
 fn main() {
     let quick = is_quick();
     println!("run-time switches: {}", tsdx_core::run_time_switches());
+    if has_flag("--data") {
+        return data_profile(quick);
+    }
     if has_flag("--index") {
         return index_profile(quick);
     }

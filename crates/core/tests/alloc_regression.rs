@@ -11,12 +11,12 @@
 //!
 //! Lives in its own integration-test file so the `#[global_allocator]`
 //! override owns the whole process; the tests here serialize on a mutex
-//! (the harness would otherwise interleave them and pollute the counters),
-//! and the pool is forced to one chunk so every allocation lands on the
-//! counting thread deterministically.
+//! (the harness would otherwise interleave their timings), the counts are
+//! per thread, and the pool is forced to one chunk so every allocation of
+//! the measured work lands on the counting thread deterministically.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard};
 
 use rand::rngs::StdRng;
@@ -30,29 +30,39 @@ use tsdx_render::RenderConfig;
 use tsdx_tensor::dial::RunConfig;
 use tsdx_tensor::{metrics, Graph, Tensor};
 
-/// Forwards to the system allocator, counting calls and bytes.
+/// Forwards to the system allocator, counting calls and bytes per thread.
+/// Per thread because the harness's own threads allocate while a test
+/// measures (starting the next test, recording a result); the measured work
+/// runs on the test's thread.
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-// SAFETY: delegates directly to `System`; the counters are relaxed atomics
-// with no effect on allocation behavior.
+thread_local! {
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn count(bytes: usize) {
+    // `Cell` ops cannot allocate, so this does not recurse.
+    COUNTS.with(|c| {
+        let (calls, total) = c.get();
+        c.set((calls + 1, total + bytes as u64));
+    });
+}
+
+// SAFETY: delegates directly to `System`; the counters are thread-local
+// cells with no effect on allocation behavior.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -64,8 +74,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocator `(calls, bytes)` of this thread so far.
 fn snapshot() -> (u64, u64) {
-    (ALLOC_CALLS.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed))
+    COUNTS.with(Cell::get)
 }
 
 const WARMUP: usize = 3;

@@ -166,6 +166,7 @@ impl Shard {
         // Filled only for NaN scores: at most one allocation per scan.
         let mut row = Vec::new();
         let mut offer = |first: usize, scores: &[f32]| {
+            // Ids ascend within a shard and `best` is this shard's alone.
             if best.rejects_all(scores) {
                 return;
             }

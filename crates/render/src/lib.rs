@@ -2,8 +2,8 @@
 //!
 //! Rasterizes [`tsdx_sim`] worlds into the pixel videos consumed by the
 //! learned extractors: a pinhole ego camera with inverse ground-plane
-//! projection, per-world rasterized road maps, actor billboards, sensor
-//! noise — plus an orthographic bird's-eye view for inspection.
+//! projection, road maps rasterized once per road kind, actor billboards,
+//! sensor noise — plus an orthographic bird's-eye view for inspection.
 //!
 //! # Examples
 //!

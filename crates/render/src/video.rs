@@ -52,7 +52,7 @@ pub fn render_video(
     rng: &mut impl Rng,
 ) -> Tensor {
     let cam = Camera::standard(cfg.width, cfg.height);
-    let map = WorldMap::build(&world.road);
+    let map = WorldMap::of(&world.road);
     let indices = traj.frame_indices(cfg.frames);
 
     let brightness = if cfg.brightness_jitter > 0.0 {
@@ -66,7 +66,7 @@ pub fn render_video(
         let ego = &traj.ego[i];
         let actors: Vec<_> =
             world.actors.iter().zip(&traj.actors).map(|(a, states)| (a.kind, states[i])).collect();
-        let mut frame = render_frame(&cam, &map, ego, &actors);
+        let mut frame = render_frame(&cam, map, ego, &actors);
         if let Some(light) = &world.light {
             draw_traffic_light(&cam, &ego.pose, light, traj.time_at(i), frame.data_mut());
         }

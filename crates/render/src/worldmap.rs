@@ -2,9 +2,16 @@
 //!
 //! Rendering a frame inverse-projects every below-horizon pixel to a ground
 //! point; sampling road geometry directly per pixel would be quadratic in
-//! path length. Instead we rasterize the static road once per world into a
-//! coarse grid — painting along each lane path — and bilinearly sample it.
+//! path length. Instead we rasterize the static road into a coarse grid —
+//! painting along each lane path — and bilinearly sample it.
+//!
+//! A layout is a pure function of its [`RoadKind`], so a process needs at
+//! most one map per kind: [`WorldMap::of`] rasterizes each the first time it
+//! is asked for and shares it from then on.
 
+use std::sync::OnceLock;
+
+use tsdx_sdl::RoadKind;
 use tsdx_sim::geometry::Vec2;
 use tsdx_sim::RoadLayout;
 
@@ -41,6 +48,20 @@ impl WorldMap {
     /// Rasterizes `road` over the rectangle covering all its surfaces.
     pub fn build(road: &RoadLayout) -> Self {
         Self::build_with_cell(road, 0.25)
+    }
+
+    /// The map [`WorldMap::build`] makes of `road`, built the first time this
+    /// process asks for `road`'s kind and shared from then on.
+    ///
+    /// Exact, not approximate: [`RoadLayout::build`] is a layout's only
+    /// constructor and nothing mutates one, so every layout of a kind is the
+    /// same layout and rasterizes to the same bits. Each of the
+    /// [`RoadKind::COUNT`] maps is built at most once (0.5–3.2 MB each) and
+    /// never invalidated; concurrent first calls for one kind build it once.
+    pub fn of(road: &RoadLayout) -> &'static WorldMap {
+        static MAPS: [OnceLock<WorldMap>; RoadKind::COUNT] =
+            [const { OnceLock::new() }; RoadKind::COUNT];
+        MAPS[road.kind().index()].get_or_init(|| WorldMap::build(road))
     }
 
     /// Like [`WorldMap::build`] with an explicit cell size (m).
@@ -146,8 +167,25 @@ impl WorldMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsdx_sdl::RoadKind;
     use tsdx_sim::LANE_WIDTH;
+
+    #[test]
+    fn the_shared_map_of_a_kind_is_its_built_map_and_is_built_once() {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for &kind in RoadKind::ALL {
+            let road = RoadLayout::build(kind);
+            let (shared, built) = (WorldMap::of(&road), WorldMap::build(&road));
+            assert_eq!(shared.dims(), built.dims(), "{kind:?}");
+            assert_eq!(
+                bits(&[shared.origin.x, shared.origin.y]),
+                bits(&[built.origin.x, built.origin.y]),
+                "{kind:?}"
+            );
+            assert_eq!(shared.cell.to_bits(), built.cell.to_bits(), "{kind:?}");
+            assert!(bits(&shared.data) == bits(&built.data), "{kind:?}: a cell differs");
+            assert!(std::ptr::eq(shared, WorldMap::of(&RoadLayout::build(kind))), "{kind:?}");
+        }
+    }
 
     #[test]
     fn road_cells_brighter_than_terrain() {

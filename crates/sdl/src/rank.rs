@@ -93,18 +93,24 @@ impl<I: Ord + Copy> TopK<I> {
         self.kth = Some(self.held[self.k - 1]);
     }
 
-    /// True when no entry scored in `scores` could be kept, whatever its
-    /// id — the block-at-a-time fast reject for scan loops (one vector
-    /// compare for a fixed-width block).
+    /// True when no entry scored in `scores` could be kept — the
+    /// block-at-a-time fast reject for scan loops (one vector compare for a
+    /// fixed-width block).
     ///
-    /// Conservative by construction: a score is only ruled out when it is
-    /// numerically below the current k-th score, which implies it is below
-    /// it under [`f32::total_cmp`] too; `NaN`s on either side and ties
-    /// answer `false` and are decided exactly by [`Self::push`].
+    /// Precondition: every id the caller goes on to offer for `scores` is
+    /// greater than every id offered to this accumulator so far (a scan
+    /// offering ascending ids to its own accumulator).
+    ///
+    /// A score is ruled out when it is numerically below the current k-th
+    /// score, which implies it is below it under [`f32::total_cmp`] too, or
+    /// when it is bit-equal to it: under the precondition such an entry
+    /// loses the tie on the id, so [`Self::push`] would drop it. With no
+    /// bar yet, or a NaN one, nothing is ruled out: a caller that recomputes
+    /// a NaN score may offer it with other bits than the ones seen here.
     pub fn rejects_all(&self, scores: &[f32]) -> bool {
-        // Nothing is `<` a NaN, so no bar yet means nothing is ruled out.
-        let floor = self.kth.map_or(f32::NAN, |kth| kth.1);
-        scores.iter().fold(true, |all, &s| all & (s < floor))
+        let Some((_, floor)) = self.kth.filter(|kth| !kth.1.is_nan()) else { return false };
+        let tie = floor.to_bits();
+        scores.iter().fold(true, |all, &s| all & ((s < floor) | (s.to_bits() == tie)))
     }
 
     /// The best `k` entries offered so far, best first.
@@ -202,28 +208,41 @@ mod tests {
 
     #[test]
     fn rejects_all_never_rules_out_an_entry_push_would_keep() {
-        let scored = stream(2000);
-        let mut best = TopK::new(7);
-        assert!(!best.rejects_all(&[-1.0e30]), "no bar yet: nothing is ruled out");
-        for block in scored.chunks(8) {
-            let scores: Vec<f32> = block.iter().map(|e| e.1).collect();
-            if best.rejects_all(&scores) {
-                let before = best.held.clone();
+        let state = |best: &TopK<u64>| {
+            let held: Vec<(u64, u32)> = best.held.iter().map(|&(i, s)| (i, s.to_bits())).collect();
+            (held, best.kth.map(|(i, s)| (i, s.to_bits())))
+        };
+        let scored = stream(5000); // ids ascend, as the precondition asks
+        let (mut ties, mut nan_bars) = (0, 0);
+        for k in [1usize, 7, 64] {
+            let mut best = TopK::new(k);
+            assert!(!best.rejects_all(&[-1.0e30]), "no bar yet: nothing is ruled out");
+            for block in scored.chunks(8) {
+                let scores: Vec<f32> = block.iter().map(|e| e.1).collect();
+                let before = state(&best);
+                let rejected = best.rejects_all(&scores);
+                let bar = best.kth.map(|kth| kth.1.to_bits());
+                ties += usize::from(rejected && scores.iter().any(|s| Some(s.to_bits()) == bar));
                 block.iter().for_each(|&(id, s)| best.push(id, s));
-                assert_eq!(best.held.len(), before.len(), "a rejected block changed the answer");
-            } else {
-                block.iter().for_each(|&(id, s)| best.push(id, s));
+                if rejected {
+                    assert_eq!(state(&best), before, "k={k}: a rejected block changed the answer");
+                }
+                if let Some((_, kth)) = best.kth.filter(|kth| kth.1.is_nan()) {
+                    nan_bars += 1;
+                    assert!(!best.rejects_all(&[kth; 8]), "k={k}: a NaN k-th rules out a tie");
+                    assert!(!best.rejects_all(&[-3.0]), "k={k}: a NaN k-th rules out a score");
+                }
             }
         }
-        // The stream carries +NaN entries, so the bar ends up at +NaN:
-        // nothing compares below it and every block goes to `push`.
-        assert!(!best.rejects_all(&[0.5, -3.0]));
+        assert!(ties > 0, "no rejected block held a tie with the k-th");
+        assert!(nan_bars > 0, "the stream must drive the bar to NaN");
         let mut finite = TopK::new(1);
         finite.push(0u64, 0.5);
         finite.push(1, 0.25);
         assert!(finite.rejects_all(&[0.4, -1.0, f32::NEG_INFINITY]));
         assert!(!finite.rejects_all(&[0.4, f32::NAN]));
-        assert!(!finite.rejects_all(&[0.4, 0.5]), "ties are push's call");
+        assert!(!finite.rejects_all(&[0.4, 0.6]));
+        assert!(finite.rejects_all(&[0.4, 0.5]), "a later id loses the tie with the k-th");
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn main() {
     println!("ground truth: {}\n", generated.truth);
 
     let trajectory = generated.world.simulate(0.05);
-    let map = WorldMap::build(&generated.world.road);
+    let map = WorldMap::of(&generated.world.road);
     let cam = Camera::standard(48, 24);
 
     // Mid-clip snapshot.
@@ -49,10 +49,10 @@ fn main() {
         .map(|(a, states)| (a.kind, states[mid]))
         .collect();
 
-    let bev = render_bev(&BevConfig { size: 40, span: 70.0 }, &map, ego, &actors);
+    let bev = render_bev(&BevConfig { size: 40, span: 70.0 }, map, ego, &actors);
     print_image("bird's-eye view (mid clip, ego at center)", &bev);
     println!();
-    let frame = render_frame(&cam, &map, ego, &actors);
+    let frame = render_frame(&cam, map, ego, &actors);
     print_image("ego camera (mid clip)", &frame);
 
     // What the kinematic labeler reads back from the trajectory.

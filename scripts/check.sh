@@ -29,11 +29,12 @@ cargo test -q --release -p tsdx-core --test alloc_regression
 echo "==> tensor suite with 8 concurrent test threads (metric-scope isolation; AVX-512 kernel == portable kernel, bitwise)"
 cargo test -q -p tsdx-tensor -- --test-threads=8
 
-echo "==> profile binary smoke test (self-time coverage + overhead asserts, GEMM dispatch, no i8 product under the model; index scan by query sparsity)"
+echo "==> profile binary smoke test (self-time coverage + overhead asserts, GEMM dispatch, no i8 product under the model; index scan by query sparsity; clip generation by part and weather)"
 # Its first line names the f32 kernel this host selected; on a CPU without
 # AVX-512F it is the portable one and the kernel parity above is vacuous.
 cargo run -q -p tsdx-bench --release --bin profile -- --quick | grep -o 'f32-kernel="[^"]*"'
 cargo run -q -p tsdx-bench --release --bin profile -- --index --quick | grep 'SDL query'
+cargo run -q -p tsdx-bench --release --bin profile -- --data --quick | grep -E 'first in the process|Night'
 
 echo "==> fault-injection suite (worker panics, torn/corrupt checkpoints, NaN grads)"
 cargo test -q --features fault-inject
