@@ -7,8 +7,6 @@
 //!   the share of the end-to-end step wall time each accounts for (the
 //!   span nest subtracts child time, so the self column sums to the
 //!   instrumented total instead of double-counting);
-//! - a **pool table** per named kernel: dispatches, chunks, and the
-//!   queue-wait / execution latency distributions;
 //! - a **workspace table**: arena hit/miss traffic and megabytes of buffer
 //!   recycling per training step;
 //! - a **stage table** for the inference path latency histograms
@@ -477,13 +475,16 @@ fn index_profile(quick: bool) {
             ]
         })
         .collect();
+    // What `VectorIndex::query` fans out over: one worker per core this
+    // process may run on, at most one per shard.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     print_table(
         &format!(
-            "index scan, {rows} rows x {} dims in {} shards, k = {K}, pool size {} \
+            "index scan, {rows} rows x {} dims in {} shards, k = {K}, {} scan worker(s) \
              ({rounds} rounds x {calls} queries per pool, median)",
             index.dim(),
             index.shard_count(),
-            tsdx_tensor::pool::num_threads(),
+            workers.min(index.shard_count()),
         ),
         &["query", "non-zero", "columns read", "µs", "rows/µs"],
         &table,
@@ -596,7 +597,7 @@ fn main() {
     let model = VideoScenarioTransformer::new(ModelConfig::default(), 0);
     let mut rng = StdRng::seed_from_u64(1);
 
-    // Warm-up: worker pool, page cache, lazy env reads.
+    // Warm-up: arena, page cache, lazy env reads.
     train_step(&model, &batch, &mut rng);
 
     // ---- Profiled phase: `steps` instrumented steps under one scope. ----
@@ -654,40 +655,6 @@ fn main() {
         "\nself-time table explains {:.1}% of the end-to-end fwd/bwd wall time",
         coverage * 100.0
     );
-
-    // ---- Pool table. ----
-    let kernels: Vec<String> = snap
-        .counters
-        .keys()
-        .filter_map(|k| k.strip_prefix("pool/dispatch/").map(str::to_string))
-        .collect();
-    let pool_rows: Vec<Vec<String>> = kernels
-        .iter()
-        .map(|k| {
-            let exec = snap.hists.get(&format!("pool/exec/{k}")).cloned().unwrap_or_default();
-            let wait = snap.hists.get(&format!("pool/queue_wait/{k}")).cloned().unwrap_or_default();
-            vec![
-                k.clone(),
-                snap.counter(&format!("pool/dispatch/{k}")).to_string(),
-                snap.counter(&format!("pool/chunks/{k}")).to_string(),
-                format!("{:.1}", wait.mean_ns() as f64 / 1e3),
-                format!("{:.1}", wait.quantile_ns(0.99) as f64 / 1e3),
-                format!("{:.1}", exec.mean_ns() as f64 / 1e3),
-                format!("{:.1}", exec.quantile_ns(0.99) as f64 / 1e3),
-            ]
-        })
-        .collect();
-    print_table(
-        "worker pool per kernel",
-        &["kernel", "dispatches", "chunks", "wait µs", "wait p99", "exec µs", "exec p99"],
-        &pool_rows,
-    );
-    if pool_rows.is_empty() {
-        println!(
-            "(no pooled dispatches: pool size {} — kernels ran inline)",
-            tsdx_tensor::pool::num_threads()
-        );
-    }
 
     // ---- Workspace arena table: per-step traffic from the profiled scope. ----
     let per_step = |c: u64| format!("{:.0}", c as f64 / steps as f64);
@@ -831,7 +798,7 @@ fn main() {
             for (s, state) in states.iter_mut().enumerate() {
                 state.stage_frames(&mux_frame(s, t)).expect("well-formed group");
                 if !muxed {
-                    state.encode_staged_groups(ex.model());
+                    tsdx_core::encode_staged(ex.model(), &mut [state]);
                 }
             }
             if muxed {
@@ -913,7 +880,6 @@ fn main() {
     println!("{{");
     println!("  \"quick\": {quick},");
     println!("  \"batch_size\": {batch_size},");
-    println!("  \"pool_threads\": {},", tsdx_tensor::pool::num_threads());
     println!("  \"model_params\": {},", model.num_params());
     println!("  \"step_ms_metrics_off\": {step_off_ms:.1},");
     println!("  \"step_ms_metrics_on\": {step_on_ms:.1},");

@@ -45,8 +45,8 @@
 //! same function at N = 1.
 //!
 //! Parity is the contract: a session's head logits are **bit-identical** to
-//! a full recompute of the same window (all readouts, pool sizes,
-//! workspace modes, and batched-vs-solo group encodes and readouts) — pinned by
+//! a full recompute of the same window (all readouts, workspace modes, and
+//! batched-vs-solo group encodes and readouts) — pinned by
 //! `tests/streaming_parity.rs`. Cache effectiveness is observable through
 //! the `stage/cache_hit`, `stage/cache_miss`, and `stage/window_hit`
 //! metric counters.
@@ -398,14 +398,6 @@ impl StreamState {
         Ok(completed)
     }
 
-    /// Encodes this state's own staged groups in one batched forward (the
-    /// single-stream special case of [`encode_staged`]).
-    pub fn encode_staged_groups(&mut self, model: &VideoScenarioTransformer) {
-        if !self.staged.is_empty() {
-            encode_staged(model, &mut [self]);
-        }
-    }
-
     /// Installs one encoded stage output into the ring, in staging order.
     fn consume_encoded(&mut self, data: Tensor) {
         let group = self.staged.pop_front().expect("consume without a staged group");
@@ -535,7 +527,7 @@ impl<'m> StreamSession<'m> {
         let completed = self.state.stage_frames(frames)?;
         if completed > 0 {
             metrics::stage("stage/stream_push", || {
-                self.state.encode_staged_groups(self.model);
+                encode_staged(self.model, &mut [&mut self.state]);
             });
         }
         Ok(completed)

@@ -319,11 +319,12 @@ mod tests {
         for (raw, want) in valid {
             assert_eq!(LOG.parse(Some(raw)), Ok(want), "{raw:?}");
         }
-        // A typo used to log nothing, silently; it is now the same loud
-        // error every other variable gives.
-        for raw in ["", "dbug", "1", "verbose"] {
+        // A typo used to log nothing, silently; it is now the loud error the
+        // dial policy gives: the variable, what it takes, and what it got.
+        for raw in ["", " ", "dbug", "1", "verbose"] {
             let e = LOG.parse(Some(raw)).unwrap_err();
             assert!(e.starts_with("TSDX_LOG must be \"off\", \"info\" or \"debug\""), "{e}");
+            assert!(e.ends_with(&format!("got {raw:?}")), "{e}");
         }
         assert!(LOG.with(LogLevel::Info, run_time_switches).ends_with(" log=info"));
     }

@@ -224,8 +224,8 @@ pub fn train(
 /// * **Resume** — with `r.resume` set and the checkpoint present, training
 ///   continues from the recorded epoch. The restored run consumes the
 ///   identical shuffle/dropout stream and optimizer state, so the final
-///   parameters are **bit-identical** to a never-interrupted run, at any
-///   pool size (`tests/resume_training.rs` asserts this).
+///   parameters are **bit-identical** to a never-interrupted run
+///   (`tests/resume_training.rs` asserts this).
 ///
 /// # Errors
 ///

@@ -11,9 +11,9 @@
 //!
 //! Lives in its own integration-test file so the `#[global_allocator]`
 //! override owns the whole process; the tests here serialize on a mutex
-//! (the harness would otherwise interleave their timings), the counts are
-//! per thread, and the pool is forced to one chunk so every allocation of
-//! the measured work lands on the counting thread deterministically.
+//! (the harness would otherwise interleave their timings), and the counts
+//! are per thread: every kernel runs on its caller's thread, so every
+//! allocation of the measured work lands on the counting thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -128,7 +128,7 @@ fn steady_state_step_allocations_drop_with_workspaces() {
         std::hint::black_box(model.params().collect_grads(&binding, &grads));
     };
 
-    let base = RunConfig { threads: 1, ..RunConfig::current() };
+    let base = RunConfig::current();
     let (calls_off, bytes_off) = steady_state(RunConfig { recycle: false, ..base }, step);
     let (calls_on, bytes_on) = steady_state(RunConfig { recycle: true, ..base }, step);
 
@@ -173,7 +173,7 @@ fn steady_state_extraction_allocates_per_value_not_per_tape_node() {
     let cfg = *ex.model().config();
     let video =
         Tensor::from_fn(&[cfg.frames, cfg.height, cfg.width], |i| (i as f32 * 0.0041).sin() * 0.5);
-    let rc = RunConfig { threads: 1, recycle: true, ..RunConfig::current() };
+    let rc = RunConfig { recycle: true, ..RunConfig::current() };
     let (calls, bytes) =
         steady_state(rc, || drop(std::hint::black_box(ex.extract_checked(&video).unwrap())));
 
@@ -210,7 +210,7 @@ fn a_batch_of_eight_windows_stacks_and_gathers_in_the_arena() {
         })
         .collect();
     let refs: Vec<&Tensor> = clips.iter().collect();
-    let rc = RunConfig { threads: 1, recycle: true, ..RunConfig::current() };
+    let rc = RunConfig { recycle: true, ..RunConfig::current() };
     let (calls, bytes) =
         steady_state(rc, || drop(std::hint::black_box(ex.extract_window_batch(&refs))));
     let per = |v: u64| v / MEASURED as u64;
@@ -237,7 +237,7 @@ fn an_open_metrics_scope_costs_an_extraction_no_allocation_and_bounded_time() {
     let cfg = *ex.model().config();
     let video =
         Tensor::from_fn(&[cfg.frames, cfg.height, cfg.width], |i| (i as f32 * 0.0041).sin() * 0.5);
-    let rc = RunConfig { threads: 1, recycle: true, ..RunConfig::current() };
+    let rc = RunConfig { recycle: true, ..RunConfig::current() };
     let extract = || drop(std::hint::black_box(ex.extract_window_batch(&[&video])));
 
     let (calls_closed, _) = steady_state(rc, extract);
@@ -296,7 +296,7 @@ fn steady_state_stream_push_allocates_per_frame_not_per_window() {
         })
     };
 
-    let warm = RunConfig { threads: 1, recycle: true, ..RunConfig::current() };
+    let warm = RunConfig { recycle: true, ..RunConfig::current() };
     let (calls_push, bytes_push, bytes_full) = warm.run(|| {
         // Warm session: a full window plus a few steady-state slides so
         // the arena and the session's own buffers reach steady state.

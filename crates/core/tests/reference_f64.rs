@@ -4,7 +4,7 @@
 //! since the last block of each encoder stack computes only the row its
 //! readout keeps, most of them share that pruning's algebra too. This file
 //! shares nothing: the reference below is a naive f64 loop over nested
-//! `Vec`s — no tensors, views, pool, arena, tape, packing or fusing — that
+//! `Vec`s — no tensors, views, arena, tape, packing or fusing — that
 //! cuts its own tubelets, runs **every block over every row**, and only
 //! then reads row 0 (or the mean) out. It reads the parameters by their
 //! registered names and nothing else from the model.

@@ -3,8 +3,8 @@
 //! The parity contract of `StreamSession` (see `crates/core/src/session.rs`)
 //! is that sliding over a long video and reading out head logits after each
 //! new group produces **exactly** the bits a from-scratch forward pass over
-//! the same window produces — for every readout, attention kind, pool size,
-//! workspace mode and f32 kernel (`RunConfig::matrix`). The reference here is
+//! the same window produces — for every readout, attention kind, workspace
+//! mode and f32 kernel (`RunConfig::matrix`). The reference here is
 //! a *fresh* session per window, which is the same single forward path
 //! `extract_checked` uses, so the two public entry points cannot drift apart
 //! either.
@@ -114,7 +114,7 @@ fn check_schedule(ex: &ScenarioExtractor, video: &Tensor, chunks: &[usize], ctx:
 }
 
 #[test]
-fn sliding_sessions_match_full_recompute_across_threads_and_workspace_modes() {
+fn sliding_sessions_match_full_recompute_across_run_configurations() {
     // 20 frames = 10 groups = 7 overlapping windows at stride 1 group; the
     // schedule mixes whole windows, single frames, and group-straddling
     // chunks so pending-buffer bookkeeping is exercised too.
@@ -142,7 +142,7 @@ fn multiplexed_batched_encodes_match_independent_sessions_across_dials() {
     // N interleaved streams whose group encodes go through the cross-stream
     // batched scheduler path (`stage_frames` + one `encode_staged` per
     // tick) must be bit-identical to N independent self-encoding sessions —
-    // under every pool size, workspace mode and kernel. This is the
+    // under every workspace mode and kernel. This is the
     // invariant the serving layer's mixed batch queue rests on.
     let n = 3usize;
     let chunks = [2usize, 3, 1, 2, 2, 2]; // group-aligned and straddling pushes
@@ -260,8 +260,8 @@ fn every_path_agrees_bitwise_under_every_run_configuration() {
     // one-shot extraction, a row of the batch of eight a full serving batch
     // stacks, a session slid over the video, and a stream muxed with another
     // through one batched encode and one batched readout per round — and
-    // `RunConfig::matrix` lists every pool size, recycling mode and f32
-    // kernel a process can run under. At the default model, factorized and
+    // `RunConfig::matrix` lists every recycling mode and f32 kernel a
+    // process can run under. At the default model, factorized and
     // joint: within a configuration every path carries the one-shot bits,
     // and the one-shot bits do not move with the configuration. The dispatch
     // counters prove the kernel axis really switched, and that no linear

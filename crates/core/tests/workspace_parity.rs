@@ -1,5 +1,4 @@
-//! Training results are bit-identical with the workspace arena on or off,
-//! at every pool size.
+//! Training results are bit-identical with the workspace arena on or off.
 //!
 //! The arena's determinism contract (`tsdx_tensor::workspace`) is that
 //! recycling buffers can never change a computed value: `take_zeroed` /
@@ -8,8 +7,8 @@
 //! A violation anywhere in the kernel stack would leak stale values from
 //! recycled buffers into results — and would depend on arena state, the
 //! worst kind of nondeterminism. This test pins the contract end-to-end:
-//! full training runs under every combination of workspace mode and forced
-//! pool chunking must produce bit-identical parameters.
+//! full training runs in both workspace modes must produce bit-identical
+//! parameters.
 
 use tsdx_core::{train, ClipModel, ModelConfig, TrainConfig, VideoScenarioTransformer};
 use tsdx_data::{generate_dataset, Clip, DatasetConfig};
@@ -68,23 +67,13 @@ fn trained_param_bits() -> Vec<(String, Vec<u32>)> {
 }
 
 #[test]
-fn training_is_bit_identical_across_workspace_modes_and_pool_sizes() {
+fn training_is_bit_identical_across_workspace_modes() {
     let base = RunConfig::current();
-    let reference = RunConfig { threads: 1, recycle: false, ..base }.run(trained_param_bits);
-    for threads in [1usize, 2, 4] {
-        for recycle in [false, true] {
-            if threads == 1 && !recycle {
-                continue; // the reference run itself
-            }
-            let run = RunConfig { threads, recycle, ..base }.run(trained_param_bits);
-            assert_eq!(reference.len(), run.len(), "parameter count diverged");
-            for ((rn, rb), (cn, cb)) in reference.iter().zip(&run) {
-                assert_eq!(rn, cn, "parameter order diverged (threads={threads}, ws={recycle})");
-                assert_eq!(
-                    rb, cb,
-                    "parameter {rn} not bit-identical at threads={threads}, workspace={recycle}"
-                );
-            }
-        }
+    let reference = RunConfig { recycle: false, ..base }.run(trained_param_bits);
+    let run = RunConfig { recycle: true, ..base }.run(trained_param_bits);
+    assert_eq!(reference.len(), run.len(), "parameter count diverged");
+    for ((rn, rb), (cn, cb)) in reference.iter().zip(&run) {
+        assert_eq!(rn, cn, "parameter order diverged");
+        assert_eq!(rb, cb, "parameter {rn} not bit-identical with the workspace on");
     }
 }

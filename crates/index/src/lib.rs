@@ -20,10 +20,11 @@
 //!   term is `±0` against finite rows, and a shard holding a NaN or an
 //!   infinity reads every dimension.
 //! * **Queries** stream every score into the total-order
-//!   [`tsdx_sdl::TopK`] accumulator — one per shard on the worker pool,
-//!   merged afterwards — so top-k answers are bit-identical across pool
-//!   sizes and shard capacities, with an ascending-id tie-break, and a
-//!   query allocates O(shards · k) rather than O(n).
+//!   [`tsdx_sdl::TopK`] accumulator — one per scan worker, each scanning a
+//!   contiguous run of shards, merged afterwards — so top-k answers are
+//!   bit-identical across worker counts and shard capacities, with an
+//!   ascending-id tie-break, and a query allocates O(workers · k) rather
+//!   than O(n).
 //!
 //! # Examples
 //!

@@ -27,12 +27,22 @@
 //! product would be NaN, not zero: each shard carries one `finite` flag,
 //! maintained by `push`, and a shard that holds any non-finite value reads
 //! every dimension.
+//!
+//! # How a scan fans out
+//!
+//! [`VectorIndex::query`] splits the shards into at most
+//! `available_parallelism()` contiguous runs — one per worker, never more
+//! than there are shards — and scans each run into its own [`TopK`] on a
+//! `std::thread::scope` thread, the first run on the calling thread. With one
+//! worker (one core, or a process pinned to one) the scan runs inline and no
+//! thread is started. The runs' survivors merge under the same total order,
+//! so the answer does not depend on the split.
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 use tsdx_sdl::{dot, embed, is_unit_norm, Scenario, TopK, EMBED_DIM};
-use tsdx_tensor::{metrics, pool};
+use tsdx_tensor::metrics;
 
 use crate::shard::{load_shard, save_shard, IndexError};
 
@@ -80,20 +90,19 @@ const COLUMNS_VISITED: &str = "index/columns_visited";
 
 /// A sharded vector index over L2-normalized embeddings.
 ///
-/// Rows live in shards of `[dim][512]` blocks (behind [`Arc`]s so the scan
-/// can fan out on the worker pool without copying). Ids are dense `u64`s in
+/// Rows live in shards of `[dim][512]` blocks. Ids are dense `u64`s in
 /// insertion order. Queries are exact brute-force scans: every row is
 /// scored with the bits of [`tsdx_sdl::dot`] and streamed into the total
-/// [`TopK`] order, one accumulator per shard merged afterwards, so the
-/// answer is bit-identical across pool sizes and across shard capacities (a
-/// row's score never depends on its block, lane, or shard, and the order
+/// [`TopK`] order, one accumulator per scan worker merged afterwards, so the
+/// answer is bit-identical across worker counts and across shard capacities
+/// (a row's score never depends on its block, lane, or shard, and the order
 /// is total).
 #[derive(Debug, Clone)]
 pub struct VectorIndex {
     dim: usize,
     shard_capacity: usize,
     /// Every shard except the last is full.
-    shards: Vec<Arc<Shard>>,
+    shards: Vec<Shard>,
 }
 
 /// One shard: `rows` embeddings with ids `base..base + rows`, stored as
@@ -166,7 +175,8 @@ impl Shard {
         // Filled only for NaN scores: at most one allocation per scan.
         let mut row = Vec::new();
         let mut offer = |first: usize, scores: &[f32]| {
-            // Ids ascend within a shard and `best` is this shard's alone.
+            // Ids ascend within a shard, and `best` holds only the shards
+            // before this one in the caller's run.
             if best.rejects_all(scores) {
                 return;
             }
@@ -309,9 +319,9 @@ impl VectorIndex {
         }
         let id = self.len();
         if self.shards.last().is_none_or(|s| s.rows >= self.shard_capacity) {
-            self.shards.push(Arc::new(Shard::new(id, self.shard_capacity)));
+            self.shards.push(Shard::new(id, self.shard_capacity));
         }
-        Arc::make_mut(self.shards.last_mut().expect("shard just ensured")).push(v);
+        self.shards.last_mut().expect("shard just ensured").push(v);
         Ok(id)
     }
 
@@ -339,11 +349,12 @@ impl VectorIndex {
     /// The `k` most similar rows to `q`, best first, as `(id, similarity)`.
     ///
     /// Similarity is the plain dot product — exact cosine for the
-    /// unit-norm rows [`Self::push_scenario`] stores. One pool chunk scans
-    /// each shard into its own accumulator and the per-shard survivors
-    /// merge under the same total order, so the result is deterministic for
-    /// any input and identical across pool sizes and shard capacities, and
-    /// a query allocates O(shards · k), never O(n).
+    /// unit-norm rows [`Self::push_scenario`] stores. Each scan worker
+    /// scans a contiguous run of shards into its own accumulator and the
+    /// survivors merge under the same total order (module docs), so the
+    /// result is deterministic for any input and identical across worker
+    /// counts and shard capacities, and a query allocates O(workers · k),
+    /// never O(n).
     ///
     /// # Errors
     ///
@@ -355,21 +366,40 @@ impl VectorIndex {
         if k == 0 || self.shards.is_empty() {
             return Ok(Vec::new());
         }
-        // Pool jobs are `'static`: they share the shards through their
-        // `Arc`s and get their own copy of the `dim`-long query.
-        let shards = self.shards.clone();
-        let q: Arc<[f32]> = q.into();
-        let per_shard = pool::map_chunks_named("index/scan", shards.len(), move |c| {
+        Ok(self.scan(q, k, scan_workers()))
+    }
+
+    /// The top `k` for `q` over every shard, scanned by `workers` threads
+    /// (module docs), the calling thread among them.
+    fn scan(&self, q: &[f32], k: usize, workers: usize) -> Vec<(u64, f32)> {
+        let scan_run = |run: &[Shard]| {
             let mut best = TopK::new(k);
-            let columns = shards[c].scan_into(&q, &mut best);
+            let columns: u64 = run.iter().map(|shard| shard.scan_into(q, &mut best)).sum();
             (best, columns)
-        });
-        // Counted here, not in the scan: a pool worker's records reach no
+        };
+        let shards = self.shards.len();
+        let (best, columns) = if workers <= 1 || shards <= 1 {
+            scan_run(&self.shards)
+        } else {
+            let mut runs = self.shards.chunks(shards.div_ceil(workers.min(shards)));
+            let first = runs.next().expect("at least one shard");
+            std::thread::scope(|s| {
+                let others: Vec<_> = runs.map(|run| s.spawn(move || scan_run(run))).collect();
+                let (mut best, mut columns) = scan_run(first);
+                for handle in others {
+                    // A panic in a scan thread resurfaces here with its payload.
+                    let (part, cols) =
+                        handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                    best.merge(part);
+                    columns += cols;
+                }
+                (best, columns)
+            })
+        };
+        // Counted here, not in the scan: another thread's records reach no
         // scope of the querying thread.
-        metrics::counter_add(COLUMNS_VISITED, per_shard.iter().map(|part| part.1).sum());
-        let mut best = TopK::new(k);
-        per_shard.into_iter().for_each(|part| best.merge(part.0));
-        Ok(best.into_sorted())
+        metrics::counter_add(COLUMNS_VISITED, columns);
+        best.into_sorted()
     }
 
     /// Embeds `s` and runs [`Self::query`].
@@ -427,7 +457,7 @@ impl VectorIndex {
             .filter(|n| is_shard_file_name(n))
             .collect();
         names.sort();
-        let mut shards: Vec<Arc<Shard>> = Vec::with_capacity(names.len());
+        let mut shards: Vec<Shard> = Vec::with_capacity(names.len());
         let mut dim = 0usize;
         let mut next_id = 0u64;
         let mut capacity = 0usize;
@@ -452,7 +482,7 @@ impl VectorIndex {
             capacity = capacity.max(count);
             // Only the last shard is ever appended to, and for it `capacity`
             // is already the index's.
-            shards.push(Arc::new(Shard::from_rows(rec.base_id, rec.dim, capacity, &rec.rows)));
+            shards.push(Shard::from_rows(rec.base_id, rec.dim, capacity, &rec.rows));
         }
         Ok(VectorIndex {
             dim: if dim == 0 { IndexConfig::default().dim } else { dim },
@@ -460,6 +490,13 @@ impl VectorIndex {
             shards,
         })
     }
+}
+
+/// Threads a scan fans out over: the cores this process may run on, read
+/// once (`available_parallelism` re-reads cgroup files on every call).
+fn scan_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 fn is_shard_file_name(name: &str) -> bool {
@@ -588,6 +625,62 @@ mod tests {
         }
         assert!(skipped > 4000, "the sweep must skip components, skipped {skipped}");
         assert!(nan_scores > 100, "the sweep must reach NaN scores, saw {nan_scores}");
+    }
+
+    /// Exact reference: every row scored with `dot`, fully sorted under
+    /// `rank_order`, truncated to `k`.
+    fn reference_scan(q: &[f32], rows: &[Vec<f32>], k: usize) -> Vec<(u64, f32)> {
+        let mut scored: Vec<(u64, f32)> =
+            rows.iter().enumerate().map(|(i, r)| (i as u64, dot(q, r))).collect();
+        scored.sort_by(tsdx_sdl::rank_order::<u64>);
+        scored.truncate(k);
+        scored
+    }
+
+    fn bits(hits: &[(u64, f32)]) -> Vec<(u64, u32)> {
+        hits.iter().map(|&(id, score)| (id, score.to_bits())).collect()
+    }
+
+    /// However the shards are split between scan workers — one, two, three,
+    /// one per shard, more workers than shards — the answer has the ids and
+    /// score bits of the full-sort reference, on rows and queries holding
+    /// NaNs of either sign, infinities, signed zeros and denormals.
+    #[test]
+    fn every_worker_count_answers_with_the_reference_bits() {
+        let mut value = value_stream(&[
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            1e-42,
+        ]);
+        for (dim, n, capacity) in [(6, 40, 3), (11, 37, 8), (5, 9, 9), (28, 1300, 512)] {
+            let rows: Vec<Vec<f32>> = (0..n).map(|_| (0..dim).map(|_| value()).collect()).collect();
+            let mut ix = VectorIndex::new(IndexConfig { dim, shard_capacity: capacity });
+            for row in &rows {
+                ix.push(row).expect("dim matches");
+            }
+            let shards = ix.shard_count();
+            for round in 0..6 {
+                // Even rounds: a query as `/search` embeds it, mostly zeros.
+                let q: Vec<f32> = (0..dim)
+                    .map(|d| if round % 2 == 0 && (d + round) % 3 != 0 { 0.0 } else { value() })
+                    .collect();
+                for k in [1, 5, n, n + 3] {
+                    let want = bits(&reference_scan(&q, &rows, k));
+                    for workers in [1, 2, 3, shards, shards + 1] {
+                        assert_eq!(
+                            bits(&ix.scan(&q, k, workers)),
+                            want,
+                            "dim {dim}, {shards} shards, k {k}, {workers} workers, q {q:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A query allocates O(shards · k), never O(n).
+//! A query allocates O(workers · k), never O(n).
 //!
 //! The scan streams each score into a bounded [`tsdx_sdl::TopK`]; nothing
 //! n-long — no `(id, score)` vector, no copy of a shard — is ever built.
@@ -8,7 +8,8 @@
 //! for a query holding a NaN, whose every score is recomputed row by row,
 //! and for an SDL-sparse query, whose list of columns to read is the only
 //! thing a scan allocates besides its survivors (a block's scores live on
-//! the stack, 32 at a time).
+//! the stack, 32 at a time) — at the host's scan worker count, the threads
+//! it starts included.
 //!
 //! Lives in its own integration-test file so the `#[global_allocator]`
 //! override owns the whole process, and holds a single test so nothing
@@ -19,7 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use tsdx_index::VectorIndex;
 use tsdx_sdl::EMBED_DIM;
-use tsdx_tensor::pool;
 
 /// Forwards to the system allocator, counting requested bytes.
 struct CountingAlloc;
@@ -83,26 +83,22 @@ fn a_top10_query_over_100k_rows_allocates_under_64kb() {
         sparse[d] = q[d];
     }
 
-    for threads in [1usize, 2] {
-        for (what, q) in [("finite", &q), ("NaN", &poisoned), ("SDL-sparse", &sparse)] {
-            pool::with_forced_threads(threads, || {
-                let warm = index.query(q, K).expect("dim matches"); // spawns the pool once
-                let before = ALLOC_BYTES.load(Ordering::Relaxed);
-                let hits = index.query(q, K).expect("dim matches");
-                let spent = ALLOC_BYTES.load(Ordering::Relaxed) - before;
-                let bits = |hits: &[(u64, f32)]| -> Vec<(u64, u32)> {
-                    hits.iter().map(|&(id, s)| (id, s.to_bits())).collect()
-                };
-                assert_eq!(bits(&hits), bits(&warm));
-                assert_eq!(hits.len(), K);
-                assert!(
-                    spent < BUDGET_BYTES,
-                    "pool size {threads}, {what} query: k={K} over {ROWS} rows allocated \
-                     {spent} B (budget {BUDGET_BYTES} B; an n-long score vector alone is {} B)",
-                    16 * ROWS
-                );
-                println!("pool size {threads}, {what} query: {spent} B");
-            });
-        }
+    for (what, q) in [("finite", &q), ("NaN", &poisoned), ("SDL-sparse", &sparse)] {
+        let warm = index.query(q, K).expect("dim matches"); // reads the worker count once
+        let before = ALLOC_BYTES.load(Ordering::Relaxed);
+        let hits = index.query(q, K).expect("dim matches");
+        let spent = ALLOC_BYTES.load(Ordering::Relaxed) - before;
+        let bits = |hits: &[(u64, f32)]| -> Vec<(u64, u32)> {
+            hits.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+        };
+        assert_eq!(bits(&hits), bits(&warm));
+        assert_eq!(hits.len(), K);
+        assert!(
+            spent < BUDGET_BYTES,
+            "{what} query: k={K} over {ROWS} rows allocated {spent} B (budget {BUDGET_BYTES} B; \
+             an n-long score vector alone is {} B)",
+            16 * ROWS
+        );
+        println!("{what} query: {spent} B");
     }
 }

@@ -1,16 +1,17 @@
 //! Determinism and exactness contract of [`VectorIndex::query`].
 //!
 //! The bar, per the index's documentation: answers are bit-identical
-//! across worker-pool sizes and shard capacities, equal to an exact
-//! full-sort reference scan, immune to adversarial rows (NaN, zero
-//! vectors), and stable across a save/load round trip — and a scan that
-//! leaves the zero components of a query out answers with the same bits as
-//! one that does not.
+//! across shard capacities, equal to an exact full-sort reference scan,
+//! immune to adversarial rows (NaN, zero vectors), and stable across a
+//! save/load round trip — and a scan that leaves the zero components of a
+//! query out answers with the same bits as one that does not. That the
+//! answer does not depend on how many threads scan the shards is a unit
+//! test beside the scan (`vector_index.rs`).
 
 use proptest::prelude::*;
 use tsdx_index::{IndexConfig, VectorIndex};
 use tsdx_sdl::{dot, rank_order, vocab, ActorClause, EgoManeuver, Position, RoadKind, Scenario};
-use tsdx_tensor::{metrics, pool};
+use tsdx_tensor::metrics;
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
     let actor = ((0..vocab::EVENT_CLASSES.len()), 0..=Position::COUNT).prop_map(|(e, p)| {
@@ -76,23 +77,6 @@ proptest! {
         let got = ix.query(&q, k).expect("dim matches");
         let want = reference_scan(&q, &rows, k);
         prop_assert_eq!(bits(&got), bits(&want));
-    }
-
-    #[test]
-    fn query_is_bit_identical_across_pool_sizes(
-        rows in prop::collection::vec(arb_adversarial_row(6), 1..40),
-        q in arb_adversarial_row(6),
-        k in 1usize..8,
-    ) {
-        let ix = build(5, &rows);
-        let answers: Vec<_> = [1usize, 2, 4]
-            .iter()
-            .map(|&threads| {
-                pool::with_forced_threads(threads, || ix.query(&q, k).expect("dim matches"))
-            })
-            .collect();
-        prop_assert_eq!(bits(&answers[0]), bits(&answers[1]));
-        prop_assert_eq!(bits(&answers[0]), bits(&answers[2]));
     }
 
     #[test]
@@ -254,17 +238,13 @@ proptest! {
         k in prop_oneof![Just(1usize), Just(10), Just(3 * R)],
     ) {
         let want = bits(&reference_scan(&q, &rows, k));
-        let ix = build(capacity, &rows);
-        for threads in [1usize, 2] {
-            let got = pool::with_forced_threads(threads, || ix.query(&q, k).expect("dim matches"));
-            prop_assert_eq!(bits(&got), want.clone(), "pool size {}", threads);
-        }
+        let got = build(capacity, &rows).query(&q, k).expect("dim matches");
+        prop_assert_eq!(bits(&got), want);
     }
 }
 
 /// The cases the zero-skipping argument rests on, one by one, each against
-/// the full-sort `dot` reference at pool sizes 1 and 2 and again after a
-/// save/load round trip.
+/// the full-sort `dot` reference and again after a save/load round trip.
 #[test]
 fn zero_components_are_skipped_without_moving_a_bit() {
     let dim = 11; // two quads and a three-long tail
@@ -310,16 +290,12 @@ fn zero_components_are_skipped_without_moving_a_bit() {
             for (name, q) in &queries {
                 for k in [1usize, 10, rows.len(), rows.len() + 7] {
                     let want = bits(&reference_scan(q, rows, k));
-                    for threads in [1usize, 2] {
-                        for ix in [&ix, &back] {
-                            let got = pool::with_forced_threads(threads, || ix.query(q, k));
-                            assert_eq!(
-                                bits(&got.expect("dim matches")),
-                                want,
-                                "{corpus} rows, {name} query, capacity {capacity}, k {k}, \
-                                 pool size {threads}"
-                            );
-                        }
+                    for ix in [&ix, &back] {
+                        assert_eq!(
+                            bits(&ix.query(q, k).expect("dim matches")),
+                            want,
+                            "{corpus} rows, {name} query, capacity {capacity}, k {k}"
+                        );
                     }
                 }
             }
@@ -345,15 +321,9 @@ fn a_query_reads_its_non_zero_columns_and_no_others() {
     sparse[3] = -0.0;
     let dense = row(1).iter().map(|x| x + 1.0).collect::<Vec<_>>();
     let columns = |ix: &VectorIndex, q: &[f32]| -> u64 {
-        let [one, two] = [1usize, 2].map(|threads| {
-            pool::with_forced_threads(threads, || {
-                let scope = metrics::scope();
-                ix.query(q, 10).expect("dim matches");
-                scope.snapshot().counter("index/columns_visited")
-            })
-        });
-        assert_eq!(one, two, "the count must not depend on the pool size");
-        one
+        let scope = metrics::scope();
+        ix.query(q, 10).expect("dim matches");
+        scope.snapshot().counter("index/columns_visited")
     };
     assert_eq!(columns(&ix, &sparse), 5 * blocks(&[0, 1, 2]));
     assert_eq!(columns(&ix, &dense), dim as u64 * blocks(&[0, 1, 2]));

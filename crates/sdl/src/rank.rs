@@ -2,8 +2,8 @@
 //!
 //! Similarity search must never panic on an adversarial score (`NaN` from a
 //! poisoned embedding) and must return the same answer regardless of how
-//! the scoring work was partitioned — across worker-pool sizes, shard
-//! counts, or incremental inserts. Both properties come from ranking with a
+//! the scoring work was partitioned — across scan workers, shard counts, or
+//! incremental inserts. Both properties come from ranking with a
 //! *total* order: [`f32::total_cmp`] descending on the score, then the id
 //! ascending as the tie-break. Under `total_cmp`, `+NaN` sorts above `+inf`
 //! and `-NaN` below `-inf`, so poisoned entries surface deterministically

@@ -291,6 +291,8 @@ struct Request<'a> {
     /// Position in the server's accepted-request order; every reply echoes
     /// it as `"request"`, and the handler-panic fault keys on it.
     index: u64,
+    /// Whether a route read the declared body off the stream.
+    body_read: bool,
 }
 
 fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
@@ -312,8 +314,14 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
             }
         };
         let index = inner.next_request.fetch_add(1, Ordering::SeqCst);
-        let mut request =
-            Request { inner, head: &head, reader: &mut reader, writer: &mut writer, index };
+        let mut request = Request {
+            inner,
+            head: &head,
+            reader: &mut reader,
+            writer: &mut writer,
+            index,
+            body_read: false,
+        };
 
         // The handler boundary: a panic anywhere in routing answers 500 on
         // this connection and leaves the process serving.
@@ -342,7 +350,10 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
                 Response::from_error(&ServeError::Internal { detail })
             }
         };
-        if inner.shutting_down.load(Ordering::SeqCst) || head.wants_close() {
+        // A body no route read would be parsed as the next request: the
+        // stream is only in sync again past it, so close instead.
+        let unread_body = !request.body_read && head.content_length().is_ok_and(|n| n > 0);
+        if inner.shutting_down.load(Ordering::SeqCst) || head.wants_close() || unread_body {
             response.close = true;
         }
         if http::write_response(&mut writer, &response).is_err() {
@@ -354,8 +365,11 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
     }
 }
 
-/// Dispatches one parsed request head to its endpoint.
+/// Dispatches one parsed request head to its endpoint, once its body
+/// framing is known to be valid (a malformed `Content-Length` is a 400 on
+/// every route, not only on those that read a body).
 fn route(req: &mut Request) -> Result<Response, ServeError> {
+    req.head.content_length()?;
     let inner = req.inner;
     match (req.head.method.as_str(), req.head.path.as_str()) {
         ("GET", "/healthz") => Ok(Response::ok("{\"status\":\"ok\"}".into())),
@@ -423,7 +437,9 @@ impl Request<'_> {
             http::write_continue(self.writer)
                 .map_err(|_| ServeError::BadRequest { detail: "client went away".into() })?;
         }
-        Ok((budget_ms, http::read_body(self.reader, self.head, inner.cfg.max_body_bytes)?))
+        let body = http::read_body(self.reader, self.head, inner.cfg.max_body_bytes)?;
+        self.body_read = true;
+        Ok((budget_ms, body))
     }
 
     fn method_not_allowed(&self) -> ServeError {

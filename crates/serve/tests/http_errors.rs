@@ -146,6 +146,47 @@ fn ambiguous_content_length_is_400_and_closes() {
     server.shutdown();
 }
 
+/// A body no route reads is never parsed as the next request. Each keep-alive
+/// request below carries a complete `GET /stats` request as its body; the
+/// server answers it once, announces the close, and the second request is
+/// never answered.
+#[test]
+fn an_unread_body_closes_the_connection_instead_of_desyncing_it() {
+    let mut server = Server::start(tiny_extractor(), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let smuggled = "GET /stats HTTP/1.1\r\nhost: test\r\n\r\n";
+    for (method, path, status) in [
+        ("GET", "/healthz", 200),
+        ("GET", "/readyz", 200),
+        ("GET", "/stats", 200),
+        ("POST", "/sessions", 200),
+        ("GET", "/no/such/path", 404),
+        ("DELETE", "/v1/extract", 405),
+    ] {
+        let mut c = Client::connect(addr);
+        // One write, so the body is on the wire before the head is parsed.
+        c.send_raw(
+            format!(
+                "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n{smuggled}",
+                smuggled.len()
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+        let resp = c.read_response().unwrap();
+        assert_eq!(resp.status, status, "{method} {path}: {}", resp.body);
+        assert_eq!(resp.header("connection"), Some("close"), "{method} {path}");
+        assert!(c.read_response().is_err(), "{method} {path}: the body was served as a request");
+    }
+    // Without a body the same connection stays open.
+    let mut c = Client::connect(addr);
+    for _ in 0..2 {
+        let resp = c.request("GET", "/healthz", &[], b"").unwrap();
+        assert_eq!((resp.status, resp.header("connection")), (200, None));
+    }
+    server.shutdown();
+}
+
 /// Three honest clients at once, four extractions each: the statuses they
 /// got. The fault tests run them beside their misbehaving client — a
 /// stalled or vanished peer must cost them nothing.

@@ -12,13 +12,12 @@
 //!   closure panics, so a server that runs a forward under `catch_unwind`
 //!   cannot be left on the overridden value.
 //!
-//! Every switch of the stack is a `Dial`: the two `TSDX_*` variables
-//! ([`THREADS`], and `TSDX_LOG` in `tsdx-core`'s telemetry) and three with no
-//! variable that exist for the parity suites ([`RECYCLE`], [`KERNEL`],
-//! [`I8_SIMD`]). No other module calls `std::env::var` or keeps an override
-//! thread-local. [`RunConfig`] is the three the model's results must not
-//! depend on, as one value; results are bit-identical across all of its
-//! combinations.
+//! Every switch of the stack is a `Dial`: the one `TSDX_*` variable
+//! (`TSDX_LOG`, in `tsdx-core`'s telemetry) and three with no variable that
+//! exist for the parity suites ([`RECYCLE`], [`KERNEL`], [`I8_SIMD`]). No
+//! other module calls `std::env::var` or keeps an override thread-local.
+//! [`RunConfig`] is the two the model's results must not depend on, as one
+//! value; results are bit-identical across all of its combinations.
 
 use std::cell::Cell;
 use std::fmt;
@@ -156,31 +155,13 @@ impl fmt::Display for Kernel {
     }
 }
 
-fn parse_threads(raw: Option<&str>) -> Result<usize, String> {
-    match raw {
-        // `available_parallelism` re-reads cgroup files on every call; the
-        // dial caches it with the rest of the process value.
-        None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
-        Some(v) => v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-            "must be a positive integer (unset it to use all available cores)".to_string()
-        }),
-    }
-}
-
 dial! {
-    /// `TSDX_NUM_THREADS`: worker count of the shared [`crate::pool`]
-    /// (default: available parallelism). An override also makes pooled
-    /// kernels chunk below their serial thresholds
-    /// ([`crate::pool::with_forced_threads`]).
-    pub static THREADS: usize = Some("TSDX_NUM_THREADS"), parse_threads;
-
     /// Whether [`crate::workspace`] recycles buffers. No variable: on for
     /// the process, off per thread in the parity and allocation suites.
     pub static RECYCLE: bool = None, |_| Ok(true);
 
     /// The f32 GEMM kernel. No variable: the widest the CPU has for the
-    /// process, narrowed per thread by the kernel-parity suites (the choice
-    /// travels with the job, so pool workers follow the dispatching thread).
+    /// process, narrowed per thread by the kernel-parity suites.
     pub static KERNEL: Kernel = None, |_| Ok(*Kernel::available().last().expect("portable"));
 
     // pinned by benchmark/src/replay.rs — goes with the re-pin, ROADMAP item 1
@@ -190,11 +171,9 @@ dial! {
     pub static I8_SIMD: bool = None, |_| Ok(true);
 }
 
-/// The three numeric switches of the model as one value.
+/// The two numeric switches of the model as one value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunConfig {
-    /// [`THREADS`].
-    pub threads: usize,
     /// [`RECYCLE`].
     pub recycle: bool,
     /// [`KERNEL`].
@@ -204,28 +183,23 @@ pub struct RunConfig {
 impl RunConfig {
     /// What this thread runs with now.
     pub fn current() -> RunConfig {
-        RunConfig { threads: THREADS.get(), recycle: RECYCLE.get(), kernel: KERNEL.get() }
+        RunConfig { recycle: RECYCLE.get(), kernel: KERNEL.get() }
     }
 
-    /// Runs `f` on this thread with all three switches overridden (so pooled
-    /// kernels chunk `threads` ways whatever their size), restoring them
-    /// afterwards, also on unwind. Panics on `threads == 0` or a kernel this
-    /// CPU cannot run.
+    /// Runs `f` on this thread with both switches overridden, restoring them
+    /// afterwards, also on unwind. Panics on a kernel this CPU cannot run.
     pub fn run<R>(self, f: impl FnOnce() -> R) -> R {
-        assert!(self.threads > 0, "forced thread count must be positive");
         assert!(Kernel::available().contains(&self.kernel), "{} needs AVX-512F", self.kernel);
-        THREADS.with(self.threads, || RECYCLE.with(self.recycle, || KERNEL.with(self.kernel, f)))
+        RECYCLE.with(self.recycle, || KERNEL.with(self.kernel, f))
     }
 
-    /// Every combination the parity suites exercise: pool sizes 1 and 2 ×
-    /// recycling off and on × each kernel this CPU has.
+    /// Every combination the parity suites exercise: recycling off and on ×
+    /// each kernel this CPU has.
     pub fn matrix() -> Vec<RunConfig> {
         let mut all = Vec::new();
-        for threads in [1, 2] {
-            for recycle in [false, true] {
-                for &kernel in Kernel::available() {
-                    all.push(RunConfig { threads, recycle, kernel });
-                }
+        for recycle in [false, true] {
+            for &kernel in Kernel::available() {
+                all.push(RunConfig { recycle, kernel });
             }
         }
         all
@@ -236,8 +210,7 @@ impl fmt::Display for RunConfig {
     /// The live-values line binaries print at start-up.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let recycle = if self.recycle { "on" } else { "off" };
-        let RunConfig { threads, kernel, .. } = self;
-        write!(f, "threads={threads} f32-kernel=\"{kernel}\" recycle={recycle}")
+        write!(f, "f32-kernel=\"{}\" recycle={recycle}", self.kernel)
     }
 }
 
@@ -245,23 +218,6 @@ impl fmt::Display for RunConfig {
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    #[test]
-    fn one_parse_policy_for_every_variable() {
-        // unset → default
-        assert!(THREADS.parse(None).unwrap() >= 1);
-        // valid, padded, any case → value
-        for (raw, want) in [("2", 2), (" 2 ", 2), ("16\n", 16)] {
-            assert_eq!(THREADS.parse(Some(raw)), Ok(want), "{raw:?}");
-        }
-        // empty and garbage → an error naming the variable, what it takes,
-        // and what it got
-        for raw in ["", " ", "0", "-1", "two", "2.0"] {
-            let e = THREADS.parse(Some(raw)).unwrap_err();
-            assert!(e.starts_with("TSDX_NUM_THREADS must be a positive integer"), "{e}");
-            assert!(e.ends_with(&format!("got {raw:?}")), "{e}");
-        }
-    }
 
     #[test]
     fn overrides_nest_and_are_restored_when_the_closure_panics() {
@@ -273,11 +229,7 @@ mod tests {
                 (false, Some(false), true)
             );
         });
-        let other = RunConfig {
-            threads: before.threads + 3,
-            recycle: !before.recycle,
-            kernel: Kernel::Portable,
-        };
+        let other = RunConfig { recycle: !before.recycle, kernel: Kernel::Portable };
         let caught = catch_unwind(AssertUnwindSafe(|| {
             other.run(|| {
                 assert_eq!(RunConfig::current(), other);
@@ -286,13 +238,13 @@ mod tests {
         }));
         assert!(caught.is_err());
         assert_eq!(RunConfig::current(), before);
-        assert_eq!((THREADS.forced(), RECYCLE.forced(), KERNEL.forced()), (None, None, None));
+        assert_eq!((RECYCLE.forced(), KERNEL.forced()), (None, None));
     }
 
     #[test]
     fn the_matrix_lists_every_combination_once() {
         let all = RunConfig::matrix();
-        assert_eq!(all.len(), 2 * 2 * Kernel::available().len());
+        assert_eq!(all.len(), 2 * Kernel::available().len());
         for (i, a) in all.iter().enumerate() {
             assert!(!all[i + 1..].contains(a), "{a} listed twice");
             a.run(|| assert_eq!(RunConfig::current(), *a));

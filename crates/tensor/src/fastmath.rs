@@ -1,7 +1,7 @@
 //! Fast scalar transcendentals for hot kernels.
 //!
 //! `libm`'s `expf`/`tanhf` dominate softmax, attention, GELU, and the gated
-//! recurrences once matmul is blocked and pooled. These are the classic
+//! recurrences once matmul is blocked. These are the classic
 //! Cephes single-precision polynomial approximations (range reduction plus a
 //! degree-5/6 minimax polynomial), under 1 ulp where this module's sweeps
 //! measure them (8.3e-8 relative for `exp` over its whole range, 7.9e-8
@@ -19,8 +19,7 @@
 //!
 //! Every kernel that softmaxes, gates, or activates routes through this
 //! module, so the *same* approximation is used everywhere: fused attention
-//! matches the composed softmax path bit-for-bit in its exponentials, and
-//! results stay deterministic for every pool size.
+//! matches the composed softmax path bit-for-bit in its exponentials.
 
 // The Cephes coefficients are quoted digit-for-digit from the reference
 // implementation; don't shorten them to whatever f32 round-trips to.

@@ -99,9 +99,6 @@ macro_rules! faults {
 }
 
 faults! {
-    /// The worker pool panics inside the job for this chunk index on the
-    /// next parallel dispatch (the pool's panic capture/re-raise path).
-    pub static WORKER_PANIC: usize;
     /// The next checkpoint save leaves only the first `n` bytes at the
     /// destination: a crash mid-write of a non-atomic writer.
     pub static CHECKPOINT_TEAR: u64;

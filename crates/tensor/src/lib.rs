@@ -16,10 +16,8 @@
 //!    the CPU has it, see [`dial::KERNEL`]), softmax, layer norm, im2col convolution,
 //!    pooling, fused scaled-dot-product attention, and fused classification
 //!    losses. Elementwise and reduction kernels are stride-aware and consume
-//!    views directly. Large kernels execute on the shared persistent
-//!    [`pool`] of worker threads (sized once from `TSDX_NUM_THREADS`, else
-//!    available parallelism; every run-time switch lives in [`mod@dial`]) with
-//!    bit-identical results for every pool size.
+//!    views directly. Every kernel runs on its caller's thread; every
+//!    run-time switch lives in [`mod@dial`].
 //! 3. [`Graph`] — a define-by-run autograd tape recording op applications
 //!    and replaying them in reverse to produce [`Gradients`]. View-op
 //!    backwards are themselves views (a permute's gradient is the inverse
@@ -62,7 +60,6 @@ pub mod grad_check;
 mod graph;
 pub mod metrics;
 pub mod ops;
-pub mod pool;
 // pinned by benchmark/src/replay.rs — goes with the re-pin, ROADMAP item 1
 pub mod quant;
 pub mod shape;

@@ -13,7 +13,7 @@
 //! `H·dv`, columns `h·dv..`). No head split, no `kᵀ` view, no scale pass, no
 //! merge copy, and the `[.., H, Tq, Tk]` probabilities are materialized only
 //! when the caller keeps them ([`attention_with_probs`], for backward and
-//! introspection); otherwise scratch is `O(H·(32 + dh)·Tk)` per worker.
+//! introspection); otherwise scratch is `O(H·(32 + dh)·Tk)`.
 //!
 //! # Same bits as the composition
 //!
@@ -23,28 +23,20 @@
 //! every GEMM path builds, see [`super::matmul`](mod@super::matmul)), then
 //! `·scale` and `− max` each rounded once, the shared exponential and lane
 //! sum, a true division, and a context element is again one ascending
-//! fused-multiply-add chain over the keys. Tiling, row blocking and the pool
-//! partition (whole batch elements per worker) only decide where an element
-//! is computed, never its chain, so results do not depend on shape, batch
-//! size or pool size. `tests/attention_parity.rs` pins all of it against the
-//! composition of public ops.
+//! fused-multiply-add chain over the keys. Tiling and row blocking only
+//! decide where an element is computed, never its chain, so results do not
+//! depend on shape or batch size. `tests/attention_parity.rs` pins all of it
+//! against the composition of public ops.
 //!
 //! [`attention_backward`] is the composed rule on the kept probabilities,
 //! through the same [`super::matmul()`] and softmax-backward kernels the
 //! composed graph's backward runs.
 
-use std::sync::Arc;
-
 use super::matmul::{mul_cols, transpose_tile, use_avx512, Groups, Mat, NC};
 use super::reduce::{softmax_last_backward, softmax_rows};
 use super::{matmul, permute, scale, transpose_last2};
-use crate::pool;
-use crate::workspace::{self, ArcBuf, Scratch};
+use crate::workspace::{self, Scratch};
 use crate::Tensor;
-
-/// Attention problems below this many score elements (`batch·H·Tq·Tk`) stay
-/// on the calling thread.
-const ATTENTION_SERIAL_BELOW: usize = 1 << 14;
 
 /// Validated geometry shared by forward and backward.
 #[derive(Clone, Copy)]
@@ -93,31 +85,31 @@ fn with_tail(shape: &[usize], tail: &[usize]) -> Vec<usize> {
 
 /// One operand as `nb` matrices of unit-stride rows: row `t` of matrix `b`
 /// starts at `data[base + b * bs + t * rs]`.
-struct Slab {
-    data: ArcBuf,
+struct Slab<'a> {
+    data: &'a [f32],
     base: usize,
     bs: usize,
     rs: usize,
 }
 
-impl Slab {
+impl<'a> Slab<'a> {
     /// Reads a `[B, T, W]` view with unit-stride rows (a projection's
     /// output, or a narrow of one) in place; anything else is gathered into
-    /// a dense copy first.
-    fn new(t: &Tensor) -> Slab {
+    /// a dense copy held in `dense` first.
+    fn new(t: &'a Tensor, dense: &'a mut Option<Tensor>) -> Slab<'a> {
         if t.rank() == 3 && t.strides()[2] == 1 {
             let s = t.strides();
-            return Slab { data: t.raw_arc(), base: t.offset(), bs: s[0], rs: s[1] };
+            return Slab { data: t.raw_data(), base: t.offset(), bs: s[0], rs: s[1] };
         }
         let (rows, width) = (t.shape()[t.rank() - 2], t.shape()[t.rank() - 1]);
-        let dense = t.contiguous();
-        Slab { data: dense.raw_arc(), base: dense.offset(), bs: rows * width, rs: width }
+        let dense = dense.insert(t.contiguous());
+        Slab { data: dense.raw_data(), base: dense.offset(), bs: rows * width, rs: width }
     }
 
     /// The matrix of batch element `b`, from its row `row` and column `col`.
-    fn mat(&self, b: usize, row: usize, col: usize) -> Mat<'_> {
+    fn mat(&self, b: usize, row: usize, col: usize) -> Mat<'a> {
         Mat {
-            data: &self.data,
+            data: self.data,
             base: self.base + b * self.bs + row * self.rs + col,
             rs: self.rs,
             cs: 1,
@@ -125,30 +117,27 @@ impl Slab {
     }
 }
 
-/// Everything a worker needs to compute a span of batch elements. Shared by
-/// `Arc` across `'static` pool jobs.
-struct Ctx {
-    q: Slab,
-    k: Slab,
-    v: Slab,
+/// The operands and geometry of one attention call.
+struct Ctx<'a> {
+    q: Slab<'a>,
+    k: Slab<'a>,
+    v: Slab<'a>,
     geom: Geom,
     scale: f32,
-    /// Decided on the dispatching thread so pool workers run the kernel
-    /// their caller chose.
     avx512: bool,
 }
 
-impl Ctx {
-    /// Batch elements `first_b ..` into `out` (whole `[Tq, H·dv]` slabs) and,
-    /// when kept, their probabilities into `probs` (whole `[H, Tq, Tk]`
-    /// slabs). Every element of both is stored.
+impl Ctx<'_> {
+    /// Every batch element into `out` (whole `[Tq, H·dv]` slabs) and, when
+    /// kept, their probabilities into `probs` (whole `[H, Tq, Tk]` slabs).
+    /// Every element of both is stored.
     ///
     /// Per batch element `kᵀ` is transposed once, all heads together; per
     /// block of [`NC`] query rows every head's scores land in one
     /// `[H, rows, Tk]` block, so the softmax is one call over `H·rows` rows
     /// and the heads' products — short dependent chains when `rows` is small
     /// (a CLS-row block has one) — sit back to back where they overlap.
-    fn batches(&self, first_b: usize, out: &mut [f32], mut probs: Option<&mut [f32]>) {
+    fn batches(&self, out: &mut [f32], mut probs: Option<&mut [f32]>) {
         let Geom { tq, tk, heads, dh, dv, .. } = self.geom;
         let (d, n) = (heads * dh, heads * dv);
         let block_max = heads * NC.min(tq) * tk;
@@ -157,8 +146,7 @@ impl Ctx {
         let mut kt = Scratch::uninit(tk.div_ceil(NC) * d * NC);
         let mut scores = Scratch::uninit(block_max);
         let mut p = Scratch::uninit(block_max);
-        for (c, oslab) in out.chunks_exact_mut(tq * n).enumerate() {
-            let b = first_b + c;
+        for (b, oslab) in out.chunks_exact_mut(tq * n).enumerate() {
             for (jt, tile) in kt.chunks_exact_mut(d * NC).enumerate() {
                 let w = NC.min(tk - jt * NC);
                 transpose_tile(self.avx512, tile, self.k.mat(b, jt * NC, 0), w, d);
@@ -181,7 +169,7 @@ impl Ctx {
                 mul_cols(self.avx512, &mut oslab[i0 * n..], n, 0..dv, pm, v, rows, tk, per_head);
                 if let Some(kept) = probs.as_deref_mut() {
                     for (h, ph) in p.chunks_exact(block).enumerate() {
-                        kept[((c * heads + h) * tq + i0) * tk..][..block].copy_from_slice(ph);
+                        kept[((b * heads + h) * tq + i0) * tk..][..block].copy_from_slice(ph);
                     }
                 }
             }
@@ -189,8 +177,7 @@ impl Ctx {
     }
 }
 
-/// Forward over every batch element, serially or partitioned over the pool
-/// by whole batch elements; `keep` also returns the probabilities.
+/// Forward over every batch element; `keep` also returns the probabilities.
 fn forward(
     q: &Tensor,
     k: &Tensor,
@@ -208,43 +195,19 @@ fn forward(
     if nb * per_out == 0 {
         return (Tensor::zeros(&out_shape), keep.then(|| Tensor::zeros(&probs_shape())));
     }
+    // Dense copies of the operands `Slab` cannot read in place.
+    let [mut dense_q, mut dense_k, mut dense_v] = [None, None, None];
     let ctx = Ctx {
-        q: Slab::new(q),
-        k: Slab::new(k),
-        v: Slab::new(v),
+        q: Slab::new(q, &mut dense_q),
+        k: Slab::new(k, &mut dense_k),
+        v: Slab::new(v, &mut dense_v),
         geom,
         scale,
         avx512: use_avx512(),
     };
-
-    let (out, probs) = if nb > 1 && pool::should_parallelize(nb * per_probs, ATTENTION_SERIAL_BELOW)
-    {
-        let per = nb.div_ceil(pool::num_threads().min(nb));
-        let ctx = Arc::new(ctx);
-        let parts = pool::map_chunks_named("attention", nb.div_ceil(per), move |c| {
-            let count = per.min(nb - c * per);
-            let mut out = workspace::take_uninit(count * per_out);
-            let mut probs = keep.then(|| workspace::take_uninit(count * per_probs));
-            ctx.batches(c * per, &mut out, probs.as_deref_mut());
-            (out, probs)
-        });
-        let mut out = workspace::take_reserve(nb * per_out);
-        let mut probs = keep.then(|| workspace::take_reserve(nb * per_probs));
-        for (o, p) in parts {
-            out.extend_from_slice(&o);
-            workspace::give(o);
-            if let (Some(all), Some(p)) = (&mut probs, p) {
-                all.extend_from_slice(&p);
-                workspace::give(p);
-            }
-        }
-        (out, probs)
-    } else {
-        let mut out = workspace::take_uninit(nb * per_out);
-        let mut probs = keep.then(|| workspace::take_uninit(nb * per_probs));
-        ctx.batches(0, &mut out, probs.as_deref_mut());
-        (out, probs)
-    };
+    let mut out = workspace::take_uninit(nb * per_out);
+    let mut probs = keep.then(|| workspace::take_uninit(nb * per_probs));
+    ctx.batches(&mut out, probs.as_deref_mut());
     (Tensor::from_vec(out, &out_shape), probs.map(|p| Tensor::from_vec(p, &probs_shape())))
 }
 
@@ -255,8 +218,8 @@ fn forward(
 /// identical leading (batch) dimensions and `heads` dividing `D` and `Dv`;
 /// the result is `[..., Tq, Dv]`, head `h` occupying columns
 /// `h·Dv/heads ..`. Bit-identical to the composition of [`permute`],
-/// [`matmul()`], [`scale()`] and [`super::softmax_last`] for every shape and
-/// pool size (see the module docs); the probabilities are not materialized.
+/// [`matmul()`], [`scale()`] and [`super::softmax_last`] for every shape
+/// (see the module docs); the probabilities are not materialized.
 ///
 /// # Panics
 ///
@@ -286,8 +249,7 @@ pub fn attention_with_probs(
 /// The composed rule, op for op what the tape replays for `matmul → scale →
 /// softmax_last → matmul` between a head split and a merge — `dp = g vᵀ`,
 /// `dv = pᵀ g`, `ds = scale · softmax′(p, dp)`, `dq = ds k`, `dk = (qᵀ ds)ᵀ`
-/// on head-split views — so the gradients carry the composition's bits and
-/// its pool-size independence.
+/// on head-split views — so the gradients carry the composition's bits.
 ///
 /// # Panics
 ///
@@ -324,7 +286,7 @@ pub fn attention_backward(
 
 #[cfg(test)]
 mod tests {
-    // Parity with the composition (values, gradients, kernels, pool sizes)
+    // Parity with the composition (values, gradients, kernels)
     // lives in `tests/attention_parity.rs`; here, what needs crate internals.
     use super::*;
     use crate::ops;

@@ -1,10 +1,6 @@
 //! 2-D convolution (im2col-based) and pooling.
 
-use crate::pool;
 use crate::Tensor;
-
-/// im2col outputs below this many elements stay on the calling thread.
-const IM2COL_SERIAL_BELOW: usize = 1 << 15;
 
 /// Geometry of a 2-D convolution: kernel size, stride, and zero padding.
 ///
@@ -43,8 +39,7 @@ impl Conv2dSpec {
 /// Gathers the patches of a single `[C, H, W]` image into `out`
 /// (`C*KH*KW * OH*OW` elements). Every element is stored — padding
 /// positions write an explicit `0.0` — so callers may hand over
-/// uninitialized (recycled) buffers. Shared by the serial and pooled
-/// [`im2col`] paths so both produce bit-identical columns.
+/// uninitialized (recycled) buffers.
 fn im2col_image(image: &[f32], out: &mut [f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec) {
     let (oh, ow) = spec.out_size(h, w);
     let cols = oh * ow;
@@ -77,10 +72,7 @@ fn im2col_image(image: &[f32], out: &mut [f32], c: usize, h: usize, w: usize, sp
 /// Unfolds image patches into columns.
 ///
 /// Input `[B, C, H, W]` becomes `[B, C*KH*KW, OH*OW]`, where column `p`
-/// holds the receptive field of output pixel `p`. Batches large enough to
-/// beat the serial threshold are distributed image-by-image over the shared
-/// worker pool; each image is gathered by exactly one job, so the result is
-/// bit-identical for every pool size.
+/// holds the receptive field of output pixel `p`.
 pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Tensor {
     let sh = input.shape();
     assert_eq!(sh.len(), 4, "im2col expects [B, C, H, W]");
@@ -89,31 +81,13 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Tensor {
     let cols = oh * ow;
     let rows = c * spec.kh * spec.kw;
     let input = input.contiguous(); // patch gather indexes the flat buffer
-    let spec = *spec;
-
-    if b > 1 && pool::should_parallelize(b * rows * cols, IM2COL_SERIAL_BELOW) {
-        let data = input.raw_arc();
-        let off = input.offset();
-        let threads = pool::num_threads().min(b);
-        let out =
-            pool::parallel_rows_named("im2col", b, rows * cols, threads, move |first_b, chunk| {
-                let count = chunk.len() / (rows * cols);
-                for i in 0..count {
-                    let bi = first_b + i;
-                    let image = &data[off + bi * c * h * w..off + (bi + 1) * c * h * w];
-                    let img_out = &mut chunk[i * rows * cols..(i + 1) * rows * cols];
-                    im2col_image(image, img_out, c, h, w, &spec);
-                }
-            });
-        return Tensor::from_vec(out, &[b, rows, cols]);
-    }
 
     // `im2col_image` stores every element, padding included.
     let mut out = crate::workspace::take_uninit(b * rows * cols);
     let data = input.data();
     for bi in 0..b {
         let image = &data[bi * c * h * w..(bi + 1) * c * h * w];
-        im2col_image(image, &mut out[bi * rows * cols..(bi + 1) * rows * cols], c, h, w, &spec);
+        im2col_image(image, &mut out[bi * rows * cols..(bi + 1) * rows * cols], c, h, w, spec);
     }
     Tensor::from_vec(out, &[b, rows, cols])
 }

@@ -1,84 +1,22 @@
 //! Elementwise arithmetic and activation functions with NumPy broadcasting.
 //!
 //! The named entry points (`add`, `mul`, `exp`, `gelu`, …) pass their scalar
-//! function as a `Copy` closure through generic dispatchers, so every op gets
-//! its own monomorphized inner loop (no per-element indirection) on both the
-//! serial path and the shared worker pool (see [`crate::pool`]) — a `Copy +
-//! 'static` closure, unlike a borrowed one, can move into a pool job. Small
-//! tensors, strided views, and broadcasts run on the calling thread.
+//! function as a closure through generic dispatchers, so every op gets its
+//! own monomorphized inner loop (no per-element indirection).
 
 use crate::fastmath;
-use crate::pool;
 use crate::shape;
 use crate::Tensor;
 
-/// Elementwise kernels with fewer elements than this stay serial: the work
-/// per element is a handful of flops, so pool dispatch only pays off for
-/// large tensors.
-const ELEMWISE_SERIAL_BELOW: usize = 1 << 15;
-
-/// Applies `f` elementwise, chunking large contiguous tensors over the
-/// worker pool. Chunk boundaries cannot change any element's value (each
-/// element is computed independently by the same scalar code), so results
-/// are bit-identical for every pool size.
-fn unary<F>(a: &Tensor, f: F) -> Tensor
-where
-    F: Fn(f32) -> f32 + Copy + Send + Sync + 'static,
-{
+/// Applies `f` elementwise.
+fn unary(a: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
     let _span = crate::metrics::span("op/elementwise");
-    if a.is_contiguous() && pool::should_parallelize(a.numel(), ELEMWISE_SERIAL_BELOW) {
-        let n = a.numel();
-        let ad = a.raw_arc();
-        let off = a.offset();
-        let out = pool::parallel_rows_named(
-            "elementwise",
-            n,
-            1,
-            pool::num_threads(),
-            move |first, out| {
-                let src = &ad[off + first..off + first + out.len()];
-                for (o, &x) in out.iter_mut().zip(src) {
-                    *o = f(x);
-                }
-            },
-        );
-        Tensor::from_vec(out, a.shape())
-    } else {
-        a.map(f)
-    }
+    a.map(f)
 }
 
-/// Applies `f` over two operands, chunking the same-shape contiguous case
-/// over the worker pool and deferring everything else (broadcasts, strided
-/// views, small tensors) to the serial [`binary_broadcast`] engine.
-fn binary<F>(a: &Tensor, b: &Tensor, f: F) -> Tensor
-where
-    F: Fn(f32, f32) -> f32 + Copy + Send + Sync + 'static,
-{
+/// Applies `f` over two operands through the [`binary_broadcast`] engine.
+fn binary(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
     let _span = crate::metrics::span("op/elementwise");
-    if a.shape() == b.shape()
-        && a.is_contiguous()
-        && b.is_contiguous()
-        && pool::should_parallelize(a.numel(), ELEMWISE_SERIAL_BELOW)
-    {
-        let n = a.numel();
-        let (ad, bd) = (a.raw_arc(), b.raw_arc());
-        let (ao, bo) = (a.offset(), b.offset());
-        let out = pool::parallel_rows_named(
-            "elementwise",
-            n,
-            1,
-            pool::num_threads(),
-            move |first, out| {
-                let xs = &ad[ao + first..ao + first + out.len()];
-                let ys = &bd[bo + first..bo + first + out.len()];
-                for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
-                    *o = f(x, y);
-                }
-            },
-        );
-        return Tensor::from_vec(out, a.shape());
-    }
     binary_broadcast(a, b, f)
 }
 
@@ -177,9 +115,7 @@ pub fn add_assign(dst: &mut Tensor, rhs: &Tensor) {
     assert_eq!(dst.shape(), rhs.shape(), "add_assign requires matching shapes");
     let _span = crate::metrics::span("op/elementwise");
     if rhs.is_contiguous() {
-        let rd = rhs.raw_arc();
-        let src = &rd[rhs.offset()..rhs.offset() + rhs.numel()];
-        for (d, &x) in dst.data_mut().iter_mut().zip(src) {
+        for (d, &x) in dst.data_mut().iter_mut().zip(rhs.data()) {
             *d += x;
         }
     } else {

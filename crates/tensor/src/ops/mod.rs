@@ -26,7 +26,7 @@ pub use elementwise::{
 pub use loss::{
     bce_with_logits, bce_with_logits_backward, cross_entropy_logits, cross_entropy_logits_backward,
 };
-pub use matmul::{linear, matmul, matmul_with_threads, Activation};
+pub use matmul::{linear, matmul, Activation};
 pub use norm::{layer_norm, layer_norm_forward};
 pub use reduce::{
     argmax_last, log_softmax_last, max_axis, mean_all, mean_axis, softmax_last, sum_all, sum_axis,

@@ -1,17 +1,12 @@
 //! Layer normalization forward kernel.
 
 use super::reduce::lane_sum;
-use crate::pool;
 use crate::Tensor;
-
-/// Layer-norm rows below this many elements stay on the calling thread.
-const LAYERNORM_SERIAL_BELOW: usize = 1 << 14;
 
 /// Normalizes the packed rows of width `d = gamma.len()` in `src`, writing
 /// every element of `out` and, when `stats` is given, the per-row
 /// `(mean, rstd)` the backward pass reuses. Mean and variance are
-/// [`lane_sum`]s — a fixed function of the row, shared by the serial and
-/// pooled paths.
+/// [`lane_sum`]s — a fixed function of the row.
 fn layer_norm_rows(
     src: &[f32],
     gamma: &[f32],
@@ -38,9 +33,7 @@ fn layer_norm_rows(
 /// Layer normalization over the last dimension with affine parameters.
 ///
 /// Returns `(normalized, mean, rstd)` where `mean` and `rstd` are rank-1
-/// tensors of length `rows` saved for the backward pass. Large inputs
-/// partition their rows over the shared worker pool with bit-identical
-/// results for every pool size.
+/// tensors of length `rows` saved for the backward pass.
 ///
 /// # Panics
 ///
@@ -77,45 +70,9 @@ fn layer_norm_impl(
     let rows = x.numel() / d;
     let xc = x.contiguous(); // row kernel needs packed rows
     let (gd, bd) = (gamma.flat(), beta.flat()); // borrowed: parameters are contiguous
-    let stat_tensors =
-        |m: Vec<f32>, r: Vec<f32>| (Tensor::from_vec(m, &[rows]), Tensor::from_vec(r, &[rows]));
 
     // `layer_norm_rows` stores every element of every output it is given,
-    // so both paths take uninitialized workspace.
-    if rows > 1 && pool::should_parallelize(xc.numel(), LAYERNORM_SERIAL_BELOW) {
-        // Past the serial threshold two stat rows are noise next to the
-        // output: the chunks always record them.
-        let xd = xc.raw_arc();
-        let off = xc.offset();
-        let threads = pool::num_threads().min(rows);
-        let rows_per = rows.div_ceil(threads);
-        let chunks = rows.div_ceil(rows_per);
-        let gd: std::sync::Arc<[f32]> = gd.into();
-        let bd: std::sync::Arc<[f32]> = bd.into();
-        let parts = pool::map_chunks_named("layer_norm", chunks, move |c| {
-            let first = c * rows_per;
-            let count = rows_per.min(rows - first);
-            let mut out = crate::workspace::take_uninit(count * d);
-            let mut means = crate::workspace::take_uninit(count);
-            let mut rstds = crate::workspace::take_uninit(count);
-            let src = &xd[off + first * d..off + (first + count) * d];
-            layer_norm_rows(src, &gd, &bd, eps, &mut out, Some((&mut means, &mut rstds)));
-            (out, means, rstds)
-        });
-        let mut out = crate::workspace::take_reserve(rows * d);
-        let mut means = crate::workspace::take_reserve(rows);
-        let mut rstds = crate::workspace::take_reserve(rows);
-        for (o, m, r) in parts {
-            out.extend_from_slice(&o);
-            means.extend_from_slice(&m);
-            rstds.extend_from_slice(&r);
-            crate::workspace::give(o);
-            crate::workspace::give(m);
-            crate::workspace::give(r);
-        }
-        return (Tensor::from_vec(out, x.shape()), Some(stat_tensors(means, rstds)));
-    }
-
+    // so they come from uninitialized workspace.
     let mut out = crate::workspace::take_uninit(rows * d);
     if !want_stats {
         layer_norm_rows(xc.data(), &gd, &bd, eps, &mut out, None);
@@ -124,7 +81,8 @@ fn layer_norm_impl(
     let mut means = crate::workspace::take_uninit(rows);
     let mut rstds = crate::workspace::take_uninit(rows);
     layer_norm_rows(xc.data(), &gd, &bd, eps, &mut out, Some((&mut means, &mut rstds)));
-    (Tensor::from_vec(out, x.shape()), Some(stat_tensors(means, rstds)))
+    let stats = (Tensor::from_vec(means, &[rows]), Tensor::from_vec(rstds, &[rows]));
+    (Tensor::from_vec(out, x.shape()), Some(stats))
 }
 
 #[cfg(test)]

@@ -1,18 +1,7 @@
 //! Reductions and softmax-family operations.
-//!
-//! Row-independent kernels (softmax, log-softmax, axis reductions over a
-//! contiguous layout) partition their rows over the shared worker pool (see
-//! [`crate::pool`]); every row is produced by exactly one chunk with the
-//! serial accumulation order, so results are bit-identical for every pool
-//! size. Small tensors and strided views stay on the calling thread.
 
 use crate::fastmath;
-use crate::pool;
 use crate::Tensor;
-
-/// Row kernels below this many elements stay serial — a softmax row costs
-/// one exp per element, so pool dispatch pays off only on large batches.
-const ROWWISE_SERIAL_BELOW: usize = 1 << 14;
 
 /// The larger of `x` and `m`, `m` when `x` is NaN: an ordered compare and
 /// a select, which is exactly one `vmaxps` (`f32::max` costs three
@@ -49,8 +38,7 @@ pub(super) fn row_max(xs: &[f32]) -> f32 {
 
 /// Sum of `f(x)` over a row via eight independent accumulator lanes — one
 /// AVX2 vector — folded pairwise at the end. The lane assignment depends
-/// only on element index, so the result is a fixed function of the row —
-/// identical for every pool size and chunking.
+/// only on element index, so the result is a fixed function of the row.
 #[inline]
 pub(super) fn lane_sum(xs: &[f32], f: impl Fn(f32) -> f32) -> f32 {
     let c = xs.chunks_exact(8);
@@ -102,28 +90,18 @@ pub fn max_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
     reduce_axis(a, axis, keepdim, f32::NEG_INFINITY, |acc, x| acc.max(x))
 }
 
-/// Reduces one `outer` slab (`count` outer indices starting at `first_o`)
-/// of a contiguous `[outer, d, inner]` layout into `out`. Accumulation over
-/// the reduced axis runs in ascending `k` order — the determinism anchor
-/// shared by the serial and pooled paths.
-fn reduce_outer_slab<F>(
+/// Reduces a contiguous `[outer, d, inner]` layout over `d` into `out`
+/// (`init`-filled, `[outer, inner]`), accumulating in ascending `k` order.
+fn reduce_dense(
     data: &[f32],
     out: &mut [f32],
-    first_o: usize,
     d: usize,
     inner: usize,
-    init: f32,
-    f: F,
-) where
-    F: Fn(f32, f32) -> f32 + Copy,
-{
-    out.fill(init);
-    let count = out.len() / inner.max(1);
-    for c in 0..count {
-        let o = first_o + c;
+    f: impl Fn(f32, f32) -> f32,
+) {
+    for (o, orow) in out.chunks_exact_mut(inner.max(1)).enumerate() {
         for k in 0..d {
             let base = (o * d + k) * inner;
-            let orow = &mut out[c * inner..(c + 1) * inner];
             for (ov, &x) in orow.iter_mut().zip(&data[base..base + inner]) {
                 *ov = f(*ov, x);
             }
@@ -131,10 +109,13 @@ fn reduce_outer_slab<F>(
     }
 }
 
-fn reduce_axis<F>(a: &Tensor, axis: usize, keepdim: bool, init: f32, f: F) -> Tensor
-where
-    F: Fn(f32, f32) -> f32 + Copy + Send + Sync + 'static,
-{
+fn reduce_axis(
+    a: &Tensor,
+    axis: usize,
+    keepdim: bool,
+    init: f32,
+    f: impl Fn(f32, f32) -> f32,
+) -> Tensor {
     assert!(axis < a.rank(), "axis {axis} out of range for rank {}", a.rank());
     let sh = a.shape();
     let rank = sh.len();
@@ -144,23 +125,7 @@ where
     let mut out = vec![init; outer * inner];
 
     if a.is_contiguous() {
-        if inner > 0 && outer > 1 && pool::should_parallelize(a.numel(), ROWWISE_SERIAL_BELOW) {
-            // Dense layout, many independent outer slabs: partition them
-            // over the pool.
-            let ad = a.raw_arc();
-            let off = a.offset();
-            out = pool::parallel_rows_named(
-                "reduce_axis",
-                outer,
-                inner,
-                pool::num_threads(),
-                move |first_o, buf| {
-                    reduce_outer_slab(&ad[off..], buf, first_o, d, inner, init, f);
-                },
-            );
-        } else {
-            reduce_outer_slab(a.data(), &mut out, 0, d, inner, init, f);
-        }
+        reduce_dense(a.data(), &mut out, d, inner, f);
     } else {
         // Strided view: walk the input odometer-style, accumulating into the
         // output slot whose coordinates drop the reduced axis (stride 0).
@@ -274,29 +239,11 @@ fn log_softmax_rows(src: &[f32], out: &mut [f32], d: usize) {
     }
 }
 
-/// Dispatches a packed-row kernel serially or over the worker pool. The row
-/// kernel sees exactly the same `(src, out)` row slices either way, so the
-/// result is bit-identical for every pool size.
+/// Runs a packed-row kernel over every row of `a`.
 fn rowwise(a: &Tensor, d: usize, kernel: fn(&[f32], &mut [f32], usize)) -> Tensor {
     let _span = crate::metrics::span("op/rowwise");
-    let rows = a.numel() / d;
     let a = a.contiguous(); // the row kernels need packed rows
-    if rows > 1 && pool::should_parallelize(a.numel(), ROWWISE_SERIAL_BELOW) {
-        let ad = a.raw_arc();
-        let off = a.offset();
-        let out = pool::parallel_rows_named(
-            "rowwise",
-            rows,
-            d,
-            pool::num_threads(),
-            move |first_row, out| {
-                let src = &ad[off + first_row * d..off + first_row * d + out.len()];
-                kernel(src, out, d);
-            },
-        );
-        return Tensor::from_vec(out, a.shape());
-    }
-    // Both row kernels store every element of their rows.
+                            // Both row kernels store every element of their rows.
     let mut out = crate::workspace::take_uninit(a.numel());
     kernel(a.data(), &mut out, d);
     Tensor::from_vec(out, a.shape())

@@ -16,9 +16,9 @@
 //! every partial sum by `127² · k`, far inside `i32` for any model shape —
 //! and dequantizes once per output element at the panel boundary:
 //! `out[i, j] = fma(acc as f32, sa[i] · sb[j], bias[j])`. Exact integer
-//! accumulation is what makes the kernel deterministic: every code path
-//! (scalar, AVX2) and every pool size produces identical accumulators, so
-//! int8 results are bit-identical across threads by construction.
+//! accumulation is what makes the kernel deterministic: both code paths
+//! (scalar, AVX2) produce identical accumulators, so int8 results are
+//! bit-identical between them by construction.
 //!
 //! # Panel layout
 //!
@@ -53,9 +53,8 @@
 //! `profile` binary can print the precision dispatch mix.
 
 use std::cell::RefCell;
-use std::sync::Arc;
 
-use crate::{metrics, pool, workspace, Tensor};
+use crate::{metrics, workspace, Tensor};
 
 /// Micro-kernel height.
 const MR: usize = 6;
@@ -65,9 +64,6 @@ const NR: usize = 16;
 /// Symmetric int8 range bound. `-128` is excluded so negation stays in
 /// range and the scheme is symmetric around zero.
 const QMAX: f32 = 127.0;
-/// Below this many `m·k·n` multiply-adds the product stays on the calling
-/// thread (same rationale and value as the f32 matmul threshold).
-const PARALLEL_THRESHOLD: usize = 64 * 64 * 64;
 
 /// A weight matrix quantized per output channel and prepacked into
 /// pair-interleaved int8 column tiles, ready for [`linear_q8`].
@@ -95,10 +91,10 @@ pub struct QuantMatrix {
     n: usize,
     /// Per-column scales, zero-padded to `njt * NR` so the epilogue can
     /// load full vectors on the tail tile.
-    scales: Arc<Vec<f32>>,
+    scales: Vec<f32>,
     /// Pair-interleaved `[jt][k2][half][8][2]` int8 tiles, zero-padded in
     /// both the column tail and the odd-`k` pad position.
-    panels: Arc<Vec<i8>>,
+    panels: Vec<i8>,
 }
 
 impl std::fmt::Debug for QuantMatrix {
@@ -142,7 +138,7 @@ impl QuantMatrix {
                 tile[(kk / 2) * 2 * NR + (jc / 8) * 16 + (jc % 8) * 2 + (kk & 1)] = q;
             }
         }
-        QuantMatrix { k, n, scales: Arc::new(scales), panels: Arc::new(panels) }
+        QuantMatrix { k, n, scales, panels }
     }
 
     /// Input width (`k`, rows of the original matrix).
@@ -210,9 +206,9 @@ thread_local! {
 ///
 /// `a` may have any rank ≥ 1 with last dimension `w.k()`; leading
 /// dimensions are batch dimensions. `bias`, when present, must be `[n]`.
-/// The result is bit-identical for every pool size and for the scalar and
-/// SIMD kernels (integer accumulation is exact; the dequant epilogue uses
-/// fused multiply-add on both paths).
+/// The result is bit-identical for the scalar and SIMD kernels (integer
+/// accumulation is exact; the dequant epilogue uses fused multiply-add on
+/// both paths).
 ///
 /// # Panics
 ///
@@ -248,24 +244,10 @@ pub fn linear_q8(a: &Tensor, w: &QuantMatrix, bias: Option<&Tensor>) -> Tensor {
     metrics::counter_add("quant/quant_rows", m as u64);
     metrics::counter_add("quant/dequant_rows", m as u64);
 
-    let total = m * n;
-    let threads = if pool::should_parallelize(total * k, PARALLEL_THRESHOLD) {
-        pool::num_threads()
-    } else {
-        1
-    };
-    if threads <= 1 {
-        // Borrowed when the operands are dense (they are, in the model).
-        let (ad, bd) = (a.flat(), bias.map(Tensor::flat));
-        let mut out = workspace::take_uninit(total);
-        q8_rows(&mut out, 0, &ad, k, w, bd.as_deref());
-        return Tensor::from_vec(out, &out_shape);
-    }
-    let (a, bias) = (a.contiguous(), bias.map(Tensor::contiguous));
-    let w = w.clone();
-    let out = pool::parallel_rows_named("matmul_i8", m, n, threads, move |first_row, chunk| {
-        q8_rows(chunk, first_row, a.data(), k, &w, bias.as_ref().map(Tensor::data));
-    });
+    // Borrowed when the operands are dense.
+    let (ad, bd) = (a.flat(), bias.map(Tensor::flat));
+    let mut out = workspace::take_uninit(m * n);
+    q8_rows(&mut out, &ad, k, w, bd.as_deref());
     Tensor::from_vec(out, &out_shape)
 }
 
@@ -274,23 +256,12 @@ pub fn matmul_q8(a: &Tensor, w: &QuantMatrix) -> Tensor {
     linear_q8(a, w, None)
 }
 
-/// Computes output rows `[first_row, first_row + out.len() / n)` of the
-/// dense `[m, k]` activations `a`.
-///
-/// Each chunk quantizes its own activation rows into thread-local scratch
-/// and widens B tiles locally, so chunk results depend only on the rows
-/// they cover — the pool-size bit-parity argument.
-fn q8_rows(
-    out: &mut [f32],
-    first_row: usize,
-    a: &[f32],
-    k: usize,
-    w: &QuantMatrix,
-    bias_d: Option<&[f32]>,
-) {
+/// Computes every output row of the dense `[m, k]` activations `a`,
+/// quantizing them into thread-local scratch and widening B tiles there.
+fn q8_rows(out: &mut [f32], a: &[f32], k: usize, w: &QuantMatrix, bias_d: Option<&[f32]>) {
     let n = w.n();
     let rows = out.len() / n;
-    let ad = &a[first_row * k..first_row * k + rows * k];
+    let ad = &a[..rows * k];
     let kp = k.next_multiple_of(2);
     let k2 = kp / 2;
     let mp = rows.div_ceil(MR);

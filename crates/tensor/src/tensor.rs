@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::shape;
-use crate::workspace::{self, ArcBuf, Buffer};
+use crate::workspace::{self, Buffer};
 
 /// Scoped counting of buffer materializations.
 ///
@@ -65,7 +65,7 @@ pub struct Tensor {
     shape: Vec<usize>,
     strides: Vec<usize>,
     offset: usize,
-    data: ArcBuf,
+    data: Arc<Buffer>,
 }
 
 impl Tensor {
@@ -189,12 +189,6 @@ impl Tensor {
     /// strides index `raw_data()[offset + Σ idxᵢ·strideᵢ]`.
     pub(crate) fn raw_data(&self) -> &[f32] {
         &self.data
-    }
-
-    /// A cheap `Arc` clone of the backing buffer. Parallel kernels move
-    /// these into `'static` pool jobs instead of borrowing the tensor.
-    pub(crate) fn raw_arc(&self) -> ArcBuf {
-        Arc::clone(&self.data)
     }
 
     /// The rank (number of dimensions).

@@ -36,7 +36,6 @@
 //! thread); overflow simply frees to the system allocator.
 
 use std::cell::RefCell;
-use std::sync::Arc;
 
 use crate::dial::RECYCLE;
 use crate::metrics;
@@ -232,10 +231,6 @@ pub(crate) fn give(v: Vec<f32>) {
 pub(crate) struct Buffer {
     data: Vec<f32>,
 }
-
-/// Shared tensor storage. Parallel kernels move clones of this into
-/// `'static` pool jobs instead of borrowing the tensor.
-pub(crate) type ArcBuf = Arc<Buffer>;
 
 impl Buffer {
     pub(crate) fn new(data: Vec<f32>) -> Self {

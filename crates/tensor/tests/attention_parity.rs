@@ -4,12 +4,12 @@
 //! GEMM micro-kernels and the shared row softmax; the contract is that every
 //! output bit — and, through `Graph::attention`, every gradient bit — equals
 //! what `permute → matmul → scale → softmax_last → matmul → merge` of the
-//! public ops computes, for every shape, operand layout, kernel (AVX-512 or
-//! portable) and pool size. That is what lets a model mix batch sizes and
-//! hosts without its extractions moving.
+//! public ops computes, for every shape, operand layout and kernel (AVX-512
+//! or portable). That is what lets a model mix batch sizes and hosts without
+//! its extractions moving.
 
 use proptest::prelude::*;
-use tsdx_tensor::dial::{Kernel, RunConfig, KERNEL};
+use tsdx_tensor::dial::{Kernel, KERNEL};
 use tsdx_tensor::{grad_check, ops, Graph, Tensor};
 
 /// `[B, T, H·w]` as the `[B, H, T, w]` head view.
@@ -146,27 +146,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn op_equals_the_composition_on_both_kernels_at_every_pool_size(c in case()) {
+    fn op_equals_the_composition_on_both_kernels(c in case()) {
         let (q, k, v) = operands(&c);
         let scale = 1.0 / (c.dh as f32).sqrt();
         let mut across_kernels = Vec::new();
         for &kernel in Kernel::available() {
             let (want, want_probs) =
                 KERNEL.with(kernel, || composed(&q, &k, &v, c.heads, scale));
-            for threads in [1usize, 2, 3] {
-                let (got, (kept, probs)) =
-                    RunConfig { threads, kernel, ..RunConfig::current() }.run(|| {
-                        (
-                            ops::attention(&q, &k, &v, c.heads, scale),
-                            ops::attention_with_probs(&q, &k, &v, c.heads, scale),
-                        )
-                    });
-                prop_assert_eq!(got.shape(), want.shape());
-                prop_assert_eq!(probs.shape(), want_probs.shape());
-                prop_assert!(bits(&got) == bits(&want), "{c:?} {kernel} pool {threads}");
-                prop_assert!(bits(&kept) == bits(&want), "{c:?} (probs kept) pool {threads}");
-                prop_assert!(bits(&probs) == bits(&want_probs), "{c:?} probs pool {threads}");
-            }
+            let (got, (kept, probs)) = KERNEL.with(kernel, || {
+                (
+                    ops::attention(&q, &k, &v, c.heads, scale),
+                    ops::attention_with_probs(&q, &k, &v, c.heads, scale),
+                )
+            });
+            prop_assert_eq!(got.shape(), want.shape());
+            prop_assert_eq!(probs.shape(), want_probs.shape());
+            prop_assert!(bits(&got) == bits(&want), "{c:?} {kernel}");
+            prop_assert!(bits(&kept) == bits(&want), "{c:?} (probs kept) {kernel}");
+            prop_assert!(bits(&probs) == bits(&want_probs), "{c:?} probs {kernel}");
             across_kernels.push(bits(&want));
         }
         prop_assert!(across_kernels.iter().all(|k| *k == across_kernels[0]), "{c:?}: kernels disagree");
@@ -219,20 +216,28 @@ fn node_gradients_equal_the_composed_graphs_bitwise() {
         let v = values(13, &[b, tk, heads * dv]);
         let scale = 1.0 / (dh as f32).sqrt();
         for &kernel in Kernel::available() {
-            for threads in [1usize, 2] {
-                let run = |one_node| {
-                    RunConfig { threads, kernel, ..RunConfig::current() }
-                        .run(|| gradients([&q, &k, &v], heads, scale, one_node))
-                };
-                let ((ctx, got), (want_ctx, want)) = (run(true), run(false));
-                assert_eq!(bits(&ctx), bits(&want_ctx), "forward, pool {threads}");
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(g.shape(), w.shape());
-                    assert_eq!(bits(g), bits(w), "input {i} [{b},{tq},{tk}] pool {threads}");
-                }
+            let run =
+                |one_node| KERNEL.with(kernel, || gradients([&q, &k, &v], heads, scale, one_node));
+            let ((ctx, got), (want_ctx, want)) = (run(true), run(false));
+            assert_eq!(bits(&ctx), bits(&want_ctx), "forward, {kernel}");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.shape(), w.shape());
+                assert_eq!(bits(g), bits(w), "input {i} [{b},{tq},{tk}] {kernel}");
             }
         }
     }
+}
+
+#[test]
+fn gradcheck_through_fused_attention_op() {
+    let q = Tensor::from_fn(&[2, 3, 4], |i| (i as f32 * 0.23).sin() * 0.5);
+    let k = Tensor::from_fn(&[2, 5, 4], |i| (i as f32 * 0.19).cos() * 0.5);
+    let v = Tensor::from_fn(&[2, 5, 3], |i| (i as f32 * 0.31).sin() * 0.5);
+    grad_check::assert_gradients(&[q, k, v], 1e-2, 2e-2, |g, vars| {
+        let ctx = g.attention(vars[0], vars[1], vars[2], 1, 0.7);
+        let sq = g.mul(ctx, ctx); // non-uniform upstream gradient
+        g.mean_all(sq)
+    });
 }
 
 #[test]

@@ -5,12 +5,11 @@
 //! closeness — for every row count (the 8-row register blocks and their
 //! 1..=7-row remainders), every width 1..=70 (full vectors, masked last
 //! vectors, more than one 32-column block), every operand layout the model
-//! produces, every `linear` epilogue and both pool sizes. Each side runs
-//! under a `RunConfig` naming its kernel, a per-thread override the
-//! dispatching thread hands to the pool workers with the job.
+//! produces and every `linear` epilogue. Each side runs under a `RunConfig`
+//! naming its kernel, a per-thread override.
 //!
-//! On a host without AVX-512F the portable kernel is the only side and what
-//! is left is its pool-size parity.
+//! On a host without AVX-512F the portable kernel is the only side and the
+//! suite is vacuous.
 
 use proptest::prelude::*;
 use tsdx_tensor::dial::{Kernel, RunConfig};
@@ -25,24 +24,19 @@ fn fill(shape: &[usize], seed: u32) -> Tensor {
     })
 }
 
-/// Runs `f(threads)` on every kernel the CPU has, at pool sizes 1 and 2
-/// (also forced on the pool, for callers that take no thread count), and
-/// fails unless all results have the bits of the portable kernel at size 1.
-fn kernels_agree(what: &str, f: impl Fn(usize) -> Tensor) -> Result<(), TestCaseError> {
+/// Runs `f` on every kernel the CPU has and fails unless all results have
+/// the bits of the portable kernel.
+fn kernels_agree(what: &str, f: impl Fn() -> Tensor) -> Result<(), TestCaseError> {
     let base = RunConfig::current();
-    let reference =
-        RunConfig { threads: 1, kernel: Kernel::Portable, ..base }.run(|| f(1)).to_vec();
-    for threads in [1usize, 2] {
-        for &kernel in Kernel::available() {
-            let got = RunConfig { threads, kernel, ..base }.run(|| f(threads));
-            let diverged =
-                got.to_vec().iter().zip(&reference).position(|(x, y)| x.to_bits() != y.to_bits());
-            prop_assert!(
-                got.numel() == reference.len() && diverged.is_none(),
-                "{what}: threads {threads}, {kernel} diverged from the portable kernel at \
-                 flat index {diverged:?}"
-            );
-        }
+    let reference = RunConfig { kernel: Kernel::Portable, ..base }.run(&f).to_vec();
+    for &kernel in Kernel::available() {
+        let got = RunConfig { kernel, ..base }.run(&f);
+        let diverged =
+            got.to_vec().iter().zip(&reference).position(|(x, y)| x.to_bits() != y.to_bits());
+        prop_assert!(
+            got.numel() == reference.len() && diverged.is_none(),
+            "{what}: {kernel} diverged from the portable kernel at flat index {diverged:?}"
+        );
     }
     Ok(())
 }
@@ -83,7 +77,7 @@ proptest! {
         let b = matrix(k, n, layout_b, seed ^ 0xbeef);
         kernels_agree(
             &format!("[{rows},{k}] (layout {layout_a}) @ [{k},{n}] (layout {layout_b})"),
-            |threads| ops::matmul_with_threads(&a, &b, threads),
+            || ops::matmul(&a, &b),
         )?;
     }
 
@@ -114,7 +108,7 @@ proptest! {
         };
         kernels_agree(
             &format!("[{batch},{heads},{rows},{k}] @ B kind {b_kind} of width {n}"),
-            |threads| ops::matmul_with_threads(&a, &b, threads),
+            || ops::matmul(&a, &b),
         )?;
     }
 
@@ -135,7 +129,7 @@ proptest! {
             let r = (epilogue & 4 != 0).then_some(&residual);
             kernels_agree(
                 &format!("linear [{rows},{k}] (layout {layout_x}) @ [{k},{n}], epilogue {epilogue:03b}"),
-                |_| ops::linear(&x, &w, b, act, r),
+                || ops::linear(&x, &w, b, act, r),
             )?;
         }
     }
@@ -158,8 +152,8 @@ fn views_ending_on_their_buffers_last_element_agree() {
         let big_bt = fill(&[n + 7, k + 2], 94);
         let bt = ops::transpose_last2(&ops::narrow(&ops::narrow(&big_bt, 0, 7, n), 1, 2, k));
         for (a, b) in [(&a, &b), (&at, &b), (&a, &bt), (&at, &bt)] {
-            kernels_agree(&format!("{rows}x{k}x{n} at the end of its buffers"), |threads| {
-                ops::matmul_with_threads(a, b, threads)
+            kernels_agree(&format!("{rows}x{k}x{n} at the end of its buffers"), || {
+                ops::matmul(a, b)
             })
             .unwrap_or_else(|e| panic!("{e}"));
         }

@@ -3,19 +3,18 @@
 //! `ops::matmul` reads both operands through their strides — `B` in place
 //! when its columns are unit-stride, gathered tile by tile otherwise — so a
 //! transposed, narrowed, offset or batch-broadcast view must produce the
-//! same bits as the same product on contiguous copies of its operands, at
-//! every pool size. Each output element is one f32 accumulated in
+//! same bits as the same product on contiguous copies of its operands. Each
+//! output element is one f32 accumulated in
 //! ascending-k order whatever the layout, which is what makes bit equality
 //! (not just allclose) the right assertion.
 //!
 //! Sizes here are the large ones — `B` of 160×256 and up, past any L1D,
-//! `m·n·k ≥ 2²⁰` multiply-adds, `k` up to 600 — where tiles stream from L2
-//! and the pool really splits the rows; small shapes are covered by
-//! `proptest_ops.rs` and `avx512_parity.rs`.
+//! `m·n·k ≥ 2²⁰` multiply-adds, `k` up to 600 — where tiles stream from L2;
+//! small shapes are covered by `proptest_ops.rs` and `avx512_parity.rs`.
 
 use proptest::prelude::*;
 use tsdx_tensor::ops::Activation;
-use tsdx_tensor::{ops, pool, Tensor};
+use tsdx_tensor::{ops, Tensor};
 
 /// Deterministic pseudo-random fill, cheap enough for million-element
 /// operands inside a proptest case.
@@ -26,24 +25,22 @@ fn fill(shape: &[usize], seed: u32) -> Tensor {
     })
 }
 
-/// Asserts `ops::matmul` on the views `a`, `b` returns, at pool sizes 1 and
-/// 2, the bits of the single-threaded product of their contiguous copies.
+/// Asserts `ops::matmul` on the views `a`, `b` returns the bits of the
+/// product of their contiguous copies.
 fn assert_view_parity(a: &Tensor, b: &Tensor) {
-    let reference = ops::matmul_with_threads(&a.contiguous(), &b.contiguous(), 1);
-    for threads in [1usize, 2] {
-        let viewed = ops::matmul_with_threads(a, b, threads);
-        assert_eq!(viewed.shape(), reference.shape());
-        let (p, r) = (viewed.to_vec(), reference.to_vec());
-        for (i, (x, y)) in p.iter().zip(&r).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "product of views diverged from contiguous copies at flat index {i} \
-                 ({x} vs {y}, threads={threads}, {:?} @ {:?})",
-                a.shape(),
-                b.shape()
-            );
-        }
+    let reference = ops::matmul(&a.contiguous(), &b.contiguous());
+    let viewed = ops::matmul(a, b);
+    assert_eq!(viewed.shape(), reference.shape());
+    let (p, r) = (viewed.to_vec(), reference.to_vec());
+    for (i, (x, y)) in p.iter().zip(&r).enumerate() {
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "product of views diverged from contiguous copies at flat index {i} \
+             ({x} vs {y}, {:?} @ {:?})",
+            a.shape(),
+            b.shape()
+        );
     }
 }
 
@@ -108,17 +105,13 @@ fn deep_fused_linear_matches_the_composition() {
     let w = fill(&[600, 72], 14);
     let b = fill(&[72], 15);
     let r = fill(&[4, 40, 72], 16);
-    let product = ops::matmul_with_threads(&x, &w, 1);
+    let product = ops::matmul(&x, &w);
     let reference = ops::add(&ops::gelu(&ops::add(&product, &b)), &r);
-    for threads in [1usize, 2] {
-        let fused = pool::with_forced_threads(threads, || {
-            ops::linear(&x, &w, Some(&b), Activation::Gelu, Some(&r))
-        });
-        assert_eq!(fused.shape(), reference.shape());
-        let same =
-            fused.to_vec().iter().zip(&reference.to_vec()).all(|(p, q)| p.to_bits() == q.to_bits());
-        assert!(same, "fused linear diverged from its composition at {threads} threads");
-    }
+    let fused = ops::linear(&x, &w, Some(&b), Activation::Gelu, Some(&r));
+    assert_eq!(fused.shape(), reference.shape());
+    let same =
+        fused.to_vec().iter().zip(&reference.to_vec()).all(|(p, q)| p.to_bits() == q.to_bits());
+    assert!(same, "fused linear diverged from its composition");
 }
 
 proptest! {

@@ -86,7 +86,7 @@ fn loop_ns(f: &mut impl FnMut(u64)) -> f64 {
 
 #[test]
 fn disabled_path_allocates_nothing_and_costs_under_one_percent() {
-    // Warm-up: the first matmul spins up the worker pool, which does not
+    // Warm-up: the first matmul fills the workspace arena, which does not
     // belong to the steady state being measured. The recording calls need
     // none — the very first one is already the single branch.
     let a = Tensor::from_fn(&[128, 128], |i| ((i * 31 % 17) as f32 - 8.0) / 8.0);
@@ -111,7 +111,7 @@ fn disabled_path_allocates_nothing_and_costs_under_one_percent() {
     }
     let ns_per_call = t.elapsed().as_nanos() as f64 / CALLS as f64;
 
-    // Instrumentation call sites actually hit by one pooled matmul, counted
+    // Instrumentation call sites actually hit by one 128×128 matmul, counted
     // (not estimated) with the layer enabled.
     let calls_per_matmul = {
         let scope = metrics::scope();

@@ -1,4 +1,5 @@
-//! Tests for the extended op set: max pooling, padding, stack/split.
+//! Tests for the extended op set: max pooling, padding, stack/split, and
+//! layer norm without its saved statistics.
 
 use tsdx_tensor::grad_check::assert_gradients;
 use tsdx_tensor::{ops, Tensor};
@@ -73,6 +74,17 @@ fn split_inverts_equal_concat() {
     let cols = ops::split(&a, 1, 3);
     assert_eq!(cols.len(), 3);
     assert_eq!(cols[1].to_vec(), vec![1.0, 4.0]);
+}
+
+#[test]
+fn layer_norm_without_stats_matches_the_differentiable_forward() {
+    let input =
+        |shape: &[usize], freq: f32| Tensor::from_fn(shape, |i| (i as f32 * freq).sin() * 2.0);
+    let x = input(&[9, 12], 0.41);
+    let gamma = input(&[12], 0.05);
+    let beta = input(&[12], 0.03);
+    let with_stats = ops::layer_norm_forward(&x, &gamma, &beta, 1e-5).0;
+    assert_eq!(ops::layer_norm(&x, &gamma, &beta, 1e-5).to_vec(), with_stats.to_vec());
 }
 
 #[test]

@@ -2,10 +2,10 @@
 //! runs.
 //!
 //! The parity suites prove the production paths agree with *each other*
-//! (AVX-512 == portable, pool 1 == N, workspace on == off) bit for bit; none of
-//! them can say any path is *right*. This file can: every reference here is
-//! a naive, allocation-happy f64 loop over `Tensor::at` — no views, pool,
-//! arena, tiling or packing — and each kernel is bounded against it by a
+//! (AVX-512 == portable, workspace on == off) bit for bit; none of them can
+//! say any path is *right*. This file can: every reference here is a naive,
+//! allocation-happy f64 loop over `Tensor::at` — no views, arena, tiling or
+//! packing — and each kernel is bounded against it by a
 //! forward-error bound stated next to the check. A kernel may change its
 //! tiling, accumulation order or rounding (fused or not) and still pass; a
 //! wrong index, a dropped term or a lost tail row/column cannot.
@@ -15,7 +15,7 @@
 
 use tsdx_tensor::dial::{Kernel, KERNEL};
 use tsdx_tensor::shape::index_of;
-use tsdx_tensor::{ops, pool, Tensor};
+use tsdx_tensor::{ops, Tensor};
 
 const EPS: f64 = f32::EPSILON as f64;
 
@@ -58,9 +58,9 @@ fn matmul_f64(a: &Tensor, b: &Tensor) -> (Vec<usize>, Vec<(f64, f64)>) {
     (out_shape, out)
 }
 
-/// Bounds `ops::matmul` against the oracle at pool sizes 1 and 2, on the
-/// f32 kernel the host selects and on the portable one (only the latter
-/// where there is no AVX-512 — see `dial::KERNEL`).
+/// Bounds `ops::matmul` against the oracle on the f32 kernel the host
+/// selects and on the portable one (only the latter where there is no
+/// AVX-512 — see `dial::KERNEL`).
 ///
 /// Bound: `|got − want| ≤ C·k·ε·Σ|aᵢbᵢ|` with `C = 1`, ε = 2⁻²³. One
 /// accumulator rounded once per term gives at most `k·(ε/2)·Σ|aᵢbᵢ|` to
@@ -72,15 +72,14 @@ fn assert_matmul_within_bound(a: &Tensor, b: &Tensor) {
     const C: f64 = 1.0;
     let k = *a.shape().last().expect("rank >= 2") as f64;
     let (out_shape, want) = matmul_f64(a, b);
-    let configs = Kernel::available().iter().flat_map(|&k| [(1usize, k), (2, k)]);
-    for (threads, kernel) in configs {
-        let got = KERNEL.with(kernel, || ops::matmul_with_threads(a, b, threads));
+    for &kernel in Kernel::available() {
+        let got = KERNEL.with(kernel, || ops::matmul(a, b));
         assert_eq!(got.shape(), &out_shape[..]);
         for (flat, (&g, &(sum, abs))) in got.to_vec().iter().zip(&want).enumerate() {
             let bound = C * k * EPS * abs;
             assert!(
                 (g as f64 - sum).abs() <= bound,
-                "{:?} @ {:?}, threads {threads}, {kernel}, element {:?}: got {g}, want {sum}, bound {bound:e}",
+                "{:?} @ {:?}, {kernel}, element {:?}: got {g}, want {sum}, bound {bound:e}",
                 a.shape(),
                 b.shape(),
                 index_of(&out_shape, flat),
@@ -130,23 +129,21 @@ fn fused_linear_with_gelu_and_residual_at_model_shapes() {
         let (x, w) = (fill(&[m, k], 61), fill(&[k, n], 62));
         let (b, r) = (fill(&[n], 63), fill(&[m, n], 64));
         let (_, product) = matmul_f64(&x, &w);
-        at_pool_sizes(|threads| {
-            let got = ops::linear(&x, &w, Some(&b), Activation::Gelu, Some(&r)).to_vec();
-            for (flat, (&g, &(sum, abs))) in got.iter().zip(&product).enumerate() {
-                let (i, j) = (flat / n, flat % n);
-                let z = sum + b.at(&[j]) as f64;
-                let u = (2.0 / std::f64::consts::PI).sqrt() * (z + 0.044715 * z.powi(3));
-                let act = z / (1.0 + (-2.0 * u).exp());
-                let want = act + r.at(&[i, j]) as f64;
-                let bound = 1.13 * (k as f64 * EPS * abs + EPS * z.abs())
-                    + 1e-6 * act.abs().max(1.0)
-                    + EPS * want.abs();
-                assert!(
-                    (g as f64 - want).abs() <= bound,
-                    "linear {m}x{k}x{n} threads {threads} [{i},{j}]: {g} vs {want}, bound {bound:e}"
-                );
-            }
-        });
+        let got = ops::linear(&x, &w, Some(&b), Activation::Gelu, Some(&r)).to_vec();
+        for (flat, (&g, &(sum, abs))) in got.iter().zip(&product).enumerate() {
+            let (i, j) = (flat / n, flat % n);
+            let z = sum + b.at(&[j]) as f64;
+            let u = (2.0 / std::f64::consts::PI).sqrt() * (z + 0.044715 * z.powi(3));
+            let act = z / (1.0 + (-2.0 * u).exp());
+            let want = act + r.at(&[i, j]) as f64;
+            let bound = 1.13 * (k as f64 * EPS * abs + EPS * z.abs())
+                + 1e-6 * act.abs().max(1.0)
+                + EPS * want.abs();
+            assert!(
+                (g as f64 - want).abs() <= bound,
+                "linear {m}x{k}x{n} [{i},{j}]: {g} vs {want}, bound {bound:e}"
+            );
+        }
     }
 }
 
@@ -192,14 +189,6 @@ fn tail_rows_and_tail_columns() {
     assert_matmul_within_bound(&fill(&[1, 64], 29), &fill(&[64, 5], 30));
 }
 
-/// Runs `f` under forced pool sizes 1 and 2 (the pooled kernels chunk their
-/// rows even below their serial thresholds when a size is forced).
-fn at_pool_sizes(mut f: impl FnMut(usize)) {
-    for threads in [1usize, 2] {
-        pool::with_forced_threads(threads, || f(threads));
-    }
-}
-
 #[test]
 fn softmax_at_attention_shapes() {
     // Bound: |got − want| ≤ 16ε·want. The exp argument x − max is exact to
@@ -210,21 +199,19 @@ fn softmax_at_attention_shapes() {
         let x = ops::scale(&fill(shape, 31), scale);
         let d = *shape.last().expect("rank >= 1");
         let xv = x.to_vec();
-        at_pool_sizes(|threads| {
-            let got = ops::softmax_last(&x).to_vec();
-            for (r, (row, grow)) in xv.chunks(d).zip(got.chunks(d)).enumerate() {
-                let m = row.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v as f64));
-                let e: Vec<f64> = row.iter().map(|&v| (v as f64 - m).exp()).collect();
-                let sum: f64 = e.iter().sum();
-                for (j, (&g, ej)) in grow.iter().zip(&e).enumerate() {
-                    let want = ej / sum;
-                    assert!(
-                        (g as f64 - want).abs() <= 16.0 * EPS * want,
-                        "softmax {shape:?} threads {threads} row {r} col {j}: {g} vs {want}"
-                    );
-                }
+        let got = ops::softmax_last(&x).to_vec();
+        for (r, (row, grow)) in xv.chunks(d).zip(got.chunks(d)).enumerate() {
+            let m = row.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v as f64));
+            let e: Vec<f64> = row.iter().map(|&v| (v as f64 - m).exp()).collect();
+            let sum: f64 = e.iter().sum();
+            for (j, (&g, ej)) in grow.iter().zip(&e).enumerate() {
+                let want = ej / sum;
+                assert!(
+                    (g as f64 - want).abs() <= 16.0 * EPS * want,
+                    "softmax {shape:?} row {r} col {j}: {g} vs {want}"
+                );
             }
-        });
+        }
     }
 }
 
@@ -241,30 +228,28 @@ fn layer_norm_at_token_shapes() {
         let gamma = ops::add_scalar(&fill(&[d], 42), 1.5);
         let beta = fill(&[d], 43);
         let (xv, gv, bv) = (x.to_vec(), gamma.to_vec(), beta.to_vec());
-        at_pool_sizes(|threads| {
-            let (y, mean, rstd) = ops::layer_norm_forward(&x, &gamma, &beta, eps);
-            let (yv, mv, rv) = (y.to_vec(), mean.to_vec(), rstd.to_vec());
-            for (r, row) in xv.chunks(d).enumerate() {
-                let mu = row.iter().map(|&v| v as f64).sum::<f64>() / d as f64;
-                let var = row.iter().map(|&v| (v as f64 - mu).powi(2)).sum::<f64>() / d as f64;
-                let rs = 1.0 / (var + eps as f64).sqrt();
-                let xmax = row.iter().fold(0.0f64, |m, &v| m.max((v as f64).abs()));
-                assert!((mv[r] as f64 - mu).abs() <= 4.0 * EPS * xmax, "mean row {r}");
-                assert!((rv[r] as f64 - rs).abs() <= 8.0 * EPS * rs * (1.0 + xmax * rs), "rstd");
-                for j in 0..d {
-                    let xhat = (row[j] as f64 - mu) * rs;
-                    let want = xhat * gv[j] as f64 + bv[j] as f64;
-                    let scale = (xhat * gv[j] as f64).abs()
-                        + (bv[j] as f64).abs()
-                        + (gv[j] as f64).abs() * xmax * rs;
-                    let got = yv[r * d + j] as f64;
-                    assert!(
-                        (got - want).abs() <= 8.0 * EPS * scale,
-                        "layer_norm rows {rows} threads {threads} [{r},{j}]: {got} vs {want}"
-                    );
-                }
+        let (y, mean, rstd) = ops::layer_norm_forward(&x, &gamma, &beta, eps);
+        let (yv, mv, rv) = (y.to_vec(), mean.to_vec(), rstd.to_vec());
+        for (r, row) in xv.chunks(d).enumerate() {
+            let mu = row.iter().map(|&v| v as f64).sum::<f64>() / d as f64;
+            let var = row.iter().map(|&v| (v as f64 - mu).powi(2)).sum::<f64>() / d as f64;
+            let rs = 1.0 / (var + eps as f64).sqrt();
+            let xmax = row.iter().fold(0.0f64, |m, &v| m.max((v as f64).abs()));
+            assert!((mv[r] as f64 - mu).abs() <= 4.0 * EPS * xmax, "mean row {r}");
+            assert!((rv[r] as f64 - rs).abs() <= 8.0 * EPS * rs * (1.0 + xmax * rs), "rstd");
+            for j in 0..d {
+                let xhat = (row[j] as f64 - mu) * rs;
+                let want = xhat * gv[j] as f64 + bv[j] as f64;
+                let scale = (xhat * gv[j] as f64).abs()
+                    + (bv[j] as f64).abs()
+                    + (gv[j] as f64).abs() * xmax * rs;
+                let got = yv[r * d + j] as f64;
+                assert!(
+                    (got - want).abs() <= 8.0 * EPS * scale,
+                    "layer_norm rows {rows} [{r},{j}]: {got} vs {want}"
+                );
             }
-        });
+        }
     }
 }
 
@@ -275,17 +260,15 @@ fn gelu_at_mlp_shapes() {
     // Measured worst on [-6, 6): 1.5e-7.
     for &rows in &[68usize, 544] {
         let x = ops::scale(&fill(&[rows, 128], 51), 6.0);
-        at_pool_sizes(|threads| {
-            let got = ops::gelu(&x).to_vec();
-            for (i, (&xv, &g)) in x.to_vec().iter().zip(&got).enumerate() {
-                let xd = xv as f64;
-                let u = (2.0 / std::f64::consts::PI).sqrt() * (xd + 0.044715 * xd.powi(3));
-                let want = xd / (1.0 + (-2.0 * u).exp());
-                assert!(
-                    (g as f64 - want).abs() <= 1e-6 * want.abs().max(1.0),
-                    "gelu rows {rows} threads {threads} element {i}: gelu({xv}) = {g} vs {want}"
-                );
-            }
-        });
+        let got = ops::gelu(&x).to_vec();
+        for (i, (&xv, &g)) in x.to_vec().iter().zip(&got).enumerate() {
+            let xd = xv as f64;
+            let u = (2.0 / std::f64::consts::PI).sqrt() * (xd + 0.044715 * xd.powi(3));
+            let want = xd / (1.0 + (-2.0 * u).exp());
+            assert!(
+                (g as f64 - want).abs() <= 1e-6 * want.abs().max(1.0),
+                "gelu rows {rows} element {i}: gelu({xv}) = {g} vs {want}"
+            );
+        }
     }
 }

@@ -10,14 +10,14 @@
 //!    the analytic activation-quantization bound
 //!    `0.5 · sa[i] · Σ_k |w_dq[k, j]|` (plus f32 accumulation slack), for
 //!    contiguous and transposed views alike.
-//! 3. **Determinism**: results are bit-identical across pool sizes {1, 2}
-//!    and between the scalar reference and the AVX2 kernels — the
-//!    exact-i32-accumulation argument, checked rather than trusted.
+//! 3. **Determinism**: results are bit-identical between the scalar
+//!    reference and the AVX2 kernels — the exact-i32-accumulation argument,
+//!    checked rather than trusted.
 
 use proptest::prelude::*;
 use tsdx_tensor::dial::I8_SIMD;
 use tsdx_tensor::quant::QuantMatrix;
-use tsdx_tensor::{ops, pool, quant, Tensor};
+use tsdx_tensor::{ops, quant, Tensor};
 
 /// Strategy: a `[k, n]` weight matrix whose channels span random
 /// per-channel ranges (each column gets its own magnitude in
@@ -149,7 +149,7 @@ proptest! {
     }
 
     #[test]
-    fn bit_identical_across_pool_sizes_and_kernels(
+    fn bit_identical_across_kernels(
         w in arb_weights(),
         bias_on in any::<bool>(),
     ) {
@@ -158,17 +158,11 @@ proptest! {
         let q = QuantMatrix::quantize(&w);
         let a = Tensor::from_fn(&[13, k], |i| ((i % 83) as f32 - 41.0) / 17.0);
         let bias = bias_on.then(|| Tensor::from_fn(&[n], |i| i as f32 * 0.03 - 0.2));
-        // Serial, chunked (forced 2-thread pool bypasses the serial
-        // threshold, so even tiny products exercise the chunked path),
-        // and scalar-kernel runs must agree bit for bit.
-        let serial = pool::with_forced_threads(1, || quant::linear_q8(&a, &q, bias.as_ref()));
-        let pooled = pool::with_forced_threads(2, || quant::linear_q8(&a, &q, bias.as_ref()));
+        // The dispatched and the scalar-kernel runs must agree bit for bit.
+        let simd = quant::linear_q8(&a, &q, bias.as_ref());
         let scalar = I8_SIMD.with(false, || quant::linear_q8(&a, &q, bias.as_ref()));
-        let s = serial.data();
-        prop_assert_eq!(s.len(), pooled.data().len());
-        for (i, (x, y)) in s.iter().zip(pooled.data()).enumerate() {
-            prop_assert!(x.to_bits() == y.to_bits(), "pool diverged at {i}: {x} vs {y}");
-        }
+        let s = simd.data();
+        prop_assert_eq!(s.len(), scalar.data().len());
         for (i, (x, y)) in s.iter().zip(scalar.data()).enumerate() {
             prop_assert!(x.to_bits() == y.to_bits(), "scalar diverged at {i}: {x} vs {y}");
         }

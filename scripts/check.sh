@@ -3,10 +3,11 @@
 # Run from the repository root before sending a change.
 #
 # No stage re-runs a suite under a TSDX_* variable: every run-time switch has
-# a per-thread override, so the suites cross pool size x buffer recycling x
-# f32 kernel in process (the matrix test of
-# crates/core/tests/streaming_parity.rs and the other suites built on
-# tsdx_tensor::dial::RunConfig).
+# a per-thread override, so the suites cross buffer recycling x f32 kernel in
+# process (the matrix test of crates/core/tests/streaming_parity.rs and the
+# other suites built on tsdx_tensor::dial::RunConfig). Every kernel runs on
+# its caller's thread; the index scan's worker split is a unit test in
+# crates/index/src/vector_index.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,8 +37,9 @@ cargo run -q -p tsdx-bench --release --bin profile -- --quick | grep -o 'f32-ker
 cargo run -q -p tsdx-bench --release --bin profile -- --index --quick | grep 'SDL query'
 cargo run -q -p tsdx-bench --release --bin profile -- --data --quick | grep -E 'first in the process|Night'
 
-echo "==> fault-injection suite (worker panics, torn/corrupt checkpoints, NaN grads)"
+echo "==> fault-injection suite (torn/corrupt checkpoints, NaN grads; the fault registry's own unit tests)"
 cargo test -q --features fault-inject
+cargo test -q -p tsdx-tensor --features fault-inject --lib
 
 echo "==> serve fault-injection suite (accept stall, mid-chunk disconnect, session-table exhaustion, route/handler/readout panics)"
 cargo test -q -p tsdx-serve --features fault-inject --test fault_injection

