@@ -29,9 +29,10 @@
 //!   adds, with the attention op timed against the composition it replaced
 //!   and, outside `--quick` on an AVX-512 host, its floors asserted.
 //!
-//! - an **index-scan profile** ([`index_profile`]): µs per query, rows per
-//!   µs and columns read for an SDL query, a 10-non-zero query and a dense
-//!   query over 200 000 random taxonomy-valid scenarios.
+//! - an **index-scan profile** ([`index_profile`]): the index's distinct
+//!   rows, resident MB and build rate, then µs per query, rows per µs and
+//!   columns read for an SDL query, a 10-non-zero query and a dense query
+//!   over 200 000 random taxonomy-valid scenarios.
 //!
 //! - a **clip-generation profile** ([`data_profile`]): `generate_dataset`
 //!   clips/s on the first call in the process and in steady state, and per
@@ -401,22 +402,36 @@ fn random_scenario(rng: &mut StdRng, actors: usize) -> Scenario {
 /// (3 to 10 non-zero components of 28), queries with all 10, and the same
 /// with every zero replaced by a small value, which no scan can shorten. The
 /// columns are counted by `index/columns_visited`, not derived: a column is
-/// one dimension of one 512-row block, and a query reads its non-zero
-/// components × blocks of them.
+/// one dimension of one 512-row block of distinct rows, and a query reads its
+/// non-zero components × blocks of them. A header line first: rows, distinct
+/// rows, resident MB and the build's rows/s.
 fn index_profile(quick: bool) {
     const K: usize = 10;
     let rows = if quick { 20_000 } else { 200_000 };
     let (calls, rounds) = if quick { (64, 3) } else { (256, 15) };
     let mut rng = StdRng::seed_from_u64(tsdx_bench::STD_SEED);
-    let mut index = VectorIndex::default();
     let sdl = |rng: &mut StdRng| {
         let actors = rng.random_range(0..=MAX_ACTORS);
         random_scenario(rng, actors)
     };
-    for _ in 0..rows {
-        index.push_scenario(&sdl(&mut rng)).expect("default index matches EMBED_DIM");
+    let corpus: Vec<Scenario> = (0..rows).map(|_| sdl(&mut rng)).collect();
+    let mut index = VectorIndex::default();
+    let start = Instant::now();
+    for s in &corpus {
+        index.push_scenario(s).expect("default index matches EMBED_DIM");
     }
-    let sdl_queries: Vec<Vec<f32>> = (0..64).map(|_| tsdx_sdl::embed(&sdl(&mut rng))).collect();
+    let build_s = start.elapsed().as_secs_f64();
+    drop(corpus);
+    let distinct = index.distinct_len();
+    println!(
+        "index: {rows} rows, {distinct} distinct ({:.1} %), {:.1} MB resident \
+         (blocks + id maps + lookup), built at {:.0} rows/s",
+        100.0 * distinct as f64 / rows as f64,
+        index.resident_bytes() as f64 / 1e6,
+        rows as f64 / build_s,
+    );
+    let sdl_queries: Vec<Vec<f32>> =
+        (0..64).map(|_| tsdx_sdl::embed(&sdl(&mut rng)).to_vec()).collect();
     // Four distinct events at the four positions: ego + road + 4 + 4.
     let full_queries: Vec<Vec<f32>> = (0..64)
         .map(|_| loop {
@@ -426,7 +441,7 @@ fn index_profile(quick: bool) {
             }
             let q = tsdx_sdl::embed(&s);
             if q.iter().filter(|&&x| x != 0.0).count() == 10 {
-                break q;
+                break q.to_vec();
             }
         })
         .collect();
@@ -475,16 +490,12 @@ fn index_profile(quick: bool) {
             ]
         })
         .collect();
-    // What `VectorIndex::query` fans out over: one worker per core this
-    // process may run on, at most one per shard.
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     print_table(
         &format!(
-            "index scan, {rows} rows x {} dims in {} shards, k = {K}, {} scan worker(s) \
+            "index scan, {rows} rows x {} dims, {distinct} distinct, k = {K}, {} scan worker(s) \
              ({rounds} rounds x {calls} queries per pool, median)",
             index.dim(),
-            index.shard_count(),
-            workers.min(index.shard_count()),
+            index.scan_workers(),
         ),
         &["query", "non-zero", "columns read", "µs", "rows/µs"],
         &table,

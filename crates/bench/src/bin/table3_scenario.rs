@@ -26,7 +26,7 @@ fn retrieval_rows(
     gallery: &[Scenario],
     skip_self: bool,
 ) -> (f32, f32) {
-    let gallery_emb: Vec<Vec<f32>> = gallery.iter().map(embed).collect();
+    let gallery_emb: Vec<_> = gallery.iter().map(embed).collect();
     let mut q = Vec::new();
     for (i, (pred, truth)) in queries.iter().zip(query_truths).enumerate() {
         let qe = embed(pred);

@@ -1,20 +1,46 @@
-//! The in-memory sharded index and its blocked brute-force scan.
+//! The in-memory index — each distinct row stored once — and its blocked
+//! brute-force scan.
 //!
-//! A shard holds its rows in blocks of [`BLOCK_ROWS`], each block laid out
+//! # Each distinct row once
+//!
+//! SDL descriptions come from a closed taxonomy, so a scenario corpus repeats
+//! rows: 200 000 random taxonomy-valid scenarios hold about 94 000 distinct
+//! embeddings. The index keeps one table of *distinct* rows, in
+//! first-occurrence order, in blocks of [`BLOCK_ROWS`], each laid out
 //! `[dim][BLOCK_ROWS]` (dimension-major, the block's rows side by side), so
 //! one dimension of one block is a contiguous run of cache lines and a scan
-//! reads only the runs it needs. The layout is private to memory: shard
-//! files stay row-major (`TSDXIDX1`), transposed on
-//! [`VectorIndex::save_to`] and [`VectorIndex::load`].
+//! reads only the runs it needs. Beside the table: per id, the distinct row
+//! it carries and the next id carrying the same row; per distinct row, its
+//! lowest and highest id and which of its dimensions are not `+0.0`; and a
+//! map from a 32-bit hash of a row's bit pattern to its distinct row. Rows
+//! are the same when their bits are — `+0.0` and `-0.0`, or two NaN
+//! payloads, make different rows. A hash hit reads the stored row's columns
+//! only where it is not `+0.0` (a sparse row is a few cache lines, not
+//! `dim`), and on a hit whose stored bits differ, the row is stored as a new
+//! distinct row and left out of the map.
+//!
+//! A scan scores each distinct row once, offers it to a [`TopK`] under its
+//! lowest id, and then expands the at most `k` winning rows to at most `k`
+//! ids each through a second [`TopK`]. That is exact. Rank the groups of
+//! bit-equal rows by (score, lowest id). Every group ranked above the group
+//! of an id in the true top `k` puts its own lowest id above that id, so the
+//! id's group is among the top `k` groups; and inside a group only the first
+//! `k` ids can place. The argument holds for *any* grouping of bit-equal
+//! rows, so a duplicate the map misses (a hash collision) costs time, never
+//! an answer.
+//!
+//! Shards are the file format only: [`VectorIndex::save_to`] gathers each
+//! id's row into row-major `TSDXIDX1` files of `shard_capacity` rows, and
+//! [`VectorIndex::load`] pushes the rows back through [`VectorIndex::push`].
 //!
 //! # Which dimensions a scan reads
 //!
 //! Every query that reaches `/search` is an [`embed`]ding: at most ten of
-//! its [`EMBED_DIM`] components are non-zero. A scan therefore lists, once
-//! per shard, the dimensions `d` with `q[d] != 0.0` — grouped by the
-//! accumulator [`tsdx_sdl::dot`] adds them into, ascending within each — and
-//! multiplies only those columns. That is exact, not approximate, as long as
-//! every stored value of the shard is finite:
+//! its [`EMBED_DIM`] components are non-zero. A scan therefore lists, once,
+//! the dimensions `d` with `q[d] != 0.0` — grouped by the accumulator
+//! [`tsdx_sdl::dot`] adds them into, ascending within each — and multiplies
+//! only those columns. That is exact, not approximate, as long as every
+//! stored value of the block is finite:
 //!
 //! * a skipped term is `±0 × finite = ±0`;
 //! * an accumulator starts at `+0.0`, and `x + y` is `−0.0` only when both
@@ -24,20 +50,22 @@
 //!
 //! So dropping the term leaves every accumulator, and with it every score,
 //! with `dot`'s bits. Against a row holding `±inf` or NaN the skipped
-//! product would be NaN, not zero: each shard carries one `finite` flag,
-//! maintained by `push`, and a shard that holds any non-finite value reads
-//! every dimension.
+//! product would be NaN, not zero: each block carries one `finite` flag,
+//! maintained as rows are stored, and a block that holds any non-finite value
+//! reads every dimension.
 //!
 //! # How a scan fans out
 //!
-//! [`VectorIndex::query`] splits the shards into at most
-//! `available_parallelism()` contiguous runs — one per worker, never more
-//! than there are shards — and scans each run into its own [`TopK`] on a
-//! `std::thread::scope` thread, the first run on the calling thread. With one
-//! worker (one core, or a process pinned to one) the scan runs inline and no
+//! [`VectorIndex::query`] splits the blocks into contiguous runs of at least
+//! [`RUN_BLOCKS`], at most one per core the process may run on, and scans
+//! each run into its own [`TopK`] on a `std::thread::scope` thread, the first
+//! run on the calling thread. With one run (one core, a process pinned to
+//! one, or fewer than `2 × RUN_BLOCKS` blocks) the scan runs inline and no
 //! thread is started. The runs' survivors merge under the same total order,
 //! so the answer does not depend on the split.
 
+use std::collections::hash_map::{Entry, HashMap};
+use std::mem::size_of;
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -46,8 +74,9 @@ use tsdx_tensor::metrics;
 
 use crate::shard::{load_shard, save_shard, IndexError};
 
-/// Default rows per shard: large enough that scan setup amortizes, small
-/// enough that a shard re-write after an append stays cheap.
+/// Default rows per shard file: large enough that a file's header and
+/// checksums amortize, small enough that re-writing the last one after an
+/// append stays cheap.
 pub const DEFAULT_SHARD_CAPACITY: usize = 65_536;
 
 /// Construction parameters for a [`VectorIndex`].
@@ -55,7 +84,8 @@ pub const DEFAULT_SHARD_CAPACITY: usize = 65_536;
 pub struct IndexConfig {
     /// Embedding dimensionality (stride of every stored row).
     pub dim: usize,
-    /// Rows per shard; the last shard may be partially filled.
+    /// Rows per shard file [`VectorIndex::save_to`] writes; the last file
+    /// may hold fewer.
     pub shard_capacity: usize,
 }
 
@@ -79,136 +109,91 @@ const BLOCK_ROWS: usize = 512;
 /// [`TopK::rejects_all`] answers for all of them.
 const CHUNK_ROWS: usize = 32;
 
-/// Granule of a block's width, and the chunk size for what is left of a
-/// block narrower than a multiple of [`CHUNK_ROWS`].
+/// Granule of the rows a block scores: what is left of the last block past
+/// a multiple of [`CHUNK_ROWS`] is scored this many at a time.
 const LANE_ROWS: usize = 8;
 
+/// Fewest blocks a scan worker takes: 65 536 rows, what a default shard held
+/// when workers took whole shards. A shorter run scans in less time than
+/// starting a thread takes.
+const RUN_BLOCKS: usize = 128;
+
 /// Counter: columns (one dimension of one block) the scans of a query read —
-/// a query's non-zero components × blocks over finite shards, `dim` × blocks
-/// over the others.
+/// a query's non-zero components × finite blocks, `dim` × the others.
 const COLUMNS_VISITED: &str = "index/columns_visited";
 
-/// A sharded vector index over L2-normalized embeddings.
+/// Rows an index holds at most: ids and distinct rows are kept in 32 bits.
+const MAX_ROWS: usize = u32::MAX as usize;
+
+/// A vector index over L2-normalized embeddings that stores each distinct
+/// row once.
 ///
-/// Rows live in shards of `[dim][512]` blocks. Ids are dense `u64`s in
-/// insertion order. Queries are exact brute-force scans: every row is
-/// scored with the bits of [`tsdx_sdl::dot`] and streamed into the total
-/// [`TopK`] order, one accumulator per scan worker merged afterwards, so the
-/// answer is bit-identical across worker counts and across shard capacities
-/// (a row's score never depends on its block, lane, or shard, and the order
-/// is total).
+/// Ids are dense `u64`s in insertion order, at most [`u32::MAX`] of them.
+/// Queries are exact brute-force scans: every distinct row is scored with the
+/// bits of [`tsdx_sdl::dot`] and the answer is what scoring every id and
+/// sorting by the total [`TopK`] order would give (module docs), so it is
+/// bit-identical across scan worker counts and shard capacities.
 #[derive(Debug, Clone)]
 pub struct VectorIndex {
     dim: usize,
     shard_capacity: usize,
-    /// Every shard except the last is full.
-    shards: Vec<Shard>,
+    /// The distinct rows, in first-occurrence order; the last block's lanes
+    /// past the last distinct row are zero and are never ranked.
+    blocks: Vec<Block>,
+    /// Per distinct row, the lowest id carrying it — ascending, since a
+    /// distinct row is stored when its first id arrives.
+    first: Vec<u32>,
+    /// Per distinct row, the highest id carrying it: where the next id
+    /// carrying it links on.
+    last: Vec<u32>,
+    /// Per id, the distinct row it carries.
+    row_of: Vec<u32>,
+    /// Per id, the next id carrying the same distinct row, or 0 when there
+    /// is none (a next id is greater than its predecessor, so never 0).
+    next: Vec<u32>,
+    /// [`row_hash`] of a row's bits → the distinct row stored under it.
+    lookup: HashMap<u32, u32>,
+    /// Per distinct row, its [`nonzero_mask`]: a hash hit reads the block
+    /// only for the columns it names.
+    masks: Vec<u64>,
 }
 
-/// One shard: `rows` embeddings with ids `base..base + rows`, stored as
-/// `rows.div_ceil(width)` blocks of `[dim][width]` (`dim` is the index's,
-/// passed in). Lanes of the last block past `rows` are zero and are never
-/// ranked.
+/// [`BLOCK_ROWS`] distinct rows laid out `[dim][BLOCK_ROWS]`.
 #[derive(Debug, Clone)]
-struct Shard {
-    base: u64,
-    rows: usize,
-    /// Rows per block: [`BLOCK_ROWS`], or the shard's capacity rounded up to
-    /// [`LANE_ROWS`] when that is less — a small shard pads no whole block.
-    width: usize,
+struct Block {
     /// No stored value is NaN or infinite: a zero query component may be
     /// skipped (module docs).
     finite: bool,
-    blocks: Vec<f32>,
+    cols: Box<[f32]>,
 }
 
-impl Shard {
-    /// An empty shard laid out for up to `capacity` rows (it holds more, in
-    /// further blocks of the same width, if asked to).
-    fn new(base: u64, capacity: usize) -> Shard {
-        let width = capacity.min(BLOCK_ROWS).next_multiple_of(LANE_ROWS);
-        Shard { base, rows: 0, width, finite: true, blocks: Vec::new() }
+impl Block {
+    /// An all-zero block of `dim` columns.
+    fn new(dim: usize) -> Block {
+        Block { finite: true, cols: vec![0.0; dim * BLOCK_ROWS].into_boxed_slice() }
     }
 
-    /// Blocks `rows` (row-major, `dim`-strided) — the load-time transpose.
-    fn from_rows(base: u64, dim: usize, capacity: usize, rows: &[f32]) -> Shard {
-        let mut shard = Shard::new(base, capacity);
-        shard.blocks.reserve_exact((rows.len() / dim).div_ceil(shard.width) * dim * shard.width);
-        rows.chunks_exact(dim).for_each(|row| shard.push(row));
-        shard
-    }
-
-    /// Appends one row. Storage grows a whole zeroed block at a time and
-    /// `Vec`'s doubling amortizes it — no size is guessed up front.
-    fn push(&mut self, row: &[f32]) {
-        let block_len = row.len() * self.width;
-        let lane = self.rows % self.width;
-        if lane == 0 {
-            self.blocks.resize(self.blocks.len() + block_len, 0.0);
-        }
-        let block = self.blocks.len() - block_len;
-        for (col, &x) in self.blocks[block..].chunks_exact_mut(self.width).zip(row) {
+    /// Stores `row` in lane `lane`.
+    fn put(&mut self, lane: usize, row: &[f32]) {
+        for (col, &x) in self.cols.chunks_exact_mut(BLOCK_ROWS).zip(row) {
             col[lane] = x;
         }
         self.finite &= row.iter().all(|x| x.is_finite());
-        self.rows += 1;
     }
 
-    /// Row `i` of the shard, gathered out of its block.
-    fn row(&self, dim: usize, i: usize) -> impl Iterator<Item = f32> + '_ {
-        let block_len = dim * self.width;
-        let block = &self.blocks[i / self.width * block_len..][..block_len];
-        block.chunks_exact(self.width).map(move |col| col[i % self.width])
+    /// The row in lane `lane`.
+    fn lane(&self, lane: usize) -> impl Iterator<Item = f32> + '_ {
+        self.cols.chunks_exact(BLOCK_ROWS).map(move |col| col[lane])
     }
 
-    /// The shard's rows in row-major order — the save-time transpose.
-    fn to_rows(&self, dim: usize) -> Vec<f32> {
-        let mut rows = Vec::with_capacity(self.rows * dim);
-        (0..self.rows).for_each(|i| rows.extend(self.row(dim, i)));
-        rows
-    }
-
-    /// Scores every row against the `dim`-long `q` and offers it to `best`;
-    /// returns the number of columns read.
-    fn scan_into(&self, q: &[f32], best: &mut TopK<u64>) -> u64 {
-        let visit = Visit::new(q, !self.finite);
-        // Filled only for NaN scores: at most one allocation per scan.
-        let mut row = Vec::new();
-        let mut offer = |first: usize, scores: &[f32]| {
-            // Ids ascend within a shard, and `best` holds only the shards
-            // before this one in the caller's run.
-            if best.rejects_all(scores) {
-                return;
-            }
-            // Only here does the zero padding of the last block matter.
-            for (i, &score) in (first..self.rows).zip(scores) {
-                // Which NaN an add of two NaNs returns depends on the
-                // operand order the compiler chose, so a NaN score (never
-                // rejected above) takes its bits from `dot` itself.
-                let score = if score.is_nan() {
-                    row.clear();
-                    row.extend(self.row(q.len(), i));
-                    dot(q, &row)
-                } else {
-                    score
-                };
-                best.push(self.base + i as u64, score);
-            }
-        };
-        let mut columns = 0;
-        for (b, block) in self.blocks.chunks_exact(q.len() * self.width).enumerate() {
-            columns += visit.terms.len() as u64;
-            let first = b * self.width;
-            let end = (self.rows - first).min(self.width).next_multiple_of(LANE_ROWS);
-            let whole = end - end % CHUNK_ROWS;
-            for at in (0..whole).step_by(CHUNK_ROWS) {
-                offer(first + at, &score_chunk::<CHUNK_ROWS>(&visit, block, self.width, at));
-            }
-            for at in (whole..end).step_by(LANE_ROWS) {
-                offer(first + at, &score_chunk::<LANE_ROWS>(&visit, block, self.width, at));
-            }
-        }
-        columns
+    /// True when lane `lane` holds `row`'s bits, given that the two rows'
+    /// [`nonzero_mask`]s agree: a dimension that is `+0.0` in both is not
+    /// read, and of a sparse row only a few columns are.
+    fn holds(&self, lane: usize, row: &[f32], mask: u64) -> bool {
+        row.iter().enumerate().all(|(d, x)| {
+            (d < 64 && mask >> d & 1 == 0)
+                || self.cols[d * BLOCK_ROWS + lane].to_bits() == x.to_bits()
+        })
     }
 }
 
@@ -237,22 +222,23 @@ impl Visit {
     }
 }
 
-/// `dot(q, row)` for the `N` rows at lane `at` of one `[dim][width]` block,
-/// with exactly the association of [`tsdx_sdl::dot`]: dimension
-/// `d < dim & !3` adds the unfused product `q[d] * row[d]` into accumulator
-/// `d % 4`, the remaining dimensions into a tail accumulator in order, and
-/// the result is `((l0 + l1) + (l2 + l3)) + tail`. Each lane repeats `dot`'s
-/// scalar operations one for one — less the terms `visit` leaves out, which
-/// change no accumulator's bits (module docs) — and every IEEE operation
-/// that does not return a NaN has exactly one result, so a score that is not
-/// NaN has `dot`'s bits and a score is NaN exactly when `dot`'s is. The
-/// lanes are independent, which is what lets the loops vectorize.
-fn score_chunk<const N: usize>(visit: &Visit, block: &[f32], width: usize, at: usize) -> [f32; N] {
+/// `dot(q, row)` for the `N` rows at lane `at` of one block, with exactly the
+/// association of [`tsdx_sdl::dot`]: dimension `d < dim & !3` adds the
+/// unfused product `q[d] * row[d]` into accumulator `d % 4`, the remaining
+/// dimensions into a tail accumulator in order, and the result is
+/// `((l0 + l1) + (l2 + l3)) + tail`. Each lane repeats `dot`'s scalar
+/// operations one for one — less the terms `visit` leaves out, which change
+/// no accumulator's bits (module docs) — and every IEEE operation that does
+/// not return a NaN has exactly one result, so a score that is not NaN has
+/// `dot`'s bits and a score is NaN exactly when `dot`'s is. The lanes are
+/// independent, which is what lets the loops vectorize.
+fn score_chunk<const N: usize>(visit: &Visit, block: &[f32], at: usize) -> [f32; N] {
     let mut acc = [[0.0f32; N]; 5];
     let mut start = 0;
     for (lanes, &end) in acc.iter_mut().zip(&visit.ends) {
         for &(d, x) in &visit.terms[start..end] {
-            let col: &[f32; N] = block[d * width + at..][..N].try_into().expect("N lanes sliced");
+            let col: &[f32; N] =
+                block[d * BLOCK_ROWS + at..][..N].try_into().expect("N lanes sliced");
             for r in 0..N {
                 lanes[r] += x * col[r];
             }
@@ -264,6 +250,23 @@ fn score_chunk<const N: usize>(visit: &Visit, block: &[f32], width: usize, at: u
         scores[r] = ((acc[0][r] + acc[1][r]) + (acc[2][r] + acc[3][r])) + acc[4][r];
     }
     scores
+}
+
+/// Bit `d` set when dimension `d < 64` of `row` holds any bits but `+0.0`'s.
+fn nonzero_mask(row: &[f32]) -> u64 {
+    row.iter().take(64).enumerate().fold(0, |m, (d, x)| m | u64::from(x.to_bits() != 0) << d)
+}
+
+/// A hash of `row`'s bit pattern, the lookup's key. 32 bits are enough: a
+/// collision only stores a row twice, and half-size entries keep the lookup
+/// in cache while an index is built. Not keyed either, for the same reason;
+/// the map hashes this key again with its own keyed hasher.
+fn row_hash(row: &[f32]) -> u32 {
+    let h = row.chunks(2).fold(0u64, |h, pair| {
+        let word = pair.iter().fold(0u64, |w, x| w << 32 | u64::from(x.to_bits()));
+        (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+    });
+    (h ^ h >> 32) as u32
 }
 
 impl Default for VectorIndex {
@@ -282,7 +285,17 @@ impl VectorIndex {
     pub fn new(cfg: IndexConfig) -> Self {
         assert!(cfg.dim > 0, "index dim must be positive");
         assert!(cfg.shard_capacity > 0, "shard capacity must be positive");
-        VectorIndex { dim: cfg.dim, shard_capacity: cfg.shard_capacity, shards: Vec::new() }
+        VectorIndex {
+            dim: cfg.dim,
+            shard_capacity: cfg.shard_capacity,
+            blocks: Vec::new(),
+            first: Vec::new(),
+            last: Vec::new(),
+            row_of: Vec::new(),
+            next: Vec::new(),
+            lookup: HashMap::new(),
+            masks: Vec::new(),
+        }
     }
 
     /// Embedding dimensionality (stride of every stored row).
@@ -292,17 +305,47 @@ impl VectorIndex {
 
     /// Number of indexed vectors.
     pub fn len(&self) -> u64 {
-        self.shards.last().map_or(0, |s| s.base + s.rows as u64)
+        self.row_of.len() as u64
     }
 
     /// True when nothing is indexed.
     pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
+        self.row_of.is_empty()
     }
 
-    /// Number of shards currently held.
+    /// Number of distinct rows stored, each scored once per query: rows with
+    /// bit-equal values share one (a hash collision may store a row twice).
+    pub fn distinct_len(&self) -> u64 {
+        self.first.len() as u64
+    }
+
+    /// Number of shard files [`Self::save_to`] writes.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.row_of.len().div_ceil(self.shard_capacity)
+    }
+
+    /// Bytes the index holds in memory: the blocks, the id maps at their
+    /// capacity, and the lookup at one entry and one control byte per slot
+    /// it has room for.
+    pub fn resident_bytes(&self) -> usize {
+        let blocks = self.blocks.len() * self.dim * BLOCK_ROWS * size_of::<f32>();
+        let ids = self.first.capacity()
+            + self.last.capacity()
+            + self.row_of.capacity()
+            + self.next.capacity();
+        let lookup = self.lookup.capacity() * (size_of::<(u32, u32)>() + 1);
+        blocks + ids * size_of::<u32>() + self.masks.capacity() * size_of::<u64>() + lookup
+    }
+
+    /// Threads a query scans on: one per run of at least 65 536 distinct
+    /// rows, at most one per core this process may run on — 1 when the
+    /// process is pinned to one core.
+    pub fn scan_workers(&self) -> usize {
+        static CORES: OnceLock<usize> = OnceLock::new();
+        // `available_parallelism` re-reads cgroup files on every call.
+        let cores =
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        cores.min(self.blocks.len().div_ceil(RUN_BLOCKS)).max(1)
     }
 
     /// Appends one raw row, returning its id.
@@ -313,16 +356,59 @@ impl VectorIndex {
     /// # Errors
     ///
     /// [`IndexError::DimMismatch`] when `v` is not `dim` wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the index already holds [`u32::MAX`] rows, as
+    /// `Vec::push` does past its capacity.
     pub fn push(&mut self, v: &[f32]) -> Result<u64, IndexError> {
         if v.len() != self.dim {
             return Err(IndexError::DimMismatch { expected: self.dim, found: v.len() });
         }
-        let id = self.len();
-        if self.shards.last().is_none_or(|s| s.rows >= self.shard_capacity) {
-            self.shards.push(Shard::new(id, self.shard_capacity));
-        }
-        self.shards.last_mut().expect("shard just ensured").push(v);
-        Ok(id)
+        Ok(self.insert(v, row_hash(v)))
+    }
+
+    /// Appends `row`, whose bits hash to `hash`, returning its id: linked to
+    /// the distinct row stored under `hash` when that row has `row`'s bits,
+    /// else stored as a new distinct row — entered in the lookup only when
+    /// `hash` is free.
+    fn insert(&mut self, row: &[f32], hash: u32) -> u64 {
+        let (id, fresh) = (self.row_of.len(), self.first.len());
+        assert!(id < MAX_ROWS, "an index holds at most {MAX_ROWS} rows");
+        // Below `MAX_ROWS`, every id and distinct row fits the `u32` maps.
+        let mask = nonzero_mask(row);
+        let known = match self.lookup.entry(hash) {
+            Entry::Occupied(e) => {
+                let j = *e.get() as usize;
+                let same = self.masks[j] == mask
+                    && self.blocks[j / BLOCK_ROWS].holds(j % BLOCK_ROWS, row, mask);
+                same.then_some(j)
+            }
+            Entry::Vacant(e) => {
+                e.insert(fresh as u32);
+                None
+            }
+        };
+        let j = match known {
+            Some(j) => {
+                self.next[self.last[j] as usize] = id as u32;
+                self.last[j] = id as u32;
+                j
+            }
+            None => {
+                if fresh.is_multiple_of(BLOCK_ROWS) {
+                    self.blocks.push(Block::new(self.dim));
+                }
+                self.blocks.last_mut().expect("block just ensured").put(fresh % BLOCK_ROWS, row);
+                self.first.push(id as u32);
+                self.last.push(id as u32);
+                self.masks.push(mask);
+                fresh
+            }
+        };
+        self.row_of.push(j as u32);
+        self.next.push(0);
+        id as u64
     }
 
     /// Embeds and appends one scenario, returning its id.
@@ -331,30 +417,37 @@ impl VectorIndex {
     ///
     /// [`IndexError::DimMismatch`] when the index was not built with
     /// `dim == EMBED_DIM`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::push`].
     pub fn push_scenario(&mut self, s: &Scenario) -> Result<u64, IndexError> {
         let e = embed(s);
         debug_assert!(is_unit_norm(&e), "sdl::embed must produce unit-norm vectors");
         self.push(&e)
     }
 
+    /// The row id `id` carries, gathered out of its block.
+    fn row_iter(&self, id: usize) -> impl Iterator<Item = f32> + '_ {
+        let j = self.row_of[id] as usize;
+        self.blocks[j / BLOCK_ROWS].lane(j % BLOCK_ROWS)
+    }
+
     /// The stored row with id `id`, if any — gathered out of its block
     /// into an owned vector, bit for bit what was pushed.
     pub fn row(&self, id: u64) -> Option<Vec<f32>> {
-        let shard = self.shards.partition_point(|s| s.base <= id).checked_sub(1)?;
-        let shard = &self.shards[shard];
-        let i = (id - shard.base) as usize;
-        (i < shard.rows).then(|| shard.row(self.dim, i).collect())
+        let id = usize::try_from(id).ok().filter(|&id| id < self.row_of.len())?;
+        Some(self.row_iter(id).collect())
     }
 
     /// The `k` most similar rows to `q`, best first, as `(id, similarity)`.
     ///
     /// Similarity is the plain dot product — exact cosine for the
-    /// unit-norm rows [`Self::push_scenario`] stores. Each scan worker
-    /// scans a contiguous run of shards into its own accumulator and the
-    /// survivors merge under the same total order (module docs), so the
-    /// result is deterministic for any input and identical across worker
-    /// counts and shard capacities, and a query allocates O(workers · k),
-    /// never O(n).
+    /// unit-norm rows [`Self::push_scenario`] stores. Each distinct row is
+    /// scored once and the winners expand to their ids (module docs), so the
+    /// result is deterministic for any input, identical across worker counts
+    /// and shard capacities, and a query allocates O(workers · k), never
+    /// O(n).
     ///
     /// # Errors
     ///
@@ -363,29 +456,34 @@ impl VectorIndex {
         if q.len() != self.dim {
             return Err(IndexError::DimMismatch { expected: self.dim, found: q.len() });
         }
-        if k == 0 || self.shards.is_empty() {
+        if k == 0 || self.is_empty() {
             return Ok(Vec::new());
         }
-        Ok(self.scan(q, k, scan_workers()))
+        Ok(self.scan(q, k, self.scan_workers()))
     }
 
-    /// The top `k` for `q` over every shard, scanned by `workers` threads
-    /// (module docs), the calling thread among them.
+    /// The top `k` for `q`, the blocks scanned by `workers` threads (module
+    /// docs), the calling thread among them.
     fn scan(&self, q: &[f32], k: usize, workers: usize) -> Vec<(u64, f32)> {
-        let scan_run = |run: &[Shard]| {
+        // Indexed by a block's `finite` flag.
+        let visits = [Visit::new(q, true), Visit::new(q, false)];
+        let run_len = self.blocks.len().div_ceil(workers.clamp(1, self.blocks.len()));
+        let scan_run = |run: usize| {
             let mut best = TopK::new(k);
-            let columns: u64 = run.iter().map(|shard| shard.scan_into(q, &mut best)).sum();
+            // Filled only for NaN scores: at most one allocation per run.
+            let mut row = Vec::new();
+            let blocks = run * run_len..((run + 1) * run_len).min(self.blocks.len());
+            let columns: u64 =
+                blocks.map(|b| self.scan_block(b, &visits, q, &mut best, &mut row)).sum();
             (best, columns)
         };
-        let shards = self.shards.len();
-        let (best, columns) = if workers <= 1 || shards <= 1 {
-            scan_run(&self.shards)
+        let runs = self.blocks.len().div_ceil(run_len);
+        let (best, columns) = if runs == 1 {
+            scan_run(0)
         } else {
-            let mut runs = self.shards.chunks(shards.div_ceil(workers.min(shards)));
-            let first = runs.next().expect("at least one shard");
             std::thread::scope(|s| {
-                let others: Vec<_> = runs.map(|run| s.spawn(move || scan_run(run))).collect();
-                let (mut best, mut columns) = scan_run(first);
+                let others: Vec<_> = (1..runs).map(|run| s.spawn(move || scan_run(run))).collect();
+                let (mut best, mut columns) = scan_run(0);
                 for handle in others {
                     // A panic in a scan thread resurfaces here with its payload.
                     let (part, cols) =
@@ -399,7 +497,65 @@ impl VectorIndex {
         // Counted here, not in the scan: another thread's records reach no
         // scope of the querying thread.
         metrics::counter_add(COLUMNS_VISITED, columns);
-        best.into_sorted()
+        // Each winner stands for every id carrying its row; at most `k` of
+        // them can place.
+        let mut ids = TopK::new(k);
+        for (mut id, score) in best.into_sorted() {
+            for _ in 0..k {
+                ids.push(u64::from(id), score);
+                id = self.next[id as usize];
+                if id == 0 {
+                    break;
+                }
+            }
+        }
+        ids.into_sorted()
+    }
+
+    /// Scores the distinct rows of block `b` against `q` and offers each to
+    /// `best` under its lowest id; returns the number of columns read.
+    fn scan_block(
+        &self,
+        b: usize,
+        visits: &[Visit; 2],
+        q: &[f32],
+        best: &mut TopK<u32>,
+        row: &mut Vec<f32>,
+    ) -> u64 {
+        let block = &self.blocks[b];
+        let visit = &visits[usize::from(block.finite)];
+        let base = b * BLOCK_ROWS;
+        let rows = (self.first.len() - base).min(BLOCK_ROWS);
+        let mut offer = |at: usize, scores: &[f32]| {
+            // Lowest ids ascend with the distinct row, and `best` holds only
+            // the blocks before this one in the caller's run.
+            if best.rejects_all(scores) {
+                return;
+            }
+            // Only here does the zero padding of the last block matter.
+            for (lane, &score) in (at..rows).zip(scores) {
+                // Which NaN an add of two NaNs returns depends on the
+                // operand order the compiler chose, so a NaN score (never
+                // rejected above) takes its bits from `dot` itself.
+                let score = if score.is_nan() {
+                    row.clear();
+                    row.extend(block.lane(lane));
+                    dot(q, row)
+                } else {
+                    score
+                };
+                best.push(self.first[base + lane], score);
+            }
+        };
+        let end = rows.next_multiple_of(LANE_ROWS);
+        let whole = end - end % CHUNK_ROWS;
+        for at in (0..whole).step_by(CHUNK_ROWS) {
+            offer(at, &score_chunk::<CHUNK_ROWS>(visit, &block.cols, at));
+        }
+        for at in (whole..end).step_by(LANE_ROWS) {
+            offer(at, &score_chunk::<LANE_ROWS>(visit, &block.cols, at));
+        }
+        visit.terms.len() as u64
     }
 
     /// Embeds `s` and runs [`Self::query`].
@@ -412,7 +568,8 @@ impl VectorIndex {
         self.query(&embed(s), k)
     }
 
-    /// Writes every shard to `dir` as `shard-NNNNN.idx`, crash-safely.
+    /// Writes the index to `dir` as `shard-NNNNN.idx` files of
+    /// `shard_capacity` rows each, every id's row in id order, crash-safely.
     ///
     /// Stale shard files from a previous, larger save are removed first so
     /// `dir` always round-trips to exactly this index.
@@ -429,14 +586,19 @@ impl VectorIndex {
                 std::fs::remove_file(entry.path())?;
             }
         }
-        for (i, shard) in self.shards.iter().enumerate() {
+        let mut rows = Vec::new();
+        for (i, base) in (0..self.row_of.len()).step_by(self.shard_capacity).enumerate() {
+            let ids = base..(base + self.shard_capacity).min(self.row_of.len());
+            rows.clear();
+            ids.for_each(|id| rows.extend(self.row_iter(id)));
             let path = dir.join(format!("shard-{i:05}.idx"));
-            save_shard(&path, self.dim, shard.base, &shard.to_rows(self.dim))?;
+            save_shard(&path, self.dim, base as u64, &rows)?;
         }
         Ok(())
     }
 
-    /// Loads an index previously written by [`Self::save_to`].
+    /// Loads an index previously written by [`Self::save_to`], pushing its
+    /// rows back in id order.
     ///
     /// Every shard is fully verified (magic, declared length, both CRCs,
     /// geometry) and the set as a whole must be consistent: one dim
@@ -457,46 +619,43 @@ impl VectorIndex {
             .filter(|n| is_shard_file_name(n))
             .collect();
         names.sort();
-        let mut shards: Vec<Shard> = Vec::with_capacity(names.len());
-        let mut dim = 0usize;
-        let mut next_id = 0u64;
+        let mut index: Option<VectorIndex> = None;
         let mut capacity = 0usize;
         for name in &names {
             let rec = load_shard(&dir.join(name))?;
-            if shards.is_empty() {
-                dim = rec.dim;
-            } else if rec.dim != dim {
+            let index = index.get_or_insert_with(|| {
+                VectorIndex::new(IndexConfig { dim: rec.dim, ..IndexConfig::default() })
+            });
+            if rec.dim != index.dim {
                 return Err(IndexError::Format(format!(
-                    "inconsistent shard dims: {name} has {}, earlier shards have {dim}",
-                    rec.dim
+                    "inconsistent shard dims: {name} has {}, earlier shards have {}",
+                    rec.dim, index.dim
                 )));
             }
-            if rec.base_id != next_id {
+            if rec.base_id != index.len() {
                 return Err(IndexError::Format(format!(
-                    "non-contiguous shard ids: {name} starts at {}, expected {next_id}",
-                    rec.base_id
+                    "non-contiguous shard ids: {name} starts at {}, expected {}",
+                    rec.base_id,
+                    index.len()
                 )));
             }
             let count = rec.rows.len() / rec.dim;
-            next_id += count as u64;
+            if count > MAX_ROWS - index.row_of.len() {
+                return Err(IndexError::Format(format!(
+                    "{name} takes the index past {MAX_ROWS} rows"
+                )));
+            }
             capacity = capacity.max(count);
-            // Only the last shard is ever appended to, and for it `capacity`
-            // is already the index's.
-            shards.push(Shard::from_rows(rec.base_id, rec.dim, capacity, &rec.rows));
+            for row in rec.rows.chunks_exact(rec.dim) {
+                index.push(row)?;
+            }
         }
-        Ok(VectorIndex {
-            dim: if dim == 0 { IndexConfig::default().dim } else { dim },
-            shard_capacity: if capacity == 0 { DEFAULT_SHARD_CAPACITY } else { capacity },
-            shards,
-        })
+        let mut index = index.unwrap_or_default();
+        if capacity > 0 {
+            index.shard_capacity = capacity;
+        }
+        Ok(index)
     }
-}
-
-/// Threads a scan fans out over: the cores this process may run on, read
-/// once (`available_parallelism` re-reads cgroup files on every call).
-fn scan_workers() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 fn is_shard_file_name(name: &str) -> bool {
@@ -536,12 +695,12 @@ mod tests {
         }
     }
 
-    /// One shard of `n` rows from `value`, next to the rows themselves.
-    fn shard_of(dim: usize, n: usize, value: &mut impl FnMut() -> f32) -> (Shard, Vec<Vec<f32>>) {
+    /// One block of `n` rows from `value`, next to the rows themselves.
+    fn block_of(dim: usize, n: usize, value: &mut impl FnMut() -> f32) -> (Block, Vec<Vec<f32>>) {
         let rows: Vec<Vec<f32>> = (0..n).map(|_| (0..dim).map(|_| value()).collect()).collect();
-        let mut shard = Shard::new(0, n);
-        rows.iter().for_each(|r| shard.push(r));
-        (shard, rows)
+        let mut block = Block::new(dim);
+        rows.iter().enumerate().for_each(|(lane, r)| block.put(lane, r));
+        (block, rows)
     }
 
     #[test]
@@ -559,9 +718,9 @@ mod tests {
         for dim in 1..=40 {
             for _ in 0..10 {
                 let q: Vec<f32> = (0..dim).map(|_| value()).collect();
-                let (shard, rows) = shard_of(dim, CHUNK_ROWS, &mut value);
-                let visit = Visit::new(&q, !shard.finite);
-                let got = score_chunk::<CHUNK_ROWS>(&visit, &shard.blocks, shard.width, 0);
+                let (block, rows) = block_of(dim, CHUNK_ROWS, &mut value);
+                let visit = Visit::new(&q, !block.finite);
+                let got = score_chunk::<CHUNK_ROWS>(&visit, &block.cols, 0);
                 for (row, got) in rows.iter().zip(got) {
                     let want = dot(&q, row);
                     nan_scores += usize::from(want.is_nan());
@@ -595,20 +754,14 @@ mod tests {
                         _ => asked(),
                     })
                     .collect();
-                let (shard, rows) = shard_of(dim, CHUNK_ROWS + LANE_ROWS, &mut stored);
-                assert!(shard.finite);
+                let (block, rows) = block_of(dim, CHUNK_ROWS + LANE_ROWS, &mut stored);
+                assert!(block.finite);
                 let (sparse, dense) = (Visit::new(&q, false), Visit::new(&q, true));
                 assert_eq!(dense.terms.len(), dim);
                 skipped += dim - sparse.terms.len();
                 let score = |visit| {
-                    let mut got =
-                        score_chunk::<CHUNK_ROWS>(visit, &shard.blocks, shard.width, 0).to_vec();
-                    got.extend(score_chunk::<LANE_ROWS>(
-                        visit,
-                        &shard.blocks,
-                        shard.width,
-                        CHUNK_ROWS,
-                    ));
+                    let mut got = score_chunk::<CHUNK_ROWS>(visit, &block.cols, 0).to_vec();
+                    got.extend(score_chunk::<LANE_ROWS>(visit, &block.cols, CHUNK_ROWS));
                     got
                 };
                 for ((row, on), off) in rows.iter().zip(score(&sparse)).zip(score(&dense)) {
@@ -641,10 +794,11 @@ mod tests {
         hits.iter().map(|&(id, score)| (id, score.to_bits())).collect()
     }
 
-    /// However the shards are split between scan workers — one, two, three,
-    /// one per shard, more workers than shards — the answer has the ids and
+    /// However the blocks are split between scan workers — one, two, three,
+    /// one per block, more workers than blocks — the answer has the ids and
     /// score bits of the full-sort reference, on rows and queries holding
-    /// NaNs of either sign, infinities, signed zeros and denormals.
+    /// NaNs of either sign, infinities, signed zeros and denormals, and on a
+    /// corpus whose rows mostly repeat.
     #[test]
     fn every_worker_count_answers_with_the_reference_bits() {
         let mut value = value_stream(&[
@@ -657,25 +811,39 @@ mod tests {
             f32::MIN_POSITIVE,
             1e-42,
         ]);
-        for (dim, n, capacity) in [(6, 40, 3), (11, 37, 8), (5, 9, 9), (28, 1300, 512)] {
-            let rows: Vec<Vec<f32>> = (0..n).map(|_| (0..dim).map(|_| value()).collect()).collect();
-            let mut ix = VectorIndex::new(IndexConfig { dim, shard_capacity: capacity });
-            for row in &rows {
+        let mut hostile = |dim: usize, n: usize| -> Vec<Vec<f32>> {
+            (0..n).map(|_| (0..dim).map(|_| value()).collect()).collect()
+        };
+        let mut corpora = vec![hostile(6, 40), hostile(11, 37), hostile(5, 9), hostile(28, 1300)];
+        // Six values, two of them NaN payloads and two signed zeros: 1 296
+        // possible rows at dim 4, so 3 000 rows repeat most of them.
+        let alphabet = [0.0, -0.0, f32::NAN, f32::from_bits(0x7fc0_1234), 1.0, -0.5];
+        let mut pick = value_stream(&[0.0]);
+        let mut letter = || alphabet[((pick() + 1.0) * 3.0) as usize % alphabet.len()];
+        corpora.push((0..3000).map(|_| (0..4).map(|_| letter()).collect()).collect());
+        for rows in &corpora {
+            let (n, dim) = (rows.len(), rows[0].len());
+            let mut ix = VectorIndex::new(IndexConfig { dim, shard_capacity: 8 });
+            for row in rows {
                 ix.push(row).expect("dim matches");
             }
-            let shards = ix.shard_count();
+            let blocks = ix.blocks.len();
+            if n == 3000 {
+                let distinct = ix.distinct_len();
+                assert!((513..1500).contains(&distinct), "{distinct} distinct rows of {n}");
+            }
             for round in 0..6 {
                 // Even rounds: a query as `/search` embeds it, mostly zeros.
                 let q: Vec<f32> = (0..dim)
                     .map(|d| if round % 2 == 0 && (d + round) % 3 != 0 { 0.0 } else { value() })
                     .collect();
                 for k in [1, 5, n, n + 3] {
-                    let want = bits(&reference_scan(&q, &rows, k));
-                    for workers in [1, 2, 3, shards, shards + 1] {
+                    let want = bits(&reference_scan(&q, rows, k));
+                    for workers in [1, 2, 3, blocks, blocks + 1] {
                         assert_eq!(
                             bits(&ix.scan(&q, k, workers)),
                             want,
-                            "dim {dim}, {shards} shards, k {k}, {workers} workers, q {q:?}"
+                            "dim {dim}, {blocks} blocks, k {k}, {workers} workers, q {q:?}"
                         );
                     }
                 }
@@ -683,13 +851,65 @@ mod tests {
         }
     }
 
+    /// Different rows forced onto one hash are all stored — whether their
+    /// zero masks differ, or agree and a value differs, below dimension 64
+    /// or past it — a row bit-equal to one of them is stored again (a missed
+    /// duplicate), and every answer still has the reference's ids and bits.
     #[test]
-    fn a_small_shard_pads_to_eight_rows_and_a_large_one_to_one_block() {
-        for (capacity, width) in [(1, 8), (8, 8), (9, 16), (511, 512), (512, 512), (65_536, 512)] {
-            let mut shard = Shard::new(0, capacity);
-            shard.push(&[1.0, 2.0, 3.0]);
-            assert_eq!(shard.width, width, "capacity {capacity}");
-            assert_eq!(shard.blocks.len(), 3 * width, "capacity {capacity}");
+    fn a_hash_collision_stores_both_rows_and_answers_exactly() {
+        let pairs = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.5, -0.0], [2.0, 0.0]];
+        let pairs = pairs.into_iter().chain([[1.0, -0.0]]);
+        for (dim, second) in [(2, 1), (70, 66)] {
+            // `[a, b]` at dimensions 0 and `second`, `+0.0` elsewhere.
+            let spread = |[a, b]: [f32; 2]| -> Vec<f32> {
+                let mut v = vec![0.0; dim];
+                (v[0], v[second]) = (a, b);
+                v
+            };
+            let rows: Vec<Vec<f32>> = pairs.clone().map(spread).collect();
+            let mut ix = VectorIndex::new(IndexConfig { dim, shard_capacity: 2 });
+            for row in &rows {
+                ix.insert(row, 7);
+            }
+            // Row 0 owns the hash and row 2 joins it; every other row misses.
+            assert_eq!(ix.first, [0, 1, 3, 4, 5, 6], "dim {dim}");
+            let dir =
+                std::env::temp_dir().join(format!("tsdx-index-collide-{}", std::process::id()));
+            ix.save_to(&dir).expect("save");
+            let back = VectorIndex::load(&dir).expect("load");
+            std::fs::remove_dir_all(&dir).ok();
+            assert_eq!(back.first, [0, 1, 4, 5, 6], "dim {dim}: loaded through the real hash");
+            for q in [[1.0, 0.0], [0.0, 1.0], [0.25, 0.75], [0.0, 0.0], [f32::NAN, 1.0]].map(spread)
+            {
+                for k in 1..=9 {
+                    let want = bits(&reference_scan(&q, &rows, k));
+                    let at = format!("dim {dim}, q {q:?}, k {k}");
+                    assert_eq!(bits(&ix.query(&q, k).expect("dim matches")), want, "{at}");
+                    assert_eq!(bits(&back.query(&q, k).expect("dim matches")), want, "{at}");
+                }
+            }
+            for (id, row) in rows.iter().enumerate() {
+                assert_eq!(row_bits(&ix.row(id as u64).expect("dense ids")), row_bits(row));
+            }
+        }
+    }
+
+    fn row_bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn an_index_pads_at_most_one_block() {
+        for capacity in [1, 9, 512, 65_536] {
+            for distinct in [1usize, 511, 512, 513, 1100] {
+                let mut ix = VectorIndex::new(IndexConfig { dim: 3, shard_capacity: capacity });
+                for i in 0..2 * distinct {
+                    ix.push(&[(i % distinct) as f32, 1.0, 2.0]).expect("dim matches");
+                }
+                assert_eq!(ix.distinct_len(), distinct as u64);
+                assert_eq!(ix.blocks.len(), distinct.div_ceil(BLOCK_ROWS), "{distinct} rows");
+                assert!(ix.blocks.iter().all(|b| b.cols.len() == 3 * BLOCK_ROWS));
+            }
         }
     }
 
@@ -697,6 +917,7 @@ mod tests {
     fn ids_are_dense_and_rows_recoverable() {
         let ix = tiny();
         assert_eq!(ix.len(), 10);
+        assert_eq!(ix.distinct_len(), 4);
         assert_eq!(ix.shard_count(), 4); // 3+3+3+1
         for i in 0..10u64 {
             assert_eq!(ix.row(i).expect("present"), unit(4, i as usize % 4));

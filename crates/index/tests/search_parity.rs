@@ -4,9 +4,10 @@
 //! across shard capacities, equal to an exact full-sort reference scan,
 //! immune to adversarial rows (NaN, zero vectors), and stable across a
 //! save/load round trip — and a scan that leaves the zero components of a
-//! query out answers with the same bits as one that does not. That the
-//! answer does not depend on how many threads scan the shards is a unit
-//! test beside the scan (`vector_index.rs`).
+//! query out answers with the same bits as one that does not, and one that
+//! scores each distinct row once answers with the same bits as scoring every
+//! id. That the answer does not depend on how many threads scan the blocks
+//! is a unit test beside the scan (`vector_index.rs`).
 
 use proptest::prelude::*;
 use tsdx_index::{IndexConfig, VectorIndex};
@@ -208,7 +209,7 @@ fn arb_finite_row(dim: usize) -> impl Strategy<Value = Vec<f32>> {
 
 /// Finite rows around the block boundary — `R − 1`, `R`, `R + 1` and one
 /// past two blocks — a sparse query, and optionally one late non-finite
-/// value, which turns skipping off for the shard it lands in and no other.
+/// value, which turns skipping off for the block it lands in and no other.
 fn arb_block_boundary_corpus() -> impl Strategy<Value = (Vec<Vec<f32>>, Vec<f32>)> {
     (
         1usize..=12,
@@ -275,7 +276,7 @@ fn zero_components_are_skipped_without_moving_a_bit() {
         ("NaN", vec![0.0, 0.0, f32::NAN, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
         ("dense", row(4).iter().map(|x| x + 3.0).collect()),
     ];
-    // A late `inf` or NaN makes the shard it lands in — and no other — read
+    // A late `inf` or NaN makes the block it lands in — and no other — read
     // every column: `0 × inf` is NaN, not zero.
     let mut late_inf = rows.clone();
     late_inf[2 * R][3] = f32::NEG_INFINITY;
@@ -304,16 +305,75 @@ fn zero_components_are_skipped_without_moving_a_bit() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+// ---- Repetitive corpora: each distinct row scored once ------------------
+
+/// Letters of a small alphabet, so rows repeat: `+0.0` against `-0.0` and two
+/// NaN payloads are different bits, and so different rows.
+fn arb_letter() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        Just(0.0f32),
+        Just(-0.0f32),
+        Just(f32::NAN),
+        Just(f32::from_bits(0x7fc0_1234)),
+        Just(1.0f32),
+        Just(-0.5f32),
+    ]
+}
+
+/// `(rows, query)`: up to 300 rows of dim 1 to 4 over [`arb_letter`], and a
+/// query over the same letters or anything in `[-1, 1]`.
+fn arb_repetitive_corpus() -> impl Strategy<Value = (Vec<Vec<f32>>, Vec<f32>)> {
+    (1usize..=4, 1usize..300).prop_flat_map(|(dim, n)| {
+        (
+            prop::collection::vec(prop::collection::vec(arb_letter(), dim..=dim), n..=n),
+            prop::collection::vec(prop_oneof![arb_letter(), -1.0f32..=1.0], dim..=dim),
+        )
+    })
+}
+
+/// The most ids any one bit pattern has in `rows`.
+fn largest_group(rows: &[Vec<f32>]) -> usize {
+    let mut patterns: Vec<Vec<u32>> = rows.iter().map(|r| row_bits(r)).collect();
+    patterns.sort();
+    patterns.chunk_by(|a, b| a == b).map(<[_]>::len).max().unwrap_or(0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn a_repetitive_corpus_matches_reference_before_and_after_disk(
+        (rows, q) in arb_repetitive_corpus(),
+        capacity in prop_oneof![Just(1usize), Just(3), Just(8), Just(64)],
+    ) {
+        let n = rows.len();
+        let largest = largest_group(&rows);
+        let ix = build(capacity, &rows);
+        let dir = std::env::temp_dir()
+            .join(format!("tsdx-index-repetitive-{}", std::process::id()));
+        ix.save_to(&dir).expect("save");
+        let back = VectorIndex::load(&dir).expect("load");
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert!(ix.distinct_len() <= n as u64);
+        prop_assert_eq!(back.distinct_len(), ix.distinct_len());
+        // The last k splits the largest group of bit-equal rows.
+        for k in [1, 5, n, n + 3, (largest - 1).max(1)] {
+            let want = bits(&reference_scan(&q, &rows, k));
+            prop_assert_eq!(bits(&ix.query(&q, k).expect("dim matches")), want.clone());
+            prop_assert_eq!(bits(&back.query(&q, k).expect("dim matches")), want);
+        }
+    }
+}
+
 /// `index/columns_visited` is the work a query did, counted where it is
-/// done: the query's non-zero components per block of a finite shard, every
-/// dimension per block of a shard holding a non-finite value.
+/// done: the query's non-zero components per finite block of distinct rows,
+/// every dimension per block holding a non-finite value.
 #[test]
 fn a_query_reads_its_non_zero_columns_and_no_others() {
     let dim = 28;
     let row = |i: usize| -> Vec<f32> { (0..dim).map(|d| ((i + d) % 5) as f32 * 0.25).collect() };
-    // Shards of 1000 rows in blocks of 512: 2 + 2 + 1 blocks.
+    // 2 500 rows, 5 distinct: one block.
     let mut ix = build(1000, &(0..2500).map(row).collect::<Vec<_>>());
-    let blocks = |shards: &[usize]| -> u64 { shards.iter().map(|s| [2, 2, 1][*s]).sum() };
     let mut sparse = vec![0.0f32; dim];
     for d in [0, 9, 13, 20, 27] {
         sparse[d] = 0.4;
@@ -325,15 +385,22 @@ fn a_query_reads_its_non_zero_columns_and_no_others() {
         ix.query(q, 10).expect("dim matches");
         scope.snapshot().counter("index/columns_visited")
     };
-    assert_eq!(columns(&ix, &sparse), 5 * blocks(&[0, 1, 2]));
-    assert_eq!(columns(&ix, &dense), dim as u64 * blocks(&[0, 1, 2]));
+    assert_eq!(columns(&ix, &sparse), 5);
+    assert_eq!(columns(&ix, &dense), dim as u64);
     assert_eq!(columns(&ix, &vec![0.0; dim]), 0);
-    // One infinity in the last shard: it alone reads every column.
+    // 600 more distinct rows fill a second block.
+    for i in 0..600 {
+        let mut distinct = row(i);
+        distinct[1] = 2.0 + i as f32;
+        ix.push(&distinct).expect("dim matches");
+    }
+    assert_eq!(columns(&ix, &sparse), 5 * 2);
+    // One infinity in the second block: it alone reads every column.
     let mut poisoned = row(0);
     poisoned[17] = f32::INFINITY;
     ix.push(&poisoned).expect("dim matches");
-    assert_eq!(columns(&ix, &sparse), 5 * blocks(&[0, 1]) + dim as u64 * blocks(&[2]));
-    assert_eq!(columns(&ix, &dense), dim as u64 * blocks(&[0, 1, 2]));
+    assert_eq!(columns(&ix, &sparse), 5 + dim as u64);
+    assert_eq!(columns(&ix, &dense), dim as u64 * 2);
 }
 
 /// A padding lane scores `0 * q` — better than any real row of these

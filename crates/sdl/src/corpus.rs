@@ -10,7 +10,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::ast::{ActorAction, ActorKind, EgoManeuver, Position, RoadKind, Scenario};
-use crate::embed::{dot, embed, is_unit_norm};
+use crate::embed::{dot, embed, is_unit_norm, EMBED_DIM};
 use crate::rank::TopK;
 
 /// An attribute filter over scenarios (conjunctive; `None` = wildcard).
@@ -192,7 +192,7 @@ impl fmt::Display for ScenarioFilter {
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioCorpus {
     entries: Vec<Scenario>,
-    embeddings: Vec<Vec<f32>>,
+    embeddings: Vec<[f32; EMBED_DIM]>,
 }
 
 impl ScenarioCorpus {

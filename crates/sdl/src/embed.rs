@@ -14,8 +14,8 @@ pub const EMBED_DIM: usize = EgoManeuver::COUNT + RoadKind::COUNT + EVENT_COUNT 
 /// Embeds a scenario as an L2-normalized vector of length [`EMBED_DIM`].
 ///
 /// Unknown/invalid actor combinations are skipped (the embedding is total).
-pub fn embed(s: &Scenario) -> Vec<f32> {
-    let mut v = vec![0.0f32; EMBED_DIM];
+pub fn embed(s: &Scenario) -> [f32; EMBED_DIM] {
+    let mut v = [0.0f32; EMBED_DIM];
     v[s.ego.index()] = 1.0;
     let road_base = EgoManeuver::COUNT;
     v[road_base + s.road.index()] = 1.0;
@@ -143,6 +143,65 @@ mod tests {
             ActorAction::Leading,
             Position::Ahead,
         ))
+    }
+
+    /// The embedding formula as a heap vector, normalised over every slot:
+    /// the reference [`embed`]'s bits are held to.
+    fn embed_dense(s: &Scenario) -> Vec<f32> {
+        let mut v = vec![0.0f32; EMBED_DIM];
+        v[s.ego.index()] = 1.0;
+        let road_base = EgoManeuver::COUNT;
+        v[road_base + s.road.index()] = 1.0;
+        let event_base = road_base + RoadKind::COUNT;
+        let pos_base = event_base + EVENT_COUNT;
+        if s.actors.is_empty() {
+            v[event_base + EVENT_NONE] = 1.0;
+        }
+        for a in &s.actors {
+            if let Some(e) = event_index(a.kind, a.action) {
+                v[event_base + e] += 1.0;
+            }
+            if let Some(p) = a.position {
+                v[pos_base + p.index()] += 1.0;
+            }
+        }
+        let n: f32 = v.iter().map(|&x| x * x).sum::<f32>().sqrt();
+        if n > 0.0 {
+            for x in v.iter_mut() {
+                *x /= n;
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn embed_has_the_bits_of_the_dense_formula_on_a_seeded_sweep() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as usize % n
+        };
+        let mut with_actors = [0usize; 5];
+        for _ in 0..10_000 {
+            let ego = EgoManeuver::from_index(draw(EgoManeuver::COUNT));
+            let mut s = Scenario::new(ego, RoadKind::from_index(draw(RoadKind::COUNT)));
+            let actors = draw(5);
+            with_actors[actors] += 1;
+            for _ in 0..actors {
+                // Any kind and action: taxonomy-valid or not, repeats allowed.
+                let kind = ActorKind::from_index(draw(ActorKind::COUNT));
+                let action = ActorAction::from_index(draw(ActorAction::COUNT));
+                let p = draw(Position::COUNT + 1);
+                let position = (p < Position::COUNT).then(|| Position::from_index(p));
+                s.actors.push(ActorClause { kind, action, position });
+            }
+            let got: Vec<u32> = embed(&s).iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u32> = embed_dense(&s).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "{s:?}");
+        }
+        assert!(with_actors.iter().all(|&n| n > 1000), "every actor count 0..=4: {with_actors:?}");
     }
 
     #[test]

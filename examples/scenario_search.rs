@@ -17,7 +17,7 @@ fn main() {
     // descriptions come from the trained extractor; see `quickstart.rs`).
     println!("generating a 300-clip corpus...");
     let corpus = generate_dataset(&DatasetConfig { n_clips: 300, ..DatasetConfig::default() });
-    let embeddings: Vec<Vec<f32>> = corpus.iter().map(|c| embed(&c.truth)).collect();
+    let embeddings: Vec<_> = corpus.iter().map(|c| embed(&c.truth)).collect();
 
     let queries = [
         "ego decelerate-to-stop; pedestrian crossing right; road intersection",
