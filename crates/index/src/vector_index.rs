@@ -29,10 +29,6 @@
 //! rows, so a duplicate the map misses (a hash collision) costs time, never
 //! an answer.
 //!
-//! Shards are the file format only: [`VectorIndex::save_to`] gathers each
-//! id's row into row-major `TSDXIDX1` files of `shard_capacity` rows, and
-//! [`VectorIndex::load`] pushes the rows back through [`VectorIndex::push`].
-//!
 //! # Which dimensions a scan reads
 //!
 //! Every query that reaches `/search` is an [`embed`]ding: at most ten of
@@ -56,46 +52,24 @@
 //!
 //! # How a scan fans out
 //!
-//! [`VectorIndex::query`] splits the blocks into contiguous runs of at least
-//! [`RUN_BLOCKS`], at most one per core the process may run on, and scans
+//! [`VectorIndex::query`] starts `⌈blocks / RUN_BLOCKS⌉` scan workers, at
+//! most one per core the process may run on, splits the blocks into that
+//! many contiguous runs of equal length (the last may be shorter), and scans
 //! each run into its own [`TopK`] on a `std::thread::scope` thread, the first
-//! run on the calling thread. With one run (one core, a process pinned to
-//! one, or fewer than `2 × RUN_BLOCKS` blocks) the scan runs inline and no
-//! thread is started. The runs' survivors merge under the same total order,
-//! so the answer does not depend on the split.
+//! run on the calling thread. So 182 blocks on two cores scan as two runs of
+//! 91, not one of 182. With one worker (one core, a process pinned to one,
+//! or at most [`RUN_BLOCKS`] blocks) the scan runs inline and no thread is
+//! started. The runs' survivors merge under the same total order, so the
+//! answer does not depend on the split.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::mem::size_of;
-use std::path::Path;
 use std::sync::OnceLock;
 
 use tsdx_sdl::{dot, embed, is_unit_norm, Scenario, TopK, EMBED_DIM};
 use tsdx_tensor::metrics;
 
-use crate::shard::{load_shard, save_shard, IndexError};
-
-/// Default rows per shard file: large enough that a file's header and
-/// checksums amortize, small enough that re-writing the last one after an
-/// append stays cheap.
-pub const DEFAULT_SHARD_CAPACITY: usize = 65_536;
-
-/// Construction parameters for a [`VectorIndex`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexConfig {
-    /// Embedding dimensionality (stride of every stored row).
-    pub dim: usize,
-    /// Rows per shard file [`VectorIndex::save_to`] writes; the last file
-    /// may hold fewer.
-    pub shard_capacity: usize,
-}
-
-impl Default for IndexConfig {
-    /// SDL defaults: [`EMBED_DIM`]-wide rows, [`DEFAULT_SHARD_CAPACITY`]
-    /// rows per shard.
-    fn default() -> Self {
-        IndexConfig { dim: EMBED_DIM, shard_capacity: DEFAULT_SHARD_CAPACITY }
-    }
-}
+use crate::IndexError;
 
 /// Rows per block: one dimension of a block is 2 KiB, 32 cache lines in a
 /// row. A layout constant, not a dial — every score is computed
@@ -113,9 +87,10 @@ const CHUNK_ROWS: usize = 32;
 /// a multiple of [`CHUNK_ROWS`] is scored this many at a time.
 const LANE_ROWS: usize = 8;
 
-/// Fewest blocks a scan worker takes: 65 536 rows, what a default shard held
-/// when workers took whole shards. A shorter run scans in less time than
-/// starting a thread takes.
+/// Blocks per scan worker the fan-out counts (65 536 distinct rows; module
+/// docs): a scan of at most this many runs inline, in less time than
+/// starting a thread takes, and one a little longer splits in two halves —
+/// which measured faster than one whole run on two cores (DESIGN §6.9).
 const RUN_BLOCKS: usize = 128;
 
 /// Counter: columns (one dimension of one block) the scans of a query read —
@@ -132,11 +107,10 @@ const MAX_ROWS: usize = u32::MAX as usize;
 /// Queries are exact brute-force scans: every distinct row is scored with the
 /// bits of [`tsdx_sdl::dot`] and the answer is what scoring every id and
 /// sorting by the total [`TopK`] order would give (module docs), so it is
-/// bit-identical across scan worker counts and shard capacities.
+/// bit-identical across scan worker counts.
 #[derive(Debug, Clone)]
 pub struct VectorIndex {
     dim: usize,
-    shard_capacity: usize,
     /// The distinct rows, in first-occurrence order; the last block's lanes
     /// past the last distinct row are zero and are never ranked.
     blocks: Vec<Block>,
@@ -270,24 +244,23 @@ fn row_hash(row: &[f32]) -> u32 {
 }
 
 impl Default for VectorIndex {
+    /// An empty index of [`EMBED_DIM`]-wide rows, what SDL embeddings are.
     fn default() -> Self {
-        VectorIndex::new(IndexConfig::default())
+        VectorIndex::new(EMBED_DIM)
     }
 }
 
 impl VectorIndex {
-    /// An empty index with the given geometry.
+    /// An empty index of `dim`-wide rows.
     ///
     /// # Panics
     ///
-    /// Panics when `dim` or `shard_capacity` is zero — both are
-    /// construction-time constants, not runtime inputs.
-    pub fn new(cfg: IndexConfig) -> Self {
-        assert!(cfg.dim > 0, "index dim must be positive");
-        assert!(cfg.shard_capacity > 0, "shard capacity must be positive");
+    /// Panics when `dim` is zero — a construction-time constant, not a
+    /// runtime input.
+    pub fn new(dim: usize) -> Self {
+        assert!(dim > 0, "index dim must be positive");
         VectorIndex {
-            dim: cfg.dim,
-            shard_capacity: cfg.shard_capacity,
+            dim,
             blocks: Vec::new(),
             first: Vec::new(),
             last: Vec::new(),
@@ -319,11 +292,6 @@ impl VectorIndex {
         self.first.len() as u64
     }
 
-    /// Number of shard files [`Self::save_to`] writes.
-    pub fn shard_count(&self) -> usize {
-        self.row_of.len().div_ceil(self.shard_capacity)
-    }
-
     /// Bytes the index holds in memory: the blocks, the id maps at their
     /// capacity, and the lookup at one entry and one control byte per slot
     /// it has room for.
@@ -337,9 +305,9 @@ impl VectorIndex {
         blocks + ids * size_of::<u32>() + self.masks.capacity() * size_of::<u64>() + lookup
     }
 
-    /// Threads a query scans on: one per run of at least 65 536 distinct
-    /// rows, at most one per core this process may run on — 1 when the
-    /// process is pinned to one core.
+    /// Threads a query scans on: one per started 65 536 distinct rows
+    /// (`⌈blocks / RUN_BLOCKS⌉`), at most one per core this process may run
+    /// on — 1 when the process is pinned to one core.
     pub fn scan_workers(&self) -> usize {
         static CORES: OnceLock<usize> = OnceLock::new();
         // `available_parallelism` re-reads cgroup files on every call.
@@ -427,17 +395,11 @@ impl VectorIndex {
         self.push(&e)
     }
 
-    /// The row id `id` carries, gathered out of its block.
-    fn row_iter(&self, id: usize) -> impl Iterator<Item = f32> + '_ {
-        let j = self.row_of[id] as usize;
-        self.blocks[j / BLOCK_ROWS].lane(j % BLOCK_ROWS)
-    }
-
     /// The stored row with id `id`, if any — gathered out of its block
     /// into an owned vector, bit for bit what was pushed.
     pub fn row(&self, id: u64) -> Option<Vec<f32>> {
-        let id = usize::try_from(id).ok().filter(|&id| id < self.row_of.len())?;
-        Some(self.row_iter(id).collect())
+        let j = *self.row_of.get(usize::try_from(id).ok()?)? as usize;
+        Some(self.blocks[j / BLOCK_ROWS].lane(j % BLOCK_ROWS).collect())
     }
 
     /// The `k` most similar rows to `q`, best first, as `(id, similarity)`.
@@ -445,9 +407,8 @@ impl VectorIndex {
     /// Similarity is the plain dot product — exact cosine for the
     /// unit-norm rows [`Self::push_scenario`] stores. Each distinct row is
     /// scored once and the winners expand to their ids (module docs), so the
-    /// result is deterministic for any input, identical across worker counts
-    /// and shard capacities, and a query allocates O(workers · k), never
-    /// O(n).
+    /// result is deterministic for any input, identical across worker
+    /// counts, and a query allocates O(workers · k), never O(n).
     ///
     /// # Errors
     ///
@@ -567,99 +528,6 @@ impl VectorIndex {
     pub fn query_scenario(&self, s: &Scenario, k: usize) -> Result<Vec<(u64, f32)>, IndexError> {
         self.query(&embed(s), k)
     }
-
-    /// Writes the index to `dir` as `shard-NNNNN.idx` files of
-    /// `shard_capacity` rows each, every id's row in id order, crash-safely.
-    ///
-    /// Stale shard files from a previous, larger save are removed first so
-    /// `dir` always round-trips to exactly this index.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error from creating the directory, removing stale shards,
-    /// or staging and renaming shard files.
-    pub fn save_to(&self, dir: &Path) -> Result<(), IndexError> {
-        std::fs::create_dir_all(dir)?;
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            if is_shard_file_name(&entry.file_name().to_string_lossy()) {
-                std::fs::remove_file(entry.path())?;
-            }
-        }
-        let mut rows = Vec::new();
-        for (i, base) in (0..self.row_of.len()).step_by(self.shard_capacity).enumerate() {
-            let ids = base..(base + self.shard_capacity).min(self.row_of.len());
-            rows.clear();
-            ids.for_each(|id| rows.extend(self.row_iter(id)));
-            let path = dir.join(format!("shard-{i:05}.idx"));
-            save_shard(&path, self.dim, base as u64, &rows)?;
-        }
-        Ok(())
-    }
-
-    /// Loads an index previously written by [`Self::save_to`], pushing its
-    /// rows back in id order.
-    ///
-    /// Every shard is fully verified (magic, declared length, both CRCs,
-    /// geometry) and the set as a whole must be consistent: one dim
-    /// everywhere and dense, contiguous ids starting at 0. The shard
-    /// capacity is inferred from the largest shard on disk.
-    ///
-    /// # Errors
-    ///
-    /// [`IndexError::Io`] on read failures, and the full typed taxonomy
-    /// ([`IndexError::Truncated`], [`IndexError::Checksum`],
-    /// [`IndexError::Format`]) for torn, bit-flipped, or inconsistent
-    /// shards — corruption is never a panic.
-    pub fn load(dir: &Path) -> Result<Self, IndexError> {
-        let mut names: Vec<String> = std::fs::read_dir(dir)?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| is_shard_file_name(n))
-            .collect();
-        names.sort();
-        let mut index: Option<VectorIndex> = None;
-        let mut capacity = 0usize;
-        for name in &names {
-            let rec = load_shard(&dir.join(name))?;
-            let index = index.get_or_insert_with(|| {
-                VectorIndex::new(IndexConfig { dim: rec.dim, ..IndexConfig::default() })
-            });
-            if rec.dim != index.dim {
-                return Err(IndexError::Format(format!(
-                    "inconsistent shard dims: {name} has {}, earlier shards have {}",
-                    rec.dim, index.dim
-                )));
-            }
-            if rec.base_id != index.len() {
-                return Err(IndexError::Format(format!(
-                    "non-contiguous shard ids: {name} starts at {}, expected {}",
-                    rec.base_id,
-                    index.len()
-                )));
-            }
-            let count = rec.rows.len() / rec.dim;
-            if count > MAX_ROWS - index.row_of.len() {
-                return Err(IndexError::Format(format!(
-                    "{name} takes the index past {MAX_ROWS} rows"
-                )));
-            }
-            capacity = capacity.max(count);
-            for row in rec.rows.chunks_exact(rec.dim) {
-                index.push(row)?;
-            }
-        }
-        let mut index = index.unwrap_or_default();
-        if capacity > 0 {
-            index.shard_capacity = capacity;
-        }
-        Ok(index)
-    }
-}
-
-fn is_shard_file_name(name: &str) -> bool {
-    name.starts_with("shard-") && name.ends_with(".idx")
 }
 
 #[cfg(test)]
@@ -673,7 +541,7 @@ mod tests {
     }
 
     fn tiny() -> VectorIndex {
-        let mut ix = VectorIndex::new(IndexConfig { dim: 4, shard_capacity: 3 });
+        let mut ix = VectorIndex::new(4);
         for i in 0..10 {
             ix.push(&unit(4, i % 4)).expect("dim matches");
         }
@@ -823,7 +691,7 @@ mod tests {
         corpora.push((0..3000).map(|_| (0..4).map(|_| letter()).collect()).collect());
         for rows in &corpora {
             let (n, dim) = (rows.len(), rows[0].len());
-            let mut ix = VectorIndex::new(IndexConfig { dim, shard_capacity: 8 });
+            let mut ix = VectorIndex::new(dim);
             for row in rows {
                 ix.push(row).expect("dim matches");
             }
@@ -867,25 +735,24 @@ mod tests {
                 v
             };
             let rows: Vec<Vec<f32>> = pairs.clone().map(spread).collect();
-            let mut ix = VectorIndex::new(IndexConfig { dim, shard_capacity: 2 });
+            let mut ix = VectorIndex::new(dim);
             for row in &rows {
                 ix.insert(row, 7);
             }
             // Row 0 owns the hash and row 2 joins it; every other row misses.
             assert_eq!(ix.first, [0, 1, 3, 4, 5, 6], "dim {dim}");
-            let dir =
-                std::env::temp_dir().join(format!("tsdx-index-collide-{}", std::process::id()));
-            ix.save_to(&dir).expect("save");
-            let back = VectorIndex::load(&dir).expect("load");
-            std::fs::remove_dir_all(&dir).ok();
-            assert_eq!(back.first, [0, 1, 4, 5, 6], "dim {dim}: loaded through the real hash");
+            let mut pushed = VectorIndex::new(dim);
+            for row in &rows {
+                pushed.push(row).expect("dim matches");
+            }
+            assert_eq!(pushed.first, [0, 1, 4, 5, 6], "dim {dim}: pushed through the real hash");
             for q in [[1.0, 0.0], [0.0, 1.0], [0.25, 0.75], [0.0, 0.0], [f32::NAN, 1.0]].map(spread)
             {
                 for k in 1..=9 {
                     let want = bits(&reference_scan(&q, &rows, k));
                     let at = format!("dim {dim}, q {q:?}, k {k}");
                     assert_eq!(bits(&ix.query(&q, k).expect("dim matches")), want, "{at}");
-                    assert_eq!(bits(&back.query(&q, k).expect("dim matches")), want, "{at}");
+                    assert_eq!(bits(&pushed.query(&q, k).expect("dim matches")), want, "{at}");
                 }
             }
             for (id, row) in rows.iter().enumerate() {
@@ -900,16 +767,14 @@ mod tests {
 
     #[test]
     fn an_index_pads_at_most_one_block() {
-        for capacity in [1, 9, 512, 65_536] {
-            for distinct in [1usize, 511, 512, 513, 1100] {
-                let mut ix = VectorIndex::new(IndexConfig { dim: 3, shard_capacity: capacity });
-                for i in 0..2 * distinct {
-                    ix.push(&[(i % distinct) as f32, 1.0, 2.0]).expect("dim matches");
-                }
-                assert_eq!(ix.distinct_len(), distinct as u64);
-                assert_eq!(ix.blocks.len(), distinct.div_ceil(BLOCK_ROWS), "{distinct} rows");
-                assert!(ix.blocks.iter().all(|b| b.cols.len() == 3 * BLOCK_ROWS));
+        for distinct in [1usize, 511, 512, 513, 1100] {
+            let mut ix = VectorIndex::new(3);
+            for i in 0..2 * distinct {
+                ix.push(&[(i % distinct) as f32, 1.0, 2.0]).expect("dim matches");
             }
+            assert_eq!(ix.distinct_len(), distinct as u64);
+            assert_eq!(ix.blocks.len(), distinct.div_ceil(BLOCK_ROWS), "{distinct} rows");
+            assert!(ix.blocks.iter().all(|b| b.cols.len() == 3 * BLOCK_ROWS));
         }
     }
 
@@ -918,7 +783,6 @@ mod tests {
         let ix = tiny();
         assert_eq!(ix.len(), 10);
         assert_eq!(ix.distinct_len(), 4);
-        assert_eq!(ix.shard_count(), 4); // 3+3+3+1
         for i in 0..10u64 {
             assert_eq!(ix.row(i).expect("present"), unit(4, i as usize % 4));
         }
@@ -946,34 +810,8 @@ mod tests {
 
     #[test]
     fn empty_index_and_k_zero_answer_empty() {
-        let ix = VectorIndex::new(IndexConfig { dim: 4, shard_capacity: 3 });
+        let ix = VectorIndex::new(4);
         assert!(ix.query(&unit(4, 0), 5).expect("dim matches").is_empty());
         assert!(tiny().query(&unit(4, 0), 0).expect("dim matches").is_empty());
-    }
-
-    #[test]
-    fn save_load_roundtrip_is_exact() {
-        let dir = std::env::temp_dir().join(format!("tsdx-index-rt-{}", std::process::id()));
-        let ix = tiny();
-        ix.save_to(&dir).expect("save");
-        let back = VectorIndex::load(&dir).expect("load");
-        assert_eq!(back.len(), ix.len());
-        assert_eq!(back.dim(), ix.dim());
-        for i in 0..ix.len() {
-            assert_eq!(back.row(i), ix.row(i));
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn save_removes_stale_shards() {
-        let dir = std::env::temp_dir().join(format!("tsdx-index-stale-{}", std::process::id()));
-        tiny().save_to(&dir).expect("save big");
-        let mut small = VectorIndex::new(IndexConfig { dim: 4, shard_capacity: 3 });
-        small.push(&unit(4, 0)).expect("dim matches");
-        small.save_to(&dir).expect("save small");
-        let back = VectorIndex::load(&dir).expect("load");
-        assert_eq!(back.len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

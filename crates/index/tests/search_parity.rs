@@ -1,32 +1,17 @@
 //! Determinism and exactness contract of [`VectorIndex::query`].
 //!
-//! The bar, per the index's documentation: answers are bit-identical
-//! across shard capacities, equal to an exact full-sort reference scan,
-//! immune to adversarial rows (NaN, zero vectors), and stable across a
-//! save/load round trip — and a scan that leaves the zero components of a
-//! query out answers with the same bits as one that does not, and one that
-//! scores each distinct row once answers with the same bits as scoring every
-//! id. That the answer does not depend on how many threads scan the blocks
-//! is a unit test beside the scan (`vector_index.rs`).
+//! The bar, per the index's documentation: answers are equal to an exact
+//! full-sort reference scan and immune to adversarial rows (NaN, zero
+//! vectors) — and a scan that leaves the zero components of a query out
+//! answers with the same bits as one that does not, and one that scores each
+//! distinct row once answers with the same bits as scoring every id. That
+//! the answer does not depend on how many threads scan the blocks is a unit
+//! test beside the scan (`vector_index.rs`).
 
 use proptest::prelude::*;
-use tsdx_index::{IndexConfig, VectorIndex};
-use tsdx_sdl::{dot, rank_order, vocab, ActorClause, EgoManeuver, Position, RoadKind, Scenario};
+use tsdx_index::VectorIndex;
+use tsdx_sdl::{dot, rank_order};
 use tsdx_tensor::metrics;
-
-fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    let actor = ((0..vocab::EVENT_CLASSES.len()), 0..=Position::COUNT).prop_map(|(e, p)| {
-        let (kind, action) = vocab::EVENT_CLASSES[e];
-        let position = if p == Position::COUNT { None } else { Some(Position::from_index(p)) };
-        ActorClause { kind, action, position }
-    });
-    (
-        (0..EgoManeuver::COUNT).prop_map(EgoManeuver::from_index),
-        (0..RoadKind::COUNT).prop_map(RoadKind::from_index),
-        prop::collection::vec(actor, 0..=4),
-    )
-        .prop_map(|(ego, road, actors)| Scenario { ego, actors, road })
-}
 
 /// Rows that a well-behaved caller would never push: NaN-poisoned, zero,
 /// and denormal-ish vectors alongside ordinary ones.
@@ -43,9 +28,8 @@ fn arb_adversarial_row(dim: usize) -> impl Strategy<Value = Vec<f32>> {
     )
 }
 
-fn build(capacity: usize, rows: &[Vec<f32>]) -> VectorIndex {
-    let dim = rows[0].len();
-    let mut ix = VectorIndex::new(IndexConfig { dim, shard_capacity: capacity });
+fn build(rows: &[Vec<f32>]) -> VectorIndex {
+    let mut ix = VectorIndex::new(rows[0].len());
     for r in rows {
         ix.push(r).expect("fixed dim");
     }
@@ -72,59 +56,18 @@ proptest! {
         rows in prop::collection::vec(arb_adversarial_row(6), 1..40),
         q in arb_adversarial_row(6),
         k in 1usize..12,
-        capacity in 1usize..9,
     ) {
-        let ix = build(capacity, &rows);
+        let ix = build(&rows);
         let got = ix.query(&q, k).expect("dim matches");
         let want = reference_scan(&q, &rows, k);
         prop_assert_eq!(bits(&got), bits(&want));
-    }
-
-    #[test]
-    fn query_is_bit_identical_across_shard_capacities(
-        rows in prop::collection::vec(arb_adversarial_row(6), 1..40),
-        q in arb_adversarial_row(6),
-        k in 1usize..8,
-        cap_a in 1usize..9,
-        cap_b in 9usize..64,
-    ) {
-        let a = build(cap_a, &rows).query(&q, k).expect("dim matches");
-        let b = build(cap_b, &rows).query(&q, k).expect("dim matches");
-        prop_assert_eq!(bits(&a), bits(&b));
-    }
-
-    #[test]
-    fn scenario_queries_round_trip_through_disk(
-        entries in prop::collection::vec(arb_scenario(), 1..20),
-        k in 1usize..6,
-        capacity in 1usize..7,
-    ) {
-        let mut ix = VectorIndex::new(IndexConfig {
-            shard_capacity: capacity,
-            ..IndexConfig::default()
-        });
-        for s in &entries {
-            ix.push_scenario(s).expect("EMBED_DIM index");
-        }
-        let dir = std::env::temp_dir()
-            .join(format!("tsdx-index-parity-{}-{}", std::process::id(), entries.len()));
-        ix.save_to(&dir).expect("save");
-        let back = VectorIndex::load(&dir).expect("load");
-        std::fs::remove_dir_all(&dir).ok();
-
-        let query = &entries[0];
-        let a = ix.query_scenario(query, k).expect("dim matches");
-        let b = back.query_scenario(query, k).expect("dim matches");
-        prop_assert_eq!(bits(&a), bits(&b));
-        // The query itself is indexed, so the best hit is exact.
-        prop_assert!((a[0].1 - 1.0).abs() < 1e-5);
     }
 }
 
 #[test]
 fn duplicate_rows_tie_break_on_ascending_id() {
     let row = vec![0.5f32, 0.5, 0.5, 0.5];
-    let ix = build(2, &[row.clone(), row.clone(), row.clone(), row.clone(), row.clone()]);
+    let ix = build(&[row.clone(), row.clone(), row.clone(), row.clone(), row.clone()]);
     let hits = ix.query(&row, 3).expect("dim matches");
     assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), vec![0, 1, 2]);
 }
@@ -152,7 +95,7 @@ fn arb_hostile_row(dim: usize) -> impl Strategy<Value = Vec<f32>> {
 }
 
 /// Rows per full block of the in-memory layout (`BLOCK_ROWS`, private to the
-/// crate): the boundary the row counts and capacities below straddle.
+/// crate): the boundary the row counts below straddle.
 const R: usize = 512;
 
 /// `(rows, query)` at one dim in `1..=40` (so `dim < 4` and `dim % 4 != 0`
@@ -172,15 +115,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn blocked_query_matches_reference_at_every_dim_tail_and_capacity(
+    fn blocked_query_matches_reference_at_every_dim_and_tail(
         (rows, q) in arb_ragged_corpus(),
-        capacity in prop_oneof![Just(1usize), Just(3), Just(8), Just(9), Just(64)],
         k_pick in 0usize..10_000,
     ) {
         let n = rows.len();
         prop_assert!(n % 8 != 0);
         let k = 1 + k_pick % (n + 5);
-        let ix = build(capacity, &rows);
+        let ix = build(&rows);
         let got = ix.query(&q, k).expect("dim matches");
         prop_assert_eq!(got.len(), k.min(n));
         prop_assert_eq!(bits(&got), bits(&reference_scan(&q, &rows, k)));
@@ -235,17 +177,16 @@ proptest! {
     #[test]
     fn zero_skipping_scan_matches_reference_around_the_block_boundary(
         (rows, q) in arb_block_boundary_corpus(),
-        capacity in prop_oneof![Just(100usize), Just(R - 1), Just(R), Just(R + 1), Just(4 * R)],
         k in prop_oneof![Just(1usize), Just(10), Just(3 * R)],
     ) {
         let want = bits(&reference_scan(&q, &rows, k));
-        let got = build(capacity, &rows).query(&q, k).expect("dim matches");
+        let got = build(&rows).query(&q, k).expect("dim matches");
         prop_assert_eq!(bits(&got), want);
     }
 }
 
 /// The cases the zero-skipping argument rests on, one by one, each against
-/// the full-sort `dot` reference and again after a save/load round trip.
+/// the full-sort `dot` reference.
 #[test]
 fn zero_components_are_skipped_without_moving_a_bit() {
     let dim = 11; // two quads and a three-long tail
@@ -282,27 +223,19 @@ fn zero_components_are_skipped_without_moving_a_bit() {
     late_inf[2 * R][3] = f32::NEG_INFINITY;
     let mut late_nan = rows.clone();
     late_nan[R - 1][0] = f32::NAN;
-    let dir = std::env::temp_dir().join(format!("tsdx-index-skip-{}", std::process::id()));
     for (corpus, rows) in [("finite", &rows), ("late inf", &late_inf), ("late NaN", &late_nan)] {
-        for capacity in [100usize, R - 1, R, R + 1, 4 * R] {
-            let ix = build(capacity, rows);
-            ix.save_to(&dir).expect("save");
-            let back = VectorIndex::load(&dir).expect("load");
-            for (name, q) in &queries {
-                for k in [1usize, 10, rows.len(), rows.len() + 7] {
-                    let want = bits(&reference_scan(q, rows, k));
-                    for ix in [&ix, &back] {
-                        assert_eq!(
-                            bits(&ix.query(q, k).expect("dim matches")),
-                            want,
-                            "{corpus} rows, {name} query, capacity {capacity}, k {k}"
-                        );
-                    }
-                }
+        let ix = build(rows);
+        for (name, q) in &queries {
+            for k in [1usize, 10, rows.len(), rows.len() + 7] {
+                let want = bits(&reference_scan(q, rows, k));
+                assert_eq!(
+                    bits(&ix.query(q, k).expect("dim matches")),
+                    want,
+                    "{corpus} rows, {name} query, k {k}"
+                );
             }
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---- Repetitive corpora: each distinct row scored once ------------------
@@ -342,25 +275,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn a_repetitive_corpus_matches_reference_before_and_after_disk(
+    fn a_repetitive_corpus_matches_reference(
         (rows, q) in arb_repetitive_corpus(),
-        capacity in prop_oneof![Just(1usize), Just(3), Just(8), Just(64)],
     ) {
         let n = rows.len();
         let largest = largest_group(&rows);
-        let ix = build(capacity, &rows);
-        let dir = std::env::temp_dir()
-            .join(format!("tsdx-index-repetitive-{}", std::process::id()));
-        ix.save_to(&dir).expect("save");
-        let back = VectorIndex::load(&dir).expect("load");
-        std::fs::remove_dir_all(&dir).ok();
+        let ix = build(&rows);
         prop_assert!(ix.distinct_len() <= n as u64);
-        prop_assert_eq!(back.distinct_len(), ix.distinct_len());
         // The last k splits the largest group of bit-equal rows.
         for k in [1, 5, n, n + 3, (largest - 1).max(1)] {
             let want = bits(&reference_scan(&q, &rows, k));
-            prop_assert_eq!(bits(&ix.query(&q, k).expect("dim matches")), want.clone());
-            prop_assert_eq!(bits(&back.query(&q, k).expect("dim matches")), want);
+            prop_assert_eq!(bits(&ix.query(&q, k).expect("dim matches")), want);
         }
     }
 }
@@ -373,7 +298,7 @@ fn a_query_reads_its_non_zero_columns_and_no_others() {
     let dim = 28;
     let row = |i: usize| -> Vec<f32> { (0..dim).map(|d| ((i + d) % 5) as f32 * 0.25).collect() };
     // 2 500 rows, 5 distinct: one block.
-    let mut ix = build(1000, &(0..2500).map(row).collect::<Vec<_>>());
+    let mut ix = build(&(0..2500).map(row).collect::<Vec<_>>());
     let mut sparse = vec![0.0f32; dim];
     for d in [0, 9, 13, 20, 27] {
         sparse[d] = 0.4;
@@ -412,74 +337,16 @@ fn zero_padding_never_surfaces() {
     // One NaN operand: the product and every later sum carry its sign.
     let minus_nan = |i: usize| vec![-f32::NAN, i as f32, 0.0, 0.0, 0.0];
     for n in [1usize, 7, 9, 11, 23] {
-        for capacity in [1usize, 3, 8, 9, 64] {
-            let rows: Vec<Vec<f32>> = (0..n).map(negative).collect();
-            let hits = build(capacity, &rows).query(&q, n + 5).expect("dim matches");
-            assert_eq!(hits.len(), n, "n={n} capacity={capacity}");
-            assert!(hits.iter().all(|h| h.1 < 0.0), "a padding lane (score 0) was ranked");
-            assert_eq!(bits(&hits), bits(&reference_scan(&q, &rows, n + 5)));
+        let rows: Vec<Vec<f32>> = (0..n).map(negative).collect();
+        let hits = build(&rows).query(&q, n + 5).expect("dim matches");
+        assert_eq!(hits.len(), n, "n={n}");
+        assert!(hits.iter().all(|h| h.1 < 0.0), "a padding lane (score 0) was ranked");
+        assert_eq!(bits(&hits), bits(&reference_scan(&q, &rows, n + 5)));
 
-            let rows: Vec<Vec<f32>> = (0..n).map(minus_nan).collect();
-            let hits = build(capacity, &rows).query(&q, n + 5).expect("dim matches");
-            assert_eq!(hits.len(), n, "n={n} capacity={capacity}");
-            assert!(hits.iter().all(|h| h.1.is_nan() && h.1.is_sign_negative()));
-            assert_eq!(
-                hits.iter().map(|h| h.0).collect::<Vec<_>>(),
-                (0..n as u64).collect::<Vec<_>>()
-            );
-        }
-    }
-}
-
-/// The `TSDXIDX1` encoding of one shard, written out from the format's
-/// documentation: what every commit before the blocked layout put on disk.
-fn row_major_shard_bytes(dim: usize, base_id: u64, rows: &[Vec<f32>]) -> Vec<u8> {
-    let data: Vec<u8> = rows.iter().flatten().flat_map(|x| x.to_le_bytes()).collect();
-    let mut out = b"TSDXIDX1".to_vec();
-    out.extend(((32 + data.len() + 8) as u64).to_le_bytes());
-    out.extend((dim as u32).to_le_bytes());
-    out.extend((rows.len() as u32).to_le_bytes());
-    out.extend(base_id.to_le_bytes());
-    out.extend(&data);
-    out.extend(tsdx_nn::crc32(&data).to_le_bytes());
-    let file_crc = tsdx_nn::crc32(&out);
-    out.extend(file_crc.to_le_bytes());
-    out
-}
-
-#[test]
-fn shard_files_stay_row_major_and_round_trip_bitwise() {
-    let dim = 5;
-    let specials = [f32::NAN, -f32::NAN, f32::INFINITY, -0.0, 1e-42, f32::from_bits(0x7fc1_2345)];
-    let rows: Vec<Vec<f32>> = (0..21usize)
-        .map(|i| {
-            (0..dim)
-                .map(|d| match (i * dim + d) % 7 {
-                    0 => specials[(i + d) % specials.len()],
-                    m => (i as f32 - 10.0) * 0.03 + m as f32 * 0.11,
-                })
-                .collect()
-        })
-        .collect();
-    let ix = build(8, &rows); // shards of 8, 8 and 5 rows
-    let dir = std::env::temp_dir().join(format!("tsdx-index-rowmajor-{}", std::process::id()));
-    ix.save_to(&dir).expect("save");
-    for (s, chunk) in rows.chunks(8).enumerate() {
-        let on_disk = std::fs::read(dir.join(format!("shard-{s:05}.idx"))).expect("shard file");
-        assert_eq!(on_disk, row_major_shard_bytes(dim, s as u64 * 8, chunk), "shard {s}");
-    }
-    let back = VectorIndex::load(&dir).expect("load");
-    std::fs::remove_dir_all(&dir).ok();
-
-    assert_eq!(back.len(), ix.len());
-    for (id, row) in rows.iter().enumerate() {
-        assert_eq!(row_bits(&back.row(id as u64).expect("dense ids")), row_bits(row));
-    }
-    for q in rows.iter().step_by(4) {
-        for k in [1usize, 8, 26] {
-            let want = bits(&ix.query(q, k).expect("dim matches"));
-            assert_eq!(bits(&back.query(q, k).expect("dim matches")), want);
-            assert_eq!(bits(&reference_scan(q, &rows, k)), want);
-        }
+        let rows: Vec<Vec<f32>> = (0..n).map(minus_nan).collect();
+        let hits = build(&rows).query(&q, n + 5).expect("dim matches");
+        assert_eq!(hits.len(), n, "n={n}");
+        assert!(hits.iter().all(|h| h.1.is_nan() && h.1.is_sign_negative()));
+        assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), (0..n as u64).collect::<Vec<_>>());
     }
 }

@@ -70,7 +70,7 @@ pub use optim::{clip_global_norm, AdamW, AdamWState, LrSchedule, Optimizer, Sgd}
 pub use params::{Binding, ParamId, ParamStore, ShapeMismatch};
 pub use rnn::Gru;
 pub use serialize::{
-    crc32, load_checkpoint, read_checkpoint, read_train_checkpoint, save_checkpoint,
-    save_train_checkpoint, write_atomic, CheckpointError, TrainCheckpoint, TrainState,
+    load_checkpoint, read_checkpoint, read_train_checkpoint, save_checkpoint,
+    save_train_checkpoint, CheckpointError, TrainCheckpoint, TrainState,
 };
 pub use transformer::{Mlp, TransformerBlock, TransformerEncoder};

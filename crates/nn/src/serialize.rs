@@ -199,12 +199,9 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC32 (IEEE 802.3 / zlib polynomial) of `bytes`.
-///
-/// The same checksum guards every on-disk artifact in the workspace —
-/// checkpoint-v2 sections here and vector-index shards in `tsdx-index` —
-/// so corruption tooling and fault-injection tests share one definition.
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// CRC32 (IEEE 802.3 / zlib polynomial) of `bytes`: the checksum over each
+/// checkpoint-v2 section and over the whole file.
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -450,15 +447,13 @@ fn sync_dir(path: &Path) {
 /// Writes `bytes` to `path` via temp file + fsync + atomic rename.
 ///
 /// The destination only ever holds either its previous contents or the
-/// complete new bytes — never a torn prefix. Used by checkpoint saves here
-/// and by `tsdx-index` shard writes; callers with typed error enums map the
-/// `io::Error` into their own `Io` variant.
+/// complete new bytes — never a torn prefix. Used by checkpoint saves.
 ///
 /// # Errors
 ///
 /// `InvalidInput` when `path` has no file name, plus any I/O error from
 /// staging, syncing, or renaming (the temp file is removed on failure).
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let file_name = path.file_name().ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, "destination path has no file name")
     })?;

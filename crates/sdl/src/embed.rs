@@ -69,7 +69,7 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 /// lanes keep the loop free of a serial dependency chain so it
 /// autovectorizes; the lane split is a pure function of the slice length,
 /// so the result is bit-identical no matter how the surrounding scan is
-/// sharded or threaded.
+/// split or threaded.
 ///
 /// The association is a contract, not an implementation detail: element
 /// `i < len & !3` adds the unfused product `a[i] * b[i]` into lane

@@ -117,11 +117,6 @@ faults! {
     /// The serve request handler panics on accepted request number `i`
     /// (0-indexed, process-wide): the connection-boundary panic capture.
     pub static HANDLER_PANIC: u64;
-    /// The next vector-index shard save leaves only the first `n` bytes.
-    pub static SHARD_TEAR: u64;
-    /// The next vector-index shard save flips bit `k` of the encoded shard
-    /// (modulo its length): silent at-rest corruption.
-    pub static SHARD_BIT_FLIP: u64;
     /// The next session create reports the table at capacity (a typed 429
     /// without filling hundreds of real slots).
     pub static SESSION_TABLE_FULL: ();

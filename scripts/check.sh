@@ -44,17 +44,23 @@ cargo test -q -p tsdx-tensor --features fault-inject --lib
 echo "==> serve fault-injection suite (accept stall, mid-chunk disconnect, session-table exhaustion, route/handler/readout panics)"
 cargo test -q -p tsdx-serve --features fault-inject --test fault_injection
 
-echo "==> index suite: fault injection (torn and bit-flipped shards load as typed errors), then at release speed (the block-boundary proptests and the 100k-row allocation budget as shipped)"
-cargo test -q -p tsdx-index --features fault-inject
+echo "==> index suite at release speed (the block-boundary proptests and the 100k-row allocation budget as shipped)"
 cargo test -q -p tsdx-index --release
 
 echo "==> benchmark package unit tests (standalone workspace under benchmark/)"
 (cd benchmark && cargo test --offline -q)
 
 echo "==> benchmark smoke (bulk_batch8, search_sdl, stream_pair, clip_octet: replies == references — muxed pushes against solo sessions — traced sanity rules, clip_octet's coverage floor among them)"
+# benchmark/run.sh builds without --locked: a dependency edit in any crate the
+# benchmark builds would rewrite benchmark/Cargo.lock, which must not happen.
+lock_sum=$(cksum < benchmark/Cargo.lock)
 for workload in bulk_batch8 search_sdl stream_pair clip_octet; do
   bash benchmark/run.sh --workload "$workload" --seed 17 --seconds 3 --trace 1 > /dev/null
 done
+if [ "$(cksum < benchmark/Cargo.lock)" != "$lock_sum" ]; then
+  echo "benchmark/Cargo.lock was rewritten by a benchmark run: a crate it builds changed its dependencies" >&2
+  exit 1
+fi
 
 echo "All checks passed."
 

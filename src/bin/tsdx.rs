@@ -23,25 +23,15 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match parse_opts(rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let result = match COMMANDS.iter().find(|(name, ..)| name == command) {
+        Some((_, flags, run)) => {
+            parse_opts(rest, flags).map_err(|e| format!("{e}\n\n{USAGE}")).and_then(|o| run(&o))
         }
-    };
-    let result = match command.as_str() {
-        "generate" => cmd_generate(&opts),
-        "stats" => cmd_stats(&opts),
-        "train" => cmd_train(&opts),
-        "eval" => cmd_eval(&opts),
-        "extract" => cmd_extract(&opts),
-        "search" => cmd_search(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
+        None => Err(format!("unknown command `{command}`")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -67,15 +57,33 @@ Filter keys: ego, road, actor, action, position (see SDL vocabulary).";
 
 type Opts = HashMap<String, String>;
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// Each subcommand, the flags it takes, and what runs it.
+type Subcommand = (&'static str, &'static [&'static str], fn(&Opts) -> Result<(), String>);
+
+const COMMANDS: &[Subcommand] = &[
+    ("generate", &["clips", "out", "seed", "frames", "size"], cmd_generate),
+    ("stats", &["data"], cmd_stats),
+    ("train", &["data", "out", "epochs", "seed"], cmd_train),
+    ("eval", &["model", "data"], cmd_eval),
+    ("extract", &["model", "data", "limit"], cmd_extract),
+    ("search", &["data", "filter", "like", "top"], cmd_search),
+];
+
+/// `--name value` pairs, each name one of `flags` and given at most once.
+fn parse_opts(args: &[String], flags: &[&str]) -> Result<Opts, String> {
     let mut opts = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected --option, got `{key}`"));
         };
+        if !flags.contains(&name) {
+            return Err(format!("unknown flag --{name}"));
+        }
         let value = it.next().ok_or_else(|| format!("missing value for --{name}"))?;
-        opts.insert(name.to_string(), value.clone());
+        if opts.insert(name.to_string(), value.clone()).is_some() {
+            return Err(format!("--{name} given more than once"));
+        }
     }
     Ok(opts)
 }

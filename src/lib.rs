@@ -19,7 +19,7 @@
 //! | [`baselines`] | `tsdx-baselines` | heuristic, frame-MLP, CNN+GRU |
 //! | [`metrics`] | `tsdx-metrics` | evaluation arithmetic |
 //! | [`serve`] | `tsdx-serve` | batched, fault-hardened HTTP serving |
-//! | [`index`] | `tsdx-index` | sharded SDL vector index + exact search |
+//! | [`index`] | `tsdx-index` | in-memory SDL vector index + exact search |
 //!
 //! # Quickstart
 //!

@@ -1,7 +1,8 @@
 //! `tsdx extract` treats its `--data` file as outside input: a malformed
 //! clip anywhere in it is reported as a typed error on stderr and a failing
 //! exit status — never a panic — and the well-formed clips around it are
-//! still described.
+//! still described. A flag a subcommand does not take, or one given twice,
+//! fails the same way.
 
 use std::process::Command;
 
@@ -47,4 +48,20 @@ fn malformed_clips_are_typed_errors_not_panics() {
     assert!(stderr.contains("2 of 4 clips"), "{stderr}");
     assert_eq!(stdout.matches("truth: ").count(), 4, "{stdout}");
     assert_eq!(stdout.matches(" pred: ego ").count(), 2, "clips 0 and 3 are described:\n{stdout}");
+}
+
+/// A typo'd or repeated flag is an error with the usage, never a run that
+/// quietly drops the filter or keeps one of two values.
+#[test]
+fn unknown_and_repeated_flags_are_errors() {
+    for (args, named) in [
+        (&["search", "--data", "clips.bin", "--filtr", "road=intersection"][..], "--filtr"),
+        (&["search", "--data", "clips.bin", "--top", "3", "--top", "9"][..], "--top"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tsdx")).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}:\n{stderr}");
+        assert!(stderr.starts_with("error: ") && stderr.contains(named), "{stderr}");
+        assert!(stderr.contains("USAGE:"), "{stderr}");
+    }
 }
