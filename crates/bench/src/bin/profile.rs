@@ -400,11 +400,12 @@ fn random_scenario(rng: &mut StdRng, actors: usize) -> Scenario {
 /// taxonomy-valid scenarios (the `search_sdl` corpus), `k = 10`, and three
 /// pools of 64 queries taking turns — SDL queries as `/search` embeds them
 /// (3 to 10 non-zero components of 28), queries with all 10, and the same
-/// with every zero replaced by a small value, which no scan can shorten. The
-/// columns are counted by `index/columns_visited`, not derived: a column is
-/// one dimension of one 512-row block of distinct rows, and a query reads its
-/// non-zero components × blocks of them. A header line first: rows, distinct
-/// rows, resident MB and the build's rows/s.
+/// with every zero replaced by a small value. Per pool, what the scans did is
+/// counted, not derived: `index/columns_visited` (a column is one dimension
+/// of one block of distinct rows), `index/rows_scored`,
+/// `index/groups_visited` and `index/groups_skipped` (groups whose score
+/// bound could not reach the k-th), per query. A header line first: rows,
+/// distinct rows, resident MB and the build's rows/s.
 fn index_profile(quick: bool) {
     const K: usize = 10;
     let rows = if quick { 20_000 } else { 200_000 };
@@ -479,12 +480,17 @@ fn index_profile(quick: bool) {
             pool.iter().for_each(|q| {
                 std::hint::black_box(index.query(q, K).expect("dim"));
             });
-            let columns = scope.snapshot().counter("index/columns_visited");
+            let counts = scope.snapshot();
+            let per_query =
+                |key: &str| format!("{:.1}", counts.counter(key) as f64 / pool.len() as f64);
             let nonzero: usize = pool.iter().flatten().filter(|&&x| x != 0.0).count();
             vec![
                 name.to_string(),
                 format!("{:.1}", nonzero as f64 / pool.len() as f64),
-                format!("{:.1}", columns as f64 / pool.len() as f64),
+                per_query("index/columns_visited"),
+                per_query("index/rows_scored"),
+                per_query("index/groups_visited"),
+                per_query("index/groups_skipped"),
                 format!("{us:.1}"),
                 format!("{:.0}", rows as f64 / us),
             ]
@@ -492,12 +498,21 @@ fn index_profile(quick: bool) {
         .collect();
     print_table(
         &format!(
-            "index scan, {rows} rows x {} dims, {distinct} distinct, k = {K}, {} scan worker(s) \
+            "index scan, {rows} rows x {} dims, {distinct} distinct, {:.1} MB resident, k = {K} \
              ({rounds} rounds x {calls} queries per pool, median)",
             index.dim(),
-            index.scan_workers(),
+            index.resident_bytes() as f64 / 1e6,
         ),
-        &["query", "non-zero", "columns read", "µs", "rows/µs"],
+        &[
+            "query",
+            "non-zero",
+            "columns read",
+            "rows scored",
+            "groups visited",
+            "groups skipped",
+            "µs",
+            "rows/µs",
+        ],
         &table,
     );
 }

@@ -8,20 +8,22 @@
 //!   similarity is a plain dot product ([`tsdx_sdl::dot`]).
 //! * **Storage** keeps each distinct row once — SDL descriptions come from a
 //!   closed taxonomy, so a corpus repeats rows, and 200 000 random scenarios
-//!   hold about 94 000 distinct embeddings — in 512-row blocks laid out
-//!   `[dim][512]`, so one dimension of a block is 32 cache lines in a row. A
-//!   scan reads only the dimensions whose query component is non-zero — at
-//!   most ten of the 28 for anything [`tsdx_sdl::embed`] produced — with the
-//!   association of [`tsdx_sdl::dot`], and every score still has `dot`'s
-//!   bits: a dropped term is `±0` against finite rows, and a block holding a
-//!   NaN or an infinity reads every dimension.
-//! * **Queries** score each distinct row once and stream the scores into
-//!   the total-order [`tsdx_sdl::TopK`] accumulator — one per scan worker,
-//!   each scanning a contiguous run of blocks, merged afterwards — under
-//!   the row's lowest id, then expand the winners to the ids that carry
-//!   them. Top-k answers are the ids and score bits of scoring every id,
-//!   identical across worker counts, with an ascending-id tie-break, and a
-//!   query allocates O(workers · k) rather than O(n).
+//!   hold about 94 000 distinct embeddings — in the *group* named by its
+//!   first two slots that are not `+0.0` (for an SDL embedding, its ego
+//!   maneuver and road), in blocks laid out `[dim][stride]`, so one dimension
+//!   of a block is a contiguous run. Each group keeps what bounds its rows'
+//!   scores: the range of its two key columns and the largest norms.
+//! * **Queries** visit the groups by descending score bound and skip every
+//!   group whose bound cannot reach the current k-th — exactly, `dot`'s
+//!   rounding included. In a visited group a scan reads only the dimensions
+//!   whose query component is non-zero and that the group's rows do not all
+//!   hold as `+0.0`, with the association of [`tsdx_sdl::dot`], so every
+//!   score has `dot`'s bits (a block holding a NaN or an infinity reads every
+//!   dimension). Each distinct row is scored once and streamed into the
+//!   total-order [`tsdx_sdl::TopK`] accumulator under every id carrying it.
+//!   Top-k answers are the ids and score bits of scoring every id, with an
+//!   ascending-id tie-break, and a query allocates O(k + groups + dim)
+//!   rather than O(n).
 //!
 //! # Examples
 //!

@@ -1,4 +1,4 @@
-//! A query allocates O(workers · k), never O(n).
+//! A query allocates O(k + groups + dim), never O(n).
 //!
 //! The scan streams each score into a bounded [`tsdx_sdl::TopK`]; nothing
 //! n-long — no `(id, score)` vector, no copy of a block — is ever built.
@@ -6,13 +6,12 @@
 //! over 100 000 rows must stay under 64 KB of requested bytes, where
 //! materializing the scores alone would take 16 B × 100 000 = 1.6 MB — also
 //! for a query holding a NaN, whose every score is recomputed row by row,
-//! and for an SDL-sparse query, whose lists of columns to read are the only
-//! thing a scan allocates besides its survivors (a block's scores live on
-//! the stack, 32 at a time) — at the host's scan worker count, the threads
-//! it starts included. The expansion of the winning rows to their ids is
-//! O(k) too: a k = 1000 query (`/search`'s largest) whose best row is
-//! carried by 5 000 ids stays under 256 KB and answers with the reference's
-//! ids and bits.
+//! and for an SDL-sparse query, whose group visit order and lists of
+//! columns to read are the only things a scan allocates besides its
+//! survivors (a block's scores live on the stack, 32 at a time). The
+//! expansion of the winning rows to their ids is O(k) too: a k = 1000 query
+//! (`/search`'s largest) whose best row is carried by 5 000 ids stays under
+//! 256 KB and answers with the reference's ids and bits.
 //!
 //! Lives in its own integration-test file so the `#[global_allocator]`
 //! override owns the whole process, and holds a single test so nothing
@@ -68,7 +67,7 @@ const EXPANSION_BUDGET_BYTES: u64 = 256 * 1024;
 fn a_top10_query_over_100k_rows_allocates_under_64kb() {
     // Cheap deterministic rows; the budget does not depend on the values.
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut index = VectorIndex::default(); // 196 blocks: two scan runs on two cores
+    let mut index = VectorIndex::default();
     let mut row = [0.0f32; EMBED_DIM];
     // Every 21st id carries `repeated`, and its scores against it are the
     // reference for the k = 1000 query.
@@ -87,9 +86,6 @@ fn a_top10_query_over_100k_rows_allocates_under_64kb() {
         scored.push((id, dot(&repeated, &row)));
     }
     assert_eq!(index.len() - index.distinct_len(), REPEATS as u64 - 1);
-    // More than one scan worker's worth of blocks (128 of 512 rows): on a
-    // host with a second core, the runs' merge is inside the budget.
-    assert!(index.distinct_len() > 128 * 512, "the budget must cover the merge of scan runs");
     scored.sort_by(rank_order::<u64>);
     scored.truncate(MAX_SEARCH_K);
     let q = index.row(ROWS as u64 / 2).expect("dense ids");
@@ -106,7 +102,7 @@ fn a_top10_query_over_100k_rows_allocates_under_64kb() {
     }
 
     for (what, q) in [("finite", &q), ("NaN", &poisoned), ("SDL-sparse", &sparse)] {
-        let warm = index.query(q, K).expect("dim matches"); // reads the worker count once
+        let warm = index.query(q, K).expect("dim matches");
         let before = ALLOC_BYTES.load(Ordering::Relaxed);
         let hits = index.query(q, K).expect("dim matches");
         let spent = ALLOC_BYTES.load(Ordering::Relaxed) - before;
@@ -121,7 +117,7 @@ fn a_top10_query_over_100k_rows_allocates_under_64kb() {
              an n-long score vector alone is {} B)",
             16 * ROWS
         );
-        println!("{what} query: {spent} B, {} scan workers", index.scan_workers());
+        println!("{what} query: {spent} B");
     }
 
     let bits = |hits: &[(u64, f32)]| -> Vec<(u64, u32)> {
@@ -136,8 +132,5 @@ fn a_top10_query_over_100k_rows_allocates_under_64kb() {
         "k={MAX_SEARCH_K} over a row carried by {REPEATS} ids allocated {spent} B \
          (budget {EXPANSION_BUDGET_BYTES} B)"
     );
-    println!(
-        "k = {MAX_SEARCH_K} query, best row carried by {REPEATS} ids: {spent} B, {} scan workers",
-        index.scan_workers()
-    );
+    println!("k = {MAX_SEARCH_K} query, best row carried by {REPEATS} ids: {spent} B");
 }

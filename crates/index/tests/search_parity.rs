@@ -3,14 +3,17 @@
 //! The bar, per the index's documentation: answers are equal to an exact
 //! full-sort reference scan and immune to adversarial rows (NaN, zero
 //! vectors) — and a scan that leaves the zero components of a query out
-//! answers with the same bits as one that does not, and one that scores each
-//! distinct row once answers with the same bits as scoring every id. That
-//! the answer does not depend on how many threads scan the blocks is a unit
-//! test beside the scan (`vector_index.rs`).
+//! answers with the same bits as one that does not, one that scores each
+//! distinct row once answers with the same bits as scoring every id, and
+//! one that skips the groups whose score bound cannot reach the k-th
+//! answers with the same bits as one that scores them all.
 
 use proptest::prelude::*;
 use tsdx_index::VectorIndex;
-use tsdx_sdl::{dot, rank_order};
+use tsdx_sdl::{
+    dot, embed, rank_order, top_k, vocab, ActorClause, EgoManeuver, Position, RoadKind, Scenario,
+    MAX_ACTORS,
+};
 use tsdx_tensor::metrics;
 
 /// Rows that a well-behaved caller would never push: NaN-poisoned, zero,
@@ -290,42 +293,213 @@ proptest! {
     }
 }
 
-/// `index/columns_visited` is the work a query did, counted where it is
-/// done: the query's non-zero components per finite block of distinct rows,
-/// every dimension per block holding a non-finite value.
+// ---- Groups: rows keyed by their first two slots not `+0.0` -------------
+
+/// Letters rich in `+0.0`, `-0.0` and negatives, so a row's first two
+/// slots not `+0.0` land anywhere: rows spread over many groups.
+fn arb_spread_letter() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        Just(0.0f32),
+        Just(0.0f32),
+        Just(-0.0f32),
+        Just(-0.5f32),
+        Just(-1.0f32),
+        Just(0.25f32),
+        Just(1.0f32),
+        Just(1e-42f32),
+    ]
+}
+
+/// A query component: negative, `±0`, infinite, NaN or anything in `[-1, 1]`.
+fn arb_spread_query_component() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        -1.0f32..=1.0,
+        -1.0f32..=1.0,
+        -1.0f32..=1.0,
+        Just(0.0f32),
+        Just(0.0f32),
+        Just(-0.0f32),
+        Just(-0.75f32),
+        Just(f32::INFINITY),
+        Just(f32::NEG_INFINITY),
+        Just(f32::NAN),
+    ]
+}
+
+/// `(rows, query)`: up to 200 rows of dim 3 to 8 over [`arb_spread_letter`],
+/// and a query over [`arb_spread_query_component`] — finite in half the
+/// cases, since a non-finite query never skips a group.
+fn arb_spread_corpus() -> impl Strategy<Value = (Vec<Vec<f32>>, Vec<f32>)> {
+    (3usize..=8, 1usize..200, any::<bool>()).prop_flat_map(|(dim, n, finite)| {
+        let component =
+            arb_spread_query_component()
+                .prop_map(move |x| if finite && !x.is_finite() { -0.25 } else { x });
+        (
+            prop::collection::vec(prop::collection::vec(arb_spread_letter(), dim..=dim), n..=n),
+            prop::collection::vec(component, dim..=dim),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn rows_over_many_groups_match_reference(
+        (rows, q) in arb_spread_corpus(),
+    ) {
+        let n = rows.len();
+        let ix = build(&rows);
+        for k in [1, 5, n, n + 3] {
+            let want = bits(&reference_scan(&q, &rows, k));
+            prop_assert_eq!(bits(&ix.query(&q, k).expect("dim matches")), want);
+        }
+    }
+}
+
+/// A xorshift draw in `0..n`.
+fn draw(state: &mut u64, n: usize) -> usize {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    (*state >> 32) as usize % n
+}
+
+/// A random taxonomy-valid scenario: what the `/search` corpus is made of.
+fn random_scenario(state: &mut u64) -> Scenario {
+    let ego = EgoManeuver::from_index(draw(state, EgoManeuver::COUNT));
+    let road = RoadKind::from_index(draw(state, RoadKind::COUNT));
+    let actors = (0..draw(state, MAX_ACTORS + 1))
+        .map(|_| {
+            let (kind, action) = vocab::EVENT_CLASSES[draw(state, vocab::EVENT_CLASSES.len())];
+            let p = draw(state, 2 * Position::COUNT);
+            let position = (p < Position::COUNT).then(|| Position::from_index(p));
+            ActorClause { kind, action, position }
+        })
+        .collect();
+    Scenario { ego, actors, road }
+}
+
+/// 20 000 random scenarios and 64 queries: every answer, at k = 1, 10 and
+/// 1 000, has the ids and score bits of `sdl::top_k` over `dot` of every
+/// row — the groups an SDL query skips hold nothing that could place.
+#[test]
+fn sdl_queries_match_top_k_over_every_row() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let rows: Vec<[f32; tsdx_sdl::EMBED_DIM]> =
+        (0..20_000).map(|_| embed(&random_scenario(&mut state))).collect();
+    let mut ix = VectorIndex::default();
+    for row in &rows {
+        ix.push(row).expect("EMBED_DIM rows");
+    }
+    let scope = metrics::scope();
+    for _ in 0..64 {
+        let q = embed(&random_scenario(&mut state));
+        for k in [1, 10, 1000] {
+            let scored = rows.iter().enumerate().map(|(i, r)| (i as u64, dot(&q, r))).collect();
+            let want = bits(&top_k(scored, k));
+            assert_eq!(bits(&ix.query(&q, k).expect("dim matches")), want, "k {k}, q {q:?}");
+        }
+    }
+    let skipped = scope.snapshot().counter("index/groups_skipped");
+    assert!(skipped > 64 * 3 * 5, "SDL queries must skip groups: {skipped} in {} queries", 64 * 3);
+}
+
+/// What a query's scan did, counted where it is done:
+/// `(columns read, rows scored, groups visited, groups skipped)`.
+type Counts = (u64, u64, u64, u64);
+
+/// The [`Counts`] of one k = 10 query.
+fn scan_counts(ix: &VectorIndex, q: &[f32]) -> Counts {
+    let scope = metrics::scope();
+    ix.query(q, 10).expect("dim matches");
+    let counts = scope.snapshot();
+    let [columns, rows, visited, skipped] =
+        ["columns_visited", "rows_scored", "groups_visited", "groups_skipped"]
+            .map(|key| counts.counter(&format!("index/{key}")));
+    (columns, rows, visited, skipped)
+}
+
+/// The counts a scan records, on a corpus of two groups: a block reads the
+/// query's non-zero components, less those below its group's second key
+/// other than the first where the component is finite, and every dimension
+/// once it holds a non-finite value; a group whose bound is below the k-th
+/// is skipped whole, unless it or the query holds a non-finite value.
 #[test]
 fn a_query_reads_its_non_zero_columns_and_no_others() {
     let dim = 28;
-    let row = |i: usize| -> Vec<f32> { (0..dim).map(|d| ((i + d) % 5) as f32 * 0.25).collect() };
-    // 2 500 rows, 5 distinct: one block.
-    let mut ix = build(&(0..2500).map(row).collect::<Vec<_>>());
+    // Group {0, 1}: 2 500 rows, 20 distinct, one block.
+    let near = |i: usize| -> Vec<f32> {
+        (0..dim)
+            .map(|d| match d {
+                0 => 1.0,
+                1 => 0.5 + (i % 20) as f32 * 0.125,
+                _ => ((i + d) % 5) as f32 * 0.25,
+            })
+            .collect()
+    };
+    // Group {2, 3}: 600 distinct rows, two blocks, heavy keys and a light
+    // tail — its bound is far below the k-th unless the second key's
+    // column is counted in the tail as well.
+    let far = |i: usize| -> Vec<f32> {
+        let mut v = vec![0.0; dim];
+        (v[2], v[3]) = (1.0, 2.0);
+        v[4 + i % 24] = 0.01 * (1 + i / 24) as f32;
+        v
+    };
     let mut sparse = vec![0.0f32; dim];
     for d in [0, 9, 13, 20, 27] {
         sparse[d] = 0.4;
     }
     sparse[3] = -0.0;
-    let dense = row(1).iter().map(|x| x + 1.0).collect::<Vec<_>>();
-    let columns = |ix: &VectorIndex, q: &[f32]| -> u64 {
-        let scope = metrics::scope();
-        ix.query(q, 10).expect("dim matches");
-        scope.snapshot().counter("index/columns_visited")
+    let dense: Vec<f32> = near(1).iter().map(|x| x + 1.0).collect();
+    // An infinity below the far group's second key: that group must read it
+    // (`inf × 0` is NaN), and nothing is skipped.
+    let mut infinite = sparse.clone();
+    infinite[1] = f32::INFINITY;
+    let mut rows: Vec<Vec<f32>> = (0..2500).map(near).collect();
+    let check = |rows: &[Vec<f32>], want: [(&[f32], Counts); 4]| {
+        let ix = build(rows);
+        for (q, counts) in want {
+            assert_eq!(scan_counts(&ix, q), counts, "{} rows, q {q:?}", rows.len());
+            let hits = ix.query(q, 10).expect("dim matches");
+            assert_eq!(bits(&hits), bits(&reference_scan(q, rows, 10)));
+        }
     };
-    assert_eq!(columns(&ix, &sparse), 5);
-    assert_eq!(columns(&ix, &dense), dim as u64);
-    assert_eq!(columns(&ix, &vec![0.0; dim]), 0);
-    // 600 more distinct rows fill a second block.
-    for i in 0..600 {
-        let mut distinct = row(i);
-        distinct[1] = 2.0 + i as f32;
-        ix.push(&distinct).expect("dim matches");
-    }
-    assert_eq!(columns(&ix, &sparse), 5 * 2);
-    // One infinity in the second block: it alone reads every column.
-    let mut poisoned = row(0);
+    check(
+        &rows,
+        [
+            (&sparse, (5, 20, 1, 0)),
+            (&dense, (28, 20, 1, 0)),
+            (&vec![0.0; dim], (0, 20, 1, 0)),
+            (&infinite, (6, 20, 1, 0)),
+        ],
+    );
+    rows.extend((0..600).map(far));
+    check(
+        &rows,
+        [
+            (&sparse, (5, 20, 1, 1)),
+            (&dense, (28, 20, 1, 1)),
+            // Every score is `+0.0`; the far bound is a hair above it.
+            (&vec![0.0; dim], (0, 620, 2, 0)),
+            (&infinite, (6 + 5 * 2, 620, 2, 0)),
+        ],
+    );
+    // One infinity in the far group's second block: that block reads every
+    // column, and the group is never skipped.
+    let mut poisoned = far(0);
     poisoned[17] = f32::INFINITY;
-    ix.push(&poisoned).expect("dim matches");
-    assert_eq!(columns(&ix, &sparse), 5 + dim as u64);
-    assert_eq!(columns(&ix, &dense), dim as u64 * 2);
+    rows.push(poisoned);
+    check(
+        &rows,
+        [
+            (&sparse, (5 + 4 + dim as u64, 621, 2, 0)),
+            (&dense, (28 + 26 + dim as u64, 621, 2, 0)),
+            (&vec![0.0; dim], (dim as u64, 621, 2, 0)),
+            (&infinite, (6 + 5 + dim as u64, 621, 2, 0)),
+        ],
+    );
 }
 
 /// A padding lane scores `0 * q` — better than any real row of these

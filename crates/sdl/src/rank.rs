@@ -2,7 +2,7 @@
 //!
 //! Similarity search must never panic on an adversarial score (`NaN` from a
 //! poisoned embedding) and must return the same answer regardless of how
-//! the scoring work was partitioned — across scan workers, runs of blocks,
+//! the scoring work was partitioned — across groups, blocks,
 //! or incremental inserts. Both properties come from ranking with a
 //! *total* order: [`f32::total_cmp`] descending on the score, then the id
 //! ascending as the tie-break. Under `total_cmp`, `+NaN` sorts above `+inf`
@@ -37,7 +37,7 @@ pub fn rank_order<I: Ord>(a: &(I, f32), b: &(I, f32)) -> Ordering {
 /// [`slice::select_nth_unstable_by`] drops the worse half and raises the
 /// bar. The final answer is exactly what sorting *all* offered entries by
 /// [`rank_order`] and truncating to `k` would give — independent of the
-/// order of arrival, so partial accumulators combine with [`Self::merge`].
+/// order of arrival.
 ///
 /// # Examples
 ///
@@ -65,29 +65,28 @@ impl<I: Ord + Copy> TopK<I> {
         TopK { k, held: Vec::new(), kth: None }
     }
 
-    /// Offers one entry.
-    pub fn push(&mut self, id: I, score: f32) {
+    /// Offers one entry; returns whether it was kept, which it is unless it
+    /// ranks at or below the bar. A later id with the same score would not
+    /// be kept either.
+    pub fn push(&mut self, id: I, score: f32) -> bool {
         let entry = (id, score);
         if self.k == 0 || self.kth.as_ref().is_some_and(|kth| rank_order(&entry, kth).is_ge()) {
-            return;
+            return false;
         }
         self.held.push(entry);
         if self.held.len() >= self.k.saturating_mul(2) {
             self.compact();
         }
+        true
     }
 
-    /// Offers everything `other` still holds: afterwards `self` answers
-    /// for every entry offered to either.
-    pub fn merge(&mut self, other: TopK<I>) {
-        for (id, score) in other.held {
-            self.push(id, score);
+    /// Keeps the best `k` held entries (unordered) and makes the worst of
+    /// them the bar, so [`Self::rejects_all`] answers against every entry
+    /// offered so far. Does nothing while fewer than `k` are held.
+    pub fn compact(&mut self) {
+        if self.k == 0 || self.held.len() < self.k {
+            return;
         }
-    }
-
-    /// Keeps the best `k` of more than `k` held entries (unordered) and
-    /// makes the worst of them the bar.
-    fn compact(&mut self) {
         self.held.select_nth_unstable_by(self.k - 1, rank_order::<I>);
         self.held.truncate(self.k);
         self.kth = Some(self.held[self.k - 1]);
@@ -98,19 +97,19 @@ impl<I: Ord + Copy> TopK<I> {
     /// fixed-width block).
     ///
     /// Precondition: every id the caller goes on to offer for `scores` is
-    /// greater than every id offered to this accumulator so far (a scan
-    /// offering ascending ids to its own accumulator).
+    /// at least `lowest`. Ids may arrive in any order otherwise.
     ///
     /// A score is ruled out when it is numerically below the current k-th
     /// score, which implies it is below it under [`f32::total_cmp`] too, or
-    /// when it is bit-equal to it: under the precondition such an entry
-    /// loses the tie on the id, so [`Self::push`] would drop it. With no
+    /// when it is bit-equal to it and `lowest` is past the k-th's id: such
+    /// an entry loses the tie on the id, so [`Self::push`] would drop it. The
+    /// bar is the k-th as of the last compaction ([`Self::compact`]). With no
     /// bar yet, or a NaN one, nothing is ruled out: a caller that recomputes
     /// a NaN score may offer it with other bits than the ones seen here.
-    pub fn rejects_all(&self, scores: &[f32]) -> bool {
-        let Some((_, floor)) = self.kth.filter(|kth| !kth.1.is_nan()) else { return false };
-        let tie = floor.to_bits();
-        scores.iter().fold(true, |all, &s| all & ((s < floor) | (s.to_bits() == tie)))
+    pub fn rejects_all(&self, lowest: I, scores: &[f32]) -> bool {
+        let Some((id, floor)) = self.kth.filter(|kth| !kth.1.is_nan()) else { return false };
+        let (tie, ties_lose) = (floor.to_bits(), lowest > id);
+        scores.iter().fold(true, |all, &s| all & ((s < floor) | (ties_lose & (s.to_bits() == tie))))
     }
 
     /// The best `k` entries offered so far, best first.
@@ -192,57 +191,100 @@ mod tests {
     }
 
     #[test]
-    fn partial_accumulators_merge_to_the_global_answer() {
-        let scored = stream(3000);
-        let k = 25;
-        let mut merged = TopK::new(k);
-        for part in scored.chunks(700) {
-            let mut local = TopK::new(k);
-            part.iter().for_each(|&(id, s)| local.push(id, s));
-            merged.merge(local);
-        }
-        let got: Vec<(u64, u32)> =
-            merged.into_sorted().into_iter().map(|(i, s)| (i, s.to_bits())).collect();
-        assert_eq!(got, full_sort(scored, k));
-    }
-
-    #[test]
     fn rejects_all_never_rules_out_an_entry_push_would_keep() {
         let state = |best: &TopK<u64>| {
             let held: Vec<(u64, u32)> = best.held.iter().map(|&(i, s)| (i, s.to_bits())).collect();
             (held, best.kth.map(|(i, s)| (i, s.to_bits())))
         };
-        let scored = stream(5000); // ids ascend, as the precondition asks
-        let (mut ties, mut nan_bars) = (0, 0);
-        for k in [1usize, 7, 64] {
-            let mut best = TopK::new(k);
-            assert!(!best.rejects_all(&[-1.0e30]), "no bar yet: nothing is ruled out");
-            for block in scored.chunks(8) {
-                let scores: Vec<f32> = block.iter().map(|e| e.1).collect();
-                let before = state(&best);
-                let rejected = best.rejects_all(&scores);
-                let bar = best.kth.map(|kth| kth.1.to_bits());
-                ties += usize::from(rejected && scores.iter().any(|s| Some(s.to_bits()) == bar));
-                block.iter().for_each(|&(id, s)| best.push(id, s));
-                if rejected {
-                    assert_eq!(state(&best), before, "k={k}: a rejected block changed the answer");
-                }
-                if let Some((_, kth)) = best.kth.filter(|kth| kth.1.is_nan()) {
-                    nan_bars += 1;
-                    assert!(!best.rejects_all(&[kth; 8]), "k={k}: a NaN k-th rules out a tie");
-                    assert!(!best.rejects_all(&[-3.0]), "k={k}: a NaN k-th rules out a score");
+        let ascending = stream(5000);
+        // The same scores under the ids in descending order and in a
+        // scrambled one (2 654 435 761 is coprime to 5 000): the
+        // precondition asks only that a block's ids are at least the
+        // `lowest` it is asked under.
+        let renamed = |id: &dyn Fn(u64) -> u64| -> Vec<(u64, f32)> {
+            ascending.iter().map(|&(i, s)| (id(i), s)).collect()
+        };
+        let descending = renamed(&|i| 4999 - i);
+        let scrambled = renamed(&|i| i * 2_654_435_761 % 5000);
+        let (mut ties, mut ties_kept, mut nan_bars) = (0, 0, 0);
+        for scored in [&ascending, &descending, &scrambled] {
+            for k in [1usize, 7, 64] {
+                let mut best = TopK::new(k);
+                assert!(!best.rejects_all(0, &[-1.0e30]), "no bar yet: nothing is ruled out");
+                for block in scored.chunks(8) {
+                    let scores: Vec<f32> = block.iter().map(|e| e.1).collect();
+                    let lowest = block.iter().map(|e| e.0).min().expect("non-empty block");
+                    let before = state(&best);
+                    let rejected = best.rejects_all(lowest, &scores);
+                    let bar = best.kth.map(|kth| kth.1.to_bits());
+                    let tie = scores.iter().any(|s| Some(s.to_bits()) == bar);
+                    ties += usize::from(rejected && tie);
+                    block.iter().for_each(|&(id, s)| {
+                        best.push(id, s);
+                    });
+                    if rejected {
+                        assert_eq!(
+                            state(&best),
+                            before,
+                            "k={k}: a rejected block changed the answer"
+                        );
+                    }
+                    // A tie that an earlier id carried into the answer: what a
+                    // tie rule without the id check would have lost.
+                    let kept = best.held.iter().any(|&(id, s)| {
+                        Some(s.to_bits()) == bar
+                            && block.contains(&(id, s))
+                            && !before.0.contains(&(id, s.to_bits()))
+                    });
+                    ties_kept += usize::from(kept);
+                    if let Some((_, kth)) = best.kth.filter(|kth| kth.1.is_nan()) {
+                        nan_bars += 1;
+                        assert!(
+                            !best.rejects_all(u64::MAX, &[kth; 8]),
+                            "k={k}: a NaN k-th rules out a tie"
+                        );
+                        assert!(
+                            !best.rejects_all(u64::MAX, &[-3.0]),
+                            "k={k}: a NaN k-th rules out a score"
+                        );
+                    }
                 }
             }
         }
         assert!(ties > 0, "no rejected block held a tie with the k-th");
+        assert!(ties_kept > 0, "no block kept a tie with the k-th on its lower id");
         assert!(nan_bars > 0, "the stream must drive the bar to NaN");
         let mut finite = TopK::new(1);
-        finite.push(0u64, 0.5);
-        finite.push(1, 0.25);
-        assert!(finite.rejects_all(&[0.4, -1.0, f32::NEG_INFINITY]));
-        assert!(!finite.rejects_all(&[0.4, f32::NAN]));
-        assert!(!finite.rejects_all(&[0.4, 0.6]));
-        assert!(finite.rejects_all(&[0.4, 0.5]), "a later id loses the tie with the k-th");
+        finite.push(5u64, 0.5);
+        finite.push(7, 0.25);
+        assert!(finite.rejects_all(6, &[0.4, -1.0, f32::NEG_INFINITY]));
+        assert!(!finite.rejects_all(6, &[0.4, f32::NAN]));
+        assert!(!finite.rejects_all(6, &[0.4, 0.6]));
+        assert!(finite.rejects_all(6, &[0.4, 0.5]), "a later id loses the tie with the k-th");
+        assert!(!finite.rejects_all(3, &[0.4, 0.5]), "an earlier id wins the tie with the k-th");
+        assert!(!finite.rejects_all(5, &[0.5]), "the k-th's own id is not past it");
+    }
+
+    #[test]
+    fn compact_raises_the_bar_to_everything_offered() {
+        let mut best = TopK::new(3);
+        best.compact(); // fewer than k held: nothing to do
+        for (id, score) in [(4u64, 0.5), (1, 0.75), (9, 0.25)] {
+            assert!(best.push(id, score), "no bar yet: everything is kept");
+        }
+        assert!(!best.rejects_all(10, &[0.0]), "no compaction yet: no bar");
+        best.compact();
+        assert!(best.rejects_all(10, &[0.0, 0.25]), "the third best is the bar");
+        assert!(!best.rejects_all(8, &[0.25]), "an id below the k-th's wins its tie");
+        assert!(best.push(2, 0.9));
+        assert!(!best.push(10, 0.25), "a tie with the k-th on a later id is dropped");
+        assert!(best.push(8, 0.25), "a tie with the k-th on an earlier id is kept");
+        best.compact();
+        assert_eq!(best.kth.map(|kth| kth.0), Some(4));
+        assert_eq!(best.into_sorted(), vec![(2, 0.9), (1, 0.75), (4, 0.5)]);
+        let mut none = TopK::<u64>::new(0);
+        none.compact();
+        assert!(none.into_sorted().is_empty());
     }
 
     #[test]

@@ -5,9 +5,8 @@
 # No stage re-runs a suite under a TSDX_* variable: every run-time switch has
 # a per-thread override, so the suites cross buffer recycling x f32 kernel in
 # process (the matrix test of crates/core/tests/streaming_parity.rs and the
-# other suites built on tsdx_tensor::dial::RunConfig). Every kernel runs on
-# its caller's thread; the index scan's worker split is a unit test in
-# crates/index/src/vector_index.rs.
+# other suites built on tsdx_tensor::dial::RunConfig). Every kernel, and
+# the index scan, runs on its caller's thread.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
