@@ -21,10 +21,11 @@
 //!   stay under 1% of a step.
 //!
 //! - an **eval-forward profile** ([`eval_profile`]): what the served calls
-//!   cost with the metrics scope closed and open — `extract_window_batch`
-//!   per batch size and a coalesced stream round, with the records each
-//!   makes — then the self-time table of `extract_window_batch` at B = 1 and
-//!   B = 8 — ops against everything that is not an op — and a standalone
+//!   cost with no metrics scope, under the serve worker's stage scope and
+//!   under a full scope — `extract_window_batch` per batch size and a
+//!   coalesced stream round, with the records each makes under each tier —
+//!   then the self-time table of `extract_window_batch` at B = 1 and B = 8 —
+//!   ops against everything that is not an op — and a standalone
 //!   per-shape table of that forward's products, row kernels and broadcast
 //!   adds, with the attention op timed against the composition it replaced
 //!   and, outside `--quick` on an AVX-512 host, its floors asserted.
@@ -102,12 +103,13 @@ fn alternated_us(rounds: usize, calls: usize, fs: &mut [&mut dyn FnMut()]) -> Ve
     samples.iter_mut().map(|s| median(s)).collect()
 }
 
-/// What a metrics scope costs `f`: median µs per call with no scope open,
-/// the median over rounds of (open − closed) with one open the way a serving
-/// worker runs it, and the records one call makes under it. The two sides
-/// take turns in short rounds and the difference is taken pair by pair, so a
-/// slow phase of the host lands on both sides of a pair.
-fn scope_cost_us(rounds: usize, calls: usize, f: &mut dyn FnMut()) -> (f64, f64, f64) {
+/// What each metrics tier costs `f`, per call: median µs with no scope open;
+/// the median over rounds of (open − closed) under a stage scope, the way a
+/// serving worker runs it, and under a full scope; and the records one call
+/// makes under each. The three sides take turns in short rounds and each
+/// difference is taken within its round, so a slow phase of the host lands
+/// on every side of it.
+fn scope_cost_us(rounds: usize, calls: usize, f: &mut dyn FnMut()) -> [f64; 5] {
     let (rounds, calls) = (rounds * 10, (calls / 10).max(1));
     let timed = |f: &mut dyn FnMut()| {
         let t = Instant::now();
@@ -116,16 +118,25 @@ fn scope_cost_us(rounds: usize, calls: usize, f: &mut dyn FnMut()) -> (f64, f64,
         }
         t.elapsed().as_secs_f64() * 1e6 / calls as f64
     };
+    // Per-call µs and records under the scope `open` returns.
+    let under = |open: fn() -> metrics::ScopeGuard, f: &mut dyn FnMut()| {
+        let scope = open();
+        let us = timed(f);
+        (us, scope.snapshot().total_records() as f64 / calls as f64)
+    };
     f(); // warm the arena and caches at this shape
-    let (mut closed, mut extra, mut records) = (Vec::new(), Vec::new(), 0);
+    let (mut closed, mut stage_extra, mut full_extra) = (Vec::new(), Vec::new(), Vec::new());
+    let mut records = [0.0; 2];
     for _ in 0..rounds {
         let off = timed(f);
-        let scope = metrics::scope();
-        extra.push(timed(f) - off);
-        records = scope.snapshot().total_records();
+        let (stage_us, stage_records) = under(metrics::stage_scope, f);
+        let (full_us, full_records) = under(metrics::scope, f);
         closed.push(off);
+        stage_extra.push(stage_us - off);
+        full_extra.push(full_us - off);
+        records = [stage_records, full_records];
     }
-    (median(&mut closed), median(&mut extra), records as f64 / calls as f64)
+    [median(&mut closed), median(&mut stage_extra), median(&mut full_extra), records[0], records[1]]
 }
 
 /// The composition `ops::attention` replaced, on the same unsplit operands.
@@ -146,7 +157,8 @@ fn composed_attention(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, scale: f
 /// **Calls**: `extract_window_batch` at each batch size and a coalesced
 /// stream round — two streams each pushing one group, one `encode_staged`,
 /// one `readout_staged`, the shape the `stream_pair` workload serves — timed
-/// with the metrics scope closed and open, with the records a call makes.
+/// with no metrics scope, under a stage scope (what a served request pays)
+/// and under a full one, with the records a call makes under each.
 /// **Self time**: `extract_window_batch` on `batch` clips under a metrics
 /// scope — every `op/*` span by self time per call, and the remainder that is
 /// no op (window validation, tubelet gather, bind, tape, allocator, decode,
@@ -168,11 +180,12 @@ fn eval_profile(quick: bool, batches: &[usize]) {
             .collect()
     };
 
-    // ---- Whole calls, scope closed and open. ----
+    // ---- Whole calls: no scope, stage scope, full scope. ----
     let mut call_rows: Vec<Vec<String>> = Vec::new();
     let mut call_row = |name: String, f: &mut dyn FnMut()| {
-        let (closed, extra, records) = scope_cost_us(rounds, calls, f);
-        call_rows.push(vec![name, us(closed), us(extra), format!("{records:.0}")]);
+        let [closed, stage, full, stage_records, full_records] = scope_cost_us(rounds, calls, f);
+        let records = format!("{stage_records:.0} / {full_records:.0}");
+        call_rows.push(vec![name, us(closed), us(stage), us(full), records]);
     };
     for &batch in batches {
         let clips = clips(batch);
@@ -202,9 +215,10 @@ fn eval_profile(quick: bool, batches: &[usize]) {
     );
     print_table(
         &format!(
-            "eval calls, metrics scope closed and open ({rounds} rounds x {calls} calls, median)"
+            "eval calls, metrics scope closed, stage and full ({rounds} rounds x {calls} calls, \
+             median)"
         ),
-        &["call", "µs", "scope open: + µs", "records"],
+        &["call", "µs", "stage scope: + µs", "scope open: + µs", "records (stage / full)"],
         &call_rows,
     );
 

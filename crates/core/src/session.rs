@@ -219,8 +219,8 @@ fn refresh_windows(
             assert_eq!(s.cfg, cfg, "stream state configuration does not match the model");
             if s.window.as_ref().is_some_and(|w| w.end == s.next_group) {
                 // Unchanged window: every group reused, no forward pass.
-                metrics::counter_add("stage/cache_hit", nt as u64);
-                metrics::counter_add("stage/window_hit", 1);
+                metrics::stage_count("stage/cache_hit", nt as u64);
+                metrics::stage_count("stage/window_hit", 1);
             } else {
                 stale.push(i);
             }
@@ -252,7 +252,7 @@ fn refresh_windows(
     }
     for (row, (&i, label)) in stale.iter().zip(&labels).enumerate() {
         let s = &mut *states[i];
-        metrics::counter_add("stage/cache_hit", nt.saturating_sub(s.fresh_groups) as u64);
+        metrics::stage_count("stage/cache_hit", nt.saturating_sub(s.fresh_groups) as u64);
         s.fresh_groups = 0;
         s.window = Some(WindowCache {
             end: s.next_group,
@@ -405,7 +405,7 @@ impl StreamState {
             self.ring.back().is_none_or(|c| c.index + 1 == group.index),
             "group cache ring must stay contiguous"
         );
-        metrics::counter_add("stage/cache_miss", 1);
+        metrics::stage_count("stage/cache_miss", 1);
         if self.ring.len() == self.cfg.n_time() {
             self.ring.pop_front();
         }

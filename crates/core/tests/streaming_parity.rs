@@ -7,7 +7,7 @@
 //! mode and f32 kernel (`RunConfig::matrix`). The reference here is
 //! a *fresh* session per window, which is the same single forward path
 //! `extract_checked` uses, so the two public entry points cannot drift apart
-//! either.
+//! either. Nor do the bits move with the metrics tier a forward runs under.
 //!
 //! Bitwise equality (via `f32::to_bits`) is deliberate: the caches reuse
 //! per-group spatial outputs, rounds batch encodes and readouts across
@@ -339,6 +339,7 @@ fn every_path_agrees_bitwise_under_every_run_configuration() {
             drop(scope);
 
             assert_eq!(snap.counter("dispatch/matmul_i8"), 0, "{ctx}");
+            assert!(snap.span("op/matmul").count > 0, "no f32 product was counted ({ctx})");
             let avx512 = snap.counter("dispatch/matmul_avx512") > 0;
             assert_eq!(avx512, rc.kernel == Kernel::Avx512, "{ctx}");
 
@@ -349,7 +350,67 @@ fn every_path_agrees_bitwise_under_every_run_configuration() {
             let want = first.get_or_insert_with(|| got.clone());
             assert!(got == *want, "the one-shot logits moved with the configuration ({ctx})");
         }
+
+        // Nor do they move with the metrics tier: no scope, the stage scope
+        // a serving worker holds, a full scope. The served B = 8 batch
+        // decodes the same scenarios under each.
+        let refs: Vec<&Tensor> = clips.iter().collect();
+        let mut served = None;
+        for open in [None, Some(metrics::stage_scope as fn() -> _), Some(metrics::scope)] {
+            let _scope = open.map(|open| open());
+            let got: Vec<Vec<u32>> = clips
+                .iter()
+                .map(|c| reference_logits(&ex, c))
+                .map(|l| [&l.ego, &l.road, &l.event, &l.position, &l.presence].map(bits).concat())
+                .collect();
+            assert!(
+                Some(&got) == first.as_ref(),
+                "a metrics tier moved the logits ({attention:?})"
+            );
+            let scenarios: Vec<_> =
+                ex.extract_window_batch(&refs).into_iter().map(Result::unwrap).collect();
+            assert_eq!(
+                &scenarios,
+                served.get_or_insert_with(|| scenarios.clone()),
+                "{attention:?}"
+            );
+        }
     }
+}
+
+#[test]
+fn a_two_stream_round_makes_six_stage_records() {
+    // What a serving worker's stage scope collects of a coalesced round:
+    // one group encode, a cache miss per new group, one readout and a
+    // cache-hit count per window, and nothing op-level.
+    let cfg = tiny_cfg(AttentionKind::Factorized, Readout::Cls);
+    let ex = ScenarioExtractor::untrained(cfg, 61);
+    let videos = [long_video(cfg.frames + cfg.tubelet_t, 0.3), long_video(cfg.frames + 2, 1.7)];
+    let mut muxed = [StreamState::new(cfg), StreamState::new(cfg)];
+    let mut round = |from: usize, len: usize| {
+        for (state, v) in muxed.iter_mut().zip(&videos) {
+            state.stage_frames(&slice_frames(v, from, len)).unwrap();
+        }
+        let mut refs: Vec<&mut StreamState> = muxed.iter_mut().collect();
+        encode_staged(ex.model(), &mut refs);
+        for readout in readout_staged(ex.model(), &mut refs) {
+            readout.unwrap();
+        }
+    };
+    round(0, cfg.frames);
+    let scope = metrics::stage_scope();
+    round(cfg.frames, cfg.tubelet_t);
+    let snap = scope.snapshot();
+    assert_eq!(snap.total_records(), 6, "{snap}");
+    let keys: Vec<&str> =
+        snap.counters.keys().chain(snap.hists.keys()).map(String::as_str).collect();
+    assert_eq!(
+        keys,
+        ["stage/cache_hit", "stage/cache_miss", "stage/mux_encode", "stage/stream_infer"]
+    );
+    assert!(snap.spans.is_empty(), "{snap}");
+    assert_eq!(snap.counter("stage/cache_miss"), 2);
+    assert_eq!(snap.counter("stage/cache_hit"), 2 * (cfg.n_time() as u64 - 1));
 }
 
 proptest! {

@@ -315,9 +315,10 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 fn worker_loop(shared: &Shared, extractor: &ScenarioExtractor) {
-    // All model stages of every batch record into this scope; snapshots are
-    // published after each batch for /stats.
-    let scope = metrics::scope();
+    // Every batch's stage histograms and stage counters record into this
+    // scope — what /stats serves, and nothing op-level — and a snapshot is
+    // published after each batch.
+    let scope = metrics::stage_scope();
     loop {
         let batch = {
             let mut q = lock(&shared.q);

@@ -966,10 +966,10 @@ mod tests {
                 r#"{{"ready":true,{counters}"cache":{{"group_hits":0,"group_misses":0,"window_hits":0}},"stages":{{}}}}"#
             )
         );
-        let scope = tsdx_tensor::metrics::scope();
+        let scope = tsdx_tensor::metrics::stage_scope();
         tsdx_tensor::metrics::observe_ns("stage/decode", 3_000);
         tsdx_tensor::metrics::observe_ns("stage/serve_batch", 7_000);
-        tsdx_tensor::metrics::counter_add("stage/cache_miss", 2);
+        tsdx_tensor::metrics::stage_count("stage/cache_miss", 2);
         stats.publish_worker_metrics(scope.snapshot());
         assert_eq!(
             stats.to_json(false),

@@ -3,11 +3,16 @@
 //! Two sources feed the endpoint. Cheap process-wide **counters** (atomics
 //! here) record every admission decision — accepted, shed, rejected,
 //! panicking — from whichever thread made it. **Latency distributions**
-//! come from the PR 4 metrics layer: the batch worker runs under a
-//! [`tsdx_tensor::metrics::scope`], so the per-stage histograms
-//! (`stage/tubelet_embed` → `stage/decode`, plus `stage/serve_batch`)
-//! accumulate there and are published after every batch for `/stats` to
-//! read without cross-thread metric plumbing.
+//! come from the metrics layer: the batch worker runs under a
+//! [`tsdx_tensor::metrics::stage_scope`], so the per-stage histograms —
+//! `stage/serve_batch` around a clip batch, `stage/tubelet_embed` →
+//! `stage/encoder` → `stage/heads` → `stage/decode` inside it, and the
+//! stream stages `stage/stream_stage`, `stage/mux_encode` and
+//! `stage/stream_infer` — and the group-cache counters (`stage/cache_hit`,
+//! `stage/cache_miss`, `stage/window_hit`) accumulate there and are
+//! published after every batch for `/stats` to read without cross-thread
+//! metric plumbing. The scope collects nothing op-level: a served forward
+//! records its stages and no kernel or layer spans.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -172,7 +177,7 @@ mod tests {
         let stats = ServeStats::default();
         ServeStats::inc(&stats.accepted);
         ServeStats::inc(&stats.shed_queue_full);
-        let scope = tsdx_tensor::metrics::scope();
+        let scope = tsdx_tensor::metrics::stage_scope();
         tsdx_tensor::metrics::stage("stage/serve_batch", || std::hint::black_box(1 + 1));
         stats.publish_worker_metrics(scope.snapshot());
         drop(scope);

@@ -7,7 +7,10 @@ mod common;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use common::{create_session, get, parse_u64_field, tiny_extractor, Client, HttpResponse};
+use common::{
+    create_session, get, parse_u64_field, post_clip, tiny_extractor, valid_pixels, Client,
+    HttpResponse,
+};
 use tsdx_serve::{json, Server, ServerConfig, SessionConfig};
 
 /// `POST /sessions/<id>/frames` with an octet-stream chunk.
@@ -72,6 +75,43 @@ fn session_lifecycle_round_trip() {
         Client::connect(addr).request("DELETE", &format!("/sessions/{id}"), &[], b"").unwrap();
     assert_eq!(resp.status, 404, "{}", resp.body);
 
+    server.shutdown();
+}
+
+#[test]
+fn stats_serve_every_stage_histogram_and_the_group_cache() {
+    let mut server = Server::start(tiny_extractor(), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    assert_eq!(post_clip(addr, "4x16x16", &valid_pixels(), &[]).unwrap().status, 200);
+    let window: Vec<f32> = (0..2).flat_map(|c| chunk_pixels(0, c)).collect();
+    for _ in 0..2 {
+        let resp = push_chunk(addr, create_session(addr), "4x16x16", &window);
+        assert!(resp.body.contains("\"ready\":true"), "{}", resp.body);
+    }
+    // The worker publishes after each round: by this clip's reply, every
+    // round before it is in `/stats`.
+    assert_eq!(post_clip(addr, "4x16x16", &valid_pixels(), &[]).unwrap().status, 200);
+
+    let stats = get(addr, "/stats");
+    let doc = json::parse(stats.body.as_bytes()).unwrap();
+    let Some(json::Json::Obj(stages)) = doc.get("stages") else { panic!("{}", stats.body) };
+    let keys: Vec<&str> = stages.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "stage/decode",
+            "stage/encoder",
+            "stage/heads",
+            "stage/mux_encode",
+            "stage/serve_batch",
+            "stage/stream_infer",
+            "stage/stream_stage",
+            "stage/tubelet_embed",
+        ],
+        "{}",
+        stats.body
+    );
+    assert!(parse_u64_field(&stats.body, "group_misses") > 0, "{}", stats.body);
     server.shutdown();
 }
 

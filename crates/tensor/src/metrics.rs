@@ -28,29 +28,46 @@
 //! ```
 //!
 //! Scopes nest: every record goes to *all* scopes open on the recording
-//! thread, so an outer scope still sees activity that an inner test scope
-//! also measured.
+//! thread that collect its tier, so an outer scope still sees activity that
+//! an inner test scope also measured.
+//!
+//! # Two tiers
+//!
+//! A [`scope`] is a **full** scope: it collects everything — the op-level
+//! records ([`span`], [`span_shared`], [`time`], [`counter_add`]) that
+//! attribute a forward's time to kernels and layers, and the stage records.
+//! Tests and the `profile` binary open one. A [`stage_scope`] collects only
+//! the **stage** records — [`stage`] histograms, [`observe_ns`] and
+//! [`stage_count`] — which is all a server's `/stats` reads: the serve
+//! batch worker holds one for its whole life, so a served B = 1 forward
+//! makes 4 records (`stage/tubelet_embed`, `stage/encoder`, `stage/heads`,
+//! `stage/decode`) where a full scope makes about 160. A full scope nested
+//! in a stage scope sees every record; the stage scope still holds only
+//! stage keys.
 //!
 //! # Zero cost when disabled
 //!
-//! When no scope is open anywhere in the process, every recording function
-//! reduces to **one relaxed load of one static atomic and a branch** — no
-//! allocation, no syscalls, no thread-local initialization
+//! Two static atomics count the open scopes: one of either tier, one of
+//! full scopes. A stage record checks the first, an op-level record the
+//! second, so with no scope open anywhere in the process — and, for an
+//! op-level record, while only stage scopes are open — every recording
+//! function reduces to **one relaxed load of one static atomic and a
+//! branch**: no allocation, no syscalls, no thread-local initialization
 //! (`tests/metrics_overhead.rs` proves zero allocations and bounds the
 //! wall-time cost; the `profile` bench binary quantifies it). There is no
 //! variable to set: a scope is the only way to collect.
 //!
 //! # Cheap when enabled
 //!
-//! A serving worker keeps a scope open for its whole life, so a record under
-//! an open scope is on the request path: a B = 1 extraction makes a few
-//! hundred of them. A collector therefore keeps each kind of metric in a
-//! small vector scanned by the **address** of the key — a call site passes
-//! the same literal (or the same shared name) every time, so the scan is
-//! pointer compares and one short string compare to confirm — and falls back
-//! to comparing names. A name is copied once, when a collector first sees
-//! it; after that a record allocates nothing (`tests/metrics_overhead.rs`
-//! counts). Sorted, `String`-keyed maps exist only in a [`Snapshot`].
+//! A full scope sees a few hundred records per B = 1 extraction, and the
+//! `profile` binary times forwards under one. A collector therefore keeps
+//! each kind of metric in a small vector scanned by the **address** of the
+//! key — a call site passes the same literal (or the same shared name)
+//! every time, so the scan is pointer compares and one short string compare
+//! to confirm — and falls back to comparing names. A name is copied once,
+//! when a collector first sees it; after that a record allocates nothing
+//! (`tests/metrics_overhead.rs` counts). Sorted, `String`-keyed maps exist
+//! only in a [`Snapshot`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -65,16 +82,25 @@ use std::time::Instant;
 /// ~18 minutes.
 pub const HIST_BUCKETS: usize = 40;
 
-// Open scopes across all threads. The hot-path check in `active()` is a
-// single relaxed load of this static.
+// Open scopes of either tier across all threads: what a stage record
+// checks, one relaxed load.
 static ACTIVE_SINKS: AtomicUsize = AtomicUsize::new(0);
+// Open full scopes across all threads: what an op-level record checks.
+static FULL_SINKS: AtomicUsize = AtomicUsize::new(0);
 
-/// True when at least one [`scope`] is open on some thread. The disabled
-/// path is a single branch on a static: recording functions call this and
-/// return immediately.
+/// True when at least one scope of either tier is open on some thread. The
+/// disabled path is a single branch on a static: stage records call this
+/// and return immediately.
 #[inline]
 pub fn active() -> bool {
     ACTIVE_SINKS.load(Ordering::Relaxed) != 0
+}
+
+/// True when at least one full [`scope`] is open on some thread: the
+/// op-level records' branch.
+#[inline]
+fn full_active() -> bool {
+    FULL_SINKS.load(Ordering::Relaxed) != 0
 }
 
 /// Aggregate statistics of one span key.
@@ -251,6 +277,8 @@ impl<T: Default + Clone> Table<T> {
 
 #[derive(Default)]
 struct Collector {
+    /// A full scope's collector; a stage scope's keeps stage records only.
+    full: bool,
     counters: Table<u64>,
     spans: Table<SpanStat>,
     hists: Table<Histogram>,
@@ -279,11 +307,15 @@ thread_local! {
     static CHILD_NS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Applies `f` to every collector open on this thread.
-fn with_collectors(f: impl Fn(&mut Collector)) {
+/// Applies `f` to every collector open on this thread, or with `full_only`
+/// to the full scopes' ones.
+fn with_collectors(full_only: bool, f: impl Fn(&mut Collector)) {
     COLLECTORS.with(|c| {
         for rc in c.borrow().iter() {
-            f(&mut rc.borrow_mut());
+            let mut c = rc.borrow_mut();
+            if c.full || !full_only {
+                f(&mut c);
+            }
         }
     });
 }
@@ -306,6 +338,9 @@ impl ScopeGuard {
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
+        if self.collector.borrow().full {
+            FULL_SINKS.fetch_sub(1, Ordering::SeqCst);
+        }
         COLLECTORS.with(|c| {
             let mut stack = c.borrow_mut();
             let pos = stack
@@ -318,42 +353,71 @@ impl Drop for ScopeGuard {
     }
 }
 
-/// Opens a collection scope on the calling thread.
+/// Opens a full collection scope on the calling thread.
 ///
 /// Until the returned guard is dropped, every metric recorded **by this
-/// thread** is collected and readable via [`ScopeGuard::snapshot`].
-/// Other threads' scopes are unaffected — concurrent tests cannot observe
-/// each other. Scopes nest; inner activity is visible to outer scopes.
+/// thread** — op-level and stage records alike — is collected and readable
+/// via [`ScopeGuard::snapshot`]. Other threads' scopes are unaffected —
+/// concurrent tests cannot observe each other. Scopes nest; inner activity
+/// is visible to outer scopes.
 pub fn scope() -> ScopeGuard {
-    let collector = Rc::new(RefCell::new(Collector::default()));
+    open_scope(true)
+}
+
+/// Opens a stage scope on the calling thread: like [`scope`], but it
+/// collects only [`stage`] histograms, [`observe_ns`] and [`stage_count`].
+/// The op-level records ([`span`], [`span_shared`], [`time`],
+/// [`counter_add`]) never reach it, and while no full scope is open in the
+/// process each of them is one static branch.
+pub fn stage_scope() -> ScopeGuard {
+    open_scope(false)
+}
+
+fn open_scope(full: bool) -> ScopeGuard {
+    let collector = Rc::new(RefCell::new(Collector { full, ..Collector::default() }));
     COLLECTORS.with(|c| c.borrow_mut().push(Rc::clone(&collector)));
     ACTIVE_SINKS.fetch_add(1, Ordering::SeqCst);
+    if full {
+        FULL_SINKS.fetch_add(1, Ordering::SeqCst);
+    }
     ScopeGuard { collector }
 }
 
-/// Adds `n` to the counter `key` in every open collector on this thread.
-/// A no-op (single static branch, no allocation) when metrics are disabled.
+/// Adds `n` to the op-level counter `key` in every full scope open on this
+/// thread. A no-op (single static branch, no allocation) while no full
+/// scope is open.
 #[inline]
 pub fn counter_add(key: &str, n: u64) {
+    if !full_active() {
+        return;
+    }
+    count_slow(true, key, n);
+}
+
+/// Adds `n` to the stage counter `key` in every open scope of either tier
+/// on this thread — the counters a server's `/stats` reads. A no-op (single
+/// static branch, no allocation) when no scope is open.
+#[inline]
+pub fn stage_count(key: &str, n: u64) {
     if !active() {
         return;
     }
-    counter_add_slow(key, n);
+    count_slow(false, key, n);
 }
 
 #[cold]
-fn counter_add_slow(key: &str, n: u64) {
-    with_collectors(|c| {
+fn count_slow(full_only: bool, key: &str, n: u64) {
+    with_collectors(full_only, |c| {
         c.records += 1;
         *c.counters.slot(key) += n;
     });
 }
 
-/// Two counters bumped by one event, as **one** record — a buffer take is a
-/// hit and its bytes, and a forward takes dozens of buffers.
+/// Two op-level counters bumped by one event, as **one** record — a buffer
+/// take is a hit and its bytes, and a forward takes dozens of buffers.
 #[inline]
 pub(crate) fn counter_add2(a: &str, na: u64, b: &str, nb: u64) {
-    if !active() {
+    if !full_active() {
         return;
     }
     counter_add2_slow(a, na, b, nb);
@@ -361,7 +425,7 @@ pub(crate) fn counter_add2(a: &str, na: u64, b: &str, nb: u64) {
 
 #[cold]
 fn counter_add2_slow(a: &str, na: u64, b: &str, nb: u64) {
-    with_collectors(|c| {
+    with_collectors(true, |c| {
         c.records += 1;
         *c.counters.slot(a) += na;
         *c.counters.slot(b) += nb;
@@ -376,8 +440,9 @@ pub fn current_counter(key: &str) -> u64 {
     })
 }
 
-/// Records one observation of `ns` nanoseconds into histogram `key`.
-/// A no-op (single static branch) when metrics are disabled.
+/// Records one observation of `ns` nanoseconds into histogram `key`, in
+/// scopes of either tier. A no-op (single static branch) when no scope is
+/// open.
 #[inline]
 pub fn observe_ns(key: &str, ns: u64) {
     if !active() {
@@ -388,7 +453,7 @@ pub fn observe_ns(key: &str, ns: u64) {
 
 #[cold]
 fn observe_ns_slow(key: &str, ns: u64) {
-    with_collectors(|c| {
+    with_collectors(false, |c| {
         c.records += 1;
         c.hists.slot(key).observe(ns);
     });
@@ -396,8 +461,8 @@ fn observe_ns_slow(key: &str, ns: u64) {
 
 /// An open span timer; created by [`span`]/[`span_shared`], recorded on drop.
 ///
-/// Inert (`None` payload, nothing allocated) when metrics were disabled at
-/// creation.
+/// Inert (`None` payload, nothing allocated) when no scope of its tier was
+/// open in the process at creation.
 pub struct Span {
     inner: Option<SpanInner>,
 }
@@ -424,13 +489,13 @@ impl SpanKey {
     }
 }
 
-/// Opens a wall-time span named `key`. The elapsed time is recorded when
-/// the returned guard drops; nested spans subtract their time from this
-/// span's *self* time. Single static branch and no allocation when
-/// metrics are disabled.
+/// Opens an op-level wall-time span named `key`, collected by full scopes.
+/// The elapsed time is recorded when the returned guard drops; nested spans
+/// subtract their time from this span's *self* time. Single static branch
+/// and no allocation while no full scope is open.
 #[inline]
 pub fn span(key: &'static str) -> Span {
-    if !active() {
+    if !full_active() {
         return Span { inner: None };
     }
     open_span(SpanKey::Static(key), false)
@@ -441,15 +506,15 @@ pub fn span(key: &'static str) -> Span {
 /// allocates a name.
 #[inline]
 pub fn span_shared(key: &Arc<str>) -> Span {
-    if !active() {
+    if !full_active() {
         return Span { inner: None };
     }
     open_span(SpanKey::Shared(Arc::clone(key)), false)
 }
 
-/// Times `f` under span `key` and additionally records the elapsed time
-/// into the histogram of the same key — the per-stage latency primitive
-/// used on the inference path.
+/// Times `f` into the histogram `key` — the per-stage latency primitive
+/// used on the inference path, collected by scopes of either tier — and,
+/// in full scopes, under the span of the same key too.
 #[inline]
 pub fn stage<R>(key: &'static str, f: impl FnOnce() -> R) -> R {
     if !active() {
@@ -459,10 +524,10 @@ pub fn stage<R>(key: &'static str, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Times `f` under span `key` (no histogram).
+/// Times `f` under the op-level span `key` (no histogram).
 #[inline]
 pub fn time<R>(key: &'static str, f: impl FnOnce() -> R) -> R {
-    if !active() {
+    if !full_active() {
         return f();
     }
     let _span = open_span(SpanKey::Static(key), false);
@@ -483,12 +548,14 @@ impl Drop for Span {
         let child_ns = CHILD_NS.replace(inner.outer_child_ns + elapsed);
         let self_ns = elapsed.saturating_sub(child_ns);
         let key = inner.key.as_str();
-        with_collectors(|c| {
+        with_collectors(!inner.also_hist, |c| {
             c.records += 1;
-            let stat = c.spans.slot(key);
-            stat.count += 1;
-            stat.total_ns += elapsed;
-            stat.self_ns += self_ns;
+            if c.full {
+                let stat = c.spans.slot(key);
+                stat.count += 1;
+                stat.total_ns += elapsed;
+                stat.self_ns += self_ns;
+            }
             if inner.also_hist {
                 c.hists.slot(key).observe(elapsed);
             }

@@ -12,8 +12,9 @@ use crate::workspace::{self, Buffer};
 /// Every time a tensor's elements are physically copied to satisfy a layout
 /// requirement (a `contiguous()` gather, a copy-on-write in
 /// [`Tensor::data_mut`], a reshape of a non-contiguous view), the counter
-/// [`KEY`](copy_metrics::KEY) increments in every open [`crate::metrics`]
-/// scope on the calling thread. View operations — `reshape` of contiguous
+/// [`KEY`](copy_metrics::KEY) increments in every full [`crate::metrics`]
+/// scope open on the calling thread (it is an op-level record: a
+/// [`crate::metrics::stage_scope`] does not count it). View operations — `reshape` of contiguous
 /// tensors, `permute`, `transpose`, `narrow`, `slice`, `split` — must not
 /// move data and therefore must not bump this counter; tests assert exactly
 /// that by opening a fresh scope and asserting the absolute count, which
@@ -25,10 +26,12 @@ pub mod copy_metrics {
     pub const KEY: &str = "tensor/copies";
 
     /// Number of buffer materializations observed by the innermost open
-    /// [`crate::metrics`] scope on this thread (0 when no scope is open).
+    /// [`crate::metrics`] scope on this thread (0 when no scope is open, or
+    /// when the innermost one is a stage scope, which does not count them).
     ///
-    /// Open a fresh [`metrics::scope`] around the code under test and read
-    /// the absolute value — never diff two reads of an ambient counter.
+    /// Open a fresh full [`metrics::scope`] innermost around the code under
+    /// test and read the absolute value — never diff two reads of an ambient
+    /// counter.
     pub fn copies() -> usize {
         metrics::current_counter(KEY) as usize
     }

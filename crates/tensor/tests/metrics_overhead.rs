@@ -12,8 +12,8 @@
 //!    be under 1% of the matmul's own wall time. The per-call cost and the
 //!    call count are measured, not assumed.
 //!
-//! The enabled claim: a serving worker keeps a scope open for life, so under
-//! an open scope a record is on the request path. Two more checks:
+//! The enabled claim: `profile` times forwards under a full scope, so a
+//! record there is inside the number it reports. Two more checks:
 //!
 //! 3. **Zero allocations in steady state**: once a collector has seen a key,
 //!    recording under it — counter, histogram, static span, shared-name
@@ -26,6 +26,15 @@
 //!    What a forward pays is this times its record count, which
 //!    `crates/core/tests/alloc_regression.rs` pins.
 //!
+//! The stage-tier claim: a serving worker keeps a stage scope open for
+//! life, and its forwards run the op-level records anyway. One more check:
+//!
+//! 5. **Op-level records stay out of a stage scope**: on a thread whose
+//!    only scope is a stage scope, a counter, static span, shared-name span
+//!    and timed closure record nothing and allocate nothing, even while
+//!    another thread holds a full scope, which arms the op-level branch for
+//!    the whole process.
+//!
 //! This file holds exactly ONE test on purpose: it must be the only code in
 //! its process, because a metrics scope opened by a concurrently running
 //! test would globally arm the fast-path branch and invalidate the
@@ -33,7 +42,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use tsdx_tensor::{metrics, ops, Tensor};
@@ -196,4 +205,30 @@ fn disabled_path_allocates_nothing_and_costs_under_one_percent() {
          reference's {reference:.1} ns on top",
         (span - clock) / reference
     );
+
+    // 5. Stage tier, beside another thread's full scope.
+    std::thread::scope(|t| {
+        let (opened, wait_opened) = mpsc::channel();
+        let (done, wait_done) = mpsc::channel::<()>();
+        t.spawn(move || {
+            let _full = metrics::scope();
+            opened.send(()).unwrap();
+            // Returns once `done` drops, a failed assertion's unwind too.
+            let _ = wait_done.recv();
+        });
+        wait_opened.recv().unwrap();
+        let stage = metrics::stage_scope();
+        let op_level = |i: u64| {
+            metrics::counter_add("test/stage_tier/counter", i);
+            drop(metrics::span("test/stage_tier/span"));
+            drop(metrics::span_shared(&layer));
+            std::hint::black_box(metrics::time("test/stage_tier/time", || i));
+        };
+        let before = allocs_on_this_thread();
+        (0..4_000).for_each(op_level);
+        assert_eq!(allocs_on_this_thread() - before, 0, "an op-level record allocated");
+        let snap = stage.snapshot();
+        assert_eq!(snap.total_records(), 0, "a stage scope collected op-level records: {snap}");
+        drop(done);
+    });
 }

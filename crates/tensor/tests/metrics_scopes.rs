@@ -1,11 +1,16 @@
 //! Integration tests for the scoped metrics layer: scope isolation under
-//! real kernels, and the guarantee that turning metrics on never changes
-//! numerical results.
+//! real kernels, what each of the two tiers collects, and the guarantee that
+//! turning metrics on — either tier — never changes numerical results.
 //!
-//! The disabled-path cost proofs (zero allocations, <1% wall time) live in
+//! The cost proofs (zero allocations, <1% wall time disabled, bounded cost
+//! enabled, no allocation by op-level records under a stage scope) live in
 //! `tests/metrics_overhead.rs`, which must own its whole process.
 
-use tsdx_tensor::{metrics, ops, Tensor};
+use std::collections::BTreeSet;
+use std::sync::{mpsc, Arc};
+
+use tsdx_tensor::metrics::{self, Snapshot};
+use tsdx_tensor::{ops, Tensor};
 
 #[test]
 fn scopes_isolate_concurrent_matmuls() {
@@ -35,16 +40,95 @@ fn scopes_isolate_concurrent_matmuls() {
     );
 }
 
-/// Runs `f` once with a metrics scope open and once without, and asserts
-/// bit-identical outputs.
+/// Runs `f` with no scope open, under a stage scope and under a full
+/// scope, and asserts bit-identical outputs.
 fn assert_parity(f: impl Fn() -> Tensor) {
-    let plain = f();
-    let metered = {
-        let _scope = metrics::scope();
-        f()
-    };
-    assert_eq!(plain.to_vec(), metered.to_vec(), "metrics collection changed results");
-    assert_eq!(plain.shape(), metered.shape());
+    let bits = |t: Tensor| (t.shape().to_vec(), t.to_vec().iter().map(|x| x.to_bits()).collect());
+    let plain: (Vec<usize>, Vec<u32>) = bits(f());
+    for open in [metrics::stage_scope, metrics::scope] {
+        let _scope = open();
+        assert_eq!(bits(f()), plain, "metrics collection changed results");
+    }
+}
+
+/// Every recording primitive once, a matmul's op-level records among them.
+fn record_every_kind() {
+    let a = Tensor::from_fn(&[8, 8], |i| (i % 5) as f32);
+    std::hint::black_box(ops::matmul(&a, &a));
+    drop(metrics::span("test/span"));
+    drop(metrics::span_shared(&Arc::from("test/layer")));
+    metrics::time("test/time", || ());
+    metrics::counter_add("test/op_counter", 1);
+    metrics::stage("test/stage", || ());
+    metrics::observe_ns("test/observed", 1_000);
+    metrics::stage_count("test/stage_counter", 2);
+}
+
+/// Every key a snapshot holds, of any kind.
+fn keys(snap: &Snapshot) -> BTreeSet<&str> {
+    let (c, s, h) = (snap.counters.keys(), snap.spans.keys(), snap.hists.keys());
+    c.chain(s).chain(h).map(String::as_str).collect()
+}
+
+/// What a stage scope holds after [`record_every_kind`]: the two
+/// histograms and the stage counter, three records.
+fn assert_stage_records_only(snap: &Snapshot) {
+    assert_eq!(keys(snap), BTreeSet::from(["test/observed", "test/stage", "test/stage_counter"]));
+    assert!(snap.spans.is_empty(), "a stage scope keeps no span: {snap}");
+    assert_eq!(snap.counter("test/stage_counter"), 2);
+    assert_eq!(snap.total_records(), 3);
+}
+
+#[test]
+fn a_stage_scope_collects_stage_records_only_while_another_thread_holds_a_full_scope() {
+    std::thread::scope(|t| {
+        let (opened, wait_opened) = mpsc::channel();
+        let (recorded, wait_recorded) = mpsc::channel::<()>();
+        let full = t.spawn(move || {
+            let full = metrics::scope();
+            opened.send(()).unwrap();
+            // Returns once `recorded` drops, a failed assertion's unwind too.
+            let _ = wait_recorded.recv();
+            record_every_kind();
+            full.snapshot()
+        });
+        wait_opened.recv().unwrap();
+        let stage = metrics::stage_scope();
+        record_every_kind();
+        drop(recorded);
+        assert_stage_records_only(&stage.snapshot());
+        assert_every_record(&full.join().unwrap());
+    });
+}
+
+/// What a full scope holds after [`record_every_kind`]: every record.
+fn assert_every_record(snap: &Snapshot) {
+    for key in ["op/matmul", "test/span", "test/layer", "test/time", "test/stage"] {
+        assert_eq!(snap.span(key).count, 1, "{key}: {snap}");
+    }
+    assert_eq!(snap.counter("test/op_counter"), 1);
+    assert_eq!(snap.counter("test/stage_counter"), 2);
+    assert_eq!(snap.hists["test/stage"].count, 1);
+    assert_eq!(snap.hists["test/observed"].count, 1);
+}
+
+#[test]
+fn a_full_scope_nested_in_a_stage_scope_sees_every_record() {
+    let stage = metrics::stage_scope();
+    let full = metrics::scope();
+    record_every_kind();
+    assert_every_record(&full.snapshot());
+    drop(full);
+    assert_stage_records_only(&stage.snapshot());
+    drop(stage);
+
+    // The other way round: the outer full scope sees everything, the inner
+    // stage scope its stage records only.
+    let full = metrics::scope();
+    let stage = metrics::stage_scope();
+    record_every_kind();
+    assert_stage_records_only(&stage.snapshot());
+    assert_every_record(&full.snapshot());
 }
 
 #[test]
