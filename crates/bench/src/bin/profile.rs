@@ -26,9 +26,10 @@
 //!   coalesced stream round, with the records each makes under each tier —
 //!   then the self-time table of `extract_window_batch` at B = 1 and B = 8 —
 //!   ops against everything that is not an op — and a standalone
-//!   per-shape table of that forward's products, row kernels and broadcast
-//!   adds, with the attention op timed against the composition it replaced
-//!   and, outside `--quick` on an AVX-512 host, its floors asserted.
+//!   per-shape table of that forward's products, GELU passes, row kernels,
+//!   tubelet gather and broadcast adds, with the attention op timed against
+//!   the composition it replaced and, outside `--quick` on an AVX-512 host,
+//!   its floors asserted.
 //!
 //! - an **index-scan profile** ([`index_profile`]): the index's distinct
 //!   rows, resident MB and build rate, then µs per query, rows per µs and
@@ -162,13 +163,14 @@ fn composed_attention(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, scale: f
 /// **Self time**: `extract_window_batch` on `batch` clips under a metrics
 /// scope — every `op/*` span by self time per call, and the remainder that is
 /// no op (window validation, tubelet gather, bind, tape, allocator, decode,
-/// the spans themselves). **Per shape**: each product, row kernel and
-/// broadcast add of the default model's forward at that batch size, timed
-/// standalone, the attention op alternated with the composed sequence it
-/// replaced. Outside `--quick`, on a host whose f32 kernel is the AVX-512
-/// one, the attention-core floors are asserted: at `[32, 17, 64]`, 4 heads,
-/// the op at least 1.4× faster than the composition for `Tq = 17` and 2× for
-/// the CLS row (`Tq = 1`), and at `[8, 5, 64]` not slower.
+/// the spans themselves). **Per shape**: each product, GELU pass, row kernel,
+/// tubelet gather and broadcast add of the default model's forward at that
+/// batch size, timed standalone, the attention op alternated with the
+/// composed sequence it replaced. Outside `--quick`, on a host whose f32
+/// kernel is the AVX-512 one, the attention-core floors are asserted: at
+/// `[32, 17, 64]`, 4 heads, the op at least 1.4× faster than the composition
+/// for `Tq = 17` and 2× for the CLS row (`Tq = 1`), and at `[8, 5, 64]` not
+/// slower.
 fn eval_profile(quick: bool, batches: &[usize]) {
     let cfg = ModelConfig::default();
     let ex = ScenarioExtractor::untrained(cfg, 17);
@@ -311,6 +313,14 @@ fn eval_profile(quick: bool, batches: &[usize]) {
                 },
             );
         }
+        // The GELU pass of each `fc1` alone: what the activation adds to
+        // the `Gelu` rows above.
+        for rows in [batch * nt * (ns + 1), batch * nt, batch * (nt + 1)] {
+            let x = val(&[rows, hidden], 0.013);
+            time(format!("gelu [{rows},{hidden}]"), &mut || {
+                std::hint::black_box(ops::gelu(&x));
+            });
+        }
         let (gamma, beta) = (val(&[d], 0.3), val(&[d], 0.2));
         for rows in [batch * nt * (ns + 1), batch * (nt + 1), batch * nt] {
             let x = val(&[rows, d], 0.013);
@@ -326,6 +336,13 @@ fn eval_profile(quick: bool, batches: &[usize]) {
                 std::hint::black_box(ops::softmax_last(&x));
             });
         }
+        let videos = val(&[batch, cfg.frames, cfg.height, cfg.width], 0.0137);
+        time(
+            format!("extract_tubelets [{batch},{},{},{}]", cfg.frames, cfg.height, cfg.width),
+            &mut || {
+                std::hint::black_box(tsdx_core::extract_tubelets(&cfg, &videos));
+            },
+        );
         let tokens = val(&[batch, nt, ns, d], 0.013);
         let pos_space = val(&[1, ns, d], 0.017);
         time(format!("add [{batch},{nt},{ns},{d}] + [1,{ns},{d}] (pos_space)"), &mut || {

@@ -43,34 +43,42 @@ pub fn extract_tubelets(cfg: &ModelConfig, videos: &Tensor) -> Tensor {
         "frame count {frames} is not a positive multiple of tubelet_t ({tt})"
     );
     let b = sh[0];
-    let nt = frames / tt;
-    let (nh, nw, p) = (cfg.height / cfg.patch, cfg.width / cfg.patch, cfg.patch);
-    let ns = nh * nw;
-    let vol = cfg.tubelet_volume();
-    let (h, w) = (cfg.height, cfg.width);
     let videos = videos.contiguous(); // the pixel gather below indexes the flat buffer
-    let src = videos.data();
+    let shape = [b, frames / tt * cfg.n_space(), cfg.tubelet_volume()];
     // Assembled in an arena buffer: one `p`-long run per patch row, in
-    // token order.
-    Tensor::from_extend(&[b, nt * ns, vol], |out| {
-        for bi in 0..b {
-            let clip = &src[bi * frames * h * w..(bi + 1) * frames * h * w];
-            for g in 0..nt {
-                for py in 0..nh {
-                    for px in 0..nw {
-                        // One tubelet: frames [g*tt, (g+1)*tt), patch (py, px).
-                        for f in 0..tt {
-                            let frame = &clip[(g * tt + f) * h * w..(g * tt + f + 1) * h * w];
-                            for r in 0..p {
-                                let row = (py * p + r) * w + px * p;
-                                out.extend_from_slice(&frame[row..row + p]);
-                            }
+    // token order. A run whose length is a constant compiles to a couple of
+    // vector moves; one known only at run time is a `memcpy` call each, so
+    // the default patch gets its own compile.
+    Tensor::from_extend(&shape, |out| match cfg.patch {
+        8 => gather::<8>(cfg, videos.data(), frames, out),
+        _ => gather::<0>(cfg, videos.data(), frames, out),
+    })
+}
+
+/// The tubelets of the packed clips `src` (`frames` frames each), appended
+/// to `out` in token order. `P` is `cfg.patch` as a constant, or 0 for a
+/// patch with no arm of its own, whose runs then take their length from
+/// `cfg` — the same elements either way.
+fn gather<const P: usize>(cfg: &ModelConfig, src: &[f32], frames: usize, out: &mut Vec<f32>) {
+    let p = if P == 0 { cfg.patch } else { P };
+    debug_assert_eq!(p, cfg.patch);
+    let (tt, h, w) = (cfg.tubelet_t, cfg.height, cfg.width);
+    let (nh, nw) = (h / p, w / p);
+    for clip in src.chunks_exact(frames * h * w) {
+        for group in clip.chunks_exact(tt * h * w) {
+            for py in 0..nh {
+                for px in 0..nw {
+                    // One tubelet: the group's `tt` frames at patch (py, px).
+                    for frame in group.chunks_exact(h * w) {
+                        for r in 0..p {
+                            let row = (py * p + r) * w + px * p;
+                            out.extend_from_slice(&frame[row..][..p]);
                         }
                     }
                 }
             }
         }
-    })
+    }
 }
 
 /// Learned tubelet embedding: projection plus the spatial positional
@@ -189,6 +197,50 @@ mod tests {
             for e in 0..32 {
                 assert_eq!(partial.at(&[0, token, e]), full.at(&[0, 4 + token, e]));
             }
+        }
+    }
+
+    /// The tubelets written out one pixel at a time: token `g·ns + py·nw +
+    /// px`, element `f·p² + r·p + c` is pixel `(py·p + r, px·p + c)` of
+    /// frame `g·tt + f`.
+    fn naive_tubelets(cfg: &ModelConfig, v: &Tensor) -> Vec<f32> {
+        let (b, frames) = (v.shape()[0], v.shape()[1]);
+        let (tt, p, h, w) = (cfg.tubelet_t, cfg.patch, cfg.height, cfg.width);
+        let mut out = Vec::new();
+        for bi in 0..b {
+            for g in 0..frames / tt {
+                for py in 0..h / p {
+                    for px in 0..w / p {
+                        for f in 0..tt {
+                            for r in 0..p {
+                                for c in 0..p {
+                                    out.push(v.at(&[bi, g * tt + f, py * p + r, px * p + c]));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_default_patch_gathers_what_a_naive_loop_gathers() {
+        let cfg = ModelConfig::default();
+        assert_eq!(cfg.patch, 8, "the fixed-width gather this test covers");
+        let (h, w) = (cfg.height, cfg.width);
+        // Whole windows at B = 1 and 3, and one streamed group.
+        for (b, frames) in [(1, cfg.frames), (3, cfg.frames), (1, cfg.tubelet_t)] {
+            let v = Tensor::from_fn(&[b, frames, h, w], |i| (i as f32 * 0.37).sin());
+            let t = extract_tubelets(&cfg, &v);
+            assert_eq!(
+                t.shape(),
+                &[b, frames / cfg.tubelet_t * cfg.n_space(), cfg.tubelet_volume()]
+            );
+            let want = naive_tubelets(&cfg, &v);
+            let same = t.data().iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same && t.numel() == want.len(), "B = {b}, {frames} frames");
         }
     }
 

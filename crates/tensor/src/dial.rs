@@ -122,8 +122,9 @@ impl Precision {
     }
 }
 
-/// The f32 GEMM micro-kernel behind [`crate::ops::matmul`]. Both produce the
-/// same bits; only timings differ.
+/// The f32 GEMM micro-kernel behind [`crate::ops::matmul`], and with it the
+/// compile of the GELU pass and the row softmax (the baseline's, or the
+/// AVX-512F twin's). Both produce the same bits; only timings differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// The safe 4×16 register tile every CPU runs.
@@ -160,8 +161,9 @@ dial! {
     /// the process, off per thread in the parity and allocation suites.
     pub static RECYCLE: bool = None, |_| Ok(true);
 
-    /// The f32 GEMM kernel. No variable: the widest the CPU has for the
-    /// process, narrowed per thread by the kernel-parity suites.
+    /// The f32 GEMM kernel (and GELU/softmax compile). No variable: the
+    /// widest the CPU has for the process, narrowed per thread by the
+    /// kernel-parity suites.
     pub static KERNEL: Kernel = None, |_| Ok(*Kernel::available().last().expect("portable"));
 
     // pinned by benchmark/src/replay.rs — goes with the re-pin, ROADMAP item 1

@@ -9,8 +9,10 @@
 //! this workspace tests and several times faster per call.
 //!
 //! Every function is written so that a loop calling it over a slice
-//! **autovectorizes**, which is where the speed comes from (~0.45 ns per
-//! element for `exp` against ~1.8 ns scalar): straight-line bodies, no early
+//! **autovectorizes**, which is where the speed comes from (a slice of
+//! 69 632 floats: 0.74–0.88 ns per element for `exp` against 3.8–5.0 ns for
+//! `f32::exp`, an `x86-64-v3` build on one pinned vCPU of a 2-vCPU Xeon
+//! with AVX-512F, three runs of 31 rounds each): straight-line bodies, no early
 //! returns (ranges are computed both ways and selected), no float→int casts
 //! (`as i32` saturates, which the vectorizer cannot express — `exp` reads its
 //! integer out of the mantissa bits instead), polynomial steps as `mul_add`.
@@ -27,11 +29,11 @@
 
 /// Upper clamp for [`exp`]: anything past `ln(f32::MAX)` (88.7228…) with
 /// `n` still 128, so the final scale multiply overflows to `+inf` by itself.
-const EXP_HI: f32 = 89.0;
+pub(crate) const EXP_HI: f32 = 89.0;
 /// Lower clamp for [`exp`]: just above `ln(f32::MIN_POSITIVE)` (−87.33654…),
 /// so the result saturates at ~1.18e-38 and never goes subnormal — a
 /// subnormal product costs a microcode assist per element.
-const EXP_LO: f32 = -87.336_54;
+pub(crate) const EXP_LO: f32 = -87.336_54;
 
 /// log2(e), for range reduction.
 const LOG2E: f32 = std::f32::consts::LOG2_E;

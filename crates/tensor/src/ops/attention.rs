@@ -163,7 +163,7 @@ impl Ctx<'_> {
                     let q = self.q.mat(b, i0, 0);
                     mul_cols(self.avx512, s, tk, cols, q, ktile, rows, dh, per_head);
                 }
-                softmax_rows(s, p, tk, self.scale);
+                softmax_rows(self.avx512, s, p, tk, self.scale);
                 let per_head = Groups { count: heads, o_step: dv, a_step: block, b_step: dv };
                 let (pm, v) = (Mat { data: p, base: 0, rs: tk, cs: 1 }, self.v.mat(b, 0, 0));
                 mul_cols(self.avx512, &mut oslab[i0 * n..], n, 0..dv, pm, v, rows, tk, per_head);

@@ -192,19 +192,23 @@ pub fn tanh(a: &Tensor) -> Tensor {
     unary(a, fastmath::tanh)
 }
 
-const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
+pub(super) const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 
 /// GELU activation (tanh approximation), as used in transformer MLPs.
 ///
 /// Evaluated as `x · σ(2u)`, which is `0.5 · x · (1 + tanh u)` exactly: one
 /// `exp` and one divide per element instead of `tanh`'s two ranges, and the
 /// negative tail keeps its relative accuracy (`1 + tanh u` cancels there).
+/// The pass over the elements is the one [`super::linear`]'s epilogue runs,
+/// so the fused and the standalone activation agree bit for bit.
 pub fn gelu(a: &Tensor) -> Tensor {
-    unary(a, gelu_scalar)
+    let _span = crate::metrics::span("op/elementwise");
+    let mut out = a.to_vec();
+    super::matmul::gelu_in_place(super::matmul::use_avx512(), &mut out);
+    Tensor::from_vec(out, a.shape())
 }
 
-/// One element of [`gelu`]; [`super::linear`]'s epilogue evaluates this same
-/// expression, so the fused and the standalone activation agree bit for bit.
+/// One element of [`gelu`].
 #[inline]
 pub(crate) fn gelu_scalar(x: f32) -> f32 {
     x * fastmath::sigmoid(2.0 * GELU_C * (x + 0.044_715 * x * x * x))

@@ -29,6 +29,14 @@
 //! and residual applied in place to the rows the kernel has just written —
 //! so an affine layer is one call and one output buffer.
 //!
+//! [`avx512`] also holds two *twins*: the GELU pass ([`gelu_in_place`]) and
+//! the row softmax ([`super::reduce`]'s `softmax_rows`), each one safe
+//! `#[inline(always)]` body compiled a second time inside a
+//! `#[target_feature(enable = "avx512f")]` function, where LLVM vectorizes
+//! it over `zmm` registers (about a quarter off either pass at the model's
+//! shapes). The same `avx512` flag that picks the GEMM kernel picks the
+//! compile, so [`KERNEL`] is the one switch for all three.
+//!
 //! # Numerics
 //!
 //! Every output element, on every path, is **one `f32` accumulator
@@ -119,7 +127,7 @@ impl Epilogue<'_> {
     /// once, the chain the separate bias-add, activation and residual-add
     /// ops produce. Each step is a plain slice loop, which is what lets it
     /// vectorize.
-    fn apply(&self, out: &mut [f32], n: usize) {
+    fn apply(&self, out: &mut [f32], n: usize, avx512: bool) {
         if let Some(bias) = self.bias {
             for row in out.chunks_exact_mut(n) {
                 for (v, &bv) in row.iter_mut().zip(bias) {
@@ -128,9 +136,7 @@ impl Epilogue<'_> {
             }
         }
         if self.act == Activation::Gelu {
-            for v in out.iter_mut() {
-                *v = gelu_scalar(*v);
-            }
+            gelu_in_place(avx512, out);
         }
         if let Some(res) = self.residual {
             for (v, &rv) in out.iter_mut().zip(res) {
@@ -226,11 +232,12 @@ fn gemm(a: &Tensor, b: &Tensor, epi: Option<Epilogue>) -> Tensor {
     out_shape.push(ash[ash.len() - 2]);
     out_shape.push(n);
     let total = shape::numel(&out_shape);
+    let avx512 = use_avx512();
     if total == 0 || k == 0 {
         // An empty contraction sums nothing: the products are all zeros.
         let mut out = workspace::take_zeroed(total);
         if let Some(epi) = epi.filter(|_| total > 0) {
-            epi.apply(&mut out, n);
+            epi.apply(&mut out, n, avx512);
         }
         return Tensor::from_vec(out, &out_shape);
     }
@@ -248,7 +255,6 @@ fn gemm(a: &Tensor, b: &Tensor, epi: Option<Epilogue>) -> Tensor {
 
     // The kernel reads `A` and `B` through their view strides, so nothing
     // is materialized.
-    let avx512 = use_avx512();
     if avx512 {
         crate::metrics::counter_add("dispatch/matmul_avx512", 1);
     }
@@ -278,7 +284,7 @@ fn gemm(a: &Tensor, b: &Tensor, epi: Option<Epilogue>) -> Tensor {
     let mut out = workspace::take_uninit(total);
     compute_rows(&mut out, &ctx);
     if let Some(epi) = &epi {
-        epi.apply(&mut out, n);
+        epi.apply(&mut out, n, avx512);
     }
     Tensor::from_vec(out, &out_shape)
 }
@@ -484,6 +490,29 @@ pub(super) fn transpose_tile(avx512: bool, tile: &mut [f32], src: Mat, w: usize,
     }
 }
 
+/// [`gelu_scalar`] over `xs` in place: [`linear`]'s activation step and the
+/// standalone [`super::gelu`]. With `avx512` (only ever [`use_avx512`]'s
+/// answer) the loop runs as compiled for AVX-512F ([`avx512::gelu`]), else as
+/// compiled for the build baseline — one source, [`gelu_body`], so the bits
+/// are the same either way.
+pub(super) fn gelu_in_place(avx512: bool, xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512 {
+        return avx512::gelu(xs);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    debug_assert!(!avx512, "the AVX-512 kernel exists on x86-64 only");
+    gelu_body(xs)
+}
+
+/// The GELU loop both compiles of [`gelu_in_place`] inline.
+#[inline(always)]
+fn gelu_body(xs: &mut [f32]) {
+    for v in xs {
+        *v = gelu_scalar(*v);
+    }
+}
+
 /// Output columns `[jt, jt + J_TILE)` of `rows` rows of width `n` against
 /// one `B` tile whose row `kk` is the [`J_TILE`] floats at `bt[kk * bts..]`.
 /// Each 4-row × [`J_TILE`]-column block accumulates in a stack array across
@@ -539,7 +568,24 @@ fn tile_rows(
 /// second `#[allow(unsafe_code)]` island after `quant::simd`, built the same
 /// way — raw loads and stores inside, every extent checked by the one safe
 /// entry, and a safe reference ([`tile_rows`]) asserted bit-identical by
-/// `tests/avx512_parity.rs`.
+/// `tests/avx512_parity.rs` — and the two twins ([`gelu`](avx512::gelu),
+/// [`softmax_rows`](avx512::softmax_rows)).
+///
+/// # Twins
+///
+/// A twin is no new code: its `#[target_feature]` function's body is a call
+/// of the safe `#[inline(always)]` body the portable path runs
+/// ([`gelu_body`], [`softmax_body`](super::reduce::softmax_body)), so the
+/// same source is compiled twice. Unlike the GEMM tile, these loops are
+/// plain maps and row passes, which LLVM does widen to `zmm` once the
+/// feature is enabled. Auto-vectorization never reassociates floating-point
+/// math and `mul_add` is a fused operation in both compiles, so each
+/// element goes through the same IEEE operations in the same order either
+/// way; a release-only test runs both GELU compiles over all 2³² inputs,
+/// NaN payloads included, and finds no differing bit, and
+/// `tests/row_kernel_parity.rs` holds both softmax compiles to a one-row
+/// reference on hostile rows. The only `unsafe` a twin adds is its call,
+/// after asserting the CPU feature.
 ///
 /// # Why explicit
 ///
@@ -579,11 +625,12 @@ fn tile_rows(
 /// loop in [`transpose_tile`].
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
-mod avx512 {
+pub(super) mod avx512 {
     use std::arch::x86_64::*;
     use std::ops::Range;
 
-    use super::{Groups, Mat, NC};
+    use super::super::reduce::softmax_body;
+    use super::{gelu_body, Groups, Mat, NC};
 
     /// Rows per register block: 8 rows × 2 vectors is 16 of the 32 `zmm`
     /// registers in accumulators — 16 independent FMA chains, enough to
@@ -690,6 +737,41 @@ mod avx512 {
                 blocks(pg, rows, cols.len());
             }
         }
+    }
+
+    /// [`gelu_body`] compiled for AVX-512F: `zmm` vectors, the same
+    /// operations in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CPU lacks AVX-512F.
+    pub(in crate::ops) fn gelu(xs: &mut [f32]) {
+        assert!(crate::cpu::avx512f(), "avx512 kernel selected without AVX-512F");
+        // SAFETY: AVX-512F is present (the assert), the one thing a
+        // `target_feature` function requires of its caller; the body is
+        // safe code.
+        unsafe { gelu_zmm(xs) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn gelu_zmm(xs: &mut [f32]) {
+        gelu_body(xs)
+    }
+
+    /// [`softmax_body`] compiled for AVX-512F, as [`gelu`] is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CPU lacks AVX-512F, or where [`softmax_body`] does.
+    pub(in crate::ops) fn softmax_rows(src: &[f32], out: &mut [f32], d: usize, scale: f32) {
+        assert!(crate::cpu::avx512f(), "avx512 kernel selected without AVX-512F");
+        // SAFETY: as in `gelu`.
+        unsafe { softmax_zmm(src, out, d, scale) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn softmax_zmm(src: &[f32], out: &mut [f32], d: usize, scale: f32) {
+        softmax_body(src, out, d, scale)
     }
 
     /// `tile[d * NC + j] = src[j, d]` for `j < w`, `d < cols`: `w` rows of
@@ -1112,5 +1194,97 @@ mod tests {
     #[should_panic]
     fn inner_dim_mismatch_panics() {
         matmul(&Tensor::zeros(&[2, 3]), &Tensor::zeros(&[4, 2]));
+    }
+
+    /// Runs the GELU pass over `xs` under every kernel this CPU has and
+    /// returns the first input on which one differs from the portable
+    /// compile in any bit, with that kernel.
+    fn first_gelu_mismatch(xs: &[f32]) -> Option<(Kernel, f32)> {
+        let mut want = xs.to_vec();
+        gelu_in_place(false, &mut want);
+        Kernel::available().iter().find_map(|&kernel| {
+            let mut got = xs.to_vec();
+            gelu_in_place(kernel == Kernel::Avx512, &mut got);
+            let i = got.iter().zip(&want).position(|(g, w)| g.to_bits() != w.to_bits())?;
+            Some((kernel, xs[i]))
+        })
+    }
+
+    /// The `x` at which the argument GELU hands [`fastmath::exp`](crate::fastmath::exp),
+    /// `−2·c·(x + 0.044715·x³)`, crosses `edge`, by bisection over the
+    /// floats between `lo` and `hi` (the argument falls as `x` rises).
+    fn gelu_exp_crossing(edge: f32, mut lo: f32, mut hi: f32) -> f32 {
+        use super::super::elementwise::GELU_C;
+        let arg = |x: f32| -(2.0 * GELU_C * (x + 0.044_715 * x * x * x));
+        assert!(arg(lo) > edge && arg(hi) <= edge, "[{lo}, {hi}] does not bracket {edge}");
+        while lo.next_up() < hi {
+            let mid = lo + (hi - lo) / 2.0;
+            if arg(mid) > edge {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        hi
+    }
+
+    #[test]
+    fn the_gelu_twin_matches_the_portable_loop_on_edge_cases_and_a_strided_sweep() {
+        use crate::fastmath::{EXP_HI, EXP_LO};
+        let mut xs = vec![0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::MAX, f32::MIN];
+        // NaN payloads of both signs, quiet and signalling, and subnormals.
+        let nans = [0x7fc0_0000u32, 0x7fc0_0001, 0x7fff_ffff, 0x7f80_0001, 0x7fbf_ffff];
+        for bits in nans.into_iter().chain([0x0000_0001, 0x007f_ffff, 0x0040_0000, 0x0080_0000]) {
+            xs.extend([f32::from_bits(bits), f32::from_bits(bits | 0x8000_0000)]);
+        }
+        // 256 floats either side of where the `exp` argument crosses each
+        // of its clamps.
+        for edge in [gelu_exp_crossing(EXP_HI, -20.0, 0.0), gelu_exp_crossing(EXP_LO, 0.0, 20.0)] {
+            let mut x = edge;
+            for _ in 0..256 {
+                x = x.next_down();
+            }
+            for _ in 0..512 {
+                xs.push(x);
+                x = x.next_up();
+            }
+        }
+        // 2²⁰ bit patterns spread over all 2³², every low bit varying.
+        xs.extend(
+            (0..1u32 << 20)
+                .map(|i| f32::from_bits(i << 12 | (i.wrapping_mul(2_654_435_761) >> 20))),
+        );
+        assert_eq!(first_gelu_mismatch(&xs), None);
+    }
+
+    /// The proof behind the twin: every `f32` bit pattern, NaN payloads
+    /// included, through both compiles of the GELU pass in place, chunk by
+    /// chunk, compared bit for bit. Vacuous without AVX-512F.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "2^32 inputs: run at --release, as scripts/check.sh does"
+    )]
+    fn the_gelu_twin_matches_the_portable_loop_on_every_input() {
+        if !crate::cpu::avx512f() {
+            return;
+        }
+        const CHUNK: u32 = 1 << 16;
+        let (mut want, mut got) = (vec![0.0f32; CHUNK as usize], vec![0.0f32; CHUNK as usize]);
+        for base in (0..=u32::MAX - (CHUNK - 1)).step_by(CHUNK as usize) {
+            for ((w, g), bits) in want.iter_mut().zip(&mut got).zip(base..) {
+                (*w, *g) = (f32::from_bits(bits), f32::from_bits(bits));
+            }
+            gelu_in_place(false, &mut want);
+            gelu_in_place(true, &mut got);
+            if let Some(i) = want.iter().zip(&got).position(|(w, g)| w.to_bits() != g.to_bits()) {
+                panic!(
+                    "gelu({:#010x}): portable {:#010x}, avx512 {:#010x}",
+                    base + i as u32,
+                    want[i].to_bits(),
+                    got[i].to_bits()
+                );
+            }
+        }
     }
 }

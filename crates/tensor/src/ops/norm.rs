@@ -1,12 +1,17 @@
 //! Layer normalization forward kernel.
 
-use super::reduce::lane_sum;
+use super::reduce::lane_sums;
 use crate::Tensor;
+
+/// Rows [`layer_norm_rows`] keeps in flight: at the model's width (64) one
+/// row's mean and variance are each a chain of eight dependent vector adds,
+/// so a lone row waits on add latency; four rows' chains interleave.
+const ROWS: usize = 4;
 
 /// Normalizes the packed rows of width `d = gamma.len()` in `src`, writing
 /// every element of `out` and, when `stats` is given, the per-row
-/// `(mean, rstd)` the backward pass reuses. Mean and variance are
-/// [`lane_sum`]s — a fixed function of the row.
+/// `(mean, rstd)` the backward pass reuses — [`ROWS`] rows at a time, then
+/// the last `rows % ROWS` one by one, through the same [`norm_block`].
 fn layer_norm_rows(
     src: &[f32],
     gamma: &[f32],
@@ -16,15 +21,47 @@ fn layer_norm_rows(
     mut stats: Option<(&mut [f32], &mut [f32])>,
 ) {
     let d = gamma.len();
-    for (r, (row, orow)) in src.chunks_exact(d).zip(out.chunks_exact_mut(d)).enumerate() {
-        let mean = lane_sum(row, |v| v) / d as f32;
-        let var = lane_sum(row, |v| (v - mean) * (v - mean)) / d as f32;
-        let rstd = 1.0 / (var + eps).sqrt();
-        if let Some((means, rstds)) = &mut stats {
-            means[r] = mean;
-            rstds[r] = rstd;
-        }
-        for ((o, &v), (&g, &b)) in orow.iter_mut().zip(row).zip(gamma.iter().zip(beta)) {
+    let full = src.len() / d / ROWS * ROWS;
+    let (head, tail) = src.split_at(full * d);
+    let (ohead, otail) = out.split_at_mut(full * d);
+    let blocks = head.chunks_exact(ROWS * d).zip(ohead.chunks_exact_mut(ROWS * d));
+    for (b, (x, o)) in blocks.enumerate() {
+        let stats = stats.as_mut().map(|(m, s)| (&mut m[b * ROWS..], &mut s[b * ROWS..]));
+        norm_block::<ROWS>(x, gamma, beta, eps, o, stats);
+    }
+    for (r, (x, o)) in tail.chunks_exact(d).zip(otail.chunks_exact_mut(d)).enumerate() {
+        let stats = stats.as_mut().map(|(m, s)| (&mut m[full + r..], &mut s[full + r..]));
+        norm_block::<1>(x, gamma, beta, eps, o, stats);
+    }
+}
+
+/// `R` packed rows: each row's mean and variance are [`lane_sums`] — the
+/// fixed function of the row that the softmax's row sum is too — then
+/// `1/√(var + eps)`, and every output `((x − mean)·rstd)·γ + β` with one
+/// rounding for the multiply-add. `stats`, when given, gets each row's
+/// `(mean, rstd)` at its first `R` slots.
+#[inline(always)]
+fn norm_block<const R: usize>(
+    src: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    out: &mut [f32],
+    stats: Option<(&mut [f32], &mut [f32])>,
+) {
+    let d = gamma.len();
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &src[r * d..(r + 1) * d]);
+    let sums = lane_sums(rows, |_, v| v);
+    let mean = sums.map(|s| s / d as f32);
+    let sq = lane_sums(rows, |r, v| (v - mean[r]) * (v - mean[r]));
+    let rstd = sq.map(|s| 1.0 / (s / d as f32 + eps).sqrt());
+    if let Some((means, rstds)) = stats {
+        means[..R].copy_from_slice(&mean);
+        rstds[..R].copy_from_slice(&rstd);
+    }
+    for (r, (row, orow)) in rows.iter().zip(out.chunks_exact_mut(d)).enumerate() {
+        let (mean, rstd) = (mean[r], rstd[r]);
+        for ((o, &v), (&g, &b)) in orow.iter_mut().zip(*row).zip(gamma.iter().zip(beta)) {
             *o = ((v - mean) * rstd).mul_add(g, b);
         }
     }

@@ -1,5 +1,14 @@
 //! Reductions and softmax-family operations.
+//!
+//! Row sums go through [`lane_sums`]: eight accumulator lanes per row, a
+//! fixed function of the row, with several rows' chains in flight where a
+//! caller has them (layer norm keeps four). The row softmax has one body,
+//! [`softmax_body`]; [`softmax_rows`] runs it as compiled for the build
+//! baseline or, where the `KERNEL` dial selects the AVX-512 kernel, as
+//! compiled for AVX-512F ([`super::matmul`]'s twins) — the same bits either
+//! way.
 
+use super::matmul::use_avx512;
 use crate::fastmath;
 use crate::Tensor;
 
@@ -40,19 +49,54 @@ pub(super) fn row_max(xs: &[f32]) -> f32 {
 /// AVX2 vector — folded pairwise at the end. The lane assignment depends
 /// only on element index, so the result is a fixed function of the row.
 #[inline]
-pub(super) fn lane_sum(xs: &[f32], f: impl Fn(f32) -> f32) -> f32 {
-    let c = xs.chunks_exact(8);
-    let mut tail = 0.0f32;
-    for &x in c.remainder() {
-        tail += f(x);
-    }
-    let mut acc = [0.0f32; 8];
-    for x in c {
-        for (a, &v) in acc.iter_mut().zip(x) {
-            *a += f(v);
+fn lane_sum(xs: &[f32], f: impl Fn(f32) -> f32) -> f32 {
+    lane_sums([xs], |_, x| f(x))[0]
+}
+
+/// [`lane_sum`] of `R` rows of one width at once, `f` told which row an
+/// element is from: the rows' accumulators interleave, so `R` independent
+/// add chains are in flight where one row alone has a single chain. Each
+/// row's sum is still its own chain — the remainder summed in order, the
+/// eight lanes over the full chunks in order, then [`fold`] — so every
+/// result has the bits [`lane_sum`] gives that row alone. The rows must be
+/// of one length.
+#[inline(always)]
+pub(super) fn lane_sums<const R: usize>(
+    rows: [&[f32]; R],
+    f: impl Fn(usize, f32) -> f32,
+) -> [f32; R] {
+    debug_assert!(rows.iter().all(|row| row.len() == rows[0].len()));
+    let split = rows.map(|row| row.as_chunks::<8>());
+    let n = split[0].0.len();
+    let chunks = split.map(|(c, _)| &c[..n]);
+    let tails: [f32; R] = std::array::from_fn(|r| {
+        let mut tail = 0.0f32;
+        for &x in split[r].1 {
+            tail += f(r, x);
+        }
+        tail
+    });
+    let mut acc = [[0.0f32; 8]; R];
+    #[allow(clippy::needless_range_loop)] // `i` indexes every row's chunks
+    for i in 0..n {
+        for (r, lanes) in acc.iter_mut().enumerate() {
+            for (a, &v) in lanes.iter_mut().zip(&chunks[r][i]) {
+                *a += f(r, v);
+            }
         }
     }
-    let quad = [acc[0] + acc[4], acc[1] + acc[5], acc[2] + acc[6], acc[3] + acc[7]];
+    std::array::from_fn(|r| fold(&acc[r], tails[r]))
+}
+
+/// A row's eight lanes folded pairwise, `((l0+l4) + (l2+l6)) + ((l1+l5) +
+/// (l3+l7))`, plus its remainder's sum. Out of line on purpose: handed over
+/// as one array, a row's lanes stay one vector register in the loop that
+/// accumulates them. Inlined, LLVM shapes the loop after the fold's pairs —
+/// four two-lane registers, or at `R > 1` one lane of each row per register
+/// (a gather) — at half the speed or worse.
+#[inline(never)]
+fn fold(a: &[f32; 8], tail: f32) -> f32 {
+    let quad = [a[0] + a[4], a[1] + a[5], a[2] + a[6], a[3] + a[7]];
     (quad[0] + quad[2]) + (quad[1] + quad[3]) + tail
 }
 
@@ -192,8 +236,21 @@ pub fn argmax_last(a: &Tensor) -> Tensor {
     Tensor::from_vec(out, &a.shape()[..a.rank() - 1])
 }
 
-/// Softmax of packed rows of `scale · src`: `out` and `src` hold the same
-/// whole rows of width `d`. Flat passes over the whole buffer wherever a
+/// Softmax of packed rows of `scale · src`, [`softmax_body`] as compiled
+/// for AVX-512F when `avx512` (only ever the `KERNEL` dial's answer), for
+/// the build baseline otherwise.
+pub(super) fn softmax_rows(avx512: bool, src: &[f32], out: &mut [f32], d: usize, scale: f32) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512 {
+        return super::matmul::avx512::softmax_rows(src, out, d, scale);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    debug_assert!(!avx512, "the AVX-512 kernel exists on x86-64 only");
+    softmax_body(src, out, d, scale)
+}
+
+/// The row softmax both compiles of [`softmax_rows`] inline: `out` and
+/// `src` hold the same whole rows of width `d`. Flat passes over the whole buffer wherever a
 /// step has no per-row operand — the scaling and the exponentials — instead
 /// of one loop per row: attention rows are short (17 wide in the model), and
 /// a per-row loop would spend its time in the scalar remainder; the flat
@@ -202,7 +259,8 @@ pub fn argmax_last(a: &Tensor) -> Tensor {
 /// rounded, [`fastmath::exp`], divided by the row's [`lane_sum`] — with
 /// `scale` 1 (an exact multiply) the plain softmax, and with attention's
 /// `1/√dh` what [`super::scale`] followed by the plain softmax computes.
-pub(super) fn softmax_rows(src: &[f32], out: &mut [f32], d: usize, scale: f32) {
+#[inline(always)]
+pub(super) fn softmax_body(src: &[f32], out: &mut [f32], d: usize, scale: f32) {
     for (o, &x) in out.iter_mut().zip(src) {
         *o = x * scale;
     }
@@ -252,7 +310,7 @@ fn rowwise(a: &Tensor, d: usize, kernel: fn(&[f32], &mut [f32], usize)) -> Tenso
 /// Numerically-stable softmax over the last dimension.
 pub fn softmax_last(a: &Tensor) -> Tensor {
     let d = *a.shape().last().expect("softmax_last requires rank >= 1");
-    rowwise(a, d, |src, out, d| softmax_rows(src, out, d, 1.0))
+    rowwise(a, d, |src, out, d| softmax_rows(use_avx512(), src, out, d, 1.0))
 }
 
 /// Numerically-stable log-softmax over the last dimension.

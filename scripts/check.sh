@@ -26,8 +26,11 @@ cargo test --workspace -q
 echo "==> steady-state allocation regression (arena must absorb buffer traffic)"
 cargo test -q --release -p tsdx-core --test alloc_regression
 
-echo "==> tensor suite with 8 concurrent test threads (metric-scope isolation; AVX-512 kernel == portable kernel, bitwise)"
+echo "==> tensor suite with 8 concurrent test threads (metric-scope isolation; AVX-512 kernel == portable kernel, bitwise), then the 2^32-input GELU twin proof at --release"
 cargo test -q -p tsdx-tensor -- --test-threads=8
+# The GELU twin against the portable loop on all 2^32 inputs (~30 s): ignored
+# in debug builds, so it runs here at --release.
+cargo test -q -p tsdx-tensor --release --lib the_gelu_twin_matches_the_portable_loop_on_every_input
 
 echo "==> profile binary smoke test (self-time coverage + overhead asserts, GEMM dispatch, no i8 product under the model; index scan by query sparsity; clip generation by part and weather)"
 # Its first line names the f32 kernel this host selected; on a CPU without
