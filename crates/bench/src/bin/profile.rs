@@ -33,8 +33,8 @@
 //!
 //! - an **index-scan profile** ([`index_profile`]): the index's distinct
 //!   rows, resident MB and build rate, then µs per query, rows per µs and
-//!   columns read for an SDL query, a 10-non-zero query and a dense query
-//!   over 200 000 random taxonomy-valid scenarios.
+//!   columns read for an SDL query and a 10-non-zero one over 200 000
+//!   random taxonomy-valid scenarios.
 //!
 //! - a **clip-generation profile** ([`data_profile`]): `generate_dataset`
 //!   clips/s on the first call in the process and in steady state, and per
@@ -427,11 +427,15 @@ fn random_scenario(rng: &mut StdRng, actors: usize) -> Scenario {
     Scenario { ego, actors, road }
 }
 
+/// How many of `s`'s embedding components are not zero.
+fn nonzero(s: &Scenario) -> usize {
+    tsdx_sdl::embed(s).iter().filter(|&&x| x != 0.0).count()
+}
+
 /// What an index scan costs by how much of the query is zero: 200 000 random
-/// taxonomy-valid scenarios (the `search_sdl` corpus), `k = 10`, and three
-/// pools of 64 queries taking turns — SDL queries as `/search` embeds them
-/// (3 to 10 non-zero components of 28), queries with all 10, and the same
-/// with every zero replaced by a small value. Per pool, what the scans did is
+/// taxonomy-valid scenarios (the `search_sdl` corpus), `k = 10`, and two
+/// pools of 64 scenario queries taking turns — as `/search` draws them (3 to
+/// 10 non-zero components of 28) and with all 10. Per pool, what the scans did is
 /// counted, not derived: `index/columns_visited` (a column is one dimension
 /// of one block of distinct rows), `index/rows_scored`,
 /// `index/groups_visited` and `index/groups_skipped` (groups whose score
@@ -450,7 +454,7 @@ fn index_profile(quick: bool) {
     let mut index = VectorIndex::default();
     let start = Instant::now();
     for s in &corpus {
-        index.push_scenario(s).expect("default index matches EMBED_DIM");
+        index.push_scenario(s).expect("taxonomy-valid scenario");
     }
     let build_s = start.elapsed().as_secs_f64();
     drop(corpus);
@@ -462,45 +466,37 @@ fn index_profile(quick: bool) {
         index.resident_bytes() as f64 / 1e6,
         rows as f64 / build_s,
     );
-    let sdl_queries: Vec<Vec<f32>> =
-        (0..64).map(|_| tsdx_sdl::embed(&sdl(&mut rng)).to_vec()).collect();
+    let sdl_queries: Vec<Scenario> = (0..64).map(|_| sdl(&mut rng)).collect();
     // Four distinct events at the four positions: ego + road + 4 + 4.
-    let full_queries: Vec<Vec<f32>> = (0..64)
+    let full_queries: Vec<Scenario> = (0..64)
         .map(|_| loop {
             let mut s = random_scenario(&mut rng, MAX_ACTORS);
             for (i, a) in s.actors.iter_mut().enumerate() {
                 a.position = Some(Position::from_index(i));
             }
-            let q = tsdx_sdl::embed(&s);
-            if q.iter().filter(|&&x| x != 0.0).count() == 10 {
-                break q.to_vec();
+            if nonzero(&s) == 10 {
+                break s;
             }
         })
-        .collect();
-    let dense_queries: Vec<Vec<f32>> = full_queries
-        .iter()
-        .map(|q| q.iter().map(|&x| if x == 0.0 { 1e-3 } else { x }).collect())
         .collect();
 
     let pools = [
         ("SDL query (as /search embeds it)", &sdl_queries),
         ("10 non-zero components", &full_queries),
-        ("dense (no zero component)", &dense_queries),
     ];
     // Each pool cycles through its 64 queries, so no scan repeats its
     // predecessor's columns.
-    let scan = |pool: &[Vec<f32>], turn: &mut usize| {
+    let scan = |pool: &[Scenario], turn: &mut usize| {
         *turn += 1;
-        std::hint::black_box(index.query(&pool[*turn % pool.len()], K).expect("dim"));
+        let Ok(hits) = index.query_scenario(&pool[*turn % pool.len()], K);
+        std::hint::black_box(hits);
     };
-    let mut turn = [0usize; 3];
-    let [a, b, c] = &mut turn;
+    let mut turn = [0usize; 2];
+    let [a, b] = &mut turn;
     let us = alternated_us(
         rounds,
         calls,
-        &mut [&mut || scan(&sdl_queries, a), &mut || scan(&full_queries, b), &mut || {
-            scan(&dense_queries, c)
-        }],
+        &mut [&mut || scan(&sdl_queries, a), &mut || scan(&full_queries, b)],
     );
 
     let table: Vec<Vec<String>> = pools
@@ -509,12 +505,13 @@ fn index_profile(quick: bool) {
         .map(|(&(name, pool), &us)| {
             let scope = metrics::scope();
             pool.iter().for_each(|q| {
-                std::hint::black_box(index.query(q, K).expect("dim"));
+                let Ok(hits) = index.query_scenario(q, K);
+                std::hint::black_box(hits);
             });
             let counts = scope.snapshot();
             let per_query =
                 |key: &str| format!("{:.1}", counts.counter(key) as f64 / pool.len() as f64);
-            let nonzero: usize = pool.iter().flatten().filter(|&&x| x != 0.0).count();
+            let nonzero: usize = pool.iter().map(nonzero).sum();
             vec![
                 name.to_string(),
                 format!("{:.1}", nonzero as f64 / pool.len() as f64),
@@ -531,7 +528,7 @@ fn index_profile(quick: bool) {
         &format!(
             "index scan, {rows} rows x {} dims, {distinct} distinct, {:.1} MB resident, k = {K} \
              ({rounds} rounds x {calls} queries per pool, median)",
-            index.dim(),
+            tsdx_sdl::EMBED_DIM,
             index.resident_bytes() as f64 / 1e6,
         ),
         &[

@@ -4,7 +4,8 @@
 //! similarity) and scenario retrieval: each test clip's *predicted* SDL
 //! queries a gallery of ground-truth descriptions; a gallery item is
 //! relevant when its ego, road, and primary event all match the query
-//! clip's truth. Ground-truth queries give the retrieval ceiling.
+//! clip's truth. Ground-truth queries give the retrieval ceiling. Scores
+//! are `tsdx_sdl::dot` of the embeddings, the bits `/search` ranks by.
 //!
 //! Run with `cargo run -p tsdx-bench --release --bin table3_scenario`.
 
@@ -12,7 +13,7 @@ use tsdx_bench::{fit_transformer, is_quick, pct, print_table, standard_clips, st
 use tsdx_core::{ModelConfig, ScenarioExtractor};
 use tsdx_data::Clip;
 use tsdx_metrics::{mean_average_precision, mean_precision_at_k, scenario_report};
-use tsdx_sdl::{embed, Scenario};
+use tsdx_sdl::{dot, embed, Scenario};
 
 /// Relevance: same ego maneuver, road kind, and primary event class.
 fn relevant(a: &Scenario, b: &Scenario) -> bool {
@@ -36,7 +37,7 @@ fn retrieval_rows(
             if skip_self && i == j {
                 continue;
             }
-            scores.push(tsdx_sdl::cosine(&qe, ge));
+            scores.push(dot(&qe, ge));
             rel.push(relevant(truth, &gallery[j]));
         }
         q.push((scores, rel));

@@ -3,15 +3,15 @@
 //! The scan streams each score into a bounded [`tsdx_sdl::TopK`]; nothing
 //! n-long — no `(id, score)` vector, no copy of a block — is ever built.
 //! This test pins that with a counting global allocator: a k = 10 query
-//! over 100 000 rows must stay under 64 KB of requested bytes, where
-//! materializing the scores alone would take 16 B × 100 000 = 1.6 MB — also
-//! for a query holding a NaN, whose every score is recomputed row by row,
-//! and for an SDL-sparse query, whose group visit order and lists of
-//! columns to read are the only things a scan allocates besides its
-//! survivors (a block's scores live on the stack, 32 at a time). The
-//! expansion of the winning rows to their ids is O(k) too: a k = 1000 query
-//! (`/search`'s largest) whose best row is carried by 5 000 ids stays under
-//! 256 KB and answers with the reference's ids and bits.
+//! over 100 000 scenarios must stay under 64 KB of requested bytes, where
+//! materializing the scores alone would take 16 B × 100 000 = 1.6 MB — for
+//! a query of a stored scenario and for a short one, whose group visit
+//! order, list of columns to read and embedding are the only things a scan
+//! allocates besides its survivors (a block's scores live on the stack, 32
+//! at a time). The expansion of the winning rows to their ids is O(k) too:
+//! a k = 1000 query (`/search`'s largest) whose best row is carried by
+//! 5 000 ids stays under 256 KB and answers with the reference's ids and
+//! bits.
 //!
 //! Lives in its own integration-test file so the `#[global_allocator]`
 //! override owns the whole process, and holds a single test so nothing
@@ -21,7 +21,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tsdx_index::VectorIndex;
-use tsdx_sdl::{dot, rank_order, EMBED_DIM};
+use tsdx_sdl::{
+    dot, embed, parse_scenario, rank_order, vocab, ActorClause, EgoManeuver, Position, RoadKind,
+    Scenario, MAX_ACTORS,
+};
 
 /// Forwards to the system allocator, counting requested bytes.
 struct CountingAlloc;
@@ -63,52 +66,64 @@ const MAX_SEARCH_K: usize = 1000;
 const REPEATS: usize = 5000;
 const EXPANSION_BUDGET_BYTES: u64 = 256 * 1024;
 
+/// A xorshift draw in `0..n`.
+fn draw(state: &mut u64, n: usize) -> usize {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    (*state >> 32) as usize % n
+}
+
+/// A random taxonomy-valid scenario.
+fn random_scenario(state: &mut u64) -> Scenario {
+    let ego = EgoManeuver::from_index(draw(state, EgoManeuver::COUNT));
+    let road = RoadKind::from_index(draw(state, RoadKind::COUNT));
+    let actors = (0..draw(state, MAX_ACTORS + 1))
+        .map(|_| {
+            let (kind, action) = vocab::EVENT_CLASSES[draw(state, vocab::EVENT_CLASSES.len())];
+            let p = draw(state, 2 * Position::COUNT);
+            let position = (p < Position::COUNT).then(|| Position::from_index(p));
+            ActorClause { kind, action, position }
+        })
+        .collect();
+    Scenario { ego, actors, road }
+}
+
 #[test]
 fn a_top10_query_over_100k_rows_allocates_under_64kb() {
-    // Cheap deterministic rows; the budget does not depend on the values.
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut index = VectorIndex::default();
-    let mut row = [0.0f32; EMBED_DIM];
-    // Every 21st id carries `repeated`, and its scores against it are the
-    // reference for the k = 1000 query.
-    let repeated = [0.25f32; EMBED_DIM];
+    // Every 21st id carries `repeated`, and every id's score against it is
+    // the reference for the k = 1000 query.
+    let repeated = parse_scenario(
+        "ego lane-change-right; vehicle overtaking right; vehicle overtaking right; \
+         cyclist leading ahead; road curve-right",
+    )
+    .expect("valid SDL");
+    let mut stored = None;
     let mut scored = Vec::with_capacity(ROWS + REPEATS);
     for i in 0..ROWS + REPEATS {
-        if i % 21 == 20 {
-            row = repeated;
-        } else {
-            for x in &mut row {
-                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                *x = (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
-            }
+        let s = if i % 21 == 20 { repeated.clone() } else { random_scenario(&mut state) };
+        let id = index.push_scenario(&s).expect("taxonomy-valid scenario");
+        scored.push((id, dot(&embed(&repeated), &embed(&s))));
+        if i == ROWS / 2 {
+            stored = Some(s);
         }
-        let id = index.push(&row).expect("EMBED_DIM rows");
-        scored.push((id, dot(&repeated, &row)));
     }
-    assert_eq!(index.len() - index.distinct_len(), REPEATS as u64 - 1);
     scored.sort_by(rank_order::<u64>);
     scored.truncate(MAX_SEARCH_K);
-    let q = index.row(ROWS as u64 / 2).expect("dense ids");
+    let own = dot(&embed(&repeated), &embed(&repeated));
+    assert!(scored.iter().all(|&(_, s)| s == own), "the best row is carried by 1 000 ids or more");
 
-    // A NaN in the query makes every score NaN: no block is fast-rejected
-    // and every row takes the `dot` recompute path — still O(workers · k).
-    let mut poisoned = q.clone();
-    poisoned[3] = f32::NAN;
-
-    // Five non-zero components of 28, as `/search` embeds a short scenario.
-    let mut sparse = vec![0.0f32; EMBED_DIM];
-    for d in [1, 8, 12, 19, 25] {
-        sparse[d] = q[d];
-    }
-
-    for (what, q) in [("finite", &q), ("NaN", &poisoned), ("SDL-sparse", &sparse)] {
-        let warm = index.query(q, K).expect("dim matches");
+    let short = parse_scenario("ego turn-left; road intersection").expect("valid SDL");
+    let bits = |hits: &[(u64, f32)]| -> Vec<(u64, u32)> {
+        hits.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+    };
+    for (what, q) in [("stored", &stored.expect("a stored scenario")), ("short", &short)] {
+        let warm = index.query_scenario(q, K).expect("SDL query");
         let before = ALLOC_BYTES.load(Ordering::Relaxed);
-        let hits = index.query(q, K).expect("dim matches");
+        let hits = index.query_scenario(q, K).expect("SDL query");
         let spent = ALLOC_BYTES.load(Ordering::Relaxed) - before;
-        let bits = |hits: &[(u64, f32)]| -> Vec<(u64, u32)> {
-            hits.iter().map(|&(id, s)| (id, s.to_bits())).collect()
-        };
         assert_eq!(bits(&hits), bits(&warm));
         assert_eq!(hits.len(), K);
         assert!(
@@ -120,11 +135,8 @@ fn a_top10_query_over_100k_rows_allocates_under_64kb() {
         println!("{what} query: {spent} B");
     }
 
-    let bits = |hits: &[(u64, f32)]| -> Vec<(u64, u32)> {
-        hits.iter().map(|&(id, s)| (id, s.to_bits())).collect()
-    };
     let before = ALLOC_BYTES.load(Ordering::Relaxed);
-    let hits = index.query(&repeated, MAX_SEARCH_K).expect("dim matches");
+    let hits = index.query_scenario(&repeated, MAX_SEARCH_K).expect("SDL query");
     let spent = ALLOC_BYTES.load(Ordering::Relaxed) - before;
     assert_eq!(bits(&hits), bits(&scored));
     assert!(

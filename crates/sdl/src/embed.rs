@@ -2,8 +2,8 @@
 //!
 //! Scenarios are embedded into a sparse-ish vector whose blocks are:
 //! one-hot ego maneuver, one-hot road kind, multi-hot event classes, and a
-//! position histogram. Cosine similarity on these vectors drives the
-//! retrieval experiments (Table 3).
+//! position histogram. The vectors are unit-norm, so their cosine is the
+//! plain [`dot`] product, which drives retrieval (Table 3, `/search`).
 
 use crate::ast::{EgoManeuver, Position, RoadKind, Scenario};
 use crate::vocab::{event_index, EVENT_COUNT, EVENT_NONE};
@@ -36,32 +36,8 @@ pub fn embed(s: &Scenario) -> [f32; EMBED_DIM] {
     v
 }
 
-/// Cosine similarity between two equally-sized vectors.
-///
-/// Returns 0 when either vector is all-zero. This is the general-input
-/// entry point: it recomputes both norms, so it is correct for arbitrary
-/// vectors. Hot scan loops over embeddings that [`embed`] produced should
-/// use [`dot`] instead — those vectors are unit-norm by construction, so
-/// the dot product *is* the cosine and both `sqrt`s plus the division are
-/// pure waste per corpus entry.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "cosine length mismatch");
-    let dot: f32 = a.iter().zip(b).map(|(&x, &y)| x * y).sum();
-    let na: f32 = a.iter().map(|&x| x * x).sum::<f32>().sqrt();
-    let nb: f32 = b.iter().map(|&x| x * x).sum::<f32>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na * nb)
-    }
-}
-
-/// Dot product of two equally-sized vectors — the unit-norm fast path for
-/// similarity scans.
+/// Dot product of two equally-sized vectors — the similarity of
+/// embeddings.
 ///
 /// For vectors produced by [`embed`] (L2-normalized, see
 /// [`is_unit_norm`]) the dot product equals the cosine similarity, without
@@ -80,15 +56,15 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 /// (reordering, `mul_add`, more lanes) changes every stored ranking's
 /// score bits and must change that kernel with it.
 ///
-/// A zero component may be dropped only against finite rows. Every
-/// accumulator starts at `+0.0` and never becomes `-0.0` (a sum is `-0.0`
-/// only when both operands are), so adding the `±0` that `0 × finite` gives
-/// changes no accumulator's bits and the scan leaves such terms out — an
-/// SDL query has at most ten non-zero components of [`EMBED_DIM`]. But
-/// `0 × inf` and `0 × NaN` are NaN: against a row holding either, every
-/// term counts, and the scan reads them all. Starting an accumulator
-/// anywhere but `+0.0`, or seeding it with the first product, breaks that
-/// argument as surely as a reordering does.
+/// A zero component may be dropped only against finite rows, which every
+/// embedding is. Every accumulator starts at `+0.0` and never becomes
+/// `-0.0` (a sum is `-0.0` only when both operands are), so adding the `±0`
+/// that `0 × finite` gives changes no accumulator's bits and the scan
+/// leaves such terms out — an SDL query has at most ten non-zero components
+/// of [`EMBED_DIM`]. (`0 × inf` and `0 × NaN` are NaN, so the argument does
+/// not hold for arbitrary rows.) Starting an accumulator anywhere but
+/// `+0.0`, or seeding it with the first product, breaks it as surely as a
+/// reordering does.
 ///
 /// # Panics
 ///
@@ -118,9 +94,10 @@ pub fn is_unit_norm(v: &[f32]) -> bool {
     (n2 - 1.0).abs() <= 1e-4
 }
 
-/// Cosine similarity of two scenarios' embeddings.
+/// Cosine similarity of two scenarios' embeddings: their [`dot`] product,
+/// the score `tsdx-index` ranks by.
 pub fn embedding_similarity(a: &Scenario, b: &Scenario) -> f32 {
-    cosine(&embed(a), &embed(b))
+    dot(&embed(a), &embed(b))
 }
 
 fn l2_normalize(v: &mut [f32]) {
@@ -238,16 +215,14 @@ mod tests {
     }
 
     #[test]
-    fn cosine_handles_zero_vectors() {
-        assert_eq!(cosine(&[0.0, 0.0], &[1.0, 0.0]), 0.0);
-    }
-
-    #[test]
     fn dot_equals_cosine_on_unit_vectors() {
         let a = embed(&s1());
         let b = embed(&Scenario::new(EgoManeuver::Accelerate, RoadKind::Intersection));
         assert!(is_unit_norm(&a) && is_unit_norm(&b));
-        assert!((dot(&a, &b) - cosine(&a, &b)).abs() < 1e-6);
+        // The cosine with both norms recomputed, in f64.
+        let norm = |v: &[f32]| v.iter().map(|&x| f64::from(x) * f64::from(x)).sum::<f64>().sqrt();
+        let ab: f64 = a.iter().zip(&b).map(|(&x, &y)| f64::from(x) * f64::from(y)).sum();
+        assert!((f64::from(dot(&a, &b)) - ab / (norm(&a) * norm(&b))).abs() < 1e-6);
         assert!((dot(&a, &a) - 1.0).abs() < 1e-6);
     }
 
@@ -270,10 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn cosine_is_bounded() {
-        let a = embed(&s1());
-        let b = embed(&Scenario::new(EgoManeuver::Accelerate, RoadKind::Intersection));
-        let c = cosine(&a, &b);
-        assert!((-1.0..=1.0).contains(&c));
+    fn embedding_similarity_is_bounded() {
+        let b = Scenario::new(EgoManeuver::Accelerate, RoadKind::Intersection);
+        let c = embedding_similarity(&s1(), &b);
+        assert!((0.0..=1.0).contains(&c));
     }
 }

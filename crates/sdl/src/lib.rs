@@ -21,8 +21,8 @@
 #![forbid(unsafe_code)]
 
 mod ast;
-mod corpus;
 pub mod embed;
+mod filter;
 mod grammar;
 mod nl;
 pub mod rank;
@@ -33,8 +33,8 @@ pub use ast::{
     ActorAction, ActorClause, ActorKind, EgoManeuver, ParseTokenError, Position, RoadKind,
     Scenario, ValidateScenarioError, MAX_ACTORS,
 };
-pub use corpus::{ParseFilterError, ScenarioCorpus, ScenarioFilter};
-pub use embed::{cosine, dot, embed, embedding_similarity, is_unit_norm, EMBED_DIM};
+pub use embed::{dot, embed, embedding_similarity, is_unit_norm, EMBED_DIM};
+pub use filter::{ParseFilterError, ScenarioFilter};
 pub use grammar::{parse_scenario, ParseScenarioError};
 pub use nl::to_sentence;
 pub use rank::{rank_order, top_k, TopK};

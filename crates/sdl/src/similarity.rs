@@ -4,8 +4,8 @@
 //!
 //! * [`slot_similarity`] — interpretable weighted agreement of the ego,
 //!   road, and actor slots (Jaccard over actor clauses);
-//! * cosine similarity of [`crate::embed`] vectors, the Scenario2Vector
-//!   approach used for retrieval.
+//! * the cosine of [`crate::embed`] vectors ([`crate::embedding_similarity`]),
+//!   the Scenario2Vector approach used for retrieval.
 
 use std::collections::BTreeSet;
 

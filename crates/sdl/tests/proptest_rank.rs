@@ -1,4 +1,5 @@
-//! Property-based tests of [`tsdx_sdl::top_k`] and the corpus search paths.
+//! Property-based tests of [`tsdx_sdl::top_k`]; the index's search paths
+//! have theirs in `tsdx-index`.
 //!
 //! The bar: ranking never panics for any score pattern (including NaN and
 //! zero vectors), the O(n + k log k) selection path returns exactly what a
@@ -6,24 +7,7 @@
 //! the old stable full-sort implementation produced.
 
 use proptest::prelude::*;
-use tsdx_sdl::{
-    parse_scenario, rank_order, top_k, vocab, ActorClause, EgoManeuver, Position, RoadKind,
-    Scenario, ScenarioCorpus, ScenarioFilter,
-};
-
-fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    let actor = ((0..vocab::EVENT_CLASSES.len()), 0..=Position::COUNT).prop_map(|(e, p)| {
-        let (kind, action) = vocab::EVENT_CLASSES[e];
-        let position = if p == Position::COUNT { None } else { Some(Position::from_index(p)) };
-        ActorClause { kind, action, position }
-    });
-    (
-        (0..EgoManeuver::COUNT).prop_map(EgoManeuver::from_index),
-        (0..RoadKind::COUNT).prop_map(RoadKind::from_index),
-        prop::collection::vec(actor, 0..=4),
-    )
-        .prop_map(|(ego, road, actors)| Scenario { ego, actors, road })
-}
+use tsdx_sdl::{rank_order, top_k};
 
 /// Any f32 bit pattern: finite, infinite, NaN, both zeros.
 fn arb_score() -> impl Strategy<Value = f32> {
@@ -95,46 +79,4 @@ proptest! {
         rotated.rotate_left(rot % n);
         prop_assert_eq!(bits(&top_k(scored, k)), bits(&top_k(rotated, k)));
     }
-
-    #[test]
-    fn corpus_query_never_panics_and_ranks_self_first(
-        entries in prop::collection::vec(arb_scenario(), 1..24),
-        k in 1usize..8,
-    ) {
-        let query = entries[0].clone();
-        let corpus: ScenarioCorpus = entries.into_iter().collect();
-        let hits = corpus.query_similar(&query, k);
-        prop_assert_eq!(hits.len(), k.min(corpus.len()));
-        // The query itself is in the corpus, so the best hit is exact.
-        prop_assert!((hits[0].1 - 1.0).abs() < 1e-5);
-        // Scores are non-increasing under the total order.
-        for w in hits.windows(2) {
-            prop_assert!(w[0].1.total_cmp(&w[1].1).is_ge());
-        }
-    }
-
-    #[test]
-    fn corpus_filtered_search_agrees_with_manual_ranking(
-        entries in prop::collection::vec(arb_scenario(), 1..24),
-        k in 1usize..8,
-    ) {
-        let query = entries[0].clone();
-        let corpus: ScenarioCorpus = entries.into_iter().collect();
-        let filter: ScenarioFilter = "road=intersection".parse().expect("valid filter");
-        let hits = corpus.search(&filter, &query, k);
-        let matching = corpus.filter(&filter);
-        prop_assert_eq!(hits.len(), k.min(matching.len()));
-        for &(id, _) in &hits {
-            prop_assert!(matching.contains(&id));
-        }
-    }
-}
-
-#[test]
-fn corpus_query_handles_duplicate_entries_deterministically() {
-    let s = parse_scenario("ego cruise; road straight").expect("parse");
-    let corpus: ScenarioCorpus = vec![s.clone(), s.clone(), s.clone()].into_iter().collect();
-    let hits = corpus.query_similar(&s, 2);
-    // All three score 1.0; the tie-break picks the lowest ids.
-    assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), vec![0, 1]);
 }

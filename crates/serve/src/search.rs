@@ -6,9 +6,10 @@
 //! immutable once handed to the server — queries are read-only and safe to
 //! answer from any connection thread concurrently.
 
+use std::convert::Infallible;
 use std::fmt::Display;
 
-use tsdx_index::{IndexError, VectorIndex};
+use tsdx_index::VectorIndex;
 use tsdx_sdl::Scenario;
 
 use crate::json;
@@ -39,6 +40,10 @@ pub struct SearchService {
 impl SearchService {
     /// Builds a service over `scenarios`, embedding each in insertion
     /// order (ids are dense from 0).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::insert`].
     pub fn build(scenarios: impl IntoIterator<Item = Scenario>) -> SearchService {
         let mut svc = SearchService::default();
         for s in scenarios {
@@ -48,11 +53,14 @@ impl SearchService {
     }
 
     /// Adds one scenario, returning its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `scenario` is not taxonomy-valid
+    /// ([`Scenario::validate`]): a corpus is built server-side from valid
+    /// scenarios, so an invalid one is a bug, not input.
     pub fn insert(&mut self, scenario: Scenario) -> u64 {
-        let id = self
-            .index
-            .push_scenario(&scenario)
-            .expect("default VectorIndex always matches EMBED_DIM");
+        let id = self.index.push_scenario(&scenario).expect("corpus scenarios are taxonomy-valid");
         self.scenarios.push(scenario);
         id
     }
@@ -71,9 +79,8 @@ impl SearchService {
     ///
     /// # Errors
     ///
-    /// Propagates [`IndexError`] from the underlying scan (a dim mismatch
-    /// is impossible by construction, so in practice this is infallible).
-    pub fn query(&self, query: &Scenario, k: usize) -> Result<Vec<Hit>, IndexError> {
+    /// None: every scenario is a query, taxonomy-valid or not.
+    pub fn query(&self, query: &Scenario, k: usize) -> Result<Vec<Hit>, Infallible> {
         let hits = self.index.query_scenario(query, k)?;
         Ok(hits
             .into_iter()

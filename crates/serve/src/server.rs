@@ -519,7 +519,7 @@ fn search_endpoint(req: &mut Request) -> Result<Response, ServeError> {
             })?;
             let query = tsdx_sdl::parse_scenario(text)
                 .map_err(|e| ServeError::BadRequest { detail: format!("bad SDL query: {e}") })?;
-            let hits = search.query(&query, k).map_err(index_internal)?;
+            let Ok(hits) = search.query(&query, k);
             return Ok(Response::ok(reply(&hits, None)));
         }
     }
@@ -527,7 +527,7 @@ fn search_endpoint(req: &mut Request) -> Result<Response, ServeError> {
     // Query-by-clip: extract through the batcher (full admission control
     // and deadline gating), then rank.
     let answer = extract(req, budget_ms, body.video(req.head)?)?;
-    let hits = search.query(&answer.scenario, k).map_err(index_internal)?;
+    let Ok(hits) = search.query(&answer.scenario, k);
     Ok(Response::ok(reply(&hits, Some(&answer))))
 }
 
@@ -644,12 +644,6 @@ fn validate_k(k: Option<f64>) -> Result<usize, ServeError> {
         .ok_or_else(|| ServeError::BadRequest {
             detail: format!("k must be an integer in 1..={MAX_SEARCH_K}"),
         })
-}
-
-/// The index is constructed server-side, so a scan error is our bug, not
-/// the client's: surface it as a 500 with the typed detail.
-fn index_internal(e: tsdx_index::IndexError) -> ServeError {
-    ServeError::Internal { detail: format!("index scan failed: {e}") }
 }
 
 /// Step 2 — **decode**: a request body after its one parse. Two encodings:

@@ -9,15 +9,20 @@
 //! Run with `cargo run --release --example scenario_search`.
 
 use tsdx::data::{generate_dataset, DatasetConfig};
-use tsdx::metrics::{precision_at_k, rank_by_score};
-use tsdx::sdl::{cosine, embed, parse_scenario, similarity};
+use tsdx::index::VectorIndex;
+use tsdx::metrics::precision_at_k;
+use tsdx::sdl::{parse_scenario, similarity};
 
 fn main() {
     // Build a small corpus with ground-truth SDL (in production these
     // descriptions come from the trained extractor; see `quickstart.rs`).
     println!("generating a 300-clip corpus...");
     let corpus = generate_dataset(&DatasetConfig { n_clips: 300, ..DatasetConfig::default() });
-    let embeddings: Vec<_> = corpus.iter().map(|c| embed(&c.truth)).collect();
+    // The index `/search` serves from: clip i is id i.
+    let mut index = VectorIndex::default();
+    for clip in &corpus {
+        index.push_scenario(&clip.truth).expect("generated truths are taxonomy-valid");
+    }
 
     let queries = [
         "ego decelerate-to-stop; pedestrian crossing right; road intersection",
@@ -28,27 +33,22 @@ fn main() {
 
     for query_text in queries {
         let query = parse_scenario(query_text).expect("valid query SDL");
-        let qe = embed(&query);
 
-        // Rank the corpus by embedding cosine similarity.
-        let scores: Vec<f32> = embeddings.iter().map(|e| cosine(&qe, e)).collect();
-        let mut order: Vec<usize> = (0..corpus.len()).collect();
-        order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("finite"));
+        // The five most similar clips by embedding cosine, best first.
+        let Ok(hits) = index.query_scenario(&query, 5);
 
         println!("\nquery: {query}");
-        for &i in order.iter().take(3) {
-            println!(
-                "  [cos {:.2} | slot-sim {:.2}] {}",
-                scores[i],
-                similarity(&query, &corpus[i].truth),
-                corpus[i].truth
-            );
+        for &(id, score) in hits.iter().take(3) {
+            let truth = &corpus[id as usize].truth;
+            println!("  [cos {score:.2} | slot-sim {:.2}] {truth}", similarity(&query, truth));
         }
 
         // Precision@5 against a strict relevance notion (same ego & road).
-        let relevant: Vec<bool> =
-            corpus.iter().map(|c| c.truth.ego == query.ego && c.truth.road == query.road).collect();
-        let p5 = precision_at_k(&rank_by_score(&scores, &relevant), 5);
-        println!("  P@5 (same ego maneuver + road): {:.0}%", p5 * 100.0);
+        let relevant: Vec<bool> = hits
+            .iter()
+            .map(|&(id, _)| &corpus[id as usize].truth)
+            .map(|t| t.ego == query.ego && t.road == query.road)
+            .collect();
+        println!("  P@5 (same ego maneuver + road): {:.0}%", precision_at_k(&relevant, 5) * 100.0);
     }
 }

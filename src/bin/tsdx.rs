@@ -14,8 +14,9 @@ use std::process::ExitCode;
 
 use tsdx::core::{evaluate, ClipModel, ModelConfig, ScenarioExtractor, TrainConfig};
 use tsdx::data::{generate_dataset, load_clips, save_clips, Clip, DatasetConfig, DatasetStats};
+use tsdx::index::VectorIndex;
 use tsdx::nn::{load_checkpoint, save_checkpoint, LrSchedule};
-use tsdx::sdl::{ScenarioCorpus, ScenarioFilter};
+use tsdx::sdl::ScenarioFilter;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -253,27 +254,34 @@ fn cmd_extract(opts: &Opts) -> Result<(), String> {
 
 fn cmd_search(opts: &Opts) -> Result<(), String> {
     let clips = load(opts)?;
-    let corpus: ScenarioCorpus = clips.iter().map(|c| c.truth.clone()).collect();
     let filter: ScenarioFilter = match opts.get("filter") {
         Some(text) => text.parse().map_err(|e| format!("{e}"))?,
         None => ScenarioFilter::any(),
     };
     let top = numeric(opts, "top", 5usize)?;
+    // The clips the filter keeps, in clip order.
+    let matches: Vec<(usize, &Clip)> =
+        clips.iter().enumerate().filter(|(_, c)| filter.matches(&c.truth)).collect();
     match opts.get("like") {
         Some(sdl) => {
             let query = sdl.parse().map_err(|e| format!("bad --like SDL: {e}"))?;
-            let hits = corpus.search(&filter, &query, top);
+            // Index ids ascend with clip ids, so ties rank by clip id.
+            let mut index = VectorIndex::default();
+            for (id, clip) in &matches {
+                index.push_scenario(&clip.truth).map_err(|e| format!("clip {id}: {e}"))?;
+            }
+            let Ok(hits) = index.query_scenario(&query, top);
             println!("filter: {filter}");
             println!("query:  {query}");
-            for (id, score) in hits {
-                println!("  [clip {id:>4} | cos {score:.3}] {}", corpus.get(id).expect("valid id"));
+            for (hit, score) in hits {
+                let (id, clip) = matches[hit as usize];
+                println!("  [clip {id:>4} | cos {score:.3}] {}", clip.truth);
             }
         }
         None => {
-            let ids = corpus.filter(&filter);
-            println!("filter: {filter} — {} matches", ids.len());
-            for id in ids.into_iter().take(top) {
-                println!("  [clip {id:>4}] {}", corpus.get(id).expect("valid id"));
+            println!("filter: {filter} — {} matches", matches.len());
+            for (id, clip) in matches.into_iter().take(top) {
+                println!("  [clip {id:>4}] {}", clip.truth);
             }
         }
     }

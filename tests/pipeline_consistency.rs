@@ -49,7 +49,7 @@ fn truth_embeddings_identify_their_own_scenario() {
     assert_eq!(report.exact_match, 1.0);
     for t in &truths {
         assert_eq!(embed(t).len(), EMBED_DIM);
-        assert!((tsdx::sdl::cosine(&embed(t), &embed(t)) - 1.0).abs() < 1e-5);
+        assert!((tsdx::sdl::dot(&embed(t), &embed(t)) - 1.0).abs() < 1e-5);
     }
 }
 
