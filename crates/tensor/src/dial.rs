@@ -129,7 +129,8 @@ impl Precision {
 pub enum Kernel {
     /// The safe 4×16 register tile every CPU runs.
     Portable,
-    /// The 8×32 `zmm` micro-kernel, selected where the CPU has AVX-512F.
+    /// The `zmm` micro-kernel — 6×64 register blocks, 8×32 on narrow
+    /// columns — selected where the CPU has AVX-512F.
     Avx512,
 }
 
@@ -145,13 +146,13 @@ impl Kernel {
 }
 
 impl fmt::Display for Kernel {
-    /// `portable 4x16` / `avx512 8x32` — what `profile` and a server's
+    /// `portable 4x16` / `avx512 6x64` — what `profile` and a server's
     /// start-up line print, so a timing from a host that fell back is
     /// recognisable as such.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Kernel::Portable => "portable 4x16",
-            Kernel::Avx512 => "avx512 8x32",
+            Kernel::Avx512 => "avx512 6x64",
         })
     }
 }

@@ -32,7 +32,7 @@
 //! through the same [`super::matmul()`] and softmax-backward kernels the
 //! composed graph's backward runs.
 
-use super::matmul::{mul_cols, transpose_tile, use_avx512, Groups, Mat, NC};
+use super::matmul::{mul_cols, transpose_tile, use_avx512, Epilogue, Groups, Mat, NC};
 use super::reduce::{softmax_last_backward, softmax_rows};
 use super::{matmul, permute, scale, transpose_last2};
 use crate::workspace::{self, Scratch};
@@ -146,6 +146,8 @@ impl Ctx<'_> {
         let mut kt = Scratch::uninit(tk.div_ceil(NC) * d * NC);
         let mut scores = Scratch::uninit(block_max);
         let mut p = Scratch::uninit(block_max);
+        // Neither product has a bias or a residual to add at its store.
+        let none = &Epilogue::NONE;
         for (b, oslab) in out.chunks_exact_mut(tq * n).enumerate() {
             for (jt, tile) in kt.chunks_exact_mut(d * NC).enumerate() {
                 let w = NC.min(tk - jt * NC);
@@ -161,12 +163,13 @@ impl Ctx<'_> {
                     let per_head =
                         Groups { count: heads, o_step: block, a_step: dh, b_step: dh * NC };
                     let q = self.q.mat(b, i0, 0);
-                    mul_cols(self.avx512, s, tk, cols, q, ktile, rows, dh, per_head);
+                    mul_cols(self.avx512, s, tk, cols, q, ktile, rows, dh, per_head, none);
                 }
                 softmax_rows(self.avx512, s, p, tk, self.scale);
                 let per_head = Groups { count: heads, o_step: dv, a_step: block, b_step: dv };
                 let (pm, v) = (Mat { data: p, base: 0, rs: tk, cs: 1 }, self.v.mat(b, 0, 0));
-                mul_cols(self.avx512, &mut oslab[i0 * n..], n, 0..dv, pm, v, rows, tk, per_head);
+                let o = &mut oslab[i0 * n..];
+                mul_cols(self.avx512, o, n, 0..dv, pm, v, rows, tk, per_head, none);
                 if let Some(kept) = probs.as_deref_mut() {
                     for (h, ph) in p.chunks_exact(block).enumerate() {
                         kept[((b * heads + h) * tq + i0) * tk..][..block].copy_from_slice(ph);

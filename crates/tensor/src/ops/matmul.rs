@@ -15,9 +15,10 @@
 //! - Columns past the last full 16 are per-element dot products.
 //!
 //! On a CPU with AVX-512F (detected at run time; the build baseline stays
-//! `x86-64-v3`) the same cases run through the explicit 8-row × 32-column
-//! `zmm` micro-kernel in [`avx512`] instead, the last vector of a row loaded
-//! and stored under a lane mask, so there is no scalar column tail. The safe
+//! `x86-64-v3`) the same cases run through the explicit `zmm` micro-kernel
+//! in [`avx512`] instead — 6-row × 64-column register blocks, 8 rows where
+//! at most 32 columns are left, the last vector of a row loaded and stored
+//! under a lane mask, so there is no scalar column tail. The safe
 //! [`tile_rows`] is the only path elsewhere and the parity reference
 //! (`tests/avx512_parity.rs`). [`KERNEL`] names the one in use.
 //!
@@ -25,9 +26,10 @@
 //! unit-column-stride `B` — and what [`super::attention`] runs its `q·kᵀ` and
 //! `p·v` tiles through, with [`transpose_tile`] building the `kᵀ` tiles.
 //!
-//! [`linear`] runs the same kernels and then an epilogue — bias, activation
-//! and residual applied in place to the rows the kernel has just written —
-//! so an affine layer is one call and one output buffer.
+//! [`linear`] runs the same kernels with an [`Epilogue`]: the kernel adds
+//! the bias, and the residual unless GELU comes between them, to each
+//! accumulator block before its one store, so an affine layer is one pass
+//! over its output; a GELU layer's activation and residual follow it.
 //!
 //! [`avx512`] also holds two *twins*: the GELU pass ([`gelu_in_place`]) and
 //! the row softmax ([`super::reduce`]'s `softmax_rows`), each one safe
@@ -67,8 +69,8 @@ use crate::Tensor;
 /// fits the architectural vector registers with room for the operands.
 const J_TILE: usize = 16;
 
-/// Width of a gathered or transposed `B` tile, `[k][NC]`: the AVX-512
-/// kernel's column block (two `zmm` vectors) and two of the portable one's.
+/// Width of a gathered or transposed `B` tile, `[k][NC]`: two `zmm` vectors
+/// of the AVX-512 kernel, two tiles of the portable one.
 pub(super) const NC: usize = 32;
 
 /// True when [`gemm`] calls from this thread run the tiled path through the
@@ -99,7 +101,7 @@ pub(super) fn use_avx512() -> bool {
 /// assert_eq!(ops::matmul(&a, &i), a);
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    gemm(a, b, None)
+    gemm(a, b, Epilogue::NONE)
 }
 
 /// The activation [`linear`] applies between the bias and the residual.
@@ -111,37 +113,46 @@ pub enum Activation {
     Gelu,
 }
 
-/// What [`linear`] applies to the output rows as soon as the kernel has
-/// written them.
-struct Epilogue<'a> {
+/// What finishes [`linear`]'s output, element by element: `act(v + b) + r`,
+/// each step rounded once, the chain the separate ops produce. The kernels
+/// add `b`, and `r` when `act` is [`Activation::None`], before their store;
+/// [`apply`](Self::apply) does the rest.
+#[derive(Clone, Copy)]
+pub(super) struct Epilogue<'a> {
     /// The `[n]` bias.
     bias: Option<&'a [f32]>,
     act: Activation,
-    /// The residual, laid out exactly like the output (dense `[rows, n]`).
+    /// The residual, laid out exactly like the output slice it finishes.
     residual: Option<&'a [f32]>,
 }
 
-impl Epilogue<'_> {
-    /// Finishes `out` — whole output rows of width `n`, holding the
-    /// accumulated products — in place: `act(v + b) + r`, each step rounded
-    /// once, the chain the separate bias-add, activation and residual-add
-    /// ops produce. Each step is a plain slice loop, which is what lets it
-    /// vectorize.
-    fn apply(&self, out: &mut [f32], n: usize, avx512: bool) {
-        if let Some(bias) = self.bias {
-            for row in out.chunks_exact_mut(n) {
-                for (v, &bv) in row.iter_mut().zip(bias) {
-                    *v += bv;
-                }
-            }
-        }
+impl<'a> Epilogue<'a> {
+    /// The plain product: nothing to add.
+    pub(super) const NONE: Epilogue<'static> =
+        Epilogue { bias: None, act: Activation::None, residual: None };
+
+    /// What a kernel adds before its store: the bias, then the residual
+    /// unless an activation comes between them.
+    fn at_store(&self) -> (Option<&'a [f32]>, Option<&'a [f32]>) {
+        (self.bias, self.residual.filter(|_| self.act == Activation::None))
+    }
+
+    /// A GELU layer's activation and then its residual, in place on `out`,
+    /// which the kernels have stored; plain slice loops, so they vectorize.
+    fn apply(&self, out: &mut [f32], avx512: bool) {
         if self.act == Activation::Gelu {
             gelu_in_place(avx512, out);
+            finish(out, None, self.residual);
         }
-        if let Some(res) = self.residual {
-            for (v, &rv) in out.iter_mut().zip(res) {
-                *v += rv;
-            }
+    }
+}
+
+/// Adds `bias` and then `residual`, element by element, to `acc`: the
+/// portable kernels' store-time adds, and the residual after a GELU.
+fn finish(acc: &mut [f32], bias: Option<&[f32]>, residual: Option<&[f32]>) {
+    for add in [bias, residual].into_iter().flatten() {
+        for (v, &x) in acc.iter_mut().zip(add) {
+            *v += x;
         }
     }
 }
@@ -151,8 +162,9 @@ impl Epilogue<'_> {
 ///
 /// `x` is `[..., k]` (rank ≥ 2, any layout), `w` is `[k, n]`, `bias` is
 /// `[n]` and `residual` has the output's shape `[..., n]`. One output
-/// buffer: bias, activation and residual are applied in place right after
-/// the kernel has written it — no intermediate tensor per step.
+/// buffer, no intermediate tensor: the kernel adds bias and residual to each
+/// output block before its one store (with [`Activation::Gelu`], the
+/// activation and the residual follow over the written rows).
 ///
 /// Every output element is the [`matmul`] accumulator (one `f32`,
 /// fused-multiply-added in ascending `k`), then `+ bias`, then the
@@ -205,7 +217,7 @@ pub fn linear(
         act,
         residual: residual.as_deref().map(Tensor::data),
     };
-    gemm(x, w, Some(epi))
+    gemm(x, w, epi)
 }
 
 /// `t` itself when it is dense, else a dense copy.
@@ -217,7 +229,7 @@ fn dense(t: &Tensor) -> Cow<'_, Tensor> {
     }
 }
 
-fn gemm(a: &Tensor, b: &Tensor, epi: Option<Epilogue>) -> Tensor {
+fn gemm(a: &Tensor, b: &Tensor, epi: Epilogue) -> Tensor {
     let _span = crate::metrics::span("op/matmul");
     assert!(a.rank() >= 2 && b.rank() >= 2, "matmul requires rank >= 2 operands");
     let (ash, bsh) = (a.shape().to_vec(), b.shape().to_vec());
@@ -236,20 +248,23 @@ fn gemm(a: &Tensor, b: &Tensor, epi: Option<Epilogue>) -> Tensor {
     if total == 0 || k == 0 {
         // An empty contraction sums nothing: the products are all zeros.
         let mut out = workspace::take_zeroed(total);
-        if let Some(epi) = epi.filter(|_| total > 0) {
-            epi.apply(&mut out, n, avx512);
+        if total > 0 {
+            let (bias, res) = epi.at_store();
+            for (r, row) in out.chunks_exact_mut(n).enumerate() {
+                finish(row, bias, res.map(|res| &res[r * n..]));
+            }
+            epi.apply(&mut out, avx512);
         }
         return Tensor::from_vec(out, &out_shape);
     }
-    // A contiguous `A` against one shared matrix `B` — every linear layer —
-    // is a single `[rows, k]` matrix: its batch dims fold into the row
-    // count, so the kernels tile straight across batch boundaries. The
-    // folded matrix is dense by definition; a unit dimension of the view
-    // may carry any stride, so the view's own strides are not consulted.
-    let (m, batch_a, (acs, ars)) = if batch_b.is_empty() && a.is_contiguous() {
-        (a.numel() / k, &ash[..0], (1, k))
-    } else {
-        (ash[ash.len() - 2], &ash[..ash.len() - 2], last2_strides(a))
+    // An `A` whose rows sit one stride apart against one shared matrix `B`
+    // — every linear layer, the CLS rows narrowed out of a block's tokens
+    // included — is a single `[rows, k]` matrix: its batch dims fold into
+    // the row count, so the kernels tile straight across batch boundaries.
+    let fold = if batch_b.is_empty() { folded_row_stride(a) } else { None };
+    let (m, batch_a, (acs, ars)) = match fold {
+        Some(rs) => (a.numel() / k, &ash[..0], (1, rs)),
+        None => (ash[ash.len() - 2], &ash[..ash.len() - 2], last2_strides(a)),
     };
     let batch = shape::broadcast(batch_a, batch_b).expect("batch dims broadcast (checked above)");
 
@@ -282,11 +297,20 @@ fn gemm(a: &Tensor, b: &Tensor, epi: Option<Epilogue>) -> Tensor {
     // The kernel writes every output element, so the buffer needs no
     // pre-zeroing (take_uninit is legal here).
     let mut out = workspace::take_uninit(total);
-    compute_rows(&mut out, &ctx);
-    if let Some(epi) = &epi {
-        epi.apply(&mut out, n, avx512);
-    }
+    compute_rows(&mut out, &ctx, &epi);
+    epi.apply(&mut out, avx512);
     Tensor::from_vec(out, &out_shape)
+}
+
+/// The row stride of `t` read as one `[rows, k]` matrix, its leading dims
+/// collapsed into the rows — `None` unless its columns are unit-stride and
+/// its rows sit one stride apart. Unit dimensions may carry any stride.
+fn folded_row_stride(t: &Tensor) -> Option<usize> {
+    let ((&k, lead), (&cs, lead_st)) = t.shape().split_last().zip(t.strides().split_last())?;
+    // Innermost first; each leading dim must step over the one inside it.
+    let dims = || lead.iter().zip(lead_st).rev().filter(|&(&d, _)| d > 1);
+    let uniform = dims().zip(dims().skip(1)).all(|((&d, &s), (_, &outer))| outer == s * d);
+    ((cs == 1 || k == 1) && uniform).then(|| dims().next().map_or(k, |(_, &s)| s))
 }
 
 /// `(column stride, row stride)` of the trailing matrix dimensions.
@@ -317,7 +341,7 @@ struct KernelCtx<'a> {
 }
 
 /// Computes every row of the flattened batch×row space into `out`.
-fn compute_rows(out: &mut [f32], ctx: &KernelCtx) {
+fn compute_rows(out: &mut [f32], ctx: &KernelCtx, epi: &Epilogue) {
     let KernelCtx { m, n, .. } = *ctx;
     let end = out.len() / n;
     let mut r = 0;
@@ -329,8 +353,9 @@ fn compute_rows(out: &mut [f32], ctx: &KernelCtx) {
         let i0 = r % m;
         let i1 = (end - bi * m).min(m);
         let rows_here = i1 - i0;
-        let o = &mut out[r * n..(r + rows_here) * n];
-        tiled_kernel(o, a_base, b_base, i0, rows_here, ctx);
+        let span = r * n..(r + rows_here) * n;
+        let epi = Epilogue { residual: epi.residual.map(|res| &res[span.clone()]), ..*epi };
+        tiled_kernel(&mut out[span], a_base, b_base, i0, rows_here, ctx, &epi);
         r += rows_here;
     }
 }
@@ -382,7 +407,7 @@ impl Groups {
 /// `[k][NC]` scratch tile first, at `k`·[`NC`] copies against
 /// `rows`·`k`·[`NC`] multiply-adds. Every output element is
 /// one accumulator fused-multiply-added from zero in ascending `kk` order
-/// whatever the kernel, tiling or layout.
+/// whatever the kernel, tiling or layout, then `epi`'s store-time adds.
 fn tiled_kernel(
     o: &mut [f32],
     a_base: usize,
@@ -390,12 +415,13 @@ fn tiled_kernel(
     i0: usize,
     rows: usize,
     ctx: &KernelCtx,
+    epi: &Epilogue,
 ) {
     let KernelCtx { ad, bd, n, k, ars, acs, brs, bcs, avx512, .. } = *ctx;
     let a = Mat { data: ad, base: a_base + i0 * ars, rs: ars, cs: acs };
     if bcs == 1 {
         let b = Mat { data: bd, base: b_base, rs: brs, cs: 1 };
-        return mul_cols(avx512, o, n, 0..n, a, b, rows, k, Groups::ONE);
+        return mul_cols(avx512, o, n, 0..n, a, b, rows, k, Groups::ONE, epi);
     }
     // Every slot a tile's product reads is written by its gather first.
     let mut tile = Scratch::uninit(k * NC);
@@ -408,20 +434,21 @@ fn tiled_kernel(
             }
         }
         let b = Mat { data: &tile, base: 0, rs: NC, cs: 1 };
-        mul_cols(avx512, o, n, jt..jt + w, a, b, rows, k, Groups::ONE);
+        mul_cols(avx512, o, n, jt..jt + w, a, b, rows, k, Groups::ONE, epi);
     }
 }
 
-/// `o[r * n + j] = Σₖ a[r, kk] · b[kk, j − cols.start]` for `r < rows`,
-/// `j ∈ cols`: output columns `cols` of `rows` rows of width `n`, `b` holding
-/// those columns from its column 0 with unit column stride — once per
-/// product of `groups`, each at its offsets. With `avx512`
+/// `o[r * n + j] = Σₖ a[r, kk] · b[kk, j − cols.start]` plus what `epi` adds
+/// at the store (`bias[j]`, then the residual, laid out like `o`) for
+/// `r < rows`, `j ∈ cols`: output columns `cols` of `rows` rows of width
+/// `n`, `b` holding those columns from its column 0 with unit column stride
+/// — once per product of `groups`, each at its offsets. With `avx512`
 /// (only ever [`use_avx512`]'s answer) the columns go through
 /// [`avx512::mul_cols`], whose lane mask covers a ragged last vector;
 /// otherwise full [`J_TILE`]-column tiles go through [`tile_rows`] and the
 /// narrow column tail is plain per-element dot products. Either way each
 /// element is one accumulator fused-multiply-added from zero in ascending
-/// `kk` — the chain the module docs promise.
+/// `kk` — the chain the module docs promise — then the adds.
 ///
 /// # Panics
 ///
@@ -437,10 +464,12 @@ pub(super) fn mul_cols(
     rows: usize,
     k: usize,
     groups: Groups,
+    epi: &Epilogue,
 ) {
+    let (bias, res) = epi.at_store();
     #[cfg(target_arch = "x86_64")]
     if avx512 {
-        return avx512::mul_cols(o, n, cols, a, b, rows, k, groups);
+        return avx512::mul_cols(o, n, cols, a, b, rows, k, groups, bias, res);
     }
     #[cfg(not(target_arch = "x86_64"))]
     debug_assert!(!avx512, "the AVX-512 kernel exists on x86-64 only");
@@ -448,19 +477,22 @@ pub(super) fn mul_cols(
     let full = cols.len() - cols.len() % J_TILE;
     for g in 0..groups.count {
         let o = &mut o[g * groups.o_step..];
+        let res = res.map(|r| &r[g * groups.o_step..]);
         let a = Mat { base: a.base + g * groups.a_step, ..a };
         let b0 = b.base + g * groups.b_step;
         for jt in (0..full).step_by(J_TILE) {
-            tile_rows(o, n, cols.start + jt, a, &b.data[b0 + jt..], b.rs, rows, k);
+            tile_rows(o, n, cols.start + jt, a, &b.data[b0 + jt..], b.rs, rows, k, bias, res);
         }
         for row in 0..rows {
-            for j in full..cols.len() {
+            for j in cols.start + full..cols.end {
                 let mut s = 0.0f32;
                 for kk in 0..k {
                     s = a.data[a.base + row * a.rs + kk * a.cs]
-                        .mul_add(b.data[b0 + kk * b.rs + j], s);
+                        .mul_add(b.data[b0 + kk * b.rs + j - cols.start], s);
                 }
-                o[row * n + cols.start + j] = s;
+                let at = row * n + j;
+                finish(std::slice::from_mut(&mut s), bias.map(|b| &b[j..]), res.map(|r| &r[at..]));
+                o[at] = s;
             }
         }
     }
@@ -516,7 +548,8 @@ fn gelu_body(xs: &mut [f32]) {
 /// Output columns `[jt, jt + J_TILE)` of `rows` rows of width `n` against
 /// one `B` tile whose row `kk` is the [`J_TILE`] floats at `bt[kk * bts..]`.
 /// Each 4-row × [`J_TILE`]-column block accumulates in a stack array across
-/// the whole `k` loop and is stored exactly once, so output rows are never
+/// the whole `k` loop, gets the bias and residual added ([`finish`]) and
+/// is stored exactly once, so output rows are never
 /// re-read and each loaded `B` cache line feeds four accumulator rows —
 /// eight independent vector FMA chains, which is what covers the FMA
 /// latency.
@@ -530,7 +563,14 @@ fn tile_rows(
     bts: usize,
     rows: usize,
     k: usize,
+    bias: Option<&[f32]>,
+    residual: Option<&[f32]>,
 ) {
+    let mut store = |r: usize, acc: &mut [f32; J_TILE]| {
+        let at = r * n + jt;
+        finish(acc, bias.map(|b| &b[jt..]), residual.map(|res| &res[at..]));
+        o[at..at + J_TILE].copy_from_slice(acc);
+    };
     let Mat { data: ad, base: a0, rs: ars, cs: acs } = a;
     let mut row = 0;
     while row + 4 <= rows {
@@ -545,8 +585,8 @@ fn tile_rows(
                 }
             }
         }
-        for (r, arow) in acc.iter().enumerate() {
-            o[(row + r) * n + jt..(row + r) * n + jt + J_TILE].copy_from_slice(arow);
+        for (r, arow) in acc.iter_mut().enumerate() {
+            store(row + r, arow);
         }
         row += 4;
     }
@@ -559,7 +599,7 @@ fn tile_rows(
                 *ov = av.mul_add(bv, *ov);
             }
         }
-        o[row * n + jt..row * n + jt + J_TILE].copy_from_slice(&acc);
+        store(row, &mut acc);
         row += 1;
     }
 }
@@ -603,8 +643,9 @@ fn tile_rows(
 /// [`kern`] keeps one accumulator lane per output element and issues one
 /// `_mm512_fmadd_ps` per element per `k`, ascending from zero — the chain
 /// [`tile_rows`] builds with `f32::mul_add`, and a per-lane IEEE fused
-/// multiply-add like it. Block shape and mask only decide which lane an
-/// element sits in, never its chain.
+/// multiply-add like it — then an `_mm512_add_ps` (IEEE, per lane, as
+/// [`finish`]'s `+=`) of the bias and of the residual. Block shape, mask and
+/// store timing only decide where and when an element is computed.
 ///
 /// # Safety contract
 ///
@@ -612,11 +653,12 @@ fn tile_rows(
 /// `unsafe` block it asserts that the last output element `(rows−1,
 /// cols.end−1)`, the largest `A` index `(rows−1, k−1)` and the largest `B`
 /// index `(k−1, width−1)` — each at the last group's offset, computed with
-/// overflow checks — lie inside their slices, and that the CPU has
-/// AVX-512F. The kernel dereferences exactly
-/// the addresses those extents cover: the vector holding a block's last
-/// columns is loaded and stored under a `__mmask16`, and AVX-512 masked
-/// loads and stores do not access (or fault on) masked-off lanes.
+/// overflow checks — lie inside their slices, that a bias covers
+/// `cols.end` and a residual is as long as the output slice, and that the
+/// CPU has AVX-512F. The kernel dereferences exactly the addresses those
+/// extents cover: a block's last vector is loaded, added to and stored
+/// under a `__mmask16`, and AVX-512 masked loads and stores do not access
+/// (or fault on) masked-off lanes.
 ///
 /// [`transpose_tile`](avx512::transpose_tile), the other entry, moves data
 /// without arithmetic (so it has no bits to keep) and is built the same way:
@@ -632,15 +674,18 @@ pub(super) mod avx512 {
     use super::super::reduce::softmax_body;
     use super::{gelu_body, Groups, Mat, NC};
 
-    /// Rows per register block: 8 rows × 2 vectors is 16 of the 32 `zmm`
-    /// registers in accumulators — 16 independent FMA chains, enough to
-    /// cover the FMA latency on both ports — with the two `B` vectors and
-    /// the `A` broadcast beside them.
-    const MR: usize = 8;
+    /// Rows per register block: 6 rows × 4 vectors is 24 of the 32 `zmm`
+    /// registers in accumulators, beside four `B` vectors and the `A`
+    /// broadcast (4 and 5 rows measured alike or slower). Blocks of one or
+    /// two vectors — ragged last columns, gathered and attention tiles, the
+    /// heads — take [`MR_NARROW`] rows: 8–16 FMA chains cover the latency.
+    const MR: usize = 6;
+    const MR_NARROW: usize = 8;
     /// `f32` lanes per `zmm` vector.
     const LANES: usize = 16;
-    // Columns per register block: two vectors, i.e. two cache lines of
-    // each `B` row.
+    /// Columns per register block: four vectors.
+    const NB: usize = 4 * LANES;
+    // A gathered or transposed tile is one block of two vectors.
     const _: () = assert!(NC == 2 * LANES);
 
     impl Mat<'_> {
@@ -657,17 +702,15 @@ pub(super) mod avx512 {
         }
     }
 
-    /// `o[r * n + j] = Σₖ a[r, kk] · b[kk, j − cols.start]` for `r < rows`,
-    /// `j ∈ cols`: output columns `cols` of `rows` rows of width `n`, `b`
-    /// holding those columns from its column 0 with unit column stride —
-    /// for each product of `groups`, at its offsets into the three slices.
+    /// [`super::mul_cols`] with its store-time adds unpacked: `bias[j]`, then
+    /// `residual[r * n + j]` (laid out and offset per group like `o`).
     ///
     /// # Panics
     ///
     /// Panics — before reading or writing anything — if the CPU lacks
-    /// AVX-512F, `k == 0`, `b.cs != 1`, `cols` reaches past `n`, or an
-    /// operand's extent reaches past its slice (the module's safety
-    /// contract).
+    /// AVX-512F, `k == 0`, `b.cs != 1`, `cols` reaches past `n` or the bias,
+    /// the residual's length is not `o`'s, or an extent reaches past its
+    /// slice (the module's safety contract).
     #[allow(clippy::too_many_arguments)]
     pub(super) fn mul_cols(
         o: &mut [f32],
@@ -678,6 +721,8 @@ pub(super) mod avx512 {
         rows: usize,
         k: usize,
         groups: Groups,
+        bias: Option<&[f32]>,
+        residual: Option<&[f32]>,
     ) {
         if rows == 0 || cols.is_empty() || groups.count == 0 {
             return;
@@ -707,6 +752,14 @@ pub(super) mod avx512 {
             "avx512 kernel: B[{k}, {}] reaches past its slice",
             cols.len()
         );
+        assert!(
+            bias.is_none_or(|b| cols.end <= b.len()),
+            "avx512 kernel: the bias does not cover columns {cols:?}"
+        );
+        assert!(
+            residual.is_none_or(|r| r.len() == o.len()),
+            "avx512 kernel: the residual is not laid out like the output slice"
+        );
         assert!(crate::cpu::avx512f(), "avx512 kernel selected without AVX-512F");
         let p = Ptrs {
             a: a.data[a.base..].as_ptr(),
@@ -715,23 +768,26 @@ pub(super) mod avx512 {
             b: b.data[b.base..].as_ptr(),
             brs: b.rs,
             o: o[cols.start..].as_mut_ptr(),
+            bias: bias.map(|b| b[cols.start..].as_ptr()),
+            res: residual.map(|r| r[cols.start..].as_ptr()),
             n,
             k,
         };
         for g in 0..groups.count {
             // SAFETY: AVX-512F is present (last assert). For group `g`,
-            // `blocks` reads `a[g·a_step + r·ars + kk·acs]` and
-            // `b[g·b_step + kk·brs + j]` and writes `o[g·o_step + r·n + j]`
-            // for `r < rows`, `kk < k`, `j < cols.len()` only; the asserts
-            // above put the largest of each, at the last group, inside its
-            // slice, steps and strides are unsigned so every other index is
-            // smaller, and `o` is borrowed mutably so nothing outside this
-            // call aliases the writes.
+            // `blocks` reads `a[g·a_step + r·ars + kk·acs]`, `b[g·b_step +
+            // kk·brs + j]`, `bias[c]`, `residual[i]` and writes `o[i]`, with
+            // `c = cols.start + j`, `i = g·o_step + r·n + c`, for `r < rows`,
+            // `kk < k`, `j < cols.len()` only; the asserts above put the
+            // largest of each, at the last group, inside its slice, steps and
+            // strides are unsigned so every other index is smaller, and `o`
+            // is borrowed mutably so nothing else aliases the writes.
             unsafe {
                 let pg = Ptrs {
                     a: p.a.add(g * groups.a_step),
                     b: p.b.add(g * groups.b_step),
                     o: p.o.add(g * groups.o_step),
+                    res: p.res.map(|r| r.add(g * groups.o_step)),
                     ..p
                 };
                 blocks(pg, rows, cols.len());
@@ -867,9 +923,9 @@ pub(super) mod avx512 {
     }
 
     /// What [`kern`] works from: the first element of its `A` rows, of its
-    /// `B` columns and of its output block, with the strides between rows
-    /// (`A` also between `k` steps; `B` and the output have unit column
-    /// stride).
+    /// `B` columns, of its output block and of the bias and residual it
+    /// adds (where given), with the strides between rows (`A` also between
+    /// `k` steps; the residual is laid out like the output).
     #[derive(Clone, Copy)]
     struct Ptrs {
         a: *const f32,
@@ -878,46 +934,56 @@ pub(super) mod avx512 {
         b: *const f32,
         brs: usize,
         o: *mut f32,
+        bias: Option<*const f32>,
+        res: Option<*const f32>,
         n: usize,
         k: usize,
     }
 
-    /// Walks a `rows × w` output in [`NC`]-column blocks (outer, so one
-    /// L1-resident `B` tile serves every row) of [`MR`]-row register blocks,
-    /// the ragged last ones running the same kernel at a smaller `R` and
-    /// under a narrower mask.
+    /// Walks a `rows × w` output in [`NB`]-column blocks (outer, so one
+    /// L1-resident `B` tile serves every row) of [`MR`]-row register blocks
+    /// — [`MR_NARROW`] rows where one or two vectors are left — the ragged
+    /// last ones running the same kernel at a smaller `R` and `NV`.
     ///
     /// # Safety
     ///
     /// Requires AVX-512F. For every `r < rows`, `kk < p.k`, `j < w`,
-    /// `p.a.add(r * p.ars + kk * p.acs)` and `p.b.add(kk * p.brs + j)` must
-    /// be readable and `p.o.add(r * p.n + j)` writable; nothing else is
-    /// dereferenced.
+    /// `p.a.add(r * p.ars + kk * p.acs)`, `p.b.add(kk * p.brs + j)`,
+    /// `p.bias.add(j)` and `p.res.add(r * p.n + j)` must be readable and
+    /// `p.o.add(r * p.n + j)` writable; nothing else is dereferenced.
     #[target_feature(enable = "avx512f")]
     unsafe fn blocks(p: Ptrs, rows: usize, w: usize) {
-        for c in (0..w).step_by(NC) {
-            let wc = NC.min(w - c);
+        for c in (0..w).step_by(NB) {
+            let wc = NB.min(w - c);
             let nv = wc.div_ceil(LANES);
             // Lanes of the block's last vector that are real columns.
             let mask: __mmask16 = u16::MAX >> (nv * LANES - wc);
-            for r in (0..rows).step_by(MR) {
+            let mr = if nv <= 2 { MR_NARROW } else { MR };
+            for r in (0..rows).step_by(mr) {
                 // SAFETY: `r < rows` and `c < w`, so these are the addresses
-                // of `a[r, 0]`, `b[0, c]` and `o[r, c]`, inside the extents
-                // the caller vouches for; `kern` stays within
-                // `min(MR, rows − r)` rows and `wc` columns of them.
+                // of `a[r, 0]`, `b[0, c]`, `bias[c]`, `res[r, c]` and
+                // `o[r, c]`, inside the extents the caller vouches for;
+                // `kern` stays within `min(mr, rows − r)` rows and `wc`
+                // columns of them.
                 unsafe {
-                    let q =
-                        Ptrs { a: p.a.add(r * p.ars), b: p.b.add(c), o: p.o.add(r * p.n + c), ..p };
+                    let q = Ptrs {
+                        a: p.a.add(r * p.ars),
+                        b: p.b.add(c),
+                        o: p.o.add(r * p.n + c),
+                        bias: p.bias.map(|b| b.add(c)),
+                        res: p.res.map(|res| res.add(r * p.n + c)),
+                        ..p
+                    };
                     macro_rules! dispatch {
-                        ($($rows:literal)*) => {
-                            match (MR.min(rows - r), nv) {
-                                $(($rows, 1) => kern::<$rows, 1>(q, mask),
-                                  ($rows, 2) => kern::<$rows, 2>(q, mask),)*
-                                _ => unreachable!("blocks are 1..=MR rows of 1..=2 vectors"),
+                        ($($rows:literal: $($nv:literal)*;)*) => {
+                            match (mr.min(rows - r), nv) {
+                                $($(($rows, $nv) => kern::<$rows, $nv>(q, mask),)*)*
+                                _ => unreachable!("blocks are 1..=6 rows of 1..=4 vectors or 7..=8 of 1..=2"),
                             }
                         };
                     }
-                    dispatch!(1 2 3 4 5 6 7 8);
+                    dispatch!(1: 1 2 3 4; 2: 1 2 3 4; 3: 1 2 3 4; 4: 1 2 3 4; 5: 1 2 3 4; 6: 1 2 3 4;
+                              7: 1 2; 8: 1 2;);
                 }
             }
         }
@@ -926,15 +992,17 @@ pub(super) mod avx512 {
     /// One `R × (NV·16)` register block: accumulators stay in `zmm`
     /// registers across the whole `k` loop — per `k` step `NV` loads of `B`,
     /// `R` broadcasts of `A` through its strides, `R·NV` fused multiply-adds
-    /// — and are stored once. Vector `NV − 1` is loaded and stored under
+    /// — then get the bias and the residual added, each where given, and
+    /// are stored once. Vector `NV − 1` is loaded, added to and stored under
     /// `mask`; the vectors before it are full.
     ///
     /// # Safety
     ///
     /// Requires AVX-512F. With `w = 16·(NV − 1) + mask.count_ones()`, for
-    /// every `r < R`, `kk < p.k`, `j < w`: `p.a.add(r * p.ars + kk * p.acs)`
-    /// and `p.b.add(kk * p.brs + j)` must be readable and
-    /// `p.o.add(r * p.n + j)` writable. `mask` must be a run of low bits.
+    /// every `r < R`, `kk < p.k`, `j < w`: `p.a.add(r * p.ars + kk * p.acs)`,
+    /// `p.b.add(kk * p.brs + j)`, `p.bias.add(j)` and `p.res.add(r * p.n +
+    /// j)` must be readable and `p.o.add(r * p.n + j)` writable. `mask` must
+    /// be a run of low bits.
     #[inline]
     #[target_feature(enable = "avx512f")]
     unsafe fn kern<const R: usize, const NV: usize>(p: Ptrs, mask: __mmask16) {
@@ -958,9 +1026,16 @@ pub(super) mod avx512 {
         }
         for (r, arow) in acc.iter().enumerate() {
             for (v, &ov) in arow.iter().enumerate() {
-                // SAFETY: lane `l` of this store is `o[r, 16·v + l]`, and
-                // only lanes with `16·v + l < w` are enabled.
-                unsafe { _mm512_mask_storeu_ps(p.o.add(r * p.n + LANES * v), lanes(v), ov) };
+                let (at, m) = (r * p.n + LANES * v, lanes(v));
+                // SAFETY: lane `l` of each load and of the store is column
+                // `16·v + l` of row `r` (the bias: of its one row), and only
+                // lanes with `16·v + l < w` are enabled.
+                unsafe {
+                    let add = |ov, x: *const f32| _mm512_add_ps(ov, _mm512_maskz_loadu_ps(m, x));
+                    let ov = p.bias.map_or(ov, |b| add(ov, b.add(LANES * v)));
+                    let ov = p.res.map_or(ov, |res| add(ov, res.add(at)));
+                    _mm512_mask_storeu_ps(p.o.add(at), m, ov);
+                }
             }
         }
     }
@@ -970,7 +1045,7 @@ pub(super) mod avx512 {
 mod tests {
     use super::*;
     use crate::copy_metrics;
-    use crate::ops::{permute, transpose_last2};
+    use crate::ops::{narrow, permute, transpose_last2};
 
     #[test]
     fn two_by_two() {
@@ -1079,48 +1154,86 @@ mod tests {
         }
     }
 
-    /// `avx512::mul_cols` on a 9×20 by 20×35 product whose `A`, `B` and
-    /// output slices are `short` elements shorter than the product needs.
+    #[test]
+    fn a_row_view_with_one_row_stride_folds_into_one_matrix() {
+        // The CLS rows the last spatial block projects: `[12, 1, 64]` out of
+        // `[12, 17, 64]`, one row every 17·64 elements.
+        let x = Tensor::from_fn(&[12, 17, 64], |i| ((i * 7919) % 113) as f32 / 113.0 - 0.5);
+        let cls = narrow(&x, 1, 0, 1);
+        assert_eq!(folded_row_stride(&cls), Some(17 * 64), "the fold is taken");
+        // Rows of uneven spacing or strided columns do not fold.
+        assert_eq!(folded_row_stride(&narrow(&x, 1, 0, 16)), None);
+        assert_eq!(folded_row_stride(&transpose_last2(&x)), None);
+        let w = Tensor::from_fn(&[64, 70], |i| ((i * 31) % 29) as f32 / 29.0 - 0.5);
+        let b = Tensor::from_fn(&[70], |i| i as f32 / 70.0);
+        let r = Tensor::from_fn(&[12, 1, 70], |i| (i % 9) as f32 - 4.0);
+        let bits = |t: Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for &kernel in Kernel::available() {
+            let f = |a: &Tensor| bits(linear(a, &w, Some(&b), Activation::None, Some(&r)));
+            let (got, want) = KERNEL.with(kernel, || (f(&cls), f(&cls.contiguous())));
+            assert_eq!(got, want, "{kernel}");
+        }
+    }
+
+    /// `avx512::mul_cols` on a 9×20 by 20×35 product plus a bias and a
+    /// residual, whose `A`, `B`, output, bias and residual slices are
+    /// `short` elements shorter than the product needs.
     #[cfg(target_arch = "x86_64")]
-    fn mul_cols_with_short_buffers(short: [usize; 3]) {
+    fn mul_cols_with_short_buffers(short: [usize; 5]) {
         let (rows, k, n) = (9, 20, 35);
         let (a, b) = (vec![1.0; rows * k - short[0]], vec![1.0; k * n - short[1]]);
         let mut o = vec![0.0; rows * n - short[2]];
+        let (bias, res) = (vec![0.5; n - short[3]], vec![0.25; rows * n - short[4]]);
         let a = Mat { data: &a, base: 0, rs: k, cs: 1 };
         let b = Mat { data: &b, base: 0, rs: n, cs: 1 };
-        avx512::mul_cols(&mut o, n, 0..n, a, b, rows, k, Groups::ONE);
-        assert!(o.iter().all(|&v| v == k as f32));
+        avx512::mul_cols(&mut o, n, 0..n, a, b, rows, k, Groups::ONE, Some(&bias), Some(&res));
+        assert!(o.iter().all(|&v| v == k as f32 + 0.75));
     }
 
-    // The three extent asserts of the AVX-512 island's safe entry: a slice
-    // one element short must panic there — on any x86-64 host, the CPU check
-    // comes after them — instead of being read or written past its end.
+    // The five extent asserts of the AVX-512 island's safe entry: a slice
+    // one element (the residual: one row) short must panic there — on any
+    // x86-64 host, the CPU check comes after them — instead of being read or
+    // written past its end.
     #[test]
     #[cfg(target_arch = "x86_64")]
     #[should_panic(expected = "A[9, 20] reaches past its slice")]
     fn avx512_entry_rejects_a_short_a() {
-        mul_cols_with_short_buffers([1, 0, 0]);
+        mul_cols_with_short_buffers([1, 0, 0, 0, 0]);
     }
 
     #[test]
     #[cfg(target_arch = "x86_64")]
     #[should_panic(expected = "B[20, 35] reaches past its slice")]
     fn avx512_entry_rejects_a_short_b() {
-        mul_cols_with_short_buffers([0, 1, 0]);
+        mul_cols_with_short_buffers([0, 1, 0, 0, 0]);
     }
 
     #[test]
     #[cfg(target_arch = "x86_64")]
     #[should_panic(expected = "exceed the output slice")]
     fn avx512_entry_rejects_a_short_output() {
-        mul_cols_with_short_buffers([0, 0, 1]);
+        mul_cols_with_short_buffers([0, 0, 1, 0, 0]);
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[should_panic(expected = "the bias does not cover columns 0..35")]
+    fn avx512_entry_rejects_a_short_bias() {
+        mul_cols_with_short_buffers([0, 0, 0, 1, 0]);
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[should_panic(expected = "the residual is not laid out like the output slice")]
+    fn avx512_entry_rejects_a_residual_one_row_short() {
+        mul_cols_with_short_buffers([0, 0, 0, 0, 35]);
     }
 
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn avx512_entry_accepts_exact_buffers() {
         if crate::cpu::avx512f() {
-            mul_cols_with_short_buffers([0, 0, 0]);
+            mul_cols_with_short_buffers([0; 5]);
         }
     }
 
@@ -1134,7 +1247,7 @@ mod tests {
         let a = Mat { data: &a, base: 0, rs: 3, cs: 1 };
         let b = Mat { data: &b, base: 0, rs: 4, cs: 1 };
         let groups = Groups { count: 2, a_step: steps[0], b_step: steps[1], o_step: steps[2] };
-        avx512::mul_cols(&mut o, 8, 0..4, a, b, 2, 3, groups);
+        avx512::mul_cols(&mut o, 8, 0..4, a, b, 2, 3, groups, None, None);
         assert!(o.iter().all(|&v| v == 3.0));
     }
 

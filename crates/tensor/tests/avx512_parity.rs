@@ -1,12 +1,16 @@
 //! Bit-parity of the AVX-512 GEMM micro-kernel against the portable kernel.
 //!
 //! Both build every output element as one accumulator fused-multiply-added
-//! from zero in ascending `k`, so the assertion is `to_bits` equality, not
-//! closeness — for every row count (the 8-row register blocks and their
-//! 1..=7-row remainders), every width 1..=70 (full vectors, masked last
-//! vectors, more than one 32-column block), every operand layout the model
-//! produces and every `linear` epilogue. Each side runs under a `RunConfig`
-//! naming its kernel, a per-thread override.
+//! from zero in ascending `k`, then add the bias and the residual, so the
+//! assertion is `to_bits` equality, not closeness. It covers every row count
+//! (the 6-row blocks of four vectors and the 8-row blocks of one or two
+//! with all their remainders), every width 1..=140 (full vectors, masked
+//! last vectors, one, two and three 64-column blocks, and the narrow blocks
+//! past them), every operand layout the model produces and every `linear`
+//! epilogue. Both kernels apply the epilogue at their store, so
+//! `tests/large_view_parity.rs` checks `linear` against the separate ops as
+//! well. Each side runs under a `RunConfig` naming its kernel, a per-thread
+//! override.
 //!
 //! On a host without AVX-512F the portable kernel is the only side and the
 //! suite is vacuous.
@@ -55,8 +59,8 @@ fn matrix(rows: usize, cols: usize, layout: usize, seed: u32) -> Tensor {
     }
 }
 
-/// The issue's row counts: every remainder of the 8-row block twice over,
-/// plus the model's one-clip and batch-of-eight token counts.
+/// Row counts: every remainder of the 6- and 8-row blocks twice over, plus
+/// the model's one-clip and batch-of-eight token counts.
 fn row_counts() -> impl Strategy<Value = usize> {
     prop_oneof![0usize..=20, 0usize..=20, 0usize..=20, 0usize..=20, Just(68usize), Just(544usize)]
 }
@@ -68,7 +72,7 @@ proptest! {
     fn plain_products_agree_in_every_layout(
         rows in row_counts(),
         k in 0usize..=130,
-        n in 1usize..=70,
+        n in 1usize..=140,
         layout_a in 0usize..3,
         layout_b in 0usize..3,
         seed in 0u32..1000,
@@ -87,7 +91,7 @@ proptest! {
         heads in 1usize..=3,
         rows in row_counts(),
         k in 0usize..=40,
-        n in 1usize..=70,
+        n in 1usize..=140,
         b_kind in 0usize..4,
         seed in 0u32..1000,
     ) {
@@ -116,7 +120,7 @@ proptest! {
     fn linear_agrees_under_all_eight_epilogues(
         rows in row_counts(),
         k in 0usize..=130,
-        n in 1usize..=70,
+        n in 1usize..=140,
         layout_x in 0usize..3,
         seed in 0u32..1000,
     ) {
@@ -140,8 +144,10 @@ fn views_ending_on_their_buffers_last_element_agree() {
     // Both operands are windows whose last element is their buffer's last:
     // a kernel (or an extent assert) that reached one lane or one row past
     // what the product needs would leave the buffer. Widths end in a masked
-    // vector, a single masked lane, a full vector and a second column block.
-    for &(rows, k, n) in &[(11usize, 19usize, 13usize), (8, 64, 17), (3, 5, 32), (17, 16, 70)] {
+    // vector, a single masked lane, a full vector, a second column block and
+    // one lane past two full blocks.
+    let shapes = [(11usize, 19usize, 13usize), (8, 64, 17), (3, 5, 32), (17, 16, 70), (7, 32, 129)];
+    for &(rows, k, n) in &shapes {
         let big_a = fill(&[rows + 3, k + 5], 91);
         let a = ops::narrow(&ops::narrow(&big_a, 0, 3, rows), 1, 5, k);
         let big_b = fill(&[k + 2, n + 7], 92);

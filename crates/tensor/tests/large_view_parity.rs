@@ -11,8 +11,11 @@
 //! Sizes here are the large ones — `B` of 160×256 and up, past any L1D,
 //! `m·n·k ≥ 2²⁰` multiply-adds, `k` up to 600 — where tiles stream from L2;
 //! small shapes are covered by `proptest_ops.rs` and `avx512_parity.rs`.
+//! The one exception is `ops::linear` against the separate ops it fuses, at
+//! the model's shapes and every block remainder around them.
 
 use proptest::prelude::*;
+use tsdx_tensor::dial::RunConfig;
 use tsdx_tensor::ops::Activation;
 use tsdx_tensor::{ops, Tensor};
 
@@ -112,6 +115,55 @@ fn deep_fused_linear_matches_the_composition() {
     let same =
         fused.to_vec().iter().zip(&reference.to_vec()).all(|(p, q)| p.to_bits() == q.to_bits());
     assert!(same, "fused linear diverged from its composition");
+}
+
+#[test]
+fn linear_matches_its_composition_under_every_epilogue_and_run_config() {
+    // Both kernels add the bias and the residual to an output block before
+    // they store it, so comparing them with each other cannot catch an
+    // epilogue they both get wrong. The reference here is the four separate
+    // ops, each its own pass: every row remainder of the 4-, 6- and 8-row
+    // blocks, one and two clips' tokens; widths inside one vector, at and
+    // past one and two 64-column blocks, and the model's widths.
+    for rc in RunConfig::matrix() {
+        for rows in [1, 4, 5, 6, 7, 13, 68, 544] {
+            for n in [3, 13, 16, 17, 63, 64, 65, 128, 129, 192] {
+                for k in [64, 128] {
+                    let seed = (rows * 1000 + n * 10 + k) as u32;
+                    let (x, w) = (fill(&[rows, k], seed), fill(&[k, n], seed ^ 1));
+                    let (bias, residual) = (fill(&[n], seed ^ 2), fill(&[rows, n], seed ^ 3));
+                    for epilogue in 0..8 {
+                        let b = (epilogue & 1 != 0).then_some(&bias);
+                        let gelu = epilogue & 2 != 0;
+                        let r = (epilogue & 4 != 0).then_some(&residual);
+                        let act = if gelu { Activation::Gelu } else { Activation::None };
+                        let (fused, composed) = rc.run(|| {
+                            let mut want = ops::matmul(&x, &w);
+                            if let Some(b) = b {
+                                want = ops::add(&want, b);
+                            }
+                            if gelu {
+                                want = ops::gelu(&want);
+                            }
+                            if let Some(r) = r {
+                                want = ops::add(&want, r);
+                            }
+                            (ops::linear(&x, &w, b, act, r).to_vec(), want.to_vec())
+                        });
+                        let diverged = fused
+                            .iter()
+                            .zip(&composed)
+                            .position(|(p, q)| p.to_bits() != q.to_bits());
+                        assert!(
+                            fused.len() == composed.len() && diverged.is_none(),
+                            "{rc}: linear [{rows},{k}] @ [{k},{n}], epilogue {epilogue:03b}, \
+                             diverged from its composition at flat index {diverged:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
