@@ -17,12 +17,22 @@
 //! it cannot pass this file. A digest that moves on purpose is updated in
 //! the same change that moves it.
 //!
+//! A second digest pins training: the bytes of the checkpoint file
+//! `train_resilient` writes after two epochs of the tiny config at seed 17
+//! on twelve clips — parameters, AdamW moments, RNG state and guard
+//! counters, in the file's own format. It too must be one constant in every
+//! cell.
+//!
 //! The one platform dependency is libm's `ln` and `cos` in the sensor noise
 //! of the generated pixels: on another libc a mismatch may be the platform,
-//! not the model. The checkpoint digest is not here yet.
+//! not the model.
 
-use tsdx_core::{ModelConfig, ScenarioExtractor};
+use tsdx_core::{
+    train_resilient, ModelConfig, ResilienceConfig, ScenarioExtractor, TrainConfig,
+    VideoScenarioTransformer,
+};
 use tsdx_data::{generate_dataset, Clip, DatasetConfig};
+use tsdx_render::RenderConfig;
 use tsdx_tensor::dial::RunConfig;
 use tsdx_tensor::{ops, Tensor};
 
@@ -31,6 +41,9 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The digest every cell must produce.
 const GOLDEN: &str = "0x467f51e005cdb50a";
+
+/// The checkpoint digest every cell must produce.
+const GOLDEN_CHECKPOINT: &str = "0x31889c2eba5f14d0";
 
 /// Folds `bytes` into the FNV-1a state `h`.
 fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
@@ -90,4 +103,48 @@ fn the_models_outputs_keep_their_digest_under_every_run_config() {
         cells.iter().map(|rc| format!("{:#018x}", rc.run(golden_digest))).collect();
     let names: Vec<String> = cells.iter().map(RunConfig::to_string).collect();
     assert_eq!(got, vec![GOLDEN; cells.len()], "cells {names:?}");
+}
+
+/// FNV-1a over the checkpoint file a short fixed-seed training run writes;
+/// `tag` keeps each cell's file apart.
+fn checkpoint_digest(tag: usize) -> u64 {
+    let model_cfg = ModelConfig {
+        frames: 4,
+        height: 16,
+        width: 16,
+        tubelet_t: 2,
+        patch: 8,
+        dim: 16,
+        spatial_depth: 1,
+        temporal_depth: 1,
+        heads: 2,
+        ..ModelConfig::default()
+    };
+    let clips = generate_dataset(&DatasetConfig {
+        n_clips: 12,
+        render: RenderConfig { width: 16, height: 16, frames: 4, ..RenderConfig::default() },
+        ..DatasetConfig::default()
+    });
+    let idx: Vec<usize> = (0..clips.len()).collect();
+    let cfg = TrainConfig { epochs: 2, batch_size: 4, seed: 17, ..TrainConfig::default() };
+    let path =
+        std::env::temp_dir().join(format!("tsdx-golden-ckpt-{}-{tag}.ckpt", std::process::id()));
+    let mut model = VideoScenarioTransformer::new(model_cfg, 17);
+    train_resilient(&mut model, &clips, &idx, &cfg, &ResilienceConfig::checkpoint_to(&path))
+        .expect("a fault-free run");
+    let bytes = std::fs::read(&path).expect("the checkpoint was written");
+    std::fs::remove_file(&path).ok();
+    fnv1a(FNV_OFFSET, &bytes)
+}
+
+#[test]
+fn a_short_training_run_writes_the_same_checkpoint_under_every_run_config() {
+    let cells = RunConfig::matrix();
+    let got: Vec<String> = cells
+        .iter()
+        .enumerate()
+        .map(|(i, rc)| format!("{:#018x}", rc.run(|| checkpoint_digest(i))))
+        .collect();
+    let names: Vec<String> = cells.iter().map(RunConfig::to_string).collect();
+    assert_eq!(got, vec![GOLDEN_CHECKPOINT; cells.len()], "cells {names:?}");
 }
