@@ -15,51 +15,32 @@
 //! discretization limit, and fine-grained vehicle actions depend on
 //! fragile blob tracking.
 
-use tsdx_data::{Clip, ClipLabels, POSITION_NONE};
+use tsdx_data::{ClipLabels, POSITION_NONE};
 use tsdx_sdl::{vocab, ActorAction, ActorKind, EgoManeuver, Position, RoadKind};
 use tsdx_tensor::Tensor;
 
-/// Tunable thresholds of the heuristic extractor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HeuristicConfig {
-    /// "Came to rest": min of the last two motion pairs below this fraction
-    /// of the maximum pair.
-    pub rest_ratio: f32,
-    /// Inter-frame scene-streaming (px) that counts as a turn.
-    pub turn_stream_px: f32,
-    /// Inter-frame scene-streaming (px) that counts as a lane change.
-    pub lane_stream_px: f32,
-    /// Far-field road pixels per side (whole clip) that flag a cross street.
-    pub cross_px: usize,
-    /// Near-probe road width (px) above which the carriageway is the wide
-    /// straight layout.
-    pub wide_road_px: usize,
-    /// Far-probe road centroid offset (px from center) below which the road
-    /// curves left.
-    pub curve_offset_px: f32,
-    /// Minimum total pixels for an actor detection.
-    pub min_blob: usize,
-}
-
-impl Default for HeuristicConfig {
-    fn default() -> Self {
-        HeuristicConfig {
-            rest_ratio: 0.47,
-            turn_stream_px: 3.0,
-            lane_stream_px: 1.2,
-            cross_px: 6,
-            wide_road_px: 14,
-            curve_offset_px: -3.0,
-            min_blob: 6,
-        }
-    }
-}
+/// "Came to rest": min of the last two motion pairs below this fraction of
+/// the maximum pair.
+const REST_RATIO: f32 = 0.47;
+/// Inter-frame scene-streaming (px) that counts as a turn.
+const TURN_STREAM_PX: f32 = 3.0;
+/// Inter-frame scene-streaming (px) that counts as a lane change.
+const LANE_STREAM_PX: f32 = 1.2;
+/// Far-field road pixels per side (whole clip) that flag a cross street.
+const CROSS_PX: usize = 6;
+/// Near-probe road width (px) above which the carriageway is the wide
+/// straight layout.
+const WIDE_ROAD_PX: usize = 14;
+/// Far-probe road centroid offset (px from center) below which the road
+/// curves left.
+const CURVE_OFFSET_PX: f32 = -3.0;
+/// Minimum total pixels for an actor detection (half of it for a
+/// pedestrian).
+const MIN_BLOB: usize = 6;
 
 /// The rule-based extractor.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct HeuristicExtractor {
-    cfg: HeuristicConfig,
-}
+pub struct HeuristicExtractor;
 
 /// Camera intrinsics assumed by the rules (matching
 /// `tsdx_render::Camera::standard`).
@@ -92,11 +73,6 @@ struct FrameStats {
 }
 
 impl HeuristicExtractor {
-    /// Creates an extractor with the given thresholds.
-    pub fn new(cfg: HeuristicConfig) -> Self {
-        HeuristicExtractor { cfg }
-    }
-
     /// Predicts head labels for one `[T, H, W]` video.
     pub fn predict(&self, video: &Tensor) -> ClipLabels {
         let sh = video.shape();
@@ -122,7 +98,7 @@ impl HeuristicExtractor {
         // floor, well below the peak motion of the moving phase.
         let peak = motion.iter().fold(0.0f32, |a, &b| a.max(b));
         let rest = motion[motion.len() - 2..].iter().fold(f32::INFINITY, |a, &b| a.min(b));
-        let stopped = peak > 1e-5 && rest < self.cfg.rest_ratio * peak;
+        let stopped = peak > 1e-5 && rest < REST_RATIO * peak;
 
         // --- scene streaming (marking centroid inter-frame drift) -----------
         let mut best_stream = 0.0f32;
@@ -155,11 +131,11 @@ impl HeuristicExtractor {
                 0.0
             }
         };
-        let road = if cross_l >= self.cfg.cross_px && cross_r >= self.cfg.cross_px {
+        let road = if cross_l >= CROSS_PX && cross_r >= CROSS_PX {
             RoadKind::Intersection
-        } else if near_width >= self.cfg.wide_road_px {
+        } else if near_width >= WIDE_ROAD_PX {
             RoadKind::Straight
-        } else if far_centroid_off < self.cfg.curve_offset_px {
+        } else if far_centroid_off < CURVE_OFFSET_PX {
             RoadKind::CurveLeft
         } else {
             RoadKind::CurveRight
@@ -168,14 +144,14 @@ impl HeuristicExtractor {
         // --- ego maneuver ------------------------------------------------------
         let ego = if stopped {
             EgoManeuver::DecelerateToStop
-        } else if road == RoadKind::Intersection && best_stream.abs() > self.cfg.turn_stream_px {
+        } else if road == RoadKind::Intersection && best_stream.abs() > TURN_STREAM_PX {
             // Rotating left makes the scene stream right (+columns).
             if best_stream > 0.0 {
                 EgoManeuver::TurnLeft
             } else {
                 EgoManeuver::TurnRight
             }
-        } else if road == RoadKind::Straight && best_stream.abs() > self.cfg.lane_stream_px {
+        } else if road == RoadKind::Straight && best_stream.abs() > LANE_STREAM_PX {
             if best_stream > 0.0 {
                 EgoManeuver::LaneChangeLeft
             } else {
@@ -192,13 +168,13 @@ impl HeuristicExtractor {
         let cyc_total = total(|s| s.cyclist_px);
 
         let mut presence = [0.0f32; 3];
-        if veh_total >= self.cfg.min_blob {
+        if veh_total >= MIN_BLOB {
             presence[ActorKind::Vehicle.index()] = 1.0;
         }
-        if ped_total >= self.cfg.min_blob / 2 {
+        if ped_total >= MIN_BLOB / 2 {
             presence[ActorKind::Pedestrian.index()] = 1.0;
         }
-        if cyc_total >= self.cfg.min_blob {
+        if cyc_total >= MIN_BLOB {
             presence[ActorKind::Cyclist.index()] = 1.0;
         }
 
@@ -219,11 +195,6 @@ impl HeuristicExtractor {
         };
 
         ClipLabels { ego: ego.index(), road: road.index(), event, position, presence }
-    }
-
-    /// Predicts labels for a slice of clips.
-    pub fn predict_clips(&self, clips: &[Clip]) -> Vec<ClipLabels> {
-        clips.iter().map(|c| self.predict(&c.video)).collect()
     }
 
     /// Baseline display name.
@@ -402,18 +373,14 @@ fn motion_energy(video: &Tensor, t: usize, h: usize, w: usize) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsdx_data::{generate_clip, DatasetConfig};
+    use tsdx_data::{generate_clip, Clip, DatasetConfig};
     use tsdx_render::RenderConfig;
     use tsdx_sim::{SamplerConfig, ScenarioSampler};
 
     fn clips_with(road: RoadKind, ego: EgoManeuver, n: usize) -> Vec<Clip> {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        let sampler = ScenarioSampler::new(SamplerConfig {
-            duration: 8.0,
-            max_events: 0,
-            ..SamplerConfig::default()
-        });
+        let sampler = ScenarioSampler::new(SamplerConfig { duration: 8.0, max_events: 0 });
         let render = RenderConfig::default();
         (0..n)
             .map(|i| {
@@ -429,7 +396,7 @@ mod tests {
 
     #[test]
     fn detects_stopping_vs_cruising() {
-        let h = HeuristicExtractor::default();
+        let h = HeuristicExtractor;
         let stops = clips_with(RoadKind::Straight, EgoManeuver::DecelerateToStop, 10);
         let cruises = clips_with(RoadKind::Straight, EgoManeuver::Cruise, 10);
         let stop_hits = stops
@@ -446,7 +413,7 @@ mod tests {
 
     #[test]
     fn detects_intersections() {
-        let h = HeuristicExtractor::default();
+        let h = HeuristicExtractor;
         let ix = clips_with(RoadKind::Intersection, EgoManeuver::Cruise, 8);
         let straight = clips_with(RoadKind::Straight, EgoManeuver::Cruise, 8);
         let hits = ix
@@ -465,7 +432,7 @@ mod tests {
     fn beats_chance_on_a_mixed_sample() {
         let cfg = DatasetConfig { n_clips: 60, ..DatasetConfig::default() };
         let clips: Vec<Clip> = (0..60).map(|i| generate_clip(&cfg, i)).collect();
-        let h = HeuristicExtractor::default();
+        let h = HeuristicExtractor;
         let ego_ok = clips.iter().filter(|c| h.predict(&c.video).ego == c.labels.ego).count();
         let road_ok = clips.iter().filter(|c| h.predict(&c.video).road == c.labels.road).count();
         // Majority-class chance is ~30% for ego and ~25% for road.
@@ -477,13 +444,9 @@ mod tests {
     fn pedestrian_presence_is_detected() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        let sampler = ScenarioSampler::new(SamplerConfig {
-            duration: 8.0,
-            max_events: 2,
-            ..SamplerConfig::default()
-        });
+        let sampler = ScenarioSampler::new(SamplerConfig { duration: 8.0, max_events: 2 });
         let render = RenderConfig::default();
-        let h = HeuristicExtractor::default();
+        let h = HeuristicExtractor;
         let mut with_ped = 0;
         let mut detected = 0;
         for i in 0..400 {
@@ -510,7 +473,7 @@ mod tests {
     fn output_labels_are_always_in_range() {
         let cfg = DatasetConfig { n_clips: 1, ..DatasetConfig::default() };
         let clip = generate_clip(&cfg, 0);
-        let l = HeuristicExtractor::default().predict(&clip.video);
+        let l = HeuristicExtractor.predict(&clip.video);
         assert!(l.ego < EgoManeuver::COUNT);
         assert!(l.road < RoadKind::COUNT);
         assert!(l.event < vocab::EVENT_COUNT);

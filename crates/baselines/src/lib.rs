@@ -21,4 +21,4 @@ mod heuristic;
 
 pub use cnn_gru::{CnnGru, CnnGruConfig};
 pub use frame_mlp::{FrameMlp, FrameMlpConfig};
-pub use heuristic::{HeuristicConfig, HeuristicExtractor};
+pub use heuristic::HeuristicExtractor;

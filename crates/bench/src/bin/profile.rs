@@ -53,10 +53,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsdx_bench::{has_flag, is_quick, print_table, standard_clips};
 use tsdx_core::{
-    multitask_loss, ClipModel, LossWeights, ModelConfig, ScenarioExtractor, StreamState,
+    multitask_loss, ClipModel, ModelConfig, ScenarioExtractor, StreamState,
     VideoScenarioTransformer,
 };
-use tsdx_data::{collate, generate_dataset, Batch, DatasetConfig};
+use tsdx_data::{collate, generate_dataset, Batch, DatasetConfig, SIM_DT};
 use tsdx_index::VectorIndex;
 use tsdx_render::{render_video, RenderConfig, Weather};
 use tsdx_sdl::{vocab, ActorClause, EgoManeuver, Position, RoadKind, Scenario, MAX_ACTORS};
@@ -71,7 +71,7 @@ fn train_step(model: &VideoScenarioTransformer, batch: &Batch, rng: &mut StdRng)
     let mut g = Graph::new();
     let binding = model.params().bind(&mut g);
     let logits = model.forward(&mut g, &binding, &batch.videos, rng, true);
-    let loss = multitask_loss(&mut g, &logits, batch, &LossWeights::default());
+    let loss = multitask_loss(&mut g, &logits, batch);
     let grads = g.backward(loss);
     std::hint::black_box(model.params().collect_grads(&binding, &grads));
 }
@@ -564,7 +564,7 @@ fn data_profile(quick: bool) {
     let steady = median(&mut (0..rounds).map(|_| clips_per_s()).collect::<Vec<_>>());
     let rate_row = |call: String, rate: f64| vec![call, format!("{rate:.0}"), us(1e6 / rate)];
     print_table(
-        &format!("generate_dataset, {CLIPS} default clips, {} worker", cfg.workers),
+        &format!("generate_dataset, {CLIPS} default clips"),
         &["call", "clips/s", "µs/clip"],
         &[
             rate_row("first in the process (builds the road maps)".into(), first),
@@ -575,7 +575,7 @@ fn data_profile(quick: bool) {
     let sampler = ScenarioSampler::new(cfg.sampler);
     let scene = |i: usize| {
         let g = sampler.sample(&mut StdRng::seed_from_u64(cfg.base_seed + i as u64));
-        let traj = g.world.simulate(cfg.sim_dt);
+        let traj = g.world.simulate(SIM_DT);
         (g.world, traj)
     };
     let scenes = &(0..CLIPS).map(scene).collect::<Vec<_>>();

@@ -42,7 +42,7 @@ fn main() {
     let mut rows = Vec::new();
 
     // Heuristic (no training).
-    let heuristic = HeuristicExtractor::default();
+    let heuristic = HeuristicExtractor;
     let preds: Vec<ClipLabels> =
         split.test.iter().map(|&i| heuristic.predict(&clips[i].video)).collect();
     rows.push(row("heuristic", None, &summarize(&preds, &truths)));

@@ -104,7 +104,6 @@ pub fn standard_train_config(epochs: usize, n_train: usize, batch_size: usize) -
         },
         seed: STD_SEED,
         verbose: true,
-        ..TrainConfig::default()
     }
 }
 

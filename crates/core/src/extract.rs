@@ -161,16 +161,16 @@ impl ScenarioExtractor {
     /// Checks that `video` is exactly one well-formed `[T, H, W]` window for
     /// this model, without running any inference.
     ///
-    /// This is the admission-time half of [`extract_checked`]
-    /// (`ScenarioExtractor::extract_checked`), split out so a serving layer
+    /// This is the admission-time half of
+    /// [`extract_checked`](Self::extract_checked), split out so a serving layer
     /// can reject malformed requests *before* they occupy a batch slot.
     /// Non-finite pixels are reported here too — a batched forward must
     /// never see NaN from a neighboring request.
     ///
     /// # Errors
     ///
-    /// The same typed [`ExtractError`]s as [`extract_checked`]
-    /// (`ScenarioExtractor::extract_checked`).
+    /// The same typed [`ExtractError`]s as
+    /// [`extract_checked`](Self::extract_checked).
     pub fn validate_window(&self, video: &Tensor) -> Result<(), ExtractError> {
         let sh = video.shape();
         if sh.len() != 3 {
@@ -200,8 +200,8 @@ impl ScenarioExtractor {
     /// **one batched forward pass** — the entry point for a serving layer
     /// that coalesces concurrent requests.
     ///
-    /// Each window is validated independently ([`validate_window`]
-    /// (`ScenarioExtractor::validate_window`)); the well-formed ones are
+    /// Each window is validated independently
+    /// ([`validate_window`](Self::validate_window)); the well-formed ones are
     /// stacked into a single `[B, T, H, W]` batch and pushed through the
     /// encoder once, so one tape, one parameter binding and one pass over
     /// each weight matrix serve the whole batch — what amortizes is that

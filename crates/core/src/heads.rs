@@ -24,28 +24,10 @@ pub struct HeadLogits<V = Var> {
     pub presence: V,
 }
 
-/// Relative loss weights of the heads.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LossWeights {
-    /// Weight of the ego cross-entropy.
-    pub ego: f32,
-    /// Weight of the road cross-entropy.
-    pub road: f32,
-    /// Weight of the event cross-entropy.
-    pub event: f32,
-    /// Weight of the position cross-entropy.
-    pub position: f32,
-    /// Weight of the presence BCE.
-    pub presence: f32,
-}
-
-impl Default for LossWeights {
-    /// Equal weights except a lighter presence term (it is the easiest
-    /// head and otherwise dominates early training).
-    fn default() -> Self {
-        LossWeights { ego: 1.0, road: 1.0, event: 1.0, position: 0.5, presence: 0.5 }
-    }
-}
+/// Weight of the position cross-entropy and of the presence BCE in
+/// [`multitask_loss`]; the ego, road and event terms weigh 1. Presence is
+/// the easiest head and would otherwise dominate early training.
+const HALF_WEIGHT: f32 = 0.5;
 
 /// The five linear decoding heads on top of a clip embedding.
 #[derive(Debug, Clone)]
@@ -82,19 +64,18 @@ impl SdlHeads {
     }
 }
 
-/// Combined multi-task loss for one batch (scalar variable).
-pub fn multitask_loss(g: &mut Graph, logits: &HeadLogits, batch: &Batch, w: &LossWeights) -> Var {
+/// Combined multi-task loss for one batch (scalar variable): the ego, road
+/// and event cross-entropies plus half the position cross-entropy and half
+/// the presence BCE.
+pub fn multitask_loss(g: &mut Graph, logits: &HeadLogits, batch: &Batch) -> Var {
     let ego = g.cross_entropy(logits.ego, &batch.ego);
     let road = g.cross_entropy(logits.road, &batch.road);
     let event = g.cross_entropy(logits.event, &batch.event);
     let position = g.cross_entropy(logits.position, &batch.position);
     let presence = g.bce_logits(logits.presence, &batch.presence);
 
-    let ego = g.scale(ego, w.ego);
-    let road = g.scale(road, w.road);
-    let event = g.scale(event, w.event);
-    let position = g.scale(position, w.position);
-    let presence = g.scale(presence, w.presence);
+    let position = g.scale(position, HALF_WEIGHT);
+    let presence = g.scale(presence, HALF_WEIGHT);
     let a = g.add(ego, road);
     let b = g.add(event, position);
     let ab = g.add(a, b);
@@ -146,7 +127,7 @@ mod tests {
         let emb = g.constant(Tensor::from_fn(&[2, 8], |i| (i as f32 * 0.1).sin()));
         let logits = heads.forward(&mut Tape::eval(&mut g, &p), &emb);
         let batch = dummy_batch(2);
-        let loss = multitask_loss(&mut g, &logits, &batch, &LossWeights::default());
+        let loss = multitask_loss(&mut g, &logits, &batch);
         let v = g.value(loss).item();
         assert!(v.is_finite() && v > 0.0);
         let grads = g.backward(loss);
@@ -155,17 +136,26 @@ mod tests {
     }
 
     #[test]
-    fn zero_weights_remove_terms() {
+    fn position_and_presence_weigh_half() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(2);
         let heads = SdlHeads::new(&mut store, &mut rng, "h", 8);
         let mut g = Graph::new();
         let p = store.bind(&mut g);
-        let emb = g.constant(Tensor::zeros(&[2, 8]));
+        let emb = g.constant(Tensor::from_fn(&[2, 8], |i| (i as f32 * 0.3).cos()));
         let logits = heads.forward(&mut Tape::eval(&mut g, &p), &emb);
         let batch = dummy_batch(2);
-        let zero = LossWeights { ego: 0.0, road: 0.0, event: 0.0, position: 0.0, presence: 0.0 };
-        let loss = multitask_loss(&mut g, &logits, &batch, &zero);
-        assert_eq!(g.value(loss).item(), 0.0);
+        let loss = multitask_loss(&mut g, &logits, &batch);
+        let terms = [
+            g.cross_entropy(logits.ego, &batch.ego),
+            g.cross_entropy(logits.road, &batch.road),
+            g.cross_entropy(logits.event, &batch.event),
+            g.cross_entropy(logits.position, &batch.position),
+            g.bce_logits(logits.presence, &batch.presence),
+        ]
+        .map(|t| g.value(t).item());
+        let want = terms[0] + terms[1] + terms[2] + 0.5 * terms[3] + 0.5 * terms[4];
+        let got = g.value(loss).item();
+        assert!((got - want).abs() <= 1e-6 * want, "{got} vs {want}");
     }
 }

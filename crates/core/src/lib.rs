@@ -53,14 +53,14 @@ pub use encoder::ClipEncoder;
 pub use extract::ExtractError;
 pub use extract::ScenarioExtractor;
 pub use flops::clip_macs;
-pub use heads::{multitask_loss, HeadLogits, LossWeights, SdlHeads};
+pub use heads::{multitask_loss, HeadLogits, SdlHeads};
 pub use model::{decode_logits, ClipModel, VideoScenarioTransformer};
 pub use session::{
     encode_staged, readout_staged, MuxEncodeReport, StreamSession, StreamState, WindowLogits,
 };
 pub use telemetry::{run_time_switches, LogLevel, TrainLogger};
 pub use train::{
-    evaluate, predict_labels, summarize, train, train_resilient, EvalSummary, ResilienceConfig,
-    TrainConfig, TrainError, TrainReport,
+    evaluate, predict_labels, summarize, train, train_resilient, Checkpointing, EvalSummary,
+    ResilienceConfig, TrainConfig, TrainError, TrainReport,
 };
 pub use tubelet::{extract_tubelets, TubeletEmbed};

@@ -25,7 +25,7 @@
 //! |---|---|---|
 //! | `train_start` | info | `model`, `epochs`, `batch_size`, `clips` |
 //! | `resume` | info | `epoch`, `step` |
-//! | `step` | debug | `step`, `epoch`, `loss`, `lr`, `grad_norm` (null when clipping is off) |
+//! | `step` | debug | `step`, `epoch`, `loss`, `lr`, `grad_norm` (before clipping) |
 //! | `skip` | info | `step`, `loss`, `consecutive`, `lr_scale` |
 //! | `epoch` | info | `epoch`, `loss`, `batches`, `skipped` |
 //! | `checkpoint` | info | `epoch`, `step`, `path`, `write_ms` |
@@ -202,7 +202,7 @@ impl TrainLogger {
     }
 
     /// One optimizer step (debug level only).
-    pub fn step(&mut self, step: u32, epoch: usize, loss: f32, lr: f32, grad_norm: Option<f32>) {
+    pub fn step(&mut self, step: u32, epoch: usize, loss: f32, lr: f32, grad_norm: f32) {
         if self.level < LogLevel::Debug {
             return;
         }
@@ -213,7 +213,7 @@ impl TrainLogger {
                 ("epoch", Val::U64(epoch as u64)),
                 ("loss", Val::F32(loss)),
                 ("lr", Val::F32(lr)),
-                ("grad_norm", Val::OptF32(grad_norm)),
+                ("grad_norm", Val::F32(grad_norm)),
             ],
         );
     }
@@ -333,7 +333,7 @@ mod tests {
     fn disabled_logger_writes_nowhere() {
         let mut log = TrainLogger::disabled();
         log.train_start("m", 1, 1, 1);
-        log.step(0, 0, 1.0, 1e-3, None);
+        log.step(0, 0, 1.0, 1e-3, 1.0);
         log.train_end(1, 1, 0, Some(1.0));
         assert!(!log.step_level());
     }
@@ -346,7 +346,7 @@ mod tests {
         let mut log = TrainLogger::for_run("test-model", Some(&path));
         assert!(log.step_level());
         log.train_start("test-model", 2, 4, 8);
-        log.step(0, 0, 0.75, 1e-3, Some(2.5));
+        log.step(0, 0, 0.75, 1e-3, 2.5);
         log.train_end(2, 1, 0, Some(0.75));
         drop(log);
         let text = std::fs::read_to_string(&path).unwrap();

@@ -1,9 +1,9 @@
 //! Shared training loop and evaluation harness for all [`ClipModel`]s.
 //!
-//! Training is fault-tolerant by default (see [`train_resilient`]): a batch
-//! whose loss or gradients are non-finite is skipped instead of corrupting
-//! the parameters, repeated bad batches back off the learning rate, and the
-//! loop can periodically write crash-safe checkpoints that a later run
+//! Training is fault-tolerant (see [`train_resilient`]): a batch whose loss
+//! or gradients are non-finite is skipped instead of corrupting the
+//! parameters, repeated bad batches back off the learning rate, and the loop
+//! can write a crash-safe checkpoint after every epoch that a later run
 //! resumes from **bit-identically** — an interrupted-then-resumed run ends
 //! with exactly the parameters of an uninterrupted one.
 
@@ -17,13 +17,24 @@ use tsdx_data::{collate, epoch_batches, Clip, ClipLabels};
 use tsdx_metrics::{accuracy, macro_f1, multilabel_report};
 use tsdx_nn::{
     clip_global_norm, read_train_checkpoint, save_train_checkpoint, AdamW, CheckpointError,
-    LrSchedule, Optimizer, TrainCheckpoint, TrainState,
+    LrSchedule, TrainCheckpoint, TrainState,
 };
 use tsdx_sdl::{vocab, ActorKind, EgoManeuver};
 
-use crate::heads::{multitask_loss, LossWeights};
+use crate::heads::multitask_loss;
 use crate::model::{decode_logits, ClipModel};
 use crate::telemetry::{timed_ms, TrainLogger};
+
+/// AdamW's decoupled weight decay.
+const WEIGHT_DECAY: f32 = 1e-4;
+/// The global gradient norm every step is clipped to.
+const CLIP_NORM: f32 = 5.0;
+/// More consecutive skipped batches than this is [`TrainError::Diverged`].
+const MAX_CONSECUTIVE_BAD: u32 = 16;
+/// Learning-rate multiplier applied on every repeated consecutive bad batch.
+const BACKOFF: f32 = 0.5;
+/// Floor of the backoff scale.
+const MIN_LR_SCALE: f32 = 1.0 / 64.0;
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,14 +45,8 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Learning-rate schedule (per optimizer step).
     pub schedule: LrSchedule,
-    /// AdamW decoupled weight decay.
-    pub weight_decay: f32,
-    /// Global gradient-norm clip (0 disables).
-    pub clip_norm: f32,
     /// RNG seed for shuffling and dropout.
     pub seed: u64,
-    /// Head loss weights.
-    pub loss_weights: LossWeights,
     /// Print one line per epoch to stderr.
     pub verbose: bool,
 }
@@ -52,10 +57,7 @@ impl Default for TrainConfig {
             epochs: 8,
             batch_size: 16,
             schedule: LrSchedule::WarmupCosine { base: 1e-3, warmup: 20, total: 400, min: 5e-5 },
-            weight_decay: 1e-4,
-            clip_norm: 5.0,
             seed: 0,
-            loss_weights: LossWeights::default(),
             verbose: false,
         }
     }
@@ -81,30 +83,26 @@ impl TrainReport {
     }
 }
 
+/// Where [`train_resilient`] keeps its checkpoint.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum Checkpointing {
+    /// No checkpoint is read or written.
+    #[default]
+    Off,
+    /// A checkpoint is written to the path after every epoch; an existing
+    /// file is overwritten, never read.
+    WriteTo(PathBuf),
+    /// As [`Checkpointing::WriteTo`], but training first resumes from the
+    /// path when it exists (a missing file starts fresh, so the same
+    /// invocation works for the first and every later attempt).
+    ResumeFrom(PathBuf),
+}
+
 /// Fault-tolerance policy for [`train_resilient`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilienceConfig {
-    /// Where periodic checkpoints go (`None` disables checkpointing).
-    pub checkpoint: Option<PathBuf>,
-    /// Epochs between checkpoints (a checkpoint is always written after the
-    /// final epoch when a path is set; values below 1 behave like 1).
-    pub checkpoint_every: usize,
-    /// Resume from `checkpoint` when it exists (a missing file starts
-    /// fresh, so the same invocation works for the first and every later
-    /// attempt).
-    pub resume: bool,
-    /// Skip batches whose loss or gradients are non-finite instead of
-    /// corrupting the parameters. Disable only for overhead measurements.
-    pub guard: bool,
-    /// Abort with [`TrainError::Diverged`] after this many *consecutive*
-    /// skipped batches.
-    pub max_consecutive_bad: u32,
-    /// Learning-rate multiplier applied on every repeated consecutive bad
-    /// batch (bounded below by `min_lr_scale`; recovers by doubling per
-    /// good step back to 1.0).
-    pub backoff: f32,
-    /// Floor for the backoff scale.
-    pub min_lr_scale: f32,
+    /// Where checkpoints are written, and whether training resumes from one.
+    pub checkpoint: Checkpointing,
     /// Explicit JSONL telemetry destination. `None` (the default) defers to
     /// `TSDX_LOG` and the standard `results/logs/` location; `Some(path)`
     /// writes debug-level events to `path` regardless of the environment
@@ -112,35 +110,16 @@ pub struct ResilienceConfig {
     pub log_path: Option<PathBuf>,
 }
 
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            checkpoint: None,
-            checkpoint_every: 1,
-            resume: false,
-            guard: true,
-            max_consecutive_bad: 16,
-            backoff: 0.5,
-            min_lr_scale: 1.0 / 64.0,
-            log_path: None,
-        }
-    }
-}
-
 impl ResilienceConfig {
     /// Checkpoints to `path` every epoch, without resuming.
     pub fn checkpoint_to(path: impl Into<PathBuf>) -> Self {
-        ResilienceConfig { checkpoint: Some(path.into()), ..ResilienceConfig::default() }
+        ResilienceConfig { checkpoint: Checkpointing::WriteTo(path.into()), log_path: None }
     }
 
     /// Checkpoints to `path` every epoch **and** resumes from it when it
     /// already exists — the standard configuration for unattended runs.
     pub fn resume_from(path: impl Into<PathBuf>) -> Self {
-        ResilienceConfig {
-            checkpoint: Some(path.into()),
-            resume: true,
-            ..ResilienceConfig::default()
-        }
+        ResilienceConfig { checkpoint: Checkpointing::ResumeFrom(path.into()), log_path: None }
     }
 }
 
@@ -191,8 +170,7 @@ impl From<CheckpointError> for TrainError {
 ///
 /// Equivalent to [`train_resilient`] with the default
 /// [`ResilienceConfig`] (non-finite batches are skipped, no
-/// checkpointing); in a fault-free run the parameter trajectory is
-/// bit-identical to the pre-guard loop.
+/// checkpointing).
 ///
 /// # Panics
 ///
@@ -211,20 +189,19 @@ pub fn train(
 /// Trains `model` on `clips[train_idx]` in place, tolerating bad batches
 /// and process death.
 ///
-/// * **Non-finite guard** — when `r.guard` is set, a batch whose loss or
-///   collected gradients contain NaN/Inf is skipped: parameters and
-///   optimizer moments are untouched, the schedule still advances.
-///   Repeated consecutive bad batches multiply the learning rate by
-///   `r.backoff` (bounded by `r.min_lr_scale`); good steps double it back
-///   up to 1.0. More than `r.max_consecutive_bad` bad batches in a row is
+/// * **Non-finite guard** — a batch whose loss or collected gradients
+///   contain NaN/Inf is skipped: parameters and optimizer moments are
+///   untouched, the schedule still advances. Repeated consecutive bad
+///   batches halve the learning rate (down to 1/64 of it); good steps
+///   double it back up. More than 16 bad batches in a row is
 ///   [`TrainError::Diverged`].
-/// * **Checkpointing** — with `r.checkpoint` set, a crash-safe checkpoint
-///   (parameters, optimizer moments, RNG state, guard state) is written
-///   after every `r.checkpoint_every`-th epoch and after the final one.
-/// * **Resume** — with `r.resume` set and the checkpoint present, training
-///   continues from the recorded epoch. The restored run consumes the
-///   identical shuffle/dropout stream and optimizer state, so the final
-///   parameters are **bit-identical** to a never-interrupted run
+/// * **Checkpointing** — unless `r.checkpoint` is [`Checkpointing::Off`], a
+///   crash-safe checkpoint (parameters, optimizer moments, RNG state, guard
+///   state) is written after every epoch.
+/// * **Resume** — with [`Checkpointing::ResumeFrom`] and the checkpoint
+///   present, training continues from the recorded epoch. The restored run
+///   consumes the identical shuffle/dropout stream and optimizer state, so
+///   the final parameters are **bit-identical** to a never-interrupted run
 ///   (`tests/resume_training.rs` asserts this).
 ///
 /// # Errors
@@ -243,7 +220,7 @@ pub fn train_resilient(
     r: &ResilienceConfig,
 ) -> Result<TrainReport, TrainError> {
     assert!(!train_idx.is_empty(), "empty training set");
-    let mut opt = AdamW::new(cfg.weight_decay);
+    let mut opt = AdamW::new(WEIGHT_DECAY);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut step: u32 = 0;
     let mut start_epoch: usize = 0;
@@ -253,8 +230,7 @@ pub fn train_resilient(
     let mut log = TrainLogger::for_run(model.name(), r.log_path.as_deref());
     log.train_start(model.name(), cfg.epochs, cfg.batch_size, train_idx.len());
 
-    if r.resume {
-        let path = r.checkpoint.as_ref().expect("resume requires a checkpoint path");
+    if let Checkpointing::ResumeFrom(path) = &r.checkpoint {
         if path.exists() {
             let ck = read_train_checkpoint(path)?;
             model.params_mut().try_load_named(&ck.params).map_err(|m| {
@@ -296,7 +272,7 @@ pub fn train_resilient(
             let mut g = tsdx_tensor::Graph::new();
             let binding = model.params().bind(&mut g);
             let logits = model.forward(&mut g, &binding, &batch.videos, &mut rng, true);
-            let loss = multitask_loss(&mut g, &logits, batch, &cfg.loss_weights);
+            let loss = multitask_loss(&mut g, &logits, batch);
             let loss_val = g.value(loss).item();
             let grads = g.backward(loss);
             let mut collected = model.params().collect_grads(&binding, &grads);
@@ -304,15 +280,15 @@ pub fn train_resilient(
             if tsdx_tensor::faults::NAN_GRAD.take_if(step) {
                 collected[0] = tsdx_tensor::Tensor::full(collected[0].shape(), f32::NAN);
             }
-            if r.guard && (!loss_val.is_finite() || collected.iter().any(|t| t.has_non_finite())) {
+            if !loss_val.is_finite() || collected.iter().any(|t| t.has_non_finite()) {
                 skipped += 1;
                 consecutive_bad += 1;
-                if consecutive_bad > r.max_consecutive_bad {
+                if consecutive_bad > MAX_CONSECUTIVE_BAD {
                     log.diverged(step, consecutive_bad);
                     return Err(TrainError::Diverged { step, consecutive: consecutive_bad });
                 }
                 if consecutive_bad > 1 {
-                    lr_scale = (lr_scale * r.backoff).max(r.min_lr_scale);
+                    lr_scale = (lr_scale * BACKOFF).max(MIN_LR_SCALE);
                 }
                 log.skip(step, loss_val, consecutive_bad, lr_scale);
                 if cfg.verbose {
@@ -329,10 +305,7 @@ pub fn train_resilient(
             lr_scale = (lr_scale * 2.0).min(1.0);
             loss_sum += loss_val;
             good_batches += 1;
-            let mut grad_norm = None;
-            if cfg.clip_norm > 0.0 {
-                grad_norm = Some(clip_global_norm(&mut collected, cfg.clip_norm));
-            }
+            let grad_norm = clip_global_norm(&mut collected, CLIP_NORM);
             let lr = cfg.schedule.lr(step) * lr_scale;
             opt.step(model.params_mut(), &collected, lr);
             log.step(step, epoch, loss_val, lr, grad_norm);
@@ -344,29 +317,23 @@ pub fn train_resilient(
         if cfg.verbose {
             eprintln!("[{}] epoch {epoch:>3}: loss {mean:.4}", model.name());
         }
-        if let Some(path) = &r.checkpoint {
+        if let Checkpointing::WriteTo(path) | Checkpointing::ResumeFrom(path) = &r.checkpoint {
             let done = epoch + 1;
-            if done % r.checkpoint_every.max(1) == 0 || done == cfg.epochs {
-                let ckpt = TrainCheckpoint {
-                    state: TrainState {
-                        epoch: done as u32,
-                        step,
-                        lr_scale,
-                        consecutive_bad,
-                        skipped_steps: skipped,
-                        rng: Some(rng.state()),
-                    },
-                    params: model
-                        .params()
-                        .iter()
-                        .map(|(n, t)| (n.to_string(), t.clone()))
-                        .collect(),
-                    opt: Some(opt.export_state(model.params())),
-                };
-                let (saved, write_ms) = timed_ms(|| save_train_checkpoint(&ckpt, path));
-                saved?;
-                log.checkpoint(done, step, path, write_ms);
-            }
+            let ckpt = TrainCheckpoint {
+                state: TrainState {
+                    epoch: done as u32,
+                    step,
+                    lr_scale,
+                    consecutive_bad,
+                    skipped_steps: skipped,
+                    rng: Some(rng.state()),
+                },
+                params: model.params().iter().map(|(n, t)| (n.to_string(), t.clone())).collect(),
+                opt: Some(opt.export_state(model.params())),
+            };
+            let (saved, write_ms) = timed_ms(|| save_train_checkpoint(&ckpt, path));
+            saved?;
+            log.checkpoint(done, step, path, write_ms);
         }
     }
     log.train_end(cfg.epochs, step, skipped - skipped_at_start, epoch_losses.last().copied());
@@ -643,27 +610,6 @@ mod tests {
         assert_eq!(report.steps, 4, "step counter restored from the checkpoint");
         assert_eq!(params_of(&model), before);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn guarded_train_matches_unguarded_when_fault_free() {
-        let clips = tiny_clips(8);
-        let idx: Vec<usize> = (0..8).collect();
-        let cfg = TrainConfig {
-            epochs: 2,
-            batch_size: 4,
-            schedule: LrSchedule::Constant(1e-3),
-            ..TrainConfig::default()
-        };
-        let mut guarded = tiny_model();
-        let rg = train_resilient(&mut guarded, &clips, &idx, &cfg, &ResilienceConfig::default())
-            .unwrap();
-        let mut unguarded = tiny_model();
-        let off = ResilienceConfig { guard: false, ..ResilienceConfig::default() };
-        let ru = train_resilient(&mut unguarded, &clips, &idx, &cfg, &off).unwrap();
-        assert_eq!(rg.skipped_steps, 0);
-        assert_eq!(rg.epoch_losses, ru.epoch_losses);
-        assert_eq!(params_of(&guarded), params_of(&unguarded), "guard must cost zero drift");
     }
 
     #[test]

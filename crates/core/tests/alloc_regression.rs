@@ -22,8 +22,7 @@ use std::sync::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsdx_core::{
-    multitask_loss, ClipModel, LossWeights, ModelConfig, ScenarioExtractor,
-    VideoScenarioTransformer,
+    multitask_loss, ClipModel, ModelConfig, ScenarioExtractor, VideoScenarioTransformer,
 };
 use tsdx_data::{collate, generate_dataset, DatasetConfig};
 use tsdx_render::RenderConfig;
@@ -123,7 +122,7 @@ fn steady_state_step_allocations_drop_with_workspaces() {
         let binding = model.params().bind(&mut g);
         let mut rng = StdRng::seed_from_u64(1);
         let logits = model.forward(&mut g, &binding, &batch.videos, &mut rng, true);
-        let loss = multitask_loss(&mut g, &logits, &batch, &LossWeights::default());
+        let loss = multitask_loss(&mut g, &logits, &batch);
         let grads = g.backward(loss);
         std::hint::black_box(model.params().collect_grads(&binding, &grads));
     };

@@ -21,22 +21,21 @@ pub struct Clip {
     pub labels: ClipLabels,
 }
 
+/// Simulation timestep (s) of every generated clip.
+pub const SIM_DT: f32 = 0.1;
+
 /// Full dataset-generation configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetConfig {
     /// Number of clips to generate.
     pub n_clips: usize,
-    /// Base RNG seed; clip `i` uses seed `base_seed + i`, so datasets are
-    /// reproducible regardless of worker count.
+    /// Base RNG seed; clip `i` uses seed `base_seed + i`, so any clip can be
+    /// regenerated alone.
     pub base_seed: u64,
     /// Scenario sampler configuration.
     pub sampler: SamplerConfig,
     /// Rendering configuration.
     pub render: RenderConfig,
-    /// Simulation timestep (s).
-    pub sim_dt: f32,
-    /// Number of generation worker threads (1 = sequential).
-    pub workers: usize,
 }
 
 impl Default for DatasetConfig {
@@ -46,8 +45,6 @@ impl Default for DatasetConfig {
             base_seed: 17,
             sampler: SamplerConfig::default(),
             render: RenderConfig::default(),
-            sim_dt: 0.1,
-            workers: 1,
         }
     }
 }
@@ -57,42 +54,15 @@ pub fn generate_clip(cfg: &DatasetConfig, i: usize) -> Clip {
     let mut rng = StdRng::seed_from_u64(cfg.base_seed.wrapping_add(i as u64));
     let sampler = ScenarioSampler::new(cfg.sampler);
     let generated = sampler.sample(&mut rng);
-    let traj = generated.world.simulate(cfg.sim_dt);
+    let traj = generated.world.simulate(SIM_DT);
     let video = render_video(&generated.world, &traj, &cfg.render, &mut rng);
     let labels = ClipLabels::from_scenario(&generated.truth);
     Clip { video, truth: generated.truth, labels }
 }
 
-/// Generates a full dataset.
-///
-/// With `cfg.workers > 1` the clip indices are sharded over worker threads
-/// (crossbeam scoped threads); because every clip derives its own seed from
-/// its index, the result is byte-identical to the sequential run.
+/// Generates a full dataset, clip by clip on the caller's thread.
 pub fn generate_dataset(cfg: &DatasetConfig) -> Vec<Clip> {
-    if cfg.workers <= 1 || cfg.n_clips < 4 {
-        return (0..cfg.n_clips).map(|i| generate_clip(cfg, i)).collect();
-    }
-    let workers = cfg.workers.min(cfg.n_clips);
-    let mut slots: Vec<Option<Clip>> = (0..cfg.n_clips).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        let mut rest = slots.as_mut_slice();
-        let chunk = cfg.n_clips.div_ceil(workers);
-        let mut start = 0;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let base = start;
-            scope.spawn(move |_| {
-                for (j, slot) in head.iter_mut().enumerate() {
-                    *slot = Some(generate_clip(cfg, base + j));
-                }
-            });
-            rest = tail;
-            start += take;
-        }
-    })
-    .expect("clip generation worker panicked");
-    slots.into_iter().map(|c| c.expect("all clips generated")).collect()
+    (0..cfg.n_clips).map(|i| generate_clip(cfg, i)).collect()
 }
 
 #[cfg(test)]
@@ -126,17 +96,6 @@ mod tests {
         let b = generate_clip(&cfg, 2);
         assert_eq!(a.video, b.video);
         assert_eq!(a.truth, b.truth);
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let seq = generate_dataset(&tiny_cfg(8));
-        let par = generate_dataset(&DatasetConfig { workers: 3, ..tiny_cfg(8) });
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.truth, b.truth);
-            assert_eq!(a.video, b.video);
-        }
     }
 
     #[test]

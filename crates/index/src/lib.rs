@@ -5,7 +5,7 @@
 //! extracted descriptions and exact brute-force search. It is the
 //! workspace's one similarity search.
 //!
-//! * **Embeddings** come from [`tsdx_sdl::embed`] — L2-normalized, so
+//! * **Embeddings** come from [`tsdx_sdl::embed()`] — L2-normalized, so
 //!   similarity is a plain dot product ([`tsdx_sdl::dot`]).
 //! * **Storage** keeps each distinct row once. SDL descriptions come from a
 //!   closed taxonomy, so a corpus repeats rows: 200 000 random scenarios

@@ -23,7 +23,7 @@
 //! ```
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
-//! use tsdx_nn::{AdamW, Linear, Optimizer, ParamStore};
+//! use tsdx_nn::{AdamW, Linear, ParamStore};
 //! use tsdx_tensor::{Graph, Tensor};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
@@ -66,7 +66,7 @@ pub use dropout::Dropout;
 pub use exec::{Eval, Exec, Tape};
 pub use linear::Linear;
 pub use norm::LayerNorm;
-pub use optim::{clip_global_norm, AdamW, AdamWState, LrSchedule, Optimizer, Sgd};
+pub use optim::{clip_global_norm, AdamW, AdamWState, LrSchedule};
 pub use params::{Binding, ParamId, ParamStore, ShapeMismatch};
 pub use rnn::Gru;
 pub use serialize::{

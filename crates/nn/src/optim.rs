@@ -1,17 +1,8 @@
-//! Optimizers, gradient clipping, and learning-rate schedules.
+//! The AdamW optimizer, gradient clipping, and learning-rate schedules.
 
 use tsdx_tensor::Tensor;
 
 use crate::params::ParamStore;
-
-/// A first-order optimizer updating a [`ParamStore`] in place.
-///
-/// `grads` must be aligned with the store's registration order, as produced
-/// by [`ParamStore::collect_grads`].
-pub trait Optimizer {
-    /// Applies one update step with learning rate `lr`.
-    fn step(&mut self, store: &mut ParamStore, grads: &[Tensor], lr: f32);
-}
 
 /// Rescales `grads` so their global L2 norm is at most `max_norm`.
 ///
@@ -28,40 +19,6 @@ pub fn clip_global_norm(grads: &mut [Tensor], max_norm: f32) -> f32 {
         }
     }
     norm
-}
-
-/// Stochastic gradient descent with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    momentum: f32,
-    velocity: Vec<Option<Tensor>>,
-}
-
-impl Sgd {
-    /// Creates SGD with the given momentum coefficient (0 disables it).
-    pub fn new(momentum: f32) -> Self {
-        Sgd { momentum, velocity: Vec::new() }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore, grads: &[Tensor], lr: f32) {
-        assert_eq!(grads.len(), store.len(), "gradient count mismatch");
-        self.velocity.resize(grads.len(), None);
-        for (i, id) in store.ids().collect::<Vec<_>>().into_iter().enumerate() {
-            let g = &grads[i];
-            let v = if self.momentum > 0.0 {
-                let prev = self.velocity[i].take().unwrap_or_else(|| Tensor::zeros(g.shape()));
-                let v = prev.zip(g, |pv, gv| self.momentum * pv + gv);
-                self.velocity[i] = Some(v.clone());
-                v
-            } else {
-                g.clone()
-            };
-            let updated = store.value(id).zip(&v, |p, vv| p - lr * vv);
-            store.set_value(id, updated);
-        }
-    }
 }
 
 /// AdamW: Adam with decoupled weight decay (Loshchilov & Hutter).
@@ -144,8 +101,12 @@ pub struct AdamWState {
     pub v: Vec<Tensor>,
 }
 
-impl Optimizer for AdamW {
-    fn step(&mut self, store: &mut ParamStore, grads: &[Tensor], lr: f32) {
+impl AdamW {
+    /// Applies one update step with learning rate `lr`.
+    ///
+    /// `grads` must be aligned with the store's registration order, as
+    /// produced by [`ParamStore::collect_grads`].
+    pub fn step(&mut self, store: &mut ParamStore, grads: &[Tensor], lr: f32) {
         assert_eq!(grads.len(), store.len(), "gradient count mismatch");
         self.m.resize(grads.len(), None);
         self.v.resize(grads.len(), None);
@@ -233,35 +194,6 @@ mod tests {
     /// Gradient of f(x) = 0.5 * |x|^2 is x itself.
     fn quad_grad(store: &ParamStore) -> Vec<Tensor> {
         store.iter().map(|(_, t)| t.clone()).collect()
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut store = quadratic_store();
-        let mut opt = Sgd::new(0.0);
-        for _ in 0..100 {
-            let g = quad_grad(&store);
-            opt.step(&mut store, &g, 0.1);
-        }
-        let x = store.iter().next().unwrap().1;
-        assert!(x.data().iter().all(|&v| v.abs() < 1e-3), "{x:?}");
-    }
-
-    #[test]
-    fn momentum_accelerates_early_progress() {
-        let mut plain_store = quadratic_store();
-        let mut mom_store = quadratic_store();
-        let mut plain = Sgd::new(0.0);
-        let mut momentum = Sgd::new(0.9);
-        for _ in 0..5 {
-            let g = quad_grad(&plain_store);
-            plain.step(&mut plain_store, &g, 0.01);
-            let g = quad_grad(&mom_store);
-            momentum.step(&mut mom_store, &g, 0.01);
-        }
-        let pn: f32 = plain_store.iter().next().unwrap().1.data().iter().map(|v| v * v).sum();
-        let mn: f32 = mom_store.iter().next().unwrap().1.data().iter().map(|v| v * v).sum();
-        assert!(mn < pn, "momentum should make faster early progress");
     }
 
     #[test]

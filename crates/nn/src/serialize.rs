@@ -597,7 +597,6 @@ mod tests {
         store.add("w", Tensor::from_fn(&[2, 3], |i| i as f32 - 2.5));
         let mut opt = crate::AdamW::new(0.01);
         let grads: Vec<Tensor> = store.iter().map(|(_, t)| t.clone()).collect();
-        use crate::Optimizer;
         opt.step(&mut store, &grads, 0.1);
 
         let ckpt = TrainCheckpoint {

@@ -1,7 +1,5 @@
 //! Pinhole ego-camera model.
 
-use tsdx_sim::geometry::{Pose, Vec2};
-
 /// A forward-facing pinhole camera mounted on the ego vehicle.
 ///
 /// The camera sits `height` meters above the ground at the ego pose, with
@@ -65,13 +63,6 @@ impl Camera {
         let cx = self.width as f32 / 2.0;
         let left = -(col - cx) * forward / self.focal_px;
         Some((forward, left))
-    }
-
-    /// Transforms a world point to the camera frame of `ego` (forward,
-    /// left) on the ground plane.
-    pub fn world_to_cam(&self, ego: &Pose, p: Vec2) -> (f32, f32) {
-        let local = ego.world_to_local(p);
-        (local.x, local.y)
     }
 }
 

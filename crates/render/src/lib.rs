@@ -32,7 +32,7 @@ mod worldmap;
 
 pub use bev::{render_bev, BevConfig};
 pub use camera::Camera;
-pub use raster::{actor_intensity, draw_traffic_light, render_frame};
+pub use raster::{actor_intensity, render_frame};
 pub use video::{render_video, RenderConfig};
 pub use weather::{apply_weather, Weather};
 pub use worldmap::{intensity, WorldMap};

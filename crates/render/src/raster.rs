@@ -68,48 +68,6 @@ pub fn render_frame(
     Tensor::from_vec(img, &[h, w])
 }
 
-/// Paints a traffic light: a dark pole silhouetted against the sky with a
-/// dark lamp housing whose height encodes the phase (top = red, bottom =
-/// green). Grayscale-friendly: the only other above-horizon content is sky.
-pub fn draw_traffic_light(
-    cam: &Camera,
-    ego: &Pose,
-    light: &tsdx_sim::TrafficLight,
-    time: f32,
-    img: &mut [f32],
-) {
-    const POLE_SHADE: f32 = 0.22;
-    const LAMP_SHADE: f32 = 0.05;
-    let local = ego.world_to_local(light.position);
-    let (fwd, left) = (local.x, local.y);
-    if fwd < 1.5 || fwd > cam.max_depth {
-        return;
-    }
-    let (w, h) = (cam.width as isize, cam.height as isize);
-    // Pole: a thin vertical stripe from the ground to the head.
-    let Some((col, r_base)) = cam.project_local(fwd, left, 0.0) else { return };
-    let Some((_, r_top)) = cam.project_local(fwd, left, light.pole_height + 0.4) else { return };
-    let half_w = (cam.focal_px * 0.08 / fwd).max(0.5);
-    for r in (r_top.floor() as isize).max(0)..(r_base.ceil() as isize).min(h) {
-        for c in ((col - half_w).floor() as isize).max(0)..((col + half_w).ceil() as isize).min(w) {
-            img[(r * w + c) as usize] = POLE_SHADE;
-        }
-    }
-    // Lamp: a darker square at the phase-dependent height.
-    let lamp_h = light.lamp_height_at(time);
-    let Some((_, r_lamp)) = cam.project_local(fwd, left, lamp_h) else { return };
-    let lamp_half = (cam.focal_px * 0.25 / fwd).max(1.0);
-    for r in ((r_lamp - lamp_half).floor() as isize).max(0)
-        ..((r_lamp + lamp_half).ceil() as isize).min(h)
-    {
-        for c in
-            ((col - lamp_half).floor() as isize).max(0)..((col + lamp_half).ceil() as isize).min(w)
-        {
-            img[(r * w + c) as usize] = LAMP_SHADE;
-        }
-    }
-}
-
 fn draw_actor(cam: &Camera, ego: &Pose, kind: ActorKind, state: &ActorState, img: &mut [f32]) {
     let size = body_size(kind);
     let local = ego.world_to_local(state.pose.position);

@@ -5,7 +5,7 @@ use tsdx_sim::{Trajectory, World};
 use tsdx_tensor::Tensor;
 
 use crate::camera::Camera;
-use crate::raster::{draw_traffic_light, render_frame};
+use crate::raster::render_frame;
 use crate::weather::{apply_weather, Weather};
 use crate::worldmap::WorldMap;
 
@@ -67,9 +67,6 @@ pub fn render_video(
         let actors: Vec<_> =
             world.actors.iter().zip(&traj.actors).map(|(a, states)| (a.kind, states[i])).collect();
         let mut frame = render_frame(&cam, map, ego, &actors);
-        if let Some(light) = &world.light {
-            draw_traffic_light(&cam, &ego.pose, light, traj.time_at(i), frame.data_mut());
-        }
         apply_weather(cfg.weather, &cam, frame.data_mut());
         for &v in frame.data() {
             let noise =

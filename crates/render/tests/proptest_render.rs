@@ -63,72 +63,3 @@ proptest! {
         }
     }
 }
-
-#[cfg(test)]
-mod traffic_light_tests {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use tsdx_render::{render_video, RenderConfig};
-    use tsdx_sdl::{EgoManeuver, RoadKind};
-    use tsdx_sim::{LightPhase, SamplerConfig, ScenarioSampler};
-
-    #[test]
-    fn intersection_worlds_carry_phase_consistent_lights() {
-        let sampler =
-            ScenarioSampler::new(SamplerConfig { signal_heads: true, ..SamplerConfig::default() });
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..30 {
-            let g = sampler.sample_on_road(&mut rng, RoadKind::Intersection);
-            let light = g.world.light.expect("intersections have signal heads");
-            if g.truth.ego == EgoManeuver::DecelerateToStop {
-                assert_eq!(light.phase_at(g.world.duration), LightPhase::Red);
-            } else {
-                assert_eq!(light.phase_at(0.0), LightPhase::Green);
-            }
-        }
-        let g = sampler.sample_on_road(&mut rng, RoadKind::Straight);
-        assert!(g.world.light.is_none(), "no lights off intersections");
-    }
-
-    #[test]
-    fn light_is_visible_as_dark_sky_pixels() {
-        // Compare an intersection render with and without its light: the
-        // version with the light must contain dark above-horizon pixels.
-        let sampler = ScenarioSampler::new(SamplerConfig {
-            duration: 8.0,
-            max_events: 0,
-            signal_heads: true,
-        });
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = sampler.sample_on_road(&mut rng, RoadKind::Intersection);
-        let traj = g.world.simulate(0.1);
-        let cfg =
-            RenderConfig { noise_std: 0.0, brightness_jitter: 0.0, ..RenderConfig::default() };
-        let with = render_video(&g.world, &traj, &cfg, &mut StdRng::seed_from_u64(0));
-        let mut no_light = g.world.clone();
-        no_light.light = None;
-        let without = render_video(&no_light, &traj, &cfg, &mut StdRng::seed_from_u64(0));
-
-        let horizon = 13usize;
-        let count_dark_sky = |v: &tsdx_tensor::Tensor| {
-            let (t, h, w) = (8, 32, 32);
-            let mut n = 0;
-            for f in 0..t {
-                for r in 0..horizon {
-                    for c in 0..w {
-                        if v.data()[(f * h + r) * w + c] < 0.3 {
-                            n += 1;
-                        }
-                    }
-                }
-            }
-            n
-        };
-        let dark_with = count_dark_sky(&with);
-        let dark_without = count_dark_sky(&without);
-        assert!(
-            dark_with > dark_without + 5,
-            "light not visible: {dark_with} vs {dark_without} dark sky pixels"
-        );
-    }
-}

@@ -38,4 +38,4 @@ pub use filter::{ParseFilterError, ScenarioFilter};
 pub use grammar::{parse_scenario, ParseScenarioError};
 pub use nl::to_sentence;
 pub use rank::{rank_order, top_k, TopK};
-pub use similarity::{distance, similarity, slot_similarity, SimilarityWeights};
+pub use similarity::{distance, similarity};

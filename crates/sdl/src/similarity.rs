@@ -2,8 +2,8 @@
 //!
 //! Two complementary measures are provided:
 //!
-//! * [`slot_similarity`] — interpretable weighted agreement of the ego,
-//!   road, and actor slots (Jaccard over actor clauses);
+//! * [`similarity`] — interpretable weighted agreement of the ego, road,
+//!   and actor slots (Jaccard over actor clauses);
 //! * the cosine of [`crate::embed`] vectors ([`crate::embedding_similarity`]),
 //!   the Scenario2Vector approach used for retrieval.
 
@@ -11,26 +11,14 @@ use std::collections::BTreeSet;
 
 use crate::ast::Scenario;
 
-/// Weights of the three slot families in [`slot_similarity`].
-///
-/// Weights need not sum to one; they are normalized internally.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimilarityWeights {
-    /// Weight of ego-maneuver agreement.
-    pub ego: f32,
-    /// Weight of road-kind agreement.
-    pub road: f32,
-    /// Weight of actor-clause Jaccard overlap.
-    pub actors: f32,
-}
-
-impl Default for SimilarityWeights {
-    /// The weighting used throughout the evaluation: actors and ego dominate
-    /// (they carry the safety-relevant content), road context breaks ties.
-    fn default() -> Self {
-        SimilarityWeights { ego: 0.4, road: 0.2, actors: 0.4 }
-    }
-}
+/// Weight of ego-maneuver agreement in [`similarity`]. Actors and ego
+/// dominate (they carry the safety-relevant content); road context breaks
+/// ties.
+const EGO_WEIGHT: f32 = 0.4;
+/// Weight of road-kind agreement in [`similarity`].
+const ROAD_WEIGHT: f32 = 0.2;
+/// Weight of actor-clause Jaccard overlap in [`similarity`].
+const ACTORS_WEIGHT: f32 = 0.4;
 
 /// Weighted slot agreement in `[0, 1]`; `1` iff the scenarios are
 /// semantically identical up to actor ordering.
@@ -38,9 +26,7 @@ impl Default for SimilarityWeights {
 /// Actor clauses are compared as *sets* (order is salience only) with
 /// Jaccard overlap; positions are part of clause identity. Two scenarios
 /// with no actors at all count as full actor agreement.
-pub fn slot_similarity(a: &Scenario, b: &Scenario, w: SimilarityWeights) -> f32 {
-    let total = w.ego + w.road + w.actors;
-    assert!(total > 0.0, "similarity weights must not all be zero");
+pub fn similarity(a: &Scenario, b: &Scenario) -> f32 {
     let ego = if a.ego == b.ego { 1.0 } else { 0.0 };
     let road = if a.road == b.road { 1.0 } else { 0.0 };
 
@@ -54,12 +40,8 @@ pub fn slot_similarity(a: &Scenario, b: &Scenario, w: SimilarityWeights) -> f32 
         inter / union
     };
 
-    (w.ego * ego + w.road * road + w.actors * actors) / total
-}
-
-/// [`slot_similarity`] with [`SimilarityWeights::default`].
-pub fn similarity(a: &Scenario, b: &Scenario) -> f32 {
-    slot_similarity(a, b, SimilarityWeights::default())
+    (EGO_WEIGHT * ego + ROAD_WEIGHT * road + ACTORS_WEIGHT * actors)
+        / (EGO_WEIGHT + ROAD_WEIGHT + ACTORS_WEIGHT)
 }
 
 /// Distance form of [`similarity`]: `1 - similarity`.
@@ -119,16 +101,14 @@ mod tests {
     }
 
     #[test]
-    fn custom_weights_change_emphasis() {
+    fn similarity_keeps_its_bits() {
         let a = base();
-        let mut b = base();
-        b.road = RoadKind::Intersection;
-        let road_heavy =
-            slot_similarity(&a, &b, SimilarityWeights { ego: 0.0, road: 1.0, actors: 0.0 });
-        assert_eq!(road_heavy, 0.0);
-        let actors_only =
-            slot_similarity(&a, &b, SimilarityWeights { ego: 0.0, road: 0.0, actors: 1.0 });
-        assert_eq!(actors_only, 1.0);
+        let mut road_only = base();
+        road_only.road = RoadKind::Intersection;
+        let disjoint = Scenario::new(EgoManeuver::TurnLeft, RoadKind::Intersection)
+            .with_actor(ActorClause::new(ActorKind::Pedestrian, ActorAction::Crossing));
+        let got = [&a, &road_only, &disjoint].map(|b| similarity(&a, b).to_bits());
+        assert_eq!(got, [0x3f80_0000, 0x3f4c_cccd, 0], "1.0, 0.8 and 0.0");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * **One-shot clips** (`POST /v1/extract`): coalesced into one batched
 //!   encoder forward ([`ScenarioExtractor::extract_window_batch`]).
 //! * **Stream chunk pushes** (`POST /sessions/<id>/frames`): each chunk is
-//!   staged into its session's [`StreamState`], then every newly completed
+//!   staged into its session's [`tsdx_core::StreamState`], then every newly completed
 //!   time group across *all* streams in the round is encoded in **one**
 //!   cross-stream [`tsdx_core::encode_staged`] forward, and every ready
 //!   window is then read out in **one** [`tsdx_core::readout_staged`]

@@ -7,7 +7,7 @@
 //!
 //! * **Micro-batching** ([`batcher`]): concurrent `POST /v1/extract`
 //!   requests coalesce into one batched encoder forward through
-//!   [`ScenarioExtractor::extract_window_batch`], amortizing weight-packing
+//!   [`tsdx_core::ScenarioExtractor::extract_window_batch`], amortizing weight-packing
 //!   across clips.
 //! * **Multiplexed streaming sessions** ([`sessions`]): `POST /sessions`
 //!   opens a server-side [`tsdx_core::StreamState`]; chunk pushes to

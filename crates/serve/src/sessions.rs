@@ -171,13 +171,8 @@ impl SessionManager {
         Ok(())
     }
 
-    /// Evicts every session idle past the TTL (also runs lazily inside
-    /// [`create`](Self::create) and [`get`](Self::get)).
-    pub fn sweep_idle(&self) {
-        let mut table = self.lock_table();
-        self.sweep_idle_locked(&mut table);
-    }
-
+    /// Evicts every session idle past the TTL; runs lazily inside
+    /// [`create`](Self::create) and [`get`](Self::get).
     fn sweep_idle_locked(&self, table: &mut HashMap<u64, Arc<SessionEntry>>) {
         let now = Instant::now();
         let before = table.len();

@@ -144,11 +144,7 @@ mod tests {
     fn ego_maneuver_roundtrips_through_simulation() {
         // For every road kind and every compatible maneuver, the labeler
         // must recover the generator's intent from kinematics alone.
-        let sampler = ScenarioSampler::new(SamplerConfig {
-            duration: 10.0,
-            max_events: 0,
-            ..SamplerConfig::default()
-        });
+        let sampler = ScenarioSampler::new(SamplerConfig { duration: 10.0, max_events: 0 });
         let mut rng = StdRng::seed_from_u64(100);
         for &road in RoadKind::ALL {
             for &ego in ego_maneuvers_for(road) {
@@ -167,11 +163,7 @@ mod tests {
 
     #[test]
     fn actor_actions_roundtrip_through_simulation() {
-        let sampler = ScenarioSampler::new(SamplerConfig {
-            duration: 8.0,
-            max_events: 2,
-            ..SamplerConfig::default()
-        });
+        let sampler = ScenarioSampler::new(SamplerConfig { duration: 8.0, max_events: 2 });
         let mut rng = StdRng::seed_from_u64(101);
         let mut checked = 0;
         for _ in 0..120 {

@@ -33,7 +33,6 @@ mod labeler;
 mod path;
 mod road;
 mod scenario_gen;
-mod traffic_light;
 mod vehicle;
 mod world;
 
@@ -43,6 +42,5 @@ pub use labeler::{infer_actor_action, infer_ego_maneuver, relative_position};
 pub use path::Path;
 pub use road::{Lane, RoadLayout, APPROACH_LEN, CURVE_RADIUS, EXIT_LEN, HALF_LANE, LANE_WIDTH};
 pub use scenario_gen::{ego_maneuvers_for, GeneratedScenario, SamplerConfig, ScenarioSampler};
-pub use traffic_light::{LightPhase, TrafficLight};
 pub use vehicle::{speed_control, BicycleModel, BicycleState, PurePursuit};
 pub use world::{EgoSetup, EgoState, Trajectory, World};

@@ -25,15 +25,11 @@ pub struct SamplerConfig {
     pub duration: f32,
     /// Maximum number of actor events per scenario (0..=2 supported).
     pub max_events: usize,
-    /// Attach signal heads at intersections (red while the ego stops,
-    /// green otherwise). Off by default so the standard evaluation datasets
-    /// stay byte-identical; enable for the richer-scene variant.
-    pub signal_heads: bool,
 }
 
 impl Default for SamplerConfig {
     fn default() -> Self {
-        SamplerConfig { duration: 8.0, max_events: 2, signal_heads: false }
+        SamplerConfig { duration: 8.0, max_events: 2 }
     }
 }
 
@@ -120,7 +116,7 @@ impl ScenarioSampler {
     }
 
     fn build(&self, rng: &mut impl Rng, road: RoadLayout, ego: EgoManeuver) -> GeneratedScenario {
-        let plan = EgoPlan::build(rng, &road, ego, self.cfg.duration);
+        let plan = EgoPlan::build(rng, &road, ego);
 
         // Sample actor events.
         let n_events = {
@@ -154,18 +150,7 @@ impl ScenarioSampler {
         truth.actors = clauses;
         debug_assert!(truth.validate().is_ok(), "generator produced invalid SDL: {truth}");
 
-        // At intersections a signal head explains the ego behavior: red
-        // while stopping, green when passing through. Placed at the
-        // near-right corner where the camera sees it against the sky.
-        let light = (self.cfg.signal_heads && road.kind() == RoadKind::Intersection).then(|| {
-            let pos = Vec2::new(6.5, -9.5);
-            match plan.stop_s {
-                Some(_) => crate::traffic_light::TrafficLight::new(pos, self.cfg.duration + 1.0),
-                None => crate::traffic_light::TrafficLight::green(pos),
-            }
-        });
-
-        let world = World { road, ego: plan.setup, actors, light, duration: self.cfg.duration };
+        let world = World { road, ego: plan.setup, actors, duration: self.cfg.duration };
         GeneratedScenario { world, truth }
     }
 }
@@ -206,7 +191,7 @@ struct EgoPlan {
 }
 
 impl EgoPlan {
-    fn build(rng: &mut impl Rng, road: &RoadLayout, ego: EgoManeuver, _duration: f32) -> EgoPlan {
+    fn build(rng: &mut impl Rng, road: &RoadLayout, ego: EgoManeuver) -> EgoPlan {
         let v: f32 = rng.random_range(7.0..9.0);
         match ego {
             EgoManeuver::Cruise => EgoPlan {

@@ -5,7 +5,6 @@ use crate::behavior::SpeedProfile;
 use crate::geometry::Pose;
 use crate::path::Path;
 use crate::road::RoadLayout;
-use crate::traffic_light::TrafficLight;
 use crate::vehicle::{speed_control, BicycleModel, BicycleState, PurePursuit};
 
 /// Ego vehicle setup: the route it tracks and its longitudinal behavior.
@@ -41,8 +40,6 @@ pub struct World {
     pub ego: EgoSetup,
     /// Scripted non-ego actors.
     pub actors: Vec<Actor>,
-    /// Signal head at the intersection, if any.
-    pub light: Option<TrafficLight>,
     /// Clip duration (s).
     pub duration: f32,
 }
@@ -67,11 +64,6 @@ impl Trajectory {
     /// True when no steps were recorded.
     pub fn is_empty(&self) -> bool {
         self.ego.is_empty()
-    }
-
-    /// Time of step `i` in seconds.
-    pub fn time_at(&self, i: usize) -> f32 {
-        i as f32 * self.dt
     }
 
     /// Returns `count` step indices evenly spread over the trajectory
@@ -137,7 +129,6 @@ mod tests {
                 start_speed: 8.0,
             },
             actors: vec![],
-            light: None,
             duration: 8.0,
         }
     }
@@ -207,7 +198,6 @@ mod tests {
                 start_speed: 6.0,
             },
             actors: vec![],
-            light: None,
             duration: 10.0,
         };
         let traj = w.simulate(0.05);

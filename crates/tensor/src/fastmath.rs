@@ -50,12 +50,12 @@ const ROUND_MAGIC: f32 = 12_582_912.0;
 ///
 /// Straight-line and cast-free, so a loop over a slice vectorizes: the
 /// argument is clamped instead of early-returning, `n = round(x·log2 e)`
-/// comes from the [`ROUND_MAGIC`] add (an `as i32` cast would saturate,
+/// comes from the `ROUND_MAGIC` add (an `as i32` cast would saturate,
 /// which the vectorizer cannot express), the polynomial steps are
 /// `mul_add`s, and `2^n` is built in the exponent bits. `n` reaches 128 at
 /// the top of the range, one more than an `f32` exponent holds, so the scale
 /// is applied as two factors `2^⌊n/2⌋ · 2^⌈n/2⌉`: results stay correct up
-/// to `f32::MAX`, overflow to `+inf` above it, and below [`EXP_LO`] saturate
+/// to `f32::MAX`, overflow to `+inf` above it, and below `EXP_LO` saturate
 /// at the smallest normal magnitude rather than flushing to `0.0`.
 #[inline]
 pub fn exp(x: f32) -> f32 {

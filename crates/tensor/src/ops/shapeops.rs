@@ -172,7 +172,7 @@ pub fn stack(tensors: &[&Tensor]) -> Tensor {
 }
 
 /// Splits a tensor into `parts` equal chunks along `axis` (inverse of a
-/// same-axis [`concat`] of equal parts). Each chunk is a zero-copy view.
+/// same-axis [`concat`](fn@concat) of equal parts). Each chunk is a zero-copy view.
 ///
 /// # Panics
 ///

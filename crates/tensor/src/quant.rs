@@ -36,7 +36,7 @@
 //! LLVM does not form integer dot-product instructions (`vpmaddwd`,
 //! `vpdpwssd`) from safe scalar loops — measured here, every safe
 //! formulation of this kernel emits `vpmulld`+`vpaddd` at roughly half the
-//! f32 FMA path's throughput. The micro-kernels in [`simd`] are therefore
+//! f32 FMA path's throughput. The micro-kernels in `simd` are therefore
 //! one of the crate's two `#[allow(unsafe_code)]` islands (the other is the
 //! AVX-512 f32 kernel in `ops::matmul`; the crate is otherwise
 //! `deny(unsafe_code)`): raw loads/stores over slices whose

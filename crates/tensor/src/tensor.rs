@@ -321,23 +321,6 @@ impl Tensor {
         Arc::get_mut(&mut self.data).expect("buffer is uniquely owned here").as_mut_slice()
     }
 
-    /// Consumes the tensor, returning its flat row-major buffer (copying if
-    /// the buffer is shared or the tensor is a view).
-    pub fn into_vec(self) -> Vec<f32> {
-        if self.offset == 0 && self.data.len() == self.numel() && self.is_contiguous() {
-            match Arc::try_unwrap(self.data) {
-                Ok(buf) => buf.into_inner(),
-                Err(arc) => {
-                    let mut v = workspace::take_uninit(arc.len());
-                    v.copy_from_slice(&arc);
-                    v
-                }
-            }
-        } else {
-            self.to_vec()
-        }
-    }
-
     /// Element at a multi-dimensional `index`.
     ///
     /// # Panics

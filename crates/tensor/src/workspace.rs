@@ -16,13 +16,13 @@
 //!   `next_power_of_two(n)` (and the one above), guaranteeing any hit can
 //!   hold `n` elements without reallocating.
 //! - **Determinism contract.** Recycled memory is never observable:
-//!   [`take_zeroed`]/[`take_filled`] overwrite every element before
-//!   returning, and [`take_uninit`] is reserved for call sites that
+//!   `take_zeroed`/`take_filled` overwrite every element before
+//!   returning, and `take_uninit` is reserved for call sites that
 //!   provably write every element before reading any. Results are
 //!   therefore bit-identical with the arena on or off.
-//! - **RAII.** Tensor buffers live in a [`Buffer`] whose `Drop` returns
+//! - **RAII.** Tensor buffers live in a `Buffer` whose `Drop` returns
 //!   the allocation to the arena of whichever thread drops it; kernel
-//!   scratch uses the [`Scratch`] guard, which returns its buffer even on
+//!   scratch uses the `Scratch` guard, which returns its buffer even on
 //!   panic unwind.
 //! - **Test switch.** Recycling is always on for the process;
 //!   [`RECYCLE`]`.with(false, ..)` turns it off per thread so one process
@@ -242,12 +242,6 @@ impl Buffer {
         let mut v = take_uninit(self.data.len());
         v.copy_from_slice(&self.data);
         Buffer { data: v }
-    }
-
-    /// Takes the underlying vector out; the emptied `Buffer` recycles
-    /// nothing on drop.
-    pub(crate) fn into_inner(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
     }
 
     pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {

@@ -176,7 +176,6 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
             },
             seed,
             verbose: true,
-            ..TrainConfig::default()
         },
     );
     eprintln!("final training loss: {loss:.3}");

@@ -56,7 +56,7 @@ fn truth_embeddings_identify_their_own_scenario() {
 #[test]
 fn heuristic_beats_a_constant_majority_guess_on_ego() {
     let clips = generate_dataset(&DatasetConfig { n_clips: 80, ..DatasetConfig::default() });
-    let h = HeuristicExtractor::default();
+    let h = HeuristicExtractor;
     let predictions: Vec<usize> = clips.iter().map(|c| h.predict(&c.video).ego).collect();
     let truths: Vec<usize> = clips.iter().map(|c| c.labels.ego).collect();
     let heuristic_acc = accuracy(&predictions, &truths);
