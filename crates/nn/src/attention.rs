@@ -49,30 +49,11 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Number of attention heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
-    /// Model width.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Applies self-attention to `x` of shape `[B, T, D]` on the tape: four
     /// projections around one [`Graph::attention`] node, whatever the shape.
-    /// Use [`forward_with_attn`](Self::forward_with_attn) when the
-    /// probabilities themselves are needed.
+    /// [`run`](Self::run) with `want_attn` also returns the probabilities.
     pub fn forward(&self, g: &mut Graph, p: &Binding, x: Var) -> Var {
         self.run(&mut Tape::eval(g, p), &x, &x, None, false).0
-    }
-
-    /// Like [`forward`](Self::forward) but also returns the attention
-    /// probabilities (`[B, H, T, T]`) for introspection — the same node,
-    /// asked to keep them.
-    pub fn forward_with_attn(&self, g: &mut Graph, p: &Binding, x: Var) -> (Var, Var) {
-        let (y, attn) = self.run(&mut Tape::eval(g, p), &x, &x, None, true);
-        (y, attn.expect("asked for"))
     }
 
     /// Projections, the attention operation and the output projection, on
@@ -140,8 +121,8 @@ mod tests {
         let mut g = Graph::new();
         let p = store.bind(&mut g);
         let x = g.constant(Tensor::from_fn(&[1, 3, 4], |i| (i as f32 * 0.31).sin()));
-        let (_, attn) = mha.forward_with_attn(&mut g, &p, x);
-        let a = g.value(attn);
+        let (_, attn) = mha.run(&mut Tape::eval(&mut g, &p), &x, &x, None, true);
+        let a = g.value(attn.expect("asked for"));
         assert_eq!(a.shape(), &[1, 2, 3, 3]);
         for row in a.data().chunks(3) {
             let s: f32 = row.iter().sum();
@@ -213,25 +194,25 @@ mod tests {
             let p = store.bind(&mut g);
             let x = g.constant(Tensor::from_fn(&[b, t, 8], |i| (i as f32 * 0.13).sin()));
             let one = mha.forward(&mut g, &p, x);
-            let (with_attn, attn) = mha.forward_with_attn(&mut g, &p, x);
+            let (with_attn, attn) = mha.run(&mut Tape::eval(&mut g, &p), &x, &x, None, true);
             let want = composed(&mha, &mut g, &p, x);
             assert_eq!(g.value(one).to_vec(), g.value(want).to_vec(), "B {b} T {t}");
             assert_eq!(g.value(with_attn).to_vec(), g.value(want).to_vec(), "B {b} T {t}");
-            assert_eq!(g.shape(attn), &[b, 2, t, t]);
+            assert_eq!(g.shape(attn.expect("asked for")), &[b, 2, t, t]);
         }
     }
 
     #[test]
-    fn eval_executor_probabilities_tap_equals_forward_with_attn() {
+    fn eval_executor_probabilities_tap_equals_the_tapes() {
         let (store, mha) = setup(8, 2);
         let x0 = Tensor::from_fn(&[2, 5, 8], |i| (i as f32 * 0.13).sin());
         let mut g = Graph::new();
         let p = store.bind_frozen(&mut g);
         let x = g.constant(x0.clone());
-        let (y, attn) = mha.forward_with_attn(&mut g, &p, x);
+        let (y, attn) = mha.run(&mut Tape::eval(&mut g, &p), &x, &x, None, true);
         let (ey, eattn) = mha.run(&mut crate::Eval::new(&store), &x0, &x0, None, true);
         assert_eq!(g.value(y).to_vec(), ey.to_vec());
-        assert_eq!(g.value(attn).to_vec(), eattn.expect("asked for").to_vec());
+        assert_eq!(g.value(attn.expect("asked for")).to_vec(), eattn.expect("asked for").to_vec());
     }
 
     #[test]

@@ -13,7 +13,6 @@ pub struct Conv2d {
     weight: ParamId,
     bias: ParamId,
     spec: Conv2dSpec,
-    in_channels: usize,
     out_channels: usize,
 }
 
@@ -33,22 +32,7 @@ impl Conv2d {
             init::kaiming_normal(fan_in, &[out_channels, in_channels, spec.kh, spec.kw], rng),
         );
         let bias = store.add(format!("{name}.bias"), Tensor::zeros(&[out_channels]));
-        Conv2d { weight, bias, spec, in_channels, out_channels }
-    }
-
-    /// Input channel count.
-    pub fn in_channels(&self) -> usize {
-        self.in_channels
-    }
-
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
-    }
-
-    /// Convolution geometry.
-    pub fn spec(&self) -> Conv2dSpec {
-        self.spec
+        Conv2d { weight, bias, spec, out_channels }
     }
 
     /// Applies the convolution plus per-channel bias.

@@ -48,7 +48,7 @@ pub trait Exec {
         &mut self,
         x: &Self::V,
         weight: ParamId,
-        bias: Option<ParamId>,
+        bias: ParamId,
         act: Activation,
         residual: Option<&Self::V>,
     ) -> Self::V;
@@ -137,12 +137,11 @@ impl<R: Rng> Exec for Tape<'_, R> {
         &mut self,
         x: &Var,
         weight: ParamId,
-        bias: Option<ParamId>,
+        bias: ParamId,
         act: Activation,
         residual: Option<&Var>,
     ) -> Var {
-        let bias = bias.map(|b| self.p.var(b));
-        self.g.linear(*x, self.p.var(weight), bias, act, residual.copied())
+        self.g.linear(*x, self.p.var(weight), Some(self.p.var(bias)), act, residual.copied())
     }
 
     fn layer_norm(&mut self, x: &Var, gamma: ParamId, beta: ParamId, eps: f32) -> Var {
@@ -235,12 +234,11 @@ impl Exec for Eval<'_> {
         &mut self,
         x: &Tensor,
         weight: ParamId,
-        bias: Option<ParamId>,
+        bias: ParamId,
         act: Activation,
         residual: Option<&Tensor>,
     ) -> Tensor {
-        let bias = bias.map(|b| self.store.value(b));
-        ops::linear(x, self.store.value(weight), bias, act, residual)
+        ops::linear(x, self.store.value(weight), Some(self.store.value(bias)), act, residual)
     }
 
     fn layer_norm(&mut self, x: &Tensor, gamma: ParamId, beta: ParamId, eps: f32) -> Tensor {

@@ -7,7 +7,7 @@ use rand::Rng;
 use tsdx_tensor::Tensor;
 
 /// Samples one standard-normal value via the Box–Muller transform.
-pub fn standard_normal(rng: &mut impl Rng) -> f32 {
+pub(crate) fn standard_normal(rng: &mut impl Rng) -> f32 {
     // Guard against ln(0).
     let u1: f32 = rng.random_range(f32::MIN_POSITIVE..1.0);
     let u2: f32 = rng.random_range(0.0..1.0);
@@ -15,17 +15,17 @@ pub fn standard_normal(rng: &mut impl Rng) -> f32 {
 }
 
 /// Tensor of i.i.d. normal samples with the given `std`.
-pub fn normal(shape: &[usize], std: f32, rng: &mut impl Rng) -> Tensor {
+pub(crate) fn normal(shape: &[usize], std: f32, rng: &mut impl Rng) -> Tensor {
     Tensor::from_fn(shape, |_| standard_normal(rng) * std)
 }
 
 /// Tensor of i.i.d. uniform samples in `[-bound, bound]`.
-pub fn uniform(shape: &[usize], bound: f32, rng: &mut impl Rng) -> Tensor {
+pub(crate) fn uniform(shape: &[usize], bound: f32, rng: &mut impl Rng) -> Tensor {
     Tensor::from_fn(shape, |_| rng.random_range(-bound..=bound))
 }
 
 /// Xavier/Glorot uniform initialization for a `[fan_in, fan_out]` weight.
-pub fn xavier_uniform(
+pub(crate) fn xavier_uniform(
     fan_in: usize,
     fan_out: usize,
     shape: &[usize],
@@ -36,7 +36,7 @@ pub fn xavier_uniform(
 }
 
 /// Kaiming/He normal initialization (for ReLU-family fan-in scaling).
-pub fn kaiming_normal(fan_in: usize, shape: &[usize], rng: &mut impl Rng) -> Tensor {
+pub(crate) fn kaiming_normal(fan_in: usize, shape: &[usize], rng: &mut impl Rng) -> Tensor {
     let std = (2.0 / fan_in as f32).sqrt();
     normal(shape, std, rng)
 }

@@ -15,9 +15,8 @@ use crate::params::{Binding, ParamId, ParamStore};
 #[derive(Debug, Clone)]
 pub struct Linear {
     weight: ParamId,
-    bias: Option<ParamId>,
+    bias: ParamId,
     in_features: usize,
-    out_features: usize,
 }
 
 impl Linear {
@@ -29,36 +28,12 @@ impl Linear {
         in_features: usize,
         out_features: usize,
     ) -> Self {
-        Self::with_bias(store, rng, name, in_features, out_features, true)
-    }
-
-    /// Like [`Linear::new`] with an explicit bias switch.
-    pub fn with_bias(
-        store: &mut ParamStore,
-        rng: &mut impl Rng,
-        name: &str,
-        in_features: usize,
-        out_features: usize,
-        bias: bool,
-    ) -> Self {
         let weight = store.add(
             format!("{name}.weight"),
             init::xavier_uniform(in_features, out_features, &[in_features, out_features], rng),
         );
-        let bias = bias.then(|| {
-            store.add(format!("{name}.bias"), tsdx_tensor::Tensor::zeros(&[out_features]))
-        });
-        Linear { weight, bias, in_features, out_features }
-    }
-
-    /// Input width.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output width.
-    pub fn out_features(&self) -> usize {
-        self.out_features
+        let bias = store.add(format!("{name}.bias"), tsdx_tensor::Tensor::zeros(&[out_features]));
+        Linear { weight, bias, in_features }
     }
 
     /// Applies the layer on the tape: one [`Graph::linear`] node (see
@@ -116,7 +91,7 @@ mod tests {
         let lin = Linear::new(&mut store, &mut rng, "l", 2, 2);
         // Zero the weight, set bias to [1, -1].
         store.set_value(lin.weight, Tensor::zeros(&[2, 2]));
-        store.set_value(lin.bias.unwrap(), Tensor::from_vec(vec![1.0, -1.0], &[2]));
+        store.set_value(lin.bias, Tensor::from_vec(vec![1.0, -1.0], &[2]));
         let mut g = Graph::new();
         let p = store.bind(&mut g);
         let x = g.constant(Tensor::ones(&[3, 2]));
@@ -140,18 +115,5 @@ mod tests {
         assert_eq!(collected[1].shape(), &[2]);
         // d loss / d bias = batch size per output.
         assert_eq!(collected[1].data(), &[3.0, 3.0]);
-    }
-
-    #[test]
-    fn no_bias_variant() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(2);
-        let lin = Linear::with_bias(&mut store, &mut rng, "l", 3, 3, false);
-        assert_eq!(store.len(), 1);
-        let mut g = Graph::new();
-        let p = store.bind(&mut g);
-        let x = g.constant(Tensor::zeros(&[1, 3]));
-        let y = lin.forward(&mut g, &p, x);
-        assert_eq!(g.value(y).data(), &[0.0, 0.0, 0.0]);
     }
 }

@@ -11,7 +11,6 @@ use crate::params::{Binding, ParamId, ParamStore};
 pub struct LayerNorm {
     gamma: ParamId,
     beta: ParamId,
-    dim: usize,
     eps: f32,
 }
 
@@ -20,12 +19,7 @@ impl LayerNorm {
     pub fn new(store: &mut ParamStore, name: &str, dim: usize) -> Self {
         let gamma = store.add(format!("{name}.gamma"), Tensor::ones(&[dim]));
         let beta = store.add(format!("{name}.beta"), Tensor::zeros(&[dim]));
-        LayerNorm { gamma, beta, dim, eps: 1e-5 }
-    }
-
-    /// Normalized width.
-    pub fn dim(&self) -> usize {
-        self.dim
+        LayerNorm { gamma, beta, eps: 1e-5 }
     }
 
     /// Applies the normalization on the tape.

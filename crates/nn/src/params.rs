@@ -169,26 +169,8 @@ impl ParamStore {
             .collect()
     }
 
-    /// Loads values by name from `(name, tensor)` pairs.
-    ///
-    /// Returns the number of parameters restored.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shape mismatch for a matching name. Use
-    /// [`ParamStore::try_load_named`] where a mismatch must surface as a
-    /// recoverable error instead.
-    pub fn load_named(&mut self, entries: &[(String, Tensor)]) -> usize {
-        self.try_load_named(entries).unwrap_or_else(|m| {
-            panic!(
-                "checkpoint shape mismatch for {}: store has {:?}, checkpoint has {:?}",
-                m.name, m.expected, m.found
-            )
-        })
-    }
-
-    /// Fallible variant of [`ParamStore::load_named`]: restores matching
-    /// names and reports the first shape mismatch instead of panicking.
+    /// Loads values by name from `(name, tensor)` pairs, returning the
+    /// number of parameters restored; names the store lacks are skipped.
     ///
     /// No parameter is modified when an error is returned (validation runs
     /// before any assignment).
@@ -286,7 +268,7 @@ mod tests {
         let mut s = ParamStore::new();
         let w = s.add("w", Tensor::zeros(&[2]));
         s.add("v", Tensor::zeros(&[2]));
-        let n = s.load_named(&[("w".to_string(), Tensor::ones(&[2]))]);
+        let n = s.try_load_named(&[("w".to_string(), Tensor::ones(&[2]))]).expect("same shape");
         assert_eq!(n, 1);
         assert_eq!(s.value(w).data(), &[1.0, 1.0]);
     }

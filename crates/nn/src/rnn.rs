@@ -53,23 +53,13 @@ impl Gru {
         Gru { wxz, whz, bz, wxr, whr, br, wxh, whh, bh, input_dim, hidden_dim }
     }
 
-    /// Hidden state width.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
     /// Runs the GRU over `x` (`[B, T, D]`), returning the final hidden state
     /// `[B, H]`.
-    pub fn forward(&self, g: &mut Graph, p: &Binding, x: Var) -> Var {
-        *self.forward_all(g, p, x).last().expect("at least one timestep")
-    }
-
-    /// Runs the GRU and returns the hidden state after every timestep.
     ///
     /// # Panics
     ///
     /// Panics if `x` is not `[B, T, D]` with `T >= 1` and `D == input_dim`.
-    pub fn forward_all(&self, g: &mut Graph, p: &Binding, x: Var) -> Vec<Var> {
+    pub fn forward(&self, g: &mut Graph, p: &Binding, x: Var) -> Var {
         let sh = g.shape(x).to_vec();
         assert_eq!(sh.len(), 3, "GRU input must be [B, T, D]");
         let (b, t, d) = (sh[0], sh[1], sh[2]);
@@ -77,7 +67,6 @@ impl Gru {
         assert!(t >= 1, "GRU needs at least one timestep");
 
         let mut h = g.constant(Tensor::zeros(&[b, self.hidden_dim]));
-        let mut states = Vec::with_capacity(t);
         for step in 0..t {
             let xt = g.narrow(x, 1, step, 1);
             let xt = g.reshape(xt, &[b, d]);
@@ -104,9 +93,8 @@ impl Gru {
             let keep = g.mul(one_minus_z, h);
             let update = g.mul(z, cand);
             h = g.add(keep, update);
-            states.push(h);
         }
-        states
+        h
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -141,16 +129,13 @@ mod tests {
     }
 
     #[test]
-    fn output_shape_and_state_count() {
+    fn output_shape() {
         let (store, gru) = setup(3, 5);
         let mut g = Graph::new();
         let p = store.bind(&mut g);
         let x = g.constant(Tensor::from_fn(&[2, 4, 3], |i| (i as f32 * 0.1).sin()));
-        let states = gru.forward_all(&mut g, &p, x);
-        assert_eq!(states.len(), 4);
-        for &s in &states {
-            assert_eq!(g.shape(s), &[2, 5]);
-        }
+        let h = gru.forward(&mut g, &p, x);
+        assert_eq!(g.shape(h), &[2, 5]);
     }
 
     #[test]

@@ -190,11 +190,6 @@ impl TransformerEncoder {
         }
     }
 
-    /// Number of blocks.
-    pub fn depth(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Applies all blocks and the final norm to `[B, T, D]` tokens.
     ///
     /// `first_only` returns row 0 of that output alone, `[B, 1, D]`, with the
@@ -258,7 +253,6 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(5);
         let enc = TransformerEncoder::new(&mut store, &mut rng, "enc", 8, 2, 2, 2, 0.0);
-        assert_eq!(enc.depth(), 2);
         let mut g = Graph::new();
         let p = store.bind(&mut g);
         let x = g.constant(Tensor::from_fn(&[2, 4, 8], |i| (i as f32 * 0.01).sin()));

@@ -40,9 +40,7 @@ impl Var {
 enum Op {
     Leaf,
     Add(Var, Var),
-    Sub(Var, Var),
     Mul(Var, Var),
-    Div(Var, Var),
     Neg(Var),
     Scale(Var, f32),
     AddScalar(Var),
@@ -52,26 +50,20 @@ enum Op {
     Gelu(Var),
     Sigmoid(Var),
     Tanh(Var),
-    Exp(Var),
-    Ln(Var),
     Reshape(Var),
     Permute(Var, Vec<usize>),
     Concat(Vec<Var>, usize),
     Narrow { input: Var, axis: usize, start: usize },
-    IndexSelect { input: Var, indices: Vec<usize> },
     SoftmaxLast(Var),
-    LogSoftmaxLast(Var),
     LayerNorm { x: Var, gamma: Var, beta: Var, stats: Option<(Tensor, Tensor)> },
     Attention { q: Var, k: Var, v: Var, heads: usize, scale: f32, probs: Option<Tensor> },
     SumAll(Var),
     MeanAll(Var),
-    SumAxis { input: Var, axis: usize, keepdim: bool },
     MeanAxis { input: Var, axis: usize, keepdim: bool },
     CrossEntropy { logits: Var, labels: Vec<usize>, probs: Tensor },
     BceLogits { logits: Var, targets: Tensor, sigmoids: Tensor },
     Conv2d { input: Var, weight: Var, spec: Conv2dSpec, cols: Tensor },
     AvgPool2d { input: Var, k: usize },
-    MaxPool2d { input: Var, argmax: Vec<usize> },
 }
 
 /// Operands of a [`Graph::linear`] node: `act(x @ w + bias) + residual`.
@@ -93,9 +85,7 @@ impl Op {
         match self {
             Op::Leaf => "bwd/leaf",
             Op::Add(..) => "bwd/add",
-            Op::Sub(..) => "bwd/sub",
             Op::Mul(..) => "bwd/mul",
-            Op::Div(..) => "bwd/div",
             Op::Neg(..) => "bwd/neg",
             Op::Scale(..) => "bwd/scale",
             Op::AddScalar(..) => "bwd/add_scalar",
@@ -105,26 +95,20 @@ impl Op {
             Op::Gelu(..) => "bwd/gelu",
             Op::Sigmoid(..) => "bwd/sigmoid",
             Op::Tanh(..) => "bwd/tanh",
-            Op::Exp(..) => "bwd/exp",
-            Op::Ln(..) => "bwd/ln",
             Op::Reshape(..) => "bwd/reshape",
             Op::Permute(..) => "bwd/permute",
             Op::Concat(..) => "bwd/concat",
             Op::Narrow { .. } => "bwd/narrow",
-            Op::IndexSelect { .. } => "bwd/index_select",
             Op::SoftmaxLast(..) => "bwd/softmax",
-            Op::LogSoftmaxLast(..) => "bwd/log_softmax",
             Op::LayerNorm { .. } => "bwd/layer_norm",
             Op::Attention { .. } => "bwd/attention",
             Op::SumAll(..) => "bwd/sum_all",
             Op::MeanAll(..) => "bwd/mean_all",
-            Op::SumAxis { .. } => "bwd/sum_axis",
             Op::MeanAxis { .. } => "bwd/mean_axis",
             Op::CrossEntropy { .. } => "bwd/cross_entropy",
             Op::BceLogits { .. } => "bwd/bce",
             Op::Conv2d { .. } => "bwd/conv2d",
             Op::AvgPool2d { .. } => "bwd/avg_pool2d",
-            Op::MaxPool2d { .. } => "bwd/max_pool2d",
         }
     }
 }
@@ -226,22 +210,10 @@ impl Graph {
         self.binary(a, b, v, Op::Add(a, b))
     }
 
-    /// Broadcasting subtraction.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = ops::sub(self.value(a), self.value(b));
-        self.binary(a, b, v, Op::Sub(a, b))
-    }
-
     /// Broadcasting multiplication.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let v = ops::mul(self.value(a), self.value(b));
         self.binary(a, b, v, Op::Mul(a, b))
-    }
-
-    /// Broadcasting division.
-    pub fn div(&mut self, a: Var, b: Var) -> Var {
-        let v = ops::div(self.value(a), self.value(b));
-        self.binary(a, b, v, Op::Div(a, b))
     }
 
     /// Elementwise negation.
@@ -329,18 +301,6 @@ impl Graph {
         self.unary(a, v, Op::Tanh(a))
     }
 
-    /// Elementwise exponential.
-    pub fn exp(&mut self, a: Var) -> Var {
-        let v = ops::exp(self.value(a));
-        self.unary(a, v, Op::Exp(a))
-    }
-
-    /// Elementwise natural logarithm.
-    pub fn ln(&mut self, a: Var) -> Var {
-        let v = ops::ln(self.value(a));
-        self.unary(a, v, Op::Ln(a))
-    }
-
     // ---- shape -----------------------------------------------------------
 
     /// Reshape (supports one `usize::MAX` wildcard, see [`Tensor::reshape`]).
@@ -377,24 +337,12 @@ impl Graph {
         self.unary(a, v, Op::Narrow { input: a, axis, start })
     }
 
-    /// Row gather along dimension 0 (embedding lookup).
-    pub fn index_select(&mut self, a: Var, indices: &[usize]) -> Var {
-        let v = ops::index_select(self.value(a), indices);
-        self.unary(a, v, Op::IndexSelect { input: a, indices: indices.to_vec() })
-    }
-
     // ---- normalization / softmax ------------------------------------------
 
     /// Softmax over the last dimension.
     pub fn softmax_last(&mut self, a: Var) -> Var {
         let v = ops::softmax_last(self.value(a));
         self.unary(a, v, Op::SoftmaxLast(a))
-    }
-
-    /// Log-softmax over the last dimension.
-    pub fn log_softmax_last(&mut self, a: Var) -> Var {
-        let v = ops::log_softmax_last(self.value(a));
-        self.unary(a, v, Op::LogSoftmaxLast(a))
     }
 
     /// Layer normalization over the last dimension with affine parameters.
@@ -488,12 +436,6 @@ impl Graph {
         self.unary(a, v, Op::MeanAll(a))
     }
 
-    /// Sum over one axis.
-    pub fn sum_axis(&mut self, a: Var, axis: usize, keepdim: bool) -> Var {
-        let v = ops::sum_axis(self.value(a), axis, keepdim);
-        self.unary(a, v, Op::SumAxis { input: a, axis, keepdim })
-    }
-
     /// Mean over one axis.
     pub fn mean_axis(&mut self, a: Var, axis: usize, keepdim: bool) -> Var {
         let v = ops::mean_axis(self.value(a), axis, keepdim);
@@ -526,18 +468,16 @@ impl Graph {
 
     // ---- convolution ------------------------------------------------------
 
-    /// 2-D convolution: input `[B, C, H, W]`, weight `[O, C, KH, KW]`.
+    /// 2-D convolution: input `[B, C, H, W]`, weight `[O, C, KH, KW]` (see
+    /// [`ops::conv2d`]).
     ///
     /// The unfolded column matrix is cached for the backward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatches between input, weight, and `spec`.
     pub fn conv2d(&mut self, input: Var, weight: Var, spec: Conv2dSpec) -> Var {
-        let iv = self.value(input);
-        let wv = self.value(weight);
-        let ish = iv.shape().to_vec();
-        let wsh = wv.shape().to_vec();
-        let (oh, ow) = spec.out_size(ish[2], ish[3]);
-        let cols = ops::im2col(iv, &spec);
-        let wmat = wv.reshape(&[wsh[0], wsh[1] * spec.kh * spec.kw]);
-        let out = ops::matmul(&wmat, &cols).reshape(&[ish[0], wsh[0], oh, ow]);
+        let (out, cols) = ops::conv2d(self.value(input), self.value(weight), &spec);
         let needs = self.needs(input) || self.needs(weight);
         self.push(Op::Conv2d { input, weight, spec, cols }, out, needs)
     }
@@ -546,12 +486,6 @@ impl Graph {
     pub fn avg_pool2d(&mut self, input: Var, k: usize) -> Var {
         let v = ops::avg_pool2d(self.value(input), k);
         self.unary(input, v, Op::AvgPool2d { input, k })
-    }
-
-    /// Max pooling with square window `k`, stride `k`.
-    pub fn max_pool2d(&mut self, input: Var, k: usize) -> Var {
-        let (v, argmax) = ops::max_pool2d(self.value(input), k);
-        self.unary(input, v, Op::MaxPool2d { input, argmax })
     }
 
     // ---- backward -----------------------------------------------------------
@@ -611,25 +545,9 @@ impl Graph {
                 self.accumulate(grads, *a, ga);
                 self.accumulate(grads, *b, gb);
             }
-            Op::Sub(a, b) => {
-                let ga = ops::unbroadcast(g, self.shape(*a));
-                let gb = ops::unbroadcast(&ops::neg(g), self.shape(*b));
-                self.accumulate(grads, *a, ga);
-                self.accumulate(grads, *b, gb);
-            }
             Op::Mul(a, b) => {
                 let ga = ops::unbroadcast(&ops::mul(g, self.value(*b)), self.shape(*a));
                 let gb = ops::unbroadcast(&ops::mul(g, self.value(*a)), self.shape(*b));
-                self.accumulate(grads, *a, ga);
-                self.accumulate(grads, *b, gb);
-            }
-            Op::Div(a, b) => {
-                let bv = self.value(*b);
-                let ga = ops::unbroadcast(&ops::div(g, bv), self.shape(*a));
-                // db = -g * a / b^2
-                let num = ops::mul(g, self.value(*a));
-                let b2 = ops::mul(bv, bv);
-                let gb = ops::unbroadcast(&ops::neg(&ops::div(&num, &b2)), self.shape(*b));
                 self.accumulate(grads, *a, ga);
                 self.accumulate(grads, *b, gb);
             }
@@ -690,13 +608,6 @@ impl Graph {
                 let dg = y.zip(g, |yv, gv| gv * (1.0 - yv * yv));
                 self.accumulate(grads, *a, dg);
             }
-            Op::Exp(a) => {
-                let y = &self.nodes[id].value;
-                self.accumulate(grads, *a, ops::mul(g, y));
-            }
-            Op::Ln(a) => {
-                self.accumulate(grads, *a, ops::div(g, self.value(*a)));
-            }
             Op::Reshape(a) => {
                 self.accumulate(grads, *a, g.reshape(self.shape(*a)));
             }
@@ -717,22 +628,12 @@ impl Graph {
                 }
             }
             Op::Narrow { input, axis, start } => {
-                let back =
-                    crate::ops_internal::narrow_backward(g, self.shape(*input), *axis, *start);
-                self.accumulate(grads, *input, back);
-            }
-            Op::IndexSelect { input, indices } => {
-                let back =
-                    crate::ops_internal::index_select_backward(g, self.shape(*input), indices);
+                let back = ops::narrow_backward(g, self.shape(*input), *axis, *start);
                 self.accumulate(grads, *input, back);
             }
             Op::SoftmaxLast(a) => {
                 let y = &self.nodes[id].value;
-                self.accumulate(grads, *a, crate::ops_internal::softmax_last_backward(y, g));
-            }
-            Op::LogSoftmaxLast(a) => {
-                let y = &self.nodes[id].value;
-                self.accumulate(grads, *a, crate::ops_internal::log_softmax_last_backward(y, g));
+                self.accumulate(grads, *a, ops::softmax_last_backward(y, g));
             }
             Op::LayerNorm { x, gamma, beta, stats } => {
                 let (mean, rstd) =
@@ -766,10 +667,6 @@ impl Graph {
                 let n = self.value(*a).numel() as f32;
                 let scalar = g.item() / n;
                 self.accumulate(grads, *a, Tensor::full(self.shape(*a), scalar));
-            }
-            Op::SumAxis { input, axis, keepdim } => {
-                let back = spread_axis(g, self.shape(*input), *axis, *keepdim, 1.0);
-                self.accumulate(grads, *input, back);
             }
             Op::MeanAxis { input, axis, keepdim } => {
                 let d = self.shape(*input)[*axis] as f32;
@@ -805,10 +702,6 @@ impl Graph {
             Op::AvgPool2d { input, k } => {
                 let ish = self.shape(*input);
                 let back = ops::avg_pool2d_backward(g, *k, ish[2], ish[3]);
-                self.accumulate(grads, *input, back);
-            }
-            Op::MaxPool2d { input, argmax } => {
-                let back = ops::max_pool2d_backward(g, argmax, self.value(*input).numel());
                 self.accumulate(grads, *input, back);
             }
         }
@@ -986,6 +879,17 @@ mod tests {
         let grads = g.backward(loss);
         assert_eq!(grads.get(b).unwrap().shape(), &[2, 2]);
         assert_eq!(grads.get(b).unwrap().data(), &[4.0, 4.0, 4.0, 4.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel/spec mismatch")]
+    fn conv2d_rejects_a_weight_whose_kernel_disagrees_with_its_spec() {
+        // A [3, 2, 1, 9] weight holds as many scalars per output channel as
+        // a 3x3 kernel over two channels, so only the shape check sees it.
+        let mut g = Graph::new();
+        let x = g.constant(Tensor::ones(&[1, 2, 5, 5]));
+        let w = g.leaf(Tensor::ones(&[3, 2, 1, 9]));
+        g.conv2d(x, w, Conv2dSpec::new(3, 1, 1));
     }
 
     #[test]

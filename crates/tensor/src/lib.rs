@@ -8,13 +8,13 @@
 //!
 //! 1. [`Tensor`] — an immutable, row-major value type with cheap
 //!    (`Arc`-backed) clones and zero-copy strided views: `reshape` (of
-//!    contiguous tensors), `permute`, `transpose`, `narrow`, `slice`, and
-//!    `split` are O(1) metadata edits over a shared buffer, with
+//!    contiguous tensors), `permute`, `transpose` and `narrow` are O(1)
+//!    metadata edits over a shared buffer, with
 //!    [`Tensor::contiguous`] as the explicit materialization point.
 //! 2. [`ops`] — pure forward kernels: broadcasting arithmetic, a
 //!    register-tiled batched matmul (an explicit AVX-512 micro-kernel where
 //!    the CPU has it, see [`dial::KERNEL`]), softmax, layer norm, im2col convolution,
-//!    pooling, fused scaled-dot-product attention, and fused classification
+//!    average pooling, fused scaled-dot-product attention, and fused classification
 //!    losses. Elementwise and reduction kernels are stride-aware and consume
 //!    views directly. Every kernel runs on its caller's thread; every
 //!    run-time switch lives in [`mod@dial`].
@@ -70,10 +70,3 @@ pub mod workspace;
 
 pub use graph::{Gradients, Graph, Var};
 pub use tensor::{copy_metrics, Tensor};
-
-/// Crate-internal backward kernels shared between `ops` and `graph`.
-pub(crate) mod ops_internal {
-    pub(crate) use crate::ops::{
-        index_select_backward, log_softmax_last_backward, narrow_backward, softmax_last_backward,
-    };
-}

@@ -434,7 +434,7 @@ fn counter_add2_slow(a: &str, na: u64, b: &str, nb: u64) {
 
 /// Current value of counter `key` in the innermost open collector on this
 /// thread (0 when no collector is open or the counter never fired).
-pub fn current_counter(key: &str) -> u64 {
+pub(crate) fn current_counter(key: &str) -> u64 {
     COLLECTORS.with(|c| {
         c.borrow().last().map_or(0, |rc| rc.borrow().counters.get(key).copied().unwrap_or(0))
     })

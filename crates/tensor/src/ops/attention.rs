@@ -233,7 +233,7 @@ pub fn attention(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, scale: f32) -
 }
 
 /// [`attention`] that also returns the probabilities `[..., heads, Tq, Tk]`
-/// — what [`attention_backward`] and attention-map introspection read.
+/// — what the backward pass and attention-map introspection read.
 pub fn attention_with_probs(
     q: &Tensor,
     k: &Tensor,
@@ -257,7 +257,7 @@ pub fn attention_with_probs(
 /// # Panics
 ///
 /// Panics on rank or dimension mismatches.
-pub fn attention_backward(
+pub(crate) fn attention_backward(
     probs: &Tensor,
     q: &Tensor,
     k: &Tensor,

@@ -1,4 +1,4 @@
-//! 2-D convolution (im2col-based) and pooling.
+//! 2-D convolution (im2col-based) and average pooling.
 
 use crate::Tensor;
 
@@ -73,7 +73,7 @@ fn im2col_image(image: &[f32], out: &mut [f32], c: usize, h: usize, w: usize, sp
 ///
 /// Input `[B, C, H, W]` becomes `[B, C*KH*KW, OH*OW]`, where column `p`
 /// holds the receptive field of output pixel `p`.
-pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Tensor {
+fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Tensor {
     let sh = input.shape();
     assert_eq!(sh.len(), 4, "im2col expects [B, C, H, W]");
     let (b, c, h, w) = (sh[0], sh[1], sh[2], sh[3]);
@@ -94,7 +94,7 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Tensor {
 
 /// Adjoint of [`im2col`]: folds columns back into an image, accumulating
 /// overlapping receptive fields.
-pub fn col2im(cols_t: &Tensor, spec: &Conv2dSpec, c: usize, h: usize, w: usize) -> Tensor {
+pub(crate) fn col2im(cols_t: &Tensor, spec: &Conv2dSpec, c: usize, h: usize, w: usize) -> Tensor {
     let sh = cols_t.shape();
     assert_eq!(sh.len(), 3, "col2im expects [B, C*KH*KW, OH*OW]");
     let b = sh[0];
@@ -138,12 +138,13 @@ pub fn col2im(cols_t: &Tensor, spec: &Conv2dSpec, c: usize, h: usize, w: usize) 
 /// 2-D convolution forward pass.
 ///
 /// `input` is `[B, C, H, W]`, `weight` is `[O, C, KH, KW]`; the result is
-/// `[B, O, OH, OW]`. Bias, if any, is added by the caller.
+/// `[B, O, OH, OW]`, returned with the unfolded input `[B, C*KH*KW, OH*OW]`
+/// that the backward pass reads. Bias, if any, is added by the caller.
 ///
 /// # Panics
 ///
 /// Panics on shape mismatches between input, weight, and `spec`.
-pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Tensor {
+pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> (Tensor, Tensor) {
     let _span = crate::metrics::span("op/conv2d");
     let ish = input.shape();
     let wsh = weight.shape();
@@ -155,9 +156,8 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Tensor {
     let (oh, ow) = spec.out_size(ish[2], ish[3]);
     let cols = im2col(input, spec); // [B, CKK, OHOW]
     let wmat = weight.reshape(&[o, wsh[1] * spec.kh * spec.kw]); // [O, CKK]
-                                                                 // Broadcast the weight matrix across the batch.
-    let out = super::matmul(&wmat, &cols); // [B, O, OHOW]
-    out.reshape(&[b, o, oh, ow])
+    let out = super::matmul(&wmat, &cols); // [B, O, OHOW]: the weight broadcasts over B
+    (out.reshape(&[b, o, oh, ow]), cols)
 }
 
 /// Average pooling with a square `k`×`k` window and stride `k`.
@@ -195,85 +195,9 @@ pub fn avg_pool2d(input: &Tensor, k: usize) -> Tensor {
     Tensor::from_vec(out, &[b, c, oh, ow])
 }
 
-/// Max pooling with a square `k`×`k` window and stride `k`.
-///
-/// Returns the pooled tensor and the flat input index of each maximum
-/// (needed by [`max_pool2d_backward`]).
-///
-/// # Panics
-///
-/// Panics if the spatial extents are not divisible by `k`.
-pub fn max_pool2d(input: &Tensor, k: usize) -> (Tensor, Vec<usize>) {
-    let sh = input.shape();
-    assert_eq!(sh.len(), 4, "max_pool2d expects [B, C, H, W]");
-    let (b, c, h, w) = (sh[0], sh[1], sh[2], sh[3]);
-    assert!(h % k == 0 && w % k == 0, "pool size {k} must divide {h}x{w}");
-    let (oh, ow) = (h / k, w / k);
-    let input = input.contiguous();
-    let data = input.data();
-    let mut out = crate::workspace::take_reserve(b * c * oh * ow);
-    let mut argmax = Vec::with_capacity(b * c * oh * ow);
-    for bc in 0..b * c {
-        let ibase = bc * h * w;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best_idx = ibase + (oy * k) * w + ox * k;
-                let mut best = data[best_idx];
-                for dy in 0..k {
-                    let row = ibase + (oy * k + dy) * w + ox * k;
-                    for dx in 0..k {
-                        let v = data[row + dx];
-                        if v > best {
-                            best = v;
-                            best_idx = row + dx;
-                        }
-                    }
-                }
-                out.push(best);
-                argmax.push(best_idx);
-            }
-        }
-    }
-    (Tensor::from_vec(out, &[b, c, oh, ow]), argmax)
-}
-
-/// Backward of [`max_pool2d`]: routes each output gradient to the input
-/// position that produced the maximum.
-pub fn max_pool2d_backward(grad: &Tensor, argmax: &[usize], input_numel: usize) -> Tensor {
-    assert_eq!(grad.numel(), argmax.len(), "grad/argmax mismatch");
-    let mut out = crate::workspace::take_zeroed(input_numel);
-    for (g, &i) in grad.to_vec().iter().zip(argmax) {
-        out[i] += g;
-    }
-    let sh = grad.shape();
-    let k2 = input_numel / grad.numel();
-    let k = (k2 as f32).sqrt() as usize;
-    Tensor::from_vec(out, &[sh[0], sh[1], sh[2] * k, sh[3] * k])
-}
-
-/// Zero-pads the last two dimensions of a `[B, C, H, W]` tensor by `pad`
-/// on every border.
-pub fn pad2d(input: &Tensor, pad: usize) -> Tensor {
-    let sh = input.shape();
-    assert_eq!(sh.len(), 4, "pad2d expects [B, C, H, W]");
-    let (b, c, h, w) = (sh[0], sh[1], sh[2], sh[3]);
-    let (nh, nw) = (h + 2 * pad, w + 2 * pad);
-    let mut out = crate::workspace::take_zeroed(b * c * nh * nw);
-    let input = input.contiguous();
-    let data = input.data();
-    for bc in 0..b * c {
-        for r in 0..h {
-            let src = bc * h * w + r * w;
-            let dst = bc * nh * nw + (r + pad) * nw + pad;
-            out[dst..dst + w].copy_from_slice(&data[src..src + w]);
-        }
-    }
-    Tensor::from_vec(out, &[b, c, nh, nw])
-}
-
 /// Backward of [`avg_pool2d`]: spreads each output gradient uniformly over
 /// its `k`×`k` window.
-pub fn avg_pool2d_backward(grad: &Tensor, k: usize, h: usize, w: usize) -> Tensor {
+pub(crate) fn avg_pool2d_backward(grad: &Tensor, k: usize, h: usize, w: usize) -> Tensor {
     let sh = grad.shape();
     let (b, c, oh, ow) = (sh[0], sh[1], sh[2], sh[3]);
     assert_eq!((oh * k, ow * k), (h, w), "pool backward geometry mismatch");
@@ -316,7 +240,7 @@ mod tests {
         // 1x1 kernel of weight 1 is the identity.
         let img = Tensor::arange(16).reshape(&[1, 1, 4, 4]);
         let w = Tensor::ones(&[1, 1, 1, 1]);
-        let out = conv2d(&img, &w, &Conv2dSpec::new(1, 1, 0));
+        let (out, _) = conv2d(&img, &w, &Conv2dSpec::new(1, 1, 0));
         assert_eq!(out.reshape(&[16]).data(), img.reshape(&[16]).data());
     }
 
@@ -325,7 +249,7 @@ mod tests {
         // 2x2 ones kernel, stride 2: sums each quadrant.
         let img = Tensor::arange(16).reshape(&[1, 1, 4, 4]);
         let w = Tensor::ones(&[1, 1, 2, 2]);
-        let out = conv2d(&img, &w, &Conv2dSpec::new(2, 2, 0));
+        let (out, _) = conv2d(&img, &w, &Conv2dSpec::new(2, 2, 0));
         assert_eq!(out.shape(), &[1, 1, 2, 2]);
         assert_eq!(out.data(), &[10.0, 18.0, 42.0, 50.0]);
     }
@@ -334,7 +258,7 @@ mod tests {
     fn padding_zero_extends() {
         let img = Tensor::ones(&[1, 1, 2, 2]);
         let w = Tensor::ones(&[1, 1, 3, 3]);
-        let out = conv2d(&img, &w, &Conv2dSpec::new(3, 1, 1));
+        let (out, _) = conv2d(&img, &w, &Conv2dSpec::new(3, 1, 1));
         assert_eq!(out.shape(), &[1, 1, 2, 2]);
         // Each output sees the full 2x2 ones block (corners clipped by pad).
         assert_eq!(out.data(), &[4.0, 4.0, 4.0, 4.0]);
@@ -345,7 +269,7 @@ mod tests {
         let img = Tensor::from_fn(&[2, 3, 4, 4], |i| (i % 7) as f32);
         let w = Tensor::from_fn(&[5, 3, 3, 3], |i| ((i % 5) as f32 - 2.0) * 0.1);
         let spec = Conv2dSpec::new(3, 1, 1);
-        let out = conv2d(&img, &w, &spec);
+        let (out, _) = conv2d(&img, &w, &spec);
         assert_eq!(out.shape(), &[2, 5, 4, 4]);
         // Reference: direct convolution at one position.
         let (bi, oi, oy, ox) = (1, 2, 2, 1);

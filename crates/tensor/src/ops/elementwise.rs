@@ -1,6 +1,6 @@
 //! Elementwise arithmetic and activation functions with NumPy broadcasting.
 //!
-//! The named entry points (`add`, `mul`, `exp`, `gelu`, …) pass their scalar
+//! The named entry points (`add`, `mul`, `tanh`, `gelu`, …) pass their scalar
 //! function as a closure through generic dispatchers, so every op gets its
 //! own monomorphized inner loop (no per-element indirection).
 
@@ -22,7 +22,7 @@ fn binary(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
 
 /// Applies `f` elementwise over the broadcast of `a` and `b`.
 ///
-/// This is the generic engine behind [`add`], [`sub`], [`mul`], and [`div`];
+/// This is the generic engine behind [`add`] and [`mul`];
 /// it is public so downstream crates can define their own broadcast kernels.
 ///
 /// # Panics
@@ -111,7 +111,7 @@ pub fn add(a: &Tensor, b: &Tensor) -> Tensor {
 /// # Panics
 ///
 /// Panics if the shapes differ.
-pub fn add_assign(dst: &mut Tensor, rhs: &Tensor) {
+pub(crate) fn add_assign(dst: &mut Tensor, rhs: &Tensor) {
     assert_eq!(dst.shape(), rhs.shape(), "add_assign requires matching shapes");
     let _span = crate::metrics::span("op/elementwise");
     if rhs.is_contiguous() {
@@ -127,19 +127,9 @@ pub fn add_assign(dst: &mut Tensor, rhs: &Tensor) {
     }
 }
 
-/// Broadcasting elementwise subtraction.
-pub fn sub(a: &Tensor, b: &Tensor) -> Tensor {
-    binary(a, b, |x, y| x - y)
-}
-
 /// Broadcasting elementwise multiplication.
 pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
     binary(a, b, |x, y| x * y)
-}
-
-/// Broadcasting elementwise division.
-pub fn div(a: &Tensor, b: &Tensor) -> Tensor {
-    binary(a, b, |x, y| x / y)
 }
 
 /// Multiplies every element by `c`.
@@ -157,28 +147,13 @@ pub fn neg(a: &Tensor) -> Tensor {
     unary(a, |x| -x)
 }
 
-/// Elementwise natural exponential (via [`fastmath::exp`]).
-pub fn exp(a: &Tensor) -> Tensor {
-    unary(a, fastmath::exp)
-}
-
-/// Elementwise natural logarithm.
-pub fn ln(a: &Tensor) -> Tensor {
-    unary(a, |x| x.ln())
-}
-
-/// Elementwise square root.
-pub fn sqrt(a: &Tensor) -> Tensor {
-    unary(a, |x| x.sqrt())
-}
-
 /// Rectified linear unit: `max(x, 0)`.
 pub fn relu(a: &Tensor) -> Tensor {
     unary(a, |x| x.max(0.0))
 }
 
 /// Gradient of [`relu`] given the op *input* and upstream gradient.
-pub fn relu_backward(input: &Tensor, grad: &Tensor) -> Tensor {
+pub(crate) fn relu_backward(input: &Tensor, grad: &Tensor) -> Tensor {
     binary(input, grad, |x, g| if x > 0.0 { g } else { 0.0 })
 }
 
@@ -215,7 +190,7 @@ pub(crate) fn gelu_scalar(x: f32) -> f32 {
 }
 
 /// Gradient of [`gelu`] given the op *input* and upstream gradient.
-pub fn gelu_backward(input: &Tensor, grad: &Tensor) -> Tensor {
+pub(crate) fn gelu_backward(input: &Tensor, grad: &Tensor) -> Tensor {
     binary(input, grad, |x, g| {
         let u = GELU_C * (x + 0.044_715 * x * x * x);
         let t = fastmath::tanh(u);

@@ -31,7 +31,11 @@ pub fn cross_entropy_logits(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) 
 
 /// Gradient of [`cross_entropy_logits`] w.r.t. the logits:
 /// `(probs - onehot(labels)) / N * upstream`.
-pub fn cross_entropy_logits_backward(probs: &Tensor, labels: &[usize], upstream: f32) -> Tensor {
+pub(crate) fn cross_entropy_logits_backward(
+    probs: &Tensor,
+    labels: &[usize],
+    upstream: f32,
+) -> Tensor {
     let sh = probs.shape();
     let (n, c) = (sh[0], sh[1]);
     let scale = upstream / n as f32;
@@ -70,7 +74,11 @@ pub fn bce_with_logits(logits: &Tensor, targets: &Tensor) -> (f32, Tensor) {
 
 /// Gradient of [`bce_with_logits`] w.r.t. the logits:
 /// `(sigmoid(x) - t) / N * upstream`.
-pub fn bce_with_logits_backward(sigmoids: &Tensor, targets: &Tensor, upstream: f32) -> Tensor {
+pub(crate) fn bce_with_logits_backward(
+    sigmoids: &Tensor,
+    targets: &Tensor,
+    upstream: f32,
+) -> Tensor {
     let n = sigmoids.numel() as f32;
     let scale = upstream / n;
     sigmoids.zip(targets, |s, t| (s - t) * scale)

@@ -119,57 +119,16 @@ pub fn mean_all(a: &Tensor) -> Tensor {
 ///
 /// Panics if `axis >= a.rank()`.
 pub fn sum_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
-    reduce_axis(a, axis, keepdim, 0.0, |acc, x| acc + x)
-}
-
-/// Mean over dimension `axis`.
-pub fn mean_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
-    let d = a.dim(axis) as f32;
-    let summed = sum_axis(a, axis, keepdim);
-    summed.map(|x| x / d)
-}
-
-/// Maximum over dimension `axis`.
-pub fn max_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
-    reduce_axis(a, axis, keepdim, f32::NEG_INFINITY, |acc, x| acc.max(x))
-}
-
-/// Reduces a contiguous `[outer, d, inner]` layout over `d` into `out`
-/// (`init`-filled, `[outer, inner]`), accumulating in ascending `k` order.
-fn reduce_dense(
-    data: &[f32],
-    out: &mut [f32],
-    d: usize,
-    inner: usize,
-    f: impl Fn(f32, f32) -> f32,
-) {
-    for (o, orow) in out.chunks_exact_mut(inner.max(1)).enumerate() {
-        for k in 0..d {
-            let base = (o * d + k) * inner;
-            for (ov, &x) in orow.iter_mut().zip(&data[base..base + inner]) {
-                *ov = f(*ov, x);
-            }
-        }
-    }
-}
-
-fn reduce_axis(
-    a: &Tensor,
-    axis: usize,
-    keepdim: bool,
-    init: f32,
-    f: impl Fn(f32, f32) -> f32,
-) -> Tensor {
     assert!(axis < a.rank(), "axis {axis} out of range for rank {}", a.rank());
     let sh = a.shape();
     let rank = sh.len();
     let outer: usize = sh[..axis].iter().product();
     let d = sh[axis];
     let inner: usize = sh[axis + 1..].iter().product();
-    let mut out = vec![init; outer * inner];
+    let mut out = vec![0.0; outer * inner];
 
     if a.is_contiguous() {
-        reduce_dense(a.data(), &mut out, d, inner, f);
+        sum_dense(a.data(), &mut out, d, inner);
     } else {
         // Strided view: walk the input odometer-style, accumulating into the
         // output slot whose coordinates drop the reduced axis (stride 0).
@@ -183,7 +142,7 @@ fn reduce_axis(
         let mut in_off = a.offset();
         let mut out_off = 0usize;
         for _ in 0..a.numel() {
-            out[out_off] = f(out[out_off], data[in_off]);
+            out[out_off] += data[in_off];
             for dim in (0..rank).rev() {
                 idx[dim] += 1;
                 in_off += strides[dim];
@@ -205,6 +164,26 @@ fn reduce_axis(
         out_shape.remove(axis);
     }
     Tensor::from_vec(out, &out_shape)
+}
+
+/// Mean over dimension `axis`.
+pub fn mean_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
+    let d = a.dim(axis) as f32;
+    let summed = sum_axis(a, axis, keepdim);
+    summed.map(|x| x / d)
+}
+
+/// Sums a contiguous `[outer, d, inner]` layout over `d` into `out`
+/// (zero-filled, `[outer, inner]`), accumulating in ascending `k` order.
+fn sum_dense(data: &[f32], out: &mut [f32], d: usize, inner: usize) {
+    for (o, orow) in out.chunks_exact_mut(inner.max(1)).enumerate() {
+        for k in 0..d {
+            let base = (o * d + k) * inner;
+            for (ov, &x) in orow.iter_mut().zip(&data[base..base + inner]) {
+                *ov += x;
+            }
+        }
+    }
 }
 
 /// Index of the maximum along the last dimension.
@@ -281,42 +260,15 @@ pub(super) fn softmax_body(src: &[f32], out: &mut [f32], d: usize, scale: f32) {
     }
 }
 
-/// Log-softmax of packed rows (layout as in [`softmax_rows`]).
-fn log_softmax_rows(src: &[f32], out: &mut [f32], d: usize) {
-    for (row, orow) in src.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
-        let m = row_max(row);
-        // Stage the exponentials in `orow` so the exp pass is dependency-free
-        // and vectorizes; the lane-accumulated sum then reads them back.
-        for (o, &x) in orow.iter_mut().zip(row) {
-            *o = fastmath::exp(x - m);
-        }
-        let lse = m + lane_sum(orow, |x| x).ln();
-        for (o, &x) in orow.iter_mut().zip(row) {
-            *o = x - lse;
-        }
-    }
-}
-
-/// Runs a packed-row kernel over every row of `a`.
-fn rowwise(a: &Tensor, d: usize, kernel: fn(&[f32], &mut [f32], usize)) -> Tensor {
-    let _span = crate::metrics::span("op/rowwise");
-    let a = a.contiguous(); // the row kernels need packed rows
-                            // Both row kernels store every element of their rows.
-    let mut out = crate::workspace::take_uninit(a.numel());
-    kernel(a.data(), &mut out, d);
-    Tensor::from_vec(out, a.shape())
-}
-
 /// Numerically-stable softmax over the last dimension.
 pub fn softmax_last(a: &Tensor) -> Tensor {
+    let _span = crate::metrics::span("op/rowwise");
     let d = *a.shape().last().expect("softmax_last requires rank >= 1");
-    rowwise(a, d, |src, out, d| softmax_rows(use_avx512(), src, out, d, 1.0))
-}
-
-/// Numerically-stable log-softmax over the last dimension.
-pub fn log_softmax_last(a: &Tensor) -> Tensor {
-    let d = *a.shape().last().expect("log_softmax_last requires rank >= 1");
-    rowwise(a, d, log_softmax_rows)
+    let a = a.contiguous(); // the row kernel needs packed rows
+                            // The row kernel stores every element of its rows.
+    let mut out = crate::workspace::take_uninit(a.numel());
+    softmax_rows(use_avx512(), a.data(), &mut out, d, 1.0);
+    Tensor::from_vec(out, a.shape())
 }
 
 /// Backward rule for [`softmax_last`]: given saved output `y` and upstream
@@ -337,24 +289,6 @@ pub(crate) fn softmax_last_backward(y: &Tensor, g: &Tensor) -> Tensor {
     Tensor::from_vec(out, y.shape())
 }
 
-/// Backward rule for [`log_softmax_last`]: `g - softmax(x) * sum(g, last)`,
-/// where `y` is the saved log-softmax output.
-pub(crate) fn log_softmax_last_backward(y: &Tensor, g: &Tensor) -> Tensor {
-    let d = *y.shape().last().expect("rank >= 1");
-    let rows = y.numel() / d;
-    let (y, g) = (y.contiguous(), g.contiguous());
-    let yd = y.data();
-    let gd = g.data();
-    let mut out = crate::workspace::take_reserve(y.numel());
-    for r in 0..rows {
-        let yr = &yd[r * d..(r + 1) * d];
-        let gr = &gd[r * d..(r + 1) * d];
-        let gsum: f32 = gr.iter().sum();
-        out.extend(yr.iter().zip(gr).map(|(&yv, &gv)| gv - fastmath::exp(yv) * gsum));
-    }
-    Tensor::from_vec(out, y.shape())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,13 +304,6 @@ mod tests {
         assert_eq!(s1.data(), &[3.0, 12.0]);
         let m1 = mean_axis(&t, 1, false);
         assert_eq!(m1.data(), &[1.0, 4.0]);
-    }
-
-    #[test]
-    fn max_axis_picks_maxima() {
-        let t = Tensor::from_vec(vec![1.0, 9.0, -3.0, 4.0, 0.0, 2.0], &[2, 3]);
-        assert_eq!(max_axis(&t, 1, false).data(), &[9.0, 4.0]);
-        assert_eq!(max_axis(&t, 0, false).data(), &[4.0, 9.0, 2.0]);
     }
 
     #[test]
@@ -412,16 +339,6 @@ mod tests {
                 assert!((sum - 1.0).abs() < 1e-6, "width {d} row {r} sums to {sum}");
                 assert!(row.iter().all(|&p| p > 0.0 && p <= 1.0));
             }
-        }
-    }
-
-    #[test]
-    fn log_softmax_consistent_with_softmax() {
-        let t = Tensor::from_vec(vec![0.5, -1.0, 2.0], &[1, 3]);
-        let ls = log_softmax_last(&t);
-        let s = softmax_last(&t);
-        for i in 0..3 {
-            assert!((ls.data()[i].exp() - s.data()[i]).abs() < 1e-6);
         }
     }
 

@@ -1,12 +1,10 @@
-//! Shape-rearranging operations: permute, transpose, concat, narrow, gather.
+//! Shape-rearranging operations: permute, transpose, concat, narrow.
 //!
-//! With the strided-view execution layer, `permute`, `transpose_last2`,
-//! `narrow`, `slice`, and `split` are O(1) metadata edits returning views
-//! over the input's buffer — no elements move. Operations that genuinely
-//! rearrange memory (`concat`, `stack`, `index_select`) materialize their
-//! inputs with [`Tensor::contiguous`] where their kernels need flat slices.
-
-use std::ops::Range;
+//! With the strided-view execution layer, `permute`, `transpose_last2` and
+//! `narrow` are O(1) metadata edits returning views over the input's
+//! buffer — no elements move. `concat`, which genuinely rearranges memory,
+//! materializes its inputs with [`Tensor::contiguous`] where its kernel
+//! needs flat slices.
 
 use crate::shape;
 use crate::Tensor;
@@ -117,18 +115,6 @@ pub fn narrow(a: &Tensor, axis: usize, start: usize, len: usize) -> Tensor {
     Tensor::view_of(a, out_shape, a.strides().to_vec(), offset)
 }
 
-/// Extracts the index range `r` along `axis` as a zero-copy view.
-///
-/// Sugar over [`narrow`] with a `Range` instead of start/length.
-///
-/// # Panics
-///
-/// Panics if the range is reversed or exceeds the dimension extent.
-pub fn slice(a: &Tensor, axis: usize, r: Range<usize>) -> Tensor {
-    assert!(r.start <= r.end, "reversed slice range {r:?}");
-    narrow(a, axis, r.start, r.end - r.start)
-}
-
 /// Adjoint of [`narrow`]: scatters `grad` back into a zero tensor shaped like
 /// the original input.
 pub(crate) fn narrow_backward(
@@ -148,87 +134,6 @@ pub(crate) fn narrow_backward(
         let dst = (o * d + start) * inner;
         let src = o * len * inner;
         out[dst..dst + len * inner].copy_from_slice(&gd[src..src + len * inner]);
-    }
-    Tensor::from_vec(out, orig_shape)
-}
-
-/// Stacks same-shaped tensors along a new leading dimension.
-///
-/// # Panics
-///
-/// Panics on an empty list or mismatched shapes.
-pub fn stack(tensors: &[&Tensor]) -> Tensor {
-    assert!(!tensors.is_empty(), "stack of zero tensors");
-    let shape = tensors[0].shape();
-    let mut out = crate::workspace::take_reserve(tensors.len() * tensors[0].numel());
-    for t in tensors {
-        assert_eq!(t.shape(), shape, "stack shape mismatch");
-        let c = t.contiguous();
-        out.extend_from_slice(c.data());
-    }
-    let mut out_shape = vec![tensors.len()];
-    out_shape.extend_from_slice(shape);
-    Tensor::from_vec(out, &out_shape)
-}
-
-/// Splits a tensor into `parts` equal chunks along `axis` (inverse of a
-/// same-axis [`concat`](fn@concat) of equal parts). Each chunk is a zero-copy view.
-///
-/// # Panics
-///
-/// Panics if `parts` does not divide the axis extent.
-pub fn split(a: &Tensor, axis: usize, parts: usize) -> Vec<Tensor> {
-    let sh = a.shape();
-    assert!(axis < sh.len(), "split axis out of range");
-    assert!(
-        parts > 0 && sh[axis].is_multiple_of(parts),
-        "{parts} parts must divide dim {}",
-        sh[axis]
-    );
-    let chunk = sh[axis] / parts;
-    (0..parts).map(|i| narrow(a, axis, i * chunk, chunk)).collect()
-}
-
-/// Gathers slices along dimension 0: `out[i] = a[indices[i]]`.
-///
-/// This doubles as an embedding lookup for integer token ids.
-///
-/// # Panics
-///
-/// Panics if any index is out of bounds.
-pub fn index_select(a: &Tensor, indices: &[usize]) -> Tensor {
-    let sh = a.shape();
-    assert!(!sh.is_empty(), "index_select requires rank >= 1");
-    let inner: usize = sh[1..].iter().product();
-    let a = a.contiguous();
-    let data = a.data();
-    let mut out = crate::workspace::take_reserve(indices.len() * inner);
-    for &i in indices {
-        assert!(i < sh[0], "index {i} out of bounds for dim {}", sh[0]);
-        out.extend_from_slice(&data[i * inner..(i + 1) * inner]);
-    }
-    let mut out_shape = sh.to_vec();
-    out_shape[0] = indices.len();
-    Tensor::from_vec(out, &out_shape)
-}
-
-/// Adjoint of [`index_select`]: scatter-adds `grad` rows back to their
-/// source rows (duplicated indices accumulate).
-pub(crate) fn index_select_backward(
-    grad: &Tensor,
-    orig_shape: &[usize],
-    indices: &[usize],
-) -> Tensor {
-    let inner: usize = orig_shape[1..].iter().product();
-    let mut out = crate::workspace::take_zeroed(shape::numel(orig_shape));
-    let grad = grad.contiguous();
-    let gd = grad.data();
-    for (row, &i) in indices.iter().enumerate() {
-        let dst = &mut out[i * inner..(i + 1) * inner];
-        let src = &gd[row * inner..(row + 1) * inner];
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d += s;
-        }
     }
     Tensor::from_vec(out, orig_shape)
 }
@@ -272,19 +177,11 @@ mod tests {
         let p = permute(&t, &[2, 0, 1]);
         let tr = transpose_last2(&t);
         let nr = narrow(&t, 1, 1, 2);
-        let sl = slice(&t, 2, 1..3);
-        let parts = split(&t, 2, 2);
-        assert_eq!(
-            copy_metrics::copies(),
-            0,
-            "permute/transpose/narrow/slice/split must be zero-copy views"
-        );
+        assert_eq!(copy_metrics::copies(), 0, "permute/transpose/narrow must be zero-copy views");
         // The views still read the right elements.
         assert_eq!(p.at(&[3, 1, 2]), t.at(&[1, 2, 3]));
         assert_eq!(tr.at(&[0, 3, 2]), t.at(&[0, 2, 3]));
         assert_eq!(nr.at(&[1, 0, 0]), t.at(&[1, 1, 0]));
-        assert_eq!(sl.at(&[0, 0, 1]), t.at(&[0, 0, 2]));
-        assert_eq!(parts[1].at(&[0, 0, 0]), t.at(&[0, 0, 2]));
     }
 
     #[test]
@@ -331,17 +228,5 @@ mod tests {
         // An axis-0 narrow of a contiguous tensor is itself contiguous.
         assert!(n.is_contiguous());
         assert_eq!(n.data(), &[8.0, 9.0, 10.0, 11.0]);
-    }
-
-    #[test]
-    fn index_select_and_scatter_add() {
-        let t = Tensor::arange(6).reshape(&[3, 2]);
-        let g = index_select(&t, &[2, 0, 2]);
-        assert_eq!(g.shape(), &[3, 2]);
-        assert_eq!(g.data(), &[4.0, 5.0, 0.0, 1.0, 4.0, 5.0]);
-        let grad = Tensor::ones(&[3, 2]);
-        let back = index_select_backward(&grad, &[3, 2], &[2, 0, 2]);
-        // Row 2 selected twice -> accumulates to 2.
-        assert_eq!(back.data(), &[1.0, 1.0, 0.0, 0.0, 2.0, 2.0]);
     }
 }

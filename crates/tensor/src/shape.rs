@@ -1,9 +1,8 @@
 //! Shape algebra shared by every tensor operation.
 //!
-//! Tensors in this crate are always contiguous and row-major, so a shape is
-//! just a `Vec<usize>` of dimension extents. This module centralizes the
-//! arithmetic on those extents: element counts, strides, broadcasting, and
-//! multi-dimensional index/offset conversions.
+//! A shape is a `Vec<usize>` of row-major dimension extents. This module
+//! centralizes the arithmetic on those extents: element counts, strides,
+//! broadcasting, and multi-dimensional index/offset conversions.
 
 /// Returns the number of elements implied by `shape`.
 ///
@@ -45,7 +44,7 @@ pub fn strides(shape: &[usize]) -> Vec<usize> {
 ///
 /// Panics if `index` has a different rank than `shape` or any coordinate is
 /// out of bounds (debug assertions).
-pub fn offset_of(shape: &[usize], index: &[usize]) -> usize {
+pub(crate) fn offset_of(shape: &[usize], index: &[usize]) -> usize {
     debug_assert_eq!(shape.len(), index.len(), "rank mismatch in offset_of");
     let mut off = 0;
     let mut acc = 1;
@@ -99,42 +98,22 @@ pub fn broadcast(a: &[usize], b: &[usize]) -> Option<Vec<usize>> {
 }
 
 /// Right-aligns `shape` to `rank` dimensions by prepending `1`s.
-pub fn pad_rank(shape: &[usize], rank: usize) -> Vec<usize> {
+pub(crate) fn pad_rank(shape: &[usize], rank: usize) -> Vec<usize> {
     assert!(shape.len() <= rank, "cannot pad shape to a smaller rank");
     let mut out = vec![1; rank];
     out[rank - shape.len()..].copy_from_slice(shape);
     out
 }
 
-/// Strides of `shape` viewed as broadcast to `to` (stride 0 on expanded dims).
-///
-/// `shape` must broadcast to `to`; both are given right-aligned.
-pub fn broadcast_strides(shape: &[usize], to: &[usize]) -> Vec<usize> {
-    let padded = pad_rank(shape, to.len());
-    let base = strides(&padded);
-    padded
-        .iter()
-        .zip(to)
-        .zip(base)
-        .map(|((&d, &t), s)| {
-            assert!(d == t || d == 1, "shape does not broadcast to target");
-            if d == t {
-                s
-            } else {
-                0
-            }
-        })
-        .collect()
-}
-
 /// Strides for walking a strided view of `shape`/`strides` as if broadcast
 /// to shape `to`: expanded dimensions (extent 1 → extent > 1) get stride 0,
 /// prepended dimensions get stride 0, and matching dimensions keep the
-/// view's actual stride.
-///
-/// Unlike [`broadcast_strides`], this respects a non-contiguous source
-/// layout. `shape` must broadcast to `to`.
-pub fn broadcast_view_strides(shape: &[usize], strides: &[usize], to: &[usize]) -> Vec<usize> {
+/// view's actual stride. `shape` must broadcast to `to`.
+pub(crate) fn broadcast_view_strides(
+    shape: &[usize],
+    strides: &[usize],
+    to: &[usize],
+) -> Vec<usize> {
     assert_eq!(shape.len(), strides.len(), "shape/stride rank mismatch");
     let pad = to.len() - shape.len();
     let mut out = vec![0; to.len()];
@@ -144,47 +123,6 @@ pub fn broadcast_view_strides(shape: &[usize], strides: &[usize], to: &[usize]) 
         out[pad + i] = if d == t && t != 1 { strides[i] } else { 0 };
     }
     out
-}
-
-/// An iterator over all multi-dimensional indices of `shape` in row-major
-/// order. Used by generic (non-hot-path) kernels.
-#[derive(Debug, Clone)]
-pub struct IndexIter {
-    shape: Vec<usize>,
-    next: Option<Vec<usize>>,
-}
-
-impl IndexIter {
-    /// Creates an iterator over every index of `shape`.
-    pub fn new(shape: &[usize]) -> Self {
-        let next = if numel(shape) == 0 { None } else { Some(vec![0; shape.len()]) };
-        IndexIter { shape: shape.to_vec(), next }
-    }
-}
-
-impl Iterator for IndexIter {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        let cur = self.next.clone()?;
-        // Advance like an odometer.
-        let mut idx = cur.clone();
-        let mut dim = self.shape.len();
-        loop {
-            if dim == 0 {
-                self.next = None;
-                break;
-            }
-            dim -= 1;
-            idx[dim] += 1;
-            if idx[dim] < self.shape[dim] {
-                self.next = Some(idx);
-                break;
-            }
-            idx[dim] = 0;
-        }
-        Some(cur)
-    }
 }
 
 #[cfg(test)]
@@ -224,17 +162,9 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_strides_zeroes_expanded_dims() {
-        assert_eq!(broadcast_strides(&[1, 3], &[4, 2, 3]), vec![0, 0, 1]);
-        assert_eq!(broadcast_strides(&[2, 3], &[2, 3]), vec![3, 1]);
-    }
-
-    #[test]
-    fn index_iter_visits_all_in_order() {
-        let v: Vec<_> = IndexIter::new(&[2, 2]).collect();
-        assert_eq!(v, vec![vec![0, 0], vec![0, 1], vec![1, 0], vec![1, 1]]);
-        assert_eq!(IndexIter::new(&[0]).count(), 0);
-        assert_eq!(IndexIter::new(&[]).count(), 1);
+    fn broadcast_view_strides_zeroes_expanded_dims() {
+        assert_eq!(broadcast_view_strides(&[1, 3], &[3, 1], &[4, 2, 3]), vec![0, 0, 1]);
+        assert_eq!(broadcast_view_strides(&[2, 3], &[3, 1], &[2, 3]), vec![3, 1]);
     }
 
     #[test]

