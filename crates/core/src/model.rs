@@ -178,14 +178,14 @@ impl VideoScenarioTransformer {
             return Vec::new();
         }
         let group_len = cfg.tubelet_t * cfg.height * cfg.width;
-        let mut pixels = Vec::with_capacity(n * group_len);
-        for (i, group) in groups.iter().enumerate() {
-            assert_eq!(group.len(), group_len, "group {i} has the wrong pixel count");
-            pixels.extend_from_slice(group);
-        }
+        // One batch row per group: [N, tubelet_t, H, W].
+        let batch = Tensor::from_extend(&[n, cfg.tubelet_t, cfg.height, cfg.width], |pixels| {
+            for (i, group) in groups.iter().enumerate() {
+                assert_eq!(group.len(), group_len, "group {i} has the wrong pixel count");
+                pixels.extend_from_slice(group);
+            }
+        });
         metrics::stage("stage/mux_encode", || {
-            // One batch row per group: [N, tubelet_t, H, W].
-            let batch = Tensor::from_vec(pixels, &[n, cfg.tubelet_t, cfg.height, cfg.width]);
             let ex = &mut self.eval();
             // [N, ns, D]
             let tokens = self.embed.forward(ex, &extract_tubelets(cfg, &batch));
@@ -201,7 +201,7 @@ impl VideoScenarioTransformer {
             let out = out.contiguous();
             out.data()
                 .chunks_exact(shape.iter().product())
-                .map(|row| Tensor::from_vec(row.to_vec(), shape))
+                .map(|row| Tensor::from_extend(shape, |d| d.extend_from_slice(row)))
                 .collect()
         })
     }

@@ -78,8 +78,9 @@ struct GroupCache {
 struct StagedGroup {
     /// Absolute group index (assigned at staging time).
     index: u64,
-    /// The group's raw pixels, `tubelet_t * H * W` values.
-    pixels: Vec<f32>,
+    /// The group's raw pixels, `tubelet_t * H * W` values, in an arena
+    /// buffer.
+    pixels: Tensor,
 }
 
 /// Head-logit values for one window (batch dimension 1; field shapes
@@ -147,7 +148,7 @@ pub fn encode_staged(
         return MuxEncodeReport::default();
     }
     let groups: Vec<&[f32]> =
-        states.iter().flat_map(|s| s.staged.iter().map(|g| g.pixels.as_slice())).collect();
+        states.iter().flat_map(|s| s.staged.iter().map(|g| g.pixels.data())).collect();
     let encoded = model.encode_group_batch(&groups);
     let report = MuxEncodeReport { streams, groups: encoded.len() };
     let mut outputs = encoded.into_iter();
@@ -366,7 +367,7 @@ impl StreamState {
     /// infinite (reported with its flat index within the chunk, and the
     /// chunk is rejected whole — session state is unchanged).
     pub fn stage_frames(&mut self, frames: &Tensor) -> Result<usize, ExtractError> {
-        let sh = frames.shape().to_vec();
+        let sh = frames.shape();
         if sh.len() != 3 {
             return Err(ExtractError::BadRank { found: sh.len() });
         }
@@ -390,7 +391,8 @@ impl StreamState {
         self.frames_seen += sh[0] as u64;
         let mut completed = 0;
         while self.pending.len() >= group_len {
-            let pixels: Vec<f32> = self.pending.drain(..group_len).collect();
+            let pixels =
+                Tensor::from_extend(&[group_len], |d| d.extend(self.pending.drain(..group_len)));
             self.staged.push_back(StagedGroup { index: self.next_group, pixels });
             self.next_group += 1;
             completed += 1;

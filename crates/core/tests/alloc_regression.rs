@@ -3,11 +3,12 @@
 //! The workspace arena (`tsdx_tensor::workspace`) exists to recycle the
 //! large `f32` buffers behind activations, gradients, and kernel scratch:
 //! after a few warm-up steps every big allocation should be served from the
-//! arena, leaving only small metadata (shapes, tape nodes, `Arc` headers)
-//! for the system allocator. This test pins that property with a counting
-//! global allocator: the same training step is driven with the arena
-//! disabled and enabled, and the enabled run must allocate at least 10×
-//! fewer bytes per step.
+//! arena, leaving only small metadata (an `Arc` buffer header per tensor,
+//! the tape's node and gradient vectors) for the system allocator: shapes
+//! and strides are held inline and allocate nothing. This test pins that
+//! property with a counting global allocator: the same training step is
+//! driven with the arena disabled and enabled, and the enabled run must
+//! allocate at least 10× fewer bytes per step.
 //!
 //! Lives in its own integration-test file so the `#[global_allocator]`
 //! override owns the whole process; the tests here serialize on a mutex
@@ -148,19 +149,20 @@ fn steady_state_step_allocations_drop_with_workspaces() {
         per_step(bytes_off),
         per_step(bytes_on),
     );
-    // Call-count budget: metadata (shapes, tape nodes, Arc headers) still
+    // Call-count budget: metadata (Arc headers, the tape's vectors) still
     // allocates, but recycling must remove the per-buffer allocations too.
     assert!(
         calls_off > calls_on,
         "arena on should issue fewer allocator calls: off {calls_off} vs on {calls_on}"
     );
-    // ...and what is left is per tape node. With attention between its
-    // projections as one node a step makes 2800 calls; with the head
-    // splits, kᵀ, q·kᵀ, scale, softmax, p·v and the merge as nodes of their
-    // own it made 3068, and 3759 before a linear layer was one node.
+    // ...and what is left is per value: 350 calls, 291 of them `Arc`
+    // headers. With two dim vectors per value it made 2781 (attention one
+    // node); with the head splits, kᵀ, q·kᵀ, scale, softmax, p·v and the
+    // merge as nodes of their own 3068, and 3759 before a linear layer was
+    // one node.
     assert!(
-        per_step(calls_on) <= 2802,
-        "a training step allocates per tape node and the tape grew: {} calls/step",
+        per_step(calls_on) <= 367,
+        "a training step allocates per value and the tape grew: {} calls/step",
         per_step(calls_on)
     );
 }
@@ -180,12 +182,12 @@ fn steady_state_extraction_allocates_per_value_not_per_tape_node() {
     eprintln!("alloc/extract: {} calls / {} bytes", per(calls), per(bytes));
     assert!(bytes > 0, "counting allocator saw no traffic");
     // Extraction runs the non-recording executor, so what allocates is the
-    // values themselves (a buffer header and two dim vectors per tensor):
-    // 440 calls per extraction. Binding ~100 parameters into a tape and
-    // recording a node per op made it 797; the composed attention graph
-    // 1061; the unfused tape 1577.
+    // values themselves, a buffer header per tensor: 82 calls per
+    // extraction, 68 of them `Arc` headers. Two dim vectors per tensor made
+    // it 436; binding ~100 parameters into a tape and recording a node per
+    // op 797; the composed attention graph 1061; the unfused tape 1577.
     assert!(
-        per(calls) <= 462,
+        per(calls) <= 86,
         "extraction allocates per value and the forward grew: {} calls",
         per(calls)
     );
@@ -421,11 +423,12 @@ fn steady_state_stream_push_allocates_per_frame_not_per_window() {
         per(bytes_full),
     );
     // A slide is two forwards (one group's spatial encode, the window's
-    // readout), each allocating per value: 427 calls. On two tapes it was 784
-    // with attention as one node, 1048 with fused linear nodes only, 1597
-    // before those.
+    // readout), each allocating a buffer header per value: 72 calls, 62 of
+    // them `Arc` headers. With two dim vectors per value it was 426; on two
+    // tapes 784 with attention as one node, 1048 with fused linear nodes
+    // only, 1597 before those.
     assert!(
-        per(calls_push) <= 448,
+        per(calls_push) <= 75,
         "a window slide allocates per value and its forwards grew: {} calls/slide",
         per(calls_push)
     );

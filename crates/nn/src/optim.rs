@@ -1,5 +1,6 @@
 //! The AdamW optimizer, gradient clipping, and learning-rate schedules.
 
+use tsdx_tensor::shape::Dims;
 use tsdx_tensor::Tensor;
 
 use crate::params::ParamStore;
@@ -129,7 +130,7 @@ impl AdamW {
                     new_val.push(x);
                 }
             }
-            let shape = store.value(id).shape().to_vec();
+            let shape = Dims::new(store.value(id).shape());
             store.set_value(id, Tensor::from_vec(new_val, &shape));
             self.m[i] = Some(m);
             self.v[i] = Some(v);

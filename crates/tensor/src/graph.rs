@@ -23,6 +23,7 @@
 
 use crate::ops;
 use crate::ops::{Activation, Conv2dSpec};
+use crate::shape::Dims;
 use crate::Tensor;
 
 /// Handle to a node in a [`Graph`].
@@ -51,7 +52,7 @@ enum Op {
     Sigmoid(Var),
     Tanh(Var),
     Reshape(Var),
-    Permute(Var, Vec<usize>),
+    Permute(Var, Dims),
     Concat(Vec<Var>, usize),
     Narrow { input: Var, axis: usize, start: usize },
     SoftmaxLast(Var),
@@ -312,13 +313,13 @@ impl Graph {
     /// Dimension permutation (see [`ops::permute`]).
     pub fn permute(&mut self, a: Var, perm: &[usize]) -> Var {
         let v = ops::permute(self.value(a), perm);
-        self.unary(a, v, Op::Permute(a, perm.to_vec()))
+        self.unary(a, v, Op::Permute(a, Dims::new(perm)))
     }
 
     /// Swap of the last two dimensions.
     pub fn transpose_last2(&mut self, a: Var) -> Var {
         let rank = self.shape(a).len();
-        let mut perm: Vec<usize> = (0..rank).collect();
+        let mut perm: Dims = (0..rank).collect();
         perm.swap(rank - 2, rank - 1);
         self.permute(a, &perm)
     }
@@ -612,7 +613,7 @@ impl Graph {
                 self.accumulate(grads, *a, g.reshape(self.shape(*a)));
             }
             Op::Permute(a, perm) => {
-                let mut inv = vec![0usize; perm.len()];
+                let mut inv = Dims::filled(perm.len(), 0);
                 for (i, &p) in perm.iter().enumerate() {
                     inv[p] = i;
                 }
@@ -682,8 +683,8 @@ impl Graph {
                 self.accumulate(grads, *logits, back);
             }
             Op::Conv2d { input, weight, spec, cols } => {
-                let ish = self.shape(*input).to_vec();
-                let wsh = self.shape(*weight).to_vec();
+                let ish = Dims::new(self.shape(*input));
+                let wsh = Dims::new(self.shape(*weight));
                 let (o, ckk) = (wsh[0], wsh[1] * spec.kh * spec.kw);
                 let (oh, ow) = spec.out_size(ish[2], ish[3]);
                 let gmat = g.reshape(&[ish[0], o, oh * ow]);

@@ -35,6 +35,7 @@
 use super::matmul::{mul_cols, transpose_tile, use_avx512, Epilogue, Groups, Mat, NC};
 use super::reduce::{softmax_last_backward, softmax_rows};
 use super::{matmul, permute, scale, transpose_last2};
+use crate::shape::Dims;
 use crate::workspace::{self, Scratch};
 use crate::Tensor;
 
@@ -79,8 +80,8 @@ fn geometry(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Geom {
 }
 
 /// `shape` with its last two extents replaced by `tail`.
-fn with_tail(shape: &[usize], tail: &[usize]) -> Vec<usize> {
-    [&shape[..shape.len() - 2], tail].concat()
+fn with_tail(shape: &[usize], tail: &[usize]) -> Dims {
+    shape[..shape.len() - 2].iter().chain(tail).copied().collect()
 }
 
 /// One operand as `nb` matrices of unit-stride rows: row `t` of matrix `b`
@@ -268,8 +269,8 @@ pub(crate) fn attention_backward(
 ) -> (Tensor, Tensor, Tensor) {
     let _span = crate::metrics::span("op/attention_bwd");
     let Geom { nb, tq, tk, dh, dv, .. } = geometry(q, k, v, heads);
-    assert_eq!(grad.shape(), with_tail(q.shape(), &[tq, heads * dv]), "attention grad shape");
-    assert_eq!(probs.shape(), with_tail(q.shape(), &[heads, tq, tk]), "attention probs shape");
+    assert_eq!(grad.shape(), &with_tail(q.shape(), &[tq, heads * dv])[..], "attention grad shape");
+    assert_eq!(probs.shape(), &with_tail(q.shape(), &[heads, tq, tk])[..], "attention probs shape");
     // `[.., T, H·w]` as the `[nb, H, T, w]` view, and back (one copy).
     let split = |t: &Tensor, rows: usize, w: usize| {
         permute(&t.reshape(&[nb, rows, heads, w]), &[0, 2, 1, 3])

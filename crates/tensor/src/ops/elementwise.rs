@@ -45,7 +45,7 @@ pub fn binary_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> 
     let b_dims = &b.shape()[b.shape().iter().take_while(|&&d| d == 1).count()..];
     let block = b.numel();
     if block > 0
-        && a.shape() == out_shape.as_slice()
+        && a.shape() == &out_shape[..]
         && out_shape.ends_with(b_dims)
         && a.is_contiguous()
         && b.is_contiguous()
@@ -71,7 +71,7 @@ pub fn binary_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> 
     let sb = shape::broadcast_view_strides(b.shape(), b.strides(), &out_shape);
     let rank = out_shape.len();
     let mut out = crate::workspace::take_reserve(n);
-    let mut ia = vec![0usize; rank];
+    let mut ia = shape::Dims::filled(rank, 0);
     let mut offset_a = a.offset();
     let mut offset_b = b.offset();
     for _ in 0..n {
@@ -211,13 +211,13 @@ pub fn unbroadcast(grad: &Tensor, target_shape: &[usize]) -> Tensor {
     let rank = grad.rank();
     let padded = shape::pad_rank(target_shape, rank);
     // Walk the (possibly non-contiguous) gradient through its view strides.
-    let gs = grad.strides().to_vec();
+    let gs = grad.strides();
     let n_out = shape::numel(&padded);
     let mut out = crate::workspace::take_zeroed(n_out);
     let ts = shape::strides(&padded);
     let gd = grad.raw_data();
-    let gshape = grad.shape().to_vec();
-    let mut idx = vec![0usize; rank];
+    let gshape = grad.shape();
+    let mut idx = shape::Dims::filled(rank, 0);
     let mut goff = grad.offset();
     let mut toff = 0usize;
     // Map every grad element to its (possibly collapsed) target slot.

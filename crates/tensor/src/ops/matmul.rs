@@ -60,7 +60,7 @@ use std::ops::Range;
 
 use super::elementwise::gelu_scalar;
 use crate::dial::{Kernel, KERNEL};
-use crate::shape;
+use crate::shape::{self, Dims};
 use crate::workspace::{self, Scratch};
 use crate::Tensor;
 
@@ -232,7 +232,7 @@ fn dense(t: &Tensor) -> Cow<'_, Tensor> {
 fn gemm(a: &Tensor, b: &Tensor, epi: Epilogue) -> Tensor {
     let _span = crate::metrics::span("op/matmul");
     assert!(a.rank() >= 2 && b.rank() >= 2, "matmul requires rank >= 2 operands");
-    let (ash, bsh) = (a.shape().to_vec(), b.shape().to_vec());
+    let (ash, bsh) = (a.shape(), b.shape());
     let ka = ash[ash.len() - 1];
     let (kb, n) = (bsh[bsh.len() - 2], bsh[bsh.len() - 1]);
     assert_eq!(ka, kb, "matmul inner dims: {ash:?} @ {bsh:?}");
@@ -325,9 +325,9 @@ struct KernelCtx<'a> {
     bd: &'a [f32],
     a_off: usize,
     b_off: usize,
-    batch: Vec<usize>,
-    sa_batch: Vec<usize>,
-    sb_batch: Vec<usize>,
+    batch: Dims,
+    sa_batch: Dims,
+    sb_batch: Dims,
     m: usize,
     n: usize,
     k: usize,

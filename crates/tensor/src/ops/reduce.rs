@@ -10,6 +10,7 @@
 
 use super::matmul::use_avx512;
 use crate::fastmath;
+use crate::shape::Dims;
 use crate::Tensor;
 
 /// The larger of `x` and `m`, `m` when `x` is NaN: an ordered compare and
@@ -132,13 +133,13 @@ pub fn sum_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
     } else {
         // Strided view: walk the input odometer-style, accumulating into the
         // output slot whose coordinates drop the reduced axis (stride 0).
-        let mut kept = sh.to_vec();
+        let mut kept = Dims::new(sh);
         kept[axis] = 1;
         let mut os = crate::shape::strides(&kept);
         os[axis] = 0;
         let strides = a.strides();
         let data = a.raw_data();
-        let mut idx = vec![0usize; rank];
+        let mut idx = Dims::filled(rank, 0);
         let mut in_off = a.offset();
         let mut out_off = 0usize;
         for _ in 0..a.numel() {
@@ -157,12 +158,8 @@ pub fn sum_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
         }
     }
 
-    let mut out_shape: Vec<usize> = sh.to_vec();
-    if keepdim {
-        out_shape[axis] = 1;
-    } else {
-        out_shape.remove(axis);
-    }
+    let dims = sh.iter().enumerate().filter(|&(i, _)| keepdim || i != axis);
+    let out_shape: Dims = dims.map(|(i, &d)| if i == axis { 1 } else { d }).collect();
     Tensor::from_vec(out, &out_shape)
 }
 

@@ -6,7 +6,7 @@
 //! materializes its inputs with [`Tensor::contiguous`] where its kernel
 //! needs flat slices.
 
-use crate::shape;
+use crate::shape::{self, Dims};
 use crate::Tensor;
 
 /// Reorders dimensions according to `perm` (a permutation of `0..rank`).
@@ -30,13 +30,13 @@ use crate::Tensor;
 pub fn permute(a: &Tensor, perm: &[usize]) -> Tensor {
     let rank = a.rank();
     assert_eq!(perm.len(), rank, "permutation rank mismatch");
-    let mut seen = vec![false; rank];
+    let mut seen = [false; shape::MAX_RANK];
     for &p in perm {
         assert!(p < rank && !seen[p], "invalid permutation {perm:?}");
         seen[p] = true;
     }
-    let out_shape: Vec<usize> = perm.iter().map(|&p| a.shape()[p]).collect();
-    let out_strides: Vec<usize> = perm.iter().map(|&p| a.strides()[p]).collect();
+    let out_shape = perm.iter().map(|&p| a.shape()[p]).collect();
+    let out_strides = perm.iter().map(|&p| a.strides()[p]).collect();
     Tensor::view_of(a, out_shape, out_strides, a.offset())
 }
 
@@ -49,7 +49,7 @@ pub fn permute(a: &Tensor, perm: &[usize]) -> Tensor {
 pub fn transpose_last2(a: &Tensor) -> Tensor {
     let rank = a.rank();
     assert!(rank >= 2, "transpose_last2 requires rank >= 2");
-    let mut perm: Vec<usize> = (0..rank).collect();
+    let mut perm: Dims = (0..rank).collect();
     perm.swap(rank - 2, rank - 1);
     permute(a, &perm)
 }
@@ -74,7 +74,7 @@ pub fn concat(tensors: &[&Tensor], axis: usize) -> Tensor {
         }
         axis_total += sh[axis];
     }
-    let mut out_shape = first.to_vec();
+    let mut out_shape = Dims::new(first);
     out_shape[axis] = axis_total;
 
     // The chunk-copy kernel wants flat slices; views are gathered once here.
@@ -109,10 +109,10 @@ pub fn narrow(a: &Tensor, axis: usize, start: usize, len: usize) -> Tensor {
         start + len,
         sh[axis]
     );
-    let mut out_shape = sh.to_vec();
+    let mut out_shape = Dims::new(sh);
     out_shape[axis] = len;
     let offset = a.offset() + start * a.strides()[axis];
-    Tensor::view_of(a, out_shape, a.strides().to_vec(), offset)
+    Tensor::view_of(a, out_shape, Dims::new(a.strides()), offset)
 }
 
 /// Adjoint of [`narrow`]: scatters `grad` back into a zero tensor shaped like

@@ -227,7 +227,7 @@ thread_local! {
 /// ```
 pub fn linear_q8(a: &Tensor, w: &QuantMatrix, bias: Option<&Tensor>) -> Tensor {
     let _span = metrics::span("op/matmul_i8");
-    let ash = a.shape().to_vec();
+    let ash = crate::shape::Dims::new(a.shape());
     let k = *ash.last().unwrap_or_else(|| panic!("linear_q8 input must have rank >= 1"));
     assert_eq!(k, w.k(), "linear_q8 inner dims: {ash:?} @ [{}, {}]", w.k(), w.n());
     let n = w.n();

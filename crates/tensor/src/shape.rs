@@ -1,8 +1,113 @@
 //! Shape algebra shared by every tensor operation.
 //!
-//! A shape is a `Vec<usize>` of row-major dimension extents. This module
-//! centralizes the arithmetic on those extents: element counts, strides,
-//! broadcasting, and multi-dimensional index/offset conversions.
+//! A shape is a [`Dims`]: the row-major dimension extents held inline, at
+//! most [`MAX_RANK`] of them, so building, copying or editing one never
+//! calls the allocator. This module centralizes the arithmetic on those
+//! extents: element counts, strides, broadcasting, and multi-dimensional
+//! index/offset conversions.
+
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+
+/// The most dimensions a tensor may have. The models build nothing above
+/// rank 5; a higher rank panics naming this limit.
+pub const MAX_RANK: usize = 6;
+
+/// Up to [`MAX_RANK`] extents (or strides) held inline: a fixed array and a
+/// length, `Copy`, read and written as a `[usize]` slice.
+///
+/// # Examples
+///
+/// ```
+/// use tsdx_tensor::shape::Dims;
+/// let mut d = Dims::new(&[2, 3, 4]);
+/// d[0] = 5;
+/// assert_eq!(d[..], [5, 3, 4]);
+/// assert_eq!(format!("{d:?}"), "[5, 3, 4]");
+/// ```
+#[derive(Clone, Copy)]
+pub struct Dims {
+    len: usize,
+    dims: [usize; MAX_RANK],
+}
+
+impl Dims {
+    /// `dims`, held inline. Panics above [`MAX_RANK`] entries.
+    pub fn new(dims: &[usize]) -> Dims {
+        let mut d = Dims::filled(dims.len(), 0);
+        // Six fixed slots rather than a copy of `len`: no `memcpy` call.
+        for (i, o) in d.dims.iter_mut().enumerate() {
+            *o = dims.get(i).copied().unwrap_or(0);
+        }
+        d
+    }
+
+    /// `rank` copies of `v`. Panics if `rank` exceeds [`MAX_RANK`].
+    pub(crate) fn filled(rank: usize, v: usize) -> Dims {
+        within_limit(rank);
+        Dims { len: rank, dims: [v; MAX_RANK] }
+    }
+
+    /// Appends `d` as the new last entry. Panics past [`MAX_RANK`] entries.
+    pub(crate) fn push(&mut self, d: usize) {
+        within_limit(self.len + 1);
+        self.dims[self.len] = d;
+        self.len += 1;
+    }
+}
+
+fn within_limit(rank: usize) {
+    assert!(rank <= MAX_RANK, "rank {rank} exceeds the tensor rank limit of {MAX_RANK}");
+}
+
+// `len` never exceeds `MAX_RANK`; the `min` tells the compiler so, which
+// drops the bounds check and its panic path from every shape read.
+impl Deref for Dims {
+    type Target = [usize];
+
+    #[inline]
+    fn deref(&self) -> &[usize] {
+        &self.dims[..self.len.min(MAX_RANK)]
+    }
+}
+
+impl DerefMut for Dims {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [usize] {
+        &mut self.dims[..self.len.min(MAX_RANK)]
+    }
+}
+
+impl<'a> IntoIterator for &'a Dims {
+    type Item = &'a usize;
+    type IntoIter = std::slice::Iter<'a, usize>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Panics past [`MAX_RANK`] entries.
+impl FromIterator<usize> for Dims {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Dims {
+        let mut d = Dims::filled(0, 0);
+        iter.into_iter().for_each(|x| d.push(x));
+        d
+    }
+}
+
+impl PartialEq for Dims {
+    fn eq(&self, other: &Dims) -> bool {
+        self[..] == other[..]
+    }
+}
+
+/// As the slice: `[2, 3]`.
+impl fmt::Debug for Dims {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self[..], f)
+    }
+}
 
 /// Returns the number of elements implied by `shape`.
 ///
@@ -15,21 +120,22 @@
 /// assert_eq!(tsdx_tensor::shape::numel(&[]), 1);
 /// ```
 pub fn numel(shape: &[usize]) -> usize {
-    shape.iter().product()
+    // A scalar chain: over an inline shape LLVM would otherwise emit a
+    // masked AVX2 product, several times the cost of six multiplies.
+    shape.iter().try_fold(1, |n: usize, &d| n.checked_mul(d)).expect("element count overflows")
 }
 
 /// Returns row-major strides for `shape`.
 ///
-/// `strides(&[2, 3, 4]) == [12, 4, 1]`. The empty shape yields an empty
-/// stride vector.
+/// The empty shape yields empty strides.
 ///
 /// # Examples
 ///
 /// ```
-/// assert_eq!(tsdx_tensor::shape::strides(&[2, 3, 4]), vec![12, 4, 1]);
+/// assert_eq!(tsdx_tensor::shape::strides(&[2, 3, 4])[..], [12, 4, 1]);
 /// ```
-pub fn strides(shape: &[usize]) -> Vec<usize> {
-    let mut s = vec![0; shape.len()];
+pub fn strides(shape: &[usize]) -> Dims {
+    let mut s = Dims::filled(shape.len(), 0);
     let mut acc = 1;
     for i in (0..shape.len()).rev() {
         s[i] = acc;
@@ -57,8 +163,8 @@ pub(crate) fn offset_of(shape: &[usize], index: &[usize]) -> usize {
 }
 
 /// Converts a flat row-major `offset` into a multi-dimensional index.
-pub fn index_of(shape: &[usize], mut offset: usize) -> Vec<usize> {
-    let mut idx = vec![0; shape.len()];
+pub fn index_of(shape: &[usize], mut offset: usize) -> Dims {
+    let mut idx = Dims::filled(shape.len(), 0);
     for i in (0..shape.len()).rev() {
         idx[i] = offset % shape[i];
         offset /= shape[i];
@@ -75,12 +181,12 @@ pub fn index_of(shape: &[usize], mut offset: usize) -> Vec<usize> {
 ///
 /// ```
 /// use tsdx_tensor::shape::broadcast;
-/// assert_eq!(broadcast(&[4, 1, 3], &[2, 3]), Some(vec![4, 2, 3]));
+/// assert_eq!(broadcast(&[4, 1, 3], &[2, 3]).unwrap()[..], [4, 2, 3]);
 /// assert_eq!(broadcast(&[2], &[3]), None);
 /// ```
-pub fn broadcast(a: &[usize], b: &[usize]) -> Option<Vec<usize>> {
+pub fn broadcast(a: &[usize], b: &[usize]) -> Option<Dims> {
     let rank = a.len().max(b.len());
-    let mut out = vec![0; rank];
+    let mut out = Dims::filled(rank, 0);
     for i in 0..rank {
         let da = if i < rank - a.len() { 1 } else { a[i - (rank - a.len())] };
         let db = if i < rank - b.len() { 1 } else { b[i - (rank - b.len())] };
@@ -98,9 +204,9 @@ pub fn broadcast(a: &[usize], b: &[usize]) -> Option<Vec<usize>> {
 }
 
 /// Right-aligns `shape` to `rank` dimensions by prepending `1`s.
-pub(crate) fn pad_rank(shape: &[usize], rank: usize) -> Vec<usize> {
+pub(crate) fn pad_rank(shape: &[usize], rank: usize) -> Dims {
     assert!(shape.len() <= rank, "cannot pad shape to a smaller rank");
-    let mut out = vec![1; rank];
+    let mut out = Dims::filled(rank, 1);
     out[rank - shape.len()..].copy_from_slice(shape);
     out
 }
@@ -109,14 +215,10 @@ pub(crate) fn pad_rank(shape: &[usize], rank: usize) -> Vec<usize> {
 /// to shape `to`: expanded dimensions (extent 1 → extent > 1) get stride 0,
 /// prepended dimensions get stride 0, and matching dimensions keep the
 /// view's actual stride. `shape` must broadcast to `to`.
-pub(crate) fn broadcast_view_strides(
-    shape: &[usize],
-    strides: &[usize],
-    to: &[usize],
-) -> Vec<usize> {
+pub(crate) fn broadcast_view_strides(shape: &[usize], strides: &[usize], to: &[usize]) -> Dims {
     assert_eq!(shape.len(), strides.len(), "shape/stride rank mismatch");
     let pad = to.len() - shape.len();
-    let mut out = vec![0; to.len()];
+    let mut out = Dims::filled(to.len(), 0);
     for i in 0..shape.len() {
         let (d, t) = (shape[i], to[pad + i]);
         assert!(d == t || d == 1, "shape does not broadcast to target");
@@ -138,9 +240,9 @@ mod tests {
 
     #[test]
     fn strides_row_major() {
-        assert_eq!(strides(&[2, 3, 4]), vec![12, 4, 1]);
-        assert_eq!(strides(&[7]), vec![1]);
-        assert_eq!(strides(&[]), Vec::<usize>::new());
+        assert_eq!(strides(&[2, 3, 4])[..], [12, 4, 1]);
+        assert_eq!(strides(&[7])[..], [1]);
+        assert!(strides(&[]).is_empty());
     }
 
     #[test]
@@ -154,17 +256,18 @@ mod tests {
 
     #[test]
     fn broadcast_rules() {
-        assert_eq!(broadcast(&[2, 3], &[2, 3]), Some(vec![2, 3]));
-        assert_eq!(broadcast(&[2, 1], &[1, 3]), Some(vec![2, 3]));
-        assert_eq!(broadcast(&[5, 1, 3], &[4, 3]), Some(vec![5, 4, 3]));
-        assert_eq!(broadcast(&[], &[2, 2]), Some(vec![2, 2]));
-        assert_eq!(broadcast(&[3], &[4]), None);
+        let bc = |a: &[usize], b: &[usize]| broadcast(a, b).map(|d| d.to_vec());
+        assert_eq!(bc(&[2, 3], &[2, 3]), Some(vec![2, 3]));
+        assert_eq!(bc(&[2, 1], &[1, 3]), Some(vec![2, 3]));
+        assert_eq!(bc(&[5, 1, 3], &[4, 3]), Some(vec![5, 4, 3]));
+        assert_eq!(bc(&[], &[2, 2]), Some(vec![2, 2]));
+        assert_eq!(bc(&[3], &[4]), None);
     }
 
     #[test]
     fn broadcast_view_strides_zeroes_expanded_dims() {
-        assert_eq!(broadcast_view_strides(&[1, 3], &[3, 1], &[4, 2, 3]), vec![0, 0, 1]);
-        assert_eq!(broadcast_view_strides(&[2, 3], &[3, 1], &[2, 3]), vec![3, 1]);
+        assert_eq!(broadcast_view_strides(&[1, 3], &[3, 1], &[4, 2, 3])[..], [0, 0, 1]);
+        assert_eq!(broadcast_view_strides(&[2, 3], &[3, 1], &[2, 3])[..], [3, 1]);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::shape;
+use crate::shape::{self, Dims};
 use crate::workspace::{self, Buffer};
 
 /// Scoped counting of buffer materializations.
@@ -49,7 +49,10 @@ pub mod copy_metrics {
 /// mutate their inputs. Cloning is cheap — the buffer is behind an [`Arc`]
 /// and is copied lazily on mutation ([`Tensor::data_mut`]).
 ///
-/// A tensor is a `(shape, strides, offset)` window over its shared buffer.
+/// A tensor is a `(shape, strides, offset)` window over its shared buffer;
+/// shape and strides are inline [`Dims`] (at most [`shape::MAX_RANK`]
+/// dimensions), so a view or a clone allocates nothing and a new tensor
+/// only its buffer's `Arc` header.
 /// Freshly constructed tensors are contiguous; layout ops like `permute` and
 /// `narrow` return views that reinterpret the same buffer without copying.
 /// Kernels that need a flat slice call [`Tensor::contiguous`] (cheap when
@@ -65,8 +68,8 @@ pub mod copy_metrics {
 /// ```
 #[derive(Clone)]
 pub struct Tensor {
-    shape: Vec<usize>,
-    strides: Vec<usize>,
+    shape: Dims,
+    strides: Dims,
     offset: usize,
     data: Arc<Buffer>,
 }
@@ -76,7 +79,8 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics if `data.len()` does not match the element count of `shape`.
+    /// Panics if `data.len()` does not match the element count of `shape`,
+    /// or `shape` has more than [`shape::MAX_RANK`] dimensions.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Self {
         assert_eq!(
             data.len(),
@@ -86,7 +90,7 @@ impl Tensor {
             shape
         );
         Tensor {
-            shape: shape.to_vec(),
+            shape: Dims::new(shape),
             strides: shape::strides(shape),
             offset: 0,
             data: Arc::new(Buffer::new(data)),
@@ -157,12 +161,7 @@ impl Tensor {
     /// Callers (the shape ops) are responsible for choosing `shape`,
     /// `strides`, and `offset` such that every reachable element lies inside
     /// the buffer; this is checked in debug builds.
-    pub(crate) fn view_of(
-        base: &Tensor,
-        shape: Vec<usize>,
-        strides: Vec<usize>,
-        offset: usize,
-    ) -> Tensor {
+    pub(crate) fn view_of(base: &Tensor, shape: Dims, strides: Dims, offset: usize) -> Tensor {
         debug_assert_eq!(shape.len(), strides.len(), "view rank mismatch");
         debug_assert!(
             shape::numel(&shape) == 0
@@ -366,7 +365,8 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics if the element counts differ or inference is impossible.
+    /// Panics if the element counts differ, inference is impossible, or
+    /// `new_shape` has more than [`shape::MAX_RANK`] dimensions.
     pub fn reshape(&self, new_shape: &[usize]) -> Tensor {
         let resolved = resolve_wildcard(new_shape, self.numel());
         assert_eq!(
@@ -393,7 +393,7 @@ impl Tensor {
             data: &self.data,
             shape: &self.shape[..dims],
             strides: &self.strides[..dims],
-            idx: vec![0; dims],
+            idx: Dims::filled(dims, 0),
             off: self.offset,
             remaining: shape::numel(&self.shape[..dims]),
         }
@@ -495,7 +495,7 @@ pub(crate) struct ElemIter<'a> {
     data: &'a [f32],
     shape: &'a [usize],
     strides: &'a [usize],
-    idx: Vec<usize>,
+    idx: Dims,
     off: usize,
     remaining: usize,
 }
@@ -551,11 +551,11 @@ impl Default for Tensor {
     }
 }
 
-fn resolve_wildcard(shape: &[usize], numel: usize) -> Vec<usize> {
+fn resolve_wildcard(shape: &[usize], numel: usize) -> Dims {
     let wilds = shape.iter().filter(|&&d| d == usize::MAX).count();
     assert!(wilds <= 1, "at most one wildcard dimension allowed in reshape");
     if wilds == 0 {
-        return shape.to_vec();
+        return Dims::new(shape);
     }
     let known: usize = shape.iter().filter(|&&d| d != usize::MAX).product();
     assert!(
@@ -718,10 +718,10 @@ mod tests {
         // break the run, and a narrowed view must honour its offset.
         let t = Tensor::arange(2 * 3 * 4 * 5).reshape(&[2, 3, 4, 5]);
         let views = [
-            Tensor::view_of(&t, vec![2, 4, 3, 5], vec![60, 5, 20, 1], 0),
-            Tensor::view_of(&t, vec![2, 4, 1, 3, 5], vec![60, 5, 7, 20, 1], 0),
-            Tensor::view_of(&t, vec![3, 2, 5], vec![20, 5, 1], 60 + 10),
-            Tensor::view_of(&t, vec![5, 4], vec![1, 5], 0),
+            Tensor::view_of(&t, Dims::new(&[2, 4, 3, 5]), Dims::new(&[60, 5, 20, 1]), 0),
+            Tensor::view_of(&t, Dims::new(&[2, 4, 1, 3, 5]), Dims::new(&[60, 5, 7, 20, 1]), 0),
+            Tensor::view_of(&t, Dims::new(&[3, 2, 5]), Dims::new(&[20, 5, 1]), 60 + 10),
+            Tensor::view_of(&t, Dims::new(&[5, 4]), Dims::new(&[1, 5]), 0),
         ];
         for v in &views {
             assert!(!v.is_contiguous());
@@ -740,7 +740,7 @@ mod tests {
         t.set(&[1, 20], f32::INFINITY);
         assert_eq!(t.first_non_finite(), Some(70));
         // A transposed view is scanned in its own logical order, in place.
-        let v = Tensor::view_of(&t, vec![50, 3], vec![1, 50], 0);
+        let v = Tensor::view_of(&t, Dims::new(&[50, 3]), Dims::new(&[1, 50]), 0);
         assert_eq!(v.first_non_finite(), Some(20 * 3 + 1));
     }
 
@@ -749,7 +749,7 @@ mod tests {
         let t = Tensor::arange(12).reshape(&[3, 4]);
         assert!(t.is_contiguous());
         // A transposed view: shape [4,3], strides [1,4].
-        let v = Tensor::view_of(&t, vec![4, 3], vec![1, 4], 0);
+        let v = Tensor::view_of(&t, Dims::new(&[4, 3]), Dims::new(&[1, 4]), 0);
         assert!(!v.is_contiguous());
         assert_eq!(v.at(&[1, 2]), t.at(&[2, 1]));
         assert_eq!(v.to_vec(), vec![0.0, 4.0, 8.0, 1.0, 5.0, 9.0, 2.0, 6.0, 10.0, 3.0, 7.0, 11.0]);
@@ -762,14 +762,14 @@ mod tests {
     #[should_panic]
     fn data_panics_on_non_contiguous_view() {
         let t = Tensor::arange(6).reshape(&[2, 3]);
-        let v = Tensor::view_of(&t, vec![3, 2], vec![1, 3], 0);
+        let v = Tensor::view_of(&t, Dims::new(&[3, 2]), Dims::new(&[1, 3]), 0);
         let _ = v.data();
     }
 
     #[test]
     fn logical_equality_ignores_layout() {
         let t = Tensor::arange(6).reshape(&[2, 3]);
-        let v = Tensor::view_of(&t, vec![3, 2], vec![1, 3], 0);
+        let v = Tensor::view_of(&t, Dims::new(&[3, 2]), Dims::new(&[1, 3]), 0);
         assert_eq!(v, v.contiguous());
         assert_ne!(v, t);
     }
@@ -777,7 +777,7 @@ mod tests {
     #[test]
     fn set_on_view_materializes_first() {
         let t = Tensor::arange(6).reshape(&[2, 3]);
-        let mut v = Tensor::view_of(&t, vec![3, 2], vec![1, 3], 0);
+        let mut v = Tensor::view_of(&t, Dims::new(&[3, 2]), Dims::new(&[1, 3]), 0);
         v.set(&[0, 1], 99.0);
         assert_eq!(v.at(&[0, 1]), 99.0);
         // The original buffer is untouched.

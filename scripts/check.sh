@@ -26,8 +26,11 @@ cargo test -q
 echo "==> workspace tests (every crate's suite, the parity matrix among them)"
 cargo test --workspace -q
 
-echo "==> steady-state allocation regression (arena must absorb buffer traffic)"
-cargo test -q --release -p tsdx-core --test alloc_regression
+echo "==> steady-state allocation regression (arena must absorb buffer traffic; prints the alloc/ counts it gates)"
+# The counts DESIGN.md quotes come from these lines; a failure prints the whole run.
+alloc_out=$(cargo test -q --release -p tsdx-core --test alloc_regression -- --nocapture --test-threads=1 2>&1) \
+  || { echo "$alloc_out"; exit 1; }
+grep -o 'alloc/.*' <<< "$alloc_out"
 
 echo "==> tensor suite with 8 concurrent test threads (metric-scope isolation; AVX-512 kernel == portable kernel, bitwise), then the 2^32-input GELU twin proof at --release"
 cargo test -q -p tsdx-tensor -- --test-threads=8
