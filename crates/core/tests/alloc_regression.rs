@@ -155,13 +155,13 @@ fn steady_state_step_allocations_drop_with_workspaces() {
         calls_off > calls_on,
         "arena on should issue fewer allocator calls: off {calls_off} vs on {calls_on}"
     );
-    // ...and what is left is per value: 350 calls, 291 of them `Arc`
-    // headers. With two dim vectors per value it made 2781 (attention one
-    // node); with the head splits, kᵀ, q·kᵀ, scale, softmax, p·v and the
-    // merge as nodes of their own 3068, and 3759 before a linear layer was
-    // one node.
+    // ...and what is left is per value: 348 calls, 291 of them `Arc`
+    // headers. A `Vec` of inputs per concat made it 350; with two dim
+    // vectors per value it made 2781 (attention one node); with the head
+    // splits, kᵀ, q·kᵀ, scale, softmax, p·v and the merge as nodes of their
+    // own 3068, and 3759 before a linear layer was one node.
     assert!(
-        per_step(calls_on) <= 367,
+        per_step(calls_on) <= 365,
         "a training step allocates per value and the tape grew: {} calls/step",
         per_step(calls_on)
     );
@@ -182,12 +182,13 @@ fn steady_state_extraction_allocates_per_value_not_per_tape_node() {
     eprintln!("alloc/extract: {} calls / {} bytes", per(calls), per(bytes));
     assert!(bytes > 0, "counting allocator saw no traffic");
     // Extraction runs the non-recording executor, so what allocates is the
-    // values themselves, a buffer header per tensor: 82 calls per
-    // extraction, 68 of them `Arc` headers. Two dim vectors per tensor made
-    // it 436; binding ~100 parameters into a tape and recording a node per
-    // op 797; the composed attention graph 1061; the unfused tape 1577.
+    // values themselves, a buffer header per tensor: 80 calls per
+    // extraction, 68 of them `Arc` headers. A `Vec` of inputs per concat
+    // made it 82; two dim vectors per tensor 436; binding ~100 parameters
+    // into a tape and recording a node per op 797; the composed attention
+    // graph 1061; the unfused tape 1577.
     assert!(
-        per(calls) <= 86,
+        per(calls) <= 84,
         "extraction allocates per value and the forward grew: {} calls",
         per(calls)
     );
@@ -423,12 +424,12 @@ fn steady_state_stream_push_allocates_per_frame_not_per_window() {
         per(bytes_full),
     );
     // A slide is two forwards (one group's spatial encode, the window's
-    // readout), each allocating a buffer header per value: 72 calls, 62 of
-    // them `Arc` headers. With two dim vectors per value it was 426; on two
-    // tapes 784 with attention as one node, 1048 with fused linear nodes
-    // only, 1597 before those.
+    // readout), each allocating a buffer header per value: 70 calls, 62 of
+    // them `Arc` headers. A `Vec` of inputs per concat made it 72; with two
+    // dim vectors per value it was 426; on two tapes 784 with attention as
+    // one node, 1048 with fused linear nodes only, 1597 before those.
     assert!(
-        per(calls_push) <= 75,
+        per(calls_push) <= 73,
         "a window slide allocates per value and its forwards grew: {} calls/slide",
         per(calls_push)
     );

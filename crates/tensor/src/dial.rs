@@ -13,8 +13,8 @@
 //!   cannot be left on the overridden value.
 //!
 //! Every switch of the stack is a `Dial`: the one `TSDX_*` variable
-//! (`TSDX_LOG`, in `tsdx-core`'s telemetry) and three with no variable that
-//! exist for the parity suites ([`RECYCLE`], [`KERNEL`], [`I8_SIMD`]). No
+//! (`TSDX_LOG`, in `tsdx-core`'s telemetry) and two with no variable that
+//! exist for the parity suites ([`RECYCLE`], [`KERNEL`]). No
 //! other module calls `std::env::var` or keeps an override thread-local.
 //! [`RunConfig`] is the two the model's results must not depend on, as one
 //! value; results are bit-identical across all of its combinations.
@@ -166,12 +166,6 @@ dial! {
     /// widest the CPU has for the process, narrowed per thread by the
     /// kernel-parity suites.
     pub static KERNEL: Kernel = None, |_| Ok(*Kernel::available().last().expect("portable"));
-
-    // pinned by benchmark/src/replay.rs — goes with the re-pin, ROADMAP item 1
-    /// Whether [`crate::quant`] may run its AVX2 micro-kernels where the CPU
-    /// has AVX2. No variable: on for the process, off per thread in the int8
-    /// parity tests, which compare against the scalar reference.
-    pub static I8_SIMD: bool = None, |_| Ok(true);
 }
 
 /// The two numeric switches of the model as one value.

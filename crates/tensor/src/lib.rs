@@ -43,14 +43,13 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the crate is safe code except for two
-// audited `#[allow(unsafe_code)]` islands — `quant::simd`, the AVX2 integer
-// dot-product micro-kernels, and `ops::matmul::avx512`, the 512-bit f32 GEMM
-// micro-kernel (neither of which LLVM forms from safe loops) plus the
-// AVX-512F compiles of the safe GELU and softmax bodies. Each is selected at
-// run time, checks its extents and the CPU feature at a safe entry, and is
-// pinned bit-identical to a safe reference by a parity test (see their
-// module docs).
+// `deny` rather than `forbid`: the crate is safe code except for one
+// audited island that allows `unsafe_code` — `ops::matmul::avx512`, the
+// 512-bit f32 GEMM micro-kernel (which LLVM does not form from safe loops)
+// plus the AVX-512F compiles of the safe GELU and softmax bodies. It is
+// selected at run time, checks its extents and the CPU feature at a safe
+// entry, and is pinned bit-identical to a safe reference by a parity test
+// (see its module docs).
 #![deny(unsafe_code)]
 
 mod cpu;

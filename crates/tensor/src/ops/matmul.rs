@@ -604,12 +604,11 @@ fn tile_rows(
     }
 }
 
-/// The explicit AVX-512F micro-kernel behind [`mul_cols`]: the crate's
-/// second `#[allow(unsafe_code)]` island after `quant::simd`, built the same
-/// way — raw loads and stores inside, every extent checked by the one safe
-/// entry, and a safe reference ([`tile_rows`]) asserted bit-identical by
-/// `tests/avx512_parity.rs` — and the two twins ([`gelu`](avx512::gelu),
-/// [`softmax_rows`](avx512::softmax_rows)).
+/// The explicit AVX-512F micro-kernel behind [`mul_cols`]: the crate's one
+/// island of `unsafe` code — raw loads and stores inside, every extent
+/// checked by the one safe entry, and a safe reference ([`tile_rows`])
+/// asserted bit-identical by `tests/avx512_parity.rs` — and the two twins
+/// ([`gelu`](avx512::gelu), [`softmax_rows`](avx512::softmax_rows)).
 ///
 /// # Twins
 ///

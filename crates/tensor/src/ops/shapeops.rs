@@ -77,18 +77,22 @@ pub fn concat(tensors: &[&Tensor], axis: usize) -> Tensor {
     let mut out_shape = Dims::new(first);
     out_shape[axis] = axis_total;
 
-    // The chunk-copy kernel wants flat slices; views are gathered once here.
-    let owned: Vec<Tensor> = tensors.iter().map(|t| t.contiguous()).collect();
     let outer: usize = first[..axis].iter().product();
     let inner: usize = first[axis + 1..].iter().product();
-    let mut out = crate::workspace::take_reserve(shape::numel(&out_shape));
-    for o in 0..outer {
-        for t in &owned {
-            let d = t.shape()[axis];
-            let chunk = d * inner;
-            let src = &t.data()[o * chunk..(o + 1) * chunk];
-            out.extend_from_slice(src);
+    let out_chunk = axis_total * inner;
+    let mut out = crate::workspace::take_uninit(shape::numel(&out_shape));
+    // Each input fills its column of chunks; `start` is where it begins
+    // within an output chunk.
+    let mut start = 0;
+    for t in tensors {
+        // Borrowed when dense; a strided view is gathered once here.
+        let src = t.flat();
+        let chunk = t.shape()[axis] * inner;
+        for o in 0..outer {
+            let at = o * out_chunk + start;
+            out[at..at + chunk].copy_from_slice(&src[o * chunk..(o + 1) * chunk]);
         }
+        start += chunk;
     }
     Tensor::from_vec(out, &out_shape)
 }

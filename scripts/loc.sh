@@ -21,3 +21,6 @@ echo
 echo "All Rust under crates/ (src + tests) $(spaced "$(lines crates)");" \
   "benchmark/src $(spaced "$(lines benchmark/src)"); vendor/ $(spaced "$(lines vendor)");" \
   "scripts/check.sh $(wc -l < scripts/check.sh) lines, $(grep -c '^echo "==>' scripts/check.sh) stages."
+# The `unsafe` islands ROADMAP.md counts: each `#[allow(unsafe_code)]` site, by file.
+sites=$(grep -rnF --include='*.rs' '#[allow(unsafe_code)]' crates | cut -d: -f1,2 || true)
+echo "#[allow(unsafe_code)] sites: $(grep -c . <<< "$sites" || true)${sites:+ — }$(paste -sd' ' - <<< "$sites")"
