@@ -1,38 +1,24 @@
 //! Per-channel symmetric int8 weight quantization and the i8 matrix
-//! product. No model layer calls it: the benchmark's
-//! `tensor.q8_gemm_68x64x128` per-layer metric is its one caller outside
-//! this crate, so it keeps one safe scalar path and no tuned kernel.
+//! product, kept as one safe scalar path: no model layer calls it, and the
+//! benchmark's `tensor.q8_gemm_68x64x128` leaf is its one caller outside this crate.
 //!
-//! # Scheme
-//!
-//! Weights quantize **per output channel** (per column `j` of a `[k, n]`
-//! matrix): `scale[j] = max_k |w[k, j]| / 127`, `q[k, j] =
-//! round_ties_even(w[k, j] / scale[j])` in `[-127, 127]`. Activations
-//! quantize **per row** at call time with the same symmetric rule, so a
-//! row's quantized form depends only on that row.
-//!
-//! The product accumulates in `i32` — exactly, since `|q| ≤ 127` bounds
-//! every partial sum by `127² · k`, far inside `i32` for any model shape —
-//! and dequantizes once per output element:
-//! `out[i, j] = fma(acc as f32, sa[i] · sb[j], bias[j])`. Exact integer
-//! accumulation makes the result independent of the summation order.
-//!
-//! # Observability
-//!
-//! [`linear_q8`] runs under an `op/matmul_i8` span and bumps
-//! `dispatch/matmul_i8` once per non-empty call, so a test can assert that
-//! a model forward never reaches it.
+//! Weights quantize per output channel `j` of a `[k, n]` matrix:
+//! `scale[j] = max_k |w[k, j]| / 127`, `q[k, j] = round_ties_even(w[k, j] /
+//! scale[j])` in `[-127, 127]`. Activations quantize per row at call time by
+//! the same rule. The product accumulates exactly in `i32` (`|q| ≤ 127`
+//! bounds every partial sum by `127² · k`), so no summation order can move a
+//! bit, and dequantizes once per output element:
+//! `out[i, j] = fma(acc as f32, sa[i] · sb[j], bias[j])`. [`linear_q8`] runs
+//! under an `op/matmul_i8` span and bumps `dispatch/matmul_i8` once per
+//! non-empty call, so a test can assert that a model forward never reaches it.
 
 use crate::{metrics, workspace, Tensor};
 
-/// Symmetric int8 range bound. `-128` is excluded so negation stays in
-/// range and the scheme is symmetric around zero.
+/// Symmetric int8 range bound: `-128` is excluded so negation stays in range.
 const QMAX: f32 = 127.0;
 
-/// A weight matrix quantized per output channel, ready for [`linear_q8`].
-///
-/// Quantize once, multiply many times: [`linear_q8`] never re-quantizes
-/// weights.
+/// A weight matrix quantized per output channel, ready for [`linear_q8`]
+/// (which never re-quantizes it: quantize once, multiply many times).
 ///
 /// # Examples
 ///
@@ -69,8 +55,7 @@ fn scale_and_inverse(amax: f32) -> (f32, f32) {
 }
 
 impl QuantMatrix {
-    /// Quantizes a rank-2 `[k, n]` weight tensor (views are read through
-    /// their strides).
+    /// Quantizes a rank-2 `[k, n]` weight tensor, read through its strides.
     ///
     /// # Panics
     ///
@@ -81,10 +66,8 @@ impl QuantMatrix {
         assert!(k > 0 && n > 0, "cannot quantize an empty matrix {:?}", w.shape());
         let wd = w.flat();
         let mut amax = vec![0f32; n];
-        for row in wd.chunks_exact(n) {
-            for (m, &v) in amax.iter_mut().zip(row) {
-                *m = m.max(v.abs());
-            }
+        for (i, &v) in wd.iter().enumerate() {
+            amax[i % n] = amax[i % n].max(v.abs());
         }
         let (scales, inv): (Vec<f32>, Vec<f32>) = amax.into_iter().map(scale_and_inverse).unzip();
         let q = (wd.iter().enumerate())
@@ -108,11 +91,8 @@ impl QuantMatrix {
         &self.scales
     }
 
-    /// Reconstructs the `[k, n]` f32 matrix `q[k, j] · scale[j]`.
-    ///
-    /// The reconstruction differs from the original by at most
-    /// [`QuantMatrix::error_bound`] per element of the worst channel
-    /// (`scale[j] / 2` per element of channel `j`).
+    /// Reconstructs the `[k, n]` f32 matrix `q[k, j] · scale[j]`, within
+    /// `scale[j] / 2` of the original per element of channel `j`.
     pub fn dequantize(&self) -> Tensor {
         Tensor::from_fn(&[self.k, self.n], |i| self.q[i] as f32 * self.scales[i % self.n])
     }
@@ -123,11 +103,9 @@ impl QuantMatrix {
     }
 }
 
-/// Quantized affine map `out = a @ dequant(w) + bias` with per-row dynamic
-/// activation quantization (`[.., k] @ [k, n] -> [.., n]`).
-///
-/// `a` may have any rank ≥ 1 with last dimension `w.k()`; leading
-/// dimensions are batch dimensions. `bias`, when present, must be `[n]`.
+/// Quantized affine map `out = a @ dequant(w) + bias`, `[.., k] @ [k, n] -> [.., n]`, with
+/// per-row dynamic activation quantization. `a` has rank ≥ 1 and its leading
+/// dimensions are batch dimensions; `bias`, when present, must be `[n]`.
 ///
 /// # Panics
 ///
@@ -161,7 +139,6 @@ pub fn linear_q8(a: &Tensor, w: &QuantMatrix, bias: Option<&Tensor>) -> Tensor {
     }
     metrics::counter_add("dispatch/matmul_i8", 1);
 
-    // Borrowed when the operands are dense.
     let (ad, bd) = (a.flat(), bias.map(Tensor::flat));
     let mut out = workspace::take_uninit(m * n);
     let mut acc = vec![0i32; n];
@@ -207,6 +184,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_channel_quantizes_to_zero() {
+        let w = Tensor::from_fn(&[4, 3], |i| if i % 3 == 1 { 0.0 } else { 1.5 });
+        let q = QuantMatrix::quantize(&w);
+        assert_eq!(q.scales()[1], 0.0);
+        let dq = q.dequantize();
+        for kk in 0..4 {
+            assert_eq!(dq.at(&[kk, 1]), 0.0);
+        }
+    }
+
+    #[test]
     fn matches_dequantized_f32_matmul() {
         let a = Tensor::from_fn(&[9, 13], |i| ((i % 17) as f32 - 8.0) / 3.0);
         let w = toy(13, 21);
@@ -216,5 +204,16 @@ mod tests {
         assert_eq!(approx.shape(), [9, 21]);
         // Only activation-quantization error separates the two.
         assert!(exact.allclose(&approx, 0.08), "max ref {}", exact.max());
+    }
+
+    #[test]
+    fn batched_input_flattens_leading_dims() {
+        let a = Tensor::from_fn(&[2, 3, 8], |i| (i as f32).sin());
+        let w = toy(8, 5);
+        let q = QuantMatrix::quantize(&w);
+        let out = linear_q8(&a, &q, None);
+        assert_eq!(out.shape(), [2, 3, 5]);
+        let flat = linear_q8(&a.reshape(&[6, 8]), &q, None);
+        assert_eq!(out.data(), flat.data());
     }
 }
