@@ -288,30 +288,37 @@ fn eval_profile(quick: bool, batches: &[usize]) {
             let t = alternated_us(rounds, calls, &mut [f])[0];
             shape_rows.push(vec![name, us(t), "-".to_string(), "-".to_string()]);
         };
-        for (rows, k, n, act) in [
-            (batch * nt * ns, vol, d, Activation::None),
-            (batch * nt * (ns + 1), d, d, Activation::None),
-            (batch * nt * (ns + 1), d, hidden, Activation::Gelu),
-            (batch * nt * (ns + 1), hidden, d, Activation::None),
-            (batch * nt, d, d, Activation::None),
-            (batch * nt, d, hidden, Activation::Gelu),
-            (batch * nt, hidden, d, Activation::None),
-            (batch * (nt + 1), d, d, Activation::None),
-            (batch * (nt + 1), d, hidden, Activation::Gelu),
-            (batch * (nt + 1), hidden, d, Activation::None),
-            (batch, d, d, Activation::None),
+        // Each product with the layers that run it; only `wo` and `fc2` add
+        // a residual in their epilogue.
+        let (qkv_wo, fc1, fc2) =
+            (&[("q/k/v", false), ("wo", true)][..], &[("fc1", false)][..], &[("fc2", true)][..]);
+        for (rows, k, n, act, layers) in [
+            (batch * nt * ns, vol, d, Activation::None, &[("tubelet proj", false)][..]),
+            (batch * nt * (ns + 1), d, d, Activation::None, qkv_wo),
+            (batch * nt * (ns + 1), d, hidden, Activation::Gelu, fc1),
+            (batch * nt * (ns + 1), hidden, d, Activation::None, fc2),
+            (batch * nt, d, d, Activation::None, qkv_wo),
+            (batch * nt, d, hidden, Activation::Gelu, fc1),
+            (batch * nt, hidden, d, Activation::None, fc2),
+            (batch * (nt + 1), d, d, Activation::None, qkv_wo),
+            (batch * (nt + 1), d, hidden, Activation::Gelu, fc1),
+            (batch * (nt + 1), hidden, d, Activation::None, fc2),
+            (batch, d, d, Activation::None, qkv_wo),
             // Not this model's: Frame-MLP's `fc1` on 8 clips × 8 frames, the
             // largest product the repo runs (its `B` is 512 KB).
-            (64, 1024, 128, Activation::None),
+            (64, 1024, 128, Activation::None, &[("frame-mlp fc1", false)][..]),
         ] {
             let (x, w, b) = (val(&[rows, k], 0.013), val(&[k, n], 0.007), val(&[n], 0.3));
             let r = val(&[rows, n], 0.011);
-            time(
-                format!("linear [{rows},{k}]·[{k},{n}] (+bias, {act:?}, +residual)"),
-                &mut || {
-                    std::hint::black_box(ops::linear(&x, &w, Some(&b), act, Some(&r)));
-                },
-            );
+            for &(layer, residual) in layers {
+                let (r, plus_r) = if residual { (Some(&r), ", +residual") } else { (None, "") };
+                time(
+                    format!("linear [{rows},{k}]·[{k},{n}] {layer} (+bias, {act:?}{plus_r})"),
+                    &mut || {
+                        std::hint::black_box(ops::linear(&x, &w, Some(&b), act, r));
+                    },
+                );
+            }
         }
         // The GELU pass of each `fc1` alone: what the activation adds to
         // the `Gelu` rows above.

@@ -45,37 +45,35 @@ pub fn extract_tubelets(cfg: &ModelConfig, videos: &Tensor) -> Tensor {
     let b = sh[0];
     let videos = videos.contiguous(); // the pixel gather below indexes the flat buffer
     let shape = [b, frames / tt * cfg.n_space(), cfg.tubelet_volume()];
-    // Assembled in an arena buffer: one `p`-long run per patch row, in
-    // token order. A run whose length is a constant compiles to a couple of
-    // vector moves; one known only at run time is a `memcpy` call each, so
-    // the default patch gets its own compile.
-    Tensor::from_extend(&shape, |out| match cfg.patch {
-        8 => gather::<8>(cfg, videos.data(), frames, out),
-        _ => gather::<0>(cfg, videos.data(), frames, out),
+    // Written in place into an arena buffer, one `p`-long run per patch row,
+    // in token order. A run whose length is a constant compiles to a couple
+    // of vector moves; one known only at run time is a `memcpy` call each,
+    // so the default patch gets its own compile.
+    Tensor::from_overwrite(&shape, |out| match cfg.patch {
+        8 => gather::<8>(cfg, videos.data(), out),
+        _ => gather::<0>(cfg, videos.data(), out),
     })
 }
 
-/// The tubelets of the packed clips `src` (`frames` frames each), appended
-/// to `out` in token order. `P` is `cfg.patch` as a constant, or 0 for a
-/// patch with no arm of its own, whose runs then take their length from
-/// `cfg` — the same elements either way.
-fn gather<const P: usize>(cfg: &ModelConfig, src: &[f32], frames: usize, out: &mut Vec<f32>) {
+/// Writes the tubelets of the packed clips `src` over `out`, in token
+/// order. `P` is `cfg.patch` as a constant, or 0 for a patch with no arm of
+/// its own, whose runs then take their length from `cfg` — the same
+/// elements either way. Every element of `out` is written once.
+fn gather<const P: usize>(cfg: &ModelConfig, src: &[f32], out: &mut [f32]) {
     let p = if P == 0 { cfg.patch } else { P };
     debug_assert_eq!(p, cfg.patch);
     let (tt, h, w) = (cfg.tubelet_t, cfg.height, cfg.width);
-    let (nh, nw) = (h / p, w / p);
-    for clip in src.chunks_exact(frames * h * w) {
-        for group in clip.chunks_exact(tt * h * w) {
-            for py in 0..nh {
-                for px in 0..nw {
-                    // One tubelet: the group's `tt` frames at patch (py, px).
-                    for frame in group.chunks_exact(h * w) {
-                        for r in 0..p {
-                            let row = (py * p + r) * w + px * p;
-                            out.extend_from_slice(&frame[row..][..p]);
-                        }
-                    }
-                }
+    let nw = w / p;
+    // A clip holds whole groups, so the groups of all clips are `src` cut
+    // in `tt`-frame pieces; each yields its `ns` patches row-major.
+    let patches = src.chunks_exact(tt * h * w).flat_map(|group| {
+        (0..cfg.n_space()).map(move |s| (group, (s / nw) * p * w + (s % nw) * p))
+    });
+    for (tubelet, (group, at)) in out.chunks_exact_mut(tt * p * p).zip(patches) {
+        // One tubelet: the group's `tt` frames at this patch, row by row.
+        for (dst, frame) in tubelet.chunks_exact_mut(p * p).zip(group.chunks_exact(h * w)) {
+            for (run, row) in dst.chunks_exact_mut(p).zip(frame[at..].chunks(w)) {
+                run.copy_from_slice(&row[..p]);
             }
         }
     }

@@ -39,6 +39,13 @@
 //! * **FIFO per session.** At most one push per session joins a round, and
 //!   queue order is preserved, so replies report exactly the groups that
 //!   push completed.
+//!
+//! Woken by a job, the worker yields the CPU once before it forms the
+//! round: on one core a connection thread that is already runnable (the
+//! other stream's push) then enqueues first, and two streams share one
+//! round instead of paying two. The trade: a round can wait out another
+//! runnable thread's time slice (a `/search` scan) that used to wait for
+//! it. DESIGN §6.10 has the measurements.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -325,6 +332,10 @@ fn worker_loop(shared: &Shared, extractor: &ScenarioExtractor) {
             while q.items.is_empty() && !q.draining {
                 q = shared.cv.wait(q).unwrap_or_else(|e| e.into_inner());
             }
+            // Let an already-runnable push join this round (module doc).
+            drop(q);
+            std::thread::yield_now();
+            let mut q = lock(&shared.q);
             if q.items.is_empty() {
                 break; // draining and nothing left
             }

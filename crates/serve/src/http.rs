@@ -19,6 +19,11 @@ pub const MAX_REQUEST_LINE: usize = 8 * 1024;
 pub const MAX_HEADER_LINE: usize = 8 * 1024;
 /// Most headers accepted per request.
 pub const MAX_HEADERS: usize = 64;
+/// Capacity of each connection's read buffer. The requests the server is
+/// for — an 8×32×32 raw-f32 clip (32 KiB) or a 2-frame stream push
+/// (8 KiB), head included — then arrive whole in one `read`; at the
+/// standard 8 KiB buffer both take two, the body's tail bypassing the buffer.
+pub const READ_BUFFER_BYTES: usize = 64 * 1024;
 
 /// A parsed request head: everything before the body.
 #[derive(Debug, Clone)]
@@ -282,28 +287,36 @@ impl Response {
     }
 }
 
-/// Writes `resp` in full (status line, headers, body).
+/// Writes `resp` in full (status line, headers, body) with **one**
+/// `write_all`: head and body are rendered into one buffer first. On a
+/// `TCP_NODELAY` socket two writes are two segments, and a client reading
+/// the reply wakes for each; one write is one segment for any reply up to
+/// the MSS.
 ///
 /// # Errors
 ///
 /// Propagates socket write failures; the caller treats any of them as the
 /// client having gone away.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
-    let mut out = format!(
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(160 + resp.body.len());
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        out,
         "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
         resp.status,
         reason(resp.status),
         resp.body.len()
     );
     for (k, v) in &resp.extra {
-        out.push_str(&format!("{k}: {v}\r\n"));
+        let _ = write!(out, "{k}: {v}\r\n");
     }
     if resp.close {
         out.push_str("connection: close\r\n");
     }
     out.push_str("\r\n");
+    out.push_str(&resp.body);
     w.write_all(out.as_bytes())?;
-    w.write_all(resp.body.as_bytes())?;
     w.flush()
 }
 
@@ -419,5 +432,63 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"), "{text}");
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.contains("\"kind\":\"queue_full\""));
+    }
+
+    /// Keeps what is written and counts the `write` calls that deliver it.
+    struct CountingWriter(Vec<u8>, usize);
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.1 += 1;
+            self.0.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_leaves_in_one_write() {
+        let mut large = Response::ok(format!("{{\"pad\":\"{}\"}}", "x".repeat(9 * 1024)));
+        large.extra.push(("Retry-After", "1".into()));
+        let shed = Response::from_error(&ServeError::QueueFull { capacity: 8 });
+        let mut closing = Response::ok("{}".into());
+        closing.close = true;
+        for resp in [large, shed, closing] {
+            let mut w = CountingWriter(Vec::new(), 0);
+            write_response(&mut w, &resp).unwrap();
+            assert_eq!(w.1, 1, "status {} close {}", resp.status, resp.close);
+            assert!(w.0.ends_with(format!("\r\n\r\n{}", resp.body).as_bytes()));
+        }
+    }
+
+    /// Hands out all it still holds on every `read`, counting the calls.
+    struct CountingReader<'a>(&'a [u8], usize);
+
+    impl io::Read for CountingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.1 += 1;
+            io::Read::read(&mut self.0, buf)
+        }
+    }
+
+    #[test]
+    fn a_clip_or_a_push_arrives_in_one_read() {
+        for (path, shape, frames) in
+            [("/v1/extract", "8x32x32", 8), ("/sessions/1/frames", "2x32x32", 2)]
+        {
+            let len = frames * 32 * 32 * 4;
+            let mut bytes = format!(
+                "POST {path} HTTP/1.1\r\nhost: bench\r\ncontent-type: application/octet-stream\r\n\
+                 x-video-shape: {shape}\r\ncontent-length: {len}\r\n\r\n"
+            )
+            .into_bytes();
+            bytes.resize(bytes.len() + len, 7);
+            let mut r = BufReader::with_capacity(READ_BUFFER_BYTES, CountingReader(&bytes, 0));
+            let head = read_head(&mut r).unwrap().unwrap();
+            assert_eq!(read_body(&mut r, &head, 1 << 20).unwrap(), vec![7; len]);
+            assert_eq!(r.get_ref().1, 1, "{path}");
+        }
     }
 }

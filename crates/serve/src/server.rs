@@ -300,7 +300,7 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(inner.cfg.write_timeout));
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
+    let mut reader = BufReader::with_capacity(http::READ_BUFFER_BYTES, read_half);
     let mut writer = stream;
 
     loop {

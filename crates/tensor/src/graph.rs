@@ -56,13 +56,15 @@ enum Op {
     Concat(Vec<Var>, usize),
     Narrow { input: Var, axis: usize, start: usize },
     SoftmaxLast(Var),
-    LayerNorm { x: Var, gamma: Var, beta: Var, stats: Option<(Tensor, Tensor)> },
+    // The saved tensors of these two are boxed: inline, their 256 bytes
+    // would set the size of every node on the tape.
+    LayerNorm { x: Var, gamma: Var, beta: Var, stats: Option<Box<(Tensor, Tensor)>> },
     Attention { q: Var, k: Var, v: Var, heads: usize, scale: f32, probs: Option<Tensor> },
     SumAll(Var),
     MeanAll(Var),
     MeanAxis { input: Var, axis: usize, keepdim: bool },
     CrossEntropy { logits: Var, labels: Vec<usize>, probs: Tensor },
-    BceLogits { logits: Var, targets: Tensor, sigmoids: Tensor },
+    BceLogits { logits: Var, targets_sigmoids: Box<(Tensor, Tensor)> },
     Conv2d { input: Var, weight: Var, spec: Conv2dSpec, cols: Tensor },
     AvgPool2d { input: Var, k: usize },
 }
@@ -360,7 +362,7 @@ impl Graph {
         // The row statistics exist for backward: frozen inputs skip them.
         let (value, stats) = if needs {
             let (value, mean, rstd) = ops::layer_norm_forward(xv, gv, bv, eps);
-            (value, Some((mean, rstd)))
+            (value, Some(Box::new((mean, rstd))))
         } else {
             (ops::layer_norm(xv, gv, bv, eps), None)
         };
@@ -461,7 +463,7 @@ impl Graph {
         let (loss, sigmoids) = ops::bce_with_logits(self.value(logits), targets);
         let needs = self.needs(logits);
         self.push(
-            Op::BceLogits { logits, targets: targets.clone(), sigmoids },
+            Op::BceLogits { logits, targets_sigmoids: Box::new((targets.clone(), sigmoids)) },
             Tensor::scalar(loss),
             needs,
         )
@@ -638,7 +640,7 @@ impl Graph {
             }
             Op::LayerNorm { x, gamma, beta, stats } => {
                 let (mean, rstd) =
-                    stats.as_ref().expect("a node that needs grad keeps its row statistics");
+                    &**stats.as_ref().expect("a node that needs grad keeps its row statistics");
                 let (dx, dgamma, dbeta) =
                     layer_norm_backward(self.value(*x), self.value(*gamma), mean, rstd, g);
                 self.accumulate(grads, *x, dx);
@@ -678,7 +680,8 @@ impl Graph {
                 let back = ops::cross_entropy_logits_backward(probs, labels, g.item());
                 self.accumulate(grads, *logits, back);
             }
-            Op::BceLogits { logits, targets, sigmoids } => {
+            Op::BceLogits { logits, targets_sigmoids } => {
+                let (targets, sigmoids) = &**targets_sigmoids;
                 let back = ops::bce_with_logits_backward(sigmoids, targets, g.item());
                 self.accumulate(grads, *logits, back);
             }
@@ -793,6 +796,13 @@ fn layer_norm_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_tape_node_stays_small() {
+        // Its value plus the largest inline payload (a linear's `pre`); a
+        // variant that saves two tensors inline would make it 424.
+        assert!(std::mem::size_of::<Node>() <= 320, "{}", std::mem::size_of::<Node>());
+    }
 
     #[test]
     fn simple_chain_rule() {

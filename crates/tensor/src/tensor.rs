@@ -151,6 +151,16 @@ impl Tensor {
         Tensor::from_vec(data, shape)
     }
 
+    /// Creates a tensor from what `fill` writes over a buffer of the whole
+    /// of `shape`, with no zero-fill pass: a recycled buffer keeps its stale
+    /// values until then, so `fill` must write every element (unwritten
+    /// ones would make the result depend on the [`crate::workspace`] arena).
+    pub fn from_overwrite(shape: &[usize], fill: impl FnOnce(&mut [f32])) -> Self {
+        let mut data = workspace::take_uninit(shape::numel(shape));
+        fill(&mut data);
+        Tensor::from_vec(data, shape)
+    }
+
     /// Creates a rank-1 tensor holding `0.0, 1.0, ..., (n-1).0`.
     pub fn arange(n: usize) -> Self {
         Tensor::from_fn(&[n], |i| i as f32)

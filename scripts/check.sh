@@ -63,7 +63,14 @@ echo "==> benchmark smoke (bulk_batch8, search_sdl, stream_pair, clip_octet: rep
 # benchmark builds would rewrite benchmark/Cargo.lock, which must not happen.
 lock_sum=$(cksum < benchmark/Cargo.lock)
 for workload in bulk_batch8 search_sdl stream_pair clip_octet; do
-  bash benchmark/run.sh --workload "$workload" --seed 17 --seconds 3 --trace 1 > /dev/null
+  summary=$(bash benchmark/run.sh --workload "$workload" --seed 17 --seconds 3 --trace 1)
+  # Report only: whether the two streams shared their rounds, and what
+  # reading a reply cost the client.
+  if [ "$workload" = stream_pair ]; then
+    tail -n 1 <<< "$summary" \
+      | grep -oE '"(serve\.batcher\.mux_pair_share|client\.read_us)":\{"value":[0-9.e+-]+' \
+      | sed -E 's/"([^"]+)":\{"value":/  stream_pair \1 = /' || true
+  fi
 done
 if [ "$(cksum < benchmark/Cargo.lock)" != "$lock_sum" ]; then
   echo "benchmark/Cargo.lock was rewritten by a benchmark run: a crate it builds changed its dependencies" >&2
