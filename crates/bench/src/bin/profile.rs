@@ -51,7 +51,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tsdx_bench::{has_flag, is_quick, print_table, standard_clips};
+use tsdx_bench::{standard_clips, table};
 use tsdx_core::{
     multitask_loss, ClipModel, ModelConfig, ScenarioExtractor, StreamState,
     VideoScenarioTransformer,
@@ -634,8 +634,17 @@ fn us(x: f64) -> String {
     format!("{x:.1}")
 }
 
+/// True when `flag` was passed on the command line.
+fn has_flag(flag: &str) -> bool {
+    std::env::args().any(|a| a == flag)
+}
+
+fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+    println!("{}", table(title, headers, rows));
+}
+
 fn main() {
-    let quick = is_quick();
+    let quick = has_flag("--quick");
     println!("run-time switches: {}", tsdx_core::run_time_switches());
     if has_flag("--data") {
         return data_profile(quick);

@@ -1,18 +1,21 @@
 //! # tsdx-bench
 //!
 //! The experiment harness regenerating every table and figure of the
-//! evaluation (see `DESIGN.md` §4 and `EXPERIMENTS.md`). Each experiment is
-//! a binary under `src/bin/`; shared setup lives here.
+//! evaluation (see `DESIGN.md` §4 and `EXPERIMENTS.md`). One binary,
+//! `reproduce`, runs them all (or the ones it is given by name) on one
+//! shared standard dataset; `profile` is the self-time profiler. Shared
+//! setup lives here.
 //!
-//! All experiments accept `--quick` to run a reduced-size variant (useful
-//! for smoke-testing the harness; the reported numbers in `EXPERIMENTS.md`
-//! come from the full settings) and `--resume` to checkpoint every training
-//! stage to `results/checkpoints/` and continue from there after a crash or
-//! kill (see [`fit_model`]).
+//! `reproduce --quick` runs a reduced-size variant (a smoke test: it prints
+//! and writes nothing under `results/`; the numbers in `EXPERIMENTS.md` come
+//! from the full settings), and `--resume` checkpoints every training stage
+//! to `results/checkpoints/<experiment>/<stage>.ckpt` and continues from
+//! there after a crash or kill (see [`fit_model`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::fmt::{Display, Write as _};
 use std::path::PathBuf;
 
 use tsdx_core::{ClipModel, ModelConfig, ResilienceConfig, TrainConfig, VideoScenarioTransformer};
@@ -22,56 +25,21 @@ use tsdx_nn::LrSchedule;
 /// Seed used by every experiment unless stated otherwise.
 pub const STD_SEED: u64 = 17;
 
-/// True when `flag` was passed on the command line.
-pub fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
-
-/// True when `--quick` was passed on the command line.
-pub fn is_quick() -> bool {
-    has_flag("--quick")
-}
-
-/// True when `--resume` was passed on the command line: training stages
-/// checkpoint after every epoch and pick up from their last checkpoint, so
-/// a killed experiment re-run with the same flags continues (and finished
-/// stages are skipped) instead of starting over.
-pub fn is_resume() -> bool {
-    has_flag("--resume")
-}
-
-/// Where `--resume` checkpoints live. Each experiment binary gets its own
-/// subdirectory (see [`stage_checkpoint_path`]). Delete this directory to
-/// force every experiment to start from scratch.
+/// Where `--resume` checkpoints live, one subdirectory per experiment (see
+/// [`stage_checkpoint_path`]). Delete this directory to force every
+/// experiment to start from scratch.
 pub fn checkpoint_dir() -> PathBuf {
     PathBuf::from("results").join("checkpoints")
 }
 
-/// The namespace separating this binary's stage checkpoints from every
-/// other experiment's: the executable's file stem, or `"unknown"` when the
-/// executable path cannot be determined.
-pub fn stage_namespace() -> String {
-    std::env::current_exe()
-        .ok()
-        .and_then(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// The `--resume` checkpoint path for stage `tag` of the *current* binary:
-/// `results/checkpoints/<binary>/<tag>.ckpt`.
+/// The `--resume` checkpoint path of training stage `stage` of experiment
+/// `experiment`: `results/checkpoints/<experiment>/<stage>.ckpt`.
 ///
-/// Stage tags are short names like `"fit"` or `"joint"` and repeat across
-/// experiments, so checkpoints are namespaced per binary — without this,
-/// `table2_extraction --resume` and `table3_ablations --resume` would
+/// Stage names like `"cnn-gru"` repeat across experiments, so each
+/// experiment gets its own directory; without it, two experiments would
 /// restore each other's half-trained models from the same file.
-pub fn stage_checkpoint_path(tag: &str) -> PathBuf {
-    stage_checkpoint_path_in(&stage_namespace(), tag)
-}
-
-/// [`stage_checkpoint_path`] for an explicit namespace (tests use this to
-/// simulate several binaries inside one process).
-pub fn stage_checkpoint_path_in(namespace: &str, tag: &str) -> PathBuf {
-    checkpoint_dir().join(namespace).join(format!("{tag}.ckpt"))
+pub fn stage_checkpoint_path(experiment: &str, stage: &str) -> PathBuf {
+    checkpoint_dir().join(experiment).join(format!("{stage}.ckpt"))
 }
 
 /// Standard dataset configuration (32×32 px, 8 frames, mild noise).
@@ -79,7 +47,9 @@ pub fn standard_dataset_config(n_clips: usize) -> DatasetConfig {
     DatasetConfig { n_clips, base_seed: STD_SEED, ..DatasetConfig::default() }
 }
 
-/// Generates the standard evaluation dataset.
+/// Generates the standard evaluation dataset. Clip `i` depends only on
+/// `STD_SEED + i`, so `standard_clips(n)[..m] == standard_clips(m)`: one
+/// call serves every experiment through a prefix.
 pub fn standard_clips(n_clips: usize) -> Vec<Clip> {
     generate_dataset(&standard_dataset_config(n_clips))
 }
@@ -114,73 +84,122 @@ pub fn augmented_train_set(clips: &[Clip], idx: &[usize]) -> Vec<Clip> {
     tsdx_data::augment_with_flips(&selected)
 }
 
-/// Trains a fresh video scenario transformer on the flip-augmented
-/// `clips[idx]`. `tag` names this stage's `--resume` checkpoint.
-pub fn fit_transformer(
-    tag: &str,
-    cfg: ModelConfig,
-    clips: &[Clip],
-    idx: &[usize],
-    epochs: usize,
-) -> VideoScenarioTransformer {
-    let mut model = VideoScenarioTransformer::new(cfg, STD_SEED);
-    fit_model(tag, &mut model, clips, idx, epochs);
-    model
+/// One experiment's run: its name (the `--resume` namespace and the file
+/// stem under `results/`), the text it printed and its log.
+pub struct Experiment {
+    /// Experiment name, e.g. `"table2"`.
+    pub name: &'static str,
+    /// Training stages checkpoint and resume (see [`fit_model`]).
+    pub resume: bool,
+    /// Everything printed to stdout: the experiment's tables.
+    pub out: String,
+    /// Dataset and split sizes, per-epoch training losses, notes.
+    pub log: String,
 }
 
-/// Trains any [`ClipModel`] in place on the flip-augmented `clips[idx]`
-/// with the standard schedule.
-///
-/// `tag` names this training stage; with `--resume` on the command line the
-/// stage checkpoints to `results/checkpoints/<binary>/<tag>.ckpt` (see
-/// [`stage_checkpoint_path`]) after every epoch and resumes from it when
-/// present, so interrupting and re-running the experiment continues where
-/// it stopped (bit-identically). Without `--resume` the stage trains
-/// exactly as before and no checkpoint is touched.
-pub fn fit_model(
-    tag: &str,
-    model: &mut dyn ClipModel,
-    clips: &[Clip],
-    idx: &[usize],
-    epochs: usize,
-) {
-    let train = augmented_train_set(clips, idx);
-    let all: Vec<usize> = (0..train.len()).collect();
-    let tc = standard_train_config(epochs, all.len(), 16);
-    if is_resume() {
-        let path = stage_checkpoint_path(tag);
-        let dir = path.parent().expect("stage checkpoint path has a directory");
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
-        eprintln!("  [resume] checkpointing to {}", path.display());
-        tsdx_core::train_resilient(model, &train, &all, &tc, &ResilienceConfig::resume_from(&path))
-            .unwrap_or_else(|e| panic!("resumable training for {tag} failed: {e}"));
-    } else {
-        tsdx_core::train(model, &train, &all, &tc);
+impl Experiment {
+    /// An experiment that has printed and logged nothing yet.
+    pub fn new(name: &'static str, resume: bool) -> Self {
+        Experiment { name, resume, out: String::new(), log: String::new() }
+    }
+
+    /// Prints `text` and a newline to stdout and keeps it in [`Self::out`].
+    pub fn line(&mut self, text: impl Display) {
+        let text = format!("{text}\n");
+        print!("{text}");
+        self.out.push_str(&text);
+    }
+
+    /// Prints `msg` to stderr and appends it to [`Self::log`].
+    pub fn note(&mut self, msg: impl Display) {
+        eprintln!("{msg}");
+        writeln!(self.log, "{msg}").expect("writing to a String");
+    }
+
+    /// The standard split of `clips`, its sizes noted in the log.
+    pub fn split(&mut self, clips: &[Clip]) -> Split {
+        let split = standard_split(clips);
+        let (tr, va, te) = (split.train.len(), split.val.len(), split.test.len());
+        self.note(format_args!("{} clips: train {tr} / val {va} / test {te}", clips.len()));
+        split
     }
 }
 
-/// Prints a fixed-width table with a title, header row, and data rows.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
+/// Trains a fresh video scenario transformer on `train` (see [`fit_model`]).
+pub fn fit_transformer(
+    exp: &mut Experiment,
+    stage: &str,
+    cfg: ModelConfig,
+    train: &[Clip],
+    epochs: usize,
+) -> VideoScenarioTransformer {
+    let mut model = VideoScenarioTransformer::new(cfg, STD_SEED);
+    fit_model(exp, stage, &mut model, train, epochs);
+    model
+}
+
+/// Trains any [`ClipModel`] in place on every clip of `train` with the
+/// standard schedule (callers that want flips pass [`augmented_train_set`])
+/// and logs each epoch's mean loss to `exp`.
+///
+/// `stage` names this training stage. With `exp.resume` the stage
+/// checkpoints to [`stage_checkpoint_path`]`(exp.name, stage)` after every
+/// epoch and resumes from it when present, so interrupting and re-running
+/// the experiment continues where it stopped (bit-identically). Without it
+/// the stage trains exactly as before and no checkpoint is touched.
+pub fn fit_model(
+    exp: &mut Experiment,
+    stage: &str,
+    model: &mut dyn ClipModel,
+    train: &[Clip],
+    epochs: usize,
+) {
+    exp.note(format_args!("training {stage} on {} clips...", train.len()));
+    let all: Vec<usize> = (0..train.len()).collect();
+    let tc = standard_train_config(epochs, all.len(), 16);
+    let mut resilience = ResilienceConfig::default();
+    if exp.resume {
+        let path = stage_checkpoint_path(exp.name, stage);
+        let dir = path.parent().expect("stage checkpoint path has a directory");
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
+        exp.note(format_args!("  [resume] checkpointing to {}", path.display()));
+        resilience = ResilienceConfig::resume_from(&path);
+    }
+    let report = tsdx_core::train_resilient(model, train, &all, &tc, &resilience)
+        .unwrap_or_else(|e| panic!("training stage {stage} failed: {e}"));
+    // A resumed run reports only the epochs it ran: the last ones.
+    let first = epochs - report.epoch_losses.len();
+    for (i, loss) in report.epoch_losses.iter().enumerate() {
+        writeln!(exp.log, "[{stage}] epoch {:>3}: loss {loss:.4}", first + i)
+            .expect("writing to a String");
+    }
+}
+
+/// A fixed-width table with a title, header row, and data rows, as printed
+/// (no trailing newline).
+pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             widths[i] = widths[i].max(cell.len());
         }
     }
-    let line = |cells: &[String]| {
-        let mut s = String::new();
+    let mut s = format!("\n== {title} ==");
+    let mut line = |cells: &[String]| {
+        let mut l = String::new();
         for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!("{:<w$}  ", c, w = widths[i]));
+            l.push_str(&format!("{:<w$}  ", c, w = widths[i]));
         }
-        println!("{}", s.trim_end());
+        s.push('\n');
+        s.push_str(l.trim_end());
     };
     line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
     line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
     for row in rows {
         line(row);
     }
+    s
 }
 
 /// Formats a fraction as a percentage with one decimal.
@@ -191,12 +210,6 @@ pub fn pct(x: f32) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quick_flag_reads_args() {
-        // No --quick in the test harness invocation.
-        assert!(!is_quick() || std::env::args().any(|a| a == "--quick"));
-    }
 
     #[test]
     fn standard_split_shapes() {

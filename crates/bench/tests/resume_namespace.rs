@@ -1,17 +1,15 @@
-//! Stage checkpoints are namespaced per experiment binary.
+//! Stage checkpoints are namespaced per experiment.
 //!
-//! Stage tags (`"fit"`, `"joint"`, …) repeat across experiments, so two
-//! binaries run with `--resume` from the same working directory used to
-//! fight over `results/checkpoints/<tag>.ckpt` and could silently restore
-//! each other's half-trained models. These tests pin the namespaced layout
-//! and prove that two resumable stages running *concurrently* with the same
-//! tag restore only their own state.
+//! Stage names (`"cnn-gru"`, `"video-transformer"`, …) repeat across
+//! experiments, so two experiments run with `--resume` from the same working
+//! directory would otherwise fight over one checkpoint file and could
+//! silently restore each other's half-trained models. These tests pin the
+//! namespaced layout and prove that two resumable stages running
+//! *concurrently* with the same tag restore only their own state.
 
 use std::path::{Path, PathBuf};
 
-use tsdx_bench::{
-    checkpoint_dir, stage_checkpoint_path, stage_checkpoint_path_in, stage_namespace,
-};
+use tsdx_bench::{checkpoint_dir, stage_checkpoint_path};
 use tsdx_core::{
     train_resilient, ClipModel, ModelConfig, ResilienceConfig, TrainConfig,
     VideoScenarioTransformer,
@@ -21,20 +19,14 @@ use tsdx_nn::LrSchedule;
 use tsdx_render::RenderConfig;
 
 #[test]
-fn stage_checkpoints_are_namespaced_per_binary() {
-    let a = stage_checkpoint_path_in("table2_extraction", "fit");
-    let b = stage_checkpoint_path_in("table3_ablations", "fit");
-    assert_ne!(a, b, "same tag in different binaries must not share a checkpoint");
-    // Distinct namespaces means distinct *directories*, so no future tag
-    // collision inside one directory can alias across binaries.
-    assert_ne!(a.parent(), b.parent());
-    assert_eq!(a, checkpoint_dir().join("table2_extraction").join("fit.ckpt"));
-
-    // The current binary's path embeds its own namespace and stays stable.
-    let here = stage_checkpoint_path("fit");
-    assert_eq!(here, stage_checkpoint_path_in(&stage_namespace(), "fit"));
-    assert!(here.starts_with(checkpoint_dir()));
-    assert!(!stage_namespace().is_empty());
+fn stage_checkpoints_are_namespaced_per_experiment() {
+    let a = stage_checkpoint_path("table2", "cnn-gru");
+    let b = stage_checkpoint_path("fig3", "cnn-gru");
+    // Distinct experiments means distinct *directories*, so no future stage
+    // name collision inside one directory can alias across experiments.
+    assert_ne!(a.parent(), b.parent(), "one stage name in two experiments shares a directory");
+    assert_eq!(a, Path::new("results/checkpoints/table2/cnn-gru.ckpt"));
+    assert_eq!(b, checkpoint_dir().join("fig3").join("cnn-gru.ckpt"));
 }
 
 fn tiny_model(seed: u64) -> VideoScenarioTransformer {
@@ -101,7 +93,7 @@ fn concurrent_stages_never_cross_restore() {
     // least one resumed run restore the other's weights.
     let root = std::env::temp_dir().join(format!("tsdx-resume-ns-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let path_for = |ns: &str| -> PathBuf { root.join(stage_checkpoint_path_in(ns, "fit")) };
+    let path_for = |ns: &str| -> PathBuf { root.join(stage_checkpoint_path(ns, "fit")) };
     let path_a = path_for("expA");
     let path_b = path_for("expB");
     assert_ne!(path_a, path_b);

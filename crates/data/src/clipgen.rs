@@ -96,6 +96,9 @@ mod tests {
         let b = generate_clip(&cfg, 2);
         assert_eq!(a.video, b.video);
         assert_eq!(a.truth, b.truth);
+        // Clip `i` does not depend on how many clips are generated, so a
+        // shorter dataset is a prefix of a longer one.
+        assert_eq!(generate_dataset(&tiny_cfg(5))[..3], generate_dataset(&tiny_cfg(3)));
     }
 
     #[test]
