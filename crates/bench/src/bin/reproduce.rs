@@ -2,7 +2,7 @@
 //! EXPERIMENTS.md).
 //!
 //! ```text
-//! cargo run -p tsdx-bench --release --bin reproduce -- [--quick] [--resume] [NAME …]
+//! cargo run -p tsdx-bench --release --bin reproduce -- [--quick | --resume] [NAME …]
 //! ```
 //!
 //! runs the named experiments (`table1 table2 table3 fig2 fig3 fig4 fig5
@@ -13,9 +13,9 @@
 //! model. A full run writes each experiment's tables to
 //! `results/<name>.txt` and its log (split sizes, per-epoch training losses,
 //! wall time) to `results/<name>.log`; `--quick` runs a reduced-size variant
-//! and only prints. `--resume` checkpoints every training stage to
-//! `results/checkpoints/<experiment>/<stage>.ckpt` (see
-//! [`tsdx_bench::fit_model`]).
+//! and only prints. `--resume` checkpoints every training stage of a full
+//! run to `results/checkpoints/<experiment>/<stage>.ckpt` (see
+//! [`tsdx_bench::fit_model`]); `--quick` with `--resume` exits 2.
 
 use std::cell::OnceCell;
 use std::time::Instant;
@@ -298,24 +298,24 @@ fn fig4(ctx: &Ctx, exp: &mut Experiment, clips: &[Clip]) {
         let model = fit_transformer(exp, &stage, cfg, &train, ctx.pick([10, 4]));
         let s = evaluate(&model, clips, &split.test);
 
-        // Measured single-clip inference latency (median of 20).
+        // Measured single-clip inference latency in µs (median of 20).
         let video = clips[split.test[0]].video.reshape(&[1, cfg.frames, cfg.height, cfg.width]);
         let mut times: Vec<f64> = (0..20)
             .map(|_| {
                 let t = Instant::now();
                 let _ = model.predict(&video);
-                t.elapsed().as_secs_f64() * 1e3
+                t.elapsed().as_secs_f64() * 1e6
             })
             .collect();
         times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let macs = format!("{:.1}M", clip_macs(&cfg) as f64 / 1e6);
-        let latency = format!("{:.1}", times[times.len() / 2]);
+        let latency = format!("{:.0}", times[times.len() / 2]);
         let cells = [name.into(), kparams(model.num_params()), macs, latency];
         rows.push(row(cells, &[s.mean_accuracy(), s.ego_acc, s.event_acc]));
     }
     exp.line(table(
         "Fig 4: attention/readout ablation (test split)",
-        &["variant", "params", "MACs/clip", "latency ms", "mean %", "ego %", "event %"],
+        &["variant", "params", "MACs/clip", "latency µs", "mean %", "ego %", "event %"],
         &rows,
     ));
 }
@@ -396,6 +396,13 @@ fn fig6(ctx: &Ctx, exp: &mut Experiment, clips: &[Clip]) {
     ));
 }
 
+/// Prints `error` and the usage line to stderr and exits 2.
+fn usage_error(error: &str) -> ! {
+    eprintln!("reproduce: {error}");
+    eprintln!("usage: reproduce [--quick | --resume] [NAME ...]");
+    std::process::exit(2);
+}
+
 fn main() {
     let (mut quick, mut resume, mut names) = (false, false, Vec::new());
     for arg in std::env::args().skip(1) {
@@ -405,14 +412,17 @@ fn main() {
             name if EXPERIMENTS.iter().any(|e| e.0 == name) => names.push(arg),
             other => {
                 let valid: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
-                eprintln!(
-                    "reproduce: unknown argument `{other}`; the experiments are: {}",
+                usage_error(&format!(
+                    "unknown argument `{other}`; the experiments are: {}",
                     valid.join(" ")
-                );
-                eprintln!("usage: reproduce [--quick] [--resume] [NAME ...]");
-                std::process::exit(2);
+                ));
             }
         }
+    }
+    if quick && resume {
+        // Both would write results/checkpoints/<experiment>/<stage>.ckpt, and
+        // a later full `--resume` run would continue from the quick epochs.
+        usage_error("`--quick` and `--resume` exclude each other");
     }
     let todo: Vec<_> =
         EXPERIMENTS.iter().filter(|e| names.is_empty() || names.iter().any(|n| n == e.0)).collect();

@@ -3,14 +3,16 @@
 //! The experiment harness regenerating every table and figure of the
 //! evaluation (see `DESIGN.md` §4 and `EXPERIMENTS.md`). One binary,
 //! `reproduce`, runs them all (or the ones it is given by name) on one
-//! shared standard dataset; `profile` is the self-time profiler. Shared
-//! setup lives here.
+//! shared standard dataset. Shared setup lives here. Timing lives
+//! elsewhere: `benchmark/run.sh --trace 1` reports a per-layer waterfall.
 //!
 //! `reproduce --quick` runs a reduced-size variant (a smoke test: it prints
 //! and writes nothing under `results/`; the numbers in `EXPERIMENTS.md` come
 //! from the full settings), and `--resume` checkpoints every training stage
-//! to `results/checkpoints/<experiment>/<stage>.ckpt` and continues from
-//! there after a crash or kill (see [`fit_model`]).
+//! of a full run to `results/checkpoints/<experiment>/<stage>.ckpt` and
+//! continues from there after a crash or kill (see [`fit_model`]).
+//! `reproduce` refuses `--quick` with `--resume`: a quick run takes seconds,
+//! and its checkpoints would be restored by a later full `--resume` run.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -177,12 +179,12 @@ pub fn fit_model(
 }
 
 /// A fixed-width table with a title, header row, and data rows, as printed
-/// (no trailing newline).
+/// (no trailing newline). Widths count characters, as `format!` pads.
 pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+            widths[i] = widths[i].max(cell.chars().count());
         }
     }
     let mut s = format!("\n== {title} ==");

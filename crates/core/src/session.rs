@@ -648,8 +648,14 @@ mod tests {
             // Frames `start..start + n` of one endless feed.
             let feed = |start: usize, n: usize| video(n, (start * 256) as f32);
             let mut s = ex.open_stream();
+            let scope = metrics::scope();
             s.push_frames(&feed(0, frames)).unwrap();
             s.logits().unwrap();
+            let snap = scope.snapshot();
+            drop(scope);
+            // The first window encodes each of its groups once.
+            assert_eq!(snap.counter("stage/cache_miss"), nt, "{frames} frames");
+            assert_eq!(snap.counter("stage/cache_hit"), 0, "{frames} frames");
             let mut fed = frames;
             let mut slide = |s: &mut StreamSession| {
                 s.push_frames(&feed(fed, step)).unwrap();
@@ -743,14 +749,15 @@ mod tests {
         let ex = ScenarioExtractor::untrained(tiny_cfg(AttentionKind::Factorized, Readout::Cls), 6);
         let vids: Vec<Tensor> = (0..3).map(|i| video(4, 20.0 + i as f32)).collect();
         // Independent sessions, each encoding its own groups.
-        let solo: Vec<WindowLogits> = vids
+        let mut sessions: Vec<StreamSession> = vids
             .iter()
             .map(|v| {
                 let mut s = ex.open_stream();
                 s.push_frames(v).unwrap();
-                s.logits().unwrap()
+                s
             })
             .collect();
+        let solo: Vec<WindowLogits> = sessions.iter_mut().map(|s| s.logits().unwrap()).collect();
         // One mux round encodes all staged groups in a single forward.
         let mut states: Vec<StreamState> = vids
             .iter()
@@ -766,6 +773,36 @@ mod tests {
         for (st, want) in states.iter_mut().zip(&solo) {
             let got = st.logits(ex.model()).unwrap();
             assert_eq!(&got, want, "batched encode must be bit-identical");
+        }
+
+        // Then every stream slides one group per tick. Staged and encoded
+        // together, a tick is one forward over every stream; served one
+        // session at a time, it is one forward per stream.
+        let forwards = |scope: metrics::ScopeGuard| {
+            scope.snapshot().hists.get("stage/mux_encode").map_or(0, |h| h.count)
+        };
+        for tick in 0..3 {
+            let group = |s: usize| video(2, 40.0 + (10 * s + tick) as f32);
+            let scope = metrics::scope();
+            for (s, session) in sessions.iter_mut().enumerate() {
+                session.push_frames(&group(s)).unwrap();
+            }
+            assert_eq!(forwards(scope), 3, "tick {tick}, one stream at a time");
+            let scope = metrics::scope();
+            for (s, st) in states.iter_mut().enumerate() {
+                st.stage_frames(&group(s)).unwrap();
+            }
+            let mut refs: Vec<&mut StreamState> = states.iter_mut().collect();
+            let report = encode_staged(ex.model(), &mut refs);
+            assert_eq!(forwards(scope), 1, "tick {tick}, muxed");
+            assert_eq!(report, MuxEncodeReport { streams: 3, groups: 3 }, "tick {tick}");
+            for (st, session) in states.iter_mut().zip(&mut sessions) {
+                assert_eq!(
+                    st.logits(ex.model()).unwrap(),
+                    session.logits().unwrap(),
+                    "tick {tick}"
+                );
+            }
         }
     }
 }

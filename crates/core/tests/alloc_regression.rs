@@ -18,7 +18,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, Once};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,10 +96,15 @@ fn steady_state(rc: RunConfig, mut op: impl FnMut()) -> (u64, u64) {
 }
 
 /// Serializes the measuring tests so one test's allocations never land in
-/// another's measurement window.
+/// another's measurement window. The first caller prints the run-time
+/// switches: on a CPU without AVX-512F the f32 kernel is the portable one,
+/// and the counts come from it.
 fn measuring() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    static SWITCHES: Once = Once::new();
+    let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    SWITCHES.call_once(|| eprintln!("run-time switches: {}", tsdx_core::run_time_switches()));
+    guard
 }
 
 #[test]
@@ -281,9 +286,8 @@ fn loop_ns(f: &mut impl FnMut(u64)) -> f64 {
 #[test]
 fn a_full_metrics_scope_costs_an_extraction_no_allocation_and_bounded_time() {
     let _serial = measuring();
-    // `profile --eval` (its `scope open` column) and the benchmark's
-    // `bulk_batch8` traced pass time forwards under a full scope, so its
-    // records are inside the numbers they report. They must not
+    // The benchmark's `bulk_batch8` traced pass times forwards under a full
+    // scope, so its records are inside the numbers it reports. They must not
     // allocate once the collector has seen their keys, and what they cost —
     // how many a B = 1 forward makes, times what one costs among the
     // forward's keys — is held to the per-record ratios to a reference loop

@@ -22,7 +22,7 @@ pub struct Clip {
 }
 
 /// Simulation timestep (s) of every generated clip.
-pub const SIM_DT: f32 = 0.1;
+const SIM_DT: f32 = 0.1;
 
 /// Full dataset-generation configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]

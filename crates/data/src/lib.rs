@@ -37,7 +37,7 @@ mod stats;
 
 pub use augment::{augment_with_flips, flip_clip, flip_scenario, flip_video, jitter_brightness};
 pub use batch::{collate, epoch_batches, Batch};
-pub use clipgen::{generate_clip, generate_dataset, Clip, DatasetConfig, SIM_DT};
+pub use clipgen::{generate_clip, generate_dataset, Clip, DatasetConfig};
 pub use io::{load_clips, save_clips, DatasetIoError};
 pub use labels::{ClipLabels, POSITION_COUNT, POSITION_NONE};
 pub use split::{select, stratified_split, Split};

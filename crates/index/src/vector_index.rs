@@ -38,7 +38,6 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::convert::Infallible;
-use std::mem::{size_of, size_of_val};
 
 use tsdx_sdl::{
     embed, is_unit_norm, vocab, EgoManeuver, Position, RoadKind, Scenario, TopK,
@@ -397,19 +396,6 @@ impl VectorIndex {
     /// share one.
     pub fn distinct_len(&self) -> u64 {
         self.table.blocks.iter().map(|b| b.rows.len() as u64).sum()
-    }
-
-    /// Bytes the index holds in memory: the blocks with their rows' ids, the
-    /// groups, the id links at their capacity, and the lookup at one entry
-    /// and one control byte per slot it has room for.
-    pub fn resident_bytes(&self) -> usize {
-        let t = &self.table;
-        let block = |b: &Block| size_of_val(&*b.cols) + b.rows.capacity() * size_of::<Lane>();
-        let blocks: usize = t.blocks.iter().map(block).sum::<usize>() + size_of_val(&*t.blocks);
-        let groups: usize = t.groups.iter().map(|g| size_of_val(&*g.blocks)).sum();
-        let groups = groups + t.groups.capacity() * size_of::<Group>() + size_of_val(&t.group_of);
-        let lookup = self.lookup.capacity() * (size_of::<(Key, u32)>() + 1);
-        blocks + groups + self.next.capacity() * size_of::<u32>() + lookup
     }
 
     /// Appends one scenario, returning its id. A scenario with the slot

@@ -146,9 +146,9 @@ impl Kernel {
 }
 
 impl fmt::Display for Kernel {
-    /// `portable 4x16` / `avx512 6x64` — what `profile` and a server's
-    /// start-up line print, so a timing from a host that fell back is
-    /// recognisable as such.
+    /// `portable 4x16` / `avx512 6x64` — what a server's start-up line and
+    /// `check.sh`'s allocation stage print, so a timing from a host that
+    /// fell back is recognisable as such.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Kernel::Portable => "portable 4x16",

@@ -36,14 +36,14 @@
 //! A [`scope`] is a **full** scope: it collects everything — the op-level
 //! records ([`span`], [`span_shared`], [`time`], [`counter_add`]) that
 //! attribute a forward's time to kernels and layers, and the stage records.
-//! Tests and the `profile` binary open one. A [`stage_scope`] collects only
-//! the **stage** records — [`stage`] histograms, [`observe_ns`] and
-//! [`stage_count`] — which is all a server's `/stats` reads: the serve
-//! batch worker holds one for its whole life, so a served B = 1 forward
-//! makes 4 records (`stage/tubelet_embed`, `stage/encoder`, `stage/heads`,
-//! `stage/decode`) where a full scope makes about 160. A full scope nested
-//! in a stage scope sees every record; the stage scope still holds only
-//! stage keys.
+//! Tests and the benchmark's traced pass open one. A [`stage_scope`]
+//! collects only the **stage** records — [`stage`] histograms,
+//! [`observe_ns`] and [`stage_count`] — which is all a server's `/stats`
+//! reads: the serve batch worker holds one for its whole life, so a served
+//! B = 1 forward makes 4 records (`stage/tubelet_embed`, `stage/encoder`,
+//! `stage/heads`, `stage/decode`) where a full scope makes about 160. A full
+//! scope nested in a stage scope sees every record; the stage scope still
+//! holds only stage keys.
 //!
 //! # Zero cost when disabled
 //!
@@ -54,15 +54,15 @@
 //! function reduces to **one relaxed load of one static atomic and a
 //! branch**: no allocation, no syscalls, no thread-local initialization
 //! (`tests/metrics_overhead.rs` proves zero allocations and bounds the
-//! wall-time cost; the `profile` bench binary quantifies it). There is no
-//! variable to set: a scope is the only way to collect.
+//! wall-time cost). There is no variable to set: a scope is the only way to
+//! collect.
 //!
 //! # Cheap when enabled
 //!
 //! A full scope sees a few hundred records per B = 1 extraction, and the
-//! `profile` binary times forwards under one. A collector therefore keeps
-//! each kind of metric in a small vector scanned by the **address** of the
-//! key — a call site passes the same literal (or the same shared name)
+//! benchmark's traced pass times forwards under one. A collector therefore
+//! keeps each kind of metric in a small vector scanned by the **address** of
+//! the key — a call site passes the same literal (or the same shared name)
 //! every time, so the scan is pointer compares and one short string compare
 //! to confirm — and falls back to comparing names. A name is copied once,
 //! when a collector first sees it; after that a record allocates nothing

@@ -30,7 +30,7 @@
 //!   exactly that. The mode only changes where buffers come from and go to.
 //! - **Observability.** `workspace/hit`, `workspace/miss`, and
 //!   `workspace/bytes_recycled` count into every open [`crate::metrics`]
-//!   scope; the `profile` binary prints them.
+//!   scope.
 //!
 //! The arena is bounded (per-bucket entry cap and a total byte cap per
 //! thread); overflow simply frees to the system allocator.

@@ -12,8 +12,9 @@
 //!    be under 1% of the matmul's own wall time. The per-call cost and the
 //!    call count are measured, not assumed.
 //!
-//! The enabled claim: `profile` times forwards under a full scope, so a
-//! record there is inside the number it reports. Two more checks:
+//! The enabled claim: the benchmark's traced pass times forwards under a
+//! full scope, so a record there is inside the number it reports. Two more
+//! checks:
 //!
 //! 3. **Zero allocations in steady state**: once a collector has seen a key,
 //!    recording under it — counter, histogram, static span, shared-name

@@ -26,24 +26,19 @@ cargo test -q
 echo "==> workspace tests (every crate's suite, the parity matrix among them)"
 cargo test --workspace -q
 
-echo "==> steady-state allocation regression (arena must absorb buffer traffic; prints the alloc/ counts it gates)"
+echo "==> steady-state allocation regression (arena must absorb buffer traffic; prints the run-time switches and the alloc/ counts it gates)"
 # The counts DESIGN.md quotes come from these lines; a failure prints the whole run.
+# The switches line names the f32 kernel this host selected; on a CPU without
+# AVX-512F it is the portable one and the kernel parity below is vacuous.
 alloc_out=$(cargo test -q --release -p tsdx-core --test alloc_regression -- --nocapture --test-threads=1 2>&1) \
   || { echo "$alloc_out"; exit 1; }
-grep -o 'alloc/.*' <<< "$alloc_out"
+grep -oE 'run-time switches: .*|alloc/.*' <<< "$alloc_out"
 
 echo "==> tensor suite with 8 concurrent test threads (metric-scope isolation; AVX-512 kernel == portable kernel, bitwise), then the 2^32-input GELU twin proof at --release"
 cargo test -q -p tsdx-tensor -- --test-threads=8
 # The GELU twin against the portable loop on all 2^32 inputs (~30 s): ignored
 # in debug builds, so it runs here at --release.
 cargo test -q -p tsdx-tensor --release --lib the_gelu_twin_matches_the_portable_loop_on_every_input
-
-echo "==> profile binary smoke test (self-time coverage + overhead asserts, GEMM dispatch, no i8 product under the model; index scan by query sparsity; clip generation by part and weather)"
-# Its first line names the f32 kernel this host selected; on a CPU without
-# AVX-512F it is the portable one and the kernel parity above is vacuous.
-cargo run -q -p tsdx-bench --release --bin profile -- --quick | grep -o 'f32-kernel="[^"]*"'
-cargo run -q -p tsdx-bench --release --bin profile -- --index --quick | grep 'SDL query'
-cargo run -q -p tsdx-bench --release --bin profile -- --data --quick | grep -E 'first in the process|Night'
 
 echo "==> fault-injection suite (torn/corrupt checkpoints, NaN grads; the fault registry's own unit tests)"
 cargo test -q --features fault-inject
