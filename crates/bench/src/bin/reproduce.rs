@@ -298,19 +298,19 @@ fn fig4(ctx: &Ctx, exp: &mut Experiment, clips: &[Clip]) {
         let model = fit_transformer(exp, &stage, cfg, &train, ctx.pick([10, 4]));
         let s = evaluate(&model, clips, &split.test);
 
-        // Measured single-clip inference latency in µs (median of 20).
-        let video = clips[split.test[0]].video.reshape(&[1, cfg.frames, cfg.height, cfg.width]);
+        // Median single-clip latency in µs over 20 calls of the served route.
+        let extractor = ScenarioExtractor::new(model);
         let mut times: Vec<f64> = (0..20)
             .map(|_| {
                 let t = Instant::now();
-                let _ = model.predict(&video);
+                let _ = extractor.extract_window_batch(&[&clips[split.test[0]].video]);
                 t.elapsed().as_secs_f64() * 1e6
             })
             .collect();
         times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let macs = format!("{:.1}M", clip_macs(&cfg) as f64 / 1e6);
         let latency = format!("{:.0}", times[times.len() / 2]);
-        let cells = [name.into(), kparams(model.num_params()), macs, latency];
+        let cells = [name.into(), kparams(extractor.model().num_params()), macs, latency];
         rows.push(row(cells, &[s.mean_accuracy(), s.ego_acc, s.event_acc]));
     }
     exp.line(table(

@@ -6,7 +6,7 @@
 
 use tsdx_tensor::{ops, Tensor};
 
-use crate::config::{AttentionKind, Readout};
+use crate::config::Readout;
 use crate::model::VideoScenarioTransformer;
 use crate::tubelet::extract_tubelets;
 
@@ -28,23 +28,6 @@ impl VideoScenarioTransformer {
             cfg.n_time(),
             cfg.n_space(),
         ])
-    }
-
-    /// Computes temporal saliency `[B, nt]`: how much the clip readout
-    /// attends to each time group. Only available for factorized encoders;
-    /// returns `None` for joint attention.
-    pub fn temporal_attention_map(&self, videos: &Tensor) -> Option<Tensor> {
-        let cfg = self.config();
-        if cfg.attention == AttentionKind::Joint {
-            return None;
-        }
-        let (b, nt) = (videos.shape()[0], cfg.n_time());
-        let ex = &mut self.eval();
-        let tokens = self.embed_ref().forward(ex, &extract_tubelets(cfg, videos));
-        let (summaries, _) = self.encoder_ref().first_stage(ex, &tokens, false);
-        let frames = summaries.reshape(&[b, nt, cfg.dim]);
-        let (_, attn) = self.encoder_ref().temporal_readout(ex, &frames, true);
-        Some(self.readout_attention(&attn.expect("asked for")).reshape(&[b, nt]))
     }
 
     /// What the readout query of each sequence attends to, from attention
@@ -104,22 +87,6 @@ mod tests {
                 assert!(row.iter().all(|&v| v >= 0.0));
             }
         }
-    }
-
-    #[test]
-    fn temporal_map_shape_for_factorized_none_for_joint() {
-        let factorized =
-            VideoScenarioTransformer::new(cfg(AttentionKind::Factorized, Readout::Cls), 3);
-        let videos = Tensor::from_fn(&[2, 4, 16, 16], |i| (i % 5) as f32 / 5.0);
-        let map =
-            factorized.temporal_attention_map(&videos).expect("factorized has temporal stage");
-        assert_eq!(map.shape(), &[2, 2]);
-        for row in map.data().chunks(2) {
-            let s: f32 = row.iter().sum();
-            assert!(s > 0.0 && s <= 1.0 + 1e-4);
-        }
-        let joint = VideoScenarioTransformer::new(cfg(AttentionKind::Joint, Readout::Cls), 3);
-        assert!(joint.temporal_attention_map(&videos).is_none());
     }
 
     #[test]

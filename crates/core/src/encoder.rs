@@ -12,9 +12,12 @@
 //!    clip embeddings `[B, D]`. The *window-relative* temporal position is
 //!    applied here, followed by the temporal transformer.
 //!
-//! [`ClipEncoder::forward`] composes the two; a
-//! [`StreamSession`](crate::StreamSession) calls them separately and caches
-//! stage-1 outputs by absolute group index.
+//! Whole windows — training, evaluation and every
+//! [`extract_window_batch`](crate::ScenarioExtractor::extract_window_batch)
+//! — run [`ClipEncoder::forward`], which composes the two. Streams call
+//! them separately: [`encode_staged`](crate::encode_staged) caches stage-1
+//! outputs by absolute group index, and
+//! [`readout_staged`](crate::readout_staged) runs stage 2 over them.
 
 use rand::Rng;
 use tsdx_nn::{Exec, ParamId, ParamStore, TransformerEncoder};
@@ -24,7 +27,7 @@ use crate::config::{AttentionKind, ModelConfig, Readout};
 
 /// Encodes token grids `[B, nt*ns, D]` into clip embeddings `[B, D]`.
 #[derive(Debug, Clone)]
-pub struct ClipEncoder {
+pub(crate) struct ClipEncoder {
     kind: AttentionKind,
     readout: Readout,
     spatial: TransformerEncoder,
@@ -47,7 +50,12 @@ impl ClipEncoder {
     /// For [`AttentionKind::Joint`] a single encoder of depth
     /// `spatial_depth + temporal_depth` is created so the parameter budget
     /// matches the factorized variant.
-    pub fn new(store: &mut ParamStore, rng: &mut impl Rng, name: &str, cfg: &ModelConfig) -> Self {
+    pub(crate) fn new(
+        store: &mut ParamStore,
+        rng: &mut impl Rng,
+        name: &str,
+        cfg: &ModelConfig,
+    ) -> Self {
         let use_cls = cfg.readout == Readout::Cls;
         match cfg.attention {
             AttentionKind::Factorized => {
@@ -139,14 +147,14 @@ impl ClipEncoder {
 
     /// Encodes `[B, nt*ns, D]` tokens (projected, spatially positioned,
     /// *not* temporally positioned) to a `[B, D]` clip embedding.
-    pub fn forward<E: Exec>(&self, ex: &mut E, tokens: &E::V) -> E::V {
+    pub(crate) fn forward<E: Exec>(&self, ex: &mut E, tokens: &E::V) -> E::V {
         let b = ex.shape(tokens)[0];
         let (first, _) = self.first_stage(ex, tokens, false);
         match self.kind {
             AttentionKind::Joint => first,
             AttentionKind::Factorized => {
                 let frames = ex.reshape(&first, &[b, self.n_time, self.dim]);
-                self.temporal_readout(ex, &frames, false).0
+                self.temporal_readout(ex, &frames)
             }
         }
     }
@@ -184,12 +192,12 @@ impl ClipEncoder {
     /// Every operation here is row-independent and free of temporal
     /// position, so a summary computed for one group at a time is
     /// bit-identical to the same group inside a batched window — the
-    /// invariant [`StreamSession`](crate::StreamSession) caches against.
+    /// invariant a stream's group cache rests on.
     ///
     /// # Panics
     ///
     /// Panics for joint encoders, which have no separate spatial stage.
-    pub fn spatial_summaries<E: Exec>(
+    pub(crate) fn spatial_summaries<E: Exec>(
         &self,
         ex: &mut E,
         groups: E::V,
@@ -206,22 +214,15 @@ impl ClipEncoder {
     /// Temporal stage of the factorized pipeline: raw frame summaries
     /// `[B, nt, D]` to clip embeddings `[B, D]`. Applies the
     /// window-relative temporal position, prepends the temporal CLS, and
-    /// runs the temporal transformer; with `want_attn`, also returns its last
-    /// block's attention probabilities (`[B, H, T', T']` where `T'` counts
-    /// frame summaries plus an optional CLS).
+    /// runs the temporal transformer.
     ///
     /// # Panics
     ///
     /// Panics for joint encoders.
-    pub fn temporal_readout<E: Exec>(
-        &self,
-        ex: &mut E,
-        frames: &E::V,
-        want_attn: bool,
-    ) -> (E::V, Option<E::V>) {
+    pub(crate) fn temporal_readout<E: Exec>(&self, ex: &mut E, frames: &E::V) -> E::V {
         let temporal = self.temporal.as_ref().expect("factorized encoder has a temporal stage");
         let timed = self.with_time_positions(ex, frames);
-        self.encode(ex, temporal, self.cls_time, timed, want_attn)
+        self.encode(ex, temporal, self.cls_time, timed, false).0
     }
 
     /// Adds the temporal position table to frame summaries `[B, nt, D]`.
@@ -402,7 +403,7 @@ mod tests {
             let full = enc.forward(ex, &tokens);
 
             let (sums, _) = enc.spatial_summaries(ex, tokens.reshape(&[4, 4, 8]), false);
-            let (staged, _) = enc.temporal_readout(ex, &sums.reshape(&[2, 2, 8]), false);
+            let staged = enc.temporal_readout(ex, &sums.reshape(&[2, 2, 8]));
             assert_eq!(bits(&full), bits(&staged), "{readout:?}");
         }
     }
@@ -437,7 +438,7 @@ mod tests {
                         assert_eq!(bits(&got), bits(&want), "spatial {ctx}");
 
                         let frames = Tensor::from_fn(&[3, 2, 8], |i| (i as f32 * 0.11).cos());
-                        let (got, _) = enc.temporal_readout(ex, &frames, false);
+                        let got = enc.temporal_readout(ex, &frames);
                         let timed = enc.with_time_positions(ex, &frames);
                         let temporal = enc.temporal.as_ref().unwrap();
                         let want = reference(&enc, ex, temporal, enc.cls_time, timed);
@@ -465,8 +466,8 @@ mod tests {
         let a = Tensor::from_fn(&[1, 2, 8], |i| if i < 8 { 1.0 } else { -1.0 });
         let mut rev = a.to_vec();
         rev.rotate_left(8);
-        let (ya, _) = enc.temporal_readout(ex, &a, false);
-        let (yb, _) = enc.temporal_readout(ex, &Tensor::from_vec(rev, &[1, 2, 8]), false);
+        let ya = enc.temporal_readout(ex, &a);
+        let yb = enc.temporal_readout(ex, &Tensor::from_vec(rev, &[1, 2, 8]));
         assert_ne!(ya.to_vec(), yb.to_vec(), "time order must matter");
     }
 

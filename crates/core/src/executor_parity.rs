@@ -4,9 +4,11 @@
 //! executor; `train`, `evaluate` and the public `forward(g, p, ..)` methods
 //! run the same wiring on the tape. This matrix pins them to each other —
 //! logits and embeddings, not only decoded scenarios — across encoder
-//! variants, batch sizes, and every run-time switch. In-crate because the
-//! tape side of an embedding or a group encode is built from the model's
-//! parts.
+//! variants, batch sizes, and every run-time switch. Both extraction
+//! routes are in it: the batched window forward `extract_window_batch`
+//! runs, and a stream's staged group encode and readout. In-crate because
+//! the window forward and the tape side of an embedding or a group encode
+//! are built from the model's crate-private parts.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,7 +90,18 @@ fn eval_executor_matches_the_tape_on_every_entry_point() {
                         let want = tape_logits(model, &videos);
                         let (want_groups, want_emb) = tape_stages(model, &videos);
 
-                        // One-shot logits: B windows staged, one batched group
+                        // The batched window forward `extract_window_batch` runs.
+                        let l = model.run(&mut model.eval(), &videos);
+                        for (c, want) in want.iter().enumerate() {
+                            let got: Vec<u32> =
+                                [&l.ego, &l.road, &l.event, &l.position, &l.presence]
+                                    .iter()
+                                    .flat_map(|t| bits(&ops::narrow(t, 0, c, 1)))
+                                    .collect();
+                            assert_eq!(&got, want, "window forward, clip {c}, {ctx}");
+                        }
+
+                        // Stream logits: B windows staged, one batched group
                         // encode, one batched readout.
                         let mut states: Vec<StreamState> =
                             (0..b).map(|_| StreamState::new(cfg)).collect();

@@ -5,10 +5,9 @@ use std::fmt;
 
 use tsdx_data::Clip;
 use tsdx_sdl::Scenario;
-use tsdx_tensor::Tensor;
+use tsdx_tensor::{metrics, Tensor};
 
-use crate::model::VideoScenarioTransformer;
-use crate::session::StreamSession;
+use crate::model::{decode_logits, VideoScenarioTransformer};
 use crate::train::TrainConfig;
 
 /// A malformed extraction input, reported by
@@ -136,9 +135,9 @@ impl ScenarioExtractor {
     /// Extracts the SDL description of a single video `[T, H, W]`,
     /// validating the input first.
     ///
-    /// Implemented as a single-window [`StreamSession`]: one-shot and
-    /// streaming extraction share exactly one forward path, so their
-    /// outputs cannot drift apart.
+    /// The one-clip call of
+    /// [`extract_window_batch`](Self::extract_window_batch): a clip asked
+    /// about alone runs the forward a served batch runs, at B = 1.
     ///
     /// The returned scenario always satisfies [`Scenario::validate`].
     ///
@@ -152,10 +151,7 @@ impl ScenarioExtractor {
     /// any pixel is NaN or infinite — never a panic, so a malformed request
     /// cannot take down a serving process.
     pub fn extract_checked(&self, video: &Tensor) -> Result<Scenario, ExtractError> {
-        self.validate_window(video)?;
-        let mut session = self.open_stream();
-        session.push_frames(video)?;
-        session.describe()
+        self.extract_window_batch(&[video]).pop().expect("one result per window")
     }
 
     /// Checks that `video` is exactly one well-formed `[T, H, W]` window for
@@ -210,6 +206,10 @@ impl ScenarioExtractor {
     /// alone, at any batch size. Malformed windows
     /// get their own typed error and never contaminate the batch. The
     /// output is positionally aligned with `videos`.
+    ///
+    /// When metrics are enabled, each stage of the forward records a
+    /// latency histogram: `stage/tubelet_embed`, `stage/encoder`,
+    /// `stage/heads` and `stage/decode`.
     pub fn extract_window_batch(&self, videos: &[&Tensor]) -> Vec<Result<Scenario, ExtractError>> {
         let mut out: Vec<Option<Result<Scenario, ExtractError>>> = Vec::with_capacity(videos.len());
         let mut valid: Vec<usize> = Vec::with_capacity(videos.len());
@@ -230,9 +230,13 @@ impl ScenarioExtractor {
                     stacked.extend_from_slice(&videos[i].flat());
                 }
             });
-            let labels = self.model.predict(&batch);
-            for (&i, l) in valid.iter().zip(&labels) {
-                out[i] = Some(Ok(l.to_scenario()));
+            let model = &self.model;
+            let l = model.run(&mut model.eval(), &batch);
+            let labels = metrics::stage("stage/decode", || {
+                decode_logits(&l.ego, &l.road, &l.event, &l.position, &l.presence)
+            });
+            for (&i, label) in valid.iter().zip(&labels) {
+                out[i] = Some(Ok(label.to_scenario()));
             }
         }
         out.into_iter().map(|r| r.expect("every slot filled")).collect()
@@ -242,8 +246,8 @@ impl ScenarioExtractor {
     /// as they arrive, describe the newest window incrementally. The
     /// session borrows the extractor, so the model cannot be mutated (and
     /// its caches silently invalidated) while a stream is live.
-    pub fn open_stream(&self) -> StreamSession<'_> {
-        StreamSession::new(&self.model)
+    pub fn open_stream(&self) -> crate::StreamSession<'_> {
+        crate::StreamSession::new(&self.model)
     }
 
     /// The wrapped model.
@@ -262,7 +266,7 @@ mod tests {
     use super::*;
     use crate::config::ModelConfig;
 
-    fn tiny_extractor() -> ScenarioExtractor {
+    fn tiny_extractor(seed: u64) -> ScenarioExtractor {
         ScenarioExtractor::untrained(
             ModelConfig {
                 frames: 4,
@@ -277,13 +281,38 @@ mod tests {
                 dropout: 0.0,
                 ..ModelConfig::default()
             },
-            0,
+            seed,
         )
+    }
+
+    fn clips(n: usize) -> Vec<Tensor> {
+        (0..n).map(|c| Tensor::from_fn(&[4, 16, 16], |i| ((i + c) % 7) as f32 / 7.0)).collect()
+    }
+
+    #[test]
+    fn a_batch_decodes_one_valid_scenario_per_clip_deterministically() {
+        let ex = tiny_extractor(0);
+        let clips = clips(3);
+        let refs: Vec<&Tensor> = clips.iter().collect();
+        let got = ex.extract_window_batch(&refs);
+        assert_eq!(got.len(), 3);
+        for s in &got {
+            s.as_ref().unwrap().validate().unwrap();
+        }
+        assert_eq!(got, ex.extract_window_batch(&refs));
+    }
+
+    #[test]
+    fn same_seed_same_model() {
+        let (a, b, c) = (tiny_extractor(7), tiny_extractor(7), tiny_extractor(8));
+        let clip = &clips(1)[0];
+        assert_eq!(a.extract_checked(clip), b.extract_checked(clip));
+        assert_eq!(a.model().num_params(), c.model().num_params());
     }
 
     #[test]
     fn extract_checked_roundtrips_valid_input() {
-        let ex = tiny_extractor();
+        let ex = tiny_extractor(0);
         let video = Tensor::from_fn(&[4, 16, 16], |i| (i % 7) as f32 / 7.0);
         let scenario = ex.extract_checked(&video).unwrap();
         scenario.validate().unwrap();
@@ -293,7 +322,7 @@ mod tests {
 
     #[test]
     fn extract_checked_rejects_malformed_input_with_typed_errors() {
-        let ex = tiny_extractor();
+        let ex = tiny_extractor(0);
         assert_eq!(
             ex.extract_checked(&Tensor::zeros(&[2, 4, 16, 16])),
             Err(ExtractError::BadRank { found: 4 })

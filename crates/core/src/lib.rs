@@ -17,7 +17,7 @@
 //! # Examples
 //!
 //! ```
-//! use tsdx_core::{ModelConfig, VideoScenarioTransformer};
+//! use tsdx_core::{ModelConfig, ScenarioExtractor};
 //!
 //! // A tiny config so this doc test stays fast.
 //! let cfg = ModelConfig {
@@ -25,10 +25,10 @@
 //!     dim: 16, spatial_depth: 1, temporal_depth: 1, heads: 2,
 //!     ..ModelConfig::default()
 //! };
-//! let model = VideoScenarioTransformer::new(cfg, 0);
-//! let video = tsdx_tensor::Tensor::zeros(&[1, 4, 16, 16]);
-//! let labels = model.predict(&video);
-//! assert_eq!(labels.len(), 1);
+//! let extractor = ScenarioExtractor::untrained(cfg, 0);
+//! let video = tsdx_tensor::Tensor::zeros(&[4, 16, 16]);
+//! let scenario = extractor.extract_checked(&video).expect("well-formed clip");
+//! assert!(scenario.validate().is_ok());
 //! ```
 
 #![warn(missing_docs)]
@@ -49,7 +49,6 @@ mod train;
 mod tubelet;
 
 pub use config::{AttentionKind, ModelConfig, Readout};
-pub use encoder::ClipEncoder;
 pub use extract::ExtractError;
 pub use extract::ScenarioExtractor;
 pub use flops::clip_macs;
@@ -58,9 +57,9 @@ pub use model::{decode_logits, ClipModel, VideoScenarioTransformer};
 pub use session::{
     encode_staged, readout_staged, MuxEncodeReport, StreamSession, StreamState, WindowLogits,
 };
-pub use telemetry::{run_time_switches, LogLevel, TrainLogger};
+pub use telemetry::{run_time_switches, TrainLogger};
 pub use train::{
     evaluate, predict_labels, summarize, train, train_resilient, Checkpointing, EvalSummary,
     ResilienceConfig, TrainConfig, TrainError, TrainReport,
 };
-pub use tubelet::{extract_tubelets, TubeletEmbed};
+pub use tubelet::extract_tubelets;

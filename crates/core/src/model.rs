@@ -206,21 +206,10 @@ impl VideoScenarioTransformer {
         })
     }
 
-    /// Runs inference on a video batch, returning decoded labels.
-    ///
-    /// When metrics are enabled, each pipeline stage records a latency
-    /// histogram: `stage/tubelet_embed`, `stage/encoder`, `stage/heads`
-    /// (from [`ClipModel::forward`]) and `stage/decode` here.
-    pub fn predict(&self, videos: &Tensor) -> Vec<ClipLabels> {
-        let l = self.run(&mut self.eval(), videos);
-        metrics::stage("stage/decode", || {
-            decode_logits(&l.ego, &l.road, &l.event, &l.position, &l.presence)
-        })
-    }
-
     /// The model's one wiring — tubelets, embedding, encoder, heads — on
-    /// either executor, each stage under its latency histogram.
-    fn run<E: Exec>(&self, ex: &mut E, videos: &Tensor) -> HeadLogits<E::V> {
+    /// either executor, each stage under its latency histogram
+    /// (`stage/tubelet_embed`, `stage/encoder`, `stage/heads`).
+    pub(crate) fn run<E: Exec>(&self, ex: &mut E, videos: &Tensor) -> HeadLogits<E::V> {
         // Streamed pushes may extract partial windows, but the batched
         // forward is strictly whole-window.
         assert_eq!(
@@ -287,37 +276,6 @@ mod tests {
             attention: AttentionKind::Factorized,
             readout: Readout::Cls,
         }
-    }
-
-    #[test]
-    fn forward_shapes_and_decode() {
-        let model = VideoScenarioTransformer::new(tiny_cfg(), 0);
-        let videos = Tensor::from_fn(&[3, 4, 16, 16], |i| (i % 7) as f32 / 7.0);
-        let labels = model.predict(&videos);
-        assert_eq!(labels.len(), 3);
-        for l in &labels {
-            assert!(l.ego < EgoManeuver::COUNT);
-            assert!(l.road < RoadKind::COUNT);
-            assert!(l.event < vocab::EVENT_COUNT);
-            assert!(l.position < POSITION_COUNT);
-        }
-    }
-
-    #[test]
-    fn prediction_is_deterministic() {
-        let model = VideoScenarioTransformer::new(tiny_cfg(), 1);
-        let videos = Tensor::from_fn(&[2, 4, 16, 16], |i| (i % 5) as f32 / 5.0);
-        assert_eq!(model.predict(&videos), model.predict(&videos));
-    }
-
-    #[test]
-    fn same_seed_same_model() {
-        let a = VideoScenarioTransformer::new(tiny_cfg(), 7);
-        let b = VideoScenarioTransformer::new(tiny_cfg(), 7);
-        let videos = Tensor::from_fn(&[1, 4, 16, 16], |i| (i % 3) as f32 / 3.0);
-        assert_eq!(a.predict(&videos), b.predict(&videos));
-        let c = VideoScenarioTransformer::new(tiny_cfg(), 8);
-        assert_eq!(a.num_params(), c.num_params());
     }
 
     #[test]

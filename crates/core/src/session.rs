@@ -1,8 +1,11 @@
 //! Streaming inference sessions: incremental, cache-aware extraction over
 //! continuous frame feeds.
 //!
-//! A [`StreamSession`] turns the clip-at-a-time extractor into a per-stream
-//! object: frames arrive in arbitrary chunks via
+//! A whole window asked about once is not a stream: it runs the batched
+//! window forward of
+//! [`extract_window_batch`](crate::ScenarioExtractor::extract_window_batch).
+//! This module serves feeds whose windows overlap. A [`StreamSession`]
+//! takes frames in arbitrary chunks via
 //! [`push_frames`](StreamSession::push_frames), and
 //! [`describe`](StreamSession::describe) reads out the scenario for the
 //! most recent window. Overlapping windows share most of their frames, and
@@ -11,7 +14,7 @@
 //! * **Tubelet + spatial stage, cached per group.** Every `tubelet_t`
 //!   consecutive frames form a time group. The tubelet embedding and the
 //!   spatial encoder are free of temporal position (see
-//!   [`ClipEncoder::spatial_summaries`](crate::ClipEncoder::spatial_summaries)),
+//!   [`ClipEncoder::spatial_summaries`](crate::encoder::ClipEncoder::spatial_summaries)),
 //!   so a group's frame summary depends only on its own pixels and is
 //!   cached in a ring keyed by **absolute group index**. Sliding the window
 //!   recomputes only newly arrived groups.
@@ -40,14 +43,15 @@
 //! whose memo is stale into one temporal-stage + heads forward, whose rows
 //! are batch-independent too. A serving scheduler multiplexing N streams
 //! therefore pays **two forwards per tick** whatever N is.
-//! [`StreamSession`] keeps the original single-stream API by staging and
-//! immediately self-consuming on every push, and reads out through the
-//! same function at N = 1.
+//! [`StreamSession`] is the single-stream API: it stages and immediately
+//! self-consumes on every push, and reads out through the same function at
+//! N = 1.
 //!
 //! Parity is the contract: a session's head logits are **bit-identical** to
-//! a full recompute of the same window (all readouts, workspace modes, and
-//! batched-vs-solo group encodes and readouts) — pinned by
-//! `tests/streaming_parity.rs`. Cache effectiveness is observable through
+//! the batched window forward over the same window (all readouts,
+//! workspace modes, and batched-vs-solo group encodes and readouts) —
+//! pinned by `tests/streaming_parity.rs` and, against the tape, by
+//! `executor_parity.rs`. Cache effectiveness is observable through
 //! the `stage/cache_hit`, `stage/cache_miss`, and `stage/window_hit`
 //! metric counters.
 
@@ -269,7 +273,7 @@ fn refresh_windows(
 fn infer_windows(model: &VideoScenarioTransformer, windows: Tensor) -> WindowLogits {
     let ex = &mut model.eval();
     let emb = match model.config().attention {
-        AttentionKind::Factorized => model.encoder_ref().temporal_readout(ex, &windows, false).0,
+        AttentionKind::Factorized => model.encoder_ref().temporal_readout(ex, &windows),
         // Joint attention reruns the whole encoder; only the projection
         // work was cached.
         AttentionKind::Joint => model.encoder_ref().forward(ex, &windows),
@@ -318,19 +322,9 @@ impl StreamState {
         }
     }
 
-    /// The configuration this state was created for.
-    pub fn config(&self) -> &ModelConfig {
-        &self.cfg
-    }
-
     /// Total frames accepted so far.
     pub fn frames_seen(&self) -> u64 {
         self.frames_seen
-    }
-
-    /// Completed groups staged but not yet encoded.
-    pub fn staged_groups(&self) -> usize {
-        self.staged.len()
     }
 
     /// Whether a full window of frames has arrived (staged groups count —
@@ -341,7 +335,7 @@ impl StreamState {
 
     /// Absolute group index range `[start, end)` of the current window, or
     /// `None` before the first full window.
-    pub fn window_groups(&self) -> Option<(u64, u64)> {
+    pub(crate) fn window_groups(&self) -> Option<(u64, u64)> {
         if !self.ready() {
             return None;
         }
@@ -490,16 +484,6 @@ impl<'m> StreamSession<'m> {
         StreamSession { model, state: StreamState::new(*model.config()) }
     }
 
-    /// The configuration of the underlying model.
-    pub fn config(&self) -> &ModelConfig {
-        self.model.config()
-    }
-
-    /// Total frames accepted so far.
-    pub fn frames_seen(&self) -> u64 {
-        self.state.frames_seen()
-    }
-
     /// Whether a full window of frames has arrived, i.e. whether
     /// [`describe`](Self::describe) will succeed.
     pub fn ready(&self) -> bool {
@@ -617,7 +601,7 @@ mod tests {
             let frame = Tensor::from_vec(v.data()[i * 256..(i + 1) * 256].to_vec(), &[1, 16, 16]);
             ragged.push_frames(&frame).unwrap();
         }
-        assert_eq!(whole.frames_seen(), ragged.frames_seen());
+        assert_eq!(whole.state.frames_seen, ragged.state.frames_seen);
         assert_eq!(whole.window_groups(), ragged.window_groups());
         assert_eq!(whole.logits().unwrap(), ragged.logits().unwrap());
     }
@@ -633,7 +617,7 @@ mod tests {
         assert_eq!(s.push_frames(&video(2, 9.0)).unwrap(), 1);
         s.describe().unwrap();
         assert_eq!(s.window_groups(), Some((1, 3)));
-        assert_eq!(s.frames_seen(), 6);
+        assert_eq!(s.state.frames_seen, 6);
     }
 
     #[test]
@@ -705,7 +689,7 @@ mod tests {
         bad.set(&[0, 0, 3], f32::NAN);
         assert_eq!(s.push_frames(&bad), Err(ExtractError::NonFinite { index: 3 }));
         // Nothing was buffered by the failed pushes.
-        assert_eq!(s.frames_seen(), 0);
+        assert_eq!(s.state.frames_seen, 0);
         let v = video(4, 5.0);
         s.push_frames(&v).unwrap();
         assert_eq!(s.describe().unwrap(), ex.extract_checked(&v).unwrap());
@@ -734,14 +718,14 @@ mod tests {
         let v = video(4, 11.0);
         let scope = metrics::scope();
         assert_eq!(st.stage_frames(&v).unwrap(), 2);
-        assert_eq!(st.staged_groups(), 2);
+        assert_eq!(st.staged.len(), 2);
         assert!(st.ready(), "staged groups count toward readiness");
         let snap = scope.snapshot();
         drop(scope);
         assert_eq!(snap.counter("stage/cache_miss"), 0, "staging must not encode");
         // Describe self-serves the staged groups and matches one-shot.
         assert_eq!(st.describe(ex.model()).unwrap(), ex.extract_checked(&v).unwrap());
-        assert_eq!(st.staged_groups(), 0);
+        assert_eq!(st.staged.len(), 0);
     }
 
     #[test]

@@ -43,7 +43,7 @@ use std::time::Instant;
 
 /// Verbosity of the JSONL training log, from `TSDX_LOG`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LogLevel {
+pub(crate) enum LogLevel {
     /// No log file at all (the default).
     Off,
     /// Run-level events: start/end, epochs, checkpoints, faults.
@@ -134,7 +134,7 @@ impl TrainLogger {
     /// Opens the log for a training run of `model`.
     ///
     /// With `path` set (from `ResilienceConfig::log_path`) the file is
-    /// created there and the level is forced to [`LogLevel::Debug`];
+    /// created there and the level is forced to `debug`;
     /// otherwise the level comes from `TSDX_LOG` and the file goes to
     /// `results/logs/<model>-<pid>.jsonl`. A disabled logger touches the
     /// filesystem not at all.
@@ -160,11 +160,6 @@ impl TrainLogger {
     /// A logger that records nothing.
     pub fn disabled() -> TrainLogger {
         TrainLogger { out: None, level: LogLevel::Off }
-    }
-
-    /// True when `step` events will be written.
-    pub fn step_level(&self) -> bool {
-        self.out.is_some() && self.level >= LogLevel::Debug
     }
 
     fn write(&mut self, event: &str, fields: &[(&str, Val<'_>)]) {
@@ -335,7 +330,6 @@ mod tests {
         log.train_start("m", 1, 1, 1);
         log.step(0, 0, 1.0, 1e-3, 1.0);
         log.train_end(1, 1, 0, Some(1.0));
-        assert!(!log.step_level());
     }
 
     #[test]
@@ -344,7 +338,6 @@ mod tests {
             std::env::temp_dir().join(format!("tsdx-telemetry-unit-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let mut log = TrainLogger::for_run("test-model", Some(&path));
-        assert!(log.step_level());
         log.train_start("test-model", 2, 4, 8);
         log.step(0, 0, 0.75, 1e-3, 2.5);
         log.train_end(2, 1, 0, Some(0.75));

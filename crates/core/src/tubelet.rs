@@ -9,7 +9,7 @@
 //! Embedding stops at the projection plus the *spatial* position: the
 //! temporal position is a window-relative quantity, so it is applied at the
 //! temporal-stage boundary by the encoder (see
-//! [`ClipEncoder`](crate::ClipEncoder)). That split is what lets a
+//! [`ClipEncoder`](crate::encoder::ClipEncoder)). That split is what lets a
 //! streaming session cache per-group embeddings by absolute frame index —
 //! a group's embedding no longer depends on where the group happens to sit
 //! inside the current window.
@@ -87,7 +87,7 @@ fn gather<const P: usize>(cfg: &ModelConfig, src: &[f32], out: &mut [f32]) {
 /// sessions can cache group embeddings by absolute index. The temporal
 /// position lives in the encoder's temporal stage instead.
 #[derive(Debug, Clone)]
-pub struct TubeletEmbed {
+pub(crate) struct TubeletEmbed {
     proj: Linear,
     /// Spatial positional embedding `[1, ns, D]` (broadcast over time).
     pos_space: tsdx_nn::ParamId,
@@ -97,7 +97,12 @@ pub struct TubeletEmbed {
 
 impl TubeletEmbed {
     /// Registers the projection and spatial positional parameters.
-    pub fn new(store: &mut ParamStore, rng: &mut impl Rng, name: &str, cfg: &ModelConfig) -> Self {
+    pub(crate) fn new(
+        store: &mut ParamStore,
+        rng: &mut impl Rng,
+        name: &str,
+        cfg: &ModelConfig,
+    ) -> Self {
         let proj = Linear::new(store, rng, &format!("{name}.proj"), cfg.tubelet_volume(), cfg.dim);
         let pos_space = store.add(
             format!("{name}.pos_space"),
@@ -111,7 +116,7 @@ impl TubeletEmbed {
     /// of time groups (`nt >= 1`) — the computation is per-group, so a
     /// single streamed group embeds bit-identically to the same group
     /// inside a full window.
-    pub fn forward<E: Exec>(&self, ex: &mut E, tubelets: &E::V) -> E::V {
+    pub(crate) fn forward<E: Exec>(&self, ex: &mut E, tubelets: &E::V) -> E::V {
         let sh = ex.shape(tubelets);
         let (b, n) = (sh[0], sh[1]);
         assert!(

@@ -187,13 +187,14 @@ fn steady_state_extraction_allocates_per_value_not_per_tape_node() {
     eprintln!("alloc/extract: {} calls / {} bytes", per(calls), per(bytes));
     assert!(bytes > 0, "counting allocator saw no traffic");
     // Extraction runs the non-recording executor, so what allocates is the
-    // values themselves, a buffer header per tensor: 80 calls per
-    // extraction, 68 of them `Arc` headers. A `Vec` of inputs per concat
-    // made it 82; two dim vectors per tensor 436; binding ~100 parameters
+    // values themselves, a buffer header per tensor: 63 calls per
+    // extraction, the batched window forward at B = 1. Through a
+    // single-window stream session it was 80; with a `Vec` of inputs per
+    // concat 82; two dim vectors per tensor 436; binding ~100 parameters
     // into a tape and recording a node per op 797; the composed attention
     // graph 1061; the unfused tape 1577.
     assert!(
-        per(calls) <= 84,
+        per(calls) <= 66,
         "extraction allocates per value and the forward grew: {} calls",
         per(calls)
     );
@@ -381,8 +382,8 @@ fn steady_state_stream_push_allocates_per_frame_not_per_window() {
         }
         let (c1, b1) = snapshot();
 
-        // Full recompute of the same windows: a cold session per window
-        // (the `extract_checked` path), arena equally warm.
+        // Full recompute of the same windows: a cold session per window,
+        // arena equally warm.
         let mut start = cfg.frames;
         for _ in 0..WARMUP {
             let mut cold = ex.open_stream();

@@ -4,7 +4,9 @@
 //! the linear layers and LayerNorm row by row, attention tile by tile, one
 //! realization at every size — so a batched forward must leave, in each
 //! clip's rows, the bits that clip gets extracted alone: the logits, not
-//! only the decoded scenarios. Sixteen clips is training's batch and, for
+//! only the decoded scenarios. `extract_checked` is `extract_window_batch`
+//! at B = 1, so the decoded half compares the served route at B = 16 with
+//! itself at B = 1. Sixteen clips is training's batch and, for
 //! the default model, past 2¹⁶ attention scores per stage — where a second
 //! attention kernel with different rounding used to take over.
 

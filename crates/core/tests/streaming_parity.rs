@@ -5,9 +5,11 @@
 //! new group produces **exactly** the bits a from-scratch forward pass over
 //! the same window produces — for every readout, attention kind, workspace
 //! mode and f32 kernel (`RunConfig::matrix`). The reference here is
-//! a *fresh* session per window, which is the same single forward path
-//! `extract_checked` uses, so the two public entry points cannot drift apart
-//! either. Nor do the bits move with the metrics tier a forward runs under.
+//! a *fresh* session per window: the stream route with nothing cached.
+//! `extract_checked` takes the other route, the batched window forward;
+//! the matrix test below holds the two to the same scenarios, and
+//! `executor_parity.rs` holds both routes' logits to the tape bit for bit.
+//! Nor do the bits move with the metrics tier a forward runs under.
 //!
 //! Bitwise equality (via `f32::to_bits`) is deliberate: the caches reuse
 //! per-group spatial outputs, rounds batch encodes and readouts across
@@ -60,8 +62,8 @@ fn slice_frames(video: &Tensor, start: usize, len: usize) -> Tensor {
     )
 }
 
-/// Full-recompute reference: a fresh session fed exactly one window — the
-/// same forward path as `extract_checked`, with no warm caches to reuse.
+/// Full-recompute reference: a fresh session fed exactly one window, with
+/// no warm caches to reuse.
 fn reference_logits(ex: &ScenarioExtractor, window: &Tensor) -> WindowLogits {
     let mut s = ex.open_stream();
     s.push_frames(window).expect("well-formed window");
@@ -257,7 +259,7 @@ fn batched_readout_matches_solo_describe_on_ragged_rounds_across_dials() {
 #[test]
 fn every_path_agrees_bitwise_under_every_run_configuration() {
     // The one in-process matrix. Four paths compute a window's logits — a
-    // one-shot extraction, a row of the batch of eight a full serving batch
+    // cold single-window session, a row of the batch of eight a full serving batch
     // stacks, a session slid over the video, and a stream muxed with another
     // through one batched encode and one batched readout per round — and
     // `RunConfig::matrix` lists every recycling mode and f32 kernel a

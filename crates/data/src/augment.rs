@@ -1,6 +1,5 @@
 //! Label-aware data augmentation.
 
-use rand::Rng;
 use tsdx_sdl::{EgoManeuver, Position, RoadKind, Scenario};
 use tsdx_tensor::Tensor;
 
@@ -58,13 +57,6 @@ pub fn flip_clip(clip: &Clip) -> Clip {
     let truth = flip_scenario(&clip.truth);
     let labels = ClipLabels::from_scenario(&truth);
     Clip { video: flip_video(&clip.video), truth, labels }
-}
-
-/// Adds a uniform brightness shift in `[-amount, amount]`, clamped to
-/// `[0, 1]`.
-pub fn jitter_brightness(video: &Tensor, amount: f32, rng: &mut impl Rng) -> Tensor {
-    let delta = rng.random_range(-amount..=amount);
-    video.map(|v| (v + delta).clamp(0.0, 1.0))
 }
 
 /// Expands a training set with horizontal flips (doubling it) — the
@@ -129,17 +121,6 @@ mod tests {
         assert_eq!(f.labels, ClipLabels::from_scenario(&f.truth));
         assert_eq!(f.truth.ego, EgoManeuver::LaneChangeRight);
         assert_eq!(f.truth.actors[0].position, Some(Position::Right));
-    }
-
-    #[test]
-    fn brightness_jitter_stays_in_range() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let v = Tensor::from_fn(&[1, 4, 4], |i| (i as f32) / 15.0);
-        let mut rng = StdRng::seed_from_u64(0);
-        let j = jitter_brightness(&v, 0.3, &mut rng);
-        assert!(j.min() >= 0.0 && j.max() <= 1.0);
-        assert_eq!(j.shape(), v.shape());
     }
 
     #[test]

@@ -35,7 +35,7 @@ mod labels;
 mod split;
 mod stats;
 
-pub use augment::{augment_with_flips, flip_clip, flip_scenario, flip_video, jitter_brightness};
+pub use augment::{augment_with_flips, flip_clip, flip_scenario, flip_video};
 pub use batch::{collate, epoch_batches, Batch};
 pub use clipgen::{generate_clip, generate_dataset, Clip, DatasetConfig};
 pub use io::{load_clips, save_clips, DatasetIoError};

@@ -58,41 +58,6 @@ impl ScenarioFilter {
         ScenarioFilter::default()
     }
 
-    /// Builder: require an ego maneuver.
-    #[must_use]
-    pub fn with_ego(mut self, ego: EgoManeuver) -> Self {
-        self.ego = Some(ego);
-        self
-    }
-
-    /// Builder: require a road kind.
-    #[must_use]
-    pub fn with_road(mut self, road: RoadKind) -> Self {
-        self.road = Some(road);
-        self
-    }
-
-    /// Builder: require an actor kind.
-    #[must_use]
-    pub fn with_actor(mut self, actor: ActorKind) -> Self {
-        self.actor = Some(actor);
-        self
-    }
-
-    /// Builder: require an actor action.
-    #[must_use]
-    pub fn with_action(mut self, action: ActorAction) -> Self {
-        self.action = Some(action);
-        self
-    }
-
-    /// Builder: require an actor position.
-    #[must_use]
-    pub fn with_position(mut self, position: Position) -> Self {
-        self.position = Some(position);
-        self
-    }
-
     /// True when `scenario` satisfies every set constraint. Actor
     /// constraints must all hold on a *single* clause.
     pub fn matches(&self, scenario: &Scenario) -> bool {
@@ -202,6 +167,9 @@ mod tests {
         assert_eq!(matching(&f), vec![1]);
         let f: ScenarioFilter = "ego=cruise".parse().unwrap();
         assert_eq!(matching(&f), vec![0, 3]);
+        let f: ScenarioFilter =
+            "ego=cruise road=straight actor=vehicle action=leading position=ahead".parse().unwrap();
+        assert_eq!(matching(&f), vec![0]);
         assert_eq!(matching(&ScenarioFilter::any()).len(), 5);
     }
 
@@ -233,20 +201,5 @@ mod tests {
         let text = f.to_string();
         assert_eq!(text.parse::<ScenarioFilter>().unwrap(), f);
         assert_eq!(ScenarioFilter::any().to_string(), "(any)");
-    }
-
-    #[test]
-    fn builders_set_every_constraint() {
-        let f = ScenarioFilter::any()
-            .with_ego(EgoManeuver::Cruise)
-            .with_road(RoadKind::Straight)
-            .with_actor(ActorKind::Vehicle)
-            .with_action(ActorAction::Leading)
-            .with_position(Position::Ahead);
-        assert_eq!(
-            f,
-            "ego=cruise road=straight actor=vehicle action=leading position=ahead".parse().unwrap()
-        );
-        assert_eq!(matching(&f), vec![0]);
     }
 }

@@ -43,11 +43,6 @@ impl Vec2 {
         self.x * other.x + self.y * other.y
     }
 
-    /// 2-D cross product (z-component of the 3-D cross).
-    pub fn cross(&self, other: Vec2) -> f32 {
-        self.x * other.y - self.y * other.x
-    }
-
     /// Distance to `other`.
     pub fn distance(&self, other: Vec2) -> f32 {
         (*self - other).norm()
@@ -62,16 +57,6 @@ impl Vec2 {
     /// Heading of this vector in radians (`atan2(y, x)`).
     pub fn heading(&self) -> f32 {
         self.y.atan2(self.x)
-    }
-
-    /// Unit vector in the same direction (zero vector stays zero).
-    pub fn normalized(&self) -> Vec2 {
-        let n = self.norm();
-        if n > 0.0 {
-            Vec2 { x: self.x / n, y: self.y / n }
-        } else {
-            Vec2::ZERO
-        }
     }
 
     /// Linear interpolation: `self + t * (other - self)`.
@@ -167,7 +152,6 @@ mod tests {
         assert_eq!(a.norm(), 5.0);
         assert_eq!(a.norm_sq(), 25.0);
         assert_eq!(a.dot(Vec2::new(1.0, 0.0)), 3.0);
-        assert_eq!(a.cross(Vec2::new(1.0, 0.0)), -4.0);
         assert_eq!((a - a).norm(), 0.0);
         assert_eq!((-a).x, -3.0);
     }

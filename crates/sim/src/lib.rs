@@ -40,7 +40,7 @@ pub use actors::{body_size, Actor, ActorState, BodySize};
 pub use behavior::SpeedProfile;
 pub use labeler::{infer_actor_action, infer_ego_maneuver, relative_position};
 pub use path::Path;
-pub use road::{Lane, RoadLayout, APPROACH_LEN, CURVE_RADIUS, EXIT_LEN, HALF_LANE, LANE_WIDTH};
+pub use road::{Lane, RoadLayout, APPROACH_LEN, HALF_LANE, LANE_WIDTH};
 pub use scenario_gen::{ego_maneuvers_for, GeneratedScenario, SamplerConfig, ScenarioSampler};
 pub use vehicle::{speed_control, BicycleModel, BicycleState, PurePursuit};
 pub use world::{EgoSetup, EgoState, Trajectory, World};

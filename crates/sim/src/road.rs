@@ -21,10 +21,10 @@ pub const HALF_LANE: f32 = LANE_WIDTH / 2.0;
 pub const APPROACH_LEN: f32 = 80.0;
 
 /// Distance past the anchor where paths end.
-pub const EXIT_LEN: f32 = 120.0;
+const EXIT_LEN: f32 = 120.0;
 
 /// Radius used for curved roads.
-pub const CURVE_RADIUS: f32 = 45.0;
+const CURVE_RADIUS: f32 = 45.0;
 
 /// A drivable lane: an arc-length path at the lane center plus its width.
 #[derive(Debug, Clone, PartialEq)]

@@ -85,11 +85,6 @@ impl ScenarioSampler {
     /// Samples one scenario.
     pub fn sample(&self, rng: &mut impl Rng) -> GeneratedScenario {
         let road_kind = RoadKind::ALL[rng.random_range(0..RoadKind::COUNT)];
-        self.sample_on_road(rng, road_kind)
-    }
-
-    /// Samples one scenario on a fixed road kind.
-    pub fn sample_on_road(&self, rng: &mut impl Rng, road_kind: RoadKind) -> GeneratedScenario {
         let road = RoadLayout::build(road_kind);
         let ego_choices = ego_maneuvers_for(road_kind);
         let ego = ego_choices[rng.random_range(0..ego_choices.len())];
