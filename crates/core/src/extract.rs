@@ -53,6 +53,11 @@ pub enum ExtractError {
         /// `[height, width]` of the offending chunk.
         found: [usize; 2],
     },
+    /// The forward produced a NaN or infinite logit: a finite input
+    /// overflowed inside the model. Every route derives its answer from the
+    /// window's logits (and they from its clip embedding), so there is no
+    /// scenario to give.
+    NonFiniteOutput,
 }
 
 impl fmt::Display for ExtractError {
@@ -76,6 +81,9 @@ impl fmt::Display for ExtractError {
                     f,
                     "frame dimensions {found:?} do not match the model's expected {expected:?}"
                 )
+            }
+            ExtractError::NonFiniteOutput => {
+                write!(f, "the model's forward produced a non-finite logit")
             }
         }
     }
@@ -147,9 +155,10 @@ impl ScenarioExtractor {
     /// [`ExtractError::Empty`] when it has no frames,
     /// [`ExtractError::TooShort`] when it has fewer frames than one window,
     /// [`ExtractError::BadShape`] when its dimensions otherwise disagree
-    /// with the model configuration, and [`ExtractError::NonFinite`] when
-    /// any pixel is NaN or infinite — never a panic, so a malformed request
-    /// cannot take down a serving process.
+    /// with the model configuration, [`ExtractError::NonFinite`] when any
+    /// pixel is NaN or infinite, and [`ExtractError::NonFiniteOutput`] when
+    /// the forward overflows — never a panic, so a malformed request cannot
+    /// take down a serving process.
     pub fn extract_checked(&self, video: &Tensor) -> Result<Scenario, ExtractError> {
         self.extract_window_batch(&[video]).pop().expect("one result per window")
     }
@@ -204,8 +213,10 @@ impl ScenarioExtractor {
     /// per-forward fixed cost; the arithmetic per clip is the same, and so
     /// are its bits: every kernel computes a clip's rows from that clip
     /// alone, at any batch size. Malformed windows
-    /// get their own typed error and never contaminate the batch. The
-    /// output is positionally aligned with `videos`.
+    /// get their own typed error and never contaminate the batch, and a
+    /// window whose logits are not all finite gets
+    /// [`ExtractError::NonFiniteOutput`] instead of a scenario. The output
+    /// is positionally aligned with `videos`.
     ///
     /// When metrics are enabled, each stage of the forward records a
     /// latency histogram: `stage/tubelet_embed`, `stage/encoder`,
@@ -235,8 +246,12 @@ impl ScenarioExtractor {
             let labels = metrics::stage("stage/decode", || {
                 decode_logits(&l.ego, &l.road, &l.event, &l.position, &l.presence)
             });
-            for (&i, label) in valid.iter().zip(&labels) {
-                out[i] = Some(Ok(label.to_scenario()));
+            for (row, (&i, label)) in valid.iter().zip(&labels).enumerate() {
+                out[i] = Some(if l.row_is_finite(row) {
+                    Ok(label.to_scenario())
+                } else {
+                    Err(ExtractError::NonFiniteOutput)
+                });
             }
         }
         out.into_iter().map(|r| r.expect("every slot filled")).collect()
@@ -308,6 +323,47 @@ mod tests {
         let clip = &clips(1)[0];
         assert_eq!(a.extract_checked(clip), b.extract_checked(clip));
         assert_eq!(a.model().num_params(), c.model().num_params());
+    }
+
+    #[test]
+    fn an_overflowing_clip_is_a_typed_error_on_every_route() {
+        // Finite, so it passes validation, and large enough that the forward
+        // overflows: every logit NaN, which would decode to a scenario.
+        let ex = tiny_extractor(0);
+        let (hot, good) = (Tensor::full(&[4, 16, 16], f32::MAX), clips(1).remove(0));
+        assert_eq!(ex.validate_window(&hot), Ok(()));
+        type Route<'a> = Box<dyn Fn(&Tensor) -> Result<(), ExtractError> + 'a>;
+        let routes: [(&str, Route); 4] = [
+            ("one-shot", Box::new(|v| ex.extract_checked(v).map(drop))),
+            (
+                "batch",
+                Box::new(|v| ex.extract_window_batch(&[&good, v, &good]).remove(1).map(drop)),
+            ),
+            (
+                "stream describe",
+                Box::new(|v| {
+                    let mut s = ex.open_stream();
+                    s.push_frames(v)?;
+                    s.describe().map(drop)
+                }),
+            ),
+            (
+                "stream logits",
+                Box::new(|v| {
+                    let mut s = ex.open_stream();
+                    s.push_frames(v)?;
+                    s.logits().map(drop)
+                }),
+            ),
+        ];
+        for (route, run) in &routes {
+            assert_eq!(run(&hot), Err(ExtractError::NonFiniteOutput), "{route}");
+            assert_eq!(run(&good), Ok(()), "{route}: a dataset-like clip still answers");
+        }
+        // The batch's neighbors keep their answers.
+        let batch = ex.extract_window_batch(&[&good, &hot, &good]);
+        assert_eq!(batch[0], ex.extract_checked(&good));
+        assert_eq!(batch[2], batch[0]);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use tsdx_data::{Batch, POSITION_COUNT};
 use tsdx_nn::{Exec, Linear, ParamStore};
 use tsdx_sdl::{vocab, ActorKind, EgoManeuver, RoadKind};
 use tsdx_tensor::ops::Activation;
-use tsdx_tensor::{Graph, Var};
+use tsdx_tensor::{Graph, Tensor, Var};
 
 /// Logits of all five heads for one batch, as handles of the executor that
 /// computed them: tape variables by default, the tensors themselves from the
@@ -22,6 +22,17 @@ pub struct HeadLogits<V = Var> {
     pub position: V,
     /// Actor presence logits `[B, 3]` (sigmoid semantics).
     pub presence: V,
+}
+
+impl HeadLogits<Tensor> {
+    /// Whether every logit of batch row `i` is finite — what a row must be
+    /// to be decoded into an answer.
+    pub(crate) fn row_is_finite(&self, i: usize) -> bool {
+        [&self.ego, &self.road, &self.event, &self.position, &self.presence].iter().all(|head| {
+            let width = head.shape()[1];
+            head.flat()[i * width..(i + 1) * width].iter().all(|x| x.is_finite())
+        })
+    }
 }
 
 /// Weight of the position cross-entropy and of the presence BCE in

@@ -179,8 +179,10 @@ pub fn encode_staged(
 /// answers [`ExtractError::TooShort`] and takes no part in the forward; a
 /// state whose memo already holds this window is a cache hit and takes no
 /// part either (no stale state, no forward at all); groups still staged on a
-/// ready state are encoded first. A memo is written only after the forward
-/// has completed, so a panic inside it leaves every state as it was.
+/// ready state are encoded first; a window whose logits are not all finite
+/// answers [`ExtractError::NonFiniteOutput`] and memoizes nothing. A memo is
+/// written only after the forward has completed, so a panic inside it leaves
+/// every state as it was.
 ///
 /// # Panics
 ///
@@ -211,7 +213,7 @@ fn refresh_windows(
         encode_staged(model, &mut ready);
     }
     let mut stale: Vec<usize> = Vec::new();
-    let results: Vec<Result<(), ExtractError>> = states
+    let mut results: Vec<Result<(), ExtractError>> = states
         .iter()
         .enumerate()
         .map(|(i, s)| {
@@ -259,6 +261,12 @@ fn refresh_windows(
         let s = &mut *states[i];
         metrics::stage_count("stage/cache_hit", nt.saturating_sub(s.fresh_groups) as u64);
         s.fresh_groups = 0;
+        if !logits.row_is_finite(row) {
+            // No answer to memoize: the next readout runs the forward again.
+            results[i] = Err(ExtractError::NonFiniteOutput);
+            s.window = None;
+            continue;
+        }
         s.window = Some(WindowCache {
             end: s.next_group,
             logits: window_row(&logits, row),
@@ -417,7 +425,8 @@ impl StreamState {
     /// # Errors
     ///
     /// [`ExtractError::TooShort`] before the first full window of frames
-    /// has arrived.
+    /// has arrived, [`ExtractError::NonFiniteOutput`] when the window's
+    /// forward overflows.
     pub fn logits(
         &mut self,
         model: &VideoScenarioTransformer,
@@ -525,7 +534,8 @@ impl<'m> StreamSession<'m> {
     /// # Errors
     ///
     /// [`ExtractError::TooShort`] before the first full window of frames
-    /// has arrived.
+    /// has arrived, [`ExtractError::NonFiniteOutput`] when the window's
+    /// forward overflows.
     pub fn logits(&mut self) -> Result<WindowLogits, ExtractError> {
         self.state.logits(self.model)
     }

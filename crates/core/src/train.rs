@@ -264,17 +264,21 @@ pub fn train_resilient(
 
     let skipped_at_start = skipped;
     let mut epoch_losses = Vec::with_capacity(cfg.epochs.saturating_sub(start_epoch));
+    // Every step records the same graph: the last one's node count sizes
+    // the next tape.
+    let mut tape_len = 0;
     for epoch in start_epoch..cfg.epochs {
         let batches = epoch_batches(clips, train_idx, cfg.batch_size, &mut rng);
         let mut loss_sum = 0.0;
         let mut good_batches = 0usize;
         for batch in &batches {
-            let mut g = tsdx_tensor::Graph::new();
+            let mut g = tsdx_tensor::Graph::with_capacity(tape_len);
             let binding = model.params().bind(&mut g);
             let logits = model.forward(&mut g, &binding, &batch.videos, &mut rng, true);
             let loss = multitask_loss(&mut g, &logits, batch);
             let loss_val = g.value(loss).item();
             let grads = g.backward(loss);
+            tape_len = g.len();
             let mut collected = model.params().collect_grads(&binding, &grads);
             #[cfg(feature = "fault-inject")]
             if tsdx_tensor::faults::NAN_GRAD.take_if(step) {
@@ -391,12 +395,14 @@ impl std::fmt::Display for EvalSummary {
 pub fn predict_labels(model: &dyn ClipModel, clips: &[Clip], idx: &[usize]) -> Vec<ClipLabels> {
     let mut out = Vec::with_capacity(idx.len());
     let mut rng = StdRng::seed_from_u64(0);
+    let mut tape_len = 0;
     for chunk in idx.chunks(16) {
         let refs: Vec<&Clip> = chunk.iter().map(|&i| &clips[i]).collect();
         let batch = collate(&refs);
-        let mut g = tsdx_tensor::Graph::new();
+        let mut g = tsdx_tensor::Graph::with_capacity(tape_len);
         let binding = model.params().bind_frozen(&mut g);
         let logits = model.forward(&mut g, &binding, &batch.videos, &mut rng, false);
+        tape_len = g.len();
         out.extend(decode_logits(
             g.value(logits.ego),
             g.value(logits.road),

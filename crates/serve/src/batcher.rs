@@ -53,7 +53,7 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use tsdx_core::ScenarioExtractor;
+use tsdx_core::{ExtractError, ScenarioExtractor};
 use tsdx_sdl::Scenario;
 use tsdx_tensor::dial::Precision;
 use tsdx_tensor::{metrics, Tensor};
@@ -476,9 +476,10 @@ fn run_clips(
                     batch_size: size,
                 })
             }
-            // Validation normally happens at admission; this arm only fires
-            // if a caller submitted unvalidated input.
-            Err(e) => Err(ServeError::InvalidInput(e)),
+            // Validation normally happens at admission, so this is an
+            // overflowing forward unless a caller submitted unvalidated
+            // input.
+            Err(e) => Err(refused(shared, e)),
         };
         let _ = job.work.reply.send(reply);
     }
@@ -570,7 +571,8 @@ fn stream_round(
             let (groups_new, readout) = staged?;
             // A session short of its first full window has no scenario yet;
             // that is its readout's only error.
-            let scenario = readout.filter(|_| g.ready()).transpose()?;
+            let scenario =
+                readout.filter(|_| g.ready()).transpose().map_err(|e| refused(shared, e))?;
             Ok(StreamAnswer {
                 session: j.work.entry.id(),
                 groups_new,
@@ -585,6 +587,15 @@ fn stream_round(
         })
         .collect();
     (replies, report.groups)
+}
+
+/// The reply for a readout that found no answer, counting the forwards that
+/// overflowed.
+fn refused(shared: &Shared, e: ExtractError) -> ServeError {
+    if e == ExtractError::NonFiniteOutput {
+        ServeStats::inc(&shared.stats.non_finite_outputs);
+    }
+    e.into()
 }
 
 /// Best-effort text of a panic payload.

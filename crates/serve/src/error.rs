@@ -170,6 +170,7 @@ pub fn extract_error_kind(e: &ExtractError) -> &'static str {
         ExtractError::Empty => "empty",
         ExtractError::TooShort { .. } => "too_short",
         ExtractError::BadFrameShape { .. } => "bad_frame_shape",
+        ExtractError::NonFiniteOutput => "internal",
         _ => "invalid_input",
     }
 }
@@ -218,8 +219,13 @@ impl Error for ServeError {
 }
 
 impl From<ExtractError> for ServeError {
+    /// A malformed input is the client's (422); a forward that overflowed
+    /// is the server's (500 `internal`): the input passed validation.
     fn from(e: ExtractError) -> Self {
-        ServeError::InvalidInput(e)
+        match e {
+            ExtractError::NonFiniteOutput => ServeError::Internal { detail: e.to_string() },
+            e => ServeError::InvalidInput(e),
+        }
     }
 }
 

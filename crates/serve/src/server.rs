@@ -949,7 +949,8 @@ mod tests {
         stats.record_mux_batch(3, 7);
         let counters = concat!(
             r#""accepted":0,"completed":0,"shed_queue_full":0,"shed_deadline":0,"shed_busy":0,"#,
-            r#""rejected":0,"panics_caught":0,"batches":0,"batched_clips":0,"queue_depth":0,"#,
+            r#""rejected":0,"panics_caught":0,"non_finite_outputs":0,"batches":0,"#,
+            r#""batched_clips":0,"queue_depth":0,"#,
             r#""active_sessions":0,"sessions_opened":0,"sessions_closed":0,"evicted_sessions":0,"#,
             r#""shed_sessions":0,"stream_pushes":0,"mux":{"batches":1,"groups":7,"occupancy":"#,
             r#"{"1":0,"2":0,"3_4":1,"5_8":0,"9_16":0,"17_plus":0}},"#,

@@ -72,6 +72,9 @@ serve_stats! {
         /// Handler or batch-forward panics captured (500s served instead of
         /// a crash).
         panics_caught,
+        /// Answers refused because the forward produced a non-finite logit
+        /// (500 `internal`: the input overflowed inside the model).
+        non_finite_outputs,
         /// Batched forwards executed.
         batches,
         /// Clips summed over all executed batches (mean batch size =

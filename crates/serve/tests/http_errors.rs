@@ -38,6 +38,49 @@ fn every_extract_error_variant_maps_stably() {
     }
 }
 
+/// A finite clip that overflows inside the forward (every pixel `f32::MAX`)
+/// passes validation but has no answer: one-shot, stream push and search by
+/// clip each serve 500 `internal`, `/stats` counts each, and the server
+/// keeps answering well-formed clips.
+#[test]
+fn an_overflowing_clip_is_500_internal_on_every_route() {
+    let e = ServeError::from(ExtractError::NonFiniteOutput);
+    assert_eq!((e.status(), e.kind(), e.retryable()), (500, "internal", false));
+
+    let corpus = std::sync::Arc::new(tsdx_serve::SearchService::build(
+        ["ego cruise; road straight", "ego turn-left; road intersection"]
+            .iter()
+            .map(|t| tsdx_sdl::parse_scenario(t).expect("valid SDL")),
+    ));
+    let mut server =
+        Server::start_with_search(tiny_extractor(), Some(corpus), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let octets = |pixels: &[f32]| pixels.iter().flat_map(|f| f.to_le_bytes()).collect::<Vec<_>>();
+    let (hot, good) = (octets(&[f32::MAX; 4 * 16 * 16]), octets(&valid_pixels()));
+    let clip = [("content-type", "application/octet-stream"), ("x-video-shape", "4x16x16")];
+    type Post<'a> = &'a dyn Fn(&[u8]) -> common::HttpResponse;
+    let routes: [(&str, Post); 3] = [
+        ("/v1/extract", &|body| {
+            Client::connect(addr).request("POST", "/v1/extract", &clip, body).unwrap()
+        }),
+        ("/sessions/<id>/frames", &|body| {
+            let path = format!("/sessions/{}/frames", common::create_session(addr));
+            Client::connect(addr).request("POST", &path, &clip, body).unwrap()
+        }),
+        ("/search", &|body| Client::connect(addr).request("POST", "/search", &clip, body).unwrap()),
+    ];
+    for (i, (route, post)) in routes.iter().enumerate() {
+        let resp = post(&hot);
+        assert_eq!(resp.status, 500, "{route}: {}", resp.body);
+        assert!(resp.body.contains("\"kind\":\"internal\""), "{route}: {}", resp.body);
+        let stats = get(addr, "/stats").body;
+        assert!(stats.contains(&format!("\"non_finite_outputs\":{}", i + 1)), "{route}: {stats}");
+        let resp = post(&good);
+        assert_eq!(resp.status, 200, "{route}: {}", resp.body);
+    }
+    server.shutdown();
+}
+
 /// The reachable validation failures, exercised over a real socket.
 #[test]
 fn invalid_videos_get_422_over_the_wire() {

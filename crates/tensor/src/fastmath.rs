@@ -36,15 +36,19 @@ pub(crate) const EXP_HI: f32 = 89.0;
 pub(crate) const EXP_LO: f32 = -87.336_54;
 
 /// log2(e), for range reduction.
-const LOG2E: f32 = std::f32::consts::LOG2_E;
+pub(crate) const LOG2E: f32 = std::f32::consts::LOG2_E;
 /// `ln 2` split into a high part exactly representable in `f32`…
-const LN2_HI: f32 = 0.693_359_375;
+pub(crate) const LN2_HI: f32 = 0.693_359_375;
 /// …and the low-order remainder (`ln 2 - LN2_HI`).
-const LN2_LO: f32 = -2.121_944_4e-4;
+pub(crate) const LN2_LO: f32 = -2.121_944_4e-4;
+/// Degree-5 minimax polynomial for `(e^r − 1 − r) / r²` on the reduced
+/// range, highest power first (Horner's rule).
+pub(crate) const EXP_POLY: [f32; 6] =
+    [1.987_569_1e-4, 1.398_199_9e-3, 8.333_452e-3, 4.166_579_6e-2, 1.666_666_6e-1, 5.000_000_1e-1];
 /// 1.5·2²³: adding it to `|v| < 2²²` rounds `v` to the nearest integer (ties
 /// to even) and leaves that integer, two's complement, in the low mantissa
 /// bits of the sum — a float→int conversion with no cast instruction.
-const ROUND_MAGIC: f32 = 12_582_912.0;
+pub(crate) const ROUND_MAGIC: f32 = 12_582_912.0;
 
 /// `e^x`, Cephes `expf`: under 1 ulp (swept in the tests), exact at `x = 0`.
 ///
@@ -64,13 +68,10 @@ pub fn exp(x: f32) -> f32 {
     let shifted = x.mul_add(LOG2E, ROUND_MAGIC);
     let n = shifted - ROUND_MAGIC;
     let r = n.mul_add(-LN2_LO, n.mul_add(-LN2_HI, x));
-    // Degree-5 minimax polynomial for (e^r - 1 - r) / r^2 on the reduced range.
-    let mut p = 1.987_569_1e-4_f32;
-    p = p.mul_add(r, 1.398_199_9e-3);
-    p = p.mul_add(r, 8.333_452e-3);
-    p = p.mul_add(r, 4.166_579_6e-2);
-    p = p.mul_add(r, 1.666_666_6e-1);
-    p = p.mul_add(r, 5.000_000_1e-1);
+    let mut p = EXP_POLY[0];
+    for &c in &EXP_POLY[1..] {
+        p = p.mul_add(r, c);
+    }
     let e_r = p.mul_add(r * r, r) + 1.0;
     // n in [-126, 128] as an integer, then halved so each factor's biased
     // exponent lands in [64, 191]: a normal float, never inf or zero.

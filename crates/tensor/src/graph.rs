@@ -155,6 +155,13 @@ impl Graph {
         Graph { nodes: Vec::new() }
     }
 
+    /// Creates an empty tape with room for `nodes` nodes: a loop that
+    /// records the same step again passes the last step's [`len`](Self::len)
+    /// and the tape never reallocates while it grows.
+    pub fn with_capacity(nodes: usize) -> Self {
+        Graph { nodes: Vec::with_capacity(nodes) }
+    }
+
     /// Number of recorded nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()

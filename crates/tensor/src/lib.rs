@@ -45,8 +45,9 @@
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the crate is safe code except for one
 // audited island that allows `unsafe_code` — `ops::matmul::avx512`, the
-// 512-bit f32 GEMM micro-kernel (which LLVM does not form from safe loops)
-// plus the AVX-512F compiles of the safe GELU and softmax bodies. It is
+// 512-bit f32 GEMM micro-kernel (which LLVM does not form from safe loops),
+// the AVX-512F compiles of the safe GELU and softmax bodies, and the `zmm`
+// lanes of the attention and layer-norm kernels. It is
 // selected at run time, checks its extents and the CPU feature at a safe
 // entry, and is pinned bit-identical to a safe reference by a parity test
 // (see its module docs).

@@ -1,19 +1,36 @@
-//! Multi-head scaled-dot-product attention: one head-tile kernel for every
+//! Multi-head scaled-dot-product attention: one lane kernel for every
 //! shape, training and eval.
 //!
 //! [`attention`] takes the *unsplit* projections — `q [.., Tq, H·dh]`,
 //! `k [.., Tk, H·dh]`, `v [.., Tk, H·dv]` — and returns the *merged*
-//! `[.., Tq, H·dv]`, walking `(batch, head)` tiles. Per batch element `kᵀ`
-//! is transposed once into `[H·dh][32]` tiles ([`transpose_tile`]); then, for
-//! each block of 32 query rows, every head's scores go through the GEMM
-//! micro-kernel ([`mul_cols`]), the row softmax with `scale` folded into its
-//! first pass runs once over all of them ([`softmax_rows`] — the function
-//! [`super::softmax_last`] runs), and a second micro-kernel call per head
-//! stores the context straight at its merged position (output row stride
-//! `H·dv`, columns `h·dv..`). No head split, no `kᵀ` view, no scale pass, no
-//! merge copy, and the `[.., H, Tq, Tk]` probabilities are materialized only
-//! when the caller keeps them ([`attention_with_probs`], for backward and
-//! introspection); otherwise scratch is `O(H·(32 + dh)·Tk)`.
+//! `[.., Tq, H·dv]`. Its `(batch element, head)` pairs are independent
+//! problems of a few short rows each (17 tokens or 5 at the model's shapes,
+//! `dh` 16), far too small for a GEMM tile, so the kernel ([`Ctx::lanes`])
+//! puts sixteen pairs side by side in the lanes of one vector and lets each
+//! lane replay its pair's scalar chain. Per lane group the pairs' K head
+//! slices are transposed lane-major once, and per query row its Q slices
+//! ([`Lanes::gather`]); a row's scores are `Tk` independent fused
+//! multiply-add chains over `d`, then `·scale` and the running maximum as
+//! each is stored, `− max`, [`crate::fastmath::exp`] summed on the way in
+//! `lane_sum`'s order ([`lanes_fold`]), and a true division, all lane-wise;
+//! the context is computed in row layout straight into its merged position
+//! ([`Lanes::weighted_rows`]: each lane's V rows weighted by its lane of the
+//! probabilities, one chain per element over the keys; output row stride
+//! `H·dv`, columns `h·dv..`), so V is never transposed and the output never
+//! transposed back. Two query rows per lane go at once while two are left,
+//! each K and V element loaded feeding both; a call with fewer pairs than
+//! lanes — a stream round's 8, one clip's temporal window's 4 — gives the
+//! spare lanes further query rows of the same pairs. No head split, no `kᵀ`
+//! view, no scale pass, no merge copy, and the `[.., H, Tq, Tk]`
+//! probabilities are stored only when the caller keeps them
+//! ([`attention_with_probs`], for backward and introspection); scratch is
+//! `16·(Tk·dh + 2·dh + 2·Tk)` floats.
+//!
+//! Where the `KERNEL` dial selects the AVX-512 kernel, the same body runs as
+//! compiled for AVX-512F with `zmm` lanes and 16×16 in-register
+//! transposes (`matmul::avx512::attention`); elsewhere, as compiled for the
+//! build baseline with `[f32; 16]` lanes and element-by-element moves
+//! ([`Portable`]), the parity reference.
 //!
 //! # Same bits as the composition
 //!
@@ -23,17 +40,18 @@
 //! every GEMM path builds, see [`super::matmul`](mod@super::matmul)), then
 //! `·scale` and `− max` each rounded once, the shared exponential and lane
 //! sum, a true division, and a context element is again one ascending
-//! fused-multiply-add chain over the keys. Tiling and row blocking only
-//! decide where an element is computed, never its chain, so results do not
-//! depend on shape or batch size. `tests/attention_parity.rs` pins all of it
-//! against the composition of public ops.
+//! fused-multiply-add chain over the keys. Lanes, blocking and the order of
+//! the chains only decide where an element is computed, never its chain, so
+//! results do not depend on shape, batch size or kernel.
+//! `tests/attention_parity.rs` pins all of it against the composition of
+//! public ops.
 //!
 //! [`attention_backward`] is the composed rule on the kept probabilities,
 //! through the same [`super::matmul()`] and softmax-backward kernels the
 //! composed graph's backward runs.
 
-use super::matmul::{mul_cols, transpose_tile, use_avx512, Epilogue, Groups, Mat, NC};
-use super::reduce::{softmax_last_backward, softmax_rows};
+use super::matmul::use_avx512;
+use super::reduce::{lanes_fold, softmax_last_backward, Lane, Lanes, Portable, LANES};
 use super::{matmul, permute, scale, transpose_last2};
 use crate::shape::Dims;
 use crate::workspace::{self, Scratch};
@@ -106,79 +124,257 @@ impl<'a> Slab<'a> {
         let dense = dense.insert(t.contiguous());
         Slab { data: dense.raw_data(), base: dense.offset(), bs: rows * width, rs: width }
     }
-
-    /// The matrix of batch element `b`, from its row `row` and column `col`.
-    fn mat(&self, b: usize, row: usize, col: usize) -> Mat<'a> {
-        Mat {
-            data: self.data,
-            base: self.base + b * self.bs + row * self.rs + col,
-            rs: self.rs,
-            cs: 1,
-        }
-    }
 }
 
 /// The operands and geometry of one attention call.
-struct Ctx<'a> {
+pub(super) struct Ctx<'a> {
     q: Slab<'a>,
     k: Slab<'a>,
     v: Slab<'a>,
     geom: Geom,
     scale: f32,
-    avx512: bool,
 }
 
+/// Keys per block of score chains in the build baseline's compile: four
+/// lane vectors of accumulators per query row are eight of its sixteen
+/// `ymm` registers. (The AVX-512F compile's blocks are `matmul::avx512`'s.)
+const YMM_KEYS: usize = 4;
+
 impl Ctx<'_> {
-    /// Every batch element into `out` (whole `[Tq, H·dv]` slabs) and, when
-    /// kept, their probabilities into `probs` (whole `[H, Tq, Tk]` slabs).
-    /// Every element of both is stored.
-    ///
-    /// Per batch element `kᵀ` is transposed once, all heads together; per
-    /// block of [`NC`] query rows every head's scores land in one
-    /// `[H, rows, Tk]` block, so the softmax is one call over `H·rows` rows
-    /// and the heads' products — short dependent chains when `rows` is small
-    /// (a CLS-row block has one) — sit back to back where they overlap.
-    fn batches(&self, out: &mut [f32], mut probs: Option<&mut [f32]>) {
-        let Geom { tq, tk, heads, dh, dv, .. } = self.geom;
-        let (d, n) = (heads * dh, heads * dv);
-        let block_max = heads * NC.min(tq) * tk;
-        // Each slot a product reads is written first: `kt` by the transposes
-        // of its tile, `scores` and `p` whole rows at a time.
-        let mut kt = Scratch::uninit(tk.div_ceil(NC) * d * NC);
-        let mut scores = Scratch::uninit(block_max);
-        let mut p = Scratch::uninit(block_max);
-        // Neither product has a bias or a residual to add at its store.
-        let none = &Epilogue::NONE;
-        for (b, oslab) in out.chunks_exact_mut(tq * n).enumerate() {
-            for (jt, tile) in kt.chunks_exact_mut(d * NC).enumerate() {
-                let w = NC.min(tk - jt * NC);
-                transpose_tile(self.avx512, tile, self.k.mat(b, jt * NC, 0), w, d);
-            }
-            for i0 in (0..tq).step_by(NC) {
-                let rows = NC.min(tq - i0);
-                let (s, p) = (&mut scores[..heads * rows * tk], &mut p[..heads * rows * tk]);
-                let block = rows * tk;
-                for (jt, tile) in kt.chunks_exact(d * NC).enumerate() {
-                    let cols = jt * NC..tk.min((jt + 1) * NC);
-                    let ktile = Mat { data: tile, base: 0, rs: NC, cs: 1 };
-                    let per_head =
-                        Groups { count: heads, o_step: block, a_step: dh, b_step: dh * NC };
-                    let q = self.q.mat(b, i0, 0);
-                    mul_cols(self.avx512, s, tk, cols, q, ktile, rows, dh, per_head, none);
-                }
-                softmax_rows(self.avx512, s, p, tk, self.scale);
-                let per_head = Groups { count: heads, o_step: dv, a_step: block, b_step: dv };
-                let (pm, v) = (Mat { data: p, base: 0, rs: tk, cs: 1 }, self.v.mat(b, 0, 0));
-                let o = &mut oslab[i0 * n..];
-                mul_cols(self.avx512, o, n, 0..dv, pm, v, rows, tk, per_head, none);
-                if let Some(kept) = probs.as_deref_mut() {
-                    for (h, ph) in p.chunks_exact(block).enumerate() {
-                        kept[((b * heads + h) * tq + i0) * tk..][..block].copy_from_slice(ph);
-                    }
+    /// [`Ctx::lanes`] as compiled for AVX-512F where the `KERNEL` dial
+    /// selects the AVX-512 kernel, for the build baseline otherwise.
+    fn run(&self, out: &mut [f32], probs: Option<&mut [f32]>) {
+        #[cfg(target_arch = "x86_64")]
+        if use_avx512() {
+            return super::matmul::avx512::attention(self, out, probs);
+        }
+        self.lanes::<Portable, YMM_KEYS>(&Portable, out, probs)
+    }
+
+    /// Every pair's rows into `out` (whole `[Tq, H·dv]` slabs) and, when
+    /// kept, their probabilities into `probs` (whole `[H, Tq, Tk]` slabs),
+    /// sixteen pairs — or fewer pairs and several query rows each — per
+    /// lane group, computed and moved by `v`. Every element of both is
+    /// stored. `KB` keys per block of score chains. The body both compiles
+    /// of the kernel inline.
+    #[inline(always)]
+    pub(super) fn lanes<L: Lanes, const KB: usize>(
+        &self,
+        v: &L,
+        out: &mut [f32],
+        mut probs: Option<&mut [f32]>,
+    ) {
+        let Geom { nb, tq, tk, dh, .. } = self.geom;
+        let pairs = nb * self.geom.heads;
+        // Every slot is written before it is read: `kt` and `qt` by their
+        // gathers, `s` by the score chains.
+        let mut scratch = Scratch::uninit((tk * dh + 2 * (dh + tk)) * LANES);
+        let lanes = scratch.as_chunks_mut::<LANES>().0;
+        let (kt, rest) = lanes.split_at_mut(tk * dh);
+        let (qt, s) = rest.split_at_mut(2 * dh);
+        for p0 in (0..pairs).step_by(LANES) {
+            let group = Group::new(self, p0);
+            v.gather(self.k.data, &group.head(&self.k, dh), self.k.rs, tk, dh, kt);
+            // Two rounds of query rows at once while two are left: each K
+            // and V element loaded feeds both.
+            let mut i0 = 0;
+            while i0 < tq {
+                if tq - i0 > group.splits {
+                    self.rounds::<L, KB, 2>(v, &group, i0, kt, qt, s, out, probs.as_deref_mut());
+                    i0 += 2 * group.splits;
+                } else {
+                    let (qt, s) = (&mut qt[..dh], &mut s[..tk]);
+                    self.rounds::<L, KB, 1>(v, &group, i0, kt, qt, s, out, probs.as_deref_mut());
+                    i0 += group.splits;
                 }
             }
         }
     }
+
+    /// `R` rounds of one lane group's query rows from row `i0` on: round
+    /// `r`'s lane `l` takes row `i0 + r·splits + split(l)`. `qt` holds
+    /// `R·dh` lane vectors, `s` `R·Tk`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn rounds<L: Lanes, const KB: usize, const R: usize>(
+        &self,
+        v: &L,
+        group: &Group,
+        i0: usize,
+        kt: &[Lane],
+        qt: &mut [Lane],
+        s: &mut [Lane],
+        out: &mut [f32],
+        probs: Option<&mut [f32]>,
+    ) {
+        let Geom { tq, tk, heads, dh, dv, .. } = self.geom;
+        let Group { b, h, split, g, splits } = *group;
+        let n = heads * dv;
+        let mut row = [[0; LANES]; R];
+        let mut live = [0; R];
+        for (r, (row, live)) in row.iter_mut().zip(&mut live).enumerate() {
+            let first = i0 + r * splits;
+            // Lane `l`'s query row; idle lanes read a real row and store
+            // nothing.
+            *row = std::array::from_fn(|l| (first + split[l]).min(tq - 1));
+            *live = g * splits.min(tq.saturating_sub(first));
+        }
+        let (q, vs) = (&self.q, &self.v);
+        let q0 = group.head(q, dh);
+        for (qt, row) in qt.chunks_exact_mut(dh).zip(&row) {
+            v.gather(q.data, &std::array::from_fn(|l| q0[l] + row[l] * q.rs), 0, 1, dh, qt);
+        }
+        let mut max = [v.splat(f32::NEG_INFINITY); R];
+        scores::<L, KB, R>(v, qt, kt, s, v.splat(self.scale), &mut max);
+        for (s, &max) in s.chunks_exact_mut(tk).zip(&max) {
+            softmax(v, s, max);
+        }
+        if let Some(kept) = probs {
+            for ((s, row), &live) in s.chunks_exact(tk).zip(&row).zip(&live) {
+                let at = |l: usize| ((b[l] * heads + h[l]) * tq + row[l]) * tk;
+                v.scatter(s, tk, kept, &std::array::from_fn(at), live);
+            }
+        }
+        let at = row.map(|row| std::array::from_fn(|l| (b[l] * tq + row[l]) * n + h[l] * dv));
+        v.weighted_rows::<R>(s, vs.data, &group.head(vs, dv), vs.rs, dv, out, &at, live);
+    }
+}
+
+/// One lane group: `g` pairs from pair `p0` on, each in `splits` lanes that
+/// take every `splits`-th query row; lanes past `g·splits` idle. Per lane:
+/// its pair's batch element `b` and head `h`, and its `split`.
+struct Group {
+    b: [usize; LANES],
+    h: [usize; LANES],
+    split: [usize; LANES],
+    g: usize,
+    splits: usize,
+}
+
+impl Group {
+    fn new(ctx: &Ctx, p0: usize) -> Group {
+        let heads = ctx.geom.heads;
+        let g = LANES.min(ctx.geom.nb * heads - p0);
+        let pair: [usize; LANES] = std::array::from_fn(|l| p0 + l % g);
+        Group {
+            b: pair.map(|p| p / heads),
+            h: pair.map(|p| p % heads),
+            split: std::array::from_fn(|l| l / g),
+            g,
+            splits: LANES / g,
+        }
+    }
+
+    /// Where each lane's head slice of `x`'s first row starts, `w` the
+    /// head width.
+    fn head(&self, x: &Slab, w: usize) -> [usize; LANES] {
+        std::array::from_fn(|l| x.base + self.b[l] * x.bs + self.h[l] * w)
+    }
+}
+
+/// `s[r·Tk + j] = Σ_d qt[r·dh + d]·kt[j·dh + d] · scale` per lane for `R`
+/// query rows, and each row's running maximum into `max[r]`: one chain per
+/// key and row, fused-multiply-added from zero in ascending `d`, then
+/// `·scale` rounded and [`Lanes::keep_max`] in ascending `j` — the softmax's
+/// first pass as each score is stored. The chains of up to `KB` keys of
+/// every row are interleaved in registers ([`score_block`]), each key
+/// element loaded once for all rows.
+#[inline(always)]
+fn scores<L: Lanes, const KB: usize, const R: usize>(
+    v: &L,
+    qt: &[Lane],
+    kt: &[Lane],
+    s: &mut [Lane],
+    scale: L::V,
+    max: &mut [L::V; R],
+) {
+    let (dh, tk) = (qt.len() / R, s.len() / R);
+    let full = tk / KB * KB;
+    for j0 in (0..full).step_by(KB) {
+        score_block::<L, KB, R>(v, qt, &kt[j0 * dh..][..KB * dh], s, j0, scale, max);
+    }
+    let keys = &kt[full * dh..];
+    macro_rules! rest {
+        ($($n:literal)*) => {
+            match tk - full {
+                0 => {}
+                $($n => score_block::<L, $n, R>(v, qt, keys, s, full, scale, max),)*
+                _ => unreachable!("fewer than KB <= 9 keys remain"),
+            }
+        };
+    }
+    rest!(1 2 3 4 5 6 7 8);
+}
+
+/// The scaled scores of `N` keys from key `j0` on, `keys` their `N·dh` lane
+/// vectors, for each of the `R` query rows in `qt` (see [`scores`]).
+#[inline(always)]
+fn score_block<L: Lanes, const N: usize, const R: usize>(
+    v: &L,
+    qt: &[Lane],
+    keys: &[Lane],
+    s: &mut [Lane],
+    j0: usize,
+    scale: L::V,
+    max: &mut [L::V; R],
+) {
+    let (dh, tk) = (qt.len() / R, s.len() / R);
+    let keys: [&[Lane]; N] = std::array::from_fn(|j| &keys[j * dh..][..dh]);
+    let rows: [&[Lane]; R] = std::array::from_fn(|r| &qt[r * dh..][..dh]);
+    let mut acc = [[v.splat(0.0); N]; R];
+    for d in 0..dh {
+        let mut q = [v.splat(0.0); R];
+        for (q, row) in q.iter_mut().zip(rows) {
+            *q = v.load(&row[d]);
+        }
+        for (j, key) in keys.iter().enumerate() {
+            let k = v.load(&key[d]);
+            for (acc, &q) in acc.iter_mut().zip(&q) {
+                acc[j] = v.fma(q, k, acc[j]);
+            }
+        }
+    }
+    for ((acc, s), max) in acc.iter().zip(s.chunks_exact_mut(tk)).zip(max) {
+        for (&a, o) in acc.iter().zip(&mut s[j0..j0 + N]) {
+            let scaled = v.mul(a, scale);
+            *max = v.keep_max(scaled, *max);
+            v.store(scaled, o);
+        }
+    }
+}
+
+/// The rest of the row softmax of [`super::softmax_last`] on lane-major
+/// scaled scores whose row maxima are `max` (NaN ignored, −∞ for a row of
+/// nothing else), in place, lane by lane: `x − max` rounded, the
+/// exponential — summed on the way in `lane_sum`'s order — then divided
+/// by the sum.
+#[inline(always)]
+fn softmax<L: Lanes>(v: &L, s: &mut [Lane], max: L::V) {
+    let (chunks, rest) = s.as_chunks_mut::<8>();
+    let mut acc = [v.splat(0.0); 8];
+    for c in chunks {
+        for (a, x) in acc.iter_mut().zip(c) {
+            *a = v.add(*a, exp_in_place(v, x, max));
+        }
+    }
+    let mut tail = v.splat(0.0);
+    for x in rest {
+        tail = v.add(tail, exp_in_place(v, x, max));
+    }
+    let denom = lanes_fold(v, acc, tail);
+    for x in s.iter_mut() {
+        v.store(v.div(v.load(x), denom), x);
+    }
+}
+
+/// `x ← exp(x − max)`, returning the new `x`. (A function, not a closure:
+/// a closure over [`Lanes`] operations is compiled without the AVX-512F
+/// twin's target feature.)
+#[inline(always)]
+fn exp_in_place<L: Lanes>(v: &L, x: &mut Lane, max: L::V) -> L::V {
+    let e = v.exp(v.sub(v.load(x), max));
+    v.store(e, x);
+    e
 }
 
 /// Forward over every batch element; `keep` also returns the probabilities.
@@ -207,11 +403,10 @@ fn forward(
         v: Slab::new(v, &mut dense_v),
         geom,
         scale,
-        avx512: use_avx512(),
     };
     let mut out = workspace::take_uninit(nb * per_out);
     let mut probs = keep.then(|| workspace::take_uninit(nb * per_probs));
-    ctx.batches(&mut out, probs.as_deref_mut());
+    ctx.run(&mut out, probs.as_deref_mut());
     (Tensor::from_vec(out, &out_shape), probs.map(|p| Tensor::from_vec(p, &probs_shape())))
 }
 

@@ -23,21 +23,22 @@
 //! (`tests/avx512_parity.rs`). [`KERNEL`] names the one in use.
 //!
 //! [`mul_cols`] is that choice as one call — output columns against a
-//! unit-column-stride `B` — and what [`super::attention`] runs its `q·kᵀ` and
-//! `p·v` tiles through, with [`transpose_tile`] building the `kᵀ` tiles.
+//! unit-column-stride `B`.
 //!
 //! [`linear`] runs the same kernels with an [`Epilogue`]: the kernel adds
 //! the bias, and the residual unless GELU comes between them, to each
 //! accumulator block before its one store, so an affine layer is one pass
 //! over its output; a GELU layer's activation and residual follow it.
 //!
-//! [`avx512`] also holds two *twins*: the GELU pass ([`gelu_in_place`]) and
+//! [`avx512`] also holds the *twins*: the GELU pass ([`gelu_in_place`]) and
 //! the row softmax ([`super::reduce`]'s `softmax_rows`), each one safe
 //! `#[inline(always)]` body compiled a second time inside a
 //! `#[target_feature(enable = "avx512f")]` function, where LLVM vectorizes
 //! it over `zmm` registers (about a quarter off either pass at the model's
-//! shapes). The same `avx512` flag that picks the GEMM kernel picks the
-//! compile, so [`KERNEL`] is the one switch for all three.
+//! shapes); and the lane kernels of attention and layer norm, one generic
+//! body each compiled a second time with `zmm` lanes (`avx512::Zmm`). The
+//! same `avx512` flag that picks the GEMM kernel picks the compile, so
+//! [`KERNEL`] is the one switch for all of them.
 //!
 //! # Numerics
 //!
@@ -71,7 +72,7 @@ const J_TILE: usize = 16;
 
 /// Width of a gathered or transposed `B` tile, `[k][NC]`: two `zmm` vectors
 /// of the AVX-512 kernel, two tiles of the portable one.
-pub(super) const NC: usize = 32;
+const NC: usize = 32;
 
 /// True when [`gemm`] calls from this thread run the tiled path through the
 /// AVX-512 micro-kernel: [`KERNEL`] — the CPU has AVX-512F (always false off
@@ -374,30 +375,11 @@ fn batch_offset(batch: &[usize], strides: &[usize], mut bi: usize) -> usize {
 /// A matrix read through strides: element `(i, j)` is
 /// `data[base + i * rs + j * cs]`.
 #[derive(Clone, Copy)]
-pub(super) struct Mat<'a> {
-    pub(super) data: &'a [f32],
-    pub(super) base: usize,
-    pub(super) rs: usize,
-    pub(super) cs: usize,
-}
-
-/// How many independent products one [`mul_cols`] call runs, and how far
-/// apart they sit: product `g` reads `a` and `b` from `g * a_step` and
-/// `g * b_step` elements further on and writes `g * o_step` elements further
-/// into the output — the heads of an attention tile, whose operands are
-/// column groups of one buffer. The kernels' fixed cost per call (extent
-/// checks, the dispatch) is then paid once for all of them.
-#[derive(Clone, Copy)]
-pub(super) struct Groups {
-    pub(super) count: usize,
-    pub(super) o_step: usize,
-    pub(super) a_step: usize,
-    pub(super) b_step: usize,
-}
-
-impl Groups {
-    /// One product, where the operands say.
-    pub(super) const ONE: Groups = Groups { count: 1, o_step: 0, a_step: 0, b_step: 0 };
+struct Mat<'a> {
+    data: &'a [f32],
+    base: usize,
+    rs: usize,
+    cs: usize,
 }
 
 /// Register-tiled kernel over any `B` layout, through [`mul_cols`]: `B` with
@@ -421,7 +403,7 @@ fn tiled_kernel(
     let a = Mat { data: ad, base: a_base + i0 * ars, rs: ars, cs: acs };
     if bcs == 1 {
         let b = Mat { data: bd, base: b_base, rs: brs, cs: 1 };
-        return mul_cols(avx512, o, n, 0..n, a, b, rows, k, Groups::ONE, epi);
+        return mul_cols(avx512, o, n, 0..n, a, b, rows, k, epi);
     }
     // Every slot a tile's product reads is written by its gather first.
     let mut tile = Scratch::uninit(k * NC);
@@ -434,16 +416,15 @@ fn tiled_kernel(
             }
         }
         let b = Mat { data: &tile, base: 0, rs: NC, cs: 1 };
-        mul_cols(avx512, o, n, jt..jt + w, a, b, rows, k, Groups::ONE, epi);
+        mul_cols(avx512, o, n, jt..jt + w, a, b, rows, k, epi);
     }
 }
 
 /// `o[r * n + j] = Σₖ a[r, kk] · b[kk, j − cols.start]` plus what `epi` adds
 /// at the store (`bias[j]`, then the residual, laid out like `o`) for
 /// `r < rows`, `j ∈ cols`: output columns `cols` of `rows` rows of width
-/// `n`, `b` holding those columns from its column 0 with unit column stride
-/// — once per product of `groups`, each at its offsets. With `avx512`
-/// (only ever [`use_avx512`]'s answer) the columns go through
+/// `n`, `b` holding those columns from its column 0 with unit column stride.
+/// With `avx512` (only ever [`use_avx512`]'s answer) the columns go through
 /// [`avx512::mul_cols`], whose lane mask covers a ragged last vector;
 /// otherwise full [`J_TILE`]-column tiles go through [`tile_rows`] and the
 /// narrow column tail is plain per-element dot products. Either way each
@@ -454,7 +435,7 @@ fn tiled_kernel(
 ///
 /// Panics if `b.cs != 1` or an operand's extent reaches past its slice.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn mul_cols(
+fn mul_cols(
     avx512: bool,
     o: &mut [f32],
     n: usize,
@@ -463,61 +444,30 @@ pub(super) fn mul_cols(
     b: Mat,
     rows: usize,
     k: usize,
-    groups: Groups,
     epi: &Epilogue,
 ) {
     let (bias, res) = epi.at_store();
     #[cfg(target_arch = "x86_64")]
     if avx512 {
-        return avx512::mul_cols(o, n, cols, a, b, rows, k, groups, bias, res);
+        return avx512::mul_cols(o, n, cols, a, b, rows, k, bias, res);
     }
     #[cfg(not(target_arch = "x86_64"))]
     debug_assert!(!avx512, "the AVX-512 kernel exists on x86-64 only");
     assert_eq!(b.cs, 1, "the tile kernels want unit-stride B columns");
     let full = cols.len() - cols.len() % J_TILE;
-    for g in 0..groups.count {
-        let o = &mut o[g * groups.o_step..];
-        let res = res.map(|r| &r[g * groups.o_step..]);
-        let a = Mat { base: a.base + g * groups.a_step, ..a };
-        let b0 = b.base + g * groups.b_step;
-        for jt in (0..full).step_by(J_TILE) {
-            tile_rows(o, n, cols.start + jt, a, &b.data[b0 + jt..], b.rs, rows, k, bias, res);
-        }
-        for row in 0..rows {
-            for j in cols.start + full..cols.end {
-                let mut s = 0.0f32;
-                for kk in 0..k {
-                    s = a.data[a.base + row * a.rs + kk * a.cs]
-                        .mul_add(b.data[b0 + kk * b.rs + j - cols.start], s);
-                }
-                let at = row * n + j;
-                finish(std::slice::from_mut(&mut s), bias.map(|b| &b[j..]), res.map(|r| &r[at..]));
-                o[at] = s;
+    for jt in (0..full).step_by(J_TILE) {
+        tile_rows(o, n, cols.start + jt, a, &b.data[b.base + jt..], b.rs, rows, k, bias, res);
+    }
+    for row in 0..rows {
+        for j in cols.start + full..cols.end {
+            let mut s = 0.0f32;
+            for kk in 0..k {
+                s = a.data[a.base + row * a.rs + kk * a.cs]
+                    .mul_add(b.data[b.base + kk * b.rs + j - cols.start], s);
             }
-        }
-    }
-}
-
-/// Transposes `w ≤ `[`NC`] rows of `cols` unit-stride elements into a
-/// `[cols][NC]` tile — `tile[d * NC + j] = src[j, d]` — which is the layout
-/// [`mul_cols`] wants of a `B` that arrives as rows (`kᵀ` from `k`). Slots
-/// `j ≥ w` of a tile row are left as they were or zeroed.
-///
-/// # Panics
-///
-/// Panics if `src.cs != 1`, `w > NC`, or an extent reaches past its slice.
-pub(super) fn transpose_tile(avx512: bool, tile: &mut [f32], src: Mat, w: usize, cols: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if avx512 {
-        return avx512::transpose_tile(tile, src, w, cols);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    debug_assert!(!avx512, "the AVX-512 kernel exists on x86-64 only");
-    assert!(src.cs == 1 && w <= NC, "transpose_tile wants at most {NC} unit-stride rows");
-    for j in 0..w {
-        let row = &src.data[src.base + j * src.rs..][..cols];
-        for (d, &x) in row.iter().enumerate() {
-            tile[d * NC + j] = x;
+            let at = row * n + j;
+            finish(std::slice::from_mut(&mut s), bias.map(|b| &b[j..]), res.map(|r| &r[at..]));
+            o[at] = s;
         }
     }
 }
@@ -607,8 +557,10 @@ fn tile_rows(
 /// The explicit AVX-512F micro-kernel behind [`mul_cols`]: the crate's one
 /// island of `unsafe` code — raw loads and stores inside, every extent
 /// checked by the one safe entry, and a safe reference ([`tile_rows`])
-/// asserted bit-identical by `tests/avx512_parity.rs` — and the two twins
-/// ([`gelu`](avx512::gelu), [`softmax_rows`](avx512::softmax_rows)).
+/// asserted bit-identical by `tests/avx512_parity.rs` — the two twins
+/// ([`gelu`](avx512::gelu), [`softmax_rows`](avx512::softmax_rows)), and
+/// the `zmm` lanes of the attention and layer-norm kernels
+/// ([`attention`](avx512::attention), [`layer_norm`](avx512::layer_norm)).
 ///
 /// # Twins
 ///
@@ -659,19 +611,37 @@ fn tile_rows(
 /// under a `__mmask16`, and AVX-512 masked loads and stores do not access
 /// (or fault on) masked-off lanes.
 ///
-/// [`transpose_tile`](avx512::transpose_tile), the other entry, moves data
-/// without arithmetic (so it has no bits to keep) and is built the same way:
-/// source extent, tile length and the CPU feature asserted first, ragged
-/// source columns loaded under a mask, and its safe reference is the scalar
-/// loop in [`transpose_tile`].
+/// # Lane kernels
+///
+/// [`attention`](avx512::attention) and [`layer_norm`](avx512::layer_norm)
+/// compile the generic bodies the portable path runs
+/// ([`super::attention`](mod@super::attention)'s `Ctx::lanes`, [`super::norm`]'s
+/// `layer_norm_blocks`) with `Zmm` as their
+/// [`Lanes`](super::reduce::Lanes): every lane operation is the one AVX-512F
+/// instruction that is the IEEE operation the portable `f32` loop performs
+/// (the exponential `fastmath::exp`'s sequence of them, its clamp written so
+/// that a NaN stays NaN), so each lane keeps its row's bits;
+/// `tests/attention_parity.rs` and `tests/row_kernel_parity.rs` hold both
+/// compiles to the composition and to one-row references. The moves —
+/// `gather`, `scatter` (16×16 transposes in registers) and `weighted_rows`
+/// (each lane's rows weighted by its lane of a score vector, the attention
+/// context) — are built like [`mul_cols`](avx512::mul_cols): every extent
+/// asserted with overflow checks before the one `unsafe` block, ragged
+/// columns and idle lanes loaded or stored under a mask. A `Zmm` is built
+/// only by a `#[target_feature(enable = "avx512f")]` constructor, so holding
+/// one proves the CPU feature.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(super) mod avx512 {
     use std::arch::x86_64::*;
     use std::ops::Range;
 
-    use super::super::reduce::softmax_body;
-    use super::{gelu_body, Groups, Mat, NC};
+    use crate::fastmath;
+
+    use super::super::attention::Ctx;
+    use super::super::norm::layer_norm_blocks;
+    use super::super::reduce::{softmax_body, Lane, Lanes, LANES};
+    use super::{gelu_body, Mat, NC};
 
     /// Rows per register block: 6 rows × 4 vectors is 24 of the 32 `zmm`
     /// registers in accumulators, beside four `B` vectors and the `A`
@@ -680,8 +650,6 @@ pub(super) mod avx512 {
     /// heads — take [`MR_NARROW`] rows: 8–16 FMA chains cover the latency.
     const MR: usize = 6;
     const MR_NARROW: usize = 8;
-    /// `f32` lanes per `zmm` vector.
-    const LANES: usize = 16;
     /// Columns per register block: four vectors.
     const NB: usize = 4 * LANES;
     // A gathered or transposed tile is one block of two vectors.
@@ -702,7 +670,7 @@ pub(super) mod avx512 {
     }
 
     /// [`super::mul_cols`] with its store-time adds unpacked: `bias[j]`, then
-    /// `residual[r * n + j]` (laid out and offset per group like `o`).
+    /// `residual[r * n + j]` (laid out like `o`).
     ///
     /// # Panics
     ///
@@ -719,35 +687,21 @@ pub(super) mod avx512 {
         b: Mat,
         rows: usize,
         k: usize,
-        groups: Groups,
         bias: Option<&[f32]>,
         residual: Option<&[f32]>,
     ) {
-        if rows == 0 || cols.is_empty() || groups.count == 0 {
+        if rows == 0 || cols.is_empty() {
             return;
         }
         assert!(k > 0 && b.cs == 1, "avx512 kernel wants k > 0 and unit-stride B columns");
-        // Offsets only grow with the group index, so the last group's
-        // extents bound every group's.
-        let last = groups.count - 1;
-        fn at<'a>(m: Mat<'a>, group: usize, step: usize) -> Option<Mat<'a>> {
-            let base = m.base.checked_add(group.checked_mul(step)?)?;
-            Some(Mat { base, ..m })
-        }
-        let o_end = (|| {
-            let rows_before = (rows - 1).checked_mul(n)?;
-            last.checked_mul(groups.o_step)?.checked_add(rows_before)?.checked_add(cols.end)
-        })();
+        let o_end = (rows - 1).checked_mul(n).and_then(|r| r.checked_add(cols.end));
         assert!(
             cols.end <= n && o_end.is_some_and(|end| end <= o.len()),
             "avx512 kernel: {rows} rows of width {n} (columns {cols:?}) exceed the output slice"
         );
+        assert!(a.holds(rows, k), "avx512 kernel: A[{rows}, {k}] reaches past its slice");
         assert!(
-            at(a, last, groups.a_step).is_some_and(|a| a.holds(rows, k)),
-            "avx512 kernel: A[{rows}, {k}] reaches past its slice"
-        );
-        assert!(
-            at(b, last, groups.b_step).is_some_and(|b| b.holds(k, cols.len())),
+            b.holds(k, cols.len()),
             "avx512 kernel: B[{k}, {}] reaches past its slice",
             cols.len()
         );
@@ -772,26 +726,14 @@ pub(super) mod avx512 {
             n,
             k,
         };
-        for g in 0..groups.count {
-            // SAFETY: AVX-512F is present (last assert). For group `g`,
-            // `blocks` reads `a[g·a_step + r·ars + kk·acs]`, `b[g·b_step +
-            // kk·brs + j]`, `bias[c]`, `residual[i]` and writes `o[i]`, with
-            // `c = cols.start + j`, `i = g·o_step + r·n + c`, for `r < rows`,
-            // `kk < k`, `j < cols.len()` only; the asserts above put the
-            // largest of each, at the last group, inside its slice, steps and
-            // strides are unsigned so every other index is smaller, and `o`
-            // is borrowed mutably so nothing else aliases the writes.
-            unsafe {
-                let pg = Ptrs {
-                    a: p.a.add(g * groups.a_step),
-                    b: p.b.add(g * groups.b_step),
-                    o: p.o.add(g * groups.o_step),
-                    res: p.res.map(|r| r.add(g * groups.o_step)),
-                    ..p
-                };
-                blocks(pg, rows, cols.len());
-            }
-        }
+        // SAFETY: AVX-512F is present (last assert). `blocks` reads
+        // `a[r·ars + kk·acs]`, `b[kk·brs + j]`, `bias[c]`, `residual[i]` and
+        // writes `o[i]`, with `c = cols.start + j`, `i = r·n + c`, for
+        // `r < rows`, `kk < k`, `j < cols.len()` only; the asserts above put
+        // the largest of each inside its slice, strides are unsigned so every
+        // other index is smaller, and `o` is borrowed mutably so nothing else
+        // aliases the writes.
+        unsafe { blocks(p, rows, cols.len()) }
     }
 
     /// [`gelu_body`] compiled for AVX-512F: `zmm` vectors, the same
@@ -829,95 +771,503 @@ pub(super) mod avx512 {
         softmax_body(src, out, d, scale)
     }
 
-    /// `tile[d * NC + j] = src[j, d]` for `j < w`, `d < cols`: `w` rows of
-    /// `cols` unit-stride elements transposed into a `[cols][NC]` tile,
-    /// four rows at a time in registers. Slots `w..` of a tile row up to the
-    /// next multiple of four are zeroed, the rest left alone.
+    /// Keys per block of score chains in the attention twin: nine lane
+    /// vectors of accumulators in flight cover the fused multiply-add
+    /// latency (a 17-key row is a block of nine and one of eight).
+    const KEYS: usize = 9;
+
+    /// [`Ctx::lanes`] compiled for AVX-512F with [`Zmm`] lanes.
     ///
     /// # Panics
     ///
-    /// Panics — before reading or writing anything — if the CPU lacks
-    /// AVX-512F, `src.cs != 1`, `w > NC`, `src[w, cols]` reaches past its
-    /// slice or `tile` is shorter than `cols * NC` (the module's safety
-    /// contract).
-    pub(super) fn transpose_tile(tile: &mut [f32], src: Mat, w: usize, cols: usize) {
-        if w == 0 || cols == 0 {
-            return;
-        }
-        assert!(src.cs == 1 && w <= NC, "avx512 transpose wants at most {NC} unit-stride rows");
-        assert!(src.holds(w, cols), "avx512 transpose: src[{w}, {cols}] reaches past its slice");
-        assert!(
-            cols.checked_mul(NC).is_some_and(|len| len <= tile.len()),
-            "avx512 transpose: {cols} tile rows exceed the tile slice"
-        );
+    /// Panics if the CPU lacks AVX-512F, or where [`Ctx::lanes`] does.
+    pub(in crate::ops) fn attention(ctx: &Ctx, out: &mut [f32], probs: Option<&mut [f32]>) {
         assert!(crate::cpu::avx512f(), "avx512 kernel selected without AVX-512F");
-        // SAFETY: AVX-512F is present (last assert). `transpose` reads
-        // `src[j * rs + d]` for `j < w`, `d < cols` only — the assert above
-        // puts the largest of them inside the slice — and writes
-        // `tile[d * NC + j]` for `d < cols`, `j <` `w` rounded up to a
-        // multiple of four, which is at most `NC` because `NC` is one, so
-        // every write is below `cols * NC <= tile.len()`; `tile` is borrowed
-        // mutably so nothing aliases the writes.
-        unsafe { transpose(src.data[src.base..].as_ptr(), src.rs, w, cols, tile.as_mut_ptr()) }
+        // SAFETY: as in `gelu`.
+        unsafe { attention_zmm(ctx, out, probs) }
     }
 
-    /// Four source rows at a time: two rounds of in-lane unpacks turn four
-    /// 16-element row pieces into four vectors whose 128-bit lane `l` holds
-    /// source column `4l + i` of the four rows — one tile row's four
-    /// adjacent slots, stored with one 128-bit store. Rows past `w` enter
-    /// as zeros; columns past `cols` are masked off the loads and their
-    /// stores skipped.
+    #[target_feature(enable = "avx512f")]
+    fn attention_zmm(ctx: &Ctx, out: &mut [f32], probs: Option<&mut [f32]>) {
+        ctx.lanes::<Zmm, KEYS>(&Zmm::new(), out, probs)
+    }
+
+    /// [`layer_norm_blocks`] compiled for AVX-512F with [`Zmm`] lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CPU lacks AVX-512F, or where [`layer_norm_blocks`] does.
+    pub(in crate::ops) fn layer_norm(
+        src: &[f32],
+        gamma: &[f32],
+        beta: &[f32],
+        eps: f32,
+        out: &mut [f32],
+        stats: Option<(&mut [f32], &mut [f32])>,
+    ) {
+        assert!(crate::cpu::avx512f(), "avx512 kernel selected without AVX-512F");
+        // SAFETY: as in `gelu`.
+        unsafe { layer_norm_zmm(src, gamma, beta, eps, out, stats) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn layer_norm_zmm(
+        src: &[f32],
+        gamma: &[f32],
+        beta: &[f32],
+        eps: f32,
+        out: &mut [f32],
+        stats: Option<(&mut [f32], &mut [f32])>,
+    ) {
+        layer_norm_blocks(&Zmm::new(), src, gamma, beta, eps, out, stats)
+    }
+
+    /// `Zmm`'s [`Lanes::exp`] over whole lane vectors, for the exhaustive
+    /// test against [`fastmath::exp`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CPU lacks AVX-512F.
+    #[cfg(test)]
+    pub(super) fn exp_lanes(xs: &mut [Lane]) {
+        assert!(crate::cpu::avx512f(), "avx512 kernel selected without AVX-512F");
+        // SAFETY: as in `gelu`.
+        unsafe { exp_zmm(xs) }
+    }
+
+    #[cfg(test)]
+    #[target_feature(enable = "avx512f")]
+    fn exp_zmm(xs: &mut [Lane]) {
+        let v = Zmm::new();
+        for x in xs {
+            v.store(v.exp(v.load(x)), x);
+        }
+    }
+
+    /// The [`Lanes`] of the row-kernel twins: one `zmm` register per lane
+    /// vector, each operation its one AVX-512F instruction (the exponential,
+    /// [`fastmath::exp`]'s sequence of them), and sixteen rows moved as one
+    /// 16×16 block in registers ([`transpose16`]), ragged last columns
+    /// loaded or stored under a lane mask.
+    ///
+    /// Holding a `Zmm` proves the CPU has AVX-512F: its one constructor is a
+    /// safe `#[target_feature(enable = "avx512f")]` function, which safe
+    /// code can only call from a function compiled for that feature — the
+    /// twins above, entered after asserting it. That is the whole safety
+    /// argument of the arithmetic below, which touches no memory but its
+    /// `&Lane` operands.
+    struct Zmm(());
+
+    impl Zmm {
+        #[target_feature(enable = "avx512f")]
+        fn new() -> Zmm {
+            Zmm(())
+        }
+    }
+
+    impl Lanes for Zmm {
+        type V = __m512;
+
+        #[inline(always)]
+        fn load(&self, x: &Lane) -> __m512 {
+            // SAFETY: a `Zmm` exists; the load reads the sixteen floats of `x`.
+            unsafe { _mm512_loadu_ps(x.as_ptr()) }
+        }
+        #[inline(always)]
+        fn store(&self, v: __m512, x: &mut Lane) {
+            // SAFETY: a `Zmm` exists; the store writes the sixteen floats of `x`.
+            unsafe { _mm512_storeu_ps(x.as_mut_ptr(), v) }
+        }
+        #[inline(always)]
+        fn splat(&self, x: f32) -> __m512 {
+            // SAFETY: a `Zmm` exists (the CPU has AVX-512F).
+            unsafe { _mm512_set1_ps(x) }
+        }
+        #[inline(always)]
+        fn add(&self, a: __m512, b: __m512) -> __m512 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm512_add_ps(a, b) }
+        }
+        #[inline(always)]
+        fn sub(&self, a: __m512, b: __m512) -> __m512 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm512_sub_ps(a, b) }
+        }
+        #[inline(always)]
+        fn mul(&self, a: __m512, b: __m512) -> __m512 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm512_mul_ps(a, b) }
+        }
+        #[inline(always)]
+        fn div(&self, a: __m512, b: __m512) -> __m512 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm512_div_ps(a, b) }
+        }
+        #[inline(always)]
+        fn fma(&self, a: __m512, b: __m512, c: __m512) -> __m512 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm512_fmadd_ps(a, b, c) }
+        }
+        #[inline(always)]
+        fn keep_max(&self, x: __m512, m: __m512) -> __m512 {
+            // `vmaxps` returns its first operand where it compares greater,
+            // else its second — NaN included — which is `keep_max`.
+            // SAFETY: as in `splat`.
+            unsafe { _mm512_max_ps(x, m) }
+        }
+        #[inline(always)]
+        fn sqrt(&self, x: __m512) -> __m512 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm512_sqrt_ps(x) }
+        }
+        /// [`fastmath::exp`] operation for operation, but for its last
+        /// step (see there). Its `clamp` keeps a NaN, which
+        /// `vmaxps`/`vminps` do only with the bound as the first operand:
+        /// `max(LO, x)` is `x` unless `LO > x`.
+        #[inline(always)]
+        fn exp(&self, x: __m512) -> __m512 {
+            // SAFETY: as in `splat`.
+            unsafe {
+                let x = _mm512_min_ps(
+                    _mm512_set1_ps(fastmath::EXP_HI),
+                    _mm512_max_ps(_mm512_set1_ps(fastmath::EXP_LO), x),
+                );
+                let magic = _mm512_set1_ps(fastmath::ROUND_MAGIC);
+                let shifted = _mm512_fmadd_ps(x, _mm512_set1_ps(fastmath::LOG2E), magic);
+                let n = _mm512_sub_ps(shifted, magic);
+                let hi = _mm512_fmadd_ps(n, _mm512_set1_ps(-fastmath::LN2_HI), x);
+                let r = _mm512_fmadd_ps(n, _mm512_set1_ps(-fastmath::LN2_LO), hi);
+                let mut p = _mm512_set1_ps(fastmath::EXP_POLY[0]);
+                for &c in &fastmath::EXP_POLY[1..] {
+                    p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(c));
+                }
+                let e_r =
+                    _mm512_add_ps(_mm512_fmadd_ps(p, _mm512_mul_ps(r, r), r), _mm512_set1_ps(1.0));
+                // `exp` scales `e_r` by `2^⌊n/2⌋` and then by `2^⌈n/2⌉`: the
+                // first product is exact (a normal number), so the result is
+                // `e_r·2^n` rounded once — what `vscalefps` computes from
+                // the integer-valued `n`, overflow to +∞ and NaN included.
+                _mm512_scalef_ps(e_r, n)
+            }
+        }
+
+        #[inline(always)]
+        fn gather(
+            &self,
+            src: &[f32],
+            bases: &[usize; LANES],
+            rs: usize,
+            rows: usize,
+            w: usize,
+            dst: &mut [Lane],
+        ) {
+            if rows == 0 || w == 0 {
+                return;
+            }
+            let top = bases.iter().copied().max().unwrap_or(0);
+            let end = (rows - 1).checked_mul(rs).and_then(|r| r.checked_add(top)?.checked_add(w));
+            assert!(
+                end.is_some_and(|e| e <= src.len()),
+                "avx512 gather: a row reaches past its slice"
+            );
+            assert!(
+                rows.checked_mul(w).is_some_and(|n| n <= dst.len()),
+                "avx512 gather: {rows}×{w} lane vectors exceed the destination"
+            );
+            // SAFETY: AVX-512F is present (a `Zmm` exists). `gather` reads
+            // `src[bases[l] + r·rs + c]` and writes lane vector `r·w + c` of
+            // `dst` for `r < rows`, `c < w` only; the asserts put the largest
+            // of each inside its slice, and `dst` is borrowed mutably.
+            unsafe { gather(src.as_ptr(), bases, rs, rows, w, dst.as_mut_ptr().cast()) }
+        }
+
+        #[inline(always)]
+        fn scatter(
+            &self,
+            src: &[Lane],
+            w: usize,
+            dst: &mut [f32],
+            bases: &[usize; LANES],
+            live: usize,
+        ) {
+            let live = live.min(LANES);
+            if w == 0 || live == 0 {
+                return;
+            }
+            let top = bases[..live].iter().copied().max().unwrap_or(0);
+            assert!(
+                top.checked_add(w).is_some_and(|e| e <= dst.len()),
+                "avx512 scatter: a row reaches past its slice"
+            );
+            assert!(w <= src.len(), "avx512 scatter: {w} lane vectors exceed the source");
+            // SAFETY: AVX-512F is present (a `Zmm` exists). `scatter` reads
+            // lane vectors `c < w` of `src` and writes `dst[bases[l] + c]` for
+            // `c < w`, `l < live` only; the asserts put the largest of each
+            // inside its slice, and `dst` is borrowed mutably.
+            unsafe { scatter(src.as_ptr().cast(), w, dst.as_mut_ptr(), bases, live) }
+        }
+
+        #[inline(always)]
+        fn weighted_rows<const R: usize>(
+            &self,
+            p: &[Lane],
+            src: &[f32],
+            bases: &[usize; LANES],
+            rs: usize,
+            w: usize,
+            dst: &mut [f32],
+            at: &[[usize; LANES]; R],
+            live: [usize; R],
+        ) {
+            let (rows, live) = (p.len() / R, live.map(|n| n.min(LANES)));
+            let most = live.iter().copied().max().unwrap_or(0);
+            if rows == 0 || w == 0 || most == 0 {
+                return;
+            }
+            let top = bases.iter().copied().max().unwrap_or(0);
+            let end = (rows - 1).checked_mul(rs).and_then(|r| r.checked_add(top)?.checked_add(w));
+            assert!(
+                end.is_some_and(|e| e <= src.len()),
+                "avx512 rows: a row reaches past its slice"
+            );
+            for (at, &live) in at.iter().zip(&live) {
+                let top = at[..live].iter().copied().max().unwrap_or(0);
+                assert!(
+                    live == 0 || top.checked_add(w).is_some_and(|e| e <= dst.len()),
+                    "avx512 rows: an output row reaches past its slice"
+                );
+            }
+            let (p, src, dst) = (p.as_ptr().cast(), src.as_ptr(), dst.as_mut_ptr());
+            // SAFETY: AVX-512F is present (a `Zmm` exists). `weighted_rows`
+            // reads lane vectors `j < R·rows` of `p`, `src[bases[l] + j·rs +
+            // e]` for every lane and `e < w`, and writes `dst[at[r][l] + e]`
+            // for `l < live[r]`, `e < w` only; the asserts put the largest of
+            // each inside its slice, and `dst` is borrowed mutably.
+            unsafe {
+                let run = |n: usize, l0: usize| match n {
+                    4 => weighted_rows::<4, R>(p, rows, src, bases, rs, w, dst, at, live, l0),
+                    8 => weighted_rows::<8, R>(p, rows, src, bases, rs, w, dst, at, live, l0),
+                    _ => weighted_rows::<LANES, 1>(
+                        p,
+                        rows,
+                        src,
+                        bases,
+                        rs,
+                        w,
+                        dst,
+                        at[..1].try_into().expect("one weight set"),
+                        [live[0]],
+                        l0,
+                    ),
+                };
+                match most {
+                    1..=4 => run(4, 0),
+                    5..=8 => run(8, 0),
+                    // Sixteen accumulators per weight set fill the
+                    // registers at one set; two sets take the lanes in
+                    // halves.
+                    _ if R == 1 => run(LANES, 0),
+                    _ => {
+                        run(8, 0);
+                        run(8, 8);
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`Lanes::weighted_rows`] on raw pointers, for lanes `l0..l0 + N` of
+    /// `R` weight sets: per sixteen columns, `R·N` accumulators in
+    /// registers, and per row `j` one masked load of each lane's row `j`,
+    /// then for each set a broadcast of the lane's weight and a fused
+    /// multiply-add.
     ///
     /// # Safety
     ///
-    /// Requires AVX-512F. For every `j < w`, `d < cols`, `src.add(j * rs +
-    /// d)` must be readable, and `tile.add(d * NC + j)` writable for every
-    /// `d < cols` and `j < w.next_multiple_of(4)`; nothing else is
-    /// dereferenced.
+    /// Requires AVX-512F, `l0 + N <= 16` and `live[r] <= 16`.
+    /// `p.add((r * rows + j) * LANES + l)` and `src.add(bases[l] + j * rs +
+    /// e)` must be readable for `r < R`, `j < rows`, `l0 <= l < l0 + N`,
+    /// `e < w`, and `dst.add(at[r][l] + e)` writable for `l < live[r]`,
+    /// `e < w`; nothing else is dereferenced.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn transpose(src: *const f32, rs: usize, w: usize, cols: usize, tile: *mut f32) {
-        for jb in (0..w).step_by(4) {
-            for db in (0..cols).step_by(LANES) {
-                let cw = LANES.min(cols - db);
-                let mask: __mmask16 = u16::MAX >> (LANES - cw);
-                let mut r = [_mm512_setzero_ps(); 4];
-                for (i, row) in r.iter_mut().enumerate().take(w - jb) {
-                    // SAFETY: row `jb + i < w`; lane `l` of this load is
-                    // `src[jb + i, db + l]`, enabled only for `db + l < cols`.
-                    *row = unsafe { _mm512_maskz_loadu_ps(mask, src.add((jb + i) * rs + db)) };
-                }
-                // Per 128-bit lane: `ab_lo = r0[0] r1[0] r0[1] r1[1]`, …
-                let ab_lo = _mm512_castps_pd(_mm512_unpacklo_ps(r[0], r[1]));
-                let ab_hi = _mm512_castps_pd(_mm512_unpackhi_ps(r[0], r[1]));
-                let cd_lo = _mm512_castps_pd(_mm512_unpacklo_ps(r[2], r[3]));
-                let cd_hi = _mm512_castps_pd(_mm512_unpackhi_ps(r[2], r[3]));
-                // … then `t[i]` lane `l` = `r0[4l+i] r1[4l+i] r2[4l+i] r3[4l+i]`.
-                let t = [
-                    _mm512_castpd_ps(_mm512_unpacklo_pd(ab_lo, cd_lo)),
-                    _mm512_castpd_ps(_mm512_unpackhi_pd(ab_lo, cd_lo)),
-                    _mm512_castpd_ps(_mm512_unpacklo_pd(ab_hi, cd_hi)),
-                    _mm512_castpd_ps(_mm512_unpackhi_pd(ab_hi, cd_hi)),
-                ];
-                macro_rules! store_lane {
-                    ($($l:literal)*) => {$(
-                        for (i, &v) in t.iter().enumerate() {
-                            let d = 4 * $l + i;
-                            if d < cw {
-                                // SAFETY: tile row `db + d < cols`, slots
-                                // `jb..jb + 4` with `jb` a multiple of four
-                                // below `w`.
-                                unsafe {
-                                    _mm_storeu_ps(
-                                        tile.add((db + d) * NC + jb),
-                                        _mm512_extractf32x4_ps::<$l>(v),
-                                    );
-                                }
-                            }
+    unsafe fn weighted_rows<const N: usize, const R: usize>(
+        p: *const f32,
+        rows: usize,
+        src: *const f32,
+        bases: &[usize; LANES],
+        rs: usize,
+        w: usize,
+        dst: *mut f32,
+        at: &[[usize; LANES]; R],
+        live: [usize; R],
+        l0: usize,
+    ) {
+        for e0 in (0..w).step_by(LANES) {
+            let cw = LANES.min(w - e0);
+            let mask: __mmask16 = u16::MAX >> (LANES - cw);
+            let mut acc = [[_mm512_setzero_ps(); N]; R];
+            for j in 0..rows {
+                for i in 0..N {
+                    let l = l0 + i;
+                    // SAFETY: lane `e` of the load is `src[bases[l] + j·rs +
+                    // e0 + e]`, enabled only for `e0 + e < w`; then weight
+                    // `j` of lane `l` in each set.
+                    unsafe {
+                        let x = _mm512_maskz_loadu_ps(mask, src.add(bases[l] + j * rs + e0));
+                        for (r, acc) in acc.iter_mut().enumerate() {
+                            let pj = _mm512_set1_ps(*p.add((r * rows + j) * LANES + l));
+                            acc[i] = _mm512_fmadd_ps(pj, x, acc[i]);
                         }
-                    )*};
+                    }
                 }
-                store_lane!(0 1 2 3);
             }
+            for ((acc, at), &live) in acc.iter().zip(at).zip(&live) {
+                for (i, &a) in acc.iter().enumerate() {
+                    let l = l0 + i;
+                    let lanes = if l < live { mask } else { 0 };
+                    // SAFETY: lane `e` of this store is `dst[at[l] + e0 +
+                    // e]`, stored only for `e0 + e < w` and `l < live`.
+                    unsafe { _mm512_mask_storeu_ps(dst.wrapping_add(at[l] + e0), lanes, a) };
+                }
+            }
+        }
+    }
+
+    /// [`Lanes::gather`] on raw pointers: per source row and sixteen
+    /// columns, sixteen masked row loads, [`transpose16`], and one masked
+    /// store per column. Every loop runs all sixteen vectors, a mask
+    /// switching off what is past the extents: the vectors stay in registers
+    /// (a loop bounded by the ragged count makes LLVM spill them and call
+    /// `memcpy`).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F. `src.add(bases[l] + r * rs + c)` must be readable
+    /// and `dst.add((r * w + c) * LANES + l)` writable for every lane `l`,
+    /// `r < rows`, `c < w`; nothing else is dereferenced.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gather(
+        src: *const f32,
+        bases: &[usize; LANES],
+        rs: usize,
+        rows: usize,
+        w: usize,
+        dst: *mut f32,
+    ) {
+        for r in 0..rows {
+            for c0 in (0..w).step_by(LANES) {
+                let cw = LANES.min(w - c0);
+                let mask: __mmask16 = u16::MAX >> (LANES - cw);
+                let mut v = [_mm512_setzero_ps(); LANES];
+                for (x, &base) in v.iter_mut().zip(bases) {
+                    // SAFETY: lane `c` of this load is `src[base + r·rs + c0
+                    // + c]`, enabled only for `c0 + c < w`.
+                    *x = unsafe { _mm512_maskz_loadu_ps(mask, src.add(base + r * rs + c0)) };
+                }
+                transpose16(&mut v);
+                let at = dst.wrapping_add((r * w + c0) * LANES);
+                for (c, &x) in v.iter().enumerate() {
+                    let to = at.wrapping_add(c * LANES);
+                    // SAFETY: lane vector `r·w + c0 + c` of `dst`, stored
+                    // only for `c0 + c < w`.
+                    unsafe {
+                        if cw == LANES {
+                            _mm512_storeu_ps(to, x);
+                        } else {
+                            _mm512_mask_storeu_ps(to, if c < cw { u16::MAX } else { 0 }, x);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`Lanes::scatter`] on raw pointers: per sixteen columns, one masked
+    /// load per column, [`transpose16`], and one masked store per lane,
+    /// every loop over all sixteen vectors as in [`gather`].
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F, `live <= 16`. `src.add(c * LANES + l)` must be
+    /// readable for every lane `l` and `c < w`, and `dst.add(bases[l] + c)`
+    /// writable for `l < live`, `c < w`; nothing else is dereferenced.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn scatter(
+        src: *const f32,
+        w: usize,
+        dst: *mut f32,
+        bases: &[usize; LANES],
+        live: usize,
+    ) {
+        for c0 in (0..w).step_by(LANES) {
+            let cw = LANES.min(w - c0);
+            let mask: __mmask16 = u16::MAX >> (LANES - cw);
+            let mut v = [_mm512_setzero_ps(); LANES];
+            let at = src.wrapping_add(c0 * LANES);
+            for (c, x) in v.iter_mut().enumerate() {
+                let from = at.wrapping_add(c * LANES);
+                // SAFETY: lane vector `c0 + c` of `src`, loaded only for
+                // `c0 + c < w`.
+                *x = unsafe {
+                    if cw == LANES {
+                        _mm512_loadu_ps(from)
+                    } else {
+                        _mm512_maskz_loadu_ps(if c < cw { u16::MAX } else { 0 }, from)
+                    }
+                };
+            }
+            transpose16(&mut v);
+            for (l, (&x, &base)) in v.iter().zip(bases).enumerate() {
+                let to = dst.wrapping_add(base + c0);
+                // SAFETY: lane `c` of this store is `dst[base + c0 + c]`,
+                // stored only for `c0 + c < w` and `l < live`.
+                unsafe {
+                    if cw == LANES && live == LANES {
+                        _mm512_storeu_ps(to, x);
+                    } else {
+                        _mm512_mask_storeu_ps(to, if l < live { mask } else { 0 }, x);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Lane `l` of `v[c]` becomes lane `c` of `v[l]`: a 16×16 transpose in
+    /// registers — 32- then 64-bit unpacks within each 128-bit lane, which
+    /// leave `t[4g + i]`'s 128-bit lane `k` holding column `4k + i` of rows
+    /// `4g..4g + 4`, then two rounds of 128-bit shuffles.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose16(v: &mut [__m512; LANES]) {
+        let mut t = [_mm512_setzero_ps(); LANES];
+        for g in 0..4 {
+            let r = &v[4 * g..4 * g + 4];
+            let (pd, ps) = (_mm512_castps_pd, _mm512_castpd_ps);
+            let (lo01, hi01) =
+                (pd(_mm512_unpacklo_ps(r[0], r[1])), pd(_mm512_unpackhi_ps(r[0], r[1])));
+            let (lo23, hi23) =
+                (pd(_mm512_unpacklo_ps(r[2], r[3])), pd(_mm512_unpackhi_ps(r[2], r[3])));
+            t[4 * g] = ps(_mm512_unpacklo_pd(lo01, lo23));
+            t[4 * g + 1] = ps(_mm512_unpackhi_pd(lo01, lo23));
+            t[4 * g + 2] = ps(_mm512_unpacklo_pd(hi01, hi23));
+            t[4 * g + 3] = ps(_mm512_unpackhi_pd(hi01, hi23));
+        }
+        for i in 0..4 {
+            // 128-bit lanes 0 and 1 (then 2 and 3) of row groups 0 and 1,
+            // and of row groups 2 and 3 …
+            let a = _mm512_shuffle_f32x4::<0x44>(t[i], t[4 + i]);
+            let b = _mm512_shuffle_f32x4::<0xEE>(t[i], t[4 + i]);
+            let c = _mm512_shuffle_f32x4::<0x44>(t[8 + i], t[12 + i]);
+            let d = _mm512_shuffle_f32x4::<0xEE>(t[8 + i], t[12 + i]);
+            // … interleaved into column `4k + i` of all sixteen rows.
+            v[i] = _mm512_shuffle_f32x4::<0x88>(a, c);
+            v[4 + i] = _mm512_shuffle_f32x4::<0xDD>(a, c);
+            v[8 + i] = _mm512_shuffle_f32x4::<0x88>(b, d);
+            v[12 + i] = _mm512_shuffle_f32x4::<0xDD>(b, d);
         }
     }
 
@@ -1185,7 +1535,7 @@ mod tests {
         let (bias, res) = (vec![0.5; n - short[3]], vec![0.25; rows * n - short[4]]);
         let a = Mat { data: &a, base: 0, rs: k, cs: 1 };
         let b = Mat { data: &b, base: 0, rs: n, cs: 1 };
-        avx512::mul_cols(&mut o, n, 0..n, a, b, rows, k, Groups::ONE, Some(&bias), Some(&res));
+        avx512::mul_cols(&mut o, n, 0..n, a, b, rows, k, Some(&bias), Some(&res));
         assert!(o.iter().all(|&v| v == k as f32 + 0.75));
     }
 
@@ -1233,51 +1583,6 @@ mod tests {
     fn avx512_entry_accepts_exact_buffers() {
         if crate::cpu::avx512f() {
             mul_cols_with_short_buffers([0; 5]);
-        }
-    }
-
-    /// Two 2×3 by 3×4 products side by side in one `[2, 8]` output, the
-    /// second `A`, `B` and output block `steps` further on: exact buffers
-    /// for steps of `[6, 12, 4]`.
-    #[cfg(target_arch = "x86_64")]
-    fn grouped_mul_cols(steps: [usize; 3]) {
-        let (a, b) = (vec![1.0; 12], vec![1.0; 24]);
-        let mut o = vec![0.0; 16];
-        let a = Mat { data: &a, base: 0, rs: 3, cs: 1 };
-        let b = Mat { data: &b, base: 0, rs: 4, cs: 1 };
-        let groups = Groups { count: 2, a_step: steps[0], b_step: steps[1], o_step: steps[2] };
-        avx512::mul_cols(&mut o, 8, 0..4, a, b, 2, 3, groups, None, None);
-        assert!(o.iter().all(|&v| v == 3.0));
-    }
-
-    // The group offsets enter the same three extent asserts: a last group
-    // one element past a slice must panic before anything is touched.
-    #[test]
-    #[cfg(target_arch = "x86_64")]
-    #[should_panic(expected = "A[2, 3] reaches past its slice")]
-    fn avx512_entry_rejects_a_group_past_a() {
-        grouped_mul_cols([7, 12, 4]);
-    }
-
-    #[test]
-    #[cfg(target_arch = "x86_64")]
-    #[should_panic(expected = "B[3, 4] reaches past its slice")]
-    fn avx512_entry_rejects_a_group_past_b() {
-        grouped_mul_cols([6, 13, 4]);
-    }
-
-    #[test]
-    #[cfg(target_arch = "x86_64")]
-    #[should_panic(expected = "exceed the output slice")]
-    fn avx512_entry_rejects_a_group_past_the_output() {
-        grouped_mul_cols([6, 12, 5]);
-    }
-
-    #[test]
-    #[cfg(target_arch = "x86_64")]
-    fn avx512_entry_accepts_exact_grouped_buffers() {
-        if crate::cpu::avx512f() {
-            grouped_mul_cols([6, 12, 4]);
         }
     }
 
@@ -1396,6 +1701,34 @@ mod tests {
                     want[i].to_bits(),
                     got[i].to_bits()
                 );
+            }
+        }
+    }
+
+    /// The lane kernels' `zmm` exponential against [`fastmath::exp`] — the
+    /// one lane operation that is a sequence of instructions, its last step
+    /// a different one (`vscalefps`) — on every `f32` bit pattern, NaN
+    /// payloads included. Vacuous without AVX-512F.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "2^32 inputs: run at --release, as scripts/check.sh does"
+    )]
+    fn the_zmm_exp_matches_fastmath_exp_on_every_input() {
+        if !crate::cpu::avx512f() {
+            return;
+        }
+        const CHUNK: u32 = 1 << 16;
+        let mut lanes = vec![[0.0f32; 16]; CHUNK as usize / 16];
+        for base in (0..=u32::MAX - (CHUNK - 1)).step_by(CHUNK as usize) {
+            for (x, bits) in lanes.as_flattened_mut().iter_mut().zip(base..) {
+                *x = f32::from_bits(bits);
+            }
+            avx512::exp_lanes(&mut lanes);
+            for (&got, bits) in lanes.as_flattened().iter().zip(base..) {
+                let want = crate::fastmath::exp(f32::from_bits(bits));
+                assert_eq!(got.to_bits(), want.to_bits(), "exp({bits:#010x})");
             }
         }
     }

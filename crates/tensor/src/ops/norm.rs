@@ -1,17 +1,28 @@
 //! Layer normalization forward kernel.
+//!
+//! A row's mean and variance are [`lane_sum`]s — the fixed function of the
+//! row the softmax's row sum is too — then `1/√(var + eps)`, and every
+//! output is `((x − mean)·rstd)·γ + β` with one rounding for the
+//! multiply-add. At the model's width (64) one row's sums are each a chain
+//! of eight dependent adds, so rows go sixteen at a time
+//! ([`layer_norm_blocks`]): the block is transposed lane-major, each lane's
+//! statistics are [`lanes_sum`] — the same chains, sixteen rows per vector
+//! add — and the rows are normalized in row layout. The `rows % 16` left
+//! over take the one-row [`norm_row`]. Where the `KERNEL` dial selects the
+//! AVX-512 kernel the blocks run as compiled for AVX-512F with in-register
+//! transposes (`matmul::avx512::layer_norm`); the bits are the same either
+//! way, and the same as [`norm_row`]'s for every row.
 
-use super::reduce::lane_sums;
+use super::matmul::use_avx512;
+use super::reduce::{lane_sum, lanes_sum, Lanes, Portable, LANES};
+use crate::workspace::Scratch;
 use crate::Tensor;
-
-/// Rows [`layer_norm_rows`] keeps in flight: at the model's width (64) one
-/// row's mean and variance are each a chain of eight dependent vector adds,
-/// so a lone row waits on add latency; four rows' chains interleave.
-const ROWS: usize = 4;
 
 /// Normalizes the packed rows of width `d = gamma.len()` in `src`, writing
 /// every element of `out` and, when `stats` is given, the per-row
-/// `(mean, rstd)` the backward pass reuses — [`ROWS`] rows at a time, then
-/// the last `rows % ROWS` one by one, through the same [`norm_block`].
+/// `(mean, rstd)` the backward pass reuses: [`LANES`] rows at a time through
+/// [`layer_norm_blocks`] — as compiled for AVX-512F where the `KERNEL` dial
+/// selects the AVX-512 kernel — then the last `rows % LANES` one by one.
 fn layer_norm_rows(
     src: &[f32],
     gamma: &[f32],
@@ -21,27 +32,25 @@ fn layer_norm_rows(
     mut stats: Option<(&mut [f32], &mut [f32])>,
 ) {
     let d = gamma.len();
-    let full = src.len() / d / ROWS * ROWS;
+    let full = src.len() / d / LANES * LANES;
     let (head, tail) = src.split_at(full * d);
     let (ohead, otail) = out.split_at_mut(full * d);
-    let blocks = head.chunks_exact(ROWS * d).zip(ohead.chunks_exact_mut(ROWS * d));
-    for (b, (x, o)) in blocks.enumerate() {
-        let stats = stats.as_mut().map(|(m, s)| (&mut m[b * ROWS..], &mut s[b * ROWS..]));
-        norm_block::<ROWS>(x, gamma, beta, eps, o, stats);
+    if full > 0 {
+        let stats = stats.as_mut().map(|(m, r)| (&mut m[..full], &mut r[..full]));
+        blocks(head, gamma, beta, eps, ohead, stats);
     }
     for (r, (x, o)) in tail.chunks_exact(d).zip(otail.chunks_exact_mut(d)).enumerate() {
-        let stats = stats.as_mut().map(|(m, s)| (&mut m[full + r..], &mut s[full + r..]));
-        norm_block::<1>(x, gamma, beta, eps, o, stats);
+        let (mean, rstd) = norm_row(x, gamma, beta, eps, o);
+        if let Some((means, rstds)) = stats.as_mut() {
+            (means[full + r], rstds[full + r]) = (mean, rstd);
+        }
     }
 }
 
-/// `R` packed rows: each row's mean and variance are [`lane_sums`] — the
-/// fixed function of the row that the softmax's row sum is too — then
-/// `1/√(var + eps)`, and every output `((x − mean)·rstd)·γ + β` with one
-/// rounding for the multiply-add. `stats`, when given, gets each row's
-/// `(mean, rstd)` at its first `R` slots.
-#[inline(always)]
-fn norm_block<const R: usize>(
+/// [`layer_norm_blocks`] as compiled for AVX-512F (with `zmm` [`Lanes`])
+/// where the `KERNEL` dial selects the AVX-512 kernel, for the build
+/// baseline ([`Portable`]) otherwise.
+fn blocks(
     src: &[f32],
     gamma: &[f32],
     beta: &[f32],
@@ -49,21 +58,75 @@ fn norm_block<const R: usize>(
     out: &mut [f32],
     stats: Option<(&mut [f32], &mut [f32])>,
 ) {
-    let d = gamma.len();
-    let rows: [&[f32]; R] = std::array::from_fn(|r| &src[r * d..(r + 1) * d]);
-    let sums = lane_sums(rows, |_, v| v);
-    let mean = sums.map(|s| s / d as f32);
-    let sq = lane_sums(rows, |r, v| (v - mean[r]) * (v - mean[r]));
-    let rstd = sq.map(|s| 1.0 / (s / d as f32 + eps).sqrt());
-    if let Some((means, rstds)) = stats {
-        means[..R].copy_from_slice(&mean);
-        rstds[..R].copy_from_slice(&rstd);
+    #[cfg(target_arch = "x86_64")]
+    if use_avx512() {
+        return super::matmul::avx512::layer_norm(src, gamma, beta, eps, out, stats);
     }
-    for (r, (row, orow)) in rows.iter().zip(out.chunks_exact_mut(d)).enumerate() {
-        let (mean, rstd) = (mean[r], rstd[r]);
-        for ((o, &v), (&g, &b)) in orow.iter_mut().zip(*row).zip(gamma.iter().zip(beta)) {
-            *o = ((v - mean) * rstd).mul_add(g, b);
+    layer_norm_blocks(&Portable, src, gamma, beta, eps, out, stats)
+}
+
+/// Blocks of [`LANES`] packed rows: each block transposed lane-major, its
+/// rows' means and variances as [`lanes_sum`]s — each lane the chain
+/// [`norm_row`]'s [`lane_sum`] builds for its row — then `1/√(var + eps)`
+/// lane-wise, and the rows normalized in row layout. The body both
+/// compiles of the pass inline.
+#[inline(always)]
+pub(super) fn layer_norm_blocks<L: Lanes>(
+    v: &L,
+    src: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    out: &mut [f32],
+    mut stats: Option<(&mut [f32], &mut [f32])>,
+) {
+    let d = gamma.len();
+    // Every lane of every slot is written by the block's gather first.
+    let mut xt = Scratch::uninit(d * LANES);
+    let xt = xt.as_chunks_mut::<LANES>().0;
+    let (width, one, eps) = (v.splat(d as f32), v.splat(1.0), v.splat(eps));
+    let blocks = src.chunks_exact(LANES * d).zip(out.chunks_exact_mut(LANES * d));
+    for (b, (x, o)) in blocks.enumerate() {
+        v.gather(x, &std::array::from_fn(|l| l * d), 0, 1, d, xt);
+        let mean = v.div(lanes_sum(v, xt), width);
+        // The squared deviations replace `xt`: the rows are normalized from
+        // `x`.
+        for x in xt.iter_mut() {
+            let c = v.sub(v.load(x), mean);
+            v.store(v.mul(c, c), x);
         }
+        let rstd = v.div(one, v.sqrt(v.add(v.div(lanes_sum(v, xt), width), eps)));
+        let mut stat = [[0.0; LANES]; 2];
+        v.store(mean, &mut stat[0]);
+        v.store(rstd, &mut stat[1]);
+        let [mean, rstd] = stat;
+        if let Some((means, rstds)) = stats.as_mut() {
+            means[b * LANES..][..LANES].copy_from_slice(&mean);
+            rstds[b * LANES..][..LANES].copy_from_slice(&rstd);
+        }
+        for (r, (row, orow)) in x.chunks_exact(d).zip(o.chunks_exact_mut(d)).enumerate() {
+            normalize(row, mean[r], rstd[r], gamma, beta, orow);
+        }
+    }
+}
+
+/// One row: its [`lane_sum`] mean and variance, then [`normalize`];
+/// returns `(mean, rstd)`.
+#[inline(always)]
+fn norm_row(src: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) -> (f32, f32) {
+    let d = gamma.len();
+    let mean = lane_sum(src, |v| v) / d as f32;
+    let var = lane_sum(src, |v| (v - mean) * (v - mean));
+    let rstd = 1.0 / (var / d as f32 + eps).sqrt();
+    normalize(src, mean, rstd, gamma, beta, out);
+    (mean, rstd)
+}
+
+/// `out = ((x − mean)·rstd)·γ + β`, the multiply-add rounded once.
+#[inline(always)]
+fn normalize(row: &[f32], mean: f32, rstd: f32, gamma: &[f32], beta: &[f32], out: &mut [f32]) {
+    for ((o, &v), (&g, &b)) in out.iter_mut().zip(row).zip(gamma.iter().zip(beta)) {
+        *o = ((v - mean) * rstd).mul_add(g, b);
     }
 }
 
@@ -108,8 +171,8 @@ fn layer_norm_impl(
     let xc = x.contiguous(); // row kernel needs packed rows
     let (gd, bd) = (gamma.flat(), beta.flat()); // borrowed: parameters are contiguous
 
-    // `layer_norm_rows` stores every element of every output it is given,
-    // so they come from uninitialized workspace.
+    // The pass stores every element of every output it is given, so they
+    // come from uninitialized workspace.
     let mut out = crate::workspace::take_uninit(rows * d);
     if !want_stats {
         layer_norm_rows(xc.data(), &gd, &bd, eps, &mut out, None);

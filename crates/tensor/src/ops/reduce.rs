@@ -1,12 +1,14 @@
 //! Reductions and softmax-family operations.
 //!
-//! Row sums go through [`lane_sums`]: eight accumulator lanes per row, a
-//! fixed function of the row, with several rows' chains in flight where a
-//! caller has them (layer norm keeps four). The row softmax has one body,
-//! [`softmax_body`]; [`softmax_rows`] runs it as compiled for the build
-//! baseline or, where the `KERNEL` dial selects the AVX-512 kernel, as
-//! compiled for AVX-512F ([`super::matmul`]'s twins) — the same bits either
-//! way.
+//! Row sums go through [`lane_sum`]: eight accumulator lanes per row, a
+//! fixed function of the row. The row kernels that hold many short rows —
+//! attention's softmax, layer norm's statistics — run sixteen rows at once
+//! in the lanes of a vector ([`Lanes`], [`lanes_sum`]), each lane replaying
+//! its row's `lane_sum` chain. The row softmax of [`softmax_last`] has one
+//! body, [`softmax_body`]; [`softmax_rows`] runs it as compiled for the
+//! build baseline or, where the `KERNEL` dial selects the AVX-512 kernel,
+//! as compiled for AVX-512F ([`super::matmul`]'s twins) — the same bits
+//! either way.
 
 use super::matmul::use_avx512;
 use crate::fastmath;
@@ -17,8 +19,8 @@ use crate::Tensor;
 /// a select, which is exactly one `vmaxps` (`f32::max` costs three
 /// instructions to also cover a NaN in `m`, which a running maximum started
 /// at −∞ never holds).
-#[inline]
-fn keep_max(x: f32, m: f32) -> f32 {
+#[inline(always)]
+pub(super) fn keep_max(x: f32, m: f32) -> f32 {
     if x > m {
         x
     } else {
@@ -47,58 +49,301 @@ pub(super) fn row_max(xs: &[f32]) -> f32 {
 }
 
 /// Sum of `f(x)` over a row via eight independent accumulator lanes — one
-/// AVX2 vector — folded pairwise at the end. The lane assignment depends
-/// only on element index, so the result is a fixed function of the row.
-#[inline]
-fn lane_sum(xs: &[f32], f: impl Fn(f32) -> f32) -> f32 {
-    lane_sums([xs], |_, x| f(x))[0]
-}
-
-/// [`lane_sum`] of `R` rows of one width at once, `f` told which row an
-/// element is from: the rows' accumulators interleave, so `R` independent
-/// add chains are in flight where one row alone has a single chain. Each
-/// row's sum is still its own chain — the remainder summed in order, the
-/// eight lanes over the full chunks in order, then [`fold`] — so every
-/// result has the bits [`lane_sum`] gives that row alone. The rows must be
-/// of one length.
+/// AVX2 vector — folded pairwise at the end: the remainder summed in order,
+/// the eight lanes over the full chunks in order, then [`fold`]. The lane
+/// assignment depends only on element index, so the result is a fixed
+/// function of the row; [`lanes_sum`] replays it for sixteen rows at once.
 #[inline(always)]
-pub(super) fn lane_sums<const R: usize>(
-    rows: [&[f32]; R],
-    f: impl Fn(usize, f32) -> f32,
-) -> [f32; R] {
-    debug_assert!(rows.iter().all(|row| row.len() == rows[0].len()));
-    let split = rows.map(|row| row.as_chunks::<8>());
-    let n = split[0].0.len();
-    let chunks = split.map(|(c, _)| &c[..n]);
-    let tails: [f32; R] = std::array::from_fn(|r| {
-        let mut tail = 0.0f32;
-        for &x in split[r].1 {
-            tail += f(r, x);
-        }
-        tail
-    });
-    let mut acc = [[0.0f32; 8]; R];
-    #[allow(clippy::needless_range_loop)] // `i` indexes every row's chunks
-    for i in 0..n {
-        for (r, lanes) in acc.iter_mut().enumerate() {
-            for (a, &v) in lanes.iter_mut().zip(&chunks[r][i]) {
-                *a += f(r, v);
-            }
+pub(super) fn lane_sum(xs: &[f32], f: impl Fn(f32) -> f32) -> f32 {
+    let (chunks, rest) = xs.as_chunks::<8>();
+    let mut tail = 0.0f32;
+    for &x in rest {
+        tail += f(x);
+    }
+    let mut acc = [0.0f32; 8];
+    for c in chunks {
+        for (a, &v) in acc.iter_mut().zip(c) {
+            *a += f(v);
         }
     }
-    std::array::from_fn(|r| fold(&acc[r], tails[r]))
+    fold(&acc, tail)
 }
 
 /// A row's eight lanes folded pairwise, `((l0+l4) + (l2+l6)) + ((l1+l5) +
 /// (l3+l7))`, plus its remainder's sum. Out of line on purpose: handed over
 /// as one array, a row's lanes stay one vector register in the loop that
 /// accumulates them. Inlined, LLVM shapes the loop after the fold's pairs —
-/// four two-lane registers, or at `R > 1` one lane of each row per register
-/// (a gather) — at half the speed or worse.
+/// four two-lane registers — at half the speed or worse.
 #[inline(never)]
 fn fold(a: &[f32; 8], tail: f32) -> f32 {
     let quad = [a[0] + a[4], a[1] + a[5], a[2] + a[6], a[3] + a[7]];
     (quad[0] + quad[2]) + (quad[1] + quad[3]) + tail
+}
+
+/// Rows one lane vector carries: sixteen `f32`s, one `zmm` register (two
+/// `ymm` registers of the build baseline).
+pub(super) const LANES: usize = 16;
+
+/// One value of each of [`LANES`] independent rows, in memory. The row
+/// kernels ([`super::attention()`], [`super::layer_norm`]) hold their operands
+/// lane-major — `[column][lane]` — and run each row's scalar chain in its
+/// own lane, so a lane's result has the bits the row alone would get.
+pub(super) type Lane = [f32; LANES];
+
+/// What a lane kernel computes with: a register type holding one [`Lane`],
+/// the IEEE operations it applies lane by lane, and the moves between row
+/// layout and lane-major. The row kernels are written once, generic over
+/// it: [`Portable`] is the safe reference, `matmul::avx512::Zmm` the same
+/// operations as `zmm` intrinsics with 16×16 in-register transposes. Each
+/// operation is one IEEE operation per lane (or, for [`Lanes::exp`],
+/// [`fastmath::exp`]'s fixed sequence of them), so the two cannot differ in
+/// a bit.
+pub(super) trait Lanes {
+    /// One [`Lane`] in registers.
+    type V: Copy;
+
+    /// The lanes of `x`.
+    fn load(&self, x: &Lane) -> Self::V;
+    /// `v` into `x`.
+    fn store(&self, v: Self::V, x: &mut Lane);
+    /// `x` in every lane.
+    fn splat(&self, x: f32) -> Self::V;
+    /// `a + b`.
+    fn add(&self, a: Self::V, b: Self::V) -> Self::V;
+    /// `a − b`.
+    fn sub(&self, a: Self::V, b: Self::V) -> Self::V;
+    /// `a · b`.
+    fn mul(&self, a: Self::V, b: Self::V) -> Self::V;
+    /// `a / b`.
+    fn div(&self, a: Self::V, b: Self::V) -> Self::V;
+    /// `a·b + c`, rounded once (`f32::mul_add`).
+    fn fma(&self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    /// [`keep_max`]`(x, m)`: `x` where `x > m`, else `m`.
+    fn keep_max(&self, x: Self::V, m: Self::V) -> Self::V;
+    /// [`fastmath::exp`].
+    fn exp(&self, x: Self::V) -> Self::V;
+    /// `√x`.
+    fn sqrt(&self, x: Self::V) -> Self::V;
+
+    /// `dst[r·w + c][l] = src[bases[l] + r·rs + c]` for `r < rows`,
+    /// `c < w` and every lane `l`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index reaches past `src` or `dst`.
+    fn gather(
+        &self,
+        src: &[f32],
+        bases: &[usize; LANES],
+        rs: usize,
+        rows: usize,
+        w: usize,
+        dst: &mut [Lane],
+    );
+
+    /// `dst[bases[l] + c] = src[c][l]` for `c < w` and the lanes
+    /// `l < live`; the other lanes store nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index reaches past `src` or `dst`.
+    fn scatter(&self, src: &[Lane], w: usize, dst: &mut [f32], bases: &[usize; LANES], live: usize);
+
+    /// For each of `R` weight sets `p[r·rows..(r + 1)·rows]`:
+    /// `dst[at[r][l] + e] = Σ_j p[r·rows + j][l] · src[bases[l] + j·rs + e]`
+    /// for `e < w` and the lanes `l < live[r]` — lane-major weights times
+    /// each lane's own rows, stored in row layout: one accumulator per
+    /// element, fused-multiply-added from zero in ascending `j`. The sets
+    /// share the rows, so each row element loaded feeds `R` chains. The
+    /// rows of every lane are read, live or not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index reaches past `src` or `dst`.
+    #[allow(clippy::too_many_arguments)]
+    fn weighted_rows<const R: usize>(
+        &self,
+        p: &[Lane],
+        src: &[f32],
+        bases: &[usize; LANES],
+        rs: usize,
+        w: usize,
+        dst: &mut [f32],
+        at: &[[usize; LANES]; R],
+        live: [usize; R],
+    );
+}
+
+/// [`lane_sum`] of every lane of the lane-major `xs` at once: lane `l` of
+/// the result has the bits `lane_sum` gives the row `xs[..][l]` — the same
+/// chunks of eight, the same remainder, the same fold ([`lanes_fold`]) — as
+/// sixteen-wide vector adds.
+#[inline(always)]
+pub(super) fn lanes_sum<L: Lanes>(v: &L, xs: &[Lane]) -> L::V {
+    let (chunks, rest) = xs.as_chunks::<8>();
+    let mut acc = [v.splat(0.0); 8];
+    for c in chunks {
+        for (a, x) in acc.iter_mut().zip(c) {
+            *a = v.add(*a, v.load(x));
+        }
+    }
+    let mut tail = v.splat(0.0);
+    for x in rest {
+        tail = v.add(tail, v.load(x));
+    }
+    lanes_fold(v, acc, tail)
+}
+
+/// [`fold`] lane-wise: the eight accumulators of a [`lanes_sum`], folded
+/// pairwise, plus the remainder's sum. (A pass that computes the values it
+/// sums — the softmax's exponentials — accumulates them itself, element
+/// `j` into `acc[j % 8]` up to the last whole chunk and into `tail` after,
+/// and folds here: a closure over [`Lanes`] operations would be compiled
+/// without the AVX-512F twin's target feature.)
+#[inline(always)]
+pub(super) fn lanes_fold<L: Lanes>(v: &L, acc: [L::V; 8], tail: L::V) -> L::V {
+    let quad = [
+        v.add(acc[0], acc[4]),
+        v.add(acc[1], acc[5]),
+        v.add(acc[2], acc[6]),
+        v.add(acc[3], acc[7]),
+    ];
+    v.add(v.add(v.add(quad[0], quad[2]), v.add(quad[1], quad[3])), tail)
+}
+
+/// The [`Lanes`] of the build baseline: safe loops over a [`Lane`], which
+/// LLVM widens to two `ymm` vectors, and element-by-element moves.
+pub(super) struct Portable;
+
+/// `f` of `a`'s and `b`'s lanes, pairwise.
+#[inline(always)]
+fn zip_lanes(mut a: Lane, b: Lane, f: impl Fn(f32, f32) -> f32) -> Lane {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x = f(*x, y);
+    }
+    a
+}
+
+impl Lanes for Portable {
+    type V = Lane;
+
+    #[inline(always)]
+    fn load(&self, x: &Lane) -> Lane {
+        *x
+    }
+    #[inline(always)]
+    fn store(&self, v: Lane, x: &mut Lane) {
+        *x = v;
+    }
+    #[inline(always)]
+    fn splat(&self, x: f32) -> Lane {
+        [x; LANES]
+    }
+    #[inline(always)]
+    fn add(&self, a: Lane, b: Lane) -> Lane {
+        zip_lanes(a, b, |x, y| x + y)
+    }
+    #[inline(always)]
+    fn sub(&self, a: Lane, b: Lane) -> Lane {
+        zip_lanes(a, b, |x, y| x - y)
+    }
+    #[inline(always)]
+    fn mul(&self, a: Lane, b: Lane) -> Lane {
+        zip_lanes(a, b, |x, y| x * y)
+    }
+    #[inline(always)]
+    fn div(&self, a: Lane, b: Lane) -> Lane {
+        zip_lanes(a, b, |x, y| x / y)
+    }
+    #[inline(always)]
+    fn fma(&self, a: Lane, b: Lane, mut c: Lane) -> Lane {
+        for ((z, x), y) in c.iter_mut().zip(a).zip(b) {
+            *z = x.mul_add(y, *z);
+        }
+        c
+    }
+    #[inline(always)]
+    fn keep_max(&self, x: Lane, m: Lane) -> Lane {
+        zip_lanes(x, m, keep_max)
+    }
+    #[inline(always)]
+    fn exp(&self, mut x: Lane) -> Lane {
+        for v in x.iter_mut() {
+            *v = fastmath::exp(*v);
+        }
+        x
+    }
+    #[inline(always)]
+    fn sqrt(&self, mut x: Lane) -> Lane {
+        for v in x.iter_mut() {
+            *v = v.sqrt();
+        }
+        x
+    }
+
+    #[inline(always)]
+    fn gather(
+        &self,
+        src: &[f32],
+        bases: &[usize; LANES],
+        rs: usize,
+        rows: usize,
+        w: usize,
+        dst: &mut [Lane],
+    ) {
+        for (r, drow) in dst[..rows * w].chunks_exact_mut(w).enumerate() {
+            let rows: [&[f32]; LANES] = std::array::from_fn(|l| &src[bases[l] + r * rs..][..w]);
+            for (c, d) in drow.iter_mut().enumerate() {
+                for (x, row) in d.iter_mut().zip(&rows) {
+                    *x = row[c];
+                }
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn scatter(
+        &self,
+        src: &[Lane],
+        w: usize,
+        dst: &mut [f32],
+        bases: &[usize; LANES],
+        live: usize,
+    ) {
+        for (l, &base) in bases.iter().enumerate().take(live) {
+            for (o, s) in dst[base..][..w].iter_mut().zip(&src[..w]) {
+                *o = s[l];
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn weighted_rows<const R: usize>(
+        &self,
+        p: &[Lane],
+        src: &[f32],
+        bases: &[usize; LANES],
+        rs: usize,
+        w: usize,
+        dst: &mut [f32],
+        at: &[[usize; LANES]; R],
+        live: [usize; R],
+    ) {
+        for ((p, at), live) in p.chunks_exact(p.len() / R).zip(at).zip(live) {
+            for (l, (&base, &at)) in bases.iter().zip(at).enumerate().take(live) {
+                for (e0, out) in (0..w).step_by(LANES).zip(dst[at..][..w].chunks_mut(LANES)) {
+                    let mut acc = [0.0f32; LANES];
+                    for (j, pj) in p.iter().enumerate() {
+                        let row = &src[base + j * rs + e0..][..out.len()];
+                        for (a, &x) in acc.iter_mut().zip(row) {
+                            *a = pj[l].mul_add(x, *a);
+                        }
+                    }
+                    out.copy_from_slice(&acc[..out.len()]);
+                }
+            }
+        }
+    }
 }
 
 /// Sum of all elements as a scalar tensor.

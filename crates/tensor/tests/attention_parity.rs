@@ -1,12 +1,12 @@
 //! The one attention op against the composition it replaced.
 //!
-//! `ops::attention` walks head tiles of the unsplit projections through the
-//! GEMM micro-kernels and the shared row softmax; the contract is that every
-//! output bit — and, through `Graph::attention`, every gradient bit — equals
-//! what `permute → matmul → scale → softmax_last → matmul → merge` of the
-//! public ops computes, for every shape, operand layout and kernel (AVX-512
-//! or portable). That is what lets a model mix batch sizes and hosts without
-//! its extractions moving.
+//! `ops::attention` runs sixteen (batch element, head) pairs — or fewer pairs
+//! and several query rows each — in the lanes of one vector; the contract is
+//! that every output bit — and, through `Graph::attention`, every gradient
+//! bit — equals what `permute → matmul → scale → softmax_last → matmul →
+//! merge` of the public ops computes, for every shape, operand layout, pair
+//! count and kernel (AVX-512 or portable). That is what lets a model mix
+//! batch sizes and hosts without its extractions moving.
 
 use proptest::prelude::*;
 use tsdx_tensor::dial::{Kernel, KERNEL};
@@ -167,6 +167,77 @@ proptest! {
             across_kernels.push(bits(&want));
         }
         prop_assert!(across_kernels.iter().all(|k| *k == across_kernels[0]), "{c:?}: kernels disagree");
+    }
+}
+
+/// `ops::attention` and `ops::attention_with_probs` against the composition
+/// under every kernel, and the kernels against each other: output and kept
+/// probabilities, bit for bit.
+fn assert_matches_composition(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, what: &str) {
+    let scale = 1.0 / ((q.shape()[2] / heads) as f32).sqrt();
+    let mut across_kernels = Vec::new();
+    for &kernel in Kernel::available() {
+        KERNEL.with(kernel, || {
+            let (want, want_probs) = composed(q, k, v, heads, scale);
+            let got = ops::attention(q, k, v, heads, scale);
+            let (kept, probs) = ops::attention_with_probs(q, k, v, heads, scale);
+            assert_eq!(bits(&got), bits(&want), "{what} under {kernel}");
+            assert_eq!(bits(&kept), bits(&want), "{what} (probs kept) under {kernel}");
+            assert_eq!(bits(&probs), bits(&want_probs), "{what}: probs under {kernel}");
+            across_kernels.push(bits(&got));
+        });
+    }
+    assert!(across_kernels.iter().all(|b| *b == across_kernels[0]), "{what}: kernels disagree");
+}
+
+/// The query rows of `[b, t, w]` values: all `tq` of them, or — `tq` 1 —
+/// the first row of seventeen narrowed out, as a block read out through its
+/// CLS row passes it.
+fn queries(seed: u64, b: usize, tq: usize, w: usize) -> Tensor {
+    if tq == 1 {
+        ops::narrow(&values(seed, &[b, 17, w]), 1, 0, 1)
+    } else {
+        values(seed, &[b, tq, w])
+    }
+}
+
+#[test]
+fn every_pair_count_fills_its_lanes_with_the_composition_bits() {
+    // 1–40 (batch element, head) pairs: partial lane groups, fewer pairs
+    // than lanes (spare lanes take further query rows), one group and a
+    // partial one; query rows that split evenly across lanes and that do
+    // not, and narrowed CLS rows.
+    for pairs in 1..=40usize {
+        let heads = [4, 2, 1].into_iter().find(|h| pairs % h == 0).expect("1 divides");
+        let b = pairs / heads;
+        for tq in [1, 5, 17] {
+            let seed = (pairs * 100 + tq) as u64;
+            let q = queries(seed, b, tq, heads * 16);
+            let (k, v) =
+                (values(seed ^ 1, &[b, 17, heads * 16]), values(seed ^ 2, &[b, 17, heads * 16]));
+            assert_matches_composition(&q, &k, &v, heads, &format!("{pairs} pairs, Tq {tq}"));
+        }
+    }
+}
+
+#[test]
+fn every_head_width_and_key_count_keeps_the_composition_bits() {
+    // Head widths below, at and past one sixteen-lane transpose; key counts
+    // around `lane_sum`'s chunks of eight and its remainder, the score
+    // blocks and 65 (fig 4's joint variant).
+    for dh in [1, 3, 16, 20, 32] {
+        for tk in [1, 5, 8, 9, 16, 17, 33, 65] {
+            for (b, heads) in [(3, 1), (2, 4), (4, 4), (5, 4)] {
+                for tq in [1, 4] {
+                    let seed = (dh * 10_000 + tk * 100 + b * 10 + tq) as u64;
+                    let q = queries(seed, b, tq, heads * dh);
+                    let k = values(seed ^ 1, &[b, tk, heads * dh]);
+                    let v = values(seed ^ 2, &[b, tk, heads * dh]);
+                    let what = format!("dh {dh}, Tk {tk}, {} pairs, Tq {tq}", b * heads);
+                    assert_matches_composition(&q, &k, &v, heads, &what);
+                }
+            }
+        }
     }
 }
 

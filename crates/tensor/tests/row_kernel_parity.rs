@@ -1,10 +1,10 @@
 //! The forward's row kernels against the code they replaced, bit for bit.
 //!
-//! - Layer norm keeps four rows in flight; every output, mean and `rstd`
-//!   must have the bits of the one-row loop it replaced (copied below, with
-//!   the lane sum it ran), at every row count around the four-row blocks,
-//!   every width around the eight-lane chunks, with and without the saved
-//!   statistics.
+//! - Layer norm runs sixteen rows per lane block; every output, mean and
+//!   `rstd` must have the bits of the one-row loop (copied below, with the
+//!   lane sum it runs), at every row count around the blocks, every width
+//!   around the eight-lane chunks and the sixteen-column transposes, with
+//!   and without the saved statistics, hostile rows included.
 //! - The row softmax runs as compiled for AVX-512F where the `KERNEL` dial
 //!   says so; both compiles must give the bits of the one-row reference
 //!   below, on rows holding NaN, ±∞, nothing but −∞, and maxima of mixed
@@ -97,6 +97,38 @@ fn layer_norm_keeps_the_one_row_bits_at_every_row_count_and_width() {
             assert_eq!(bits(plain.data()), bits(&want), "{what}: output without stats");
             assert_eq!(bits(mean.data()), bits(&want_mean), "{what}: mean");
             assert_eq!(bits(rstd.data()), bits(&want_rstd), "{what}: rstd");
+        });
+    }
+}
+
+#[test]
+fn layer_norm_keeps_the_one_row_bits_around_the_sixteen_row_blocks() {
+    // Row counts on both sides of one and two lane blocks, widths off the
+    // sixteen-column transposes (and the model's 64), a few hostile rows:
+    // each lane is its own row, whatever its neighbours hold.
+    for (n, d) in
+        [15, 16, 17, 31, 32, 33].iter().flat_map(|&n| [1, 3, 9, 17, 20, 33, 64, 65].map(|d| (n, d)))
+    {
+        let seed = (n * 1000 + d) as u64;
+        let mut x = values(seed, &[n, d]).to_vec();
+        for (r, special) in [(1, f32::NAN), (n / 2, f32::INFINITY), (n - 1, f32::NEG_INFINITY)] {
+            x[r * d + r % d] = special;
+        }
+        let x = Tensor::from_vec(x, &[n, d]);
+        let (gamma, beta) = (values(seed ^ 1, &[d]), values(seed ^ 2, &[d]));
+        let (want, want_mean, want_rstd) =
+            layer_norm_reference(x.data(), gamma.data(), beta.data(), 1e-5);
+        let nan_folded = |xs: &[f32]| {
+            xs.iter().map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() }).collect::<Vec<_>>()
+        };
+        each_kernel(|kernel| {
+            let (y, mean, rstd) = ops::layer_norm_forward(&x, &gamma, &beta, 1e-5);
+            let plain = ops::layer_norm(&x, &gamma, &beta, 1e-5);
+            let what = format!("[{n},{d}] under {kernel}");
+            assert_eq!(nan_folded(y.data()), nan_folded(&want), "{what}: output");
+            assert_eq!(nan_folded(plain.data()), nan_folded(&want), "{what}: output without stats");
+            assert_eq!(nan_folded(mean.data()), nan_folded(&want_mean), "{what}: mean");
+            assert_eq!(nan_folded(rstd.data()), nan_folded(&want_rstd), "{what}: rstd");
         });
     }
 }

@@ -34,11 +34,13 @@ alloc_out=$(cargo test -q --release -p tsdx-core --test alloc_regression -- --no
   || { echo "$alloc_out"; exit 1; }
 grep -oE 'run-time switches: .*|alloc/.*' <<< "$alloc_out"
 
-echo "==> tensor suite with 8 concurrent test threads (metric-scope isolation; AVX-512 kernel == portable kernel, bitwise), then the 2^32-input GELU twin proof at --release"
+echo "==> tensor suite with 8 concurrent test threads (metric-scope isolation; AVX-512 kernel == portable kernel, bitwise), then the 2^32-input GELU twin and zmm exp proofs at --release"
 cargo test -q -p tsdx-tensor -- --test-threads=8
-# The GELU twin against the portable loop on all 2^32 inputs (~30 s): ignored
-# in debug builds, so it runs here at --release.
+# The GELU twin against the portable loop, and the attention lanes' zmm
+# exponential against fastmath::exp, on all 2^32 inputs (~30 s and ~60 s):
+# ignored in debug builds, so they run here at --release.
 cargo test -q -p tsdx-tensor --release --lib the_gelu_twin_matches_the_portable_loop_on_every_input
+cargo test -q -p tsdx-tensor --release --lib the_zmm_exp_matches_fastmath_exp_on_every_input
 
 echo "==> fault-injection suite (torn/corrupt checkpoints, NaN grads; the fault registry's own unit tests)"
 cargo test -q --features fault-inject
