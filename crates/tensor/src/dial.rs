@@ -122,22 +122,25 @@ impl Precision {
     }
 }
 
-/// The f32 GEMM micro-kernel behind [`crate::ops::matmul`], and with it the
-/// compile of the GELU pass and the row softmax (the baseline's, or the
-/// AVX-512F twin's). Both produce the same bits; only timings differ.
+/// The lanes the vector kernels of [`crate::ops`] run with — the GEMM, the
+/// GELU pass, the row softmax, attention and layer norm — named after the
+/// GEMM micro-kernel it brings. Both produce the same bits; only timings
+/// differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// The safe 4×16 register tile every CPU runs.
+    /// Safe `[f32; 16]` loops and the 4×16 GEMM register tile, compiled for
+    /// the build baseline: every CPU runs them.
     Portable,
-    /// The `zmm` micro-kernel — 6×64 register blocks, 8×32 on narrow
-    /// columns — selected where the CPU has AVX-512F.
+    /// `zmm` registers and the explicit micro-kernel — 6×64 GEMM register
+    /// blocks, 8×32 on narrow columns — with each kernel compiled for
+    /// AVX-512F; selected where the CPU has it.
     Avx512,
 }
 
 impl Kernel {
     /// The kernels this CPU can run, portable first.
     pub fn available() -> &'static [Kernel] {
-        if crate::cpu::avx512f() {
+        if crate::ops::avx512f() {
             &[Kernel::Portable, Kernel::Avx512]
         } else {
             &[Kernel::Portable]
@@ -162,9 +165,9 @@ dial! {
     /// the process, off per thread in the parity and allocation suites.
     pub static RECYCLE: bool = None, |_| Ok(true);
 
-    /// The f32 GEMM kernel (and GELU/softmax compile). No variable: the
-    /// widest the CPU has for the process, narrowed per thread by the
-    /// kernel-parity suites.
+    /// The f32 kernels' lanes, read by one function (`ops::simd::run`). No
+    /// variable: the widest the CPU has for the process, narrowed per thread
+    /// by the kernel-parity suites.
     pub static KERNEL: Kernel = None, |_| Ok(*Kernel::available().last().expect("portable"));
 }
 

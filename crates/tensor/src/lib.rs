@@ -44,16 +44,15 @@
 
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the crate is safe code except for one
-// audited island that allows `unsafe_code` — `ops::matmul::avx512`, the
-// 512-bit f32 GEMM micro-kernel (which LLVM does not form from safe loops),
-// the AVX-512F compiles of the safe GELU and softmax bodies, and the `zmm`
-// lanes of the attention and layer-norm kernels. It is
-// selected at run time, checks its extents and the CPU feature at a safe
-// entry, and is pinned bit-identical to a safe reference by a parity test
-// (see its module docs).
+// audited island that allows `unsafe_code` — the AVX-512F half of
+// `ops::simd`: the `zmm` lanes every f32 kernel can run with, the 512-bit
+// GEMM micro-kernel among them (which LLVM does not form from safe loops),
+// and the one `#[target_feature]` entry that compiles a kernel for them. It
+// is selected at run time, asserts the CPU feature once and every extent
+// before touching memory, and is pinned bit-identical to a safe reference
+// by the parity tests (see the module docs).
 #![deny(unsafe_code)]
 
-mod cpu;
 pub mod dial;
 pub mod fastmath;
 #[cfg(feature = "fault-inject")]

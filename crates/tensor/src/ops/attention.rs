@@ -5,7 +5,7 @@
 //! `k [.., Tk, H·dh]`, `v [.., Tk, H·dv]` — and returns the *merged*
 //! `[.., Tq, H·dv]`. Its `(batch element, head)` pairs are independent
 //! problems of a few short rows each (17 tokens or 5 at the model's shapes,
-//! `dh` 16), far too small for a GEMM tile, so the kernel ([`Ctx::lanes`])
+//! `dh` 16), far too small for a GEMM tile, so the kernel ([`Attend`])
 //! puts sixteen pairs side by side in the lanes of one vector and lets each
 //! lane replay its pair's scalar chain. Per lane group the pairs' K head
 //! slices are transposed lane-major once, and per query row its Q slices
@@ -26,11 +26,10 @@
 //! ([`attention_with_probs`], for backward and introspection); scratch is
 //! `16·(Tk·dh + 2·dh + 2·Tk)` floats.
 //!
-//! Where the `KERNEL` dial selects the AVX-512 kernel, the same body runs as
-//! compiled for AVX-512F with `zmm` lanes and 16×16 in-register
-//! transposes (`matmul::avx512::attention`); elsewhere, as compiled for the
-//! build baseline with `[f32; 16]` lanes and element-by-element moves
-//! ([`Portable`]), the parity reference.
+//! The kernel runs with the lanes [`simd::run`] selects: `zmm` registers,
+//! 16×16 in-register transposes and nine keys' score chains per block on a
+//! CPU with AVX-512F; `[f32; 16]` loops, element moves and four keys per
+//! block elsewhere, the parity reference.
 //!
 //! # Same bits as the composition
 //!
@@ -50,8 +49,8 @@
 //! through the same [`super::matmul()`] and softmax-backward kernels the
 //! composed graph's backward runs.
 
-use super::matmul::use_avx512;
-use super::reduce::{lanes_fold, softmax_last_backward, Lane, Lanes, Portable, LANES};
+use super::reduce::{lanes_fold, softmax_last_backward};
+use super::simd::{self, Job, Lane, Lanes, LANES};
 use super::{matmul, permute, scale, transpose_last2};
 use crate::shape::Dims;
 use crate::workspace::{self, Scratch};
@@ -127,7 +126,7 @@ impl<'a> Slab<'a> {
 }
 
 /// The operands and geometry of one attention call.
-pub(super) struct Ctx<'a> {
+struct Ctx<'a> {
     q: Slab<'a>,
     k: Slab<'a>,
     v: Slab<'a>,
@@ -135,37 +134,22 @@ pub(super) struct Ctx<'a> {
     scale: f32,
 }
 
-/// Keys per block of score chains in the build baseline's compile: four
-/// lane vectors of accumulators per query row are eight of its sixteen
-/// `ymm` registers. (The AVX-512F compile's blocks are `matmul::avx512`'s.)
-const YMM_KEYS: usize = 4;
+/// One attention call as a [`Job`]: every pair's rows into `out` (whole
+/// `[Tq, H·dv]` slabs) and, when kept, their probabilities into `probs`
+/// (whole `[H, Tq, Tk]` slabs), sixteen pairs — or fewer pairs and several
+/// query rows each — per lane group. Every element of both is stored.
+struct Attend<'a> {
+    ctx: &'a Ctx<'a>,
+    out: &'a mut [f32],
+    probs: Option<&'a mut [f32]>,
+}
 
-impl Ctx<'_> {
-    /// [`Ctx::lanes`] as compiled for AVX-512F where the `KERNEL` dial
-    /// selects the AVX-512 kernel, for the build baseline otherwise.
-    fn run(&self, out: &mut [f32], probs: Option<&mut [f32]>) {
-        #[cfg(target_arch = "x86_64")]
-        if use_avx512() {
-            return super::matmul::avx512::attention(self, out, probs);
-        }
-        self.lanes::<Portable, YMM_KEYS>(&Portable, out, probs)
-    }
-
-    /// Every pair's rows into `out` (whole `[Tq, H·dv]` slabs) and, when
-    /// kept, their probabilities into `probs` (whole `[H, Tq, Tk]` slabs),
-    /// sixteen pairs — or fewer pairs and several query rows each — per
-    /// lane group, computed and moved by `v`. Every element of both is
-    /// stored. `KB` keys per block of score chains. The body both compiles
-    /// of the kernel inline.
+impl Job for Attend<'_> {
     #[inline(always)]
-    pub(super) fn lanes<L: Lanes, const KB: usize>(
-        &self,
-        v: &L,
-        out: &mut [f32],
-        mut probs: Option<&mut [f32]>,
-    ) {
-        let Geom { nb, tq, tk, dh, .. } = self.geom;
-        let pairs = nb * self.geom.heads;
+    fn on<L: Lanes>(self, v: &L) {
+        let Attend { ctx, out, mut probs } = self;
+        let Geom { nb, tq, tk, dh, .. } = ctx.geom;
+        let pairs = nb * ctx.geom.heads;
         // Every slot is written before it is read: `kt` and `qt` by their
         // gathers, `s` by the score chains.
         let mut scratch = Scratch::uninit((tk * dh + 2 * (dh + tk)) * LANES);
@@ -173,30 +157,32 @@ impl Ctx<'_> {
         let (kt, rest) = lanes.split_at_mut(tk * dh);
         let (qt, s) = rest.split_at_mut(2 * dh);
         for p0 in (0..pairs).step_by(LANES) {
-            let group = Group::new(self, p0);
-            v.gather(self.k.data, &group.head(&self.k, dh), self.k.rs, tk, dh, kt);
+            let group = Group::new(ctx, p0);
+            v.gather(ctx.k.data, &group.head(&ctx.k, dh), ctx.k.rs, tk, dh, kt);
             // Two rounds of query rows at once while two are left: each K
             // and V element loaded feeds both.
             let mut i0 = 0;
             while i0 < tq {
                 if tq - i0 > group.splits {
-                    self.rounds::<L, KB, 2>(v, &group, i0, kt, qt, s, out, probs.as_deref_mut());
+                    ctx.rounds::<L, 2>(v, &group, i0, kt, qt, s, out, probs.as_deref_mut());
                     i0 += 2 * group.splits;
                 } else {
                     let (qt, s) = (&mut qt[..dh], &mut s[..tk]);
-                    self.rounds::<L, KB, 1>(v, &group, i0, kt, qt, s, out, probs.as_deref_mut());
+                    ctx.rounds::<L, 1>(v, &group, i0, kt, qt, s, out, probs.as_deref_mut());
                     i0 += group.splits;
                 }
             }
         }
     }
+}
 
+impl Ctx<'_> {
     /// `R` rounds of one lane group's query rows from row `i0` on: round
     /// `r`'s lane `l` takes row `i0 + r·splits + split(l)`. `qt` holds
     /// `R·dh` lane vectors, `s` `R·Tk`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn rounds<L: Lanes, const KB: usize, const R: usize>(
+    fn rounds<L: Lanes, const R: usize>(
         &self,
         v: &L,
         group: &Group,
@@ -225,7 +211,7 @@ impl Ctx<'_> {
             v.gather(q.data, &std::array::from_fn(|l| q0[l] + row[l] * q.rs), 0, 1, dh, qt);
         }
         let mut max = [v.splat(f32::NEG_INFINITY); R];
-        scores::<L, KB, R>(v, qt, kt, s, v.splat(self.scale), &mut max);
+        scores::<L, R>(v, qt, kt, s, v.splat(self.scale), &mut max);
         for (s, &max) in s.chunks_exact_mut(tk).zip(&max) {
             softmax(v, s, max);
         }
@@ -276,11 +262,11 @@ impl Group {
 /// query rows, and each row's running maximum into `max[r]`: one chain per
 /// key and row, fused-multiply-added from zero in ascending `d`, then
 /// `·scale` rounded and [`Lanes::keep_max`] in ascending `j` — the softmax's
-/// first pass as each score is stored. The chains of up to `KB` keys of
-/// every row are interleaved in registers ([`score_block`]), each key
-/// element loaded once for all rows.
+/// first pass as each score is stored. The chains of up to
+/// [`Lanes::KEYS`] keys of every row are interleaved in registers
+/// ([`score_block`]), each key element loaded once for all rows.
 #[inline(always)]
-fn scores<L: Lanes, const KB: usize, const R: usize>(
+fn scores<L: Lanes, const R: usize>(
     v: &L,
     qt: &[Lane],
     kt: &[Lane],
@@ -289,21 +275,18 @@ fn scores<L: Lanes, const KB: usize, const R: usize>(
     max: &mut [L::V; R],
 ) {
     let (dh, tk) = (qt.len() / R, s.len() / R);
-    let full = tk / KB * KB;
-    for j0 in (0..full).step_by(KB) {
-        score_block::<L, KB, R>(v, qt, &kt[j0 * dh..][..KB * dh], s, j0, scale, max);
+    for j0 in (0..tk).step_by(L::KEYS) {
+        let keys = &kt[j0 * dh..];
+        macro_rules! block {
+            ($($n:literal)*) => {
+                match L::KEYS.min(tk - j0) {
+                    $($n => score_block::<L, $n, R>(v, qt, keys, s, j0, scale, max),)*
+                    _ => unreachable!("a block is 1..=KEYS <= 9 keys"),
+                }
+            };
+        }
+        block!(1 2 3 4 5 6 7 8 9);
     }
-    let keys = &kt[full * dh..];
-    macro_rules! rest {
-        ($($n:literal)*) => {
-            match tk - full {
-                0 => {}
-                $($n => score_block::<L, $n, R>(v, qt, keys, s, full, scale, max),)*
-                _ => unreachable!("fewer than KB <= 9 keys remain"),
-            }
-        };
-    }
-    rest!(1 2 3 4 5 6 7 8);
 }
 
 /// The scaled scores of `N` keys from key `j0` on, `keys` their `N·dh` lane
@@ -369,7 +352,7 @@ fn softmax<L: Lanes>(v: &L, s: &mut [Lane], max: L::V) {
 
 /// `x ← exp(x − max)`, returning the new `x`. (A function, not a closure:
 /// a closure over [`Lanes`] operations is compiled without the AVX-512F
-/// twin's target feature.)
+/// entry's target feature.)
 #[inline(always)]
 fn exp_in_place<L: Lanes>(v: &L, x: &mut Lane, max: L::V) -> L::V {
     let e = v.exp(v.sub(v.load(x), max));
@@ -406,7 +389,7 @@ fn forward(
     };
     let mut out = workspace::take_uninit(nb * per_out);
     let mut probs = keep.then(|| workspace::take_uninit(nb * per_probs));
-    ctx.run(&mut out, probs.as_deref_mut());
+    simd::run(Attend { ctx: &ctx, out: &mut out, probs: probs.as_deref_mut() });
     (Tensor::from_vec(out, &out_shape), probs.map(|p| Tensor::from_vec(p, &probs_shape())))
 }
 

@@ -179,7 +179,7 @@ pub(super) const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 pub fn gelu(a: &Tensor) -> Tensor {
     let _span = crate::metrics::span("op/elementwise");
     let mut out = a.to_vec();
-    super::matmul::gelu_in_place(super::matmul::use_avx512(), &mut out);
+    super::matmul::gelu_in_place(&mut out);
     Tensor::from_vec(out, a.shape())
 }
 

@@ -13,6 +13,7 @@ mod matmul;
 mod norm;
 mod reduce;
 mod shapeops;
+mod simd;
 
 pub use attention::{attention, attention_with_probs};
 pub use conv::{avg_pool2d, conv2d, Conv2dSpec};
@@ -31,3 +32,4 @@ pub(crate) use elementwise::{add_assign, gelu_backward, relu_backward};
 pub(crate) use loss::{bce_with_logits_backward, cross_entropy_logits_backward};
 pub(crate) use reduce::softmax_last_backward;
 pub(crate) use shapeops::narrow_backward;
+pub(crate) use simd::avx512f;

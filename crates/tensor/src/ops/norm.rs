@@ -5,24 +5,23 @@
 //! output is `((x − mean)·rstd)·γ + β` with one rounding for the
 //! multiply-add. At the model's width (64) one row's sums are each a chain
 //! of eight dependent adds, so rows go sixteen at a time
-//! ([`layer_norm_blocks`]): the block is transposed lane-major, each lane's
+//! ([`Blocks`]): the block is transposed lane-major, each lane's
 //! statistics are [`lanes_sum`] — the same chains, sixteen rows per vector
 //! add — and the rows are normalized in row layout. The `rows % 16` left
-//! over take the one-row [`norm_row`]. Where the `KERNEL` dial selects the
-//! AVX-512 kernel the blocks run as compiled for AVX-512F with in-register
-//! transposes (`matmul::avx512::layer_norm`); the bits are the same either
-//! way, and the same as [`norm_row`]'s for every row.
+//! over take the one-row [`norm_row`]. The blocks run with the lanes
+//! [`simd::run`] selects — `zmm` registers and in-register transposes on a
+//! CPU with AVX-512F; the bits are the same either way, and the same as
+//! [`norm_row`]'s for every row.
 
-use super::matmul::use_avx512;
-use super::reduce::{lane_sum, lanes_sum, Lanes, Portable, LANES};
+use super::reduce::{lane_sum, lanes_sum};
+use super::simd::{self, Job, Lanes, LANES};
 use crate::workspace::Scratch;
 use crate::Tensor;
 
 /// Normalizes the packed rows of width `d = gamma.len()` in `src`, writing
 /// every element of `out` and, when `stats` is given, the per-row
 /// `(mean, rstd)` the backward pass reuses: [`LANES`] rows at a time through
-/// [`layer_norm_blocks`] — as compiled for AVX-512F where the `KERNEL` dial
-/// selects the AVX-512 kernel — then the last `rows % LANES` one by one.
+/// [`Blocks`], then the last `rows % LANES` one by one.
 fn layer_norm_rows(
     src: &[f32],
     gamma: &[f32],
@@ -37,7 +36,7 @@ fn layer_norm_rows(
     let (ohead, otail) = out.split_at_mut(full * d);
     if full > 0 {
         let stats = stats.as_mut().map(|(m, r)| (&mut m[..full], &mut r[..full]));
-        blocks(head, gamma, beta, eps, ohead, stats);
+        simd::run(Blocks { src: head, gamma, beta, eps, out: ohead, stats });
     }
     for (r, (x, o)) in tail.chunks_exact(d).zip(otail.chunks_exact_mut(d)).enumerate() {
         let (mean, rstd) = norm_row(x, gamma, beta, eps, o);
@@ -47,65 +46,51 @@ fn layer_norm_rows(
     }
 }
 
-/// [`layer_norm_blocks`] as compiled for AVX-512F (with `zmm` [`Lanes`])
-/// where the `KERNEL` dial selects the AVX-512 kernel, for the build
-/// baseline ([`Portable`]) otherwise.
-fn blocks(
-    src: &[f32],
-    gamma: &[f32],
-    beta: &[f32],
+/// Blocks of [`LANES`] packed rows of width `gamma.len()`, as a [`Job`]:
+/// each block transposed lane-major, its rows' means and variances as
+/// [`lanes_sum`]s — each lane the chain [`norm_row`]'s [`lane_sum`] builds
+/// for its row — then `1/√(var + eps)` lane-wise, and the rows normalized in
+/// row layout into `out`, their `(mean, rstd)` into `stats` when given.
+struct Blocks<'a> {
+    src: &'a [f32],
+    gamma: &'a [f32],
+    beta: &'a [f32],
     eps: f32,
-    out: &mut [f32],
-    stats: Option<(&mut [f32], &mut [f32])>,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx512() {
-        return super::matmul::avx512::layer_norm(src, gamma, beta, eps, out, stats);
-    }
-    layer_norm_blocks(&Portable, src, gamma, beta, eps, out, stats)
+    out: &'a mut [f32],
+    stats: Option<(&'a mut [f32], &'a mut [f32])>,
 }
 
-/// Blocks of [`LANES`] packed rows: each block transposed lane-major, its
-/// rows' means and variances as [`lanes_sum`]s — each lane the chain
-/// [`norm_row`]'s [`lane_sum`] builds for its row — then `1/√(var + eps)`
-/// lane-wise, and the rows normalized in row layout. The body both
-/// compiles of the pass inline.
-#[inline(always)]
-pub(super) fn layer_norm_blocks<L: Lanes>(
-    v: &L,
-    src: &[f32],
-    gamma: &[f32],
-    beta: &[f32],
-    eps: f32,
-    out: &mut [f32],
-    mut stats: Option<(&mut [f32], &mut [f32])>,
-) {
-    let d = gamma.len();
-    // Every lane of every slot is written by the block's gather first.
-    let mut xt = Scratch::uninit(d * LANES);
-    let xt = xt.as_chunks_mut::<LANES>().0;
-    let (width, one, eps) = (v.splat(d as f32), v.splat(1.0), v.splat(eps));
-    let blocks = src.chunks_exact(LANES * d).zip(out.chunks_exact_mut(LANES * d));
-    for (b, (x, o)) in blocks.enumerate() {
-        v.gather(x, &std::array::from_fn(|l| l * d), 0, 1, d, xt);
-        let mean = v.div(lanes_sum(v, xt), width);
-        // The squared deviations replace `xt`: the rows are normalized from
-        // `x`.
-        for x in xt.iter_mut() {
-            let c = v.sub(v.load(x), mean);
-            v.store(v.mul(c, c), x);
-        }
-        let rstd = v.div(one, v.sqrt(v.add(v.div(lanes_sum(v, xt), width), eps)));
-        let mut stat = [[0.0; LANES]; 2];
-        v.store(mean, &mut stat[0]);
-        v.store(rstd, &mut stat[1]);
-        let [mean, rstd] = stat;
-        if let Some((means, rstds)) = stats.as_mut() {
-            means[b * LANES..][..LANES].copy_from_slice(&mean);
-            rstds[b * LANES..][..LANES].copy_from_slice(&rstd);
-        }
-        for (r, (row, orow)) in x.chunks_exact(d).zip(o.chunks_exact_mut(d)).enumerate() {
-            normalize(row, mean[r], rstd[r], gamma, beta, orow);
+impl Job for Blocks<'_> {
+    #[inline(always)]
+    fn on<L: Lanes>(self, v: &L) {
+        let Blocks { src, gamma, beta, eps, out, mut stats } = self;
+        let d = gamma.len();
+        // Every lane of every slot is written by the block's gather first.
+        let mut xt = Scratch::uninit(d * LANES);
+        let xt = xt.as_chunks_mut::<LANES>().0;
+        let (width, one, eps) = (v.splat(d as f32), v.splat(1.0), v.splat(eps));
+        let blocks = src.chunks_exact(LANES * d).zip(out.chunks_exact_mut(LANES * d));
+        for (b, (x, o)) in blocks.enumerate() {
+            v.gather(x, &std::array::from_fn(|l| l * d), 0, 1, d, xt);
+            let mean = v.div(lanes_sum(v, xt), width);
+            // The squared deviations replace `xt`: the rows are normalized from
+            // `x`.
+            for x in xt.iter_mut() {
+                let c = v.sub(v.load(x), mean);
+                v.store(v.mul(c, c), x);
+            }
+            let rstd = v.div(one, v.sqrt(v.add(v.div(lanes_sum(v, xt), width), eps)));
+            let mut stat = [[0.0; LANES]; 2];
+            v.store(mean, &mut stat[0]);
+            v.store(rstd, &mut stat[1]);
+            let [mean, rstd] = stat;
+            if let Some((means, rstds)) = stats.as_mut() {
+                means[b * LANES..][..LANES].copy_from_slice(&mean);
+                rstds[b * LANES..][..LANES].copy_from_slice(&rstd);
+            }
+            for (r, (row, orow)) in x.chunks_exact(d).zip(o.chunks_exact_mut(d)).enumerate() {
+                normalize(row, mean[r], rstd[r], gamma, beta, orow);
+            }
         }
     }
 }

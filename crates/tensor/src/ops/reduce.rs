@@ -4,13 +4,11 @@
 //! fixed function of the row. The row kernels that hold many short rows —
 //! attention's softmax, layer norm's statistics — run sixteen rows at once
 //! in the lanes of a vector ([`Lanes`], [`lanes_sum`]), each lane replaying
-//! its row's `lane_sum` chain. The row softmax of [`softmax_last`] has one
-//! body, [`softmax_body`]; [`softmax_rows`] runs it as compiled for the
-//! build baseline or, where the `KERNEL` dial selects the AVX-512 kernel,
-//! as compiled for AVX-512F ([`super::matmul`]'s twins) — the same bits
-//! either way.
+//! its row's `lane_sum` chain. The row softmax of [`softmax_last`] is one
+//! loop, [`Softmax`], one of [`simd`]'s twins: compiled for the lanes
+//! [`simd::run`] selects, the same bits either way.
 
-use super::matmul::use_avx512;
+use super::simd::{self, Job, Lane, Lanes};
 use crate::fastmath;
 use crate::shape::Dims;
 use crate::Tensor;
@@ -80,100 +78,6 @@ fn fold(a: &[f32; 8], tail: f32) -> f32 {
     (quad[0] + quad[2]) + (quad[1] + quad[3]) + tail
 }
 
-/// Rows one lane vector carries: sixteen `f32`s, one `zmm` register (two
-/// `ymm` registers of the build baseline).
-pub(super) const LANES: usize = 16;
-
-/// One value of each of [`LANES`] independent rows, in memory. The row
-/// kernels ([`super::attention()`], [`super::layer_norm`]) hold their operands
-/// lane-major — `[column][lane]` — and run each row's scalar chain in its
-/// own lane, so a lane's result has the bits the row alone would get.
-pub(super) type Lane = [f32; LANES];
-
-/// What a lane kernel computes with: a register type holding one [`Lane`],
-/// the IEEE operations it applies lane by lane, and the moves between row
-/// layout and lane-major. The row kernels are written once, generic over
-/// it: [`Portable`] is the safe reference, `matmul::avx512::Zmm` the same
-/// operations as `zmm` intrinsics with 16×16 in-register transposes. Each
-/// operation is one IEEE operation per lane (or, for [`Lanes::exp`],
-/// [`fastmath::exp`]'s fixed sequence of them), so the two cannot differ in
-/// a bit.
-pub(super) trait Lanes {
-    /// One [`Lane`] in registers.
-    type V: Copy;
-
-    /// The lanes of `x`.
-    fn load(&self, x: &Lane) -> Self::V;
-    /// `v` into `x`.
-    fn store(&self, v: Self::V, x: &mut Lane);
-    /// `x` in every lane.
-    fn splat(&self, x: f32) -> Self::V;
-    /// `a + b`.
-    fn add(&self, a: Self::V, b: Self::V) -> Self::V;
-    /// `a − b`.
-    fn sub(&self, a: Self::V, b: Self::V) -> Self::V;
-    /// `a · b`.
-    fn mul(&self, a: Self::V, b: Self::V) -> Self::V;
-    /// `a / b`.
-    fn div(&self, a: Self::V, b: Self::V) -> Self::V;
-    /// `a·b + c`, rounded once (`f32::mul_add`).
-    fn fma(&self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
-    /// [`keep_max`]`(x, m)`: `x` where `x > m`, else `m`.
-    fn keep_max(&self, x: Self::V, m: Self::V) -> Self::V;
-    /// [`fastmath::exp`].
-    fn exp(&self, x: Self::V) -> Self::V;
-    /// `√x`.
-    fn sqrt(&self, x: Self::V) -> Self::V;
-
-    /// `dst[r·w + c][l] = src[bases[l] + r·rs + c]` for `r < rows`,
-    /// `c < w` and every lane `l`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index reaches past `src` or `dst`.
-    fn gather(
-        &self,
-        src: &[f32],
-        bases: &[usize; LANES],
-        rs: usize,
-        rows: usize,
-        w: usize,
-        dst: &mut [Lane],
-    );
-
-    /// `dst[bases[l] + c] = src[c][l]` for `c < w` and the lanes
-    /// `l < live`; the other lanes store nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index reaches past `src` or `dst`.
-    fn scatter(&self, src: &[Lane], w: usize, dst: &mut [f32], bases: &[usize; LANES], live: usize);
-
-    /// For each of `R` weight sets `p[r·rows..(r + 1)·rows]`:
-    /// `dst[at[r][l] + e] = Σ_j p[r·rows + j][l] · src[bases[l] + j·rs + e]`
-    /// for `e < w` and the lanes `l < live[r]` — lane-major weights times
-    /// each lane's own rows, stored in row layout: one accumulator per
-    /// element, fused-multiply-added from zero in ascending `j`. The sets
-    /// share the rows, so each row element loaded feeds `R` chains. The
-    /// rows of every lane are read, live or not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index reaches past `src` or `dst`.
-    #[allow(clippy::too_many_arguments)]
-    fn weighted_rows<const R: usize>(
-        &self,
-        p: &[Lane],
-        src: &[f32],
-        bases: &[usize; LANES],
-        rs: usize,
-        w: usize,
-        dst: &mut [f32],
-        at: &[[usize; LANES]; R],
-        live: [usize; R],
-    );
-}
-
 /// [`lane_sum`] of every lane of the lane-major `xs` at once: lane `l` of
 /// the result has the bits `lane_sum` gives the row `xs[..][l]` — the same
 /// chunks of eight, the same remainder, the same fold ([`lanes_fold`]) — as
@@ -199,7 +103,7 @@ pub(super) fn lanes_sum<L: Lanes>(v: &L, xs: &[Lane]) -> L::V {
 /// sums — the softmax's exponentials — accumulates them itself, element
 /// `j` into `acc[j % 8]` up to the last whole chunk and into `tail` after,
 /// and folds here: a closure over [`Lanes`] operations would be compiled
-/// without the AVX-512F twin's target feature.)
+/// without the AVX-512F entry's target feature.)
 #[inline(always)]
 pub(super) fn lanes_fold<L: Lanes>(v: &L, acc: [L::V; 8], tail: L::V) -> L::V {
     let quad = [
@@ -209,141 +113,6 @@ pub(super) fn lanes_fold<L: Lanes>(v: &L, acc: [L::V; 8], tail: L::V) -> L::V {
         v.add(acc[3], acc[7]),
     ];
     v.add(v.add(v.add(quad[0], quad[2]), v.add(quad[1], quad[3])), tail)
-}
-
-/// The [`Lanes`] of the build baseline: safe loops over a [`Lane`], which
-/// LLVM widens to two `ymm` vectors, and element-by-element moves.
-pub(super) struct Portable;
-
-/// `f` of `a`'s and `b`'s lanes, pairwise.
-#[inline(always)]
-fn zip_lanes(mut a: Lane, b: Lane, f: impl Fn(f32, f32) -> f32) -> Lane {
-    for (x, y) in a.iter_mut().zip(b) {
-        *x = f(*x, y);
-    }
-    a
-}
-
-impl Lanes for Portable {
-    type V = Lane;
-
-    #[inline(always)]
-    fn load(&self, x: &Lane) -> Lane {
-        *x
-    }
-    #[inline(always)]
-    fn store(&self, v: Lane, x: &mut Lane) {
-        *x = v;
-    }
-    #[inline(always)]
-    fn splat(&self, x: f32) -> Lane {
-        [x; LANES]
-    }
-    #[inline(always)]
-    fn add(&self, a: Lane, b: Lane) -> Lane {
-        zip_lanes(a, b, |x, y| x + y)
-    }
-    #[inline(always)]
-    fn sub(&self, a: Lane, b: Lane) -> Lane {
-        zip_lanes(a, b, |x, y| x - y)
-    }
-    #[inline(always)]
-    fn mul(&self, a: Lane, b: Lane) -> Lane {
-        zip_lanes(a, b, |x, y| x * y)
-    }
-    #[inline(always)]
-    fn div(&self, a: Lane, b: Lane) -> Lane {
-        zip_lanes(a, b, |x, y| x / y)
-    }
-    #[inline(always)]
-    fn fma(&self, a: Lane, b: Lane, mut c: Lane) -> Lane {
-        for ((z, x), y) in c.iter_mut().zip(a).zip(b) {
-            *z = x.mul_add(y, *z);
-        }
-        c
-    }
-    #[inline(always)]
-    fn keep_max(&self, x: Lane, m: Lane) -> Lane {
-        zip_lanes(x, m, keep_max)
-    }
-    #[inline(always)]
-    fn exp(&self, mut x: Lane) -> Lane {
-        for v in x.iter_mut() {
-            *v = fastmath::exp(*v);
-        }
-        x
-    }
-    #[inline(always)]
-    fn sqrt(&self, mut x: Lane) -> Lane {
-        for v in x.iter_mut() {
-            *v = v.sqrt();
-        }
-        x
-    }
-
-    #[inline(always)]
-    fn gather(
-        &self,
-        src: &[f32],
-        bases: &[usize; LANES],
-        rs: usize,
-        rows: usize,
-        w: usize,
-        dst: &mut [Lane],
-    ) {
-        for (r, drow) in dst[..rows * w].chunks_exact_mut(w).enumerate() {
-            let rows: [&[f32]; LANES] = std::array::from_fn(|l| &src[bases[l] + r * rs..][..w]);
-            for (c, d) in drow.iter_mut().enumerate() {
-                for (x, row) in d.iter_mut().zip(&rows) {
-                    *x = row[c];
-                }
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn scatter(
-        &self,
-        src: &[Lane],
-        w: usize,
-        dst: &mut [f32],
-        bases: &[usize; LANES],
-        live: usize,
-    ) {
-        for (l, &base) in bases.iter().enumerate().take(live) {
-            for (o, s) in dst[base..][..w].iter_mut().zip(&src[..w]) {
-                *o = s[l];
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn weighted_rows<const R: usize>(
-        &self,
-        p: &[Lane],
-        src: &[f32],
-        bases: &[usize; LANES],
-        rs: usize,
-        w: usize,
-        dst: &mut [f32],
-        at: &[[usize; LANES]; R],
-        live: [usize; R],
-    ) {
-        for ((p, at), live) in p.chunks_exact(p.len() / R).zip(at).zip(live) {
-            for (l, (&base, &at)) in bases.iter().zip(at).enumerate().take(live) {
-                for (e0, out) in (0..w).step_by(LANES).zip(dst[at..][..w].chunks_mut(LANES)) {
-                    let mut acc = [0.0f32; LANES];
-                    for (j, pj) in p.iter().enumerate() {
-                        let row = &src[base + j * rs + e0..][..out.len()];
-                        for (a, &x) in acc.iter_mut().zip(row) {
-                            *a = pj[l].mul_add(x, *a);
-                        }
-                    }
-                    out.copy_from_slice(&acc[..out.len()]);
-                }
-            }
-        }
-    }
 }
 
 /// Sum of all elements as a scalar tensor.
@@ -457,47 +226,39 @@ pub fn argmax_last(a: &Tensor) -> Tensor {
     Tensor::from_vec(out, &a.shape()[..a.rank() - 1])
 }
 
-/// Softmax of packed rows of `scale · src`, [`softmax_body`] as compiled
-/// for AVX-512F when `avx512` (only ever the `KERNEL` dial's answer), for
-/// the build baseline otherwise.
-pub(super) fn softmax_rows(avx512: bool, src: &[f32], out: &mut [f32], d: usize, scale: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if avx512 {
-        return super::matmul::avx512::softmax_rows(src, out, d, scale);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    debug_assert!(!avx512, "the AVX-512 kernel exists on x86-64 only");
-    softmax_body(src, out, d, scale)
+/// Softmax of the packed rows of `src` into `out`, as a [`Job`]: `out` and
+/// `src` hold the same whole rows of width `d`. The exponentials are one
+/// flat pass over the whole buffer instead of one loop per row: rows are
+/// short (17 wide in the model's attention), and a per-row loop would spend
+/// its time in the scalar remainder; the flat pass runs at full vector width
+/// whatever `d` is. Each element is still a function of its own row only:
+/// `x` minus the row maximum rounded, [`fastmath::exp`], divided by the
+/// row's [`lane_sum`].
+struct Softmax<'a> {
+    src: &'a [f32],
+    out: &'a mut [f32],
+    d: usize,
 }
 
-/// The row softmax both compiles of [`softmax_rows`] inline: `out` and
-/// `src` hold the same whole rows of width `d`. Flat passes over the whole buffer wherever a
-/// step has no per-row operand — the scaling and the exponentials — instead
-/// of one loop per row: attention rows are short (17 wide in the model), and
-/// a per-row loop would spend its time in the scalar remainder; the flat
-/// passes run at full vector width whatever `d` is. Each element is still a
-/// function of its own row only: `x·scale` rounded, minus the row maximum
-/// rounded, [`fastmath::exp`], divided by the row's [`lane_sum`] — with
-/// `scale` 1 (an exact multiply) the plain softmax, and with attention's
-/// `1/√dh` what [`super::scale`] followed by the plain softmax computes.
-#[inline(always)]
-pub(super) fn softmax_body(src: &[f32], out: &mut [f32], d: usize, scale: f32) {
-    for (o, &x) in out.iter_mut().zip(src) {
-        *o = x * scale;
-    }
-    for orow in out.chunks_exact_mut(d) {
-        let m = row_max(orow);
-        for o in orow.iter_mut() {
-            *o -= m;
+impl Job for Softmax<'_> {
+    #[inline(always)]
+    fn on<L: Lanes>(self, _: &L) {
+        let Softmax { src, out, d } = self;
+        out.copy_from_slice(src);
+        for orow in out.chunks_exact_mut(d) {
+            let m = row_max(orow);
+            for o in orow.iter_mut() {
+                *o -= m;
+            }
         }
-    }
-    for o in out.iter_mut() {
-        *o = fastmath::exp(*o);
-    }
-    for orow in out.chunks_exact_mut(d) {
-        let denom = lane_sum(orow, |x| x);
-        for v in orow.iter_mut() {
-            *v /= denom;
+        for o in out.iter_mut() {
+            *o = fastmath::exp(*o);
+        }
+        for orow in out.chunks_exact_mut(d) {
+            let denom = lane_sum(orow, |x| x);
+            for v in orow.iter_mut() {
+                *v /= denom;
+            }
         }
     }
 }
@@ -509,7 +270,7 @@ pub fn softmax_last(a: &Tensor) -> Tensor {
     let a = a.contiguous(); // the row kernel needs packed rows
                             // The row kernel stores every element of its rows.
     let mut out = crate::workspace::take_uninit(a.numel());
-    softmax_rows(use_avx512(), a.data(), &mut out, d, 1.0);
+    simd::run(Softmax { src: a.data(), out: &mut out, d });
     Tensor::from_vec(out, a.shape())
 }
 

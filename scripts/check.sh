@@ -16,8 +16,11 @@ cargo fmt --all --check
 echo "==> cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc (workspace, warnings are errors: a link to a deleted or private item fails)"
+echo "==> cargo doc (workspace, warnings are errors: a link to a deleted or private item fails; DESIGN.md and README.md name only files that exist)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+# Every backticked file path in DESIGN.md and README.md must match a tracked file, in full or as a
+# path suffix (`<name>` placeholders match anything), or be an ignored build or run output.
+grep -ohE '`[^` ]+\.(rs|md|sh|toml|json|txt)`' DESIGN.md README.md | tr -d '`' | sed 's/<[^>]*>/*/g' | sort -u | while read -r p; do [ -n "$(git ls-files -- "$p" "*/$p")" ] || git check-ignore -q "$p" || echo "DESIGN.md or README.md names a file that does not exist: $p"; done | grep . >&2 && exit 1
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
