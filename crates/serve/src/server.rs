@@ -122,7 +122,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind failures and a failure to spawn the accept thread.
     pub fn start(extractor: ScenarioExtractor, cfg: ServerConfig) -> std::io::Result<Server> {
         Server::start_with_search(extractor, None, cfg)
     }
@@ -131,7 +131,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind failures and a failure to spawn the accept thread.
     pub fn start_with_search(
         extractor: ScenarioExtractor,
         search: Option<Arc<SearchService>>,
@@ -159,8 +159,7 @@ impl Server {
         let accept_inner = Arc::clone(&inner);
         let accept_thread = std::thread::Builder::new()
             .name("tsdx-serve-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_inner))
-            .expect("spawn accept loop");
+            .spawn(move || accept_loop(&listener, &accept_inner))?;
         Ok(Server { inner, accept_thread: Some(accept_thread) })
     }
 
