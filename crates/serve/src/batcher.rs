@@ -706,6 +706,34 @@ mod tests {
     }
 
     #[test]
+    fn the_driver_stamps_queued_us_at_each_rounds_drain() {
+        let ex = tiny_extractor();
+        let stats = Arc::new(ServeStats::default());
+        let b = idle_batcher(BatchConfig { queue_capacity: 64, max_batch: 16 }, &stats);
+        // Each clip's admission instant is at or before its `enqueued`.
+        let (admitted, rxs): (Vec<_>, Vec<_>) =
+            (0..32).map(|i| (Instant::now(), b.submit(video(i as f32), None, 0).unwrap())).unzip();
+        drive_to_end(&b, &ex);
+        let end = Instant::now();
+        let forwards = stats.worker_metrics().hists["stage/serve_batch"].clone();
+        assert_eq!(forwards.count, 2, "two rounds of 16");
+        // Each forward took at least the lower edge of the lowest bucket hit.
+        let bucket = forwards.buckets.iter().position(|&c| c > 0).unwrap();
+        let forward = Duration::from_nanos(1 << bucket);
+        let queued: Vec<u64> =
+            rxs.into_iter().map(|rx| rx.recv_timeout(WAIT).unwrap().unwrap().queued_us).collect();
+        // The second round's clips waited out the first round's forward, and
+        // no clip's wait holds its own forward: admission, wait and forward
+        // fit before `end` (a stamp taken after the forward would not).
+        for &q in &queued[16..] {
+            assert!(Duration::from_micros(q + 1) > forward, "{q} µs, {forward:?}");
+        }
+        for (t, q) in admitted.into_iter().zip(queued) {
+            assert!(t + Duration::from_micros(q) + forward <= end, "{q} µs + {forward:?}");
+        }
+    }
+
+    #[test]
     fn a_full_queue_sheds_typed_429_and_the_drain_answers_the_rest() {
         let ex = tiny_extractor();
         let stats = Arc::new(ServeStats::default());
